@@ -1,14 +1,16 @@
 //! Criterion microbenches for the performance-critical kernels: codec
 //! decode paths (full / ROI / early-stop), preprocessing operators (fused
-//! vs unfused), the DAG optimizer, and Huffman coding.
+//! vs unfused, the compiled CPU prefix vs the reference interpreter), the
+//! DAG optimizer, and Huffman coding.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smol_codec::{sjpg, spng, SjpgEncoder};
 use smol_data::{still_catalog, throughput_images};
-use smol_imgproc::dag::{DagOptimizer, PreprocPlan};
+use smol_imgproc::dag::{execute_plan, DagOptimizer, PreprocPlan};
 use smol_imgproc::ops::fused::fused_convert_normalize_split;
 use smol_imgproc::ops::layout::{hwc_to_chw, to_f32};
 use smol_imgproc::ops::normalize::{normalize_chw, Normalization};
+use smol_imgproc::ops::prefix::CompiledPrefix;
 use smol_imgproc::ops::{center_crop_u8, resize_short_edge_u8};
 use smol_imgproc::Rect;
 
@@ -81,6 +83,35 @@ fn bench_preproc(c: &mut Criterion) {
     g.bench_function("fused_convert_normalize_split", |b| {
         b.iter(|| fused_convert_normalize_split(std::hint::black_box(&cropped), &norm).unwrap())
     });
+    g.finish();
+
+    // The producer stage's CPU prefix: the reference interpreter (one kernel
+    // and one intermediate per op) against the compiled single pass, on the
+    // three geometries the serving benchmark exercises.
+    let thumb = PreprocPlan::thumbnail(224, 224);
+    let crop_resize = DagOptimizer::default().optimize(&PreprocPlan::standard(73, 64, 64), 128, 72);
+    let cases = [
+        ("224x224_identity", &thumb, 224, 224),
+        ("215x161_to_224", &thumb, 215, 161),
+        ("128x72_crop_resize_64", &crop_resize, 128, 72),
+    ];
+    let mut g = c.benchmark_group("preproc_prefix");
+    for (name, plan, w, h) in cases {
+        let src = smol_imgproc::ops::resize_bilinear_u8(&img, w, h).unwrap();
+        let prefix = CompiledPrefix::compile(plan, w, h, &norm).unwrap();
+        let mut staging = vec![0.0f32; prefix.out_elems()];
+        g.throughput(Throughput::Elements(prefix.out_elems() as u64));
+        g.bench_function(&format!("prefix_reference/{name}"), |b| {
+            b.iter(|| execute_plan(plan, std::hint::black_box(&src), &norm).unwrap())
+        });
+        g.bench_function(&format!("prefix_compiled/{name}"), |b| {
+            b.iter(|| {
+                prefix
+                    .run_into(std::hint::black_box(&src), &mut staging)
+                    .unwrap()
+            })
+        });
+    }
     g.finish();
 }
 

@@ -6,11 +6,21 @@
 //!
 //! * a decode that lands **exactly** on the DNN input geometry elides the
 //!   resize/crop prefix entirely (the paper's signature plan: decode
-//!   small, skip resize, feed the accelerator), and
+//!   small, skip resize, feed the accelerator) — and so does a stored
+//!   representation already at the DNN input size (§5.2; Tahoma assumes
+//!   such a representation costs nothing to feed): a `ResizeExact` to the
+//!   exact decoded dims is dropped under `Full` / `Video` decoding too;
 //! * any other partial decode replaces the prefix with a single direct
 //!   resize from the decoded geometry to the plan's output geometry
 //!   (a *shrunk* resize: it reads the decoder's smaller output instead of
 //!   the full frame).
+//!
+//! ROI and early-stop decodes emit block-aligned regions, so their
+//! [`DecodeMode::decoded_dims`] are only nominal at plan time: their
+//! `ResizeExact` always stays in the plan. When the region an item actually
+//! decodes to already has the output geometry, the runtime's compiled
+//! prefix (`smol_imgproc::ops::prefix`) recognizes the identity on the
+//! decoded image and runs no geometric work.
 //!
 //! The pass is shared by the runtime (which executes the rewritten plan)
 //! and the planner (which costs it jointly with
@@ -137,9 +147,18 @@ pub fn rewrite_preproc_for_decode(
 ) -> PreprocPlan {
     // Video decoding emits full-geometry frames (the selection thins
     // which frames exist, not their shape), so like `Full` the authored
-    // pipeline is already correct.
+    // pipeline is already correct — minus a resize to the geometry the
+    // source already has, which the planner must not charge for.
     if matches!(mode, DecodeMode::Full | DecodeMode::Video { .. }) {
-        return preproc.clone();
+        let mut rewritten = preproc.clone();
+        let noop = OpSpec::ResizeExact {
+            w: w as u32,
+            h: h as u32,
+        };
+        if rewritten.ops.first().is_some_and(|op| op.spec == noop) {
+            rewritten.ops.remove(0);
+        }
+        return rewritten;
     }
     let (out_w, out_h) = preproc.output_dims(w, h);
     let (dec_w, dec_h) = mode.decoded_dims(w, h);
@@ -151,8 +170,7 @@ pub fn rewrite_preproc_for_decode(
         .collect();
     // The elide applies only to reduced-resolution decoding: its geometry
     // is exact, whereas ROI/early-stop decodes emit block-aligned regions
-    // that may slightly exceed their nominal dims and still need the
-    // resize to normalize.
+    // whose dims are only nominal here (see the module docs).
     if matches!(mode, DecodeMode::ReducedResolution { .. }) && (dec_w, dec_h) == (out_w, out_h) {
         // Decode geometry already meets the DNN input: the resize is
         // elided — only the elementwise tail remains.
@@ -191,6 +209,50 @@ mod tests {
             "geometric ops must be elided: {rewritten:?}"
         );
         assert_eq!(rewritten.output_dims(224, 224), (224, 224));
+    }
+
+    #[test]
+    fn thumbnail_at_the_dnn_input_rewrites_to_tail_only() {
+        // A stored representation already at the DNN input size: the
+        // authored upscale is a no-op under a full decode, and an exact
+        // reduced decode (448 / 2) lands on it too.
+        let plan = PreprocPlan::thumbnail(224, 224);
+        let full = rewrite_preproc_for_decode(&plan, DecodeMode::Full, 224, 224);
+        let reduced = rewrite_preproc_for_decode(
+            &plan,
+            DecodeMode::ReducedResolution { factor: 2 },
+            448,
+            448,
+        );
+        for rewritten in [full, reduced] {
+            assert_eq!(rewritten.ops.len(), 3, "{rewritten:?}");
+            assert!(rewritten.ops.iter().all(|o| o.spec.is_elementwise()));
+            assert_eq!(rewritten.output_dims(224, 224), (224, 224));
+            assert!(plan_cost(&rewritten, 224, 224) < plan_cost(&plan, 224, 224));
+        }
+        // Any other stored size keeps the upscale.
+        assert_eq!(
+            rewrite_preproc_for_decode(&plan, DecodeMode::Full, 161, 161),
+            plan
+        );
+    }
+
+    #[test]
+    fn roi_keeps_its_resize_even_at_nominal_identity() {
+        // The ROI's decoded dims are nominal (block alignment is only known
+        // on the decoded image), so the resize stays in the plan even when
+        // they equal the output; the compiled prefix elides it per item.
+        let plan = PreprocPlan::thumbnail(224, 224);
+        let mode = DecodeMode::CentralRoi {
+            crop_w: 224,
+            crop_h: 224,
+        };
+        assert_eq!(mode.decoded_dims(320, 240), (224, 224));
+        let rewritten = rewrite_preproc_for_decode(&plan, mode, 320, 240);
+        assert!(matches!(
+            rewritten.ops[0].spec,
+            OpSpec::ResizeExact { w: 224, h: 224 }
+        ));
     }
 
     #[test]

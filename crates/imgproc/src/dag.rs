@@ -125,7 +125,10 @@ impl PreprocPlan {
     }
 
     /// Pipeline for natively low-resolution inputs (e.g. 161-px thumbnails):
-    /// upscale straight to the DNN input size, then convert/normalize/split.
+    /// resize straight to the DNN input size, then convert/normalize/split.
+    /// For a thumbnail stored *at* the DNN input size the resize is a no-op:
+    /// the decode-aware rewrite (`smol_core::rewrite_preproc_for_decode`)
+    /// drops it from the executed and costed plan.
     pub fn thumbnail(dnn_w: u32, dnn_h: u32) -> Self {
         PreprocPlan::new(vec![
             PlacedOp::cpu(OpSpec::ResizeExact { w: dnn_w, h: dnn_h }),
@@ -476,10 +479,11 @@ enum State {
     F32(TensorF32),
 }
 
-/// Executes a preprocessing plan on a decoded image, producing the DNN input
-/// tensor. Placement is ignored here (the runtime engine handles device
-/// assignment); this is the semantic reference used by tests and the
-/// CPU-side path of the runtime.
+/// Executes a preprocessing plan on a decoded image op by op, producing the
+/// DNN input tensor. Placement is ignored here (the runtime engine handles
+/// device assignment). This is the semantic reference: the runtime executes
+/// [`crate::ops::prefix::CompiledPrefix`] instead, which the property tests
+/// hold bit-identical to this function.
 pub fn execute_plan(plan: &PreprocPlan, img: &ImageU8, norm: &Normalization) -> Result<TensorF32> {
     let mut state = State::U8(img.clone());
     for op in &plan.ops {

@@ -10,6 +10,7 @@ pub mod crop;
 pub mod fused;
 pub mod layout;
 pub mod normalize;
+pub mod prefix;
 pub mod resize;
 
 pub use colorspace::{rgb_to_ycbcr, ycbcr_to_rgb};
@@ -17,6 +18,7 @@ pub use crop::{center_crop_u8, crop_u8};
 pub use fused::fused_convert_normalize_split;
 pub use layout::{hwc_to_chw, to_f32};
 pub use normalize::{normalize_chw, normalize_hwc, Normalization};
+pub use prefix::CompiledPrefix;
 pub use resize::{
     box_downsample_u8, resize_bilinear_f32, resize_bilinear_u8, resize_short_edge_u8, scaled_dims,
 };

@@ -19,14 +19,16 @@ pub fn scaled_dims(width: usize, height: usize, short: usize) -> (usize, usize) 
     }
 }
 
-/// Precomputed sampling positions for one output axis.
-struct AxisMap {
-    lo: Vec<u32>,
-    hi: Vec<u32>,
-    frac: Vec<f32>,
+/// Precomputed sampling positions for one output axis: output index `d`
+/// blends source indices `lo[d]` and `hi[d]` with weight `frac[d]`.
+#[derive(Debug)]
+pub(crate) struct AxisMap {
+    pub(crate) lo: Vec<u32>,
+    pub(crate) hi: Vec<u32>,
+    pub(crate) frac: Vec<f32>,
 }
 
-fn axis_map(src: usize, dst: usize) -> AxisMap {
+pub(crate) fn axis_map(src: usize, dst: usize) -> AxisMap {
     // Half-pixel-centered mapping (the OpenCV / standard convention).
     let scale = src as f32 / dst as f32;
     let mut lo = Vec::with_capacity(dst);

@@ -29,10 +29,9 @@ use parking_lot::Mutex;
 use smol_accel::{DeviceStats, ModelKind, VirtualDevice};
 use smol_codec::{DecodeOptions, EncodedImage};
 use smol_core::{DecodeMode, FrameSelection, QueryPlan};
-use smol_imgproc::dag::{plan_op_costs, OpSpec, Placement, PreprocPlan};
-use smol_imgproc::ops::fused::fused_convert_normalize_split_into;
+use smol_imgproc::dag::PreprocPlan;
 use smol_imgproc::ops::normalize::Normalization;
-use smol_imgproc::ops::{center_crop_u8, resize_bilinear_u8, resize_short_edge_u8};
+use smol_imgproc::ops::prefix::CompiledPrefix;
 use smol_imgproc::{ImageU8, Rect};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -150,7 +149,7 @@ pub type Result<T> = std::result::Result<T, RuntimeError>;
 
 /// Precomputed per-plan execution state: everything the producer and
 /// consumer stages need that does not change per image.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PlanContext {
     pub decode: DecodeMode,
     /// The plan actually executed after decoding (partial decode modes
@@ -167,6 +166,11 @@ pub struct PlanContext {
     pub extra_stages: Vec<(ModelKind, f64)>,
     /// Worker threads per sjpg decode (see [`RuntimeOptions::decode_workers`]).
     pub decode_workers: usize,
+    /// The CPU prefix of `preproc`, compiled for the last decoded geometry
+    /// seen and shared by every producer thread of the plan. Items of one
+    /// plan share a decoded geometry, so after the first item a lookup is a
+    /// lock, a dimension compare, and an `Arc` clone.
+    prefix: Mutex<Option<Arc<CompiledPrefix>>>,
 }
 
 impl PlanContext {
@@ -185,7 +189,56 @@ impl PlanContext {
             batch: plan.batch.max(1),
             extra_stages: plan.extra_stages.clone(),
             decode_workers: 1,
+            prefix: Mutex::new(None),
         }
+    }
+
+    /// The compiled CPU prefix for `img`'s geometry: the cached one when the
+    /// geometry matches the last item's, freshly compiled (and cached)
+    /// otherwise.
+    fn prefix_for(&self, img: &ImageU8) -> Result<Arc<CompiledPrefix>> {
+        let dims = (img.width(), img.height());
+        let mut cached = self.prefix.lock();
+        match cached.as_ref() {
+            Some(prefix) if prefix.src_dims() == dims => Ok(Arc::clone(prefix)),
+            _ => {
+                let prefix = Arc::new(CompiledPrefix::compile(
+                    &self.preproc,
+                    dims.0,
+                    dims.1,
+                    &self.norm,
+                )?);
+                *cached = Some(Arc::clone(&prefix));
+                Ok(prefix)
+            }
+        }
+    }
+
+    /// The prefix compiled for the most recent item, if any has run.
+    pub fn compiled_prefix(&self) -> Option<Arc<CompiledPrefix>> {
+        self.prefix.lock().clone()
+    }
+
+    /// Executes the CPU-placed prefix of the plan on a decoded image,
+    /// writing the final tensor (or staged u8 intermediate) into `out`.
+    ///
+    /// Returns `(transfer_bytes, accel_ops)`: how many bytes the consumer
+    /// must copy to the device and the weighted-op cost of the remaining
+    /// accelerator-side operators. An item the prefix does not map to the
+    /// plan's output geometry (a mis-sized item under an elided resize, say)
+    /// is a typed `ShapeMismatch`, never a partial or out-of-bounds write.
+    fn run_cpu_prefix(&self, img: &ImageU8, out: &mut [f32]) -> Result<(usize, f64)> {
+        let prefix = self.prefix_for(img)?;
+        if prefix.out_dims() != (self.out_w, self.out_h) {
+            return Err(smol_imgproc::Error::ShapeMismatch {
+                expected: self.buf_len,
+                actual: prefix.out_elems(),
+                context: "CPU prefix output vs the plan's tensor geometry",
+            }
+            .into());
+        }
+        prefix.run_into(img, out)?;
+        Ok((prefix.transfer_bytes(), prefix.accel_ops()))
     }
 
     /// Sets the per-decode worker count (band-parallel sjpg decoding).
@@ -231,8 +284,9 @@ pub struct ProducedItem {
     pub transfer_bytes: usize,
     /// Weighted-op cost of the remaining accelerator-side operators.
     pub accel_ops: f64,
-    /// Decoded image, kept only when an inference callback needs it.
-    pub image: Option<ImageU8>,
+    /// Decoded image, kept only when an inference callback needs it
+    /// (shared with the tensor cache on hits, never copied).
+    pub image: Option<Arc<ImageU8>>,
     /// CPU seconds spent decoding this item.
     pub decode_s: f64,
     /// CPU seconds spent preprocessing this item (incl. staging/waits).
@@ -282,9 +336,7 @@ pub fn produce_item(
         (t1 - t0).as_secs_f64()
     };
     let mut buffer = pool.acquire();
-    let image = keep_image.then(|| (*decoded).clone());
-    let (transfer_bytes, accel_ops) =
-        run_cpu_prefix(&ctx.preproc, &decoded, &ctx.norm, buffer.as_mut_slice())?;
+    let (transfer_bytes, accel_ops) = ctx.run_cpu_prefix(&decoded, buffer.as_mut_slice())?;
     if extra_cpu_s > 0.0 {
         std::thread::sleep(Duration::from_secs_f64(extra_cpu_s));
     }
@@ -293,7 +345,7 @@ pub fn produce_item(
         buffer,
         transfer_bytes,
         accel_ops,
-        image,
+        image: keep_image.then_some(decoded),
         decode_s,
         preproc_s: t1.elapsed().as_secs_f64(),
         cache_hit,
@@ -426,9 +478,7 @@ pub fn produce_media_item(
             (t1 - t0).as_secs_f64()
         };
         let mut buffer = pool.acquire();
-        let image = keep_image.then(|| (*decoded).clone());
-        let (transfer_bytes, accel_ops) =
-            run_cpu_prefix(&ctx.preproc, &decoded, &ctx.norm, buffer.as_mut_slice())?;
+        let (transfer_bytes, accel_ops) = ctx.run_cpu_prefix(&decoded, buffer.as_mut_slice())?;
         if extra_cpu_s > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(extra_cpu_s));
         }
@@ -437,7 +487,7 @@ pub fn produce_media_item(
             buffer,
             transfer_bytes,
             accel_ops,
-            image,
+            image: keep_image.then_some(decoded),
             decode_s,
             preproc_s: t1.elapsed().as_secs_f64(),
             cache_hit,
@@ -550,8 +600,9 @@ pub fn decode_item_opts(
 
 /// The plan actually executed after decoding: the shared decode-aware
 /// rewrite pass (`smol_core::rewrite`) elides the resize when the decode
-/// geometry already meets the DNN input (reduced-resolution decoding) and
-/// otherwise replaces the geometric prefix with one direct resize.
+/// geometry already meets the DNN input (an exact reduced-resolution
+/// decode, a thumbnail stored at the input size) and otherwise replaces a
+/// partial decode's geometric prefix with one direct resize.
 fn effective_preproc(plan: &QueryPlan) -> PreprocPlan {
     smol_core::rewrite_preproc_for_decode(
         &plan.preproc,
@@ -561,79 +612,6 @@ fn effective_preproc(plan: &QueryPlan) -> PreprocPlan {
     )
 }
 
-/// Executes the CPU-placed prefix of `plan` on a decoded image, writing the
-/// final tensor (or staged intermediate) into `out`.
-///
-/// Returns `(transfer_bytes, accel_ops)`: how many bytes the consumer must
-/// copy to the device and the weighted-op cost of the remaining
-/// accelerator-side operators.
-fn run_cpu_prefix(
-    plan: &PreprocPlan,
-    img: &ImageU8,
-    norm: &Normalization,
-    out: &mut [f32],
-) -> Result<(usize, f64)> {
-    let split = plan
-        .ops
-        .iter()
-        .position(|o| o.placement == Placement::Accel)
-        .unwrap_or(plan.ops.len());
-    let accel_ops: f64 = {
-        let costs = plan_op_costs(plan, img.width(), img.height());
-        costs[split..].iter().map(|c| c.weighted_ops).sum()
-    };
-
-    // Execute geometric CPU ops directly; the elementwise tail (when on
-    // CPU) uses the fused kernel writing straight into the pooled buffer.
-    // The source image is borrowed (it may be a shared cache entry), so
-    // `owned` holds the intermediates the geometric ops produce.
-    let mut owned: Option<ImageU8> = None;
-    let mut wrote_f32 = false;
-    for op in &plan.ops[..split] {
-        let cur: &ImageU8 = owned.as_ref().unwrap_or(img);
-        match &op.spec {
-            OpSpec::ResizeShortEdge { short } => {
-                owned = Some(resize_short_edge_u8(cur, *short as usize)?);
-            }
-            OpSpec::ResizeExact { w, h } => {
-                owned = Some(resize_bilinear_u8(cur, *w as usize, *h as usize)?);
-            }
-            OpSpec::CenterCrop { w, h } => {
-                owned = Some(center_crop_u8(cur, *w as usize, *h as usize)?);
-            }
-            OpSpec::FusedCropResize { short, w, h } => {
-                let scale = cur.short_edge() as f64 / (*short as f64).max(1.0);
-                let cw = (((*w as f64) * scale).round() as usize).clamp(1, cur.width());
-                let ch = (((*h as f64) * scale).round() as usize).clamp(1, cur.height());
-                let cropped = center_crop_u8(cur, cw, ch)?;
-                owned = Some(resize_bilinear_u8(&cropped, *w as usize, *h as usize)?);
-            }
-            OpSpec::ConvertF32 | OpSpec::Normalize | OpSpec::ChannelSplit | OpSpec::Fused(_) => {
-                // Elementwise tail on CPU: one fused pass into the buffer,
-                // then stop — any further CPU elementwise ops are part of
-                // the same fused write.
-                let n = cur.width() * cur.height() * 3;
-                fused_convert_normalize_split_into(cur, norm, &mut out[..n])?;
-                wrote_f32 = true;
-                break;
-            }
-        }
-    }
-    let cur: &ImageU8 = owned.as_ref().unwrap_or(img);
-    let elems = cur.width() * cur.height() * 3;
-    if wrote_f32 {
-        Ok((elems * std::mem::size_of::<f32>(), accel_ops))
-    } else {
-        // Prefix ended with a u8 intermediate: stage the bytes (values are
-        // carried in the f32 buffer for simplicity; the *transfer* is
-        // charged at u8 width, which is the real placement benefit).
-        for (o, v) in out[..elems].iter_mut().zip(cur.data()) {
-            *o = *v as f32;
-        }
-        Ok((elems, accel_ops))
-    }
-}
-
 /// Decodes one item (profiling helper).
 pub fn decode_only(enc: &EncodedImage) -> Result<()> {
     let img = enc.decode()?;
@@ -641,13 +619,12 @@ pub fn decode_only(enc: &EncodedImage) -> Result<()> {
     Ok(())
 }
 
-/// Decodes one item per the plan's decode mode and runs the CPU-side
-/// preprocessing into a scratch buffer (profiling helper).
-pub fn preproc_only(enc: &EncodedImage, plan: &QueryPlan) -> Result<()> {
-    let ctx = PlanContext::new(plan);
-    let mut scratch = vec![0.0f32; ctx.buf_len];
+/// Decodes one item per the plan's decode mode and runs the compiled CPU
+/// prefix into `scratch` (`ctx.buf_len` elements) — the producer stage
+/// without pool or cache (profiling helper).
+pub fn preproc_only(ctx: &PlanContext, enc: &EncodedImage, scratch: &mut [f32]) -> Result<()> {
     let decoded = decode_item(enc, ctx.decode)?;
-    let (bytes, _) = run_cpu_prefix(&ctx.preproc, &decoded, &ctx.norm, &mut scratch)?;
+    let (bytes, _) = ctx.run_cpu_prefix(&decoded, scratch)?;
     std::hint::black_box(bytes);
     Ok(())
 }
@@ -897,6 +874,7 @@ mod tests {
     use smol_accel::{ExecutionEnv, GpuModel, ModelKind};
     use smol_codec::Format;
     use smol_core::{InputVariant, Planner, PlannerConfig};
+    use smol_imgproc::dag::OpSpec;
 
     fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
         let mut img = ImageU8::zeros(w, h, 3);

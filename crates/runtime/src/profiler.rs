@@ -3,7 +3,7 @@
 //! execution"; §4: `T_exec` "can be directly measured using synthetic
 //! data").
 
-use crate::pipeline::{decode_item, preproc_only, RuntimeOptions};
+use crate::pipeline::{decode_item, preproc_only, PlanContext, RuntimeOptions};
 use smol_accel::{ModelKind, VirtualDevice};
 use smol_codec::EncodedImage;
 use smol_core::{DecodeMode, QueryPlan};
@@ -86,17 +86,21 @@ pub fn measure_preproc_throughput(items: &[EncodedImage], plan: &QueryPlan, thre
         return 0.0;
     }
     let threads = threads.max(1);
+    let ctx = PlanContext::new(plan);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let next = &next;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= items.len() {
-                    break;
+            let (next, ctx) = (&next, &ctx);
+            scope.spawn(move || {
+                let mut scratch = vec![0.0f32; ctx.buf_len];
+                loop {
+                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if idx >= items.len() {
+                        break;
+                    }
+                    let _ = preproc_only(ctx, &items[idx], &mut scratch);
                 }
-                let _ = preproc_only(&items[idx], plan);
             });
         }
     });

@@ -60,12 +60,19 @@ fn pipeline_is_bounded_by_slow_dnn() {
 #[test]
 fn smol_cost_model_wins_on_preproc_bound_run() {
     let items = encode_batch(96, Format::sjpg(75));
-    let plan = plan_for(&items, Format::sjpg(75), 16);
+    // ResNet-18 on a T4 executes several times faster than two cores can
+    // decode + preprocess these items, so the run is preprocessing-bound on
+    // any host (with ResNet-50 the compiled CPU prefix brings the two sides
+    // close enough that scheduling noise decides which one binds).
+    let plan = QueryPlan {
+        dnn: ModelKind::ResNet18,
+        ..plan_for(&items, Format::sjpg(75), 16)
+    };
     let preproc =
         smol::runtime::measure_preproc_pipelined(&items, &plan, &RuntimeOptions::default());
     let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0);
     let report = run_throughput(&items, &plan, &device, &RuntimeOptions::default()).unwrap();
-    let stages = smol::core::CascadeStage::single(device.model_throughput(ModelKind::ResNet50, 16));
+    let stages = smol::core::CascadeStage::single(device.model_throughput(plan.dnn, 16));
     let smol_err = smol::core::percent_error(
         smol::core::estimate_throughput(CostModelKind::Smol, preproc, &stages),
         report.throughput,

@@ -1,0 +1,305 @@
+//! Bit-identity battery for the compiled CPU preprocessing prefix: whatever
+//! the producer stage writes into the staging buffer must equal, bit for
+//! bit, what the reference interpreter (`dag::execute_plan`, one kernel and
+//! one intermediate image per op) computes for the same plan and image —
+//! for every geometric shape the planner emits, every tail placement, 1-px
+//! edges, the identity case, and a second geometry through the same
+//! `PlanContext` (the re-compile path).
+
+use proptest::prelude::*;
+use smol::accel::ModelKind;
+use smol::codec::{EncodedImage, Format};
+use smol::core::{DecodeMode, InputVariant, Planner, PlannerConfig, QueryPlan};
+use smol::imgproc::dag::{execute_plan, OpSpec, PlacedOp, Placement, PreprocPlan};
+use smol::imgproc::ops::fused::fused_convert_normalize_split;
+use smol::imgproc::ops::normalize::Normalization;
+use smol::imgproc::ops::prefix::CompiledPrefix;
+use smol::imgproc::{Error as ImageError, ImageU8};
+use smol::runtime::{decode_item, produce_item, BufferPool, PlanContext, RuntimeError};
+
+fn noise(w: usize, h: usize, seed: u64) -> ImageU8 {
+    let mut state = seed | 1;
+    let mut img = ImageU8::zeros(w, h, 3);
+    for v in img.data_mut() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *v = (state >> 56) as u8;
+    }
+    img
+}
+
+/// The four geometric chains the planner emits.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    ResizeExact,
+    ShortEdgeThenCrop,
+    FusedCropResize,
+    BareCrop,
+}
+
+/// Where the elementwise tail runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tail {
+    CpuUnfused,
+    CpuFused,
+    Accel,
+}
+
+fn geometric(shape: Shape, tw: u32, th: u32, short: u32) -> Vec<OpSpec> {
+    match shape {
+        Shape::ResizeExact => vec![OpSpec::ResizeExact { w: tw, h: th }],
+        Shape::ShortEdgeThenCrop => vec![
+            OpSpec::ResizeShortEdge { short },
+            OpSpec::CenterCrop { w: tw, h: th },
+        ],
+        Shape::FusedCropResize => vec![OpSpec::FusedCropResize {
+            short,
+            w: tw,
+            h: th,
+        }],
+        Shape::BareCrop => vec![OpSpec::CenterCrop { w: tw, h: th }],
+    }
+}
+
+fn with_tail(geom: Vec<OpSpec>, tail: Tail) -> PreprocPlan {
+    let parts = vec![OpSpec::ConvertF32, OpSpec::Normalize, OpSpec::ChannelSplit];
+    let (tail_ops, placement) = match tail {
+        Tail::CpuUnfused => (parts, Placement::Cpu),
+        Tail::CpuFused => (vec![OpSpec::Fused(parts)], Placement::Cpu),
+        Tail::Accel => (parts, Placement::Accel),
+    };
+    let mut ops: Vec<PlacedOp> = geom.into_iter().map(PlacedOp::cpu).collect();
+    ops.extend(
+        tail_ops
+            .into_iter()
+            .map(|spec| PlacedOp { spec, placement }),
+    );
+    PreprocPlan::new(ops)
+}
+
+/// What the staging buffer must hold: the reference tensor, or — when the
+/// tail is accelerator-placed — the reference u8 intermediate's interleaved
+/// bytes as f32 (exactly what geometric ops + `ConvertF32` produce).
+fn reference(plan: &PreprocPlan, tail: Tail, img: &ImageU8) -> Vec<f32> {
+    let norm = Normalization::IMAGENET;
+    if tail != Tail::Accel {
+        return execute_plan(plan, img, &norm).unwrap().into_vec();
+    }
+    let mut ops: Vec<PlacedOp> = plan
+        .ops
+        .iter()
+        .filter(|o| o.placement == Placement::Cpu)
+        .cloned()
+        .collect();
+    ops.push(PlacedOp::cpu(OpSpec::ConvertF32));
+    execute_plan(&PreprocPlan::new(ops), img, &norm)
+        .unwrap()
+        .into_vec()
+}
+
+fn plan_over(preproc: PreprocPlan, w: usize, h: usize) -> QueryPlan {
+    QueryPlan {
+        dnn: ModelKind::ResNet18,
+        input: InputVariant::new("battery spng", Format::Spng, w, h),
+        preproc,
+        decode: DecodeMode::Full,
+        batch: 1,
+        extra_stages: Vec::new(),
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Stages `img` (losslessly encoded) through the producer stage.
+fn stage(ctx: &PlanContext, pool: &BufferPool, img: &ImageU8) -> Result<Vec<f32>, RuntimeError> {
+    let enc = EncodedImage::encode(img, Format::Spng).unwrap();
+    produce_item(ctx, 0, &enc, pool, false, 0.0, None).map(|p| p.buffer.as_slice().to_vec())
+}
+
+fn arb_case() -> impl Strategy<Value = (Shape, Tail, [usize; 4], [u32; 3], u64)> {
+    (
+        0usize..4,
+        0usize..3,
+        (1usize..=96, 1usize..=96, 1usize..=96, 1usize..=96),
+        (1u32..=80, 1u32..=80, 1u32..=64),
+        any::<u64>(),
+    )
+        .prop_map(|(shape, tail, (w, h, w2, h2), (tw, th, short), seed)| {
+            let shape = [
+                Shape::ResizeExact,
+                Shape::ShortEdgeThenCrop,
+                Shape::FusedCropResize,
+                Shape::BareCrop,
+            ][shape];
+            let tail = [Tail::CpuUnfused, Tail::CpuFused, Tail::Accel][tail];
+            (shape, tail, [w, h, w2, h2], [tw, th, short], seed)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Compiled ≡ interpreted, on the first geometry a context sees and on
+    /// a different second one.
+    #[test]
+    fn compiled_prefix_is_bit_identical_to_execute_plan(
+        (shape, tail, [w, h, w2, h2], [tw, th, short], seed) in arb_case()
+    ) {
+        let preproc = with_tail(geometric(shape, tw, th, short), tail);
+        let ctx = PlanContext::new(&plan_over(preproc, w, h));
+        let pool = BufferPool::new(2, ctx.buf_len, true, false);
+
+        let first = noise(w, h, seed);
+        let staged = stage(&ctx, &pool, &first).unwrap();
+        prop_assert_eq!(bits(&staged), bits(&reference(&ctx.preproc, tail, &first)));
+        prop_assert_eq!(
+            ctx.compiled_prefix().unwrap().transfer_bytes(),
+            ctx.buf_len * if tail == Tail::Accel { 1 } else { 4 }
+        );
+
+        // A second item of another geometry through the same context: the
+        // prefix re-compiles. Where the plan maps it to the same output
+        // geometry the staged tensor is again exact; where it does not,
+        // the item is a typed error and the buffer is never part-written.
+        let second = noise(w2, h2, seed ^ 0x9e37_79b9);
+        let result = stage(&ctx, &pool, &second);
+        if ctx.preproc.output_dims(w2, h2) == (ctx.out_w, ctx.out_h) {
+            prop_assert_eq!(
+                bits(&result.unwrap()),
+                bits(&reference(&ctx.preproc, tail, &second))
+            );
+            prop_assert_eq!(ctx.compiled_prefix().unwrap().src_dims(), (w2, h2));
+        } else {
+            prop_assert!(matches!(
+                result,
+                Err(RuntimeError::Image(ImageError::ShapeMismatch { .. }))
+            ));
+        }
+        // And back: the first geometry is still exact after the switch.
+        prop_assert_eq!(bits(&stage(&ctx, &pool, &first).unwrap()), bits(&staged));
+    }
+
+    /// A source already at the output geometry compiles to the identity
+    /// path under every shape that can express it, and stages exactly the
+    /// fused elementwise pass.
+    #[test]
+    fn exact_geometry_is_the_identity_path(
+        (w, h, tail, seed) in (1usize..=96, 1usize..=96, 0usize..3, any::<u64>())
+    ) {
+        let tail = [Tail::CpuUnfused, Tail::CpuFused, Tail::Accel][tail];
+        let img = noise(w, h, seed);
+        let (tw, th) = (w as u32, h as u32);
+        let short = w.min(h) as u32;
+        let chains = [
+            vec![],
+            geometric(Shape::ResizeExact, tw, th, short),
+            geometric(Shape::ShortEdgeThenCrop, tw, th, short),
+            geometric(Shape::FusedCropResize, tw, th, short),
+            geometric(Shape::BareCrop, tw + 3, th + 3, short),
+        ];
+        for chain in chains {
+            let plan = with_tail(chain, tail);
+            let prefix = CompiledPrefix::compile(&plan, w, h, &Normalization::IMAGENET).unwrap();
+            prop_assert!(prefix.is_identity(), "{plan:?}");
+            let mut out = vec![f32::NAN; prefix.out_elems()];
+            prefix.run_into(&img, &mut out).unwrap();
+            prop_assert_eq!(bits(&out), bits(&reference(&plan, tail, &img)));
+        }
+    }
+}
+
+/// Two resamples round to u8 twice and cannot collapse into one pass: the
+/// compiler says so instead of approximating.
+#[test]
+fn double_resample_is_rejected_at_compile_time() {
+    let plan = with_tail(
+        vec![
+            OpSpec::ResizeExact { w: 40, h: 40 },
+            OpSpec::ResizeExact { w: 20, h: 20 },
+        ],
+        Tail::CpuFused,
+    );
+    assert!(matches!(
+        CompiledPrefix::compile(&plan, 64, 64, &Normalization::IMAGENET),
+        Err(ImageError::InvalidPlan(_))
+    ));
+}
+
+/// `fullres_cold`'s geometry: a 320×240 4:4:4 sjpg under the planner's
+/// central-ROI decode. The 210-px ROI block-aligns to exactly 224×224, so
+/// although the rewritten plan keeps its (nominal) `ResizeExact`, the
+/// producer must run no geometric kernel.
+#[test]
+fn roi_decode_landing_on_the_dnn_input_stages_the_fused_pass_only() {
+    let planner = Planner::new(PlannerConfig::default());
+    let input = InputVariant::new("320x240 sjpg", Format::sjpg(95), 320, 240);
+    let plan = QueryPlan {
+        dnn: ModelKind::ResNet50,
+        input: input.clone(),
+        preproc: planner.build_preproc(&input),
+        decode: planner.decode_mode(&input),
+        batch: 8,
+        extra_stages: Vec::new(),
+    };
+    assert!(matches!(plan.decode, DecodeMode::CentralRoi { .. }));
+    let ctx = PlanContext::new(&plan);
+    assert!(
+        matches!(
+            ctx.preproc.ops[0].spec,
+            OpSpec::ResizeExact { w: 224, h: 224 }
+        ),
+        "ROI dims are nominal at plan time: {:?}",
+        ctx.preproc
+    );
+
+    let enc = EncodedImage::encode(&noise(320, 240, 7), Format::sjpg(95)).unwrap();
+    let decoded = decode_item(&enc, plan.decode).unwrap();
+    assert_eq!((decoded.width(), decoded.height()), (224, 224));
+
+    let pool = BufferPool::new(2, ctx.buf_len, true, false);
+    let produced = produce_item(&ctx, 0, &enc, &pool, true, 0.0, None).unwrap();
+    let expected = fused_convert_normalize_split(&decoded, &ctx.norm).unwrap();
+    assert_eq!(bits(produced.buffer.as_slice()), bits(expected.data()));
+    assert!(ctx.compiled_prefix().unwrap().is_identity());
+    assert_eq!(produced.image.as_deref(), Some(&decoded));
+}
+
+/// `thumbs_hot`'s geometry: a 64-px spng thumbnail under a 64-px DNN input.
+/// The rewrite drops the no-op upscale from the plan itself (so the planner
+/// does not charge for it) and the producer stages the fused pass only.
+#[test]
+fn thumbnail_at_the_dnn_input_stages_the_fused_pass_only() {
+    let planner = Planner::new(PlannerConfig {
+        dnn_input: 64,
+        ..Default::default()
+    });
+    let input = InputVariant::new("64 spng", Format::Spng, 64, 64).thumbnail();
+    let plan = QueryPlan {
+        dnn: ModelKind::ResNet18,
+        input: input.clone(),
+        preproc: planner.build_preproc(&input),
+        decode: planner.decode_mode(&input),
+        batch: 8,
+        extra_stages: Vec::new(),
+    };
+    let ctx = PlanContext::new(&plan);
+    assert!(
+        ctx.preproc
+            .ops
+            .iter()
+            .all(|o| o.spec.is_elementwise() || matches!(o.spec, OpSpec::Fused(_))),
+        "no geometric op survives the rewrite: {:?}",
+        ctx.preproc
+    );
+
+    let img = noise(64, 64, 11);
+    let enc = EncodedImage::encode(&img, Format::Spng).unwrap();
+    let pool = BufferPool::new(2, ctx.buf_len, true, false);
+    let produced = produce_item(&ctx, 0, &enc, &pool, false, 0.0, None).unwrap();
+    let expected = fused_convert_normalize_split(&img, &ctx.norm).unwrap();
+    assert_eq!(bits(produced.buffer.as_slice()), bits(expected.data()));
+    assert!(ctx.compiled_prefix().unwrap().is_identity());
+}

@@ -345,6 +345,51 @@ fn production_error_is_isolated_per_query() {
     server.shutdown();
 }
 
+/// An item that does not have the plan's geometry, under a plan whose resize
+/// was elided (a 32-px thumbnail feeding a 32-px DNN input, so only the
+/// elementwise tail remains): the compiled prefix reports a typed shape
+/// error for that one item — it used to slice the staging buffer out of
+/// bounds and panic the producer thread, which never resolved the handle.
+#[test]
+fn mis_sized_item_fails_alone_with_a_typed_error() {
+    let server = Server::new(fast_device(), ServerConfig::default());
+    let planner = Planner::new(PlannerConfig {
+        dnn_input: 32,
+        batch: 4,
+        ..Default::default()
+    });
+    let input = InputVariant::new("32 spng", Format::Spng, 32, 32).thumbnail();
+    let plan = QueryPlan {
+        dnn: ModelKind::ResNet18,
+        input: input.clone(),
+        preproc: planner.build_preproc(&input),
+        decode: planner.decode_mode(&input),
+        batch: 4,
+        extra_stages: Vec::new(),
+    };
+    let encode = |w, h, seed| EncodedImage::encode(&textured(w, h, seed), Format::Spng).unwrap();
+    let mut items: Vec<EncodedImage> = (0..6).map(|i| encode(32, 32, i)).collect();
+    items[2] = encode(64, 64, 2);
+
+    let report = server
+        .submit(plan.clone(), items)
+        .unwrap()
+        .wait()
+        .expect("the query resolves");
+    let error = report.error.as_deref().expect("the error is recorded");
+    assert!(error.contains("shape mismatch"), "typed error: {error}");
+    assert_eq!(report.failed, 1);
+    assert_eq!(report.images + report.failed + report.skipped, 6);
+
+    // Every producer thread is still alive: a full-width healthy query on
+    // the same plan completes afterwards.
+    let healthy: Vec<EncodedImage> = (0..16).map(|i| encode(32, 32, 100 + i)).collect();
+    let report = server.submit(plan, healthy).unwrap().wait().unwrap();
+    assert!(report.error.is_none());
+    assert_eq!(report.images, 16);
+    server.shutdown();
+}
+
 /// Degenerate submissions resolve immediately.
 #[test]
 fn empty_query_resolves_immediately() {
