@@ -87,7 +87,9 @@ fn bench_preproc(c: &mut Criterion) {
 
     // The producer stage's CPU prefix: the reference interpreter (one kernel
     // and one intermediate per op) against the compiled single pass, on the
-    // three geometries the serving benchmark exercises.
+    // three geometries the serving benchmark exercises. `prefix_recompiled`
+    // compiles per item: what a plan pays when every item's decoded geometry
+    // differs from the last one's (mixed-size sources).
     let thumb = PreprocPlan::thumbnail(224, 224);
     let crop_resize = DagOptimizer::default().optimize(&PreprocPlan::standard(73, 64, 64), 128, 72);
     let cases = [
@@ -107,6 +109,14 @@ fn bench_preproc(c: &mut Criterion) {
         g.bench_function(&format!("prefix_compiled/{name}"), |b| {
             b.iter(|| {
                 prefix
+                    .run_into(std::hint::black_box(&src), &mut staging)
+                    .unwrap()
+            })
+        });
+        g.bench_function(&format!("prefix_recompiled/{name}"), |b| {
+            b.iter(|| {
+                CompiledPrefix::compile(plan, w, h, &norm)
+                    .unwrap()
                     .run_into(std::hint::black_box(&src), &mut staging)
                     .unwrap()
             })

@@ -53,6 +53,7 @@ pub use plan::{
 };
 pub use planner::{CandidateSpec, Planner, PlannerConfig, RoutingSpec, VideoFidelity};
 pub use rewrite::{
-    decode_cost_for_mode, idct_edge, rewrite_preproc_for_decode, video_gop_decode_cost,
+    costed_preproc_for_decode, decode_cost_for_mode, idct_edge, rewrite_preproc_for_decode,
+    video_gop_decode_cost,
 };
 pub use stream::{PaceDecision, PacingPolicy};

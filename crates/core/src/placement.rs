@@ -50,6 +50,12 @@ fn evaluate_split(costs: &[f64], split: usize, rates: &PlacementRates) -> (f64, 
 /// Chooses the split point maximizing estimated pipelined throughput
 /// (`min` of the two sides); ties prefer keeping work on the CPU, which
 /// leaves accelerator headroom.
+///
+/// Every split point is costed, including those inside the geometric prefix.
+/// `smol_runtime` executes resizes and crops on the CPU only, so it runs a
+/// decision only when `split` leaves no geometric operator on the
+/// accelerator (the elementwise tail may move freely); any other decision is
+/// rejected at submission by `smol_runtime::PlanContext::validate`.
 pub fn choose_placement(
     plan: &PreprocPlan,
     input_w: usize,

@@ -11,7 +11,7 @@ use crate::plan::{
     CascadePlan, DecodeMode, FrameSelection, InputVariant, PlanCandidate, QueryPlan,
 };
 use crate::rewrite::{
-    decode_cost_for_mode_subsampled, rewrite_preproc_for_decode, video_gop_decode_cost,
+    costed_preproc_for_decode, decode_cost_for_mode_subsampled, video_gop_decode_cost,
 };
 use smol_accel::{throughput, ExecutionEnv, GpuModel, ModelKind};
 use smol_imgproc::dag::plan_cost;
@@ -290,9 +290,8 @@ impl Planner {
     ) -> f64 {
         let joint = |m: DecodeMode| {
             let (dw, dh) = m.decoded_dims(w, h);
-            let rewritten = rewrite_preproc_for_decode(preproc, m, w, h);
-            decode_cost_for_mode_subsampled(m, w, h, chroma_subsampled)
-                + plan_cost(&rewritten, dw, dh)
+            let costed = costed_preproc_for_decode(preproc, m, w, h);
+            decode_cost_for_mode_subsampled(m, w, h, chroma_subsampled) + plan_cost(&costed, dw, dh)
         };
         let base_cost = joint(base);
         let mode_cost = joint(mode);

@@ -6,26 +6,30 @@
 //!
 //! * a decode that lands **exactly** on the DNN input geometry elides the
 //!   resize/crop prefix entirely (the paper's signature plan: decode
-//!   small, skip resize, feed the accelerator) — and so does a stored
-//!   representation already at the DNN input size (§5.2; Tahoma assumes
-//!   such a representation costs nothing to feed): a `ResizeExact` to the
-//!   exact decoded dims is dropped under `Full` / `Video` decoding too;
+//!   small, skip resize, feed the accelerator);
 //! * any other partial decode replaces the prefix with a single direct
 //!   resize from the decoded geometry to the plan's output geometry
 //!   (a *shrunk* resize: it reads the decoder's smaller output instead of
 //!   the full frame).
 //!
-//! ROI and early-stop decodes emit block-aligned regions, so their
-//! [`DecodeMode::decoded_dims`] are only nominal at plan time: their
-//! `ResizeExact` always stays in the plan. When the region an item actually
-//! decodes to already has the output geometry, the runtime's compiled
+//! Outside reduced-resolution decoding, plan-time geometry is nominal: ROI
+//! and early-stop decodes emit block-aligned regions, and the items of a
+//! `Full` / `Video` plan need not all have the variant's declared size. The
+//! executed plan therefore always keeps the resize of those modes. When an
+//! item actually decodes to the output geometry, the runtime's compiled
 //! prefix (`smol_imgproc::ops::prefix`) recognizes the identity on the
-//! decoded image and runs no geometric work.
+//! decoded image and runs no geometric work; an item of any other size is
+//! still resized and served. (The reduced-resolution elision does take the
+//! declared size at its word: an item whose scaled decode misses the output
+//! geometry is a typed shape error at run time.)
 //!
 //! The pass is shared by the runtime (which executes the rewritten plan)
-//! and the planner (which costs it jointly with
-//! [`smol_imgproc::dag::decode_cost`] so the Pareto frontier compares
-//! decode+preprocess totals, not preprocessing in isolation).
+//! and the planner, which costs [`costed_preproc_for_decode`] — the
+//! executed plan minus a resize that is a no-op at the declared geometry
+//! (§5.2; Tahoma assumes a representation stored at the DNN input size
+//! costs nothing to feed) — jointly with [`smol_imgproc::dag::decode_cost`],
+//! so the Pareto frontier compares decode+preprocess totals, not
+//! preprocessing in isolation.
 
 use crate::plan::DecodeMode;
 use smol_imgproc::dag::{OpSpec, PlacedOp, PreprocPlan};
@@ -147,18 +151,9 @@ pub fn rewrite_preproc_for_decode(
 ) -> PreprocPlan {
     // Video decoding emits full-geometry frames (the selection thins
     // which frames exist, not their shape), so like `Full` the authored
-    // pipeline is already correct — minus a resize to the geometry the
-    // source already has, which the planner must not charge for.
+    // pipeline is already correct.
     if matches!(mode, DecodeMode::Full | DecodeMode::Video { .. }) {
-        let mut rewritten = preproc.clone();
-        let noop = OpSpec::ResizeExact {
-            w: w as u32,
-            h: h as u32,
-        };
-        if rewritten.ops.first().is_some_and(|op| op.spec == noop) {
-            rewritten.ops.remove(0);
-        }
-        return rewritten;
+        return preproc.clone();
     }
     let (out_w, out_h) = preproc.output_dims(w, h);
     let (dec_w, dec_h) = mode.decoded_dims(w, h);
@@ -184,6 +179,31 @@ pub fn rewrite_preproc_for_decode(
     })];
     ops.extend(tail);
     PreprocPlan::new(ops)
+}
+
+/// The plan the planner *costs* for `mode` on a `w × h` variant:
+/// [`rewrite_preproc_for_decode`] minus a leading `ResizeExact` to the dims a
+/// `Full` / `Video` decode of the declared geometry emits. The runtime's
+/// compiled prefix runs no geometric work for such an item, so the estimate
+/// must not charge for any. ROI and early-stop plans keep theirs: the
+/// block-aligned region is known only on the decoded image.
+pub fn costed_preproc_for_decode(
+    preproc: &PreprocPlan,
+    mode: DecodeMode,
+    w: usize,
+    h: usize,
+) -> PreprocPlan {
+    let mut costed = rewrite_preproc_for_decode(preproc, mode, w, h);
+    let noop = OpSpec::ResizeExact {
+        w: w as u32,
+        h: h as u32,
+    };
+    if matches!(mode, DecodeMode::Full | DecodeMode::Video { .. })
+        && costed.ops.first().is_some_and(|op| op.spec == noop)
+    {
+        costed.ops.remove(0);
+    }
+    costed
 }
 
 #[cfg(test)]
@@ -212,27 +232,30 @@ mod tests {
     }
 
     #[test]
-    fn thumbnail_at_the_dnn_input_rewrites_to_tail_only() {
+    fn thumbnail_at_the_dnn_input_is_costed_tail_only() {
         // A stored representation already at the DNN input size: the
         // authored upscale is a no-op under a full decode, and an exact
         // reduced decode (448 / 2) lands on it too.
         let plan = PreprocPlan::thumbnail(224, 224);
-        let full = rewrite_preproc_for_decode(&plan, DecodeMode::Full, 224, 224);
-        let reduced = rewrite_preproc_for_decode(
-            &plan,
-            DecodeMode::ReducedResolution { factor: 2 },
-            448,
-            448,
-        );
-        for rewritten in [full, reduced] {
-            assert_eq!(rewritten.ops.len(), 3, "{rewritten:?}");
-            assert!(rewritten.ops.iter().all(|o| o.spec.is_elementwise()));
-            assert_eq!(rewritten.output_dims(224, 224), (224, 224));
-            assert!(plan_cost(&rewritten, 224, 224) < plan_cost(&plan, 224, 224));
+        let full = costed_preproc_for_decode(&plan, DecodeMode::Full, 224, 224);
+        let reduced =
+            costed_preproc_for_decode(&plan, DecodeMode::ReducedResolution { factor: 2 }, 448, 448);
+        for costed in [full, reduced] {
+            assert_eq!(costed.ops.len(), 3, "{costed:?}");
+            assert!(costed.ops.iter().all(|o| o.spec.is_elementwise()));
+            assert_eq!(costed.output_dims(224, 224), (224, 224));
+            assert!(plan_cost(&costed, 224, 224) < plan_cost(&plan, 224, 224));
         }
-        // Any other stored size keeps the upscale.
+        // Any other stored size is charged for the upscale.
         assert_eq!(
-            rewrite_preproc_for_decode(&plan, DecodeMode::Full, 161, 161),
+            costed_preproc_for_decode(&plan, DecodeMode::Full, 161, 161),
+            plan
+        );
+        // The *executed* plan keeps the resize under a full decode — the
+        // declared size is nominal, and an off-size item must still be
+        // resized — while the reduced decode's scale factor is exact.
+        assert_eq!(
+            rewrite_preproc_for_decode(&plan, DecodeMode::Full, 224, 224),
             plan
         );
     }
@@ -248,11 +271,15 @@ mod tests {
             crop_h: 224,
         };
         assert_eq!(mode.decoded_dims(320, 240), (224, 224));
-        let rewritten = rewrite_preproc_for_decode(&plan, mode, 320, 240);
-        assert!(matches!(
-            rewritten.ops[0].spec,
-            OpSpec::ResizeExact { w: 224, h: 224 }
-        ));
+        for rewritten in [
+            rewrite_preproc_for_decode(&plan, mode, 320, 240),
+            costed_preproc_for_decode(&plan, mode, 320, 240),
+        ] {
+            assert!(matches!(
+                rewritten.ops[0].spec,
+                OpSpec::ResizeExact { w: 224, h: 224 }
+            ));
+        }
     }
 
     #[test]

@@ -127,8 +127,9 @@ impl PreprocPlan {
     /// Pipeline for natively low-resolution inputs (e.g. 161-px thumbnails):
     /// resize straight to the DNN input size, then convert/normalize/split.
     /// For a thumbnail stored *at* the DNN input size the resize is a no-op:
-    /// the decode-aware rewrite (`smol_core::rewrite_preproc_for_decode`)
-    /// drops it from the executed and costed plan.
+    /// the compiled prefix ([`crate::ops::prefix::CompiledPrefix`]) runs no
+    /// geometric work for such an item, and the planner does not charge for
+    /// any (`smol_core::costed_preproc_for_decode`).
     pub fn thumbnail(dnn_w: u32, dnn_h: u32) -> Self {
         PreprocPlan::new(vec![
             PlacedOp::cpu(OpSpec::ResizeExact { w: dnn_w, h: dnn_h }),

@@ -405,7 +405,6 @@ impl CompiledPrefix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::{execute_plan, DagOptimizer};
 
     fn patterned(w: usize, h: usize) -> ImageU8 {
         let mut img = ImageU8::zeros(w, h, 3);
@@ -415,36 +414,8 @@ mod tests {
         img
     }
 
-    fn staged(plan: &PreprocPlan, img: &ImageU8) -> (CompiledPrefix, Vec<f32>) {
-        let norm = Normalization::IMAGENET;
-        let prefix = CompiledPrefix::compile(plan, img.width(), img.height(), &norm).unwrap();
-        let mut out = vec![f32::NAN; prefix.out_elems()];
-        prefix.run_into(img, &mut out).unwrap();
-        (prefix, out)
-    }
-
-    // The random battery over shapes, placements and geometries lives in the
-    // workspace's `tests/prefix_properties.rs`; these pin the two paths.
-
-    #[test]
-    fn resample_path_matches_the_reference_interpreter() {
-        let optimized =
-            DagOptimizer::default().optimize(&PreprocPlan::standard(256, 224, 224), 320, 240);
-        for (plan, w, h) in [
-            (PreprocPlan::thumbnail(224, 224), 215, 161),
-            (PreprocPlan::standard(256, 224, 224), 320, 240),
-            (optimized, 320, 240),
-        ] {
-            let img = patterned(w, h);
-            let (prefix, out) = staged(&plan, &img);
-            assert!(!prefix.is_identity());
-            let reference = execute_plan(&plan, &img, &Normalization::IMAGENET).unwrap();
-            assert!(out
-                .iter()
-                .zip(reference.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-    }
+    // Bit identity with the reference interpreter over shapes, placements
+    // and geometries is the workspace's `tests/prefix_properties.rs`.
 
     #[test]
     fn wrong_source_or_buffer_geometry_is_a_shape_mismatch() {

@@ -166,10 +166,13 @@ pub struct PlanContext {
     pub extra_stages: Vec<(ModelKind, f64)>,
     /// Worker threads per sjpg decode (see [`RuntimeOptions::decode_workers`]).
     pub decode_workers: usize,
+    /// Geometry a decode of the variant's declared size emits (nominal:
+    /// items may differ, and ROI decodes block-align).
+    nominal_src: (usize, usize),
     /// The CPU prefix of `preproc`, compiled for the last decoded geometry
-    /// seen and shared by every producer thread of the plan. Items of one
-    /// plan share a decoded geometry, so after the first item a lookup is a
-    /// lock, a dimension compare, and an `Arc` clone.
+    /// seen and shared by every producer thread of the plan. On a repeated
+    /// geometry a lookup is a lock, a dimension compare, and an `Arc` clone;
+    /// on a new one the compile runs outside the lock.
     prefix: Mutex<Option<Arc<CompiledPrefix>>>,
 }
 
@@ -189,29 +192,54 @@ impl PlanContext {
             batch: plan.batch.max(1),
             extra_stages: plan.extra_stages.clone(),
             decode_workers: 1,
+            nominal_src: plan
+                .decode
+                .decoded_dims(plan.input.width, plan.input.height),
             prefix: Mutex::new(None),
         }
     }
 
-    /// The compiled CPU prefix for `img`'s geometry: the cached one when the
+    /// Checks, once and before any item runs, that the CPU prefix compiles
+    /// and maps the variant's declared geometry to the plan's tensor
+    /// geometry. A plan that fails here would fail on every item: the
+    /// runtime executes geometric operators on the CPU only (a resize or
+    /// crop placed on the accelerator leaves the staging buffer mis-sized),
+    /// and one CPU prefix may resample at most once. The engine and the
+    /// server call this at submission.
+    pub fn validate(&self) -> Result<()> {
+        let prefix = self.prefix_for(self.nominal_src)?;
+        self.check_out_dims(&prefix)
+    }
+
+    /// The compiled CPU prefix for a `dims` source: the cached one when the
     /// geometry matches the last item's, freshly compiled (and cached)
-    /// otherwise.
-    fn prefix_for(&self, img: &ImageU8) -> Result<Arc<CompiledPrefix>> {
-        let dims = (img.width(), img.height());
-        let mut cached = self.prefix.lock();
-        match cached.as_ref() {
-            Some(prefix) if prefix.src_dims() == dims => Ok(Arc::clone(prefix)),
-            _ => {
-                let prefix = Arc::new(CompiledPrefix::compile(
-                    &self.preproc,
-                    dims.0,
-                    dims.1,
-                    &self.norm,
-                )?);
-                *cached = Some(Arc::clone(&prefix));
-                Ok(prefix)
-            }
+    /// otherwise. The compile runs outside the lock, so the producers of a
+    /// mixed-geometry plan compile concurrently instead of queuing on it.
+    fn prefix_for(&self, dims: (usize, usize)) -> Result<Arc<CompiledPrefix>> {
+        let cached = self.prefix.lock().clone();
+        if let Some(prefix) = cached.filter(|p| p.src_dims() == dims) {
+            return Ok(prefix);
         }
+        let prefix = Arc::new(CompiledPrefix::compile(
+            &self.preproc,
+            dims.0,
+            dims.1,
+            &self.norm,
+        )?);
+        *self.prefix.lock() = Some(Arc::clone(&prefix));
+        Ok(prefix)
+    }
+
+    fn check_out_dims(&self, prefix: &CompiledPrefix) -> Result<()> {
+        if prefix.out_dims() == (self.out_w, self.out_h) {
+            return Ok(());
+        }
+        Err(smol_imgproc::Error::ShapeMismatch {
+            expected: self.buf_len,
+            actual: prefix.out_elems(),
+            context: "CPU prefix output vs the plan's tensor geometry",
+        }
+        .into())
     }
 
     /// The prefix compiled for the most recent item, if any has run.
@@ -228,15 +256,8 @@ impl PlanContext {
     /// plan's output geometry (a mis-sized item under an elided resize, say)
     /// is a typed `ShapeMismatch`, never a partial or out-of-bounds write.
     fn run_cpu_prefix(&self, img: &ImageU8, out: &mut [f32]) -> Result<(usize, f64)> {
-        let prefix = self.prefix_for(img)?;
-        if prefix.out_dims() != (self.out_w, self.out_h) {
-            return Err(smol_imgproc::Error::ShapeMismatch {
-                expected: self.buf_len,
-                actual: prefix.out_elems(),
-                context: "CPU prefix output vs the plan's tensor geometry",
-            }
-            .into());
-        }
+        let prefix = self.prefix_for((img.width(), img.height()))?;
+        self.check_out_dims(&prefix)?;
         prefix.run_into(img, out)?;
         Ok((prefix.transfer_bytes(), prefix.accel_ops()))
     }
@@ -600,9 +621,8 @@ pub fn decode_item_opts(
 
 /// The plan actually executed after decoding: the shared decode-aware
 /// rewrite pass (`smol_core::rewrite`) elides the resize when the decode
-/// geometry already meets the DNN input (an exact reduced-resolution
-/// decode, a thumbnail stored at the input size) and otherwise replaces a
-/// partial decode's geometric prefix with one direct resize.
+/// geometry already meets the DNN input (reduced-resolution decoding) and
+/// otherwise replaces the geometric prefix with one direct resize.
 fn effective_preproc(plan: &QueryPlan) -> PreprocPlan {
     smol_core::rewrite_preproc_for_decode(
         &plan.preproc,
@@ -726,6 +746,7 @@ where
     }
     let opts = *opts;
     let ctx = Arc::new(PlanContext::new(plan).with_decode_workers(opts.decode_workers));
+    ctx.validate()?;
     let batch = ctx.batch;
     let producers = opts.effective_producers();
     let consumers = opts.consumers.max(1);

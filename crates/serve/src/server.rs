@@ -67,6 +67,9 @@ pub enum ServeError {
     ShuttingDown,
     /// The server went away before the query resolved.
     Aborted,
+    /// The plan cannot be executed on any item (see
+    /// [`PlanContext::validate`]); rejected before admission.
+    InvalidPlan(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -77,6 +80,7 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::Aborted => write!(f, "server dropped before the query resolved"),
+            ServeError::InvalidPlan(why) => write!(f, "plan cannot be executed: {why}"),
         }
     }
 }
@@ -694,15 +698,20 @@ impl Server {
         }
         let inner = &self.inner;
         let ctx = Arc::new(PlanContext::new(&plan));
+        ctx.validate()
+            .map_err(|e| ServeError::InvalidPlan(e.to_string()))?;
         let sig = Arc::new(plan.placement_signature());
         // Compile the cascade's aggressive rung. Dropped when it collapses
         // onto the full rung (identical signature — the planner guards
-        // this too, but submitters can hand-build plans) or when its
-        // staging geometry diverges (one pool must serve both rungs).
+        // this too, but submitters can hand-build plans), when its staging
+        // geometry diverges (one pool must serve both rungs), or when it
+        // cannot be executed.
         let cascade: Option<Arc<CascadeState>> = opts.cascade.as_ref().and_then(|c| {
             let s1_ctx = Arc::new(PlanContext::new(&c.stage1));
             let s1_sig = Arc::new(c.stage1.placement_signature());
-            (*s1_sig != *sig && s1_ctx.buf_len == ctx.buf_len).then(|| {
+            let usable =
+                *s1_sig != *sig && s1_ctx.buf_len == ctx.buf_len && s1_ctx.validate().is_ok();
+            usable.then(|| {
                 Arc::new(CascadeState {
                     sig: s1_sig,
                     ctx: s1_ctx,
@@ -718,10 +727,10 @@ impl Server {
         let total_outputs = layout.total;
         let max_fanout = layout.max_fanout;
         let offsets: Arc<Vec<usize>> = Arc::new(layout.offsets);
-        // A rung is usable only when it preserves the output layout —
-        // results are indexed by output slot, which must survive a
-        // mid-query re-plan. (Stills always qualify; video rungs must
-        // keep the frame selection.)
+        // A rung is usable only when it can be executed and preserves the
+        // output layout — results are indexed by output slot, which must
+        // survive a mid-query re-plan. (Stills always qualify; video rungs
+        // must keep the frame selection.)
         // Cascade queries route per item instead of degrading per query;
         // the two would fight over the same signature accounting.
         let opts_ladder: &[DegradeStep] = if cascade.is_some() { &[] } else { &opts.ladder };
@@ -734,7 +743,7 @@ impl Server {
             .filter_map(|step| {
                 let ctx = Arc::new(PlanContext::new(&step.plan));
                 let rung_layout = smol_runtime::media::OutputLayout::of(&items, ctx.decode);
-                (rung_layout.offsets == *offsets).then(|| Rung {
+                (rung_layout.offsets == *offsets && ctx.validate().is_ok()).then(|| Rung {
                     label: step.plan.label(),
                     sig: Arc::new(step.plan.placement_signature()),
                     ctx,

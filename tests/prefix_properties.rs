@@ -226,6 +226,11 @@ fn double_resample_is_rejected_at_compile_time() {
         CompiledPrefix::compile(&plan, 64, 64, &Normalization::IMAGENET),
         Err(ImageError::InvalidPlan(_))
     ));
+    // The runtime says so once, at submission, not once per item.
+    assert!(matches!(
+        PlanContext::new(&plan_over(plan, 64, 64)).validate(),
+        Err(RuntimeError::Image(ImageError::InvalidPlan(_)))
+    ));
 }
 
 /// `fullres_cold`'s geometry: a 320×240 4:4:4 sjpg under the planner's
@@ -268,8 +273,10 @@ fn roi_decode_landing_on_the_dnn_input_stages_the_fused_pass_only() {
 }
 
 /// `thumbs_hot`'s geometry: a 64-px spng thumbnail under a 64-px DNN input.
-/// The rewrite drops the no-op upscale from the plan itself (so the planner
-/// does not charge for it) and the producer stages the fused pass only.
+/// The executed plan keeps its upscale (the declared size is nominal), the
+/// compiled prefix sees it is a no-op on the decoded item and the producer
+/// stages the fused pass only — while an off-size item through the same
+/// context is still resized.
 #[test]
 fn thumbnail_at_the_dnn_input_stages_the_fused_pass_only() {
     let planner = Planner::new(PlannerConfig {
@@ -286,20 +293,22 @@ fn thumbnail_at_the_dnn_input_stages_the_fused_pass_only() {
         extra_stages: Vec::new(),
     };
     let ctx = PlanContext::new(&plan);
-    assert!(
-        ctx.preproc
-            .ops
-            .iter()
-            .all(|o| o.spec.is_elementwise() || matches!(o.spec, OpSpec::Fused(_))),
-        "no geometric op survives the rewrite: {:?}",
-        ctx.preproc
-    );
+    ctx.validate().unwrap();
 
     let img = noise(64, 64, 11);
-    let enc = EncodedImage::encode(&img, Format::Spng).unwrap();
     let pool = BufferPool::new(2, ctx.buf_len, true, false);
-    let produced = produce_item(&ctx, 0, &enc, &pool, false, 0.0, None).unwrap();
     let expected = fused_convert_normalize_split(&img, &ctx.norm).unwrap();
-    assert_eq!(bits(produced.buffer.as_slice()), bits(expected.data()));
+    assert_eq!(
+        bits(&stage(&ctx, &pool, &img).unwrap()),
+        bits(expected.data())
+    );
     assert!(ctx.compiled_prefix().unwrap().is_identity());
+
+    let off_size = noise(96, 80, 12);
+    let expected = execute_plan(&ctx.preproc, &off_size, &ctx.norm).unwrap();
+    assert_eq!(
+        bits(&stage(&ctx, &pool, &off_size).unwrap()),
+        bits(expected.data())
+    );
+    assert!(!ctx.compiled_prefix().unwrap().is_identity());
 }

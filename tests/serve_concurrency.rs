@@ -346,12 +346,49 @@ fn production_error_is_isolated_per_query() {
 }
 
 /// An item that does not have the plan's geometry, under a plan whose resize
-/// was elided (a 32-px thumbnail feeding a 32-px DNN input, so only the
-/// elementwise tail remains): the compiled prefix reports a typed shape
-/// error for that one item — it used to slice the staging buffer out of
-/// bounds and panic the producer thread, which never resolved the handle.
+/// was elided (256 / 8 = 32 = the DNN input, so only the elementwise tail
+/// remains): the compiled prefix reports a typed shape error for that one
+/// item. The old interpreter sliced the staging buffer by the *item's* dims,
+/// so the 512-px item (a 64-px decode) panicked the producer thread, which
+/// never resolved the handle.
 #[test]
 fn mis_sized_item_fails_alone_with_a_typed_error() {
+    let server = Server::new(fast_device(), ServerConfig::default());
+    let plan = QueryPlan {
+        decode: smol::core::DecodeMode::ReducedResolution { factor: 8 },
+        ..plan_for(ModelKind::ResNet18, 256, 256, 32, 4)
+    };
+    let mut items = encoded_batch(6, 256, 256, 0);
+    items[2] = encoded_batch(1, 512, 512, 2).remove(0);
+
+    let report = server
+        .submit(plan.clone(), items)
+        .unwrap()
+        .wait()
+        .expect("the query resolves");
+    let error = report.error.as_deref().expect("the error is recorded");
+    assert!(error.contains("shape mismatch"), "typed error: {error}");
+    assert_eq!(report.failed, 1);
+    assert_eq!(report.images + report.failed + report.skipped, 6);
+
+    // Every producer thread is still alive: a full-width healthy query on
+    // the same plan completes afterwards.
+    let report = server
+        .submit(plan, encoded_batch(16, 256, 256, 100))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(report.error.is_none());
+    assert_eq!(report.images, 16);
+    server.shutdown();
+}
+
+/// Under a full decode the variant's declared size is nominal: a thumbnail
+/// plan whose resize is a no-op for on-size items (32 px feeding a 32-px DNN
+/// input) keeps it in the executed plan, so an off-size item is resized and
+/// served like any other.
+#[test]
+fn off_size_item_under_a_full_decode_is_resized_and_served() {
     let server = Server::new(fast_device(), ServerConfig::default());
     let planner = Planner::new(PlannerConfig {
         dnn_input: 32,
@@ -369,24 +406,29 @@ fn mis_sized_item_fails_alone_with_a_typed_error() {
     };
     let encode = |w, h, seed| EncodedImage::encode(&textured(w, h, seed), Format::Spng).unwrap();
     let mut items: Vec<EncodedImage> = (0..6).map(|i| encode(32, 32, i)).collect();
-    items[2] = encode(64, 64, 2);
+    items[2] = encode(64, 48, 2);
+    let report = server.submit(plan, items).unwrap().wait().unwrap();
+    assert!(report.error.is_none(), "{:?}", report.error);
+    assert_eq!((report.images, report.failed), (6, 0));
+    server.shutdown();
+}
 
-    let report = server
-        .submit(plan.clone(), items)
-        .unwrap()
-        .wait()
-        .expect("the query resolves");
-    let error = report.error.as_deref().expect("the error is recorded");
-    assert!(error.contains("shape mismatch"), "typed error: {error}");
-    assert_eq!(report.failed, 1);
-    assert_eq!(report.images + report.failed + report.skipped, 6);
-
-    // Every producer thread is still alive: a full-width healthy query on
-    // the same plan completes afterwards.
-    let healthy: Vec<EncodedImage> = (0..16).map(|i| encode(32, 32, 100 + i)).collect();
-    let report = server.submit(plan, healthy).unwrap().wait().unwrap();
-    assert!(report.error.is_none());
-    assert_eq!(report.images, 16);
+/// A plan no item could run — here a resize placed on the accelerator, which
+/// the runtime does not execute there — is rejected at submission instead of
+/// failing every item.
+#[test]
+fn unexecutable_plan_is_rejected_at_submission() {
+    use smol::imgproc::dag::Placement;
+    let server = Server::new(fast_device(), ServerConfig::default());
+    let mut plan = plan_for(ModelKind::ResNet18, 64, 64, 32, 4);
+    for op in &mut plan.preproc.ops {
+        op.placement = Placement::Accel;
+    }
+    match server.submit(plan, encoded_batch(2, 64, 64, 0)) {
+        Err(ServeError::InvalidPlan(why)) => assert!(why.contains("shape mismatch"), "{why}"),
+        Err(other) => panic!("expected an invalid-plan rejection, got {other:?}"),
+        Ok(_) => panic!("expected an invalid-plan rejection, got admission"),
+    }
     server.shutdown();
 }
 
