@@ -1,10 +1,12 @@
 //! Criterion microbenches for the performance-critical kernels: codec
 //! decode paths (full / ROI / early-stop), preprocessing operators (fused
-//! vs unfused, the compiled CPU prefix vs the reference interpreter), the
-//! DAG optimizer, and Huffman coding.
+//! vs unfused, the compiled CPU prefix vs the reference interpreter, the
+//! producer stage's per-item content key and cascade signal scan), the DAG
+//! optimizer, and Huffman coding.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use smol_codec::{sjpg, spng, SjpgEncoder};
+use smol_codec::signal::sjpg_signal_opts;
+use smol_codec::{sjpg, spng, DecodeOptions, EncodedImage, Format, SjpgEncoder};
 use smol_data::{still_catalog, throughput_images};
 use smol_imgproc::dag::{execute_plan, DagOptimizer, PreprocPlan};
 use smol_imgproc::ops::fused::fused_convert_normalize_split;
@@ -122,6 +124,45 @@ fn bench_preproc(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+
+    // What the producer stage computes from an item's encoded bytes before
+    // (or instead of) decoding it: the tensor-cache key on every lookup —
+    // the word-wide `cache_key` against the byte-serial on-disk
+    // `fingerprint` it replaced there — and the cascade's difficulty signal,
+    // table-driven against the bit-by-bit reference walk. Two payload sizes:
+    // a 64-px lossless thumbnail (~9 KB) and a full-resolution sjpg (~70 KB).
+    let thumb = smol_imgproc::ops::resize_bilinear_u8(&img, 64, 64).unwrap();
+    let items = [
+        ("9k", EncodedImage::encode(&thumb, Format::Spng).unwrap()),
+        ("70k", EncodedImage::encode(&img, Format::sjpg(95)).unwrap()),
+    ];
+    let mut g = c.benchmark_group("producer_keys");
+    for (name, item) in &items {
+        g.throughput(Throughput::Bytes(item.size_bytes() as u64));
+        g.bench_function(&format!("fingerprint/{name}"), |b| {
+            b.iter(|| std::hint::black_box(item).fingerprint())
+        });
+        g.bench_function(&format!("cache_key/{name}"), |b| {
+            b.iter(|| std::hint::black_box(item).cache_key())
+        });
+    }
+    let (_, scan) = &items[1];
+    g.throughput(Throughput::Bytes(scan.size_bytes() as u64));
+    g.bench_function("signal_reference/70k", |b| {
+        b.iter(|| {
+            sjpg_signal_opts(
+                std::hint::black_box(&scan.bytes),
+                DecodeOptions::scalar_reference(),
+            )
+            .unwrap()
+        })
+    });
+    g.bench_function("signal_fast/70k", |b| {
+        b.iter(|| {
+            sjpg_signal_opts(std::hint::black_box(&scan.bytes), DecodeOptions::default()).unwrap()
+        })
+    });
     g.finish();
 }
 

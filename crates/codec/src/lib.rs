@@ -37,6 +37,7 @@
 pub mod bitio;
 pub mod dct;
 pub mod error;
+pub mod hash;
 pub mod huffman;
 pub mod quant;
 pub mod registry;
@@ -156,6 +157,19 @@ impl Format {
                 ..
             }
         )
+    }
+
+    /// The format as one word, injective over every variant and parameter
+    /// (what [`EncodedImage::cache_key`] hashes in place of the allocated
+    /// [`Format::name`]).
+    fn tag(&self) -> u64 {
+        match *self {
+            Format::Sjpg { quality, chroma } => {
+                1 | (quality as u64) << 8 | (chroma.is_subsampled() as u64) << 16
+            }
+            Format::Spng => 2,
+            Format::Svid { quality } => 3 | (quality as u64) << 8,
+        }
     }
 
     fn unsupported(&self, op: &'static str) -> Error {
@@ -288,10 +302,10 @@ impl EncodedImage {
     }
 
     /// Content fingerprint: FNV-1a 64 over the format tag, dimensions, and
-    /// the encoded bytes. Stable across processes (unlike
-    /// `std::collections::hash_map::DefaultHasher`), so it can name objects
-    /// in an on-disk content-addressed store and key decoded-tensor caches
-    /// consistently between a materialization run and a later serving run.
+    /// the encoded bytes. Stable across processes and releases (unlike
+    /// `std::collections::hash_map::DefaultHasher`), so it names objects
+    /// in the on-disk content-addressed store. Byte-serial, hence slow on
+    /// large payloads: per-lookup keying uses [`EncodedImage::cache_key`].
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -307,6 +321,25 @@ impl EncodedImage {
         eat(&(self.height as u64).to_le_bytes());
         eat(&self.bytes);
         h
+    }
+
+    /// In-memory content key: the same fields as [`fingerprint`] (format,
+    /// dimensions, every payload byte, length) through the word-wide
+    /// [`hash::content_key`]. This is what decoded-tensor caches key on —
+    /// it is computed on every lookup, so it must cost far less than the
+    /// decode a hit saves. Only equal within one process and release; it
+    /// names nothing on disk (that is [`fingerprint`]'s job).
+    ///
+    /// Recomputed from the bytes on every call, never stored: the fields
+    /// are public, so a stored key could outlive a change to `bytes` and
+    /// hand a cache the wrong tensor.
+    ///
+    /// [`fingerprint`]: EncodedImage::fingerprint
+    pub fn cache_key(&self) -> u64 {
+        hash::content_key(
+            &[self.format.tag(), self.width as u64, self.height as u64],
+            &self.bytes,
+        )
     }
 
     /// Compression ratio relative to raw RGB.

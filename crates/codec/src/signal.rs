@@ -18,7 +18,7 @@
 //! cascade router (`smol_runtime::route_stage`): items scoring above a
 //! calibrated threshold escalate to the full rung.
 
-use crate::sjpg::{self, DecodeStats};
+use crate::sjpg::{self, DecodeOptions, DecodeStats};
 use crate::{EncodedImage, Format, Result};
 
 /// How many MCU rows the sampled scan entropy-decodes. Enough rows to
@@ -27,9 +27,10 @@ use crate::{EncodedImage, Format, Result};
 pub const SIGNAL_SAMPLE_ROWS: usize = 4;
 
 /// Bitstream-derived difficulty signals of one encoded item. A pure
-/// function of the encoded bytes: independent of
-/// [`DecodeOptions`](crate::DecodeOptions) (kernel selection, worker
-/// count) by construction, and deterministic across repeated scans.
+/// function of the encoded bytes: the table-driven and the reference
+/// entropy walk ([`sjpg_signal_opts`]) read the same symbols, so the
+/// signal is independent of [`DecodeOptions`] (pinned by the workspace
+/// proptests), and deterministic across repeated scans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DifficultySignal {
     /// Entropy symbols decoded across the sampled rows.
@@ -69,7 +70,18 @@ impl DifficultySignal {
 /// `pixels_written`, and `idct_macs` stay zero, which is the "no decode
 /// happened" proof the workspace proptests pin.
 pub fn sjpg_signal(data: &[u8]) -> Result<(DifficultySignal, DecodeStats)> {
-    let (scan, stats) = sjpg::scan_signal(data, SIGNAL_SAMPLE_ROWS)?;
+    sjpg_signal_opts(data, DecodeOptions::default())
+}
+
+/// [`sjpg_signal`] with the entropy path chosen by `opts.scalar_kernels`:
+/// the table-driven walk the decoder's fast path uses (the default), or
+/// the bit-by-bit reference it is checked against. `opts.workers` is
+/// ignored — a few rows are not worth a thread.
+pub fn sjpg_signal_opts(
+    data: &[u8],
+    opts: DecodeOptions,
+) -> Result<(DifficultySignal, DecodeStats)> {
+    let (scan, stats) = sjpg::scan_signal(data, SIGNAL_SAMPLE_ROWS, opts)?;
     Ok((
         DifficultySignal {
             symbols: scan.symbols,

@@ -593,11 +593,21 @@ pub(crate) struct SignalScan {
 /// writes. The row index makes the seek free; DC prediction resets per
 /// row, so each sampled row is self-contained.
 ///
+/// Cascade routing runs this on every item before any decode, so it takes
+/// the same table-driven entropy path as [`decode_band`]: one
+/// [`FastCursor`] per sampled row, synced back at row end (where truncated
+/// input surfaces). `opts.scalar_kernels` selects the bit-by-bit reference
+/// walk instead; both read the same symbols and return the same scan.
+///
 /// The returned [`DecodeStats`] is the proof of cheapness: only
 /// `symbols_decoded` and `rows_skipped` may move — `blocks_idct`,
 /// `pixels_written`, and `idct_macs` stay zero by construction (pinned
 /// by the workspace proptests).
-pub(crate) fn scan_signal(data: &[u8], max_rows: usize) -> Result<(SignalScan, DecodeStats)> {
+pub(crate) fn scan_signal(
+    data: &[u8],
+    max_rows: usize,
+    opts: DecodeOptions,
+) -> Result<(SignalScan, DecodeStats)> {
     let header = SjpgHeader::parse(data)?;
     let n_rows = header.row_offsets.len();
     let sample = max_rows.clamp(1, n_rows);
@@ -611,24 +621,30 @@ pub(crate) fn scan_signal(data: &[u8], max_rows: usize) -> Result<(SignalScan, D
     let mut ac_total = 0.0f64;
     let mut coefs = [0i16; 64];
 
+    let tables = (!opts.scalar_kernels)
+        .then(|| FastTables::with_window(&header.dc_table, &header.ac_table, SCAN_PAIR_BITS));
     let mut r = BitReader::new(body);
     for i in 0..sample {
         // Evenly spread, first row always included; `sample == n_rows`
         // degenerates to every row.
         let by = i * n_rows / sample;
         r.seek_bits(header.row_offsets[by] as u64 * 8)?;
+        let mut cursor = tables.as_ref().map(|t| (FastCursor::from_reader(&r), t));
         let mut dc_pred = [0i16; 3];
         for bx in 0..mcols {
             let (sched, n) = mcu_schedule(header.chroma, bx, by);
             for &(comp, _, _) in &sched[..n] {
-                let k = decode_block(
-                    &mut r,
-                    &header.dc_table,
-                    &header.ac_table,
-                    dc_pred[comp],
-                    &mut coefs,
-                    &mut stats,
-                )?;
+                let k = match cursor.as_mut() {
+                    Some((c, t)) => decode_block_fast(c, t, dc_pred[comp], &mut coefs, &mut stats)?,
+                    None => decode_block(
+                        &mut r,
+                        &header.dc_table,
+                        &header.ac_table,
+                        dc_pred[comp],
+                        &mut coefs,
+                        &mut stats,
+                    )?,
+                };
                 dc_pred[comp] = coefs[0];
                 if comp == 0 {
                     scan.luma_blocks += 1;
@@ -640,6 +656,9 @@ pub(crate) fn scan_signal(data: &[u8], max_rows: usize) -> Result<(SignalScan, D
                     }
                 }
             }
+        }
+        if let Some((c, _)) = cursor {
+            c.sync(&mut r)?;
         }
     }
     stats.rows_skipped += (n_rows - sample) as u64;
@@ -1280,13 +1299,18 @@ fn decode_block(
 /// Pair-LUT window width: a 12-bit window resolves most (code, amplitude)
 /// pairs in a single table read.
 const PAIR_BITS: u32 = 12;
+/// Window width for [`scan_signal`]: it reads a few MCU rows, not an image,
+/// so a quarter-size LUT (built in ~10 µs instead of ~40) wins on anything
+/// but the largest payloads — 94 vs 120 µs on a 70 KB item, 42 vs 66 µs on
+/// a 24 KB one, 331 vs 293 µs on a 280 KB one.
+const SCAN_PAIR_BITS: u32 = 10;
 /// Pair-LUT entry kinds (bits 9..11 of an entry).
 const PAIR_VAL: u32 = 0;
 const PAIR_EOB: u32 = 1;
 const PAIR_ZRL: u32 = 2;
 
 /// Fully-decoded entropy tables for the fast path. `dc_pairs`/`ac_pairs`
-/// map a 12-bit stream window straight to a decoded (total bits, run,
+/// map a stream window ([`PAIR_BITS`] wide for decodes) straight to a decoded (total bits, run,
 /// amplitude value) triple whenever the Huffman code *and* its amplitude
 /// bits both fit in the window — one load replaces the code lookup, the
 /// amplitude extraction, and the T.81 EXTEND step. Grain-heavy streams
@@ -1302,15 +1326,26 @@ struct FastTables<'t> {
     ac: &'t HuffmanTable,
     dc_pairs: Vec<u32>,
     ac_pairs: Vec<u32>,
+    /// `32 - window bits`: a 32-bit peek shifted right by this indexes
+    /// the pair LUTs.
+    shift: u32,
 }
 
 impl<'t> FastTables<'t> {
     fn new(dc: &'t HuffmanTable, ac: &'t HuffmanTable) -> Self {
+        Self::with_window(dc, ac, PAIR_BITS)
+    }
+
+    /// Tables over a `bits`-wide window (`bits <= PAIR_BITS`). Building
+    /// costs one LUT entry per window value, so a caller that decodes only
+    /// a few rows trades single-load coverage for a cheaper build.
+    fn with_window(dc: &'t HuffmanTable, ac: &'t HuffmanTable, bits: u32) -> Self {
         FastTables {
-            dc_pairs: build_pair_lut(dc, true),
-            ac_pairs: build_pair_lut(ac, false),
+            dc_pairs: build_pair_lut(dc, true, bits),
+            ac_pairs: build_pair_lut(ac, false, bits),
             dc,
             ac,
+            shift: 32 - bits,
         }
     }
 }
@@ -1320,12 +1355,12 @@ impl<'t> FastTables<'t> {
 /// spills past it, or whose symbol is malformed (AC size 0 outside
 /// EOB/ZRL) stay `0` and resolve through the fallback path, preserving
 /// the reference decoder's error behavior.
-fn build_pair_lut(table: &HuffmanTable, is_dc: bool) -> Vec<u32> {
-    let mut lut = vec![0u32; 1 << PAIR_BITS];
+fn build_pair_lut(table: &HuffmanTable, is_dc: bool, bits: u32) -> Vec<u32> {
+    let mut lut = vec![0u32; 1 << bits];
     for (idx, e) in lut.iter_mut().enumerate() {
-        let w16 = (idx as u32) << (16 - PAIR_BITS);
+        let w16 = (idx as u32) << (16 - bits);
         let (len, sym) = table.lookup16(w16);
-        if len == 0 || len > PAIR_BITS {
+        if len == 0 || len > bits {
             continue;
         }
         if !is_dc && sym == EOB {
@@ -1341,7 +1376,7 @@ fn build_pair_lut(table: &HuffmanTable, is_dc: bool) -> Vec<u32> {
         } else {
             ((sym & 0x0F) as u32, (sym >> 4) as u32)
         };
-        if (!is_dc && size == 0) || len + size > PAIR_BITS {
+        if (!is_dc && size == 0) || len + size > bits {
             continue;
         }
         let total = len + size;
@@ -1398,7 +1433,7 @@ fn decode_block_fast(
     }
     let mut symbols = 1u64;
     c.refill();
-    let e = tables.dc_pairs[(c.peek32() >> (32 - PAIR_BITS)) as usize];
+    let e = tables.dc_pairs[(c.peek32() >> tables.shift) as usize];
     let diff = if e != 0 {
         c.skip(e & 31);
         (e >> 16) as u16 as i16
@@ -1411,7 +1446,7 @@ fn decode_block_fast(
     while k < 64 {
         symbols += 1;
         c.refill();
-        let e = tables.ac_pairs[(c.peek32() >> (32 - PAIR_BITS)) as usize];
+        let e = tables.ac_pairs[(c.peek32() >> tables.shift) as usize];
         let (run, val) = if e != 0 {
             c.skip(e & 31);
             let kind = (e >> 9) & 3;

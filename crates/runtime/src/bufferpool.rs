@@ -1,68 +1,215 @@
-//! Reusable (optionally pinned) staging-buffer pool (§6.1).
+//! Recycled (optionally pinned) staging buffers (§6.1): one
+//! [`StagingArena`] per server, one [`BufferPool`] per query.
 //!
 //! The caller of Smol only needs inference *results*, never the intermediate
-//! preprocessed tensors, so buffers can be recycled across batches. The pool
-//! is bounded, which also provides backpressure: producers block when all
-//! buffers are in flight ("Smol will over-allocate memory to ensure that
-//! producer threads will not contend on consumers" — capacity is set by the
-//! pipeline to producers + 2×consumers×batch).
+//! preprocessed tensors, so buffers can be recycled — across batches and,
+//! through the arena, across queries: a query no larger than a batch would
+//! otherwise never see a buffer twice and pay one zeroed allocation per
+//! item.
+//!
+//! * The **arena** owns the idle buffers, shelved by length (`buf_len`), so
+//!   buffers of different tensor geometries can never be exchanged. It lives
+//!   as long as its owner (a `Server`); every buffer returns to its shelf
+//!   the moment it is dropped, not when its query ends. A shelf allocates
+//!   only when it has nothing idle, so per geometry
+//!   `idle + checked-out ≤ peak checked-out` holds by construction — the
+//!   arena needs no size setting and holds no more than the traffic's own
+//!   high-water mark.
+//! * A **pool** is a query's *entitlement* over that arena: at most
+//!   `capacity` buffers checked out at once, and producers block past it
+//!   (backpressure: "Smol will over-allocate memory to ensure that producer
+//!   threads will not contend on consumers" — capacity is set by the
+//!   pipeline to producers + 2×consumers×batch). The entitlement is per
+//!   pool, never shared: a batch former holding `batch − 1` items of one
+//!   query cannot starve another query, whatever the arena holds.
+//! * [`BufferPool::new`] makes a pool over a private arena — the one-shot
+//!   engine and tests, where pool and arena lifetimes coincide.
+//!
+//! A recycled buffer keeps its previous contents; every producer overwrites
+//! exactly the elements the consumer reads.
 
 use parking_lot::{Condvar, Mutex};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
-struct PoolState {
-    free: Vec<Vec<f32>>,
-    /// Buffers created so far (≤ capacity when reuse is on).
-    created: usize,
-}
-
-/// Counters for the lesion studies.
+/// Checkout counters: of one pool ([`BufferPool::stats`]) or summed over an
+/// arena ([`StagingStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Buffer checkouts served from the free list.
+    /// Checkouts served from a free list (a buffer some earlier checkout,
+    /// of this pool or another on the same arena, had returned).
     pub reused: u64,
-    /// Fresh heap allocations (pool growth or reuse disabled).
+    /// Fresh heap allocations (nothing idle, or reuse disabled).
     pub allocated: u64,
     /// Times a producer had to block waiting for a buffer.
     pub waits: u64,
 }
 
-struct PoolInner {
-    state: Mutex<PoolState>,
-    available: Condvar,
-    stats: Mutex<PoolStats>,
-    buf_len: usize,
-    capacity: usize,
-    /// When false, every acquire allocates and drops are discarded
-    /// (the "- mem reuse" lesion of Figure 7).
-    reuse: bool,
-    /// Whether buffers model pinned (DMA-fast) host memory.
-    pinned: bool,
+/// [`PoolStats`] as counters any thread may bump without a lock of their
+/// own: they are statistics and publish nothing.
+#[derive(Default)]
+struct Counters {
+    reused: AtomicU64,
+    allocated: AtomicU64,
+    waits: AtomicU64,
 }
 
-/// A bounded pool of `f32` staging buffers.
-#[derive(Clone)]
-pub struct BufferPool {
-    inner: Arc<PoolInner>,
+impl Counters {
+    fn snapshot(&self) -> PoolStats {
+        PoolStats {
+            reused: self.reused.load(Relaxed),
+            allocated: self.allocated.load(Relaxed),
+            waits: self.waits.load(Relaxed),
+        }
+    }
 }
 
-impl BufferPool {
-    /// Creates a pool of `capacity` buffers of `buf_len` floats.
-    pub fn new(capacity: usize, buf_len: usize, reuse: bool, pinned: bool) -> Self {
+#[derive(Default)]
+struct ShelfState {
+    idle: Vec<Vec<f32>>,
+    checked_out: usize,
+    peak_checked_out: usize,
+}
+
+/// Every buffer of one length: the idle ones and the count in flight.
+#[derive(Default)]
+struct Shelf {
+    state: Mutex<ShelfState>,
+    totals: Counters,
+}
+
+/// One shelf of a [`StagingArena`], as sampled by [`StagingArena::stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShelfStats {
+    /// Buffer length in `f32` elements.
+    pub buf_len: usize,
+    /// Buffers waiting for their next checkout.
+    pub idle: usize,
+    /// Buffers checked out right now.
+    pub checked_out: usize,
+    /// Most buffers ever checked out at once; `idle + checked_out` never
+    /// exceeds it.
+    pub peak_checked_out: usize,
+}
+
+impl ShelfStats {
+    /// Heap bytes the idle buffers hold.
+    pub fn idle_bytes(&self) -> u64 {
+        (self.idle * self.buf_len * std::mem::size_of::<f32>()) as u64
+    }
+}
+
+/// Arena-wide staging counters: the sum over every pool the arena ever
+/// served, plus what each shelf holds now.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StagingStats {
+    pub totals: PoolStats,
+    /// One entry per buffer length seen, ascending. Shelves of pools with
+    /// reuse disabled stay at zero: those buffers are never tracked.
+    pub shelves: Vec<ShelfStats>,
+}
+
+impl StagingStats {
+    /// Heap bytes held idle across all shelves.
+    pub fn idle_bytes(&self) -> u64 {
+        self.shelves.iter().map(ShelfStats::idle_bytes).sum()
+    }
+}
+
+/// The store of idle staging buffers that outlives individual queries.
+/// Cloning shares the arena; dropping the last handle (and the last pool
+/// and buffer drawn from it) frees every idle buffer.
+#[derive(Clone, Default)]
+pub struct StagingArena {
+    shelves: Arc<Mutex<HashMap<usize, Arc<Shelf>>>>,
+}
+
+impl StagingArena {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An entitlement of `capacity` concurrently checked-out buffers of
+    /// `buf_len` floats, drawn from and returned to this arena. With
+    /// `reuse` off every acquire allocates and drops are discarded (the
+    /// "- mem reuse" lesion of Figure 7); only the counters are shared.
+    pub fn pool(&self, capacity: usize, buf_len: usize, reuse: bool, pinned: bool) -> BufferPool {
+        let shelf = Arc::clone(self.shelves.lock().entry(buf_len).or_default());
         BufferPool {
             inner: Arc::new(PoolInner {
-                state: Mutex::new(PoolState {
-                    free: Vec::with_capacity(capacity),
-                    created: 0,
-                }),
+                shelf,
                 available: Condvar::new(),
-                stats: Mutex::new(PoolStats::default()),
+                checked_out: AtomicUsize::new(0),
+                waiting: AtomicUsize::new(0),
+                stats: Counters::default(),
                 buf_len,
                 capacity: capacity.max(1),
                 reuse,
                 pinned,
             }),
         }
+    }
+
+    pub fn stats(&self) -> StagingStats {
+        let mut stats = StagingStats::default();
+        for (&buf_len, shelf) in self.shelves.lock().iter() {
+            let PoolStats {
+                reused,
+                allocated,
+                waits,
+            } = shelf.totals.snapshot();
+            stats.totals.reused += reused;
+            stats.totals.allocated += allocated;
+            stats.totals.waits += waits;
+            let state = shelf.state.lock();
+            stats.shelves.push(ShelfStats {
+                buf_len,
+                idle: state.idle.len(),
+                checked_out: state.checked_out,
+                peak_checked_out: state.peak_checked_out,
+            });
+        }
+        stats.shelves.sort_by_key(|s| s.buf_len);
+        stats
+    }
+}
+
+struct PoolInner {
+    shelf: Arc<Shelf>,
+    /// Waits on `shelf.state`'s mutex; signalled only by this pool's own
+    /// returns (another pool's return frees none of this entitlement).
+    available: Condvar,
+    /// This pool's buffers in flight and its blocked acquirers. Both change
+    /// only under `shelf.state`'s lock, which orders them.
+    checked_out: AtomicUsize,
+    waiting: AtomicUsize,
+    stats: Counters,
+    buf_len: usize,
+    capacity: usize,
+    reuse: bool,
+    /// Whether buffers model pinned (DMA-fast) host memory.
+    pinned: bool,
+}
+
+impl PoolInner {
+    fn count(&self, pick: impl Fn(&Counters) -> &AtomicU64) {
+        pick(&self.stats).fetch_add(1, Relaxed);
+        pick(&self.shelf.totals).fetch_add(1, Relaxed);
+    }
+}
+
+/// A bounded entitlement of `f32` staging buffers over a [`StagingArena`].
+#[derive(Clone)]
+pub struct BufferPool {
+    inner: Arc<PoolInner>,
+}
+
+impl BufferPool {
+    /// A pool of `capacity` buffers of `buf_len` floats over an arena of
+    /// its own.
+    pub fn new(capacity: usize, buf_len: usize, reuse: bool, pinned: bool) -> Self {
+        StagingArena::new().pool(capacity, buf_len, reuse, pinned)
     }
 
     pub fn buf_len(&self) -> usize {
@@ -73,72 +220,69 @@ impl BufferPool {
         self.inner.pinned
     }
 
-    /// Acquires a buffer, blocking if the pool is exhausted (reuse mode).
+    /// Acquires a buffer, blocking while the whole entitlement is checked
+    /// out (reuse mode). One lock round trip; a fresh buffer is allocated
+    /// (and zeroed) outside it.
     pub fn acquire(&self) -> PooledBuffer {
-        if !self.inner.reuse {
-            self.inner.stats.lock().allocated += 1;
+        let inner = &*self.inner;
+        if !inner.reuse {
+            inner.count(|c| &c.allocated);
             return PooledBuffer {
                 pool: None,
-                data: Some(vec![0.0; self.inner.buf_len]),
+                data: Some(vec![0.0; inner.buf_len]),
             };
         }
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(buf) = st.free.pop() {
-                self.inner.stats.lock().reused += 1;
-                return PooledBuffer {
-                    pool: Some(self.clone()),
-                    data: Some(buf),
-                };
+        let mut shelf = inner.shelf.state.lock();
+        while inner.checked_out.load(Relaxed) >= inner.capacity {
+            inner.count(|c| &c.waits);
+            inner.waiting.fetch_add(1, Relaxed);
+            inner.available.wait(&mut shelf);
+            inner.waiting.fetch_sub(1, Relaxed);
+        }
+        inner.checked_out.fetch_add(1, Relaxed);
+        shelf.checked_out += 1;
+        shelf.peak_checked_out = shelf.peak_checked_out.max(shelf.checked_out);
+        let idle = shelf.idle.pop();
+        drop(shelf);
+        inner.count(|c| {
+            if idle.is_some() {
+                &c.reused
+            } else {
+                &c.allocated
             }
-            if st.created < self.inner.capacity {
-                st.created += 1;
-                drop(st);
-                self.inner.stats.lock().allocated += 1;
-                return PooledBuffer {
-                    pool: Some(self.clone()),
-                    data: Some(vec![0.0; self.inner.buf_len]),
-                };
-            }
-            self.inner.stats.lock().waits += 1;
-            self.inner.available.wait(&mut st);
+        });
+        PooledBuffer {
+            pool: Some(self.clone()),
+            data: Some(idle.unwrap_or_else(|| vec![0.0; inner.buf_len])),
         }
     }
 
     fn release(&self, buf: Vec<f32>) {
-        let mut st = self.inner.state.lock();
-        st.free.push(buf);
-        drop(st);
-        self.inner.available.notify_one();
+        let inner = &*self.inner;
+        let mut shelf = inner.shelf.state.lock();
+        shelf.idle.push(buf);
+        shelf.checked_out -= 1;
+        inner.checked_out.fetch_sub(1, Relaxed);
+        let wake = inner.waiting.load(Relaxed) > 0;
+        drop(shelf);
+        if wake {
+            inner.available.notify_one();
+        }
     }
 
     pub fn stats(&self) -> PoolStats {
-        *self.inner.stats.lock()
+        self.inner.stats.snapshot()
     }
 
-    /// Real heap allocations made so far (≤ capacity while reuse is on).
-    pub fn created(&self) -> usize {
-        self.inner.state.lock().created
-    }
-
-    /// Buffers currently sitting in the free list.
-    pub fn free_buffers(&self) -> usize {
-        self.inner.state.lock().free.len()
-    }
-
-    /// Buffers currently checked out (created − free). A leak shows up as
-    /// a non-zero value after all `PooledBuffer`s have been dropped; a
-    /// double recycle shows up as a negative value (reported as a panic in
-    /// debug terms — the subtraction is checked).
+    /// Buffers of this pool currently checked out. A leak shows up as a
+    /// non-zero value after all `PooledBuffer`s have been dropped.
     pub fn outstanding(&self) -> usize {
-        let st = self.inner.state.lock();
-        st.created
-            .checked_sub(st.free.len())
-            .expect("free list can never exceed created buffers")
+        self.inner.checked_out.load(Relaxed)
     }
 }
 
-/// A checked-out buffer; returns to the pool on drop (when reuse is on).
+/// A checked-out buffer; returns to its arena shelf on drop (when reuse is
+/// on), whether or not the query or server it was drawn for still exists.
 pub struct PooledBuffer {
     pool: Option<BufferPool>,
     data: Option<Vec<f32>>,
@@ -179,17 +323,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.allocated, 2, "only two real allocations");
         assert_eq!(stats.reused, 2, "second round reuses");
-    }
-
-    #[test]
-    fn reuse_disabled_always_allocates() {
-        let pool = BufferPool::new(2, 16, false, false);
-        for _ in 0..5 {
-            let _b = pool.acquire();
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.allocated, 5);
-        assert_eq!(stats.reused, 0);
     }
 
     #[test]
@@ -251,8 +384,130 @@ mod tests {
         assert!(stats.waits > 0, "undersized pool must observe contention");
         // All buffers returned: nothing leaked, nothing double-recycled.
         assert_eq!(pool.outstanding(), 0);
-        assert_eq!(pool.free_buffers(), pool.created());
-        assert_eq!(pool.created(), stats.allocated as usize);
+    }
+
+    fn shelf(arena: &StagingArena, buf_len: usize) -> ShelfStats {
+        let stats = arena.stats();
+        *stats
+            .shelves
+            .iter()
+            .find(|s| s.buf_len == buf_len)
+            .expect("shelf exists once a pool asked for it")
+    }
+
+    #[test]
+    fn a_later_pool_on_the_arena_reuses_and_lengths_never_mix() {
+        let arena = StagingArena::new();
+        let first = arena.pool(4, 16, true, true);
+        drop((first.acquire(), first.acquire()));
+        assert_eq!(first.stats().allocated, 2);
+        // Another geometry finds nothing to reuse and leaves the 16s alone.
+        let other = arena.pool(4, 24, true, true);
+        let held = other.acquire();
+        assert_eq!(held.as_slice().len(), 24);
+        assert_eq!((other.stats().allocated, other.stats().reused), (1, 0));
+        assert_eq!(shelf(&arena, 16).idle, 2);
+        // A later pool of the first geometry allocates nothing.
+        let second = arena.pool(4, 16, true, true);
+        let (a, b) = (second.acquire(), second.acquire());
+        assert_eq!((a.as_slice().len(), b.as_slice().len()), (16, 16));
+        assert_eq!((second.stats().allocated, second.stats().reused), (0, 2));
+        let totals = arena.stats().totals;
+        assert_eq!((totals.allocated, totals.reused), (3, 2));
+        assert_eq!(shelf(&arena, 16).idle_bytes(), 0);
+        drop((a, b));
+        assert_eq!(shelf(&arena, 16).idle_bytes(), 2 * 16 * 4);
+    }
+
+    /// Two queries, each holding a partial batch that fills all but one
+    /// slot of a tiny entitlement, on one arena: each still gets its last
+    /// buffer, and one query exhausting its own entitlement blocks only
+    /// itself.
+    #[test]
+    fn entitlements_are_per_pool_not_per_arena() {
+        let arena = StagingArena::new();
+        let a = arena.pool(2, 8, true, true);
+        let b = arena.pool(2, 8, true, true);
+        let (a1, b1) = (a.acquire(), b.acquire());
+        let (a2, b2) = (a.acquire(), b.acquire());
+        assert_eq!((a.outstanding(), b.outstanding()), (2, 2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let a = a.clone();
+            std::thread::spawn(move || {
+                let third = a.acquire(); // blocks: `a` is exhausted
+                tx.send(()).unwrap();
+                drop(third);
+            })
+        };
+        // Returns to the shared shelf by `b` free none of `a`'s slots.
+        drop((b1, b2));
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        assert_eq!(shelf(&arena, 8).idle, 2);
+        drop(a1);
+        rx.recv().unwrap();
+        waiter.join().unwrap();
+        assert!(a.stats().waits >= 1);
+        assert_eq!(b.stats().waits, 0);
+        drop(a2);
+    }
+
+    #[test]
+    fn reuse_disabled_bypasses_the_arena() {
+        let arena = StagingArena::new();
+        let warm = arena.pool(2, 16, true, true);
+        drop(warm.acquire());
+        let lesion = arena.pool(2, 16, false, false);
+        for _ in 0..3 {
+            drop(lesion.acquire());
+        }
+        assert_eq!((lesion.stats().allocated, lesion.stats().reused), (3, 0));
+        assert_eq!(shelf(&arena, 16).idle, 1, "neither drawn from nor fed");
+        assert_eq!(arena.stats().totals.allocated, 4);
+    }
+
+    #[test]
+    fn idle_plus_checked_out_never_exceeds_the_peak() {
+        let arena = StagingArena::new();
+        std::thread::scope(|scope| {
+            for t in 0..6usize {
+                let pool = arena.pool(3, 32, true, true);
+                let arena = &arena;
+                scope.spawn(move || {
+                    for i in 0..300usize {
+                        let held: Vec<_> = (0..1 + (t + i) % 3).map(|_| pool.acquire()).collect();
+                        let s = shelf(arena, 32);
+                        assert!(
+                            s.idle + s.checked_out <= s.peak_checked_out,
+                            "arena grew past its own high-water mark: {s:?}"
+                        );
+                        drop(held);
+                    }
+                });
+            }
+        });
+        let s = shelf(&arena, 32);
+        assert_eq!(s.checked_out, 0);
+        assert!(s.peak_checked_out <= 6 * 3);
+        assert_eq!(s.idle as u64, arena.stats().totals.allocated);
+    }
+
+    /// The arena is freed with its last user, and a buffer that outlives
+    /// arena handle and pool is simply freed with them.
+    #[test]
+    fn the_last_user_frees_the_arena() {
+        let arena = StagingArena::new();
+        let pool = arena.pool(2, 16, true, true);
+        drop(pool.acquire());
+        let straggler = pool.acquire();
+        let shelves = Arc::downgrade(&arena.shelves);
+        let shelf = Arc::downgrade(&pool.inner.shelf);
+        drop(arena);
+        assert!(shelves.upgrade().is_none(), "pools do not pin the arena");
+        drop(pool);
+        assert!(shelf.upgrade().is_some(), "a live buffer keeps its shelf");
+        drop(straggler);
+        assert!(shelf.upgrade().is_none(), "idle buffers go with the shelf");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   image or a video GOP; GOP items fan out into one staged tensor per
 //!   frame the plan's frame selection materializes
 //!   ([`pipeline::produce_media_item`]).
-//! * [`bufferpool`] — bounded recycled staging buffers with backpressure;
+//! * [`bufferpool`] — recycled staging buffers: a server-lifetime arena,
+//!   and per-query entitlements over it that provide the backpressure;
 //! * [`workers`] — persistent stage-thread pool, reused across runs (and
 //!   shared with the `smol_serve` multi-query runtime);
 //! * [`tensorcache`] — the bounded decoded-tensor LRU cache with
@@ -31,7 +32,7 @@ pub mod profiler;
 pub mod tensorcache;
 pub mod workers;
 
-pub use bufferpool::{BufferPool, PoolStats, PooledBuffer};
+pub use bufferpool::{BufferPool, PoolStats, PooledBuffer, ShelfStats, StagingArena, StagingStats};
 pub use media::{video_decode_params, wrap_gops, wrap_images, MediaItem, OutputLayout};
 pub use personalities::Personality;
 pub use pipeline::{

@@ -326,9 +326,12 @@ pub struct ProducedItem {
 /// buffer, and return the staged work item.
 ///
 /// When `cache` is provided, the decode is routed through the
-/// decoded-tensor cache keyed on (content fingerprint, decode mode): a
-/// hit skips decoding entirely (bit-identical pixels, `decode_s = 0`),
-/// and concurrent misses on the same key single-flight into one decode.
+/// decoded-tensor cache keyed on ([`EncodedImage::cache_key`], decode
+/// mode): a hit skips decoding entirely (bit-identical pixels,
+/// `decode_s = 0`), and concurrent misses on the same key single-flight
+/// into one decode. The key is hashed from the item's bytes on every call
+/// — hit or miss — which is why it is the word-wide key and not the
+/// byte-serial on-disk fingerprint.
 pub fn produce_item(
     ctx: &PlanContext,
     idx: usize,
@@ -347,7 +350,7 @@ pub fn produce_item(
         )
     };
     let (decoded, cache_hit) = match cache {
-        Some(cache) => cache.get_or_decode(enc.fingerprint(), ctx.decode, decode)?,
+        Some(cache) => cache.get_or_decode(enc.cache_key(), ctx.decode, decode)?,
         None => (Arc::new(decode()?), false),
     };
     let t1 = Instant::now();
@@ -421,7 +424,7 @@ pub fn execute_device_batch(
 /// its own work item (indices `base_idx..base_idx + fanout`).
 ///
 /// When `cache` is provided, each *frame* is routed through the
-/// decoded-tensor cache keyed on (GOP fingerprint mixed with the frame's
+/// decoded-tensor cache keyed on (GOP content key mixed with the frame's
 /// GOP position, deblock knob). The frame selection is canonicalized out
 /// of the key: a frame's pixels depend only on its payload chain and the
 /// in-loop filter, never on which other frames were selected, so a
@@ -463,11 +466,7 @@ pub fn produce_media_item(
         selection: FrameSelection::All,
         deblock: opts.deblock,
     };
-    let gop_fp = if cache.is_some() {
-        gop.fingerprint()
-    } else {
-        0
-    };
+    let gop_key = if cache.is_some() { gop.cache_key() } else { 0 };
     let mut memo: Option<HashMap<usize, ImageU8>> = None;
     let mut out = Vec::with_capacity(selected.len());
     for (i, &pos) in selected.iter().enumerate() {
@@ -485,11 +484,9 @@ pub fn produce_media_item(
                 })
         };
         let (decoded, cache_hit) = match cache {
-            Some(cache) => {
-                cache.get_or_decode(frame_fingerprint(gop_fp, pos), canon_mode, || {
-                    decode_frame(&mut memo)
-                })?
-            }
+            Some(cache) => cache.get_or_decode(frame_key(gop_key, pos), canon_mode, || {
+                decode_frame(&mut memo)
+            })?,
             None => (Arc::new(decode_frame(&mut memo)?), false),
         };
         let t1 = Instant::now();
@@ -547,9 +544,10 @@ pub fn route_stage(item: &MediaItem, threshold: f64) -> usize {
 /// full-plan results on escalated items.
 ///
 /// Both contexts must share output geometry (`buf_len`), so one
-/// [`BufferPool`] serves both rungs; this holds by construction for
-/// plans built from `smol_core::CascadePlan` (same input variant, same
-/// original preprocessing plan).
+/// [`BufferPool`] (one entitlement, one arena shelf) serves both rungs;
+/// this holds by construction for plans built from
+/// `smol_core::CascadePlan` (same input variant, same original
+/// preprocessing plan).
 #[allow(clippy::too_many_arguments)]
 pub fn produce_routed_item(
     stage1_ctx: &PlanContext,
@@ -571,11 +569,11 @@ pub fn produce_routed_item(
     Ok(out)
 }
 
-/// Mixes a frame's GOP position into its GOP's content fingerprint
-/// (FNV-1a continuation), yielding the per-frame tensor-cache key.
-fn frame_fingerprint(gop_fp: u64, frame_pos: usize) -> u64 {
+/// Mixes a frame's GOP position into its GOP's content key (FNV-1a
+/// steps), yielding the per-frame tensor-cache key.
+fn frame_key(gop_key: u64, frame_pos: usize) -> u64 {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = gop_fp;
+    let mut h = gop_key;
     for &b in &(frame_pos as u64).to_le_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);

@@ -3,10 +3,18 @@
 //! The second half of the physical-representation store (ROADMAP item 2):
 //! once a corpus's variants are materialized on disk, the remaining
 //! preprocessing cost of a repeat query is the *decode*. This cache holds
-//! decoded images keyed on `(content fingerprint, DecodeMode)` — the
-//! fingerprint ([`smol_codec::EncodedImage::fingerprint`]) already commits
-//! to the variant's format, dimensions, and exact bytes, so one key space
-//! covers every variant of every dataset without coordination.
+//! decoded images keyed on `(content key, DecodeMode)` — the key
+//! ([`smol_codec::EncodedImage::cache_key`], or a GOP's key mixed with a
+//! frame position) already commits to the variant's format, dimensions,
+//! and exact bytes, so one key space covers every variant of every
+//! dataset without coordination.
+//!
+//! The content key is deliberately **not** the fingerprint that names the
+//! same item in the on-disk variant store. Producers hash an item's bytes
+//! on every lookup, hit or miss, so the key must cost far less than the
+//! decode a hit saves: `cache_key` reads 32 bytes per step, the
+//! fingerprint one (and is pinned byte for byte by the store's layout, so
+//! it cannot get faster). The cache itself only ever sees the `u64`.
 //!
 //! Invariants:
 //!
@@ -29,8 +37,8 @@ use smol_imgproc::ImageU8;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Cache key: content fingerprint of the encoded item + the decode mode
-/// the plan runs it under (different modes produce different pixels).
+/// Cache key: content key of the encoded item + the decode mode the plan
+/// runs it under (different modes produce different pixels).
 type Key = (u64, DecodeMode);
 
 enum Slot {
@@ -120,17 +128,17 @@ impl TensorCache {
         self.budget_bytes
     }
 
-    /// Returns the decoded image for `(fingerprint, mode)`, decoding via
+    /// Returns the decoded image for `(content_key, mode)`, decoding via
     /// `decode` on a miss. The boolean is true for a hit — either a
     /// resident tensor or another thread's just-completed fill — i.e.
     /// this call performed no decode work itself.
     pub fn get_or_decode<E>(
         &self,
-        fingerprint: u64,
+        content_key: u64,
         mode: DecodeMode,
         decode: impl FnOnce() -> Result<ImageU8, E>,
     ) -> Result<(Arc<ImageU8>, bool), E> {
-        let key = (fingerprint, mode);
+        let key = (content_key, mode);
         {
             let mut locked = self.inner.lock();
             loop {

@@ -45,8 +45,8 @@ use smol_core::{CascadePlan, PlacementSignature, QueryPlan};
 use smol_imgproc::ImageU8;
 use smol_runtime::{
     execute_device_batch, produce_media_item, produce_routed_item, wrap_images, BufferPool,
-    DeviceBatchSpec, MediaItem, PlanContext, ProducedItem, RuntimeOptions, TensorCache,
-    TensorCacheStats,
+    DeviceBatchSpec, MediaItem, PlanContext, ProducedItem, RuntimeOptions, StagingArena,
+    TensorCache, TensorCacheStats,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -242,6 +242,7 @@ struct QueryState {
     total_outputs: usize,
     /// Largest single-item fan-out (pool sizing on degradation).
     max_fanout: usize,
+    /// This query's entitlement over the server's staging arena.
     pool: BufferPool,
     infer: Option<InferFn>,
     /// Next item index to claim.
@@ -395,6 +396,13 @@ struct Inner {
     /// Shared decoded-tensor cache; `None` when `cfg.tensor_cache_bytes`
     /// is 0 (producers then decode every claim).
     tensor_cache: Option<Arc<TensorCache>>,
+    /// Idle staging buffers of every query this server has run, shelved by
+    /// tensor geometry. Queries hold entitlements over it ([`BufferPool`]),
+    /// never buffers of their own, so a one-batch query reuses what the
+    /// last one returned.
+    staging: StagingArena,
+    /// Device lanes (fixed at construction; sizes staging entitlements).
+    n_lanes: usize,
     sched: Mutex<Sched>,
     /// Producers wait here for claimable work.
     work_cv: Condvar,
@@ -407,6 +415,24 @@ struct Inner {
     batch_cv: Condvar,
     /// Dispatchers wait here for lane-queue space.
     space_cv: Condvar,
+}
+
+impl Inner {
+    /// A query's staging entitlement for plan `ctx`: enough buffers that
+    /// producers never wait on consumers — every consumer thread across
+    /// the fleet may hold a batch, every lane queue `batch_queue` more, and
+    /// the batch former up to `batch − 1` items — drawn from the server's
+    /// arena (or freshly allocated per acquire when `memory_reuse` is off).
+    fn staging_pool(&self, ctx: &PlanContext, max_fanout: usize) -> BufferPool {
+        let rt = &self.cfg.runtime;
+        let consumers = self.n_lanes * (rt.consumers.max(1) + self.cfg.batch_queue.max(1));
+        self.staging.pool(
+            ctx.pool_capacity_fanout(rt.effective_producers(), consumers, max_fanout),
+            ctx.buf_len,
+            rt.memory_reuse,
+            rt.pinned,
+        )
+    }
 }
 
 /// Resolves to the query's [`QueryReport`] when the last item completes.
@@ -515,6 +541,8 @@ impl Server {
             cfg,
             tensor_cache: (cfg.tensor_cache_bytes > 0)
                 .then(|| Arc::new(TensorCache::new(cfg.tensor_cache_bytes))),
+            staging: StagingArena::new(),
+            n_lanes,
             sched: Mutex::new(Sched {
                 queries: HashMap::new(),
                 rr: Default::default(),
@@ -751,9 +779,6 @@ impl Server {
                 })
             })
             .collect();
-        let producers = inner.cfg.runtime.effective_producers();
-        let pool_consumers = self.pool_consumers();
-
         let mut sched = inner.sched.lock();
         let capacity = inner.cfg.max_active_queries.max(1);
         if !block {
@@ -825,12 +850,7 @@ impl Server {
                 inner: Arc::downgrade(&self.inner),
             });
         }
-        let pool = BufferPool::new(
-            ctx.pool_capacity_fanout(producers, pool_consumers, max_fanout),
-            ctx.buf_len,
-            inner.cfg.runtime.memory_reuse,
-            inner.cfg.runtime.pinned,
-        );
+        let pool = inner.staging_pool(&ctx, max_fanout);
         let state = QueryState {
             id,
             label: plan.label(),
@@ -885,15 +905,6 @@ impl Server {
             rx: done_rx,
             inner: Arc::downgrade(&self.inner),
         })
-    }
-
-    /// The consumer count buffer pools must be sized for: every consumer
-    /// thread across the fleet may hold a batch, and every lane queue may
-    /// hold `batch_queue` more.
-    fn pool_consumers(&self) -> usize {
-        let lanes = self.inner.fleet.lock().lanes.len();
-        let per_lane = self.inner.cfg.runtime.consumers.max(1);
-        lanes * (per_lane + self.inner.cfg.batch_queue.max(1))
     }
 
     /// Live decoded-tensor cache counters (all zeros when the cache is
@@ -981,6 +992,7 @@ impl Server {
             deadline_misses: agg.deadline_misses,
             steals,
             tensor_cache: self.tensor_cache_stats(),
+            staging: self.inner.staging.stats(),
             devices,
         }
     }
@@ -1052,22 +1064,10 @@ fn maybe_degrade(
     q.next_degrade_at = q.next_item + q.sig.batch.max(2);
     if *old_sig != *q.sig {
         // Buffer geometry may differ between rungs; in-flight items keep
-        // their slots in the old pool (returned on drop), new claims draw
-        // from the rung's pool.
-        let producers = inner.cfg.runtime.effective_producers();
-        let lanes = {
-            let fleet = inner.fleet.lock();
-            fleet.lanes.len()
-        };
-        let pool_consumers =
-            lanes * (inner.cfg.runtime.consumers.max(1) + inner.cfg.batch_queue.max(1));
-        q.pool = BufferPool::new(
-            q.ctx
-                .pool_capacity_fanout(producers, pool_consumers, q.max_fanout),
-            q.ctx.buf_len,
-            inner.cfg.runtime.memory_reuse,
-            inner.cfg.runtime.pinned,
-        );
+        // their slots in the old entitlement (released on drop, the
+        // buffers going back to their own geometry's shelf), new claims
+        // draw on the rung's.
+        q.pool = inner.staging_pool(&q.ctx, q.max_fanout);
         let new_sig = Arc::clone(&q.sig);
         let old = sched
             .sigs
@@ -1518,25 +1518,32 @@ fn consumer_loop(inner: &Inner, lane_idx: usize) {
             }
         }
 
+        // The device is done with the tensors: the staging buffers go back
+        // to the arena here, before any handle resolves, so a query
+        // submitted on the strength of a report finds them idle.
+        let done: Vec<(QueryId, usize, Instant)> = batch
+            .items
+            .into_iter()
+            .map(|b| (b.query, b.item.idx, b.claimed_at))
+            .collect();
+
         let mut sched = inner.sched.lock();
         let mut touched: Vec<QueryId> = Vec::new();
-        for (pos, b) in batch.items.iter().enumerate() {
-            let Some(q) = sched.queries.get_mut(&b.query) else {
+        for (&(query, idx, claimed_at), pred) in done.iter().zip(&mut predictions) {
+            let Some(q) = sched.queries.get_mut(&query) else {
                 continue;
             };
             q.completed += 1;
-            q.latencies.push(b.claimed_at.elapsed().as_secs_f64());
-            if let Some(pred) = predictions[pos].take() {
-                q.results[b.item.idx] = Some(pred);
+            q.latencies.push(claimed_at.elapsed().as_secs_f64());
+            if let Some(pred) = pred.take() {
+                q.results[idx] = Some(pred);
             }
-            if !touched.contains(&b.query) {
-                touched.push(b.query);
+            if !touched.contains(&query) {
+                touched.push(query);
             }
         }
         for qid in touched {
             try_finalize(inner, &mut sched, qid);
         }
-        drop(sched);
-        drop(batch); // staging buffers return to their pools here
     }
 }

@@ -1,7 +1,7 @@
 //! Per-query, per-device, and fleet-wide serving metrics.
 
 use smol_accel::DeviceStats;
-use smol_runtime::{PoolStats, TensorCacheStats};
+use smol_runtime::{PoolStats, StagingStats, TensorCacheStats};
 use std::any::Any;
 
 /// Boxed per-image inference output (type-erased so one server can host
@@ -38,7 +38,10 @@ pub struct QueryReport {
     pub decode_cpu_s: f64,
     /// CPU seconds this query spent in CPU-side preprocessing.
     pub preproc_cpu_s: f64,
-    /// This query's staging-buffer pool counters.
+    /// This query's staging-buffer checkouts: `allocated` fresh heap
+    /// allocations, `reused` served from the server's arena (buffers this
+    /// or any earlier query had returned), `waits` blocks on the query's
+    /// own entitlement.
     pub pool: PoolStats,
     /// How many degradation steps the scheduler applied to this query
     /// (0 = it ran its originally chosen plan throughout).
@@ -156,6 +159,10 @@ pub struct ServerStats {
     /// Decoded-tensor cache counters (hits/misses/evictions/residency).
     /// All zeros when the cache is disabled (`tensor_cache_bytes == 0`).
     pub tensor_cache: TensorCacheStats,
+    /// Staging-buffer checkouts summed over every query so far (what the
+    /// per-query `QueryReport::pool` counters add up to), plus the buffers
+    /// each tensor geometry's shelf of the arena holds right now.
+    pub staging: StagingStats,
     /// Per-device lane breakdown, indexed by lane (device) position.
     pub devices: Vec<DeviceLaneStats>,
 }
@@ -191,6 +198,60 @@ impl ServerStats {
     }
 }
 
+/// A few lines for logs and examples: queries and images, batching, SLO
+/// outcomes, then cache and staging-buffer reuse.
+impl std::fmt::Display for ServerStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "queries {}/{} done ({} active, {} waiting), images {}/{}",
+            self.completed_queries,
+            self.submitted_queries,
+            self.queue_depth,
+            self.waiting_admission,
+            self.images_done,
+            self.images_in,
+        )?;
+        writeln!(
+            f,
+            "batches {} ({} full, {} cross-query, {} stolen), occupancy {:.2}",
+            self.batches,
+            self.full_batches,
+            self.cross_query_batches,
+            self.steals,
+            self.device_occupancy(),
+        )?;
+        writeln!(
+            f,
+            "degradations {}, frames dropped {} / downgraded {}, deadlines met {} / missed {}",
+            self.degradations,
+            self.dropped_frames,
+            self.downgraded_frames,
+            self.deadline_met,
+            self.deadline_misses,
+        )?;
+        let cache = &self.tensor_cache;
+        writeln!(
+            f,
+            "tensor cache: {} hits, {} misses, {} evictions, {} B resident",
+            cache.hits, cache.misses, cache.evictions, cache.resident_bytes,
+        )?;
+        let staging = &self.staging.totals;
+        write!(
+            f,
+            "staging: {} reused, {} allocated, {} waits; idle",
+            staging.reused, staging.allocated, staging.waits,
+        )?;
+        if self.staging.shelves.is_empty() {
+            write!(f, " none")?;
+        }
+        for shelf in &self.staging.shelves {
+            write!(f, " {} B @ {} floats", shelf.idle_bytes(), shelf.buf_len)?;
+        }
+        Ok(())
+    }
+}
+
 /// Nearest-rank percentile (`q` in [0, 1]) of an unsorted sample set.
 /// Returns 0.0 for an empty slice.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
@@ -206,6 +267,7 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smol_runtime::ShelfStats;
 
     #[test]
     fn percentile_nearest_rank() {
@@ -283,6 +345,19 @@ mod tests {
             deadline_misses: 1,
             steals: 2,
             tensor_cache: TensorCacheStats::default(),
+            staging: StagingStats {
+                totals: PoolStats {
+                    reused: 70,
+                    allocated: 10,
+                    waits: 1,
+                },
+                shelves: vec![ShelfStats {
+                    buf_len: 3072,
+                    idle: 10,
+                    checked_out: 0,
+                    peak_checked_out: 10,
+                }],
+            },
             devices: vec![lane(1.0, 0.5, 0), lane(3.0, 0.7, 2)],
         };
         let merged = stats.device();
@@ -290,5 +365,12 @@ mod tests {
         assert_eq!(merged.kernels, 6);
         assert!((stats.device_occupancy() - 0.6).abs() < 1e-12);
         assert!((stats.deadline_miss_rate() - 0.25).abs() < 1e-12);
+        let shown = stats.to_string();
+        assert!(
+            shown.ends_with(
+                "staging: 70 reused, 10 allocated, 1 waits; idle 122880 B @ 3072 floats"
+            ),
+            "{shown}"
+        );
     }
 }

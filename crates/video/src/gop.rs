@@ -204,6 +204,24 @@ impl EncodedGop {
         h
     }
 
+    /// In-memory content key: the same fields as [`EncodedGop::fingerprint`]
+    /// through the word-wide [`smol_codec::hash::content_key`] — what
+    /// decoded-tensor caches key a GOP's frames on (see
+    /// `smol_codec::EncodedImage::cache_key` for why the two are distinct
+    /// and why the key is never stored).
+    pub fn cache_key(&self) -> u64 {
+        smol_codec::hash::content_key(
+            &[
+                u64::from_le_bytes(*b"svid-gop"),
+                self.width as u64,
+                self.height as u64,
+                self.quality as u64,
+                self.search_range as u64,
+            ],
+            &self.body,
+        )
+    }
+
     fn payload(&self, idx: usize) -> (&FrameKind, &[u8]) {
         let (kind, off, len) = &self.index[idx];
         (kind, &self.body[*off..*off + *len])
@@ -528,6 +546,9 @@ mod tests {
         // fingerprint is a pure function of codec params + body).
         let again = encoded(8, 4);
         assert_eq!(gops[0].fingerprint(), again.gops()[0].fingerprint());
+        // The in-memory cache key separates and repeats the same way.
+        assert_ne!(gops[0].cache_key(), gops[1].cache_key());
+        assert_eq!(gops[0].cache_key(), again.gops()[0].cache_key());
     }
 
     #[test]

@@ -167,17 +167,7 @@ fn main() -> Result<(), smol::Error> {
     }
     let stats = session.stats();
     let cache = session.cache_stats();
-    println!(
-        "\nserver totals: {} queries, {} images, {} batches \
-         ({} cross-query, {} full), {} stolen, mean device occupancy {:.0}%",
-        stats.completed_queries,
-        stats.images_done,
-        stats.batches,
-        stats.cross_query_batches,
-        stats.full_batches,
-        stats.steals,
-        stats.device_occupancy() * 100.0
-    );
+    println!("\nserver totals:\n{stats}");
     for (i, lane) in stats.devices.iter().enumerate() {
         println!(
             "  lane {i}: {} batches ({} stolen in), {} images, occupancy {:.0}%",

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use smol::accel::ModelKind;
 use smol::codec::{
-    signal::{image_signal, sjpg_signal},
+    signal::{image_signal, sjpg_signal, sjpg_signal_opts},
     Chroma, DecodeOptions, EncodedImage, Format,
 };
 use smol::core::{
@@ -83,6 +83,36 @@ proptest! {
         prop_assert_eq!(before, after, "signal must not depend on decode activity");
         // The facade helper agrees with the raw entry point.
         prop_assert_eq!(image_signal(&enc), Some(after));
+    }
+
+    /// The table-driven scan routing runs reads exactly what the bit-by-bit
+    /// reference reads: same signal, same work counters. And a damaged
+    /// stream — truncated or with its body overwritten — yields a signal on
+    /// both paths or on neither, so it escalates (`None`) either way.
+    #[test]
+    fn fast_signal_scan_matches_the_reference_walk(
+        enc in arb_encoded(),
+        cut in 0.0f64..1.0,
+        junk in any::<u8>(),
+    ) {
+        let reference = DecodeOptions::scalar_reference();
+        let fast = sjpg_signal(&enc.bytes).expect("fast scan");
+        prop_assert_eq!(fast, sjpg_signal_opts(&enc.bytes, reference).expect("reference scan"));
+
+        let at = (enc.bytes.len() as f64 * cut) as usize;
+        let truncated = &enc.bytes[..at];
+        let mut smashed = enc.bytes.to_vec();
+        for b in &mut smashed[at..] {
+            *b = junk;
+        }
+        for damaged in [truncated, &smashed[..]] {
+            let fast = sjpg_signal(damaged).ok();
+            let slow = sjpg_signal_opts(damaged, reference).ok();
+            prop_assert_eq!(fast.is_some(), slow.is_some(), "cut at {}", at);
+            if let (Some(fast), Some(slow)) = (fast, slow) {
+                prop_assert_eq!(fast, slow, "cut at {}", at);
+            }
+        }
     }
 
     /// Routing is monotone in the threshold: raising the threshold can

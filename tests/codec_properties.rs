@@ -2,7 +2,7 @@
 //! decode consistency, and bounded loss, over randomized images.
 
 use proptest::prelude::*;
-use smol::codec::{sjpg, spng, Chroma, DecodeOptions, SjpgEncoder};
+use smol::codec::{sjpg, spng, Chroma, DecodeOptions, EncodedImage, Format, SjpgEncoder};
 use smol::imgproc::{ImageU8, Rect};
 
 fn arb_image(max_edge: usize) -> impl Strategy<Value = ImageU8> {
@@ -202,6 +202,47 @@ proptest! {
         let idx = pos.index(data.len());
         data[idx] ^= 1 << bit;
         let _ = sjpg::decode(&data); // must not panic
+    }
+
+    /// The tensor-cache key follows content, not allocation: equal fields in
+    /// two allocations agree, and any one-byte flip (tail shorter than one
+    /// 32-byte step included: payloads start at length 1), any change of
+    /// format tag, width or height, and a zero-byte extension all disagree.
+    #[test]
+    fn cache_key_follows_content(
+        payload in prop::collection::vec(any::<u8>(), 1usize..200),
+        pos in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+        (w, h) in (1usize..4096, 1usize..4096),
+        q in 1u8..100,
+    ) {
+        let item = |format, width, height, bytes: &[u8]| EncodedImage {
+            format,
+            width,
+            height,
+            bytes: bytes::Bytes::from(bytes.to_vec()),
+        };
+        let clean = item(Format::sjpg(q), w, h, &payload);
+        prop_assert_eq!(clean.cache_key(), item(Format::sjpg(q), w, h, &payload).cache_key());
+
+        let mut flipped = payload.clone();
+        flipped[pos.index(payload.len())] ^= 1 << bit;
+        let mut extended = payload.clone();
+        extended.push(0);
+        for other in [
+            item(Format::sjpg(q), w, h, &flipped),
+            item(Format::sjpg(q), w, h, &extended),
+            item(Format::sjpg(q), w, h, &payload[..payload.len() - 1]),
+            item(Format::sjpg(q + 1), w, h, &payload),
+            item(Format::sjpg420(q), w, h, &payload),
+            item(Format::Svid { quality: q }, w, h, &payload),
+            item(Format::Spng, w, h, &payload),
+            item(Format::sjpg(q), w + 1, h, &payload),
+            item(Format::sjpg(q), w, h + 1, &payload),
+            item(Format::sjpg(q), h, w + 4096, &payload),
+        ] {
+            prop_assert_ne!(clean.cache_key(), other.cache_key(), "{:?}", other);
+        }
     }
 }
 

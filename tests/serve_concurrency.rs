@@ -1,14 +1,16 @@
 //! Concurrency battery for the `smol-serve` multi-query runtime: mixed
 //! plans from many submitter threads, per-query image conservation,
 //! bit-identical results vs the legacy single-query pipeline, admission
-//! backpressure, drain-on-shutdown, and error isolation.
+//! backpressure, drain-on-shutdown, error isolation, and the
+//! server-lifetime staging arena (reuse across queries, geometries kept
+//! apart, the reuse lesion, degradation to another geometry).
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::codec::{EncodedImage, Format};
 use smol::core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol::imgproc::ImageU8;
 use smol::runtime::{run_inference, RuntimeOptions};
-use smol::serve::{ServeError, Server, ServerConfig};
+use smol::serve::{DegradeStep, ServeError, Server, ServerConfig, ServerStats, SubmitOptions};
 
 fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
     let mut img = ImageU8::zeros(w, h, 3);
@@ -441,4 +443,173 @@ fn empty_query_resolves_immediately() {
     assert_eq!(report.images, 0);
     assert!(report.error.is_none());
     server.shutdown();
+}
+
+/// At rest every buffer the arena ever allocated is idle on the shelf of its
+/// own geometry, and no shelf ever held more than its own high-water mark.
+fn assert_staging_at_rest(stats: &ServerStats) {
+    let staging = &stats.staging;
+    for shelf in &staging.shelves {
+        assert_eq!(shelf.checked_out, 0, "{shelf:?}");
+        assert!(shelf.idle <= shelf.peak_checked_out, "{shelf:?}");
+    }
+    let idle: usize = staging.shelves.iter().map(|s| s.idle).sum();
+    assert_eq!(idle as u64, staging.totals.allocated);
+}
+
+/// Staging buffers outlive the query that allocated them: a query no larger
+/// than one batch (which never sees a buffer twice on its own) is served
+/// entirely from what the previous one returned, while a query of another
+/// tensor geometry is handed none of them.
+#[test]
+fn staging_buffers_are_reused_across_queries_of_one_geometry_only() {
+    let server = Server::new(fast_device(), ServerConfig::default());
+    let plan_a = plan_for(ModelKind::ResNet50, 64, 64, 32, 8);
+    let plan_b = plan_for(ModelKind::ResNet50, 64, 64, 48, 8);
+    let run = |plan: &QueryPlan, seed| {
+        let report = server
+            .submit(plan.clone(), encoded_batch(5, 64, 64, seed))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(report.images, 5);
+        assert!(report.error.is_none(), "{:?}", report.error);
+        report.pool
+    };
+    let first = run(&plan_a, 0);
+    assert_eq!((first.allocated, first.reused), (5, 0));
+    let second = run(&plan_a, 10);
+    assert_eq!((second.allocated, second.reused), (0, 5));
+
+    // Side by side: the 48-px query finds five idle 32-px buffers in the
+    // arena and must allocate its own all the same.
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| run(&plan_a, 20));
+        let b = scope.spawn(|| run(&plan_b, 30));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!((a.allocated, a.reused), (0, 5));
+    assert_eq!((b.allocated, b.reused), (5, 0));
+
+    let stats = server.stats();
+    assert_staging_at_rest(&stats);
+    let shelves: Vec<_> = stats
+        .staging
+        .shelves
+        .iter()
+        .map(|s| (s.buf_len, s.idle))
+        .collect();
+    assert_eq!(shelves, [(32 * 32 * 3, 5), (48 * 48 * 3, 5)]);
+    assert_eq!(stats.staging.totals.reused, 10);
+    assert_eq!(stats.staging.idle_bytes(), 5 * 4 * 3 * (32 * 32 + 48 * 48));
+    server.shutdown();
+}
+
+/// The Figure 7 "- mem reuse" lesion bypasses the arena: every acquire is a
+/// fresh allocation, whatever earlier queries returned, and nothing is kept.
+#[test]
+fn memory_reuse_off_allocates_on_every_acquire() {
+    let server = Server::new(
+        fast_device(),
+        ServerConfig {
+            runtime: RuntimeOptions {
+                memory_reuse: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    for round in 0..2 {
+        let report = server
+            .submit(plan.clone(), encoded_batch(12, 64, 64, round))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(report.images, 12);
+        assert_eq!((report.pool.allocated, report.pool.reused), (12, 0));
+    }
+    let staging = server.stats().staging;
+    assert_eq!((staging.totals.allocated, staging.totals.reused), (24, 0));
+    assert_eq!(staging.idle_bytes(), 0);
+    server.shutdown();
+}
+
+/// A degradation step onto a rung of another tensor geometry swaps the
+/// query's entitlement over to that geometry's shelf: the rung is never
+/// handed the abandoned plan's buffers (a mis-sized buffer would fail the
+/// item with a shape error), and those go back to their own shelf.
+#[test]
+fn a_degradation_rung_of_another_geometry_draws_its_own_buffers() {
+    let server = Server::new(
+        fast_device(),
+        ServerConfig {
+            runtime: RuntimeOptions {
+                producers: 2,
+                consumers: 1,
+                extra_cpu_s_per_image: 0.01,
+                ..Default::default()
+            },
+            max_active_queries: 1,
+            batch_queue: 2,
+            ..Default::default()
+        },
+    );
+    let full = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    let cheap = plan_for(ModelKind::ResNet50, 64, 64, 16, 4);
+    let n = 24;
+    let h1 = server
+        .submit_opts(
+            full.clone(),
+            encoded_batch(n, 64, 64, 50),
+            SubmitOptions {
+                ladder: vec![DegradeStep {
+                    plan: cheap,
+                    accuracy: 0.9,
+                    est_throughput: 4_000.0,
+                }],
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    // A second tenant blocked at admission (capacity 1) is the pressure.
+    let (r1, r2) = std::thread::scope(|scope| {
+        let t2 = scope.spawn(|| {
+            server
+                .submit(full.clone(), encoded_batch(4, 64, 64, 60))
+                .unwrap()
+                .wait()
+                .unwrap()
+        });
+        (h1.wait().unwrap(), t2.join().unwrap())
+    });
+    assert_eq!(r1.degraded_steps, 1);
+    assert_eq!((r1.images, r1.failed), (n, 0));
+    assert!(r1.error.is_none(), "{:?}", r1.error);
+    assert_eq!((r2.images, r2.failed), (4, 0));
+    let stats = server.stats();
+    assert_staging_at_rest(&stats);
+    let lens: Vec<_> = stats.staging.shelves.iter().map(|s| s.buf_len).collect();
+    assert_eq!(lens, [16 * 16 * 3, 32 * 32 * 3]);
+    assert!(stats.staging.shelves.iter().all(|s| s.idle > 0));
+    server.shutdown();
+}
+
+/// The arena belongs to its server: once a server is gone (handles
+/// resolved, threads joined) its buffers are gone with it, and a new server
+/// starts from an empty arena.
+#[test]
+fn each_server_starts_with_an_empty_arena() {
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 8);
+    for round in 0..2 {
+        let server = Server::new(fast_device(), ServerConfig::default());
+        assert!(server.stats().staging.shelves.is_empty());
+        let report = server
+            .submit(plan.clone(), encoded_batch(5, 64, 64, round))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!((report.pool.allocated, report.pool.reused), (5, 0));
+        drop(server);
+    }
 }

@@ -1,14 +1,16 @@
 //! The physical-representation store, end to end: on-disk variant-store
 //! round-trips, decoded-tensor cache identity and budget properties,
-//! single-flight under concurrency, and the materialize-then-query
-//! session flow.
+//! single-flight under concurrency, what the serving path keys the cache
+//! on, and the materialize-then-query session flow.
 
 use proptest::prelude::*;
 use smol::codec::{EncodedImage, Format};
-use smol::core::{DecodeMode, InputVariant};
+use smol::core::{DecodeMode, FrameSelection, InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol::data::{encode_variant, VariantStore};
 use smol::imgproc::ImageU8;
-use smol::runtime::{decode_item, TensorCache};
+use smol::runtime::{decode_item, wrap_gops, TensorCache};
+use smol::serve::{Server, ServerConfig};
+use smol::video::{EncodedVideo, VideoEncoder};
 use smol::{AccuracyTable, Calibration, Dataset, Query, Session, SessionConfig};
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use std::path::PathBuf;
@@ -174,6 +176,123 @@ fn single_flight_never_double_decodes_across_keys() {
         "exactly one decode per key"
     );
     assert_eq!(cache.stats().decodes, keys);
+}
+
+fn pixel_digest(img: &ImageU8) -> u64 {
+    img.data().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The serving path hashes an item's bytes on every lookup and stores the
+/// key nowhere: an item that takes a resident item's format, dimensions and
+/// everything else by struct update, but carries other bytes, must miss and
+/// be decoded from its own bytes. (A key memoised in a field of
+/// `EncodedImage` would ride along in `..clean.clone()` and serve `clean`'s
+/// tensor here.)
+#[test]
+fn an_item_with_swapped_bytes_never_hits_the_original_s_tensor() {
+    let clean = EncodedImage::encode(&textured(64, 64, 1), Format::Spng).unwrap();
+    let other = EncodedImage::encode(&textured(64, 64, 2), Format::Spng).unwrap();
+    let swapped = EncodedImage {
+        bytes: other.bytes.clone(),
+        ..clean.clone()
+    };
+    let input = InputVariant::new("thumbs", Format::Spng, 64, 64);
+    let plan = QueryPlan {
+        dnn: ModelKind::ResNet18,
+        preproc: Planner::new(PlannerConfig {
+            dnn_input: 64,
+            ..Default::default()
+        })
+        .build_preproc(&input),
+        input,
+        decode: DecodeMode::Full,
+        batch: 1,
+        extra_stages: Vec::new(),
+    };
+    let server = Server::new(
+        VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02),
+        ServerConfig::default(),
+    );
+    let serve = |item: &EncodedImage| {
+        let mut report = server
+            .submit_with_infer(plan.clone(), vec![item.clone()], |_, img| pixel_digest(img))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(report.error.is_none(), "{:?}", report.error);
+        let digest = report.take_results::<u64>()[0].expect("inferred");
+        (report.cache_hits, digest)
+    };
+    let clean_digest = pixel_digest(&clean.decode().unwrap());
+    let other_digest = pixel_digest(&other.decode().unwrap());
+    assert_ne!(clean_digest, other_digest);
+    assert_eq!(serve(&clean), (0, clean_digest), "first sight decodes");
+    assert_eq!(serve(&clean), (1, clean_digest), "now resident");
+    assert_eq!(
+        serve(&swapped),
+        (0, other_digest),
+        "same header, other bytes: its own decode, not the resident tensor"
+    );
+    assert_eq!(serve(&clean), (1, clean_digest), "and `clean` is untouched");
+    server.shutdown();
+}
+
+/// Frame keys are the GOP's content key mixed with the frame position, with
+/// the frame selection kept out of the key: a keyframe decoded under `All`
+/// is served from the cache when a later query selects `Keyframes`.
+#[test]
+fn gop_frames_hit_across_frame_selections() {
+    // Distinct frames throughout, so no two GOPs (hence no two frame keys)
+    // coincide and every hit below is a cross-selection hit.
+    let (n_gops, gop_len, w, h) = (3, 4, 64, 48);
+    let frames: Vec<ImageU8> = (0..n_gops * gop_len)
+        .map(|i| textured(w, h, 40 + i as u64))
+        .collect();
+    let encoder = VideoEncoder {
+        gop: gop_len,
+        ..Default::default()
+    };
+    let video = EncodedVideo::parse(encoder.encode_frames(&frames, 30.0).unwrap()).unwrap();
+    let gops = wrap_gops(&video.gops());
+    let input = InputVariant::new(
+        "clip",
+        Format::Svid {
+            quality: encoder.quality,
+        },
+        w,
+        h,
+    )
+    .video(gop_len);
+    let plan = |selection| QueryPlan {
+        dnn: ModelKind::ResNet18,
+        preproc: Planner::default().build_preproc(&input),
+        input: input.clone(),
+        decode: DecodeMode::Video {
+            selection,
+            deblock: true,
+        },
+        batch: 4,
+        extra_stages: Vec::new(),
+    };
+    let server = Server::new(
+        VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02),
+        ServerConfig::default(),
+    );
+    let run = |selection| {
+        server
+            .submit_media(plan(selection), gops.clone())
+            .unwrap()
+            .wait()
+            .unwrap()
+    };
+    let all = run(FrameSelection::All);
+    assert_eq!((all.images, all.cache_hits), (n_gops * gop_len, 0));
+    let keys = run(FrameSelection::Keyframes);
+    assert_eq!((keys.images, keys.cache_hits), (n_gops, n_gops));
+    assert_eq!(keys.decode_cpu_s, 0.0, "no GOP was decoded again");
+    server.shutdown();
 }
 
 /// The full tentpole flow: materialize a dataset into a variant store,
