@@ -1,12 +1,21 @@
 //! Wall-clock virtual accelerator.
 //!
 //! The device is modeled as two serially-reusable engines — a **compute
-//! engine** (SM array) and a **copy engine** (DMA) — each with a
-//! reservation timeline. A caller submits work, is assigned the next free
-//! slot on the engine, and *sleeps until its slot completes*, so pipelining,
-//! backpressure, contention between preprocessing kernels and DNN kernels,
-//! and the `min(preproc, exec)` law (§4) all emerge in real wall-clock
-//! measurements rather than being asserted.
+//! engine** (SM array) and a **copy engine** (DMA) — each with a FIFO
+//! reservation timeline. Work is submitted the way a CUDA stream takes it:
+//! a `launch_*` call reserves the engine's next slot and returns at once
+//! with the instant that slot ends, and passing that instant as the next
+//! op's `after` orders the two (a kernel never starts before the copy that
+//! feeds it has landed). Only [`VirtualDevice::wait_until`] blocks, so a
+//! caller can keep a second batch enqueued behind the one that is executing
+//! and the host's wake-up latency stays off the device timeline. The blocking
+//! [`VirtualDevice::transfer`] / [`VirtualDevice::preproc_kernel`] /
+//! [`VirtualDevice::dnn_batch`] are "launch, then wait" — a stream
+//! synchronise after every op. Either way pipelining, backpressure,
+//! contention between preprocessing kernels and DNN kernels, and the
+//! `min(preproc, exec)` law (§4) all emerge in real wall-clock measurements
+//! rather than being asserted, and [`DeviceStats`] accounts the same busy
+//! seconds and op counts.
 //!
 //! A `time_scale` multiplier shrinks simulated durations uniformly so tests
 //! exercise the same code paths quickly; harnesses run at scale 1.0.
@@ -25,17 +34,31 @@ enum Engine {
     Copy,
 }
 
+/// One engine's FIFO reservation timeline.
+#[derive(Debug)]
+struct EngineTimeline {
+    /// When the engine becomes free.
+    free_at: Instant,
+    /// Accumulated busy seconds (for utilization reporting).
+    busy_s: f64,
+    ops: u64,
+}
+
+impl EngineTimeline {
+    fn idle(origin: Instant) -> Self {
+        EngineTimeline {
+            free_at: origin,
+            busy_s: 0.0,
+            ops: 0,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Timeline {
     origin: Instant,
-    /// Seconds-from-origin at which each engine becomes free.
-    compute_free_at: f64,
-    copy_free_at: f64,
-    /// Accumulated busy seconds per engine (for utilization reporting).
-    compute_busy: f64,
-    copy_busy: f64,
-    kernels: u64,
-    copies: u64,
+    compute: EngineTimeline,
+    copy: EngineTimeline,
 }
 
 /// Utilization snapshot of a virtual device.
@@ -89,18 +112,15 @@ impl VirtualDevice {
     /// Creates a device from a custom spec (used by harnesses that need a
     /// specific execution rate, e.g. Table 3's balanced/bound regimes).
     pub fn with_spec(spec: DeviceSpec, env: ExecutionEnv, time_scale: f64) -> Self {
+        let origin = Instant::now();
         VirtualDevice {
             spec,
             env,
             time_scale,
             state: Arc::new(Mutex::new(Timeline {
-                origin: Instant::now(),
-                compute_free_at: 0.0,
-                copy_free_at: 0.0,
-                compute_busy: 0.0,
-                copy_busy: 0.0,
-                kernels: 0,
-                copies: 0,
+                origin,
+                compute: EngineTimeline::idle(origin),
+                copy: EngineTimeline::idle(origin),
             })),
         }
     }
@@ -117,37 +137,39 @@ impl VirtualDevice {
         self.time_scale
     }
 
-    /// Reserves `dur_s` *unscaled* seconds on an engine and sleeps until the
-    /// reserved slot finishes. Returns the simulated duration actually
-    /// reserved (scaled).
-    fn occupy(&self, engine: Engine, dur_s: f64) -> f64 {
-        let scaled = dur_s * self.time_scale;
-        let deadline = {
-            let mut tl = self.state.lock();
-            let now = tl.origin.elapsed().as_secs_f64();
-            let free_at = match engine {
-                Engine::Compute => {
-                    let start = tl.compute_free_at.max(now);
-                    tl.compute_free_at = start + scaled;
-                    tl.compute_busy += scaled;
-                    tl.kernels += 1;
-                    tl.compute_free_at
-                }
-                Engine::Copy => {
-                    let start = tl.copy_free_at.max(now);
-                    tl.copy_free_at = start + scaled;
-                    tl.copy_busy += scaled;
-                    tl.copies += 1;
-                    tl.copy_free_at
-                }
-            };
-            tl.origin + Duration::from_secs_f64(free_at)
-        };
+    /// Blocks until `done` (an instant a `launch_*` call returned) has
+    /// passed: the stream synchronise. Returns at once when it already has.
+    pub fn wait_until(done: Instant) {
         let now = Instant::now();
-        if deadline > now {
-            std::thread::sleep(deadline - now);
+        if done > now {
+            std::thread::sleep(done - now);
         }
-        scaled
+    }
+
+    /// Reserves `dur_s` *unscaled* seconds on an engine without blocking:
+    /// the engine's next slot, starting no earlier than the engine is free,
+    /// than now, and than `after` (the end of the op's predecessor in its
+    /// stream). Returns when the slot ends.
+    fn reserve(&self, engine: Engine, dur_s: f64, after: Instant) -> Instant {
+        let scaled_s = dur_s * self.time_scale;
+        let mut tl = self.state.lock();
+        let line = match engine {
+            Engine::Compute => &mut tl.compute,
+            Engine::Copy => &mut tl.copy,
+        };
+        let start = line.free_at.max(Instant::now()).max(after);
+        let end = start + Duration::from_secs_f64(scaled_s);
+        line.free_at = end;
+        line.busy_s += scaled_s;
+        line.ops += 1;
+        end
+    }
+
+    /// [`Self::reserve`] from an empty stream, then sleeps until the slot
+    /// finishes. Returns the simulated duration reserved (scaled).
+    fn occupy(&self, engine: Engine, dur_s: f64) -> f64 {
+        Self::wait_until(self.reserve(engine, dur_s, Instant::now()));
+        dur_s * self.time_scale
     }
 
     /// The device's ResNet-50 scale relative to the T4 anchor (honors
@@ -156,35 +178,74 @@ impl VirtualDevice {
         self.spec.resnet50_batch64 / GpuModel::T4.spec().resnet50_batch64
     }
 
-    /// Executes one DNN batch: occupies the compute engine for
-    /// `batch / throughput(model, batch)` seconds.
-    pub fn dnn_batch(&self, model: ModelKind, batch: usize) -> f64 {
-        let t = throughput_scaled(model, self.device_scale(), self.env, batch);
-        self.occupy(Engine::Compute, batch as f64 / t)
+    fn dnn_batch_s(&self, model: ModelKind, batch: usize) -> f64 {
+        batch as f64 / self.model_throughput(model, batch)
     }
 
-    /// Executes an accelerator-side preprocessing kernel measured in
-    /// weighted ops (the `smol_imgproc::dag` unit).
-    pub fn preproc_kernel(&self, weighted_ops: f64) -> f64 {
-        self.occupy(
-            Engine::Compute,
-            weighted_ops / self.spec.elementwise_ops_per_s,
-        )
+    fn preproc_kernel_s(&self, weighted_ops: f64) -> f64 {
+        weighted_ops / self.spec.elementwise_ops_per_s
     }
 
-    /// Transfers `bytes` host→device, occupying the copy engine; pinned
-    /// staging buffers get the fast DMA path (§6.1).
-    pub fn transfer(&self, bytes: usize, pinned: bool) -> f64 {
+    /// Unscaled seconds a host→device copy of `bytes` occupies the copy
+    /// engine (~10µs submission latency + bandwidth term); `None` when the
+    /// device has no copy cost (infinite bandwidth: a CPU-only "device").
+    /// Pinned staging buffers get the fast DMA path (§6.1).
+    fn transfer_s(&self, bytes: usize, pinned: bool) -> Option<f64> {
         let bw = if pinned {
             self.spec.pinned_copy_bps
         } else {
             self.spec.pageable_copy_bps
         };
-        if !bw.is_finite() {
-            return 0.0;
+        bw.is_finite().then(|| 10e-6 + bytes as f64 / bw)
+    }
+
+    /// Enqueues one DNN batch on the compute engine, ordered after `after`
+    /// (the end of its predecessor in the stream; `Instant::now()` for the
+    /// first op), for `batch / throughput(model, batch)` seconds. Returns
+    /// when the batch completes, without waiting for it.
+    pub fn launch_dnn_batch(&self, model: ModelKind, batch: usize, after: Instant) -> Instant {
+        self.reserve(Engine::Compute, self.dnn_batch_s(model, batch), after)
+    }
+
+    /// Enqueues an accelerator-side preprocessing kernel measured in
+    /// weighted ops (the `smol_imgproc::dag` unit); see
+    /// [`Self::launch_dnn_batch`] for `after` and the return value.
+    pub fn launch_preproc_kernel(&self, weighted_ops: f64, after: Instant) -> Instant {
+        self.reserve(Engine::Compute, self.preproc_kernel_s(weighted_ops), after)
+    }
+
+    /// Enqueues a host→device copy of `bytes` on the copy engine; see
+    /// [`Self::launch_dnn_batch`] for `after` and the return value. A device
+    /// without copy cost takes no slot and the stream continues from
+    /// `after`.
+    pub fn launch_transfer(&self, bytes: usize, pinned: bool, after: Instant) -> Instant {
+        match self.transfer_s(bytes, pinned) {
+            Some(dur_s) => self.reserve(Engine::Copy, dur_s, after),
+            None => after,
         }
-        // ~10µs submission latency + bandwidth term.
-        self.occupy(Engine::Copy, 10e-6 + bytes as f64 / bw)
+    }
+
+    /// Executes one DNN batch and blocks until it completes: occupies the
+    /// compute engine for `batch / throughput(model, batch)` seconds.
+    pub fn dnn_batch(&self, model: ModelKind, batch: usize) -> f64 {
+        self.occupy(Engine::Compute, self.dnn_batch_s(model, batch))
+    }
+
+    /// Executes an accelerator-side preprocessing kernel measured in
+    /// weighted ops (the `smol_imgproc::dag` unit) and blocks until it
+    /// completes.
+    pub fn preproc_kernel(&self, weighted_ops: f64) -> f64 {
+        self.occupy(Engine::Compute, self.preproc_kernel_s(weighted_ops))
+    }
+
+    /// Transfers `bytes` host→device, occupying the copy engine, and blocks
+    /// until the copy lands; pinned staging buffers get the fast DMA path
+    /// (§6.1).
+    pub fn transfer(&self, bytes: usize, pinned: bool) -> f64 {
+        match self.transfer_s(bytes, pinned) {
+            Some(dur_s) => self.occupy(Engine::Copy, dur_s),
+            None => 0.0,
+        }
     }
 
     /// The throughput the device would sustain for `model` at `batch`
@@ -204,10 +265,10 @@ impl VirtualDevice {
     pub fn stats(&self) -> DeviceStats {
         let tl = self.state.lock();
         DeviceStats {
-            compute_busy_s: tl.compute_busy,
-            copy_busy_s: tl.copy_busy,
-            kernels: tl.kernels,
-            copies: tl.copies,
+            compute_busy_s: tl.compute.busy_s,
+            copy_busy_s: tl.copy.busy_s,
+            kernels: tl.compute.ops,
+            copies: tl.copy.ops,
         }
     }
 }
@@ -311,5 +372,91 @@ mod tests {
     fn cpu_only_device_has_no_transfer_cost() {
         let dev = VirtualDevice::new(GpuModel::CpuOnly, ExecutionEnv::PyTorch, 0.01);
         assert_eq!(dev.transfer(1_000_000, false), 0.0);
+    }
+
+    // The launch tests below assert positions on the reservation timeline
+    // (the instants `launch_*` returns), never how long anything took, so
+    // they hold on a loaded host. A large time scale keeps every slot far
+    // longer than the test itself runs: nothing completes underneath it.
+
+    fn slow_t4() -> VirtualDevice {
+        VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 100.0)
+    }
+
+    /// The scaled duration of one ResNet-50 batch-64 kernel on `dev`.
+    fn kernel(dev: &VirtualDevice) -> Duration {
+        Duration::from_secs_f64(dev.dnn_batch_s(ModelKind::ResNet50, 64) * dev.time_scale())
+    }
+
+    /// Launches copy → kernel as one stream; returns both completions.
+    fn launch_batch(dev: &VirtualDevice) -> (Instant, Instant) {
+        let copied = dev.launch_transfer(1_000_000, true, Instant::now());
+        (
+            copied,
+            dev.launch_dnn_batch(ModelKind::ResNet50, 64, copied),
+        )
+    }
+
+    #[test]
+    fn a_streams_kernel_never_starts_before_its_copy_ends() {
+        let dev = slow_t4();
+        // Both engines are idle, so only the stream orders the two ops.
+        let (copied, done) = launch_batch(&dev);
+        assert!(copied > Instant::now(), "launching does not wait");
+        assert!(done - kernel(&dev) >= copied);
+    }
+
+    #[test]
+    fn the_next_batchs_copy_overlaps_this_batchs_compute() {
+        let dev = slow_t4();
+        let (_, done0) = launch_batch(&dev);
+        let (copied1, done1) = launch_batch(&dev);
+        assert!(kernel(&dev) > Duration::from_secs_f64(dev.transfer_s(1_000_000, true).unwrap()));
+        assert!(copied1 < done0, "copy n+1 lands while compute n runs");
+        assert_eq!(done1, done0 + kernel(&dev), "compute n+1 starts as n ends");
+    }
+
+    #[test]
+    fn launched_batches_complete_in_launch_order() {
+        let dev = slow_t4();
+        let origin = Instant::now();
+        let done: Vec<Instant> = (0..5).map(|_| launch_batch(&dev).1).collect();
+        assert!(done.windows(2).all(|w| w[0] < w[1]), "{done:?}");
+        assert!(done[4] >= origin + 5 * kernel(&dev));
+    }
+
+    #[test]
+    fn launching_and_blocking_account_the_same_device_stats() {
+        let launched = fast_t4();
+        let mut tail = Instant::now();
+        tail = launched.launch_transfer(600_000, true, tail);
+        tail = launched.launch_transfer(600_000, false, tail);
+        tail = launched.launch_preproc_kernel(3e6, tail);
+        tail = launched.launch_dnn_batch(ModelKind::ResNet50, 64, tail);
+        launched.launch_dnn_batch(ModelKind::ResNet18, 7, tail);
+
+        let blocking = fast_t4();
+        blocking.transfer(600_000, true);
+        blocking.transfer(600_000, false);
+        blocking.preproc_kernel(3e6);
+        blocking.dnn_batch(ModelKind::ResNet50, 64);
+        blocking.dnn_batch(ModelKind::ResNet18, 7);
+
+        assert_eq!(launched.stats(), blocking.stats());
+        assert_eq!(launched.stats().kernels, 3);
+        assert_eq!(launched.stats().copies, 2);
+    }
+
+    #[test]
+    fn a_device_without_copy_cost_still_chains() {
+        let dev = VirtualDevice::new(GpuModel::CpuOnly, ExecutionEnv::PyTorch, 100.0);
+        let after = Instant::now() + Duration::from_secs(3);
+        assert_eq!(dev.launch_transfer(1_000_000, false, after), after);
+        assert_eq!(dev.stats().copies, 0);
+        let dur = Duration::from_secs_f64(dev.dnn_batch_s(ModelKind::ResNet50, 8) * 100.0);
+        let done0 = dev.launch_dnn_batch(ModelKind::ResNet50, 8, after);
+        assert_eq!(done0, after + dur, "the kernel waits for its predecessor");
+        let done1 = dev.launch_dnn_batch(ModelKind::ResNet50, 8, Instant::now());
+        assert_eq!(done1, done0 + dur, "and the engine stays FIFO");
     }
 }

@@ -11,8 +11,8 @@
 //!   MobileNet-SSD, BlazeIt's tiny ResNet, Mask R-CNN);
 //! * [`envs`] — software-stack factors (Table 1: Keras / PyTorch / TensorRT);
 //! * [`engine`] — the wall-clock [`engine::VirtualDevice`]: compute + copy
-//!   engines with reservation timelines, so pipelining and contention are
-//!   *measured*, not asserted;
+//!   engines with stream-ordered reservation timelines (launch now, wait
+//!   later), so pipelining and contention are *measured*, not asserted;
 //! * [`economics`] — §7 price/power arithmetic (core-price fit, cost
 //!   breakdowns, ¢ per million images).
 

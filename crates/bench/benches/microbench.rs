@@ -1,10 +1,11 @@
 //! Criterion microbenches for the performance-critical kernels: codec
 //! decode paths (full / ROI / early-stop), preprocessing operators (fused
 //! vs unfused, the compiled CPU prefix vs the reference interpreter, the
-//! producer stage's per-item content key and cascade signal scan), the DAG
-//! optimizer, and Huffman coding.
+//! producer stage's per-item content key and cascade signal scan, launching
+//! vs executing a device batch), the DAG optimizer, and Huffman coding.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_codec::signal::sjpg_signal_opts;
 use smol_codec::{sjpg, spng, DecodeOptions, EncodedImage, Format, SjpgEncoder};
 use smol_data::{still_catalog, throughput_images};
@@ -15,6 +16,7 @@ use smol_imgproc::ops::normalize::{normalize_chw, Normalization};
 use smol_imgproc::ops::prefix::CompiledPrefix;
 use smol_imgproc::ops::{center_crop_u8, resize_short_edge_u8};
 use smol_imgproc::Rect;
+use smol_runtime::{execute_device_batch, launch_device_batch, DeviceBatchSpec};
 
 fn test_image() -> smol_imgproc::ImageU8 {
     let spec = &still_catalog()[3];
@@ -162,6 +164,28 @@ fn bench_preproc(c: &mut Criterion) {
         b.iter(|| {
             sjpg_signal_opts(std::hint::black_box(&scan.bytes), DecodeOptions::default()).unwrap()
         })
+    });
+    g.finish();
+
+    // What a consumer thread spends per device batch before it can turn to
+    // the next one: enqueueing the stream, or enqueueing it and sleeping it
+    // out (the device time plus the host's wake-up overshoot). A ResNet-18
+    // batch of 64 64-px tensors on a T4 at time scale 0.05.
+    let spec = DeviceBatchSpec {
+        dnn: ModelKind::ResNet18,
+        extra_stages: Vec::new(),
+        pinned: true,
+        extra_copy_per_batch: false,
+    };
+    let (images, bytes) = (64, 64 * 64 * 64 * 3 * 4);
+    let mut g = c.benchmark_group("device_batch");
+    g.bench_function("launch", |b| {
+        let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.05);
+        b.iter(|| launch_device_batch(&device, &spec, images, bytes, 0.0))
+    });
+    g.bench_function("execute", |b| {
+        let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.05);
+        b.iter(|| execute_device_batch(&device, &spec, images, bytes, 0.0))
     });
     g.finish();
 }

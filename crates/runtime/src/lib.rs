@@ -36,10 +36,10 @@ pub use bufferpool::{BufferPool, PoolStats, PooledBuffer, ShelfStats, StagingAre
 pub use media::{video_decode_params, wrap_gops, wrap_images, MediaItem, OutputLayout};
 pub use personalities::Personality;
 pub use pipeline::{
-    decode_item, decode_only, execute_device_batch, preproc_only, produce_item, produce_media_item,
-    produce_routed_item, route_stage, run_inference, run_media_inference, run_media_throughput,
-    run_throughput, DeviceBatchSpec, PipelineReport, PlanContext, ProducedItem, Result,
-    RuntimeError, RuntimeOptions,
+    decode_item, decode_only, execute_device_batch, launch_device_batch, preproc_only,
+    produce_item, produce_media_item, produce_routed_item, route_stage, run_inference,
+    run_media_inference, run_media_throughput, run_throughput, DeviceBatchSpec, PipelineReport,
+    PlanContext, ProducedItem, Result, RuntimeError, RuntimeOptions,
 };
 pub use profiler::{
     measure_decode_throughput, measure_exec_throughput, measure_media_preproc_pipelined,

@@ -8,10 +8,11 @@
 //! the `min(preproc, exec)` pipelining law are all physically realized.
 //!
 //! The per-image producer stage ([`produce_item`]) and per-batch consumer
-//! stage ([`execute_device_batch`]) are plan-parameterized free functions
-//! (with [`PlanContext`] carrying the precomputed per-plan state), so the
-//! multi-query serving runtime (`smol_serve`) executes the exact same
-//! stage code as this single-query engine. Stage threads come from a
+//! stage ([`launch_device_batch`] / [`execute_device_batch`]) are
+//! plan-parameterized free functions (with [`PlanContext`] carrying the
+//! precomputed per-plan state), so the multi-query serving runtime
+//! (`smol_serve`) executes the exact same stage code as this single-query
+//! engine. Stage threads come from a
 //! persistent [`crate::workers::WorkerPool`]: repeated runs reuse the same
 //! producer/consumer threads instead of re-spawning per query.
 //!
@@ -45,7 +46,9 @@ pub struct RuntimeOptions {
     /// Producer (decode/preprocess) threads; "number of producers equal to
     /// the number of vCPU cores" (§6.1).
     pub producers: usize,
-    /// Consumer threads, each mapping to a CUDA-stream-like lane.
+    /// Consumer threads, each a CUDA stream: it enqueues a batch's copy
+    /// and kernels in order ([`launch_device_batch`]) and, in the serving
+    /// runtime, keeps a second batch enqueued behind the one executing.
     pub consumers: usize,
     /// Multithreaded producers (lesion: off = 1 producer).
     pub threading: bool,
@@ -278,6 +281,9 @@ impl PlanContext {
     /// [`PlanContext::pool_capacity`] for items that fan out into up to
     /// `fanout` staged tensors each (video GOPs): every producer may hold
     /// a whole item's frames before any of them reach the batch former.
+    /// The `2 · consumers · batch` term is §6.1's over-allocation: each
+    /// consumer may hold the batch the device is executing *and* the one
+    /// launched behind it (the serving runtime's two-deep launch window).
     pub fn pool_capacity_fanout(&self, producers: usize, consumers: usize, fanout: usize) -> usize {
         producers * fanout.max(1) + self.batch + 2 * consumers * self.batch
     }
@@ -388,9 +394,44 @@ pub struct DeviceBatchSpec {
     pub extra_copy_per_batch: bool,
 }
 
-/// Runs the per-batch consumer stage on the virtual device: host→device
-/// transfer, optional accelerator-side preprocessing kernel, the DNN batch,
-/// and any cascade stages (§3.2).
+/// Enqueues the per-batch consumer stage on the virtual device as one
+/// stream — host→device transfer, optional accelerator-side preprocessing
+/// kernel, the DNN batch, and any cascade stages (§3.2), each ordered after
+/// the one before — and returns when the last of them completes, without
+/// waiting for any. Batches launched back to back pipeline on the device:
+/// the copy of the second runs under the compute of the first.
+pub fn launch_device_batch(
+    device: &VirtualDevice,
+    spec: &DeviceBatchSpec,
+    images: usize,
+    transfer_bytes: usize,
+    accel_ops: f64,
+) -> Instant {
+    let mut done = Instant::now();
+    if images == 0 {
+        return done;
+    }
+    done = device.launch_transfer(transfer_bytes, spec.pinned, done);
+    if spec.extra_copy_per_batch {
+        done = device.launch_transfer(transfer_bytes, false, done);
+    }
+    if accel_ops > 0.0 {
+        done = device.launch_preproc_kernel(accel_ops, done);
+    }
+    done = device.launch_dnn_batch(spec.dnn, images, done);
+    // Cascade stages: the expected fraction of the batch passes through to
+    // each downstream model (§3.2).
+    for &(model, selectivity) in &spec.extra_stages {
+        let passed = (images as f64 * selectivity).ceil() as usize;
+        if passed > 0 {
+            done = device.launch_dnn_batch(model, passed, done);
+        }
+    }
+    done
+}
+
+/// Runs the per-batch consumer stage to completion:
+/// [`launch_device_batch`], then one wait for the whole stream.
 pub fn execute_device_batch(
     device: &VirtualDevice,
     spec: &DeviceBatchSpec,
@@ -398,25 +439,13 @@ pub fn execute_device_batch(
     transfer_bytes: usize,
     accel_ops: f64,
 ) {
-    if images == 0 {
-        return;
-    }
-    device.transfer(transfer_bytes, spec.pinned);
-    if spec.extra_copy_per_batch {
-        device.transfer(transfer_bytes, false);
-    }
-    if accel_ops > 0.0 {
-        device.preproc_kernel(accel_ops);
-    }
-    device.dnn_batch(spec.dnn, images);
-    // Cascade stages: the expected fraction of the batch passes through to
-    // each downstream model (§3.2).
-    for &(model, selectivity) in &spec.extra_stages {
-        let passed = (images as f64 * selectivity).ceil() as usize;
-        if passed > 0 {
-            device.dnn_batch(model, passed);
-        }
-    }
+    VirtualDevice::wait_until(launch_device_batch(
+        device,
+        spec,
+        images,
+        transfer_bytes,
+        accel_ops,
+    ));
 }
 
 /// Runs the per-item producer stage for any media kind: still images
@@ -931,6 +960,30 @@ mod tests {
 
     fn fast_device() -> VirtualDevice {
         VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02)
+    }
+
+    #[test]
+    fn launching_a_batch_accounts_what_executing_it_does() {
+        let spec = DeviceBatchSpec {
+            dnn: ModelKind::ResNet50,
+            extra_stages: vec![(ModelKind::ResNet18, 0.25)],
+            pinned: true,
+            extra_copy_per_batch: true,
+        };
+        let (launched, executed) = (fast_device(), fast_device());
+        let origin = Instant::now();
+        let done = launch_device_batch(&launched, &spec, 8, 8 * 12_288, 1e5);
+        execute_device_batch(&executed, &spec, 8, 8 * 12_288, 1e5);
+        let stats = launched.stats();
+        assert_eq!(stats, executed.stats());
+        assert_eq!((stats.copies, stats.kernels), (2, 3));
+        // One stream: every op starts after the one before it ends.
+        let serial = Duration::from_secs_f64(stats.copy_busy_s + stats.compute_busy_s);
+        assert!(done >= origin + serial - Duration::from_nanos(5));
+
+        let idle = fast_device();
+        assert!(launch_device_batch(&idle, &spec, 0, 0, 0.0) <= Instant::now());
+        assert_eq!(idle.stats(), DeviceStats::default());
     }
 
     #[test]

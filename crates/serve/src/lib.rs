@@ -34,7 +34,7 @@
 //!   counters + per-device [`DeviceLaneStats`]).
 //!
 //! The per-image and per-batch stage code is `smol_runtime`'s
-//! ([`smol_runtime::produce_item`] / [`smol_runtime::execute_device_batch`]),
+//! ([`smol_runtime::produce_item`] / [`smol_runtime::launch_device_batch`]),
 //! so a query served here performs bit-identical work to the legacy
 //! single-query pipeline — `tests/serve_concurrency.rs` asserts exactly
 //! that.

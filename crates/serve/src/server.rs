@@ -16,7 +16,9 @@
 //!   producers: round-robin claim one item ─► decode + CPU preproc
 //!   batch former: group by PlacementSignature ─► device batches
 //!   dispatch: shard each batch to the least-loaded lane (device)
-//!   lane consumers: transfer + kernels + DNN batch ─► per-item results
+//!   lane consumers: launch copy + kernels + DNN batch as one stream,
+//!     keep one more batch enqueued behind it, retire in launch order
+//!     ─► per-item results
 //!     (an idle lane steals queued batches from the most-loaded lane)
 //!   last item done ─► QueryReport through the handle
 //! ```
@@ -44,11 +46,13 @@ use smol_codec::EncodedImage;
 use smol_core::{CascadePlan, PlacementSignature, QueryPlan};
 use smol_imgproc::ImageU8;
 use smol_runtime::{
-    execute_device_batch, produce_media_item, produce_routed_item, wrap_images, BufferPool,
+    launch_device_batch, produce_media_item, produce_routed_item, wrap_images, BufferPool,
     DeviceBatchSpec, MediaItem, PlanContext, ProducedItem, RuntimeOptions, StagingArena,
     TensorCache, TensorCacheStats,
 };
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -156,7 +160,8 @@ pub struct SubmitOptions {
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Stage-thread counts and §6.1 toggles, shared by all queries.
-    /// `consumers` is the consumer-thread count **per device lane**.
+    /// `consumers` is the consumer-thread count **per device lane**; each
+    /// is one stream holding up to two launched batches.
     pub runtime: RuntimeOptions,
     /// Admission bound: at most this many queries may be in flight;
     /// `submit` blocks (and `try_submit` errors) past it.
@@ -188,6 +193,8 @@ struct BatchItem {
     query: QueryId,
     item: ProducedItem,
     claimed_at: Instant,
+    /// The owning query's inference callback, run when the batch retires.
+    infer: Option<InferFn>,
 }
 
 /// One unit of producer work: query `query`, item index `idx`.
@@ -201,7 +208,9 @@ struct Claim {
     /// `offsets[i]..offsets[i] + fanout(i)`.
     offsets: Arc<Vec<usize>>,
     pool: BufferPool,
-    keep_image: bool,
+    /// The query's inference callback; producers keep the decoded image
+    /// only when there is one.
+    infer: Option<InferFn>,
     claimed_at: Instant,
     /// Cascade routing payload: the producer decides the rung *after*
     /// claiming, from the item's bitstream signal.
@@ -257,6 +266,9 @@ struct QueryState {
     failed: usize,
     skipped: usize,
     completed: usize,
+    /// Outputs that went through the device but whose inference callback
+    /// panicked: counted in `failed`, never in `completed`.
+    panicked: usize,
     latencies: Vec<f64>,
     results: Vec<Option<BoxedPrediction>>,
     cache_hits: usize,
@@ -377,11 +389,17 @@ struct Agg {
 struct Lane {
     device: VirtualDevice,
     queue: VecDeque<FormedBatch<BatchItem>>,
+    /// Batches this lane's consumers have launched and not yet retired.
     in_flight: usize,
     batches: u64,
     images: u64,
     /// Batches this lane executed that were queued on another lane.
     stolen_batches: u64,
+    /// Batches launched while an earlier one of the same consumer was
+    /// still unretired.
+    overlapped_batches: u64,
+    /// Seconds from each batch's completion on the device to its retire.
+    retire_lag_s: f64,
 }
 
 struct Fleet {
@@ -389,6 +407,36 @@ struct Fleet {
     /// Live producer threads; consumers drain and exit once this hits 0
     /// with every lane queue empty.
     producers_live: usize,
+}
+
+impl Fleet {
+    /// Takes the next batch for a consumer of lane `lane_idx`: the front of
+    /// its own queue, else — only with nothing in its launch window
+    /// (`window_empty`) — the front of the deepest other queue. A consumer
+    /// with a batch on the device is not idle, and a batch it stole would
+    /// wait behind that one while the victim lane might have run it sooner.
+    /// Batches are self-contained, so executing one on a different device
+    /// changes timing only, never results.
+    fn take_batch(
+        &mut self,
+        lane_idx: usize,
+        window_empty: bool,
+    ) -> Option<FormedBatch<BatchItem>> {
+        let stolen = self.lanes[lane_idx].queue.is_empty();
+        let from = if !stolen {
+            lane_idx
+        } else if window_empty {
+            (0..self.lanes.len()).max_by_key(|&j| self.lanes[j].queue.len())?
+        } else {
+            return None;
+        };
+        let batch = self.lanes[from].queue.pop_front()?;
+        let lane = &mut self.lanes[lane_idx];
+        lane.in_flight += 1;
+        lane.stolen_batches += u64::from(stolen);
+        lane.overlapped_batches += u64::from(!window_empty);
+        Some(batch)
+    }
 }
 
 struct Inner {
@@ -420,8 +468,9 @@ struct Inner {
 impl Inner {
     /// A query's staging entitlement for plan `ctx`: enough buffers that
     /// producers never wait on consumers — every consumer thread across
-    /// the fleet may hold a batch, every lane queue `batch_queue` more, and
-    /// the batch former up to `batch − 1` items — drawn from the server's
+    /// the fleet may hold its launch window of two batches (the `2 ·` of
+    /// `pool_capacity_fanout`), every lane queue `batch_queue` more, and the
+    /// batch former up to `batch − 1` items — drawn from the server's
     /// arena (or freshly allocated per acquire when `memory_reuse` is off).
     fn staging_pool(&self, ctx: &PlanContext, max_fanout: usize) -> BufferPool {
         let rt = &self.cfg.runtime;
@@ -566,6 +615,8 @@ impl Server {
                         batches: 0,
                         images: 0,
                         stolen_batches: 0,
+                        overlapped_batches: 0,
+                        retire_lag_s: 0.0,
                     })
                     .collect(),
                 producers_live: producers,
@@ -869,6 +920,7 @@ impl Server {
             failed: 0,
             skipped: 0,
             completed: 0,
+            panicked: 0,
             latencies: Vec::with_capacity(total_outputs),
             results: (0..total_outputs).map(|_| None).collect(),
             cache_hits: 0,
@@ -970,6 +1022,8 @@ impl Server {
                     batches: lane.batches,
                     images: lane.images,
                     stolen_batches: lane.stolen_batches,
+                    overlapped_batches: lane.overlapped_batches,
+                    retire_lag_s: lane.retire_lag_s,
                 }
             })
             .collect();
@@ -1015,7 +1069,7 @@ impl Server {
             let _ = h.join();
         }
         // Producers decremented `producers_live` on exit; consumers drain
-        // the lane queues and observe the count.
+        // the lane queues and their launch windows and observe the count.
         for h in self.consumer_handles.drain(..) {
             let _ = h.join();
         }
@@ -1113,7 +1167,7 @@ fn claim_next(
                 items: Arc::clone(&q.items),
                 offsets: Arc::clone(&q.offsets),
                 pool: q.pool.clone(),
-                keep_image: q.infer.is_some(),
+                infer: q.infer.clone(),
                 claimed_at: Instant::now(),
                 cascade: q.cascade.clone(),
             };
@@ -1166,7 +1220,7 @@ fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
     let done = sched
         .queries
         .get(&qid)
-        .map(|q| q.production_done() && q.completed == q.produced)
+        .map(|q| q.production_done() && q.completed + q.panicked == q.produced)
         .unwrap_or(false);
     if !done {
         return;
@@ -1247,7 +1301,20 @@ fn dispatch(inner: &Inner, batch: FormedBatch<BatchItem>) {
     }
 }
 
+/// Counts its producer thread out of `producers_live` however the thread
+/// ends — a panic included — and wakes the consumers, which exit (and let
+/// `shutdown` return) only once every producer is gone.
+struct ProducerLive<'a>(&'a Inner);
+
+impl Drop for ProducerLive<'_> {
+    fn drop(&mut self) {
+        self.0.fleet.lock().producers_live -= 1;
+        self.0.batch_cv.notify_all();
+    }
+}
+
 fn producer_loop(inner: &Inner) {
+    let _live = ProducerLive(inner);
     loop {
         let mut emitted: Vec<FormedBatch<BatchItem>> = Vec::new();
         let claim = {
@@ -1279,9 +1346,6 @@ fn producer_loop(inner: &Inner) {
             }
             // Shutdown with nothing claimable: admitted work is drained
             // (claim_next exhausts every query before returning None).
-            let mut fleet = inner.fleet.lock();
-            fleet.producers_live -= 1;
-            inner.batch_cv.notify_all();
             return;
         };
 
@@ -1297,7 +1361,7 @@ fn producer_loop(inner: &Inner) {
                 claim.offsets[claim.idx],
                 &claim.items[claim.idx],
                 &claim.pool,
-                claim.keep_image,
+                claim.infer.is_some(),
                 inner.cfg.runtime.extra_cpu_s_per_image,
                 inner.tensor_cache.as_deref(),
             ),
@@ -1306,7 +1370,7 @@ fn producer_loop(inner: &Inner) {
                 claim.offsets[claim.idx],
                 &claim.items[claim.idx],
                 &claim.pool,
-                claim.keep_image,
+                claim.infer.is_some(),
                 inner.cfg.runtime.extra_cpu_s_per_image,
                 inner.tensor_cache.as_deref(),
             ),
@@ -1364,6 +1428,7 @@ fn producer_loop(inner: &Inner) {
                                 query: claim.query,
                                 item,
                                 claimed_at: claim.claimed_at,
+                                infer: claim.infer.clone(),
                             },
                         ) {
                             emitted.push(batch);
@@ -1429,121 +1494,174 @@ fn producer_loop(inner: &Inner) {
     }
 }
 
+/// Batches a consumer may have launched and not yet retired: the one the
+/// device is executing and one enqueued behind it, so the device starts
+/// the second the instant the first ends rather than after this thread has
+/// woken up, retired the first and come back round. A third would buy
+/// nothing — the device is already never idle between two — and cost
+/// another batch of staging memory; the staging entitlement
+/// ([`Inner::staging_pool`]) grants each consumer two.
+const LAUNCH_WINDOW: usize = 2;
+
+/// A batch enqueued on the device, and when the device will be done with it.
+struct Launched {
+    batch: FormedBatch<BatchItem>,
+    done: Instant,
+}
+
 fn consumer_loop(inner: &Inner, lane_idx: usize) {
-    let device = {
-        let fleet = inner.fleet.lock();
-        fleet.lanes[lane_idx].device.clone()
-    };
+    let device = inner.fleet.lock().lanes[lane_idx].device.clone();
+    // Launch order; both device engines are FIFO, so completion order too.
+    let mut window: VecDeque<Launched> = VecDeque::with_capacity(LAUNCH_WINDOW);
     loop {
-        let batch = {
+        // Launch before waiting: a queued batch goes onto the device while
+        // the window has room, and the wait for the oldest completion is
+        // cut short when one arrives.
+        let next = {
             let mut fleet = inner.fleet.lock();
             loop {
-                if let Some(batch) = fleet.lanes[lane_idx].queue.pop_front() {
-                    fleet.lanes[lane_idx].in_flight += 1;
-                    inner.space_cv.notify_all();
-                    break Some(batch);
+                if window.len() < LAUNCH_WINDOW {
+                    if let Some(batch) = fleet.take_batch(lane_idx, window.is_empty()) {
+                        inner.space_cv.notify_all();
+                        break Some(batch);
+                    }
                 }
-                // Work stealing: queue depths diverged (this lane idle,
-                // another has queued batches) — take from the deepest
-                // queue. Batches are self-contained, so execution on a
-                // different device changes timing only, never results.
-                let victim = (0..fleet.lanes.len())
-                    .filter(|&j| j != lane_idx && !fleet.lanes[j].queue.is_empty())
-                    .max_by_key(|&j| fleet.lanes[j].queue.len());
-                if let Some(j) = victim {
-                    let batch = fleet.lanes[j].queue.pop_front().expect("non-empty");
-                    fleet.lanes[lane_idx].in_flight += 1;
-                    fleet.lanes[lane_idx].stolen_batches += 1;
-                    inner.space_cv.notify_all();
-                    break Some(batch);
-                }
-                if fleet.producers_live == 0 {
+                let Some(oldest) = window.front() else {
+                    if fleet.producers_live == 0 {
+                        return;
+                    }
+                    inner.batch_cv.wait(&mut fleet);
+                    continue;
+                };
+                if window.len() == LAUNCH_WINDOW || Instant::now() >= oldest.done {
                     break None;
                 }
-                inner.batch_cv.wait(&mut fleet);
+                inner.batch_cv.wait_until(&mut fleet, oldest.done);
             }
         };
-        let Some(batch) = batch else { return };
-        let spec = DeviceBatchSpec {
-            dnn: batch.sig.dnn,
-            extra_stages: batch
-                .sig
-                .extra_stages
-                .iter()
-                .map(|&(model, bits)| (model, f64::from_bits(bits)))
-                .collect(),
-            pinned: inner.cfg.runtime.pinned,
-            extra_copy_per_batch: inner.cfg.runtime.extra_copy_per_batch,
-        };
-        let bytes: usize = batch.items.iter().map(|b| b.item.transfer_bytes).sum();
-        let accel_ops: f64 = batch.items.iter().map(|b| b.item.accel_ops).sum();
-        execute_device_batch(&device, &spec, batch.items.len(), bytes, accel_ops);
-
-        {
-            let mut fleet = inner.fleet.lock();
-            let lane = &mut fleet.lanes[lane_idx];
-            lane.in_flight -= 1;
-            lane.batches += 1;
-            lane.images += batch.items.len() as u64;
-        }
-
-        // Run inference callbacks without the scheduler lock.
-        let infers: Vec<Option<InferFn>> = {
-            let sched = inner.sched.lock();
-            batch
-                .items
-                .iter()
-                .map(|b| sched.queries.get(&b.query).and_then(|q| q.infer.clone()))
-                .collect()
-        };
-        let mut predictions: Vec<Option<BoxedPrediction>> = batch
-            .items
-            .iter()
-            .zip(&infers)
-            .map(|(b, f)| match (f, &b.item.image) {
-                (Some(f), Some(img)) => Some(f(b.item.idx, img)),
-                _ => None,
-            })
-            .collect();
-
-        {
-            let mut agg = inner.agg.lock();
-            agg.batches += 1;
-            if batch.is_full() {
-                agg.full_batches += 1;
+        match next {
+            Some(batch) => window.push_back(launch(inner, &device, batch)),
+            None => {
+                let oldest = window.pop_front().expect("nothing to launch: waiting");
+                VirtualDevice::wait_until(oldest.done);
+                retire(inner, lane_idx, oldest);
             }
-            let first = batch.items.first().map(|b| b.query);
-            if batch.items.iter().any(|b| Some(b.query) != first) {
-                agg.cross_query_batches += 1;
-            }
-        }
-
-        // The device is done with the tensors: the staging buffers go back
-        // to the arena here, before any handle resolves, so a query
-        // submitted on the strength of a report finds them idle.
-        let done: Vec<(QueryId, usize, Instant)> = batch
-            .items
-            .into_iter()
-            .map(|b| (b.query, b.item.idx, b.claimed_at))
-            .collect();
-
-        let mut sched = inner.sched.lock();
-        let mut touched: Vec<QueryId> = Vec::new();
-        for (&(query, idx, claimed_at), pred) in done.iter().zip(&mut predictions) {
-            let Some(q) = sched.queries.get_mut(&query) else {
-                continue;
-            };
-            q.completed += 1;
-            q.latencies.push(claimed_at.elapsed().as_secs_f64());
-            if let Some(pred) = pred.take() {
-                q.results[idx] = Some(pred);
-            }
-            if !touched.contains(&query) {
-                touched.push(query);
-            }
-        }
-        for qid in touched {
-            try_finalize(inner, &mut sched, qid);
         }
     }
+}
+
+/// Enqueues `batch` on the device; returns without waiting for it.
+fn launch(inner: &Inner, device: &VirtualDevice, batch: FormedBatch<BatchItem>) -> Launched {
+    let spec = DeviceBatchSpec {
+        dnn: batch.sig.dnn,
+        extra_stages: batch
+            .sig
+            .extra_stages
+            .iter()
+            .map(|&(model, bits)| (model, f64::from_bits(bits)))
+            .collect(),
+        pinned: inner.cfg.runtime.pinned,
+        extra_copy_per_batch: inner.cfg.runtime.extra_copy_per_batch,
+    };
+    let bytes: usize = batch.items.iter().map(|b| b.item.transfer_bytes).sum();
+    let accel_ops: f64 = batch.items.iter().map(|b| b.item.accel_ops).sum();
+    let done = launch_device_batch(device, &spec, batch.items.len(), bytes, accel_ops);
+    Launched { batch, done }
+}
+
+/// One executed output on its way back to its query.
+struct Retired {
+    query: QueryId,
+    idx: usize,
+    claimed_at: Instant,
+    /// The inference callback's prediction (`None` without a callback), or
+    /// the message of its panic.
+    outcome: Result<Option<BoxedPrediction>, String>,
+}
+
+/// Hands a completed batch's outputs back to their queries: lane counters,
+/// inference callbacks, then one pass under the scheduler lock.
+fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
+    let Launched { batch, done } = launched;
+    let full = batch.is_full();
+    let first = batch.items.first().map(|b| b.query);
+    let cross_query = batch.items.iter().any(|b| Some(b.query) != first);
+    {
+        let mut fleet = inner.fleet.lock();
+        let lane = &mut fleet.lanes[lane_idx];
+        lane.in_flight -= 1;
+        lane.batches += 1;
+        lane.images += batch.items.len() as u64;
+        lane.retire_lag_s += done.elapsed().as_secs_f64();
+    }
+
+    // Inference callbacks are user code and run on this thread, outside
+    // every lock. One that panics fails its own output; the lane's consumer
+    // and the batches launched behind this one live on. The device is done
+    // with the tensors: each item's staging buffer goes back to the arena
+    // here, before any handle resolves, so a query submitted on the
+    // strength of a report finds them idle.
+    let mut retired: Vec<Retired> = batch
+        .items
+        .into_iter()
+        .map(|b| Retired {
+            query: b.query,
+            idx: b.item.idx,
+            claimed_at: b.claimed_at,
+            outcome: match (&b.infer, &b.item.image) {
+                (Some(infer), Some(img)) => {
+                    catch_unwind(AssertUnwindSafe(|| infer(b.item.idx, img)))
+                        .map(Some)
+                        .map_err(|payload| panic_message(payload.as_ref()))
+                }
+                _ => Ok(None),
+            },
+        })
+        .collect();
+
+    {
+        let mut agg = inner.agg.lock();
+        agg.batches += 1;
+        agg.full_batches += u64::from(full);
+        agg.cross_query_batches += u64::from(cross_query);
+    }
+
+    // Stable, so each query's outputs stay in batch order; then every
+    // distinct query of the batch is looked up once.
+    retired.sort_by_key(|r| r.query);
+    let mut sched = inner.sched.lock();
+    let now = Instant::now();
+    for outputs in retired.chunk_by_mut(|a, b| a.query == b.query) {
+        let qid = outputs[0].query;
+        let Some(q) = sched.queries.get_mut(&qid) else {
+            continue;
+        };
+        for out in outputs {
+            match std::mem::replace(&mut out.outcome, Ok(None)) {
+                Ok(pred) => {
+                    q.completed += 1;
+                    q.latencies
+                        .push(now.duration_since(out.claimed_at).as_secs_f64());
+                    if pred.is_some() {
+                        q.results[out.idx] = pred;
+                    }
+                }
+                Err(msg) => {
+                    q.panicked += 1;
+                    q.failed += 1;
+                    q.error.get_or_insert(msg);
+                }
+            }
+        }
+        try_finalize(inner, &mut sched, qid);
+    }
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(non-string payload)");
+    format!("inference callback panicked: {msg}")
 }

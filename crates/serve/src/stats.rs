@@ -101,7 +101,9 @@ pub struct DeviceLaneStats {
     pub device: DeviceStats,
     /// Formed batches waiting in this lane's queue right now.
     pub queued_batches: usize,
-    /// Batches currently executing on this lane's device.
+    /// Batches this lane's consumers have launched and not yet retired:
+    /// executing on the device or enqueued behind one that is (at most two
+    /// per consumer thread).
     pub in_flight_batches: usize,
     /// Batches this lane has executed (including stolen ones).
     pub batches: u64,
@@ -109,6 +111,14 @@ pub struct DeviceLaneStats {
     pub images: u64,
     /// Batches this lane stole from another lane's queue.
     pub stolen_batches: u64,
+    /// Batches launched while an earlier batch of the same consumer was
+    /// still unretired — the device had them enqueued before it went idle.
+    /// Near zero when the lane is not the bottleneck.
+    pub overlapped_batches: u64,
+    /// Summed over retired batches: seconds from the device completing a
+    /// batch to its consumer retiring it. Host-side delay that only results
+    /// wait for; the device has already started the next launched batch.
+    pub retire_lag_s: f64,
 }
 
 /// Fleet-wide serving metrics, sampled by `Server::stats()`: aggregate
@@ -186,6 +196,22 @@ impl ServerStats {
         self.devices.iter().map(|l| l.occupancy).sum::<f64>() / self.devices.len() as f64
     }
 
+    /// Batches launched behind an unretired one, across the fleet.
+    pub fn overlapped_batches(&self) -> u64 {
+        self.devices.iter().map(|l| l.overlapped_batches).sum()
+    }
+
+    /// Mean completion → retire delay of an executed batch, in seconds.
+    pub fn mean_retire_lag_s(&self) -> f64 {
+        let lag: f64 = self.devices.iter().map(|l| l.retire_lag_s).sum();
+        let batches: u64 = self.devices.iter().map(|l| l.batches).sum();
+        if batches == 0 {
+            0.0
+        } else {
+            lag / batches as f64
+        }
+    }
+
     /// Fraction of completed deadline-bearing queries that missed their
     /// deadline (0.0 when no query carried a deadline).
     pub fn deadline_miss_rate(&self) -> f64 {
@@ -214,12 +240,15 @@ impl std::fmt::Display for ServerStats {
         )?;
         writeln!(
             f,
-            "batches {} ({} full, {} cross-query, {} stolen), occupancy {:.2}",
+            "batches {} ({} full, {} cross-query, {} stolen, {} overlapped), \
+             occupancy {:.2}, retire lag {:.3} ms/batch",
             self.batches,
             self.full_batches,
             self.cross_query_batches,
             self.steals,
+            self.overlapped_batches(),
             self.device_occupancy(),
+            self.mean_retire_lag_s() * 1e3,
         )?;
         writeln!(
             f,
@@ -326,6 +355,8 @@ mod tests {
             batches: 5,
             images: 40,
             stolen_batches: stolen,
+            overlapped_batches: 3,
+            retire_lag_s: 0.002,
         };
         let stats = ServerStats {
             submitted_queries: 2,
@@ -365,7 +396,13 @@ mod tests {
         assert_eq!(merged.kernels, 6);
         assert!((stats.device_occupancy() - 0.6).abs() < 1e-12);
         assert!((stats.deadline_miss_rate() - 0.25).abs() < 1e-12);
+        assert_eq!(stats.overlapped_batches(), 6);
+        assert!((stats.mean_retire_lag_s() - 0.0004).abs() < 1e-12);
         let shown = stats.to_string();
+        assert!(
+            shown.contains("2 stolen, 6 overlapped), occupancy 0.60, retire lag 0.400 ms/batch"),
+            "{shown}"
+        );
         assert!(
             shown.ends_with(
                 "staging: 70 reused, 10 allocated, 1 waits; idle 122880 B @ 3072 floats"

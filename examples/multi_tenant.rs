@@ -170,11 +170,14 @@ fn main() -> Result<(), smol::Error> {
     println!("\nserver totals:\n{stats}");
     for (i, lane) in stats.devices.iter().enumerate() {
         println!(
-            "  lane {i}: {} batches ({} stolen in), {} images, occupancy {:.0}%",
+            "  lane {i}: {} batches ({} stolen in, {} launched behind another), {} images, \
+             occupancy {:.0}%, retire lag {:.2} ms",
             lane.batches,
             lane.stolen_batches,
+            lane.overlapped_batches,
             lane.images,
-            lane.occupancy * 100.0
+            lane.occupancy * 100.0,
+            lane.retire_lag_s * 1e3
         );
     }
     println!(

@@ -1,16 +1,22 @@
 //! Concurrency battery for the `smol-serve` multi-query runtime: mixed
 //! plans from many submitter threads, per-query image conservation,
 //! bit-identical results vs the legacy single-query pipeline, admission
-//! backpressure, drain-on-shutdown, error isolation, and the
+//! backpressure, drain-on-shutdown, error isolation, the
 //! server-lifetime staging arena (reuse across queries, geometries kept
-//! apart, the reuse lesion, degradation to another geometry).
+//! apart, the reuse lesion, degradation to another geometry), and the
+//! consumers' launch window (two deep, drained on shutdown, invisible in
+//! results, no stealing from behind a launched batch, a panicking callback
+//! fails one output).
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::codec::{EncodedImage, Format};
 use smol::core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol::imgproc::ImageU8;
 use smol::runtime::{run_inference, RuntimeOptions};
-use smol::serve::{DegradeStep, ServeError, Server, ServerConfig, ServerStats, SubmitOptions};
+use smol::serve::{
+    DegradeStep, QueryPoll, ServeError, Server, ServerConfig, ServerStats, SubmitOptions,
+};
+use std::time::Duration;
 
 fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
     let mut img = ImageU8::zeros(w, h, 3);
@@ -612,4 +618,192 @@ fn each_server_starts_with_an_empty_arena() {
         assert_eq!((report.pool.allocated, report.pool.reused), (5, 0));
         drop(server);
     }
+}
+
+/// A T4 slowed `time_scale`x: at 20 a ResNet-50 batch of 4 holds the device
+/// for ~35 ms, far longer than four 64-px items take to produce, so batches
+/// queue up behind the device and the launch window fills.
+fn slow_device(time_scale: f64) -> VirtualDevice {
+    VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, time_scale)
+}
+
+fn one_lane(consumers: usize) -> ServerConfig {
+    ServerConfig {
+        runtime: RuntimeOptions {
+            consumers,
+            ..Default::default()
+        },
+        batch_queue: 4,
+        ..Default::default()
+    }
+}
+
+/// Inference callbacks are user code on the lane's consumer thread. One
+/// that panics fails its own output and is reported; the consumer, the
+/// batches launched behind that one, and every later query carry on.
+#[test]
+fn a_panicking_callback_fails_its_item_not_the_lane() {
+    let server = Server::new(fast_device(), one_lane(1));
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    let (n, bad) = (14, 5);
+    let handle = server
+        .submit_with_infer(
+            plan.clone(),
+            encoded_batch(n, 64, 64, 40),
+            move |idx, img| {
+                assert!(idx != bad, "callback bug on item {idx}");
+                fingerprint(idx, img)
+            },
+        )
+        .unwrap();
+    let mut report = handle.wait().expect("the handle resolves");
+    assert_eq!(
+        (report.images, report.failed, report.skipped),
+        (n - 1, 1, 0)
+    );
+    let error = report.error.as_deref().expect("the panic is recorded");
+    assert!(error.contains("callback bug on item 5"), "{error}");
+    let results = report.take_results::<u64>();
+    for (idx, result) in results.iter().enumerate() {
+        assert_eq!(result.is_none(), idx == bad, "output {idx}");
+    }
+
+    // The lane's only consumer is still there.
+    let mut report = server
+        .submit_with_infer(plan, encoded_batch(n, 64, 64, 60), fingerprint)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!((report.images, report.failed), (n, 0));
+    assert!(report.error.is_none());
+    assert!(report.take_results::<u64>().iter().all(Option::is_some));
+    server.shutdown();
+}
+
+/// How many streams drive the device, and how deep each one's window is,
+/// changes timing only: results and per-query counts are the same.
+#[test]
+fn results_and_counts_do_not_depend_on_the_consumer_count() {
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    let items = encoded_batch(37, 64, 64, 80);
+    let outcomes: Vec<_> = (1..=3)
+        .map(|consumers| {
+            let server = Server::new(fast_device(), one_lane(consumers));
+            let mut report = server
+                .submit_with_infer(plan.clone(), items.clone(), fingerprint)
+                .unwrap()
+                .wait()
+                .unwrap();
+            let stats = server.stats();
+            server.shutdown();
+            assert!(report.error.is_none());
+            (
+                report.take_results::<u64>(),
+                (report.images, report.failed, report.skipped),
+                report.cache_hits,
+                (stats.batches, stats.full_batches, stats.images_done),
+            )
+        })
+        .collect();
+    assert_eq!(outcomes[0].1, (37, 0, 0));
+    assert_eq!(outcomes[0], outcomes[1]);
+    assert_eq!(outcomes[0], outcomes[2]);
+}
+
+/// A consumer keeps at most two batches launched — one executing, one
+/// enqueued behind it — and when batches arrive faster than the device
+/// retires them it does launch the second before the first is retired.
+#[test]
+fn the_launch_window_is_two_deep_per_consumer() {
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    for consumers in [1, 2] {
+        let server = Server::new(slow_device(20.0), one_lane(consumers));
+        let handle = server
+            .submit(plan.clone(), encoded_batch(32, 64, 64, 90))
+            .unwrap();
+        let report = loop {
+            let lane = &server.stats().devices[0];
+            assert!(lane.in_flight_batches <= 2 * consumers, "{lane:?}");
+            if let Some(report) = handle.try_wait() {
+                break report;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(report.images, 32);
+        let lane = &server.stats().devices[0];
+        assert_eq!((lane.batches, lane.in_flight_batches), (8, 0));
+        assert!(lane.overlapped_batches >= 1, "{lane:?}");
+        assert!(lane.overlapped_batches <= lane.batches - consumers as u64);
+        assert!(lane.retire_lag_s >= 0.0);
+        server.shutdown();
+    }
+}
+
+/// Shutdown waits for launched batches like it waits for queued ones: with
+/// the window full, both batches retire and every handle resolves whole.
+#[test]
+fn shutdown_drains_a_full_launch_window() {
+    let server = Server::new(slow_device(20.0), one_lane(1));
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    let first = server
+        .submit(plan.clone(), encoded_batch(8, 64, 64, 100))
+        .unwrap();
+    let second = server.submit(plan, encoded_batch(8, 64, 64, 110)).unwrap();
+    while server.stats().devices[0].in_flight_batches < 2 {
+        assert!(
+            matches!(second.poll(), QueryPoll::Pending { .. }),
+            "the window never filled"
+        );
+        std::thread::yield_now();
+    }
+    server.shutdown();
+    assert_eq!(first.wait().expect("drained").images, 8);
+    assert_eq!(second.wait().expect("drained").images, 8);
+}
+
+/// A consumer with a batch on the device is not idle, and does not steal:
+/// a stolen batch would wait behind the launched one. Lane 0 is pinned on
+/// one half-second batch while lane 1, a fast device, serves a whole query;
+/// every dispatch wakes lane 0's consumer with room in its window and, as
+/// often as not, a batch sitting in lane 1's queue.
+#[test]
+fn a_lane_with_a_launched_batch_never_steals() {
+    let mut cfg = one_lane(1);
+    // Batches form one at a time, each after lane 1 has finished the last:
+    // dispatch always finds lane 1 the less loaded and never hands lane 0 a
+    // batch of its own to fill its window with.
+    cfg.runtime.extra_cpu_s_per_image = 0.002;
+    let server = Server::with_devices(vec![slow_device(300.0), fast_device()], cfg);
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    // One-batch queries until lane 0's consumer (not lane 1's, by a steal)
+    // is the one that launches it.
+    let mut pins = Vec::new();
+    let stolen_before = 'pin: loop {
+        assert!(pins.len() < 1000, "lane 0 never launched a batch");
+        let pin = server
+            .submit(plan.clone(), encoded_batch(4, 64, 64, 120))
+            .unwrap();
+        while matches!(pin.poll(), QueryPoll::Pending { .. }) {
+            let lane = &server.stats().devices[0];
+            if lane.in_flight_batches == 1 {
+                pins.push(pin);
+                break 'pin lane.stolen_batches;
+            }
+            std::thread::yield_now();
+        }
+        pins.push(pin);
+    };
+    let report = server
+        .submit(plan, encoded_batch(96, 64, 64, 130))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(report.images, 96);
+    let stats = server.stats();
+    assert_eq!(stats.devices[0].stolen_batches, stolen_before, "{stats}");
+    assert!(stats.devices[1].batches >= 20, "{stats}");
+    for pin in pins {
+        assert_eq!(pin.wait().unwrap().images, 4);
+    }
+    server.shutdown();
 }
