@@ -4,11 +4,11 @@
 
 use smol_accel::{GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{
-    default_planner, fmt_tput, naive_planner, quick_mode, Table, VariantKind, VariantSet,
+    default_planner, fmt_tput, naive_planner, quick_mode, run_once, Table, VariantKind, VariantSet,
 };
 use smol_core::QueryPlan;
 use smol_data::still_catalog;
-use smol_runtime::{measure_preproc_pipelined, run_throughput, Personality};
+use smol_runtime::{measure_preproc_pipelined, wrap_images, Personality};
 
 fn build_plan(opt: bool, set: &VariantSet, kind: VariantKind) -> QueryPlan {
     let planner = if opt {
@@ -36,10 +36,15 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(8);
-    let vcpu_sweep: Vec<usize> = [4usize, 8, 16, 32]
+    let mut vcpu_sweep: Vec<usize> = [4usize, 8, 16, 32]
         .into_iter()
         .filter(|&v| v <= cores)
         .collect();
+    if vcpu_sweep.is_empty() {
+        // Fewer than four cores: one point at what the host has, so the
+        // personalities can still be compared.
+        vcpu_sweep.push(cores);
+    }
     println!("machine has {cores} cores; sweeping vCPUs {vcpu_sweep:?} (paper: 4..64)");
 
     for (panel, optimized, end_to_end) in [
@@ -60,9 +65,7 @@ fn main() {
                 let opts = personality.options(vcpus);
                 let tput = if end_to_end {
                     let device = VirtualDevice::new(GpuModel::T4, personality.env(), 1.0);
-                    run_throughput(items, &plan, &device, &opts)
-                        .expect("pipeline")
-                        .throughput
+                    run_once(&device, opts, &plan, wrap_images(items)).throughput
                 } else {
                     measure_preproc_pipelined(items, &plan, &opts)
                 };

@@ -8,10 +8,11 @@
 
 use smol_accel::{DeviceSpec, ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{
-    default_planner, fmt_tput, naive_planner, quick_mode, Table, VariantKind, VariantSet, VCPUS,
+    default_planner, fmt_tput, naive_planner, quick_mode, run_once, Table, VariantKind, VariantSet,
+    VCPUS,
 };
 use smol_data::still_catalog;
-use smol_runtime::{run_throughput, RuntimeOptions};
+use smol_runtime::{wrap_images, RuntimeOptions};
 
 fn fast_exec_device() -> VirtualDevice {
     // §8.3: configured so DNN execution is never the bottleneck.
@@ -134,16 +135,15 @@ pub fn run(factor_mode: bool) {
             let planner = default_planner();
             let (mut plan, _) = set.plan_and_profile(&planner, ModelKind::ResNet50, kind, VCPUS);
             plan.batch = 32;
-            run_throughput(
-                set.items(kind),
-                &plan,
+            run_once(
                 &fast_exec_device(),
-                &RuntimeOptions {
+                RuntimeOptions {
                     producers: VCPUS,
                     ..Default::default()
                 },
+                &plan,
+                wrap_images(set.items(kind)),
             )
-            .unwrap()
             .throughput
         };
         for cfg in &configs {
@@ -168,8 +168,12 @@ pub fn run(factor_mode: bool) {
                 pinned: cfg.pinned,
                 ..Default::default()
             };
-            let report =
-                run_throughput(set.items(kind), &plan, &fast_exec_device(), &opts).unwrap();
+            let report = run_once(
+                &fast_exec_device(),
+                opts,
+                &plan,
+                wrap_images(set.items(kind)),
+            );
             results.push((cfg.name, report.throughput));
             table.row(&[
                 cfg.name.to_string(),

@@ -9,13 +9,13 @@
 //! and (b) beats full-decode+resize end-to-end throughput by ≥ 1.3×.
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{decode_label, scaled, Table, VCPUS};
+use smol_bench::{decode_label, run_once, scaled, Table, VCPUS};
 use smol_codec::{sjpg, EncodedImage, Format};
 use smol_core::{DecodeMode, InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_data::{still_catalog, throughput_images};
 use smol_imgproc::ops::resize::{box_downsample_u8, resize_bilinear_u8};
 use smol_imgproc::ImageU8;
-use smol_runtime::{run_throughput, RuntimeOptions};
+use smol_runtime::{wrap_images, RuntimeOptions};
 
 /// Throughput-vs-reference gate: the fused plan must win by this factor.
 const MIN_SPEEDUP: f64 = 1.3;
@@ -112,8 +112,8 @@ fn main() {
         ..Default::default()
     };
     let device = || VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02);
-    let full = run_throughput(&encoded, &full_plan, &device(), &opts).expect("full run");
-    let reduced = run_throughput(&encoded, &reduced_plan, &device(), &opts).expect("reduced run");
+    let full = run_once(&device(), opts, &full_plan, wrap_images(&encoded));
+    let reduced = run_once(&device(), opts, &reduced_plan, wrap_images(&encoded));
     let speedup = reduced.throughput / full.throughput;
 
     let mut table = Table::new(

@@ -13,12 +13,12 @@
 //! corpus, and (c) demonstrably performed zero motion compensation.
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{decode_label, scaled, Table, VCPUS};
+use smol_bench::{decode_label, run_once, scaled, Table, VCPUS};
 use smol_core::{DecodeMode, FrameSelection, InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_data::{gop_corpus, video_catalog};
 use smol_imgproc::ops::resize_short_edge_u8;
 use smol_imgproc::ImageU8;
-use smol_runtime::{run_media_throughput, wrap_gops, RuntimeOptions};
+use smol_runtime::{wrap_gops, RuntimeOptions};
 use smol_video::DecodeOptions;
 
 /// End-to-end corpus wall-time gate: the fast plan must win by this
@@ -144,8 +144,8 @@ fn main() {
     let device = || VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02);
     let full_plan = mk_plan(full_mode);
     let fast_plan = mk_plan(fast_mode);
-    let full = run_media_throughput(&items, &full_plan, &device(), &opts).expect("full run");
-    let fast = run_media_throughput(&items, &fast_plan, &device(), &opts).expect("fast run");
+    let full = run_once(&device(), opts, &full_plan, items.clone());
+    let fast = run_once(&device(), opts, &fast_plan, items);
     let speedup = full.wall_s / fast.wall_s;
     // Source-frames covered per second: both plans answer the same corpus
     // of n_gops x GOP_LEN source frames, so corpus frames over wall time

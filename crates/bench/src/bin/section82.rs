@@ -5,10 +5,10 @@
 //!     (paper: Smol 5.9% vs exec-only 217% vs additive 23%).
 
 use smol_accel::{DeviceSpec, ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{default_planner, fmt_tput, Table, VariantKind, VariantSet, VCPUS};
+use smol_bench::{default_planner, fmt_tput, run_once, Table, VariantKind, VariantSet, VCPUS};
 use smol_core::{estimate_throughput, percent_error, CascadeStage, CostModelKind};
 use smol_data::still_catalog;
-use smol_runtime::{measure_exec_throughput, run_throughput, RuntimeOptions};
+use smol_runtime::{measure_exec_throughput, wrap_images, RuntimeOptions};
 
 fn device_with_exec_rate(rate: f64) -> VirtualDevice {
     let spec = DeviceSpec {
@@ -38,8 +38,8 @@ fn main() {
         producers: VCPUS,
         ..Default::default()
     };
-    let report = run_throughput(set.items(VariantKind::ThumbQ75), &plan, &fresh, &opts).unwrap();
-    let pipelined = report.throughput;
+    let items = wrap_images(set.items(VariantKind::ThumbQ75));
+    let pipelined = run_once(&fresh, opts, &plan, items).throughput;
     let min_pred = preproc.min(exec);
     let overhead = (1.0 - pipelined / min_pred) * 100.0;
     let mut t = Table::new(
@@ -72,9 +72,7 @@ fn main() {
         for ratio in [0.4, 1.2, 6.0] {
             let rate = p * ratio;
             let device = device_with_exec_rate(rate);
-            let measured = run_throughput(set.items(kind), &plan, &device, &opts)
-                .unwrap()
-                .throughput;
+            let measured = run_once(&device, opts, &plan, wrap_images(set.items(kind))).throughput;
             let stages = CascadeStage::single(device.model_throughput(ModelKind::ResNet50, 32));
             for (i, kind_cm) in [
                 CostModelKind::Smol,

@@ -1,27 +1,28 @@
-//! serve_concurrent: throughput of concurrent homogeneous queries through
-//! the `smol-serve` multi-query runtime vs the same queries executed
-//! back-to-back through the legacy single-query pipeline.
+//! serve_concurrent: throughput of homogeneous queries through the
+//! `smol-serve` engine submitted all at once vs the same queries on the
+//! same engine one at a time (`submit → wait`, a `Server::run_once` each).
 //!
 //! The serving regime is many *small* queries (here: one device batch
-//! each). The legacy engine runs each query as produce-everything →
+//! each). One at a time, each query runs as produce-everything →
 //! execute-the-batch, so CPU preprocessing and accelerator execution
-//! serialize *per query*; the server overlaps query k+1's preprocessing
-//! with query k's device execution and merges same-signature items into
-//! shared batches. With preprocessing and execution rates balanced (the
-//! worst case for either engine alone), the overlap alone is worth up to
-//! 2×; the acceptance bar is ≥ 1.4× (median of 7 paired reps) for 4
-//! concurrent homogeneous queries, with a trimmed-spread stability check.
+//! serialize *per query*; submitted together, the server overlaps query
+//! k+1's preprocessing with query k's device execution and merges
+//! same-signature items into shared batches. With preprocessing and
+//! execution rates balanced (the worst case for either stage alone), the
+//! overlap alone is worth up to 2×; the acceptance bar is ≥ 1.4× (median
+//! of 7 paired reps) for 4 concurrent homogeneous queries, with a
+//! trimmed-spread stability check.
 //!
 //! The device is calibrated from a *measured* preprocessing rate: we
 //! profile the plan's CPU side, then pick a virtual-device spec whose
 //! execution rate at the plan's batch size matches it.
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{fmt_ratio, fmt_tput, quick_mode, Table};
+use smol_bench::{fmt_ratio, fmt_tput, run_once, Table};
 use smol_codec::{EncodedImage, Format};
 use smol_core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_imgproc::ImageU8;
-use smol_runtime::{measure_preproc_pipelined, run_throughput, RuntimeOptions};
+use smol_runtime::{measure_preproc_pipelined, wrap_images, RuntimeOptions};
 use smol_serve::{Server, ServerConfig};
 use std::time::Instant;
 
@@ -40,8 +41,8 @@ fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
 fn main() {
     let n_queries = 4usize;
     // The workload is small by construction (one batch per query), so
-    // quick mode only trims the calibration run, not the comparison —
-    // shrinking the queries would let fixed overheads mask the overlap win.
+    // quick mode changes nothing here — shrinking the queries would let
+    // fixed overheads mask the overlap win.
     let items_per_query = 96;
     let batch = items_per_query; // one device batch per query: serving regime
     let (w, h) = (128usize, 96usize);
@@ -74,10 +75,11 @@ fn main() {
         })
         .collect();
 
-    // Calibrate: preprocessing rate (measured, pipelined, this machine)
-    // and a device whose execution rate at `batch` matches it.
-    let calib_items = if quick_mode() { 24 } else { items_per_query };
-    let preproc_rate = measure_preproc_pipelined(&queries[0][..calib_items], &plan, &opts);
+    // Calibrate: preprocessing rate (the producer stage alone, this
+    // machine) and a device whose execution rate at `batch` matches it. A
+    // whole query's worth: on a 24-item sample one scheduling hiccup read a
+    // quarter of the rate and unbalanced the comparison.
+    let preproc_rate = measure_preproc_pipelined(&queries[0], &plan, &opts);
     let t4_rate_at_batch = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0)
         .model_throughput(ModelKind::ResNet50, batch);
     let mut spec = GpuModel::T4.spec();
@@ -92,8 +94,8 @@ fn main() {
     );
 
     // Interleaved A/B timing (the `decode_hotpath` estimator): each rep
-    // runs sequential-then-served back to back, so slow host-load drift
-    // hits both modes equally instead of biasing whichever block ran
+    // runs one-at-a-time then all-at-once back to back, so slow host-load
+    // drift hits both modes equally instead of biasing whichever block ran
     // second — the flake mode this gate used to exhibit when all
     // sequential reps ran first. The gate statistic is the **median of
     // the per-rep paired speedups** over 7 reps: pairing cancels
@@ -101,7 +103,7 @@ fn main() {
     // load spike landed inside exactly one block (the residual flake
     // mode of the old per-mode-minimum estimator, which read 1.47–1.59×
     // around the old 1.5× bar). A fresh device per repetition keeps the
-    // reservation timelines independent, and the served runs disable the
+    // reservation timelines independent, and both sides run without the
     // decoded-tensor cache: every image here is unique, and the gate
     // measures pipelining overlap, not cache wins.
     let reps = 7;
@@ -113,7 +115,7 @@ fn main() {
         let seq_device = VirtualDevice::with_spec(spec.clone(), ExecutionEnv::TensorRt, 1.0);
         let seq_start = Instant::now();
         for items in &queries {
-            run_throughput(items, &plan, &seq_device, &opts).expect("legacy run");
+            run_once(&seq_device, opts, &plan, wrap_images(items));
         }
         seq_walls.push(seq_start.elapsed().as_secs_f64());
 
@@ -174,13 +176,13 @@ fn main() {
         &["Mode", "Wall (s)", "Throughput (im/s)", "Speedup"],
     );
     table.row(&[
-        "legacy sequential".to_string(),
+        "one query at a time".to_string(),
         format!("{seq_wall:.3}"),
         fmt_tput(total_images / seq_wall),
         fmt_ratio(1.0),
     ]);
     table.row(&[
-        "smol-serve concurrent".to_string(),
+        format!("{n_queries} queries at once"),
         format!("{srv_wall:.3}"),
         fmt_tput(total_images / srv_wall),
         fmt_ratio(speedup),
@@ -207,7 +209,7 @@ fn main() {
         stats.device_occupancy() * 100.0
     );
     println!(
-        "speedup {:.2}x vs isolated-sequential (median of {} paired reps, target ≥ 1.4x; \
+        "speedup {:.2}x vs one query at a time (median of {} paired reps, target ≥ 1.4x; \
          trimmed spread {:.1}%, limit 35%){}",
         speedup,
         reps,

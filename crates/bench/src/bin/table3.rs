@@ -5,13 +5,13 @@
 //!
 //! The paper tunes the regimes by picking DNN/input combinations; we tune
 //! the virtual device's execution rate to the same preproc:exec ratios the
-//! paper reports, then really run the pipeline.
+//! paper reports, then really run the engine (one query per regime).
 
 use smol_accel::{DeviceSpec, ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{default_planner, fmt_tput, Table, VariantKind, VariantSet, VCPUS};
+use smol_bench::{default_planner, fmt_tput, run_once, Table, VariantKind, VariantSet, VCPUS};
 use smol_core::{estimate_throughput, percent_error, CascadeStage, CostModelKind};
 use smol_data::still_catalog;
-use smol_runtime::{run_throughput, RuntimeOptions};
+use smol_runtime::{wrap_images, RuntimeOptions};
 
 fn device_with_exec_rate(rate: f64) -> VirtualDevice {
     let spec = DeviceSpec {
@@ -65,9 +65,8 @@ fn main() {
             producers: VCPUS,
             ..Default::default()
         };
-        let report = run_throughput(set.items(VariantKind::ThumbQ75), &plan, &device, &opts)
-            .expect("pipeline run");
-        let measured = report.throughput;
+        let items = wrap_images(set.items(VariantKind::ThumbQ75));
+        let measured = run_once(&device, opts, &plan, items).throughput;
         let stages = CascadeStage::single(device.model_throughput(ModelKind::ResNet50, 32));
         let exec = stages[0].throughput;
         let ests: Vec<(CostModelKind, f64)> = [

@@ -8,11 +8,11 @@
 
 use smol_accel::{DeviceSpec, ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{
-    default_planner, fmt_tput, naive_planner, quick_mode, Table, VariantKind, VariantSet,
+    default_planner, fmt_tput, naive_planner, quick_mode, run_once, Table, VariantKind, VariantSet,
 };
 use smol_core::QueryPlan;
 use smol_data::still_catalog;
-use smol_runtime::{run_throughput, RuntimeOptions};
+use smol_runtime::{wrap_images, RuntimeOptions};
 
 fn main() {
     let spec = &still_catalog()[3];
@@ -63,16 +63,15 @@ fn main() {
             extra_stages: Vec::new(),
         };
         let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0);
-        let opt_tput = run_throughput(
-            set.items(VariantKind::ThumbPng),
-            &opt_plan,
+        let opt_tput = run_once(
             &device,
-            &RuntimeOptions {
+            RuntimeOptions {
                 producers: vcpus,
                 ..Default::default()
             },
+            &opt_plan,
+            wrap_images(set.items(VariantKind::ThumbPng)),
         )
-        .unwrap()
         .throughput;
         // No opt: full-res, standard preprocessing, systems opts off.
         let nplanner = naive_planner();
@@ -95,18 +94,17 @@ fn main() {
             ExecutionEnv::TensorRt,
             1.0,
         );
-        let no_tput = run_throughput(
-            set.items(VariantKind::FullRes),
-            &no_plan,
+        let no_tput = run_once(
             &device2,
-            &RuntimeOptions {
+            RuntimeOptions {
                 producers: vcpus,
                 memory_reuse: false,
                 pinned: false,
                 ..Default::default()
             },
+            &no_plan,
+            wrap_images(set.items(VariantKind::FullRes)),
         )
-        .unwrap()
         .throughput;
         let opt_cost = smol_accel::economics::cents_per_million_images(opt_tput, price);
         let no_cost = smol_accel::economics::cents_per_million_images(no_tput, price);

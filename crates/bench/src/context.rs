@@ -8,7 +8,8 @@ use smol_data::{generate_stills, throughput_images, StillDataset, StillSpec};
 use smol_imgproc::ops::resize::resize_short_edge_u8;
 use smol_imgproc::ImageU8;
 use smol_nn::{ClassifierConfig, InputFormat, SmolClassifier, ThumbCodec, Tier};
-use smol_runtime::{Profiler, RuntimeOptions};
+use smol_runtime::{MediaItem, Profiler, RuntimeOptions};
+use smol_serve::{QueryReport, Server};
 
 /// Whether the harness runs in quick mode (`SMOL_QUICK=1`): smaller image
 /// counts and clips, same code paths. Full mode reproduces the shapes with
@@ -148,8 +149,9 @@ impl VariantSet {
     }
 
     /// Builds the executable plan for (model, variant) under a planner
-    /// configuration, and profiles its preprocessing throughput through the
-    /// pipelined harness (the paper's footnote-1 methodology).
+    /// configuration, and profiles its preprocessing throughput by running
+    /// the engine's producer stage alone (the paper's footnote-1
+    /// methodology).
     pub fn plan_and_profile(
         &self,
         planner: &Planner,
@@ -306,6 +308,28 @@ pub fn simple_plan(
         batch,
         extra_stages: Vec::new(),
     }
+}
+
+/// Runs `plan` over `items` as one query on the engine
+/// ([`Server::run_once`]). An experiment that lost an item measured
+/// something else, so a production error panics here — the one check
+/// every one-shot binary shares.
+pub fn run_once(
+    device: &VirtualDevice,
+    opts: RuntimeOptions,
+    plan: &QueryPlan,
+    items: Vec<MediaItem>,
+) -> QueryReport {
+    let report = Server::run_once(device, opts, plan, items).expect("the plan is executable");
+    assert!(
+        report.error.is_none(),
+        "{}: {} failed, {} skipped: {:?}",
+        report.label,
+        report.failed,
+        report.skipped,
+        report.error
+    );
+    report
 }
 
 /// A non-optimizing planner (lesion baselines): standard preprocessing,

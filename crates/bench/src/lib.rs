@@ -12,7 +12,7 @@ pub mod imagexp;
 pub mod report;
 
 pub use context::{
-    candidate, decode_label, default_planner, naive_planner, quick_mode, scaled, simple_plan,
-    t4_device, tier_model, ModelZoo, VariantKind, VariantSet, VCPUS,
+    candidate, decode_label, default_planner, naive_planner, quick_mode, run_once, scaled,
+    simple_plan, t4_device, tier_model, ModelZoo, VariantKind, VariantSet, VCPUS,
 };
 pub use report::{fmt_pct, fmt_ratio, fmt_tput, results_dir, Table};

@@ -38,10 +38,7 @@
 //! set from the fast/inaccurate end), and symmetrically for throughput
 //! floors. `tests/session_api.rs` property-tests exactly this.
 
-use crate::costmodel::CostModelKind;
 use crate::plan::PlanCandidate;
-use crate::planner::PlannerConfig;
-use smol_accel::{ExecutionEnv, GpuModel};
 
 /// Typed planning failures. The planner and the serve-layer `Session`
 /// surface these instead of panicking or returning empty collections.
@@ -331,46 +328,6 @@ pub struct ConstraintKey {
     b: u64,
 }
 
-/// Hashable identity of a [`PlannerConfig`]: two configs with equal keys
-/// enumerate and cost candidates identically, so a plan cached under one
-/// is valid under the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlannerKey {
-    pub cost_model: CostModelKind,
-    pub device: GpuModel,
-    pub env: ExecutionEnv,
-    pub batch: usize,
-    pub enable_low_res: bool,
-    pub enable_dag_opt: bool,
-    pub enable_multires: bool,
-    pub enable_video: bool,
-    pub enable_storage_aware: bool,
-    pub enable_cascades: bool,
-    pub video_stride: u8,
-    pub dnn_input: u32,
-}
-
-impl PlannerConfig {
-    /// The cache-key identity of this configuration (every field that
-    /// influences enumeration, costing, or the built plans).
-    pub fn cache_key(&self) -> PlannerKey {
-        PlannerKey {
-            cost_model: self.cost_model,
-            device: self.device,
-            env: self.env,
-            batch: self.batch,
-            enable_low_res: self.enable_low_res,
-            enable_dag_opt: self.enable_dag_opt,
-            enable_multires: self.enable_multires,
-            enable_video: self.enable_video,
-            enable_storage_aware: self.enable_storage_aware,
-            enable_cascades: self.enable_cascades,
-            video_stride: self.video_stride,
-            dnn_input: self.dnn_input,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,61 +494,5 @@ mod tests {
             Constraint::MinAccuracy(0.75).key(),
             Constraint::MaxAccuracyLoss(0.75).key()
         );
-    }
-
-    #[test]
-    fn planner_keys_cover_every_config_field() {
-        let base = PlannerConfig::default();
-        assert_eq!(base.cache_key(), PlannerConfig::default().cache_key());
-        let variants = [
-            PlannerConfig {
-                cost_model: CostModelKind::ExecOnly,
-                ..base
-            },
-            PlannerConfig {
-                device: GpuModel::V100,
-                ..base
-            },
-            PlannerConfig {
-                env: ExecutionEnv::PyTorch,
-                ..base
-            },
-            PlannerConfig { batch: 16, ..base },
-            PlannerConfig {
-                enable_low_res: false,
-                ..base
-            },
-            PlannerConfig {
-                enable_dag_opt: false,
-                ..base
-            },
-            PlannerConfig {
-                enable_multires: false,
-                ..base
-            },
-            PlannerConfig {
-                enable_video: false,
-                ..base
-            },
-            PlannerConfig {
-                enable_storage_aware: false,
-                ..base
-            },
-            PlannerConfig {
-                enable_cascades: false,
-                ..base
-            },
-            PlannerConfig {
-                video_stride: 3,
-                ..base
-            },
-            PlannerConfig {
-                dnn_input: 112,
-                ..base
-            },
-        ];
-        for v in variants {
-            assert_ne!(base.cache_key(), v.cache_key(), "{v:?}");
-        }
     }
 }

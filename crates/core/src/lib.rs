@@ -40,7 +40,7 @@ pub mod planner;
 pub mod rewrite;
 pub mod stream;
 
-pub use constraints::{Constraint, ConstraintKey, PlanError, PlannerKey};
+pub use constraints::{Constraint, ConstraintKey, PlanError};
 pub use costmodel::{
     cascade_exec_throughput, estimate_throughput, percent_error, storage_adjusted_preproc,
     CascadeStage, CostModelKind, StorageProfile,

@@ -121,8 +121,9 @@ impl VideoFidelity {
 }
 
 /// Planner configuration; the toggles drive the lesion/factor studies
-/// (Figures 5–6).
-#[derive(Debug, Clone, Copy)]
+/// (Figures 5–6). Two equal configs enumerate and cost candidates
+/// identically, so the config is its own plan-cache key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlannerConfig {
     pub cost_model: CostModelKind,
     pub device: GpuModel,

@@ -22,8 +22,8 @@
 //!   pipeline to producers + 2×consumers×batch). The entitlement is per
 //!   pool, never shared: a batch former holding `batch − 1` items of one
 //!   query cannot starve another query, whatever the arena holds.
-//! * [`BufferPool::new`] makes a pool over a private arena — the one-shot
-//!   engine and tests, where pool and arena lifetimes coincide.
+//! * [`BufferPool::new`] makes a pool over a private arena — the profile
+//!   loop and tests, where pool and arena lifetimes coincide.
 //!
 //! A recycled buffer keeps its previous contents; every producer overwrites
 //! exactly the elements the consumer reads.

@@ -1,26 +1,27 @@
 //! # smol-runtime
 //!
-//! Smol's optimized end-to-end inference engine (§6.1) plus the profiling
-//! helpers the cost models consume and the baseline runtime personalities
-//! of the appendix comparison.
+//! The mechanism of Smol's optimized end-to-end inference engine (§6.1) —
+//! the stages, buffers and caches that `smol_serve::Server` schedules —
+//! plus the profiling helpers the cost models consume and the baseline
+//! runtime personalities of the appendix comparison.
 //!
-//! * [`pipeline`] — the MPMC pipelined executor: producer threads decode
-//!   and preprocess on the CPU, consumer threads drive the virtual
-//!   accelerator (transfer → accelerator-side preprocessing kernels → DNN
-//!   batches). All §6.1 optimizations (threading, buffer reuse, pinned
-//!   staging) are runtime toggles for the Figure 7/8 lesion studies.
+//! * [`pipeline`] — the stage functions of the pipelined executor: the
+//!   producer stage decodes and preprocesses on the CPU, the consumer
+//!   stage drives the virtual accelerator (transfer → accelerator-side
+//!   preprocessing kernels → DNN batches). All §6.1 optimizations
+//!   (threading, buffer reuse, pinned staging) are runtime toggles for the
+//!   Figure 7/8 lesion studies.
 //! * [`media`] — the unit of decode work: a [`MediaItem`] is a still
 //!   image or a video GOP; GOP items fan out into one staged tensor per
 //!   frame the plan's frame selection materializes
 //!   ([`pipeline::produce_media_item`]).
 //! * [`bufferpool`] — recycled staging buffers: a server-lifetime arena,
 //!   and per-query entitlements over it that provide the backpressure;
-//! * [`workers`] — persistent stage-thread pool, reused across runs (and
-//!   shared with the `smol_serve` multi-query runtime);
 //! * [`tensorcache`] — the bounded decoded-tensor LRU cache with
 //!   single-flight fill: repeat queries over a hot corpus skip decode
 //!   entirely (the in-memory half of the physical-representation store);
-//! * [`profiler`] — preprocessing/decode/execution throughput measurement;
+//! * [`profiler`] — preprocessing/decode/execution throughput measurement:
+//!   the producer stage run on its own, against the same pool type;
 //! * [`personalities`] — DALI-like and PyTorch-like configurations
 //!   (Figure 10).
 
@@ -30,20 +31,17 @@ pub mod personalities;
 pub mod pipeline;
 pub mod profiler;
 pub mod tensorcache;
-pub mod workers;
 
 pub use bufferpool::{BufferPool, PoolStats, PooledBuffer, ShelfStats, StagingArena, StagingStats};
 pub use media::{video_decode_params, wrap_gops, wrap_images, MediaItem, OutputLayout};
 pub use personalities::Personality;
 pub use pipeline::{
-    decode_item, decode_only, execute_device_batch, launch_device_batch, preproc_only,
-    produce_item, produce_media_item, produce_routed_item, route_stage, run_inference,
-    run_media_inference, run_media_throughput, run_throughput, DeviceBatchSpec, PipelineReport,
-    PlanContext, ProducedItem, Result, RuntimeError, RuntimeOptions,
+    decode_item, execute_device_batch, launch_device_batch, produce_item, produce_media_item,
+    produce_routed_item, route_stage, DeviceBatchSpec, PlanContext, ProducedItem, Result,
+    RuntimeError, RuntimeOptions,
 };
 pub use profiler::{
     measure_decode_throughput, measure_exec_throughput, measure_media_preproc_pipelined,
-    measure_preproc_pipelined, measure_preproc_throughput, Profiler,
+    measure_preproc_pipelined, Profiler,
 };
 pub use tensorcache::{TensorCache, TensorCacheStats};
-pub use workers::WorkerPool;

@@ -73,8 +73,8 @@ pub fn wrap_gops(items: &[EncodedGop]) -> Vec<MediaItem> {
 
 /// Output (tensor) layout of an item list under a decode mode: item
 /// `i`'s outputs occupy `offsets[i]..offsets[i] + count(i)`. Shared by
-/// the single-query pipeline and the serving scheduler so result
-/// indexing can never desynchronize between them.
+/// the serving scheduler and the profile loop so result indexing can
+/// never desynchronize between them.
 #[derive(Debug, Clone)]
 pub struct OutputLayout {
     /// Output offset of each item.

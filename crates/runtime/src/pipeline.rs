@@ -1,33 +1,30 @@
-//! The pipelined MPMC execution engine (§6.1).
+//! The stage functions of the pipelined execution engine (§6.1).
 //!
 //! Producer threads decode and preprocess on the CPU; consumer threads
 //! drive the accelerator (transfer → optional accelerator-side
-//! preprocessing kernels → DNN batch). The stages are connected by a
-//! bounded MPMC channel, and preprocessed tensors live in a recycled
-//! (optionally pinned) buffer pool, so memory traffic, backpressure, and
-//! the `min(preproc, exec)` pipelining law are all physically realized.
+//! preprocessing kernels → DNN batch). Preprocessed tensors live in a
+//! recycled (optionally pinned) buffer pool, so memory traffic,
+//! backpressure, and the `min(preproc, exec)` pipelining law are all
+//! physically realized.
 //!
-//! The per-image producer stage ([`produce_item`]) and per-batch consumer
-//! stage ([`launch_device_batch`] / [`execute_device_batch`]) are
-//! plan-parameterized free functions (with [`PlanContext`] carrying the
-//! precomputed per-plan state), so the multi-query serving runtime
-//! (`smol_serve`) executes the exact same stage code as this single-query
-//! engine. Stage threads come from a
-//! persistent [`crate::workers::WorkerPool`]: repeated runs reuse the same
-//! producer/consumer threads instead of re-spawning per query.
+//! This module holds the *stages*, not the threads: the per-item producer
+//! stage ([`produce_media_item`]) and the per-batch consumer stage
+//! ([`launch_device_batch`] / [`execute_device_batch`]) are
+//! plan-parameterized free functions, with [`PlanContext`] carrying the
+//! precomputed per-plan state. The one engine that runs them is
+//! `smol_serve::Server` — a one-shot run is `Server::run_once` — and the
+//! profiler ([`crate::profiler`]) runs the producer stage on its own.
 //!
 //! Every §6.1 optimization is a [`RuntimeOptions`] toggle so the Figure 7/8
 //! lesion and factor studies sweep them in-process:
 //! `threading` (multi-producer), `memory_reuse` (buffer pool),
 //! `pinned` (DMA-fast transfers).
 
-use crate::bufferpool::{BufferPool, PoolStats, PooledBuffer};
-use crate::media::{video_decode_params, wrap_images, MediaItem};
+use crate::bufferpool::{BufferPool, PooledBuffer};
+use crate::media::{video_decode_params, MediaItem};
 use crate::tensorcache::TensorCache;
-use crate::workers::{self, WorkerPool};
-use crossbeam::channel;
 use parking_lot::Mutex;
-use smol_accel::{DeviceStats, ModelKind, VirtualDevice};
+use smol_accel::{ModelKind, VirtualDevice};
 use smol_codec::{DecodeOptions, EncodedImage};
 use smol_core::{DecodeMode, FrameSelection, QueryPlan};
 use smol_imgproc::dag::PreprocPlan;
@@ -35,7 +32,6 @@ use smol_imgproc::ops::normalize::Normalization;
 use smol_imgproc::ops::prefix::CompiledPrefix;
 use smol_imgproc::{ImageU8, Rect};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,9 +42,9 @@ pub struct RuntimeOptions {
     /// Producer (decode/preprocess) threads; "number of producers equal to
     /// the number of vCPU cores" (§6.1).
     pub producers: usize,
-    /// Consumer threads, each a CUDA stream: it enqueues a batch's copy
-    /// and kernels in order ([`launch_device_batch`]) and, in the serving
-    /// runtime, keeps a second batch enqueued behind the one executing.
+    /// Consumer threads per device lane, each a CUDA stream: it enqueues a
+    /// batch's copy and kernels in order ([`launch_device_batch`]) and keeps
+    /// a second batch enqueued behind the one executing.
     pub consumers: usize,
     /// Multithreaded producers (lesion: off = 1 producer).
     pub threading: bool,
@@ -62,12 +58,6 @@ pub struct RuntimeOptions {
     /// Extra host-side copy per batch (personalities without inference-
     /// engine integration, e.g. DALI→TensorRT, Appendix A.1).
     pub extra_copy_per_batch: bool,
-    /// Worker threads per *single* sjpg decode (band-parallel entropy
-    /// decoding over MCU rows). The default of 1 keeps decodes sequential:
-    /// the pipeline already runs one decode per producer thread, so
-    /// intra-decode parallelism only pays when producers are scarce
-    /// relative to cores (e.g. a latency-sensitive single-item path).
-    pub decode_workers: usize,
 }
 
 impl Default for RuntimeOptions {
@@ -80,7 +70,6 @@ impl Default for RuntimeOptions {
             pinned: true,
             extra_cpu_s_per_image: 0.0,
             extra_copy_per_batch: false,
-            decode_workers: 1,
         }
     }
 }
@@ -93,23 +82,6 @@ impl RuntimeOptions {
             1
         }
     }
-}
-
-/// Measured outcome of a pipeline run.
-#[derive(Debug, Clone)]
-pub struct PipelineReport {
-    /// Device-side outputs processed: one per still item, one per
-    /// *selected frame* for video GOP items.
-    pub images: usize,
-    pub wall_s: f64,
-    /// End-to-end images/second.
-    pub throughput: f64,
-    /// Total CPU seconds spent decoding across producers.
-    pub decode_cpu_s: f64,
-    /// Total CPU seconds spent in CPU-side preprocessing ops.
-    pub preproc_cpu_s: f64,
-    pub device: DeviceStats,
-    pub pool: PoolStats,
 }
 
 /// Runtime error type.
@@ -167,8 +139,6 @@ pub struct PlanContext {
     pub dnn: ModelKind,
     pub batch: usize,
     pub extra_stages: Vec<(ModelKind, f64)>,
-    /// Worker threads per sjpg decode (see [`RuntimeOptions::decode_workers`]).
-    pub decode_workers: usize,
     /// Geometry a decode of the variant's declared size emits (nominal:
     /// items may differ, and ROI decodes block-align).
     nominal_src: (usize, usize),
@@ -194,7 +164,6 @@ impl PlanContext {
             dnn: plan.dnn,
             batch: plan.batch.max(1),
             extra_stages: plan.extra_stages.clone(),
-            decode_workers: 1,
             nominal_src: plan
                 .decode
                 .decoded_dims(plan.input.width, plan.input.height),
@@ -207,8 +176,8 @@ impl PlanContext {
     /// geometry. A plan that fails here would fail on every item: the
     /// runtime executes geometric operators on the CPU only (a resize or
     /// crop placed on the accelerator leaves the staging buffer mis-sized),
-    /// and one CPU prefix may resample at most once. The engine and the
-    /// server call this at submission.
+    /// and one CPU prefix may resample at most once. The server calls this
+    /// at submission, the profiler before it times anything.
     pub fn validate(&self) -> Result<()> {
         let prefix = self.prefix_for(self.nominal_src)?;
         self.check_out_dims(&prefix)
@@ -265,25 +234,15 @@ impl PlanContext {
         Ok((prefix.transfer_bytes(), prefix.accel_ops()))
     }
 
-    /// Sets the per-decode worker count (band-parallel sjpg decoding).
-    pub fn with_decode_workers(mut self, workers: usize) -> Self {
-        self.decode_workers = workers.max(1);
-        self
-    }
-
     /// Buffer-pool capacity that guarantees producers never starve on
     /// consumers (§6.1 over-allocation) *and* that a batch former holding
-    /// up to `batch − 1` pending items can never exhaust the pool.
-    pub fn pool_capacity(&self, producers: usize, consumers: usize) -> usize {
-        self.pool_capacity_fanout(producers, consumers, 1)
-    }
-
-    /// [`PlanContext::pool_capacity`] for items that fan out into up to
-    /// `fanout` staged tensors each (video GOPs): every producer may hold
-    /// a whole item's frames before any of them reach the batch former.
+    /// up to `batch − 1` pending items can never exhaust the pool, for
+    /// items that fan out into up to `fanout` staged tensors each (video
+    /// GOPs; 1 for stills): every producer may hold a whole item's frames
+    /// before any of them reach the batch former.
     /// The `2 · consumers · batch` term is §6.1's over-allocation: each
     /// consumer may hold the batch the device is executing *and* the one
-    /// launched behind it (the serving runtime's two-deep launch window).
+    /// launched behind it (the two-deep launch window).
     pub fn pool_capacity_fanout(&self, producers: usize, consumers: usize, fanout: usize) -> usize {
         producers * fanout.max(1) + self.batch + 2 * consumers * self.batch
     }
@@ -348,13 +307,7 @@ pub fn produce_item(
     cache: Option<&TensorCache>,
 ) -> Result<ProducedItem> {
     let t0 = Instant::now();
-    let decode = || {
-        decode_item_opts(
-            enc,
-            ctx.decode,
-            DecodeOptions::with_workers(ctx.decode_workers),
-        )
-    };
+    let decode = || decode_item(enc, ctx.decode);
     let (decoded, cache_hit) = match cache {
         Some(cache) => cache.get_or_decode(enc.cache_key(), ctx.decode, decode)?,
         None => (Arc::new(decode()?), false),
@@ -659,267 +612,11 @@ fn effective_preproc(plan: &QueryPlan) -> PreprocPlan {
     )
 }
 
-/// Decodes one item (profiling helper).
-pub fn decode_only(enc: &EncodedImage) -> Result<()> {
-    let img = enc.decode()?;
-    std::hint::black_box(img.data().len());
-    Ok(())
-}
-
-/// Decodes one item per the plan's decode mode and runs the compiled CPU
-/// prefix into `scratch` (`ctx.buf_len` elements) — the producer stage
-/// without pool or cache (profiling helper).
-pub fn preproc_only(ctx: &PlanContext, enc: &EncodedImage, scratch: &mut [f32]) -> Result<()> {
-    let decoded = decode_item(enc, ctx.decode)?;
-    let (bytes, _) = ctx.run_cpu_prefix(&decoded, scratch)?;
-    std::hint::black_box(bytes);
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Single-query engine (stage functions + persistent worker pool)
-// ---------------------------------------------------------------------------
-
-/// Runs the pipeline for throughput measurement only.
-pub fn run_throughput(
-    items: &[EncodedImage],
-    plan: &QueryPlan,
-    device: &VirtualDevice,
-    opts: &RuntimeOptions,
-) -> Result<PipelineReport> {
-    run_media_throughput(&wrap_images(items), plan, device, opts)
-}
-
-/// [`run_throughput`] over mixed media items (still images and/or video
-/// GOPs). The report counts device-side outputs — *frames* for GOP items
-/// — so a keyframe-only plan reports its selected-frame throughput.
-pub fn run_media_throughput(
-    items: &[MediaItem],
-    plan: &QueryPlan,
-    device: &VirtualDevice,
-    opts: &RuntimeOptions,
-) -> Result<PipelineReport> {
-    let (report, _) = run_pipeline_on(
-        workers::global(),
-        items,
-        plan,
-        device,
-        opts,
-        None::<fn(usize, &ImageU8)>,
-    )?;
-    Ok(report)
-}
-
-/// Runs the pipeline and applies `infer` to every decoded image on the
-/// consumer side, returning per-item results (used by the analytics
-/// systems, which need real model outputs).
-pub fn run_inference<R, F>(
-    items: &[EncodedImage],
-    plan: &QueryPlan,
-    device: &VirtualDevice,
-    opts: &RuntimeOptions,
-    infer: F,
-) -> Result<(PipelineReport, Vec<Option<R>>)>
-where
-    R: Send + 'static,
-    F: Fn(usize, &ImageU8) -> R + Send + Sync + 'static,
-{
-    run_media_inference(&wrap_images(items), plan, device, opts, infer)
-}
-
-/// [`run_inference`] over mixed media items. Results are indexed by
-/// *output* position: item `i`'s outputs occupy the contiguous range
-/// starting at the sum of all earlier items' fan-outs (for stills that
-/// degenerates to one result per item, in submission order).
-pub fn run_media_inference<R, F>(
-    items: &[MediaItem],
-    plan: &QueryPlan,
-    device: &VirtualDevice,
-    opts: &RuntimeOptions,
-    infer: F,
-) -> Result<(PipelineReport, Vec<Option<R>>)>
-where
-    R: Send + 'static,
-    F: Fn(usize, &ImageU8) -> R + Send + Sync + 'static,
-{
-    run_pipeline_on(workers::global(), items, plan, device, opts, Some(infer))
-}
-
-fn run_pipeline_on<R, F>(
-    worker_pool: &WorkerPool,
-    items: &[MediaItem],
-    plan: &QueryPlan,
-    device: &VirtualDevice,
-    opts: &RuntimeOptions,
-    infer: Option<F>,
-) -> Result<(PipelineReport, Vec<Option<R>>)>
-where
-    R: Send + 'static,
-    F: Fn(usize, &ImageU8) -> R + Send + Sync + 'static,
-{
-    if items.is_empty() {
-        return Ok((
-            PipelineReport {
-                images: 0,
-                wall_s: 0.0,
-                throughput: 0.0,
-                decode_cpu_s: 0.0,
-                preproc_cpu_s: 0.0,
-                device: device.stats(),
-                pool: PoolStats::default(),
-            },
-            Vec::new(),
-        ));
-    }
-    let opts = *opts;
-    let ctx = Arc::new(PlanContext::new(plan).with_decode_workers(opts.decode_workers));
-    ctx.validate()?;
-    let batch = ctx.batch;
-    let producers = opts.effective_producers();
-    let consumers = opts.consumers.max(1);
-    // Output (tensor) accounting: item `i`'s outputs start at offset
-    // `offsets[i]`; GOP items fan out into several.
-    let layout = crate::media::OutputLayout::of(items, ctx.decode);
-    let total_outputs = layout.total;
-    let offsets: Arc<Vec<usize>> = Arc::new(layout.offsets);
-    let pool_capacity = ctx.pool_capacity_fanout(producers, consumers, layout.max_fanout);
-    let pool = BufferPool::new(pool_capacity, ctx.buf_len, opts.memory_reuse, opts.pinned);
-    let (tx, rx) = channel::bounded::<ProducedItem>(pool_capacity);
-    // Media items hold `Bytes`, so this is a handle copy, not a deep
-    // copy — it lets the jobs be `'static` for the persistent pool.
-    let items: Arc<Vec<MediaItem>> = Arc::new(items.to_vec());
-    let next = Arc::new(AtomicUsize::new(0));
-    let decode_cpu = Arc::new(Mutex::new(0.0f64));
-    let preproc_cpu = Arc::new(Mutex::new(0.0f64));
-    let results: Arc<Mutex<Vec<Option<R>>>> =
-        Arc::new(Mutex::new((0..total_outputs).map(|_| None).collect()));
-    let error: Arc<Mutex<Option<RuntimeError>>> = Arc::new(Mutex::new(None));
-    let infer = infer.map(Arc::new);
-    let keep_images = infer.is_some();
-    let batch_spec = Arc::new(ctx.batch_spec(&opts));
-
-    let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(producers + consumers);
-    for _ in 0..producers {
-        let tx = tx.clone();
-        let pool = pool.clone();
-        let ctx = Arc::clone(&ctx);
-        let items = Arc::clone(&items);
-        let next = Arc::clone(&next);
-        let decode_cpu = Arc::clone(&decode_cpu);
-        let preproc_cpu = Arc::clone(&preproc_cpu);
-        let error = Arc::clone(&error);
-        let offsets = Arc::clone(&offsets);
-        jobs.push(Box::new(move || {
-            let mut local_decode = 0.0f64;
-            let mut local_preproc = 0.0f64;
-            'claims: loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= items.len() {
-                    break;
-                }
-                let produced = match produce_media_item(
-                    &ctx,
-                    offsets[idx],
-                    &items[idx],
-                    &pool,
-                    keep_images,
-                    opts.extra_cpu_s_per_image,
-                    None,
-                ) {
-                    Ok(produced) => produced,
-                    Err(e) => {
-                        *error.lock() = Some(e);
-                        break;
-                    }
-                };
-                for item in produced {
-                    local_decode += item.decode_s;
-                    local_preproc += item.preproc_s;
-                    if tx.send(item).is_err() {
-                        break 'claims;
-                    }
-                }
-            }
-            *decode_cpu.lock() += local_decode;
-            *preproc_cpu.lock() += local_preproc;
-        }));
-    }
-    drop(tx);
-
-    // Consumers (CUDA-stream lanes).
-    for _ in 0..consumers {
-        let rx = rx.clone();
-        let device = device.clone();
-        let results = Arc::clone(&results);
-        let infer = infer.clone();
-        let batch_spec = Arc::clone(&batch_spec);
-        jobs.push(Box::new(move || {
-            loop {
-                // Assemble up to one batch.
-                let mut batch_items: Vec<ProducedItem> = Vec::with_capacity(batch);
-                match rx.recv() {
-                    Ok(first) => batch_items.push(first),
-                    Err(_) => break,
-                }
-                // Block until the batch fills; a disconnected channel
-                // (all producers done) releases the final partial batch.
-                while batch_items.len() < batch {
-                    match rx.recv() {
-                        Ok(item) => batch_items.push(item),
-                        Err(_) => break,
-                    }
-                }
-                let bytes: usize = batch_items.iter().map(|i| i.transfer_bytes).sum();
-                let accel_ops: f64 = batch_items.iter().map(|i| i.accel_ops).sum();
-                execute_device_batch(&device, &batch_spec, batch_items.len(), bytes, accel_ops);
-                if let Some(f) = infer.as_deref() {
-                    let mut outs = Vec::with_capacity(batch_items.len());
-                    for item in &batch_items {
-                        if let Some(img) = &item.image {
-                            outs.push((item.idx, f(item.idx, img)));
-                        }
-                    }
-                    let mut res = results.lock();
-                    for (idx, r) in outs {
-                        res[idx] = Some(r);
-                    }
-                }
-                drop(batch_items); // buffers return to the pool
-            }
-        }));
-    }
-    drop(rx);
-
-    let start = Instant::now();
-    worker_pool.run_batch(jobs);
-    let wall = start.elapsed().as_secs_f64();
-
-    if let Some(e) = error.lock().take() {
-        return Err(e);
-    }
-    let results = Arc::try_unwrap(results)
-        .ok()
-        .expect("all stage jobs completed")
-        .into_inner();
-    // Report throughput in *simulated* time: wall time is already simulated
-    // because the device sleeps scaled durations, so divide the scale back
-    // out only when the caller runs time_scale != 1 (they see scaled wall).
-    let report = PipelineReport {
-        images: total_outputs,
-        wall_s: wall,
-        throughput: total_outputs as f64 / wall,
-        decode_cpu_s: *decode_cpu.lock(),
-        preproc_cpu_s: *preproc_cpu.lock(),
-        device: device.stats(),
-        pool: pool.stats(),
-    };
-    Ok((report, results))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smol_accel::{ExecutionEnv, GpuModel, ModelKind};
+    use crate::media::{wrap_gops, OutputLayout};
+    use smol_accel::{DeviceStats, ExecutionEnv, GpuModel, ModelKind};
     use smol_codec::Format;
     use smol_core::{InputVariant, Planner, PlannerConfig};
     use smol_imgproc::dag::OpSpec;
@@ -936,26 +633,54 @@ mod tests {
         img
     }
 
-    fn encoded_batch(n: usize, w: usize, h: usize) -> Vec<EncodedImage> {
+    fn encoded_batch(n: usize, w: usize, h: usize) -> Vec<MediaItem> {
         (0..n)
             .map(|i| EncodedImage::encode(&textured(w, h, i), Format::sjpg(85)).unwrap())
+            .map(MediaItem::Image)
             .collect()
     }
 
-    fn test_plan(input_w: usize, input_h: usize, dnn_input: u32) -> QueryPlan {
+    fn test_plan(input: InputVariant, dnn_input: u32, decode: DecodeMode) -> QueryPlan {
         let planner = Planner::new(PlannerConfig {
             dnn_input,
             ..Default::default()
         });
-        let input = InputVariant::new("test sjpg", Format::sjpg(85), input_w, input_h);
         QueryPlan {
             dnn: ModelKind::ResNet50,
-            input: input.clone(),
             preproc: planner.build_preproc(&input),
-            decode: smol_core::DecodeMode::Full,
+            input,
+            decode,
             batch: 8,
             extra_stages: Vec::new(),
         }
+    }
+
+    fn still_plan(w: usize, h: usize, dnn_input: u32, decode: DecodeMode) -> QueryPlan {
+        let input = InputVariant::new("test sjpg", Format::sjpg(85), w, h);
+        test_plan(input, dnn_input, decode)
+    }
+
+    /// Runs the producer stage alone over `items`, the way a producer
+    /// thread does claim by claim; returns the staged tensors in order.
+    fn produce_all(plan: &QueryPlan, items: &[MediaItem]) -> (PlanContext, Vec<ProducedItem>) {
+        let ctx = PlanContext::new(plan);
+        ctx.validate().unwrap();
+        let layout = OutputLayout::of(items, ctx.decode);
+        let pool = BufferPool::new(layout.total, ctx.buf_len, true, false);
+        let staged: Vec<ProducedItem> = items
+            .iter()
+            .zip(&layout.offsets)
+            .flat_map(|(item, &base)| {
+                produce_media_item(&ctx, base, item, &pool, true, 0.0, None).unwrap()
+            })
+            .collect();
+        for (i, item) in staged.iter().enumerate() {
+            assert_eq!(item.idx, i, "output indices are contiguous per item");
+            assert_eq!(item.buffer.as_slice().len(), ctx.buf_len);
+            assert_eq!((item.stage, item.cache_hit), (0, false));
+        }
+        assert_eq!(staged.len(), layout.total);
+        (ctx, staged)
     }
 
     fn fast_device() -> VirtualDevice {
@@ -987,15 +712,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_workers_are_bit_identical() {
-        // Band-parallel sjpg decoding must be invisible to the pipeline:
-        // same pixels for full, reduced, and (sequential-fallback) ROI
-        // decode modes at any worker count.
+    fn band_parallel_decode_is_bit_identical_in_every_decode_mode() {
+        // Band-parallel sjpg decoding must be invisible to the producer
+        // stage: same pixels for full, reduced, and (sequential-fallback)
+        // ROI decode modes at any worker count.
         let enc = EncodedImage::encode(&textured(160, 112, 3), Format::sjpg(85)).unwrap();
         let modes = [
-            smol_core::DecodeMode::Full,
-            smol_core::DecodeMode::ReducedResolution { factor: 2 },
-            smol_core::DecodeMode::CentralRoi {
+            DecodeMode::Full,
+            DecodeMode::ReducedResolution { factor: 2 },
+            DecodeMode::CentralRoi {
                 crop_w: 96,
                 crop_h: 64,
             },
@@ -1008,109 +733,43 @@ mod tests {
                 assert_eq!(seq.data(), par.data(), "{mode:?} workers={workers}");
             }
         }
-        // And the option plumbs end-to-end through the pipeline.
-        let items = encoded_batch(8, 96, 80);
-        let plan = test_plan(96, 80, 64);
-        let opts = RuntimeOptions {
-            decode_workers: 3,
-            ..Default::default()
-        };
-        let report = run_throughput(&items, &plan, &fast_device(), &opts).unwrap();
-        assert_eq!(report.images, 8);
     }
 
     #[test]
-    fn pipeline_processes_all_images() {
-        let items = encoded_batch(24, 96, 80);
-        let plan = test_plan(96, 80, 64);
-        let report =
-            run_throughput(&items, &plan, &fast_device(), &RuntimeOptions::default()).unwrap();
-        assert_eq!(report.images, 24);
-        assert!(report.throughput > 0.0);
-        assert!(report.decode_cpu_s > 0.0);
-        assert!(report.device.kernels >= (24 / 8) as u64);
-    }
-
-    #[test]
-    fn inference_callback_sees_every_image() {
-        let items = encoded_batch(10, 64, 64);
-        let plan = test_plan(64, 64, 32);
-        let (_, results) = run_inference(
-            &items,
-            &plan,
-            &fast_device(),
-            &RuntimeOptions::default(),
-            |idx, img| (idx, img.width()),
-        )
-        .unwrap();
-        assert_eq!(results.len(), 10);
-        for (i, r) in results.iter().enumerate() {
-            let (idx, _w) = r.expect("every image inferred");
-            assert_eq!(idx, i);
+    fn full_decode_stages_every_still_at_the_plan_geometry() {
+        let plan = still_plan(96, 80, 64, DecodeMode::Full);
+        let (ctx, staged) = produce_all(&plan, &encoded_batch(5, 96, 80));
+        assert_eq!((ctx.out_w, ctx.out_h), (64, 64));
+        for item in &staged {
+            assert!(item.decode_s > 0.0 && item.transfer_bytes > 0);
+            let kept = item.image.as_ref().expect("image kept for the callback");
+            assert_eq!((kept.width(), kept.height()), (96, 80));
         }
     }
 
     #[test]
-    fn memory_reuse_reduces_allocations() {
-        // More items than the pool's capacity (producers + batch +
-        // 2·consumers·batch = 60 under default options), so reuse MUST
-        // recycle regardless of producer/consumer interleaving.
-        let items = encoded_batch(80, 64, 64);
-        let plan = test_plan(64, 64, 32);
-        let opts = RuntimeOptions::default();
-        let capacity =
-            PlanContext::new(&plan).pool_capacity(opts.effective_producers(), opts.consumers);
-        assert!(capacity < items.len());
-        let on = run_throughput(&items, &plan, &fast_device(), &opts).unwrap();
-        let off = run_throughput(
-            &items,
-            &plan,
-            &fast_device(),
-            &RuntimeOptions {
-                memory_reuse: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(on.pool.allocated <= capacity as u64);
-        assert!(on.pool.allocated < off.pool.allocated);
-        assert_eq!(off.pool.allocated, 80);
-    }
-
-    #[test]
-    fn single_threaded_lesion_uses_one_producer() {
-        let items = encoded_batch(8, 64, 64);
-        let plan = test_plan(64, 64, 32);
-        let opts = RuntimeOptions {
-            threading: false,
-            ..Default::default()
-        };
-        assert_eq!(opts.effective_producers(), 1);
-        let report = run_throughput(&items, &plan, &fast_device(), &opts).unwrap();
-        assert_eq!(report.images, 8);
-    }
-
-    #[test]
-    fn roi_decode_mode_runs() {
-        let items = encoded_batch(6, 128, 96);
-        let mut plan = test_plan(128, 96, 64);
-        plan.decode = smol_core::DecodeMode::CentralRoi {
+    fn roi_decode_replaces_the_geometric_prefix_with_one_resize() {
+        let mode = DecodeMode::CentralRoi {
             crop_w: 80,
             crop_h: 80,
         };
-        let report =
-            run_throughput(&items, &plan, &fast_device(), &RuntimeOptions::default()).unwrap();
-        assert_eq!(report.images, 6);
+        let plan = still_plan(128, 96, 64, mode);
+        let (ctx, staged) = produce_all(&plan, &encoded_batch(6, 128, 96));
+        assert!(matches!(
+            ctx.preproc.ops[0].spec,
+            OpSpec::ResizeExact { w: 64, h: 64 }
+        ));
+        // The decoder emitted the block-aligned ROI, not the whole image.
+        let kept = staged[0].image.as_ref().unwrap();
+        assert!(kept.width() < 128 && kept.height() < 96, "{kept:?}");
     }
 
     #[test]
-    fn reduced_resolution_decode_mode_runs_with_elided_resize() {
+    fn reduced_resolution_decode_at_the_dnn_input_elides_the_resize() {
         // 256 / 8 = 32 = DNN input: the rewrite pass must elide the resize
         // entirely (decode geometry meets the DNN input).
-        let items = encoded_batch(6, 256, 256);
-        let mut plan = test_plan(256, 256, 32);
-        plan.decode = smol_core::DecodeMode::ReducedResolution { factor: 8 };
-        let ctx = PlanContext::new(&plan);
+        let plan = still_plan(256, 256, 32, DecodeMode::ReducedResolution { factor: 8 });
+        let (ctx, staged) = produce_all(&plan, &encoded_batch(6, 256, 256));
         assert!(
             ctx.preproc.ops.iter().all(|o| !matches!(
                 o.spec,
@@ -1123,25 +782,21 @@ mod tests {
             ctx.preproc
         );
         assert_eq!((ctx.out_w, ctx.out_h), (32, 32));
-        let report =
-            run_throughput(&items, &plan, &fast_device(), &RuntimeOptions::default()).unwrap();
-        assert_eq!(report.images, 6);
+        let kept = staged[0].image.as_ref().unwrap();
+        assert_eq!((kept.width(), kept.height()), (32, 32));
     }
 
     #[test]
     fn reduced_resolution_inexact_geometry_shrinks_resize() {
         // 192 / 4 = 48 ≠ 32: the rewrite keeps one direct resize.
-        let items = encoded_batch(4, 192, 160);
-        let mut plan = test_plan(192, 160, 32);
-        plan.decode = smol_core::DecodeMode::ReducedResolution { factor: 4 };
-        let ctx = PlanContext::new(&plan);
+        let plan = still_plan(192, 160, 32, DecodeMode::ReducedResolution { factor: 4 });
+        let (ctx, staged) = produce_all(&plan, &encoded_batch(4, 192, 160));
         assert!(matches!(
             ctx.preproc.ops[0].spec,
             OpSpec::ResizeExact { w: 32, h: 32 }
         ));
-        let report =
-            run_throughput(&items, &plan, &fast_device(), &RuntimeOptions::default()).unwrap();
-        assert_eq!(report.images, 4);
+        let kept = staged[0].image.as_ref().unwrap();
+        assert_eq!((kept.width(), kept.height()), (48, 40));
     }
 
     fn encoded_gops(n_gops: usize, frames_per: usize, w: usize, h: usize) -> Vec<MediaItem> {
@@ -1154,156 +809,29 @@ mod tests {
         }
         .encode_frames(&frames, 30.0)
         .unwrap();
-        let video = smol_video::EncodedVideo::parse(enc).unwrap();
-        crate::media::wrap_gops(&video.gops())
-    }
-
-    fn video_plan(w: usize, h: usize, dnn_input: u32, decode: smol_core::DecodeMode) -> QueryPlan {
-        let planner = Planner::new(PlannerConfig {
-            dnn_input,
-            ..Default::default()
-        });
-        let input = InputVariant::new("test svid", Format::Svid { quality: 80 }, w, h).video(4);
-        QueryPlan {
-            dnn: ModelKind::ResNet50,
-            input: input.clone(),
-            preproc: planner.build_preproc(&input),
-            decode,
-            batch: 8,
-            extra_stages: Vec::new(),
-        }
+        wrap_gops(&smol_video::EncodedVideo::parse(enc).unwrap().gops())
     }
 
     #[test]
-    fn video_items_fan_out_into_frame_outputs() {
-        use smol_core::FrameSelection;
+    fn gop_items_fan_out_into_contiguous_frame_outputs() {
         let items = encoded_gops(3, 4, 64, 48);
-        let all = video_plan(
-            64,
-            48,
-            32,
-            smol_core::DecodeMode::Video {
-                selection: FrameSelection::All,
-                deblock: true,
-            },
-        );
-        let report =
-            run_media_throughput(&items, &all, &fast_device(), &RuntimeOptions::default()).unwrap();
-        assert_eq!(report.images, 12, "3 GOPs x 4 frames");
-        assert!(report.decode_cpu_s > 0.0);
-
-        let keys = video_plan(
-            64,
-            48,
-            32,
-            smol_core::DecodeMode::Video {
-                selection: FrameSelection::Keyframes,
-                deblock: false,
-            },
-        );
-        let report =
-            run_media_throughput(&items, &keys, &fast_device(), &RuntimeOptions::default())
-                .unwrap();
-        assert_eq!(report.images, 3, "keyframe-only: one frame per GOP");
-    }
-
-    #[test]
-    fn video_inference_indices_are_contiguous_per_item() {
-        use smol_core::FrameSelection;
-        let items = encoded_gops(2, 4, 64, 48);
-        let plan = video_plan(
-            64,
-            48,
-            32,
-            smol_core::DecodeMode::Video {
-                selection: FrameSelection::Stride(2),
-                deblock: true,
-            },
-        );
-        let (report, results) = run_media_inference(
-            &items,
-            &plan,
-            &fast_device(),
-            &RuntimeOptions::default(),
-            |idx, img| (idx, img.width()),
-        )
-        .unwrap();
-        // 2 GOPs x ceil(4/2) frames each.
-        assert_eq!(report.images, 4);
-        assert_eq!(results.len(), 4);
-        for (i, r) in results.iter().enumerate() {
-            let (idx, w) = r.expect("every selected frame inferred");
-            assert_eq!(idx, i);
-            assert_eq!(w, 64, "full-geometry frames reach the callback");
+        let input = InputVariant::new("test svid", Format::Svid { quality: 80 }, 64, 48).video(4);
+        for (selection, deblock, frames) in [
+            (FrameSelection::All, true, 12),
+            (FrameSelection::Keyframes, false, 3),
+            (FrameSelection::Stride(2), true, 6),
+        ] {
+            let mode = DecodeMode::Video { selection, deblock };
+            // `produce_all` checks the indices run 0..total in item order.
+            let (_, staged) = produce_all(&test_plan(input.clone(), 32, mode), &items);
+            assert_eq!(staged.len(), frames, "{selection:?}");
+            for item in &staged {
+                let kept = item.image.as_ref().expect("frame kept for the callback");
+                assert_eq!(kept.width(), 64, "full-geometry frames reach the callback");
+            }
+            // The GOP's reference chain decodes once; its first selected
+            // frame bears the cost.
+            assert!(staged[0].decode_s > 0.0);
         }
-    }
-
-    #[test]
-    fn empty_input_is_ok() {
-        let plan = test_plan(64, 64, 32);
-        let report =
-            run_throughput(&[], &plan, &fast_device(), &RuntimeOptions::default()).unwrap();
-        assert_eq!(report.images, 0);
-    }
-
-    #[test]
-    fn corrupt_item_surfaces_error() {
-        let mut items = encoded_batch(4, 64, 64);
-        let mut bad = items[2].bytes.to_vec();
-        for b in bad.iter_mut().skip(8) {
-            *b = 0xFF;
-        }
-        items[2].bytes = bytes::Bytes::from(bad);
-        let plan = test_plan(64, 64, 32);
-        let result = run_throughput(&items, &plan, &fast_device(), &RuntimeOptions::default());
-        assert!(result.is_err());
-    }
-
-    /// Regression for the per-query thread-pool teardown: two back-to-back
-    /// runs on the same worker pool must reuse the first run's stage
-    /// threads instead of re-spawning a fresh set per query.
-    #[test]
-    fn pool_is_reused_across_runs() {
-        let worker_pool = WorkerPool::new();
-        let items = encoded_batch(12, 64, 64);
-        let plan = test_plan(64, 64, 32);
-        let opts = RuntimeOptions::default();
-        let stage_threads = opts.effective_producers() + opts.consumers;
-        for run in 0..2 {
-            let (report, _) = run_pipeline_on(
-                &worker_pool,
-                &wrap_images(&items),
-                &plan,
-                &fast_device(),
-                &opts,
-                None::<fn(usize, &ImageU8)>,
-            )
-            .unwrap();
-            assert_eq!(report.images, 12);
-            assert_eq!(
-                worker_pool.spawned_threads(),
-                stage_threads,
-                "run {run} must not re-spawn stage threads"
-            );
-        }
-    }
-
-    /// The pipelining law: end-to-end throughput ≈ min(preproc, exec), well
-    /// above the serialized harmonic rate (what Tahoma's model predicts).
-    #[test]
-    fn pipelined_throughput_follows_min_law() {
-        let items = encoded_batch(48, 96, 96);
-        let plan = test_plan(96, 96, 64);
-        // Device with heavy kernel cost so DNN side is the bottleneck and
-        // deterministic: time_scale 1.0 with a slow model.
-        let device = VirtualDevice::new(GpuModel::K80, ExecutionEnv::Keras, 1.0);
-        let report = run_throughput(&items, &plan, &device, &RuntimeOptions::default()).unwrap();
-        let exec_tput = device.model_throughput(ModelKind::ResNet50, 8);
-        // DNN-bound: observed throughput within 25% of the exec rate.
-        assert!(
-            (report.throughput - exec_tput).abs() / exec_tput < 0.25,
-            "observed {} vs exec {exec_tput}",
-            report.throughput
-        );
     }
 }

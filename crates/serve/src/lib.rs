@@ -1,9 +1,11 @@
 //! # smol-serve
 //!
-//! Multi-query serving runtime for the Smol reproduction — the layer the
+//! The execution engine of the Smol reproduction, built for the case the
 //! paper stops short of. The paper's engine (§6.1) executes one query at a
 //! time; at production scale many analytics queries arrive concurrently
-//! and must share one accelerator. This crate provides:
+//! and must share one accelerator. There is one engine for both — a
+//! one-shot run is [`Server::run_once`], the same server with one query in
+//! it. This crate provides:
 //!
 //! * [`Session`] — the declarative, constraint-driven facade (§3.1's
 //!   contract): register a [`Dataset`] once — still images or a
@@ -35,9 +37,9 @@
 //!
 //! The per-image and per-batch stage code is `smol_runtime`'s
 //! ([`smol_runtime::produce_item`] / [`smol_runtime::launch_device_batch`]),
-//! so a query served here performs bit-identical work to the legacy
-//! single-query pipeline — `tests/serve_concurrency.rs` asserts exactly
-//! that.
+//! which is also what the profiler runs on its own, so a plan is profiled
+//! on the stage code that serves it. `tests/serve_concurrency.rs` pins a
+//! served query's results bit for bit to the scalar reference decoder.
 
 pub mod scheduler;
 pub mod server;

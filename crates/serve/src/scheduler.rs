@@ -29,12 +29,11 @@
 //!
 //! A partial group is flushed only when the scheduler proves no more
 //! items of that signature are coming (no unclaimed items and no item
-//! mid-production across *all* active queries with that signature) — the
-//! serving analogue of the single-query pipeline's "final partial batch on
-//! channel disconnect". Items from different signatures are **never**
-//! mixed into one batch, and a batch never exceeds the signature's batch
-//! size; `tests/serve_properties.rs` property-checks both invariants over
-//! arbitrary interleavings.
+//! mid-production across *all* active queries with that signature) — for
+//! a single query, its final partial batch. Items from different
+//! signatures are **never** mixed into one batch, and a batch never
+//! exceeds the signature's batch size; `tests/serve_properties.rs`
+//! property-checks both invariants over arbitrary interleavings.
 
 use smol_core::PlacementSignature;
 use std::collections::HashMap;

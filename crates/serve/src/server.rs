@@ -651,6 +651,32 @@ impl Server {
         }
     }
 
+    /// Runs one query to completion on a server of its own: one lane over
+    /// `device`, `runtime`'s stage threads, the tensor cache off (a one-shot
+    /// run has no repeats to hit). The threads are joined before this
+    /// returns, so `device.stats()` then covers the whole run. A bad item
+    /// does not make this an `Err`: the report carries `error`, `failed`
+    /// and `skipped`, as for any served query.
+    pub fn run_once(
+        device: &VirtualDevice,
+        runtime: RuntimeOptions,
+        plan: &QueryPlan,
+        items: Vec<MediaItem>,
+    ) -> ServeResult<QueryReport> {
+        let server = Server::new(
+            device.clone(),
+            ServerConfig {
+                runtime,
+                max_active_queries: 1,
+                batch_queue: runtime.consumers,
+                tensor_cache_bytes: 0,
+            },
+        );
+        let report = server.submit_media(plan.clone(), items)?.wait();
+        server.shutdown();
+        report
+    }
+
     /// Submits a still-image query, blocking while the admission queue is
     /// full.
     pub fn submit(&self, plan: QueryPlan, items: Vec<EncodedImage>) -> ServeResult<QueryHandle> {
@@ -730,24 +756,8 @@ impl Server {
         )
     }
 
-    /// [`Server::submit_with_infer`] over mixed media items; the callback
-    /// sees *output* indices (contiguous per item, frames in GOP order).
-    pub fn submit_media_with_infer<R, F>(
-        &self,
-        plan: QueryPlan,
-        items: Vec<MediaItem>,
-        infer: F,
-    ) -> ServeResult<QueryHandle>
-    where
-        R: Send + 'static,
-        F: Fn(usize, &ImageU8) -> R + Send + Sync + 'static,
-    {
-        let erased: InferFn =
-            Arc::new(move |idx, img| Box::new(infer(idx, img)) as BoxedPrediction);
-        self.submit_inner(plan, items, Some(erased), SubmitOptions::default(), true)
-    }
-
-    /// [`Server::submit_media_opts`] with a per-output inference callback.
+    /// [`Server::submit_media_opts`] with a per-output inference callback:
+    /// it sees *output* indices (contiguous per item, frames in GOP order).
     pub fn submit_media_opts_with_infer<R, F>(
         &self,
         plan: QueryPlan,

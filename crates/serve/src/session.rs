@@ -16,8 +16,8 @@
 //! On first use of a `(dataset, constraint, planner-config, device)`
 //! combination the session
 //!
-//! 1. profiles decode+preprocess throughput per variant through the
-//!    pipelined harness ([`smol_runtime::Profiler`]),
+//! 1. profiles decode+preprocess throughput per variant by running the
+//!    server's producer stage on its own ([`smol_runtime::Profiler`]),
 //! 2. derives a [`CandidateSpec`] per calibrated (DNN, variant) pair —
 //!    accuracies come from the dataset's [`Calibration`], not from
 //!    call-site literals,
@@ -52,8 +52,8 @@ use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_codec::{EncodedImage, Format};
 use smol_core::{
     pareto_frontier, CandidateSpec, Constraint, ConstraintKey, DecodeMode, InputVariant,
-    PlanCandidate, PlanError, Planner, PlannerConfig, PlannerKey, QueryPlan, RoutingSpec,
-    StorageProfile, VideoFidelity,
+    PlanCandidate, PlanError, Planner, PlannerConfig, QueryPlan, RoutingSpec, StorageProfile,
+    VideoFidelity,
 };
 use smol_data::{EncodedVariant, GopCorpus, StreamFeed, VariantStore};
 use smol_imgproc::{ops::resize_short_edge_u8, ImageU8};
@@ -961,7 +961,7 @@ pub struct PlanKey {
     dataset: String,
     fingerprint: u64,
     constraint: ConstraintKey,
-    planner: PlannerKey,
+    planner: PlannerConfig,
     device: DeviceKey,
 }
 
@@ -970,14 +970,14 @@ pub struct PlanKey {
 /// preprocessing plan and decode mode) but *not* on the device, env, or
 /// constraint — profiling is CPU-side — so a device change re-plans
 /// without re-measuring. The planner component is therefore the config
-/// key with its device/env fields pinned (see
+/// with its device/env fields pinned (see
 /// `Session::profile_planner_key`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ProfileKey {
     dataset: String,
     fingerprint: u64,
     variant: String,
-    planner: PlannerKey,
+    planner: PlannerConfig,
 }
 
 /// A continuous query's per-GOP serving ladder (see
@@ -1379,11 +1379,11 @@ impl Session {
     /// The planner-key component of profile-cache keys: device and env
     /// pinned to fixed values, because CPU-side profiling does not depend
     /// on them (a device change must re-plan, not re-measure).
-    fn profile_planner_key(&self) -> PlannerKey {
-        PlannerKey {
+    fn profile_planner_key(&self) -> PlannerConfig {
+        PlannerConfig {
             device: GpuModel::T4,
             env: ExecutionEnv::TensorRt,
-            ..self.planner.config.cache_key()
+            ..self.planner.config
         }
     }
 
@@ -1515,7 +1515,7 @@ impl Session {
             dataset: query.dataset.clone(),
             fingerprint: reg.fingerprint,
             constraint: query.constraint.key(),
-            planner: self.planner.config.cache_key(),
+            planner: self.planner.config,
             device: self.device_key.clone(),
         };
         self.cache.get_or_plan(&key, || {

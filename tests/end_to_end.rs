@@ -1,14 +1,18 @@
-//! Cross-crate integration tests: planner → runtime → virtual device, the
-//! min() law, video through the analytics stack.
+//! Cross-crate integration tests: planner → engine → virtual device (one-
+//! shot runs are `Server::run_once`), the min() law, video through the
+//! analytics stack.
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::analytics::{control_variate_mean, naive_mean, AggregationConfig, SpecializedCounter};
 use smol::codec::{EncodedImage, Format};
-use smol::core::{CostModelKind, InputVariant, Planner, PlannerConfig, QueryPlan};
-use smol::data::{generate_video, still_catalog, throughput_images, video_catalog};
+use smol::core::{
+    CostModelKind, DecodeMode, FrameSelection, InputVariant, Planner, PlannerConfig, QueryPlan,
+};
+use smol::data::{generate_video, gop_corpus, still_catalog, throughput_images, video_catalog};
 use smol::imgproc::ops::resize::resize_short_edge_u8;
 use smol::nn::Tier;
-use smol::runtime::{run_throughput, RuntimeOptions};
+use smol::runtime::{wrap_gops, wrap_images, MediaItem, OutputLayout, Personality, RuntimeOptions};
+use smol::serve::{QueryReport, Server};
 use smol::video::{DecodeOptions, EncodedVideo, VideoEncoder};
 
 fn encode_batch(n: usize, fmt: Format) -> Vec<EncodedImage> {
@@ -38,6 +42,19 @@ fn plan_for(items: &[EncodedImage], fmt: Format, batch: usize) -> QueryPlan {
     }
 }
 
+/// A one-shot run that must not lose an item.
+fn run_clean(
+    device: &VirtualDevice,
+    opts: RuntimeOptions,
+    plan: &QueryPlan,
+    items: Vec<MediaItem>,
+) -> QueryReport {
+    let report = Server::run_once(device, opts, plan, items).unwrap();
+    assert!(report.error.is_none(), "run failed: {:?}", report.error);
+    assert_eq!((report.failed, report.skipped), (0, 0));
+    report
+}
+
 /// End-to-end: a DNN-bound pipeline's throughput approaches the device's
 /// execution rate (the paper's min() law, Eq. 4).
 #[test]
@@ -47,12 +64,126 @@ fn pipeline_is_bounded_by_slow_dnn() {
     // K80-class device: RN-50 at ~159 im/s — far below decode rates.
     let device = VirtualDevice::new(GpuModel::K80, ExecutionEnv::TensorRt, 1.0);
     let exec = device.model_throughput(ModelKind::ResNet50, 16);
-    let report = run_throughput(&items, &plan, &device, &RuntimeOptions::default()).unwrap();
+    let report = run_clean(
+        &device,
+        RuntimeOptions::default(),
+        &plan,
+        wrap_images(&items),
+    );
     assert!(
         (report.throughput - exec).abs() / exec < 0.3,
         "measured {} expected ~{exec}",
         report.throughput
     );
+}
+
+fn fast_device(env: ExecutionEnv) -> VirtualDevice {
+    VirtualDevice::new(GpuModel::T4, env, 0.02)
+}
+
+/// A one-shot run accounts every output of every item, under each §6.1
+/// lesion and each Figure 10 personality the binaries route through it.
+#[test]
+fn run_once_conserves_stills_under_every_lesion_and_personality() {
+    let items = encode_batch(40, Format::sjpg(85));
+    let plan = plan_for(&items, Format::sjpg(85), 8);
+    let lesions = [
+        RuntimeOptions::default(),
+        RuntimeOptions {
+            threading: false,
+            ..Default::default()
+        },
+        RuntimeOptions {
+            memory_reuse: false,
+            ..Default::default()
+        },
+    ];
+    assert_eq!(lesions[1].effective_producers(), 1);
+    for opts in lesions {
+        let report = run_clean(
+            &fast_device(ExecutionEnv::TensorRt),
+            opts,
+            &plan,
+            wrap_images(&items),
+        );
+        assert_eq!(report.images, 40, "{opts:?}");
+        assert!(report.decode_cpu_s > 0.0 && report.cache_hits == 0);
+        if !opts.memory_reuse {
+            assert_eq!((report.pool.allocated, report.pool.reused), (40, 0));
+        }
+    }
+    for personality in [Personality::Dali, Personality::PyTorch] {
+        let device = fast_device(personality.env());
+        let report = run_clean(&device, personality.options(2), &plan, wrap_images(&items));
+        assert_eq!(report.images, 40, "{personality:?}");
+        // DALI's extra host copy per batch reaches the device.
+        let copies_per_batch = 1 + u64::from(personality == Personality::Dali);
+        assert_eq!(device.stats().copies, 5 * copies_per_batch);
+    }
+}
+
+/// GOP items fan out into the frames the plan's selection materializes, and
+/// a one-shot run accounts each of them.
+#[test]
+fn run_once_conserves_gop_outputs_under_frame_selection() {
+    let corpus = gop_corpus(&video_catalog()[1], 7, 4, 6); // 4 GOPs x 6 frames
+    let items = wrap_gops(&corpus.gops);
+    let input =
+        InputVariant::new("v", corpus.format(), corpus.width, corpus.height).video(corpus.gop_len);
+    for (selection, frames) in [
+        (FrameSelection::Keyframes, 4),
+        (FrameSelection::Stride(2), 12),
+    ] {
+        let plan = QueryPlan {
+            dnn: ModelKind::ResNet50,
+            preproc: Planner::default().build_preproc(&input),
+            input: input.clone(),
+            decode: DecodeMode::Video {
+                selection,
+                deblock: true,
+            },
+            batch: 8,
+            extra_stages: Vec::new(),
+        };
+        assert_eq!(OutputLayout::of(&items, plan.decode).total, frames);
+        let report = run_clean(
+            &fast_device(ExecutionEnv::TensorRt),
+            RuntimeOptions::default(),
+            &plan,
+            items.clone(),
+        );
+        assert_eq!(report.images, frames, "{selection:?}");
+    }
+}
+
+/// A corrupted item is not an `Err` of the run: the report carries it, the
+/// other outputs stay accounted, and the server's threads are gone by the
+/// time `run_once` returns — the device it ran on has every batch on its
+/// books, and a second run adds to them.
+#[test]
+fn run_once_reports_a_corrupt_item_and_returns_with_its_threads_joined() {
+    let mut items = encode_batch(12, Format::sjpg(85));
+    let plan = plan_for(&items, Format::sjpg(85), 4);
+    let device = fast_device(ExecutionEnv::TensorRt);
+    let opts = RuntimeOptions::default();
+
+    let clean = run_clean(&device, opts, &plan, wrap_images(&items));
+    assert_eq!(clean.images, 12);
+    let after_first = device.stats();
+    assert_eq!(after_first.kernels, 3, "12 items at batch 4");
+
+    let mut bytes = items[5].bytes.to_vec();
+    for b in bytes.iter_mut().skip(8) {
+        *b = 0xFF;
+    }
+    items[5].bytes = bytes::Bytes::from(bytes);
+    let report = Server::run_once(&device, opts, &plan, wrap_images(&items)).unwrap();
+    assert!(report.error.is_some());
+    assert!(report.failed > 0);
+    assert_eq!(report.images + report.failed + report.skipped, 12);
+    let after_second = device.stats();
+    assert!(after_second.kernels > after_first.kernels);
+    assert_eq!(after_second, device.stats(), "nothing still running");
 }
 
 /// The Smol cost model predicts pipelined throughput better than the
@@ -72,7 +203,7 @@ fn smol_cost_model_wins_on_preproc_bound_run() {
     let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0);
     let exec = device.model_throughput(ModelKind::ResNet50, 16);
     assert!(preproc < 0.75 * exec, "preproc {preproc} vs exec {exec}");
-    let report = run_throughput(&items, &plan, &device, &opts).unwrap();
+    let report = run_clean(&device, opts, &plan, wrap_images(&items));
     let stages = smol::core::CascadeStage::single(exec);
     let smol_err = smol::core::percent_error(
         smol::core::estimate_throughput(CostModelKind::Smol, preproc, &stages),

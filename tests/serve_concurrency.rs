@@ -1,6 +1,6 @@
 //! Concurrency battery for the `smol-serve` multi-query runtime: mixed
 //! plans from many submitter threads, per-query image conservation,
-//! bit-identical results vs the legacy single-query pipeline, admission
+//! bit-identical results vs the scalar reference decoder, admission
 //! backpressure, drain-on-shutdown, error isolation, the
 //! server-lifetime staging arena (reuse across queries, geometries kept
 //! apart, the reuse lesion, degradation to another geometry), and the
@@ -9,10 +9,11 @@
 //! fails one output).
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol::codec::{EncodedImage, Format};
+use smol::codec::{DecodeOptions, EncodedImage, Format};
 use smol::core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol::imgproc::ImageU8;
-use smol::runtime::{run_inference, RuntimeOptions};
+use smol::runtime::pipeline::decode_item_opts;
+use smol::runtime::RuntimeOptions;
 use smol::serve::{
     DegradeStep, QueryPoll, ServeError, Server, ServerConfig, ServerStats, SubmitOptions,
 };
@@ -123,21 +124,22 @@ fn stress_mixed_plans_from_many_threads() {
     server.shutdown();
 }
 
-/// A query served through the runtime yields bit-identical per-image
-/// results to the same plan executed by the legacy single-query pipeline.
+/// A query served through the runtime hands its callback, for every item,
+/// exactly the pixels of a single-threaded scalar-reference decode of that
+/// item — an oracle that shares neither threads nor kernels with the engine.
 #[test]
-fn server_matches_legacy_pipeline_bitwise() {
+fn server_matches_scalar_reference_decode_bitwise() {
     let items = encoded_batch(14, 96, 80, 7);
     let plan = plan_for(ModelKind::ResNet50, 96, 80, 64, 8);
 
-    let (_, legacy) = run_inference(
-        &items,
-        &plan,
-        &fast_device(),
-        &RuntimeOptions::default(),
-        fingerprint,
-    )
-    .unwrap();
+    let reference: Vec<u64> = items
+        .iter()
+        .enumerate()
+        .map(|(i, enc)| {
+            let opts = DecodeOptions::scalar_reference();
+            fingerprint(i, &decode_item_opts(enc, plan.decode, opts).unwrap())
+        })
+        .collect();
 
     let server = Server::new(fast_device(), ServerConfig::default());
     let handle = server
@@ -148,10 +150,10 @@ fn server_matches_legacy_pipeline_bitwise() {
     let served = report.take_results::<u64>();
     server.shutdown();
 
-    assert_eq!(legacy.len(), served.len());
-    for (i, (l, s)) in legacy.iter().zip(&served).enumerate() {
+    assert_eq!(reference.len(), served.len());
+    for (i, (r, s)) in reference.iter().zip(&served).enumerate() {
         assert_eq!(
-            l.expect("legacy inferred"),
+            *r,
             s.expect("server inferred"),
             "prediction {i} must be bit-identical"
         );
