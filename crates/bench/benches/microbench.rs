@@ -2,7 +2,9 @@
 //! decode paths (full / ROI / early-stop), preprocessing operators (fused
 //! vs unfused, the compiled CPU prefix vs the reference interpreter, the
 //! producer stage's per-item content key and cascade signal scan, launching
-//! vs executing a device batch), the DAG optimizer, and Huffman coding.
+//! vs executing a device batch), the video decoder stage by stage (fast path
+//! vs the seed chain, and the keyframe pair-LUT window sweep), the DAG
+//! optimizer, and Huffman coding.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
@@ -190,6 +192,117 @@ fn bench_preproc(c: &mut Criterion) {
     g.finish();
 }
 
+/// `smol_video` stage by stage on the taipei serving corpus (128×72, six
+/// frames per GOP) — the numbers `smol_core::rewrite::{P_FRAME_COST_RATIO,
+/// DEBLOCK_COST_RATIO}` and `smol_codec::runlength::pair_window_bits` are
+/// calibrated from. Every `*_fast` / `*_reference` pair produces the same
+/// bytes (`tests/video_properties.rs`); each iteration covers all `GOPS`
+/// GOPs (or all their P-frames / frames), so divide by that for per-item
+/// time.
+fn bench_video(c: &mut Criterion) {
+    use smol_core::FrameSelection;
+    use smol_video::{deblock, pframe, DecodeOptions as VideoOptions, FrameKind};
+    const GOPS: usize = 16;
+    let corpus = smol_data::gops::gop_corpus(&smol_data::catalog::video_catalog()[1], 42, GOPS, 6);
+    let all = VideoOptions { deblock: true };
+    // Every P-frame payload with the (filtered) frame it predicts from, and
+    // every decoded frame before the filter.
+    let mut pframes = Vec::new();
+    let mut unfiltered = Vec::new();
+    for gop in &corpus.gops {
+        let (frames, _) = gop.decode_selected(FrameSelection::All, all).unwrap();
+        for pos in 1..gop.n_frames() {
+            let (kind, payload) = gop.frame_payload(pos);
+            assert_eq!(kind, FrameKind::Predicted);
+            pframes.push((payload, frames[pos - 1].image.clone()));
+        }
+        let (raw, _) = gop
+            .decode_selected(FrameSelection::All, VideoOptions { deblock: false })
+            .unwrap();
+        unfiltered.extend(raw.into_iter().map(|f| f.image));
+    }
+    let (quality, range) = (corpus.gops[0].quality, corpus.gops[0].search_range);
+
+    let mut g = c.benchmark_group("video_decode");
+    g.bench_function("gop_reference", |b| {
+        b.iter(|| {
+            for gop in &corpus.gops {
+                std::hint::black_box(gop.decode_selected_reference(FrameSelection::All, all))
+                    .unwrap();
+            }
+        })
+    });
+    g.bench_function("gop_fast", |b| {
+        b.iter(|| {
+            for gop in &corpus.gops {
+                std::hint::black_box(gop.decode_selected(FrameSelection::All, all)).unwrap();
+            }
+        })
+    });
+    g.bench_function("keyframe", |b| {
+        b.iter(|| {
+            for gop in &corpus.gops {
+                std::hint::black_box(sjpg::decode(gop.frame_payload(0).1)).unwrap();
+            }
+        })
+    });
+    g.bench_function("pframe_reference", |b| {
+        b.iter(|| {
+            for (payload, reference) in &pframes {
+                pframe::decode_pframe_reference(payload, reference, quality, range).unwrap();
+            }
+        })
+    });
+    g.bench_function("pframe_fast", |b| {
+        b.iter(|| {
+            for (payload, reference) in &pframes {
+                pframe::decode_pframe(payload, reference, quality, range).unwrap();
+            }
+        })
+    });
+    g.bench_function("deblock_reference", |b| {
+        b.iter_batched(
+            || unfiltered.clone(),
+            |mut frames| {
+                frames
+                    .iter_mut()
+                    .for_each(|f| deblock::deblock_reference(f, 8));
+                frames
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("deblock_fast", |b| {
+        b.iter_batched(
+            || unfiltered.clone(),
+            |mut frames| {
+                frames.iter_mut().for_each(|f| deblock::deblock(f, 8));
+                frames
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // Pair-LUT window against body size: a GOP keyframe (1.3 KB), a
+    // half-size still (8 KB) and a full-resolution one (73 KB).
+    let still = test_image();
+    let half = smol_imgproc::ops::resize_bilinear_u8(&still, still.width() / 2, still.height() / 2)
+        .unwrap();
+    let bodies = [
+        ("1k", corpus.gops[0].frame_payload(0).1.to_vec()),
+        ("8k", SjpgEncoder::new(75).encode(&half).unwrap().to_vec()),
+        ("70k", SjpgEncoder::new(95).encode(&still).unwrap().to_vec()),
+    ];
+    for (name, body) in &bodies {
+        g.throughput(Throughput::Bytes(body.len() as u64));
+        for bits in [8u32, 10, 12] {
+            g.bench_function(&format!("keyframe_window/{bits}/{name}"), |b| {
+                b.iter(|| sjpg::decode_with_window(std::hint::black_box(body), bits).unwrap())
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_planner(c: &mut Criterion) {
     let mut g = c.benchmark_group("dag_optimizer");
     let plan = PreprocPlan::standard(256, 224, 224);
@@ -202,6 +315,6 @@ fn bench_planner(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_codecs, bench_preproc, bench_planner
+    targets = bench_codecs, bench_preproc, bench_video, bench_planner
 }
 criterion_main!(benches);

@@ -9,6 +9,9 @@
 //!   via a scaled IDCT;
 //! * [`spng`] — a lossless codec (PNG anatomy): predictive scanline filters +
 //!   LZ77/Huffman, strictly sequential, with **early stopping** only;
+//! * [`runlength`] — the run/size coefficient coding sjpg's AC runs and
+//!   `smol_video`'s P-frame residuals share: encoders, the one table-driven
+//!   decode loop, and the rule that sizes its pair-LUT window to the payload;
 //! * [`registry`] — the Table-4 format/feature matrix.
 //!
 //! ## Partial-decoding features and the plans that exercise them
@@ -41,6 +44,7 @@ pub mod hash;
 pub mod huffman;
 pub mod quant;
 pub mod registry;
+pub mod runlength;
 pub mod signal;
 pub mod sjpg;
 pub mod spng;

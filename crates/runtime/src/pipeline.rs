@@ -31,7 +31,6 @@ use smol_imgproc::dag::PreprocPlan;
 use smol_imgproc::ops::normalize::Normalization;
 use smol_imgproc::ops::prefix::CompiledPrefix;
 use smol_imgproc::{ImageU8, Rect};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -449,21 +448,23 @@ pub fn produce_media_item(
         deblock: opts.deblock,
     };
     let gop_key = if cache.is_some() { gop.cache_key() } else { 0 };
-    let mut memo: Option<HashMap<usize, ImageU8>> = None;
+    // The GOP's decoded frames in selection order, empty until the first
+    // miss decodes the chain. Each is asked for at most once per call, so
+    // it is moved out, not copied: into the staged item, or into the tensor
+    // cache that then owns it.
+    let mut memo: Vec<Option<ImageU8>> = Vec::new();
     let mut out = Vec::with_capacity(selected.len());
     for (i, &pos) in selected.iter().enumerate() {
         let t0 = Instant::now();
-        let decode_frame = |memo: &mut Option<HashMap<usize, ImageU8>>| -> Result<ImageU8> {
-            if memo.is_none() {
+        let decode_frame = |memo: &mut Vec<Option<ImageU8>>| -> Result<ImageU8> {
+            if memo.is_empty() {
                 let (frames, _) = gop.decode_selected(selection, opts)?;
-                *memo = Some(frames.into_iter().map(|f| (f.index, f.image)).collect());
+                debug_assert!(frames.iter().map(|f| f.index).eq(selected.iter().copied()));
+                *memo = frames.into_iter().map(|f| Some(f.image)).collect();
             }
-            memo.as_ref()
-                .and_then(|m| m.get(&pos))
-                .cloned()
-                .ok_or_else(|| {
-                    RuntimeError::Config(format!("selected frame {pos} missing from GOP decode"))
-                })
+            memo.get_mut(i).and_then(Option::take).ok_or_else(|| {
+                RuntimeError::Config(format!("selected frame {pos} missing from GOP decode"))
+            })
         };
         let (decoded, cache_hit) = match cache {
             Some(cache) => cache.get_or_decode(frame_key(gop_key, pos), canon_mode, || {

@@ -137,6 +137,68 @@ pub struct FrameStats {
     pub deblocked: bool,
 }
 
+impl FrameStats {
+    fn intra(index: usize, s: &sjpg::DecodeStats) -> Self {
+        FrameStats {
+            index,
+            kind: FrameKind::Intra,
+            symbols_decoded: s.symbols_decoded,
+            mc_macroblocks: 0,
+            skipped_macroblocks: 0,
+            idct_macs: s.idct_macs,
+            deblocked: false,
+        }
+    }
+
+    fn predicted(index: usize, s: &pframe::PFrameStats) -> Self {
+        FrameStats {
+            index,
+            kind: FrameKind::Predicted,
+            symbols_decoded: s.symbols_decoded,
+            mc_macroblocks: s.macroblocks - s.skipped,
+            skipped_macroblocks: s.skipped,
+            // Residual sub-blocks run the full 8×8 transform.
+            idct_macs: s.coded_subblocks * 2 * 8 * 8 * 8,
+            deblocked: false,
+        }
+    }
+}
+
+/// Decodes one frame on the fast path — sjpg keyframe or P-frame against
+/// `reference` (the decoded frame before it), then the in-loop filter when
+/// `opts.deblock` — with its work counters. What every production decoder
+/// in this crate runs per frame.
+pub(crate) fn decode_frame(
+    index: usize,
+    kind: FrameKind,
+    payload: &[u8],
+    reference: Option<&ImageU8>,
+    (quality, search_range): (u8, i16),
+    opts: DecodeOptions,
+) -> Result<(ImageU8, FrameStats)> {
+    let (mut image, mut stats) = match kind {
+        FrameKind::Intra => {
+            let (img, s) = sjpg::decode_with_stats(payload)?;
+            (img, FrameStats::intra(index, &s))
+        }
+        FrameKind::Predicted => {
+            let reference = reference.ok_or(Error::BadHeader(
+                "P-frame without a preceding I-frame".into(),
+            ))?;
+            let (img, s) = pframe::decode_pframe(payload, reference, quality, search_range)?;
+            (img, FrameStats::predicted(index, &s))
+        }
+    };
+    if opts.deblock {
+        // The reference for the next P-frame is the post-filter frame when
+        // the filter runs (in-loop semantics); without it, drift accrues —
+        // the genuine reduced-fidelity trade-off.
+        deblock::deblock(&mut image, smol_codec::dct::BLOCK);
+        stats.deblocked = true;
+    }
+    Ok((image, stats))
+}
+
 /// One decoded, selected frame with its work counters.
 #[derive(Debug, Clone)]
 pub struct DecodedFrame {
@@ -222,9 +284,10 @@ impl EncodedGop {
         )
     }
 
-    fn payload(&self, idx: usize) -> (&FrameKind, &[u8]) {
-        let (kind, off, len) = &self.index[idx];
-        (kind, &self.body[*off..*off + *len])
+    /// Kind and encoded payload of frame `idx` (`idx < n_frames()`).
+    pub fn frame_payload(&self, idx: usize) -> (FrameKind, &[u8]) {
+        let (kind, off, len) = self.index[idx];
+        (kind, &self.body[off..off + len])
     }
 
     /// Plan-driven selective decode: materializes the frames `selection`
@@ -239,7 +302,59 @@ impl EncodedGop {
     /// * `opts.deblock = false` skips the in-loop filter on every decoded
     ///   frame — cheaper, and drift-inducing on P-frames because the
     ///   encoder's reconstruction loop applied it.
+    ///
+    /// Each P-frame decodes against a borrow of its predecessor where that
+    /// already lives — the last pushed output when it was selected — so no
+    /// frame is copied to keep the reference chain going.
     pub fn decode_selected(
+        &self,
+        selection: FrameSelection,
+        opts: DecodeOptions,
+    ) -> Result<(Vec<DecodedFrame>, VideoDecodeStats)> {
+        let n = self.n_frames();
+        if n == 0 {
+            return Ok((Vec::new(), VideoDecodeStats::default()));
+        }
+        let last = selection.last_decoded(n).min(n - 1);
+        let mut out: Vec<DecodedFrame> = Vec::with_capacity(selection.count(n));
+        let mut agg = VideoDecodeStats::default();
+        // The previous frame when it was *not* selected; a selected one is
+        // `out.last()`.
+        let mut unselected: Option<ImageU8> = None;
+        for pos in 0..=last {
+            let (kind, payload) = self.frame_payload(pos);
+            let reference = unselected.as_ref().or(out.last().map(|f| &f.image));
+            let (image, stats) = decode_frame(
+                pos,
+                kind,
+                payload,
+                reference,
+                (self.quality, self.search_range),
+                opts,
+            )?;
+            agg.absorb(&stats);
+            if selection.selects(pos) {
+                agg.frames_output += 1;
+                unselected = None;
+                out.push(DecodedFrame {
+                    index: pos,
+                    image,
+                    stats,
+                });
+            } else {
+                unselected = Some(image);
+            }
+        }
+        agg.frames_untouched = (n - 1 - last) as u64;
+        Ok((out, agg))
+    }
+
+    /// The seed decode chain, kept as the oracle [`Self::decode_selected`] is
+    /// pinned to (pixels, [`FrameStats`] and [`VideoDecodeStats`]): scalar
+    /// sjpg reference → [`pframe::decode_pframe_reference`] →
+    /// [`deblock::deblock_reference`], one frame copy per reference hand-off.
+    /// Tests and benches only; no option selects it.
+    pub fn decode_selected_reference(
         &self,
         selection: FrameSelection,
         opts: DecodeOptions,
@@ -253,42 +368,28 @@ impl EncodedGop {
         let mut agg = VideoDecodeStats::default();
         let mut reference: Option<ImageU8> = None;
         for pos in 0..=last {
-            let (kind, payload) = self.payload(pos);
+            let (kind, payload) = self.frame_payload(pos);
             let (mut image, mut stats) = match kind {
                 FrameKind::Intra => {
-                    let (img, s) = sjpg::decode_with_stats(payload)?;
-                    let stats = FrameStats {
-                        index: pos,
-                        kind: FrameKind::Intra,
-                        symbols_decoded: s.symbols_decoded,
-                        mc_macroblocks: 0,
-                        skipped_macroblocks: 0,
-                        idct_macs: s.idct_macs,
-                        deblocked: false,
-                    };
-                    (img, stats)
+                    let (img, s) =
+                        sjpg::decode_with_opts(payload, sjpg::DecodeOptions::scalar_reference())?;
+                    (img, FrameStats::intra(pos, &s))
                 }
                 FrameKind::Predicted => {
                     let reference = reference.as_ref().ok_or(Error::BadHeader(
                         "P-frame without a preceding I-frame".into(),
                     ))?;
-                    let (img, s) =
-                        pframe::decode_pframe(payload, reference, self.quality, self.search_range)?;
-                    let stats = FrameStats {
-                        index: pos,
-                        kind: FrameKind::Predicted,
-                        symbols_decoded: s.symbols_decoded,
-                        mc_macroblocks: s.macroblocks - s.skipped,
-                        skipped_macroblocks: s.skipped,
-                        // Residual sub-blocks run the full 8×8 transform.
-                        idct_macs: s.coded_subblocks * 2 * 8 * 8 * 8,
-                        deblocked: false,
-                    };
-                    (img, stats)
+                    let (img, s) = pframe::decode_pframe_reference(
+                        payload,
+                        reference,
+                        self.quality,
+                        self.search_range,
+                    )?;
+                    (img, FrameStats::predicted(pos, &s))
                 }
             };
             if opts.deblock {
-                deblock::deblock(&mut image, smol_codec::dct::BLOCK);
+                deblock::deblock_reference(&mut image, smol_codec::dct::BLOCK);
                 stats.deblocked = true;
             }
             agg.absorb(&stats);

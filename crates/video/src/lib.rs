@@ -23,6 +23,26 @@
 //! deblock knob, with per-frame work stats so profiling and the planner's
 //! cost model can be checked against the work actually done. Keyframe-only
 //! decoding never touches the motion-compensation machinery at all.
+//!
+//! ## Decode hot path
+//!
+//! Like `smol_codec::sjpg`, the decoder exists twice and the two are pinned
+//! to each other bit for bit (`tests/video_properties.rs`, this crate's
+//! unit tests):
+//!
+//! * the **fast path** is what every caller gets — [`EncodedGop::decode_selected`],
+//!   [`EncodedVideo::decode_all`] / [`EncodedVideo::decode_parallel`] /
+//!   [`FrameIter`], and the encoder's own reconstruction loop: sjpg
+//!   keyframes behind a pair LUT sized to the payload
+//!   (`smol_codec::runlength::pair_window_bits`), table-driven P-frame
+//!   entropy decode with row-wise motion compensation
+//!   ([`pframe::decode_pframe`]), a row-wise in-loop filter
+//!   ([`deblock::deblock`]), and a reference chain that borrows the
+//!   previous output instead of copying it;
+//! * the **seed chain** — [`EncodedGop::decode_selected_reference`] over
+//!   [`pframe::decode_pframe_reference`], [`deblock::deblock_reference`] and
+//!   sjpg's scalar reference — is the oracle. Nothing selects it at run
+//!   time: it is called from tests and benches only.
 
 pub mod deblock;
 pub mod gop;
@@ -41,6 +61,8 @@ use smol_imgproc::ImageU8;
 
 const MAGIC: u32 = 0x5356_4944; // "SVID"
 const VERSION: u32 = 1;
+/// Container index entry: one kind byte plus a 32-bit payload length.
+const INDEX_ENTRY_BYTES: usize = 5;
 
 /// Frame kind tag in the container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +199,14 @@ impl EncodedVideo {
         let search_range = r.bits(8)? as i16;
         let n_frames = r.bits(32)? as usize;
         let fps = r.bits(32)? as f64 / 1000.0;
+        // A frame costs five index bytes: bound the count by what the
+        // buffer can hold before allocating for it.
+        let index_bytes = ((r.len_bits() - r.bit_pos()) / 8) as usize;
+        if n_frames > index_bytes / INDEX_ENTRY_BYTES {
+            return Err(Error::Truncated {
+                context: "video frame index",
+            });
+        }
         let mut index = Vec::with_capacity(n_frames);
         let mut offset = 0usize;
         for _ in 0..n_frames {
@@ -187,11 +217,11 @@ impl EncodedVideo {
             };
             let len = r.bits(32)? as usize;
             index.push((kind, offset, len));
-            offset += len;
+            offset = offset.saturating_add(len);
         }
         r.align_byte();
         let body_start = (r.bit_pos() / 8) as usize;
-        if body_start + offset > data.len() {
+        if offset > data.len() - body_start {
             return Err(Error::Truncated {
                 context: "video body",
             });
@@ -227,9 +257,28 @@ impl EncodedVideo {
         }
     }
 
-    /// Decodes every frame (convenience for tests/small clips).
+    /// Decodes every frame (convenience for tests/small clips). Each
+    /// P-frame decodes against a borrow of the frame pushed before it.
     pub fn decode_all(&self, opts: DecodeOptions) -> Result<Vec<ImageU8>> {
-        self.decode_iter(opts).collect()
+        let mut out = Vec::with_capacity(self.n_frames());
+        for idx in 0..self.n_frames() {
+            let frame = self.decode_frame(idx, out.last(), opts)?;
+            out.push(frame);
+        }
+        Ok(out)
+    }
+
+    /// Decodes frame `idx` against `reference`, the decoded frame before it
+    /// (unused by I-frames), through the fast path.
+    fn decode_frame(
+        &self,
+        idx: usize,
+        reference: Option<&ImageU8>,
+        opts: DecodeOptions,
+    ) -> Result<ImageU8> {
+        let (kind, payload) = self.payload(idx);
+        let params = (self.quality, self.search_range);
+        gop::decode_frame(idx, *kind, payload, reference, params, opts).map(|(frame, _)| frame)
     }
 
     /// Frame indices of the I-frames (GOP starts); these are the only
@@ -281,7 +330,7 @@ impl EncodedVideo {
                     };
                     for idx in start..end {
                         match iter.decode_next() {
-                            Ok(frame) => visit(idx, &frame),
+                            Ok(frame) => visit(idx, frame),
                             Err(e) => {
                                 *error.lock().expect("no poison") = Some(e);
                                 return;
@@ -322,33 +371,13 @@ pub struct FrameIter<'a> {
 }
 
 impl FrameIter<'_> {
-    fn decode_next(&mut self) -> Result<ImageU8> {
-        let idx = self.next;
-        let (kind, payload) = self.video.payload(idx);
-        let mut frame = match kind {
-            FrameKind::Intra => smol_codec::sjpg::decode(payload)?,
-            FrameKind::Predicted => {
-                let reference = self.reference.as_ref().ok_or(Error::BadHeader(
-                    "P-frame without a preceding I-frame".into(),
-                ))?;
-                let (frame, _) = pframe::decode_pframe(
-                    payload,
-                    reference,
-                    self.video.quality,
-                    self.video.search_range,
-                )?;
-                frame
-            }
-        };
-        if self.opts.deblock {
-            deblock::deblock(&mut frame, smol_codec::dct::BLOCK);
-        }
-        // The reference for the next P-frame is the post-filter frame when
-        // the filter runs (in-loop semantics); without it, drift accrues —
-        // the genuine reduced-fidelity trade-off.
-        self.reference = Some(frame.clone());
+    /// Decodes the next frame into the reference slot and lends it out.
+    fn decode_next(&mut self) -> Result<&ImageU8> {
+        let frame = self
+            .video
+            .decode_frame(self.next, self.reference.as_ref(), self.opts)?;
         self.next += 1;
-        Ok(frame)
+        Ok(self.reference.insert(frame))
     }
 }
 
@@ -359,7 +388,9 @@ impl Iterator for FrameIter<'_> {
         if self.next >= self.video.n_frames() {
             return None;
         }
-        Some(self.decode_next())
+        // An owned frame per item while the reference stays behind: the
+        // one copy this interface costs.
+        Some(self.decode_next().cloned())
     }
 }
 
@@ -509,6 +540,44 @@ mod tests {
         assert!(EncodedVideo::parse(Bytes::from(bad)).is_err());
         let truncated = enc.slice(0..enc.len() / 4);
         assert!(EncodedVideo::parse(truncated).is_err());
+    }
+
+    /// A frame count the buffer cannot hold is a typed error before any
+    /// allocation: the 21-byte header claiming 2³² − 1 frames used to abort
+    /// the process on a 103 GB `Vec::with_capacity`.
+    #[test]
+    fn frame_count_is_bounded_by_the_buffer() {
+        let header = |n_frames: u32| {
+            let mut w = BitWriter::new();
+            w.put(MAGIC, 32);
+            w.put(VERSION, 8);
+            w.put(32, 16);
+            w.put(32, 16);
+            w.put(80, 8);
+            w.put(4, 16);
+            w.put(7, 8);
+            w.put(n_frames, 32);
+            w.put(30_000, 32);
+            w.finish()
+        };
+        let bare = header(u32::MAX);
+        assert_eq!(bare.len(), 21);
+        assert!(matches!(
+            EncodedVideo::parse(Bytes::from(bare)),
+            Err(Error::Truncated { .. })
+        ));
+        // Room for exactly three index entries: three parse (empty
+        // payloads), four is one past what the buffer holds.
+        let with_index = |n_frames: u32| {
+            let mut bytes = header(n_frames);
+            bytes.extend_from_slice(&[0u8; 3 * INDEX_ENTRY_BYTES]);
+            Bytes::from(bytes)
+        };
+        assert_eq!(EncodedVideo::parse(with_index(3)).unwrap().n_frames(), 3);
+        assert!(matches!(
+            EncodedVideo::parse(with_index(4)),
+            Err(Error::Truncated { .. })
+        ));
     }
 
     #[test]

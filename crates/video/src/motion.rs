@@ -97,6 +97,45 @@ pub fn compensate(reference: &ImageU8, bx: usize, by: usize, mv: MotionVector, p
     }
 }
 
+/// Motion-compensates macroblock `(bx, by)` of `reference` straight into
+/// the same macroblock of `out` (same geometry; only the part of the
+/// macroblock inside the frame is written). A displaced window that lies
+/// inside the frame — nearly all of them — is sixteen row copies; one that
+/// crosses an edge samples with [`compensate`]'s clamping, pixel by pixel.
+pub fn compensate_into(
+    reference: &ImageU8,
+    bx: usize,
+    by: usize,
+    mv: MotionVector,
+    out: &mut ImageU8,
+) {
+    let (w, h, c) = (reference.width(), reference.height(), reference.channels());
+    debug_assert_eq!((w, h, c), (out.width(), out.height(), out.channels()));
+    let (x0, y0) = (bx * MB, by * MB);
+    let (mw, mh) = (MB.min(w - x0), MB.min(h - y0));
+    let (sx, sy) = (x0 as i64 + mv.dx as i64, y0 as i64 + mv.dy as i64);
+    let stride = w * c;
+    let (src, dst) = (reference.data(), out.data_mut());
+    if sx >= 0 && sy >= 0 && sx as usize + mw <= w && sy as usize + mh <= h {
+        let (sx, sy) = (sx as usize, sy as usize);
+        for my in 0..mh {
+            let s = (sy + my) * stride + sx * c;
+            let d = (y0 + my) * stride + x0 * c;
+            dst[d..d + mw * c].copy_from_slice(&src[s..s + mw * c]);
+        }
+        return;
+    }
+    for my in 0..mh {
+        let ry = (sy + my as i64).clamp(0, h as i64 - 1) as usize;
+        for mx in 0..mw {
+            let rx = (sx + mx as i64).clamp(0, w as i64 - 1) as usize;
+            let s = ry * stride + rx * c;
+            let d = (y0 + my) * stride + (x0 + mx) * c;
+            dst[d..d + c].copy_from_slice(&src[s..s + c]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +194,42 @@ mod tests {
         compensate(&f, 0, 0, MotionVector { dx: -8, dy: -8 }, &mut pred);
         // Clamped sampling means top-left pred equals frame's (0,0).
         assert_eq!(pred[0], f.at(0, 0, 0));
+    }
+
+    /// Row copies and the clamped walk both reproduce [`compensate`] on
+    /// the in-frame part of every macroblock, for vectors that stay
+    /// inside, cross each edge, and leave the frame entirely.
+    #[test]
+    fn compensate_into_matches_compensate() {
+        let (w, h) = (41, 35); // partial macroblocks on both edges
+        let mut reference = ImageU8::zeros(w, h, 3);
+        for (i, v) in reference.data_mut().iter_mut().enumerate() {
+            *v = (i * 31 % 251) as u8;
+        }
+        let mut pred = vec![0u8; MB * MB * 3];
+        for by in 0..h.div_ceil(MB) {
+            for bx in 0..w.div_ceil(MB) {
+                for (dx, dy) in [(0, 0), (3, -2), (-7, 7), (-20, 0), (0, 40), (60, -60)] {
+                    let mv = MotionVector { dx, dy };
+                    let mut out = ImageU8::zeros(w, h, 3);
+                    compensate_into(&reference, bx, by, mv, &mut out);
+                    compensate(&reference, bx, by, mv, &mut pred);
+                    for y in 0..h {
+                        for x in 0..w {
+                            let inside = x / MB == bx && y / MB == by;
+                            for ch in 0..3 {
+                                let want = if inside {
+                                    pred[((y % MB) * MB + x % MB) * 3 + ch]
+                                } else {
+                                    0
+                                };
+                                assert_eq!(out.at(x, y, ch), want, "mb ({bx},{by}) mv {mv:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

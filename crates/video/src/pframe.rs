@@ -3,25 +3,48 @@
 //! Each 16×16 macroblock is either **skipped** (copy the co-located block of
 //! the reference) or **coded**: a motion vector plus quantized-DCT residuals
 //! for the 2×2 grid of 8×8 sub-blocks in each channel. Residual coefficients
-//! use the same run/size magnitude coding as sjpg's AC path with a per-frame
-//! optimal Huffman table.
+//! use sjpg's AC run/size coding ([`smol_codec::runlength`]) from
+//! coefficient 0, with a per-frame optimal Huffman table.
+//!
+//! Two decoders, pinned to each other by the crate's tests and
+//! `tests/video_properties.rs`:
+//!
+//! * [`decode_pframe`] — what every production caller runs. The macroblock
+//!   header and the residual symbols come off one
+//!   [`FastCursor`] (truncation surfaces at
+//!   the frame-end sync, as it does per MCU row in sjpg), residual symbols
+//!   through the shared [`RunTable`] behind a pair LUT sized to the payload;
+//!   residual blocks dequantize over their coded prefix into the vectorized
+//!   masked IDCT; motion compensation copies rows straight into the output
+//!   frame ([`compensate_into`]). No allocation per macroblock.
+//! * [`decode_pframe_reference`] — the seed decoder: bit-by-bit canonical
+//!   Huffman walk, dense dequantization, scalar IDCT, per-pixel clamped
+//!   compensation into a prediction buffer. The oracle; tests and benches
+//!   only.
+//!
+//! The vectorized IDCT equals the scalar one up to the sign of a zero
+//! (`smol_codec::dct::inverse_dct_vec`), which adding the residual to a
+//! `u8` prediction erases, so the two decoders agree bit for bit.
 
-use crate::motion::{compensate, three_step_search, MotionVector, MB};
-use smol_codec::bitio::{BitReader, BitWriter};
-use smol_codec::dct::{forward_dct, inverse_dct, BLOCK};
+use crate::motion::{compensate, compensate_into, three_step_search, MotionVector, MB};
+use smol_codec::bitio::{BitReader, BitWriter, FastCursor};
+use smol_codec::dct::{forward_dct, inverse_dct, inverse_dct_vec_masked, BLOCK};
 use smol_codec::error::{Error, Result};
 use smol_codec::huffman::HuffmanTable;
-use smol_codec::quant::{dequantize_zigzag, quantize_zigzag, scale_table, BASE_LUMA};
+use smol_codec::quant::{
+    dequantize_zigzag, dequantize_zigzag_prefix, quantize_zigzag, scale_table, BASE_LUMA,
+};
+use smol_codec::runlength::{
+    decode_amplitude, encode_run, pair_window_bits, tally_run, RunTable, EOB, ZRL,
+};
 use smol_imgproc::ImageU8;
 
 const COEF_ALPHABET: usize = 256;
-const EOB: u16 = 0x00;
-const ZRL: u16 = 0xF0;
 /// Per-macroblock zero-MV SAD below which the block is skipped outright.
 const SKIP_SAD: u64 = (MB * MB) as u64;
 
 /// Work counters for reduced-fidelity experiments.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PFrameStats {
     pub macroblocks: u64,
     pub skipped: u64,
@@ -29,74 +52,8 @@ pub struct PFrameStats {
     pub symbols_decoded: u64,
 }
 
-#[inline]
-fn magnitude_category(v: i16) -> u32 {
-    32 - (v.unsigned_abs() as u32).leading_zeros()
-}
-
-#[inline]
-fn amplitude_bits(v: i16, size: u32) -> u32 {
-    if v >= 0 {
-        v as u32
-    } else {
-        (v + ((1 << size) - 1)) as u32 & ((1u32 << size) - 1)
-    }
-}
-
-#[inline]
-fn decode_amplitude(bits: u32, size: u32) -> i16 {
-    if size == 0 {
-        0
-    } else if bits < (1 << (size - 1)) {
-        bits as i16 - ((1 << size) - 1) as i16
-    } else {
-        bits as i16
-    }
-}
-
-/// Coefficient coding of one 8×8 residual block (no DC prediction: residual
-/// DC is zero-mean).
-fn tally_coefs(coefs: &[i16; 64], freq: &mut [u64]) {
-    let mut run = 0u32;
-    for &c in coefs.iter() {
-        if c == 0 {
-            run += 1;
-        } else {
-            while run >= 16 {
-                freq[ZRL as usize] += 1;
-                run -= 16;
-            }
-            freq[((run << 4) | magnitude_category(c)) as usize] += 1;
-            run = 0;
-        }
-    }
-    if run > 0 {
-        freq[EOB as usize] += 1;
-    }
-}
-
-fn encode_coefs(w: &mut BitWriter, coefs: &[i16; 64], table: &HuffmanTable) -> Result<()> {
-    let mut run = 0u32;
-    for &c in coefs.iter() {
-        if c == 0 {
-            run += 1;
-        } else {
-            while run >= 16 {
-                table.encode(w, ZRL)?;
-                run -= 16;
-            }
-            let size = magnitude_category(c);
-            table.encode(w, ((run << 4) | size) as u16)?;
-            w.put(amplitude_bits(c, size), size);
-            run = 0;
-        }
-    }
-    if run > 0 {
-        table.encode(w, EOB)?;
-    }
-    Ok(())
-}
-
+/// Bit-by-bit coefficient decode of one 8×8 residual block (no DC
+/// prediction: residual DC is zero-mean). Reference path only.
 fn decode_coefs(
     r: &mut BitReader<'_>,
     table: &HuffmanTable,
@@ -203,7 +160,7 @@ pub fn encode_pframe(
                     let mut coefs = [0i16; 64];
                     quantize_zigzag(&block_freq, &qtable, &mut coefs);
                     if coefs.iter().any(|&v| v != 0) {
-                        tally_coefs(&coefs, &mut freq);
+                        tally_run(&coefs, &mut freq);
                         coded.push((ch, sb, coefs));
                     }
                 }
@@ -239,7 +196,7 @@ pub fn encode_pframe(
         }
         bw.put(mask, (c * sub * sub) as u32);
         for (_, _, coefs) in &plan.coded {
-            encode_coefs(&mut bw, coefs, &table)?;
+            encode_run(&mut bw, coefs, &table)?;
         }
     }
     Ok((bw.finish(), recon))
@@ -296,8 +253,105 @@ fn reconstruct_mb(
     }
 }
 
-/// Decodes a P-frame payload against `reference`.
+/// Reads the next `n ≤ 32` bits off the cursor (the caller has refilled it).
+#[inline]
+fn take(c: &mut FastCursor<'_>, n: u32) -> u32 {
+    // Through u64 so that `n == 0` (a zero search range) shifts by 32.
+    let v = ((c.peek32() as u64) >> (32 - n)) as u32;
+    c.skip(n);
+    v
+}
+
+/// Decodes a P-frame payload against `reference` (bit-identical to
+/// [`decode_pframe_reference`], in pixels and in stats).
 pub fn decode_pframe(
+    payload: &[u8],
+    reference: &ImageU8,
+    quality: u8,
+    search_range: i16,
+) -> Result<(ImageU8, PFrameStats)> {
+    let (w, h, c) = (reference.width(), reference.height(), reference.channels());
+    let qtable = scale_table(&BASE_LUMA, quality)?;
+    let mbw = w.div_ceil(MB);
+    let mbh = h.div_ceil(MB);
+    let sub = MB / BLOCK;
+    let mut r = BitReader::new(payload);
+    let table = HuffmanTable::read_spec(&mut r, COEF_ALPHABET)?;
+    let run = RunTable::new(&table, pair_window_bits(payload.len()));
+    let nbits = mv_bits(search_range);
+    // Coded-block mask: one bit per 8×8 sub-block per channel.
+    let blocks = c * sub * sub;
+    // Skipped macroblocks are co-located copies: one whole-frame copy
+    // materializes all of them, coded ones are overwritten below.
+    let mut out = reference.clone();
+    let mut stats = PFrameStats::default();
+    let mut coefs = [0i16; 64];
+    let mut freq = [0.0f32; 64];
+    let mut pix = [0.0f32; 64];
+    let stride = w * c;
+
+    let mut cur = FastCursor::from_reader(&r);
+    for by in 0..mbh {
+        for bx in 0..mbw {
+            stats.macroblocks += 1;
+            // A refill holds 32 bits: the skip bit and both vector
+            // components (≤ 19 for an 8-bit search range) come off one,
+            // the coded-block mask off the next.
+            cur.refill();
+            if take(&mut cur, 1) == 1 {
+                stats.skipped += 1;
+                continue;
+            }
+            let dx = take(&mut cur, nbits) as i32 - search_range as i32;
+            let dy = take(&mut cur, nbits) as i32 - search_range as i32;
+            let mv = MotionVector {
+                dx: dx as i16,
+                dy: dy as i16,
+            };
+            compensate_into(reference, bx, by, mv, &mut out);
+            cur.refill();
+            let mask = take(&mut cur, blocks as u32);
+            for bit in 0..blocks {
+                if mask & (1 << bit) == 0 {
+                    continue;
+                }
+                let ch = bit / (sub * sub);
+                let sb = bit % (sub * sub);
+                let (k, symbols) = run.decode_run(&mut cur, &mut coefs, 0)?;
+                stats.symbols_decoded += symbols;
+                stats.coded_subblocks += 1;
+                // The part of the sub-block inside the frame (the encoder
+                // codes edge-replicated residuals past it).
+                let (x, y) = (bx * MB + (sb % sub) * BLOCK, by * MB + (sb / sub) * BLOCK);
+                let (bw, bh) = (
+                    BLOCK.min(w.saturating_sub(x)),
+                    BLOCK.min(h.saturating_sub(y)),
+                );
+                if bw == 0 || bh == 0 {
+                    continue;
+                }
+                let row_mask = dequantize_zigzag_prefix(&coefs, k, &qtable, &mut freq);
+                inverse_dct_vec_masked(&freq, row_mask, &mut pix);
+                let data = out.data_mut();
+                for dy in 0..bh {
+                    let row = &mut data[(y + dy) * stride + x * c + ch..];
+                    for dx in 0..bw {
+                        // Saturating cast: the reference's clamp-then-cast.
+                        row[dx * c] = (row[dx * c] as f32 + pix[dy * BLOCK + dx]) as u8;
+                    }
+                }
+            }
+        }
+    }
+    // Frame-end sync: errors if the cursor's zero-padded reads ran past
+    // the end of the payload.
+    cur.sync(&mut r)?;
+    Ok((out, stats))
+}
+
+/// The seed P-frame decoder, kept as the oracle [`decode_pframe`] is pinned
+/// to. Tests and benches only.
+pub fn decode_pframe_reference(
     payload: &[u8],
     reference: &ImageU8,
     quality: u8,
@@ -402,6 +456,31 @@ mod tests {
         assert!(psnr(&cur, &decoded) > 28.0, "psnr={}", psnr(&cur, &decoded));
     }
 
+    /// Fast ≡ seed decoder in pixels and stats, on a frame whose size is no
+    /// multiple of the macroblock (coded sub-blocks past both edges) and
+    /// across search ranges — zero bits per vector component included.
+    #[test]
+    fn fast_decoder_matches_the_reference() {
+        for (w, h) in [(64, 48), (41, 35), (16, 9)] {
+            let frame = |t: usize| {
+                let mut img = ImageU8::zeros(w, h, 3);
+                for (i, v) in img.data_mut().iter_mut().enumerate() {
+                    *v = ((i / 3 + t * 3) * 7 % 97 + (i % 3) * 40) as u8;
+                }
+                img
+            };
+            let (reference, cur) = (frame(0), frame(1));
+            for range in [0i16, 1, 7, 15] {
+                let (payload, recon) = encode_pframe(&cur, &reference, 60, range).unwrap();
+                let fast = decode_pframe(&payload, &reference, 60, range).unwrap();
+                let seed = decode_pframe_reference(&payload, &reference, 60, range).unwrap();
+                assert_eq!(fast, seed, "{w}x{h} range {range}");
+                assert_eq!(fast.0, recon, "{w}x{h} range {range}");
+                assert!(fast.1.coded_subblocks > 0);
+            }
+        }
+    }
+
     #[test]
     fn static_scene_is_mostly_skipped() {
         let reference = moving_scene(0);
@@ -440,5 +519,6 @@ mod tests {
         let cur = moving_scene(1);
         let (payload, _) = encode_pframe(&cur, &reference, 80, 7).unwrap();
         assert!(decode_pframe(&payload[..payload.len() / 2], &reference, 80, 7).is_err());
+        assert!(decode_pframe_reference(&payload[..payload.len() / 2], &reference, 80, 7).is_err());
     }
 }

@@ -2,11 +2,25 @@
 //! never changes geometry or decode-work accounting, frame selections
 //! output exactly what they promise, and keyframe-only decoding holds a
 //! PSNR bound against the full-fidelity reference.
+//!
+//! Then the decode-hot-path battery: the fast decoder every caller runs is
+//! bit-identical — pixels, per-frame and aggregate work counters — to the
+//! seed chain (`decode_selected_reference`) across geometry, quality, search
+//! range, GOP length, frame selection and the filter knob; the two agree on
+//! `Ok`/`Err` (and never panic) on truncated and bit-flipped bodies; and the
+//! encoder, whose reconstruction loop runs the fast filter, still writes the
+//! bytes it wrote before the fast path existed. None of it asserts a
+//! duration.
 
+use bytes::Bytes;
 use proptest::prelude::*;
+use smol::codec::bitio::BitWriter;
 use smol::core::FrameSelection;
 use smol::imgproc::ImageU8;
-use smol::video::{DecodeOptions, EncodedVideo, VideoEncoder};
+use smol::video::{
+    deblock, pframe, DecodeOptions, DecodedFrame, EncodedGop, EncodedVideo, FrameKind,
+    VideoDecodeStats, VideoEncoder,
+};
 
 fn psnr(a: &ImageU8, b: &ImageU8) -> f64 {
     let mse: f64 = a
@@ -144,4 +158,376 @@ proptest! {
             prop_assert!(p > 26.0, "keyframe {} psnr {:.1}", idx, p);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Decode hot path: fast ≡ seed chain
+// ---------------------------------------------------------------------------
+
+/// A textured scene panning by `(px, py)` pixels per frame with a bright
+/// blob crossing it: a global pan gives edge macroblocks motion vectors that
+/// point outside the frame, `(0, 0)` a static scene that is all skips.
+fn panning_scene(seed: u64, n: usize, w: usize, h: usize, (px, py): (i64, i64)) -> Vec<ImageU8> {
+    (0..n as i64)
+        .map(|t| {
+            let mut img = ImageU8::zeros(w, h, 3);
+            for y in 0..h {
+                for x in 0..w {
+                    let (sx, sy) = (x as i64 + px * t + 64, y as i64 + py * t + 64);
+                    let tex = ((sx / 3 * 7 + sy / 2 * 13 + seed as i64) % 61) as u8;
+                    for c in 0..3 {
+                        img.set(x, y, c, 60 + tex + 25 * c as u8);
+                    }
+                }
+            }
+            if px != 0 || py != 0 {
+                let ox = (seed as usize + 3 * t as usize) % w;
+                for y in h / 3..(h / 3 + 6).min(h) {
+                    for x in ox..(ox + 6).min(w) {
+                        img.set(x, y, 0, 245);
+                    }
+                }
+            }
+            img
+        })
+        .collect()
+}
+
+/// One decode's observable result: frames in order, per-frame counters,
+/// aggregate counters.
+type Decoded = (Vec<DecodedFrame>, VideoDecodeStats);
+
+fn assert_same_decode(fast: &Decoded, seed: &Decoded, what: &str) {
+    assert_eq!(fast.1, seed.1, "aggregate stats: {what}");
+    assert_eq!(fast.0.len(), seed.0.len(), "frame count: {what}");
+    for (a, b) in fast.0.iter().zip(&seed.0) {
+        assert_eq!(a.index, b.index, "{what}");
+        assert_eq!(a.stats, b.stats, "frame {} stats: {what}", a.index);
+        assert_eq!(a.image, b.image, "frame {} pixels: {what}", a.index);
+    }
+}
+
+const SELECTIONS: [FrameSelection; 4] = [
+    FrameSelection::All,
+    FrameSelection::Keyframes,
+    FrameSelection::Stride(2),
+    FrameSelection::Stride(3),
+];
+
+/// The oracle sweep. Geometries cover exact macroblock multiples, multiples
+/// of 8 but not 16, neither, and widths/heights ≡ 1 (mod 8) where the
+/// filter's outer tap clamps onto the last row/column; search range 0 codes
+/// motion vectors in zero bits; pans in both directions push vectors past
+/// every frame edge.
+#[test]
+fn fast_decoder_is_bit_identical_to_the_seed_chain() {
+    let geometries = [(64, 48), (48, 40), (41, 35), (33, 17), (20, 9), (16, 16)];
+    let mut mc = 0u64;
+    let mut cases = 0usize;
+    for (gi, &(w, h)) in geometries.iter().enumerate() {
+        for (qi, quality) in [30u8, 80, 95].into_iter().enumerate() {
+            for (ri, search_range) in [0i16, 3, 7, 15].into_iter().enumerate() {
+                // One pan direction and one GOP length per cell, rotated so
+                // every value meets every geometry.
+                let pan = [(3, 2), (-2, -3), (4, 0), (0, 0)][(gi + qi + ri) % 4];
+                let gop = [1usize, 2, 4, 7][(gi + ri) % 4];
+                let frames = panning_scene((gi * 16 + qi * 4 + ri) as u64, 7, w, h, pan);
+                let bytes = VideoEncoder {
+                    quality,
+                    gop,
+                    search_range,
+                }
+                .encode_frames(&frames, 30.0)
+                .unwrap();
+                let video = EncodedVideo::parse(bytes).unwrap();
+                for g in video.gops() {
+                    for selection in SELECTIONS {
+                        for deblock in [true, false] {
+                            let opts = DecodeOptions { deblock };
+                            let fast = g.decode_selected(selection, opts).unwrap();
+                            let seed = g.decode_selected_reference(selection, opts).unwrap();
+                            let what = format!(
+                                "{w}x{h} q{quality} range {search_range} gop {gop} pan {pan:?} \
+                                 {selection:?} deblock {deblock}"
+                            );
+                            assert_same_decode(&fast, &seed, &what);
+                            mc += fast.1.mc_macroblocks;
+                            cases += 1;
+                        }
+                    }
+                }
+                // The sequential decoders run the same fast path.
+                let all = video.decode_all(DecodeOptions::default()).unwrap();
+                let (selected, _) = video
+                    .decode_selected(FrameSelection::All, DecodeOptions::default())
+                    .unwrap();
+                assert_eq!(all.len(), selected.len());
+                for (a, (_, b)) in all.iter().zip(&selected) {
+                    assert_eq!(a, b);
+                }
+            }
+        }
+    }
+    assert!(cases > 1000, "{cases} cases");
+    assert!(
+        mc > 1000,
+        "the sweep must exercise motion compensation ({mc} macroblocks)"
+    );
+}
+
+/// A flat static scene (which sjpg reconstructs exactly) codes every
+/// macroblock of every P-frame as a skip; both decoders reproduce the
+/// reference frame from the one-symbol table.
+#[test]
+fn all_skip_frames_decode_identically() {
+    let flat = ImageU8::from_vec(40, 24, 3, vec![128; 40 * 24 * 3]).unwrap();
+    let frames = vec![flat; 4];
+    let bytes = VideoEncoder {
+        gop: 4,
+        ..Default::default()
+    }
+    .encode_frames(&frames, 30.0)
+    .unwrap();
+    let gop = &EncodedVideo::parse(bytes).unwrap().gops()[0];
+    for deblock in [true, false] {
+        let opts = DecodeOptions { deblock };
+        let fast = gop.decode_selected(FrameSelection::All, opts).unwrap();
+        let seed = gop
+            .decode_selected_reference(FrameSelection::All, opts)
+            .unwrap();
+        assert_same_decode(&fast, &seed, "all-skip");
+        for f in &fast.0[1..] {
+            assert_eq!(f.stats.mc_macroblocks, 0);
+            assert_eq!(f.stats.skipped_macroblocks, 3 * 2);
+            assert_eq!(f.stats.symbols_decoded, 0);
+        }
+    }
+}
+
+/// Minimal xorshift for the seeded corruption sweeps (no test depends on
+/// its statistical quality, only on its determinism).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+}
+
+#[test]
+fn fast_filter_matches_the_reference_on_random_images() {
+    let mut rng = Rng(0x5eed_0019);
+    for case in 0..120 {
+        let (w, h) = (1 + rng.next() as usize % 70, 1 + rng.next() as usize % 50);
+        let c = if case % 2 == 0 { 3 } else { 1 };
+        // Alternate smooth content (most boundaries filtered) with noise
+        // (most left alone) so both sides of the threshold are dense.
+        let spread = if case % 4 < 2 { 12 } else { 256 };
+        let mut a = ImageU8::zeros(w, h, c);
+        for v in a.data_mut() {
+            *v = (100 + rng.next() % spread) as u8;
+        }
+        let mut b = a.clone();
+        deblock::deblock(&mut a, 8);
+        deblock::deblock_reference(&mut b, 8);
+        assert_eq!(a, b, "{w}x{h}x{c} spread {spread}");
+    }
+}
+
+/// Re-wraps `payloads` in a container with `gop`'s parameters and returns
+/// its single GOP: how a damaged body reaches the decoders (the container
+/// parser itself rejects a body shorter than its index says).
+fn regop(gop: &EncodedGop, payloads: &[(FrameKind, Vec<u8>)]) -> EncodedGop {
+    let mut head = BitWriter::new();
+    head.put(0x5356_4944, 32); // "SVID"
+    head.put(1, 8);
+    head.put(gop.width as u32, 16);
+    head.put(gop.height as u32, 16);
+    head.put(gop.quality as u32, 8);
+    head.put(payloads.len() as u32, 16);
+    head.put(gop.search_range as u32, 8);
+    head.put(payloads.len() as u32, 32);
+    head.put((gop.fps * 1000.0).round() as u32, 32);
+    for (kind, bytes) in payloads {
+        head.put(matches!(kind, FrameKind::Predicted) as u32, 8);
+        head.put(bytes.len() as u32, 32);
+    }
+    let mut out = head.finish();
+    for (_, bytes) in payloads {
+        out.extend_from_slice(bytes);
+    }
+    let mut gops = EncodedVideo::parse(Bytes::from(out)).unwrap().gops();
+    assert_eq!(gops.len(), 1);
+    gops.remove(0)
+}
+
+fn payloads_of(gop: &EncodedGop) -> Vec<(FrameKind, Vec<u8>)> {
+    (0..gop.n_frames())
+        .map(|i| {
+            let (kind, bytes) = gop.frame_payload(i);
+            (kind, bytes.to_vec())
+        })
+        .collect()
+}
+
+/// Fast and seed decoders must agree on a damaged GOP: both fail, or both
+/// succeed with the same frames. (A panic in either fails the test.)
+fn assert_agree_on_damage(damaged: &EncodedGop, what: &str) {
+    let opts = DecodeOptions::default();
+    let fast = damaged.decode_selected(FrameSelection::All, opts);
+    let seed = damaged.decode_selected_reference(FrameSelection::All, opts);
+    match (fast, seed) {
+        (Ok(fast), Ok(seed)) => assert_same_decode(&fast, &seed, what),
+        (Err(_), Err(_)) => {}
+        (fast, seed) => panic!(
+            "{what}: fast {:?} vs seed {:?}",
+            fast.map(|d| d.1),
+            seed.map(|d| d.1)
+        ),
+    }
+}
+
+fn small_gop() -> EncodedGop {
+    let frames = panning_scene(11, 3, 40, 24, (3, -2));
+    let bytes = VideoEncoder {
+        quality: 60,
+        gop: 3,
+        search_range: 7,
+    }
+    .encode_frames(&frames, 30.0)
+    .unwrap();
+    EncodedVideo::parse(bytes).unwrap().gops().remove(0)
+}
+
+/// Every truncation point of a small GOP body: the frame holding the cut
+/// is shortened, the frames after it are empty.
+#[test]
+fn truncated_bodies_fail_the_same_way_in_both_decoders() {
+    let gop = small_gop();
+    let payloads = payloads_of(&gop);
+    assert!(gop
+        .decode_selected(FrameSelection::All, DecodeOptions::default())
+        .is_ok());
+    let (mut failures, mut cut) = (0usize, 0usize);
+    for (f, (_, whole)) in payloads.iter().enumerate() {
+        for keep in 0..whole.len() {
+            let mut damaged = payloads.clone();
+            damaged[f].1.truncate(keep);
+            for later in &mut damaged[f + 1..] {
+                later.1.clear();
+            }
+            let damaged = regop(&gop, &damaged);
+            failures += damaged
+                .decode_selected(FrameSelection::All, DecodeOptions::default())
+                .is_err() as usize;
+            assert_agree_on_damage(&damaged, &format!("frame {f} cut to {keep} bytes"));
+            cut += 1;
+        }
+    }
+    assert_eq!(cut, gop.size_bytes());
+    assert!(
+        failures * 10 >= cut * 9,
+        "{failures} of {cut} truncations failed"
+    );
+}
+
+/// A fixed number of seeded bit flips anywhere in the body — entropy tables,
+/// macroblock headers, motion vectors, residual symbols.
+#[test]
+fn bit_flipped_bodies_decode_or_fail_the_same_way_in_both_decoders() {
+    let gop = small_gop();
+    let payloads = payloads_of(&gop);
+    let total_bits = gop.size_bytes() * 8;
+    let mut rng = Rng(0x5eed_0419);
+    let (mut survived, mut failed) = (0usize, 0usize);
+    for case in 0..1500 {
+        let mut damaged = payloads.clone();
+        // One to three flips per case.
+        for _ in 0..=case % 3 {
+            let mut bit = rng.next() as usize % total_bits;
+            for (_, bytes) in &mut damaged {
+                if bit < bytes.len() * 8 {
+                    bytes[bit / 8] ^= 0x80 >> (bit % 8);
+                    break;
+                }
+                bit -= bytes.len() * 8;
+            }
+        }
+        let damaged = regop(&gop, &damaged);
+        match damaged.decode_selected(FrameSelection::All, DecodeOptions::default()) {
+            Ok(_) => survived += 1,
+            Err(_) => failed += 1,
+        }
+        assert_agree_on_damage(&damaged, &format!("flip case {case}"));
+    }
+    assert!(
+        survived > 50 && failed > 50,
+        "{survived} decoded, {failed} failed"
+    );
+}
+
+/// The same at the P-frame layer alone, where flips land on the motion
+/// vector and residual syntax far more often than in a whole GOP.
+#[test]
+fn bit_flipped_pframes_decode_or_fail_the_same_way_in_both_decoders() {
+    let gop = small_gop();
+    let (frames, _) = gop
+        .decode_selected(FrameSelection::All, DecodeOptions::default())
+        .unwrap();
+    let reference = &frames[0].image;
+    let (_, payload) = gop.frame_payload(1);
+    let mut rng = Rng(0x5eed_0519);
+    let mut survived = 0usize;
+    for case in 0..3000 {
+        let mut damaged = payload.to_vec();
+        for _ in 0..=case % 2 {
+            let bit = rng.next() as usize % (damaged.len() * 8);
+            damaged[bit / 8] ^= 0x80 >> (bit % 8);
+        }
+        let fast = pframe::decode_pframe(&damaged, reference, gop.quality, gop.search_range);
+        let seed =
+            pframe::decode_pframe_reference(&damaged, reference, gop.quality, gop.search_range);
+        match (fast, seed) {
+            (Ok(fast), Ok(seed)) => {
+                assert_eq!(fast, seed, "flip case {case}");
+                survived += 1;
+            }
+            (Err(_), Err(_)) => {}
+            (fast, seed) => panic!(
+                "flip case {case}: fast {:?} vs seed {:?}",
+                fast.map(|d| d.1),
+                seed.map(|d| d.1)
+            ),
+        }
+    }
+    assert!(survived > 100, "{survived} flipped P-frames still decoded");
+}
+
+/// The benchmark's input corpus is byte-for-byte what the encoder wrote
+/// before the fast filter moved into its reconstruction loop (fingerprints
+/// recorded at the parent commit).
+#[test]
+fn encoder_output_is_unchanged_by_the_fast_reconstruction_loop() {
+    let corpus = smol::data::gops::gop_corpus(&smol::data::catalog::video_catalog()[1], 42, 120, 6);
+    assert_eq!(corpus.gops.len(), 120);
+    assert_eq!(corpus.size_bytes(), 419_806);
+    for (i, want) in [
+        (0usize, 0x2674_4727_bdfc_b227u64),
+        (1, 0x90ca_8a66_0605_f4ae),
+        (59, 0x68ff_4d05_8dae_08f3),
+        (119, 0xa66b_12ae_4750_9619),
+    ] {
+        assert_eq!(corpus.gops[i].fingerprint(), want, "GOP {i}");
+    }
+    // FNV-1a over all 120 fingerprints.
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    for gop in &corpus.gops {
+        for b in gop.fingerprint().to_le_bytes() {
+            fold = (fold ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(fold, 0x5e37_6321_21fe_b613);
 }
