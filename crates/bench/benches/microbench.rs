@@ -1,10 +1,11 @@
 //! Criterion microbenches for the performance-critical kernels: codec
-//! decode paths (full / ROI / early-stop), preprocessing operators (fused
-//! vs unfused, the compiled CPU prefix vs the reference interpreter, the
-//! producer stage's per-item content key and cascade signal scan, launching
-//! vs executing a device batch), the video decoder stage by stage (fast path
-//! vs the seed chain, and the keyframe pair-LUT window sweep), the DAG
-//! optimizer, and Huffman coding.
+//! decode paths (full / ROI / early-stop / reduced-resolution sjpg, the spng
+//! thumbnail decoder against its reference walk and across window widths),
+//! preprocessing operators (fused vs unfused, the compiled CPU prefix vs the
+//! reference interpreter, the producer stage's per-item content key and
+//! cascade signal scan, launching vs executing a device batch), the video
+//! decoder stage by stage (fast path vs the seed chain, and the keyframe
+//! pair-LUT window sweep), the DAG optimizer, and Huffman coding.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
@@ -29,7 +30,11 @@ fn bench_codecs(c: &mut Criterion) {
     let img = test_image();
     let pixels = (img.width() * img.height()) as u64;
     let jpg = SjpgEncoder::new(85).encode(&img).unwrap();
-    let png = spng::encode(&img).unwrap();
+    // The natively present thumbnails of the serving layout (§5.2): the
+    // paper's 161-px short edge (a 75 KB body) and a 64-px one (9 KB).
+    let png = spng::encode(&resize_short_edge_u8(&img, 161).unwrap()).unwrap();
+    let png_small =
+        spng::encode(&smol_imgproc::ops::resize_bilinear_u8(&img, 64, 64).unwrap()).unwrap();
     let roi = Rect::centered(img.width(), img.height(), 224, 224);
 
     let mut g = c.benchmark_group("codec_decode");
@@ -43,9 +48,31 @@ fn bench_codecs(c: &mut Criterion) {
     g.bench_function("sjpg_early_stop_64_rows", |b| {
         b.iter(|| sjpg::decode_rows(std::hint::black_box(&jpg), 64).unwrap())
     });
+    g.bench_function("sjpg_scaled_4", |b| {
+        b.iter(|| sjpg::decode_scaled(std::hint::black_box(&jpg), 4).unwrap())
+    });
+    g.bench_function("spng_reference", |b| {
+        b.iter(|| {
+            spng::decode_with_opts(
+                std::hint::black_box(&png),
+                DecodeOptions::scalar_reference(),
+            )
+            .unwrap()
+        })
+    });
     g.bench_function("spng_full", |b| {
         b.iter(|| spng::decode(std::hint::black_box(&png)).unwrap())
     });
+    // Literal/length window on the two thumbnail sizes served: 12 bits
+    // wins on both, which is why `spng`'s window is a constant.
+    for (name, body) in [("9k", &png_small), ("75k", &png)] {
+        g.throughput(Throughput::Bytes(body.len() as u64));
+        for bits in [8u32, 10, 12] {
+            g.bench_function(&format!("spng_window/{bits}/{name}"), |b| {
+                b.iter(|| spng::decode_with_window(std::hint::black_box(body), bits).unwrap())
+            });
+        }
+    }
     g.finish();
 
     let mut g = c.benchmark_group("codec_encode");

@@ -231,6 +231,25 @@ impl<'a> FastCursor<'a> {
         if self.avail >= 32 {
             return;
         }
+        self.reload();
+    }
+
+    /// Tops the accumulator up to at least 57 valid bits (or to the end of
+    /// the stream) whenever it has room for any. For loops that consume a
+    /// few bits to a few dozen per turn, where [`Self::refill`]'s "enough
+    /// already?" branch is a coin toss: the unconditional load is cheaper
+    /// than its mispredictions, and this branch only ever goes the other
+    /// way on a cursor nothing was read from.
+    #[inline]
+    pub fn refill_full(&mut self) {
+        if self.avail < 64 {
+            self.reload();
+        }
+    }
+
+    /// Pulls in as many whole bytes as fit; `avail` must be below 64.
+    #[inline(always)]
+    fn reload(&mut self) {
         if self.next_byte + 8 <= self.data.len() {
             let w = u64::from_be_bytes(
                 self.data[self.next_byte..self.next_byte + 8]
@@ -367,23 +386,49 @@ mod tests {
             w.put(i.wrapping_mul(0x9E37) & 0x3FF, 10);
         }
         let bytes = w.finish();
-        for start in 0..64u64 {
+        // Both refills: the unconditional one also runs on a full
+        // accumulator (a byte-aligned start, the zero-width reads).
+        for (start, full) in (0..64u64).flat_map(|s| [(s, false), (s, true)]) {
             let mut r = BitReader::new(&bytes);
             r.seek_bits(start).unwrap();
             let mut c = FastCursor::from_reader(&r);
             // Consume a mixed pattern of widths, checking each peek
             // against the checked reader.
             let mut check = r.clone();
-            for n in [3u32, 11, 1, 16, 7, 25] {
-                c.refill();
+            for n in [3u32, 0, 11, 1, 16, 0, 7, 25] {
+                if full {
+                    c.refill_full();
+                } else {
+                    c.refill();
+                }
                 let have = (bytes.len() as u64 * 8).saturating_sub(check.bit_pos());
-                if have >= n as u64 {
+                if have >= n as u64 && n > 0 {
                     let expect = check.bits(n).unwrap();
                     assert_eq!(c.peek32() >> (32 - n), expect, "start={start} n={n}");
                 }
                 c.skip(n);
             }
             assert_eq!(c.bit_pos(), start + 63);
+        }
+    }
+
+    #[test]
+    fn one_full_refill_covers_fifty_bits() {
+        // spng's widest token: 21 bits of length behind one top-up, then
+        // 29 of distance with no refill in between.
+        let bytes: Vec<u8> = (0..80u32).map(|i| (i * 197 + 31) as u8).collect();
+        for start in 0..16u64 {
+            let mut check = BitReader::new(&bytes);
+            check.seek_bits(start).unwrap();
+            let mut c = FastCursor::from_reader(&check);
+            for _ in 0..12 {
+                c.refill_full();
+                assert_eq!(c.peek32() >> 11, check.bits(21).unwrap());
+                c.skip(21);
+                assert_eq!(c.peek32() >> 3, check.bits(29).unwrap());
+                c.skip(29);
+            }
+            assert_eq!(c.bit_pos(), check.bit_pos());
         }
     }
 

@@ -199,6 +199,19 @@ impl HuffmanTable {
         ((entry >> 12) as u32, entry & 0x0FFF)
     }
 
+    /// Every coded symbol as `(symbol, code_length, code)` in canonical
+    /// order (shortest codes first) — what a decoder that expands its own
+    /// window-sized tables iterates.
+    pub fn canonical_codes(&self) -> impl Iterator<Item = (u16, u32, u32)> + '_ {
+        self.canon_symbols.iter().map(|&s| {
+            (
+                s,
+                self.lengths[s as usize] as u32,
+                self.codes[s as usize] as u32,
+            )
+        })
+    }
+
     /// Canonical first-code walk over a pre-peeked MSB-first 16-bit
     /// window: resolves `(code_length, symbol)` without touching a
     /// reader. Consumes nothing — the caller owns advancing the cursor
@@ -519,6 +532,19 @@ mod tests {
             assert_eq!(table.decode(&mut walk).unwrap(), s);
             assert_eq!(table.decode_fast(&mut fast).unwrap(), s);
             assert_eq!(walk.bit_pos(), fast.bit_pos());
+        }
+    }
+
+    #[test]
+    fn canonical_codes_are_the_coded_symbols_shortest_first() {
+        let freqs = [40u64, 0, 9, 9, 3, 1, 1, 25];
+        let table = HuffmanTable::from_frequencies(&freqs, 16).unwrap();
+        let codes: Vec<_> = table.canonical_codes().collect();
+        assert_eq!(codes.len(), 7); // symbol 1 is never coded
+        assert!(codes.windows(2).all(|p| p[0].1 <= p[1].1));
+        for (sym, len, code) in codes {
+            // Each code, left-aligned in a 16-bit window, resolves to itself.
+            assert_eq!(table.walk16(code << (16 - len)).unwrap(), (len, sym));
         }
     }
 

@@ -8,7 +8,9 @@
 //!   an MCU-row index, **early stopping**, and **multi-resolution decoding**
 //!   via a scaled IDCT;
 //! * [`spng`] — a lossless codec (PNG anatomy): predictive scanline filters +
-//!   LZ77/Huffman, strictly sequential, with **early stopping** only;
+//!   LZ77/Huffman, raster order only, with **early stopping** as its one
+//!   partial-decoding feature and a table-driven decoder pinned to the seed's
+//!   bit-by-bit walk;
 //! * [`runlength`] — the run/size coefficient coding sjpg's AC runs and
 //!   `smol_video`'s P-frame residuals share: encoders, the one table-driven
 //!   decode loop, and the rule that sizes its pair-LUT window to the payload;
@@ -220,13 +222,13 @@ impl EncodedImage {
         }
     }
 
-    /// Fully decodes with explicit [`DecodeOptions`] (row-band parallelism
-    /// and kernel selection) where the format's decoder supports them;
-    /// spng decoding is strictly sequential and ignores the options.
+    /// Fully decodes with explicit [`DecodeOptions`]: `scalar_kernels`
+    /// selects each format's reference decoder, `workers` the sjpg row-band
+    /// parallelism (an spng stream is one LZ chain with nothing to split).
     pub fn decode_with_opts(&self, opts: DecodeOptions) -> Result<ImageU8> {
         match self.format {
             Format::Sjpg { .. } => sjpg::decode_with_opts(&self.bytes, opts).map(|(img, _)| img),
-            Format::Spng => spng::decode(&self.bytes),
+            Format::Spng => spng::decode_with_opts(&self.bytes, opts),
             Format::Svid { .. } => Err(self.format.unsupported("image decode")),
         }
     }
@@ -241,9 +243,14 @@ impl EncodedImage {
     ///
     /// Returns the decoded pixels and the region of the source they cover.
     pub fn decode_roi(&self, roi: Rect) -> Result<(ImageU8, Rect)> {
+        self.decode_roi_opts(roi, DecodeOptions::default())
+    }
+
+    /// [`EncodedImage::decode_roi`] with explicit [`DecodeOptions`].
+    pub fn decode_roi_opts(&self, roi: Rect, opts: DecodeOptions) -> Result<(ImageU8, Rect)> {
         match self.format {
             Format::Sjpg { .. } => {
-                let (img, aligned, _) = sjpg::decode_roi(&self.bytes, roi)?;
+                let (img, aligned, _) = sjpg::decode_roi_opts(&self.bytes, roi, opts)?;
                 Ok((img, aligned))
             }
             Format::Spng => {
@@ -254,7 +261,7 @@ impl EncodedImage {
                     )));
                 }
                 let rows = roi.y_end();
-                let (img, _) = spng::decode_rows(&self.bytes, rows)?;
+                let (img, _) = spng::decode_rows_opts(&self.bytes, rows, opts)?;
                 Ok((img, Rect::new(0, 0, self.width, rows)))
             }
             Format::Svid { .. } => Err(self.format.unsupported("ROI decode")),
@@ -291,7 +298,7 @@ impl EncodedImage {
                         "reduced-resolution factor must be 1, 2, 4, or 8, got {factor}"
                     )));
                 }
-                let full = spng::decode(&self.bytes)?;
+                let full = spng::decode_with_opts(&self.bytes, opts)?;
                 let small =
                     smol_imgproc::ops::box_downsample_u8(&full, factor).map_err(Error::Image)?;
                 Ok((small, DecodeStats::default()))

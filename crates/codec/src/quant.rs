@@ -59,6 +59,19 @@ pub const ZIGZAG: [usize; 64] = [
     53, 60, 61, 54, 47, 55, 62, 63,
 ];
 
+/// Length of the shortest zig-zag prefix that covers the top-left `n × n`
+/// corner of a block — all an `n`-point scaled inverse transform reads.
+/// `n` is 1, 2, 4 or 8 (anything else is treated as the whole block).
+#[inline]
+pub const fn zigzag_prefix_for(n: usize) -> usize {
+    match n {
+        1 => 1,
+        2 => 5,
+        4 => 25,
+        _ => 64,
+    }
+}
+
 /// Quantizes a frequency-domain block into zig-zag-ordered integers.
 ///
 /// Degenerate table entries are clamped to 1 (a zeroed entry would divide
@@ -126,6 +139,20 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
         // Spot-check the canonical start of the pattern.
         assert_eq!(&ZIGZAG[..6], &[0, 1, 8, 16, 9, 2]);
+    }
+
+    #[test]
+    fn zigzag_prefixes_cover_exactly_the_scaled_corners() {
+        for n in [1usize, 2, 4, 8] {
+            // Derived from the scan order: one past the last zig-zag index
+            // that falls inside the n × n corner.
+            let last = (0..64)
+                .filter(|&k| ZIGZAG[k] / 8 < n && ZIGZAG[k] % 8 < n)
+                .max()
+                .unwrap();
+            assert_eq!(zigzag_prefix_for(n), last + 1, "n={n}");
+        }
+        assert_eq!([1, 2, 4, 8].map(zigzag_prefix_for), [1, 5, 25, 64]);
     }
 
     #[test]

@@ -38,8 +38,8 @@ use crate::dct::{
 use crate::error::{Error, Result};
 use crate::huffman::HuffmanTable;
 use crate::quant::{
-    dequantize_zigzag, dequantize_zigzag_prefix, quantize_zigzag, scale_table, BASE_CHROMA,
-    BASE_LUMA,
+    dequantize_zigzag, dequantize_zigzag_prefix, quantize_zigzag, scale_table, zigzag_prefix_for,
+    BASE_CHROMA, BASE_LUMA,
 };
 use crate::runlength::{
     amplitude_bits, build_pair_lut, decode_amplitude, encode_run, magnitude_category,
@@ -74,6 +74,12 @@ pub struct DecodeStats {
     /// Exact multiply-accumulate count spent in inverse transforms; the
     /// raw quantity behind `blocks_idct`.
     pub idct_macs: u64,
+    /// Coefficients multiplied by their quantizer step. The fast path
+    /// dequantizes `min(coded prefix, zig-zag prefix its n-point
+    /// reconstruction reads)` per in-region block, so a reduced-resolution
+    /// decode shows ≤ 5 per block at factor 4 and 1 at factor 8; the scalar
+    /// reference dequantizes all 64 of every block it transforms.
+    pub coefs_dequantized: u64,
 }
 
 impl DecodeStats {
@@ -83,6 +89,7 @@ impl DecodeStats {
         self.symbols_decoded += part.symbols_decoded;
         self.pixels_written += part.pixels_written;
         self.idct_macs += part.idct_macs;
+        self.coefs_dequantized += part.coefs_dequantized;
     }
 }
 
@@ -521,6 +528,15 @@ pub fn decode_with_window(data: &[u8], bits: u32) -> Result<(ImageU8, DecodeStat
 /// (callers crop to the exact ROI afterwards if needed). The alignment unit
 /// is the MCU edge: 8 px for 4:4:4, 16 px for 4:2:0.
 pub fn decode_roi(data: &[u8], roi: Rect) -> Result<(ImageU8, Rect, DecodeStats)> {
+    decode_roi_opts(data, roi, DecodeOptions::default())
+}
+
+/// [`decode_roi`] with explicit decode options.
+pub fn decode_roi_opts(
+    data: &[u8],
+    roi: Rect,
+    opts: DecodeOptions,
+) -> Result<(ImageU8, Rect, DecodeStats)> {
     let header = SjpgHeader::parse(data)?;
     if !roi.fits_in(header.width, header.height) || roi.w == 0 || roi.h == 0 {
         return Err(Error::BadRegion(format!(
@@ -529,7 +545,7 @@ pub fn decode_roi(data: &[u8], roi: Rect) -> Result<(ImageU8, Rect, DecodeStats)
         )));
     }
     let aligned = roi.align_to_blocks(header.mcu(), header.width, header.height);
-    let (img, stats) = decode_region(data, &header, aligned, DecodeOptions::default())?;
+    let (img, stats) = decode_region(data, &header, aligned, opts)?;
     Ok((img, aligned, stats))
 }
 
@@ -923,7 +939,8 @@ fn decode_band(
                 };
                 dc_pred[0] = coefs[0];
                 if in_roi {
-                    dequant_idct(&coefs, coded, &luma_q, &mut freq, geom.ny, ybuf, opts);
+                    stats.coefs_dequantized +=
+                        dequant_idct(&coefs, coded, &luma_q, &mut freq, geom.ny, ybuf, opts);
                     stats.idct_macs += scaled_idct_macs(geom.ny);
                 }
             }
@@ -950,7 +967,8 @@ fn decode_band(
                 };
                 dc_pred[comp] = coefs[0];
                 if in_roi {
-                    dequant_idct(&coefs, coded, &chroma_q, &mut freq, geom.nc, buf, opts);
+                    stats.coefs_dequantized +=
+                        dequant_idct(&coefs, coded, &chroma_q, &mut freq, geom.nc, buf, opts);
                     stats.idct_macs += scaled_idct_macs(geom.nc);
                 }
             }
@@ -1005,12 +1023,16 @@ fn decode_band(
     Ok(stats)
 }
 
-/// Dequantize-then-IDCT for one block. The reference path reproduces the
-/// seed implementation exactly — dense dequantization over a pre-zeroed
-/// block, scalar transform — and serves as the baseline oracle. The fast
-/// path fuses: prefix dequantization over only the coded coefficients,
-/// whose free byproduct (the nonzero-row mask) drives zero-row skipping
-/// in the vectorized transform.
+/// Dequantize-then-IDCT for one block; returns how many coefficients it
+/// dequantized. The reference path reproduces the seed implementation
+/// exactly — dense dequantization over a pre-zeroed block, scalar
+/// transform — and serves as the baseline oracle. The fast path fuses:
+/// prefix dequantization over only the coded coefficients an `n`-point
+/// reconstruction reads ([`zigzag_prefix_for`]), whose free byproduct (the
+/// nonzero-row mask) drives zero-row skipping in the vectorized transform.
+/// Coefficients past that prefix lie outside the `n × n` corner; leaving
+/// them zero can only clear mask bits of rows whose corner is all zero,
+/// i.e. drop `±0.0` terms the `u8` conversion erases.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn dequant_idct(
@@ -1021,13 +1043,16 @@ fn dequant_idct(
     n: usize,
     out: &mut [f32; 64],
     opts: DecodeOptions,
-) {
+) -> u64 {
     if opts.scalar_kernels {
         dequantize_zigzag(coefs, table, freq);
         inverse_dct_scaled(freq, n, out);
+        64
     } else {
-        let row_mask = dequantize_zigzag_prefix(coefs, coded, table, freq);
+        let used = coded.min(zigzag_prefix_for(n));
+        let row_mask = dequantize_zigzag_prefix(coefs, used, table, freq);
         inverse_dct_scaled_vec_masked(freq, n, row_mask, out);
+        used as u64
     }
 }
 
@@ -1733,6 +1758,62 @@ mod tests {
     }
 
     #[test]
+    fn fast_path_dequantizes_the_coded_prefix_capped_at_what_the_scale_reads() {
+        for chroma in [Chroma::C444, Chroma::C420] {
+            let enc = SjpgEncoder::with_chroma(95, chroma)
+                .encode(&textured(104, 72, 13))
+                .unwrap();
+            // Every block's component and coded prefix length, from the
+            // reference entropy walk.
+            let header = SjpgHeader::parse(&enc).unwrap();
+            let mut r = BitReader::new(&enc[header.body_start..]);
+            let mut coded = Vec::new();
+            let (mut coefs, mut stats) = ([0i16; 64], DecodeStats::default());
+            for (by, &offset) in header.row_offsets.iter().enumerate() {
+                r.seek_bits(offset as u64 * 8).unwrap();
+                let mut dc_pred = [0i16; 3];
+                for bx in 0..header.width.div_ceil(header.mcu()) {
+                    let (sched, n) = mcu_schedule(chroma, bx, by);
+                    for &(comp, _, _) in &sched[..n] {
+                        let (dc, ac) = (&header.dc_table, &header.ac_table);
+                        let k = decode_block(&mut r, dc, ac, dc_pred[comp], &mut coefs, &mut stats)
+                            .unwrap();
+                        dc_pred[comp] = coefs[0];
+                        coded.push((bx, by, comp, k));
+                    }
+                }
+            }
+            for factor in [1usize, 2, 4, 8] {
+                let geom = Geometry::new(&header, factor, Rect::new(0, 0, 1, 1));
+                let expect: usize = coded
+                    .iter()
+                    .map(|&(_, _, comp, k)| {
+                        k.min(zigzag_prefix_for(if comp == 0 { geom.ny } else { geom.nc }))
+                    })
+                    .sum();
+                let (_, stats) = decode_scaled(&enc, factor).unwrap();
+                assert_eq!(
+                    stats.coefs_dequantized, expect as u64,
+                    "{chroma:?} /{factor}"
+                );
+            }
+            // An ROI decode is a factor-1 decode of the MCUs it covers.
+            let (_, aligned, stats) = decode_roi(&enc, Rect::new(40, 20, 30, 30)).unwrap();
+            let mcu = header.mcu();
+            let inside = |bx: usize, by: usize| {
+                (aligned.x / mcu..aligned.x_end().div_ceil(mcu)).contains(&bx)
+                    && (aligned.y / mcu..aligned.y_end().div_ceil(mcu)).contains(&by)
+            };
+            let expect: usize = coded
+                .iter()
+                .filter(|&&(bx, by, _, _)| inside(bx, by))
+                .map(|&(_, _, _, k)| k)
+                .sum();
+            assert_eq!(stats.coefs_dequantized, expect as u64, "{chroma:?} roi");
+        }
+    }
+
+    #[test]
     fn vector_kernels_bit_identical_to_scalar_reference() {
         for chroma in [Chroma::C444, Chroma::C420] {
             let img = textured(104, 72, 13);
@@ -1743,7 +1824,14 @@ mod tests {
                 let (ref_img, rs) =
                     decode_scaled_opts(&enc, factor, DecodeOptions::scalar_reference()).unwrap();
                 assert_eq!(vec_img, ref_img, "chroma {chroma:?} factor {factor}");
-                assert_eq!(vs, rs);
+                // Dequantization is the one stage the two paths size
+                // differently; every other counter agrees.
+                assert!(vs.coefs_dequantized <= rs.coefs_dequantized);
+                let rest = |s: DecodeStats| DecodeStats {
+                    coefs_dequantized: 0,
+                    ..s
+                };
+                assert_eq!(rest(vs), rest(rs));
             }
         }
     }

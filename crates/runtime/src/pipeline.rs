@@ -569,10 +569,11 @@ pub fn decode_item(enc: &EncodedImage, mode: DecodeMode) -> Result<ImageU8> {
     decode_item_opts(enc, mode, DecodeOptions::default())
 }
 
-/// [`decode_item`] with explicit decode options: `opts.workers > 1`
-/// band-parallelizes the entropy+IDCT pass of full and reduced-resolution
-/// sjpg decodes over MCU rows (bit-identical to the sequential decode).
-/// ROI/early-stop decodes stay sequential — they already skip most rows.
+/// [`decode_item`] with explicit decode options, honoured by every mode:
+/// `opts.workers > 1` band-parallelizes the entropy+IDCT pass of an sjpg
+/// decode over MCU rows (bit-identical to the sequential decode), and
+/// `opts.scalar_kernels` decodes through the format's reference decoder —
+/// the oracle callers compare served pixels against.
 pub fn decode_item_opts(
     enc: &EncodedImage,
     mode: DecodeMode,
@@ -582,12 +583,12 @@ pub fn decode_item_opts(
         DecodeMode::Full => Ok(enc.decode_with_opts(opts)?),
         DecodeMode::CentralRoi { crop_w, crop_h } => {
             let roi = Rect::centered(enc.width, enc.height, crop_w.max(1), crop_h.max(1));
-            let (img, _) = enc.decode_roi(roi)?;
+            let (img, _) = enc.decode_roi_opts(roi, opts)?;
             Ok(img)
         }
         DecodeMode::EarlyStopRows { rows } => {
             let roi = Rect::new(0, 0, enc.width, rows.clamp(1, enc.height));
-            let (img, _) = enc.decode_roi(roi)?;
+            let (img, _) = enc.decode_roi_opts(roi, opts)?;
             Ok(img)
         }
         DecodeMode::ReducedResolution { factor } => {
@@ -732,6 +733,32 @@ mod tests {
                 let par =
                     decode_item_opts(&enc, mode, DecodeOptions::with_workers(workers)).unwrap();
                 assert_eq!(seq.data(), par.data(), "{mode:?} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_reference_decode_is_bit_identical_in_every_decode_mode() {
+        // The oracle a harness compares served pixels with: every mode
+        // must hand the options to the codec (ROI and early stop used to
+        // drop them) and every format's reference decoder must agree with
+        // the path the producer stage runs.
+        let img = textured(160, 112, 5);
+        let modes = [
+            DecodeMode::Full,
+            DecodeMode::ReducedResolution { factor: 4 },
+            DecodeMode::CentralRoi {
+                crop_w: 96,
+                crop_h: 64,
+            },
+            DecodeMode::EarlyStopRows { rows: 40 },
+        ];
+        for format in [Format::sjpg(85), Format::sjpg420(85), Format::Spng] {
+            let enc = EncodedImage::encode(&img, format).unwrap();
+            for mode in modes {
+                let served = decode_item(&enc, mode).unwrap();
+                let oracle = decode_item_opts(&enc, mode, DecodeOptions::scalar_reference());
+                assert_eq!(served, oracle.unwrap(), "{format:?} {mode:?}");
             }
         }
     }

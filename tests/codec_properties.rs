@@ -4,6 +4,54 @@
 use proptest::prelude::*;
 use smol::codec::{sjpg, spng, Chroma, DecodeOptions, EncodedImage, Format, SjpgEncoder};
 use smol::imgproc::{ImageU8, Rect};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, remembering the largest single request each thread
+/// has made: how the hostile-input tests see that a decoder never sizes an
+/// allocation from a header its body cannot back.
+struct PeakAlloc;
+
+thread_local! {
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the only addition
+// is a thread-local counter with no destructor and no allocation of its own.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+fn note_request(size: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = LARGEST_REQUEST.try_with(|peak| peak.set(peak.get().max(size)));
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns its result with the largest single allocation this
+/// thread requested meanwhile.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LARGEST_REQUEST.with(|peak| peak.replace(0));
+    let out = f();
+    let during = LARGEST_REQUEST.with(|peak| peak.replace(before.max(peak.get())));
+    (out, during)
+}
 
 fn arb_image(max_edge: usize) -> impl Strategy<Value = ImageU8> {
     (2usize..max_edge, 2usize..max_edge, any::<u64>()).prop_map(|(w, h, seed)| {
@@ -27,8 +75,211 @@ fn arb_image(max_edge: usize) -> impl Strategy<Value = ImageU8> {
     })
 }
 
+/// One step of the 64-bit LCG the generators below share; the high bits are
+/// the usable ones.
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state
+}
+
+/// Images of 1–4 channels in the shapes that steer spng's filter choice and
+/// LZ matches: flat (distance-1 runs), a per-pixel period (matches at
+/// distance 2 and at the pixel size), gradient and noise — from one pixel
+/// wide (every byte is a filter's `i < bpp` head) upwards.
+fn arb_spng_image() -> impl Strategy<Value = ImageU8> {
+    (1usize..40, 1usize..24, 1usize..5, 0usize..5, any::<u64>()).prop_map(
+        |(w, h, channels, kind, seed)| {
+            let mut state = seed | 1;
+            let mut img = ImageU8::zeros(w, h, channels);
+            for (i, v) in img.data_mut().iter_mut().enumerate() {
+                let noise = lcg(&mut state);
+                let (x, y) = (i / channels % w, i / channels / w);
+                *v = match kind {
+                    0 => seed as u8,
+                    1 => [seed as u8, (seed >> 8) as u8][i % 2],
+                    2 => (seed >> (8 * (i % channels))) as u8,
+                    3 => (x * 255 / w + y * 3 + i % channels * 40) as u8,
+                    _ => (noise >> 56) as u8,
+                };
+            }
+            img
+        },
+    )
+}
+
+/// Both spng decoders on `data` at `n_rows`, each under a cap on what it
+/// may allocate: the same `Ok`/`Err`, and when `Ok` the same pixels, row
+/// count and `consumed` fraction. Returns the agreed image.
+fn spng_paths_agree(data: &[u8], n_rows: usize) -> Option<ImageU8> {
+    // No token costs less than a bit or yields more than a 258-byte match,
+    // so no stream of this length justifies a larger output buffer; the
+    // window tables and small scratch ride in the constant.
+    let cap = data.len() * 8 * 258 + (64 << 10);
+    let decode = |opts| {
+        let (out, peak) = largest_allocation(|| spng::decode_rows_opts(data, n_rows, opts));
+        assert!(
+            peak <= cap,
+            "allocated {peak} bytes for a {}-byte stream",
+            data.len()
+        );
+        out
+    };
+    match (
+        decode(DecodeOptions::default()),
+        decode(DecodeOptions::scalar_reference()),
+    ) {
+        (Ok((fast, fast_consumed)), Ok((reference, consumed))) => {
+            assert_eq!(fast, reference, "pixels at n_rows {n_rows}");
+            assert_eq!(fast_consumed, consumed, "consumed at n_rows {n_rows}");
+            Some(fast)
+        }
+        (Err(_), Err(_)) => None,
+        (fast, reference) => panic!(
+            "n_rows {n_rows}: fast path {:?}, reference {:?}",
+            fast.map(|_| ()),
+            reference.map(|_| ())
+        ),
+    }
+}
+
+/// A small stream that still has everything in it: two channels, rows under
+/// different filters, literals and matches.
+fn small_spng_stream() -> Vec<u8> {
+    let mut img = ImageU8::zeros(12, 7, 2);
+    for (i, v) in img.data_mut().iter_mut().enumerate() {
+        *v = if i % 24 < 9 { 7 } else { (i * i % 251) as u8 };
+    }
+    spng::encode(&img).unwrap().to_vec()
+}
+
+/// Every byte-prefix of a stream gets the same verdict from both paths, at
+/// full height and at an early stop (which may be satisfied before the
+/// cut); a full decode of one that lost token bits is an error.
+#[test]
+fn spng_truncations_fail_the_same_way_on_both_paths() {
+    let data = small_spng_stream();
+    for n_rows in [usize::MAX, 3] {
+        assert!(spng_paths_agree(&data, n_rows).is_some());
+    }
+    for cut in 0..data.len() {
+        let full = spng_paths_agree(&data[..cut], usize::MAX);
+        // A full decode stops at the last pixel and never reads the
+        // end-of-stream code (≤ 15 bits) or the byte padding behind it.
+        assert!(
+            full.is_none() || cut + 3 > data.len(),
+            "prefix {cut} decoded"
+        );
+        spng_paths_agree(&data[..cut], 3);
+    }
+}
+
+/// Seeded bit flips anywhere in the stream — geometry, either table spec,
+/// tokens, extra bits: both paths fail, or both return the same image.
+#[test]
+fn spng_bit_flips_decode_or_fail_the_same_way_on_both_paths() {
+    let clean = small_spng_stream();
+    let mut state = 0x5EED_0F5B_1775u64;
+    let mut next = |n: usize| (lcg(&mut state) >> 33) as usize % n;
+    let mut survived = 0;
+    for case in 0..2400 {
+        let mut data = clean.clone();
+        for _ in 0..1 + case % 3 {
+            data[next(clean.len())] ^= 1 << next(8);
+        }
+        let n_rows = [usize::MAX, 1, 4][case % 3];
+        survived += spng_paths_agree(&data, n_rows).is_some() as usize;
+    }
+    // The battery must reach past the header checks: some flips land in
+    // literals and leave a decodable stream.
+    assert!(survived > 100, "only {survived} mutated streams decoded");
+}
+
+/// The central-ROI and early-stop entry points under the scalar reference
+/// options — what a serving oracle compares its outputs with — agree with
+/// the default path for every still format.
+#[test]
+fn roi_decode_under_reference_options_matches_the_default_path() {
+    let mut img = ImageU8::zeros(70, 52, 3);
+    for (i, v) in img.data_mut().iter_mut().enumerate() {
+        *v = (i * 31 % 253) as u8 ^ (i / 210) as u8;
+    }
+    let roi = Rect::new(19, 9, 30, 26);
+    for format in [Format::sjpg(90), Format::sjpg420(90), Format::Spng] {
+        let enc = EncodedImage::encode(&img, format).unwrap();
+        let fast = enc.decode_roi(roi).unwrap();
+        let reference = enc
+            .decode_roi_opts(roi, DecodeOptions::scalar_reference())
+            .unwrap();
+        assert_eq!(fast, reference, "{format:?}");
+    }
+}
+
+/// `coefs_dequantized` is exact: a reduced-resolution decode dequantizes at
+/// most the zig-zag prefix its reconstruction reads — one coefficient per
+/// block at factor 8, at most five at factor 4 — while factor 1 and ROI
+/// decodes dequantize the whole coded prefix, as before.
+#[test]
+fn sjpg_reduced_decodes_dequantize_only_what_they_read() {
+    let mut img = ImageU8::zeros(96, 64, 3);
+    let mut state = 99u64;
+    for v in img.data_mut() {
+        *v = (lcg(&mut state) >> 56) as u8;
+    }
+    // Noise at q = 95: every block codes (nearly) all 64 coefficients.
+    let enc = SjpgEncoder::new(95).encode(&img).unwrap();
+    let blocks = (96 / 8) * (64 / 8) * 3;
+    let dequantized = |factor| {
+        sjpg::decode_scaled(&enc, factor)
+            .unwrap()
+            .1
+            .coefs_dequantized
+    };
+    let full = dequantized(1);
+    assert!(full > 60 * blocks && full <= 64 * blocks, "{full}");
+    assert!(dequantized(2) <= 25 * blocks && dequantized(2) > 20 * blocks);
+    assert_eq!(dequantized(4), 5 * blocks);
+    assert_eq!(dequantized(8), blocks);
+    // A whole-image ROI is the same factor-1 decode; the scalar reference
+    // dequantizes every coefficient of every block.
+    let whole = Rect::new(0, 0, 96, 64);
+    assert_eq!(
+        sjpg::decode_roi(&enc, whole).unwrap().2.coefs_dequantized,
+        full
+    );
+    let (_, _, reference) =
+        sjpg::decode_roi_opts(&enc, whole, DecodeOptions::scalar_reference()).unwrap();
+    assert_eq!(reference.coefs_dequantized, 64 * blocks);
+    // 4:2:0 chroma reconstructs at twice the luma's points per axis, so its
+    // blocks keep the next-larger prefix: 4 × 1 + 2 × 5 per MCU at factor 8.
+    let enc = SjpgEncoder::with_chroma(95, Chroma::C420)
+        .encode(&img)
+        .unwrap();
+    let mcus = (96 / 16) * (64 / 16);
+    let (_, stats) = sjpg::decode_scaled(&enc, 8).unwrap();
+    assert_eq!(stats.coefs_dequantized, mcus * (4 + 2 * 5));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The table-driven spng decoder and the seed walk agree on arbitrary
+    /// images of 1–4 channels under the encoder's own filter choice and
+    /// under each forced filter type, at every early-stop row count
+    /// (including 0 and past the end, which clamp).
+    #[test]
+    fn spng_fast_path_matches_reference(img in arb_spng_image(), filter in 0u8..6) {
+        let forced = (filter < 5).then_some(filter);
+        let enc = spng::encode_with_filter(&img, forced).unwrap();
+        let row_bytes = img.width() * img.channels();
+        for n_rows in 0..=img.height() + 1 {
+            let got = spng_paths_agree(&enc, n_rows).expect("a valid stream decodes");
+            let rows = n_rows.clamp(1, img.height());
+            prop_assert_eq!(got.height(), rows);
+            prop_assert_eq!(got.data(), &img.data()[..rows * row_bytes]);
+        }
+    }
 
     /// spng is lossless for arbitrary images.
     #[test]
