@@ -39,6 +39,7 @@
 //! floors. `tests/session_api.rs` property-tests exactly this.
 
 use crate::plan::PlanCandidate;
+use std::cmp::Ordering;
 
 /// Typed planning failures. The planner and the serve-layer `Session`
 /// surface these instead of panicking or returning empty collections.
@@ -83,6 +84,22 @@ impl std::fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+/// Orders two candidates by calibrated accuracy (finite by contract:
+/// accuracies come from calibration).
+fn by_accuracy(a: &PlanCandidate, b: &PlanCandidate) -> Ordering {
+    a.accuracy
+        .partial_cmp(&b.accuracy)
+        .expect("finite accuracy")
+}
+
+/// Orders two candidates by estimated throughput (finite by contract:
+/// estimates come from profiling).
+fn by_throughput(a: &PlanCandidate, b: &PlanCandidate) -> Ordering {
+    a.est_throughput
+        .partial_cmp(&b.est_throughput)
+        .expect("finite throughput")
+}
 
 /// A declarative query constraint. See the module docs for the exact
 /// floor/tie-breaking semantics of each variant.
@@ -195,16 +212,7 @@ impl Constraint {
         candidates
             .iter()
             .filter(|c| c.accuracy >= floor)
-            .max_by(|a, b| {
-                a.est_throughput
-                    .partial_cmp(&b.est_throughput)
-                    .expect("finite throughput")
-                    .then(
-                        a.accuracy
-                            .partial_cmp(&b.accuracy)
-                            .expect("finite accuracy"),
-                    )
-            })
+            .max_by(|a, b| by_throughput(a, b).then(by_accuracy(a, b)))
     }
 
     /// Most accurate plan with `est_throughput >= floor`; throughput breaks
@@ -213,16 +221,7 @@ impl Constraint {
         candidates
             .iter()
             .filter(|c| c.est_throughput >= floor)
-            .max_by(|a, b| {
-                a.accuracy
-                    .partial_cmp(&b.accuracy)
-                    .expect("finite accuracy")
-                    .then(
-                        a.est_throughput
-                            .partial_cmp(&b.est_throughput)
-                            .expect("finite throughput"),
-                    )
-            })
+            .max_by(|a, b| by_accuracy(a, b).then(by_throughput(a, b)))
     }
 
     /// The accuracy floor this constraint implies over `candidates` — the
@@ -245,47 +244,44 @@ impl Constraint {
         }
     }
 
-    /// The degradation ladder for a chosen plan: every candidate that is
-    /// *strictly faster* than `chosen` while still at or above the
-    /// constraint's accuracy floor, ordered most-accurate-first (each step
-    /// down trades the least accuracy for more throughput). A serving
-    /// scheduler under pressure walks this ladder instead of rejecting or
-    /// stalling the query — every rung is calibrated and constraint-
-    /// feasible, so a degraded query never violates its original floor.
+    /// The rungs a serving policy may move a query between: every uniform
+    /// candidate at or above the constraint's accuracy floor, ordered
+    /// most-accurate-first (each step down trades the least accuracy for
+    /// more throughput). Every rung is calibrated and constraint-feasible,
+    /// so a query served from any of them never violates its original
+    /// floor.
+    ///
+    /// Cascade candidates never become rungs: a rung is swapped in
+    /// mid-query (load degradation) or submitted as a bare plan (stream
+    /// pacing), and either would drop the per-item routing the cascade was
+    /// costed with. Their *full-rung* plans are enumerated separately as
+    /// uniform candidates anyway.
     ///
     /// Feed it the Pareto frontier for a minimal ladder, or the full
     /// enumeration for a denser one; dominated rungs are harmless (they
     /// are merely never worth stepping to).
+    pub fn feasible_rungs(&self, candidates: &[PlanCandidate]) -> Vec<PlanCandidate> {
+        let floor = self.accuracy_floor(candidates);
+        let mut rungs: Vec<PlanCandidate> = candidates
+            .iter()
+            .filter(|c| c.cascade.is_none() && c.accuracy >= floor)
+            .cloned()
+            .collect();
+        rungs.sort_by(|a, b| by_accuracy(b, a).then(by_throughput(a, b)));
+        rungs
+    }
+
+    /// The degradation ladder for a chosen plan: the
+    /// [feasible rungs](Constraint::feasible_rungs) that are *strictly
+    /// faster* than `chosen`. A serving scheduler under pressure walks this
+    /// ladder instead of rejecting or stalling the query.
     pub fn degradation_ladder(
         &self,
         candidates: &[PlanCandidate],
         chosen: &PlanCandidate,
     ) -> Vec<PlanCandidate> {
-        let floor = self.accuracy_floor(candidates);
-        // Cascade candidates never become degradation rungs: a rung swap
-        // happens mid-query under load, and per-item routing state (dual
-        // signature accounting, escalation counters) cannot be spliced
-        // into a query that started uniform. Their *full-rung* plans are
-        // enumerated separately as uniform candidates anyway.
-        let mut ladder: Vec<PlanCandidate> = candidates
-            .iter()
-            .filter(|c| {
-                c.cascade.is_none()
-                    && c.accuracy >= floor
-                    && c.est_throughput > chosen.est_throughput
-            })
-            .cloned()
-            .collect();
-        ladder.sort_by(|a, b| {
-            b.accuracy
-                .partial_cmp(&a.accuracy)
-                .expect("finite accuracy")
-                .then(
-                    a.est_throughput
-                        .partial_cmp(&b.est_throughput)
-                        .expect("finite throughput"),
-                )
-        });
+        let mut ladder = self.feasible_rungs(candidates);
+        ladder.retain(|c| c.est_throughput > chosen.est_throughput);
         ladder
     }
 

@@ -37,8 +37,7 @@ pub use media::{video_decode_params, wrap_gops, wrap_images, MediaItem, OutputLa
 pub use personalities::Personality;
 pub use pipeline::{
     decode_item, execute_device_batch, launch_device_batch, produce_item, produce_media_item,
-    produce_routed_item, route_stage, DeviceBatchSpec, PlanContext, ProducedItem, Result,
-    RuntimeError, RuntimeOptions,
+    route_stage, DeviceBatchSpec, PlanContext, ProducedItem, Result, RuntimeError, RuntimeOptions,
 };
 pub use profiler::{
     measure_decode_throughput, measure_exec_throughput, measure_media_preproc_pipelined,

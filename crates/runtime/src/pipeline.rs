@@ -279,10 +279,6 @@ pub struct ProducedItem {
     /// True when the decode was served from the tensor cache (this item
     /// paid no decode work; `decode_s` is 0).
     pub cache_hit: bool,
-    /// Cascade rung this item was produced under: `0` for the (only or
-    /// aggressive) first rung, `1` for the full rung of a cascade plan.
-    /// Uniform plans produce everything at stage 0.
-    pub stage: usize,
 }
 
 /// Runs the per-image producer stage: decode per the plan's decode mode,
@@ -331,7 +327,6 @@ pub fn produce_item(
         decode_s,
         preproc_s: t1.elapsed().as_secs_f64(),
         cache_hit,
-        stage: 0,
     })
 }
 
@@ -492,7 +487,6 @@ pub fn produce_media_item(
             decode_s,
             preproc_s: t1.elapsed().as_secs_f64(),
             cache_hit,
-            stage: 0,
         });
     }
     Ok(out)
@@ -506,6 +500,11 @@ pub fn produce_media_item(
 /// aggressive rung (stage 0). Items with no signal — non-sjpg stills,
 /// GOP video, unparseable bytes — escalate: the full rung is always
 /// correct, so "no information" must never cost accuracy.
+///
+/// The caller then runs [`produce_media_item`] under the chosen rung's own
+/// context, so each rung keeps its decode mode, preprocessing rewrite and
+/// tensor-cache keying, and an escalated item is produced exactly as a
+/// uniform full plan would produce it.
 pub fn route_stage(item: &MediaItem, threshold: f64) -> usize {
     let signal = match item {
         MediaItem::Image(enc) => smol_codec::signal::image_signal(enc),
@@ -515,41 +514,6 @@ pub fn route_stage(item: &MediaItem, threshold: f64) -> usize {
         Some(sig) if sig.score() <= threshold => 0,
         _ => 1,
     }
-}
-
-/// The conditional per-item producer of a cascade plan: routes the item
-/// with [`route_stage`], produces it under the chosen rung's context
-/// ([`produce_media_item`] — so each rung keeps its own decode mode,
-/// preprocessing rewrite, and tensor-cache keying), and tags every
-/// staged tensor with the rung it took. An escalated item runs the full
-/// rung's pipeline *identically* to a uniform full plan — stage 1 is
-/// skipped entirely, which is what makes cascade results bit-equal to
-/// full-plan results on escalated items.
-///
-/// Both contexts must share output geometry (`buf_len`), so one
-/// [`BufferPool`] (one entitlement, one arena shelf) serves both rungs;
-/// this holds by construction for plans built from
-/// `smol_core::CascadePlan` (same input variant, same original
-/// preprocessing plan).
-#[allow(clippy::too_many_arguments)]
-pub fn produce_routed_item(
-    stage1_ctx: &PlanContext,
-    full_ctx: &PlanContext,
-    threshold: f64,
-    base_idx: usize,
-    item: &MediaItem,
-    pool: &BufferPool,
-    keep_image: bool,
-    extra_cpu_s: f64,
-    cache: Option<&TensorCache>,
-) -> Result<Vec<ProducedItem>> {
-    let stage = route_stage(item, threshold);
-    let ctx = if stage == 0 { stage1_ctx } else { full_ctx };
-    let mut out = produce_media_item(ctx, base_idx, item, pool, keep_image, extra_cpu_s, cache)?;
-    for produced in &mut out {
-        produced.stage = stage;
-    }
-    Ok(out)
 }
 
 /// Mixes a frame's GOP position into its GOP's content key (FNV-1a
@@ -679,7 +643,7 @@ mod tests {
         for (i, item) in staged.iter().enumerate() {
             assert_eq!(item.idx, i, "output indices are contiguous per item");
             assert_eq!(item.buffer.as_slice().len(), ctx.buf_len);
-            assert_eq!((item.stage, item.cache_hit), (0, false));
+            assert!(!item.cache_hit);
         }
         assert_eq!(staged.len(), layout.total);
         (ctx, staged)

@@ -41,19 +41,21 @@
 //! on the stage code that serves it. `tests/serve_concurrency.rs` pins a
 //! served query's results bit for bit to the scalar reference decoder.
 
+pub mod calibration;
+pub mod dataset;
+pub mod plancache;
 pub mod scheduler;
 pub mod server;
 pub mod session;
 pub mod stats;
 
+pub use calibration::{AccuracyTable, Calibration, MeasuredCalibration, PredictFn};
+pub use dataset::{Dataset, DatasetVariant};
+pub use plancache::{CacheStats, ChosenPlan, DeviceKey, PlanCache, PlanKey};
 pub use scheduler::{BatchFormer, FormedBatch};
 pub use server::{
     DegradeStep, Priority, QueryHandle, QueryId, QueryPoll, ServeError, ServeResult, Server,
     ServerConfig, SubmitOptions,
 };
-pub use session::{
-    AccuracyTable, CacheStats, Calibration, ChosenPlan, Dataset, DatasetVariant, DeviceKey,
-    Explanation, MeasuredCalibration, PlanCache, PlanKey, PredictFn, Query, Session, SessionConfig,
-    SessionError, StreamLadder,
-};
+pub use session::{Explanation, Query, Session, SessionConfig, SessionError, StreamLadder};
 pub use stats::{percentile, BoxedPrediction, DeviceLaneStats, QueryReport, ServerStats};

@@ -5,7 +5,7 @@
 //! shared pool of producer threads, and the scheduler state. Queries are
 //! submitted as `(QueryPlan, Vec<MediaItem>)` — optionally with
 //! [`SubmitOptions`] carrying per-tenant SLOs (deadline, [`Priority`]) and
-//! a degradation ladder — and resolve through a [`QueryHandle`].
+//! a degradation ladder or a cascade — and resolve through a [`QueryHandle`].
 //! Scheduling policy (fair share + signature batching) is documented in
 //! [`crate::scheduler`].
 //!
@@ -23,13 +23,19 @@
 //!   last item done ─► QueryReport through the handle
 //! ```
 //!
-//! Under pressure — admission backlog, or a query projected to miss its
-//! deadline — queries submitted with a degradation ladder are re-planned
-//! in place to the next-cheaper calibrated rung (see
-//! [`smol_core::Constraint::degradation_ladder`]): items not yet claimed
-//! switch to the cheaper plan, items already produced execute as staged,
-//! and the query's original accuracy floor is never violated because
-//! every rung was constraint-feasible at planning time.
+//! # Fidelity control: one rung table, two policies
+//!
+//! A query is compiled at submission into one table of `Rung`s (rung 0
+//! the submitted plan, deeper rungs cheaper calibrated plans) and its
+//! `Ladder` picks a rung per item. **Load degradation**: under pressure
+//! — admission backlog, or a query projected to miss its deadline — items
+//! not yet claimed move to the next-cheaper rung (see
+//! [`smol_core::Constraint::degradation_ladder`]), items already produced
+//! execute as staged, and the accuracy floor holds because every rung was
+//! constraint-feasible at planning time. **Cascade routing**: the producer
+//! that claimed an item routes it by its bitstream signal before any
+//! decode. Both keep the batch former's per-signature counters by one rule
+//! — an item counts under every rung still open to it (`Ladder::open`).
 //!
 //! Producers and consumers are long-lived: they are spawned once in
 //! [`Server::with_devices`] and reused by every query until shutdown.
@@ -45,10 +51,11 @@ use smol_accel::VirtualDevice;
 use smol_codec::EncodedImage;
 use smol_core::{CascadePlan, PlacementSignature, QueryPlan};
 use smol_imgproc::ImageU8;
+use smol_runtime::media::OutputLayout;
 use smol_runtime::{
-    launch_device_batch, produce_media_item, produce_routed_item, wrap_images, BufferPool,
-    DeviceBatchSpec, MediaItem, PlanContext, ProducedItem, RuntimeOptions, StagingArena,
-    TensorCache, TensorCacheStats,
+    launch_device_batch, produce_media_item, route_stage, wrap_images, BufferPool, DeviceBatchSpec,
+    MediaItem, PlanContext, ProducedItem, RuntimeOptions, StagingArena, TensorCache,
+    TensorCacheStats,
 };
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -150,9 +157,9 @@ pub struct SubmitOptions {
     pub accuracy_floor: Option<f64>,
     /// Per-item cascade routing: when set, each item's bitstream-derived
     /// difficulty signal routes it to the cascade's aggressive stage-1
-    /// rung or escalates it to the submitted (full) plan. Cascade queries
-    /// ignore `ladder` — per-item routing and whole-query degradation
-    /// would fight over the same signature accounting.
+    /// rung or escalates it to the submitted (full) plan. Routed queries
+    /// ignore `ladder`: all their rungs stay open to every unclaimed item,
+    /// so there is no current rung for load to step down from.
     pub cascade: Option<CascadePlan>,
 }
 
@@ -201,57 +208,85 @@ struct BatchItem {
 struct Claim {
     query: QueryId,
     idx: usize,
-    sig: Arc<PlacementSignature>,
-    ctx: Arc<PlanContext>,
+    /// The query's ladder as it stood at claim time: the item counts as
+    /// `producing` under every rung open *here*, whatever the query
+    /// degrades to while the claim is out.
+    ladder: Ladder,
     items: Arc<Vec<MediaItem>>,
-    /// Output (tensor) offset of each item: item `i`'s outputs are
-    /// `offsets[i]..offsets[i] + fanout(i)`.
-    offsets: Arc<Vec<usize>>,
+    /// Item `i`'s outputs are `layout.offsets[i]..` for its fan-out.
+    layout: Arc<OutputLayout>,
     pool: BufferPool,
     /// The query's inference callback; producers keep the decoded image
     /// only when there is one.
     infer: Option<InferFn>,
     claimed_at: Instant,
-    /// Cascade routing payload: the producer decides the rung *after*
-    /// claiming, from the item's bitstream signal.
-    cascade: Option<Arc<CascadeState>>,
 }
 
-/// A cascade's aggressive stage-1 rung compiled to runtime form, shared
-/// by the query state and every claim of that query. Until an item is
-/// routed, its signature counters are tracked under **both** the stage-1
-/// and the full signature (either batch could still receive it); routing
-/// resolves it to exactly one.
-struct CascadeState {
-    sig: Arc<PlacementSignature>,
-    ctx: Arc<PlanContext>,
-    /// Difficulty-score threshold: items scoring above it escalate.
-    threshold: f64,
-}
-
-/// A degradation rung resolved at submission: the rung's plan compiled to
-/// runtime form (context + placement signature), ready to swap in under
-/// the scheduler lock.
+/// One rung of a query's ladder: a plan compiled to runtime form (context
+/// + placement signature), ready to produce items under.
 struct Rung {
     label: String,
     sig: Arc<PlacementSignature>,
     ctx: Arc<PlanContext>,
-    accuracy: f64,
+    /// Calibrated accuracy of the plan (reported per query).
+    accuracy: Option<f64>,
+}
+
+impl Rung {
+    /// Compiles `plan`, or says why no item could be executed under it
+    /// (see [`PlanContext::validate`]).
+    fn compile(plan: &QueryPlan, accuracy: Option<f64>) -> Result<Rung, String> {
+        let ctx = PlanContext::new(plan);
+        ctx.validate().map_err(|e| e.to_string())?;
+        Ok(Rung {
+            label: plan.label(),
+            sig: Arc::new(plan.placement_signature()),
+            ctx: Arc::new(ctx),
+            accuracy,
+        })
+    }
+}
+
+/// A query's compiled rungs plus the policy that picks one per item (see
+/// the module docs). Rung 0 is the submitted plan; deeper rungs are the
+/// usable degradation steps, most accurate first, or a cascade's stage-1
+/// plan. `route: None` — every item takes rung `at`, which
+/// [`maybe_degrade`] advances. `route: Some(threshold)` — the producer
+/// picks the rung per item, *after* claiming it; `at` stays 0.
+#[derive(Clone)]
+struct Ladder {
+    rungs: Arc<[Rung]>,
+    at: usize,
+    route: Option<f64>,
+}
+
+impl Ladder {
+    /// The rungs an item not yet produced may still land in — the ones
+    /// its signature counters are held under. Until a routed item is
+    /// produced that is *every* rung: a partial batch of either signature
+    /// must not flush while an unrouted item could still join it; routing
+    /// resolves the item to exactly one.
+    fn open(&self) -> &[Rung] {
+        match self.route {
+            Some(_) => &self.rungs,
+            None => &self.rungs[self.at..=self.at],
+        }
+    }
 }
 
 struct QueryState {
-    id: QueryId,
-    label: String,
-    sig: Arc<PlacementSignature>,
-    ctx: Arc<PlanContext>,
+    /// The rungs and the policy over them; `ladder.at` is also the number
+    /// of degradation steps taken.
+    ladder: Ladder,
+    /// Outputs staged under each rung.
+    rung_outputs: Vec<usize>,
     items: Arc<Vec<MediaItem>>,
-    /// Per-item output offsets (see [`Claim::offsets`]).
-    offsets: Arc<Vec<usize>>,
-    /// Total outputs across all items (frames for GOP items).
-    total_outputs: usize,
-    /// Largest single-item fan-out (pool sizing on degradation).
-    max_fanout: usize,
-    /// This query's entitlement over the server's staging arena.
+    /// Output (tensor) offsets per item, total outputs (frames for GOP
+    /// items) and the largest single-item fan-out (pool sizing).
+    layout: Arc<OutputLayout>,
+    /// This query's entitlement over the server's staging arena, for the
+    /// rung(s) now open; a rung's entitlement is created when the rung is
+    /// first used.
     pool: BufferPool,
     infer: Option<InferFn>,
     /// Next item index to claim.
@@ -279,22 +314,13 @@ struct QueryState {
     error: Option<String>,
     // --- SLO + degradation state ---
     deadline: Option<Duration>,
-    /// Remaining rungs (layout-compatible, floor-feasible), cheapest last.
-    ladder: VecDeque<Rung>,
-    degraded_steps: usize,
     /// Outputs claimed while running below the originally chosen plan.
     downgraded_frames: usize,
-    accuracy: Option<f64>,
     accuracy_floor: Option<f64>,
     /// Hysteresis: no further degradation before this item index.
     next_degrade_at: usize,
-    // --- cascade routing state ---
-    /// Stage-1 rung + threshold (None for uniform queries).
-    cascade: Option<Arc<CascadeState>>,
-    /// Items whose signal escalated them to the full rung.
+    /// Items a routed query's signal escalated to rung 0 (the full plan).
     escalated_items: usize,
-    /// Outputs staged per stage (`[0]` aggressive, `[1]` full).
-    stage_counts: [usize; 2],
 }
 
 impl QueryState {
@@ -304,15 +330,13 @@ impl QueryState {
 
     /// Outputs of every item before `item` (clamps past the end).
     fn outputs_before(&self, item: usize) -> usize {
-        self.offsets
-            .get(item)
-            .copied()
-            .unwrap_or(self.total_outputs)
+        let layout = &self.layout;
+        layout.offsets.get(item).copied().unwrap_or(layout.total)
     }
 
     /// Fan-out of item `item` (1 for stills, selected frames for GOPs).
     fn count_of(&self, item: usize) -> usize {
-        self.outputs_before(item + 1) - self.offsets[item]
+        self.outputs_before(item + 1) - self.layout.offsets[item]
     }
 
     /// True when the query is projected to miss its deadline at the
@@ -329,7 +353,7 @@ impl QueryState {
             return false;
         }
         let rate = self.completed as f64 / elapsed;
-        let remaining = (self.total_outputs - self.completed) as f64;
+        let remaining = (self.layout.total - self.completed) as f64;
         elapsed + remaining / rate > deadline.as_secs_f64()
     }
 }
@@ -367,9 +391,27 @@ impl Sched {
     fn waiting_above(&self, prio: Priority) -> usize {
         self.waiting[prio.index() + 1..].iter().sum()
     }
+
+    /// Counts `n` more unclaimed items under `sig`.
+    fn register(&mut self, sig: &Arc<PlacementSignature>, n: usize) {
+        if n > 0 {
+            self.sigs.entry(Arc::clone(sig)).or_default().unclaimed += n;
+        }
+    }
+
+    /// The counters of a signature that has items outstanding. An entry
+    /// lives from its first registered item until [`flush_if_drained`]
+    /// finds nothing unclaimed and nothing mid-production under it, so
+    /// this may only be asked about a signature the caller still holds a
+    /// count under.
+    fn sig(&mut self, sig: &Arc<PlacementSignature>) -> &mut SigCount {
+        self.sigs
+            .get_mut(sig)
+            .expect("an item is still counted under this signature")
+    }
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Agg {
     submitted_queries: u64,
     completed_queries: u64,
@@ -550,7 +592,7 @@ impl QueryHandle {
             Some(q) => QueryPoll::Pending {
                 produced: q.produced,
                 completed: q.completed,
-                total: q.total_outputs,
+                total: q.layout.total,
             },
             None => QueryPoll::Ready,
         }
@@ -680,13 +722,7 @@ impl Server {
     /// Submits a still-image query, blocking while the admission queue is
     /// full.
     pub fn submit(&self, plan: QueryPlan, items: Vec<EncodedImage>) -> ServeResult<QueryHandle> {
-        self.submit_inner(
-            plan,
-            wrap_images(&items),
-            None,
-            SubmitOptions::default(),
-            true,
-        )
+        self.submit_opts(plan, items, SubmitOptions::default())
     }
 
     /// Submits a query over mixed media items (still images and/or video
@@ -694,7 +730,7 @@ impl Server {
     /// out into one device tensor per selected frame; the report's
     /// `images` counts those outputs.
     pub fn submit_media(&self, plan: QueryPlan, items: Vec<MediaItem>) -> ServeResult<QueryHandle> {
-        self.submit_inner(plan, items, None, SubmitOptions::default(), true)
+        self.submit_media_opts(plan, items, SubmitOptions::default())
     }
 
     /// [`Server::submit`] with explicit SLO/degradation options.
@@ -704,7 +740,7 @@ impl Server {
         items: Vec<EncodedImage>,
         opts: SubmitOptions,
     ) -> ServeResult<QueryHandle> {
-        self.submit_inner(plan, wrap_images(&items), None, opts, true)
+        self.submit_media_opts(plan, wrap_images(&items), opts)
     }
 
     /// [`Server::submit_media`] with explicit SLO/degradation options.
@@ -745,14 +781,11 @@ impl Server {
         R: Send + 'static,
         F: Fn(usize, &ImageU8) -> R + Send + Sync + 'static,
     {
-        let erased: InferFn =
-            Arc::new(move |idx, img| Box::new(infer(idx, img)) as BoxedPrediction);
-        self.submit_inner(
+        self.submit_media_opts_with_infer(
             plan,
             wrap_images(&items),
-            Some(erased),
             SubmitOptions::default(),
-            true,
+            infer,
         )
     }
 
@@ -786,60 +819,45 @@ impl Server {
             return Err(ServeError::ShuttingDown);
         }
         let inner = &self.inner;
-        let ctx = Arc::new(PlanContext::new(&plan));
-        ctx.validate()
-            .map_err(|e| ServeError::InvalidPlan(e.to_string()))?;
-        let sig = Arc::new(plan.placement_signature());
-        // Compile the cascade's aggressive rung. Dropped when it collapses
-        // onto the full rung (identical signature — the planner guards
-        // this too, but submitters can hand-build plans), when its staging
-        // geometry diverges (one pool must serve both rungs), or when it
-        // cannot be executed.
-        let cascade: Option<Arc<CascadeState>> = opts.cascade.as_ref().and_then(|c| {
-            let s1_ctx = Arc::new(PlanContext::new(&c.stage1));
-            let s1_sig = Arc::new(c.stage1.placement_signature());
-            let usable =
-                *s1_sig != *sig && s1_ctx.buf_len == ctx.buf_len && s1_ctx.validate().is_ok();
-            usable.then(|| {
-                Arc::new(CascadeState {
-                    sig: s1_sig,
-                    ctx: s1_ctx,
-                    threshold: c.threshold,
-                })
-            })
-        });
-        let (done_tx, done_rx) = channel::bounded::<QueryReport>(1);
-        let n = items.len();
+        let full = Rung::compile(&plan, opts.accuracy).map_err(ServeError::InvalidPlan)?;
         // Output (tensor) accounting: GOP items fan out per the plan's
         // frame selection.
-        let layout = smol_runtime::media::OutputLayout::of(&items, ctx.decode);
-        let total_outputs = layout.total;
-        let max_fanout = layout.max_fanout;
-        let offsets: Arc<Vec<usize>> = Arc::new(layout.offsets);
-        // A rung is usable only when it can be executed and preserves the
-        // output layout — results are indexed by output slot, which must
-        // survive a mid-query re-plan. (Stills always qualify; video rungs
-        // must keep the frame selection.)
-        // Cascade queries route per item instead of degrading per query;
-        // the two would fight over the same signature accounting.
-        let opts_ladder: &[DegradeStep] = if cascade.is_some() { &[] } else { &opts.ladder };
-        let ladder: VecDeque<Rung> = opts_ladder
-            .iter()
-            .filter(|step| {
-                opts.accuracy_floor
-                    .is_none_or(|floor| step.accuracy >= floor)
-            })
-            .filter_map(|step| {
-                let ctx = Arc::new(PlanContext::new(&step.plan));
-                let rung_layout = smol_runtime::media::OutputLayout::of(&items, ctx.decode);
-                (rung_layout.offsets == *offsets && ctx.validate().is_ok()).then(|| Rung {
-                    label: step.plan.label(),
-                    sig: Arc::new(step.plan.placement_signature()),
-                    ctx,
-                    accuracy: step.accuracy,
-                })
-            })
-            .collect();
+        let layout = OutputLayout::of(&items, full.ctx.decode);
+        // The cascade's aggressive rung. Dropped when it collapses onto the
+        // full rung (identical signature — the planner guards this too, but
+        // submitters can hand-build plans), when its staging geometry
+        // diverges (one pool must serve both rungs), or when it cannot be
+        // executed.
+        let stage1 = opts.cascade.as_ref().and_then(|c| {
+            let rung = Rung::compile(&c.stage1, None).ok()?;
+            (*rung.sig != *full.sig && rung.ctx.buf_len == full.ctx.buf_len)
+                .then_some((rung, c.threshold))
+        });
+        let (deeper, route) = match stage1 {
+            // Routed per item, not degraded per query: every rung is open
+            // at once, so `ladder` has no cursor to move.
+            Some((rung, threshold)) => (vec![rung], Some(threshold)),
+            // A degradation step is usable only when it respects the floor,
+            // can be executed and preserves the output layout — results are
+            // indexed by output slot, which must survive a mid-query
+            // re-plan. (Stills always qualify; video rungs must keep the
+            // frame selection.)
+            None => {
+                let usable = opts.ladder.iter().filter(|step| {
+                    opts.accuracy_floor
+                        .is_none_or(|floor| step.accuracy >= floor)
+                });
+                let compiled = usable.filter_map(|step| {
+                    let rung = Rung::compile(&step.plan, Some(step.accuracy)).ok()?;
+                    (OutputLayout::of(&items, rung.ctx.decode).offsets == layout.offsets)
+                        .then_some(rung)
+                });
+                (compiled.collect(), None)
+            }
+        };
+        let rungs: Arc<[Rung]> = std::iter::once(full).chain(deeper).collect();
+        let (done_tx, done_rx) = channel::bounded::<QueryReport>(1);
+        let (n, total_outputs) = (items.len(), layout.total);
         let mut sched = inner.sched.lock();
         let capacity = inner.cfg.max_active_queries.max(1);
         if !block {
@@ -872,56 +890,16 @@ impl Server {
             agg.submitted_queries += 1;
             agg.images_in += total_outputs as u64;
         }
-        if n == 0 {
-            // Nothing to schedule: resolve immediately.
-            let _ = done_tx.send(QueryReport {
-                id,
-                label: plan.label(),
-                images: 0,
-                failed: 0,
-                skipped: 0,
-                wall_s: 0.0,
-                throughput: 0.0,
-                latency_p50_s: 0.0,
-                latency_p95_s: 0.0,
-                cache_hits: 0,
-                decode_cpu_s: 0.0,
-                preproc_cpu_s: 0.0,
-                pool: Default::default(),
-                error: None,
-                results: Vec::new(),
-                degraded_steps: 0,
-                dropped_frames: 0,
-                downgraded_frames: 0,
-                escalated_items: 0,
-                stage_histogram: Vec::new(),
-                accuracy: opts.accuracy,
-                accuracy_floor: opts.accuracy_floor,
-                deadline_missed: opts.deadline.map(|_| false),
-            });
-            let mut agg = inner.agg.lock();
-            agg.completed_queries += 1;
-            if opts.deadline.is_some() {
-                agg.deadline_met += 1;
-            }
-            drop(agg);
-            return Ok(QueryHandle {
-                id,
-                rx: done_rx,
-                inner: Arc::downgrade(&self.inner),
-            });
-        }
-        let pool = inner.staging_pool(&ctx, max_fanout);
         let state = QueryState {
-            id,
-            label: plan.label(),
-            sig: sig.clone(),
-            ctx,
+            rung_outputs: vec![0; rungs.len()],
+            pool: inner.staging_pool(&rungs[0].ctx, layout.max_fanout),
+            ladder: Ladder {
+                rungs,
+                at: 0,
+                route,
+            },
             items: Arc::new(items),
-            offsets,
-            total_outputs,
-            max_fanout,
-            pool,
+            layout: Arc::new(layout),
             infer,
             next_item: 0,
             claim_end: n,
@@ -940,26 +918,19 @@ impl Server {
             done_tx,
             error: None,
             deadline: opts.deadline,
-            ladder,
-            degraded_steps: 0,
             downgraded_frames: 0,
-            accuracy: opts.accuracy,
             accuracy_floor: opts.accuracy_floor,
             next_degrade_at: 0,
-            cascade: cascade.clone(),
             escalated_items: 0,
-            stage_counts: [0; 2],
         };
+        for rung in state.ladder.open() {
+            sched.register(&rung.sig, n);
+        }
         sched.queries.insert(id, state);
         sched.rr[opts.priority.index()].push_back(id);
-        sched.sigs.entry(sig).or_default().unclaimed += n;
-        // Until routed, each cascade item is tracked under *both*
-        // signatures: a stage-1 partial batch must not flush while an
-        // unrouted item could still land in it (and vice versa).
-        if let Some(cs) = &cascade {
-            sched.sigs.entry(Arc::clone(&cs.sig)).or_default().unclaimed += n;
-        }
         sched.active += 1;
+        // A query with no items has nothing to wait for.
+        try_finalize(inner, &mut sched, id);
         drop(sched);
         inner.work_cv.notify_all();
         Ok(QueryHandle {
@@ -1001,23 +972,7 @@ impl Server {
                 sched.waiting_total(),
             )
         };
-        let agg = {
-            let agg = self.inner.agg.lock();
-            Agg {
-                submitted_queries: agg.submitted_queries,
-                completed_queries: agg.completed_queries,
-                images_in: agg.images_in,
-                images_done: agg.images_done,
-                batches: agg.batches,
-                cross_query_batches: agg.cross_query_batches,
-                full_batches: agg.full_batches,
-                degradations: agg.degradations,
-                dropped_frames: agg.dropped_frames,
-                downgraded_frames: agg.downgraded_frames,
-                deadline_met: agg.deadline_met,
-                deadline_misses: agg.deadline_misses,
-            }
-        };
+        let agg = self.inner.agg.lock().clone();
         let fleet = self.inner.fleet.lock();
         let devices: Vec<DeviceLaneStats> = fleet
             .lanes
@@ -1109,38 +1064,37 @@ fn maybe_degrade(
 ) {
     let pressure = sched.waiting_total() > 0;
     let q = sched.queries.get_mut(&qid).expect("caller checked");
-    if q.ladder.is_empty() || q.next_item >= q.claim_end || q.next_item < q.next_degrade_at {
+    let at = q.ladder.at;
+    // Only a uniform query has a current rung to step down from.
+    if q.ladder.route.is_some()
+        || at + 1 >= q.ladder.rungs.len()
+        || q.next_item >= q.claim_end
+        || q.next_item < q.next_degrade_at
+    {
         return;
     }
-    let late = q.projected_late(Instant::now());
-    if !pressure && !late {
+    if !pressure && !q.projected_late(Instant::now()) {
         return;
     }
-    let rung = q.ladder.pop_front().expect("checked non-empty");
     let remaining = q.claim_end - q.next_item;
-    let old_sig = std::mem::replace(&mut q.sig, Arc::clone(&rung.sig));
-    q.ctx = Arc::clone(&rung.ctx);
-    q.label = rung.label;
-    q.accuracy = Some(rung.accuracy);
-    q.degraded_steps += 1;
+    q.ladder.at += 1;
+    let rungs = Arc::clone(&q.ladder.rungs);
+    let (old, new) = (&rungs[at], &rungs[at + 1]);
     // One full batch of the new plan between steps: degrade is a ratchet,
     // not a thrash.
-    q.next_degrade_at = q.next_item + q.sig.batch.max(2);
-    if *old_sig != *q.sig {
+    q.next_degrade_at = q.next_item + new.sig.batch.max(2);
+    if *old.sig != *new.sig {
         // Buffer geometry may differ between rungs; in-flight items keep
         // their slots in the old entitlement (released on drop, the
         // buffers going back to their own geometry's shelf), new claims
         // draw on the rung's.
-        q.pool = inner.staging_pool(&q.ctx, q.max_fanout);
-        let new_sig = Arc::clone(&q.sig);
-        let old = sched
-            .sigs
-            .get_mut(&old_sig)
-            .expect("signature registered at admission");
-        old.unclaimed -= remaining;
-        sched.sigs.entry(new_sig).or_default().unclaimed += remaining;
-        flush_if_drained(sched, &old_sig, emitted);
+        q.pool = inner.staging_pool(&new.ctx, q.layout.max_fanout);
     }
+    // The unclaimed items change rungs; claims already out stay counted
+    // under the rung they were taken on.
+    sched.register(&new.sig, remaining);
+    sched.sig(&old.sig).unclaimed -= remaining;
+    flush_if_drained(sched, &old.sig, emitted);
     inner.agg.lock().degradations += 1;
 }
 
@@ -1166,38 +1120,26 @@ fn claim_next(
             let idx = q.next_item;
             q.next_item += 1;
             q.claims_out += 1;
-            if q.degraded_steps > 0 {
+            if q.ladder.at > 0 {
                 q.downgraded_frames += q.count_of(idx);
             }
             let claim = Claim {
                 query: qid,
                 idx,
-                sig: Arc::clone(&q.sig),
-                ctx: Arc::clone(&q.ctx),
+                ladder: q.ladder.clone(),
                 items: Arc::clone(&q.items),
-                offsets: Arc::clone(&q.offsets),
+                layout: Arc::clone(&q.layout),
                 pool: q.pool.clone(),
                 infer: q.infer.clone(),
                 claimed_at: Instant::now(),
-                cascade: q.cascade.clone(),
             };
-            let still_has_work = q.next_item < q.claim_end;
-            let count = sched
-                .sigs
-                .get_mut(&claim.sig)
-                .expect("signature registered at admission");
-            count.unclaimed -= 1;
-            count.producing += 1;
-            if let Some(cs) = &claim.cascade {
-                let count = sched
-                    .sigs
-                    .get_mut(&cs.sig)
-                    .expect("cascade signature registered at admission");
+            if q.next_item < q.claim_end {
+                sched.rr[prio].push_back(qid);
+            }
+            for rung in claim.ladder.open() {
+                let count = sched.sig(&rung.sig);
                 count.unclaimed -= 1;
                 count.producing += 1;
-            }
-            if still_has_work {
-                sched.rr[prio].push_back(qid);
             }
             return Some(claim);
         }
@@ -1217,9 +1159,7 @@ fn flush_if_drained(
         .get(sig)
         .is_none_or(|c| c.unclaimed == 0 && c.producing == 0);
     if drained {
-        if let Some(batch) = sched.former.flush(sig) {
-            out.push(batch);
-        }
+        out.extend(sched.former.flush(sig));
         sched.sigs.remove(sig);
     }
 }
@@ -1227,21 +1167,25 @@ fn flush_if_drained(
 /// Finalizes `qid` if every claimed item has been produced and executed:
 /// builds the report, resolves the handle, and frees the admission slot.
 fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
-    let done = sched
-        .queries
-        .get(&qid)
-        .map(|q| q.production_done() && q.completed + q.panicked == q.produced)
-        .unwrap_or(false);
-    if !done {
+    let done = |q: &QueryState| q.production_done() && q.completed + q.panicked == q.produced;
+    if !sched.queries.get(&qid).is_some_and(done) {
         return;
     }
     let q = sched.queries.remove(&qid).expect("checked above");
     sched.active -= 1;
+    // Conservation of the signature counters: with no query left, every
+    // item ever registered has been claimed, produced (or dropped) and
+    // batched.
+    debug_assert!(
+        sched.active > 0 || (sched.sigs.is_empty() && sched.former.pending_total() == 0),
+        "signature counters leaked past the last query"
+    );
+    let rung = &q.ladder.rungs[q.ladder.at];
     let wall = q.submitted_at.elapsed().as_secs_f64();
     let deadline_missed = q.deadline.map(|d| wall > d.as_secs_f64());
     let report = QueryReport {
-        id: q.id,
-        label: q.label,
+        id: qid,
+        label: rung.label.clone(),
         images: q.completed,
         failed: q.failed,
         skipped: q.skipped,
@@ -1259,16 +1203,16 @@ fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
         pool: q.pool.stats(),
         error: q.error,
         results: q.results,
-        degraded_steps: q.degraded_steps,
+        degraded_steps: q.ladder.at,
         dropped_frames: q.failed + q.skipped,
         downgraded_frames: q.downgraded_frames,
         escalated_items: q.escalated_items,
-        stage_histogram: if q.cascade.is_some() {
-            q.stage_counts.to_vec()
-        } else {
-            Vec::new()
+        // `[stage 1, full]`: a routed query's rungs, aggressive first.
+        stage_histogram: match q.ladder.route {
+            Some(_) => q.rung_outputs.iter().rev().copied().collect(),
+            None => Vec::new(),
         },
-        accuracy: q.accuracy,
+        accuracy: rung.accuracy,
         accuracy_floor: q.accuracy_floor,
         deadline_missed,
     };
@@ -1359,149 +1303,121 @@ fn producer_loop(inner: &Inner) {
             return;
         };
 
-        // The slow part runs without the scheduler lock. A GOP item fans
-        // out into one staged work item per selected frame. Cascade
-        // claims route first: the item's bitstream signal picks the
-        // stage-1 or full rung before any decode work happens.
-        let produced = match claim.cascade.as_deref() {
-            Some(cs) => produce_routed_item(
-                &cs.ctx,
-                &claim.ctx,
-                cs.threshold,
-                claim.offsets[claim.idx],
-                &claim.items[claim.idx],
-                &claim.pool,
-                claim.infer.is_some(),
-                inner.cfg.runtime.extra_cpu_s_per_image,
-                inner.tensor_cache.as_deref(),
-            ),
-            None => produce_media_item(
-                &claim.ctx,
-                claim.offsets[claim.idx],
-                &claim.items[claim.idx],
-                &claim.pool,
-                claim.infer.is_some(),
-                inner.cfg.runtime.extra_cpu_s_per_image,
-                inner.tensor_cache.as_deref(),
-            ),
-        };
+        // The slow part runs without the scheduler lock. A panic in it
+        // (user bytes through decoders and kernels) fails this item like
+        // any other production error, and the thread lives on. Unwinding
+        // here is sound: nothing runs under the scheduler lock, and the
+        // shared state touched — staging pool and tensor cache — restores
+        // itself on drop (a pooled buffer returns to its shelf, the cache
+        // retracts its pending slot and wakes the waiters).
+        let produced = catch_unwind(AssertUnwindSafe(|| produce(inner, &claim)))
+            .unwrap_or_else(|payload| Err(panic_message("producer", payload.as_ref())));
 
         let mut emitted: Vec<FormedBatch<BatchItem>> = Vec::new();
-        {
-            let mut guard = inner.sched.lock();
-            let sched: &mut Sched = &mut guard;
-            let q = sched
-                .queries
-                .get_mut(&claim.query)
-                .expect("query lives until finalize");
-            q.claims_out -= 1;
-            match produced {
-                Ok(staged) => {
-                    q.produced += staged.len();
-                    // Routing resolved: the item's outputs batch under
-                    // exactly one signature (all outputs of one claim
-                    // share a stage).
-                    let stage = staged.first().map_or(0, |i| i.stage).min(1);
-                    let routed_sig = match (&claim.cascade, stage) {
-                        (Some(cs), 0) => Arc::clone(&cs.sig),
-                        _ => Arc::clone(&claim.sig),
-                    };
-                    if claim.cascade.is_some() {
-                        q.stage_counts[stage] += staged.len();
-                        if stage == 1 {
-                            q.escalated_items += 1;
-                        }
-                    }
-                    let count = sched
-                        .sigs
-                        .get_mut(&claim.sig)
-                        .expect("signature registered at admission");
-                    count.producing -= 1;
-                    if let Some(cs) = &claim.cascade {
-                        sched
-                            .sigs
-                            .get_mut(&cs.sig)
-                            .expect("cascade signature registered at admission")
-                            .producing -= 1;
-                    }
-                    for item in staged {
-                        let q = sched
-                            .queries
-                            .get_mut(&claim.query)
-                            .expect("query lives until finalize");
-                        q.cache_hits += item.cache_hit as usize;
-                        q.decode_cpu_s += item.decode_s;
-                        q.preproc_cpu_s += item.preproc_s;
-                        if let Some(batch) = sched.former.push(
-                            &routed_sig,
-                            BatchItem {
-                                query: claim.query,
-                                item,
-                                claimed_at: claim.claimed_at,
-                                infer: claim.infer.clone(),
-                            },
-                        ) {
-                            emitted.push(batch);
-                        }
-                    }
-                    flush_if_drained(sched, &claim.sig, &mut emitted);
-                    if let Some(cs) = &claim.cascade {
-                        flush_if_drained(sched, &cs.sig, &mut emitted);
-                    }
-                    // An item can legally stage zero outputs (an empty
-                    // GOP): the query may already be finishable.
-                    try_finalize(inner, sched, claim.query);
-                }
-                Err(e) => {
-                    // Stop claiming further items of this query; items
-                    // already produced still execute and the handle still
-                    // resolves (with the error recorded). Failed/skipped
-                    // are counted in *outputs*, matching `images` (for
-                    // stills both degenerate to item counts).
-                    q.failed += q.count_of(claim.idx);
-                    if q.error.is_none() {
-                        q.error = Some(e.to_string());
-                    }
-                    let dropped_items = q.claim_end - q.next_item;
-                    q.skipped += q.outputs_before(q.claim_end) - q.outputs_before(q.next_item);
-                    q.claim_end = q.next_item;
-                    let q_sig = Arc::clone(&q.sig);
-                    let count = sched
-                        .sigs
-                        .get_mut(&q_sig)
-                        .expect("signature registered at admission");
-                    count.unclaimed -= dropped_items;
-                    // The failed claim was produced under `claim.sig`,
-                    // which may be an older rung than the query's current
-                    // signature.
-                    sched
-                        .sigs
-                        .get_mut(&claim.sig)
-                        .expect("signature registered at admission")
-                        .producing -= 1;
-                    // A cascade query's items were registered under both
-                    // signatures; drop and release the stage-1 side too.
-                    if let Some(cs) = &claim.cascade {
-                        let count = sched
-                            .sigs
-                            .get_mut(&cs.sig)
-                            .expect("cascade signature registered at admission");
-                        count.unclaimed -= dropped_items;
-                        count.producing -= 1;
-                        flush_if_drained(sched, &cs.sig, &mut emitted);
-                    }
-                    flush_if_drained(sched, &claim.sig, &mut emitted);
-                    if *q_sig != *claim.sig {
-                        flush_if_drained(sched, &q_sig, &mut emitted);
-                    }
-                    try_finalize(inner, sched, claim.query);
-                }
-            }
-        }
+        integrate(
+            inner,
+            &mut inner.sched.lock(),
+            &claim,
+            produced,
+            &mut emitted,
+        );
         for batch in emitted {
             dispatch(inner, batch);
         }
     }
+}
+
+/// Produces a claimed item: the rung it was produced under and its staged
+/// outputs (a GOP item fans out into one per selected frame). A routed
+/// claim routes first, before any decode work, so an escalated item runs
+/// the full plan's pipeline exactly as a uniform query would; `route_stage`
+/// says 1 for "escalate" — rung 0, the submitted plan — and 0 for the
+/// aggressive rung compiled behind it.
+fn produce(inner: &Inner, claim: &Claim) -> Result<(usize, Vec<ProducedItem>), String> {
+    let item = &claim.items[claim.idx];
+    let rung = match claim.ladder.route {
+        Some(threshold) => 1 - route_stage(item, threshold),
+        None => claim.ladder.at,
+    };
+    produce_media_item(
+        &claim.ladder.rungs[rung].ctx,
+        claim.layout.offsets[claim.idx],
+        item,
+        &claim.pool,
+        claim.infer.is_some(),
+        inner.cfg.runtime.extra_cpu_s_per_image,
+        inner.tensor_cache.as_deref(),
+    )
+    .map(|staged| (rung, staged))
+    .map_err(|e| e.to_string())
+}
+
+/// Books a claim's outcome — the rung it was produced under and the outputs
+/// staged, or why production failed — into its query and the signature
+/// counters. Batches this completes or drains land in `emitted`.
+fn integrate(
+    inner: &Inner,
+    sched: &mut Sched,
+    claim: &Claim,
+    produced: Result<(usize, Vec<ProducedItem>), String>,
+    emitted: &mut Vec<FormedBatch<BatchItem>>,
+) {
+    let q = sched
+        .queries
+        .get_mut(&claim.query)
+        .expect("query lives until finalize");
+    q.claims_out -= 1;
+    match produced {
+        Ok((rung, staged)) => {
+            q.produced += staged.len();
+            q.rung_outputs[rung] += staged.len();
+            q.escalated_items += usize::from(claim.ladder.route.is_some() && rung == 0);
+            // Routing is resolved: all outputs of one claim batch under
+            // exactly one signature.
+            let sig = &claim.ladder.rungs[rung].sig;
+            for item in staged {
+                q.cache_hits += item.cache_hit as usize;
+                q.decode_cpu_s += item.decode_s;
+                q.preproc_cpu_s += item.preproc_s;
+                let item = BatchItem {
+                    query: claim.query,
+                    item,
+                    claimed_at: claim.claimed_at,
+                    infer: claim.infer.clone(),
+                };
+                emitted.extend(sched.former.push(sig, item));
+            }
+        }
+        Err(e) => {
+            // Stop claiming further items of this query; items already
+            // produced still execute and the handle still resolves (with
+            // the error recorded). Failed/skipped are counted in *outputs*,
+            // matching `images` (for stills both degenerate to item
+            // counts).
+            q.failed += q.count_of(claim.idx);
+            q.error.get_or_insert(e);
+            let dropped_items = q.claim_end - q.next_item;
+            q.skipped += q.outputs_before(q.claim_end) - q.outputs_before(q.next_item);
+            q.claim_end = q.next_item;
+            // The dropped items are counted under the query's *current*
+            // rungs, which may be deeper than the ones this claim was
+            // taken under.
+            if dropped_items > 0 {
+                let ladder = q.ladder.clone();
+                for rung in ladder.open() {
+                    sched.sig(&rung.sig).unclaimed -= dropped_items;
+                    flush_if_drained(sched, &rung.sig, emitted);
+                }
+            }
+        }
+    }
+    for rung in claim.ladder.open() {
+        sched.sig(&rung.sig).producing -= 1;
+        flush_if_drained(sched, &rung.sig, emitted);
+    }
+    // An item can legally stage zero outputs (an empty GOP): the query may
+    // already be finishable.
+    try_finalize(inner, sched, claim.query);
 }
 
 /// Batches a consumer may have launched and not yet retired: the one the
@@ -1622,7 +1538,7 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
                 (Some(infer), Some(img)) => {
                     catch_unwind(AssertUnwindSafe(|| infer(b.item.idx, img)))
                         .map(Some)
-                        .map_err(|payload| panic_message(payload.as_ref()))
+                        .map_err(|payload| panic_message("inference callback", payload.as_ref()))
                 }
                 _ => Ok(None),
             },
@@ -1667,11 +1583,11 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
     }
 }
 
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(who: &str, payload: &(dyn Any + Send)) -> String {
     let msg = payload
         .downcast_ref::<&str>()
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("(non-string payload)");
-    format!("inference callback panicked: {msg}")
+    format!("{who} panicked: {msg}")
 }

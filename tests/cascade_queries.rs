@@ -14,6 +14,9 @@
 //! 3. **Co-residency** — cascade and uniform queries share one `Server`
 //!    without deadlock or cross-talk, with correct per-stage batch
 //!    accounting in each report.
+//! 4. **Failure on either rung** — an item that fails production after
+//!    being routed, to the aggressive or to the full rung, is released
+//!    under every rung it was counted under.
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::codec::{signal::image_signal, EncodedImage, Format};
@@ -22,6 +25,7 @@ use smol::imgproc::ImageU8;
 use smol::runtime::{route_stage, wrap_images, MediaItem};
 use smol::serve::{Server, ServerConfig, SubmitOptions};
 use smol::{Calibration, Dataset, MeasuredCalibration, Query, Session, SessionConfig};
+use std::time::Duration;
 
 const W: usize = 96;
 
@@ -382,5 +386,70 @@ fn cascade_and_uniform_queries_coexist_in_one_server() {
         stats.images_done,
         (cascade_items.len() + uniform_items.len()) as u64
     );
+    server.shutdown();
+}
+
+/// A routed item that fails production is counted, until then, under every
+/// rung of its query. Whichever rung it was routed to — a truncated easy
+/// item takes the aggressive one, a truncated hard item escalates — the
+/// query resolves with every output accounted for, and nothing is left
+/// behind in the scheduler: a uniform query on the same server (sharing the
+/// stage-1 signature) is served in full afterwards.
+#[test]
+fn a_failure_on_either_rung_of_a_cascade_resolves_and_leaks_nothing() {
+    let (images, labels) = mixed_corpus(10, 5);
+    let items = encode_all(&images);
+    let (full, stage1, threshold) = cascade_plans(&items);
+    let uniform_items = encode_all(&(0..8).map(smooth).collect::<Vec<_>>());
+    let server = Server::with_devices(vec![fast_t4()], ServerConfig::default());
+    // (index, rung `route_stage` sends it to): a hard item at an odd index,
+    // an easy one at an even index.
+    for (bad, stage) in [(5, 1), (6, 0)] {
+        assert_eq!(labels[bad], stage, "corpus layout");
+        let mut items = items.clone();
+        // One byte short: the sampled signal scan still reads its rows, so
+        // the item routes as it would intact; every decode then fails.
+        items[bad].bytes = items[bad].bytes.slice(..items[bad].bytes.len() - 1);
+        assert_eq!(
+            route_stage(&MediaItem::Image(items[bad].clone()), threshold),
+            stage
+        );
+        let opts = SubmitOptions {
+            cascade: Some(CascadePlan {
+                stage1: stage1.clone(),
+                threshold,
+                escalation_rate: 0.33,
+            }),
+            ..Default::default()
+        };
+        let report = server
+            .submit_media_opts(full.clone(), wrap_images(&items), opts)
+            .expect("admitted")
+            .wait_deadline(Duration::from_secs(60))
+            .expect("server alive")
+            .expect("the cascade query resolves");
+        assert!(report.error.is_some());
+        assert_eq!(report.failed, 1);
+        assert_eq!(
+            report.images + report.failed + report.skipped,
+            items.len(),
+            "{report:?}"
+        );
+        assert_eq!(
+            report.stage_histogram.iter().sum::<usize>(),
+            report.images,
+            "every staged output is attributed to one rung"
+        );
+
+        let report = server
+            .submit(stage1.clone(), uniform_items.clone())
+            .expect("admitted")
+            .wait_deadline(Duration::from_secs(60))
+            .expect("server alive")
+            .expect("the uniform query resolves");
+        assert!(report.error.is_none(), "{:?}", report.error);
+        assert_eq!(report.images, uniform_items.len());
+    }
+    assert_eq!(server.stats().pending_batch_items, 0);
     server.shutdown();
 }

@@ -465,6 +465,44 @@ fn assert_staging_at_rest(stats: &ServerStats) {
     assert_eq!(idle as u64, staging.totals.allocated);
 }
 
+/// A panic inside production (here `Duration::from_secs_f64(∞)` in the
+/// producer stage's lesion sleep) fails that item through the ordinary
+/// error path: the producer thread lives, the handle resolves with every
+/// output accounted for and the panic text as its error, the staging
+/// buffers the items held are back on their shelf, and shutdown returns.
+#[test]
+fn a_panicking_producer_fails_its_item_and_the_query_resolves() {
+    let server = Server::new(
+        fast_device(),
+        ServerConfig {
+            runtime: RuntimeOptions {
+                producers: 2,
+                extra_cpu_s_per_image: f64::INFINITY,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    // Twice: the second query finds the producers of the first still alive.
+    for round in 0..2 {
+        let report = server
+            .submit(plan.clone(), encoded_batch(6, 64, 64, round))
+            .unwrap()
+            .wait_deadline(Duration::from_secs(60))
+            .expect("server alive")
+            .expect("the query resolves although its producers panicked");
+        assert_eq!(report.images + report.failed + report.skipped, 6);
+        assert!(report.failed >= 1);
+        let error = report.error.as_deref().expect("the panic is recorded");
+        assert!(error.starts_with("producer panicked: "), "{error}");
+    }
+    let stats = server.stats();
+    assert_staging_at_rest(&stats);
+    assert_eq!(stats.pending_batch_items, 0);
+    server.shutdown();
+}
+
 /// Staging buffers outlive the query that allocated them: a query no larger
 /// than one batch (which never sees a buffer twice on its own) is served
 /// entirely from what the previous one returned, while a query of another

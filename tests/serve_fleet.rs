@@ -257,6 +257,78 @@ fn degradation_respects_accuracy_floor_under_pressure() {
     server.shutdown();
 }
 
+/// A production error on a claim taken *before* a degradation step may
+/// arrive after the degraded rung has drained and its signature counters
+/// are gone: the failed claim is released under the rung it was taken on,
+/// the query resolves with every output accounted for, and the tenant
+/// waiting behind it is served.
+#[test]
+fn a_late_failure_on_an_older_rung_still_resolves_the_query() {
+    let server = Server::with_devices(
+        vec![fast_device(GpuModel::T4)],
+        ServerConfig {
+            runtime: RuntimeOptions {
+                producers: 2,
+                consumers: 1,
+                extra_cpu_s_per_image: 0.0005,
+                ..Default::default()
+            },
+            max_active_queries: 1,
+            batch_queue: 2,
+            tensor_cache_bytes: 0,
+        },
+    );
+    // 256 / 8 = 32 = the DNN input: the resize is elided, so an off-size
+    // item fails the compiled prefix's shape check — after it has decoded.
+    let plan50 = QueryPlan {
+        decode: smol::core::DecodeMode::ReducedResolution { factor: 8 },
+        ..plan_for(ModelKind::ResNet50, 256, 256, 32, 4)
+    };
+    let plan34 = QueryPlan {
+        dnn: ModelKind::ResNet34,
+        ..plan50.clone()
+    };
+    // Item 0 decodes for far longer than the 40 behind it take to drain.
+    let mut items = encoded_batch(1, 3072, 3072, 7);
+    items.extend(encoded_batch(40, 256, 256, 8));
+    let tenant2 = encoded_batch(1, 256, 256, 90);
+    let opts = SubmitOptions {
+        accuracy: Some(0.95),
+        accuracy_floor: Some(0.9),
+        ladder: vec![DegradeStep {
+            plan: plan34,
+            accuracy: 0.93,
+            est_throughput: 2_000.0,
+        }],
+        ..Default::default()
+    };
+    let h1 = server
+        .submit_opts(plan50.clone(), items, opts)
+        .expect("admitted");
+    // A second tenant blocks at admission (capacity 1) → pressure → the
+    // items not yet claimed move to the ResNet-34 rung.
+    let r2 = std::thread::scope(|scope| {
+        let t2 = scope.spawn(|| {
+            server
+                .submit(plan50.clone(), tenant2)
+                .expect("eventually admitted")
+                .wait_deadline(Duration::from_secs(60))
+                .expect("server alive")
+        });
+        let r1 = h1
+            .wait_deadline(Duration::from_secs(60))
+            .expect("server alive")
+            .expect("the query resolves after its late failure");
+        assert_eq!(r1.images + r1.failed + r1.skipped, 41);
+        assert_eq!(r1.failed, 1, "{:?}", r1.error);
+        assert_eq!(r1.degraded_steps, 1);
+        t2.join().expect("tenant 2")
+    });
+    assert_eq!(r2.expect("the blocked tenant is served").images, 1);
+    assert_eq!(server.stats().pending_batch_items, 0);
+    server.shutdown();
+}
+
 /// Admission is priority-ordered: with one slot, a blocked high-priority
 /// submitter is admitted before a low-priority one that arrived earlier.
 #[test]

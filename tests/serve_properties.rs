@@ -1,15 +1,21 @@
-//! Property tests for the serving scheduler's batch former: under any
+//! Property tests for the serving scheduler. The batch former: under any
 //! interleaving of produced items, a device batch never mixes placement
 //! signatures, never exceeds its plan's batch size, and never loses or
-//! duplicates an item.
+//! duplicates an item. The server: whatever fidelity policy a query runs
+//! under and wherever an item fails, its handle resolves and its outputs
+//! are conserved.
 
 use proptest::prelude::*;
-use smol::accel::ModelKind;
-use smol::codec::Format;
-use smol::core::{DecodeMode, InputVariant, PlacementSignature, QueryPlan};
-use smol::imgproc::PreprocPlan;
-use smol::serve::BatchFormer;
-use std::sync::Arc;
+use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
+use smol::codec::{signal::image_signal, EncodedImage, Format};
+use smol::core::{
+    CascadePlan, DecodeMode, InputVariant, PlacementSignature, Planner, PlannerConfig, QueryPlan,
+};
+use smol::imgproc::{ImageU8, PreprocPlan};
+use smol::runtime::RuntimeOptions;
+use smol::serve::{BatchFormer, DegradeStep, Server, ServerConfig, SubmitOptions};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Three genuinely different plans (DNN × geometry × batch size), with the
 /// signatures derived exactly as the server derives them.
@@ -103,5 +109,144 @@ proptest! {
             .collect();
         expected.sort_unstable();
         prop_assert_eq!(seen, expected);
+    }
+}
+
+/// 64-px sjpg stills — smooth ramps at even indices, busy texture at odd
+/// ones — encoded once for every case, and the difficulty score that
+/// splits the two kinds.
+fn corpus() -> &'static (Vec<EncodedImage>, f64) {
+    static CORPUS: OnceLock<(Vec<EncodedImage>, f64)> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let items: Vec<EncodedImage> = (0..18)
+            .map(|seed| {
+                let mut img = ImageU8::zeros(64, 64, 3);
+                for (j, v) in img.data_mut().iter_mut().enumerate() {
+                    *v = match seed % 2 {
+                        0 => (j / 192 + j % 192 / 6 + seed) as u8,
+                        _ => ((j * 7 + j / 64 * 13 + seed * 31) % 256) as u8,
+                    };
+                }
+                EncodedImage::encode(&img, Format::sjpg(85)).unwrap()
+            })
+            .collect();
+        let score = |enc| image_signal(enc).expect("sjpg signal").score();
+        let threshold = (score(&items[0]) + score(&items[1])) / 2.0;
+        (items, threshold)
+    })
+}
+
+/// A 64-px → 32-px plan on `dnn`, decoding per `decode`.
+fn served_plan(dnn: ModelKind, decode: DecodeMode) -> QueryPlan {
+    let planner = Planner::new(PlannerConfig {
+        dnn_input: 32,
+        batch: 4,
+        ..Default::default()
+    });
+    let input = InputVariant::new("64 sjpg", Format::sjpg(85), 64, 64);
+    QueryPlan {
+        dnn,
+        preproc: planner.build_preproc(&input),
+        input,
+        decode,
+        batch: 4,
+        extra_stages: Vec::new(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One accounting path for every fidelity policy: a 16-item query —
+    /// uniform, laddered 1–3 steps deep (steps 1 and 2 share a signature),
+    /// or routed — with a tenant blocked behind it at admission (the
+    /// pressure that walks the ladder) and possibly one undecodable item,
+    /// on 1–3 producers. Both handles resolve and every output is done,
+    /// failed or skipped. (Debug builds also check at finalize that no
+    /// signature counter outlives the last query.)
+    #[test]
+    fn every_policy_resolves_and_conserves_outputs(
+        depth in 0usize..4,
+        corrupt_at in 0usize..24,
+        producers in 1usize..4,
+        routed in 0u8..2,
+    ) {
+        let n = 16;
+        let (corpus, threshold) = corpus();
+        let mut items = corpus[..n].to_vec();
+        let corrupt = corrupt_at < n; // else: a healthy query
+        if corrupt {
+            let bytes = &items[corrupt_at].bytes;
+            items[corrupt_at].bytes = bytes.slice(..bytes.len() - 1);
+        }
+        let full = served_plan(ModelKind::ResNet50, DecodeMode::Full);
+        let steps = [
+            (ModelKind::ResNet34, 0.93),
+            (ModelKind::ResNet34, 0.92),
+            (ModelKind::ResNet18, 0.91),
+        ];
+        let opts = SubmitOptions {
+            accuracy: Some(0.95),
+            accuracy_floor: Some(0.9),
+            ladder: steps[..depth]
+                .iter()
+                .map(|&(dnn, accuracy)| DegradeStep {
+                    plan: served_plan(dnn, DecodeMode::Full),
+                    accuracy,
+                    est_throughput: 2_000.0,
+                })
+                .collect(),
+            cascade: (routed == 1).then(|| CascadePlan {
+                stage1: served_plan(
+                    ModelKind::ResNet18,
+                    DecodeMode::ReducedResolution { factor: 2 },
+                ),
+                threshold: *threshold,
+                escalation_rate: 0.5,
+            }),
+            ..Default::default()
+        };
+        let server = Server::new(
+            VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02),
+            ServerConfig {
+                runtime: RuntimeOptions {
+                    producers,
+                    consumers: 1,
+                    extra_cpu_s_per_image: 0.0005,
+                    ..Default::default()
+                },
+                max_active_queries: 1,
+                batch_queue: 2,
+                ..Default::default()
+            },
+        );
+        let resolve = |handle: smol::serve::QueryHandle| {
+            handle
+                .wait_deadline(Duration::from_secs(60))
+                .expect("server alive")
+        };
+        let h1 = server.submit_opts(full.clone(), items, opts).expect("admitted");
+        let (r1, r2) = std::thread::scope(|scope| {
+            let tenant2 = scope.spawn(|| {
+                resolve(server.submit(full.clone(), corpus[n..].to_vec()).expect("admitted"))
+            });
+            (resolve(h1), tenant2.join().expect("tenant 2"))
+        });
+        let (Some(r1), Some(r2)) = (r1, r2) else {
+            panic!("a handle did not resolve");
+        };
+        prop_assert_eq!(r1.images + r1.failed + r1.skipped, n);
+        prop_assert_eq!(r1.failed, usize::from(corrupt));
+        prop_assert_eq!(r1.error.is_some(), corrupt);
+        if routed == 1 {
+            prop_assert_eq!(r1.degraded_steps, 0, "a routed query ignores the ladder");
+            prop_assert_eq!(r1.stage_histogram.iter().sum::<usize>(), r1.images);
+        } else {
+            prop_assert!(r1.degraded_steps <= depth);
+            prop_assert!(r1.stage_histogram.is_empty());
+        }
+        prop_assert_eq!((r2.images, r2.failed), (corpus.len() - n, 0));
+        prop_assert_eq!(server.stats().pending_batch_items, 0);
+        server.shutdown();
     }
 }
