@@ -9,9 +9,8 @@
 //! feeds it has landed). Only [`VirtualDevice::wait_until`] blocks, so a
 //! caller can keep a second batch enqueued behind the one that is executing
 //! and the host's wake-up latency stays off the device timeline. The blocking
-//! [`VirtualDevice::transfer`] / [`VirtualDevice::preproc_kernel`] /
-//! [`VirtualDevice::dnn_batch`] are "launch, then wait" — a stream
-//! synchronise after every op. Either way pipelining, backpressure,
+//! [`VirtualDevice::dnn_batch`] is "launch, then wait" — a stream synchronise
+//! after the op (the `T_exec` profile). Either way pipelining, backpressure,
 //! contention between preprocessing kernels and DNN kernels, and the
 //! `min(preproc, exec)` law (§4) all emerge in real wall-clock measurements
 //! rather than being asserted, and [`DeviceStats`] accounts the same busy
@@ -165,13 +164,6 @@ impl VirtualDevice {
         end
     }
 
-    /// [`Self::reserve`] from an empty stream, then sleeps until the slot
-    /// finishes. Returns the simulated duration reserved (scaled).
-    fn occupy(&self, engine: Engine, dur_s: f64) -> f64 {
-        Self::wait_until(self.reserve(engine, dur_s, Instant::now()));
-        dur_s * self.time_scale
-    }
-
     /// The device's ResNet-50 scale relative to the T4 anchor (honors
     /// custom specs from [`Self::with_spec`]).
     fn device_scale(&self) -> f64 {
@@ -228,24 +220,8 @@ impl VirtualDevice {
     /// Executes one DNN batch and blocks until it completes: occupies the
     /// compute engine for `batch / throughput(model, batch)` seconds.
     pub fn dnn_batch(&self, model: ModelKind, batch: usize) -> f64 {
-        self.occupy(Engine::Compute, self.dnn_batch_s(model, batch))
-    }
-
-    /// Executes an accelerator-side preprocessing kernel measured in
-    /// weighted ops (the `smol_imgproc::dag` unit) and blocks until it
-    /// completes.
-    pub fn preproc_kernel(&self, weighted_ops: f64) -> f64 {
-        self.occupy(Engine::Compute, self.preproc_kernel_s(weighted_ops))
-    }
-
-    /// Transfers `bytes` host→device, occupying the copy engine, and blocks
-    /// until the copy lands; pinned staging buffers get the fast DMA path
-    /// (§6.1).
-    pub fn transfer(&self, bytes: usize, pinned: bool) -> f64 {
-        match self.transfer_s(bytes, pinned) {
-            Some(dur_s) => self.occupy(Engine::Copy, dur_s),
-            None => 0.0,
-        }
+        Self::wait_until(self.launch_dnn_batch(model, batch, Instant::now()));
+        self.dnn_batch_s(model, batch) * self.time_scale
     }
 
     /// The throughput the device would sustain for `model` at `batch`
@@ -331,9 +307,10 @@ mod tests {
                 d2.dnn_batch(ModelKind::ResNet50, 64);
             }
         });
-        // 5 large pageable copies on the copy engine, concurrently.
+        // 5 large pageable copies on the copy engine, concurrently, each
+        // synchronised before the next is launched.
         for _ in 0..5 {
-            dev.transfer(20_000_000, false);
+            VirtualDevice::wait_until(dev.launch_transfer(20_000_000, false, Instant::now()));
         }
         compute.join().unwrap();
         let elapsed = start.elapsed().as_secs_f64();
@@ -349,11 +326,25 @@ mod tests {
         assert!(stats.copy_busy_s > 0.0 && stats.compute_busy_s > 0.0);
     }
 
+    /// Busy seconds `launch` adds to an idle device's engines, once the
+    /// stream it enqueued has been waited out.
+    fn busy_after(dev: &VirtualDevice, launch: impl FnOnce(Instant) -> Instant) -> DeviceStats {
+        let before = dev.stats();
+        VirtualDevice::wait_until(launch(Instant::now()));
+        let after = dev.stats();
+        DeviceStats {
+            compute_busy_s: after.compute_busy_s - before.compute_busy_s,
+            copy_busy_s: after.copy_busy_s - before.copy_busy_s,
+            kernels: after.kernels - before.kernels,
+            copies: after.copies - before.copies,
+        }
+    }
+
     #[test]
     fn pinned_transfer_faster_than_pageable() {
         let dev = fast_t4();
-        let pinned = dev.transfer(50_000_000, true);
-        let pageable = dev.transfer(50_000_000, false);
+        let pinned = busy_after(&dev, |t| dev.launch_transfer(50_000_000, true, t)).copy_busy_s;
+        let pageable = busy_after(&dev, |t| dev.launch_transfer(50_000_000, false, t)).copy_busy_s;
         assert!(
             pinned < pageable / 2.0,
             "pinned={pinned} pageable={pageable}"
@@ -363,15 +354,10 @@ mod tests {
     #[test]
     fn preproc_kernel_scales_with_ops() {
         let dev = fast_t4();
-        let small = dev.preproc_kernel(1e6);
-        let large = dev.preproc_kernel(1e8);
-        assert!(large > small * 50.0);
-    }
-
-    #[test]
-    fn cpu_only_device_has_no_transfer_cost() {
-        let dev = VirtualDevice::new(GpuModel::CpuOnly, ExecutionEnv::PyTorch, 0.01);
-        assert_eq!(dev.transfer(1_000_000, false), 0.0);
+        let small = busy_after(&dev, |t| dev.launch_preproc_kernel(1e6, t));
+        let large = busy_after(&dev, |t| dev.launch_preproc_kernel(1e8, t));
+        assert_eq!((small.kernels, small.copies), (1, 0), "the compute engine");
+        assert!(large.compute_busy_s > small.compute_busy_s * 50.0);
     }
 
     // The launch tests below assert positions on the reservation timeline
@@ -435,10 +421,12 @@ mod tests {
         tail = launched.launch_dnn_batch(ModelKind::ResNet50, 64, tail);
         launched.launch_dnn_batch(ModelKind::ResNet18, 7, tail);
 
+        // The same ops, each synchronised before the next is launched.
         let blocking = fast_t4();
-        blocking.transfer(600_000, true);
-        blocking.transfer(600_000, false);
-        blocking.preproc_kernel(3e6);
+        let sync = VirtualDevice::wait_until;
+        sync(blocking.launch_transfer(600_000, true, Instant::now()));
+        sync(blocking.launch_transfer(600_000, false, Instant::now()));
+        sync(blocking.launch_preproc_kernel(3e6, Instant::now()));
         blocking.dnn_batch(ModelKind::ResNet50, 64);
         blocking.dnn_batch(ModelKind::ResNet18, 7);
 

@@ -120,12 +120,16 @@ fn bench_preproc(c: &mut Criterion) {
 
     // The producer stage's CPU prefix: the reference interpreter (one kernel
     // and one intermediate per op) against the compiled single pass, on the
-    // three geometries the serving benchmark exercises. `prefix_recompiled`
+    // four geometries the serving benchmark exercises. `prefix_recompiled`
     // compiles per item: what a plan pays when every item's decoded geometry
-    // differs from the last one's (mixed-size sources).
+    // differs from the last one's (mixed-size sources). `prefix_bytes` is
+    // the same plan with its elementwise tail accelerator-placed (§6.3): the
+    // CPU stops at the u8 intermediate and stages that.
     let thumb = PreprocPlan::thumbnail(224, 224);
+    let small_thumb = PreprocPlan::thumbnail(64, 64);
     let crop_resize = DagOptimizer::default().optimize(&PreprocPlan::standard(73, 64, 64), 128, 72);
     let cases = [
+        ("64x64_identity", &small_thumb, 64, 64),
         ("224x224_identity", &thumb, 224, 224),
         ("215x161_to_224", &thumb, 215, 161),
         ("128x72_crop_resize_64", &crop_resize, 128, 72),
@@ -135,6 +139,9 @@ fn bench_preproc(c: &mut Criterion) {
         let src = smol_imgproc::ops::resize_bilinear_u8(&img, w, h).unwrap();
         let prefix = CompiledPrefix::compile(plan, w, h, &norm).unwrap();
         let mut staging = vec![0.0f32; prefix.out_elems()];
+        let offloaded = plan.clone().split_at(plan.tail_start());
+        let byte_prefix = CompiledPrefix::compile(&offloaded, w, h, &norm).unwrap();
+        let mut byte_staging = vec![0u8; byte_prefix.out_elems()];
         g.throughput(Throughput::Elements(prefix.out_elems() as u64));
         g.bench_function(&format!("prefix_reference/{name}"), |b| {
             b.iter(|| execute_plan(plan, std::hint::black_box(&src), &norm).unwrap())
@@ -146,6 +153,13 @@ fn bench_preproc(c: &mut Criterion) {
                     .unwrap()
             })
         });
+        g.bench_function(&format!("prefix_bytes/{name}"), |b| {
+            b.iter(|| {
+                byte_prefix
+                    .run_into_bytes(std::hint::black_box(&src), &mut byte_staging)
+                    .unwrap()
+            })
+        });
         g.bench_function(&format!("prefix_recompiled/{name}"), |b| {
             b.iter(|| {
                 CompiledPrefix::compile(plan, w, h, &norm)
@@ -154,6 +168,42 @@ fn bench_preproc(c: &mut Criterion) {
                     .unwrap()
             })
         });
+        // Gate (runs under `--test` too): staging bytes is never slower than
+        // staging the tensor at the same geometry — a plan the planner moves
+        // to the accelerator must not pay for it on the CPU. Interleaved
+        // minima, the tensor path on both sides of the byte path; the gap
+        // between its two readings is the estimator's noise.
+        let time = |f: &mut dyn FnMut()| {
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        };
+        let [mut before, mut bytes, mut after] = [f64::INFINITY; 3];
+        for _ in 0..200 {
+            let mut tensor = || {
+                prefix
+                    .run_into(std::hint::black_box(&src), &mut staging)
+                    .unwrap()
+            };
+            before = before.min(time(&mut tensor));
+            bytes = bytes.min(time(&mut || {
+                byte_prefix
+                    .run_into_bytes(std::hint::black_box(&src), &mut byte_staging)
+                    .unwrap()
+            }));
+            after = after.min(time(&mut tensor));
+        }
+        let (tensor, noise) = (before.min(after), (before - after).abs());
+        println!(
+            "  gate prefix_bytes/{name}: bytes {:.2} us vs tensor {:.2} us (noise {:.2} us)",
+            bytes * 1e6,
+            tensor * 1e6,
+            noise * 1e6
+        );
+        assert!(
+            bytes <= tensor + noise.max(0.05 * tensor),
+            "byte staging is slower than tensor staging on {name}"
+        );
     }
     g.finish();
 

@@ -1,16 +1,15 @@
 //! Figures 7 and 8: lesion study and factor analysis of the *systems*
-//! optimizations (§6.1) — threading, memory reuse, pinned staging, and the
-//! preprocessing DAG — measured with real pipeline runs on full-resolution
-//! and low-resolution (161 spng) ImageNet-sim images, ResNet-50.
+//! optimizations (§6.1–§6.3) — threading, memory reuse, pinned staging, the
+//! preprocessing DAG, and operator placement — measured with real pipeline
+//! runs on full-resolution and low-resolution (161 spng) ImageNet-sim
+//! images, ResNet-50.
 //!
 //! One binary produces both figures (they sweep the same axis in opposite
 //! directions); `figure8` is an alias binary.
 
-use smol_accel::{DeviceSpec, ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{
-    default_planner, fmt_tput, naive_planner, quick_mode, run_once, Table, VariantKind, VariantSet,
-    VCPUS,
-};
+use smol_accel::{throughput, DeviceSpec, ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
+use smol_bench::{fmt_tput, quick_mode, run_once, Table, VariantKind, VariantSet, VCPUS};
+use smol_core::{Planner, PlannerConfig, QueryPlan};
 use smol_data::still_catalog;
 use smol_runtime::{wrap_images, RuntimeOptions};
 
@@ -24,12 +23,70 @@ fn fast_exec_device() -> VirtualDevice {
     VirtualDevice::with_spec(spec, ExecutionEnv::TensorRt, 1.0)
 }
 
+#[derive(Clone, Copy)]
 struct Config {
     name: &'static str,
     threading: bool,
     memory_reuse: bool,
     pinned: bool,
     dag: bool,
+    placement: bool,
+}
+
+const ALL_ON: Config = Config {
+    name: "All",
+    threading: true,
+    memory_reuse: true,
+    pinned: true,
+    dag: true,
+    placement: true,
+};
+
+const BATCH: usize = 32;
+
+impl Config {
+    /// The plan this configuration's planner makes for `kind`: DAG-optimized
+    /// or not, and — under placement — with as much of the elementwise tail
+    /// on the accelerator as the all-CPU profile `cpu_throughput` against
+    /// the planner's device calls for (§6.3; both panels are
+    /// preprocessing-bound on the T4 the planner costs, so the tail moves).
+    fn plan(&self, set: &VariantSet, kind: VariantKind, cpu_throughput: f64) -> QueryPlan {
+        let planner = Planner::new(PlannerConfig {
+            enable_dag_opt: self.dag,
+            enable_placement: self.placement,
+            batch: BATCH,
+            ..PlannerConfig::default()
+        });
+        let input = set.input_variant(kind);
+        let decode = planner.decode_mode(&input);
+        let config = &planner.config;
+        let exec = throughput(ModelKind::ResNet50, config.device, config.env, BATCH);
+        let (preproc, _) = planner.place(
+            &input,
+            planner.build_preproc(&input),
+            decode,
+            cpu_throughput,
+            exec,
+        );
+        QueryPlan {
+            dnn: ModelKind::ResNet50,
+            input,
+            preproc,
+            decode,
+            batch: BATCH,
+            extra_stages: Vec::new(),
+        }
+    }
+
+    fn runtime(&self) -> RuntimeOptions {
+        RuntimeOptions {
+            producers: VCPUS,
+            threading: self.threading,
+            memory_reuse: self.memory_reuse,
+            pinned: self.pinned,
+            ..Default::default()
+        }
+    }
 }
 
 pub fn run(factor_mode: bool) {
@@ -39,79 +96,66 @@ pub fn run(factor_mode: bool) {
     let set = VariantSet::build(spec, n, 21);
 
     let configs: Vec<Config> = if factor_mode {
-        vec![
-            Config {
-                name: "None",
-                threading: false,
-                memory_reuse: false,
-                pinned: false,
-                dag: false,
-            },
-            Config {
-                name: "+threading",
-                threading: true,
-                memory_reuse: false,
-                pinned: false,
-                dag: false,
-            },
-            Config {
-                name: "+mem reuse",
-                threading: true,
-                memory_reuse: true,
-                pinned: false,
-                dag: false,
-            },
-            Config {
-                name: "+pinned",
-                threading: true,
-                memory_reuse: true,
-                pinned: true,
-                dag: false,
-            },
-            Config {
-                name: "+DAG",
-                threading: true,
-                memory_reuse: true,
-                pinned: true,
-                dag: true,
-            },
-        ]
+        let none = Config {
+            name: "None",
+            threading: false,
+            memory_reuse: false,
+            pinned: false,
+            dag: false,
+            placement: false,
+        };
+        let threading = Config {
+            name: "+threading",
+            threading: true,
+            ..none
+        };
+        let mem_reuse = Config {
+            name: "+mem reuse",
+            memory_reuse: true,
+            ..threading
+        };
+        let pinned = Config {
+            name: "+pinned",
+            pinned: true,
+            ..mem_reuse
+        };
+        let dag = Config {
+            name: "+DAG",
+            dag: true,
+            ..pinned
+        };
+        let placement = Config {
+            name: "+placement",
+            ..ALL_ON
+        };
+        vec![none, threading, mem_reuse, pinned, dag, placement]
     } else {
         vec![
-            Config {
-                name: "All",
-                threading: true,
-                memory_reuse: true,
-                pinned: true,
-                dag: true,
-            },
+            ALL_ON,
             Config {
                 name: "-threading",
                 threading: false,
-                memory_reuse: true,
-                pinned: true,
-                dag: true,
+                ..ALL_ON
             },
             Config {
                 name: "-mem reuse",
-                threading: true,
                 memory_reuse: false,
-                pinned: true,
-                dag: true,
+                ..ALL_ON
             },
             Config {
                 name: "-pinned",
-                threading: true,
-                memory_reuse: true,
                 pinned: false,
-                dag: true,
+                ..ALL_ON
             },
             Config {
                 name: "-DAG",
-                threading: true,
-                memory_reuse: true,
-                pinned: true,
                 dag: false,
+                ..ALL_ON
+            },
+            Config {
+                name: "-placement",
+                placement: false,
+                ..ALL_ON
             },
         ]
     };
@@ -130,50 +174,25 @@ pub fn run(factor_mode: bool) {
             &["Config", "Throughput (im/s)", "vs all-on"],
         );
         let mut results = Vec::new();
-        // Baseline with everything on, for the ratio column.
-        let all_on = {
-            let planner = default_planner();
-            let (mut plan, _) = set.plan_and_profile(&planner, ModelKind::ResNet50, kind, VCPUS);
-            plan.batch = 32;
+        // The all-CPU profile every configuration's placement is judged
+        // against, and the baseline with everything on for the ratio column.
+        let (_, profiled) = set.plan_and_profile(
+            &Planner::new(PlannerConfig::default()),
+            ModelKind::ResNet50,
+            kind,
+            VCPUS,
+        );
+        let run = |cfg: &Config| {
             run_once(
                 &fast_exec_device(),
-                RuntimeOptions {
-                    producers: VCPUS,
-                    ..Default::default()
-                },
-                &plan,
+                cfg.runtime(),
+                &cfg.plan(&set, kind, profiled),
                 wrap_images(set.items(kind)),
             )
-            .throughput
         };
+        let all_on = run(&ALL_ON).throughput;
         for cfg in &configs {
-            let planner = if cfg.dag {
-                default_planner()
-            } else {
-                naive_planner()
-            };
-            let input = set.input_variant(kind);
-            let plan = smol_core::QueryPlan {
-                dnn: ModelKind::ResNet50,
-                input: input.clone(),
-                preproc: planner.build_preproc(&input),
-                decode: planner.decode_mode(&input),
-                batch: 32,
-                extra_stages: Vec::new(),
-            };
-            let opts = RuntimeOptions {
-                producers: VCPUS,
-                threading: cfg.threading,
-                memory_reuse: cfg.memory_reuse,
-                pinned: cfg.pinned,
-                ..Default::default()
-            };
-            let report = run_once(
-                &fast_exec_device(),
-                opts,
-                &plan,
-                wrap_images(set.items(kind)),
-            );
+            let report = run(cfg);
             results.push((cfg.name, report.throughput));
             table.row(&[
                 cfg.name.to_string(),

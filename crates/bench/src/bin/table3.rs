@@ -6,6 +6,11 @@
 //! The paper tunes the regimes by picking DNN/input combinations; we tune
 //! the virtual device's execution rate to the same preproc:exec ratios the
 //! paper reports, then really run the engine (one query per regime).
+//!
+//! The last column is the §6.3 split the planner gives the plan in each
+//! regime (the estimators are defined over the all-CPU profile, which is
+//! also what runs here). A DNN-bound plan must keep every operator on the
+//! CPU; the binary exits non-zero if it does not.
 
 use smol_accel::{DeviceSpec, ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{default_planner, fmt_tput, run_once, Table, VariantKind, VariantSet, VCPUS};
@@ -54,10 +59,12 @@ fn main() {
             "Smol est (err)",
             "BlazeIt est (err)",
             "Tahoma est (err)",
+            "Split (§6.3)",
         ],
     );
     let mut smol_errs = Vec::new();
     let mut best_count = 0usize;
+    let mut dnn_bound_moved_work = false;
     for (name, ratio) in regimes {
         let exec_rate = preproc_tput * ratio;
         let device = device_with_exec_rate(exec_rate);
@@ -69,6 +76,15 @@ fn main() {
         let measured = run_once(&device, opts, &plan, items).throughput;
         let stages = CascadeStage::single(device.model_throughput(ModelKind::ResNet50, 32));
         let exec = stages[0].throughput;
+        let (placed, placement) = planner.place(
+            &plan.input,
+            plan.preproc.clone(),
+            plan.decode,
+            preproc_tput,
+            exec,
+        );
+        let split = placement.expect("a measured profile").split;
+        dnn_bound_moved_work |= name == "DNN-bound" && split < placed.ops.len();
         let ests: Vec<(CostModelKind, f64)> = [
             CostModelKind::Smol,
             CostModelKind::ExecOnly,
@@ -93,6 +109,7 @@ fn main() {
             format!("{} ({:.1}%)", fmt_tput(ests[0].1), errs[0]),
             format!("{} ({:.1}%)", fmt_tput(ests[1].1), errs[1]),
             format!("{} ({:.1}%)", fmt_tput(ests[2].1), errs[2]),
+            placed.placement_label(),
         ]);
     }
     table.print();
@@ -102,4 +119,8 @@ fn main() {
         "Smol mean error: {:.1}% (paper per-row: 1.4% / 4.1% / 7.2%)",
         smol_errs.iter().sum::<f64>() / smol_errs.len() as f64
     );
+    if dnn_bound_moved_work {
+        eprintln!("FAIL: the DNN-bound regime's plan moved work onto the accelerator");
+        std::process::exit(1);
+    }
 }

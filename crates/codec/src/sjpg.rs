@@ -446,12 +446,37 @@ impl SjpgHeader {
                 "row index has {n_rows} entries for height {height}"
             )));
         }
+        // A header is worth only what its body can back. Every coded block
+        // costs at least two bits (a DC code, then an AC or end-of-block
+        // code), so a body too short for the claimed geometry at that rate —
+        // 33 KB of file claiming 65 535 × 65 535 pixels, 12 GB decoded — is
+        // rejected here, before anything is sized from the dimensions.
+        let body_start = (r.bit_pos() + 32 * n_rows as u64).div_ceil(8) as usize;
+        let body_len = data.len().checked_sub(body_start).ok_or(Error::Truncated {
+            context: "sjpg row index",
+        })?;
+        let blocks_per_mcu = match chroma {
+            Chroma::C444 => 3,
+            Chroma::C420 => 6,
+        };
+        let blocks = width.div_ceil(chroma.mcu()) * n_rows * blocks_per_mcu;
+        if body_len * 8 < 2 * blocks {
+            return Err(Error::BadHeader(format!(
+                "{width}x{height} needs {blocks} coded blocks; a {body_len}-byte body cannot hold them"
+            )));
+        }
         let mut row_offsets = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            row_offsets.push(r.bits(32)?);
+        for row in 0..n_rows {
+            let offset = r.bits(32)?;
+            if offset as usize > body_len {
+                return Err(Error::BadHeader(format!(
+                    "row {row} starts at byte {offset} of a {body_len}-byte body"
+                )));
+            }
+            row_offsets.push(offset);
         }
         r.align_byte();
-        let body_start = (r.bit_pos() / 8) as usize;
+        debug_assert_eq!(body_start, (r.bit_pos() / 8) as usize);
         Ok(SjpgHeader {
             width,
             height,
@@ -1265,7 +1290,9 @@ fn decode_block(
     } else {
         0
     };
-    coefs[0] = dc_pred + diff;
+    // Wrapping: a hostile table can code differences no encoder emits, and
+    // the sum of two must not panic (both paths wrap alike).
+    coefs[0] = dc_pred.wrapping_add(diff);
     let mut k = 1usize;
     while k < 64 {
         let sym = ac_table.decode(r)?;
@@ -1352,7 +1379,9 @@ fn decode_block_fast(
         let (_, size, bits) = read_pair(c, tables.dc, |sym| sym as u32)?;
         decode_amplitude(bits, size)
     };
-    coefs[0] = dc_pred + diff;
+    // Wrapping: a hostile table can code differences no encoder emits, and
+    // the sum of two must not panic (both paths wrap alike).
+    coefs[0] = dc_pred.wrapping_add(diff);
     let (k, symbols) = tables.ac.decode_run(c, coefs, 1)?;
     stats.symbols_decoded += 1 + symbols;
     Ok(k)

@@ -126,6 +126,7 @@ fn by_throughput(a: &PlanCandidate, b: &PlanCandidate) -> Ordering {
 ///     est_throughput: tput,
 ///     accuracy,
 ///     cascade: None,
+///     placement: None,
 /// };
 /// let ladder = vec![cand(0.70, 1000.0), cand(0.80, 500.0), cand(0.90, 100.0)];
 /// // Floors, not targets: the fastest plan at or above the floor wins.
@@ -347,6 +348,7 @@ mod tests {
             est_throughput: tput,
             accuracy: acc,
             cascade: None,
+            placement: None,
         }
     }
 

@@ -13,10 +13,12 @@
 //! * [`plan`] — plan representation (DNN, input variant, preprocessing
 //!   pipeline, decode mode);
 //! * [`pareto`] — Pareto-frontier and constrained selection (§3.1, Eq. 1);
-//! * [`placement`] — CPU/accelerator operator placement (§6.3);
+//! * [`placement`] — CPU/accelerator operator placement (§6.3): the split
+//!   search the planner runs on every candidate ([`Planner::place`]), both
+//!   sides on one clock;
 //! * [`planner`] — D × F enumeration with lesion toggles (low-res,
 //!   DAG optimization, multi-resolution decoding, reduced-fidelity
-//!   video) used by the Figure 4–6 experiments. GOP-structured video
+//!   video, placement) used by the Figure 4–8 experiments. GOP-structured video
 //!   inputs get their own decode ladder — [`plan::FrameSelection`]
 //!   (all / keyframe-only / strided) × an in-loop-deblock knob — costed
 //!   per *source* frame with the I-frame amortized over the GOP and
@@ -46,7 +48,7 @@ pub use costmodel::{
     CascadeStage, CostModelKind, StorageProfile,
 };
 pub use pareto::{max_accuracy_with_throughput, max_throughput_with_accuracy, pareto_frontier};
-pub use placement::{choose_placement, PlacementDecision, PlacementRates};
+pub use placement::{choose_placement, PlacementDecision, PlacementEstimate, PlacementRates};
 pub use plan::{
     CascadePlan, DecodeMode, FrameSelection, InputVariant, PlacementSignature, PlanCandidate,
     QueryPlan,

@@ -80,6 +80,7 @@ mod tests {
             est_throughput: tput,
             accuracy: acc,
             cascade: None,
+            placement: None,
         }
     }
 

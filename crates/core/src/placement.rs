@@ -7,9 +7,12 @@
 //! branchy and accelerator-hostile (§6.4). As the paper notes, this leaves
 //! "typically under 5" configurations to evaluate per plan.
 
-use smol_imgproc::dag::{plan_op_costs, Placement, PreprocPlan};
+use smol_imgproc::dag::{plan_op_costs, PreprocPlan};
 
-/// Rates needed to evaluate a placement.
+/// Rates needed to evaluate a placement. All four are on one clock: a
+/// placement compares the two sides of the pipeline, so a caller holding
+/// simulated-time device rates converts them to the wall clock its CPU
+/// rates were measured on first (`smol_serve::Session` does).
 #[derive(Debug, Clone, Copy)]
 pub struct PlacementRates {
     /// Decode throughput on the CPU side, images/second (all cores).
@@ -22,40 +25,77 @@ pub struct PlacementRates {
     pub exec_throughput: f64,
 }
 
+impl PlacementRates {
+    /// Rates from one profiled number: `cpu_throughput` is the measured
+    /// all-CPU rate of decode + preprocessing (images/second, all cores),
+    /// split into its two terms by the weighted-op model the planner costs
+    /// every other candidate with — `decode_ops` for the decode,
+    /// `preproc_ops` for the whole preprocessing plan.
+    pub fn from_profile(
+        cpu_throughput: f64,
+        decode_ops: f64,
+        preproc_ops: f64,
+        accel_ops_per_s: f64,
+        exec_throughput: f64,
+    ) -> Self {
+        let cpu_ops_per_s = cpu_throughput * (decode_ops + preproc_ops);
+        PlacementRates {
+            decode_throughput: cpu_ops_per_s / decode_ops,
+            cpu_ops_per_s,
+            accel_ops_per_s,
+            exec_throughput,
+        }
+    }
+}
+
+/// A placement's split point and what it is expected to sustain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlacementEstimate {
+    /// Number of leading operators on the CPU.
+    pub split: usize,
+    /// Estimated CPU-side and accelerator-side throughputs, on the clock of
+    /// the [`PlacementRates`] they were derived from.
+    pub cpu_side: f64,
+    pub accel_side: f64,
+}
+
+impl PlacementEstimate {
+    /// Estimated pipelined throughput: the slower side.
+    pub fn throughput(&self) -> f64 {
+        self.cpu_side.min(self.accel_side)
+    }
+}
+
 /// Outcome of the placement search.
 #[derive(Debug, Clone)]
 pub struct PlacementDecision {
     /// The plan with placements assigned.
     pub plan: PreprocPlan,
-    /// Number of leading operators on the CPU.
-    pub split: usize,
-    /// Estimated end-to-end throughput of this placement.
-    pub est_throughput: f64,
-    /// Estimated CPU-side and accelerator-side throughputs.
-    pub cpu_side: f64,
-    pub accel_side: f64,
+    pub estimate: PlacementEstimate,
 }
 
 /// Evaluates one split point.
-fn evaluate_split(costs: &[f64], split: usize, rates: &PlacementRates) -> (f64, f64, f64) {
+fn evaluate_split(costs: &[f64], split: usize, rates: &PlacementRates) -> PlacementEstimate {
     let cpu_ops: f64 = costs[..split].iter().sum();
     let accel_ops: f64 = costs[split..].iter().sum();
     let cpu_time = 1.0 / rates.decode_throughput + cpu_ops / rates.cpu_ops_per_s;
     let accel_time = accel_ops / rates.accel_ops_per_s + 1.0 / rates.exec_throughput;
-    let cpu_side = 1.0 / cpu_time;
-    let accel_side = 1.0 / accel_time;
-    (cpu_side.min(accel_side), cpu_side, accel_side)
+    PlacementEstimate {
+        split,
+        cpu_side: 1.0 / cpu_time,
+        accel_side: 1.0 / accel_time,
+    }
 }
 
 /// Chooses the split point maximizing estimated pipelined throughput
 /// (`min` of the two sides); ties prefer keeping work on the CPU, which
-/// leaves accelerator headroom.
+/// leaves accelerator headroom — so a DNN-bound plan, which no split can
+/// speed up, stays all-CPU.
 ///
-/// Every split point is costed, including those inside the geometric prefix.
-/// `smol_runtime` executes resizes and crops on the CPU only, so it runs a
-/// decision only when `split` leaves no geometric operator on the
-/// accelerator (the elementwise tail may move freely); any other decision is
-/// rejected at submission by `smol_runtime::PlanContext::validate`.
+/// Only the elementwise tail may move: `smol_runtime` executes resizes and
+/// crops on the CPU only (a geometric operator on the accelerator is
+/// rejected at submission by `smol_runtime::PlanContext::validate`), so the
+/// split points inside the geometric prefix are not candidates.
 pub fn choose_placement(
     plan: &PreprocPlan,
     input_w: usize,
@@ -67,38 +107,24 @@ pub fn choose_placement(
         .map(|c| c.weighted_ops)
         .collect();
     let n = costs.len();
-    let mut best_split = n;
-    let mut best = f64::NEG_INFINITY;
-    let mut best_sides = (0.0, 0.0);
     // Prefer larger splits (more on CPU) on ties: iterate descending.
-    for split in (0..=n).rev() {
-        let (tput, cpu, accel) = evaluate_split(&costs, split, rates);
-        if tput > best + 1e-9 {
-            best = tput;
-            best_split = split;
-            best_sides = (cpu, accel);
+    let mut best = evaluate_split(&costs, n, rates);
+    for split in (plan.tail_start()..n).rev() {
+        let candidate = evaluate_split(&costs, split, rates);
+        if candidate.throughput() > best.throughput() + 1e-9 {
+            best = candidate;
         }
     }
-    let mut placed = plan.clone();
-    for (i, op) in placed.ops.iter_mut().enumerate() {
-        op.placement = if i < best_split {
-            Placement::Cpu
-        } else {
-            Placement::Accel
-        };
-    }
     PlacementDecision {
-        plan: placed,
-        split: best_split,
-        est_throughput: best,
-        cpu_side: best_sides.0,
-        accel_side: best_sides.1,
+        plan: plan.clone().split_at(best.split),
+        estimate: best,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smol_imgproc::dag::Placement;
 
     fn rates(decode: f64, exec: f64) -> PlacementRates {
         PlacementRates {
@@ -115,7 +141,7 @@ mod tests {
         let plan = PreprocPlan::standard(256, 224, 224);
         let d = choose_placement(&plan, 640, 480, &rates(500.0, 5.0));
         assert_eq!(
-            d.split,
+            d.estimate.split,
             plan.ops.len(),
             "all preprocessing should stay on CPU"
         );
@@ -129,24 +155,27 @@ mod tests {
         let mut r = rates(800.0, 250_000.0);
         r.cpu_ops_per_s = 2e8; // weak CPU
         let d = choose_placement(&plan, 640, 480, &r);
+        let split = d.estimate.split;
         assert!(
-            d.split < plan.ops.len(),
-            "some ops should move to the accelerator (split={})",
-            d.split
+            (2..plan.ops.len()).contains(&split),
+            "the elementwise tail, and only it, may move (split={split})"
         );
-        assert!(d
-            .plan
-            .ops
-            .iter()
-            .skip(d.split)
-            .all(|o| o.placement == Placement::Accel));
+        for (i, op) in d.plan.ops.iter().enumerate() {
+            let expected = if i < split {
+                Placement::Cpu
+            } else {
+                Placement::Accel
+            };
+            assert_eq!(op.placement, expected, "op {i}");
+        }
     }
 
     #[test]
     fn estimate_is_min_of_sides() {
         let plan = PreprocPlan::thumbnail(224, 224);
         let d = choose_placement(&plan, 161, 161, &rates(2000.0, 4513.0));
-        assert!((d.est_throughput - d.cpu_side.min(d.accel_side)).abs() < 1e-6);
+        let e = d.estimate;
+        assert!((e.throughput() - e.cpu_side.min(e.accel_side)).abs() < 1e-6);
     }
 
     #[test]
@@ -160,11 +189,11 @@ mod tests {
             .iter()
             .map(|c| c.weighted_ops)
             .collect();
-        let (all_cpu, _, _) = super::evaluate_split(&costs, costs.len(), &r);
+        let all_cpu = super::evaluate_split(&costs, costs.len(), &r).throughput();
         assert!(
-            d.est_throughput > all_cpu * 1.05,
+            d.estimate.throughput() > all_cpu * 1.05,
             "offload {:.0} vs all-cpu {all_cpu:.0}",
-            d.est_throughput
+            d.estimate.throughput()
         );
     }
 }

@@ -2,6 +2,7 @@
 //! a preprocessing pipeline × decode options (§3.1: "a plan (concretely,
 //! a DNN and an input format)").
 
+use crate::placement::PlacementEstimate;
 use smol_accel::ModelKind;
 use smol_codec::Format;
 use smol_imgproc::dag::{OpSpec, Placement};
@@ -323,6 +324,13 @@ pub struct PlanCandidate {
     /// full rung and `cascade.stage1` the easy-item rung. `None` for
     /// uniform plans.
     pub cascade: Option<CascadePlan>,
+    /// The §6.3 split `plan.preproc` carries and both sides' estimated
+    /// throughput under it, on the *wall* clock (the three estimates above
+    /// keep the planner's historical clocks: measured preprocessing against
+    /// simulated-time execution, all-CPU). `None` when placement was not
+    /// evaluated — the "-Placement" lesion, hand-built candidates, or a
+    /// profile that measured nothing.
+    pub placement: Option<PlacementEstimate>,
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@ use crate::costmodel::{
     estimate_throughput, storage_adjusted_preproc, CascadeStage, CostModelKind, StorageProfile,
 };
 use crate::pareto;
+use crate::placement::{choose_placement, PlacementEstimate, PlacementRates};
 use crate::plan::{
     CascadePlan, DecodeMode, FrameSelection, InputVariant, PlanCandidate, QueryPlan,
 };
@@ -152,6 +153,10 @@ pub struct PlannerConfig {
     /// bitstream difficulty signals). Off in the "-Cascade" lesion,
     /// which leaves only uniform plans.
     pub enable_cascades: bool,
+    /// Evaluate the §6.3 CPU/accelerator split of every candidate's
+    /// preprocessing plan ([`Planner::place`]). Off in the "-Placement"
+    /// lesion, which leaves every operator on the CPU.
+    pub enable_placement: bool,
     /// Also enumerate `FrameSelection::Stride(video_stride)` video decode
     /// plans — a middle rung between full-GOP and keyframe-only, so
     /// degradation ladders (and live-stream pacing) can shed fidelity in
@@ -175,6 +180,7 @@ impl Default for PlannerConfig {
             enable_video: true,
             enable_storage_aware: true,
             enable_cascades: true,
+            enable_placement: true,
             video_stride: 0,
             dnn_input: 224,
         }
@@ -182,14 +188,39 @@ impl Default for PlannerConfig {
 }
 
 /// The Smol planner.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct Planner {
     pub config: PlannerConfig,
+    /// A `config.device` rate in simulated time × this = the serving
+    /// fleet's rate on the wall clock preprocessing is profiled on. See
+    /// [`Planner::with_device_clock`].
+    device_clock: f64,
+}
+
+impl Default for Planner {
+    fn default() -> Self {
+        Planner::new(PlannerConfig::default())
+    }
 }
 
 impl Planner {
+    /// A planner over a device running in real time (simulated rates are
+    /// wall-clock rates).
     pub fn new(config: PlannerConfig) -> Self {
-        Planner { config }
+        Planner {
+            config,
+            device_clock: 1.0,
+        }
+    }
+
+    /// Tells the planner how fast the serving fleet runs relative to
+    /// `config.device`'s simulated time (`> 1`: faster — a `time_scale`
+    /// below 1, or more devices). Only placement (§6.3) reads it: a split
+    /// compares the CPU side with the accelerator side, so both must be on
+    /// one clock. Every other estimate keeps device rates in simulated time.
+    pub fn with_device_clock(mut self, sim_to_wall: f64) -> Self {
+        self.device_clock = sim_to_wall;
+        self
     }
 
     /// Builds the preprocessing pipeline for an input variant, applying the
@@ -267,6 +298,32 @@ impl Planner {
             })
     }
 
+    /// The CPU's weighted-op bill for one *output* of `input` decoded under
+    /// `mode`: the decode's ops, plus the preprocessing plan to cost for the
+    /// rest and the geometry it runs on ([`costed_preproc_for_decode`] for
+    /// stills). A GOP's decode amortizes over the frames its selection
+    /// outputs.
+    fn cpu_work(
+        &self,
+        input: &InputVariant,
+        preproc: &PreprocPlan,
+        mode: DecodeMode,
+    ) -> (f64, PreprocPlan, (usize, usize)) {
+        let (w, h) = (input.width, input.height);
+        if let (DecodeMode::Video { selection, deblock }, true) = (mode, input.is_video()) {
+            let g = input.gop_len.max(1);
+            let outputs = selection.count(g).max(1) as f64;
+            let decode = video_gop_decode_cost(selection, deblock, g, w, h) / outputs;
+            return (decode, preproc.clone(), (w, h));
+        }
+        let subsampled = input.format.is_chroma_subsampled();
+        (
+            decode_cost_for_mode_subsampled(mode, w, h, subsampled),
+            costed_preproc_for_decode(preproc, mode, w, h),
+            mode.decoded_dims(w, h),
+        )
+    }
+
     /// Estimated preprocessing throughput of the same input decoded under
     /// `mode`, scaled from the measured full-decode throughput by the
     /// joint decode+preprocess weighted-op ratio ([`decode_cost_for_mode`]
@@ -278,21 +335,17 @@ impl Planner {
     /// ratio carry the variant's chroma storage (4:2:0 halves the entropy
     /// work every mode must pay), so cross-mode credit stays honest for
     /// subsampled inputs.
-    #[allow(clippy::too_many_arguments)]
     fn scaled_preproc_throughput(
         &self,
         measured: f64,
         preproc: &PreprocPlan,
         base: DecodeMode,
         mode: DecodeMode,
-        w: usize,
-        h: usize,
-        chroma_subsampled: bool,
+        input: &InputVariant,
     ) -> f64 {
         let joint = |m: DecodeMode| {
-            let (dw, dh) = m.decoded_dims(w, h);
-            let costed = costed_preproc_for_decode(preproc, m, w, h);
-            decode_cost_for_mode_subsampled(m, w, h, chroma_subsampled) + plan_cost(&costed, dw, dh)
+            let (decode, costed, (dw, dh)) = self.cpu_work(input, preproc, m);
+            decode + plan_cost(&costed, dw, dh)
         };
         let base_cost = joint(base);
         let mode_cost = joint(mode);
@@ -300,6 +353,57 @@ impl Planner {
             return measured;
         }
         measured * base_cost / mode_cost
+    }
+
+    /// §6.3 for one plan: moves as much of `preproc`'s elementwise tail to
+    /// the accelerator as raises `min(cpu side, accelerator side)`, and says
+    /// what both sides are then expected to sustain.
+    ///
+    /// * `cpu_throughput` — the profiled rate of decode + all-CPU
+    ///   preprocessing under `mode`, outputs/s on the wall clock. It is
+    ///   split into a decode term and a per-op rate by the weighted-op model
+    ///   every other candidate is costed with
+    ///   ([`PlacementRates::from_profile`]).
+    /// * `exec_throughput` — the DNN's rate on `config.device` in simulated
+    ///   time; it and the device's elementwise rate
+    ///   (`DeviceSpec::elementwise_ops_per_s`) are brought onto the wall
+    ///   clock with [`Planner::with_device_clock`]'s factor, so a device
+    ///   that is slow *in wall time* keeps its plans all-CPU however fast
+    ///   it is on paper.
+    ///
+    /// Only the elementwise tail moves ([`choose_placement`]), so the result
+    /// always passes `smol_runtime::PlanContext::validate`. DNN-bound and
+    /// tied plans come back unchanged, as does every plan under the
+    /// "-Placement" lesion or without a usable profile (estimate `None`).
+    pub fn place(
+        &self,
+        input: &InputVariant,
+        preproc: PreprocPlan,
+        mode: DecodeMode,
+        cpu_throughput: f64,
+        exec_throughput: f64,
+    ) -> (PreprocPlan, Option<PlacementEstimate>) {
+        let usable = |rate: f64| rate.is_finite() && rate > 0.0;
+        if !self.config.enable_placement || !usable(cpu_throughput) || !usable(exec_throughput) {
+            return (preproc, None);
+        }
+        let (decode_ops, costed, (dw, dh)) = self.cpu_work(input, &preproc, mode);
+        let rates = PlacementRates::from_profile(
+            cpu_throughput,
+            decode_ops,
+            plan_cost(&costed, dw, dh),
+            self.config.device.spec().elementwise_ops_per_s * self.device_clock,
+            exec_throughput * self.device_clock,
+        );
+        let decision = choose_placement(&costed, dw, dh, &rates);
+        // The costed plan shares the authored plan's tail op for op (the
+        // rewrite only replaces the geometric prefix): count from the end.
+        let split = preproc.ops.len() - (costed.ops.len() - decision.estimate.split);
+        let estimate = PlacementEstimate {
+            split,
+            ..decision.estimate
+        };
+        (preproc.split_at(split), Some(estimate))
     }
 
     /// Builds one estimated candidate for a spec under a given decode
@@ -340,11 +444,20 @@ impl Planner {
         }
         let exec = crate::costmodel::cascade_exec_throughput(&exec_stages);
         let est = estimate_throughput(self.config.cost_model, preproc_throughput, &exec_stages);
+        // Placement is per output (one inference); the candidate's rates
+        // are per source frame, `exec_scale` outputs apart.
+        let (preproc, placement) = self.place(
+            &s.input,
+            self.build_preproc(&s.input),
+            decode,
+            preproc_throughput / exec_scale,
+            exec / exec_scale,
+        );
         PlanCandidate {
             plan: QueryPlan {
                 dnn: s.dnn,
                 input: s.input.clone(),
-                preproc: self.build_preproc(&s.input),
+                preproc,
                 decode,
                 batch: self.config.batch,
                 // Cascade stage *models* are known only to the client
@@ -358,6 +471,11 @@ impl Planner {
             est_throughput: est,
             accuracy,
             cascade: None,
+            placement: placement.map(|p| PlacementEstimate {
+                cpu_side: p.cpu_side * exec_scale,
+                accel_side: p.accel_side * exec_scale,
+                ..p
+            }),
         }
     }
 
@@ -386,15 +504,19 @@ impl Planner {
         preproc: &PreprocPlan,
         r: &RoutingSpec,
     ) -> Option<PlanCandidate> {
+        // The serving layer batches the two rungs separately; rungs of one
+        // model over one input would share a placement signature and merge
+        // their accounting, so such a pairing is not a cascade at all.
+        if r.stage1_dnn == s.dnn {
+            return None;
+        }
         let rate = r.escalation_rate.clamp(0.0, 1.0);
         let p1 = self.scaled_preproc_throughput(
             s.preproc_throughput,
             preproc,
             base,
             r.stage1_decode,
-            s.input.width,
-            s.input.height,
-            s.input.format.is_chroma_subsampled(),
+            &s.input,
         );
         let per_item = |t: f64| {
             if t.is_finite() && t > 0.0 {
@@ -418,25 +540,36 @@ impl Planner {
             CascadeStage::new(dev(r.stage1_dnn), 1.0),
             CascadeStage::new(dev(s.dnn), rate),
         ];
+        // Each rung is placed as the uniform plan it is for the items routed
+        // to it: its own CPU rate against its own DNN.
+        let (full_preproc, placement) = self.place(
+            &s.input,
+            preproc.clone(),
+            base,
+            s.preproc_throughput,
+            dev(s.dnn),
+        );
+        let (stage1_preproc, _) = self.place(
+            &s.input,
+            preproc.clone(),
+            r.stage1_decode,
+            p1,
+            dev(r.stage1_dnn),
+        );
         let full = QueryPlan {
             dnn: s.dnn,
             input: s.input.clone(),
-            preproc: preproc.clone(),
+            preproc: full_preproc,
             decode: base,
             batch: self.config.batch,
             extra_stages: Vec::new(),
         };
         let stage1 = QueryPlan {
             dnn: r.stage1_dnn,
+            preproc: stage1_preproc,
             decode: r.stage1_decode,
             ..full.clone()
         };
-        // The serving layer batches the two rungs separately; equal
-        // placement signatures would merge their accounting, so such a
-        // pairing is not a cascade at all.
-        if stage1.placement_signature() == full.placement_signature() {
-            return None;
-        }
         Some(PlanCandidate {
             plan: full,
             preproc_throughput: pc,
@@ -448,6 +581,7 @@ impl Planner {
                 threshold: r.threshold,
                 escalation_rate: rate,
             }),
+            placement,
         })
     }
 
@@ -568,9 +702,7 @@ impl Planner {
                     &preproc,
                     base,
                     reduced,
-                    s.input.width,
-                    s.input.height,
-                    s.input.format.is_chroma_subsampled(),
+                    &s.input,
                 );
                 let acc = s.reduced_accuracy.unwrap_or(s.accuracy);
                 out.push(self.candidate(s, reduced, tput, acc, 1.0));

@@ -148,12 +148,53 @@ impl PreprocPlan {
         dims
     }
 
-    /// Number of operators whose placement the §6.3 placement pass may move
-    /// to the accelerator (elementwise tail ops; geometric ops stay on CPU in
-    /// this implementation, matching Smol's "typically under 5
-    /// configurations" observation).
-    pub fn split_points(&self) -> usize {
-        self.ops.len() + 1
+    /// Index of the first operator of the elementwise tail (convert,
+    /// normalize, split — fused or not): the operators the §6.3 placement
+    /// pass may move to the accelerator. Geometric operators stay on the CPU
+    /// in this implementation, so a placement chooses among the split points
+    /// `tail_start()..=ops.len()`, matching Smol's "typically under 5
+    /// configurations" observation.
+    pub fn tail_start(&self) -> usize {
+        self.ops
+            .iter()
+            .rposition(|op| !op.spec.is_elementwise() && !matches!(op.spec, OpSpec::Fused(_)))
+            .map_or(0, |last_geometric| last_geometric + 1)
+    }
+
+    /// Where the plan's operators run, for reports: `all CPU [resize, fused]`
+    /// or `CPU [resize] → accelerator [fused]`.
+    pub fn placement_label(&self) -> String {
+        let names = |ops: &[PlacedOp]| {
+            let names: Vec<&str> = ops.iter().map(|op| op.spec.name()).collect();
+            names.join(", ")
+        };
+        let split = self
+            .ops
+            .iter()
+            .position(|op| op.placement == Placement::Accel)
+            .unwrap_or(self.ops.len());
+        if split == self.ops.len() {
+            format!("all CPU [{}]", names(&self.ops))
+        } else {
+            format!(
+                "CPU [{}] → accelerator [{}]",
+                names(&self.ops[..split]),
+                names(&self.ops[split..])
+            )
+        }
+    }
+
+    /// The plan with its first `split` operators on the CPU and the rest on
+    /// the accelerator (§6.3's split point).
+    pub fn split_at(mut self, split: usize) -> Self {
+        for (i, op) in self.ops.iter_mut().enumerate() {
+            op.placement = if i < split {
+                Placement::Cpu
+            } else {
+                Placement::Accel
+            };
+        }
+        self
     }
 }
 

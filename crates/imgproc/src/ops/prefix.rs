@@ -9,7 +9,7 @@
 //! the planner emits (`ResizeExact`, `ResizeShortEdge` + `CenterCrop`,
 //! `FusedCropResize`, bare `CenterCrop`) collapses to a source window plus
 //! per-axis sample maps, and execution is one of two paths, both writing
-//! straight into the caller's staging buffer:
+//! straight into the caller's staging slot:
 //!
 //! * **identity** — the window is the whole image and nothing resamples:
 //!   only the fused convert/normalize/split pass runs;
@@ -22,6 +22,15 @@
 //! bit-identical to [`crate::dag::execute_plan`], which stays the reference
 //! the property tests compare against.
 //!
+//! What is staged follows the plan's §6.3 placement. With the elementwise
+//! tail on the CPU the slot holds the normalized planar f32 tensor
+//! ([`CompiledPrefix::run_into`]). With the tail on the accelerator the CPU
+//! stops at the u8 intermediate and stages *that* — interleaved bytes, a
+//! quarter of the tensor ([`CompiledPrefix::run_into_bytes`]): the identity
+//! path is one `copy_from_slice`, and the resample path interpolates its
+//! cached rows interleaved, so the vertical blend of an output row is one
+//! contiguous pass straight into the slot.
+//!
 //! [`resize_bilinear_u8`]: crate::ops::resize::resize_bilinear_u8
 
 use crate::dag::{plan_op_costs, OpSpec, Placement, PreprocPlan};
@@ -33,7 +42,8 @@ use crate::ops::resize::{axis_map, scaled_dims, AxisMap};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Two horizontally interpolated source rows (planar, `3 × out_w` each).
+    /// Two horizontally interpolated source rows (`3 × out_w` each; planar
+    /// when staging tensors, interleaved when staging bytes).
     /// Grows to the widest output a thread has produced and is then reused,
     /// so steady-state execution allocates nothing.
     static ROW_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -44,8 +54,8 @@ thread_local! {
 enum Staging {
     /// The elementwise tail runs on the CPU: normalized planar (CHW) f32.
     Tensor,
-    /// The tail is accelerator-placed: the u8 intermediate's interleaved
-    /// bytes, carried as f32 values (the *transfer* is charged at u8 width).
+    /// The tail is accelerator-placed (or the plan has none): the u8
+    /// intermediate's interleaved bytes.
     Bytes,
 }
 
@@ -146,19 +156,43 @@ fn hlerp_row(x: &AxisMap, srow: &[u8], dst: &mut [f32]) {
     }
 }
 
+/// Horizontally interpolates one interleaved RGB source row into
+/// *interleaved* `dst` (`3 × out_w`): the byte-staging twin of [`hlerp_row`],
+/// same arithmetic per element.
+fn hlerp_row_interleaved(x: &AxisMap, srow: &[u8], dst: &mut [f32]) {
+    let taps = x.lo.iter().zip(&x.hi).zip(&x.frac);
+    for (o, ((&x0, &x1), &fx)) in dst.chunks_exact_mut(3).zip(taps) {
+        let (p0, p1) = (&srow[x0 as usize * 3..][..3], &srow[x1 as usize * 3..][..3]);
+        o[0] = p0[0] as f32 + (p1[0] as f32 - p0[0] as f32) * fx;
+        o[1] = p0[1] as f32 + (p1[1] as f32 - p0[1] as f32) * fx;
+        o[2] = p0[2] as f32 + (p1[2] as f32 - p0[2] as f32) * fx;
+    }
+}
+
 /// `(x as u8) as f32` for `0 ≤ x < 256`, without the saturating float→int
 /// cast (which does not vectorize): adding and subtracting 2²³ rounds `x`
 /// to the nearest integer in f32 arithmetic, and stepping back when that
 /// rounded up gives the truncation the cast performs.
 #[inline(always)]
 fn trunc_u8_range(x: f32) -> f32 {
-    const TWO_POW_23: f32 = 8_388_608.0;
     let r = (x + TWO_POW_23) - TWO_POW_23;
     if r > x {
         r - 1.0
     } else {
         r
     }
+}
+
+const TWO_POW_23: f32 = 8_388_608.0;
+
+/// `x as u8` for `0 ≤ x < 256`, again without the saturating cast: `x + 2²³`
+/// holds `x` rounded to the nearest integer in its low mantissa bits, one
+/// above the truncation exactly when the rounding went up.
+#[inline(always)]
+fn to_u8_range(x: f32) -> u8 {
+    let s = x + TWO_POW_23;
+    let rounded_up = s - TWO_POW_23 > x;
+    s.to_bits().wrapping_sub(rounded_up as u32) as u8
 }
 
 /// The CPU-placed prefix of a [`PreprocPlan`], compiled for one source
@@ -267,7 +301,9 @@ impl CompiledPrefix {
         (self.out_w, self.out_h)
     }
 
-    /// Elements [`CompiledPrefix::run_into`] writes (`out_w × out_h × 3`).
+    /// Elements the staging slot holds (`out_w × out_h × 3`): f32 values for
+    /// [`CompiledPrefix::run_into`], bytes for
+    /// [`CompiledPrefix::run_into_bytes`].
     pub fn out_elems(&self) -> usize {
         self.out_w * self.out_h * 3
     }
@@ -278,8 +314,17 @@ impl CompiledPrefix {
         self.maps.is_none()
     }
 
-    /// Bytes the consumer must copy to the device: f32 tensors, or u8-width
-    /// intermediates when the elementwise tail is accelerator-placed.
+    /// True when the prefix stages the u8 intermediate
+    /// ([`CompiledPrefix::run_into_bytes`]) because the plan's elementwise
+    /// tail is accelerator-placed (or absent); false when it stages the
+    /// normalized tensor ([`CompiledPrefix::run_into`]).
+    pub fn stages_bytes(&self) -> bool {
+        self.staging == Staging::Bytes
+    }
+
+    /// Bytes the staging slot holds and the consumer copies to the device:
+    /// f32 tensors, or the 4× smaller u8 intermediate when the elementwise
+    /// tail is accelerator-placed.
     pub fn transfer_bytes(&self) -> usize {
         match self.staging {
             Staging::Tensor => self.out_elems() * std::mem::size_of::<f32>(),
@@ -292,12 +337,61 @@ impl CompiledPrefix {
         self.accel_ops
     }
 
-    /// Runs the prefix on `img`, filling `out` completely. `img` must have
-    /// the compiled source geometry and `out` exactly
+    /// Runs a tensor-staging prefix on `img`, filling `out` completely.
+    /// `img` must have the compiled source geometry and `out` exactly
     /// [`CompiledPrefix::out_elems`] elements — a staging buffer sized for a
     /// different geometry is a [`Error::ShapeMismatch`], never a partial
     /// write.
     pub fn run_into(&self, img: &ImageU8, out: &mut [f32]) -> Result<()> {
+        self.check(img, out.len(), Staging::Tensor)?;
+        let Some((x, y)) = &self.maps else {
+            return fused_convert_normalize_split_into(img, &self.norm, out);
+        };
+        let (scale, bias) = self.norm.affine();
+        let (ow, plane) = (self.out_w, self.out_w * self.out_h);
+        self.resample(x, y, img, hlerp_row, |dy, fy, top, bot| {
+            for c in 0..3 {
+                let dst = &mut out[c * plane + dy * ow..c * plane + (dy + 1) * ow];
+                let rows = top[c * ow..(c + 1) * ow]
+                    .iter()
+                    .zip(&bot[c * ow..(c + 1) * ow]);
+                // The multiply-add is the fused kernel's.
+                let (s, k) = (scale[c], bias[c]);
+                for (o, (&t, &b)) in dst.iter_mut().zip(rows) {
+                    *o = trunc_u8_range(t + (b - t) * fy + 0.5) * s + k;
+                }
+            }
+        });
+        Ok(())
+    }
+
+    /// [`CompiledPrefix::run_into`] for a byte-staging prefix: fills `out`
+    /// with the interleaved u8 intermediate the accelerator-side tail reads.
+    pub fn run_into_bytes(&self, img: &ImageU8, out: &mut [u8]) -> Result<()> {
+        self.check(img, out.len(), Staging::Bytes)?;
+        let Some((x, y)) = &self.maps else {
+            out.copy_from_slice(img.data());
+            return Ok(());
+        };
+        let row_len = 3 * self.out_w;
+        self.resample(x, y, img, hlerp_row_interleaved, |dy, fy, top, bot| {
+            let dst = &mut out[dy * row_len..(dy + 1) * row_len];
+            for ((o, &t), &b) in dst.iter_mut().zip(top).zip(bot) {
+                *o = to_u8_range(t + (b - t) * fy + 0.5);
+            }
+        });
+        Ok(())
+    }
+
+    /// The preconditions both entry points share; `asked` is the staging the
+    /// caller's slot is for.
+    fn check(&self, img: &ImageU8, out_len: usize, asked: Staging) -> Result<()> {
+        if asked != self.staging {
+            return Err(Error::InvalidPlan(format!(
+                "the prefix stages {:?}, the slot is for {asked:?}",
+                self.staging
+            )));
+        }
         if img.channels() != 3 {
             return Err(Error::UnsupportedChannels {
                 channels: img.channels(),
@@ -311,94 +405,61 @@ impl CompiledPrefix {
                 context: "CompiledPrefix::run_into (source geometry)",
             });
         }
-        if out.len() != self.out_elems() {
+        if out_len != self.out_elems() {
             return Err(Error::ShapeMismatch {
                 expected: self.out_elems(),
-                actual: out.len(),
+                actual: out_len,
                 context: "CompiledPrefix::run_into (staging buffer)",
             });
         }
-        match (&self.maps, self.staging) {
-            (None, Staging::Tensor) => fused_convert_normalize_split_into(img, &self.norm, out),
-            (None, Staging::Bytes) => {
-                for (o, v) in out.iter_mut().zip(img.data()) {
-                    *o = *v as f32;
-                }
-                Ok(())
-            }
-            (Some((x, y)), _) => {
-                ROW_SCRATCH
-                    .with(|scratch| self.resample(x, y, img, &mut scratch.borrow_mut(), out));
-                Ok(())
-            }
-        }
+        Ok(())
     }
 
     /// The resample path. Output row `dy` blends the horizontally
-    /// interpolated source rows `y.lo[dy]` and `y.hi[dy]`; consecutive
-    /// output rows mostly share them, so the two most recent are kept.
+    /// interpolated (`hlerp`) source rows `y.lo[dy]` and `y.hi[dy]`;
+    /// consecutive output rows mostly share them, so the two most recent are
+    /// kept. `write_row(dy, fy, top, bot)` does the blend: the truncation of
+    /// `t + (b − t)·fy + 0.5` is the u8 image the reference resize
+    /// materializes (blends of u8 values stay in 0..=255).
     fn resample(
         &self,
         x: &AxisMap,
         y: &AxisMap,
         img: &ImageU8,
-        scratch: &mut Vec<f32>,
-        out: &mut [f32],
+        hlerp: impl Fn(&AxisMap, &[u8], &mut [f32]),
+        mut write_row: impl FnMut(usize, f32, &[f32], &[f32]),
     ) {
-        let ow = self.out_w;
-        let row_len = 3 * ow;
-        if scratch.len() < 2 * row_len {
-            scratch.resize(2 * row_len, 0.0);
-        }
+        let row_len = 3 * self.out_w;
         let src = img.data();
         let stride = self.src_w * 3;
-        // Source row held by each scratch slot.
-        let mut held = [usize::MAX; 2];
-        // Returns the slot holding the interpolated `row`, filling the slot
-        // that does not hold `keep` when it is not cached.
-        let hold = |row: usize, keep: usize, held: &mut [usize; 2], scratch: &mut [f32]| {
-            if let Some(slot) = held.iter().position(|&r| r == row) {
-                return slot;
+        ROW_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            if scratch.len() < 2 * row_len {
+                scratch.resize(2 * row_len, 0.0);
             }
-            let slot = usize::from(held[0] == keep);
-            let srow = &src[row * stride..(row + 1) * stride];
-            hlerp_row(x, srow, &mut scratch[slot * row_len..(slot + 1) * row_len]);
-            held[slot] = row;
-            slot
-        };
-        let (scale, bias) = self.norm.affine();
-        let plane = ow * self.out_h;
-        for dy in 0..self.out_h {
-            let (y0, y1, fy) = (y.lo[dy] as usize, y.hi[dy] as usize, y.frac[dy]);
-            let s0 = hold(y0, y1, &mut held, scratch);
-            let s1 = hold(y1, y0, &mut held, scratch);
-            let top = &scratch[s0 * row_len..(s0 + 1) * row_len];
-            let bot = &scratch[s1 * row_len..(s1 + 1) * row_len];
-            for c in 0..3 {
-                let rows = top[c * ow..(c + 1) * ow]
-                    .iter()
-                    .zip(&bot[c * ow..(c + 1) * ow]);
-                // The truncation of `v + 0.5` is the u8 image the reference
-                // resize materializes (blends of u8 values stay in 0..=255);
-                // the multiply-add below is the fused kernel's.
-                let blend = |(&t, &b): (&f32, &f32)| trunc_u8_range(t + (b - t) * fy + 0.5);
-                match self.staging {
-                    Staging::Tensor => {
-                        let dst = &mut out[c * plane + dy * ow..c * plane + (dy + 1) * ow];
-                        let (s, k) = (scale[c], bias[c]);
-                        for (o, tb) in dst.iter_mut().zip(rows) {
-                            *o = blend(tb) * s + k;
-                        }
-                    }
-                    Staging::Bytes => {
-                        let dst = &mut out[dy * row_len..(dy + 1) * row_len];
-                        for (o, tb) in dst.iter_mut().skip(c).step_by(3).zip(rows) {
-                            *o = blend(tb);
-                        }
-                    }
+            // Source row held by each scratch slot.
+            let mut held = [usize::MAX; 2];
+            // Returns the slot holding the interpolated `row`, filling the
+            // slot that does not hold `keep` when it is not cached.
+            let mut hold = |row: usize, keep: usize, scratch: &mut [f32]| {
+                if let Some(slot) = held.iter().position(|&r| r == row) {
+                    return slot;
                 }
+                let slot = usize::from(held[0] == keep);
+                let srow = &src[row * stride..(row + 1) * stride];
+                hlerp(x, srow, &mut scratch[slot * row_len..(slot + 1) * row_len]);
+                held[slot] = row;
+                slot
+            };
+            for dy in 0..self.out_h {
+                let (y0, y1, fy) = (y.lo[dy] as usize, y.hi[dy] as usize, y.frac[dy]);
+                let s0 = hold(y0, y1, scratch);
+                let s1 = hold(y1, y0, scratch);
+                let top = &scratch[s0 * row_len..(s0 + 1) * row_len];
+                let bot = &scratch[s1 * row_len..(s1 + 1) * row_len];
+                write_row(dy, fy, top, bot);
             }
-        }
+        });
     }
 }
 
@@ -431,5 +492,35 @@ mod tests {
             Err(Error::ShapeMismatch { .. })
         ));
         assert!(prefix.run_into(&patterned(48, 40), &mut out).is_ok());
+    }
+
+    #[test]
+    fn a_slot_of_the_other_kind_is_an_invalid_plan_not_a_conversion() {
+        let cpu_tail = PreprocPlan::thumbnail(32, 32);
+        let accel_tail = cpu_tail.clone().split_at(cpu_tail.tail_start());
+        let img = patterned(48, 40);
+        let (mut tensor, mut bytes) = (vec![0.0; 32 * 32 * 3], vec![0u8; 32 * 32 * 3]);
+
+        let prefix = CompiledPrefix::compile(&cpu_tail, 48, 40, &Normalization::UNIT).unwrap();
+        assert!(!prefix.stages_bytes());
+        assert_eq!(
+            (prefix.transfer_bytes(), prefix.accel_ops()),
+            (4 * 3072, 0.0)
+        );
+        assert!(matches!(
+            prefix.run_into_bytes(&img, &mut bytes),
+            Err(Error::InvalidPlan(_))
+        ));
+        assert!(prefix.run_into(&img, &mut tensor).is_ok());
+
+        let prefix = CompiledPrefix::compile(&accel_tail, 48, 40, &Normalization::UNIT).unwrap();
+        assert!(prefix.stages_bytes());
+        assert_eq!(prefix.transfer_bytes(), 3072);
+        assert!(prefix.accel_ops() > 0.0);
+        assert!(matches!(
+            prefix.run_into(&img, &mut tensor),
+            Err(Error::InvalidPlan(_))
+        ));
+        assert!(prefix.run_into_bytes(&img, &mut bytes).is_ok());
     }
 }

@@ -1,22 +1,30 @@
-//! Recycled (optionally pinned) staging buffers (§6.1): one
+//! Recycled (optionally pinned) staging slots (§6.1): one
 //! [`StagingArena`] per server, one [`BufferPool`] per query.
 //!
 //! The caller of Smol only needs inference *results*, never the intermediate
-//! preprocessed tensors, so buffers can be recycled — across batches and,
+//! preprocessed tensors, so slots can be recycled — across batches and,
 //! through the arena, across queries: a query no larger than a batch would
-//! otherwise never see a buffer twice and pay one zeroed allocation per
+//! otherwise never see a slot twice and pay one zeroed allocation per
 //! item.
 //!
-//! * The **arena** owns the idle buffers, shelved by length (`buf_len`), so
-//!   buffers of different tensor geometries can never be exchanged. It lives
-//!   as long as its owner (a `Server`); every buffer returns to its shelf
-//!   the moment it is dropped, not when its query ends. A shelf allocates
-//!   only when it has nothing idle, so per geometry
-//!   `idle + checked-out ≤ peak checked-out` holds by construction — the
-//!   arena needs no size setting and holds no more than the traffic's own
-//!   high-water mark.
+//! * A slot holds what the plan's §6.3 placement stages
+//!   ([`SlotKind`]): the normalized f32 tensor when the elementwise tail
+//!   runs on the CPU, or the u8 intermediate — a quarter of the bytes — when
+//!   the tail is accelerator-placed. The two are different Rust types
+//!   (`Vec<f32>`, `Vec<u8>`), so they can never be exchanged.
+//! * The **arena** owns the idle slots, shelved by kind and length
+//!   (`buf_len` elements), so slots of different tensor geometries can
+//!   never be exchanged either. It lives as long as its owner (a `Server`);
+//!   every slot returns to its shelf the moment it is dropped, not when its
+//!   query ends. A shelf allocates only when it has nothing idle, so per
+//!   shelf `idle + checked-out ≤ peak checked-out` holds by construction —
+//!   the arena needs no size setting and holds no more than the traffic's
+//!   own high-water mark.
 //! * A **pool** is a query's *entitlement* over that arena: at most
-//!   `capacity` buffers checked out at once, and producers block past it
+//!   `capacity` slots of `buf_len` elements checked out at once, of either
+//!   kind ([`BufferPool::acquire`], [`BufferPool::acquire_bytes`] — the
+//!   producer picks per item, so the two rungs of a cascade share one
+//!   entitlement whatever their placements), and producers block past it
 //!   (backpressure: "Smol will over-allocate memory to ensure that producer
 //!   threads will not contend on consumers" — capacity is set by the
 //!   pipeline to producers + 2×consumers×batch). The entitlement is per
@@ -25,7 +33,7 @@
 //! * [`BufferPool::new`] makes a pool over a private arena — the profile
 //!   loop and tests, where pool and arena lifetimes coincide.
 //!
-//! A recycled buffer keeps its previous contents; every producer overwrites
+//! A recycled slot keeps its previous contents; every producer overwrites
 //! exactly the elements the consumer reads.
 
 use parking_lot::{Condvar, Mutex};
@@ -37,12 +45,12 @@ use std::sync::Arc;
 /// arena ([`StagingStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Checkouts served from a free list (a buffer some earlier checkout,
+    /// Checkouts served from a free list (a slot some earlier checkout,
     /// of this pool or another on the same arena, had returned).
     pub reused: u64,
     /// Fresh heap allocations (nothing idle, or reuse disabled).
     pub allocated: u64,
-    /// Times a producer had to block waiting for a buffer.
+    /// Times a producer had to block waiting for a slot.
     pub waits: u64,
 }
 
@@ -65,14 +73,87 @@ impl Counters {
     }
 }
 
+/// What a staging slot holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SlotKind {
+    /// The normalized f32 tensor (elementwise tail on the CPU).
+    Tensor,
+    /// The interleaved u8 intermediate (tail on the accelerator).
+    Bytes,
+}
+
+impl SlotKind {
+    /// Heap bytes per element.
+    pub fn elem_bytes(self) -> usize {
+        match self {
+            SlotKind::Tensor => std::mem::size_of::<f32>(),
+            SlotKind::Bytes => 1,
+        }
+    }
+}
+
+/// The element types a slot can be made of: each names its side of a shelf.
+trait Elem: Copy + Default {
+    fn side(state: &mut ShelfState) -> &mut Side<Self>;
+    fn slot(buf: Vec<Self>) -> Slot;
+}
+
+impl Elem for f32 {
+    fn side(state: &mut ShelfState) -> &mut Side<f32> {
+        &mut state.tensors
+    }
+    fn slot(buf: Vec<f32>) -> Slot {
+        Slot::Tensor(buf)
+    }
+}
+
+impl Elem for u8 {
+    fn side(state: &mut ShelfState) -> &mut Side<u8> {
+        &mut state.bytes
+    }
+    fn slot(buf: Vec<u8>) -> Slot {
+        Slot::Bytes(buf)
+    }
+}
+
+enum Slot {
+    Tensor(Vec<f32>),
+    Bytes(Vec<u8>),
+}
+
+/// The slots of one kind on a shelf: the idle ones and the count in flight.
 #[derive(Default)]
-struct ShelfState {
-    idle: Vec<Vec<f32>>,
+struct Side<T> {
+    idle: Vec<Vec<T>>,
     checked_out: usize,
     peak_checked_out: usize,
 }
 
-/// Every buffer of one length: the idle ones and the count in flight.
+impl<T> Side<T> {
+    fn put_back(&mut self, buf: Vec<T>) {
+        self.idle.push(buf);
+        self.checked_out -= 1;
+    }
+
+    fn stats(&self, kind: SlotKind, buf_len: usize) -> ShelfStats {
+        ShelfStats {
+            kind,
+            buf_len,
+            idle: self.idle.len(),
+            checked_out: self.checked_out,
+            peak_checked_out: self.peak_checked_out,
+        }
+    }
+}
+
+#[derive(Default)]
+struct ShelfState {
+    tensors: Side<f32>,
+    bytes: Side<u8>,
+}
+
+/// Every slot of one length, both kinds under one lock (a pool's
+/// entitlement counts across them).
 #[derive(Default)]
 struct Shelf {
     state: Mutex<ShelfState>,
@@ -82,21 +163,22 @@ struct Shelf {
 /// One shelf of a [`StagingArena`], as sampled by [`StagingArena::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShelfStats {
-    /// Buffer length in `f32` elements.
+    pub kind: SlotKind,
+    /// Slot length in elements (f32 values or bytes, per `kind`).
     pub buf_len: usize,
-    /// Buffers waiting for their next checkout.
+    /// Slots waiting for their next checkout.
     pub idle: usize,
-    /// Buffers checked out right now.
+    /// Slots checked out right now.
     pub checked_out: usize,
-    /// Most buffers ever checked out at once; `idle + checked_out` never
+    /// Most slots ever checked out at once; `idle + checked_out` never
     /// exceeds it.
     pub peak_checked_out: usize,
 }
 
 impl ShelfStats {
-    /// Heap bytes the idle buffers hold.
+    /// Heap bytes the idle slots hold.
     pub fn idle_bytes(&self) -> u64 {
-        (self.idle * self.buf_len * std::mem::size_of::<f32>()) as u64
+        (self.idle * self.buf_len * self.kind.elem_bytes()) as u64
     }
 }
 
@@ -105,8 +187,8 @@ impl ShelfStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StagingStats {
     pub totals: PoolStats,
-    /// One entry per buffer length seen, ascending. Shelves of pools with
-    /// reuse disabled stay at zero: those buffers are never tracked.
+    /// One entry per (length, kind) a slot was ever drawn from, ascending.
+    /// Pools with reuse disabled add none: their slots are never tracked.
     pub shelves: Vec<ShelfStats>,
 }
 
@@ -117,9 +199,9 @@ impl StagingStats {
     }
 }
 
-/// The store of idle staging buffers that outlives individual queries.
+/// The store of idle staging slots that outlives individual queries.
 /// Cloning shares the arena; dropping the last handle (and the last pool
-/// and buffer drawn from it) frees every idle buffer.
+/// and slot drawn from it) frees every idle slot.
 #[derive(Clone, Default)]
 pub struct StagingArena {
     shelves: Arc<Mutex<HashMap<usize, Arc<Shelf>>>>,
@@ -130,8 +212,8 @@ impl StagingArena {
         Self::default()
     }
 
-    /// An entitlement of `capacity` concurrently checked-out buffers of
-    /// `buf_len` floats, drawn from and returned to this arena. With
+    /// An entitlement of `capacity` concurrently checked-out slots of
+    /// `buf_len` elements, drawn from and returned to this arena. With
     /// `reuse` off every acquire allocates and drops are discarded (the
     /// "- mem reuse" lesion of Figure 7); only the counters are shared.
     pub fn pool(&self, capacity: usize, buf_len: usize, reuse: bool, pinned: bool) -> BufferPool {
@@ -163,14 +245,15 @@ impl StagingArena {
             stats.totals.allocated += allocated;
             stats.totals.waits += waits;
             let state = shelf.state.lock();
-            stats.shelves.push(ShelfStats {
-                buf_len,
-                idle: state.idle.len(),
-                checked_out: state.checked_out,
-                peak_checked_out: state.peak_checked_out,
-            });
+            let sides = [
+                state.tensors.stats(SlotKind::Tensor, buf_len),
+                state.bytes.stats(SlotKind::Bytes, buf_len),
+            ];
+            stats
+                .shelves
+                .extend(sides.into_iter().filter(|s| s.peak_checked_out > 0));
         }
-        stats.shelves.sort_by_key(|s| s.buf_len);
+        stats.shelves.sort_by_key(|s| (s.buf_len, s.kind));
         stats
     }
 }
@@ -180,7 +263,7 @@ struct PoolInner {
     /// Waits on `shelf.state`'s mutex; signalled only by this pool's own
     /// returns (another pool's return frees none of this entitlement).
     available: Condvar,
-    /// This pool's buffers in flight and its blocked acquirers. Both change
+    /// This pool's slots in flight and its blocked acquirers. Both change
     /// only under `shelf.state`'s lock, which orders them.
     checked_out: AtomicUsize,
     waiting: AtomicUsize,
@@ -188,7 +271,7 @@ struct PoolInner {
     buf_len: usize,
     capacity: usize,
     reuse: bool,
-    /// Whether buffers model pinned (DMA-fast) host memory.
+    /// Whether slots model pinned (DMA-fast) host memory.
     pinned: bool,
 }
 
@@ -199,14 +282,14 @@ impl PoolInner {
     }
 }
 
-/// A bounded entitlement of `f32` staging buffers over a [`StagingArena`].
+/// A bounded entitlement of staging slots over a [`StagingArena`].
 #[derive(Clone)]
 pub struct BufferPool {
     inner: Arc<PoolInner>,
 }
 
 impl BufferPool {
-    /// A pool of `capacity` buffers of `buf_len` floats over an arena of
+    /// A pool of `capacity` slots of `buf_len` elements over an arena of
     /// its own.
     pub fn new(capacity: usize, buf_len: usize, reuse: bool, pinned: bool) -> Self {
         StagingArena::new().pool(capacity, buf_len, reuse, pinned)
@@ -220,16 +303,27 @@ impl BufferPool {
         self.inner.pinned
     }
 
-    /// Acquires a buffer, blocking while the whole entitlement is checked
-    /// out (reuse mode). One lock round trip; a fresh buffer is allocated
-    /// (and zeroed) outside it.
+    /// Acquires an f32 tensor slot, blocking while the whole entitlement is
+    /// checked out (reuse mode). One lock round trip; a fresh slot is
+    /// allocated (and zeroed) outside it.
     pub fn acquire(&self) -> PooledBuffer {
+        self.acquire_slot::<f32>()
+    }
+
+    /// [`BufferPool::acquire`] for a u8 slot: `buf_len` bytes, from the byte
+    /// side of the same shelf and against the same entitlement.
+    pub fn acquire_bytes(&self) -> PooledBuffer {
+        self.acquire_slot::<u8>()
+    }
+
+    fn acquire_slot<T: Elem>(&self) -> PooledBuffer {
         let inner = &*self.inner;
+        let fresh = || T::slot(vec![T::default(); inner.buf_len]);
         if !inner.reuse {
             inner.count(|c| &c.allocated);
             return PooledBuffer {
                 pool: None,
-                data: Some(vec![0.0; inner.buf_len]),
+                data: Some(fresh()),
             };
         }
         let mut shelf = inner.shelf.state.lock();
@@ -240,9 +334,10 @@ impl BufferPool {
             inner.waiting.fetch_sub(1, Relaxed);
         }
         inner.checked_out.fetch_add(1, Relaxed);
-        shelf.checked_out += 1;
-        shelf.peak_checked_out = shelf.peak_checked_out.max(shelf.checked_out);
-        let idle = shelf.idle.pop();
+        let side = T::side(&mut shelf);
+        side.checked_out += 1;
+        side.peak_checked_out = side.peak_checked_out.max(side.checked_out);
+        let idle = side.idle.pop();
         drop(shelf);
         inner.count(|c| {
             if idle.is_some() {
@@ -253,15 +348,17 @@ impl BufferPool {
         });
         PooledBuffer {
             pool: Some(self.clone()),
-            data: Some(idle.unwrap_or_else(|| vec![0.0; inner.buf_len])),
+            data: Some(idle.map_or_else(fresh, T::slot)),
         }
     }
 
-    fn release(&self, buf: Vec<f32>) {
+    fn release(&self, slot: Slot) {
         let inner = &*self.inner;
         let mut shelf = inner.shelf.state.lock();
-        shelf.idle.push(buf);
-        shelf.checked_out -= 1;
+        match slot {
+            Slot::Tensor(buf) => shelf.tensors.put_back(buf),
+            Slot::Bytes(buf) => shelf.bytes.put_back(buf),
+        }
         inner.checked_out.fetch_sub(1, Relaxed);
         let wake = inner.waiting.load(Relaxed) > 0;
         drop(shelf);
@@ -274,34 +371,65 @@ impl BufferPool {
         self.inner.stats.snapshot()
     }
 
-    /// Buffers of this pool currently checked out. A leak shows up as a
+    /// Slots of this pool currently checked out. A leak shows up as a
     /// non-zero value after all `PooledBuffer`s have been dropped.
     pub fn outstanding(&self) -> usize {
         self.inner.checked_out.load(Relaxed)
     }
 }
 
-/// A checked-out buffer; returns to its arena shelf on drop (when reuse is
+/// A checked-out slot; returns to its arena shelf on drop (when reuse is
 /// on), whether or not the query or server it was drawn for still exists.
 pub struct PooledBuffer {
     pool: Option<BufferPool>,
-    data: Option<Vec<f32>>,
+    data: Option<Slot>,
 }
 
 impl PooledBuffer {
+    pub fn kind(&self) -> SlotKind {
+        match self.data.as_ref().expect("live buffer") {
+            Slot::Tensor(_) => SlotKind::Tensor,
+            Slot::Bytes(_) => SlotKind::Bytes,
+        }
+    }
+
+    /// The f32 tensor of a slot from [`BufferPool::acquire`]. Panics on a
+    /// byte slot: the kind was the acquirer's own choice.
     pub fn as_slice(&self) -> &[f32] {
-        self.data.as_deref().expect("live buffer")
+        match self.data.as_ref().expect("live buffer") {
+            Slot::Tensor(buf) => buf,
+            Slot::Bytes(_) => panic!("a byte slot holds no f32 tensor"),
+        }
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        self.data.as_deref_mut().expect("live buffer")
+        match self.data.as_mut().expect("live buffer") {
+            Slot::Tensor(buf) => buf,
+            Slot::Bytes(_) => panic!("a byte slot holds no f32 tensor"),
+        }
+    }
+
+    /// The bytes of a slot from [`BufferPool::acquire_bytes`]. Panics on a
+    /// tensor slot.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self.data.as_ref().expect("live buffer") {
+            Slot::Bytes(buf) => buf,
+            Slot::Tensor(_) => panic!("a tensor slot is not staged bytes"),
+        }
+    }
+
+    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+        match self.data.as_mut().expect("live buffer") {
+            Slot::Bytes(buf) => buf,
+            Slot::Tensor(_) => panic!("a tensor slot is not staged bytes"),
+        }
     }
 }
 
 impl Drop for PooledBuffer {
     fn drop(&mut self) {
-        if let (Some(pool), Some(buf)) = (self.pool.take(), self.data.take()) {
-            pool.release(buf);
+        if let (Some(pool), Some(slot)) = (self.pool.take(), self.data.take()) {
+            pool.release(slot);
         }
     }
 }
@@ -386,13 +514,55 @@ mod tests {
         assert_eq!(pool.outstanding(), 0);
     }
 
-    fn shelf(arena: &StagingArena, buf_len: usize) -> ShelfStats {
+    fn shelf_of(arena: &StagingArena, kind: SlotKind, buf_len: usize) -> ShelfStats {
         let stats = arena.stats();
         *stats
             .shelves
             .iter()
-            .find(|s| s.buf_len == buf_len)
-            .expect("shelf exists once a pool asked for it")
+            .find(|s| (s.kind, s.buf_len) == (kind, buf_len))
+            .expect("shelf exists once a slot was drawn from it")
+    }
+
+    fn shelf(arena: &StagingArena, buf_len: usize) -> ShelfStats {
+        shelf_of(arena, SlotKind::Tensor, buf_len)
+    }
+
+    /// Byte slots and tensor slots of one length count against one
+    /// entitlement, are a quarter the size, and are never handed out as each
+    /// other: a returned tensor slot is no use to a byte acquire.
+    #[test]
+    fn byte_and_tensor_slots_share_an_entitlement_never_a_shelf() {
+        let arena = StagingArena::new();
+        let pool = arena.pool(2, 12, true, true);
+        let mut bytes = pool.acquire_bytes();
+        assert_eq!(
+            (bytes.kind(), bytes.as_bytes().len()),
+            (SlotKind::Bytes, 12)
+        );
+        bytes.as_bytes_mut().copy_from_slice(&[7; 12]);
+        let tensor = pool.acquire();
+        assert_eq!(
+            (tensor.kind(), tensor.as_slice().len()),
+            (SlotKind::Tensor, 12)
+        );
+        assert_eq!(pool.outstanding(), 2, "one entitlement across both kinds");
+        drop(tensor);
+        // The idle tensor slot is not what a byte acquire gets.
+        let more = pool.acquire_bytes();
+        assert_eq!((pool.stats().allocated, pool.stats().reused), (3, 0));
+        drop(more);
+        drop(bytes);
+        let recycled = pool.acquire_bytes();
+        assert_eq!(recycled.as_bytes(), &[7; 12], "the last slot returned");
+        assert_eq!(pool.stats().reused, 1);
+        drop(recycled);
+        let (t, b) = (
+            shelf_of(&arena, SlotKind::Tensor, 12),
+            shelf_of(&arena, SlotKind::Bytes, 12),
+        );
+        assert_eq!((t.idle, t.peak_checked_out, t.idle_bytes()), (1, 1, 48));
+        assert_eq!((b.idle, b.peak_checked_out, b.idle_bytes()), (2, 2, 24));
+        assert_eq!(pool.outstanding(), 0);
     }
 
     #[test]

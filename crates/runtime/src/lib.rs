@@ -15,8 +15,10 @@
 //!   image or a video GOP; GOP items fan out into one staged tensor per
 //!   frame the plan's frame selection materializes
 //!   ([`pipeline::produce_media_item`]).
-//! * [`bufferpool`] — recycled staging buffers: a server-lifetime arena,
-//!   and per-query entitlements over it that provide the backpressure;
+//! * [`bufferpool`] — recycled staging slots (f32 tensors, or the u8
+//!   intermediate of a plan whose elementwise tail is accelerator-placed,
+//!   §6.3): a server-lifetime arena, and per-query entitlements over it
+//!   that provide the backpressure;
 //! * [`tensorcache`] — the bounded decoded-tensor LRU cache with
 //!   single-flight fill: repeat queries over a hot corpus skip decode
 //!   entirely (the in-memory half of the physical-representation store);
@@ -32,7 +34,9 @@ pub mod pipeline;
 pub mod profiler;
 pub mod tensorcache;
 
-pub use bufferpool::{BufferPool, PoolStats, PooledBuffer, ShelfStats, StagingArena, StagingStats};
+pub use bufferpool::{
+    BufferPool, PoolStats, PooledBuffer, ShelfStats, SlotKind, StagingArena, StagingStats,
+};
 pub use media::{video_decode_params, wrap_gops, wrap_images, MediaItem, OutputLayout};
 pub use personalities::Personality;
 pub use pipeline::{

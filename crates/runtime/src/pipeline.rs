@@ -132,7 +132,9 @@ pub struct PlanContext {
     /// Output tensor geometry.
     pub out_w: usize,
     pub out_h: usize,
-    /// Staging-buffer length in f32 elements (`out_w * out_h * 3`).
+    /// Staging-slot length in elements (`out_w * out_h * 3`): f32 values
+    /// when the elementwise tail runs on the CPU, bytes when it is
+    /// accelerator-placed.
     pub buf_len: usize,
     pub norm: Normalization,
     pub dnn: ModelKind,
@@ -218,19 +220,29 @@ impl PlanContext {
         self.prefix.lock().clone()
     }
 
-    /// Executes the CPU-placed prefix of the plan on a decoded image,
-    /// writing the final tensor (or staged u8 intermediate) into `out`.
+    /// Executes the CPU-placed prefix of the plan on a decoded image into a
+    /// slot drawn from `pool`: the final tensor, or — under an
+    /// accelerator-placed tail — the u8 intermediate in a byte slot.
     ///
-    /// Returns `(transfer_bytes, accel_ops)`: how many bytes the consumer
-    /// must copy to the device and the weighted-op cost of the remaining
-    /// accelerator-side operators. An item the prefix does not map to the
-    /// plan's output geometry (a mis-sized item under an elided resize, say)
-    /// is a typed `ShapeMismatch`, never a partial or out-of-bounds write.
-    fn run_cpu_prefix(&self, img: &ImageU8, out: &mut [f32]) -> Result<(usize, f64)> {
+    /// Returns the slot with `(transfer_bytes, accel_ops)`: how many bytes
+    /// it holds for the consumer to copy to the device, and the weighted-op
+    /// cost of the remaining accelerator-side operators. An item the prefix
+    /// does not map to the plan's output geometry (a mis-sized item under an
+    /// elided resize, say) is a typed `ShapeMismatch` before any slot is
+    /// drawn, never a partial or out-of-bounds write.
+    fn stage(&self, img: &ImageU8, pool: &BufferPool) -> Result<(PooledBuffer, usize, f64)> {
         let prefix = self.prefix_for((img.width(), img.height()))?;
         self.check_out_dims(&prefix)?;
-        prefix.run_into(img, out)?;
-        Ok((prefix.transfer_bytes(), prefix.accel_ops()))
+        let buffer = if prefix.stages_bytes() {
+            let mut buffer = pool.acquire_bytes();
+            prefix.run_into_bytes(img, buffer.as_bytes_mut())?;
+            buffer
+        } else {
+            let mut buffer = pool.acquire();
+            prefix.run_into(img, buffer.as_mut_slice())?;
+            buffer
+        };
+        Ok((buffer, prefix.transfer_bytes(), prefix.accel_ops()))
     }
 
     /// Buffer-pool capacity that guarantees producers never starve on
@@ -261,11 +273,11 @@ impl PlanContext {
 pub struct ProducedItem {
     /// Index of the image within its query's item list.
     pub idx: usize,
-    /// Holds the staging buffer (and its pool slot) until the consumer is
-    /// done with the batch.
+    /// Holds the staging slot until the consumer is done with the batch.
     pub buffer: PooledBuffer,
-    /// Bytes the consumer must copy to the device (u8 intermediates are 4×
-    /// smaller than f32 tensors — a real benefit of accelerator placement).
+    /// Bytes the slot holds and the consumer copies to the device (u8
+    /// intermediates are 4× smaller than f32 tensors — a real benefit of
+    /// accelerator placement, on the host as well as on the copy engine).
     pub transfer_bytes: usize,
     /// Weighted-op cost of the remaining accelerator-side operators.
     pub accel_ops: f64,
@@ -313,8 +325,7 @@ pub fn produce_item(
     } else {
         (t1 - t0).as_secs_f64()
     };
-    let mut buffer = pool.acquire();
-    let (transfer_bytes, accel_ops) = ctx.run_cpu_prefix(&decoded, buffer.as_mut_slice())?;
+    let (buffer, transfer_bytes, accel_ops) = ctx.stage(&decoded, pool)?;
     if extra_cpu_s > 0.0 {
         std::thread::sleep(Duration::from_secs_f64(extra_cpu_s));
     }
@@ -473,8 +484,7 @@ pub fn produce_media_item(
         } else {
             (t1 - t0).as_secs_f64()
         };
-        let mut buffer = pool.acquire();
-        let (transfer_bytes, accel_ops) = ctx.run_cpu_prefix(&decoded, buffer.as_mut_slice())?;
+        let (buffer, transfer_bytes, accel_ops) = ctx.stage(&decoded, pool)?;
         if extra_cpu_s > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(extra_cpu_s));
         }

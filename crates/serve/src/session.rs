@@ -343,6 +343,58 @@ pub struct Explanation {
     pub cache_hit: bool,
 }
 
+/// One candidate per line: the plan, its calibrated accuracy, the
+/// `min(preproc, exec)` estimate, and the §6.3 split with both sides on the
+/// wall clock. The label does not carry the split (`perfbench` keys plan
+/// stability on it); this does.
+fn fmt_candidate(f: &mut std::fmt::Formatter<'_>, c: &PlanCandidate) -> std::fmt::Result {
+    write!(
+        f,
+        "{} | {:?} | accuracy {:.4} | est {:.0}/s = min(preproc {:.0}, exec {:.0})",
+        c.plan.label(),
+        c.plan.decode,
+        c.accuracy,
+        c.est_throughput,
+        c.preproc_throughput,
+        c.exec_throughput,
+    )?;
+    match &c.placement {
+        Some(p) => write!(
+            f,
+            " | {}; wall clock: CPU side {:.0}/s, accelerator side {:.0}/s",
+            c.plan.preproc.placement_label(),
+            p.cpu_side,
+            p.accel_side,
+        ),
+        None => write!(f, " | placement not evaluated"),
+    }
+}
+
+impl std::fmt::Display for Explanation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "chosen (variant {:?}", self.variant)?;
+        if self.cache_hit {
+            write!(f, ", from the plan cache")?;
+        }
+        write!(f, "): ")?;
+        fmt_candidate(f, &self.chosen)?;
+        if let Some(cascade) = &self.chosen.cascade {
+            write!(
+                f,
+                "\n  stage 1 (escalation rate {:.2}): {} | {:?}",
+                cascade.escalation_rate,
+                cascade.stage1.label(),
+                cascade.stage1.decode,
+            )?;
+        }
+        for c in &self.frontier {
+            write!(f, "\n  frontier: ")?;
+            fmt_candidate(f, c)?;
+        }
+        Ok(())
+    }
+}
+
 /// The declarative session facade. See the module docs for the
 /// lifecycle.
 ///
@@ -398,12 +450,8 @@ pub struct Session {
     datasets: Mutex<HashMap<String, Arc<Registered>>>,
     profiler: Arc<Profiler>,
     cache: Arc<PlanCache>,
-    /// Fastest (smallest) time scale across the fleet — the optimistic
-    /// simulated→wall conversion for deadline feasibility checks.
-    min_time_scale: f64,
-    /// Fleet throughput relative to the primary device (sum of per-device
-    /// ResNet-50 anchors over the primary's anchor; 1.0 for one device).
-    fleet_speedup: f64,
+    /// See [`Session::sim_to_wall`].
+    sim_to_wall: f64,
 }
 
 impl Session {
@@ -460,16 +508,28 @@ impl Session {
             .map(|d| d.spec().resnet50_batch64)
             .sum::<f64>()
             / primary_anchor;
+        let sim_to_wall = fleet_speedup / min_time_scale;
         Session {
             server: Server::with_devices(devices, cfg.server),
-            planner: Planner::new(cfg.planner),
+            planner: Planner::new(cfg.planner).with_device_clock(sim_to_wall),
             device_key,
             datasets: Mutex::new(HashMap::new()),
             profiler,
             cache,
-            min_time_scale,
-            fleet_speedup,
+            sim_to_wall,
         }
+    }
+
+    /// Wall-clock rate of the whole fleet per unit of the primary device's
+    /// *simulated* rate — the one simulated→wall conversion: fleet
+    /// throughput relative to the primary (sum of per-device ResNet-50
+    /// anchors over the primary's; 1.0 for one device) over the fastest
+    /// (smallest) time scale across the fleet. Optimistic on both counts,
+    /// which is what its two readers need: the deadline pre-check rejects
+    /// only what cannot be met, and placement (§6.3; the planner holds the
+    /// same factor) offloads only when the CPU trails even the fleet's best.
+    pub fn sim_to_wall(&self) -> f64 {
+        self.sim_to_wall
     }
 
     /// Registers a dataset. Names are unique per session.
@@ -686,7 +746,7 @@ impl Session {
                 .iter()
                 .map(|s| s.est_throughput)
                 .fold(chosen.candidate.est_throughput, f64::max);
-            let wall_rate = best_sim_tput * self.fleet_speedup / self.min_time_scale;
+            let wall_rate = best_sim_tput * self.sim_to_wall();
             if wall_rate > 0.0 {
                 let estimated_s = items.len() as f64 / wall_rate;
                 if estimated_s > deadline.as_secs_f64() {
@@ -777,5 +837,67 @@ impl Session {
     /// Drains in-flight queries and stops the serving threads.
     pub fn shutdown(self) {
         self.server.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smol_accel::ModelKind;
+    use smol_core::InputVariant;
+
+    fn t4(time_scale: f64) -> VirtualDevice {
+        VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, time_scale)
+    }
+
+    /// The split the session's planner gives ResNet-50 over a 161-px
+    /// thumbnail whose CPU side was profiled at 2 000 im/s: the number of
+    /// leading operators it keeps on the CPU, of how many.
+    fn split_of(session: &Session) -> (usize, usize) {
+        let spec = CandidateSpec {
+            dnn: ModelKind::ResNet50,
+            input: InputVariant::new("161 spng", Format::Spng, 215, 161).thumbnail(),
+            accuracy: 0.75,
+            preproc_throughput: 2_000.0,
+            reduced_accuracy: None,
+            cascade: None,
+            video: None,
+            storage: None,
+            routing: Vec::new(),
+        };
+        let candidates = session.planner.enumerate(&[spec]);
+        let placement = candidates[0].placement.expect("placement evaluated");
+        (placement.split, candidates[0].plan.preproc.ops.len())
+    }
+
+    /// One simulated→wall conversion, and placement reads it: the same
+    /// (DNN, variant, profile) offloads its tail on a device that is fast in
+    /// wall time, stays all-CPU once the device is the bottleneck in wall
+    /// time (ResNet-50 on a T4 serves 4 513 im/s of *simulated* time either
+    /// way), and a second device moves the answer by the fleet's rate.
+    #[test]
+    fn placement_follows_the_fleets_wall_clock() {
+        let session = |devices| Session::with_fleet(devices, SessionConfig::default());
+
+        let fast = session(vec![t4(0.05)]);
+        assert_eq!(fast.sim_to_wall(), 20.0);
+        let (split, ops) = split_of(&fast);
+        assert!(split < ops, "90 k im/s of device against 2 k of CPU");
+
+        let slow = session(vec![t4(4.0)]);
+        assert_eq!(slow.sim_to_wall(), 0.25);
+        let (split, ops) = split_of(&slow);
+        assert_eq!(split, ops, "1.1 k im/s of device: nothing moves");
+
+        // T4 + V100 at the same scale: (4 513 + 7 151) / 4 513 / 4.
+        let v100 = VirtualDevice::new(GpuModel::V100, ExecutionEnv::TensorRt, 4.0);
+        let fleet = session(vec![t4(4.0), v100]);
+        assert!((fleet.sim_to_wall() - 0.6461).abs() < 1e-4);
+        let (split, ops) = split_of(&fleet);
+        assert!(split < ops, "2.9 k im/s across the fleet: the CPU trails");
+
+        for s in [fast, slow, fleet] {
+            s.shutdown();
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Per-query, per-device, and fleet-wide serving metrics.
 
 use smol_accel::DeviceStats;
-use smol_runtime::{PoolStats, StagingStats, TensorCacheStats};
+use smol_runtime::{PoolStats, SlotKind, StagingStats, TensorCacheStats};
 use std::any::Any;
 
 /// Boxed per-image inference output (type-erased so one server can host
@@ -275,7 +275,11 @@ impl std::fmt::Display for ServerStats {
             write!(f, " none")?;
         }
         for shelf in &self.staging.shelves {
-            write!(f, " {} B @ {} floats", shelf.idle_bytes(), shelf.buf_len)?;
+            let unit = match shelf.kind {
+                SlotKind::Tensor => "floats",
+                SlotKind::Bytes => "bytes",
+            };
+            write!(f, " {} B @ {} {unit}", shelf.idle_bytes(), shelf.buf_len)?;
         }
         Ok(())
     }
@@ -382,12 +386,22 @@ mod tests {
                     allocated: 10,
                     waits: 1,
                 },
-                shelves: vec![ShelfStats {
-                    buf_len: 3072,
-                    idle: 10,
-                    checked_out: 0,
-                    peak_checked_out: 10,
-                }],
+                shelves: vec![
+                    ShelfStats {
+                        kind: SlotKind::Tensor,
+                        buf_len: 3072,
+                        idle: 10,
+                        checked_out: 0,
+                        peak_checked_out: 10,
+                    },
+                    ShelfStats {
+                        kind: SlotKind::Bytes,
+                        buf_len: 3072,
+                        idle: 4,
+                        checked_out: 0,
+                        peak_checked_out: 4,
+                    },
+                ],
             },
             devices: vec![lane(1.0, 0.5, 0), lane(3.0, 0.7, 2)],
         };
@@ -405,7 +419,8 @@ mod tests {
         );
         assert!(
             shown.ends_with(
-                "staging: 70 reused, 10 allocated, 1 waits; idle 122880 B @ 3072 floats"
+                "staging: 70 reused, 10 allocated, 1 waits; \
+                 idle 122880 B @ 3072 floats 12288 B @ 3072 bytes"
             ),
             "{shown}"
         );

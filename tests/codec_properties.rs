@@ -196,6 +196,139 @@ fn spng_bit_flips_decode_or_fail_the_same_way_on_both_paths() {
     assert!(survived > 100, "only {survived} mutated streams decoded");
 }
 
+/// Both sjpg decoders on `data`, each under a cap on its largest single
+/// allocation: the same `Ok`/`Err`, and when `Ok` the same pixels. A coded
+/// block costs at least two bits and decodes to at most 128 output bytes
+/// (4:2:0: a 16×16 MCU from six blocks), so no stream of this length
+/// justifies a buffer past `512 ×` its size; tables and scratch ride in the
+/// constant.
+fn sjpg_paths_agree(data: &[u8]) -> Option<ImageU8> {
+    let cap = data.len() * 512 + (256 << 10);
+    let decode = |opts| {
+        let (out, peak) = largest_allocation(|| sjpg::decode_with_opts(data, opts));
+        assert!(
+            peak <= cap,
+            "allocated {peak} bytes for a {}-byte stream",
+            data.len()
+        );
+        out.map(|(img, _)| img)
+    };
+    match (
+        decode(DecodeOptions::default()),
+        decode(DecodeOptions::scalar_reference()),
+    ) {
+        (Ok(fast), Ok(reference)) => {
+            assert_eq!(fast, reference);
+            Some(fast)
+        }
+        (Err(_), Err(_)) => None,
+        (fast, reference) => panic!(
+            "fast path {:?}, reference {:?}",
+            fast.map(|_| ()),
+            reference.map(|_| ())
+        ),
+    }
+}
+
+/// A small 4:2:0 stream and where its row index starts (every header field
+/// is a whole number of bytes: 11 fixed, then per table sixteen 16-bit
+/// counts and one 16-bit symbol per code).
+fn small_sjpg_stream() -> (Vec<u8>, usize) {
+    let mut img = ImageU8::zeros(40, 24, 3);
+    for (i, v) in img.data_mut().iter_mut().enumerate() {
+        *v = (i * i % 251) as u8;
+    }
+    let data = SjpgEncoder::with_chroma(90, Chroma::C420)
+        .encode(&img)
+        .unwrap()
+        .to_vec();
+    let mut at = 11;
+    for _table in 0..2 {
+        let codes: usize = (0..16)
+            .map(|l| u16::from_be_bytes([data[at + 2 * l], data[at + 2 * l + 1]]) as usize)
+            .sum();
+        at += 2 * (16 + codes);
+    }
+    assert_eq!(
+        u16::from_be_bytes([data[at], data[at + 1]]),
+        2,
+        "two MCU rows"
+    );
+    (data, at)
+}
+
+/// A ~33 KB file whose header claims 65 535 × 65 535 pixels (12 GB decoded)
+/// with a self-consistent 8 192-row index is a typed `BadHeader` on every
+/// entry point, fast and scalar, before anything is sized from it; so is a
+/// row offset past the body.
+#[test]
+fn sjpg_header_its_body_cannot_back_is_rejected_before_allocating() {
+    let (clean, index_at) = small_sjpg_stream();
+    assert!(sjpg_paths_agree(&clean).is_some());
+
+    let mut hostile = clean[..index_at].to_vec();
+    hostile[5..9].copy_from_slice(&[0xFF; 4]);
+    hostile[10] = 0; // 4:4:4: 8-px MCU rows
+    hostile.extend(8192u16.to_be_bytes());
+    hostile.extend((0..8192u32).flat_map(|row| (row % 7).to_be_bytes()));
+    hostile.extend_from_slice(&clean[index_at + 2 + 8..]);
+    assert!(hostile.len() < 34 << 10, "{} bytes", hostile.len());
+    assert_eq!(sjpg::peek_dims(&hostile).unwrap(), (65_535, 65_535));
+    let bad_header =
+        |result: smol::codec::Result<()>| matches!(result, Err(smol::codec::Error::BadHeader(_)));
+    for opts in [DecodeOptions::default(), DecodeOptions::scalar_reference()] {
+        let (verdicts, peak) = largest_allocation(|| {
+            [
+                sjpg::decode_with_opts(&hostile, opts).map(|_| ()),
+                sjpg::decode_scaled_opts(&hostile, 8, opts).map(|_| ()),
+                sjpg::decode_roi_opts(&hostile, Rect::new(0, 0, 64, 64), opts).map(|_| ()),
+                smol::codec::signal::sjpg_signal_opts(&hostile, opts).map(|_| ()),
+            ]
+        });
+        assert!(verdicts.into_iter().all(bad_header));
+        assert!(
+            peak < 64 << 10,
+            "allocated {peak} bytes on the way to the error"
+        );
+    }
+
+    // A row that claims to start past the end of the body.
+    let mut past = clean.clone();
+    let body_len = (clean.len() - (index_at + 2 + 8)) as u32;
+    past[index_at + 6..index_at + 10].copy_from_slice(&(body_len + 1).to_be_bytes());
+    assert!(bad_header(sjpg::decode(&past).map(|_| ())));
+    assert!(sjpg_paths_agree(&past).is_none());
+    // …while one that starts exactly at its end is merely truncated.
+    past[index_at + 6..index_at + 10].copy_from_slice(&body_len.to_be_bytes());
+    assert!(!bad_header(sjpg::decode(&past).map(|_| ())));
+    assert!(sjpg_paths_agree(&past).is_none());
+}
+
+/// Seeded bit flips over the sjpg header — geometry, quality, chroma tag,
+/// both table specs, the row index — and every truncation of it: both paths
+/// fail, or both return the same image, and neither sizes an allocation the
+/// body cannot back.
+#[test]
+fn sjpg_header_flips_decode_or_fail_the_same_way_on_both_paths() {
+    let (clean, index_at) = small_sjpg_stream();
+    let header_len = index_at + 2 + 8;
+    let mut state = 0x5EED_51B6_0BADu64;
+    let mut next = |n: usize| (lcg(&mut state) >> 33) as usize % n;
+    let mut survived = 0;
+    for case in 0..2400 {
+        let mut data = clean.clone();
+        for _ in 0..1 + case % 3 {
+            data[next(header_len)] ^= 1 << next(8);
+        }
+        survived += sjpg_paths_agree(&data).is_some() as usize;
+    }
+    // Some flips (a quality step, a swapped code) leave a decodable stream.
+    assert!(survived > 20, "only {survived} mutated streams decoded");
+    for cut in 0..header_len + 4 {
+        assert!(sjpg_paths_agree(&clean[..cut]).is_none(), "prefix {cut}");
+    }
+}
+
 /// The central-ROI and early-stop entry points under the scalar reference
 /// options — what a serving oracle compares its outputs with — agree with
 /// the default path for every still format.

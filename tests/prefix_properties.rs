@@ -4,7 +4,8 @@
 //! one intermediate image per op) computes for the same plan and image —
 //! for every geometric shape the planner emits, every tail placement, 1-px
 //! edges, the identity case, and a second geometry through the same
-//! `PlanContext` (the re-compile path).
+//! `PlanContext` (the re-compile path). Under an accelerator-placed tail
+//! what is staged is a byte slot holding the reference u8 intermediate.
 
 use proptest::prelude::*;
 use smol::accel::ModelKind;
@@ -15,7 +16,9 @@ use smol::imgproc::ops::fused::fused_convert_normalize_split;
 use smol::imgproc::ops::normalize::Normalization;
 use smol::imgproc::ops::prefix::CompiledPrefix;
 use smol::imgproc::{Error as ImageError, ImageU8};
-use smol::runtime::{decode_item, produce_item, BufferPool, PlanContext, RuntimeError};
+use smol::runtime::{
+    decode_item, produce_item, BufferPool, PlanContext, PooledBuffer, RuntimeError, SlotKind,
+};
 
 fn noise(w: usize, h: usize, seed: u64) -> ImageU8 {
     let mut state = seed | 1;
@@ -78,9 +81,9 @@ fn with_tail(geom: Vec<OpSpec>, tail: Tail) -> PreprocPlan {
     PreprocPlan::new(ops)
 }
 
-/// What the staging buffer must hold: the reference tensor, or — when the
+/// What the staging slot must hold: the reference tensor, or — when the
 /// tail is accelerator-placed — the reference u8 intermediate's interleaved
-/// bytes as f32 (exactly what geometric ops + `ConvertF32` produce).
+/// bytes (here widened: exactly what geometric ops + `ConvertF32` produce).
 fn reference(plan: &PreprocPlan, tail: Tail, img: &ImageU8) -> Vec<f32> {
     let norm = Normalization::IMAGENET;
     if tail != Tail::Accel {
@@ -113,10 +116,34 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Stages `img` (losslessly encoded) through the producer stage.
-fn stage(ctx: &PlanContext, pool: &BufferPool, img: &ImageU8) -> Result<Vec<f32>, RuntimeError> {
+/// The values a staging slot holds, bytes widened the way [`reference`]
+/// widens them, with the slot's kind.
+fn staged_values(buffer: &PooledBuffer) -> (SlotKind, Vec<f32>) {
+    let values = match buffer.kind() {
+        SlotKind::Tensor => buffer.as_slice().to_vec(),
+        SlotKind::Bytes => buffer.as_bytes().iter().map(|&b| b as f32).collect(),
+    };
+    (buffer.kind(), values)
+}
+
+/// Stages `img` (losslessly encoded) through the producer stage: a byte
+/// slot exactly when the tail is accelerator-placed.
+fn stage(
+    ctx: &PlanContext,
+    pool: &BufferPool,
+    tail: Tail,
+    img: &ImageU8,
+) -> Result<Vec<f32>, RuntimeError> {
     let enc = EncodedImage::encode(img, Format::Spng).unwrap();
-    produce_item(ctx, 0, &enc, pool, false, 0.0, None).map(|p| p.buffer.as_slice().to_vec())
+    let produced = produce_item(ctx, 0, &enc, pool, false, 0.0, None)?;
+    let (kind, values) = staged_values(&produced.buffer);
+    assert_eq!(kind == SlotKind::Bytes, tail == Tail::Accel);
+    assert_eq!(
+        produced.transfer_bytes,
+        values.len() * kind.elem_bytes(),
+        "the transfer is what the slot holds"
+    );
+    Ok(values)
 }
 
 fn arb_case() -> impl Strategy<Value = (Shape, Tail, [usize; 4], [u32; 3], u64)> {
@@ -153,7 +180,7 @@ proptest! {
         let pool = BufferPool::new(2, ctx.buf_len, true, false);
 
         let first = noise(w, h, seed);
-        let staged = stage(&ctx, &pool, &first).unwrap();
+        let staged = stage(&ctx, &pool, tail, &first).unwrap();
         prop_assert_eq!(bits(&staged), bits(&reference(&ctx.preproc, tail, &first)));
         prop_assert_eq!(
             ctx.compiled_prefix().unwrap().transfer_bytes(),
@@ -165,7 +192,7 @@ proptest! {
         // geometry the staged tensor is again exact; where it does not,
         // the item is a typed error and the buffer is never part-written.
         let second = noise(w2, h2, seed ^ 0x9e37_79b9);
-        let result = stage(&ctx, &pool, &second);
+        let result = stage(&ctx, &pool, tail, &second);
         if ctx.preproc.output_dims(w2, h2) == (ctx.out_w, ctx.out_h) {
             prop_assert_eq!(
                 bits(&result.unwrap()),
@@ -179,7 +206,7 @@ proptest! {
             ));
         }
         // And back: the first geometry is still exact after the switch.
-        prop_assert_eq!(bits(&stage(&ctx, &pool, &first).unwrap()), bits(&staged));
+        prop_assert_eq!(bits(&stage(&ctx, &pool, tail, &first).unwrap()), bits(&staged));
     }
 
     /// A source already at the output geometry compiles to the identity
@@ -204,8 +231,18 @@ proptest! {
             let plan = with_tail(chain, tail);
             let prefix = CompiledPrefix::compile(&plan, w, h, &Normalization::IMAGENET).unwrap();
             prop_assert!(prefix.is_identity(), "{plan:?}");
-            let mut out = vec![f32::NAN; prefix.out_elems()];
-            prefix.run_into(&img, &mut out).unwrap();
+            prop_assert_eq!(prefix.stages_bytes(), tail == Tail::Accel);
+            let out = if prefix.stages_bytes() {
+                let mut out = vec![0xA5u8; prefix.out_elems()];
+                prefix.run_into_bytes(&img, &mut out).unwrap();
+                // The identity path under byte staging is a plain copy.
+                prop_assert_eq!(&out[..], img.data());
+                out.into_iter().map(|b| b as f32).collect()
+            } else {
+                let mut out = vec![f32::NAN; prefix.out_elems()];
+                prefix.run_into(&img, &mut out).unwrap();
+                out
+            };
             prop_assert_eq!(bits(&out), bits(&reference(&plan, tail, &img)));
         }
     }
@@ -270,6 +307,19 @@ fn roi_decode_landing_on_the_dnn_input_stages_the_fused_pass_only() {
     assert_eq!(bits(produced.buffer.as_slice()), bits(expected.data()));
     assert!(ctx.compiled_prefix().unwrap().is_identity());
     assert_eq!(produced.image.as_deref(), Some(&decoded));
+
+    // The same plan with its tail on the accelerator (what the planner emits
+    // for this preprocessing-bound workload) stages the decoded bytes.
+    let offloaded = QueryPlan {
+        preproc: plan.preproc.clone().split_at(plan.preproc.tail_start()),
+        ..plan
+    };
+    let ctx = PlanContext::new(&offloaded);
+    ctx.validate().unwrap();
+    let produced = produce_item(&ctx, 0, &enc, &pool, false, 0.0, None).unwrap();
+    assert_eq!(produced.buffer.as_bytes(), decoded.data());
+    assert_eq!(produced.transfer_bytes, 224 * 224 * 3);
+    assert!(produced.accel_ops > 0.0);
 }
 
 /// `thumbs_hot`'s geometry: a 64-px spng thumbnail under a 64-px DNN input.
@@ -299,7 +349,7 @@ fn thumbnail_at_the_dnn_input_stages_the_fused_pass_only() {
     let pool = BufferPool::new(2, ctx.buf_len, true, false);
     let expected = fused_convert_normalize_split(&img, &ctx.norm).unwrap();
     assert_eq!(
-        bits(&stage(&ctx, &pool, &img).unwrap()),
+        bits(&stage(&ctx, &pool, Tail::CpuFused, &img).unwrap()),
         bits(expected.data())
     );
     assert!(ctx.compiled_prefix().unwrap().is_identity());
@@ -307,8 +357,24 @@ fn thumbnail_at_the_dnn_input_stages_the_fused_pass_only() {
     let off_size = noise(96, 80, 12);
     let expected = execute_plan(&ctx.preproc, &off_size, &ctx.norm).unwrap();
     assert_eq!(
-        bits(&stage(&ctx, &pool, &off_size).unwrap()),
+        bits(&stage(&ctx, &pool, Tail::CpuFused, &off_size).unwrap()),
         bits(expected.data())
     );
     assert!(!ctx.compiled_prefix().unwrap().is_identity());
+
+    // With the tail on the accelerator (the split the planner gives this
+    // plan on a fast device) the same two items stage their u8
+    // intermediates: the thumbnail's own bytes, and the resized off-size one.
+    let offloaded = QueryPlan {
+        preproc: plan.preproc.clone().split_at(plan.preproc.tail_start()),
+        ..plan
+    };
+    let ctx = PlanContext::new(&offloaded);
+    ctx.validate().unwrap();
+    for item in [&img, &off_size] {
+        assert_eq!(
+            bits(&stage(&ctx, &pool, Tail::Accel, item).unwrap()),
+            bits(&reference(&ctx.preproc, Tail::Accel, item))
+        );
+    }
 }

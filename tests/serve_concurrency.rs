@@ -2,8 +2,9 @@
 //! plans from many submitter threads, per-query image conservation,
 //! bit-identical results vs the scalar reference decoder, admission
 //! backpressure, drain-on-shutdown, error isolation, the
-//! server-lifetime staging arena (reuse across queries, geometries kept
-//! apart, the reuse lesion, degradation to another geometry), and the
+//! server-lifetime staging arena (reuse across queries, geometries and slot
+//! kinds kept apart, the reuse lesion, degradation to another geometry or
+//! placement), §6.3 placement as a batching boundary, and the
 //! consumers' launch window (two deep, drained on shutdown, invisible in
 //! results, no stealing from behind a launched batch, a panicking callback
 //! fails one output).
@@ -13,7 +14,7 @@ use smol::codec::{DecodeOptions, EncodedImage, Format};
 use smol::core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol::imgproc::ImageU8;
 use smol::runtime::pipeline::decode_item_opts;
-use smol::runtime::RuntimeOptions;
+use smol::runtime::{RuntimeOptions, SlotKind};
 use smol::serve::{
     DegradeStep, QueryPoll, ServeError, Server, ServerConfig, ServerStats, SubmitOptions,
 };
@@ -548,6 +549,164 @@ fn staging_buffers_are_reused_across_queries_of_one_geometry_only() {
     assert_eq!(shelves, [(32 * 32 * 3, 5), (48 * 48 * 3, 5)]);
     assert_eq!(stats.staging.totals.reused, 10);
     assert_eq!(stats.staging.idle_bytes(), 5 * 4 * 3 * (32 * 32 + 48 * 48));
+    server.shutdown();
+}
+
+/// `plan` with its elementwise tail on the accelerator (§6.3): the producer
+/// stages the u8 intermediate in a byte slot and the device batch carries a
+/// preprocessing kernel.
+fn offloaded(plan: &QueryPlan) -> QueryPlan {
+    QueryPlan {
+        preproc: plan.preproc.clone().split_at(plan.preproc.tail_start()),
+        ..plan.clone()
+    }
+}
+
+/// Placement is a device-side property: two queries of one DNN and one
+/// tensor geometry share a device batch when their splits agree — CPU tail
+/// or accelerator tail — and never when they differ, and their staging
+/// slots live on shelves of their own kind.
+#[test]
+fn placement_splits_device_batches_and_staging_shelves() {
+    let config = || ServerConfig {
+        runtime: RuntimeOptions {
+            producers: 2,
+            consumers: 1,
+            // As in `homogeneous_queries_share_device_batches`: both queries
+            // are admitted long before either can drain.
+            extra_cpu_s_per_image: 0.02,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let cpu_tail = plan_for(ModelKind::ResNet50, 64, 64, 32, 8);
+    let accel_tail = offloaded(&cpu_tail);
+    assert_ne!(
+        cpu_tail.placement_signature(),
+        accel_tail.placement_signature()
+    );
+    let run_pair = |first: &QueryPlan, second: &QueryPlan| {
+        let server = Server::new(fast_device(), config());
+        let h1 = server
+            .submit(first.clone(), encoded_batch(4, 64, 64, 1))
+            .unwrap();
+        let h2 = server
+            .submit(second.clone(), encoded_batch(4, 64, 64, 2))
+            .unwrap();
+        let (r1, r2) = (h1.wait().unwrap(), h2.wait().unwrap());
+        assert_eq!((r1.images, r1.failed, r2.images, r2.failed), (4, 0, 4, 0));
+        let stats = server.stats();
+        assert_staging_at_rest(&stats);
+        server.shutdown();
+        stats
+    };
+
+    // Same placement, accelerator tail: one full cross-query batch, staged
+    // as bytes, with the tail billed to the device as a second kernel.
+    let same = run_pair(&accel_tail, &accel_tail);
+    assert_eq!((same.batches, same.cross_query_batches), (1, 1));
+    assert_eq!(same.device().kernels, 2, "preprocessing kernel + DNN");
+    let shelves: Vec<_> = same
+        .staging
+        .shelves
+        .iter()
+        .map(|s| (s.kind, s.buf_len, s.idle))
+        .collect();
+    assert_eq!(shelves, [(SlotKind::Bytes, 32 * 32 * 3, 8)]);
+    assert_eq!(same.staging.idle_bytes(), 8 * 32 * 32 * 3);
+
+    // Different placements: never one batch, and each kind's slots return
+    // to its own shelf — four of each, none exchanged.
+    let mixed = run_pair(&cpu_tail, &accel_tail);
+    assert_eq!((mixed.batches, mixed.cross_query_batches), (2, 0));
+    assert_eq!(mixed.device().kernels, 3, "one batch carries a kernel");
+    let shelves: Vec<_> = mixed
+        .staging
+        .shelves
+        .iter()
+        .map(|s| (s.kind, s.buf_len, s.idle, s.peak_checked_out))
+        .collect();
+    assert_eq!(
+        shelves,
+        [
+            (SlotKind::Tensor, 32 * 32 * 3, 4, 4),
+            (SlotKind::Bytes, 32 * 32 * 3, 4, 4)
+        ]
+    );
+    assert_eq!(
+        (mixed.staging.totals.allocated, mixed.staging.totals.reused),
+        (8, 0)
+    );
+}
+
+/// A degradation step onto a rung of the same geometry but another
+/// placement draws byte slots of its own: the tensor slots of the abandoned
+/// rung go back to the tensor shelf, and the items staged after the step are
+/// never handed one.
+#[test]
+fn a_degradation_rung_of_another_placement_draws_its_own_slots() {
+    let server = Server::new(
+        fast_device(),
+        ServerConfig {
+            runtime: RuntimeOptions {
+                producers: 2,
+                consumers: 1,
+                extra_cpu_s_per_image: 0.01,
+                ..Default::default()
+            },
+            max_active_queries: 1,
+            batch_queue: 2,
+            ..Default::default()
+        },
+    );
+    let full = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    let cheap = offloaded(&plan_for(ModelKind::ResNet18, 64, 64, 32, 4));
+    let n = 24;
+    let h1 = server
+        .submit_opts(
+            full.clone(),
+            encoded_batch(n, 64, 64, 50),
+            SubmitOptions {
+                ladder: vec![DegradeStep {
+                    plan: cheap,
+                    accuracy: 0.9,
+                    est_throughput: 4_000.0,
+                }],
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    // A second tenant blocked at admission (capacity 1) is the pressure.
+    let (r1, r2) = std::thread::scope(|scope| {
+        let t2 = scope.spawn(|| {
+            server
+                .submit(full.clone(), encoded_batch(4, 64, 64, 60))
+                .unwrap()
+                .wait()
+                .unwrap()
+        });
+        (h1.wait().unwrap(), t2.join().unwrap())
+    });
+    assert_eq!(r1.degraded_steps, 1);
+    assert_eq!((r1.images, r1.failed), (n, 0));
+    assert!(r1.error.is_none(), "{:?}", r1.error);
+    assert_eq!((r2.images, r2.failed), (4, 0));
+    let stats = server.stats();
+    assert_staging_at_rest(&stats);
+    let kinds: Vec<_> = stats
+        .staging
+        .shelves
+        .iter()
+        .map(|s| (s.kind, s.buf_len))
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            (SlotKind::Tensor, 32 * 32 * 3),
+            (SlotKind::Bytes, 32 * 32 * 3)
+        ]
+    );
+    assert!(stats.staging.shelves.iter().all(|s| s.idle > 0));
     server.shutdown();
 }
 

@@ -547,6 +547,7 @@ fn candidate(accuracy: f64, est_throughput: f64) -> PlanCandidate {
         est_throughput,
         accuracy,
         cascade: None,
+        placement: None,
     }
 }
 

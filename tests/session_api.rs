@@ -584,6 +584,7 @@ fn cand(acc: f64, tput: f64) -> PlanCandidate {
         est_throughput: tput,
         accuracy: acc,
         cascade: None,
+        placement: None,
     }
 }
 
@@ -686,4 +687,67 @@ fn disabled_tensor_cache_decodes_every_submission() {
     let cache = session.stats().tensor_cache;
     assert_eq!((cache.hits, cache.misses, cache.decodes), (0, 0, 0));
     session.shutdown();
+}
+
+/// `Session::explain` shows the §6.3 split with both sides on one clock: a
+/// preprocessing-bound query has its elementwise tail on the accelerator,
+/// the same query on a device slowed until *it* is the bottleneck keeps
+/// everything on the CPU, and the "-Placement" lesion plans as if the
+/// mechanism did not exist.
+#[test]
+fn explain_shows_the_split_and_a_slow_device_keeps_the_cpu() {
+    use smol::core::{Planner, PlannerConfig};
+    use smol::imgproc::dag::Placement;
+    // Half a millisecond of lesion sleep per item caps the profiled CPU side
+    // at 8 k im/s on any host (and a loaded one still manages hundreds);
+    // ResNet-50 on the T4 serves 4 513 im/s of simulated time.
+    let config = |enable_placement| {
+        let mut cfg = SessionConfig::default();
+        cfg.planner.enable_placement = enable_placement;
+        cfg.server.runtime.extra_cpu_s_per_image = 0.0005;
+        cfg
+    };
+    let device = |scale| VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, scale);
+    let q = Query::new("tiny").max_accuracy_loss(0.0);
+    let explain = |scale, enable_placement| {
+        let session = Session::new(device(scale), config(enable_placement));
+        session.register(table_dataset("tiny")).unwrap();
+        let explanation = session.explain(&q).unwrap();
+        session.shutdown();
+        explanation
+    };
+    let accel_ops = |plan: &QueryPlan| plan.placement_signature().accel_ops.len();
+
+    // 90 k im/s of device in wall time against a few thousand of CPU.
+    let fast = explain(0.05, true);
+    let placement = fast.chosen.placement.expect("placement evaluated");
+    assert_eq!(placement.split + 1, fast.chosen.plan.preproc.ops.len());
+    assert_eq!(accel_ops(&fast.chosen.plan), 1, "the fused tail moved");
+    assert!(placement.cpu_side < placement.accel_side, "{placement:?}");
+    // The offload is worth what the CPU no longer does.
+    assert!(placement.cpu_side > fast.chosen.preproc_throughput);
+    let shown = fast.to_string();
+    assert!(shown.contains("→ accelerator [fused]"), "{shown}");
+    assert!(shown.contains("wall clock: CPU side "), "{shown}");
+    // The label does not carry the split; the report's label is unchanged.
+    assert_eq!(fast.chosen.plan.label(), "ResNet-50 @ full");
+
+    // 45 im/s in wall time: the device is the bottleneck, nothing moves.
+    let slow = explain(100.0, true);
+    let placement = slow.chosen.placement.expect("placement evaluated");
+    assert_eq!(placement.split, slow.chosen.plan.preproc.ops.len());
+    assert_eq!(accel_ops(&slow.chosen.plan), 0);
+    assert!(placement.accel_side < placement.cpu_side, "{placement:?}");
+    assert!(slow.to_string().contains("all CPU ["), "{slow}");
+
+    // The lesion: no estimate, and exactly the plan the parent planned.
+    let lesion = explain(0.05, false);
+    assert!(lesion.chosen.placement.is_none());
+    assert!(lesion.to_string().contains("placement not evaluated"));
+    let all_cpu = Planner::new(PlannerConfig::default()).build_preproc(&lesion.chosen.plan.input);
+    assert_eq!(lesion.chosen.plan.preproc, all_cpu);
+    assert!(all_cpu.ops.iter().all(|op| op.placement == Placement::Cpu));
+    assert_eq!(lesion.chosen.plan.decode, fast.chosen.plan.decode);
+    // Placement moved no existing estimate.
+    assert_eq!(fast.chosen.exec_throughput, lesion.chosen.exec_throughput);
 }
