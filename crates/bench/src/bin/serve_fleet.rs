@@ -16,6 +16,15 @@
 //!   gates: at least one degradation fires, no report's accuracy lands
 //!   below its floor, and the worst p95 stays under 2× the single-device
 //!   baseline p95.
+//! * **Mixed priority (printed, not gated).** One-batch High-priority
+//!   queries on the same fleet, alone and beside a Normal-priority scan
+//!   whose stills are 16× the pixels but whose plan has the same placement
+//!   signature — so they share batches, which the scan fills slowly — as a
+//!   ratio of query p50s, tensor cache off. The interactive tenant's tail
+//!   is released when its own production is done, not when the scan has
+//!   filled the batch they share; what is left of the ratio is the scan
+//!   item a producer is in the middle of and the scan's batches ahead on
+//!   the lanes.
 //!
 //! Calibration mirrors `serve_concurrent`: the plan's CPU side is
 //! profiled on this machine, then the virtual-device spec is scaled so
@@ -27,7 +36,11 @@ use smol_codec::{EncodedImage, Format};
 use smol_core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_imgproc::ImageU8;
 use smol_runtime::{measure_preproc_pipelined, RuntimeOptions};
-use smol_serve::{DegradeStep, QueryReport, Server, ServerConfig, ServerStats, SubmitOptions};
+use smol_serve::{
+    percentile, DegradeStep, Priority, QueryReport, Server, ServerConfig, ServerStats,
+    SubmitOptions,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
@@ -106,6 +119,58 @@ fn serve_round(
     (wall, reports, stats)
 }
 
+/// Wall seconds of `n` High-priority `interactive` queries, submitted one
+/// after the other to a two-device fleet — alone, or beside a
+/// Normal-priority tenant resubmitting `scan` for as long as they run.
+fn interactive_walls(
+    spec: &DeviceSpec,
+    interactive: (&QueryPlan, &[EncodedImage]),
+    scan: Option<(&QueryPlan, &[EncodedImage])>,
+    runtime: &RuntimeOptions,
+    n: usize,
+) -> Vec<f64> {
+    let devices = (0..2)
+        .map(|_| VirtualDevice::with_spec(spec.clone(), ExecutionEnv::TensorRt, 1.0))
+        .collect();
+    let server = Server::with_devices(
+        devices,
+        ServerConfig {
+            runtime: *runtime,
+            tensor_cache_bytes: 0,
+            ..Default::default()
+        },
+    );
+    let stop = AtomicBool::new(false);
+    let walls = std::thread::scope(|scope| {
+        if let Some((plan, items)) = scan {
+            let (server, stop) = (&server, &stop);
+            scope.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let handle = server.submit(plan.clone(), items.to_vec());
+                    handle.expect("admitted").wait().expect("resolves");
+                }
+            });
+        }
+        let high = SubmitOptions {
+            priority: Priority::High,
+            ..Default::default()
+        };
+        let walls = (0..n)
+            .map(|_| {
+                let start = Instant::now();
+                let (plan, items) = interactive;
+                let handle = server.submit_opts(plan.clone(), items.to_vec(), high.clone());
+                handle.expect("admitted").wait().expect("resolves");
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        walls
+    });
+    server.shutdown();
+    walls
+}
+
 fn worst_p95(reports: &[QueryReport]) -> f64 {
     reports.iter().fold(0.0f64, |m, r| m.max(r.latency_p95_s))
 }
@@ -128,7 +193,7 @@ fn main() {
     let plan = plan_for(&planner, &input, ModelKind::ResNet50, batch);
     // One consumer per lane: the virtual device serializes execution
     // anyway, and a single consumer keeps queue depth an honest load
-    // signal for least-loaded dispatch and stealing.
+    // signal for dispatch and stealing.
     let runtime = RuntimeOptions {
         consumers: 1,
         ..Default::default()
@@ -249,6 +314,38 @@ fn main() {
         .filter(|r| r.deadline_missed == Some(false))
         .count();
 
+    // Mixed priority: alone and beside the scan, interleaved.
+    let per_rep = if quick_mode() { 8 } else { 24 };
+    let scan_input = InputVariant::new("512x384 sjpg(q=85)", Format::sjpg(85), 4 * w, 4 * h);
+    let scan_plan = plan_for(&planner, &scan_input, ModelKind::ResNet50, batch);
+    assert_eq!(
+        scan_plan.placement_signature(),
+        plan.placement_signature(),
+        "the two tenants must share device batches"
+    );
+    let scan_items: Vec<EncodedImage> = (0..2 * batch)
+        .map(|i| {
+            EncodedImage::encode(&textured(4 * w, 4 * h, i), Format::sjpg(85)).expect("encode")
+        })
+        .collect();
+    let interactive = (&plan, &queries[0][..batch]);
+    let (mut alone, mut beside) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        for (walls, scan) in [
+            (&mut alone, None),
+            (&mut beside, Some((&scan_plan, &scan_items[..]))),
+        ] {
+            walls.extend(interactive_walls(
+                &spec,
+                interactive,
+                scan,
+                &runtime,
+                per_rep,
+            ));
+        }
+    }
+    let (p50_alone, p50_beside) = (percentile(&alone, 0.5), percentile(&beside, 0.5));
+
     let total_base = (n_base * items_per_query) as f64;
     let total_over = (n_overload * items_per_query) as f64;
     let mut table = Table::new(
@@ -302,6 +399,16 @@ fn main() {
         "overload (phase C): {} degradations across {degraded_queries} queries, \
          {deadlines_met}/{n_overload} deadlines met, {floor_violations} floor violations",
         stats_c.degradations,
+    );
+    println!(
+        "mixed priority (not gated): High {batch}-item query p50 {:.1} ms alone, {:.1} ms beside \
+         a Normal {}-item scan of 16× the pixels sharing its signature — {} ({} queries \
+         each, {reps} interleaved repetitions)",
+        p50_alone * 1e3,
+        p50_beside * 1e3,
+        scan_items.len(),
+        fmt_ratio(p50_beside / p50_alone),
+        alone.len(),
     );
 
     let scale_ok = speedup >= 1.8;

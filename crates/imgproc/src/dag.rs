@@ -369,9 +369,7 @@ pub fn plan_op_costs(plan: &PreprocPlan, w: usize, h: usize) -> Vec<OpCost> {
     plan.ops
         .iter()
         .map(|op| {
-            let before = st;
             let weighted = op_cost(&op.spec, &mut st);
-            let _ = before;
             OpCost {
                 name: op.spec.name(),
                 weighted_ops: weighted,

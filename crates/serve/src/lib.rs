@@ -22,13 +22,16 @@
 //!   [`smol_core::QueryPlan`] submissions over a *fleet* of
 //!   [`smol_accel::VirtualDevice`]s ([`Server::with_devices`]): one shared
 //!   producer pool, priority-aware bounded admission
-//!   ([`ServeError::Backpressure`]), least-loaded dispatch across
-//!   per-device lanes, work stealing between lanes, and load-adaptive
+//!   ([`ServeError::Backpressure`]), dispatch of each batch to the
+//!   device lane expected to finish it first, work stealing between lanes, and load-adaptive
 //!   degradation down each query's calibrated plan ladder
 //!   ([`SubmitOptions`]);
 //! * [`scheduler`] — the fair-share + signature-batching policy: item-level
-//!   round-robin across queries, with cross-query device batches formed
-//!   whenever plans share a [`smol_core::PlacementSignature`];
+//!   round-robin across queries, cross-query device batches formed
+//!   whenever plans share a [`smol_core::PlacementSignature`], the three
+//!   rules that release a batch (full, signature drained, priority drain —
+//!   a partial batch never waits for lower-priority work), and the lane
+//!   choice;
 //! * [`QueryHandle`]/[`QueryReport`] — per-query resolution, blocking
 //!   ([`QueryHandle::wait`]) or non-blocking ([`QueryHandle::poll`],
 //!   [`QueryHandle::try_wait`], [`QueryHandle::wait_deadline`]), with
@@ -52,10 +55,10 @@ pub mod stats;
 pub use calibration::{AccuracyTable, Calibration, MeasuredCalibration, PredictFn};
 pub use dataset::{Dataset, DatasetVariant};
 pub use plancache::{CacheStats, ChosenPlan, DeviceKey, PlanCache, PlanKey};
-pub use scheduler::{BatchFormer, FormedBatch};
+pub use scheduler::{BatchFormer, FormedBatch, Priority};
 pub use server::{
-    DegradeStep, Priority, QueryHandle, QueryId, QueryPoll, ServeError, ServeResult, Server,
-    ServerConfig, SubmitOptions,
+    DegradeStep, QueryHandle, QueryId, QueryPoll, ServeError, ServeResult, Server, ServerConfig,
+    SubmitOptions,
 };
 pub use session::{Explanation, Query, Session, SessionConfig, SessionError, StreamLadder};
 pub use stats::{percentile, BoxedPrediction, DeviceLaneStats, QueryReport, ServerStats};

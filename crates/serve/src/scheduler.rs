@@ -1,5 +1,5 @@
-//! Scheduling policy of the serving runtime: fair share + signature
-//! batching.
+//! Scheduling policy of the serving runtime: fair share, signature
+//! batching with priority-aware release, and lane choice.
 //!
 //! # Fair share
 //!
@@ -27,17 +27,73 @@
 //! homogeneous traffic gets cross-query full batches while heterogeneous
 //! traffic degrades gracefully to per-query batches.
 //!
-//! A partial group is flushed only when the scheduler proves no more
-//! items of that signature are coming (no unclaimed items and no item
-//! mid-production across *all* active queries with that signature) — for
-//! a single query, its final partial batch. Items from different
-//! signatures are **never** mixed into one batch, and a batch never
-//! exceeds the signature's batch size; `tests/serve_properties.rs`
-//! property-checks both invariants over arbitrary interleavings.
+//! # When a group is released
+//!
+//! A signature's group leaves the former as a device batch under exactly
+//! three rules, all decided by the [`Batcher`] from one set of counters —
+//! per signature, how many items that could still land in its group are
+//! outstanding (unclaimed or mid-production), by the priority of the query
+//! that owns them ([`SigCount`]):
+//!
+//! 1. **Full** — the group reached the signature's batch size.
+//! 2. **Signature drained** — nothing at all is outstanding under the
+//!    signature (for a single query, its final partial batch). This is
+//!    also the only rule that retires the signature's counters.
+//! 3. **Priority drain** — something is still outstanding, but only from
+//!    queries of *lower* priority than the group's most urgent member: the
+//!    group waits for the peers and betters of what it holds, never for
+//!    lesser work. Without it a High-priority query's tail sits in the
+//!    former until a Normal-priority scan sharing its signature has produced
+//!    enough items to fill the batch — a priority inversion. The partial
+//!    batch takes the lower-priority items already in the group along, and
+//!    the counters are left alone: the lower-priority query goes on filling
+//!    a fresh group.
+//!
+//! Equal priorities still wait for each other — that wait is what makes
+//! cross-query batches full, and it is bounded by the peer's own production
+//! — so with one priority in play rule 3 never fires. It is evaluated only
+//! when a priority class's count under a signature reaches zero (the last
+//! integrate of that class's last query there), on a counter the item path
+//! already decrements; between those events it costs nothing. Items from
+//! different signatures are **never** mixed into one batch, and a batch
+//! never exceeds the signature's batch size; `tests/serve_properties.rs`
+//! property-checks these invariants over arbitrary interleavings.
+//!
+//! # Lane dispatch
+//!
+//! A formed batch goes to the lane expected to finish it first
+//! ([`pick_lane`]): (items queued + items in flight + the batch's own) ÷ the
+//! lane's device rate for the batch's DNN. Counting items rather than
+//! batches matters once rule 3 makes a share of batches partial (a 3-item
+//! batch is not a 16-item batch), and dividing by the rate matters on a
+//! heterogeneous fleet (a V100 lane clears the same backlog 1.6× sooner
+//! than a T4 lane). On identical lanes holding full batches it is the
+//! least-loaded choice with ties to the lowest index.
 
 use smol_core::PlacementSignature;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Per-tenant scheduling priority. Admission is priority-aware: a blocked
+/// higher-priority submitter is admitted before any lower-priority one,
+/// producers claim items from higher-priority queries first, and a partial
+/// batch never waits for work of lower priority than what it holds (see the
+/// module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub enum Priority {
+    Low,
+    #[default]
+    Normal,
+    High,
+}
+
+impl Priority {
+    pub(crate) const COUNT: usize = 3;
+
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+}
 
 /// A device batch emitted by the former: items all share `sig` and
 /// `items.len() <= sig.batch`.
@@ -90,9 +146,15 @@ impl<T> BatchFormer<T> {
         }
     }
 
-    /// Items currently pending (produced, not yet batched) for `sig`.
+    /// The items pending (produced, not yet batched) for `sig`, in push
+    /// order.
+    pub fn group(&self, sig: &Arc<PlacementSignature>) -> &[T] {
+        self.groups.get(sig).map_or(&[], Vec::as_slice)
+    }
+
+    /// Items currently pending for `sig`.
     pub fn pending(&self, sig: &Arc<PlacementSignature>) -> usize {
-        self.groups.get(sig).map_or(0, Vec::len)
+        self.group(sig).len()
     }
 
     /// Items currently pending across all signatures.
@@ -100,8 +162,8 @@ impl<T> BatchFormer<T> {
         self.groups.values().map(Vec::len).sum()
     }
 
-    /// Emits the partial batch for `sig`, if any. Called when the
-    /// scheduler proves no further items of that signature are coming.
+    /// Emits the partial batch for `sig`, if any. When to is the
+    /// [`Batcher`]'s decision.
     pub fn flush(&mut self, sig: &Arc<PlacementSignature>) -> Option<FormedBatch<T>> {
         let items = self.groups.remove(sig)?;
         if items.is_empty() {
@@ -118,6 +180,161 @@ impl<T> BatchFormer<T> {
         let sigs: Vec<Arc<PlacementSignature>> = self.groups.keys().cloned().collect();
         sigs.into_iter().filter_map(|s| self.flush(&s)).collect()
     }
+}
+
+/// Items that may still land in one signature's group — registered and not
+/// yet integrated, so unclaimed or mid-production — by the priority of the
+/// query that owns them. A routed query counts each of its items under
+/// every rung still open to it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SigCount {
+    pub open: [usize; Priority::COUNT],
+}
+
+impl SigCount {
+    /// The highest priority with an item outstanding.
+    fn top(&self) -> Option<Priority> {
+        [Priority::High, Priority::Normal, Priority::Low]
+            .into_iter()
+            .find(|p| self.open[p.index()] > 0)
+    }
+}
+
+/// The batch former plus the per-signature counters its release rules are
+/// decided over (see the module docs for the three rules). Generic over the
+/// item payload like the former; `priority_of` reads an item's priority.
+#[derive(Debug)]
+pub struct Batcher<T> {
+    former: BatchFormer<T>,
+    counts: HashMap<Arc<PlacementSignature>, SigCount>,
+    priority_of: fn(&T) -> Priority,
+    priority_flushes: u64,
+}
+
+impl<T> Batcher<T> {
+    pub fn new(priority_of: fn(&T) -> Priority) -> Self {
+        Batcher {
+            former: BatchFormer::new(),
+            counts: HashMap::new(),
+            priority_of,
+            priority_flushes: 0,
+        }
+    }
+
+    /// Counts `n` more items of a `prio` query that may land in `sig`'s
+    /// group.
+    pub fn register(&mut self, sig: &Arc<PlacementSignature>, prio: Priority, n: usize) {
+        if n > 0 {
+            self.counts.entry(Arc::clone(sig)).or_default().open[prio.index()] += n;
+        }
+    }
+
+    /// Adds a produced item to `sig`'s group; rule 1 — returns the batch
+    /// when that fills it. The item stays counted until its claim is
+    /// [settled](Self::settle).
+    pub fn push(&mut self, sig: &Arc<PlacementSignature>, item: T) -> Option<FormedBatch<T>> {
+        self.former.push(sig, item)
+    }
+
+    /// `n > 0` items of a `prio` query counted under `sig` can no longer
+    /// land in its group: produced (and pushed), failed, dropped, or moved
+    /// to another rung. Rules 2 and 3 — when that empties the priority
+    /// class, the group's partial batch lands in `out` if nothing at all
+    /// is outstanding any more (which also retires the counters), or if
+    /// what is outstanding ranks below the group's most urgent member.
+    ///
+    /// # Panics
+    ///
+    /// Panics when fewer than `n` such items are counted: an entry lives
+    /// from its first registered item until the last one settles, so this
+    /// may only be called for items the caller still holds a count for.
+    pub fn settle(
+        &mut self,
+        sig: &Arc<PlacementSignature>,
+        prio: Priority,
+        n: usize,
+        out: &mut Vec<FormedBatch<T>>,
+    ) {
+        let count = self
+            .counts
+            .get_mut(sig)
+            .expect("an item is still counted under this signature");
+        let open = &mut count.open[prio.index()];
+        *open = open
+            .checked_sub(n)
+            .expect("settled more items than were registered");
+        if *open > 0 {
+            return;
+        }
+        match count.top() {
+            None => {
+                out.extend(self.former.flush(sig));
+                self.counts.remove(sig);
+            }
+            Some(top) if top < prio => {
+                let priority_of = self.priority_of;
+                let urgent = |item: &T| priority_of(item) > top;
+                if self.former.group(sig).iter().any(urgent) {
+                    out.extend(self.former.flush(sig));
+                    self.priority_flushes += 1;
+                }
+            }
+            Some(_) => {}
+        }
+    }
+
+    /// The items pending for `sig`, in push order.
+    pub fn group(&self, sig: &Arc<PlacementSignature>) -> &[T] {
+        self.former.group(sig)
+    }
+
+    /// Items currently pending across all signatures.
+    pub fn pending_total(&self) -> usize {
+        self.former.pending_total()
+    }
+
+    /// `sig`'s counters; `None` once nothing is outstanding under it.
+    pub fn count(&self, sig: &Arc<PlacementSignature>) -> Option<SigCount> {
+        self.counts.get(sig).copied()
+    }
+
+    /// Partial batches released by rule 3 so far.
+    pub fn priority_flushes(&self) -> u64 {
+        self.priority_flushes
+    }
+
+    /// Nothing counted and nothing pending: the state every item's
+    /// accounting must return to.
+    pub fn is_idle(&self) -> bool {
+        self.counts.is_empty() && self.former.pending_total() == 0
+    }
+}
+
+/// What [`pick_lane`] knows of one lane.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneLoad {
+    /// Items in the batches queued on the lane plus those its consumers
+    /// have launched and not yet retired.
+    pub items: usize,
+    /// Items per wall-clock second the lane's device sustains for the DNN
+    /// of the batch being placed.
+    pub rate: f64,
+    /// Whether the lane's bounded queue can take another batch.
+    pub has_space: bool,
+}
+
+/// The lane (by position in `loads`) expected to finish a batch of
+/// `batch_items` first — its backlog plus the batch, over its rate — among
+/// those with queue space; ties go to the lowest index. `None` when every
+/// queue is full.
+pub fn pick_lane(loads: impl IntoIterator<Item = LaneLoad>, batch_items: usize) -> Option<usize> {
+    loads
+        .into_iter()
+        .enumerate()
+        .filter(|(_, lane)| lane.has_space)
+        .map(|(i, lane)| (i, (lane.items + batch_items) as f64 / lane.rate))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -188,5 +405,114 @@ mod tests {
         assert_eq!(flushed[0].items, vec![1]);
         assert_eq!(flushed[1].items, vec![2, 3]);
         assert_eq!(former.pending_total(), 0);
+    }
+
+    /// Tokens carry their query's priority.
+    fn batcher() -> Batcher<(Priority, u32)> {
+        Batcher::new(|token| token.0)
+    }
+
+    #[test]
+    fn a_drained_signature_flushes_and_retires_its_counters() {
+        let s = sig(ModelKind::ResNet50, 4);
+        let mut b = batcher();
+        let mut out = Vec::new();
+        b.register(&s, Priority::Normal, 2);
+        for t in 0..2 {
+            assert!(b.push(&s, (Priority::Normal, t)).is_none());
+            b.settle(&s, Priority::Normal, 1, &mut out);
+        }
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].items.len(), 2);
+        assert_eq!(b.priority_flushes(), 0, "rule 2, not rule 3");
+        assert!(b.is_idle());
+    }
+
+    #[test]
+    fn a_group_waits_for_peers_and_betters_but_not_for_lesser_work() {
+        let s = sig(ModelKind::ResNet50, 8);
+        let mut b = batcher();
+        let mut out = Vec::new();
+        b.register(&s, Priority::Normal, 5);
+        b.register(&s, Priority::High, 2);
+        b.register(&s, Priority::High, 1); // a second High query: a peer
+        b.push(&s, (Priority::Normal, 0));
+        b.settle(&s, Priority::Normal, 1, &mut out);
+        b.push(&s, (Priority::High, 1));
+        b.settle(&s, Priority::High, 1, &mut out);
+        b.push(&s, (Priority::High, 2));
+        b.settle(&s, Priority::High, 1, &mut out);
+        assert!(out.is_empty(), "the High peer can still add");
+        b.push(&s, (Priority::High, 3));
+        b.settle(&s, Priority::High, 1, &mut out);
+        assert_eq!(out.len(), 1, "only Normal work is outstanding");
+        assert_eq!(out[0].items.len(), 4, "the Normal item rides along");
+        assert_eq!(b.priority_flushes(), 1);
+        let count = b.count(&s).expect("the scan is still counted");
+        assert_eq!(count.open[Priority::Normal.index()], 4);
+        // The scan goes on alone: nothing it pushes outranks what is
+        // outstanding, so its group waits to fill or drain.
+        for t in 4..8 {
+            b.push(&s, (Priority::Normal, t));
+            b.settle(&s, Priority::Normal, 1, &mut out);
+        }
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1].items.len(), 4);
+        assert_eq!(b.priority_flushes(), 1);
+        assert!(b.is_idle());
+    }
+
+    #[test]
+    fn a_group_of_lesser_items_is_not_flushed_by_a_departing_better() {
+        let s = sig(ModelKind::ResNet50, 8);
+        let mut b = batcher();
+        let mut out = Vec::new();
+        b.register(&s, Priority::Low, 3);
+        b.register(&s, Priority::High, 1);
+        b.push(&s, (Priority::Low, 0));
+        b.settle(&s, Priority::Low, 1, &mut out);
+        // The High item fails: it leaves the class without joining the group.
+        b.settle(&s, Priority::High, 1, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(b.priority_flushes(), 0);
+    }
+
+    fn lane(items: usize, rate: f64) -> LaneLoad {
+        LaneLoad {
+            items,
+            rate,
+            has_space: true,
+        }
+    }
+
+    #[test]
+    fn lane_choice_is_by_expected_completion() {
+        // ResNet-50 at batch 16: T4 3 836 im/s, V100 1.58× that.
+        let (t4, v100) = (3_836.0, 6_061.0);
+        assert_eq!(pick_lane([lane(16, t4), lane(16, v100)], 16), Some(1));
+        assert_eq!(pick_lane([lane(0, t4), lane(0, v100)], 16), Some(1));
+        // One 3-item batch is less backlog than one 16-item batch.
+        assert_eq!(pick_lane([lane(16, t4), lane(3, t4)], 16), Some(1));
+        // A V100 behind three batches is later than a T4 behind one.
+        assert_eq!(pick_lane([lane(16, t4), lane(48, v100)], 16), Some(0));
+    }
+
+    #[test]
+    fn identical_lanes_with_full_batches_pick_the_least_loaded_lowest_index() {
+        for batches in [[0usize, 0, 0], [1, 0, 0], [2, 1, 1], [1, 2, 0], [3, 3, 2]] {
+            let by_batch_count = (0..3).min_by_key(|&i| batches[i]);
+            let loads = batches.map(|b| lane(b * 16, 3_836.0));
+            assert_eq!(pick_lane(loads, 16), by_batch_count, "{batches:?}");
+        }
+    }
+
+    #[test]
+    fn a_full_queue_is_never_picked() {
+        let full = LaneLoad {
+            has_space: false,
+            ..lane(0, 6_061.0)
+        };
+        assert_eq!(pick_lane([full, lane(64, 3_836.0)], 16), Some(1));
+        assert_eq!(pick_lane([full, full], 16), None);
     }
 }

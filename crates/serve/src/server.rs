@@ -15,11 +15,11 @@
 //! submit() ──► admission (bounded, priority-aware; blocks or errors when full)
 //!   producers: round-robin claim one item ─► decode + CPU preproc
 //!   batch former: group by PlacementSignature ─► device batches
-//!   dispatch: shard each batch to the least-loaded lane (device)
+//!   dispatch: shard each batch to the lane expected to finish it first
 //!   lane consumers: launch copy + kernels + DNN batch as one stream,
 //!     keep one more batch enqueued behind it, retire in launch order
 //!     ─► per-item results
-//!     (an idle lane steals queued batches from the most-loaded lane)
+//!     (an idle lane steals queued batches from the lane with most items queued)
 //!   last item done ─► QueryReport through the handle
 //! ```
 //!
@@ -34,8 +34,10 @@
 //! execute as staged, and the accuracy floor holds because every rung was
 //! constraint-feasible at planning time. **Cascade routing**: the producer
 //! that claimed an item routes it by its bitstream signal before any
-//! decode. Both keep the batch former's per-signature counters by one rule
-//! — an item counts under every rung still open to it (`Ladder::open`).
+//! decode. Both keep the batcher's per-signature counters by one rule — an
+//! item counts, at its query's priority, under every rung still open to it
+//! (`Ladder::open`) — and [`crate::scheduler`] states the three rules that
+//! release a batch over those counters.
 //!
 //! Producers and consumers are long-lived: they are spawned once in
 //! [`Server::with_devices`] and reused by every query until shutdown.
@@ -43,7 +45,7 @@
 //! a batch, so per-query result ordering and output bytes are identical
 //! whatever lane executes a batch — the device only models time.
 
-use crate::scheduler::{BatchFormer, FormedBatch};
+use crate::scheduler::{pick_lane, Batcher, FormedBatch, LaneLoad, Priority};
 use crate::stats::{percentile, BoxedPrediction, DeviceLaneStats, QueryReport, ServerStats};
 use crossbeam::channel;
 use parking_lot::{Condvar, Mutex};
@@ -100,25 +102,6 @@ impl std::error::Error for ServeError {}
 
 pub type ServeResult<T> = std::result::Result<T, ServeError>;
 
-/// Per-tenant scheduling priority. Admission is priority-aware: a blocked
-/// higher-priority submitter is admitted before any lower-priority one,
-/// and producers claim items from higher-priority queries first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Priority {
-    Low,
-    #[default]
-    Normal,
-    High,
-}
-
-impl Priority {
-    pub(crate) const COUNT: usize = 3;
-
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
 /// One rung of a degradation ladder: a cheaper calibrated plan the
 /// scheduler may switch a loaded query to. Rungs must be constraint-
 /// feasible (accuracy at or above the query's floor) and are ordered
@@ -142,7 +125,7 @@ pub struct SubmitOptions {
     /// miss it degrade (when a ladder is present); the report records
     /// whether the deadline was met.
     pub deadline: Option<Duration>,
-    /// Admission/claiming priority.
+    /// Admission, claiming and batch-release priority.
     pub priority: Priority,
     /// Cheaper calibrated plans the scheduler may degrade to under load,
     /// most-accurate-first. Empty disables degradation. Rungs whose
@@ -198,6 +181,9 @@ impl Default for ServerConfig {
 /// A produced item tagged with its owning query.
 struct BatchItem {
     query: QueryId,
+    /// The owning query's priority: a partial batch holding this item does
+    /// not wait for lesser work.
+    prio: Priority,
     item: ProducedItem,
     claimed_at: Instant,
     /// The owning query's inference callback, run when the batch retires.
@@ -207,10 +193,11 @@ struct BatchItem {
 /// One unit of producer work: query `query`, item index `idx`.
 struct Claim {
     query: QueryId,
+    prio: Priority,
     idx: usize,
-    /// The query's ladder as it stood at claim time: the item counts as
-    /// `producing` under every rung open *here*, whatever the query
-    /// degrades to while the claim is out.
+    /// The query's ladder as it stood at claim time: the item stays counted
+    /// under every rung open *here*, whatever the query degrades to while
+    /// the claim is out.
     ladder: Ladder,
     items: Arc<Vec<MediaItem>>,
     /// Item `i`'s outputs are `layout.offsets[i]..` for its fan-out.
@@ -261,11 +248,12 @@ struct Ladder {
 }
 
 impl Ladder {
-    /// The rungs an item not yet produced may still land in — the ones
-    /// its signature counters are held under. Until a routed item is
-    /// produced that is *every* rung: a partial batch of either signature
-    /// must not flush while an unrouted item could still join it; routing
-    /// resolves the item to exactly one.
+    /// The rungs an item not yet produced may still land in — the ones it
+    /// is counted under in the batcher, at its query's priority. Until a
+    /// routed item is produced that is *every* rung: an unrouted item could
+    /// still join either signature's group; routing resolves it to exactly
+    /// one. What those counts hold a partial batch back for, and what they
+    /// do not, is [`crate::scheduler`]'s three release rules.
     fn open(&self) -> &[Rung] {
         match self.route {
             Some(_) => &self.rungs,
@@ -275,6 +263,7 @@ impl Ladder {
 }
 
 struct QueryState {
+    priority: Priority,
     /// The rungs and the policy over them; `ladder.at` is also the number
     /// of degradation steps taken.
     ladder: Ladder,
@@ -358,23 +347,15 @@ impl QueryState {
     }
 }
 
-#[derive(Default)]
-struct SigCount {
-    /// Items not yet claimed by a producer, across all queries with this
-    /// signature.
-    unclaimed: usize,
-    /// Items claimed and currently mid-production.
-    producing: usize,
-}
-
 struct Sched {
     queries: HashMap<QueryId, QueryState>,
     /// Round-robin rings of queries with unclaimed items, one per
     /// priority; producers drain higher-priority rings first and
     /// round-robin within a ring (fair share among equals).
     rr: [VecDeque<QueryId>; Priority::COUNT],
-    sigs: HashMap<Arc<PlacementSignature>, SigCount>,
-    former: BatchFormer<BatchItem>,
+    /// Produced items grouped by signature, and the counts of items still
+    /// to come that decide when a partial group is released.
+    batcher: Batcher<BatchItem>,
     next_id: QueryId,
     /// Queries admitted and not yet finalized.
     active: usize,
@@ -390,24 +371,6 @@ impl Sched {
 
     fn waiting_above(&self, prio: Priority) -> usize {
         self.waiting[prio.index() + 1..].iter().sum()
-    }
-
-    /// Counts `n` more unclaimed items under `sig`.
-    fn register(&mut self, sig: &Arc<PlacementSignature>, n: usize) {
-        if n > 0 {
-            self.sigs.entry(Arc::clone(sig)).or_default().unclaimed += n;
-        }
-    }
-
-    /// The counters of a signature that has items outstanding. An entry
-    /// lives from its first registered item until [`flush_if_drained`]
-    /// finds nothing unclaimed and nothing mid-production under it, so
-    /// this may only be asked about a signature the caller still holds a
-    /// count under.
-    fn sig(&mut self, sig: &Arc<PlacementSignature>) -> &mut SigCount {
-        self.sigs
-            .get_mut(sig)
-            .expect("an item is still counted under this signature")
     }
 }
 
@@ -431,8 +394,10 @@ struct Agg {
 struct Lane {
     device: VirtualDevice,
     queue: VecDeque<FormedBatch<BatchItem>>,
-    /// Batches this lane's consumers have launched and not yet retired.
+    /// Batches this lane's consumers have launched and not yet retired,
+    /// and the items in them.
     in_flight: usize,
+    in_flight_items: usize,
     batches: u64,
     images: u64,
     /// Batches this lane executed that were queued on another lane.
@@ -451,10 +416,17 @@ struct Fleet {
     producers_live: usize,
 }
 
+impl Lane {
+    fn queued_items(&self) -> usize {
+        self.queue.iter().map(|batch| batch.items.len()).sum()
+    }
+}
+
 impl Fleet {
     /// Takes the next batch for a consumer of lane `lane_idx`: the front of
     /// its own queue, else — only with nothing in its launch window
-    /// (`window_empty`) — the front of the deepest other queue. A consumer
+    /// (`window_empty`) — the front of the other queue holding most items
+    /// (batches differ in size once some are released partial). A consumer
     /// with a batch on the device is not idle, and a batch it stole would
     /// wait behind that one while the victim lane might have run it sooner.
     /// Batches are self-contained, so executing one on a different device
@@ -468,13 +440,14 @@ impl Fleet {
         let from = if !stolen {
             lane_idx
         } else if window_empty {
-            (0..self.lanes.len()).max_by_key(|&j| self.lanes[j].queue.len())?
+            (0..self.lanes.len()).max_by_key(|&j| self.lanes[j].queued_items())?
         } else {
             return None;
         };
         let batch = self.lanes[from].queue.pop_front()?;
         let lane = &mut self.lanes[lane_idx];
         lane.in_flight += 1;
+        lane.in_flight_items += batch.items.len();
         lane.stolen_batches += u64::from(stolen);
         lane.overlapped_batches += u64::from(!window_empty);
         Some(batch)
@@ -617,8 +590,9 @@ impl Server {
     /// Starts the serving runtime over a device fleet: one lane (bounded
     /// batch queue + `cfg.runtime.consumers` consumer threads) per
     /// device, plus one shared producer pool. Devices may be
-    /// heterogeneous; the dispatcher shards batches to the least-loaded
-    /// lane and idle lanes steal queued batches from loaded ones.
+    /// heterogeneous; the dispatcher shards each batch to the lane expected
+    /// to finish it first and idle lanes steal queued batches from loaded
+    /// ones.
     ///
     /// # Panics
     ///
@@ -637,8 +611,7 @@ impl Server {
             sched: Mutex::new(Sched {
                 queries: HashMap::new(),
                 rr: Default::default(),
-                sigs: HashMap::new(),
-                former: BatchFormer::new(),
+                batcher: Batcher::new(|item: &BatchItem| item.prio),
                 next_id: 1,
                 active: 0,
                 waiting: [0; Priority::COUNT],
@@ -654,6 +627,7 @@ impl Server {
                         device,
                         queue: VecDeque::new(),
                         in_flight: 0,
+                        in_flight_items: 0,
                         batches: 0,
                         images: 0,
                         stolen_batches: 0,
@@ -891,6 +865,7 @@ impl Server {
             agg.images_in += total_outputs as u64;
         }
         let state = QueryState {
+            priority: opts.priority,
             rung_outputs: vec![0; rungs.len()],
             pool: inner.staging_pool(&rungs[0].ctx, layout.max_fanout),
             ladder: Ladder {
@@ -924,7 +899,7 @@ impl Server {
             escalated_items: 0,
         };
         for rung in state.ladder.open() {
-            sched.register(&rung.sig, n);
+            sched.batcher.register(&rung.sig, opts.priority, n);
         }
         sched.queries.insert(id, state);
         sched.rr[opts.priority.index()].push_back(id);
@@ -964,12 +939,13 @@ impl Server {
 
     /// Aggregate + per-device serving metrics.
     pub fn stats(&self) -> ServerStats {
-        let (queue_depth, pending_batch_items, waiting_admission) = {
+        let (queue_depth, pending_batch_items, waiting_admission, priority_flushes) = {
             let sched = self.inner.sched.lock();
             (
                 sched.active,
-                sched.former.pending_total(),
+                sched.batcher.pending_total(),
                 sched.waiting_total(),
+                sched.batcher.priority_flushes(),
             )
         };
         let agg = self.inner.agg.lock().clone();
@@ -983,7 +959,9 @@ impl Server {
                     occupancy: device.compute_occupancy(lane.device.uptime_s()),
                     device,
                     queued_batches: lane.queue.len(),
+                    queued_items: lane.queued_items(),
                     in_flight_batches: lane.in_flight,
+                    in_flight_items: lane.in_flight_items,
                     batches: lane.batches,
                     images: lane.images,
                     stolen_batches: lane.stolen_batches,
@@ -1004,6 +982,7 @@ impl Server {
             batches: agg.batches,
             cross_query_batches: agg.cross_query_batches,
             full_batches: agg.full_batches,
+            priority_flushes,
             degradations: agg.degradations,
             dropped_frames: agg.dropped_frames,
             downgraded_frames: agg.downgraded_frames,
@@ -1076,7 +1055,7 @@ fn maybe_degrade(
     if !pressure && !q.projected_late(Instant::now()) {
         return;
     }
-    let remaining = q.claim_end - q.next_item;
+    let (prio, remaining) = (q.priority, q.claim_end - q.next_item);
     q.ladder.at += 1;
     let rungs = Arc::clone(&q.ladder.rungs);
     let (old, new) = (&rungs[at], &rungs[at + 1]);
@@ -1092,9 +1071,8 @@ fn maybe_degrade(
     }
     // The unclaimed items change rungs; claims already out stay counted
     // under the rung they were taken on.
-    sched.register(&new.sig, remaining);
-    sched.sig(&old.sig).unclaimed -= remaining;
-    flush_if_drained(sched, &old.sig, emitted);
+    sched.batcher.register(&new.sig, prio, remaining);
+    sched.batcher.settle(&old.sig, prio, remaining, emitted);
     inner.agg.lock().degradations += 1;
 }
 
@@ -1125,6 +1103,7 @@ fn claim_next(
             }
             let claim = Claim {
                 query: qid,
+                prio: q.priority,
                 idx,
                 ladder: q.ladder.clone(),
                 items: Arc::clone(&q.items),
@@ -1136,32 +1115,10 @@ fn claim_next(
             if q.next_item < q.claim_end {
                 sched.rr[prio].push_back(qid);
             }
-            for rung in claim.ladder.open() {
-                let count = sched.sig(&rung.sig);
-                count.unclaimed -= 1;
-                count.producing += 1;
-            }
             return Some(claim);
         }
     }
     None
-}
-
-/// Flushes `sig`'s partial batch when no further items of that signature
-/// can arrive (no unclaimed items, nothing mid-production).
-fn flush_if_drained(
-    sched: &mut Sched,
-    sig: &Arc<PlacementSignature>,
-    out: &mut Vec<FormedBatch<BatchItem>>,
-) {
-    let drained = sched
-        .sigs
-        .get(sig)
-        .is_none_or(|c| c.unclaimed == 0 && c.producing == 0);
-    if drained {
-        out.extend(sched.former.flush(sig));
-        sched.sigs.remove(sig);
-    }
 }
 
 /// Finalizes `qid` if every claimed item has been produced and executed:
@@ -1177,7 +1134,7 @@ fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
     // item ever registered has been claimed, produced (or dropped) and
     // batched.
     debug_assert!(
-        sched.active > 0 || (sched.sigs.is_empty() && sched.former.pending_total() == 0),
+        sched.active > 0 || sched.batcher.is_idle(),
         "signature counters leaked past the last query"
     );
     let rung = &q.ladder.rungs[q.ladder.at];
@@ -1232,21 +1189,21 @@ fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
     inner.admit_cv.notify_all();
 }
 
-/// Hands a formed batch to the least-loaded lane with queue space,
-/// blocking while every lane queue is full (consumers drain them; they
-/// outlive every producer, so this always makes progress).
+/// Hands a formed batch to the lane with queue space that is expected to
+/// finish it first ([`pick_lane`]), blocking while every lane queue is full
+/// (consumers drain them; they outlive every producer, so this always makes
+/// progress).
 fn dispatch(inner: &Inner, batch: FormedBatch<BatchItem>) {
     let cap = inner.cfg.batch_queue.max(1);
     let mut fleet = inner.fleet.lock();
     loop {
-        let pick = fleet
-            .lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, lane)| lane.queue.len() < cap)
-            .min_by_key(|(_, lane)| lane.queue.len() + lane.in_flight)
-            .map(|(i, _)| i);
-        if let Some(i) = pick {
+        let loads = fleet.lanes.iter().map(|lane| LaneLoad {
+            items: lane.queued_items() + lane.in_flight_items,
+            rate: lane.device.model_throughput(batch.sig.dnn, batch.sig.batch)
+                / lane.device.time_scale(),
+            has_space: lane.queue.len() < cap,
+        });
+        if let Some(i) = pick_lane(loads, batch.items.len()) {
             fleet.lanes[i].queue.push_back(batch);
             inner.batch_cv.notify_all();
             return;
@@ -1381,11 +1338,12 @@ fn integrate(
                 q.preproc_cpu_s += item.preproc_s;
                 let item = BatchItem {
                     query: claim.query,
+                    prio: claim.prio,
                     item,
                     claimed_at: claim.claimed_at,
                     infer: claim.infer.clone(),
                 };
-                emitted.extend(sched.former.push(sig, item));
+                emitted.extend(sched.batcher.push(sig, item));
             }
         }
         Err(e) => {
@@ -1403,17 +1361,16 @@ fn integrate(
             // rungs, which may be deeper than the ones this claim was
             // taken under.
             if dropped_items > 0 {
-                let ladder = q.ladder.clone();
-                for rung in ladder.open() {
-                    sched.sig(&rung.sig).unclaimed -= dropped_items;
-                    flush_if_drained(sched, &rung.sig, emitted);
+                for rung in q.ladder.open() {
+                    sched
+                        .batcher
+                        .settle(&rung.sig, claim.prio, dropped_items, emitted);
                 }
             }
         }
     }
     for rung in claim.ladder.open() {
-        sched.sig(&rung.sig).producing -= 1;
-        flush_if_drained(sched, &rung.sig, emitted);
+        sched.batcher.settle(&rung.sig, claim.prio, 1, emitted);
     }
     // An item can legally stage zero outputs (an empty GOP): the query may
     // already be finishable.
@@ -1516,6 +1473,7 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
         let mut fleet = inner.fleet.lock();
         let lane = &mut fleet.lanes[lane_idx];
         lane.in_flight -= 1;
+        lane.in_flight_items -= batch.items.len();
         lane.batches += 1;
         lane.images += batch.items.len() as u64;
         lane.retire_lag_s += done.elapsed().as_secs_f64();

@@ -46,9 +46,8 @@
 use crate::calibration::Calibration;
 use crate::dataset::{Dataset, Registered};
 use crate::plancache::{CacheStats, ChosenPlan, DeviceKey, PlanCache, PlanKey, ProfileKey};
-use crate::server::{
-    DegradeStep, Priority, QueryHandle, ServeError, Server, ServerConfig, SubmitOptions,
-};
+use crate::scheduler::Priority;
+use crate::server::{DegradeStep, QueryHandle, ServeError, Server, ServerConfig, SubmitOptions};
 use crate::stats::QueryReport;
 use parking_lot::Mutex;
 use smol_accel::{ExecutionEnv, GpuModel, VirtualDevice};

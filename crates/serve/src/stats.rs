@@ -101,10 +101,15 @@ pub struct DeviceLaneStats {
     pub device: DeviceStats,
     /// Formed batches waiting in this lane's queue right now.
     pub queued_batches: usize,
+    /// Items in those queued batches. Batches differ in size once some are
+    /// released partial, so dispatch and stealing weigh lanes by items.
+    pub queued_items: usize,
     /// Batches this lane's consumers have launched and not yet retired:
     /// executing on the device or enqueued behind one that is (at most two
     /// per consumer thread).
     pub in_flight_batches: usize,
+    /// Items in those launched batches.
+    pub in_flight_items: usize,
     /// Batches this lane has executed (including stolen ones).
     pub batches: u64,
     /// Images this lane has executed.
@@ -147,6 +152,11 @@ pub struct ServerStats {
     pub cross_query_batches: u64,
     /// Batches that reached their signature's full batch size.
     pub full_batches: u64,
+    /// Partial batches released because only lower-priority work than
+    /// their most urgent item was still outstanding under their signature
+    /// (the scheduler's priority-drain rule): the named cause when batch
+    /// fill drops on a mixed-priority load. 0 with one priority in play.
+    pub priority_flushes: u64,
     /// Degradation steps applied across all queries (each re-plan of one
     /// query to a cheaper frontier rung counts once).
     pub degradations: u64,
@@ -224,8 +234,8 @@ impl ServerStats {
     }
 }
 
-/// A few lines for logs and examples: queries and images, batching, SLO
-/// outcomes, then cache and staging-buffer reuse.
+/// A few lines for logs and examples: queries and images, batching, lane
+/// backlogs, SLO outcomes, then cache and staging-buffer reuse.
 impl std::fmt::Display for ServerStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -240,16 +250,29 @@ impl std::fmt::Display for ServerStats {
         )?;
         writeln!(
             f,
-            "batches {} ({} full, {} cross-query, {} stolen, {} overlapped), \
+            "batches {} ({} full, {} cross-query, {} priority-flushed, {} stolen, {} overlapped), \
              occupancy {:.2}, retire lag {:.3} ms/batch",
             self.batches,
             self.full_batches,
             self.cross_query_batches,
+            self.priority_flushes,
             self.steals,
             self.overlapped_batches(),
             self.device_occupancy(),
             self.mean_retire_lag_s() * 1e3,
         )?;
+        write!(f, "lanes (batches/items queued + in flight):")?;
+        for (i, lane) in self.devices.iter().enumerate() {
+            write!(
+                f,
+                " [{i}] {}/{} + {}/{}",
+                lane.queued_batches,
+                lane.queued_items,
+                lane.in_flight_batches,
+                lane.in_flight_items,
+            )?;
+        }
+        writeln!(f)?;
         writeln!(
             f,
             "degradations {}, frames dropped {} / downgraded {}, deadlines met {} / missed {}",
@@ -355,7 +378,9 @@ mod tests {
                 copies: 2,
             },
             queued_batches: 1,
+            queued_items: 16,
             in_flight_batches: 1,
+            in_flight_items: 3,
             batches: 5,
             images: 40,
             stolen_batches: stolen,
@@ -373,6 +398,7 @@ mod tests {
             batches: 10,
             cross_query_batches: 0,
             full_batches: 10,
+            priority_flushes: 4,
             degradations: 1,
             dropped_frames: 4,
             downgraded_frames: 6,
@@ -414,7 +440,11 @@ mod tests {
         assert!((stats.mean_retire_lag_s() - 0.0004).abs() < 1e-12);
         let shown = stats.to_string();
         assert!(
-            shown.contains("2 stolen, 6 overlapped), occupancy 0.60, retire lag 0.400 ms/batch"),
+            shown.contains(
+                "4 priority-flushed, 2 stolen, 6 overlapped), occupancy 0.60, \
+                 retire lag 0.400 ms/batch\n\
+                 lanes (batches/items queued + in flight): [0] 1/16 + 1/3 [1] 1/16 + 1/3\n"
+            ),
             "{shown}"
         );
         assert!(

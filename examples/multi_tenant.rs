@@ -13,9 +13,9 @@
 //! load — and is driven from the main thread with the non-blocking
 //! handle (`poll`) instead of a blocking `wait`.
 //!
-//! Formed batches shard across the two device lanes (least-loaded
-//! dispatch); an idle lane steals from the deeper queue. The per-device
-//! stats at the end show how the work split.
+//! Formed batches shard across the two device lanes (each to the lane
+//! expected to finish it first); an idle lane steals from the fuller
+//! queue. The per-device stats at the end show how the work split.
 //!
 //! ```sh
 //! cargo run --release --example multi_tenant

@@ -974,8 +974,9 @@ fn a_lane_with_a_launched_batch_never_steals() {
     cfg.runtime.extra_cpu_s_per_image = 0.002;
     let server = Server::with_devices(vec![slow_device(300.0), fast_device()], cfg);
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
-    // One-batch queries until lane 0's consumer (not lane 1's, by a steal)
-    // is the one that launches it.
+    // One-batch queries until lane 0's consumer is the one that launches
+    // it — by a steal from lane 1's queue, where dispatch puts every batch
+    // (the slow lane is never expected to finish one first).
     let mut pins = Vec::new();
     let stolen_before = 'pin: loop {
         assert!(pins.len() < 1000, "lane 0 never launched a batch");

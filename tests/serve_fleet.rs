@@ -1,16 +1,24 @@
 //! Fleet-serving battery: multi-device sharding and work stealing keep
 //! per-query ordering and bit-identical outputs vs a single device,
 //! load-adaptive degradation never breaks a query's accuracy floor,
-//! admission is priority-aware, and the non-blocking handle surface
-//! (`poll` / `try_wait` / `wait_deadline`) behaves.
+//! admission is priority-aware, a partial batch never waits for work of
+//! lower priority than what it holds (and equal priorities still fill each
+//! other's batches), and the non-blocking handle surface (`poll` /
+//! `try_wait` / `wait_deadline`) behaves.
 
 use proptest::prelude::*;
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol::codec::{EncodedImage, Format};
-use smol::core::{Constraint, InputVariant, PlanCandidate, Planner, PlannerConfig, QueryPlan};
+use smol::codec::{signal::image_signal, EncodedImage, Format};
+use smol::core::{
+    CascadePlan, Constraint, DecodeMode, InputVariant, PlanCandidate, Planner, PlannerConfig,
+    QueryPlan,
+};
 use smol::imgproc::ImageU8;
 use smol::runtime::RuntimeOptions;
-use smol::serve::{DegradeStep, Priority, QueryPoll, Server, ServerConfig, SubmitOptions};
+use smol::serve::{
+    DegradeStep, Priority, QueryHandle, QueryPoll, QueryReport, Server, ServerConfig, ServerStats,
+    SubmitOptions,
+};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -532,6 +540,256 @@ fn layout_incompatible_rungs_are_ignored() {
     });
     assert_eq!(r2.images, 2);
     server.shutdown();
+}
+
+/// A server on which production is slow and ordered (one producer, 5 ms
+/// asleep per item) and the device is not (a T4 at 1/50 of real time): a
+/// scan's remaining items take far longer to produce than a released batch
+/// takes to execute. Batch 64 is larger than any pair of queries below, so
+/// no group ever fills — every batch is released by one of the two flush
+/// rules.
+fn slow_production_server(max_active_queries: usize) -> Server {
+    Server::with_devices(
+        vec![fast_device(GpuModel::T4)],
+        ServerConfig {
+            runtime: RuntimeOptions {
+                producers: 1,
+                consumers: 1,
+                extra_cpu_s_per_image: 0.005,
+                ..Default::default()
+            },
+            max_active_queries,
+            batch_queue: 2,
+            tensor_cache_bytes: 0,
+        },
+    )
+}
+
+const SCAN_ITEMS: usize = 40;
+const INTERACTIVE_ITEMS: usize = 8;
+const NEVER_FILLS: usize = 64;
+
+fn with_priority(priority: Priority) -> SubmitOptions {
+    SubmitOptions {
+        priority,
+        ..Default::default()
+    }
+}
+
+/// Waits for `interactive`, then reports whether `scan` was still producing
+/// at that moment: the ordering the priority-drain rule makes possible.
+fn resolves_mid_scan(interactive: QueryHandle, scan: &QueryHandle) -> (QueryReport, bool) {
+    let report = interactive
+        .wait_deadline(Duration::from_secs(60))
+        .expect("server alive")
+        .expect("the interactive query resolves");
+    let mid_scan = matches!(
+        scan.poll(),
+        QueryPoll::Pending { produced, total, .. } if produced < total
+    );
+    (report, mid_scan)
+}
+
+fn drain(server: Server, scan: QueryHandle, scan_items: usize) -> ServerStats {
+    assert_eq!(scan.wait().expect("scan resolves").images, scan_items);
+    let stats = server.stats();
+    assert_eq!(stats.pending_batch_items, 0);
+    server.shutdown();
+    stats
+}
+
+/// A High-priority query does not wait for a Normal-priority scan to fill —
+/// here, to finish — the batch they share: its tail is released the moment
+/// its own production is done, while the scan is still producing. (Released
+/// only when the signature drains, the shared group would hold the
+/// interactive outputs until the scan's last item: the handle could not
+/// resolve before `produced == total`.)
+#[test]
+fn a_high_priority_query_does_not_wait_for_a_normal_scan_to_fill_its_batch() {
+    let server = slow_production_server(4);
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, NEVER_FILLS);
+    let scan = server
+        .submit_opts(
+            plan.clone(),
+            encoded_batch(SCAN_ITEMS, 64, 64, 200),
+            with_priority(Priority::Normal),
+        )
+        .expect("admitted");
+    let interactive = server
+        .submit_opts(
+            plan,
+            encoded_batch(INTERACTIVE_ITEMS, 64, 64, 300),
+            with_priority(Priority::High),
+        )
+        .expect("admitted");
+    let (report, mid_scan) = resolves_mid_scan(interactive, &scan);
+    assert_eq!(report.images, INTERACTIVE_ITEMS);
+    assert!(
+        mid_scan,
+        "the High-priority query resolved only once the scan had produced everything"
+    );
+    let stats = drain(server, scan, SCAN_ITEMS);
+    assert_eq!(stats.priority_flushes, 1, "{stats}");
+    assert_eq!(stats.batches, 2, "{stats}");
+    assert!(stats.cross_query_batches <= 1, "{stats}");
+}
+
+/// Equal priorities still wait for each other: the same pair at one
+/// priority forms the one 48-item batch it always did, and two same-priority
+/// queries in flight (the shape of the `thumbs_hot`, `fullres_cold` and
+/// `video_live` benchmark workloads) fill each other's batches — the
+/// priority-drain rule never fires and the batch sizes are those of the
+/// signature-drained rule alone.
+#[test]
+fn equal_priorities_keep_filling_each_others_batches() {
+    let server = slow_production_server(4);
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, NEVER_FILLS);
+    let scan = server
+        .submit(plan.clone(), encoded_batch(SCAN_ITEMS, 64, 64, 200))
+        .expect("admitted");
+    let peer = server
+        .submit(plan, encoded_batch(INTERACTIVE_ITEMS, 64, 64, 300))
+        .expect("admitted");
+    let (report, mid_scan) = resolves_mid_scan(peer, &scan);
+    assert_eq!(report.images, INTERACTIVE_ITEMS);
+    assert!(!mid_scan, "a peer's tail waits for the batch they share");
+    let stats = drain(server, scan, SCAN_ITEMS);
+    assert_eq!(stats.priority_flushes, 0, "{stats}");
+    assert_eq!(
+        (stats.batches, stats.cross_query_batches, stats.images_done),
+        (1, 1, (SCAN_ITEMS + INTERACTIVE_ITEMS) as u64),
+        "{stats}"
+    );
+
+    // Two 40-item queries in flight at batch 16: five full batches,
+    // whatever the interleaving.
+    let server = slow_production_server(4);
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 16);
+    let first = server
+        .submit(plan.clone(), encoded_batch(SCAN_ITEMS, 64, 64, 200))
+        .expect("admitted");
+    let second = server
+        .submit(plan, encoded_batch(SCAN_ITEMS, 64, 64, 300))
+        .expect("admitted");
+    assert_eq!(first.wait().expect("resolves").images, SCAN_ITEMS);
+    let stats = drain(server, second, SCAN_ITEMS);
+    assert_eq!(stats.priority_flushes, 0, "{stats}");
+    assert_eq!((stats.batches, stats.full_batches), (5, 5), "{stats}");
+}
+
+/// A gentle ramp: few coded coefficients, so its difficulty score sits
+/// well below `textured`'s.
+fn ramp(w: usize, h: usize, seed: usize) -> ImageU8 {
+    let mut img = ImageU8::zeros(w, h, 3);
+    for y in 0..h {
+        for x in 0..w {
+            for c in 0..3 {
+                img.set(x, y, c, ((x + y) / 4 + seed % 32 + 96) as u8);
+            }
+        }
+    }
+    img
+}
+
+/// A routed High-priority query is counted under both of its rungs until
+/// each item is routed, so its last item releases *both* rungs' groups —
+/// each holds some of its outputs, and only the Normal-priority cascade
+/// scan sharing both signatures is still outstanding under either.
+#[test]
+fn a_routed_high_priority_query_releases_both_rungs_groups() {
+    let encode = |img: ImageU8| EncodedImage::encode(&img, Format::sjpg(85)).unwrap();
+    // Easy items at even indices, hard ones at odd: both rungs get outputs.
+    let corpus = |n: usize, seed: usize| -> Vec<EncodedImage> {
+        (0..n)
+            .map(|i| match i % 2 {
+                0 => encode(ramp(64, 64, seed + i)),
+                _ => encode(textured(64, 64, seed + i)),
+            })
+            .collect()
+    };
+    let score = |enc: &EncodedImage| image_signal(enc).expect("sjpg signal").score();
+    let (scan_items, interactive_items) = (corpus(SCAN_ITEMS, 200), corpus(INTERACTIVE_ITEMS, 300));
+    let threshold = (score(&scan_items[0]) + score(&scan_items[1])) / 2.0;
+    let full = plan_for(ModelKind::ResNet50, 64, 64, 32, NEVER_FILLS);
+    let cascade = CascadePlan {
+        stage1: QueryPlan {
+            dnn: ModelKind::ResNet18,
+            decode: DecodeMode::ReducedResolution { factor: 2 },
+            ..full.clone()
+        },
+        threshold,
+        escalation_rate: 0.5,
+    };
+    let routed = |priority| SubmitOptions {
+        priority,
+        cascade: Some(cascade.clone()),
+        ..Default::default()
+    };
+    let server = slow_production_server(4);
+    let scan = server
+        .submit_opts(full.clone(), scan_items, routed(Priority::Normal))
+        .expect("admitted");
+    let interactive = server
+        .submit_opts(full, interactive_items, routed(Priority::High))
+        .expect("admitted");
+    let (report, mid_scan) = resolves_mid_scan(interactive, &scan);
+    assert_eq!(report.images, INTERACTIVE_ITEMS);
+    assert_eq!(
+        report.stage_histogram,
+        vec![INTERACTIVE_ITEMS / 2, INTERACTIVE_ITEMS / 2],
+        "the corpus engages both rungs"
+    );
+    assert!(mid_scan, "both rungs' groups were held for the scan");
+    let stats = drain(server, scan, SCAN_ITEMS);
+    assert_eq!(stats.priority_flushes, 2, "{stats}");
+    assert_eq!(stats.batches, 4, "{stats}");
+}
+
+/// A degraded High-priority query releases the group of the rung it
+/// finished on: under admission pressure it steps from ResNet-50 down to
+/// the ResNet-34 rung a Normal-priority scan is running on, and its outputs
+/// there do not wait for the scan. (The ResNet-50 rung it left has nothing
+/// else outstanding: that group goes by the signature-drained rule.)
+#[test]
+fn a_degraded_high_priority_query_releases_its_current_rungs_group() {
+    let server = slow_production_server(2);
+    let plan50 = plan_for(ModelKind::ResNet50, 64, 64, 32, NEVER_FILLS);
+    let plan34 = plan_for(ModelKind::ResNet34, 64, 64, 32, NEVER_FILLS);
+    let scan = server
+        .submit(plan34.clone(), encoded_batch(SCAN_ITEMS, 64, 64, 200))
+        .expect("admitted");
+    let opts = SubmitOptions {
+        priority: Priority::High,
+        accuracy: Some(0.95),
+        accuracy_floor: Some(0.9),
+        ladder: vec![DegradeStep {
+            plan: plan34,
+            accuracy: 0.93,
+            est_throughput: 2_000.0,
+        }],
+        ..Default::default()
+    };
+    let interactive = server
+        .submit_opts(plan50.clone(), encoded_batch(16, 64, 64, 300), opts)
+        .expect("admitted");
+    std::thread::scope(|scope| {
+        // A third tenant blocks at admission (capacity 2) → pressure → the
+        // interactive query's unclaimed items move to the ResNet-34 rung.
+        let blocked = scope.spawn(|| {
+            server
+                .submit(plan50.clone(), encoded_batch(1, 64, 64, 400))
+                .expect("eventually admitted")
+                .wait()
+                .expect("resolves")
+        });
+        let (report, mid_scan) = resolves_mid_scan(interactive, &scan);
+        assert_eq!(report.images, 16);
+        assert_eq!(report.degraded_steps, 1);
+        assert!(mid_scan, "the degraded rung's group was held for the scan");
+        assert_eq!(blocked.join().expect("tenant 3").images, 1);
+    });
+    let stats = drain(server, scan, SCAN_ITEMS);
+    assert_eq!(stats.priority_flushes, 1, "{stats}");
 }
 
 /// Arbitrary Pareto frontiers for the degradation-ladder property test.
