@@ -5,11 +5,9 @@
 //! the paper's end-to-end claims depend on. `resnet50_batch64` is the
 //! published throughput anchor; all model throughputs scale from it.
 
-use serde::{Deserialize, Serialize};
-
 /// Accelerator generations benchmarked in Table 5 (plus a CPU pseudo-device
 /// for CPU-only execution baselines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuModel {
     K80,
     P100,
@@ -22,7 +20,7 @@ pub enum GpuModel {
 }
 
 /// Static description of a device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceSpec {
     pub model: GpuModel,
     pub name: &'static str,

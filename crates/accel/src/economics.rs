@@ -5,10 +5,8 @@
 //! and preprocessing cost/power follow from how many cores are needed to
 //! match the accelerator's DNN throughput.
 
-use serde::{Deserialize, Serialize};
-
 /// One cloud instance offering.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct InstanceType {
     pub name: &'static str,
     pub vcpus: u32,
@@ -60,7 +58,7 @@ pub const WATTS_PER_VCPU: f64 = 4.375;
 pub const T4_WATTS: f64 = 70.0;
 
 /// Result of the linear price fit `price = gpu_price + vcpus · core_price`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceFit {
     pub gpu_price_per_hour: f64,
     pub core_price_per_hour: f64,
@@ -103,7 +101,7 @@ pub fn fit_core_price(instances: &[InstanceType]) -> PriceFit {
 /// executes at `dnn_throughput` im/s while one CPU core preprocesses
 /// `preproc_per_core` im/s: the cores needed to *feed* the accelerator
 /// define the preprocessing side (§7's comparison).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostBreakdown {
     pub cores_needed: f64,
     pub preproc_price_per_hour: f64,

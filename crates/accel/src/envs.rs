@@ -6,10 +6,8 @@
 //! they capture "efficient use of hardware can result in over a 17×
 //! improvement" (§2) without modeling the frameworks themselves.
 
-use serde::{Deserialize, Serialize};
-
 /// DNN execution environments benchmarked in Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionEnv {
     /// Keras (used by Tahoma).
     Keras,

@@ -7,10 +7,9 @@
 
 use crate::device::GpuModel;
 use crate::envs::ExecutionEnv;
-use serde::{Deserialize, Serialize};
 
 /// DNN architectures used across the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     ResNet18,
     ResNet34,
@@ -28,7 +27,7 @@ pub enum ModelKind {
 }
 
 /// Static description + calibration anchors for a virtual model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VirtualModel {
     pub kind: ModelKind,
     pub name: &'static str,

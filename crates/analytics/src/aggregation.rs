@@ -238,11 +238,6 @@ impl SpecializedCounter {
             .sum()
     }
 
-    /// Predictions for every frame.
-    pub fn predict_all(&self, frames: &[ImageU8]) -> Vec<f64> {
-        frames.iter().map(|f| self.predict(f)).collect()
-    }
-
     pub fn max_count(&self) -> usize {
         self.max_count
     }

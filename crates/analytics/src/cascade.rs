@@ -6,7 +6,6 @@
 //! picks among them by accuracy/throughput; we train a representative set
 //! of eight (the paper's evaluation also uses eight, §8.1).
 
-use smol_accel::ModelKind;
 use smol_core::CascadeStage;
 use smol_imgproc::ImageU8;
 use smol_nn::{ClassifierConfig, InputFormat, SmolClassifier, Tier, TrainParams};
@@ -145,11 +144,6 @@ impl Cascade {
             CascadeStage::new(spec_throughput, 1.0),
             CascadeStage::new(target_throughput, eval.pass_rate),
         ]
-    }
-
-    /// Virtual-accelerator model for the specialized stage.
-    pub fn spec_model(&self) -> ModelKind {
-        ModelKind::TahomaSmall
     }
 }
 

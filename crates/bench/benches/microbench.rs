@@ -252,7 +252,6 @@ fn bench_preproc(c: &mut Criterion) {
     // batch of 64 64-px tensors on a T4 at time scale 0.05.
     let spec = DeviceBatchSpec {
         dnn: ModelKind::ResNet18,
-        extra_stages: Vec::new(),
         pinned: true,
         extra_copy_per_batch: false,
     };

@@ -1,6 +1,7 @@
 //! Decode hot path CI gate: the fast decode path (table-driven entropy
-//! decoding, lane-batched IDCT/color kernels, band parallelism) against
-//! the scalar sequential reference.
+//! decoding, lane-batched IDCT/color kernels) against the scalar
+//! reference — on `DecodeOptions::default()`, the options every producer
+//! runs.
 //!
 //! Three checks on one grain-heavy sjpg corpus, the first two repeated for
 //! the spng thumbnail decoder on the serving layout's thumbnails (`161
@@ -9,15 +10,14 @@
 //! non-gating table of what each low-resolution rung costs beside a full
 //! decode — the §5.2 premise as numbers:
 //!
-//! 1. **Bit identity** — the fast path (any worker count) must reproduce
-//!    the reference decode exactly, at factor 1 and at every scaled-decode
+//! 1. **Bit identity** — the fast path must reproduce the reference
+//!    decode exactly, at factor 1 and at every scaled-decode
 //!    factor, for 4:4:4 and 4:2:0 chroma.
 //! 2. **Speedup gate** — full decode through the fast path must beat the
 //!    scalar sequential baseline by ≥ 2× wall-clock. Timing takes the
 //!    minimum over repetitions (the standard noisy-host estimator: load
-//!    spikes only ever add time) and workers are clamped to the host's
-//!    available parallelism, so on a single-core host the gate is carried
-//!    by the kernels alone.
+//!    spikes only ever add time); the decode is single-threaded, so the
+//!    gate is carried by the kernels alone.
 //! 3. **Planner scenario** — with a 4:2:0 copy of the corpus registered as
 //!    its own variant and *measured* decode throughput feeding the specs,
 //!    a loss-tolerant constraint must choose the subsampled variant.
@@ -118,11 +118,7 @@ fn main() {
             up
         })
         .collect();
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8);
-    let fast = DecodeOptions::with_workers(workers);
+    let fast = DecodeOptions::default();
     let reference = DecodeOptions::scalar_reference();
 
     // --- 1. Bit identity across chroma layouts and factors -------------
@@ -172,7 +168,7 @@ fn main() {
         "1.00x".to_string(),
     ]);
     table.row(&[
-        format!("table-driven + SIMD + {workers} worker(s)"),
+        "table-driven + SIMD (default options)".to_string(),
         format!("{:.2}", fast_s / encoded.len() as f64 * 1e3),
         format!("{speedup:.2}x"),
     ]);

@@ -23,7 +23,6 @@ fn build_plan(opt: bool, set: &VariantSet, kind: VariantKind) -> QueryPlan {
         preproc: planner.build_preproc(&input),
         decode: planner.decode_mode(&input),
         batch: 32,
-        extra_stages: Vec::new(),
     }
 }
 

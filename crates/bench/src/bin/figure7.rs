@@ -74,7 +74,6 @@ impl Config {
             preproc,
             decode,
             batch: BATCH,
-            extra_stages: Vec::new(),
         }
     }
 

@@ -120,7 +120,6 @@ fn main() {
         preproc: planner.build_preproc(&input),
         decode: DecodeMode::Full,
         batch: 16,
-        extra_stages: Vec::new(),
     };
     let stage1 = QueryPlan {
         dnn: ModelKind::ResNet18,

@@ -77,7 +77,6 @@ fn main() {
         preproc: preproc.clone(),
         decode,
         batch: 16,
-        extra_stages: Vec::new(),
     };
     let full_plan = mk_plan(DecodeMode::Full);
     // The planner must enumerate the fused mode itself (factor 8: 512/8 =

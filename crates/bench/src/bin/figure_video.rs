@@ -102,7 +102,6 @@ fn main() {
         preproc: planner.build_preproc(&input),
         decode,
         batch: 16,
-        extra_stages: Vec::new(),
     };
 
     // Fidelity + work accounting on the first few GOPs: keyframes decoded

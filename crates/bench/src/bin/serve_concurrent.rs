@@ -60,7 +60,6 @@ fn main() {
         preproc: planner.build_preproc(&input),
         decode: planner.decode_mode(&input),
         batch,
-        extra_stages: Vec::new(),
     };
     let opts = RuntimeOptions::default();
 

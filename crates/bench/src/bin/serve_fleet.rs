@@ -62,7 +62,6 @@ fn plan_for(planner: &Planner, input: &InputVariant, dnn: ModelKind, batch: usiz
         preproc: planner.build_preproc(input),
         decode: planner.decode_mode(input),
         batch,
-        extra_stages: Vec::new(),
     }
 }
 

@@ -60,7 +60,6 @@ fn main() {
             preproc: planner.build_preproc(&input),
             decode: planner.decode_mode(&input),
             batch: 32,
-            extra_stages: Vec::new(),
         };
         let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0);
         let opt_tput = run_once(
@@ -82,7 +81,6 @@ fn main() {
             preproc: nplanner.build_preproc(&ninput),
             decode: nplanner.decode_mode(&ninput),
             batch: 32,
-            extra_stages: Vec::new(),
         };
         // Keep the DNN from becoming the bottleneck in either condition
         // (the paper's 16-vCPU row approaches the RN-50 limit; ours is far

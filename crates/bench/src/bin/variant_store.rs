@@ -135,7 +135,6 @@ fn main() {
         preproc: planner.build_preproc(&input),
         decode: DecodeMode::Full,
         batch: n,
-        extra_stages: Vec::new(),
     };
     let opts = RuntimeOptions::default();
     // A very fast simulated device keeps execution negligible so wall

@@ -166,7 +166,6 @@ impl VariantSet {
             preproc: planner.build_preproc(&input),
             decode: planner.decode_mode(&input),
             batch: planner.config.batch,
-            extra_stages: Vec::new(),
         };
         let opts = RuntimeOptions {
             producers: threads,
@@ -306,7 +305,6 @@ pub fn simple_plan(
         preproc: planner.build_preproc(&input),
         decode: planner.decode_mode(&input),
         batch,
-        extra_stages: Vec::new(),
     }
 }
 

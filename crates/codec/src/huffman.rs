@@ -251,7 +251,7 @@ impl HuffmanTable {
         self.decode(r)
     }
 
-    /// Serializes the table spec: counts per length then canonical symbols.
+    /// Writes the table spec: counts per length then canonical symbols.
     pub fn write_spec(&self, w: &mut BitWriter) {
         for l in 1..=MAX_CODE_LEN as usize {
             w.put(self.count_per_len[l] as u32, 16);

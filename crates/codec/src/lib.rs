@@ -223,8 +223,7 @@ impl EncodedImage {
     }
 
     /// Fully decodes with explicit [`DecodeOptions`]: `scalar_kernels`
-    /// selects each format's reference decoder, `workers` the sjpg row-band
-    /// parallelism (an spng stream is one LZ chain with nothing to split).
+    /// selects each format's reference decoder.
     pub fn decode_with_opts(&self, opts: DecodeOptions) -> Result<ImageU8> {
         match self.format {
             Format::Sjpg { .. } => sjpg::decode_with_opts(&self.bytes, opts).map(|(img, _)| img),

@@ -75,8 +75,7 @@ pub fn sjpg_signal(data: &[u8]) -> Result<(DifficultySignal, DecodeStats)> {
 
 /// [`sjpg_signal`] with the entropy path chosen by `opts.scalar_kernels`:
 /// the table-driven walk the decoder's fast path uses (the default), or
-/// the bit-by-bit reference it is checked against. `opts.workers` is
-/// ignored — a few rows are not worth a thread.
+/// the bit-by-bit reference it is checked against.
 pub fn sjpg_signal_opts(
     data: &[u8],
     opts: DecodeOptions,

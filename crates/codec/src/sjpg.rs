@@ -19,12 +19,10 @@
 //!
 //! ## Decode hot path
 //!
-//! The MCU-row index doubles as a **parallel-decode invariant**: DC
-//! predictors reset at every row start, so rows are data-independent and
-//! [`DecodeOptions::workers`] can fan contiguous row *bands* out to scoped
-//! threads, each with its own bit reader and disjoint output slice. Inside a
-//! band, the IDCT and YCbCr→RGB conversion run through lane-batched kernels
-//! ([`crate::dct::inverse_dct_scaled_vec`],
+//! DC predictors reset at every MCU-row start, so rows are
+//! data-independent and the decoder seeks to each one through the row index.
+//! Inside a row, the IDCT and YCbCr→RGB conversion run through lane-batched
+//! kernels ([`crate::dct::inverse_dct_scaled_vec`],
 //! [`smol_imgproc::ops::colorspace::ycbcr_row_to_rgb`]) that are
 //! **bit-identical** to the scalar reference (set
 //! [`DecodeOptions::scalar_kernels`] to decode through the scalar oracle
@@ -82,63 +80,29 @@ pub struct DecodeStats {
     pub coefs_dequantized: u64,
 }
 
-impl DecodeStats {
-    /// Folds another band's counters into this one (row-band parallel
-    /// decode sums per-band stats; `rows_skipped` is global, not summed).
-    fn absorb(&mut self, part: DecodeStats) {
-        self.symbols_decoded += part.symbols_decoded;
-        self.pixels_written += part.pixels_written;
-        self.idct_macs += part.idct_macs;
-        self.coefs_dequantized += part.coefs_dequantized;
-    }
-}
-
-/// Decode-path configuration: row-band parallelism and kernel selection.
+/// Decode-path configuration: kernel selection.
 ///
-/// The default decodes sequentially through the vectorized kernels. Every
-/// combination of `workers` and `scalar_kernels` produces **bit-identical
-/// output**: bands are data-independent (DC predictors reset per MCU row)
-/// and the vector kernels preserve the scalar kernels' per-lane reduction
-/// order exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The default decodes through the table-driven, vectorized kernels. Both
+/// settings produce **bit-identical output**: the vector kernels preserve
+/// the scalar kernels' per-lane reduction order exactly.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeOptions {
-    /// Row bands decoded concurrently (clamped to the MCU-row count);
-    /// `0`/`1` decode sequentially on the calling thread.
-    pub workers: usize,
     /// Route IDCT and color conversion through the scalar reference
     /// kernels instead of the lane-batched ones (the correctness oracle
     /// for benches and equivalence tests).
     pub scalar_kernels: bool,
 }
 
-impl Default for DecodeOptions {
-    fn default() -> Self {
-        DecodeOptions {
-            workers: 1,
-            scalar_kernels: false,
-        }
-    }
-}
-
 impl DecodeOptions {
-    /// Sequential decode through the vectorized kernels (the default).
+    /// Decode through the vectorized kernels (the default).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Decode with up to `workers` parallel row bands.
-    pub fn with_workers(workers: usize) -> Self {
-        DecodeOptions {
-            workers,
-            ..Self::default()
-        }
-    }
-
-    /// The scalar sequential reference configuration (the baseline the
+    /// The scalar reference configuration (the baseline the
     /// `decode_hotpath` bench measures against).
     pub fn scalar_reference() -> Self {
         DecodeOptions {
-            workers: 1,
             scalar_kernels: true,
         }
     }
@@ -517,8 +481,8 @@ pub fn decode_with_stats(data: &[u8]) -> Result<(ImageU8, DecodeStats)> {
     decode_with_opts(data, DecodeOptions::default())
 }
 
-/// Fully decodes with explicit decode options (kernel selection + row-band
-/// parallelism). Output is bit-identical across all option combinations.
+/// Fully decodes with explicit decode options (kernel selection). Output is
+/// bit-identical under both.
 pub fn decode_with_opts(data: &[u8], opts: DecodeOptions) -> Result<(ImageU8, DecodeStats)> {
     let header = SjpgHeader::parse(data)?;
     let full = Rect::new(0, 0, header.width, header.height);
@@ -535,7 +499,7 @@ pub fn decode_with_window(data: &[u8], bits: u32) -> Result<(ImageU8, DecodeStat
     let full = Rect::new(0, 0, header.width, header.height);
     let geom = Geometry::new(&header, 1, full);
     let rows = (0, header.row_offsets.len());
-    run_bands(
+    decode_mcu_rows(
         &data[header.body_start..],
         &header,
         geom,
@@ -632,7 +596,7 @@ pub fn decode_scaled_opts(
     let rows = (0, header.row_offsets.len());
     let cols = (0, geom.mcols);
     let body = &data[header.body_start..];
-    run_bands(
+    decode_mcu_rows(
         body,
         &header,
         geom,
@@ -667,7 +631,7 @@ pub(crate) struct SignalScan {
 /// row, so each sampled row is self-contained.
 ///
 /// Cascade routing runs this on every item before any decode, so it takes
-/// the same table-driven entropy path as [`decode_band`]: one
+/// the same table-driven entropy path as [`decode_rows_into`]: one
 /// [`FastCursor`] per sampled row, synced back at row end (where truncated
 /// input surfaces). `opts.scalar_kernels` selects the bit-by-bit reference
 /// walk instead; both read the same symbols and return the same scan.
@@ -747,7 +711,7 @@ pub(crate) fn scan_signal(
 }
 
 // ---------------------------------------------------------------------------
-// Unified band decoder
+// Unified MCU-row decoder
 // ---------------------------------------------------------------------------
 
 /// Decode-side geometry shared by every factor/chroma combination.
@@ -803,7 +767,7 @@ fn decode_region(
     let bx0 = region.x / mcu;
     let bx1 = region.x_end().div_ceil(mcu).min(geom.mcols);
     let body = &data[header.body_start..];
-    run_bands(
+    decode_mcu_rows(
         body,
         header,
         geom,
@@ -814,12 +778,9 @@ fn decode_region(
     )
 }
 
-/// Decodes MCU rows `[rows.0, rows.1)`, splitting them into contiguous
-/// bands across `opts.workers` scoped threads. Each band owns a disjoint
-/// slice of the output buffer and its own bit reader; DC predictors reset
-/// at every row start, so bands never share decode state and the result is
-/// bit-identical to a sequential decode.
-fn run_bands(
+/// Decodes MCU rows `[rows.0, rows.1)` up to MCU column `cols.1` into a
+/// fresh `geom.oregion`-sized image.
+fn decode_mcu_rows(
     body: &[u8],
     header: &SjpgHeader,
     geom: Geometry,
@@ -828,74 +789,31 @@ fn run_bands(
     opts: DecodeOptions,
     window: u32,
 ) -> Result<(ImageU8, DecodeStats)> {
-    let (by0, by1) = rows;
-    let (out_w, out_h) = (geom.oregion.w, geom.oregion.h);
-    let mut out = ImageU8::zeros(out_w, out_h, 3);
-    let mut stats = DecodeStats {
-        rows_skipped: (header.row_offsets.len() - (by1 - by0)) as u64,
-        ..DecodeStats::default()
-    };
-    let n_rows = by1 - by0;
-    let workers = opts.workers.max(1).min(n_rows.max(1));
-    if workers <= 1 {
-        let part = decode_band(
-            body,
-            header,
-            geom,
-            cols,
-            (by0, by1),
-            out.data_mut(),
-            0,
-            opts,
-            window,
-        )?;
-        stats.absorb(part);
-    } else {
-        let mut results: Vec<Result<DecodeStats>> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut rest = out.data_mut();
-            for i in 0..workers {
-                let r0 = by0 + i * n_rows / workers;
-                let r1 = by0 + (i + 1) * n_rows / workers;
-                if r0 == r1 {
-                    continue;
-                }
-                let oy0 = (r0 - by0) * geom.patch;
-                let oy1 = ((r1 - by0) * geom.patch).min(out_h);
-                let (band, tail) = rest.split_at_mut((oy1 - oy0) * out_w * 3);
-                rest = tail;
-                handles.push(s.spawn(move || {
-                    decode_band(body, header, geom, cols, (r0, r1), band, oy0, opts, window)
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("sjpg decode band panicked"));
-            }
-        });
-        for r in results {
-            stats.absorb(r?);
-        }
-    }
+    let mut out = ImageU8::zeros(geom.oregion.w, geom.oregion.h, 3);
+    let pixels = out.data_mut();
+    let mut stats = decode_rows_into(body, header, geom, rows, cols, pixels, opts, window)?;
+    stats.rows_skipped = (header.row_offsets.len() - (rows.1 - rows.0)) as u64;
     stats.blocks_idct = stats.idct_macs / FULL_IDCT_MACS;
     Ok((out, stats))
 }
 
-/// Decodes one contiguous band of MCU rows into its output slice.
-/// `band_oy0` is the output row (within the output image) at which the
-/// band's slice begins.
+/// The decode loop of [`decode_mcu_rows`], seeking to each row through the
+/// index (DC predictors reset at every row start, so rows share no decode
+/// state). Its own function so the output arrives as a `&mut [u8]`
+/// parameter: with the loop inlined behind the allocation, `fullres_cold`
+/// measured 12 % more CPU per item.
 #[allow(clippy::too_many_arguments)]
-fn decode_band(
+fn decode_rows_into(
     body: &[u8],
     header: &SjpgHeader,
     geom: Geometry,
-    cols: (usize, usize),
     rows: (usize, usize),
-    band: &mut [u8],
-    band_oy0: usize,
+    cols: (usize, usize),
+    pixels: &mut [u8],
     opts: DecodeOptions,
     window: u32,
 ) -> Result<DecodeStats> {
+    let mut stats = DecodeStats::default();
     let luma_q = scale_table(&BASE_LUMA, header.quality)?;
     let chroma_q = scale_table(&BASE_CHROMA, header.quality)?;
     let (bx0, bx1) = cols;
@@ -903,14 +821,13 @@ fn decode_band(
         Chroma::C444 => 1,
         Chroma::C420 => 4,
     };
-    let mut stats = DecodeStats::default();
     let mut r = BitReader::new(body);
     let mut coefs = [0i16; 64];
     let mut freq = [0.0f32; 64];
     let mut ybufs = [[0.0f32; 64]; 4];
     let mut cbuf = [0.0f32; 64];
     let mut crbuf = [0.0f32; 64];
-    // Fast path: fully-decoded entropy tables, built once per band behind
+    // Fast path: fully-decoded entropy tables, built once per decode behind
     // a window sized to the payload — 2 × 4096 entries are microseconds
     // against the thousands of blocks of a large body, and most of the
     // decode of a 1 KB keyframe.
@@ -999,9 +916,7 @@ fn decode_band(
             }
             if in_roi {
                 if opts.scalar_kernels {
-                    write_mcu(
-                        &geom, &ybufs, &cbuf, &crbuf, bx, by, band, band_oy0, &mut stats,
-                    );
+                    write_mcu(&geom, &ybufs, &cbuf, &crbuf, bx, by, pixels, &mut stats);
                 } else {
                     write_mcu_strip(
                         &geom,
@@ -1032,13 +947,12 @@ fn decode_band(
                 if oy < reg.y || oy >= reg.y_end() {
                     continue;
                 }
-                let row = oy - reg.y - band_oy0;
-                let off = row * reg.w * 3;
+                let off = (oy - reg.y) * reg.w * 3;
                 ycbcr_row_to_rgb(
                     &ystrip[dy * reg.w..(dy + 1) * reg.w],
                     &cbstrip[dy * reg.w..(dy + 1) * reg.w],
                     &crstrip[dy * reg.w..(dy + 1) * reg.w],
-                    &mut band[off..off + 3 * reg.w],
+                    &mut pixels[off..off + 3 * reg.w],
                 );
             }
         }
@@ -1127,7 +1041,7 @@ fn chroma_sample(geom: &Geometry, buf: &[f32; 64], dy: usize, dx: usize) -> f32 
     }
 }
 
-/// Writes one decoded MCU's output patch into the band slice, converting
+/// Writes one decoded MCU's output patch into the output pixels, converting
 /// to RGB and clipping to the output region. Reference path only: one
 /// sample at a time through the scalar kernels, as the seed decoder did.
 #[allow(clippy::too_many_arguments)]
@@ -1138,8 +1052,7 @@ fn write_mcu(
     crbuf: &[f32; 64],
     bx: usize,
     by: usize,
-    band: &mut [u8],
-    band_oy0: usize,
+    pixels: &mut [u8],
     stats: &mut DecodeStats,
 ) {
     let p = geom.patch;
@@ -1159,9 +1072,8 @@ fn write_mcu(
         if oy < reg.y || oy >= reg.y_end() {
             continue;
         }
-        let row = oy - reg.y - band_oy0;
-        let off = (row * reg.w + (ox0 + dx0 - reg.x)) * 3;
-        let dst = &mut band[off..off + 3 * cw];
+        let off = ((oy - reg.y) * reg.w + (ox0 + dx0 - reg.x)) * 3;
+        let dst = &mut pixels[off..off + 3 * cw];
         for (i, dx) in (dx0..dx1).enumerate() {
             yrow[i] = to_u8(luma_sample(geom, ybufs, dy, dx));
             cbrow[i] = to_u8(chroma_sample(geom, cbuf, dy, dx));
@@ -1180,7 +1092,7 @@ fn write_mcu(
 /// Fast-path counterpart of [`write_mcu`]: converts the MCU's samples to
 /// u8 into *planar row strips* spanning the whole MCU row. Color
 /// conversion then runs once per completed image row over the full strip
-/// (see the flush in [`decode_band`]) — long contiguous rows instead of
+/// (see the flush in [`decode_rows_into`]) — long contiguous rows instead of
 /// ≤ 16-pixel segments, which is what lets [`ycbcr_row_to_rgb`]'s planar
 /// lanes vectorize. Same per-sample conversion, same per-pixel color
 /// math, so output is bit-identical to converting MCU-by-MCU.
@@ -1767,21 +1679,6 @@ mod tests {
                         "mismatch at {x},{y},{c}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn banded_decode_is_bit_identical_to_sequential() {
-        for chroma in [Chroma::C444, Chroma::C420] {
-            let img = textured(144, 120, 11);
-            let enc = SjpgEncoder::with_chroma(85, chroma).encode(&img).unwrap();
-            let (seq, seq_stats) = decode_with_opts(&enc, DecodeOptions::default()).unwrap();
-            for workers in [2usize, 3, 7, 64] {
-                let (par, par_stats) =
-                    decode_with_opts(&enc, DecodeOptions::with_workers(workers)).unwrap();
-                assert_eq!(seq, par, "chroma {chroma:?} workers {workers}");
-                assert_eq!(seq_stats, par_stats);
             }
         }
     }

@@ -391,10 +391,8 @@ pub fn decode(data: &[u8]) -> Result<ImageU8> {
     decode_with_opts(data, DecodeOptions::default())
 }
 
-/// [`decode`] under explicit options. Only `scalar_kernels` matters: it
-/// selects the bit-by-bit reference decoder (the oracle the fast path is
-/// pinned to); the stream is one LZ chain, so `workers` has nothing to
-/// split.
+/// [`decode`] under explicit options: `scalar_kernels` selects the
+/// bit-by-bit reference decoder (the oracle the fast path is pinned to).
 pub fn decode_with_opts(data: &[u8], opts: DecodeOptions) -> Result<ImageU8> {
     decode_rows_opts(data, usize::MAX, opts).map(|(img, _)| img)
 }

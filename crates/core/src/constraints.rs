@@ -119,7 +119,6 @@ fn by_throughput(a: &PlanCandidate, b: &PlanCandidate) -> Ordering {
 ///         preproc: PreprocPlan::thumbnail(224, 224),
 ///         decode: DecodeMode::Full,
 ///         batch: 64,
-///         extra_stages: Vec::new(),
 ///     },
 ///     preproc_throughput: tput,
 ///     exec_throughput: tput,
@@ -341,7 +340,6 @@ mod tests {
                 preproc: PreprocPlan::thumbnail(224, 224),
                 decode: DecodeMode::Full,
                 batch: 64,
-                extra_stages: Vec::new(),
             },
             preproc_throughput: tput,
             exec_throughput: tput,

@@ -13,10 +13,8 @@
 //! stages where `selectivity` is the fraction of the input stream that
 //! reaches that stage (Eq. 2's `α`).
 
-use serde::{Deserialize, Serialize};
-
 /// Which estimator to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostModelKind {
     /// Preprocessing-aware pipelined model: `min(preproc, exec)`.
     Smol,
@@ -38,7 +36,7 @@ impl CostModelKind {
 
 /// One DNN stage in a cascade: images/second when executing, and the
 /// fraction of the full input stream that reaches this stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeStage {
     pub throughput: f64,
     pub selectivity: f64,
@@ -75,7 +73,7 @@ pub fn cascade_exec_throughput(stages: &[CascadeStage]) -> f64 {
 /// into the candidate's preprocessing throughput so "pay storage, skip
 /// decode" competes with "transcode on the fly" inside the ordinary
 /// `min(preproc, exec)` estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageProfile {
     /// Items/s at which the materialized variant's encoded bytes read
     /// back from the store (manifest + object reads). Non-positive or

@@ -73,7 +73,6 @@ mod tests {
                 preproc: PreprocPlan::thumbnail(224, 224),
                 decode: DecodeMode::Full,
                 batch: 64,
-                extra_stages: Vec::new(),
             },
             preproc_throughput: tput,
             exec_throughput: tput,

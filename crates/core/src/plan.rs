@@ -202,10 +202,6 @@ pub struct QueryPlan {
     pub preproc: PreprocPlan,
     pub decode: DecodeMode,
     pub batch: usize,
-    /// Downstream cascade stages `(model, selectivity)`: each batch also
-    /// executes `ceil(batch × selectivity)` images on `model` (Tahoma-style
-    /// cascades, §3.2). Empty for single-model plans.
-    pub extra_stages: Vec<(ModelKind, f64)>,
 }
 
 impl QueryPlan {
@@ -221,8 +217,7 @@ impl QueryPlan {
     /// are deliberately *excluded* — producers resolve those per item
     /// before the device ever sees the tensor. What must match is the
     /// output tensor geometry, the accelerator-placed operator suffix, the
-    /// DNN (plus cascade stages), and the batch size the plan was costed
-    /// at.
+    /// DNN, and the batch size the plan was costed at.
     pub fn placement_signature(&self) -> PlacementSignature {
         let (out_w, out_h) = self
             .preproc
@@ -239,11 +234,6 @@ impl QueryPlan {
                 .iter()
                 .filter(|o| o.placement == Placement::Accel)
                 .map(|o| o.spec.clone())
-                .collect(),
-            extra_stages: self
-                .extra_stages
-                .iter()
-                .map(|&(model, selectivity)| (model, selectivity.to_bits()))
                 .collect(),
         }
     }
@@ -274,8 +264,6 @@ pub struct PlacementSignature {
     pub frame_selection: Option<FrameSelection>,
     /// Accelerator-placed operator suffix (empty for all-CPU plans).
     pub accel_ops: Vec<OpSpec>,
-    /// Cascade stages with selectivities bit-encoded for `Eq`/`Hash`.
-    pub extra_stages: Vec<(ModelKind, u64)>,
 }
 
 /// An input-adaptive two-rung routing plan (ROADMAP item 3; Tahoma-style
@@ -370,7 +358,6 @@ mod tests {
             preproc: PreprocPlan::thumbnail(224, 224),
             decode: DecodeMode::Full,
             batch: 64,
-            extra_stages: Vec::new(),
         };
         assert_eq!(plan.label(), "ResNet-50 @ 161 spng");
     }
@@ -382,7 +369,6 @@ mod tests {
             preproc: PreprocPlan::standard(short, crop, crop),
             decode: DecodeMode::Full,
             batch,
-            extra_stages: Vec::new(),
         }
     }
 
@@ -414,10 +400,6 @@ mod tests {
 
         let other_geometry = sig_plan(ModelKind::ResNet50, 256, 192, 64);
         assert_ne!(sig, other_geometry.placement_signature());
-
-        let mut cascade = sig_plan(ModelKind::ResNet50, 256, 224, 64);
-        cascade.extra_stages = vec![(ModelKind::ResNet101, 0.1)];
-        assert_ne!(sig, cascade.placement_signature());
     }
 
     #[test]

@@ -460,11 +460,8 @@ impl Planner {
                 preproc,
                 decode,
                 batch: self.config.batch,
-                // Cascade stage *models* are known only to the client
-                // system (e.g. Tahoma); it fills these in when it
-                // materializes an executable plan. The throughput estimate
-                // above already accounts for the stages.
-                extra_stages: Vec::new(),
+                // `s.cascade` is a cost-model input only (Eq. 2, already in
+                // `exec` above): the plan executes `dnn` alone.
             },
             preproc_throughput,
             exec_throughput: exec,
@@ -562,7 +559,6 @@ impl Planner {
             preproc: full_preproc,
             decode: base,
             batch: self.config.batch,
-            extra_stages: Vec::new(),
         };
         let stage1 = QueryPlan {
             dnn: r.stage1_dnn,

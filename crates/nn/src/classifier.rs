@@ -48,16 +48,6 @@ impl Tier {
         }
     }
 
-    /// The virtual-accelerator model this tier maps onto for throughput
-    /// accounting (see `smol-accel`).
-    pub fn accel_model_name(&self) -> &'static str {
-        match self {
-            Tier::T18 => "ResNet-18",
-            Tier::T34 => "ResNet-34",
-            Tier::T50 => "ResNet-50",
-        }
-    }
-
     pub fn ladder() -> [Tier; 3] {
         [Tier::T18, Tier::T34, Tier::T50]
     }
@@ -171,11 +161,6 @@ impl SmolClassifier {
     pub fn predict_probs(&self, native: &ImageU8, format: InputFormat) -> Vec<f32> {
         let seen = format.materialize(native, self.input_size);
         self.head.predict_probs(&self.backbone.extract(&seen))
-    }
-
-    /// Predicts directly from pixels the model would see (no format step).
-    pub fn predict_seen(&self, seen: &ImageU8) -> usize {
-        self.head.predict(&self.backbone.extract(seen))
     }
 
     /// Top-1 accuracy of the classifier on native images observed through

@@ -139,7 +139,6 @@ pub struct PlanContext {
     pub norm: Normalization,
     pub dnn: ModelKind,
     pub batch: usize,
-    pub extra_stages: Vec<(ModelKind, f64)>,
     /// Geometry a decode of the variant's declared size emits (nominal:
     /// items may differ, and ROI decodes block-align).
     nominal_src: (usize, usize),
@@ -164,7 +163,6 @@ impl PlanContext {
             norm: Normalization::IMAGENET,
             dnn: plan.dnn,
             batch: plan.batch.max(1),
-            extra_stages: plan.extra_stages.clone(),
             nominal_src: plan
                 .decode
                 .decoded_dims(plan.input.width, plan.input.height),
@@ -262,7 +260,6 @@ impl PlanContext {
     pub fn batch_spec(&self, opts: &RuntimeOptions) -> DeviceBatchSpec {
         DeviceBatchSpec {
             dnn: self.dnn,
-            extra_stages: self.extra_stages.clone(),
             pinned: opts.pinned,
             extra_copy_per_batch: opts.extra_copy_per_batch,
         }
@@ -347,17 +344,16 @@ pub fn produce_item(
 #[derive(Debug, Clone)]
 pub struct DeviceBatchSpec {
     pub dnn: ModelKind,
-    pub extra_stages: Vec<(ModelKind, f64)>,
     pub pinned: bool,
     pub extra_copy_per_batch: bool,
 }
 
 /// Enqueues the per-batch consumer stage on the virtual device as one
 /// stream — host→device transfer, optional accelerator-side preprocessing
-/// kernel, the DNN batch, and any cascade stages (§3.2), each ordered after
-/// the one before — and returns when the last of them completes, without
-/// waiting for any. Batches launched back to back pipeline on the device:
-/// the copy of the second runs under the compute of the first.
+/// kernel and the DNN batch, each ordered after the one before — and
+/// returns when the last of them completes, without waiting for any.
+/// Batches launched back to back pipeline on the device: the copy of the
+/// second runs under the compute of the first.
 pub fn launch_device_batch(
     device: &VirtualDevice,
     spec: &DeviceBatchSpec,
@@ -376,16 +372,7 @@ pub fn launch_device_batch(
     if accel_ops > 0.0 {
         done = device.launch_preproc_kernel(accel_ops, done);
     }
-    done = device.launch_dnn_batch(spec.dnn, images, done);
-    // Cascade stages: the expected fraction of the batch passes through to
-    // each downstream model (§3.2).
-    for &(model, selectivity) in &spec.extra_stages {
-        let passed = (images as f64 * selectivity).ceil() as usize;
-        if passed > 0 {
-            done = device.launch_dnn_batch(model, passed, done);
-        }
-    }
-    done
+    device.launch_dnn_batch(spec.dnn, images, done)
 }
 
 /// Runs the per-batch consumer stage to completion:
@@ -544,8 +531,6 @@ pub fn decode_item(enc: &EncodedImage, mode: DecodeMode) -> Result<ImageU8> {
 }
 
 /// [`decode_item`] with explicit decode options, honoured by every mode:
-/// `opts.workers > 1` band-parallelizes the entropy+IDCT pass of an sjpg
-/// decode over MCU rows (bit-identical to the sequential decode), and
 /// `opts.scalar_kernels` decodes through the format's reference decoder —
 /// the oracle callers compare served pixels against.
 pub fn decode_item_opts(
@@ -627,7 +612,6 @@ mod tests {
             input,
             decode,
             batch: 8,
-            extra_stages: Vec::new(),
         }
     }
 
@@ -667,7 +651,6 @@ mod tests {
     fn launching_a_batch_accounts_what_executing_it_does() {
         let spec = DeviceBatchSpec {
             dnn: ModelKind::ResNet50,
-            extra_stages: vec![(ModelKind::ResNet18, 0.25)],
             pinned: true,
             extra_copy_per_batch: true,
         };
@@ -677,7 +660,7 @@ mod tests {
         execute_device_batch(&executed, &spec, 8, 8 * 12_288, 1e5);
         let stats = launched.stats();
         assert_eq!(stats, executed.stats());
-        assert_eq!((stats.copies, stats.kernels), (2, 3));
+        assert_eq!((stats.copies, stats.kernels), (2, 2));
         // One stream: every op starts after the one before it ends.
         let serial = Duration::from_secs_f64(stats.copy_busy_s + stats.compute_busy_s);
         assert!(done >= origin + serial - Duration::from_nanos(5));
@@ -685,30 +668,6 @@ mod tests {
         let idle = fast_device();
         assert!(launch_device_batch(&idle, &spec, 0, 0, 0.0) <= Instant::now());
         assert_eq!(idle.stats(), DeviceStats::default());
-    }
-
-    #[test]
-    fn band_parallel_decode_is_bit_identical_in_every_decode_mode() {
-        // Band-parallel sjpg decoding must be invisible to the producer
-        // stage: same pixels for full, reduced, and (sequential-fallback)
-        // ROI decode modes at any worker count.
-        let enc = EncodedImage::encode(&textured(160, 112, 3), Format::sjpg(85)).unwrap();
-        let modes = [
-            DecodeMode::Full,
-            DecodeMode::ReducedResolution { factor: 2 },
-            DecodeMode::CentralRoi {
-                crop_w: 96,
-                crop_h: 64,
-            },
-        ];
-        for mode in modes {
-            let seq = decode_item(&enc, mode).unwrap();
-            for workers in [2usize, 5] {
-                let par =
-                    decode_item_opts(&enc, mode, DecodeOptions::with_workers(workers)).unwrap();
-                assert_eq!(seq.data(), par.data(), "{mode:?} workers={workers}");
-            }
-        }
     }
 
     #[test]
@@ -720,6 +679,7 @@ mod tests {
         let img = textured(160, 112, 5);
         let modes = [
             DecodeMode::Full,
+            DecodeMode::ReducedResolution { factor: 2 },
             DecodeMode::ReducedResolution { factor: 4 },
             DecodeMode::CentralRoi {
                 crop_w: 96,

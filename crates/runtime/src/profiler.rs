@@ -280,7 +280,6 @@ mod tests {
             preproc: planner.build_preproc(&input),
             decode: smol_core::DecodeMode::Full,
             batch: 8,
-            extra_stages: Vec::new(),
         }
     }
 

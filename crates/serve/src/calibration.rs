@@ -8,7 +8,7 @@ use smol_accel::ModelKind;
 use smol_codec::EncodedImage;
 use smol_core::{DecodeMode, InputVariant, RoutingSpec, VideoFidelity};
 use smol_imgproc::{ops::resize_short_edge_u8, ImageU8};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,7 +70,9 @@ impl Calibration {
             return None;
         };
         match self {
-            Calibration::Table(t) => t.get(model, &input.name).and_then(|e| e.reduced_at(factor)),
+            // Tables record no reduced-decode accuracy: the planner's
+            // low-res-tolerant assumption (accuracy carries over) applies.
+            Calibration::Table(_) => None,
             Calibration::Measured(m) => m.measure(model, input, Some(factor)),
         }
     }
@@ -85,10 +87,8 @@ impl Calibration {
                     .entries
                     .iter()
                     .map(|((m, v), e)| {
-                        let reduced: Vec<(u8, u64)> =
-                            e.reduced.iter().map(|(&f, a)| (f, a.to_bits())).collect();
                         format!(
-                            "{m:?}|{v}|{:016x}|{reduced:?}|{:?}|{:?}",
+                            "{m:?}|{v}|{:016x}|{:?}|{:?}",
                             e.accuracy.to_bits(),
                             e.keyframes.map(f64::to_bits),
                             e.no_deblock.map(f64::to_bits),
@@ -106,35 +106,11 @@ impl Calibration {
 #[derive(Debug, Clone)]
 struct TableEntry {
     accuracy: f64,
-    /// Reduced-resolution accuracy per scaled-IDCT factor.
-    reduced: BTreeMap<u8, f64>,
     /// Accuracy under keyframe-only decoding (video variants).
     keyframes: Option<f64>,
     /// Accuracy with the in-loop deblocking filter skipped (video
     /// variants).
     no_deblock: Option<f64>,
-}
-
-impl TableEntry {
-    /// Reduced accuracy to use when the planner decodes at `factor`:
-    /// the exact calibrated value when recorded; otherwise the value at
-    /// the closest *harsher* recorded factor (a valid lower bound — less
-    /// downsampling cannot hurt accuracy); otherwise the value at the
-    /// closest milder factor (the best available estimate). `None` when
-    /// no reduced accuracy was calibrated at all, which falls back to the
-    /// planner's low-res-tolerant assumption (accuracy carries over).
-    fn reduced_at(&self, factor: u8) -> Option<f64> {
-        if let Some(&acc) = self.reduced.get(&factor) {
-            return Some(acc);
-        }
-        if let Some((_, &acc)) = self.reduced.range(factor..).next() {
-            return Some(acc);
-        }
-        self.reduced
-            .range(..factor)
-            .next_back()
-            .map(|(_, &acc)| acc)
-    }
 }
 
 /// A sparse (DNN, variant-name) → accuracy table.
@@ -151,28 +127,6 @@ impl AccuracyTable {
     /// Records the calibrated accuracy of `model` on variant `variant`.
     pub fn with(mut self, model: ModelKind, variant: &str, accuracy: f64) -> Self {
         self.entry(model, variant, accuracy);
-        self
-    }
-
-    /// Like [`AccuracyTable::with`], additionally recording the accuracy
-    /// measured under reduced-resolution decoding **at `factor`** (§6.4's
-    /// fidelity/throughput trade). The factor matters: a value calibrated
-    /// at factor 2 says nothing safe about factor 8, so lookups match the
-    /// factor the planner actually selects (exact match, else the closest
-    /// harsher factor's value as a lower bound, else the closest milder
-    /// one as the best available estimate). Record one entry per factor
-    /// you intend to serve.
-    pub fn with_reduced(
-        mut self,
-        model: ModelKind,
-        variant: &str,
-        accuracy: f64,
-        factor: u8,
-        reduced: f64,
-    ) -> Self {
-        self.entry(model, variant, accuracy)
-            .reduced
-            .insert(factor, reduced);
         self
     }
 
@@ -213,7 +167,6 @@ impl AccuracyTable {
             .entry((model, variant.to_string()))
             .or_insert_with(|| TableEntry {
                 accuracy,
-                reduced: BTreeMap::new(),
                 keyframes: None,
                 no_deblock: None,
             });
@@ -399,38 +352,5 @@ impl MeasuredCalibration {
         }
         self.cascade_memo.lock().insert(key, points.clone());
         Some(points)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(reduced: &[(u8, f64)]) -> TableEntry {
-        TableEntry {
-            accuracy: 0.9,
-            reduced: reduced.iter().copied().collect(),
-            keyframes: None,
-            no_deblock: None,
-        }
-    }
-
-    #[test]
-    fn reduced_accuracy_lookup_is_factor_aware() {
-        // Exact factor match.
-        assert_eq!(entry(&[(4, 0.8)]).reduced_at(4), Some(0.8));
-        // Selected milder than calibrated: the harsher value is a valid
-        // lower bound.
-        assert_eq!(entry(&[(8, 0.7)]).reduced_at(2), Some(0.7));
-        // Selected harsher than anything calibrated: best available
-        // estimate is the closest milder factor.
-        assert_eq!(entry(&[(2, 0.85)]).reduced_at(8), Some(0.85));
-        // Multiple entries: exact wins; otherwise closest harsher.
-        let e = entry(&[(2, 0.88), (8, 0.70)]);
-        assert_eq!(e.reduced_at(2), Some(0.88));
-        assert_eq!(e.reduced_at(4), Some(0.70), "closest harsher bound");
-        assert_eq!(e.reduced_at(8), Some(0.70));
-        // Nothing calibrated: fall back to the tolerant assumption.
-        assert_eq!(entry(&[]).reduced_at(4), None);
     }
 }

@@ -350,7 +350,6 @@ mod tests {
             out_h: 224,
             frame_selection: None,
             accel_ops: Vec::new(),
-            extra_stages: Vec::new(),
         })
     }
 

@@ -1437,12 +1437,6 @@ fn consumer_loop(inner: &Inner, lane_idx: usize) {
 fn launch(inner: &Inner, device: &VirtualDevice, batch: FormedBatch<BatchItem>) -> Launched {
     let spec = DeviceBatchSpec {
         dnn: batch.sig.dnn,
-        extra_stages: batch
-            .sig
-            .extra_stages
-            .iter()
-            .map(|&(model, bits)| (model, f64::from_bits(bits)))
-            .collect(),
         pinned: inner.cfg.runtime.pinned,
         extra_copy_per_batch: inner.cfg.runtime.extra_copy_per_batch,
     };

@@ -207,12 +207,6 @@ impl Query {
         self
     }
 
-    /// Explicit constraint (escape hatch for programmatic construction).
-    pub fn with_constraint(mut self, constraint: Constraint) -> Self {
-        self.constraint = constraint;
-        self
-    }
-
     /// Runs over at most the first `n` items of the chosen variant.
     pub fn take(mut self, n: usize) -> Self {
         self.limit = Some(n);
@@ -255,21 +249,6 @@ impl Query {
 
     pub fn constraint(&self) -> &Constraint {
         &self.constraint
-    }
-
-    /// The deadline set via [`Query::deadline`], if any.
-    pub fn deadline_slo(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// The priority set via [`Query::priority`].
-    pub fn priority_slo(&self) -> Priority {
-        self.priority
-    }
-
-    /// Whether [`Query::allow_degradation`] opted this query in.
-    pub fn degradation_allowed(&self) -> bool {
-        self.allow_degradation
     }
 }
 
@@ -588,7 +567,6 @@ impl Session {
                 preproc: self.planner.build_preproc(&v.input),
                 decode: self.planner.decode_mode(&v.input),
                 batch: self.planner.config.batch,
-                extra_stages: Vec::new(),
             };
             let key = ProfileKey {
                 dataset: ds.name.clone(),

@@ -31,8 +31,8 @@
 //! unit tests):
 //!
 //! * the **fast path** is what every caller gets — [`EncodedGop::decode_selected`],
-//!   [`EncodedVideo::decode_all`] / [`EncodedVideo::decode_parallel`] /
-//!   [`FrameIter`], and the encoder's own reconstruction loop: sjpg
+//!   [`EncodedVideo::decode_all`] / [`EncodedVideo::decode_parallel`],
+//!   and the encoder's own reconstruction loop: sjpg
 //!   keyframes behind a pair LUT sized to the payload
 //!   (`smol_codec::runlength::pair_window_bits`), table-driven P-frame
 //!   entropy decode with row-wise motion compensation
@@ -247,16 +247,6 @@ impl EncodedVideo {
         self.body.len()
     }
 
-    /// Sequential frame decoder.
-    pub fn decode_iter(&self, opts: DecodeOptions) -> FrameIter<'_> {
-        FrameIter {
-            video: self,
-            next: 0,
-            reference: None,
-            opts,
-        }
-    }
-
     /// Decodes every frame (convenience for tests/small clips). Each
     /// P-frame decodes against a borrow of the frame pushed before it.
     pub fn decode_all(&self, opts: DecodeOptions) -> Result<Vec<ImageU8>> {
@@ -363,7 +353,7 @@ impl EncodedVideo {
 }
 
 /// Sequential decoder holding the inter-frame reference state.
-pub struct FrameIter<'a> {
+struct FrameIter<'a> {
     video: &'a EncodedVideo,
     next: usize,
     reference: Option<ImageU8>,
@@ -378,19 +368,6 @@ impl FrameIter<'_> {
             .decode_frame(self.next, self.reference.as_ref(), self.opts)?;
         self.next += 1;
         Ok(self.reference.insert(frame))
-    }
-}
-
-impl Iterator for FrameIter<'_> {
-    type Item = Result<ImageU8>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.video.n_frames() {
-            return None;
-        }
-        // An owned frame per item while the reference stays behind: the
-        // one copy this interface costs.
-        Some(self.decode_next().cloned())
     }
 }
 

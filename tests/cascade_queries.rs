@@ -102,7 +102,6 @@ fn cascade_plans(items: &[EncodedImage]) -> (QueryPlan, QueryPlan, f64) {
         preproc: planner.build_preproc(&input),
         decode: DecodeMode::Full,
         batch: 4,
-        extra_stages: Vec::new(),
     };
     let stage1 = QueryPlan {
         dnn: ModelKind::ResNet18,

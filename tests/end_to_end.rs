@@ -38,7 +38,6 @@ fn plan_for(items: &[EncodedImage], fmt: Format, batch: usize) -> QueryPlan {
         preproc: planner.build_preproc(&input),
         decode: planner.decode_mode(&input),
         batch,
-        extra_stages: Vec::new(),
     }
 }
 
@@ -143,7 +142,6 @@ fn run_once_conserves_gop_outputs_under_frame_selection() {
                 deblock: true,
             },
             batch: 8,
-            extra_stages: Vec::new(),
         };
         assert_eq!(OutputLayout::of(&items, plan.decode).total, frames);
         let report = run_clean(
@@ -305,7 +303,6 @@ fn planner_prefers_thumbnails_with_measured_rates() {
             preproc: planner.build_preproc(&input),
             decode: planner.decode_mode(&input),
             batch: 32,
-            extra_stages: Vec::new(),
         };
         let rate =
             smol::runtime::measure_preproc_pipelined(items, &plan, &RuntimeOptions::default());
@@ -381,7 +378,6 @@ fn session_matches_manual_plan_selection() {
             preproc: planner.build_preproc(input),
             decode: planner.decode_mode(input),
             batch: planner.config.batch,
-            extra_stages: Vec::new(),
         };
         smol::runtime::measure_preproc_pipelined(items, &plan, &RuntimeOptions::default())
     };

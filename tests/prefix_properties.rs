@@ -108,7 +108,6 @@ fn plan_over(preproc: PreprocPlan, w: usize, h: usize) -> QueryPlan {
         preproc,
         decode: DecodeMode::Full,
         batch: 1,
-        extra_stages: Vec::new(),
     }
 }
 
@@ -284,7 +283,6 @@ fn roi_decode_landing_on_the_dnn_input_stages_the_fused_pass_only() {
         preproc: planner.build_preproc(&input),
         decode: planner.decode_mode(&input),
         batch: 8,
-        extra_stages: Vec::new(),
     };
     assert!(matches!(plan.decode, DecodeMode::CentralRoi { .. }));
     let ctx = PlanContext::new(&plan);
@@ -340,7 +338,6 @@ fn thumbnail_at_the_dnn_input_stages_the_fused_pass_only() {
         preproc: planner.build_preproc(&input),
         decode: planner.decode_mode(&input),
         batch: 8,
-        extra_stages: Vec::new(),
     };
     let ctx = PlanContext::new(&plan);
     ctx.validate().unwrap();

@@ -51,7 +51,6 @@ fn plan_for(dnn: ModelKind, w: usize, h: usize, dnn_input: u32, batch: usize) ->
         preproc: planner.build_preproc(&input),
         decode: smol::core::DecodeMode::Full,
         batch,
-        extra_stages: Vec::new(),
     }
 }
 
@@ -413,7 +412,6 @@ fn off_size_item_under_a_full_decode_is_resized_and_served() {
         preproc: planner.build_preproc(&input),
         decode: planner.decode_mode(&input),
         batch: 4,
-        extra_stages: Vec::new(),
     };
     let encode = |w, h, seed| EncodedImage::encode(&textured(w, h, seed), Format::Spng).unwrap();
     let mut items: Vec<EncodedImage> = (0..6).map(|i| encode(32, 32, i)).collect();

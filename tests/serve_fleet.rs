@@ -53,7 +53,6 @@ fn plan_for(dnn: ModelKind, w: usize, h: usize, dnn_input: u32, batch: usize) ->
         preproc: planner.build_preproc(&input),
         decode: smol::core::DecodeMode::Full,
         batch,
-        extra_stages: Vec::new(),
     }
 }
 

@@ -33,7 +33,6 @@ fn signatures() -> Vec<Arc<PlacementSignature>> {
                 preproc: PreprocPlan::standard(256, crop, crop),
                 decode: DecodeMode::Full,
                 batch,
-                extra_stages: Vec::new(),
             }
             .placement_signature(),
         )
@@ -348,7 +347,6 @@ fn served_plan(dnn: ModelKind, decode: DecodeMode) -> QueryPlan {
         input,
         decode,
         batch: 4,
-        extra_stages: Vec::new(),
     }
 }
 

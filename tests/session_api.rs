@@ -577,7 +577,6 @@ fn cand(acc: f64, tput: f64) -> PlanCandidate {
             preproc: PreprocPlan::thumbnail(224, 224),
             decode: DecodeMode::Full,
             batch: 64,
-            extra_stages: Vec::new(),
         },
         preproc_throughput: tput,
         exec_throughput: tput,

@@ -209,7 +209,6 @@ fn an_item_with_swapped_bytes_never_hits_the_original_s_tensor() {
         input,
         decode: DecodeMode::Full,
         batch: 1,
-        extra_stages: Vec::new(),
     };
     let server = Server::new(
         VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02),
@@ -274,7 +273,6 @@ fn gop_frames_hit_across_frame_selections() {
             deblock: true,
         },
         batch: 4,
-        extra_stages: Vec::new(),
     };
     let server = Server::new(
         VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02),

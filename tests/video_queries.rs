@@ -127,7 +127,6 @@ fn video_and_image_queries_do_not_cross_batch() {
             deblock: true,
         },
         batch: 8,
-        extra_stages: Vec::new(),
     };
 
     let image_input = InputVariant::new("stills", Format::sjpg(85), 96, 96);
@@ -137,7 +136,6 @@ fn video_and_image_queries_do_not_cross_batch() {
         preproc: planner.build_preproc(&image_input),
         decode: DecodeMode::Full,
         batch: 8,
-        extra_stages: Vec::new(),
     };
     // The *only* device-relevant difference is the frame selection.
     let (vs, is) = (
@@ -198,7 +196,6 @@ fn frame_selection_splits_signatures_deblock_does_not() {
         preproc: planner.build_preproc(&input),
         decode: DecodeMode::Video { selection, deblock },
         batch: 16,
-        extra_stages: Vec::new(),
     };
     let keys = plan(FrameSelection::Keyframes, true).placement_signature();
     let keys_fast = plan(FrameSelection::Keyframes, false).placement_signature();
