@@ -6,9 +6,11 @@
 //! Three checks on one grain-heavy sjpg corpus, the first two repeated for
 //! the spng thumbnail decoder on the serving layout's thumbnails (`161
 //! spng`, `64 spng`: fast ≡ seed walk in pixels and in `decode_rows`'
-//! `consumed`, and ≥ 2× by the same estimator), plus one printed,
-//! non-gating table of what each low-resolution rung costs beside a full
-//! decode — the §5.2 premise as numbers:
+//! `consumed`, and ≥ 2× by the same estimator), plus a table of what each
+//! low-resolution rung costs beside a full decode — the §5.2 premise as
+//! numbers: measured and planner-predicted time ratios (printed), and the
+//! exact entropy symbols each reads (gated: a factor-4/8 decode reads at
+//! most a third of a full decode's):
 //!
 //! 1. **Bit identity** — the fast path must reproduce the reference
 //!    decode exactly, at factor 1 and at every scaled-decode
@@ -26,15 +28,21 @@
 
 use smol_accel::ModelKind;
 use smol_bench::{scaled, Table};
-use smol_codec::{sjpg, spng, Chroma, DecodeOptions, EncodedImage, Format};
+use smol_codec::{sjpg, spng, Chroma, DecodeOptions, DecodeStats, EncodedImage, Format};
 use smol_core::{CandidateSpec, Constraint, InputVariant, Planner};
 use smol_data::{serving_variants, still_catalog, throughput_images, StillSpec};
+use smol_imgproc::dag::decode_cost_subsampled;
 use smol_imgproc::ops::resize::resize_bilinear_u8;
 use smol_imgproc::ImageU8;
 use std::time::Instant;
 
 /// Wall-clock gate: fast path vs scalar sequential reference.
 const MIN_SPEEDUP: f64 = 2.0;
+
+/// Exact-count gate, as a fraction (numerator, denominator): a factor-4 or
+/// factor-8 decode of the q95 stills reads at most a third of the entropy
+/// symbols a full decode reads (v3 streams: segment 1 only; ≈ 0.16×).
+const MAX_REDUCED_SYMBOLS: (u64, u64) = (1, 3);
 
 /// Timed repetitions per spng thumbnail, quick mode or not: the 161-px
 /// decoder sits at ≈ 2.5×, close enough to the gate that the minimum needs
@@ -220,10 +228,13 @@ fn main() {
     spng_table.print();
     spng_table.write_csv("decode_hotpath_spng");
 
-    // --- 2c. The §5.2 premise as numbers (printed, not gated) ----------
+    // --- 2c. The §5.2 premise as numbers -------------------------------
     // What each low-resolution rung costs beside the full-resolution decode
-    // of the still the thumbnail was made from, and how many coefficients a
-    // reduced-resolution decode still dequantizes per block.
+    // of the still the thumbnail was made from, beside what the planner's
+    // weighted-op model predicts for it (ROADMAP item 4b; printed, not
+    // gated), and the exact work per block: entropy symbols read and
+    // coefficients dequantized. The symbol counts are gated: a factor-4/8
+    // decode reads segment 1 of each v3 row only.
     let stills: Vec<EncodedImage> = throughput_images(&hard, 11, n)
         .iter()
         .map(|img| EncodedImage::encode(img, Format::sjpg(95)).expect("encode"))
@@ -234,26 +245,44 @@ fn main() {
             "Low-resolution rungs on {} {w}x{h} sjpg(q=95) (fast path)",
             hard.name
         ),
-        &["Decode", "us/image", "vs full", "coefs dequantized/block"],
+        &[
+            "Decode",
+            "us/image",
+            "vs full",
+            "planner vs full",
+            "symbols/block",
+            "coefs dequantized/block",
+        ],
     );
-    let blocks = w.div_ceil(8) * h.div_ceil(8) * 3;
-    let mut full_us = 0.0;
+    let blocks = (w.div_ceil(8) * h.div_ceil(8) * 3 * stills.len()) as f64;
+    let predicted = |factor: usize| {
+        decode_cost_subsampled(w, h, 8 / factor, false) / decode_cost_subsampled(w, h, 8, false)
+    };
+    let (mut full_us, mut full_symbols) = (0.0, 0);
+    // (factor, symbols read) per reduced rung, for the gate below.
+    let mut rung_symbols = Vec::new();
     for factor in [1usize, 2, 4, 8] {
-        let (mut secs, mut coefs) = (0.0, 0);
+        let (mut secs, mut work) = (0.0, DecodeStats::default());
         for enc in &stills {
             let (best, decoded) = best_of(reps, || sjpg::decode_scaled(&enc.bytes, factor));
             secs += best;
-            coefs = decoded.expect("decode").1.coefs_dequantized;
+            let stats = decoded.expect("decode").1;
+            work.symbols_decoded += stats.symbols_decoded;
+            work.coefs_dequantized += stats.coefs_dequantized;
         }
         let us = secs * 1e6 / stills.len() as f64;
         if factor == 1 {
-            full_us = us;
+            (full_us, full_symbols) = (us, work.symbols_decoded);
+        } else {
+            rung_symbols.push((factor, work.symbols_decoded));
         }
         rungs.row(&[
             format!("sjpg factor {factor}"),
             format!("{us:.0}"),
             format!("{:.2}x", us / full_us),
-            format!("{:.1}", coefs as f64 / blocks as f64),
+            format!("{:.2}x", predicted(factor)),
+            format!("{:.2}", work.symbols_decoded as f64 / blocks),
+            format!("{:.1}", work.coefs_dequantized as f64 / blocks),
         ]);
     }
     let (thumb, _, thumb_us) = &spng_rows[0];
@@ -261,6 +290,8 @@ fn main() {
         format!("{thumb} thumbnail"),
         format!("{thumb_us:.0}"),
         format!("{:.2}x", thumb_us / full_us),
+        "-".to_string(),
+        "-".to_string(),
         "-".to_string(),
     ]);
     rungs.print();
@@ -320,6 +351,16 @@ fn main() {
         let speedup = reference_us / fast_us;
         if speedup < MIN_SPEEDUP {
             eprintln!("FAIL: {name} fast-path speedup {speedup:.2}x below the {MIN_SPEEDUP}x gate");
+            failed = true;
+        }
+    }
+    for (factor, symbols) in rung_symbols {
+        if factor >= 4 && symbols * MAX_REDUCED_SYMBOLS.1 > full_symbols * MAX_REDUCED_SYMBOLS.0 {
+            eprintln!(
+                "FAIL: a factor-{factor} decode read {symbols} entropy symbols, over {}/{} of the \
+                 full decode's {full_symbols}",
+                MAX_REDUCED_SYMBOLS.0, MAX_REDUCED_SYMBOLS.1
+            );
             failed = true;
         }
     }

@@ -8,7 +8,7 @@ use smol_bench::{
 };
 use smol_core::QueryPlan;
 use smol_data::still_catalog;
-use smol_runtime::{measure_preproc_pipelined, wrap_images, Personality};
+use smol_runtime::{measure_preproc_throughput, wrap_images, Personality};
 
 fn build_plan(opt: bool, set: &VariantSet, kind: VariantKind) -> QueryPlan {
     let planner = if opt {
@@ -66,7 +66,7 @@ fn main() {
                     let device = VirtualDevice::new(GpuModel::T4, personality.env(), 1.0);
                     run_once(&device, opts, &plan, wrap_images(items)).throughput
                 } else {
-                    measure_preproc_pipelined(items, &plan, &opts)
+                    measure_preproc_throughput(items, &plan, &opts)
                 };
                 last_row.push(tput);
                 cells.push(fmt_tput(tput));

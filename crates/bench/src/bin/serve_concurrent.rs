@@ -22,7 +22,7 @@ use smol_bench::{fmt_ratio, fmt_tput, run_once, Table};
 use smol_codec::{EncodedImage, Format};
 use smol_core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_imgproc::ImageU8;
-use smol_runtime::{measure_preproc_pipelined, wrap_images, RuntimeOptions};
+use smol_runtime::{measure_preproc_throughput, wrap_images, RuntimeOptions};
 use smol_serve::{Server, ServerConfig};
 use std::time::Instant;
 
@@ -78,7 +78,7 @@ fn main() {
     // machine) and a device whose execution rate at `batch` matches it. A
     // whole query's worth: on a 24-item sample one scheduling hiccup read a
     // quarter of the rate and unbalanced the comparison.
-    let preproc_rate = measure_preproc_pipelined(&queries[0], &plan, &opts);
+    let preproc_rate = measure_preproc_throughput(&queries[0], &plan, &opts);
     let t4_rate_at_batch = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0)
         .model_throughput(ModelKind::ResNet50, batch);
     let mut spec = GpuModel::T4.spec();

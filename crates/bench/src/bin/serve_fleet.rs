@@ -35,7 +35,7 @@ use smol_bench::{fmt_ratio, fmt_tput, quick_mode, Table};
 use smol_codec::{EncodedImage, Format};
 use smol_core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_imgproc::ImageU8;
-use smol_runtime::{measure_preproc_pipelined, RuntimeOptions};
+use smol_runtime::{measure_preproc_throughput, RuntimeOptions};
 use smol_serve::{
     percentile, DegradeStep, Priority, QueryReport, Server, ServerConfig, ServerStats,
     SubmitOptions,
@@ -213,7 +213,7 @@ fn main() {
     // of the measured preprocessing rate, so the device — not the shared
     // producer pool — is the bottleneck and a second lane can pay off.
     let calib_items = if quick_mode() { 24 } else { items_per_query };
-    let preproc_rate = measure_preproc_pipelined(&queries[0][..calib_items], &plan, &runtime);
+    let preproc_rate = measure_preproc_throughput(&queries[0][..calib_items], &plan, &runtime);
     let t4_rate_at_batch = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0)
         .model_throughput(ModelKind::ResNet50, batch);
     let mut spec = GpuModel::T4.spec();

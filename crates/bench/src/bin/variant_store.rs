@@ -32,7 +32,7 @@ use smol_core::{
 };
 use smol_data::{encode_variant, VariantStore};
 use smol_imgproc::ImageU8;
-use smol_runtime::{decode_item, measure_preproc_pipelined, RuntimeOptions};
+use smol_runtime::{decode_item, measure_preproc_throughput, RuntimeOptions};
 use smol_serve::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -266,7 +266,7 @@ fn main() {
     // measured per-image transcode cost every query re-pays. Store: the
     // verified-load read rate, transcode already paid, and the cached
     // rate the warm pass actually achieves.
-    let joint_tput = measure_preproc_pipelined(&encoded, &plan, &opts);
+    let joint_tput = measure_preproc_throughput(&encoded, &plan, &opts);
     let transcode_start = Instant::now();
     for img in &images {
         EncodedImage::encode(img, Format::sjpg(95)).expect("encode");

@@ -295,8 +295,12 @@ fn op_cost(spec: &OpSpec, st: &mut CostState) -> f64 {
 /// *jointly* through this module's weighted-op scale.
 const DCT_BLOCK: usize = 8;
 /// Weighted ops charged per component block for entropy decoding — branchy
-/// sequential Huffman work that no reduced-fidelity mode can skip (§6.4:
-/// the stream must be read even when the IDCT is not run).
+/// sequential Huffman work, charged in full at every IDCT edge. That was
+/// the codec's floor before sjpg stream version 3; a v3 factor-4 or
+/// factor-8 decode reads each row's low-frequency segment only, about a
+/// sixth of a coefficient-dense block's symbols (`decode_hotpath` prints
+/// the exact counts beside this model's ratios). The constants stay until
+/// they are fitted from those counters (ROADMAP item 4b).
 const ENTROPY_PER_BLOCK: f64 = 320.0;
 /// Arithmetic ops per written pixel for YCbCr→RGB conversion + clamping.
 const COLOR_CONVERT: f64 = 5.0;
@@ -758,8 +762,8 @@ mod tests {
         let eighth = decode_cost(640, 480, 1);
         assert!(half < full / 2.0, "half {half} vs full {full}");
         assert!(eighth < half);
-        // Entropy decoding is sequential and cannot be skipped: the cost
-        // never collapses below the entropy floor.
+        // The model charges the whole entropy stream at every edge: the
+        // cost never collapses below that floor.
         let blocks = (640usize.div_ceil(8) * 480usize.div_ceil(8) * 3) as f64;
         assert!(eighth > blocks * 300.0);
     }

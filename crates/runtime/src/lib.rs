@@ -44,7 +44,7 @@ pub use pipeline::{
     route_stage, DeviceBatchSpec, PlanContext, ProducedItem, Result, RuntimeError, RuntimeOptions,
 };
 pub use profiler::{
-    measure_decode_throughput, measure_exec_throughput, measure_media_preproc_pipelined,
-    measure_preproc_pipelined, Profiler,
+    measure_decode_throughput, measure_exec_throughput, measure_media_preproc_throughput,
+    measure_preproc_throughput, Profiler,
 };
 pub use tensorcache::{TensorCache, TensorCacheStats};

@@ -57,10 +57,10 @@ impl Profiler {
     }
 
     /// Decode+preprocess throughput of `plan` over (a sample of) `items` —
-    /// [`measure_preproc_pipelined`] with counting.
+    /// [`measure_preproc_throughput`] with counting.
     pub fn preproc_throughput(&self, items: &[EncodedImage], plan: &QueryPlan) -> f64 {
         self.calls.fetch_add(1, Ordering::AcqRel);
-        measure_preproc_pipelined(self.take(items), plan, &self.opts)
+        measure_preproc_throughput(self.take(items), plan, &self.opts)
     }
 
     /// [`Profiler::preproc_throughput`] over mixed media items (stills
@@ -71,7 +71,7 @@ impl Profiler {
     pub fn media_throughput(&self, items: &[MediaItem], plan: &QueryPlan) -> f64 {
         self.calls.fetch_add(1, Ordering::AcqRel);
         let take = &items[..items.len().min(self.sample)];
-        measure_media_preproc_pipelined(take, plan, &self.opts)
+        measure_media_preproc_throughput(take, plan, &self.opts)
     }
 
     /// Decode-only throughput under `mode` — [`measure_decode_throughput`]
@@ -154,18 +154,18 @@ pub fn measure_decode_throughput(items: &[EncodedImage], mode: DecodeMode, threa
 
 /// Preprocessing throughput of `plan`: the preprocessing-only column of
 /// Table 3, in images per second.
-pub fn measure_preproc_pipelined(
+pub fn measure_preproc_throughput(
     items: &[EncodedImage],
     plan: &QueryPlan,
     opts: &RuntimeOptions,
 ) -> f64 {
-    measure_media_preproc_pipelined(&wrap_images(items), plan, opts)
+    measure_media_preproc_throughput(&wrap_images(items), plan, opts)
 }
 
-/// [`measure_preproc_pipelined`] over mixed media items; the rate is in
+/// [`measure_preproc_throughput`] over mixed media items; the rate is in
 /// device-side outputs per second (frames, for GOP items). 0.0 when the
 /// plan cannot be executed ([`PlanContext::validate`]) or an item fails.
-pub fn measure_media_preproc_pipelined(
+pub fn measure_media_preproc_throughput(
     items: &[MediaItem],
     plan: &QueryPlan,
     opts: &RuntimeOptions,
@@ -321,7 +321,7 @@ mod tests {
             assert!(wall_s > 0.0);
         }
         assert_eq!(profile_producer_stage(&[], &p, &all_on).0, 0);
-        assert_eq!(measure_media_preproc_pipelined(&[], &p, &all_on), 0.0);
+        assert_eq!(measure_media_preproc_throughput(&[], &p, &all_on), 0.0);
     }
 
     #[test]
@@ -361,9 +361,9 @@ mod tests {
         let mut data = items(12);
         let p = plan();
         let opts = RuntimeOptions::default();
-        assert!(measure_preproc_pipelined(&data, &p, &opts) > 0.0);
+        assert!(measure_preproc_throughput(&data, &p, &opts) > 0.0);
         data[5] = corrupted(data[5].clone());
-        assert_eq!(measure_preproc_pipelined(&data, &p, &opts), 0.0);
+        assert_eq!(measure_preproc_throughput(&data, &p, &opts), 0.0);
         assert_eq!(measure_decode_throughput(&data, DecodeMode::Full, 2), 0.0);
 
         // A resize placed on the accelerator: no item could run this plan.
@@ -373,7 +373,7 @@ mod tests {
         }
         assert!(PlanContext::new(&unexecutable).validate().is_err());
         assert_eq!(
-            measure_preproc_pipelined(&items(4), &unexecutable, &opts),
+            measure_preproc_throughput(&items(4), &unexecutable, &opts),
             0.0
         );
     }

@@ -317,7 +317,7 @@ pub fn decode_pframe(
                 }
                 let ch = bit / (sub * sub);
                 let sb = bit % (sub * sub);
-                let (k, symbols) = run.decode_run(&mut cur, &mut coefs, 0)?;
+                let (k, symbols) = run.decode_run(&mut cur, &mut coefs, 0, 64)?;
                 stats.symbols_decoded += symbols;
                 stats.coded_subblocks += 1;
                 // The part of the sub-block inside the frame (the encoder

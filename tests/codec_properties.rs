@@ -230,9 +230,55 @@ fn sjpg_paths_agree(data: &[u8]) -> Option<ImageU8> {
     }
 }
 
-/// A small 4:2:0 stream and where its row index starts (every header field
-/// is a whole number of bytes: 11 fixed, then per table sixteen 16-bit
-/// counts and one 16-bit symbol per code).
+/// Where an sjpg stream's row index starts (every header field is a whole
+/// number of bytes: 11 fixed, then per table sixteen 16-bit counts and one
+/// 16-bit symbol per code) and how many MCU rows it indexes.
+fn sjpg_index_at(data: &[u8]) -> (usize, usize) {
+    let mut at = 11;
+    for _table in 0..2 {
+        let codes: usize = (0..16)
+            .map(|l| u16::from_be_bytes([data[at + 2 * l], data[at + 2 * l + 1]]) as usize)
+            .sum();
+        at += 2 * (16 + codes);
+    }
+    (at, u16::from_be_bytes([data[at], data[at + 1]]) as usize)
+}
+
+/// Entry `i` of a v3 row index that starts at `index_at` — row `i / 2`,
+/// segment `i % 2 + 1` — as a body offset.
+fn index_entry(data: &[u8], index_at: usize, i: usize) -> u32 {
+    let at = index_at + 2 + 4 * i;
+    u32::from_be_bytes(data[at..at + 4].try_into().unwrap())
+}
+
+fn set_index_entry(data: &mut [u8], index_at: usize, i: usize, offset: u32) {
+    let at = index_at + 2 + 4 * i;
+    data[at..at + 4].copy_from_slice(&offset.to_be_bytes());
+}
+
+/// The file byte ranges of each row's two segments in a v3 stream.
+fn sjpg_v3_segments(data: &[u8]) -> Vec<[std::ops::Range<usize>; 2]> {
+    assert_eq!(data[4], 3, "a v3 stream");
+    let (at, rows) = sjpg_index_at(data);
+    let body = at + 2 + 8 * rows;
+    let offset = |i| {
+        if i < 2 * rows {
+            body + index_entry(data, at, i) as usize
+        } else {
+            data.len()
+        }
+    };
+    (0..rows)
+        .map(|r| {
+            [
+                offset(2 * r)..offset(2 * r + 1),
+                offset(2 * r + 1)..offset(2 * r + 2),
+            ]
+        })
+        .collect()
+}
+
+/// A small 4:2:0 v3 stream and where its two-row index starts.
 fn small_sjpg_stream() -> (Vec<u8>, usize) {
     let mut img = ImageU8::zeros(40, 24, 3);
     for (i, v) in img.data_mut().iter_mut().enumerate() {
@@ -242,66 +288,115 @@ fn small_sjpg_stream() -> (Vec<u8>, usize) {
         .encode(&img)
         .unwrap()
         .to_vec();
-    let mut at = 11;
-    for _table in 0..2 {
-        let codes: usize = (0..16)
-            .map(|l| u16::from_be_bytes([data[at + 2 * l], data[at + 2 * l + 1]]) as usize)
-            .sum();
-        at += 2 * (16 + codes);
-    }
-    assert_eq!(
-        u16::from_be_bytes([data[at], data[at + 1]]),
-        2,
-        "two MCU rows"
-    );
+    let (at, rows) = sjpg_index_at(&data);
+    assert_eq!((data[4], rows), (3, 2), "a v3 stream of two MCU rows");
     (data, at)
 }
 
+fn is_bad_header<T>(result: &smol::codec::Result<T>) -> bool {
+    matches!(result, Err(smol::codec::Error::BadHeader(_)))
+}
+
+/// Every sjpg entry point on `data` under both option sets, with the
+/// largest single allocation each made on the way.
+fn sjpg_entry_points(data: &[u8]) -> Vec<(smol::codec::Result<()>, usize)> {
+    let mut verdicts = Vec::new();
+    for opts in [DecodeOptions::default(), DecodeOptions::scalar_reference()] {
+        let runs: [&dyn Fn() -> smol::codec::Result<()>; 5] = [
+            &|| sjpg::decode_with_opts(data, opts).map(|_| ()),
+            &|| sjpg::decode_scaled_opts(data, 8, opts).map(|_| ()),
+            &|| sjpg::decode_scaled_opts(data, 4, opts).map(|_| ()),
+            &|| sjpg::decode_roi_opts(data, Rect::new(0, 0, 16, 16), opts).map(|_| ()),
+            &|| smol::codec::signal::sjpg_signal_opts(data, opts).map(|_| ()),
+        ];
+        verdicts.extend(runs.iter().map(largest_allocation));
+    }
+    verdicts
+}
+
 /// A ~33 KB file whose header claims 65 535 × 65 535 pixels (12 GB decoded)
-/// with a self-consistent 8 192-row index is a typed `BadHeader` on every
+/// with a self-consistent 4 096-row index is a typed `BadHeader` on every
 /// entry point, fast and scalar, before anything is sized from it; so is a
-/// row offset past the body.
+/// v3 index that points past the body, puts a segment 2 before its segment
+/// 1, or a row before its predecessor.
 #[test]
 fn sjpg_header_its_body_cannot_back_is_rejected_before_allocating() {
     let (clean, index_at) = small_sjpg_stream();
     assert!(sjpg_paths_agree(&clean).is_some());
+    let header_len = index_at + 2 + 16;
 
     let mut hostile = clean[..index_at].to_vec();
     hostile[5..9].copy_from_slice(&[0xFF; 4]);
-    hostile[10] = 0; // 4:4:4: 8-px MCU rows
-    hostile.extend(8192u16.to_be_bytes());
-    hostile.extend((0..8192u32).flat_map(|row| (row % 7).to_be_bytes()));
-    hostile.extend_from_slice(&clean[index_at + 2 + 8..]);
+    // 4:2:0: 16-px MCU rows, each indexed by two non-decreasing offsets.
+    hostile.extend(4096u16.to_be_bytes());
+    hostile.extend((0..2 * 4096u32).flat_map(|i| (i / 32).to_be_bytes()));
+    hostile.extend_from_slice(&clean[header_len..]);
     assert!(hostile.len() < 34 << 10, "{} bytes", hostile.len());
     assert_eq!(sjpg::peek_dims(&hostile).unwrap(), (65_535, 65_535));
-    let bad_header =
-        |result: smol::codec::Result<()>| matches!(result, Err(smol::codec::Error::BadHeader(_)));
-    for opts in [DecodeOptions::default(), DecodeOptions::scalar_reference()] {
-        let (verdicts, peak) = largest_allocation(|| {
-            [
-                sjpg::decode_with_opts(&hostile, opts).map(|_| ()),
-                sjpg::decode_scaled_opts(&hostile, 8, opts).map(|_| ()),
-                sjpg::decode_roi_opts(&hostile, Rect::new(0, 0, 64, 64), opts).map(|_| ()),
-                smol::codec::signal::sjpg_signal_opts(&hostile, opts).map(|_| ()),
-            ]
-        });
-        assert!(verdicts.into_iter().all(bad_header));
+    for (verdict, peak) in sjpg_entry_points(&hostile) {
+        assert!(is_bad_header(&verdict), "{verdict:?}");
         assert!(
             peak < 64 << 10,
             "allocated {peak} bytes on the way to the error"
         );
     }
 
-    // A row that claims to start past the end of the body.
+    // Each of the index's own inconsistencies, on every entry point. The
+    // index is [row 0 segment 1, row 0 segment 2, row 1 segment 1, row 1
+    // segment 2] as body offsets.
+    let body_len = (clean.len() - header_len) as u32;
+    let entry = |i| index_entry(&clean, index_at, i);
+    let broken: [(&str, usize, u32); 5] = [
+        ("a row past the body", 2, body_len + 1),
+        ("a segment 2 past the body", 3, body_len + 1),
+        ("a segment 2 below its segment 1", 3, entry(2) - 1),
+        ("a segment 1 past its segment 2", 0, entry(1) + 1),
+        ("rows out of order", 2, entry(1) - 1),
+    ];
+    for (what, i, offset) in broken {
+        let mut data = clean.clone();
+        set_index_entry(&mut data, index_at, i, offset);
+        for (verdict, peak) in sjpg_entry_points(&data) {
+            assert!(is_bad_header(&verdict), "{what}: {verdict:?}");
+            assert!(peak < 64 << 10, "{what}: allocated {peak} bytes");
+        }
+        assert!(sjpg_paths_agree(&data).is_none(), "{what}");
+    }
+
+    // A last row whose segments both start exactly at the body's end is
+    // merely truncated.
     let mut past = clean.clone();
-    let body_len = (clean.len() - (index_at + 2 + 8)) as u32;
-    past[index_at + 6..index_at + 10].copy_from_slice(&(body_len + 1).to_be_bytes());
-    assert!(bad_header(sjpg::decode(&past).map(|_| ())));
+    set_index_entry(&mut past, index_at, 2, body_len);
+    set_index_entry(&mut past, index_at, 3, body_len);
+    assert!(!is_bad_header(&sjpg::decode(&past)));
     assert!(sjpg_paths_agree(&past).is_none());
-    // …while one that starts exactly at its end is merely truncated.
-    past[index_at + 6..index_at + 10].copy_from_slice(&body_len.to_be_bytes());
-    assert!(!bad_header(sjpg::decode(&past).map(|_| ())));
-    assert!(sjpg_paths_agree(&past).is_none());
+}
+
+/// Each segment is read through its own bounded reader: a segment 1 cut
+/// short by its segment 2's offset is `Truncated` — not a read into the
+/// next segment's bytes — on the fast path and the scalar oracle alike.
+#[test]
+fn sjpg_overrun_into_the_next_segment_is_truncated_on_both_paths() {
+    let (clean, index_at) = small_sjpg_stream();
+    let (low_start, rest_start) = (
+        index_entry(&clean, index_at, 0),
+        index_entry(&clean, index_at, 1),
+    );
+    for cut in 1..=(rest_start - low_start) {
+        let mut data = clean.clone();
+        set_index_entry(&mut data, index_at, 1, rest_start - cut);
+        for opts in [DecodeOptions::default(), DecodeOptions::scalar_reference()] {
+            for factor in [4, 8] {
+                let result = sjpg::decode_scaled_opts(&data, factor, opts);
+                assert!(
+                    matches!(result, Err(smol::codec::Error::Truncated { .. })),
+                    "cut {cut} factor {factor} {opts:?}: {:?}",
+                    result.map(|_| ())
+                );
+            }
+        }
+        assert!(sjpg_paths_agree(&data).is_none(), "cut {cut}");
+    }
 }
 
 /// Seeded bit flips over the sjpg header — geometry, quality, chroma tag,
@@ -311,7 +406,7 @@ fn sjpg_header_its_body_cannot_back_is_rejected_before_allocating() {
 #[test]
 fn sjpg_header_flips_decode_or_fail_the_same_way_on_both_paths() {
     let (clean, index_at) = small_sjpg_stream();
-    let header_len = index_at + 2 + 8;
+    let header_len = index_at + 2 + 16;
     let mut state = 0x5EED_51B6_0BADu64;
     let mut next = |n: usize| (lcg(&mut state) >> 33) as usize % n;
     let mut survived = 0;
@@ -372,7 +467,10 @@ fn sjpg_reduced_decodes_dequantize_only_what_they_read() {
     let full = dequantized(1);
     assert!(full > 60 * blocks && full <= 64 * blocks, "{full}");
     assert!(dequantized(2) <= 25 * blocks && dequantized(2) > 20 * blocks);
-    assert_eq!(dequantized(4), 5 * blocks);
+    // Factor 4 reads segment 1 alone, where a low band that ends in zeros
+    // stops at its end-of-block code: it dequantizes that band's coded
+    // prefix, up to five coefficients.
+    assert!(dequantized(4) <= 5 * blocks && dequantized(4) > 4 * blocks);
     assert_eq!(dequantized(8), blocks);
     // A whole-image ROI is the same factor-1 decode; the scalar reference
     // dequantizes every coefficient of every block.
@@ -394,8 +492,222 @@ fn sjpg_reduced_decodes_dequantize_only_what_they_read() {
     assert_eq!(stats.coefs_dequantized, mcus * (4 + 2 * 5));
 }
 
+/// One sjpg v2 stream under `tests/fixtures/sjpg_v2/`, written by the last
+/// v2 encoder (the commit before v3): the parameters that regenerate its
+/// source ([`fixture_source`]) and the digest of its decoded pixels
+/// ([`pixel_digest`]).
+struct V2Fixture {
+    name: &'static str,
+    w: usize,
+    h: usize,
+    seed: u64,
+    noise: u32,
+    quality: u8,
+    chroma: Chroma,
+    digest: u64,
+}
+
+const fn fixture(
+    name: &'static str,
+    (w, h): (usize, usize),
+    (seed, noise): (u64, u32),
+    (quality, chroma): (u8, Chroma),
+    digest: u64,
+) -> V2Fixture {
+    V2Fixture {
+        name,
+        w,
+        h,
+        seed,
+        noise,
+        quality,
+        chroma,
+        digest,
+    }
+}
+
+/// 4:4:4 and 4:2:0, odd dimensions, and a noisy q95 still of each.
+const V2_FIXTURES: [V2Fixture; 6] = [
+    fixture(
+        "c444_q85_40x32",
+        (40, 32),
+        (1, 48),
+        (85, Chroma::C444),
+        0xb220_77e6_7326_41d1,
+    ),
+    fixture(
+        "c420_q90_37x29",
+        (37, 29),
+        (2, 48),
+        (90, Chroma::C420),
+        0x116d_1f74_efc3_f1bc,
+    ),
+    fixture(
+        "c444_q75_61x45",
+        (61, 45),
+        (3, 96),
+        (75, Chroma::C444),
+        0xa590_58c8_fb8c_87e3,
+    ),
+    fixture(
+        "c420_q80_48x48",
+        (48, 48),
+        (4, 24),
+        (80, Chroma::C420),
+        0x1fa6_1d54_9d00_84d4,
+    ),
+    fixture(
+        "c444_q95_noise_96x72",
+        (96, 72),
+        (5, 255),
+        (95, Chroma::C444),
+        0x3d67_5b12_9726_02e7,
+    ),
+    fixture(
+        "c420_q95_noise_70x50",
+        (70, 50),
+        (6, 255),
+        (95, Chroma::C420),
+        0x1742_dab4_b3df_6893,
+    ),
+];
+
+/// A fixture's source: a per-channel gradient plus LCG noise of amplitude
+/// `noise` (255: a noisy still).
+fn fixture_source(w: usize, h: usize, seed: u64, noise: u32) -> ImageU8 {
+    let mut state = seed;
+    let mut img = ImageU8::zeros(w, h, 3);
+    for y in 0..h {
+        for x in 0..w {
+            for c in 0..3 {
+                let n = (lcg(&mut state) >> 56) as u32 * noise / 255;
+                let grad = (x * 255 / w + y * 128 / h + c * 85) as u32;
+                img.set(x, y, c, (grad + n) as u8);
+            }
+        }
+    }
+    img
+}
+
+/// FNV-1a 64 over the dimensions (three little-endian u32) and the pixels.
+fn pixel_digest(img: &ImageU8) -> u64 {
+    let dims = [img.width(), img.height(), img.channels()].map(|d| (d as u32).to_le_bytes());
+    dims.iter()
+        .flatten()
+        .chain(img.data())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+fn v2_fixture(name: &str) -> Vec<u8> {
+    let path = format!(
+        "{}/tests/fixtures/sjpg_v2/{name}.sjpg",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let data = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert_eq!(data[4], 2, "{name} is a v2 stream");
+    data
+}
+
+/// Every v2 fixture still decodes to its digest, on the fast path and the
+/// scalar oracle alike (and under the hostile-input allocation cap).
+#[test]
+fn sjpg_v2_fixtures_still_decode_to_their_digests() {
+    for f in &V2_FIXTURES {
+        let decoded = sjpg_paths_agree(&v2_fixture(f.name)).expect("a v2 fixture decodes");
+        assert_eq!(pixel_digest(&decoded), f.digest, "{}", f.name);
+    }
+}
+
+/// The v3 encode of each fixture's source decodes pixel-identically to the
+/// v2 stream of the same image — full, ROI, early stop and every factor,
+/// fast ≡ scalar — while its factor-4/8 decodes read fewer symbols.
+#[test]
+fn sjpg_v3_decodes_pixel_identically_to_the_v2_stream() {
+    let paths = [DecodeOptions::default(), DecodeOptions::scalar_reference()];
+    for &V2Fixture {
+        name,
+        w,
+        h,
+        seed,
+        noise,
+        quality,
+        chroma,
+        ..
+    } in &V2_FIXTURES
+    {
+        let v2 = v2_fixture(name);
+        let v3 = SjpgEncoder::with_chroma(quality, chroma)
+            .encode(&fixture_source(w, h, seed, noise))
+            .unwrap();
+        assert_eq!(v3[4], 3, "{name}: the encoder writes v3");
+        for factor in [1usize, 2, 4, 8] {
+            let decode = |data: &[u8], opts| sjpg::decode_scaled_opts(data, factor, opts).unwrap();
+            let (want, v2_stats) = decode(&v2, paths[0]);
+            for opts in paths {
+                for (version, data) in [(2, &v2[..]), (3, &v3[..])] {
+                    let (got, stats) = decode(data, opts);
+                    assert_eq!(got, want, "{name} v{version} factor {factor} {opts:?}");
+                    assert_eq!(stats.idct_macs, v2_stats.idct_macs);
+                    assert_eq!(stats.pixels_written, v2_stats.pixels_written);
+                }
+            }
+            let v3_symbols = decode(&v3, paths[0]).1.symbols_decoded;
+            if factor >= 4 {
+                assert!(v3_symbols < v2_stats.symbols_decoded, "{name} /{factor}");
+            }
+        }
+        let roi = Rect::new(w / 4, h / 5, w / 2, h / 2);
+        let want = sjpg::decode_roi(&v2, roi).unwrap();
+        for opts in paths {
+            for data in [&v2[..], &v3[..]] {
+                let got = sjpg::decode_roi_opts(data, roi, opts).unwrap();
+                assert_eq!(
+                    (got.0, got.1),
+                    (want.0.clone(), want.1),
+                    "{name} roi {opts:?}"
+                );
+            }
+        }
+        let rows = sjpg::decode_rows(&v3, h / 2).unwrap().0;
+        assert_eq!(
+            rows,
+            sjpg::decode_rows(&v2, h / 2).unwrap().0,
+            "{name} rows"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A v3 factor-4 or factor-8 decode touches no byte of any segment 2:
+    /// with every one of those bytes flipped it decodes the same pixels
+    /// with the same work counters, on both paths.
+    #[test]
+    fn sjpg_v3_reduced_decodes_touch_no_byte_of_segment_2(
+        img in arb_image(96),
+        subsampled in any::<bool>(),
+        mask in 1u8..=255,
+    ) {
+        let chroma = if subsampled { Chroma::C420 } else { Chroma::C444 };
+        let enc = SjpgEncoder::with_chroma(90, chroma).encode(&img).unwrap();
+        let mut flipped = enc.to_vec();
+        for [_, rest] in sjpg_v3_segments(&enc) {
+            prop_assert!(!rest.is_empty());
+            for b in &mut flipped[rest] {
+                *b ^= mask;
+            }
+        }
+        for factor in [4usize, 8] {
+            for opts in [DecodeOptions::default(), DecodeOptions::scalar_reference()] {
+                let clean = sjpg::decode_scaled_opts(&enc, factor, opts).unwrap();
+                let dirty = sjpg::decode_scaled_opts(&flipped, factor, opts).unwrap();
+                prop_assert_eq!(clean, dirty, "{:?} /{} {:?}", chroma, factor, opts);
+            }
+        }
+    }
 
     /// The table-driven spng decoder and the seed walk agree on arbitrary
     /// images of 1–4 channels under the encoder's own filter choice and
@@ -503,14 +815,16 @@ proptest! {
 
     /// The scaled decode provably skips transform work: at factor 4 the
     /// full-IDCT-equivalent block count drops ≥4× (it is exactly 64× in
-    /// MACs: 16 per block instead of 1024), while entropy decoding — the
-    /// sequential part — is unchanged.
+    /// MACs: 16 per block instead of 1024), and it reads segment 1 alone —
+    /// fewer entropy symbols — where factor 2 parses every one.
     #[test]
     fn sjpg_scaled_decode_skips_idct_work(img in arb_image(96)) {
         let enc = SjpgEncoder::new(85).encode(&img).unwrap();
         let (_, full) = sjpg::decode_with_stats(&enc).unwrap();
         let (_, reduced) = sjpg::decode_scaled(&enc, 4).unwrap();
-        prop_assert_eq!(reduced.symbols_decoded, full.symbols_decoded);
+        let (_, half) = sjpg::decode_scaled(&enc, 2).unwrap();
+        prop_assert!(reduced.symbols_decoded < full.symbols_decoded);
+        prop_assert_eq!(half.symbols_decoded, full.symbols_decoded);
         prop_assert_eq!(reduced.idct_macs * 64, full.idct_macs);
         prop_assert!(
             reduced.blocks_idct * 4 <= full.blocks_idct,

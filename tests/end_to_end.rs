@@ -197,7 +197,7 @@ fn smol_cost_model_wins_on_preproc_bound_run() {
         extra_cpu_s_per_image: 2e-3,
         ..Default::default()
     };
-    let preproc = smol::runtime::measure_preproc_pipelined(&items, &plan, &opts);
+    let preproc = smol::runtime::measure_preproc_throughput(&items, &plan, &opts);
     let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0);
     let exec = device.model_throughput(ModelKind::ResNet50, 16);
     assert!(preproc < 0.75 * exec, "preproc {preproc} vs exec {exec}");
@@ -305,7 +305,7 @@ fn planner_prefers_thumbnails_with_measured_rates() {
             batch: 32,
         };
         let rate =
-            smol::runtime::measure_preproc_pipelined(items, &plan, &RuntimeOptions::default());
+            smol::runtime::measure_preproc_throughput(items, &plan, &RuntimeOptions::default());
         (input, rate)
     };
     let (full_input, full_rate) = mk(&full_items, "full", Format::sjpg(95), false);
@@ -379,7 +379,7 @@ fn session_matches_manual_plan_selection() {
             decode: planner.decode_mode(input),
             batch: planner.config.batch,
         };
-        smol::runtime::measure_preproc_pipelined(items, &plan, &RuntimeOptions::default())
+        smol::runtime::measure_preproc_throughput(items, &plan, &RuntimeOptions::default())
     };
     let full_rate = measure(&full_items, &full_input);
     let thumb_rate = measure(&thumb_items, &thumb_input);
