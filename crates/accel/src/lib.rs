@@ -2,8 +2,8 @@
 //!
 //! The virtual DNN accelerator substrate. The paper's experiments run on an
 //! NVIDIA T4 with TensorRT; this reproduction runs on CPUs, so DNN execution
-//! is modeled as a calibrated *service-time* process (see DESIGN.md,
-//! substitution table):
+//! is modeled as a calibrated *service-time* process (see
+//! docs/PAPER_SHAPES.md, "What is real and what is simulated"):
 //!
 //! * [`device`] — GPU generation catalog (Table 5 anchors: K80 → RTX),
 //!   power draw, copy bandwidths;

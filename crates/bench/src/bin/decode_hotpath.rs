@@ -16,10 +16,10 @@
 //!    decode exactly, at factor 1 and at every scaled-decode
 //!    factor, for 4:4:4 and 4:2:0 chroma.
 //! 2. **Speedup gate** — full decode through the fast path must beat the
-//!    scalar sequential baseline by ≥ 2× wall-clock. Timing takes the
-//!    minimum over repetitions (the standard noisy-host estimator: load
-//!    spikes only ever add time); the decode is single-threaded, so the
-//!    gate is carried by the kernels alone.
+//!    scalar sequential baseline by ≥ 2× wall-clock, as the median of
+//!    paired, interleaved corpus passes (`smol_bench::measure`); the
+//!    decode is single-threaded, so the gate is carried by the kernels
+//!    alone.
 //! 3. **Planner scenario** — with a 4:2:0 copy of the corpus registered as
 //!    its own variant and *measured* decode throughput feeding the specs,
 //!    a loss-tolerant constraint must choose the subsampled variant.
@@ -27,14 +27,14 @@
 //! Exits non-zero when any gate fails (CI wires this into bench-smoke).
 
 use smol_accel::ModelKind;
-use smol_bench::{scaled, Table};
+use smol_bench::{measure, scaled, timed, Gate, Paired, Table};
 use smol_codec::{sjpg, spng, Chroma, DecodeOptions, DecodeStats, EncodedImage, Format};
 use smol_core::{CandidateSpec, Constraint, InputVariant, Planner};
 use smol_data::{serving_variants, still_catalog, throughput_images, StillSpec};
 use smol_imgproc::dag::decode_cost_subsampled;
 use smol_imgproc::ops::resize::resize_bilinear_u8;
 use smol_imgproc::ImageU8;
-use std::time::Instant;
+use std::process::ExitCode;
 
 /// Wall-clock gate: fast path vs scalar sequential reference.
 const MIN_SPEEDUP: f64 = 2.0;
@@ -43,12 +43,6 @@ const MIN_SPEEDUP: f64 = 2.0;
 /// factor-8 decode of the q95 stills reads at most a third of the entropy
 /// symbols a full decode reads (v3 streams: segment 1 only; ≈ 0.16×).
 const MAX_REDUCED_SYMBOLS: (u64, u64) = (1, 3);
-
-/// Timed repetitions per spng thumbnail, quick mode or not: the 161-px
-/// decoder sits at ≈ 2.5×, close enough to the gate that the minimum needs
-/// more samples than a shared runner's load spikes, and a thumbnail decode
-/// is about a millisecond, so the whole section stays under a second.
-const SPNG_REPS: usize = 15;
 
 /// Source edge: large enough that per-decode timing dominates overhead.
 const SRC_EDGE: usize = 768;
@@ -69,39 +63,30 @@ fn add_grain(img: &mut ImageU8) {
     }
 }
 
-/// Seconds per call of `f`: minimum over `reps` timed calls (one warm-up),
-/// with the last result.
-fn best_of<T>(reps: usize, f: impl Fn() -> T) -> (f64, T) {
-    let mut out = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        out = f();
-        best = best.min(t0.elapsed().as_secs_f64());
+/// The scalar reference against the fast path over a corpus: one decode
+/// of every item per side per rep, paired. Asserts first that the two
+/// decode every item identically.
+fn reference_vs_fast<T: PartialEq + std::fmt::Debug>(
+    n: usize,
+    decode: impl Fn(usize, DecodeOptions) -> T,
+) -> Paired {
+    let (fast, reference) = (DecodeOptions::default(), DecodeOptions::scalar_reference());
+    for i in 0..n {
+        assert_eq!(
+            decode(i, reference),
+            decode(i, fast),
+            "timed decodes diverged"
+        );
     }
-    (best, out)
-}
-
-/// Interleaved A/B timing: alternates the two paths within each rep and
-/// takes per-path minima, so slow host-load drift hits both sides equally
-/// instead of biasing whichever ran second. Also asserts the two paths
-/// produce identical output on this input.
-fn bench_ab<T: PartialEq + std::fmt::Debug>(
-    reps: usize,
-    a: impl Fn() -> T,
-    b: impl Fn() -> T,
-) -> (f64, f64) {
-    assert_eq!(a(), b(), "timed decodes diverged");
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(a());
-        best_a = best_a.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        std::hint::black_box(b());
-        best_b = best_b.min(t0.elapsed().as_secs_f64());
-    }
-    (best_a, best_b)
+    let pass = |opts| {
+        timed(|| {
+            for i in 0..n {
+                std::hint::black_box(decode(i, opts));
+            }
+        })
+        .0
+    };
+    measure(|| pass(reference), || pass(fast))
 }
 
 /// The spng thumbnails of the serving layout for `spec`.
@@ -114,10 +99,9 @@ fn spng_thumbnails(spec: &StillSpec, n: usize) -> (String, Vec<EncodedImage>) {
     (variant.name, variant.items)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let spec = &still_catalog()[0];
     let n = scaled(12).min(12);
-    let reps = if smol_bench::quick_mode() { 3 } else { 7 };
     let natives: Vec<ImageU8> = throughput_images(spec, 11, n)
         .iter()
         .map(|img| {
@@ -156,15 +140,12 @@ fn main() {
         .iter()
         .map(|img| EncodedImage::encode(img, Format::sjpg(95)).expect("encode"))
         .collect();
-    let mut slow_s = 0.0;
-    let mut fast_s = 0.0;
-    for enc in &encoded {
-        let decode = |opts| sjpg::decode_with_opts(&enc.bytes, opts).expect("decode").0;
-        let (s, f) = bench_ab(reps, || decode(reference), || decode(fast));
-        slow_s += s;
-        fast_s += f;
-    }
-    let speedup = slow_s / fast_s;
+    let sjpg_ab = reference_vs_fast(encoded.len(), |i, opts| {
+        sjpg::decode_with_opts(&encoded[i].bytes, opts)
+            .expect("decode")
+            .0
+    });
+    let speedup = sjpg_ab.ratio;
 
     let mut table = Table::new(
         "Decode hot path — scalar sequential reference vs fast path",
@@ -172,12 +153,12 @@ fn main() {
     );
     table.row(&[
         "scalar sequential (reference)".to_string(),
-        format!("{:.2}", slow_s / encoded.len() as f64 * 1e3),
+        format!("{:.2}", sjpg_ab.a / encoded.len() as f64 * 1e3),
         "1.00x".to_string(),
     ]);
     table.row(&[
         "table-driven + SIMD (default options)".to_string(),
-        format!("{:.2}", fast_s / encoded.len() as f64 * 1e3),
+        format!("{:.2}", sjpg_ab.b / encoded.len() as f64 * 1e3),
         format!("{speedup:.2}x"),
     ]);
     table.print();
@@ -197,11 +178,10 @@ fn main() {
         "spng thumbnails — seed walk (reference) vs table-driven decoder",
         &["Variant", "KB", "reference us", "fast us", "Speedup"],
     );
-    // (variant, reference µs, fast µs) per thumbnail size, `hard` first.
+    // (variant, speedup, fast µs) per thumbnail size, `hard` first.
     let mut spng_rows = Vec::new();
     for spec in [&hard, &small] {
         let (name, items) = spng_thumbnails(spec, n);
-        let (mut slow_s, mut fast_s) = (0.0, 0.0);
         for enc in &items {
             for rows in [1, enc.height / 3, enc.height - 1] {
                 assert_eq!(
@@ -210,20 +190,19 @@ fn main() {
                     "{name}: early stop at {rows} rows diverged (pixels or consumed)"
                 );
             }
-            let decode = |opts| spng::decode_with_opts(&enc.bytes, opts).expect("decode");
-            let (s, f) = bench_ab(SPNG_REPS, || decode(reference), || decode(fast));
-            slow_s += s;
-            fast_s += f;
         }
+        let ab = reference_vs_fast(items.len(), |i, opts| {
+            spng::decode_with_opts(&items[i].bytes, opts).expect("decode")
+        });
         let per = 1e6 / items.len() as f64;
         spng_table.row(&[
             name.clone(),
             format!("{:.1}", items[0].size_bytes() as f64 / 1e3),
-            format!("{:.0}", slow_s * per),
-            format!("{:.0}", fast_s * per),
-            format!("{:.2}x", slow_s / fast_s),
+            format!("{:.0}", ab.a * per),
+            format!("{:.0}", ab.b * per),
+            format!("{:.2}x", ab.ratio),
         ]);
-        spng_rows.push((name, slow_s * per, fast_s * per));
+        spng_rows.push((name, ab.ratio, ab.b * per));
     }
     spng_table.print();
     spng_table.write_csv("decode_hotpath_spng");
@@ -258,28 +237,46 @@ fn main() {
     let predicted = |factor: usize| {
         decode_cost_subsampled(w, h, 8 / factor, false) / decode_cost_subsampled(w, h, 8, false)
     };
-    let (mut full_us, mut full_symbols) = (0.0, 0);
+    // Each reduced rung paired against a full decode of the same stills.
+    let pass = |factor: usize| {
+        timed(|| {
+            for enc in &stills {
+                std::hint::black_box(sjpg::decode_scaled(&enc.bytes, factor).expect("decode"));
+            }
+        })
+        .0
+    };
+    let vs_full: Vec<Paired> = [2, 4, 8]
+        .into_iter()
+        .map(|factor| measure(|| pass(1), || pass(factor)))
+        .collect();
+    let full_us = vs_full[0].a * 1e6 / stills.len() as f64;
+    let mut full_symbols = 0;
     // (factor, symbols read) per reduced rung, for the gate below.
     let mut rung_symbols = Vec::new();
-    for factor in [1usize, 2, 4, 8] {
-        let (mut secs, mut work) = (0.0, DecodeStats::default());
+    for (i, factor) in [1usize, 2, 4, 8].into_iter().enumerate() {
+        let mut work = DecodeStats::default();
         for enc in &stills {
-            let (best, decoded) = best_of(reps, || sjpg::decode_scaled(&enc.bytes, factor));
-            secs += best;
-            let stats = decoded.expect("decode").1;
+            let stats = sjpg::decode_scaled(&enc.bytes, factor).expect("decode").1;
             work.symbols_decoded += stats.symbols_decoded;
             work.coefs_dequantized += stats.coefs_dequantized;
         }
-        let us = secs * 1e6 / stills.len() as f64;
+        let (us, vs) = match i {
+            0 => (full_us, 1.0),
+            _ => {
+                let p = &vs_full[i - 1];
+                (p.b * 1e6 / stills.len() as f64, 1.0 / p.ratio)
+            }
+        };
         if factor == 1 {
-            (full_us, full_symbols) = (us, work.symbols_decoded);
+            full_symbols = work.symbols_decoded;
         } else {
             rung_symbols.push((factor, work.symbols_decoded));
         }
         rungs.row(&[
             format!("sjpg factor {factor}"),
             format!("{us:.0}"),
-            format!("{:.2}x", us / full_us),
+            format!("{vs:.2}x"),
             format!("{:.2}x", predicted(factor)),
             format!("{:.2}", work.symbols_decoded as f64 / blocks),
             format!("{:.1}", work.coefs_dequantized as f64 / blocks),
@@ -320,8 +317,11 @@ fn main() {
     let enc420 = smol_codec::SjpgEncoder::with_chroma(90, Chroma::C420)
         .encode(&natives[0])
         .expect("encode 420");
-    let (t444, _) = best_of(reps, || sjpg::decode_with_opts(&enc444.bytes, fast));
-    let (t420, _) = best_of(reps, || sjpg::decode_with_opts(&enc420, fast));
+    let chroma = measure(
+        || timed(|| sjpg::decode_with_opts(&enc444.bytes, fast)).0,
+        || timed(|| sjpg::decode_with_opts(&enc420, fast)).0,
+    );
+    let (t444, t420) = (chroma.a, chroma.b);
     let specs = [
         mk_spec("full sjpg(q=90)", Format::sjpg(90), 0.7516, 1.0 / t444),
         mk_spec(
@@ -342,35 +342,30 @@ fn main() {
         chosen.plan.input.name
     );
 
-    let mut failed = false;
-    if speedup < MIN_SPEEDUP {
-        eprintln!("FAIL: fast-path speedup {speedup:.2}x below the {MIN_SPEEDUP}x gate");
-        failed = true;
+    let mut gate = Gate::new("decode_hotpath");
+    gate.check(
+        speedup >= MIN_SPEEDUP,
+        format!("sjpg fast path {speedup:.2}x the scalar reference (gate ≥ {MIN_SPEEDUP}x)"),
+    );
+    for (name, speedup, _) in &spng_rows {
+        gate.check(
+            *speedup >= MIN_SPEEDUP,
+            format!("{name} fast path {speedup:.2}x the seed walk (gate ≥ {MIN_SPEEDUP}x)"),
+        );
     }
-    for (name, reference_us, fast_us) in &spng_rows {
-        let speedup = reference_us / fast_us;
-        if speedup < MIN_SPEEDUP {
-            eprintln!("FAIL: {name} fast-path speedup {speedup:.2}x below the {MIN_SPEEDUP}x gate");
-            failed = true;
-        }
-    }
-    for (factor, symbols) in rung_symbols {
-        if factor >= 4 && symbols * MAX_REDUCED_SYMBOLS.1 > full_symbols * MAX_REDUCED_SYMBOLS.0 {
-            eprintln!(
-                "FAIL: a factor-{factor} decode read {symbols} entropy symbols, over {}/{} of the \
+    for (factor, symbols) in rung_symbols.into_iter().filter(|&(f, _)| f >= 4) {
+        gate.check(
+            symbols * MAX_REDUCED_SYMBOLS.1 <= full_symbols * MAX_REDUCED_SYMBOLS.0,
+            format!(
+                "a factor-{factor} decode reads {symbols} entropy symbols, at most {}/{} of the \
                  full decode's {full_symbols}",
                 MAX_REDUCED_SYMBOLS.0, MAX_REDUCED_SYMBOLS.1
-            );
-            failed = true;
-        }
-    }
-    if !chosen.plan.input.format.is_chroma_subsampled() {
-        eprintln!(
-            "FAIL: planner did not choose the 4:2:0 variant under a loss-tolerant constraint"
+            ),
         );
-        failed = true;
     }
-    if failed {
-        std::process::exit(1);
-    }
+    gate.check(
+        chosen.plan.input.format.is_chroma_subsampled(),
+        "the planner chooses the 4:2:0 variant under a loss-tolerant constraint",
+    );
+    gate.finish()
 }

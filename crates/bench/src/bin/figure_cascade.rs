@@ -9,7 +9,8 @@
 //! is the CI gate for that claim; it exits non-zero unless:
 //!
 //! 1. the cascade beats the best zero-loss uniform plan end to end by
-//!    ≥ 1.3× (median of paired interleaved reps),
+//!    ≥ 1.3× (the shared paired estimator, `smol_bench::measure`, each
+//!    side on a fresh server),
 //! 2. the session-planned cascade satisfies its accuracy constraint
 //!    (report accuracy ≥ floor) under measured calibration,
 //! 3. the `enable_cascades` lesion falls back to a uniform plan at the
@@ -18,16 +19,17 @@
 //!    result diffs.
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{fmt_ratio, fmt_tput, scaled, Table};
+use smol_bench::{fmt_ratio, fmt_tput, measure, scaled, timed, Gate, Table};
 use smol_codec::{signal::image_signal, EncodedImage, Format};
 use smol_core::{CascadePlan, DecodeMode, InputVariant, Planner, PlannerConfig, QueryPlan};
+use smol_data::fingerprint;
 use smol_imgproc::ImageU8;
 use smol_runtime::{route_stage, wrap_images, MediaItem};
 use smol_serve::{
     Calibration, Dataset, MeasuredCalibration, Query, Server, ServerConfig, Session, SessionConfig,
     SubmitOptions,
 };
-use std::time::Instant;
+use std::process::ExitCode;
 
 /// End-to-end gate: cascade vs best uniform plan on the mixed corpus.
 const MIN_SPEEDUP: f64 = 1.3;
@@ -83,22 +85,13 @@ fn mixed_corpus(n_easy: usize, n_hard: usize) -> (Vec<ImageU8>, Vec<usize>) {
     (images, labels)
 }
 
-/// Deterministic result fingerprint for the bit-identity differential.
-fn fingerprint(idx: usize, img: &ImageU8) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325 ^ idx as u64;
-    for &b in img.data() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn fast_t4() -> VirtualDevice {
     // A fast device keeps the CPU side the bottleneck: the gate measures
     // the decode/preprocessing work routing avoids, not device time.
     VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let n_easy = scaled(40);
     let n_hard = (n_easy / 5).max(2);
     let (images, labels) = mixed_corpus(n_easy, n_hard);
@@ -179,37 +172,20 @@ fn main() {
         .filter(|&(i, &s)| s == 1 && cascade_results[i] != uniform_results[i])
         .count();
 
-    // Interleaved paired reps; median per-rep speedup (load-drift immune).
-    let reps = 5;
-    let mut per_rep = Vec::with_capacity(reps);
-    let mut uni_wall = f64::INFINITY;
-    let mut cas_wall = f64::INFINITY;
-    for _ in 0..reps {
+    // Paired runs, each on a fresh server so neither side reads the
+    // tensors the other decoded.
+    let run = |opts: SubmitOptions| {
         let server = Server::with_devices(vec![fast_t4()], ServerConfig::default());
-        let start = Instant::now();
-        let handle = server
-            .submit_with_infer(full.clone(), items.clone(), fingerprint)
-            .expect("admitted");
-        handle.wait().expect("resolves");
-        let u = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let handle = server
-            .submit_media_opts_with_infer(
-                full.clone(),
-                wrap_images(&items),
-                cascade_opts(),
-                fingerprint,
-            )
-            .expect("admitted");
-        handle.wait().expect("resolves");
-        let c = start.elapsed().as_secs_f64();
+        let submit = || {
+            let items = wrap_images(&items);
+            server.submit_media_opts_with_infer(full.clone(), items, opts, fingerprint)
+        };
+        let wall = timed(|| submit().expect("admitted").wait().expect("resolves")).0;
         server.shutdown();
-        per_rep.push(u / c);
-        uni_wall = uni_wall.min(u);
-        cas_wall = cas_wall.min(c);
-    }
-    per_rep.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let speedup = per_rep[reps / 2];
+        wall
+    };
+    let paired = measure(|| run(SubmitOptions::default()), || run(cascade_opts()));
+    let (uni_wall, cas_wall, speedup) = (paired.a, paired.b, paired.ratio);
 
     // Session-planned cascade under measured calibration: constraint
     // satisfied with cascades on; lesion parity with cascades off. The
@@ -304,31 +280,29 @@ fn main() {
          speedup {speedup:.2}x vs best uniform plan (gate ≥ {MIN_SPEEDUP}x)"
     );
 
-    let mut failed = false;
-    if diffs != 0 {
-        eprintln!("FAIL: {diffs} escalated items differ from the uniform full-plan run");
-        failed = true;
-    }
-    if speedup < MIN_SPEEDUP {
-        eprintln!("FAIL: cascade speedup {speedup:.2}x below the {MIN_SPEEDUP}x gate");
-        failed = true;
-    }
-    if !cascade_chosen {
-        eprintln!("FAIL: session planner did not choose a cascade at zero accuracy loss");
-        failed = true;
-    }
-    if accuracy < floor {
-        eprintln!("FAIL: cascade session accuracy {accuracy:.3} below floor {floor:.3}");
-        failed = true;
-    }
-    if !lesion_clean || (lesion_accuracy - accuracy).abs() > 1e-12 {
-        eprintln!(
-            "FAIL: lesion parity broken (cascade-free = {lesion_clean}, \
-             accuracy {lesion_accuracy:.3} vs {accuracy:.3})"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let mut gate = Gate::new("figure_cascade");
+    gate.check(
+        diffs == 0,
+        format!("{diffs} escalated items differ from the uniform full-plan run"),
+    );
+    gate.check(
+        speedup >= MIN_SPEEDUP,
+        format!("cascade speedup {speedup:.2}x (gate ≥ {MIN_SPEEDUP}x)"),
+    );
+    gate.check(
+        cascade_chosen,
+        "the session planner chooses a cascade at zero accuracy loss",
+    );
+    gate.check(
+        accuracy >= floor,
+        format!("cascade session accuracy {accuracy:.3} vs floor {floor:.3}"),
+    );
+    gate.check(
+        lesion_clean && (lesion_accuracy - accuracy).abs() <= 1e-12,
+        format!(
+            "lesion parity (cascade-free = {lesion_clean}, accuracy {lesion_accuracy:.3} vs \
+             {accuracy:.3})"
+        ),
+    );
+    gate.finish()
 }

@@ -6,16 +6,18 @@
 //! resize, feed the accelerator — and this binary is the CI gate for it:
 //! it exits non-zero unless the fused plan (a) stays within a PSNR bound
 //! of the reference path (full decode + downsample to the same geometry)
-//! and (b) beats full-decode+resize end-to-end throughput by ≥ 1.3×.
+//! and (b) beats full-decode+resize end-to-end throughput by ≥ 1.3×, as
+//! the median of paired runs (`smol_bench::measure`).
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{decode_label, run_once, scaled, Table, VCPUS};
+use smol_bench::{decode_label, measure, run_once, scaled, Gate, Table, VCPUS};
 use smol_codec::{sjpg, EncodedImage, Format};
 use smol_core::{DecodeMode, InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_data::{still_catalog, throughput_images};
 use smol_imgproc::ops::resize::{box_downsample_u8, resize_bilinear_u8};
-use smol_imgproc::ImageU8;
+use smol_imgproc::{psnr, ImageU8};
 use smol_runtime::{wrap_images, RuntimeOptions};
+use std::process::ExitCode;
 
 /// Throughput-vs-reference gate: the fused plan must win by this factor.
 const MIN_SPEEDUP: f64 = 1.3;
@@ -27,25 +29,7 @@ const MIN_PSNR_DB: f64 = 24.0;
 const DNN_INPUT: u32 = 64;
 const SRC_EDGE: usize = 8 * DNN_INPUT as usize;
 
-fn psnr(a: &ImageU8, b: &ImageU8) -> f64 {
-    let mse: f64 = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
-            d * d
-        })
-        .sum::<f64>()
-        / a.data().len() as f64;
-    if mse == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (255.0f64 * 255.0 / mse).log10()
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let spec = &still_catalog()[0];
     let n = scaled(48);
     // Natural-ish sources at 512×512 (dataset renders upsampled to the
@@ -111,9 +95,19 @@ fn main() {
         ..Default::default()
     };
     let device = || VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02);
-    let full = run_once(&device(), opts, &full_plan, wrap_images(&encoded));
-    let reduced = run_once(&device(), opts, &reduced_plan, wrap_images(&encoded));
-    let speedup = reduced.throughput / full.throughput;
+    let (mut full, mut reduced) = (None, None);
+    let run = |plan, last: &mut Option<_>| {
+        let report = run_once(&device(), opts, plan, wrap_images(&encoded));
+        let wall = report.wall_s;
+        *last = Some(report);
+        wall
+    };
+    let speedup = measure(
+        || run(&full_plan, &mut full),
+        || run(&reduced_plan, &mut reduced),
+    )
+    .ratio;
+    let (full, reduced) = (full.expect("ran"), reduced.expect("ran"));
 
     let mut table = Table::new(
         "Figure lowres — fused reduced-resolution decode vs full decode + resize",
@@ -154,16 +148,14 @@ fn main() {
         idct_full as f64 / idct_reduced.max(1) as f64
     );
 
-    let mut failed = false;
-    if min_psnr < MIN_PSNR_DB {
-        eprintln!("FAIL: fused decode fidelity {min_psnr:.1} dB below the {MIN_PSNR_DB} dB gate");
-        failed = true;
-    }
-    if speedup < MIN_SPEEDUP {
-        eprintln!("FAIL: end-to-end speedup {speedup:.2}x below the {MIN_SPEEDUP}x gate");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let mut gate = Gate::new("figure_lowres");
+    gate.check(
+        min_psnr >= MIN_PSNR_DB,
+        format!("fused decode fidelity {min_psnr:.1} dB (gate ≥ {MIN_PSNR_DB} dB)"),
+    );
+    gate.check(
+        speedup >= MIN_SPEEDUP,
+        format!("end-to-end speedup {speedup:.2}x (gate ≥ {MIN_SPEEDUP}x)"),
+    );
+    gate.finish()
 }

@@ -10,16 +10,18 @@
 //! unless the fast plan (a) keeps its decoded keyframes within a PSNR
 //! bound of the pristine source frames (the accuracy floor), (b) beats
 //! the full-decode plan by ≥ 2× in end-to-end wall time over the same
-//! corpus, and (c) demonstrably performed zero motion compensation.
+//! corpus (the median of paired runs, `smol_bench::measure`), and (c)
+//! demonstrably performed zero motion compensation.
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{decode_label, run_once, scaled, Table, VCPUS};
+use smol_bench::{decode_label, measure, run_once, scaled, Gate, Table, VCPUS};
 use smol_core::{DecodeMode, FrameSelection, InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_data::{gop_corpus, video_catalog};
 use smol_imgproc::ops::resize_short_edge_u8;
-use smol_imgproc::ImageU8;
+use smol_imgproc::{psnr, ImageU8};
 use smol_runtime::{wrap_gops, RuntimeOptions};
 use smol_video::DecodeOptions;
+use std::process::ExitCode;
 
 /// End-to-end corpus wall-time gate: the fast plan must win by this
 /// factor.
@@ -31,25 +33,7 @@ const MIN_PSNR_DB: f64 = 24.0;
 
 const GOP_LEN: usize = 12;
 
-fn psnr(a: &ImageU8, b: &ImageU8) -> f64 {
-    let mse: f64 = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
-            d * d
-        })
-        .sum::<f64>()
-        / a.data().len() as f64;
-    if mse == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (255.0f64 * 255.0 / mse).log10()
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let spec = video_catalog()
         .into_iter()
         .find(|s| s.name == "taipei")
@@ -143,9 +127,15 @@ fn main() {
     let device = || VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02);
     let full_plan = mk_plan(full_mode);
     let fast_plan = mk_plan(fast_mode);
-    let full = run_once(&device(), opts, &full_plan, items.clone());
-    let fast = run_once(&device(), opts, &fast_plan, items);
-    let speedup = full.wall_s / fast.wall_s;
+    let (mut full, mut fast) = (None, None);
+    let run = |plan, last: &mut Option<_>| {
+        let report = run_once(&device(), opts, plan, items.clone());
+        let wall = report.wall_s;
+        *last = Some(report);
+        wall
+    };
+    let speedup = measure(|| run(&full_plan, &mut full), || run(&fast_plan, &mut fast)).ratio;
+    let (full, fast) = (full.expect("ran"), fast.expect("ran"));
     // Source-frames covered per second: both plans answer the same corpus
     // of n_gops x GOP_LEN source frames, so corpus frames over wall time
     // is the comparable end-to-end rate.
@@ -189,20 +179,18 @@ fn main() {
          macroblocks (must be 0); end-to-end speedup {speedup:.2}x (gate ≥ {MIN_SPEEDUP}x)"
     );
 
-    let mut failed = false;
-    if mc_blocks != 0 {
-        eprintln!("FAIL: keyframe-only decode performed motion compensation ({mc_blocks} MBs)");
-        failed = true;
-    }
-    if min_psnr < MIN_PSNR_DB {
-        eprintln!("FAIL: keyframe fidelity {min_psnr:.1} dB below the {MIN_PSNR_DB} dB gate");
-        failed = true;
-    }
-    if speedup < MIN_SPEEDUP {
-        eprintln!("FAIL: end-to-end speedup {speedup:.2}x below the {MIN_SPEEDUP}x gate");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let mut gate = Gate::new("figure_video");
+    gate.check(
+        mc_blocks == 0,
+        format!("keyframe-only decode performed {mc_blocks} motion-compensated macroblocks"),
+    );
+    gate.check(
+        min_psnr >= MIN_PSNR_DB,
+        format!("keyframe fidelity {min_psnr:.1} dB (gate ≥ {MIN_PSNR_DB} dB)"),
+    );
+    gate.check(
+        speedup >= MIN_SPEEDUP,
+        format!("end-to-end speedup {speedup:.2}x (gate ≥ {MIN_SPEEDUP}x)"),
+    );
+    gate.finish()
 }

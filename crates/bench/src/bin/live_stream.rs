@@ -21,13 +21,13 @@
 //!   unbounded-queueing failure mode the scheduler exists to prevent).
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{quick_mode, Table};
+use smol_bench::{quick_mode, timed, Gate, Table};
 use smol_data::{timed_stream, video_catalog, StreamFeed, VideoSpec};
 use smol_runtime::RuntimeOptions;
 use smol_serve::{Priority, Query, ServerConfig, Session, SessionConfig};
 use smol_stream::{run_stream, FeedSource, PacingPolicy, StreamConfig, WindowResult};
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 const GOP_LEN: usize = 6;
 const EXTRA_CPU_S: f64 = 0.02; // deterministic per-frame cost
@@ -94,17 +94,17 @@ fn calibrate() -> f64 {
         policy: PacingPolicy::disabled(),
         priority: Priority::High,
     };
-    let start = Instant::now();
-    let handle =
-        run_stream(&session, &query, FeedSource::new(feed), cfg, |_, _| 0.0).expect("probe stream");
-    let mut full_windows = Vec::new();
-    while let Some(w) = handle.next_window() {
-        if w.expected_frames == fpw {
-            full_windows.push(w);
+    let (wall, (full_windows, stats)) = timed(|| {
+        let handle = run_stream(&session, &query, FeedSource::new(feed), cfg, |_, _| 0.0)
+            .expect("probe stream");
+        let mut full_windows = Vec::new();
+        while let Some(w) = handle.next_window() {
+            if w.expected_frames == fpw {
+                full_windows.push(w);
+            }
         }
-    }
-    let stats = handle.finish();
-    let wall = start.elapsed().as_secs_f64();
+        (full_windows, handle.finish())
+    });
     assert_eq!(stats.frames_decoded, stats.frames_total);
     let (first, last) = (full_windows.first(), full_windows.last());
     if let (Some(f), Some(l)) = (first, last) {
@@ -184,7 +184,7 @@ fn p95(values: &[f64]) -> f64 {
     smol_serve::percentile(values, 0.95)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let n_gops = if quick_mode() { 60 } else { 120 };
     let spec = taipei();
 
@@ -266,43 +266,46 @@ fn main() {
     let lesion_grew = lesion_lags.last().copied().unwrap_or(0.0)
         > lesion_lags.first().copied().unwrap_or(0.0) + window_wall_s;
 
-    let engaged = paced.stats.gops_downgraded > 0 || paced.stats.gops_dropped > 0;
-    let stale_ok = paced_lag_p95 < 2.0 * window_wall_s;
-    let coverage_ok = paced.stats.window_coverage >= 0.90;
-    let floor_ok = paced.stats.floor_violations == 0 && lesion.stats.floor_violations == 0;
-    let bounds_ok = paced.range_violations == 0;
-
-    println!(
-        "\ngates: pacer engaged ({} downgraded / {} dropped){} | \
-         stale p95 {:.0}ms vs 2 windows {:.0}ms{} | coverage {:.0}% (target ≥ 90%){} | \
-         floor violations {}{} | windowed means in ground-truth range ({} violations){} | \
-         lesion staleness monotone growth{}",
-        paced.stats.gops_downgraded,
-        paced.stats.gops_dropped,
-        if engaged { " PASS" } else { " FAIL" },
-        paced_lag_p95 * 1e3,
-        2.0 * window_wall_s * 1e3,
-        if stale_ok { " PASS" } else { " FAIL" },
-        paced.stats.window_coverage * 100.0,
-        if coverage_ok { " PASS" } else { " FAIL" },
-        paced.stats.floor_violations,
-        if floor_ok { " PASS" } else { " FAIL" },
-        paced.range_violations,
-        if bounds_ok { " PASS" } else { " FAIL" },
-        if monotone && lesion_grew {
-            " PASS"
-        } else {
-            " FAIL"
-        },
+    let mut gate = Gate::new("live_stream");
+    gate.check(
+        paced.stats.gops_downgraded > 0 || paced.stats.gops_dropped > 0,
+        format!(
+            "pacer engaged ({} downgraded / {} dropped)",
+            paced.stats.gops_downgraded, paced.stats.gops_dropped
+        ),
     );
-    // Enforced in CI (bench-smoke); SMOL_NO_ENFORCE=1 opts out for
-    // exploratory runs on loaded machines.
-    let enforce = std::env::var("SMOL_NO_ENFORCE")
-        .map(|v| v != "1")
-        .unwrap_or(true);
-    if enforce
-        && !(engaged && stale_ok && coverage_ok && floor_ok && bounds_ok && monotone && lesion_grew)
-    {
-        std::process::exit(1);
-    }
+    gate.check(
+        paced_lag_p95 < 2.0 * window_wall_s,
+        format!(
+            "stale p95 {:.0} ms under 2 windows {:.0} ms",
+            paced_lag_p95 * 1e3,
+            2.0 * window_wall_s * 1e3
+        ),
+    );
+    gate.check(
+        paced.stats.window_coverage >= 0.90,
+        format!(
+            "coverage {:.0} % (gate ≥ 90 %)",
+            paced.stats.window_coverage * 100.0
+        ),
+    );
+    gate.check(
+        paced.stats.floor_violations == 0 && lesion.stats.floor_violations == 0,
+        format!(
+            "accuracy-floor violations: paced {}, lesion {}",
+            paced.stats.floor_violations, lesion.stats.floor_violations
+        ),
+    );
+    gate.check(
+        paced.range_violations == 0,
+        format!(
+            "windowed means in ground-truth range ({} violations)",
+            paced.range_violations
+        ),
+    );
+    gate.check(
+        monotone && lesion_grew,
+        "lesion staleness grows monotonically",
+    );
+    gate.finish()
 }

@@ -9,36 +9,25 @@
 //! k+1's preprocessing with query k's device execution and merges
 //! same-signature items into shared batches. With preprocessing and
 //! execution rates balanced (the worst case for either stage alone), the
-//! overlap alone is worth up to 2×; the acceptance bar is ≥ 1.4× (median
-//! of 7 paired reps) for 4 concurrent homogeneous queries, with a
-//! trimmed-spread stability check.
+//! overlap alone is worth up to 2×; the acceptance bar is ≥ 1.4× for 4
+//! concurrent homogeneous queries, as the median of the shared paired
+//! estimator's per-rep ratios (`smol_bench::measure`), with its spread
+//! (interquartile range over median) at most 35 %.
 //!
 //! The device is calibrated from a *measured* preprocessing rate: we
 //! profile the plan's CPU side, then pick a virtual-device spec whose
 //! execution rate at the plan's batch size matches it.
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{fmt_ratio, fmt_tput, run_once, Table};
+use smol_bench::{fmt_ratio, fmt_tput, measure, run_once, simple_plan, timed, Gate, Table, REPS};
 use smol_codec::{EncodedImage, Format};
-use smol_core::{InputVariant, Planner, PlannerConfig, QueryPlan};
-use smol_imgproc::ImageU8;
+use smol_core::{InputVariant, Planner, PlannerConfig};
+use smol_data::textured;
 use smol_runtime::{measure_preproc_throughput, wrap_images, RuntimeOptions};
 use smol_serve::{Server, ServerConfig};
-use std::time::Instant;
+use std::process::ExitCode;
 
-fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
-    let mut img = ImageU8::zeros(w, h, 3);
-    for y in 0..h {
-        for x in 0..w {
-            for c in 0..3 {
-                img.set(x, y, c, ((x * 7 + y * 13 + c * 19 + seed * 23) % 256) as u8);
-            }
-        }
-    }
-    img
-}
-
-fn main() {
+fn main() -> ExitCode {
     let n_queries = 4usize;
     // The workload is small by construction (one batch per query), so
     // quick mode changes nothing here — shrinking the queries would let
@@ -54,13 +43,7 @@ fn main() {
         ..Default::default()
     });
     let input = InputVariant::new("128x96 sjpg(q=85)", Format::sjpg(85), w, h);
-    let plan = QueryPlan {
-        dnn: ModelKind::ResNet50,
-        input: input.clone(),
-        preproc: planner.build_preproc(&input),
-        decode: planner.decode_mode(&input),
-        batch,
-    };
+    let plan = simple_plan(&planner, ModelKind::ResNet50, input, batch);
     let opts = RuntimeOptions::default();
 
     let queries: Vec<Vec<EncodedImage>> = (0..n_queries)
@@ -92,78 +75,57 @@ fn main() {
         ),
     );
 
-    // Interleaved A/B timing (the `decode_hotpath` estimator): each rep
-    // runs one-at-a-time then all-at-once back to back, so slow host-load
-    // drift hits both modes equally instead of biasing whichever block ran
-    // second — the flake mode this gate used to exhibit when all
-    // sequential reps ran first. The gate statistic is the **median of
-    // the per-rep paired speedups** over 7 reps: pairing cancels
-    // rep-scale load, and the median ignores the occasional rep where a
-    // load spike landed inside exactly one block (the residual flake
-    // mode of the old per-mode-minimum estimator, which read 1.47–1.59×
-    // around the old 1.5× bar). A fresh device per repetition keeps the
-    // reservation timelines independent, and both sides run without the
+    // The shared paired estimator: each rep runs one-at-a-time and
+    // all-at-once back to back, alternating which goes first, so host-load
+    // drift hits both modes alike; the gate reads the median per-rep
+    // speedup and its spread. A fresh device per run keeps the reservation
+    // timelines independent, and the server runs without the
     // decoded-tensor cache: every image here is unique, and the gate
     // measures pipelining overlap, not cache wins.
-    let reps = 7;
-    let mut seq_walls = Vec::with_capacity(reps);
-    let mut srv_walls = Vec::with_capacity(reps);
-    let mut runs: Vec<(Vec<smol_serve::QueryReport>, smol_serve::ServerStats)> =
-        Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let seq_device = VirtualDevice::with_spec(spec.clone(), ExecutionEnv::TensorRt, 1.0);
-        let seq_start = Instant::now();
-        for items in &queries {
-            run_once(&seq_device, opts, &plan, wrap_images(items));
-        }
-        seq_walls.push(seq_start.elapsed().as_secs_f64());
-
-        let srv_device = VirtualDevice::with_spec(spec.clone(), ExecutionEnv::TensorRt, 1.0);
-        let server = Server::new(
-            srv_device,
-            ServerConfig {
-                runtime: opts,
-                max_active_queries: n_queries,
-                tensor_cache_bytes: 0,
-                ..Default::default()
-            },
-        );
-        let srv_start = Instant::now();
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|items| {
-                server
-                    .submit(plan.clone(), items.clone())
-                    .expect("admitted")
+    let device = || VirtualDevice::with_spec(spec.clone(), ExecutionEnv::TensorRt, 1.0);
+    let mut last = None;
+    let paired = measure(
+        || {
+            let seq_device = device();
+            timed(|| {
+                for items in &queries {
+                    run_once(&seq_device, opts, &plan, wrap_images(items));
+                }
             })
-            .collect();
-        let reports: Vec<_> = handles
-            .into_iter()
-            .map(|handle| handle.wait().expect("resolves"))
-            .collect();
-        srv_walls.push(srv_start.elapsed().as_secs_f64());
-        let stats = server.stats();
-        server.shutdown();
-        runs.push((reports, stats));
-    }
-    let per_rep: Vec<f64> = seq_walls
-        .iter()
-        .zip(&srv_walls)
-        .map(|(s, v)| s / v)
-        .collect();
-    let mut ranked: Vec<usize> = (0..reps).collect();
-    ranked.sort_by(|&a, &b| per_rep[a].partial_cmp(&per_rep[b]).expect("finite walls"));
-    let median_rep = ranked[reps / 2];
-    let speedup = per_rep[median_rep];
-    // Variance check over the middle five reps (min and max discarded):
-    // a wide spread there means the host was too loaded for the numbers
-    // to mean anything, and the gate should fail loudly rather than
-    // pass or fail by luck.
-    let trimmed: Vec<f64> = ranked[1..reps - 1].iter().map(|&i| per_rep[i]).collect();
-    let spread = (trimmed[trimmed.len() - 1] - trimmed[0]) / speedup;
-    let seq_wall = seq_walls[median_rep];
-    let srv_wall = srv_walls[median_rep];
-    let (reports, stats) = runs.swap_remove(median_rep);
+            .0
+        },
+        || {
+            let server = Server::new(
+                device(),
+                ServerConfig {
+                    runtime: opts,
+                    max_active_queries: n_queries,
+                    tensor_cache_bytes: 0,
+                    ..Default::default()
+                },
+            );
+            let (wall, reports) = timed(|| {
+                let handles: Vec<_> = queries
+                    .iter()
+                    .map(|items| {
+                        server
+                            .submit(plan.clone(), items.clone())
+                            .expect("admitted")
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.wait().expect("resolves"))
+                    .collect::<Vec<_>>()
+            });
+            last = Some((reports, server.stats()));
+            server.shutdown();
+            wall
+        },
+    );
+    let (speedup, spread) = (paired.ratio, paired.spread);
+    let (seq_wall, srv_wall) = (paired.a, paired.b);
+    let (reports, stats) = last.expect("the server ran");
 
     let total_images = (n_queries * items_per_query) as f64;
 
@@ -207,29 +169,16 @@ fn main() {
         stats.full_batches,
         stats.device_occupancy() * 100.0
     );
-    println!(
-        "speedup {:.2}x vs one query at a time (median of {} paired reps, target ≥ 1.4x; \
-         trimmed spread {:.1}%, limit 35%){}",
-        speedup,
-        reps,
-        spread * 100.0,
-        if speedup >= 1.4 && spread <= 0.35 {
-            " — PASS"
-        } else if speedup < 1.4 {
-            " — BELOW TARGET"
-        } else {
-            " — UNSTABLE"
-        }
+    let mut gate = Gate::new("serve_concurrent");
+    gate.check(
+        speedup >= 1.4,
+        format!("{speedup:.2}x vs one query at a time (median of {REPS} paired reps, gate ≥ 1.4x)"),
     );
-    // The acceptance gate is enforced (CI runs this in bench-smoke);
-    // SMOL_NO_ENFORCE=1 opts out for exploratory runs on loaded machines.
-    // An over-wide trimmed spread also fails: a measurement that noisy
-    // would pass or fail by luck, which is exactly the flake this
-    // estimator exists to remove.
-    let enforce = std::env::var("SMOL_NO_ENFORCE")
-        .map(|v| v != "1")
-        .unwrap_or(true);
-    if enforce && (speedup < 1.4 || spread > 0.35) {
-        std::process::exit(1);
-    }
+    // A spread that wide means the host was too loaded for the speedup to
+    // mean anything: it would pass or fail by luck.
+    gate.check(
+        spread <= 0.35,
+        format!("paired spread {:.1} % (limit 35 %)", spread * 100.0),
+    );
+    gate.finish()
 }

@@ -26,44 +26,27 @@
 //!   item a producer is in the middle of and the scan's batches ahead on
 //!   the lanes.
 //!
+//! Phases are compared pairwise by the shared estimator
+//! (`smol_bench::measure`): A against B on wall time, A against C on the
+//! worst query p95, each the median of interleaved per-rep ratios.
+//!
 //! Calibration mirrors `serve_concurrent`: the plan's CPU side is
 //! profiled on this machine, then the virtual-device spec is scaled so
 //! its ResNet-50 rate at the serving batch is a fixed fraction of it.
 
 use smol_accel::{DeviceSpec, ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{fmt_ratio, fmt_tput, quick_mode, Table};
+use smol_bench::{fmt_ratio, fmt_tput, measure, quick_mode, simple_plan, timed, Gate, Table};
 use smol_codec::{EncodedImage, Format};
 use smol_core::{InputVariant, Planner, PlannerConfig, QueryPlan};
-use smol_imgproc::ImageU8;
+use smol_data::textured;
 use smol_runtime::{measure_preproc_throughput, RuntimeOptions};
 use smol_serve::{
     percentile, DegradeStep, Priority, QueryReport, Server, ServerConfig, ServerStats,
     SubmitOptions,
 };
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
-
-fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
-    let mut img = ImageU8::zeros(w, h, 3);
-    for y in 0..h {
-        for x in 0..w {
-            for c in 0..3 {
-                img.set(x, y, c, ((x * 7 + y * 13 + c * 19 + seed * 23) % 256) as u8);
-            }
-        }
-    }
-    img
-}
-
-fn plan_for(planner: &Planner, input: &InputVariant, dnn: ModelKind, batch: usize) -> QueryPlan {
-    QueryPlan {
-        dnn,
-        input: input.clone(),
-        preproc: planner.build_preproc(input),
-        decode: planner.decode_mode(input),
-        batch,
-    }
-}
+use std::time::Duration;
 
 /// One timed repetition: submit every query concurrently, wait for all,
 /// return (wall, reports, stats). `max_active` below the query count
@@ -88,31 +71,31 @@ fn serve_round(
             ..Default::default()
         },
     );
-    let start = Instant::now();
-    let reports: Vec<QueryReport> = std::thread::scope(|scope| {
-        let joins: Vec<_> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, items)| {
-                let server = &server;
-                let plan = plan.clone();
-                let opts = opts_for(i);
-                let items = items.clone();
-                scope.spawn(move || {
-                    server
-                        .submit_opts(plan, items, opts)
-                        .expect("admitted")
-                        .wait()
-                        .expect("resolves")
+    let (wall, reports) = timed(|| {
+        std::thread::scope(|scope| {
+            let joins: Vec<_> = queries
+                .iter()
+                .enumerate()
+                .map(|(i, items)| {
+                    let server = &server;
+                    let plan = plan.clone();
+                    let opts = opts_for(i);
+                    let items = items.clone();
+                    scope.spawn(move || {
+                        server
+                            .submit_opts(plan, items, opts)
+                            .expect("admitted")
+                            .wait()
+                            .expect("resolves")
+                    })
                 })
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("tenant"))
-            .collect()
+                .collect();
+            joins
+                .into_iter()
+                .map(|j| j.join().expect("tenant"))
+                .collect::<Vec<QueryReport>>()
+        })
     });
-    let wall = start.elapsed().as_secs_f64();
     let stats = server.stats();
     server.shutdown();
     (wall, reports, stats)
@@ -156,11 +139,9 @@ fn interactive_walls(
         };
         let walls = (0..n)
             .map(|_| {
-                let start = Instant::now();
                 let (plan, items) = interactive;
-                let handle = server.submit_opts(plan.clone(), items.to_vec(), high.clone());
-                handle.expect("admitted").wait().expect("resolves");
-                start.elapsed().as_secs_f64()
+                let submit = || server.submit_opts(plan.clone(), items.to_vec(), high.clone());
+                timed(|| submit().expect("admitted").wait().expect("resolves")).0
             })
             .collect();
         stop.store(true, Ordering::Relaxed);
@@ -174,10 +155,12 @@ fn worst_p95(reports: &[QueryReport]) -> f64 {
     reports.iter().fold(0.0f64, |m, r| m.max(r.latency_p95_s))
 }
 
-fn main() {
-    let items_per_query = 96usize;
-    let batch = 16usize; // six device batches per query: fine-grained
-                         // sharding so lanes can balance and steal
+fn main() -> ExitCode {
+    // Twelve device batches per query: fine-grained sharding so lanes can
+    // balance and steal, and enough of them that a round's pipeline fill
+    // and drain stay a small share of its wall time.
+    let items_per_query = 192usize;
+    let batch = 16usize;
     let n_base = 4usize; // phases A and B
     let n_overload = 2 * n_base; // phase C: 2× overload
     let (w, h) = (128usize, 96usize);
@@ -189,7 +172,8 @@ fn main() {
         ..Default::default()
     });
     let input = InputVariant::new("128x96 sjpg(q=85)", Format::sjpg(85), w, h);
-    let plan = plan_for(&planner, &input, ModelKind::ResNet50, batch);
+    let plan_for = |input: &InputVariant, dnn| simple_plan(&planner, dnn, input.clone(), batch);
+    let plan = plan_for(&input, ModelKind::ResNet50);
     // One consumer per lane: the virtual device serializes execution
     // anyway, and a single consumer keeps queue depth an honest load
     // signal for dispatch and stealing.
@@ -231,61 +215,41 @@ fn main() {
     let floor = 0.66;
     let ladder = vec![
         DegradeStep {
-            plan: plan_for(&planner, &input, ModelKind::ResNet34, batch),
+            plan: plan_for(&input, ModelKind::ResNet34),
             accuracy: 0.7190,
             est_throughput: probe.model_throughput(ModelKind::ResNet34, batch),
         },
         DegradeStep {
-            plan: plan_for(&planner, &input, ModelKind::ResNet18, batch),
+            plan: plan_for(&input, ModelKind::ResNet18),
             accuracy: 0.6820,
             est_throughput: probe.model_throughput(ModelKind::ResNet18, batch),
         },
     ];
 
-    let reps = if quick_mode() { 2 } else { 3 };
     let plain = |_: usize| SubmitOptions::default();
+    let round =
+        |n_devices, queries: &[Vec<EncodedImage>], opts_for: &dyn Fn(usize) -> SubmitOptions| {
+            serve_round(&spec, n_devices, n_base, &plan, queries, opts_for, &runtime)
+        };
 
-    // Phase A: single device, base load.
-    let mut a: Option<(f64, Vec<QueryReport>, ServerStats)> = None;
-    for _ in 0..reps {
-        let round = serve_round(
-            &spec,
-            1,
-            n_base,
-            &plan,
-            &queries[..n_base],
-            &plain,
-            &runtime,
-        );
-        if a.as_ref().is_none_or(|best| round.0 < best.0) {
-            a = Some(round);
-        }
-    }
-    let (wall_1, reports_1, _) = a.expect("phase A ran");
-    let p95_1 = worst_p95(&reports_1);
+    // Phases A and B: one device against a two-device fleet on the same
+    // base load, paired on wall time.
+    let mut phase_b = None;
+    let scaling = measure(
+        || round(1, &queries[..n_base], &plain).0,
+        || {
+            let (wall, _, stats) = round(2, &queries[..n_base], &plain);
+            phase_b = Some(stats);
+            wall
+        },
+    );
+    let (wall_1, wall_2, speedup) = (scaling.a, scaling.b, scaling.ratio);
+    let stats_2 = phase_b.expect("phase B ran");
 
-    // Phase B: two-device fleet, identical load.
-    let mut b: Option<(f64, Vec<QueryReport>, ServerStats)> = None;
-    for _ in 0..reps {
-        let round = serve_round(
-            &spec,
-            2,
-            n_base,
-            &plan,
-            &queries[..n_base],
-            &plain,
-            &runtime,
-        );
-        if b.as_ref().is_none_or(|best| round.0 < best.0) {
-            b = Some(round);
-        }
-    }
-    let (wall_2, _, stats_2) = b.expect("phase B ran");
-    let speedup = wall_1 / wall_2;
-
-    // Phase C: 2× overload on the fleet. Admission capped at n_base puts
-    // the surplus tenants in the wait queue (pressure), and a deadline
-    // scaled off the single-device wall keeps the projection honest.
+    // Phase C: 2× overload on the fleet, paired against phase A on the
+    // worst query p95. Admission capped at n_base puts the surplus tenants
+    // in the wait queue (pressure), and a deadline scaled off the
+    // single-device wall keeps the projection honest.
     let deadline = Duration::from_secs_f64((2.0 * wall_1).max(0.5));
     let slo = |_: usize| SubmitOptions {
         deadline: Some(deadline),
@@ -294,20 +258,27 @@ fn main() {
         accuracy_floor: Some(floor),
         ..Default::default()
     };
-    let mut c: Option<(f64, Vec<QueryReport>, ServerStats)> = None;
-    for _ in 0..reps {
-        let round = serve_round(&spec, 2, n_base, &plan, &queries, &slo, &runtime);
-        if c.as_ref().is_none_or(|best| round.0 < best.0) {
-            c = Some(round);
-        }
-    }
-    let (wall_c, reports_c, stats_c) = c.expect("phase C ran");
-    let p95_c = worst_p95(&reports_c);
-    let degraded_queries = reports_c.iter().filter(|r| r.degraded_steps > 0).count();
-    let floor_violations = reports_c
+    let mut phase_c = Vec::new();
+    let overload = measure(
+        || worst_p95(&round(1, &queries[..n_base], &plain).1),
+        || {
+            let (wall, reports, stats) = round(2, &queries, &slo);
+            let p95 = worst_p95(&reports);
+            phase_c.push((wall, reports, stats));
+            p95
+        },
+    );
+    let (p95_1, p95_c) = (overload.a, overload.b);
+    let degraded_reps = phase_c.iter().filter(|c| c.2.degradations > 0).count();
+    let floor_violations: usize = phase_c
         .iter()
+        .flat_map(|c| &c.1)
         .filter(|r| matches!((r.accuracy, r.accuracy_floor), (Some(acc), Some(fl)) if acc < fl))
         .count();
+    let phase_c_reps = phase_c.len();
+    // The table and the counters print the last overload run.
+    let (wall_c, reports_c, stats_c) = phase_c.pop().expect("phase C ran");
+    let degraded_queries = reports_c.iter().filter(|r| r.degraded_steps > 0).count();
     let deadlines_met = reports_c
         .iter()
         .filter(|r| r.deadline_missed == Some(false))
@@ -316,7 +287,7 @@ fn main() {
     // Mixed priority: alone and beside the scan, interleaved.
     let per_rep = if quick_mode() { 8 } else { 24 };
     let scan_input = InputVariant::new("512x384 sjpg(q=85)", Format::sjpg(85), 4 * w, 4 * h);
-    let scan_plan = plan_for(&planner, &scan_input, ModelKind::ResNet50, batch);
+    let scan_plan = plan_for(&scan_input, ModelKind::ResNet50);
     assert_eq!(
         scan_plan.placement_signature(),
         plan.placement_signature(),
@@ -328,22 +299,14 @@ fn main() {
         })
         .collect();
     let interactive = (&plan, &queries[0][..batch]);
-    let (mut alone, mut beside) = (Vec::new(), Vec::new());
-    for _ in 0..reps {
-        for (walls, scan) in [
-            (&mut alone, None),
-            (&mut beside, Some((&scan_plan, &scan_items[..]))),
-        ] {
-            walls.extend(interactive_walls(
-                &spec,
-                interactive,
-                scan,
-                &runtime,
-                per_rep,
-            ));
-        }
-    }
-    let (p50_alone, p50_beside) = (percentile(&alone, 0.5), percentile(&beside, 0.5));
+    let p50 = |scan| {
+        percentile(
+            &interactive_walls(&spec, interactive, scan, &runtime, per_rep),
+            0.5,
+        )
+    };
+    let priority = measure(|| p50(None), || p50(Some((&scan_plan, &scan_items[..]))));
+    let (p50_alone, p50_beside) = (priority.a, priority.b);
 
     let total_base = (n_base * items_per_query) as f64;
     let total_over = (n_overload * items_per_query) as f64;
@@ -401,38 +364,35 @@ fn main() {
     );
     println!(
         "mixed priority (not gated): High {batch}-item query p50 {:.1} ms alone, {:.1} ms beside \
-         a Normal {}-item scan of 16× the pixels sharing its signature — {} ({} queries \
-         each, {reps} interleaved repetitions)",
+         a Normal {}-item scan of 16× the pixels sharing its signature — {} (medians of \
+         {per_rep}-query p50s, paired)",
         p50_alone * 1e3,
         p50_beside * 1e3,
         scan_items.len(),
-        fmt_ratio(p50_beside / p50_alone),
-        alone.len(),
+        fmt_ratio(1.0 / priority.ratio),
     );
 
-    let scale_ok = speedup >= 1.8;
-    let p95_ok = p95_c < 2.0 * p95_1;
-    let degrade_ok = stats_c.degradations > 0;
-    let floor_ok = floor_violations == 0;
-    println!(
-        "\ngates: 1→2 device speedup {:.2}x (target ≥ 1.8x){} | overload p95 {:.1}ms vs \
-         2×baseline {:.1}ms{} | degradations {}{} | floor violations {}{}",
-        speedup,
-        if scale_ok { " PASS" } else { " FAIL" },
-        p95_c * 1e3,
-        2.0 * p95_1 * 1e3,
-        if p95_ok { " PASS" } else { " FAIL" },
-        stats_c.degradations,
-        if degrade_ok { " PASS" } else { " FAIL" },
-        floor_violations,
-        if floor_ok { " PASS" } else { " FAIL" },
+    let mut gate = Gate::new("serve_fleet");
+    gate.check(
+        speedup >= 1.8,
+        format!("1→2 device speedup {speedup:.2}x (gate ≥ 1.8x)"),
     );
-    // Enforced in CI (bench-smoke); SMOL_NO_ENFORCE=1 opts out for
-    // exploratory runs on loaded machines.
-    let enforce = std::env::var("SMOL_NO_ENFORCE")
-        .map(|v| v != "1")
-        .unwrap_or(true);
-    if enforce && !(scale_ok && p95_ok && degrade_ok && floor_ok) {
-        std::process::exit(1);
-    }
+    gate.check(
+        overload.ratio > 0.5,
+        format!(
+            "overload p95 {:.1} ms under 2x the single-device p95 {:.1} ms ({:.2}x, paired)",
+            p95_c * 1e3,
+            p95_1 * 1e3,
+            1.0 / overload.ratio
+        ),
+    );
+    gate.check(
+        degraded_reps == phase_c_reps,
+        format!("degradation fired in {degraded_reps}/{phase_c_reps} overload runs"),
+    );
+    gate.check(
+        floor_violations == 0,
+        format!("{floor_violations} accuracy-floor violations across the overload runs"),
+    );
+    gate.finish()
 }

@@ -2,15 +2,16 @@
 //! queries over a materialized dataset must be served from the decoded-
 //! tensor cache, bit-identically and coherently.
 //!
-//! Three gates, all enforced (SMOL_NO_ENFORCE=1 opts out):
+//! Three gates, all enforced:
 //!
 //! 1. **Warm speedup ≥ 5×.** The same query submitted twice to one
 //!    server: the second run skips every decode (the dominant CPU cost
 //!    for full-resolution sjpg at a small DNN input), so its wall time
-//!    must be at least 5× shorter. Cold and warm runs share each
-//!    repetition (interleaved A/B) and per-mode minima are taken.
-//! 2. **Bit identity.** Per-image inference callbacks hash the decoded
-//!    pixels; the cold hashes, the warm hashes, and direct
+//!    must be at least 5× shorter. The cold run (a fresh server) and the
+//!    warm one (a fresh server whose cache an untimed run filled) are
+//!    paired by the shared estimator (`smol_bench::measure`).
+//! 2. **Bit identity.** Per-image inference callbacks fingerprint the
+//!    decoded pixels; the cold fingerprints, the warm ones, and direct
 //!    `decode_item` ground truth must agree exactly.
 //! 3. **Coherence.** N threads submit the identical query to a fresh
 //!    server concurrently; single-flight must decode each item exactly
@@ -24,52 +25,25 @@
 //! `-Storage` lesion must price the difference away.
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_bench::{fmt_ratio, fmt_tput, quick_mode, Table};
+use smol_bench::{fmt_ratio, fmt_tput, measure, quick_mode, timed, Gate, Table};
 use smol_codec::{EncodedImage, Format};
 use smol_core::{
     CandidateSpec, Constraint, DecodeMode, InputVariant, Planner, PlannerConfig, QueryPlan,
     StorageProfile,
 };
-use smol_data::{encode_variant, VariantStore};
+use smol_data::{encode_variant, fingerprint, textured, VariantStore};
 use smol_imgproc::ImageU8;
 use smol_runtime::{decode_item, measure_preproc_throughput, RuntimeOptions};
-use smol_serve::{Server, ServerConfig};
+use smol_serve::{QueryReport, Server, ServerConfig};
+use std::cell::Cell;
 use std::path::PathBuf;
-use std::time::Instant;
-
-fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
-    let mut img = ImageU8::zeros(w, h, 3);
-    for y in 0..h {
-        for x in 0..w {
-            for c in 0..3 {
-                img.set(x, y, c, ((x * 7 + y * 13 + c * 19 + seed * 23) % 256) as u8);
-            }
-        }
-    }
-    img
-}
-
-/// FNV-1a over the raw pixel buffer, eight bytes per round: the
-/// bit-identity witness. Word-at-a-time keeps the witness cheap enough
-/// that hashing doesn't distort the warm-pass timing it guards.
-fn pixel_hash(img: &ImageU8) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut chunks = img.data().chunks_exact(8);
-    for c in &mut chunks {
-        let word = u64::from_le_bytes(c.try_into().expect("exact chunk"));
-        h = (h ^ word).wrapping_mul(0x100000001b3);
-    }
-    for &b in chunks.remainder() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use std::process::ExitCode;
 
 fn temp_root() -> PathBuf {
     std::env::temp_dir().join(format!("smol-variant-store-bench-{}", std::process::id()))
 }
 
-fn main() {
+fn main() -> ExitCode {
     // Full-resolution images at a small DNN input: decode dominates the
     // CPU side, which is exactly the regime the tensor cache targets.
     // The corpus must stay large enough that fixed per-submission costs
@@ -78,7 +52,6 @@ fn main() {
     let n = if quick_mode() { 24 } else { 64 };
     let (w, h) = (512usize, 384usize);
     let dnn_input = 64u32;
-    let reps = if quick_mode() { 3 } else { 5 };
 
     let images: Vec<ImageU8> = (0..n).map(|i| textured(w, h, i)).collect();
     let encoded: Vec<EncodedImage> = images
@@ -87,7 +60,8 @@ fn main() {
         .collect();
     let truth: Vec<u64> = encoded
         .iter()
-        .map(|e| pixel_hash(&decode_item(e, DecodeMode::Full).expect("decode")))
+        .enumerate()
+        .map(|(i, e)| fingerprint(i, &decode_item(e, DecodeMode::Full).expect("decode")))
         .collect();
 
     // ---- Materialize into the variant store and read it back. ----
@@ -99,9 +73,7 @@ fn main() {
     let mat = store
         .materialize("bench", std::slice::from_ref(&variant))
         .expect("materialize");
-    let read_start = Instant::now();
-    let loaded = store.load("bench").expect("load");
-    let read_s = read_start.elapsed().as_secs_f64();
+    let (read_s, loaded) = timed(|| store.load("bench").expect("load"));
     let read_tput = if read_s > 0.0 {
         n as f64 / read_s
     } else {
@@ -147,50 +119,46 @@ fn main() {
     };
 
     // ---- Gate 1+2: cold-vs-warm speedup and bit identity. ----
-    // Each repetition runs cold-then-warm on a fresh server (the cold
-    // submit fills that server's cache, the warm one reuses it), and
-    // per-mode minima are taken across repetitions: interleaved A/B, so
-    // host-load drift hits both modes alike.
-    let mut cold_wall = f64::INFINITY;
-    let mut warm_wall = f64::INFINITY;
-    let mut warm_report = None;
-    let mut identical = true;
-    let mut last_stats = None;
-    for _ in 0..reps {
-        let server = Server::new(device(), cfg);
-        let mut run = |label: &str| {
-            let start = Instant::now();
+    // One submission, timed, whose fingerprints must match `truth`.
+    let identical = Cell::new(true);
+    let submit = |server: &Server, label: &str| -> (f64, QueryReport) {
+        let (wall, mut report) = timed(|| {
             let handle = server
-                .submit_with_infer(plan.clone(), encoded.clone(), |_, img: &ImageU8| {
-                    pixel_hash(img)
-                })
+                .submit_with_infer(plan.clone(), encoded.clone(), fingerprint)
                 .expect("admitted");
-            let mut report = handle.wait().expect("resolves");
-            let wall = start.elapsed().as_secs_f64();
-            let hashes: Vec<u64> = report
-                .take_results::<u64>()
-                .into_iter()
-                .map(|h| h.unwrap_or_else(|| panic!("{label} item missing a result")))
-                .collect();
-            if hashes != truth {
-                eprintln!("BIT-IDENTITY VIOLATION: {label} run diverged from decode_item");
-                identical = false;
-            }
-            (wall, report)
-        };
-        let (cold, _) = run("cold");
-        let (warm, report) = run("warm");
-        cold_wall = cold_wall.min(cold);
-        if warm < warm_wall {
-            warm_wall = warm;
-            warm_report = Some(report);
+            handle.wait().expect("resolves")
+        });
+        let results: Vec<u64> = report
+            .take_results::<u64>()
+            .into_iter()
+            .map(|h| h.unwrap_or_else(|| panic!("{label} item missing a result")))
+            .collect();
+        if results != truth {
+            eprintln!("BIT-IDENTITY VIOLATION: {label} run diverged from decode_item");
+            identical.set(false);
         }
-        last_stats = Some(server.stats().tensor_cache);
-        server.shutdown();
-    }
-    let warm_report = warm_report.expect("at least one repetition");
-    let cache = last_stats.expect("at least one repetition");
-    let speedup = cold_wall / warm_wall;
+        (wall, report)
+    };
+    let mut warm = None;
+    let paired = measure(
+        || {
+            let server = Server::new(device(), cfg);
+            let (wall, _) = submit(&server, "cold");
+            server.shutdown();
+            wall
+        },
+        || {
+            // A fresh server whose cache an untimed cold run fills.
+            let server = Server::new(device(), cfg);
+            submit(&server, "fill");
+            let (wall, report) = submit(&server, "warm");
+            warm = Some((report, server.stats().tensor_cache));
+            server.shutdown();
+            wall
+        },
+    );
+    let (cold_wall, warm_wall, speedup) = (paired.a, paired.b, paired.ratio);
+    let (warm_report, cache) = warm.expect("at least one repetition");
     let warm_served_cached =
         warm_report.cache_hits == warm_report.images && warm_report.decode_cpu_s == 0.0;
 
@@ -236,7 +204,7 @@ fn main() {
                     let items = encoded.clone();
                     scope.spawn(move || {
                         let mut report = server
-                            .submit_with_infer(plan, items, |_, img: &ImageU8| pixel_hash(img))
+                            .submit_with_infer(plan, items, fingerprint)
                             .expect("admitted")
                             .wait()
                             .expect("resolves");
@@ -267,11 +235,12 @@ fn main() {
     // verified-load read rate, transcode already paid, and the cached
     // rate the warm pass actually achieves.
     let joint_tput = measure_preproc_throughput(&encoded, &plan, &opts);
-    let transcode_start = Instant::now();
-    for img in &images {
-        EncodedImage::encode(img, Format::sjpg(95)).expect("encode");
-    }
-    let transcode_amortized_s = transcode_start.elapsed().as_secs_f64() / n as f64;
+    let transcode = || {
+        for img in &images {
+            EncodedImage::encode(img, Format::sjpg(95)).expect("encode");
+        }
+    };
+    let transcode_amortized_s = timed(transcode).0 / n as f64;
     let cached_tput = n as f64 / warm_wall;
     let hit_rate = cache.hit_rate();
     let accuracy = 0.80;
@@ -344,41 +313,25 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&root);
 
-    println!(
-        "\nwarm speedup {speedup:.2}x (target ≥ 5x){}",
-        if speedup >= 5.0 {
-            " — PASS"
-        } else {
-            " — BELOW TARGET"
-        }
+    let mut gate = Gate::new("variant_store");
+    gate.check(store_identical, "store round-trip bit identity");
+    gate.check(
+        speedup >= 5.0,
+        format!("warm repeat {speedup:.2}x cold (gate ≥ 5x)"),
     );
-    let enforce = std::env::var("SMOL_NO_ENFORCE")
-        .map(|v| v != "1")
-        .unwrap_or(true);
-    let mut failed = false;
-    let mut gate = |ok: bool, what: &str| {
-        if !ok {
-            eprintln!("GATE FAILED: {what}");
-            failed = true;
-        }
-    };
-    gate(store_identical, "store round-trip bit identity");
-    gate(speedup >= 5.0, "warm repeat ≥ 5x cold");
-    gate(
-        identical,
+    gate.check(
+        identical.get(),
         "cold/warm results match decode_item ground truth",
     );
-    gate(
+    gate.check(
         warm_served_cached,
         "warm repeat fully cache-served (hits == images, zero decode CPU)",
     );
-    gate(
+    gate.check(
         coherent,
         "concurrent submissions: one decode per item, identical outputs",
     );
-    gate(flipped, "planner flips to the materialized variant");
-    gate(lesion_parity, "-Storage lesion prices specs identically");
-    if enforce && failed {
-        std::process::exit(1);
-    }
+    gate.check(flipped, "planner flips to the materialized variant");
+    gate.check(lesion_parity, "-Storage lesion prices specs identically");
+    gate.finish()
 }

@@ -3,7 +3,7 @@
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_codec::{EncodedImage, Format};
-use smol_core::{CandidateSpec, DecodeMode, InputVariant, Planner, PlannerConfig, QueryPlan};
+use smol_core::{DecodeMode, InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_data::{generate_stills, throughput_images, StillDataset, StillSpec};
 use smol_imgproc::ops::resize::resize_short_edge_u8;
 use smol_imgproc::ImageU8;
@@ -159,14 +159,12 @@ impl VariantSet {
         kind: VariantKind,
         threads: usize,
     ) -> (QueryPlan, f64) {
-        let input = self.input_variant(kind);
-        let plan = QueryPlan {
-            dnn: model,
-            input: input.clone(),
-            preproc: planner.build_preproc(&input),
-            decode: planner.decode_mode(&input),
-            batch: planner.config.batch,
-        };
+        let plan = simple_plan(
+            planner,
+            model,
+            self.input_variant(kind),
+            planner.config.batch,
+        );
         let opts = RuntimeOptions {
             producers: threads,
             ..Default::default()
@@ -270,26 +268,6 @@ pub fn t4_device() -> VirtualDevice {
 /// The default planner used by the harnesses.
 pub fn default_planner() -> Planner {
     Planner::new(PlannerConfig::default())
-}
-
-/// Convenience: a candidate spec from profiled numbers.
-pub fn candidate(
-    dnn: ModelKind,
-    input: InputVariant,
-    accuracy: f64,
-    preproc_throughput: f64,
-) -> CandidateSpec {
-    CandidateSpec {
-        dnn,
-        input,
-        accuracy,
-        preproc_throughput,
-        reduced_accuracy: None,
-        cascade: None,
-        routing: Vec::new(),
-        video: None,
-        storage: None,
-    }
 }
 
 /// Builds a single-model plan without profiling (for pipeline-only runs).

@@ -1,6 +1,7 @@
-//! Shared engine for the image-analytics experiments (Figures 4–6):
-//! builds (accuracy, throughput) points for the naive baseline, Tahoma, and
-//! Smol, under configurable optimization toggles.
+//! Shared engine for the image-analytics experiments (Figures 4–6): one
+//! per-dataset context ([`StillExperiment`]) from which the naive baseline,
+//! Tahoma and Smol (accuracy, throughput) points are all derived, under
+//! configurable optimization toggles.
 //!
 //! Accuracy comes from really-trained models ([`ModelZoo`], cascades);
 //! throughput combines pipelined-profiled preprocessing rates with the
@@ -8,8 +9,10 @@
 //! (Table 3 / §8.2 validate that model against full pipeline runs).
 
 use crate::context::{tier_model, ModelZoo, VariantKind, VariantSet, VCPUS};
+use crate::measure::measure;
 use smol_accel::{throughput as model_throughput, ExecutionEnv, GpuModel, ModelKind};
 use smol_core::{cascade_exec_throughput, CascadeStage, Planner, PlannerConfig};
+use smol_data::StillSpec;
 use smol_nn::{InputFormat, Tier};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,138 +42,155 @@ impl Toggles {
     }
 }
 
-fn planner(preproc_opt: bool) -> Planner {
-    Planner::new(PlannerConfig {
-        enable_dag_opt: preproc_opt,
-        ..Default::default()
-    })
-}
-
-/// Profiled preprocessing throughputs for every (variant, opt) pair.
-pub struct PreprocProfile {
-    rates: HashMap<(VariantKind, bool), f64>,
-}
-
-impl PreprocProfile {
-    /// Profiles all variants under both optimized and unoptimized planners.
-    pub fn measure(set: &VariantSet) -> Self {
-        let mut rates = HashMap::new();
-        for opt in [true, false] {
-            let p = planner(opt);
-            for kind in VariantKind::all() {
-                let (_, tput) = set.plan_and_profile(&p, ModelKind::ResNet50, kind, VCPUS);
-                rates.insert((kind, opt), tput);
-            }
-        }
-        PreprocProfile { rates }
-    }
-
-    pub fn rate(&self, kind: VariantKind, opt: bool) -> f64 {
-        *self.rates.get(&(kind, opt)).expect("profiled")
-    }
-}
-
 fn exec_rate(tier: Tier) -> f64 {
     model_throughput(tier_model(tier), GpuModel::T4, ExecutionEnv::TensorRt, 64)
 }
 
-/// The naive baseline: standard ResNets on full-resolution data, standard
-/// (unoptimized) preprocessing.
-pub fn naive_points(zoo: &ModelZoo, profile: &PreprocProfile) -> Vec<Point> {
-    let preproc = profile.rate(VariantKind::FullRes, false);
-    Tier::ladder()
-        .into_iter()
-        .map(|tier| Point {
-            system: "naive",
-            config: tier.name().to_string(),
-            accuracy: zoo.accuracy(tier, VariantKind::FullRes, false),
-            throughput: preproc.min(exec_rate(tier)),
-        })
-        .collect()
+/// Everything Figures 4, 5 and 6 read for one dataset, built once: the
+/// trained model zoo, the profiled preprocessing rates, and Smol's
+/// accuracy per (tier, variant).
+pub struct StillExperiment {
+    pub zoo: ModelZoo,
+    /// Preprocessing im/s per (variant, DAG optimizations on).
+    rates: HashMap<(VariantKind, bool), f64>,
+    /// Augmented models on thumbnails, regular ones on full resolution.
+    accuracy: HashMap<(Tier, VariantKind), f64>,
 }
 
-/// Smol: the D × F product under the given toggles; augmented models on
-/// thumbnails, ROI/DAG-optimized preprocessing when enabled.
-pub fn smol_points(zoo: &ModelZoo, profile: &PreprocProfile, toggles: Toggles) -> Vec<Point> {
-    let mut points = Vec::new();
-    for kind in VariantKind::all() {
-        if kind.is_thumbnail() && !toggles.low_res {
-            continue;
+impl StillExperiment {
+    /// Trains the zoo and profiles `n_images` throughput-track images in
+    /// every variant, with the DAG optimizations off and on paired by the
+    /// shared estimator.
+    pub fn new(spec: &StillSpec, n_images: usize) -> Self {
+        let zoo = ModelZoo::train(spec, 42);
+        let set = VariantSet::build(spec, n_images, 13);
+        let planners = [false, true].map(|opt| {
+            Planner::new(PlannerConfig {
+                enable_dag_opt: opt,
+                ..Default::default()
+            })
+        });
+        let mut rates = HashMap::new();
+        let mut accuracy = HashMap::new();
+        for kind in VariantKind::all() {
+            let secs_per_image =
+                |p: &Planner| 1.0 / set.plan_and_profile(p, ModelKind::ResNet50, kind, VCPUS).1;
+            let paired = measure(
+                || secs_per_image(&planners[0]),
+                || secs_per_image(&planners[1]),
+            );
+            rates.insert((kind, false), 1.0 / paired.a);
+            rates.insert((kind, true), 1.0 / paired.b);
+            for tier in Tier::ladder() {
+                accuracy.insert((tier, kind), zoo.accuracy(tier, kind, true));
+            }
         }
-        let preproc = profile.rate(kind, toggles.preproc_opt);
-        for tier in Tier::ladder() {
-            points.push(Point {
-                system: "SMOL",
-                config: format!("{} @ {}", tier.name(), kind.label()),
-                accuracy: zoo.accuracy(tier, kind, true),
-                throughput: preproc.min(exec_rate(tier)),
-            });
+        StillExperiment {
+            zoo,
+            rates,
+            accuracy,
         }
     }
-    points
-}
 
-/// Tahoma: eight specialized-CNN cascades into the target model, on
-/// full-resolution data with standard preprocessing. Cascade overheads
-/// (extra resize + copy per passed image, Appendix/§8.3) are charged on the
-/// CPU side.
-pub fn tahoma_points(
-    zoo: &ModelZoo,
-    profile: &PreprocProfile,
-    quick: bool,
-    seed: u64,
-) -> Vec<Point> {
-    let target = Arc::new(zoo.model(Tier::T50, false).clone());
-    let variants = smol_analytics::tahoma_variants();
-    let take = if quick { 4 } else { variants.len() };
-    let preproc = profile.rate(VariantKind::FullRes, false);
-    let target_rate = exec_rate(Tier::T50);
-    let spec_rate = model_throughput(
-        ModelKind::TahomaSmall,
-        GpuModel::T4,
-        ExecutionEnv::TensorRt,
-        256,
-    );
-    variants
-        .into_iter()
-        .take(take)
-        .enumerate()
-        .map(|(i, variant)| {
-            let cascade = smol_analytics::Cascade::train(
-                variant,
-                target.clone(),
-                &zoo.dataset.train,
-                &zoo.dataset.train_labels,
-                zoo.dataset.n_classes,
-                seed + i as u64,
-            );
-            let eval = cascade.evaluate(
-                &zoo.dataset.test,
-                &zoo.dataset.test_labels,
-                InputFormat::FullRes,
-            );
-            let stages = vec![
-                CascadeStage::new(spec_rate, 1.0),
-                CascadeStage::new(target_rate, eval.pass_rate),
-            ];
-            let exec = cascade_exec_throughput(&stages);
-            // Passed images are re-preprocessed for the target's input
-            // resolution and copied again (§8.3's "coalescing and further
-            // preprocessing operations").
-            let cascade_cpu = 1.0 / (1.0 / preproc * (1.0 + 0.5 * eval.pass_rate));
-            Point {
-                system: "Tahoma",
-                config: format!(
-                    "{}@{}px thr {:.2}",
-                    variant.tier.name(),
-                    variant.input_size,
-                    variant.threshold
-                ),
-                accuracy: eval.accuracy,
-                throughput: cascade_cpu.min(exec),
+    /// Profiled preprocessing throughput of a variant.
+    fn rate(&self, kind: VariantKind, preproc_opt: bool) -> f64 {
+        self.rates[&(kind, preproc_opt)]
+    }
+
+    /// The naive baseline: standard ResNets on full-resolution data,
+    /// standard (unoptimized) preprocessing.
+    pub fn naive_points(&self) -> Vec<Point> {
+        let preproc = self.rate(VariantKind::FullRes, false);
+        Tier::ladder()
+            .into_iter()
+            .map(|tier| Point {
+                system: "naive",
+                config: tier.name().to_string(),
+                accuracy: self.accuracy[&(tier, VariantKind::FullRes)],
+                throughput: preproc.min(exec_rate(tier)),
+            })
+            .collect()
+    }
+
+    /// Smol: the D × F product under the given toggles; augmented models on
+    /// thumbnails, ROI/DAG-optimized preprocessing when enabled.
+    pub fn smol_points(&self, toggles: Toggles) -> Vec<Point> {
+        let mut points = Vec::new();
+        for kind in VariantKind::all() {
+            if kind.is_thumbnail() && !toggles.low_res {
+                continue;
             }
-        })
-        .collect()
+            let preproc = self.rate(kind, toggles.preproc_opt);
+            for tier in Tier::ladder() {
+                points.push(Point {
+                    system: "SMOL",
+                    config: format!("{} @ {}", tier.name(), kind.label()),
+                    accuracy: self.accuracy[&(tier, kind)],
+                    throughput: preproc.min(exec_rate(tier)),
+                });
+            }
+        }
+        points
+    }
+
+    /// Tahoma: eight specialized-CNN cascades into the target model (four
+    /// in quick mode), on full-resolution data with standard preprocessing.
+    /// Cascade overheads (extra resize + copy per passed image,
+    /// Appendix/§8.3) are charged on the CPU side.
+    pub fn tahoma_points(&self, quick: bool, seed: u64) -> Vec<Point> {
+        let zoo = &self.zoo;
+        let target = Arc::new(zoo.model(Tier::T50, false).clone());
+        let variants = smol_analytics::tahoma_variants();
+        let take = if quick { 4 } else { variants.len() };
+        let preproc = self.rate(VariantKind::FullRes, false);
+        let target_rate = exec_rate(Tier::T50);
+        let spec_rate = model_throughput(
+            ModelKind::TahomaSmall,
+            GpuModel::T4,
+            ExecutionEnv::TensorRt,
+            256,
+        );
+        variants
+            .into_iter()
+            .take(take)
+            .enumerate()
+            .map(|(i, variant)| {
+                let cascade = smol_analytics::Cascade::train(
+                    variant,
+                    target.clone(),
+                    &zoo.dataset.train,
+                    &zoo.dataset.train_labels,
+                    zoo.dataset.n_classes,
+                    seed + i as u64,
+                );
+                let eval = cascade.evaluate(
+                    &zoo.dataset.test,
+                    &zoo.dataset.test_labels,
+                    InputFormat::FullRes,
+                );
+                let stages = vec![
+                    CascadeStage::new(spec_rate, 1.0),
+                    CascadeStage::new(target_rate, eval.pass_rate),
+                ];
+                let exec = cascade_exec_throughput(&stages);
+                // Passed images are re-preprocessed for the target's input
+                // resolution and copied again (§8.3's "coalescing and
+                // further preprocessing operations").
+                let cascade_cpu = 1.0 / (1.0 / preproc * (1.0 + 0.5 * eval.pass_rate));
+                Point {
+                    system: "Tahoma",
+                    config: format!(
+                        "{}@{}px thr {:.2}",
+                        variant.tier.name(),
+                        variant.input_size,
+                        variant.threshold
+                    ),
+                    accuracy: eval.accuracy,
+                    throughput: cascade_cpu.min(exec),
+                }
+            })
+            .collect()
+    }
 }
 
 /// Pareto frontier over points (max throughput per accuracy level).
@@ -191,6 +211,11 @@ pub fn pareto(points: &[Point]) -> Vec<Point> {
         }
     }
     out
+}
+
+/// The highest throughput on a set of points.
+pub fn peak(points: &[Point]) -> f64 {
+    points.iter().map(|p| p.throughput).fold(0.0, f64::max)
 }
 
 /// Max speedup of `ours` over each `baseline` point at no accuracy loss:

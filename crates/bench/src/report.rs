@@ -1,5 +1,5 @@
 //! Report writers: aligned markdown tables on stdout plus CSV files under
-//! `results/` so EXPERIMENTS.md can reference raw numbers.
+//! `results/`, the raw numbers behind `docs/PAPER_SHAPES.md`.
 
 use std::fs;
 use std::io::Write;

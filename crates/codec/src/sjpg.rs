@@ -1539,6 +1539,7 @@ fn decode_block_fast(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smol_imgproc::psnr;
 
     fn textured(w: usize, h: usize, seed: u8) -> ImageU8 {
         let mut img = ImageU8::zeros(w, h, 3);
@@ -1551,25 +1552,6 @@ mod tests {
             }
         }
         img
-    }
-
-    fn psnr(a: &ImageU8, b: &ImageU8) -> f64 {
-        assert_eq!(a.data().len(), b.data().len());
-        let mse: f64 = a
-            .data()
-            .iter()
-            .zip(b.data())
-            .map(|(&x, &y)| {
-                let d = x as f64 - y as f64;
-                d * d
-            })
-            .sum::<f64>()
-            / a.data().len() as f64;
-        if mse == 0.0 {
-            f64::INFINITY
-        } else {
-            10.0 * (255.0f64 * 255.0 / mse).log10()
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Dataset catalog: the paper's four still-image datasets (Table 6) and
 //! four video datasets (§8.1), as synthetic analogues.
 //!
-//! Sample counts are scaled down from the paper (documented in DESIGN.md)
+//! Sample counts are scaled down from the paper (docs/PAPER_SHAPES.md)
 //! so from-scratch CPU training stays tractable; class counts are preserved
 //! except imagenet-sim (100 instead of 1000) and the difficulty *ordering*
 //! (bike-bird easiest → imagenet hardest) is preserved by construction.

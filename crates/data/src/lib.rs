@@ -22,9 +22,12 @@
 //!   the declarative video query path;
 //! * [`stream`] — the same corpora behind a wall-clock arrival schedule
 //!   ([`stream::StreamFeed`]), the registration unit of live-stream
-//!   queries (`Dataset::stream`).
+//!   queries (`Dataset::stream`);
+//! * [`fixtures`] — the textured images and pixel fingerprint the serving
+//!   gates and integration tests share.
 
 pub mod catalog;
+pub mod fixtures;
 pub mod gops;
 pub mod registry;
 pub mod stills;
@@ -35,6 +38,7 @@ pub mod video;
 pub use catalog::{
     still_catalog, video_catalog, StillDatasetId, StillSpec, VideoDatasetId, VideoSpec,
 };
+pub use fixtures::{fingerprint, textured};
 pub use gops::{gop_corpus, GopCorpus};
 pub use registry::{encode_variant, serving_variants, EncodedVariant};
 pub use stills::{generate_stills, render_instance, throughput_images, StillDataset};

@@ -185,6 +185,28 @@ impl ImageU8 {
     }
 }
 
+/// Peak signal-to-noise ratio of `b` against `a` in dB, over every byte
+/// of two equally sized images; infinite when they are identical.
+pub fn psnr(a: &ImageU8, b: &ImageU8) -> f64 {
+    assert_eq!(
+        a.data.len(),
+        b.data.len(),
+        "psnr of differently sized images"
+    );
+    let sse: f64 = a
+        .data
+        .iter()
+        .zip(&b.data)
+        .map(|(&x, &y)| (x as f64 - y as f64).powi(2))
+        .sum();
+    let mse = sse / a.data.len().max(1) as f64;
+    if mse == 0.0 {
+        f64::INFINITY
+    } else {
+        10.0 * (255.0f64 * 255.0 / mse).log10()
+    }
+}
+
 /// A float tensor in HWC or CHW layout with shape `(channels, height, width)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TensorF32 {

@@ -24,4 +24,4 @@ pub mod ops;
 
 pub use dag::{DagOptimizer, OpCost, OpSpec, PlacedOp, Placement, PreprocPlan};
 pub use error::{Error, Result};
-pub use image::{ImageU8, Layout, Rect, TensorF32};
+pub use image::{psnr, ImageU8, Layout, Rect, TensorF32};

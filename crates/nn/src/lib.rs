@@ -1,9 +1,10 @@
 //! # smol-nn
 //!
 //! A small, real, from-scratch neural-network library powering the
-//! reproduction's **empirical accuracy track** (DESIGN.md): every accuracy
-//! number in the harnesses comes from actually training these models with
-//! SGD on synthetic data — only *throughput* is simulated (see `smol-accel`).
+//! reproduction's **empirical accuracy track** (docs/PAPER_SHAPES.md):
+//! every accuracy number in the harnesses comes from actually training
+//! these models with SGD on synthetic data — only *throughput* is simulated
+//! (see `smol-accel`).
 //!
 //! * [`dense`] — fully-connected layers, ReLU, softmax cross-entropy, SGD
 //!   with momentum (gradient-checked);

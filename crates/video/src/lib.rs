@@ -374,6 +374,7 @@ impl FrameIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smol_imgproc::psnr;
 
     fn scene(n: usize, w: usize, h: usize) -> Vec<ImageU8> {
         (0..n)
@@ -398,24 +399,6 @@ mod tests {
                 img
             })
             .collect()
-    }
-
-    fn psnr(a: &ImageU8, b: &ImageU8) -> f64 {
-        let mse: f64 = a
-            .data()
-            .iter()
-            .zip(b.data())
-            .map(|(&x, &y)| {
-                let d = x as f64 - y as f64;
-                d * d
-            })
-            .sum::<f64>()
-            / a.data().len() as f64;
-        if mse == 0.0 {
-            f64::INFINITY
-        } else {
-            10.0 * (255.0f64 * 255.0 / mse).log10()
-        }
     }
 
     #[test]

@@ -404,6 +404,7 @@ pub fn decode_pframe_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smol_imgproc::psnr;
 
     fn moving_scene(t: usize) -> ImageU8 {
         let mut img = ImageU8::zeros(64, 48, 3);
@@ -426,24 +427,6 @@ mod tests {
             }
         }
         img
-    }
-
-    fn psnr(a: &ImageU8, b: &ImageU8) -> f64 {
-        let mse: f64 = a
-            .data()
-            .iter()
-            .zip(b.data())
-            .map(|(&x, &y)| {
-                let d = x as f64 - y as f64;
-                d * d
-            })
-            .sum::<f64>()
-            / a.data().len() as f64;
-        if mse == 0.0 {
-            f64::INFINITY
-        } else {
-            10.0 * (255.0f64 * 255.0 / mse).log10()
-        }
     }
 
     #[test]

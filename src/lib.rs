@@ -2,7 +2,7 @@
 //!
 //! Re-exports the public API of the Smol reproduction so that examples and
 //! downstream users can depend on a single crate. See the workspace README
-//! for the architecture overview and `DESIGN.md` for the system inventory.
+//! for the architecture overview and `docs/ARCHITECTURE.md` for the crate map.
 //!
 //! The front door is the declarative [`Session`] (§3.1's contract):
 //! register a [`Dataset`], state a constraint, get a served result. This

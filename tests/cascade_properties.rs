@@ -14,8 +14,11 @@ use smol::core::{
 use smol::imgproc::ImageU8;
 use smol::runtime::{route_stage, MediaItem};
 
-/// Deterministic textured image: `amplitude` sweeps smooth → noisy.
-fn textured(w: usize, h: usize, amplitude: u8, seed: u64) -> ImageU8 {
+/// A ramp under seeded noise of `amplitude`, which sweeps the difficulty
+/// signal from smooth to noisy. Not the shared `smol::data::textured`:
+/// these properties range over difficulty, and a fixed-texture image has
+/// one difficulty per size.
+fn grainy(w: usize, h: usize, amplitude: u8, seed: u64) -> ImageU8 {
     let mut img = ImageU8::zeros(w, h, 3);
     let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
     for (j, v) in img.data_mut().iter_mut().enumerate() {
@@ -39,7 +42,7 @@ fn arb_encoded() -> impl Strategy<Value = EncodedImage> {
         any::<bool>(),
     )
         .prop_map(|(w, h, amplitude, seed, quality, chroma420)| {
-            let img = textured(w, h, amplitude, seed);
+            let img = grainy(w, h, amplitude, seed);
             let fmt = Format::Sjpg {
                 quality,
                 chroma: if chroma420 {

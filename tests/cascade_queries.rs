@@ -21,6 +21,7 @@
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::codec::{signal::image_signal, EncodedImage, Format};
 use smol::core::{CascadePlan, DecodeMode, InputVariant, Planner, PlannerConfig, QueryPlan};
+use smol::data::fingerprint;
 use smol::imgproc::ImageU8;
 use smol::runtime::{route_stage, wrap_images, MediaItem};
 use smol::serve::{Server, ServerConfig, SubmitOptions};
@@ -121,17 +122,6 @@ fn cascade_plans(items: &[EncodedImage]) -> (QueryPlan, QueryPlan, f64) {
 
 fn fast_t4() -> VirtualDevice {
     VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02)
-}
-
-/// Deterministic image fingerprint for bit-identity checks.
-fn fingerprint(idx: usize, img: &ImageU8) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325 ^ idx as u64;
-    h = h.wrapping_mul(0x100000001b3) ^ (img.width() as u64);
-    h = h.wrapping_mul(0x100000001b3) ^ (img.height() as u64);
-    for &b in img.data() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Escalated items of a cascade query are bit-identical to a pure

@@ -12,25 +12,13 @@
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::codec::{DecodeOptions, EncodedImage, Format};
 use smol::core::{InputVariant, Planner, PlannerConfig, QueryPlan};
-use smol::imgproc::ImageU8;
+use smol::data::{fingerprint, textured};
 use smol::runtime::pipeline::decode_item_opts;
 use smol::runtime::{RuntimeOptions, SlotKind};
 use smol::serve::{
     DegradeStep, QueryPoll, ServeError, Server, ServerConfig, ServerStats, SubmitOptions,
 };
 use std::time::Duration;
-
-fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
-    let mut img = ImageU8::zeros(w, h, 3);
-    for y in 0..h {
-        for x in 0..w {
-            for c in 0..3 {
-                img.set(x, y, c, ((x * 5 + y * 11 + c * 17 + seed * 31) % 256) as u8);
-            }
-        }
-    }
-    img
-}
 
 fn encoded_batch(n: usize, w: usize, h: usize, seed: usize) -> Vec<EncodedImage> {
     (0..n)
@@ -56,17 +44,6 @@ fn plan_for(dnn: ModelKind, w: usize, h: usize, dnn_input: u32, batch: usize) ->
 
 fn fast_device() -> VirtualDevice {
     VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.02)
-}
-
-/// Deterministic image fingerprint used for the bit-identity check.
-fn fingerprint(idx: usize, img: &ImageU8) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325 ^ idx as u64;
-    h = h.wrapping_mul(0x100000001b3) ^ (img.width() as u64);
-    h = h.wrapping_mul(0x100000001b3) ^ (img.height() as u64);
-    for &b in img.data() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// N queries with mixed plans from M submitter threads: nothing deadlocks,

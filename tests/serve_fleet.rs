@@ -13,6 +13,7 @@ use smol::core::{
     CascadePlan, Constraint, DecodeMode, InputVariant, PlanCandidate, Planner, PlannerConfig,
     QueryPlan,
 };
+use smol::data::{fingerprint, textured};
 use smol::imgproc::ImageU8;
 use smol::runtime::RuntimeOptions;
 use smol::serve::{
@@ -21,18 +22,6 @@ use smol::serve::{
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
-    let mut img = ImageU8::zeros(w, h, 3);
-    for y in 0..h {
-        for x in 0..w {
-            for c in 0..3 {
-                img.set(x, y, c, ((x * 5 + y * 11 + c * 17 + seed * 31) % 256) as u8);
-            }
-        }
-    }
-    img
-}
 
 fn encoded_batch(n: usize, w: usize, h: usize, seed: usize) -> Vec<EncodedImage> {
     (0..n)
@@ -69,17 +58,6 @@ fn unscaled_t4(factor: f64) -> VirtualDevice {
     let mut spec = GpuModel::T4.spec();
     spec.resnet50_batch64 /= factor;
     VirtualDevice::with_spec(spec, ExecutionEnv::TensorRt, 1.0)
-}
-
-/// Deterministic image fingerprint used for the bit-identity checks.
-fn fingerprint(idx: usize, img: &ImageU8) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325 ^ idx as u64;
-    h = h.wrapping_mul(0x100000001b3) ^ (img.width() as u64);
-    h = h.wrapping_mul(0x100000001b3) ^ (img.height() as u64);
-    for &b in img.data() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Runs `items` through a server built over `devices` and returns the

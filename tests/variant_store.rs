@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use smol::codec::{EncodedImage, Format};
 use smol::core::{DecodeMode, FrameSelection, InputVariant, Planner, PlannerConfig, QueryPlan};
-use smol::data::{encode_variant, VariantStore};
+use smol::data::{encode_variant, textured, VariantStore};
 use smol::imgproc::ImageU8;
 use smol::runtime::{decode_item, wrap_gops, TensorCache};
 use smol::serve::{Server, ServerConfig};
@@ -21,20 +21,6 @@ fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("smol-vstore-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Deterministic textured image: gradient + hash noise, so both entropy
-/// paths of the codecs get exercised.
-fn textured(w: usize, h: usize, seed: u64) -> ImageU8 {
-    let mut state = seed | 1;
-    let mut img = ImageU8::zeros(w, h, 3);
-    for (j, v) in img.data_mut().iter_mut().enumerate() {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *v = (((state >> 56) as usize / 4 + (j * 13) % 192) % 256) as u8;
-    }
-    img
 }
 
 /// The decode modes a format legally supports (the partial decodes are
@@ -65,7 +51,7 @@ proptest! {
         h in 8usize..48,
         seed in any::<u64>(),
     ) {
-        let images: Vec<ImageU8> = (0..3).map(|i| textured(w, h, seed ^ i)).collect();
+        let images: Vec<ImageU8> = (0..3).map(|i| textured(w, h, (seed ^ i) as usize)).collect();
         let vars = vec![
             encode_variant("a sjpg(q=95)", &images, Format::sjpg(95), false).unwrap(),
             encode_variant("b spng", &images, Format::Spng, false).unwrap(),
@@ -94,7 +80,7 @@ proptest! {
         seed in any::<u64>(),
         q in 60u8..96,
     ) {
-        let img = textured(w, h, seed);
+        let img = textured(w, h, seed as usize);
         for format in [Format::sjpg(q), Format::sjpg420(q), Format::Spng] {
             let enc = EncodedImage::encode(&img, format).unwrap();
             for mode in modes_for(format, w, h) {
@@ -247,7 +233,7 @@ fn gop_frames_hit_across_frame_selections() {
     // coincide and every hit below is a cross-selection hit.
     let (n_gops, gop_len, w, h) = (3, 4, 64, 48);
     let frames: Vec<ImageU8> = (0..n_gops * gop_len)
-        .map(|i| textured(w, h, 40 + i as u64))
+        .map(|i| textured(w, h, 40 + i))
         .collect();
     let encoder = VideoEncoder {
         gop: gop_len,

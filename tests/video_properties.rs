@@ -16,29 +16,11 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use smol::codec::bitio::BitWriter;
 use smol::core::FrameSelection;
-use smol::imgproc::ImageU8;
+use smol::imgproc::{psnr, ImageU8};
 use smol::video::{
     deblock, pframe, DecodeOptions, DecodedFrame, EncodedGop, EncodedVideo, FrameKind,
     VideoDecodeStats, VideoEncoder,
 };
-
-fn psnr(a: &ImageU8, b: &ImageU8) -> f64 {
-    let mse: f64 = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
-            d * d
-        })
-        .sum::<f64>()
-        / a.data().len().max(1) as f64;
-    if mse == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (255.0f64 * 255.0 / mse).log10()
-    }
-}
 
 /// A deterministic moving-blob scene parameterized by seed.
 fn scene(seed: u64, n: usize, w: usize, h: usize) -> Vec<ImageU8> {

@@ -6,8 +6,7 @@
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::codec::{EncodedImage, Format};
 use smol::core::{DecodeMode, FrameSelection, InputVariant, Planner, PlannerConfig, QueryPlan};
-use smol::data::{gop_corpus, video_catalog, GopCorpus};
-use smol::imgproc::ImageU8;
+use smol::data::{gop_corpus, textured, video_catalog, GopCorpus};
 use smol::runtime::wrap_gops;
 use smol::serve::{Server, ServerConfig};
 use smol::{AccuracyTable, Calibration, Dataset, Query, Session, SessionConfig};
@@ -88,14 +87,6 @@ fn take_limits_gops_not_frames() {
         .run(&Query::new("traffic").max_accuracy_loss(0.0).take(2))
         .unwrap();
     assert_eq!(report.images, 2 * GOP_LEN);
-}
-
-fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
-    let mut img = ImageU8::zeros(w, h, 3);
-    for (j, v) in img.data_mut().iter_mut().enumerate() {
-        *v = ((seed * 31 + j * 7) % 256) as u8;
-    }
-    img
 }
 
 /// A video query and an image query with the *same* DNN, batch size, and
