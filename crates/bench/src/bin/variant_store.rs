@@ -16,8 +16,13 @@
 //! 3. **Coherence.** N threads submit the identical query to a fresh
 //!    server concurrently; single-flight must decode each item exactly
 //!    once and every query must observe identical pixel hashes.
+//! 4. **Scan resistance.** The query runs twice on a server whose cache
+//!    holds half the corpus. Recency would evict every item before the
+//!    second pass asks for it again; the cache's admission policy must
+//!    keep part of the corpus resident, so ≥ 40 % of the second pass
+//!    hits (a count, not a duration).
 //!
-//! A fourth section demonstrates the storage-aware planner flip with
+//! A final section demonstrates the storage-aware planner flip with
 //! *measured* rates: read throughput from a verified store load,
 //! transcode amortization from timing the encoder, the cached-path rate
 //! derived from joint and decode-only measurements, and the live cache
@@ -182,13 +187,15 @@ fn main() -> ExitCode {
     table.write_csv("variant_store");
     println!(
         "warm report: {} / {} cache hits, decode {:.4}s; cache: {} decodes, {} hits, \
-         {} misses, {} resident bytes",
+         {} misses, {} evictions, {} rejected, {} resident bytes",
         warm_report.cache_hits,
         warm_report.images,
         warm_report.decode_cpu_s,
         cache.decodes,
         cache.hits,
         cache.misses,
+        cache.evictions,
+        cache.rejected,
         cache.resident_bytes,
     );
 
@@ -227,6 +234,38 @@ fn main() -> ExitCode {
             stats.decodes,
         );
         all_truth && stats.decodes == n as u64
+    };
+
+    // ---- Gate 4: a cyclic pass over twice the budget. ----
+    let scan_hit_share = {
+        let decoded_bytes = w * h * 3;
+        let server = Server::new(
+            device(),
+            ServerConfig {
+                tensor_cache_bytes: n / 2 * decoded_bytes,
+                ..cfg
+            },
+        );
+        let pass = || {
+            server
+                .submit(plan.clone(), encoded.clone())
+                .expect("admitted")
+                .wait()
+                .expect("resolves")
+                .cache_hits
+        };
+        let first = pass();
+        let second = pass();
+        let stats = server.stats().tensor_cache;
+        server.shutdown();
+        println!(
+            "cyclic scan: {n} items through a budget of {}: first pass {first} hits, second \
+             pass {second} hits; {} evictions, {} rejected",
+            n / 2,
+            stats.evictions,
+            stats.rejected,
+        );
+        second as f64 / n as f64
     };
 
     // ---- Planner flip with measured storage rates. ----
@@ -330,6 +369,13 @@ fn main() -> ExitCode {
     gate.check(
         coherent,
         "concurrent submissions: one decode per item, identical outputs",
+    );
+    gate.check(
+        scan_hit_share >= 0.4,
+        format!(
+            "cyclic pass over twice the budget: second-pass hit share {scan_hit_share:.2} \
+             (gate ≥ 0.4)"
+        ),
     );
     gate.check(flipped, "planner flips to the materialized variant");
     gate.check(lesion_parity, "-Storage lesion prices specs identically");

@@ -19,9 +19,12 @@
 //!   intermediate of a plan whose elementwise tail is accelerator-placed,
 //!   §6.3): a server-lifetime arena, and per-query entitlements over it
 //!   that provide the backpressure;
-//! * [`tensorcache`] — the bounded decoded-tensor LRU cache with
-//!   single-flight fill: repeat queries over a hot corpus skip decode
-//!   entirely (the in-memory half of the physical-representation store);
+//! * [`tensorcache`] — the bounded decoded-tensor cache with single-flight
+//!   fill: repeat queries over a hot corpus skip decode entirely (the
+//!   in-memory half of the physical-representation store). It keeps what
+//!   saves the most decode time per byte (access frequency × measured fill
+//!   cost ÷ bytes) and admits a fill only if it outvalues what it would
+//!   displace, so a cyclic scan larger than the budget cannot flush it;
 //! * [`profiler`] — preprocessing/decode/execution throughput measurement:
 //!   the producer stage run on its own, against the same pool type;
 //! * [`personalities`] — DALI-like and PyTorch-like configurations

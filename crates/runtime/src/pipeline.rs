@@ -406,7 +406,8 @@ pub fn execute_device_batch(
 /// (e.g. downgraded) submission asks for `Keyframes`. Frames that miss
 /// are decoded at most once per call — the GOP's reference chain decodes
 /// sequentially into a local memo, and the first missing frame bears that
-/// chain-decode cost in its `decode_s`.
+/// chain-decode cost in its `decode_s`; the cache charges every frame an
+/// equal share of it as the frame's fill cost.
 pub fn produce_media_item(
     ctx: &PlanContext,
     base_idx: usize,
@@ -444,26 +445,28 @@ pub fn produce_media_item(
     // The GOP's decoded frames in selection order, empty until the first
     // miss decodes the chain. Each is asked for at most once per call, so
     // it is moved out, not copied: into the staged item, or into the tensor
-    // cache that then owns it.
+    // cache that then owns it, which charges each an equal share of the
+    // chain decode as its fill cost.
     let mut memo: Vec<Option<ImageU8>> = Vec::new();
+    let mut chain_share = Duration::ZERO;
     let mut out = Vec::with_capacity(selected.len());
     for (i, &pos) in selected.iter().enumerate() {
         let t0 = Instant::now();
-        let decode_frame = |memo: &mut Vec<Option<ImageU8>>| -> Result<ImageU8> {
+        let mut decode_frame = || -> Result<(ImageU8, Duration)> {
             if memo.is_empty() {
                 let (frames, _) = gop.decode_selected(selection, opts)?;
                 debug_assert!(frames.iter().map(|f| f.index).eq(selected.iter().copied()));
-                *memo = frames.into_iter().map(|f| Some(f.image)).collect();
+                chain_share = t0.elapsed() / selected.len() as u32;
+                memo = frames.into_iter().map(|f| Some(f.image)).collect();
             }
-            memo.get_mut(i).and_then(Option::take).ok_or_else(|| {
+            let frame = memo.get_mut(i).and_then(Option::take).ok_or_else(|| {
                 RuntimeError::Config(format!("selected frame {pos} missing from GOP decode"))
-            })
+            })?;
+            Ok((frame, chain_share))
         };
         let (decoded, cache_hit) = match cache {
-            Some(cache) => cache.get_or_decode(frame_key(gop_key, pos), canon_mode, || {
-                decode_frame(&mut memo)
-            })?,
-            None => (Arc::new(decode_frame(&mut memo)?), false),
+            Some(cache) => cache.get_or_fill(frame_key(gop_key, pos), canon_mode, decode_frame)?,
+            None => (Arc::new(decode_frame()?.0), false),
         };
         let t1 = Instant::now();
         let decode_s = if cache_hit {
@@ -795,5 +798,25 @@ mod tests {
             // frame bears the cost.
             assert!(staged[0].decode_s > 0.0);
         }
+    }
+
+    #[test]
+    fn gop_frames_are_charged_an_equal_share_of_the_chain_decode() {
+        let items = encoded_gops(1, 4, 64, 48);
+        let input = InputVariant::new("test svid", Format::Svid { quality: 80 }, 64, 48).video(4);
+        let mode = DecodeMode::Video {
+            selection: FrameSelection::All,
+            deblock: true,
+        };
+        let ctx = PlanContext::new(&test_plan(input, 32, mode));
+        let pool = BufferPool::new(4, ctx.buf_len, true, false);
+        let cache = TensorCache::new(1 << 20);
+        let staged =
+            produce_media_item(&ctx, 0, &items[0], &pool, false, 0.0, Some(&cache)).unwrap();
+        assert_eq!(staged.len(), 4);
+        let costs = cache.resident_costs();
+        assert_eq!(costs.len(), 4, "every frame is resident");
+        assert!(costs[0] > 0.0);
+        assert!(costs.iter().all(|&c| c == costs[0]), "{costs:?}");
     }
 }

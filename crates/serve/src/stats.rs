@@ -176,7 +176,8 @@ pub struct ServerStats {
     /// Batches executed by a lane other than the one they were
     /// dispatched to (work stealing events).
     pub steals: u64,
-    /// Decoded-tensor cache counters (hits/misses/evictions/residency).
+    /// Decoded-tensor cache counters (hits/misses/evictions/rejected
+    /// fills/residency).
     /// All zeros when the cache is disabled (`tensor_cache_bytes == 0`).
     pub tensor_cache: TensorCacheStats,
     /// Staging-buffer checkouts summed over every query so far (what the
@@ -285,8 +286,8 @@ impl std::fmt::Display for ServerStats {
         let cache = &self.tensor_cache;
         writeln!(
             f,
-            "tensor cache: {} hits, {} misses, {} evictions, {} B resident",
-            cache.hits, cache.misses, cache.evictions, cache.resident_bytes,
+            "tensor cache: {} hits, {} misses, {} evictions, {} rejected, {} B resident",
+            cache.hits, cache.misses, cache.evictions, cache.rejected, cache.resident_bytes,
         )?;
         let staging = &self.staging.totals;
         write!(

@@ -207,12 +207,12 @@ fn reduced_resolution_and_full_decode_queries_co_batch() {
         plan_reduced.placement_signature(),
         "decode mode must not leak into the placement signature"
     );
-    let h1 = server
-        .submit(plan_full, encoded_batch(4, 64, 64, 21))
-        .unwrap();
-    let h2 = server
-        .submit(plan_reduced, encoded_batch(4, 256, 256, 22))
-        .unwrap();
+    // Both batches are encoded before the first submit, so the second lands
+    // microseconds after it, not one encode later.
+    let (items_full, items_reduced) =
+        (encoded_batch(4, 64, 64, 21), encoded_batch(4, 256, 256, 22));
+    let h1 = server.submit(plan_full, items_full).unwrap();
+    let h2 = server.submit(plan_reduced, items_reduced).unwrap();
     let r1 = h1.wait().unwrap();
     let r2 = h2.wait().unwrap();
     assert_eq!(r1.images + r2.images, 8);

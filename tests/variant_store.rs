@@ -101,8 +101,8 @@ proptest! {
     }
 
     /// Resident bytes never exceed the byte budget, whatever the insertion
-    /// pattern; each insertion beyond budget evicts least-recently-used
-    /// entries first.
+    /// pattern; an insertion beyond budget either evicts the entries worth
+    /// the least decode time per byte or is not admitted at all.
     #[test]
     fn lru_never_exceeds_budget(
         dims in prop::collection::vec((4usize..40, 4usize..40), 1usize..24),
