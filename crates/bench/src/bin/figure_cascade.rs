@@ -27,7 +27,7 @@ use smol_imgproc::ImageU8;
 use smol_runtime::{route_stage, wrap_images, MediaItem};
 use smol_serve::{
     Calibration, Dataset, MeasuredCalibration, Query, Server, ServerConfig, Session, SessionConfig,
-    SubmitOptions,
+    SubmitOptions, SubmitRequest,
 };
 use std::process::ExitCode;
 
@@ -150,7 +150,7 @@ fn main() -> ExitCode {
     // Differential: escalated items vs the pure full-plan run.
     let server = Server::with_devices(vec![fast_t4()], ServerConfig::default());
     let handle = server
-        .submit_with_infer(full.clone(), items.clone(), fingerprint)
+        .submit(SubmitRequest::stills(full.clone(), &items).infer(fingerprint))
         .expect("admitted");
     let uniform_results = handle.wait().expect("resolves").take_results::<u64>();
     let handle = server

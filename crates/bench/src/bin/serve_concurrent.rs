@@ -24,7 +24,7 @@ use smol_codec::{EncodedImage, Format};
 use smol_core::{InputVariant, Planner, PlannerConfig};
 use smol_data::textured;
 use smol_runtime::{measure_preproc_throughput, wrap_images, RuntimeOptions};
-use smol_serve::{Server, ServerConfig};
+use smol_serve::{Server, ServerConfig, SubmitRequest};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -109,7 +109,7 @@ fn main() -> ExitCode {
                     .iter()
                     .map(|items| {
                         server
-                            .submit(plan.clone(), items.clone())
+                            .submit(SubmitRequest::stills(plan.clone(), items))
                             .expect("admitted")
                     })
                     .collect();

@@ -42,7 +42,7 @@ use smol_data::textured;
 use smol_runtime::{measure_preproc_throughput, RuntimeOptions};
 use smol_serve::{
     percentile, DegradeStep, Priority, QueryReport, Server, ServerConfig, ServerStats,
-    SubmitOptions,
+    SubmitOptions, SubmitRequest,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,7 +83,7 @@ fn serve_round(
                     let items = items.clone();
                     scope.spawn(move || {
                         server
-                            .submit_opts(plan, items, opts)
+                            .submit(SubmitRequest::stills(plan, &items).options(opts))
                             .expect("admitted")
                             .wait()
                             .expect("resolves")
@@ -128,7 +128,7 @@ fn interactive_walls(
             let (server, stop) = (&server, &stop);
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let handle = server.submit(plan.clone(), items.to_vec());
+                    let handle = server.submit(SubmitRequest::stills(plan.clone(), items));
                     handle.expect("admitted").wait().expect("resolves");
                 }
             });
@@ -140,7 +140,9 @@ fn interactive_walls(
         let walls = (0..n)
             .map(|_| {
                 let (plan, items) = interactive;
-                let submit = || server.submit_opts(plan.clone(), items.to_vec(), high.clone());
+                let submit = || {
+                    server.submit(SubmitRequest::stills(plan.clone(), items).options(high.clone()))
+                };
                 timed(|| submit().expect("admitted").wait().expect("resolves")).0
             })
             .collect();

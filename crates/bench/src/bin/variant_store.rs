@@ -39,7 +39,7 @@ use smol_core::{
 use smol_data::{encode_variant, fingerprint, textured, VariantStore};
 use smol_imgproc::ImageU8;
 use smol_runtime::{decode_item, measure_preproc_throughput, RuntimeOptions};
-use smol_serve::{QueryReport, Server, ServerConfig};
+use smol_serve::{QueryReport, Server, ServerConfig, SubmitRequest};
 use std::cell::Cell;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -129,7 +129,7 @@ fn main() -> ExitCode {
     let submit = |server: &Server, label: &str| -> (f64, QueryReport) {
         let (wall, mut report) = timed(|| {
             let handle = server
-                .submit_with_infer(plan.clone(), encoded.clone(), fingerprint)
+                .submit(SubmitRequest::stills(plan.clone(), &encoded).infer(fingerprint))
                 .expect("admitted");
             handle.wait().expect("resolves")
         });
@@ -211,7 +211,7 @@ fn main() -> ExitCode {
                     let items = encoded.clone();
                     scope.spawn(move || {
                         let mut report = server
-                            .submit_with_infer(plan, items, fingerprint)
+                            .submit(SubmitRequest::stills(plan, &items).infer(fingerprint))
                             .expect("admitted")
                             .wait()
                             .expect("resolves");
@@ -248,7 +248,7 @@ fn main() -> ExitCode {
         );
         let pass = || {
             server
-                .submit(plan.clone(), encoded.clone())
+                .submit(SubmitRequest::stills(plan.clone(), &encoded))
                 .expect("admitted")
                 .wait()
                 .expect("resolves")

@@ -104,13 +104,6 @@ impl StorageProfile {
             cache_hit_rate: 0.0,
         }
     }
-
-    /// The same corpus with an observed tensor-cache hit rate.
-    pub fn with_cache(mut self, cached_throughput: f64, hit_rate: f64) -> Self {
-        self.cached_throughput = cached_throughput;
-        self.cache_hit_rate = hit_rate.clamp(0.0, 1.0);
-        self
-    }
 }
 
 /// Effective preprocessing throughput of a candidate backed by the
@@ -318,7 +311,11 @@ mod tests {
 
     #[test]
     fn partial_hit_rate_interpolates_between_paths() {
-        let sp = StorageProfile::cold(f64::INFINITY).with_cache(4_000.0, 0.5);
+        let sp = StorageProfile {
+            cached_throughput: 4_000.0,
+            cache_hit_rate: 0.5,
+            ..StorageProfile::cold(f64::INFINITY)
+        };
         let eff = storage_adjusted_preproc(500.0, &sp);
         let expect = 1.0 / (0.5 / 4_000.0 + 0.5 / 500.0);
         assert!((eff - expect).abs() < 1e-6, "eff={eff}");
@@ -338,8 +335,16 @@ mod tests {
             cache_hit_rate: 0.9,
         };
         assert_eq!(storage_adjusted_preproc(500.0, &unmeasured), 500.0);
-        // Out-of-range hit rates clamp instead of extrapolating.
-        let sp = StorageProfile::cold(f64::INFINITY).with_cache(4_000.0, 3.0);
-        assert_eq!(sp.cache_hit_rate, 1.0);
+        // Out-of-range hit rates clamp instead of extrapolating: a hit
+        // rate of 3 prices exactly as a hit rate of 1.
+        let hit = |cache_hit_rate| StorageProfile {
+            cached_throughput: 4_000.0,
+            cache_hit_rate,
+            ..StorageProfile::cold(f64::INFINITY)
+        };
+        assert_eq!(
+            storage_adjusted_preproc(500.0, &hit(3.0)),
+            storage_adjusted_preproc(500.0, &hit(1.0))
+        );
     }
 }

@@ -26,7 +26,7 @@ pub fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
 
 /// FNV-1a over item index, dimensions and pixels, eight bytes per round so
 /// that hashing stays cheap beside the decode it witnesses. Shaped as an
-/// inference callback (`Server::submit_with_infer`).
+/// inference callback (`SubmitRequest::infer`).
 pub fn fingerprint(idx: usize, img: &ImageU8) -> u64 {
     const PRIME: u64 = 0x100_0000_01b3;
     let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);

@@ -19,7 +19,8 @@
 //!   the planner's call: GOPs are the serving items and reports count
 //!   frames;
 //! * [`Server`] — a long-lived runtime accepting concurrent
-//!   [`smol_core::QueryPlan`] submissions over a *fleet* of
+//!   [`smol_core::QueryPlan`] submissions ([`Server::submit`] of a
+//!   [`SubmitRequest`], closed or open) over a *fleet* of
 //!   [`smol_accel::VirtualDevice`]s ([`Server::with_devices`]): one shared
 //!   producer pool, priority-aware bounded admission
 //!   ([`ServeError::Backpressure`]), dispatch of each batch to the
@@ -35,7 +36,9 @@
 //! * [`QueryHandle`]/[`QueryReport`] — per-query resolution, blocking
 //!   ([`QueryHandle::wait`]) or non-blocking ([`QueryHandle::poll`],
 //!   [`QueryHandle::try_wait`], [`QueryHandle::wait_deadline`]), with
-//!   p50/p95 item latency, plus fleet-wide [`ServerStats`] (aggregate
+//!   p50/p95 item latency; an open query's handle also takes items
+//!   ([`QueryHandle::append`]) and delivers per-item [`Completion`]s; plus
+//!   fleet-wide [`ServerStats`] (aggregate
 //!   counters + per-device [`DeviceLaneStats`]).
 //!
 //! The per-image and per-batch stage code is `smol_runtime`'s
@@ -57,8 +60,8 @@ pub use dataset::{Dataset, DatasetVariant};
 pub use plancache::{CacheStats, ChosenPlan, DeviceKey, PlanCache, PlanKey};
 pub use scheduler::{BatchFormer, FormedBatch, Priority};
 pub use server::{
-    DegradeStep, QueryHandle, QueryId, QueryPoll, ServeError, ServeResult, Server, ServerConfig,
-    SubmitOptions,
+    Completion, DegradeStep, QueryHandle, QueryId, QueryPoll, ServeError, ServeResult, Server,
+    ServerConfig, SubmitOptions, SubmitRequest,
 };
 pub use session::{Explanation, Query, Session, SessionConfig, SessionError, StreamLadder};
 pub use stats::{percentile, BoxedPrediction, DeviceLaneStats, QueryReport, ServerStats};

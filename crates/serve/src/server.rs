@@ -2,42 +2,46 @@
 //!
 //! A [`Server`] owns one or more [`VirtualDevice`]s (one *lane* per
 //! device, each with its own consumer threads and bounded batch queue), a
-//! shared pool of producer threads, and the scheduler state. Queries are
-//! submitted as `(QueryPlan, Vec<MediaItem>)` — optionally with
-//! [`SubmitOptions`] carrying per-tenant SLOs (deadline, [`Priority`]) and
-//! a degradation ladder or a cascade — and resolve through a [`QueryHandle`].
-//! Scheduling policy (fair share + signature batching) is documented in
-//! [`crate::scheduler`].
+//! shared pool of producer threads, and the scheduler state. Every query
+//! enters through [`Server::submit`] as a [`SubmitRequest`] — plan, items,
+//! [`SubmitOptions`] (deadline, [`Priority`], a degradation ladder or a
+//! cascade) and an optional inference callback — and resolves through a
+//! [`QueryHandle`]. An *open* request's handle also takes items
+//! ([`QueryHandle::append`]) and hands back each one's [`Completion`]: a
+//! live stream is one open query. Scheduling policy (fair share + signature
+//! batching) is documented in [`crate::scheduler`].
 //!
 //! Dataflow per query:
 //!
 //! ```text
 //! submit() ──► admission (bounded, priority-aware; blocks or errors when full)
+//!   append: each item's fan-out and batcher counts settle (append() for more)
 //!   producers: round-robin claim one item ─► decode + CPU preproc
 //!   batch former: group by PlacementSignature ─► device batches
 //!   dispatch: shard each batch to the lane expected to finish it first
 //!   lane consumers: launch copy + kernels + DNN batch as one stream,
 //!     keep one more batch enqueued behind it, retire in launch order
-//!     ─► per-item results
+//!     ─► per-item results (an open query's completions)
 //!     (an idle lane steals queued batches from the lane with most items queued)
-//!   last item done ─► QueryReport through the handle
+//!   closed, last item resolved ─► QueryReport through the handle
 //! ```
 //!
-//! # Fidelity control: one rung table, two policies
+//! # Fidelity control: one rung table, three policies
 //!
 //! A query is compiled at submission into one table of `Rung`s (rung 0
 //! the submitted plan, deeper rungs cheaper calibrated plans) and its
-//! `Ladder` picks a rung per item. **Load degradation**: under pressure
-//! — admission backlog, or a query projected to miss its deadline — items
-//! not yet claimed move to the next-cheaper rung (see
-//! [`smol_core::Constraint::degradation_ladder`]), items already produced
-//! execute as staged, and the accuracy floor holds because every rung was
-//! constraint-feasible at planning time. **Cascade routing**: the producer
-//! that claimed an item routes it by its bitstream signal before any
-//! decode. Both keep the batcher's per-signature counters by one rule — an
-//! item counts, at its query's priority, under every rung still open to it
-//! (`Ladder::open`) — and [`crate::scheduler`] states the three rules that
-//! release a batch over those counters.
+//! `Ladder` picks a rung per item. **Load degradation** (the scheduler
+//! picks): under pressure — admission backlog, or a query projected to miss
+//! its deadline — items not yet claimed move to the next-cheaper rung (see
+//! [`smol_core::Constraint::degradation_ladder`]); the accuracy floor holds
+//! because every rung was constraint-feasible at planning time. **Cascade
+//! routing** (the producer picks): by the item's bitstream signal, before
+//! any decode. **Pacing** (the appender picks): an open query's appender
+//! names each item's rung; the rung past the end drops the item (skipped,
+//! never produced). All three keep the batcher's per-signature counters by
+//! one rule — an item counts, at its query's priority, under every rung
+//! still open to it (`Pick::open`) — and [`crate::scheduler`] states the
+//! three rules that release a batch over those counters.
 //!
 //! Producers and consumers are long-lived: they are spawned once in
 //! [`Server::with_devices`] and reused by every query until shutdown.
@@ -53,7 +57,6 @@ use smol_accel::VirtualDevice;
 use smol_codec::EncodedImage;
 use smol_core::{CascadePlan, PlacementSignature, QueryPlan};
 use smol_imgproc::ImageU8;
-use smol_runtime::media::OutputLayout;
 use smol_runtime::{
     launch_device_batch, produce_media_item, route_stage, wrap_images, BufferPool, DeviceBatchSpec,
     MediaItem, PlanContext, ProducedItem, RuntimeOptions, StagingArena, TensorCache,
@@ -61,6 +64,7 @@ use smol_runtime::{
 };
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -74,7 +78,7 @@ type InferFn = Arc<dyn Fn(usize, &ImageU8) -> BoxedPrediction + Send + Sync>;
 /// Serving-layer errors.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The admission queue is full (`try_submit` only).
+    /// The admission queue is full ([`SubmitRequest::no_wait`] only).
     Backpressure { active: usize, capacity: usize },
     /// The server is shutting down and no longer admits queries.
     ShuttingDown,
@@ -83,6 +87,8 @@ pub enum ServeError {
     /// The plan cannot be executed on any item (see
     /// [`PlanContext::validate`]); rejected before admission.
     InvalidPlan(String),
+    /// The query is closed (or was never open): it takes no more items.
+    Closed,
 }
 
 impl std::fmt::Display for ServeError {
@@ -94,6 +100,7 @@ impl std::fmt::Display for ServeError {
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::Aborted => write!(f, "server dropped before the query resolved"),
             ServeError::InvalidPlan(why) => write!(f, "plan cannot be executed: {why}"),
+            ServeError::Closed => write!(f, "the query takes no more items"),
         }
     }
 }
@@ -117,8 +124,7 @@ pub struct DegradeStep {
     pub est_throughput: f64,
 }
 
-/// Per-query SLO and degradation options for
-/// [`Server::submit_media_opts`].
+/// Per-query SLO and degradation options of a [`SubmitRequest`].
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
     /// Soft completion deadline (submit → report). Queries projected to
@@ -131,7 +137,9 @@ pub struct SubmitOptions {
     /// most-accurate-first. Empty disables degradation. Rungs whose
     /// output layout differs from the submitted plan's (e.g. a different
     /// video frame selection) are ignored — results are indexed by output
-    /// slot, which must stay stable across a mid-query re-plan.
+    /// slot, which must stay stable across a mid-query re-plan. An open
+    /// query's appender picks rung `i + 1` = `ladder[i]` itself, so there
+    /// every step is kept and must compile.
     pub ladder: Vec<DegradeStep>,
     /// Calibrated accuracy of the submitted plan (reported per query).
     pub accuracy: Option<f64>,
@@ -142,8 +150,92 @@ pub struct SubmitOptions {
     /// difficulty signal routes it to the cascade's aggressive stage-1
     /// rung or escalates it to the submitted (full) plan. Routed queries
     /// ignore `ladder`: all their rungs stay open to every unclaimed item,
-    /// so there is no current rung for load to step down from.
+    /// so there is no current rung for load to step down from. Open
+    /// queries ignore it: their appender picks every rung.
     pub cascade: Option<CascadePlan>,
+}
+
+/// One [`Server::submit`]: the plan, the items, the query's
+/// [`SubmitOptions`], an optional per-output inference callback, and
+/// whether to wait at admission. A request is closed — its items are the
+/// whole query — unless it is [`open`](SubmitRequest::open); both take one
+/// path: every item is appended, and a closed request's query is closed at
+/// admission.
+pub struct SubmitRequest {
+    plan: QueryPlan,
+    items: Vec<MediaItem>,
+    opts: SubmitOptions,
+    infer: Option<InferFn>,
+    wait: bool,
+    open: bool,
+}
+
+impl SubmitRequest {
+    /// A closed request over media items (stills and/or GOPs, a GOP fanning
+    /// out into one output per selected frame).
+    pub fn new(plan: QueryPlan, items: Vec<MediaItem>) -> Self {
+        SubmitRequest {
+            plan,
+            items,
+            opts: SubmitOptions::default(),
+            infer: None,
+            wait: true,
+            open: false,
+        }
+    }
+
+    /// A closed request over still images.
+    pub fn stills(plan: QueryPlan, images: &[EncodedImage]) -> Self {
+        SubmitRequest::new(plan, wrap_images(images))
+    }
+
+    /// The query's SLO, degradation and cascade options.
+    pub fn options(mut self, opts: SubmitOptions) -> Self {
+        self.opts = opts;
+        self
+    }
+
+    /// A per-output inference callback over the decoded image. It sees
+    /// *output* indices (contiguous per item, frames in GOP order); results
+    /// come back in the report ([`QueryReport::take_results`]), or an open
+    /// query's [`Completion`]s.
+    pub fn infer<R, F>(mut self, infer: F) -> Self
+    where
+        R: Send + 'static,
+        F: Fn(usize, &ImageU8) -> R + Send + Sync + 'static,
+    {
+        self.infer = Some(Arc::new(move |idx, img| {
+            Box::new(infer(idx, img)) as BoxedPrediction
+        }));
+        self
+    }
+
+    /// Fail with [`ServeError::Backpressure`] instead of waiting while the
+    /// admission queue is full.
+    pub fn no_wait(mut self) -> Self {
+        self.wait = false;
+        self
+    }
+
+    /// Keep the query open: it takes items through [`QueryHandle::append`]
+    /// until [`QueryHandle::close`]. The request's own items run on rung 0.
+    pub fn open(mut self) -> Self {
+        self.open = true;
+        self
+    }
+}
+
+/// One resolved item of an open query ([`QueryHandle::next_completion`]).
+#[derive(Debug)]
+pub struct Completion {
+    /// The item's index, in append order.
+    pub item: usize,
+    /// The callback's prediction per output of the item, in order; `None`
+    /// where the output did not execute or there is no callback.
+    pub results: Vec<Option<BoxedPrediction>>,
+    /// Outputs that did not execute: production failed, the callback
+    /// panicked, or the item was cancelled before a producer claimed it.
+    pub failed: usize,
 }
 
 /// Serving configuration.
@@ -154,7 +246,8 @@ pub struct ServerConfig {
     /// is one stream holding up to two launched batches.
     pub runtime: RuntimeOptions,
     /// Admission bound: at most this many queries may be in flight;
-    /// `submit` blocks (and `try_submit` errors) past it.
+    /// `submit` blocks (or fails, [`SubmitRequest::no_wait`]) past it, and
+    /// an open query's `append` once this many of its items are unresolved.
     pub max_active_queries: usize,
     /// Capacity of each lane's formed-batch queue; defaults to the
     /// per-lane consumer count (keeps per-query buffer demand within the
@@ -178,9 +271,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// A produced item tagged with its owning query.
+/// A produced item tagged with its owning query and item.
 struct BatchItem {
     query: QueryId,
+    /// Index of the item (not the output) within its query.
+    item_idx: usize,
     /// The owning query's priority: a partial batch holding this item does
     /// not wait for lesser work.
     prio: Priority,
@@ -190,18 +285,20 @@ struct BatchItem {
     infer: Option<InferFn>,
 }
 
-/// One unit of producer work: query `query`, item index `idx`.
+/// One unit of producer work: item `idx` of query `query`.
 struct Claim {
     query: QueryId,
     prio: Priority,
     idx: usize,
-    /// The query's ladder as it stood at claim time: the item stays counted
+    item: MediaItem,
+    /// The item's outputs are `offset..offset + fanout`.
+    offset: usize,
+    fanout: usize,
+    rungs: Arc<[Rung]>,
+    /// How the item picks its rung, fixed at claim time: it stays counted
     /// under every rung open *here*, whatever the query degrades to while
     /// the claim is out.
-    ladder: Ladder,
-    items: Arc<Vec<MediaItem>>,
-    /// Item `i`'s outputs are `layout.offsets[i]..` for its fan-out.
-    layout: Arc<OutputLayout>,
+    pick: Pick,
     pool: BufferPool,
     /// The query's inference callback; producers keep the decoded image
     /// only when there is one.
@@ -234,116 +331,204 @@ impl Rung {
     }
 }
 
-/// A query's compiled rungs plus the policy that picks one per item (see
-/// the module docs). Rung 0 is the submitted plan; deeper rungs are the
-/// usable degradation steps, most accurate first, or a cascade's stage-1
-/// plan. `route: None` — every item takes rung `at`, which
-/// [`maybe_degrade`] advances. `route: Some(threshold)` — the producer
-/// picks the rung per item, *after* claiming it; `at` stays 0.
-#[derive(Clone)]
-struct Ladder {
-    rungs: Arc<[Rung]>,
-    at: usize,
-    route: Option<f64>,
+/// Who picks an item's rung (see the module docs).
+#[derive(Clone, Copy)]
+enum Policy {
+    /// The scheduler: every item takes rung `Ladder::at`, which
+    /// [`maybe_degrade`] advances.
+    Degrade,
+    /// The producer, per item after claiming it, by its bitstream signal
+    /// against this threshold.
+    Route(f64),
+    /// The appender, per item at append; the rung past the end drops it.
+    Pace,
 }
 
-impl Ladder {
+/// An unproduced item's rung: settled, or still open to routing.
+#[derive(Clone, Copy)]
+enum Pick {
+    Rung(usize),
+    Route(f64),
+}
+
+impl Pick {
     /// The rungs an item not yet produced may still land in — the ones it
     /// is counted under in the batcher, at its query's priority. Until a
     /// routed item is produced that is *every* rung: an unrouted item could
     /// still join either signature's group; routing resolves it to exactly
     /// one. What those counts hold a partial batch back for, and what they
     /// do not, is [`crate::scheduler`]'s three release rules.
-    fn open(&self) -> &[Rung] {
-        match self.route {
-            Some(_) => &self.rungs,
-            None => &self.rungs[self.at..=self.at],
+    fn open(self, rungs: &[Rung]) -> &[Rung] {
+        match self {
+            Pick::Rung(r) => &rungs[r..=r],
+            Pick::Route(_) => rungs,
         }
     }
 }
 
+/// A query's compiled rungs plus the policy that picks one per item. Rung
+/// 0 is the submitted plan; deeper rungs are the usable degradation steps,
+/// most accurate first, a cascade's stage-1 plan, or an open query's
+/// pacing rungs.
+struct Ladder {
+    rungs: Arc<[Rung]>,
+    /// The current rung of a degrading query (0 under the other policies);
+    /// also the number of degradation steps taken.
+    at: usize,
+    policy: Policy,
+}
+
+impl Ladder {
+    /// How an unclaimed item picks its rung; `pinned` is the rung its
+    /// appender chose (paced queries only).
+    fn pick(&self, pinned: Option<usize>) -> Pick {
+        match self.policy {
+            Policy::Degrade => Pick::Rung(self.at),
+            Policy::Route(threshold) => Pick::Route(threshold),
+            Policy::Pace => Pick::Rung(pinned.expect("a paced item carries its rung")),
+        }
+    }
+}
+
+/// Hashes an item index with one multiply: the in-flight map is looked up
+/// per output, under the scheduler lock.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("item indices hash through write_usize")
+    }
+
+    fn write_usize(&mut self, idx: usize) {
+        self.0 = (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// An appended item no producer has claimed yet.
+struct Queued {
+    idx: usize,
+    item: MediaItem,
+    /// The item's outputs are `offset..offset + fanout`.
+    offset: usize,
+    fanout: usize,
+    /// The rung its appender chose; `None` lets the ladder pick.
+    rung: Option<usize>,
+}
+
+/// A claimed item, until it resolves: once every output it staged has
+/// retired, or when its production fails.
+struct InFlight {
+    offset: usize,
+    /// Outputs not yet retired (the fan-out until production says what it
+    /// staged), and those that did not execute.
+    left: usize,
+    failed: usize,
+    /// An open query's predictions, per output (a closed query's go
+    /// straight into its report).
+    results: Vec<Option<BoxedPrediction>>,
+}
+
 struct QueryState {
     priority: Priority,
-    /// The rungs and the policy over them; `ladder.at` is also the number
-    /// of degradation steps taken.
     ladder: Ladder,
     /// Outputs staged under each rung.
     rung_outputs: Vec<usize>,
-    items: Arc<Vec<MediaItem>>,
-    /// Output (tensor) offsets per item, total outputs (frames for GOP
-    /// items) and the largest single-item fan-out (pool sizing).
-    layout: Arc<OutputLayout>,
-    /// This query's entitlement over the server's staging arena, for the
-    /// rung(s) now open; a rung's entitlement is created when the rung is
-    /// first used.
-    pool: BufferPool,
+    /// This query's entitlement over the server's staging arena, per rung;
+    /// a rung's entitlement is created when the rung is first claimed on
+    /// (and again after an append raised `max_fanout`).
+    pools: Vec<Option<BufferPool>>,
     infer: Option<InferFn>,
-    /// Next item index to claim.
-    next_item: usize,
-    /// One past the last claimable index (`items.len()`, truncated when a
-    /// production error stops the query early).
-    claim_end: usize,
-    /// Claims handed to producers and not yet integrated.
-    claims_out: usize,
+    /// Per-item state, for unresolved items only: unclaimed, in append
+    /// order, and claimed, by index.
+    queue: VecDeque<Queued>,
+    in_flight: HashMap<usize, InFlight, BuildHasherDefault<IndexHasher>>,
+    /// Items appended so far (the next item's index), outputs they occupy,
+    /// and the largest single-item fan-out (pool sizing).
+    appended: usize,
+    total_outputs: usize,
+    max_fanout: usize,
+    /// Takes no more items: resolves once the last item has.
+    closed: bool,
+    /// An open query's completions, per item as it resolves; `None` for a
+    /// closed request, whose results and latencies go into the report.
+    completions: Option<channel::Sender<Completion>>,
+    /// The query's report, its counters kept as items resolve (the rest is
+    /// filled in at finalize).
+    report: QueryReport,
     /// Outputs staged so far (≥ items produced for video queries).
     produced: usize,
-    failed: usize,
-    skipped: usize,
-    completed: usize,
-    /// Outputs that went through the device but whose inference callback
-    /// panicked: counted in `failed`, never in `completed`.
-    panicked: usize,
     latencies: Vec<f64>,
-    results: Vec<Option<BoxedPrediction>>,
-    cache_hits: usize,
-    decode_cpu_s: f64,
-    preproc_cpu_s: f64,
     submitted_at: Instant,
     done_tx: channel::Sender<QueryReport>,
-    error: Option<String>,
-    // --- SLO + degradation state ---
     deadline: Option<Duration>,
-    /// Outputs claimed while running below the originally chosen plan.
-    downgraded_frames: usize,
-    accuracy_floor: Option<f64>,
     /// Hysteresis: no further degradation before this item index.
     next_degrade_at: usize,
-    /// Items a routed query's signal escalated to rung 0 (the full plan).
-    escalated_items: usize,
 }
 
 impl QueryState {
-    fn production_done(&self) -> bool {
-        self.next_item >= self.claim_end && self.claims_out == 0
-    }
-
-    /// Outputs of every item before `item` (clamps past the end).
-    fn outputs_before(&self, item: usize) -> usize {
-        let layout = &self.layout;
-        layout.offsets.get(item).copied().unwrap_or(layout.total)
-    }
-
-    /// Fan-out of item `item` (1 for stills, selected frames for GOPs).
-    fn count_of(&self, item: usize) -> usize {
-        self.outputs_before(item + 1) - self.layout.offsets[item]
-    }
-
     /// True when the query is projected to miss its deadline at the
     /// observed completion rate (needs at least one completed output).
     fn projected_late(&self, now: Instant) -> bool {
         let Some(deadline) = self.deadline else {
             return false;
         };
-        if self.completed == 0 {
+        let completed = self.report.images;
+        if completed == 0 {
             return false;
         }
         let elapsed = now.duration_since(self.submitted_at).as_secs_f64();
         if elapsed <= 0.0 {
             return false;
         }
-        let rate = self.completed as f64 / elapsed;
-        let remaining = (self.layout.total - self.completed) as f64;
+        let rate = completed as f64 / elapsed;
+        let remaining = (self.total_outputs - completed) as f64;
         elapsed + remaining / rate > deadline.as_secs_f64()
+    }
+
+    /// Rung `rung`'s staging entitlement, created at its first use.
+    fn pool(&mut self, inner: &Inner, rung: usize) -> BufferPool {
+        let (ctx, fanout) = (&self.ladder.rungs[rung].ctx, self.max_fanout);
+        self.pools[rung]
+            .get_or_insert_with(|| inner.staging_pool(ctx, fanout))
+            .clone()
+    }
+
+    /// Items appended and not yet resolved.
+    fn unresolved(&self) -> usize {
+        self.queue.len() + self.in_flight.len()
+    }
+
+    /// An open query's result slots for an item of `fanout` outputs, all
+    /// empty; a closed query keeps none per item.
+    fn result_slots(&self, fanout: usize) -> Vec<Option<BoxedPrediction>> {
+        match self.completions {
+            Some(_) => (0..fanout).map(|_| None).collect(),
+            None => Vec::new(),
+        }
+    }
+
+    /// Claimed item `idx` has resolved: its state goes, and an open
+    /// query's appender gets its completion.
+    fn resolve(&mut self, inner: &Inner, idx: usize) {
+        let at_bound = self.unresolved() >= inner.cfg.max_active_queries.max(1);
+        let item = self.in_flight.remove(&idx).expect("resolves once");
+        if let Some(tx) = &self.completions {
+            let (results, failed) = (item.results, item.failed);
+            let _ = tx.send(Completion {
+                item: idx,
+                results,
+                failed,
+            });
+            // An appender may be blocked on the bound this item frees.
+            if at_bound {
+                inner.admit_cv.notify_all();
+            }
+        }
     }
 }
 
@@ -372,22 +557,6 @@ impl Sched {
     fn waiting_above(&self, prio: Priority) -> usize {
         self.waiting[prio.index() + 1..].iter().sum()
     }
-}
-
-#[derive(Default, Clone)]
-struct Agg {
-    submitted_queries: u64,
-    completed_queries: u64,
-    images_in: u64,
-    images_done: u64,
-    batches: u64,
-    cross_query_batches: u64,
-    full_batches: u64,
-    degradations: u64,
-    dropped_frames: u64,
-    downgraded_frames: u64,
-    deadline_met: u64,
-    deadline_misses: u64,
 }
 
 /// One device lane: the device, its bounded batch queue, and counters.
@@ -469,10 +638,13 @@ struct Inner {
     sched: Mutex<Sched>,
     /// Producers wait here for claimable work.
     work_cv: Condvar,
-    /// Submitters wait here for admission capacity.
+    /// Submitters wait here for admission capacity, and an open query's
+    /// appender for one of its items to resolve.
     admit_cv: Condvar,
     shutdown: AtomicBool,
-    agg: Mutex<Agg>,
+    /// The aggregate counters of [`Server::stats`] (its live fields are
+    /// filled in when sampled).
+    agg: Mutex<ServerStats>,
     fleet: Mutex<Fleet>,
     /// Consumers wait here for queued batches.
     batch_cv: Condvar,
@@ -499,7 +671,9 @@ impl Inner {
     }
 }
 
-/// Resolves to the query's [`QueryReport`] when the last item completes.
+/// Resolves to the query's [`QueryReport`] once it is closed and its last
+/// item has resolved; an open query's handle also takes more items and
+/// delivers per-item [`Completion`]s.
 ///
 /// The handle is fully non-blocking-capable: [`QueryHandle::poll`] reports
 /// progress without consuming the report, [`QueryHandle::try_wait`] and
@@ -509,6 +683,8 @@ impl Inner {
 pub struct QueryHandle {
     id: QueryId,
     rx: channel::Receiver<QueryReport>,
+    /// An open query's completions.
+    completions: Option<channel::Receiver<Completion>>,
     inner: Weak<Inner>,
 }
 
@@ -564,11 +740,89 @@ impl QueryHandle {
         match sched.queries.get(&self.id) {
             Some(q) => QueryPoll::Pending {
                 produced: q.produced,
-                completed: q.completed,
-                total: q.layout.total,
+                completed: q.report.images,
+                total: q.total_outputs,
             },
             None => QueryPoll::Ready,
         }
+    }
+
+    /// Appends `item` to an open query on rung `rung` (0 = the submitted
+    /// plan, `i + 1` = its options' `ladder[i]`) and returns its index.
+    /// Items take output indices in append order — the callback sees
+    /// output `k` of an item whose outputs start where the previous
+    /// item's end. A rung past the last drops the item: it counts as
+    /// skipped, takes no output indices, is never produced and never
+    /// completes (its appender already knows its fate).
+    ///
+    /// Blocks while `max_active_queries` of the query's items are
+    /// unresolved; fails with [`ServeError::Closed`] once the query is
+    /// closed or cancelled, or if it was not submitted open.
+    pub fn append(&self, item: MediaItem, rung: usize) -> ServeResult<usize> {
+        let inner = self.inner.upgrade().ok_or(ServeError::Aborted)?;
+        let capacity = inner.cfg.max_active_queries.max(1);
+        let mut sched = inner.sched.lock();
+        loop {
+            if inner.shutdown.load(Ordering::Acquire) {
+                return Err(ServeError::ShuttingDown);
+            }
+            let q = sched.queries.get(&self.id).ok_or(ServeError::Closed)?;
+            if q.closed {
+                return Err(ServeError::Closed);
+            }
+            if rung >= q.ladder.rungs.len() || q.unresolved() < capacity {
+                break;
+            }
+            inner.admit_cv.wait(&mut sched);
+        }
+        let idx = enqueue(&inner, &mut sched, self.id, vec![item], Some(rung));
+        drop(sched);
+        inner.work_cv.notify_one();
+        Ok(idx)
+    }
+
+    /// Closes the query: it takes no more items, and resolves once every
+    /// item appended so far has.
+    pub fn close(&self) {
+        self.finish(false);
+    }
+
+    /// Closes the query and cancels every item no producer has claimed
+    /// yet: each counts as skipped (an open query completes it with all
+    /// its outputs failed). Items already claimed still run.
+    pub fn cancel(&self) {
+        self.finish(true);
+    }
+
+    fn finish(&self, cancel: bool) {
+        let Some(inner) = self.inner.upgrade() else {
+            return;
+        };
+        let mut emitted = Vec::new();
+        {
+            let mut sched = inner.sched.lock();
+            let Some(q) = sched.queries.get_mut(&self.id) else {
+                return;
+            };
+            q.closed = true;
+            if cancel {
+                cancel_queued(&mut sched, self.id, &mut emitted);
+            }
+            try_finalize(&inner, &mut sched, self.id);
+        }
+        // Wake an appender blocked on this query: it is closed now.
+        inner.admit_cv.notify_all();
+        for batch in emitted {
+            dispatch(&inner, batch);
+        }
+    }
+
+    /// The next resolved item of an open query, waiting until `deadline`
+    /// at most. `None` at the deadline, for a closed request, and once the
+    /// query has resolved and every completion has been taken.
+    pub fn next_completion(&self, deadline: Instant) -> Option<Completion> {
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        self.completions.as_ref()?.recv_timeout(timeout).ok()
     }
 }
 
@@ -619,7 +873,7 @@ impl Server {
             work_cv: Condvar::new(),
             admit_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            agg: Mutex::new(Agg::default()),
+            agg: Mutex::default(),
             fleet: Mutex::new(Fleet {
                 lanes: devices
                     .into_iter()
@@ -688,83 +942,25 @@ impl Server {
                 tensor_cache_bytes: 0,
             },
         );
-        let report = server.submit_media(plan.clone(), items)?.wait();
+        let report = server
+            .submit(SubmitRequest::new(plan.clone(), items))?
+            .wait();
         server.shutdown();
         report
     }
 
-    /// Submits a still-image query, blocking while the admission queue is
-    /// full.
-    pub fn submit(&self, plan: QueryPlan, items: Vec<EncodedImage>) -> ServeResult<QueryHandle> {
-        self.submit_opts(plan, items, SubmitOptions::default())
-    }
-
-    /// Submits a query over mixed media items (still images and/or video
-    /// GOPs), blocking while the admission queue is full. GOP items fan
-    /// out into one device tensor per selected frame; the report's
-    /// `images` counts those outputs.
-    pub fn submit_media(&self, plan: QueryPlan, items: Vec<MediaItem>) -> ServeResult<QueryHandle> {
-        self.submit_media_opts(plan, items, SubmitOptions::default())
-    }
-
-    /// [`Server::submit`] with explicit SLO/degradation options.
-    pub fn submit_opts(
-        &self,
-        plan: QueryPlan,
-        items: Vec<EncodedImage>,
-        opts: SubmitOptions,
-    ) -> ServeResult<QueryHandle> {
-        self.submit_media_opts(plan, wrap_images(&items), opts)
-    }
-
-    /// [`Server::submit_media`] with explicit SLO/degradation options.
+    /// [`Server::submit`] of a closed request with options.
     pub fn submit_media_opts(
         &self,
         plan: QueryPlan,
         items: Vec<MediaItem>,
         opts: SubmitOptions,
     ) -> ServeResult<QueryHandle> {
-        self.submit_inner(plan, items, None, opts, true)
+        self.submit(SubmitRequest::new(plan, items).options(opts))
     }
 
-    /// Submits a query, erroring with [`ServeError::Backpressure`] when
-    /// the admission queue is full.
-    pub fn try_submit(
-        &self,
-        plan: QueryPlan,
-        items: Vec<EncodedImage>,
-    ) -> ServeResult<QueryHandle> {
-        self.submit_inner(
-            plan,
-            wrap_images(&items),
-            None,
-            SubmitOptions::default(),
-            false,
-        )
-    }
-
-    /// Submits a still-image query with a per-image inference callback;
-    /// results come back through [`QueryReport::take_results`].
-    pub fn submit_with_infer<R, F>(
-        &self,
-        plan: QueryPlan,
-        items: Vec<EncodedImage>,
-        infer: F,
-    ) -> ServeResult<QueryHandle>
-    where
-        R: Send + 'static,
-        F: Fn(usize, &ImageU8) -> R + Send + Sync + 'static,
-    {
-        self.submit_media_opts_with_infer(
-            plan,
-            wrap_images(&items),
-            SubmitOptions::default(),
-            infer,
-        )
-    }
-
-    /// [`Server::submit_media_opts`] with a per-output inference callback:
-    /// it sees *output* indices (contiguous per item, frames in GOP order).
+    /// [`Server::submit`] of a closed request with options and a per-output
+    /// inference callback.
     pub fn submit_media_opts_with_infer<R, F>(
         &self,
         plan: QueryPlan,
@@ -776,65 +972,23 @@ impl Server {
         R: Send + 'static,
         F: Fn(usize, &ImageU8) -> R + Send + Sync + 'static,
     {
-        let erased: InferFn =
-            Arc::new(move |idx, img| Box::new(infer(idx, img)) as BoxedPrediction);
-        self.submit_inner(plan, items, Some(erased), opts, true)
+        self.submit(SubmitRequest::new(plan, items).options(opts).infer(infer))
     }
 
-    fn submit_inner(
-        &self,
-        plan: QueryPlan,
-        items: Vec<MediaItem>,
-        infer: Option<InferFn>,
-        opts: SubmitOptions,
-        block: bool,
-    ) -> ServeResult<QueryHandle> {
+    /// Submits a query: compiles its rungs, waits for admission (or fails
+    /// with [`ServeError::Backpressure`], [`SubmitRequest::no_wait`]),
+    /// appends its items and — unless the request is open — closes it.
+    pub fn submit(&self, request: SubmitRequest) -> ServeResult<QueryHandle> {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let inner = &self.inner;
-        let full = Rung::compile(&plan, opts.accuracy).map_err(ServeError::InvalidPlan)?;
-        // Output (tensor) accounting: GOP items fan out per the plan's
-        // frame selection.
-        let layout = OutputLayout::of(&items, full.ctx.decode);
-        // The cascade's aggressive rung. Dropped when it collapses onto the
-        // full rung (identical signature — the planner guards this too, but
-        // submitters can hand-build plans), when its staging geometry
-        // diverges (one pool must serve both rungs), or when it cannot be
-        // executed.
-        let stage1 = opts.cascade.as_ref().and_then(|c| {
-            let rung = Rung::compile(&c.stage1, None).ok()?;
-            (*rung.sig != *full.sig && rung.ctx.buf_len == full.ctx.buf_len)
-                .then_some((rung, c.threshold))
-        });
-        let (deeper, route) = match stage1 {
-            // Routed per item, not degraded per query: every rung is open
-            // at once, so `ladder` has no cursor to move.
-            Some((rung, threshold)) => (vec![rung], Some(threshold)),
-            // A degradation step is usable only when it respects the floor,
-            // can be executed and preserves the output layout — results are
-            // indexed by output slot, which must survive a mid-query
-            // re-plan. (Stills always qualify; video rungs must keep the
-            // frame selection.)
-            None => {
-                let usable = opts.ladder.iter().filter(|step| {
-                    opts.accuracy_floor
-                        .is_none_or(|floor| step.accuracy >= floor)
-                });
-                let compiled = usable.filter_map(|step| {
-                    let rung = Rung::compile(&step.plan, Some(step.accuracy)).ok()?;
-                    (OutputLayout::of(&items, rung.ctx.decode).offsets == layout.offsets)
-                        .then_some(rung)
-                });
-                (compiled.collect(), None)
-            }
-        };
-        let rungs: Arc<[Rung]> = std::iter::once(full).chain(deeper).collect();
+        let (inner, opts, open) = (&self.inner, &request.opts, request.open);
+        let (rungs, policy) = compile_ladder(&request.plan, &request.items, opts, open)?;
         let (done_tx, done_rx) = channel::bounded::<QueryReport>(1);
-        let (n, total_outputs) = (items.len(), layout.total);
+        let (completions, completions_rx) = open.then(channel::unbounded).unzip();
         let mut sched = inner.sched.lock();
         let capacity = inner.cfg.max_active_queries.max(1);
-        if !block {
+        if !request.wait {
             if sched.active >= capacity || sched.waiting_above(opts.priority) > 0 {
                 return Err(ServeError::Backpressure {
                     active: sched.active,
@@ -859,58 +1013,47 @@ impl Server {
         }
         let id = sched.next_id;
         sched.next_id += 1;
-        {
-            let mut agg = inner.agg.lock();
-            agg.submitted_queries += 1;
-            agg.images_in += total_outputs as u64;
-        }
+        inner.agg.lock().submitted_queries += 1;
         let state = QueryState {
             priority: opts.priority,
             rung_outputs: vec![0; rungs.len()],
-            pool: inner.staging_pool(&rungs[0].ctx, layout.max_fanout),
+            pools: (0..rungs.len()).map(|_| None).collect(),
             ladder: Ladder {
                 rungs,
                 at: 0,
-                route,
+                policy,
             },
-            items: Arc::new(items),
-            layout: Arc::new(layout),
-            infer,
-            next_item: 0,
-            claim_end: n,
-            claims_out: 0,
+            infer: request.infer,
+            queue: VecDeque::new(),
+            in_flight: HashMap::default(),
+            appended: 0,
+            total_outputs: 0,
+            max_fanout: 1,
+            closed: !open,
+            completions,
+            report: QueryReport {
+                id,
+                accuracy_floor: opts.accuracy_floor,
+                ..QueryReport::default()
+            },
             produced: 0,
-            failed: 0,
-            skipped: 0,
-            completed: 0,
-            panicked: 0,
-            latencies: Vec::with_capacity(total_outputs),
-            results: (0..total_outputs).map(|_| None).collect(),
-            cache_hits: 0,
-            decode_cpu_s: 0.0,
-            preproc_cpu_s: 0.0,
+            latencies: Vec::new(),
             submitted_at: Instant::now(),
             done_tx,
-            error: None,
             deadline: opts.deadline,
-            downgraded_frames: 0,
-            accuracy_floor: opts.accuracy_floor,
             next_degrade_at: 0,
-            escalated_items: 0,
         };
-        for rung in state.ladder.open() {
-            sched.batcher.register(&rung.sig, opts.priority, n);
-        }
         sched.queries.insert(id, state);
-        sched.rr[opts.priority.index()].push_back(id);
         sched.active += 1;
-        // A query with no items has nothing to wait for.
+        enqueue(inner, &mut sched, id, request.items, open.then_some(0));
+        // A closed query with no items has nothing to wait for.
         try_finalize(inner, &mut sched, id);
         drop(sched);
         inner.work_cv.notify_all();
         Ok(QueryHandle {
             id,
             rx: done_rx,
+            completions: completions_rx,
             inner: Arc::downgrade(&self.inner),
         })
     }
@@ -926,31 +1069,22 @@ impl Server {
             .unwrap_or_default()
     }
 
-    /// Records frame loss that happened *outside* any query — e.g. a
-    /// live-stream pacer shedding a whole GOP before submission, or
-    /// choosing a downgraded rung at submit time. These frames fold into
-    /// [`ServerStats::dropped_frames`] / [`ServerStats::downgraded_frames`]
-    /// alongside the per-query counts the scheduler tracks itself.
-    pub fn record_frame_loss(&self, dropped_frames: u64, downgraded_frames: u64) {
-        let mut agg = self.inner.agg.lock();
-        agg.dropped_frames += dropped_frames;
-        agg.downgraded_frames += downgraded_frames;
-    }
-
     /// Aggregate + per-device serving metrics.
     pub fn stats(&self) -> ServerStats {
-        let (queue_depth, pending_batch_items, waiting_admission, priority_flushes) = {
+        // Under the scheduler lock, which finalize holds while it folds a
+        // query into the aggregate: a query whose last completion has been
+        // delivered is counted.
+        let mut stats = {
             let sched = self.inner.sched.lock();
-            (
-                sched.active,
-                sched.batcher.pending_total(),
-                sched.waiting_total(),
-                sched.batcher.priority_flushes(),
-            )
+            let mut stats = self.inner.agg.lock().clone();
+            stats.queue_depth = sched.active;
+            stats.pending_batch_items = sched.batcher.pending_total();
+            stats.waiting_admission = sched.waiting_total();
+            stats.priority_flushes = sched.batcher.priority_flushes();
+            stats
         };
-        let agg = self.inner.agg.lock().clone();
         let fleet = self.inner.fleet.lock();
-        let devices: Vec<DeviceLaneStats> = fleet
+        stats.devices = fleet
             .lanes
             .iter()
             .map(|lane| {
@@ -970,29 +1104,10 @@ impl Server {
                 }
             })
             .collect();
-        let steals = devices.iter().map(|d| d.stolen_batches).sum();
-        ServerStats {
-            submitted_queries: agg.submitted_queries,
-            completed_queries: agg.completed_queries,
-            queue_depth,
-            waiting_admission,
-            pending_batch_items,
-            images_in: agg.images_in,
-            images_done: agg.images_done,
-            batches: agg.batches,
-            cross_query_batches: agg.cross_query_batches,
-            full_batches: agg.full_batches,
-            priority_flushes,
-            degradations: agg.degradations,
-            dropped_frames: agg.dropped_frames,
-            downgraded_frames: agg.downgraded_frames,
-            deadline_met: agg.deadline_met,
-            deadline_misses: agg.deadline_misses,
-            steals,
-            tensor_cache: self.tensor_cache_stats(),
-            staging: self.inner.staging.stats(),
-            devices,
-        }
+        stats.steals = stats.devices.iter().map(|d| d.stolen_batches).sum();
+        stats.tensor_cache = self.tensor_cache_stats();
+        stats.staging = self.inner.staging.stats();
+        stats
     }
 
     /// Drains every admitted query, resolves all handles, and stops the
@@ -1007,6 +1122,15 @@ impl Server {
         }
         self.down = true;
         self.inner.shutdown.store(true, Ordering::Release);
+        {
+            // Open queries take no more items: they drain and resolve too.
+            let mut sched = self.inner.sched.lock();
+            let open: Vec<QueryId> = sched.queries.keys().copied().collect();
+            for id in open {
+                sched.queries.get_mut(&id).expect("listed").closed = true;
+                try_finalize(&self.inner, &mut sched, id);
+            }
+        }
         self.inner.work_cv.notify_all();
         self.inner.admit_cv.notify_all();
         for h in self.producer_handles.drain(..) {
@@ -1026,9 +1150,146 @@ impl Drop for Server {
     }
 }
 
+/// Compiles a request's rung table and the policy that picks among it.
+fn compile_ladder(
+    plan: &QueryPlan,
+    items: &[MediaItem],
+    opts: &SubmitOptions,
+    open: bool,
+) -> ServeResult<(Arc<[Rung]>, Policy)> {
+    let full = Rung::compile(plan, opts.accuracy).map_err(ServeError::InvalidPlan)?;
+    // The cascade's aggressive rung. Dropped when it collapses onto the
+    // full rung (identical signature — the planner guards this too, but
+    // submitters can hand-build plans), when its staging geometry diverges
+    // (one pool serves both rungs), or when it cannot be executed.
+    let stage1 = || {
+        let cascade = opts.cascade.as_ref()?;
+        let rung = Rung::compile(&cascade.stage1, None).ok()?;
+        (*rung.sig != *full.sig && rung.ctx.buf_len == full.ctx.buf_len)
+            .then_some((rung, cascade.threshold))
+    };
+    let (deeper, policy) = if open {
+        // The appender names rungs by index: every step is kept, and one
+        // that cannot be executed fails the request.
+        let steps = opts.ladder.iter();
+        let rungs = steps.map(|step| Rung::compile(&step.plan, Some(step.accuracy)));
+        let rungs = rungs.collect::<Result<_, _>>();
+        (rungs.map_err(ServeError::InvalidPlan)?, Policy::Pace)
+    } else if let Some((rung, threshold)) = stage1() {
+        // Routed per item, not degraded per query: every rung is open at
+        // once, so the ladder has no cursor to move.
+        (vec![rung], Policy::Route(threshold))
+    } else {
+        // A degradation step is usable only when it respects the floor,
+        // can be executed and preserves every item's fan-out — results are
+        // indexed by output slot, which must survive a mid-query re-plan.
+        // (Stills always qualify; video rungs must keep the frame
+        // selection.)
+        let usable = opts.ladder.iter().filter(|step| {
+            opts.accuracy_floor
+                .is_none_or(|floor| step.accuracy >= floor)
+        });
+        let fanout = |item: &MediaItem, rung: &Rung| item.output_count(rung.ctx.decode);
+        let compiled = usable.filter_map(|step| {
+            let rung = Rung::compile(&step.plan, Some(step.accuracy)).ok()?;
+            items
+                .iter()
+                .all(|item| fanout(item, &rung) == fanout(item, &full))
+                .then_some(rung)
+        });
+        (compiled.collect(), Policy::Degrade)
+    };
+    Ok((std::iter::once(full).chain(deeper).collect(), policy))
+}
+
 // ---------------------------------------------------------------------------
 // Stage threads
 // ---------------------------------------------------------------------------
+
+/// Appends `items` to query `qid`, all on `rung` (a paced query's choice;
+/// `None` lets the ladder pick), and returns the first one's index. Each
+/// item's fan-out and batcher counts settle here. A rung past the last
+/// drops the items: counted as skipped, never produced.
+fn enqueue(
+    inner: &Inner,
+    sched: &mut Sched,
+    qid: QueryId,
+    items: Vec<MediaItem>,
+    rung: Option<usize>,
+) -> usize {
+    let q = sched.queries.get_mut(&qid).expect("caller checked");
+    let first = q.appended;
+    let n = items.len();
+    q.appended += n;
+    let dropped = rung.is_some_and(|r| r >= q.ladder.rungs.len());
+    // A dropped item's loss is counted in the submitted plan's outputs.
+    let mode = q.ladder.rungs[rung.filter(|_| !dropped).unwrap_or(0)]
+        .ctx
+        .decode;
+    let mut outputs = 0;
+    for (idx, item) in (first..).zip(items) {
+        let fanout = item.output_count(mode);
+        outputs += fanout;
+        if dropped {
+            q.report.skipped += fanout;
+            continue;
+        }
+        if fanout > q.max_fanout {
+            // Entitlements were sized for smaller items: re-create them.
+            q.max_fanout = fanout;
+            q.pools.iter_mut().for_each(|pool| *pool = None);
+        }
+        let offset = q.total_outputs;
+        q.total_outputs += fanout;
+        q.queue.push_back(Queued {
+            idx,
+            item,
+            offset,
+            fanout,
+            rung,
+        });
+    }
+    inner.agg.lock().images_in += outputs as u64;
+    if dropped || n == 0 {
+        return first;
+    }
+    if q.completions.is_none() {
+        q.report.results.resize_with(q.total_outputs, || None);
+        q.latencies.reserve(outputs);
+    }
+    let prio = q.priority;
+    for r in q.ladder.pick(rung).open(&q.ladder.rungs) {
+        sched.batcher.register(&r.sig, prio, n);
+    }
+    let ring = &mut sched.rr[prio.index()];
+    if !ring.contains(&qid) {
+        ring.push_back(qid);
+    }
+    first
+}
+
+/// Cancels every item of `qid` no producer has claimed: each counts as
+/// skipped and releases its batcher counts (partial batches that were
+/// waiting on them land in `emitted`); an open query completes it with
+/// every output failed.
+fn cancel_queued(sched: &mut Sched, qid: QueryId, emitted: &mut Vec<FormedBatch<BatchItem>>) {
+    let q = sched.queries.get_mut(&qid).expect("caller checked");
+    for item in std::mem::take(&mut q.queue) {
+        q.report.skipped += item.fanout;
+        for r in q.ladder.pick(item.rung).open(&q.ladder.rungs) {
+            sched.batcher.settle(&r.sig, q.priority, 1, emitted);
+        }
+        if let Some(tx) = &q.completions {
+            let results = q.result_slots(item.fanout);
+            let failed = item.fanout;
+            let _ = tx.send(Completion {
+                item: item.idx,
+                results,
+                failed,
+            });
+        }
+    }
+}
 
 /// Degrades `q` one rung if warranted: the fleet is under pressure
 /// (submitters blocked at admission) or the query is projected to miss
@@ -1044,33 +1305,28 @@ fn maybe_degrade(
     let pressure = sched.waiting_total() > 0;
     let q = sched.queries.get_mut(&qid).expect("caller checked");
     let at = q.ladder.at;
-    // Only a uniform query has a current rung to step down from.
-    if q.ladder.route.is_some()
+    // Only a degrading query has a current rung to step down from.
+    let Some(next_item) = q.queue.front().map(|item| item.idx) else {
+        return;
+    };
+    if !matches!(q.ladder.policy, Policy::Degrade)
         || at + 1 >= q.ladder.rungs.len()
-        || q.next_item >= q.claim_end
-        || q.next_item < q.next_degrade_at
+        || next_item < q.next_degrade_at
     {
         return;
     }
     if !pressure && !q.projected_late(Instant::now()) {
         return;
     }
-    let (prio, remaining) = (q.priority, q.claim_end - q.next_item);
+    let (prio, remaining) = (q.priority, q.queue.len());
     q.ladder.at += 1;
-    let rungs = Arc::clone(&q.ladder.rungs);
-    let (old, new) = (&rungs[at], &rungs[at + 1]);
+    let (old, new) = (&q.ladder.rungs[at], &q.ladder.rungs[at + 1]);
     // One full batch of the new plan between steps: degrade is a ratchet,
     // not a thrash.
-    q.next_degrade_at = q.next_item + new.sig.batch.max(2);
-    if *old.sig != *new.sig {
-        // Buffer geometry may differ between rungs; in-flight items keep
-        // their slots in the old entitlement (released on drop, the
-        // buffers going back to their own geometry's shelf), new claims
-        // draw on the rung's.
-        q.pool = inner.staging_pool(&new.ctx, q.layout.max_fanout);
-    }
-    // The unclaimed items change rungs; claims already out stay counted
-    // under the rung they were taken on.
+    q.next_degrade_at = next_item + new.sig.batch.max(2);
+    // The unclaimed items change rungs (and draw on the new rung's staging
+    // entitlement); claims already out stay counted under the rung they
+    // were taken on, their buffers in the old entitlement.
     sched.batcher.register(&new.sig, prio, remaining);
     sched.batcher.settle(&old.sig, prio, remaining, emitted);
     inner.agg.lock().degradations += 1;
@@ -1092,27 +1348,39 @@ fn claim_next(
             }
             maybe_degrade(inner, sched, qid, emitted);
             let q = sched.queries.get_mut(&qid).expect("checked above");
-            if q.next_item >= q.claim_end {
+            let Some(next) = q.queue.pop_front() else {
                 continue; // exhausted (kept out of the ring from here on)
+            };
+            let pick = q.ladder.pick(next.rung);
+            if matches!(pick, Pick::Rung(rung) if rung > 0) {
+                q.report.downgraded_frames += next.fanout;
             }
-            let idx = q.next_item;
-            q.next_item += 1;
-            q.claims_out += 1;
-            if q.ladder.at > 0 {
-                q.downgraded_frames += q.count_of(idx);
-            }
+            // One entitlement serves both rungs of a cascade.
+            let pool = match pick {
+                Pick::Rung(rung) => q.pool(inner, rung),
+                Pick::Route(_) => q.pool(inner, 0),
+            };
+            let item = InFlight {
+                offset: next.offset,
+                left: next.fanout,
+                failed: 0,
+                results: q.result_slots(next.fanout),
+            };
+            q.in_flight.insert(next.idx, item);
             let claim = Claim {
                 query: qid,
                 prio: q.priority,
-                idx,
-                ladder: q.ladder.clone(),
-                items: Arc::clone(&q.items),
-                layout: Arc::clone(&q.layout),
-                pool: q.pool.clone(),
+                idx: next.idx,
+                item: next.item,
+                offset: next.offset,
+                fanout: next.fanout,
+                rungs: Arc::clone(&q.ladder.rungs),
+                pick,
+                pool,
                 infer: q.infer.clone(),
                 claimed_at: Instant::now(),
             };
-            if q.next_item < q.claim_end {
+            if !q.queue.is_empty() {
                 sched.rr[prio].push_back(qid);
             }
             return Some(claim);
@@ -1121,10 +1389,10 @@ fn claim_next(
     None
 }
 
-/// Finalizes `qid` if every claimed item has been produced and executed:
-/// builds the report, resolves the handle, and frees the admission slot.
+/// Finalizes `qid` once it is closed and every item has resolved: builds
+/// the report, resolves the handle, and frees the admission slot.
 fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
-    let done = |q: &QueryState| q.production_done() && q.completed + q.panicked == q.produced;
+    let done = |q: &QueryState| q.closed && q.unresolved() == 0;
     if !sched.queries.get(&qid).is_some_and(done) {
         return;
     }
@@ -1140,39 +1408,27 @@ fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
     let rung = &q.ladder.rungs[q.ladder.at];
     let wall = q.submitted_at.elapsed().as_secs_f64();
     let deadline_missed = q.deadline.map(|d| wall > d.as_secs_f64());
-    let report = QueryReport {
-        id: qid,
-        label: rung.label.clone(),
-        images: q.completed,
-        failed: q.failed,
-        skipped: q.skipped,
-        wall_s: wall,
-        throughput: if wall > 0.0 {
-            q.completed as f64 / wall
-        } else {
-            0.0
-        },
-        latency_p50_s: percentile(&q.latencies, 0.5),
-        latency_p95_s: percentile(&q.latencies, 0.95),
-        cache_hits: q.cache_hits,
-        decode_cpu_s: q.decode_cpu_s,
-        preproc_cpu_s: q.preproc_cpu_s,
-        pool: q.pool.stats(),
-        error: q.error,
-        results: q.results,
-        degraded_steps: q.ladder.at,
-        dropped_frames: q.failed + q.skipped,
-        downgraded_frames: q.downgraded_frames,
-        escalated_items: q.escalated_items,
-        // `[stage 1, full]`: a routed query's rungs, aggressive first.
-        stage_histogram: match q.ladder.route {
-            Some(_) => q.rung_outputs.iter().rev().copied().collect(),
-            None => Vec::new(),
-        },
-        accuracy: rung.accuracy,
-        accuracy_floor: q.accuracy_floor,
-        deadline_missed,
-    };
+    let mut report = q.report;
+    for pool in q.pools.iter().flatten().map(BufferPool::stats) {
+        report.pool.reused += pool.reused;
+        report.pool.allocated += pool.allocated;
+        report.pool.waits += pool.waits;
+    }
+    report.label = rung.label.clone();
+    report.accuracy = rung.accuracy;
+    report.wall_s = wall;
+    if wall > 0.0 {
+        report.throughput = report.images as f64 / wall;
+    }
+    report.latency_p50_s = percentile(&q.latencies, 0.5);
+    report.latency_p95_s = percentile(&q.latencies, 0.95);
+    report.degraded_steps = q.ladder.at;
+    report.dropped_frames = report.failed + report.skipped;
+    // `[stage 1, full]`: a routed query's rungs, aggressive first.
+    if let Policy::Route(_) = q.ladder.policy {
+        report.stage_histogram = q.rung_outputs.iter().rev().copied().collect();
+    }
+    report.deadline_missed = deadline_missed;
     {
         let mut agg = inner.agg.lock();
         agg.completed_queries += 1;
@@ -1291,15 +1547,14 @@ fn producer_loop(inner: &Inner) {
 /// says 1 for "escalate" — rung 0, the submitted plan — and 0 for the
 /// aggressive rung compiled behind it.
 fn produce(inner: &Inner, claim: &Claim) -> Result<(usize, Vec<ProducedItem>), String> {
-    let item = &claim.items[claim.idx];
-    let rung = match claim.ladder.route {
-        Some(threshold) => 1 - route_stage(item, threshold),
-        None => claim.ladder.at,
+    let rung = match claim.pick {
+        Pick::Rung(rung) => rung,
+        Pick::Route(threshold) => 1 - route_stage(&claim.item, threshold),
     };
     produce_media_item(
-        &claim.ladder.rungs[rung].ctx,
-        claim.layout.offsets[claim.idx],
-        item,
+        &claim.rungs[rung].ctx,
+        claim.offset,
+        &claim.item,
         &claim.pool,
         claim.infer.is_some(),
         inner.cfg.runtime.extra_cpu_s_per_image,
@@ -1323,58 +1578,63 @@ fn integrate(
         .queries
         .get_mut(&claim.query)
         .expect("query lives until finalize");
-    q.claims_out -= 1;
-    match produced {
+    let item = q
+        .in_flight
+        .get_mut(&claim.idx)
+        .expect("claimed, unresolved");
+    // An item can legally stage zero outputs (an empty GOP): it, and the
+    // query, may then be resolved already.
+    let resolved = match produced {
         Ok((rung, staged)) => {
+            item.left = staged.len();
             q.produced += staged.len();
             q.rung_outputs[rung] += staged.len();
-            q.escalated_items += usize::from(claim.ladder.route.is_some() && rung == 0);
+            let escalated = matches!(claim.pick, Pick::Route(_)) && rung == 0;
+            q.report.escalated_items += usize::from(escalated);
+            let resolved = staged.is_empty();
             // Routing is resolved: all outputs of one claim batch under
             // exactly one signature.
-            let sig = &claim.ladder.rungs[rung].sig;
-            for item in staged {
-                q.cache_hits += item.cache_hit as usize;
-                q.decode_cpu_s += item.decode_s;
-                q.preproc_cpu_s += item.preproc_s;
-                let item = BatchItem {
+            let sig = &claim.rungs[rung].sig;
+            for staged in staged {
+                q.report.cache_hits += staged.cache_hit as usize;
+                q.report.decode_cpu_s += staged.decode_s;
+                q.report.preproc_cpu_s += staged.preproc_s;
+                let staged = BatchItem {
                     query: claim.query,
+                    item_idx: claim.idx,
                     prio: claim.prio,
-                    item,
+                    item: staged,
                     claimed_at: claim.claimed_at,
                     infer: claim.infer.clone(),
                 };
-                emitted.extend(sched.batcher.push(sig, item));
+                emitted.extend(sched.batcher.push(sig, staged));
             }
+            resolved
         }
         Err(e) => {
-            // Stop claiming further items of this query; items already
+            // A closed query stops claiming its other items; items already
             // produced still execute and the handle still resolves (with
-            // the error recorded). Failed/skipped are counted in *outputs*,
-            // matching `images` (for stills both degenerate to item
-            // counts).
-            q.failed += q.count_of(claim.idx);
-            q.error.get_or_insert(e);
-            let dropped_items = q.claim_end - q.next_item;
-            q.skipped += q.outputs_before(q.claim_end) - q.outputs_before(q.next_item);
-            q.claim_end = q.next_item;
-            // The dropped items are counted under the query's *current*
-            // rungs, which may be deeper than the ones this claim was
-            // taken under.
-            if dropped_items > 0 {
-                for rung in q.ladder.open() {
-                    sched
-                        .batcher
-                        .settle(&rung.sig, claim.prio, dropped_items, emitted);
-                }
+            // the error recorded). An open query's items fail alone, each
+            // in its own completion. Failed/skipped are counted in
+            // *outputs*, matching `images` (for stills both degenerate to
+            // item counts).
+            (item.left, item.failed) = (0, claim.fanout);
+            q.report.failed += claim.fanout;
+            q.report.error.get_or_insert(e);
+            if q.completions.is_none() {
+                cancel_queued(sched, claim.query, emitted);
             }
+            true
         }
-    }
-    for rung in claim.ladder.open() {
+    };
+    for rung in claim.pick.open(&claim.rungs) {
         sched.batcher.settle(&rung.sig, claim.prio, 1, emitted);
     }
-    // An item can legally stage zero outputs (an empty GOP): the query may
-    // already be finishable.
-    try_finalize(inner, sched, claim.query);
+    if resolved {
+        let q = sched.queries.get_mut(&claim.query).expect("not finalized");
+        q.resolve(inner, claim.idx);
+        try_finalize(inner, sched, claim.query);
+    }
 }
 
 /// Batches a consumer may have launched and not yet retired: the one the
@@ -1449,6 +1709,8 @@ fn launch(inner: &Inner, device: &VirtualDevice, batch: FormedBatch<BatchItem>) 
 /// One executed output on its way back to its query.
 struct Retired {
     query: QueryId,
+    /// The output's item, and the output's own index.
+    item_idx: usize,
     idx: usize,
     claimed_at: Instant,
     /// The inference callback's prediction (`None` without a callback), or
@@ -1484,6 +1746,7 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
         .into_iter()
         .map(|b| Retired {
             query: b.query,
+            item_idx: b.item_idx,
             idx: b.item.idx,
             claimed_at: b.claimed_at,
             outcome: match (&b.infer, &b.item.image) {
@@ -1515,20 +1778,33 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
             continue;
         };
         for out in outputs {
+            let item = q
+                .in_flight
+                .get_mut(&out.item_idx)
+                .expect("staged, unresolved");
+            item.left -= 1;
             match std::mem::replace(&mut out.outcome, Ok(None)) {
+                // An open query's results travel with its item's completion.
+                Ok(pred) if q.completions.is_some() => {
+                    q.report.images += 1;
+                    item.results[out.idx - item.offset] = pred;
+                }
                 Ok(pred) => {
-                    q.completed += 1;
+                    q.report.images += 1;
                     q.latencies
                         .push(now.duration_since(out.claimed_at).as_secs_f64());
                     if pred.is_some() {
-                        q.results[out.idx] = pred;
+                        q.report.results[out.idx] = pred;
                     }
                 }
                 Err(msg) => {
-                    q.panicked += 1;
-                    q.failed += 1;
-                    q.error.get_or_insert(msg);
+                    item.failed += 1;
+                    q.report.failed += 1;
+                    q.report.error.get_or_insert(msg);
                 }
+            }
+            if item.left == 0 {
+                q.resolve(inner, out.item_idx);
             }
         }
         try_finalize(inner, &mut sched, qid);
@@ -1542,4 +1818,90 @@ fn panic_message(who: &str, payload: &(dyn Any + Send)) -> String {
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("(non-string payload)");
     format!("{who} panicked: {msg}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smol_accel::{ExecutionEnv, GpuModel, ModelKind};
+    use smol_codec::Format;
+    use smol_core::{DecodeMode, InputVariant, Planner, PlannerConfig};
+
+    /// An endless stream's query: after 10 000 appended and completed
+    /// items, the query holds state for its unresolved items only — never
+    /// more than the append bound — and nothing per output.
+    #[test]
+    fn an_open_query_holds_state_only_for_unresolved_items() {
+        const ITEMS: usize = 10_000;
+        const BOUND: usize = 4;
+        let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.001);
+        let server = Server::new(
+            device,
+            ServerConfig {
+                max_active_queries: BOUND,
+                ..Default::default()
+            },
+        );
+        let planner = Planner::new(PlannerConfig {
+            dnn_input: 8,
+            batch: 4,
+            ..Default::default()
+        });
+        let input = InputVariant::new("8x8 sjpg", Format::sjpg(85), 8, 8);
+        let plan = QueryPlan {
+            dnn: ModelKind::ResNet18,
+            input: input.clone(),
+            preproc: planner.build_preproc(&input),
+            decode: DecodeMode::Full,
+            batch: 4,
+        };
+        let image = EncodedImage::encode(&smol_data::textured(8, 8, 1), Format::sjpg(85)).unwrap();
+        let request = SubmitRequest::new(plan, Vec::new()).infer(|output, _| output);
+        let handle = server.submit(request.open()).expect("admitted");
+        // Per-item state (unresolved items, and the capacity kept for
+        // them) and per-output state of the query.
+        let state = || {
+            let sched = server.inner.sched.lock();
+            let q = &sched.queries[&handle.id()];
+            let capacity = q.queue.capacity() + q.in_flight.capacity();
+            (
+                q.unresolved(),
+                capacity,
+                q.report.results.len() + q.latencies.len(),
+            )
+        };
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let output_of = |completion: Completion| {
+            assert_eq!(completion.failed, 0);
+            let result = completion.results.into_iter().next().flatten();
+            *result.unwrap().downcast::<usize>().unwrap()
+        };
+        let mut outputs = Vec::with_capacity(ITEMS);
+        for i in 0..ITEMS {
+            assert_eq!(
+                handle.append(MediaItem::Image(image.clone()), 0).unwrap(),
+                i
+            );
+            let (unresolved, capacity, per_output) = state();
+            assert!(unresolved <= BOUND, "append blocks at the bound");
+            assert!(capacity <= 64, "per-item capacity must not grow with items");
+            assert_eq!(per_output, 0, "an open query keeps nothing per output");
+            while let Some(completion) = handle.next_completion(Instant::now()) {
+                outputs.push(output_of(completion));
+            }
+        }
+        handle.close();
+        while outputs.len() < ITEMS {
+            let completion = handle.next_completion(deadline);
+            outputs.push(output_of(completion.expect("every item completes")));
+        }
+        outputs.sort_unstable();
+        assert_eq!(outputs, (0..ITEMS).collect::<Vec<_>>());
+        let report = handle.wait().expect("resolves once closed");
+        assert_eq!(
+            (report.images, report.failed, report.skipped),
+            (ITEMS, 0, 0)
+        );
+        server.shutdown();
+    }
 }

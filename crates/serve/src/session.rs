@@ -269,7 +269,7 @@ pub struct StreamLadder {
 
 /// The serving steps among `rungs` that read the chosen plan's variant. A
 /// query's items are drawn from that variant at submission (and a stream's
-/// runner re-submits the same GOPs), so a rung reading a *different*
+/// runner appends the same variant's GOPs), so a rung reading a *different*
 /// variant would decode the wrong corpus: only same-variant rungs (cheaper
 /// DNN, cheaper decode) are eligible.
 fn same_variant_steps(chosen: &ChosenPlan, rungs: Vec<PlanCandidate>) -> Vec<DegradeStep> {

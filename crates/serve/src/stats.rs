@@ -9,7 +9,7 @@ use std::any::Any;
 pub type BoxedPrediction = Box<dyn Any + Send>;
 
 /// Outcome of one served query, delivered through its `QueryHandle`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct QueryReport {
     pub id: u64,
     /// Human-readable plan label ("ResNet-50 @ 161 spng"). When the query
@@ -46,14 +46,12 @@ pub struct QueryReport {
     /// How many degradation steps the scheduler applied to this query
     /// (0 = it ran its originally chosen plan throughout).
     pub degraded_steps: usize,
-    /// Frame-level loss: outputs admitted for this query that never
-    /// executed (`failed + skipped`). Live-stream pacing also counts
-    /// whole GOPs it sheds pre-submission, via
-    /// `Server::record_frame_loss`, into the aggregate `ServerStats`
-    /// (not here — those frames were never part of any query).
+    /// Frame-level loss: outputs appended to this query that never
+    /// executed (`failed + skipped`) — for a live stream's query, whole
+    /// GOPs its pacer dropped and GOPs cancelled when it stopped too.
     pub dropped_frames: usize,
-    /// Outputs claimed while the query was running on a rung below its
-    /// originally chosen plan (0 until the first degradation step).
+    /// Outputs claimed on a rung below the query's originally chosen plan:
+    /// after a degradation step, or appended there by a stream's pacer.
     pub downgraded_frames: usize,
     /// Items of a cascade query whose difficulty signal routed them to
     /// the full rung (0 for uniform queries and unrouted items).
@@ -128,7 +126,7 @@ pub struct DeviceLaneStats {
 
 /// Fleet-wide serving metrics, sampled by `Server::stats()`: aggregate
 /// counters plus a per-device breakdown in [`ServerStats::devices`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerStats {
     /// Queries admitted so far (including completed ones).
     pub submitted_queries: u64,
@@ -160,14 +158,11 @@ pub struct ServerStats {
     /// Degradation steps applied across all queries (each re-plan of one
     /// query to a cheaper frontier rung counts once).
     pub degradations: u64,
-    /// Frames lost across all queries: per-query `failed + skipped` plus
-    /// losses reported out-of-band via [`Server::record_frame_loss`]
-    /// (e.g. whole GOPs a live-stream pacer shed before submission).
-    ///
-    /// [`Server::record_frame_loss`]: crate::Server::record_frame_loss
+    /// Frames lost across all finished queries: the sum of their
+    /// [`QueryReport::dropped_frames`] (a live stream's shed GOPs included).
     pub dropped_frames: u64,
-    /// Frames executed on a rung below their query's originally chosen
-    /// plan (per-query counts plus out-of-band stream downgrades).
+    /// Frames claimed on a rung below their query's originally chosen
+    /// plan: the sum of [`QueryReport::downgraded_frames`].
     pub downgraded_frames: u64,
     /// Completed queries that had a deadline and met it.
     pub deadline_met: u64,

@@ -11,25 +11,27 @@
 //!
 //! * [`StreamSource`] — pull-based timed GOP sources ([`FeedSource`]
 //!   adapts a [`smol_data::StreamFeed`]);
-//! * [`run_stream`] — the pacing scheduler: a driver thread releases
-//!   GOPs at their arrival times, measures how far behind arrival the
-//!   oldest in-flight GOP is, and maps that lag through a
-//!   [`smol_core::PacingPolicy`] onto a rung of the query's calibrated
-//!   [`StreamLadder`] (deblock-skip, strided
-//!   and keyframe-only selections — whatever the planner's frontier
-//!   orders next) or onto dropping the GOP outright. Every rung sits at
-//!   or above the constraint's accuracy floor, so floor violations are
-//!   zero by construction;
+//! * [`run_stream`] — the pacing scheduler: a stream is **one open server
+//!   query** on the rungs of the query's calibrated [`StreamLadder`]
+//!   (deblock-skip, strided and keyframe-only selections — whatever the
+//!   planner's frontier orders next). A driver thread appends GOPs at their
+//!   arrival times, measures how far behind arrival the oldest in-flight
+//!   GOP is, and maps that lag through a [`smol_core::PacingPolicy`] onto
+//!   the rung each GOP is appended on — the rung past the end drops it.
+//!   Every rung sits at or above the constraint's accuracy floor, so floor
+//!   violations are zero by construction;
 //! * [`StreamHandle`] — windowed results: per-frame values (e.g. object
 //!   counts) roll up into tumbling stream-time windows
 //!   ([`smol_analytics::WindowRollup`]), each closing once its GOPs have
-//!   resolved or been shed, with per-window drop/downgrade/staleness
+//!   completed or been shed, with per-window drop/downgrade/staleness
 //!   accounting ([`WindowResult`]) and stream-level [`StreamStats`].
 //!
-//! Frame-level loss also folds into the server's aggregate counters
+//! Frame-level loss is the stream query's own accounting: shed and
+//! cancelled GOPs count as skipped, deeper rungs as downgraded, and both
+//! fold into the server's aggregate counters
 //! ([`smol_serve::ServerStats::dropped_frames`] /
 //! [`ServerStats::downgraded_frames`](smol_serve::ServerStats::downgraded_frames))
-//! via [`smol_serve::Server::record_frame_loss`].
+//! when the stream ends.
 
 use crossbeam::channel;
 use smol_analytics::WindowRollup;
@@ -41,17 +43,14 @@ use smol_data::StreamFeed;
 use smol_imgproc::ImageU8;
 use smol_runtime::MediaItem;
 use smol_serve::{
-    percentile, Priority, Query, QueryHandle, Session, SessionError, StreamLadder, SubmitOptions,
+    percentile, Completion, Priority, Query, QueryHandle, Session, SessionError, StreamLadder,
+    SubmitOptions, SubmitRequest,
 };
 use smol_video::EncodedGop;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// The per-frame inference callback: `(global frame position, decoded
-/// frame) -> sample value`, shared with the driver thread.
-type CountFn = Arc<dyn Fn(usize, &ImageU8) -> f64 + Send + Sync>;
 
 /// One GOP released by a [`StreamSource`]: the encoded item, its frame
 /// position in the stream, and its wall-clock arrival offset.
@@ -60,13 +59,13 @@ pub struct StreamGop {
     pub gop: EncodedGop,
     /// Stream position of the GOP's first frame.
     pub start_frame: usize,
-    /// Wall-clock arrival offset from stream start (the driver sleeps
+    /// Wall-clock arrival offset from stream start (the driver waits
     /// until this before the GOP exists, and lag is measured against it).
     pub arrival: Duration,
 }
 
 /// A pull-based timed GOP source. `next_gop` returns GOPs in arrival
-/// order; the pacing driver sleeps out each arrival offset, so sources
+/// order; the pacing driver waits out each arrival offset, so sources
 /// are pure schedules — no clocks of their own.
 pub trait StreamSource {
     /// The next GOP, or `None` when the stream ends (a finite clip; live
@@ -129,7 +128,8 @@ pub struct StreamConfig {
     /// The lag → rung/drop policy ([`PacingPolicy::disabled`] is the
     /// lesion: never downgrade, never drop, lag grows without bound).
     pub policy: PacingPolicy,
-    /// Admission priority of the per-GOP queries.
+    /// Admission, claiming and batch-release priority of the stream's
+    /// query.
     pub priority: Priority,
 }
 
@@ -177,10 +177,11 @@ pub struct WindowResult {
 #[derive(Debug, Clone, Default)]
 pub struct StreamStats {
     pub gops_arrived: usize,
+    /// Appended to the stream's query on a rung (not dropped).
     pub gops_submitted: usize,
-    /// Submitted on a rung below the base plan.
+    /// Appended on a rung below the base plan.
     pub gops_downgraded: usize,
-    /// Shed by the pacer (or refused by admission) without submission.
+    /// Shed by the pacer, or refused once the stream was stopped.
     pub gops_dropped: usize,
     /// Frames across all arrived GOPs.
     pub frames_total: usize,
@@ -188,19 +189,20 @@ pub struct StreamStats {
     pub frames_decoded: usize,
     /// Executed outputs that ran on a rung below the base plan.
     pub frames_downgraded: usize,
-    /// Frames of shed GOPs, plus failed/skipped outputs of resolved ones.
+    /// Frames of shed GOPs, plus failed and cancelled outputs of appended
+    /// ones.
     pub frames_dropped: usize,
     /// Windows emitted.
     pub windows: usize,
     /// Mean per-window coverage.
     pub window_coverage: f64,
-    /// Per-GOP arrival → resolution wall lag percentiles.
+    /// Per-GOP arrival → completion wall lag percentiles.
     pub lag_p50_s: f64,
     pub lag_p95_s: f64,
     /// 95th-percentile window staleness ([`WindowResult::output_lag_s`]).
     pub output_lag_p95_s: f64,
-    /// Resolved queries whose reported accuracy fell below the floor —
-    /// zero by construction (every ladder rung is at or above it).
+    /// Completed GOPs whose rung's accuracy fell below the floor — zero
+    /// by construction (every ladder rung is at or above it).
     pub floor_violations: usize,
     /// Deepest ladder rung any GOP ran on (0 = never downgraded).
     pub max_rung: usize,
@@ -213,6 +215,9 @@ pub struct StreamHandle {
     rx: channel::Receiver<WindowResult>,
     join: Option<std::thread::JoinHandle<StreamStats>>,
     stop: Arc<AtomicBool>,
+    /// The stream's server query, shared with the driver: cancelling it
+    /// wakes a driver waiting for the next arrival.
+    query: Arc<QueryHandle>,
 }
 
 impl StreamHandle {
@@ -234,10 +239,12 @@ impl StreamHandle {
         self.rx.try_recv().ok()
     }
 
-    /// Asks the driver to stop after the GOP it is currently handling;
-    /// in-flight work is abandoned (its frames count as dropped).
+    /// Stops the stream: no further GOP is appended, and every appended
+    /// GOP no producer has claimed yet is cancelled (its frames count as
+    /// dropped, once); GOPs already being produced complete.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.query.cancel();
     }
 
     /// Waits for the stream to end (call [`StreamHandle::stop`] first
@@ -253,21 +260,22 @@ impl StreamHandle {
 impl Drop for StreamHandle {
     fn drop(&mut self) {
         if let Some(join) = self.join.take() {
-            self.stop.store(true, Ordering::Relaxed);
+            self.stop();
             let _ = join.join();
         }
     }
 }
 
-/// Starts a continuous query: derives the per-GOP serving ladder from
-/// the query's constraint ([`Session::stream_ladder`]), then spawns a
-/// driver thread that releases `source`'s GOPs at their arrival times,
-/// paces them through `cfg.policy`, and rolls per-frame values of
-/// `count` (called as `count(stream_frame_position, &decoded_frame)`)
-/// into tumbling windows.
+/// Starts a continuous query: derives the serving ladder from the query's
+/// constraint ([`Session::stream_ladder`]), opens **one** server query on
+/// its rungs, then spawns a driver thread that appends `source`'s GOPs at
+/// their arrival times on the rung `cfg.policy` picks, and rolls per-frame
+/// values of `count` (called as `count(stream_frame_position,
+/// &decoded_frame)`) into tumbling windows.
 ///
-/// Planning errors surface synchronously; everything after is reported
-/// through the returned [`StreamHandle`].
+/// Planning and admission errors surface synchronously (admission may
+/// block like any submission); everything after is reported through the
+/// returned [`StreamHandle`].
 pub fn run_stream<S, F>(
     session: &Arc<Session>,
     query: &Query,
@@ -280,21 +288,69 @@ where
     F: Fn(usize, &ImageU8) -> f64 + Send + Sync + 'static,
 {
     let ladder = session.stream_ladder(query)?;
-    let session = Arc::clone(session);
+    let (base, deeper) = ladder
+        .rungs
+        .split_first()
+        .expect("a stream ladder holds at least the chosen plan");
+    let positions = Arc::new(Positions::default());
+    let frame_positions = Arc::clone(&positions);
+    let request = SubmitRequest::new(base.plan.clone(), Vec::new())
+        .options(SubmitOptions {
+            priority: cfg.priority,
+            // The pacer picks each GOP's rung among these at append.
+            ladder: deeper.to_vec(),
+            accuracy: Some(base.accuracy),
+            accuracy_floor: ladder.accuracy_floor,
+            ..SubmitOptions::default()
+        })
+        .infer(move |output, img: &ImageU8| {
+            let pos = frame_positions.of(output);
+            (pos, count(pos, img))
+        })
+        .open();
+    let open = Arc::new(session.server().submit(request)?);
     let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
     // Effectively unbounded for any realistic run: one slot per window,
     // and the driver stops producing once asked to stop.
     let (tx, rx) = channel::bounded(1 << 16);
-    let count: CountFn = Arc::new(count);
+    let fps = source.fps().max(1e-6);
+    let fpw = ((cfg.window_s * fps).round() as usize).max(1);
+    let driver = Driver {
+        query: Arc::clone(&open),
+        ladder,
+        positions,
+        next_output: 0,
+        cfg,
+        tx,
+        stop: Arc::clone(&stop),
+        start: Instant::now(),
+        fps,
+        scale: source.time_scale().max(1e-9),
+        fpw,
+        rollup: WindowRollup::new(fpw),
+        accts: BTreeMap::new(),
+        in_flight: BTreeMap::new(),
+        stats: StreamStats::default(),
+        lags: Vec::new(),
+        output_lags: Vec::new(),
+        coverage_sum: 0.0,
+        arrived_frames: 0,
+        source_done: false,
+    };
+    // The driver keeps the session (and so the server) alive.
+    let session = Arc::clone(session);
     let join = std::thread::Builder::new()
         .name("smol-stream".into())
-        .spawn(move || drive(session, ladder, source, cfg, count, tx, stop2))
+        .spawn(move || {
+            let _session = session;
+            driver.run(source)
+        })
         .expect("spawn stream driver");
     Ok(StreamHandle {
         rx,
         join: Some(join),
         stop,
+        query: open,
     })
 }
 
@@ -302,19 +358,38 @@ where
 // Driver internals
 // ---------------------------------------------------------------------------
 
-/// One submitted, unresolved GOP.
-struct Pending {
-    handle: QueryHandle,
+/// The stream positions of the frames each in-flight GOP's rung selects,
+/// keyed by the GOP's first output index: the frame callback runs on the
+/// server's consumer threads and sees only output indices.
+#[derive(Default)]
+struct Positions(Mutex<BTreeMap<usize, Vec<usize>>>);
+
+impl Positions {
+    fn map(&self) -> MutexGuard<'_, BTreeMap<usize, Vec<usize>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn of(&self, output: usize) -> usize {
+        let map = self.map();
+        let (first, frames) = map.range(..=output).next_back().expect("registered");
+        frames[output - first]
+    }
+}
+
+/// One appended GOP whose completion has not come back yet.
+struct InFlight {
     arrival: Duration,
     start_frame: usize,
     n_frames: usize,
     rung: usize,
+    /// Its first output index, when its rung selects any frame.
+    first_output: Option<usize>,
 }
 
 /// Per-window live accounting (drained when the window closes).
 #[derive(Default)]
 struct WinAcct {
-    /// Submitted GOPs overlapping this window and not yet resolved.
+    /// Appended GOPs overlapping this window and not yet completed.
     outstanding: usize,
     /// Frames covered by GOPs that produced at least one output.
     covered: usize,
@@ -338,10 +413,13 @@ fn window_spans(start: usize, n: usize, fpw: usize) -> Vec<(usize, usize)> {
 }
 
 struct Driver {
-    session: Arc<Session>,
+    /// The stream's one server query, open until the source ends.
+    query: Arc<QueryHandle>,
     ladder: StreamLadder,
+    positions: Arc<Positions>,
+    /// The output index the next appended GOP's first frame takes.
+    next_output: usize,
     cfg: StreamConfig,
-    count: CountFn,
     tx: channel::Sender<WindowResult>,
     stop: Arc<AtomicBool>,
     start: Instant,
@@ -351,7 +429,8 @@ struct Driver {
     fpw: usize,
     rollup: WindowRollup,
     accts: BTreeMap<usize, WinAcct>,
-    pending: Vec<Pending>,
+    /// Appended GOPs not yet completed, by item index.
+    in_flight: BTreeMap<usize, InFlight>,
     stats: StreamStats,
     lags: Vec<f64>,
     output_lags: Vec<f64>,
@@ -361,65 +440,19 @@ struct Driver {
     source_done: bool,
 }
 
-fn drive<S: StreamSource>(
-    session: Arc<Session>,
-    ladder: StreamLadder,
-    mut source: S,
-    cfg: StreamConfig,
-    count: CountFn,
-    tx: channel::Sender<WindowResult>,
-    stop: Arc<AtomicBool>,
-) -> StreamStats {
-    let fps = source.fps().max(1e-6);
-    let scale = source.time_scale().max(1e-9);
-    let fpw = ((cfg.window_s * fps).round() as usize).max(1);
-    let mut d = Driver {
-        session,
-        ladder,
-        cfg,
-        count,
-        tx,
-        stop,
-        start: Instant::now(),
-        fps,
-        scale,
-        fpw,
-        rollup: WindowRollup::new(fpw),
-        accts: BTreeMap::new(),
-        pending: Vec::new(),
-        stats: StreamStats::default(),
-        lags: Vec::new(),
-        output_lags: Vec::new(),
-        coverage_sum: 0.0,
-        arrived_frames: 0,
-        source_done: false,
-    };
-    d.run(&mut source);
-    d.finalize()
-}
-
 impl Driver {
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
     }
 
-    fn run<S: StreamSource>(&mut self, source: &mut S) {
+    fn run<S: StreamSource>(mut self, mut source: S) -> StreamStats {
         while !self.stopped() {
             let Some(sg) = source.next_gop() else {
-                self.source_done = true;
                 break;
             };
-            // Pace wall clock to the GOP's arrival, reaping completions
-            // and closing windows while waiting.
-            loop {
-                let now = self.start.elapsed();
-                if now >= sg.arrival || self.stopped() {
-                    break;
-                }
-                self.reap();
-                self.close_ready();
-                std::thread::sleep((sg.arrival - now).min(Duration::from_millis(2)));
-            }
+            // Until the GOP arrives, take completions and close windows
+            // as they come (a stop wakes this wait: see `StreamHandle`).
+            self.integrate_until(self.start + sg.arrival);
             if self.stopped() {
                 break;
             }
@@ -427,159 +460,149 @@ impl Driver {
             self.stats.gops_arrived += 1;
             self.stats.frames_total += n;
             self.arrived_frames = self.arrived_frames.max(sg.start_frame + n);
-            self.reap();
             self.pace(sg);
             self.close_ready();
         }
-        // Drain: the source ended (or we were stopped) — wait out the
-        // in-flight GOPs, bounded so a wedged server can't hang us.
+        // No more GOPs. A stop has already cancelled every GOP no producer
+        // had claimed (they complete as dropped); the rest run to the end,
+        // bounded so a wedged server can't hang us.
+        self.query.close();
         let deadline = Instant::now() + Duration::from_secs(60);
-        while !self.pending.is_empty() && Instant::now() < deadline && !self.stopped() {
-            self.reap();
+        while !self.in_flight.is_empty() {
+            let Some(completion) = self.query.next_completion(deadline) else {
+                break;
+            };
+            self.integrate(completion);
             self.close_ready();
-            std::thread::sleep(Duration::from_millis(1));
         }
-        self.reap();
-        // Whatever is still unresolved (stopped mid-flight) is lost to
-        // the stream: account its frames as dropped and release its
-        // windows so they can close.
-        let abandoned: Vec<Pending> = self.pending.drain(..).collect();
-        for p in abandoned {
-            self.stats.frames_dropped += p.n_frames;
-            self.session
-                .server()
-                .record_frame_loss(p.n_frames as u64, 0);
-            for (w, span) in window_spans(p.start_frame, p.n_frames, self.fpw) {
+        // Whatever is still unresolved is lost to the stream: account its
+        // frames as dropped and release its windows so they can close.
+        for gop in std::mem::take(&mut self.in_flight).into_values() {
+            for (w, _) in window_spans(gop.start_frame, gop.n_frames, self.fpw) {
                 let acct = self.accts.entry(w).or_default();
                 acct.outstanding = acct.outstanding.saturating_sub(1);
-                acct.dropped += span;
             }
+            self.drop_frames(gop.start_frame, gop.n_frames);
         }
         self.source_done = true;
         self.close_ready();
+        self.finalize()
     }
 
-    /// Applies the pacing policy to an arrived GOP: submit on a ladder
-    /// rung, or shed it.
-    fn pace(&mut self, sg: StreamGop) {
-        let now_s = self.start.elapsed().as_secs_f64();
-        let lag = self
-            .pending
-            .iter()
-            .map(|p| now_s - p.arrival.as_secs_f64())
-            .fold(0.0, f64::max);
-        match self.cfg.policy.decide(lag, self.ladder.rungs.len()) {
-            PaceDecision::Drop => self.shed(&sg),
-            PaceDecision::Submit { rung } => self.submit(sg, rung),
+    /// Integrates completions as they arrive until `deadline`, or until
+    /// the query has resolved.
+    fn integrate_until(&mut self, deadline: Instant) {
+        while let Some(completion) = self.query.next_completion(deadline) {
+            self.integrate(completion);
+            self.close_ready();
         }
     }
 
-    fn shed(&mut self, sg: &StreamGop) {
-        let n = sg.gop.n_frames();
-        self.stats.gops_dropped += 1;
+    /// Appends an arrived GOP on the rung the pacing policy picks for the
+    /// current lag — "drop" is the rung past the end, which the query
+    /// counts as skipped.
+    fn pace(&mut self, sg: StreamGop) {
+        let now_s = self.start.elapsed().as_secs_f64();
+        let lag = self
+            .in_flight
+            .values()
+            .map(|gop| now_s - gop.arrival.as_secs_f64())
+            .fold(0.0, f64::max);
+        let rungs = self.ladder.rungs.len();
+        let rung = match self.cfg.policy.decide(lag, rungs) {
+            PaceDecision::Drop => rungs,
+            PaceDecision::Submit { rung } => rung.min(rungs - 1),
+        };
+        let (start_frame, n_frames) = (sg.start_frame, sg.gop.n_frames());
+        // The stream positions of the frames the rung selects, registered
+        // under the GOP's first output before a producer can see it.
+        let selection = self
+            .ladder
+            .rungs
+            .get(rung)
+            .map(|step| match step.plan.decode {
+                DecodeMode::Video { selection, .. } => selection,
+                _ => FrameSelection::All,
+            });
+        let frames = (0..n_frames).filter(|&p| selection.is_some_and(|s| s.selects(p)));
+        let frames: Vec<usize> = frames.map(|p| start_frame + p).collect();
+        let first_output = (!frames.is_empty()).then_some(self.next_output);
+        if let Some(first) = first_output {
+            self.next_output += frames.len();
+            self.positions.map().insert(first, frames);
+        }
+        match self.query.append(MediaItem::Gop(sg.gop), rung) {
+            Ok(item) if rung < rungs => {
+                self.stats.gops_submitted += 1;
+                self.stats.max_rung = self.stats.max_rung.max(rung);
+                self.stats.gops_downgraded += usize::from(rung > 0);
+                for (w, _) in window_spans(start_frame, n_frames, self.fpw) {
+                    self.accts.entry(w).or_default().outstanding += 1;
+                }
+                let arrival = sg.arrival;
+                let gop = InFlight {
+                    arrival,
+                    start_frame,
+                    n_frames,
+                    rung,
+                    first_output,
+                };
+                self.in_flight.insert(item, gop);
+            }
+            // Dropped by the pacer, or refused: the stream was stopped.
+            _ => {
+                if let Some(first) = first_output {
+                    self.positions.map().remove(&first);
+                    self.next_output = first;
+                }
+                self.stats.gops_dropped += 1;
+                self.drop_frames(start_frame, n_frames);
+            }
+        }
+    }
+
+    /// Charges `n` frames from stream position `start` as dropped.
+    fn drop_frames(&mut self, start: usize, n: usize) {
         self.stats.frames_dropped += n;
-        self.session.server().record_frame_loss(n as u64, 0);
-        for (w, span) in window_spans(sg.start_frame, n, self.fpw) {
+        for (w, span) in window_spans(start, n, self.fpw) {
             self.accts.entry(w).or_default().dropped += span;
         }
     }
 
-    fn submit(&mut self, sg: StreamGop, rung: usize) {
-        let rung = rung.min(self.ladder.rungs.len().saturating_sub(1));
-        let step = &self.ladder.rungs[rung];
-        let n = sg.gop.n_frames();
-        let selection = match step.plan.decode {
-            DecodeMode::Video { selection, .. } => selection,
-            _ => FrameSelection::All,
+    /// Integrates one completed GOP.
+    fn integrate(&mut self, completion: Completion) {
+        let Some(gop) = self.in_flight.remove(&completion.item) else {
+            return;
         };
-        let sel: Vec<usize> = (0..n).filter(|&p| selection.selects(p)).collect();
-        let expected = sel.len();
-        let base = sg.start_frame;
-        let count = Arc::clone(&self.count);
-        let infer = move |k: usize, img: &ImageU8| -> (usize, f64) {
-            let pos = base + sel.get(k).copied().unwrap_or(0);
-            (pos, count(pos, img))
-        };
-        let opts = SubmitOptions {
-            deadline: None,
-            priority: self.cfg.priority,
-            // Per-GOP degradation is the *pacer's* job — rung choice at
-            // submit time — so the in-query ladder stays empty.
-            ladder: Vec::new(),
-            accuracy: Some(step.accuracy),
-            accuracy_floor: self.ladder.accuracy_floor,
-            cascade: None,
-        };
-        let submitted = self.session.server().submit_media_opts_with_infer(
-            step.plan.clone(),
-            vec![MediaItem::Gop(sg.gop.clone())],
-            opts,
-            infer,
-        );
-        match submitted {
-            Ok(handle) => {
-                self.stats.gops_submitted += 1;
-                self.stats.max_rung = self.stats.max_rung.max(rung);
-                if rung > 0 {
-                    self.stats.gops_downgraded += 1;
-                    self.session.server().record_frame_loss(0, expected as u64);
-                }
-                for (w, _) in window_spans(base, n, self.fpw) {
-                    self.accts.entry(w).or_default().outstanding += 1;
-                }
-                self.pending.push(Pending {
-                    handle,
-                    arrival: sg.arrival,
-                    start_frame: base,
-                    n_frames: n,
-                    rung,
-                });
-            }
-            // The server refused the work (shutdown/backpressure): shed.
-            Err(_) => self.shed(&sg),
+        if let Some(first) = gop.first_output {
+            self.positions.map().remove(&first);
         }
-    }
-
-    /// Integrates every resolved GOP query.
-    fn reap(&mut self) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            match self.pending[i].handle.try_wait() {
-                Some(report) => {
-                    let p = self.pending.remove(i);
-                    self.integrate(p, report);
-                }
-                None => i += 1,
-            }
-        }
-    }
-
-    fn integrate(&mut self, p: Pending, mut report: smol_serve::QueryReport) {
         let now_s = self.start.elapsed().as_secs_f64();
-        self.lags.push((now_s - p.arrival.as_secs_f64()).max(0.0));
+        self.lags.push((now_s - gop.arrival.as_secs_f64()).max(0.0));
+        let results = completion.results.into_iter().flatten();
         let mut executed = 0usize;
-        for (pos, value) in report.take_results::<(usize, f64)>().into_iter().flatten() {
+        for result in results.filter_map(|r| r.downcast::<(usize, f64)>().ok()) {
+            let (pos, value) = *result;
             self.rollup.push(pos, value);
             let acct = self.accts.entry(pos / self.fpw).or_default();
             acct.decoded += 1;
-            if p.rung > 0 {
+            if gop.rung > 0 {
                 acct.downgraded += 1;
             }
             executed += 1;
         }
         self.stats.frames_decoded += executed;
-        if p.rung > 0 {
+        if gop.rung > 0 {
             self.stats.frames_downgraded += executed;
         }
-        // Failed/skipped outputs never executed; the server already
-        // counted them in its own dropped_frames aggregate.
-        self.stats.frames_dropped += report.failed + report.skipped;
-        if let (Some(acc), Some(floor)) = (report.accuracy, self.ladder.accuracy_floor) {
-            if acc < floor - 1e-9 {
+        // Failed and cancelled outputs never executed.
+        self.stats.frames_dropped += completion.failed;
+        if let Some(floor) = self.ladder.accuracy_floor {
+            if self.ladder.rungs[gop.rung].accuracy < floor - 1e-9 {
                 self.stats.floor_violations += 1;
             }
         }
-        for (w, span) in window_spans(p.start_frame, p.n_frames, self.fpw) {
+        for (w, span) in window_spans(gop.start_frame, gop.n_frames, self.fpw) {
             let acct = self.accts.entry(w).or_default();
             acct.outstanding = acct.outstanding.saturating_sub(1);
             if executed > 0 {

@@ -24,7 +24,7 @@ use smol::core::{CascadePlan, DecodeMode, InputVariant, Planner, PlannerConfig, 
 use smol::data::fingerprint;
 use smol::imgproc::ImageU8;
 use smol::runtime::{route_stage, wrap_images, MediaItem};
-use smol::serve::{Server, ServerConfig, SubmitOptions};
+use smol::serve::{Server, ServerConfig, SubmitOptions, SubmitRequest};
 use smol::{Calibration, Dataset, MeasuredCalibration, Query, Session, SessionConfig};
 use std::time::Duration;
 
@@ -138,7 +138,7 @@ fn escalated_items_match_pure_full_plan_run() {
     // Reference: the uniform full plan over the same corpus.
     let server = Server::with_devices(vec![fast_t4()], ServerConfig::default());
     let handle = server
-        .submit_with_infer(full.clone(), items.clone(), fingerprint)
+        .submit(SubmitRequest::stills(full.clone(), &items).infer(fingerprint))
         .expect("admitted");
     let mut report = handle.wait().expect("resolves");
     assert!(report.error.is_none());
@@ -326,7 +326,7 @@ fn cascade_and_uniform_queries_coexist_in_one_server() {
         .expect("admitted");
     let solo_cascade = handle.wait().expect("resolves").take_results::<u64>();
     let handle = server
-        .submit_with_infer(uniform_plan.clone(), uniform_items.clone(), fingerprint)
+        .submit(SubmitRequest::stills(uniform_plan.clone(), &uniform_items).infer(fingerprint))
         .expect("admitted");
     let solo_uniform = handle.wait().expect("resolves").take_results::<u64>();
     server.shutdown();
@@ -337,7 +337,7 @@ fn cascade_and_uniform_queries_coexist_in_one_server() {
         .submit_media_opts_with_infer(full, wrap_images(&cascade_items), opts(), fingerprint)
         .expect("admitted");
     let uniform_handle = server
-        .submit_with_infer(uniform_plan, uniform_items.clone(), fingerprint)
+        .submit(SubmitRequest::stills(uniform_plan, &uniform_items).infer(fingerprint))
         .expect("admitted");
 
     let mut cascade_report = cascade_handle.wait().expect("resolves");
@@ -431,7 +431,7 @@ fn a_failure_on_either_rung_of_a_cascade_resolves_and_leaks_nothing() {
         );
 
         let report = server
-            .submit(stage1.clone(), uniform_items.clone())
+            .submit(SubmitRequest::stills(stage1.clone(), &uniform_items))
             .expect("admitted")
             .wait_deadline(Duration::from_secs(60))
             .expect("server alive")

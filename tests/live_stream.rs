@@ -384,3 +384,82 @@ fn repeated_video_queries_hit_the_frame_cache() {
         "cross-selection reuse must not trigger new decodes"
     );
 }
+
+/// A stream is one server query: a 20-GOP `run_stream` raises
+/// `submitted_queries` by exactly one, and its frames are all accounted
+/// for when it ends.
+#[test]
+fn a_stream_is_one_server_query() {
+    let f = feed(20, 8.0, 29);
+    let session = Arc::new(session_with(0.0));
+    register_stream(&session, "cam", &f);
+    let before = session.server().stats();
+    let query = Query::new("cam").max_accuracy_loss(0.03);
+    let truth = truth_fn(&f);
+    let handle = run_stream(
+        &session,
+        &query,
+        FeedSource::new(f),
+        StreamConfig::default(),
+        truth,
+    )
+    .unwrap();
+    drain(&handle);
+    let stats = handle.finish();
+    let after = session.server().stats();
+
+    assert_eq!(stats.gops_arrived, 20);
+    assert_eq!(after.submitted_queries - before.submitted_queries, 1);
+    assert_eq!(after.completed_queries - before.completed_queries, 1);
+    assert_eq!(
+        after.images_done - before.images_done,
+        stats.frames_decoded as u64
+    );
+}
+
+/// `stop` cancels the GOPs of an overloaded stream that no producer has
+/// claimed yet. Each appended frame is then counted exactly once by the
+/// server: executed, or dropped — a stopped GOP is never both.
+#[test]
+fn stopping_a_stream_counts_every_appended_frame_once() {
+    // 400 GOPs arriving at 200x real time against 4 ms of CPU per frame:
+    // the source is far from its end, and the stream's query at its append
+    // bound, when the stream is stopped.
+    let f = feed(400, 200.0, 31);
+    let session = Arc::new(session_with(0.004));
+    register_stream(&session, "cam", &f);
+    let before = session.server().stats();
+    let query = Query::new("cam").max_accuracy_loss(0.03);
+    let cfg = StreamConfig {
+        policy: PacingPolicy::disabled(),
+        ..Default::default()
+    };
+    let handle = run_stream(&session, &query, FeedSource::new(f), cfg, |_, _| 0.0).unwrap();
+    let _ = handle.next_window_deadline(Duration::from_millis(300));
+    handle.stop();
+    let stats = handle.finish();
+    // Whatever the stream left in flight has finished before the count.
+    let t0 = Instant::now();
+    while session.server().stats().queue_depth > 0 && t0.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let after = session.server().stats();
+
+    let appended = after.images_in - before.images_in;
+    let done = after.images_done - before.images_done;
+    let dropped = after.dropped_frames - before.dropped_frames;
+    assert!(
+        appended > 0 && dropped > 0,
+        "the stop cancelled queued GOPs"
+    );
+    assert_eq!(
+        done + dropped,
+        appended,
+        "every appended frame counted once"
+    );
+    assert_eq!(done, stats.frames_decoded as u64);
+    assert_eq!(
+        stats.frames_decoded + stats.frames_dropped,
+        stats.frames_total
+    );
+}

@@ -14,11 +14,12 @@ use smol::codec::{DecodeOptions, EncodedImage, Format};
 use smol::core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol::data::{fingerprint, textured};
 use smol::runtime::pipeline::decode_item_opts;
-use smol::runtime::{RuntimeOptions, SlotKind};
+use smol::runtime::{MediaItem, RuntimeOptions, SlotKind};
 use smol::serve::{
     DegradeStep, QueryPoll, ServeError, Server, ServerConfig, ServerStats, SubmitOptions,
+    SubmitRequest,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn encoded_batch(n: usize, w: usize, h: usize, seed: usize) -> Vec<EncodedImage> {
     (0..n)
@@ -78,7 +79,9 @@ fn stress_mixed_plans_from_many_threads() {
                 for (qi, &(dnn, w, h, dnn_input, batch, n)) in shapes.iter().enumerate() {
                     let items = encoded_batch(n, w, h, t * 100 + qi * 10);
                     let plan = plan_for(dnn, w, h, dnn_input, batch);
-                    let handle = server.submit(plan, items).expect("admitted");
+                    let handle = server
+                        .submit(SubmitRequest::stills(plan, &items))
+                        .expect("admitted");
                     let report = handle.wait().expect("handle resolves");
                     assert_eq!(report.images, n, "thread {t} query {qi} conserves images");
                     assert_eq!(report.failed, 0);
@@ -120,7 +123,7 @@ fn server_matches_scalar_reference_decode_bitwise() {
 
     let server = Server::new(fast_device(), ServerConfig::default());
     let handle = server
-        .submit_with_infer(plan, items, fingerprint)
+        .submit(SubmitRequest::stills(plan, &items).infer(fingerprint))
         .expect("admitted");
     let mut report = handle.wait().expect("resolves");
     assert_eq!(report.images, 14);
@@ -161,8 +164,10 @@ fn homogeneous_queries_share_device_batches() {
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 8);
     let items1 = encoded_batch(4, 64, 64, 1);
     let items2 = encoded_batch(4, 64, 64, 2);
-    let h1 = server.submit(plan.clone(), items1).unwrap();
-    let h2 = server.submit(plan, items2).unwrap();
+    let h1 = server
+        .submit(SubmitRequest::stills(plan.clone(), &items1))
+        .unwrap();
+    let h2 = server.submit(SubmitRequest::stills(plan, &items2)).unwrap();
     let r1 = h1.wait().unwrap();
     let r2 = h2.wait().unwrap();
     assert_eq!(r1.images + r2.images, 8);
@@ -211,8 +216,12 @@ fn reduced_resolution_and_full_decode_queries_co_batch() {
     // microseconds after it, not one encode later.
     let (items_full, items_reduced) =
         (encoded_batch(4, 64, 64, 21), encoded_batch(4, 256, 256, 22));
-    let h1 = server.submit(plan_full, items_full).unwrap();
-    let h2 = server.submit(plan_reduced, items_reduced).unwrap();
+    let h1 = server
+        .submit(SubmitRequest::stills(plan_full, &items_full))
+        .unwrap();
+    let h2 = server
+        .submit(SubmitRequest::stills(plan_reduced, &items_reduced))
+        .unwrap();
     let r1 = h1.wait().unwrap();
     let r2 = h2.wait().unwrap();
     assert_eq!(r1.images + r2.images, 8);
@@ -246,9 +255,13 @@ fn admission_queue_applies_backpressure() {
     );
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
     let h1 = server
-        .submit(plan.clone(), encoded_batch(8, 64, 64, 3))
+        .submit(SubmitRequest::stills(
+            plan.clone(),
+            &encoded_batch(8, 64, 64, 3),
+        ))
         .unwrap();
-    match server.try_submit(plan.clone(), encoded_batch(2, 64, 64, 4)) {
+    match server.submit(SubmitRequest::stills(plan.clone(), &encoded_batch(2, 64, 64, 4)).no_wait())
+    {
         Err(ServeError::Backpressure { active, capacity }) => {
             assert_eq!(active, 1);
             assert_eq!(capacity, 1);
@@ -259,7 +272,7 @@ fn admission_queue_applies_backpressure() {
     assert_eq!(h1.wait().unwrap().images, 8);
     // Capacity freed: the same submission is admitted now.
     let h2 = server
-        .try_submit(plan, encoded_batch(2, 64, 64, 4))
+        .submit(SubmitRequest::stills(plan, &encoded_batch(2, 64, 64, 4)).no_wait())
         .expect("capacity freed after completion");
     assert_eq!(h2.wait().unwrap().images, 2);
     server.shutdown();
@@ -283,15 +296,29 @@ fn shutdown_drains_inflight_queries() {
     );
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
     let handle = server
-        .submit(plan.clone(), encoded_batch(10, 64, 64, 5))
+        .submit(SubmitRequest::stills(
+            plan.clone(),
+            &encoded_batch(10, 64, 64, 5),
+        ))
         .unwrap();
+    let open = SubmitRequest::new(plan.clone(), Vec::new()).open();
+    let open = server.submit(open).unwrap();
+    for image in encoded_batch(3, 64, 64, 7) {
+        open.append(MediaItem::Image(image), 0).unwrap();
+    }
     server.shutdown(); // joins the stage threads after the drain
     let report = handle.wait().expect("drained, not dropped");
     assert_eq!(report.images, 10);
+    // Shutdown closes an open query too: what was appended drains.
+    let report = open.wait().expect("drained, not dropped");
+    assert_eq!(report.images, 3);
 
     let server2 = Server::new(fast_device(), ServerConfig::default());
     let h = server2
-        .submit(plan.clone(), encoded_batch(2, 64, 64, 6))
+        .submit(SubmitRequest::stills(
+            plan.clone(),
+            &encoded_batch(2, 64, 64, 6),
+        ))
         .unwrap();
     drop(server2); // dropping also drains
     assert_eq!(h.wait().unwrap().images, 2);
@@ -311,9 +338,14 @@ fn production_error_is_isolated_per_query() {
     }
     bad_items[2].bytes = bytes::Bytes::from(corrupted);
 
-    let bad = server.submit(plan.clone(), bad_items).unwrap();
+    let bad = server
+        .submit(SubmitRequest::stills(plan.clone(), &bad_items))
+        .unwrap();
     let good = server
-        .submit(plan.clone(), encoded_batch(9, 64, 64, 9))
+        .submit(SubmitRequest::stills(
+            plan.clone(),
+            &encoded_batch(9, 64, 64, 9),
+        ))
         .unwrap();
 
     let bad_report = bad.wait().expect("failing query still resolves");
@@ -329,6 +361,40 @@ fn production_error_is_isolated_per_query() {
     let good_report = good.wait().expect("healthy query unaffected");
     assert!(good_report.error.is_none());
     assert_eq!(good_report.images, 9);
+    server.shutdown();
+}
+
+/// An open query's items fail alone: a corrupt item completes with its
+/// output failed, and every other item — appended before or after it —
+/// executes.
+#[test]
+fn an_open_querys_failing_item_fails_alone() {
+    let server = Server::new(fast_device(), ServerConfig::default());
+    let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
+    let mut items = encoded_batch(12, 64, 64, 40);
+    let mut corrupted = items[3].bytes.to_vec();
+    corrupted.iter_mut().skip(8).for_each(|b| *b = 0xFF);
+    items[3].bytes = bytes::Bytes::from(corrupted);
+
+    let open = SubmitRequest::new(plan, Vec::new()).open();
+    let open = server.submit(open).unwrap();
+    for item in &items {
+        open.append(MediaItem::Image(item.clone()), 0).unwrap();
+    }
+    open.close();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut failed = vec![usize::MAX; items.len()];
+    while let Some(completion) = open.next_completion(deadline) {
+        failed[completion.item] = completion.failed;
+    }
+    let expected: Vec<usize> = (0..items.len()).map(|i| usize::from(i == 3)).collect();
+    assert_eq!(
+        failed, expected,
+        "one completion per item; only item 3 fails"
+    );
+    let report = open.wait().unwrap();
+    assert_eq!((report.images, report.failed, report.skipped), (11, 1, 0));
+    assert!(report.error.is_some());
     server.shutdown();
 }
 
@@ -349,7 +415,7 @@ fn mis_sized_item_fails_alone_with_a_typed_error() {
     items[2] = encoded_batch(1, 512, 512, 2).remove(0);
 
     let report = server
-        .submit(plan.clone(), items)
+        .submit(SubmitRequest::stills(plan.clone(), &items))
         .unwrap()
         .wait()
         .expect("the query resolves");
@@ -361,7 +427,10 @@ fn mis_sized_item_fails_alone_with_a_typed_error() {
     // Every producer thread is still alive: a full-width healthy query on
     // the same plan completes afterwards.
     let report = server
-        .submit(plan, encoded_batch(16, 256, 256, 100))
+        .submit(SubmitRequest::stills(
+            plan,
+            &encoded_batch(16, 256, 256, 100),
+        ))
         .unwrap()
         .wait()
         .unwrap();
@@ -393,7 +462,11 @@ fn off_size_item_under_a_full_decode_is_resized_and_served() {
     let encode = |w, h, seed| EncodedImage::encode(&textured(w, h, seed), Format::Spng).unwrap();
     let mut items: Vec<EncodedImage> = (0..6).map(|i| encode(32, 32, i)).collect();
     items[2] = encode(64, 48, 2);
-    let report = server.submit(plan, items).unwrap().wait().unwrap();
+    let report = server
+        .submit(SubmitRequest::stills(plan, &items))
+        .unwrap()
+        .wait()
+        .unwrap();
     assert!(report.error.is_none(), "{:?}", report.error);
     assert_eq!((report.images, report.failed), (6, 0));
     server.shutdown();
@@ -410,7 +483,7 @@ fn unexecutable_plan_is_rejected_at_submission() {
     for op in &mut plan.preproc.ops {
         op.placement = Placement::Accel;
     }
-    match server.submit(plan, encoded_batch(2, 64, 64, 0)) {
+    match server.submit(SubmitRequest::stills(plan, &encoded_batch(2, 64, 64, 0))) {
         Err(ServeError::InvalidPlan(why)) => assert!(why.contains("shape mismatch"), "{why}"),
         Err(other) => panic!("expected an invalid-plan rejection, got {other:?}"),
         Ok(_) => panic!("expected an invalid-plan rejection, got admission"),
@@ -423,7 +496,11 @@ fn unexecutable_plan_is_rejected_at_submission() {
 fn empty_query_resolves_immediately() {
     let server = Server::new(fast_device(), ServerConfig::default());
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
-    let report = server.submit(plan, Vec::new()).unwrap().wait().unwrap();
+    let report = server
+        .submit(SubmitRequest::stills(plan, &Vec::new()))
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(report.images, 0);
     assert!(report.error.is_none());
     server.shutdown();
@@ -463,7 +540,10 @@ fn a_panicking_producer_fails_its_item_and_the_query_resolves() {
     // Twice: the second query finds the producers of the first still alive.
     for round in 0..2 {
         let report = server
-            .submit(plan.clone(), encoded_batch(6, 64, 64, round))
+            .submit(SubmitRequest::stills(
+                plan.clone(),
+                &encoded_batch(6, 64, 64, round),
+            ))
             .unwrap()
             .wait_deadline(Duration::from_secs(60))
             .expect("server alive")
@@ -490,7 +570,10 @@ fn staging_buffers_are_reused_across_queries_of_one_geometry_only() {
     let plan_b = plan_for(ModelKind::ResNet50, 64, 64, 48, 8);
     let run = |plan: &QueryPlan, seed| {
         let report = server
-            .submit(plan.clone(), encoded_batch(5, 64, 64, seed))
+            .submit(SubmitRequest::stills(
+                plan.clone(),
+                &encoded_batch(5, 64, 64, seed),
+            ))
             .unwrap()
             .wait()
             .unwrap();
@@ -563,10 +646,16 @@ fn placement_splits_device_batches_and_staging_shelves() {
     let run_pair = |first: &QueryPlan, second: &QueryPlan| {
         let server = Server::new(fast_device(), config());
         let h1 = server
-            .submit(first.clone(), encoded_batch(4, 64, 64, 1))
+            .submit(SubmitRequest::stills(
+                first.clone(),
+                &encoded_batch(4, 64, 64, 1),
+            ))
             .unwrap();
         let h2 = server
-            .submit(second.clone(), encoded_batch(4, 64, 64, 2))
+            .submit(SubmitRequest::stills(
+                second.clone(),
+                &encoded_batch(4, 64, 64, 2),
+            ))
             .unwrap();
         let (r1, r2) = (h1.wait().unwrap(), h2.wait().unwrap());
         assert_eq!((r1.images, r1.failed, r2.images, r2.failed), (4, 0, 4, 0));
@@ -638,24 +727,27 @@ fn a_degradation_rung_of_another_placement_draws_its_own_slots() {
     let cheap = offloaded(&plan_for(ModelKind::ResNet18, 64, 64, 32, 4));
     let n = 24;
     let h1 = server
-        .submit_opts(
-            full.clone(),
-            encoded_batch(n, 64, 64, 50),
-            SubmitOptions {
-                ladder: vec![DegradeStep {
-                    plan: cheap,
-                    accuracy: 0.9,
-                    est_throughput: 4_000.0,
-                }],
-                ..Default::default()
-            },
+        .submit(
+            SubmitRequest::stills(full.clone(), &encoded_batch(n, 64, 64, 50)).options(
+                SubmitOptions {
+                    ladder: vec![DegradeStep {
+                        plan: cheap,
+                        accuracy: 0.9,
+                        est_throughput: 4_000.0,
+                    }],
+                    ..Default::default()
+                },
+            ),
         )
         .unwrap();
     // A second tenant blocked at admission (capacity 1) is the pressure.
     let (r1, r2) = std::thread::scope(|scope| {
         let t2 = scope.spawn(|| {
             server
-                .submit(full.clone(), encoded_batch(4, 64, 64, 60))
+                .submit(SubmitRequest::stills(
+                    full.clone(),
+                    &encoded_batch(4, 64, 64, 60),
+                ))
                 .unwrap()
                 .wait()
                 .unwrap()
@@ -702,7 +794,10 @@ fn memory_reuse_off_allocates_on_every_acquire() {
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
     for round in 0..2 {
         let report = server
-            .submit(plan.clone(), encoded_batch(12, 64, 64, round))
+            .submit(SubmitRequest::stills(
+                plan.clone(),
+                &encoded_batch(12, 64, 64, round),
+            ))
             .unwrap()
             .wait()
             .unwrap();
@@ -739,24 +834,27 @@ fn a_degradation_rung_of_another_geometry_draws_its_own_buffers() {
     let cheap = plan_for(ModelKind::ResNet50, 64, 64, 16, 4);
     let n = 24;
     let h1 = server
-        .submit_opts(
-            full.clone(),
-            encoded_batch(n, 64, 64, 50),
-            SubmitOptions {
-                ladder: vec![DegradeStep {
-                    plan: cheap,
-                    accuracy: 0.9,
-                    est_throughput: 4_000.0,
-                }],
-                ..Default::default()
-            },
+        .submit(
+            SubmitRequest::stills(full.clone(), &encoded_batch(n, 64, 64, 50)).options(
+                SubmitOptions {
+                    ladder: vec![DegradeStep {
+                        plan: cheap,
+                        accuracy: 0.9,
+                        est_throughput: 4_000.0,
+                    }],
+                    ..Default::default()
+                },
+            ),
         )
         .unwrap();
     // A second tenant blocked at admission (capacity 1) is the pressure.
     let (r1, r2) = std::thread::scope(|scope| {
         let t2 = scope.spawn(|| {
             server
-                .submit(full.clone(), encoded_batch(4, 64, 64, 60))
+                .submit(SubmitRequest::stills(
+                    full.clone(),
+                    &encoded_batch(4, 64, 64, 60),
+                ))
                 .unwrap()
                 .wait()
                 .unwrap()
@@ -785,7 +883,10 @@ fn each_server_starts_with_an_empty_arena() {
         let server = Server::new(fast_device(), ServerConfig::default());
         assert!(server.stats().staging.shelves.is_empty());
         let report = server
-            .submit(plan.clone(), encoded_batch(5, 64, 64, round))
+            .submit(SubmitRequest::stills(
+                plan.clone(),
+                &encoded_batch(5, 64, 64, round),
+            ))
             .unwrap()
             .wait()
             .unwrap();
@@ -821,13 +922,13 @@ fn a_panicking_callback_fails_its_item_not_the_lane() {
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
     let (n, bad) = (14, 5);
     let handle = server
-        .submit_with_infer(
-            plan.clone(),
-            encoded_batch(n, 64, 64, 40),
-            move |idx, img| {
-                assert!(idx != bad, "callback bug on item {idx}");
-                fingerprint(idx, img)
-            },
+        .submit(
+            SubmitRequest::stills(plan.clone(), &encoded_batch(n, 64, 64, 40)).infer(
+                move |idx, img| {
+                    assert!(idx != bad, "callback bug on item {idx}");
+                    fingerprint(idx, img)
+                },
+            ),
         )
         .unwrap();
     let mut report = handle.wait().expect("the handle resolves");
@@ -844,7 +945,7 @@ fn a_panicking_callback_fails_its_item_not_the_lane() {
 
     // The lane's only consumer is still there.
     let mut report = server
-        .submit_with_infer(plan, encoded_batch(n, 64, 64, 60), fingerprint)
+        .submit(SubmitRequest::stills(plan, &encoded_batch(n, 64, 64, 60)).infer(fingerprint))
         .unwrap()
         .wait()
         .unwrap();
@@ -864,7 +965,7 @@ fn results_and_counts_do_not_depend_on_the_consumer_count() {
         .map(|consumers| {
             let server = Server::new(fast_device(), one_lane(consumers));
             let mut report = server
-                .submit_with_infer(plan.clone(), items.clone(), fingerprint)
+                .submit(SubmitRequest::stills(plan.clone(), &items).infer(fingerprint))
                 .unwrap()
                 .wait()
                 .unwrap();
@@ -893,7 +994,10 @@ fn the_launch_window_is_two_deep_per_consumer() {
     for consumers in [1, 2] {
         let server = Server::new(slow_device(20.0), one_lane(consumers));
         let handle = server
-            .submit(plan.clone(), encoded_batch(32, 64, 64, 90))
+            .submit(SubmitRequest::stills(
+                plan.clone(),
+                &encoded_batch(32, 64, 64, 90),
+            ))
             .unwrap();
         let report = loop {
             let lane = &server.stats().devices[0];
@@ -920,9 +1024,14 @@ fn shutdown_drains_a_full_launch_window() {
     let server = Server::new(slow_device(20.0), one_lane(1));
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
     let first = server
-        .submit(plan.clone(), encoded_batch(8, 64, 64, 100))
+        .submit(SubmitRequest::stills(
+            plan.clone(),
+            &encoded_batch(8, 64, 64, 100),
+        ))
         .unwrap();
-    let second = server.submit(plan, encoded_batch(8, 64, 64, 110)).unwrap();
+    let second = server
+        .submit(SubmitRequest::stills(plan, &encoded_batch(8, 64, 64, 110)))
+        .unwrap();
     while server.stats().devices[0].in_flight_batches < 2 {
         assert!(
             matches!(second.poll(), QueryPoll::Pending { .. }),
@@ -956,7 +1065,10 @@ fn a_lane_with_a_launched_batch_never_steals() {
     let stolen_before = 'pin: loop {
         assert!(pins.len() < 1000, "lane 0 never launched a batch");
         let pin = server
-            .submit(plan.clone(), encoded_batch(4, 64, 64, 120))
+            .submit(SubmitRequest::stills(
+                plan.clone(),
+                &encoded_batch(4, 64, 64, 120),
+            ))
             .unwrap();
         while matches!(pin.poll(), QueryPoll::Pending { .. }) {
             let lane = &server.stats().devices[0];
@@ -969,7 +1081,7 @@ fn a_lane_with_a_launched_batch_never_steals() {
         pins.push(pin);
     };
     let report = server
-        .submit(plan, encoded_batch(96, 64, 64, 130))
+        .submit(SubmitRequest::stills(plan, &encoded_batch(96, 64, 64, 130)))
         .unwrap()
         .wait()
         .unwrap();

@@ -18,7 +18,7 @@ use smol::imgproc::ImageU8;
 use smol::runtime::RuntimeOptions;
 use smol::serve::{
     DegradeStep, Priority, QueryHandle, QueryPoll, QueryReport, Server, ServerConfig, ServerStats,
-    SubmitOptions,
+    SubmitOptions, SubmitRequest,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -71,7 +71,7 @@ fn serve_fingerprints(
     let n = items.len();
     let server = Server::with_devices(devices, cfg);
     let handle = server
-        .submit_with_infer(plan, items, fingerprint)
+        .submit(SubmitRequest::stills(plan, &items).infer(fingerprint))
         .expect("admitted");
     let mut report = handle.wait().expect("resolves");
     assert_eq!(report.images, n);
@@ -142,7 +142,7 @@ fn skewed_fleet_conserves_work_and_steals() {
 
     let server = Server::with_devices(vec![unscaled_t4(1.0), unscaled_t4(16.0)], cfg);
     let handle = server
-        .submit_with_infer(plan, items, fingerprint)
+        .submit(SubmitRequest::stills(plan, &items).infer(fingerprint))
         .expect("admitted");
     let mut report = handle.wait().expect("resolves");
     assert_eq!(report.images, n);
@@ -214,13 +214,16 @@ fn degradation_respects_accuracy_floor_under_pressure() {
     };
     let n = 24;
     let h1 = server
-        .submit_opts(plan50.clone(), encoded_batch(n, 64, 64, 50), opts)
+        .submit(SubmitRequest::stills(plan50.clone(), &encoded_batch(n, 64, 64, 50)).options(opts))
         .expect("admitted");
     // A second tenant blocks at admission (capacity 1) → pressure.
     let r2 = std::thread::scope(|scope| {
         let t2 = scope.spawn(|| {
             server
-                .submit(plan50.clone(), encoded_batch(4, 64, 64, 60))
+                .submit(SubmitRequest::stills(
+                    plan50.clone(),
+                    &encoded_batch(4, 64, 64, 60),
+                ))
                 .expect("eventually admitted")
                 .wait()
                 .expect("resolves")
@@ -288,14 +291,14 @@ fn a_late_failure_on_an_older_rung_still_resolves_the_query() {
         ..Default::default()
     };
     let h1 = server
-        .submit_opts(plan50.clone(), items, opts)
+        .submit(SubmitRequest::stills(plan50.clone(), &items).options(opts))
         .expect("admitted");
     // A second tenant blocks at admission (capacity 1) → pressure → the
     // items not yet claimed move to the ResNet-34 rung.
     let r2 = std::thread::scope(|scope| {
         let t2 = scope.spawn(|| {
             server
-                .submit(plan50.clone(), tenant2)
+                .submit(SubmitRequest::stills(plan50.clone(), &tenant2))
                 .expect("eventually admitted")
                 .wait_deadline(Duration::from_secs(60))
                 .expect("server alive")
@@ -335,7 +338,10 @@ fn high_priority_waiter_admitted_first() {
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
     // Occupy the only slot for a while.
     let h1 = server
-        .submit(plan.clone(), encoded_batch(40, 64, 64, 80))
+        .submit(SubmitRequest::stills(
+            plan.clone(),
+            &encoded_batch(40, 64, 64, 80),
+        ))
         .expect("admitted");
     let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
     std::thread::scope(|scope| {
@@ -345,13 +351,13 @@ fn high_priority_waiter_admitted_first() {
             let server = &server;
             scope.spawn(move || {
                 let h = server
-                    .submit_opts(
-                        plan,
-                        encoded_batch(2, 64, 64, 81),
-                        SubmitOptions {
-                            priority: Priority::Low,
-                            ..Default::default()
-                        },
+                    .submit(
+                        SubmitRequest::stills(plan, &encoded_batch(2, 64, 64, 81)).options(
+                            SubmitOptions {
+                                priority: Priority::Low,
+                                ..Default::default()
+                            },
+                        ),
                     )
                     .expect("admitted");
                 order.lock().unwrap().push("low");
@@ -366,13 +372,13 @@ fn high_priority_waiter_admitted_first() {
             let server = &server;
             scope.spawn(move || {
                 let h = server
-                    .submit_opts(
-                        plan,
-                        encoded_batch(2, 64, 64, 82),
-                        SubmitOptions {
-                            priority: Priority::High,
-                            ..Default::default()
-                        },
+                    .submit(
+                        SubmitRequest::stills(plan, &encoded_batch(2, 64, 64, 82)).options(
+                            SubmitOptions {
+                                priority: Priority::High,
+                                ..Default::default()
+                            },
+                        ),
                     )
                     .expect("admitted");
                 order.lock().unwrap().push("high");
@@ -383,7 +389,7 @@ fn high_priority_waiter_admitted_first() {
         // A same-priority try_submit is refused while higher-priority
         // submitters wait, even before capacity is checked.
         assert!(server
-            .try_submit(plan.clone(), encoded_batch(1, 64, 64, 83))
+            .submit(SubmitRequest::stills(plan.clone(), &encoded_batch(1, 64, 64, 83)).no_wait())
             .is_err());
         assert_eq!(h1.wait().expect("resolves").images, 40);
         assert_eq!(low.join().expect("low resolves").images, 2);
@@ -417,7 +423,10 @@ fn poll_try_wait_and_wait_deadline() {
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
     let n = 16;
     let handle = server
-        .submit(plan.clone(), encoded_batch(n, 64, 64, 90))
+        .submit(SubmitRequest::stills(
+            plan.clone(),
+            &encoded_batch(n, 64, 64, 90),
+        ))
         .expect("admitted");
     match handle.poll() {
         QueryPoll::Pending {
@@ -450,7 +459,9 @@ fn poll_try_wait_and_wait_deadline() {
 
     // An empty query resolves immediately; try_wait picks it up without
     // blocking.
-    let h = server.submit(plan, Vec::new()).expect("admitted");
+    let h = server
+        .submit(SubmitRequest::stills(plan, &Vec::new()))
+        .expect("admitted");
     let mut got = None;
     for _ in 0..500 {
         if let Some(r) = h.try_wait() {
@@ -498,12 +509,15 @@ fn layout_incompatible_rungs_are_ignored() {
         ..Default::default()
     };
     let h1 = server
-        .submit_opts(plan.clone(), encoded_batch(16, 64, 64, 95), opts)
+        .submit(SubmitRequest::stills(plan.clone(), &encoded_batch(16, 64, 64, 95)).options(opts))
         .expect("admitted");
     let r2 = std::thread::scope(|scope| {
         let t2 = scope.spawn(|| {
             server
-                .submit(plan.clone(), encoded_batch(2, 64, 64, 96))
+                .submit(SubmitRequest::stills(
+                    plan.clone(),
+                    &encoded_batch(2, 64, 64, 96),
+                ))
                 .expect("eventually admitted")
                 .wait()
                 .expect("resolves")
@@ -586,17 +600,15 @@ fn a_high_priority_query_does_not_wait_for_a_normal_scan_to_fill_its_batch() {
     let server = slow_production_server(4);
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, NEVER_FILLS);
     let scan = server
-        .submit_opts(
-            plan.clone(),
-            encoded_batch(SCAN_ITEMS, 64, 64, 200),
-            with_priority(Priority::Normal),
+        .submit(
+            SubmitRequest::stills(plan.clone(), &encoded_batch(SCAN_ITEMS, 64, 64, 200))
+                .options(with_priority(Priority::Normal)),
         )
         .expect("admitted");
     let interactive = server
-        .submit_opts(
-            plan,
-            encoded_batch(INTERACTIVE_ITEMS, 64, 64, 300),
-            with_priority(Priority::High),
+        .submit(
+            SubmitRequest::stills(plan, &encoded_batch(INTERACTIVE_ITEMS, 64, 64, 300))
+                .options(with_priority(Priority::High)),
         )
         .expect("admitted");
     let (report, mid_scan) = resolves_mid_scan(interactive, &scan);
@@ -622,10 +634,16 @@ fn equal_priorities_keep_filling_each_others_batches() {
     let server = slow_production_server(4);
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, NEVER_FILLS);
     let scan = server
-        .submit(plan.clone(), encoded_batch(SCAN_ITEMS, 64, 64, 200))
+        .submit(SubmitRequest::stills(
+            plan.clone(),
+            &encoded_batch(SCAN_ITEMS, 64, 64, 200),
+        ))
         .expect("admitted");
     let peer = server
-        .submit(plan, encoded_batch(INTERACTIVE_ITEMS, 64, 64, 300))
+        .submit(SubmitRequest::stills(
+            plan,
+            &encoded_batch(INTERACTIVE_ITEMS, 64, 64, 300),
+        ))
         .expect("admitted");
     let (report, mid_scan) = resolves_mid_scan(peer, &scan);
     assert_eq!(report.images, INTERACTIVE_ITEMS);
@@ -643,10 +661,16 @@ fn equal_priorities_keep_filling_each_others_batches() {
     let server = slow_production_server(4);
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 16);
     let first = server
-        .submit(plan.clone(), encoded_batch(SCAN_ITEMS, 64, 64, 200))
+        .submit(SubmitRequest::stills(
+            plan.clone(),
+            &encoded_batch(SCAN_ITEMS, 64, 64, 200),
+        ))
         .expect("admitted");
     let second = server
-        .submit(plan, encoded_batch(SCAN_ITEMS, 64, 64, 300))
+        .submit(SubmitRequest::stills(
+            plan,
+            &encoded_batch(SCAN_ITEMS, 64, 64, 300),
+        ))
         .expect("admitted");
     assert_eq!(first.wait().expect("resolves").images, SCAN_ITEMS);
     let stats = drain(server, second, SCAN_ITEMS);
@@ -704,10 +728,10 @@ fn a_routed_high_priority_query_releases_both_rungs_groups() {
     };
     let server = slow_production_server(4);
     let scan = server
-        .submit_opts(full.clone(), scan_items, routed(Priority::Normal))
+        .submit(SubmitRequest::stills(full.clone(), &scan_items).options(routed(Priority::Normal)))
         .expect("admitted");
     let interactive = server
-        .submit_opts(full, interactive_items, routed(Priority::High))
+        .submit(SubmitRequest::stills(full, &interactive_items).options(routed(Priority::High)))
         .expect("admitted");
     let (report, mid_scan) = resolves_mid_scan(interactive, &scan);
     assert_eq!(report.images, INTERACTIVE_ITEMS);
@@ -733,7 +757,10 @@ fn a_degraded_high_priority_query_releases_its_current_rungs_group() {
     let plan50 = plan_for(ModelKind::ResNet50, 64, 64, 32, NEVER_FILLS);
     let plan34 = plan_for(ModelKind::ResNet34, 64, 64, 32, NEVER_FILLS);
     let scan = server
-        .submit(plan34.clone(), encoded_batch(SCAN_ITEMS, 64, 64, 200))
+        .submit(SubmitRequest::stills(
+            plan34.clone(),
+            &encoded_batch(SCAN_ITEMS, 64, 64, 200),
+        ))
         .expect("admitted");
     let opts = SubmitOptions {
         priority: Priority::High,
@@ -747,14 +774,19 @@ fn a_degraded_high_priority_query_releases_its_current_rungs_group() {
         ..Default::default()
     };
     let interactive = server
-        .submit_opts(plan50.clone(), encoded_batch(16, 64, 64, 300), opts)
+        .submit(
+            SubmitRequest::stills(plan50.clone(), &encoded_batch(16, 64, 64, 300)).options(opts),
+        )
         .expect("admitted");
     std::thread::scope(|scope| {
         // A third tenant blocks at admission (capacity 2) → pressure → the
         // interactive query's unclaimed items move to the ResNet-34 rung.
         let blocked = scope.spawn(|| {
             server
-                .submit(plan50.clone(), encoded_batch(1, 64, 64, 400))
+                .submit(SubmitRequest::stills(
+                    plan50.clone(),
+                    &encoded_batch(1, 64, 64, 400),
+                ))
                 .expect("eventually admitted")
                 .wait()
                 .expect("resolves")

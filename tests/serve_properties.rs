@@ -18,7 +18,9 @@ use smol::core::{
 use smol::imgproc::{ImageU8, PreprocPlan};
 use smol::runtime::RuntimeOptions;
 use smol::serve::scheduler::{Batcher, SigCount};
-use smol::serve::{BatchFormer, DegradeStep, Priority, Server, ServerConfig, SubmitOptions};
+use smol::serve::{
+    BatchFormer, DegradeStep, Priority, Server, ServerConfig, SubmitOptions, SubmitRequest,
+};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -421,10 +423,10 @@ proptest! {
                 .wait_deadline(Duration::from_secs(60))
                 .expect("server alive")
         };
-        let h1 = server.submit_opts(full.clone(), items, opts).expect("admitted");
+        let h1 = server.submit(SubmitRequest::stills(full.clone(), &items).options(opts)).expect("admitted");
         let (r1, r2) = std::thread::scope(|scope| {
             let tenant2 = scope.spawn(|| {
-                resolve(server.submit(full.clone(), corpus[n..].to_vec()).expect("admitted"))
+                resolve(server.submit(SubmitRequest::stills(full.clone(), &corpus[n..])).expect("admitted"))
             });
             (resolve(h1), tenant2.join().expect("tenant 2"))
         });

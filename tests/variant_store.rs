@@ -9,7 +9,7 @@ use smol::core::{DecodeMode, FrameSelection, InputVariant, Planner, PlannerConfi
 use smol::data::{encode_variant, textured, VariantStore};
 use smol::imgproc::ImageU8;
 use smol::runtime::{decode_item, wrap_gops, TensorCache};
-use smol::serve::{Server, ServerConfig};
+use smol::serve::{Server, ServerConfig, SubmitRequest};
 use smol::video::{EncodedVideo, VideoEncoder};
 use smol::{AccuracyTable, Calibration, Dataset, Query, Session, SessionConfig};
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
@@ -202,7 +202,10 @@ fn an_item_with_swapped_bytes_never_hits_the_original_s_tensor() {
     );
     let serve = |item: &EncodedImage| {
         let mut report = server
-            .submit_with_infer(plan.clone(), vec![item.clone()], |_, img| pixel_digest(img))
+            .submit(
+                SubmitRequest::stills(plan.clone(), std::slice::from_ref(item))
+                    .infer(|_, img| pixel_digest(img)),
+            )
             .unwrap()
             .wait()
             .unwrap();
@@ -266,7 +269,7 @@ fn gop_frames_hit_across_frame_selections() {
     );
     let run = |selection| {
         server
-            .submit_media(plan(selection), gops.clone())
+            .submit(SubmitRequest::new(plan(selection), gops.clone()))
             .unwrap()
             .wait()
             .unwrap()

@@ -6,10 +6,12 @@
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::codec::{EncodedImage, Format};
 use smol::core::{DecodeMode, FrameSelection, InputVariant, Planner, PlannerConfig, QueryPlan};
-use smol::data::{gop_corpus, textured, video_catalog, GopCorpus};
-use smol::runtime::wrap_gops;
-use smol::serve::{Server, ServerConfig};
+use smol::data::{fingerprint, gop_corpus, textured, video_catalog, GopCorpus};
+use smol::imgproc::ImageU8;
+use smol::runtime::{wrap_gops, MediaItem};
+use smol::serve::{DegradeStep, Server, ServerConfig, SubmitOptions, SubmitRequest};
 use smol::{AccuracyTable, Calibration, Dataset, Query, Session, SessionConfig};
+use std::time::{Duration, Instant};
 
 const GOPS: usize = 6;
 const GOP_LEN: usize = 8;
@@ -145,9 +147,11 @@ fn video_and_image_queries_do_not_cross_batch() {
 
     let server = Server::new(fast_device(), ServerConfig::default());
     let video_handle = server
-        .submit_media(video_plan, wrap_gops(&corpus.gops))
+        .submit(SubmitRequest::new(video_plan, wrap_gops(&corpus.gops)))
         .unwrap();
-    let image_handle = server.submit(image_plan, images).unwrap();
+    let image_handle = server
+        .submit(SubmitRequest::stills(image_plan, &images))
+        .unwrap();
     let video_report = video_handle.wait().unwrap();
     let image_report = image_handle.wait().unwrap();
     assert_eq!(video_report.images, GOPS * GOP_LEN);
@@ -193,4 +197,86 @@ fn frame_selection_splits_signatures_deblock_does_not() {
     let all = plan(FrameSelection::All, true).placement_signature();
     assert_ne!(keys, all);
     assert_eq!(keys, keys_fast);
+}
+
+/// One open query whose appender mixes the full-GOP rung and a
+/// keyframes-only rung produces, output for output, the bits of one closed
+/// query per rung over the same GOPs.
+#[test]
+fn open_query_matches_one_closed_query_per_rung() {
+    let corpus = corpus();
+    let planner = Planner::default();
+    let input = InputVariant::new(
+        corpus.name.clone(),
+        corpus.format(),
+        corpus.width,
+        corpus.height,
+    )
+    .video(corpus.gop_len);
+    let plan = |selection| QueryPlan {
+        dnn: ModelKind::ResNet50,
+        input: input.clone(),
+        preproc: planner.build_preproc(&input),
+        decode: DecodeMode::Video {
+            selection,
+            deblock: true,
+        },
+        batch: 4,
+    };
+    let rungs = [plan(FrameSelection::All), plan(FrameSelection::Keyframes)];
+    let rung_of = |gop: usize| usize::from(gop % 3 == 1);
+    let digest = |_: usize, img: &ImageU8| fingerprint(0, img);
+
+    let server = Server::new(fast_device(), ServerConfig::default());
+    let keyframes = DegradeStep {
+        plan: rungs[1].clone(),
+        accuracy: 0.79,
+        est_throughput: 0.0,
+    };
+    let options = SubmitOptions {
+        ladder: vec![keyframes],
+        ..Default::default()
+    };
+    let request = SubmitRequest::new(rungs[0].clone(), Vec::new())
+        .options(options)
+        .infer(digest)
+        .open();
+    let open = server.submit(request).unwrap();
+    for (i, gop) in corpus.gops.iter().enumerate() {
+        let item = open.append(MediaItem::Gop(gop.clone()), rung_of(i));
+        assert_eq!(item.unwrap(), i);
+    }
+    open.close();
+    let mut per_gop: Vec<Vec<Option<u64>>> = vec![Vec::new(); GOPS];
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for _ in 0..GOPS {
+        let completion = open.next_completion(deadline).expect("every GOP completes");
+        assert_eq!(completion.failed, 0);
+        per_gop[completion.item] = completion
+            .results
+            .into_iter()
+            .map(|r| r.and_then(|b| b.downcast::<u64>().ok()).map(|b| *b))
+            .collect();
+    }
+    assert!(open.next_completion(deadline).is_none(), "one per GOP");
+    let report = open.wait().unwrap();
+    let frames: usize = per_gop.iter().map(Vec::len).sum();
+    assert_eq!((report.images, report.failed), (frames, 0));
+
+    for (rung, plan) in rungs.into_iter().enumerate() {
+        let on_rung = |i: &usize| rung_of(*i) == rung;
+        let gops = (0..GOPS).filter(on_rung);
+        let items = gops
+            .map(|i| MediaItem::Gop(corpus.gops[i].clone()))
+            .collect();
+        let closed = server.submit(SubmitRequest::new(plan, items).infer(digest));
+        let expected = closed.unwrap().wait().unwrap().take_results::<u64>();
+        let got: Vec<Option<u64>> = (0..GOPS)
+            .filter(on_rung)
+            .flat_map(|i| per_gop[i].clone())
+            .collect();
+        assert!(got.iter().all(Option::is_some));
+        assert_eq!(got, expected, "rung {rung}: open ≡ closed, bit for bit");
+    }
+    server.shutdown();
 }
