@@ -75,6 +75,7 @@ impl RandomConvBackbone {
         let mut features = vec![0.0f32; self.feature_dim()];
         let mut counts = vec![0.0f32; g * g];
         let per_filter = k * k * 3;
+        let mut patch = vec![0.0f32; per_filter];
 
         // Pool-cell assignment per output position.
         for oy in 0..out_h {
@@ -83,22 +84,21 @@ impl RandomConvBackbone {
                 let cell_x = (ox * g / out_w.max(1)).min(g - 1);
                 let cell = cell_y * g + cell_x;
                 counts[cell] += 1.0;
-                // All filters share the input patch read.
-                let x0 = ox * self.stride;
-                let y0 = oy * self.stride;
-                for f in 0..self.n_filters {
-                    let filt = &self.filters[f * per_filter..(f + 1) * per_filter];
-                    let mut acc = 0.0f32;
-                    let mut fi = 0usize;
-                    for dy in 0..k {
-                        let row = img.row(y0 + dy);
-                        let base = x0 * 3;
-                        for v in &row[base..base + k * 3] {
-                            // Center pixel values to [-0.5, 0.5].
-                            acc += filt[fi] * (*v as f32 / 255.0 - 0.5);
-                            fi += 1;
-                        }
+                // All filters share the patch: its pixels are read and
+                // centred to [-0.5, 0.5] once per position.
+                let (x0, y0) = (ox * self.stride * 3, oy * self.stride);
+                for (dy, taps) in patch.chunks_exact_mut(k * 3).enumerate() {
+                    let row = &img.row(y0 + dy)[x0..x0 + k * 3];
+                    for (tap, v) in taps.iter_mut().zip(row) {
+                        *tap = *v as f32 / 255.0 - 0.5;
                     }
+                }
+                for (f, filt) in self.filters.chunks_exact(per_filter).enumerate() {
+                    // Summed in tap order: bit-identical to the per-tap loop.
+                    let acc = filt
+                        .iter()
+                        .zip(&patch)
+                        .fold(0.0f32, |acc, (w, p)| acc + w * p);
                     if acc > 0.0 {
                         features[f * g * g + cell] += acc;
                     }
@@ -137,6 +137,76 @@ mod tests {
             }
         }
         img
+    }
+
+    /// The per-(position, filter, tap) loop `extract` replaced, which
+    /// centred every pixel once per filter: the oracle its features are
+    /// pinned to.
+    fn extract_reference(b: &RandomConvBackbone, img: &ImageU8) -> Vec<f32> {
+        let (w, h) = (img.width(), img.height());
+        let k = b.k;
+        let out_w = (w.saturating_sub(k)) / b.stride + 1;
+        let out_h = (h.saturating_sub(k)) / b.stride + 1;
+        let g = b.pool_grid;
+        let mut features = vec![0.0f32; b.feature_dim()];
+        let mut counts = vec![0.0f32; g * g];
+        let per_filter = k * k * 3;
+        for oy in 0..out_h {
+            let cell_y = (oy * g / out_h.max(1)).min(g - 1);
+            for ox in 0..out_w {
+                let cell_x = (ox * g / out_w.max(1)).min(g - 1);
+                let cell = cell_y * g + cell_x;
+                counts[cell] += 1.0;
+                let x0 = ox * b.stride;
+                let y0 = oy * b.stride;
+                for f in 0..b.n_filters {
+                    let filt = &b.filters[f * per_filter..(f + 1) * per_filter];
+                    let mut acc = 0.0f32;
+                    let mut fi = 0usize;
+                    for dy in 0..k {
+                        let row = img.row(y0 + dy);
+                        let base = x0 * 3;
+                        for v in &row[base..base + k * 3] {
+                            acc += filt[fi] * (*v as f32 / 255.0 - 0.5);
+                            fi += 1;
+                        }
+                    }
+                    if acc > 0.0 {
+                        features[f * g * g + cell] += acc;
+                    }
+                }
+            }
+        }
+        for f in 0..b.n_filters {
+            for cell in 0..g * g {
+                let c = counts[cell];
+                if c > 0.0 {
+                    features[f * g * g + cell] /= c;
+                }
+            }
+        }
+        features
+    }
+
+    #[test]
+    fn features_are_bit_identical_to_the_per_tap_loop() {
+        let shapes = [
+            (0, 16, 5, 2, 3),
+            (7, 8, 3, 1, 2),
+            (11, 32, 5, 2, 3),
+            (42, 5, 4, 3, 1),
+        ];
+        for (seed, n_filters, k, stride, pool_grid) in shapes {
+            let b = RandomConvBackbone::new(seed, n_filters, k, stride, pool_grid);
+            for (w, h) in [(k, k), (16, 16), (33, 20), (64, 48)] {
+                let mut rng = StdRng::seed_from_u64(seed + (w * h) as u64);
+                let pixels = (0..w * h * 3).map(|_| rng.gen::<u8>()).collect();
+                let img = ImageU8::from_vec(w, h, 3, pixels).unwrap();
+                let (fast, oracle) = (b.extract(&img), extract_reference(&b, &img));
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&oracle), "seed {seed}, {w}x{h}");
+            }
+        }
     }
 
     #[test]

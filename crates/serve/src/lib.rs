@@ -41,6 +41,14 @@
 //!   fleet-wide [`ServerStats`] (aggregate
 //!   counters + per-device [`DeviceLaneStats`]).
 //!
+//! Inside, [`server`] holds admission, each query's state and the producer
+//! loop; a private `window` module holds a query's per-item state (a slot
+//! per item from its oldest unresolved one to its newest), and a private
+//! `lanes` module the device half — lane queues, dispatch, consumer
+//! threads and stealing — which sees formed batches, never a query's
+//! items. Reports and completions travel over `std::sync::mpsc` channels;
+//! [`Server`] and [`QueryHandle`] are `Send + Sync`.
+//!
 //! The per-image and per-batch stage code is `smol_runtime`'s
 //! ([`smol_runtime::produce_item`] / [`smol_runtime::launch_device_batch`]),
 //! which is also what the profiler runs on its own, so a plan is profiled
@@ -49,11 +57,13 @@
 
 pub mod calibration;
 pub mod dataset;
+mod lanes;
 pub mod plancache;
 pub mod scheduler;
 pub mod server;
 pub mod session;
 pub mod stats;
+mod window;
 
 pub use calibration::{AccuracyTable, Calibration, MeasuredCalibration, PredictFn};
 pub use dataset::{Dataset, DatasetVariant};

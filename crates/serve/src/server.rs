@@ -44,36 +44,37 @@
 //! three rules that release a batch over those counters.
 //!
 //! Producers and consumers are long-lived: they are spawned once in
-//! [`Server::with_devices`] and reused by every query until shutdown.
+//! [`Server::with_devices`] and reused by every query until shutdown. The
+//! device half (lanes, dispatch, consumers) is the `lanes` module; a
+//! query's per-item state is its `window`.
 //! Work stealing moves *formed batches* between lanes, never items within
 //! a batch, so per-query result ordering and output bytes are identical
 //! whatever lane executes a batch — the device only models time.
 
-use crate::scheduler::{pick_lane, Batcher, FormedBatch, LaneLoad, Priority};
-use crate::stats::{percentile, BoxedPrediction, DeviceLaneStats, QueryReport, ServerStats};
-use crossbeam::channel;
+use crate::lanes::{consumer_loop, Lanes};
+use crate::scheduler::{Batcher, FormedBatch, Priority};
+use crate::stats::{percentile, BoxedPrediction, QueryReport, ServerStats};
+use crate::window::Window;
 use parking_lot::{Condvar, Mutex};
 use smol_accel::VirtualDevice;
 use smol_codec::EncodedImage;
 use smol_core::{CascadePlan, PlacementSignature, QueryPlan};
 use smol_imgproc::ImageU8;
 use smol_runtime::{
-    launch_device_batch, produce_media_item, route_stage, wrap_images, BufferPool, DeviceBatchSpec,
-    MediaItem, PlanContext, ProducedItem, RuntimeOptions, StagingArena, TensorCache,
-    TensorCacheStats,
+    produce_media_item, route_stage, wrap_images, BufferPool, MediaItem, PlanContext, ProducedItem,
+    RuntimeOptions, StagingArena, TensorCache, TensorCacheStats,
 };
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{mpsc, Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Server-assigned query identifier (monotonic).
 pub type QueryId = u64;
 
-type InferFn = Arc<dyn Fn(usize, &ImageU8) -> BoxedPrediction + Send + Sync>;
+pub(crate) type InferFn = Arc<dyn Fn(usize, &ImageU8) -> BoxedPrediction + Send + Sync>;
 
 /// Serving-layer errors.
 #[derive(Debug)]
@@ -272,17 +273,17 @@ impl Default for ServerConfig {
 }
 
 /// A produced item tagged with its owning query and item.
-struct BatchItem {
-    query: QueryId,
+pub(crate) struct BatchItem {
+    pub query: QueryId,
     /// Index of the item (not the output) within its query.
-    item_idx: usize,
+    pub item_idx: usize,
     /// The owning query's priority: a partial batch holding this item does
     /// not wait for lesser work.
     prio: Priority,
-    item: ProducedItem,
-    claimed_at: Instant,
+    pub item: ProducedItem,
+    pub claimed_at: Instant,
     /// The owning query's inference callback, run when the batch retires.
-    infer: Option<InferFn>,
+    pub infer: Option<InferFn>,
 }
 
 /// One unit of producer work: item `idx` of query `query`.
@@ -390,49 +391,6 @@ impl Ladder {
     }
 }
 
-/// Hashes an item index with one multiply: the in-flight map is looked up
-/// per output, under the scheduler lock.
-#[derive(Default)]
-struct IndexHasher(u64);
-
-impl Hasher for IndexHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("item indices hash through write_usize")
-    }
-
-    fn write_usize(&mut self, idx: usize) {
-        self.0 = (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-/// An appended item no producer has claimed yet.
-struct Queued {
-    idx: usize,
-    item: MediaItem,
-    /// The item's outputs are `offset..offset + fanout`.
-    offset: usize,
-    fanout: usize,
-    /// The rung its appender chose; `None` lets the ladder pick.
-    rung: Option<usize>,
-}
-
-/// A claimed item, until it resolves: once every output it staged has
-/// retired, or when its production fails.
-struct InFlight {
-    offset: usize,
-    /// Outputs not yet retired (the fan-out until production says what it
-    /// staged), and those that did not execute.
-    left: usize,
-    failed: usize,
-    /// An open query's predictions, per output (a closed query's go
-    /// straight into its report).
-    results: Vec<Option<BoxedPrediction>>,
-}
-
 struct QueryState {
     priority: Priority,
     ladder: Ladder,
@@ -443,20 +401,17 @@ struct QueryState {
     /// (and again after an append raised `max_fanout`).
     pools: Vec<Option<BufferPool>>,
     infer: Option<InferFn>,
-    /// Per-item state, for unresolved items only: unclaimed, in append
-    /// order, and claimed, by index.
-    queue: VecDeque<Queued>,
-    in_flight: HashMap<usize, InFlight, BuildHasherDefault<IndexHasher>>,
-    /// Items appended so far (the next item's index), outputs they occupy,
-    /// and the largest single-item fan-out (pool sizing).
-    appended: usize,
+    /// Per-item state, from the oldest unresolved item to the newest.
+    window: Window,
+    /// Outputs the items occupy, and the largest single-item fan-out
+    /// (pool sizing).
     total_outputs: usize,
     max_fanout: usize,
     /// Takes no more items: resolves once the last item has.
     closed: bool,
     /// An open query's completions, per item as it resolves; `None` for a
     /// closed request, whose results and latencies go into the report.
-    completions: Option<channel::Sender<Completion>>,
+    completions: Option<mpsc::Sender<Completion>>,
     /// The query's report, its counters kept as items resolve (the rest is
     /// filled in at finalize).
     report: QueryReport,
@@ -464,7 +419,7 @@ struct QueryState {
     produced: usize,
     latencies: Vec<f64>,
     submitted_at: Instant,
-    done_tx: channel::Sender<QueryReport>,
+    done_tx: mpsc::SyncSender<QueryReport>,
     deadline: Option<Duration>,
     /// Hysteresis: no further degradation before this item index.
     next_degrade_at: usize,
@@ -498,27 +453,12 @@ impl QueryState {
             .clone()
     }
 
-    /// Items appended and not yet resolved.
-    fn unresolved(&self) -> usize {
-        self.queue.len() + self.in_flight.len()
-    }
-
-    /// An open query's result slots for an item of `fanout` outputs, all
-    /// empty; a closed query keeps none per item.
-    fn result_slots(&self, fanout: usize) -> Vec<Option<BoxedPrediction>> {
-        match self.completions {
-            Some(_) => (0..fanout).map(|_| None).collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Claimed item `idx` has resolved: its state goes, and an open
     /// query's appender gets its completion.
     fn resolve(&mut self, inner: &Inner, idx: usize) {
-        let at_bound = self.unresolved() >= inner.cfg.max_active_queries.max(1);
-        let item = self.in_flight.remove(&idx).expect("resolves once");
+        let at_bound = self.window.full(inner.cfg.max_active_queries.max(1));
+        let (results, failed) = self.window.resolve(idx);
         if let Some(tx) = &self.completions {
-            let (results, failed) = (item.results, item.failed);
             let _ = tx.send(Completion {
                 item: idx,
                 results,
@@ -559,72 +499,8 @@ impl Sched {
     }
 }
 
-/// One device lane: the device, its bounded batch queue, and counters.
-struct Lane {
-    device: VirtualDevice,
-    queue: VecDeque<FormedBatch<BatchItem>>,
-    /// Batches this lane's consumers have launched and not yet retired,
-    /// and the items in them.
-    in_flight: usize,
-    in_flight_items: usize,
-    batches: u64,
-    images: u64,
-    /// Batches this lane executed that were queued on another lane.
-    stolen_batches: u64,
-    /// Batches launched while an earlier one of the same consumer was
-    /// still unretired.
-    overlapped_batches: u64,
-    /// Seconds from each batch's completion on the device to its retire.
-    retire_lag_s: f64,
-}
-
-struct Fleet {
-    lanes: Vec<Lane>,
-    /// Live producer threads; consumers drain and exit once this hits 0
-    /// with every lane queue empty.
-    producers_live: usize,
-}
-
-impl Lane {
-    fn queued_items(&self) -> usize {
-        self.queue.iter().map(|batch| batch.items.len()).sum()
-    }
-}
-
-impl Fleet {
-    /// Takes the next batch for a consumer of lane `lane_idx`: the front of
-    /// its own queue, else — only with nothing in its launch window
-    /// (`window_empty`) — the front of the other queue holding most items
-    /// (batches differ in size once some are released partial). A consumer
-    /// with a batch on the device is not idle, and a batch it stole would
-    /// wait behind that one while the victim lane might have run it sooner.
-    /// Batches are self-contained, so executing one on a different device
-    /// changes timing only, never results.
-    fn take_batch(
-        &mut self,
-        lane_idx: usize,
-        window_empty: bool,
-    ) -> Option<FormedBatch<BatchItem>> {
-        let stolen = self.lanes[lane_idx].queue.is_empty();
-        let from = if !stolen {
-            lane_idx
-        } else if window_empty {
-            (0..self.lanes.len()).max_by_key(|&j| self.lanes[j].queued_items())?
-        } else {
-            return None;
-        };
-        let batch = self.lanes[from].queue.pop_front()?;
-        let lane = &mut self.lanes[lane_idx];
-        lane.in_flight += 1;
-        lane.in_flight_items += batch.items.len();
-        lane.stolen_batches += u64::from(stolen);
-        lane.overlapped_batches += u64::from(!window_empty);
-        Some(batch)
-    }
-}
-
-struct Inner {
-    cfg: ServerConfig,
+pub(crate) struct Inner {
+    pub cfg: ServerConfig,
     /// Shared decoded-tensor cache; `None` when `cfg.tensor_cache_bytes`
     /// is 0 (producers then decode every claim).
     tensor_cache: Option<Arc<TensorCache>>,
@@ -644,12 +520,8 @@ struct Inner {
     shutdown: AtomicBool,
     /// The aggregate counters of [`Server::stats`] (its live fields are
     /// filled in when sampled).
-    agg: Mutex<ServerStats>,
-    fleet: Mutex<Fleet>,
-    /// Consumers wait here for queued batches.
-    batch_cv: Condvar,
-    /// Dispatchers wait here for lane-queue space.
-    space_cv: Condvar,
+    pub agg: Mutex<ServerStats>,
+    pub lanes: Lanes,
 }
 
 impl Inner {
@@ -682,9 +554,11 @@ impl Inner {
 /// the fleet scheduler itself — ever has to park a thread per query.
 pub struct QueryHandle {
     id: QueryId,
-    rx: channel::Receiver<QueryReport>,
+    /// Behind locks so the handle is `Sync` (a stream shares it with its
+    /// driver); each has one reader in practice.
+    rx: Mutex<mpsc::Receiver<QueryReport>>,
     /// An open query's completions.
-    completions: Option<channel::Receiver<Completion>>,
+    completions: Option<Mutex<mpsc::Receiver<Completion>>>,
     inner: Weak<Inner>,
 }
 
@@ -709,22 +583,22 @@ impl QueryHandle {
 
     /// Blocks until the query resolves.
     pub fn wait(self) -> ServeResult<QueryReport> {
-        self.rx.recv().map_err(|_| ServeError::Aborted)
+        self.rx.into_inner().recv().map_err(|_| ServeError::Aborted)
     }
 
     /// Non-blocking poll; `None` while the query is still in flight.
     pub fn try_wait(&self) -> Option<QueryReport> {
-        self.rx.try_recv().ok()
+        self.rx.lock().try_recv().ok()
     }
 
     /// Blocks for at most `timeout`; `Ok(None)` when the query is still
     /// in flight at the deadline, `Err(Aborted)` when the server went
     /// away first.
     pub fn wait_deadline(&self, timeout: Duration) -> ServeResult<Option<QueryReport>> {
-        match self.rx.recv_timeout(timeout) {
+        match self.rx.lock().recv_timeout(timeout) {
             Ok(report) => Ok(Some(report)),
-            Err(channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(channel::RecvTimeoutError::Disconnected) => Err(ServeError::Aborted),
+            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServeError::Aborted),
         }
     }
 
@@ -756,8 +630,9 @@ impl QueryHandle {
     /// completes (its appender already knows its fate).
     ///
     /// Blocks while `max_active_queries` of the query's items are
-    /// unresolved; fails with [`ServeError::Closed`] once the query is
-    /// closed or cancelled, or if it was not submitted open.
+    /// unresolved, or while its oldest unresolved item is four times that
+    /// many items behind the newest; fails with [`ServeError::Closed`] once
+    /// the query is closed or cancelled, or if it was not submitted open.
     pub fn append(&self, item: MediaItem, rung: usize) -> ServeResult<usize> {
         let inner = self.inner.upgrade().ok_or(ServeError::Aborted)?;
         let capacity = inner.cfg.max_active_queries.max(1);
@@ -770,7 +645,7 @@ impl QueryHandle {
             if q.closed {
                 return Err(ServeError::Closed);
             }
-            if rung >= q.ladder.rungs.len() || q.unresolved() < capacity {
+            if rung >= q.ladder.rungs.len() || !q.window.full(capacity) {
                 break;
             }
             inner.admit_cv.wait(&mut sched);
@@ -813,7 +688,7 @@ impl QueryHandle {
         // Wake an appender blocked on this query: it is closed now.
         inner.admit_cv.notify_all();
         for batch in emitted {
-            dispatch(&inner, batch);
+            inner.lanes.dispatch(batch);
         }
     }
 
@@ -822,7 +697,8 @@ impl QueryHandle {
     /// query has resolved and every completion has been taken.
     pub fn next_completion(&self, deadline: Instant) -> Option<Completion> {
         let timeout = deadline.saturating_duration_since(Instant::now());
-        self.completions.as_ref()?.recv_timeout(timeout).ok()
+        let completions = self.completions.as_ref()?.lock();
+        completions.recv_timeout(timeout).ok()
     }
 }
 
@@ -874,25 +750,7 @@ impl Server {
             admit_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             agg: Mutex::default(),
-            fleet: Mutex::new(Fleet {
-                lanes: devices
-                    .into_iter()
-                    .map(|device| Lane {
-                        device,
-                        queue: VecDeque::new(),
-                        in_flight: 0,
-                        in_flight_items: 0,
-                        batches: 0,
-                        images: 0,
-                        stolen_batches: 0,
-                        overlapped_batches: 0,
-                        retire_lag_s: 0.0,
-                    })
-                    .collect(),
-                producers_live: producers,
-            }),
-            batch_cv: Condvar::new(),
-            space_cv: Condvar::new(),
+            lanes: Lanes::new(devices, cfg.batch_queue, producers),
         });
         let producer_handles = (0..producers)
             .map(|i| {
@@ -984,8 +842,8 @@ impl Server {
         }
         let (inner, opts, open) = (&self.inner, &request.opts, request.open);
         let (rungs, policy) = compile_ladder(&request.plan, &request.items, opts, open)?;
-        let (done_tx, done_rx) = channel::bounded::<QueryReport>(1);
-        let (completions, completions_rx) = open.then(channel::unbounded).unzip();
+        let (done_tx, done_rx) = mpsc::sync_channel::<QueryReport>(1);
+        let (completions, completions_rx) = open.then(mpsc::channel).unzip();
         let mut sched = inner.sched.lock();
         let capacity = inner.cfg.max_active_queries.max(1);
         if !request.wait {
@@ -1024,9 +882,7 @@ impl Server {
                 policy,
             },
             infer: request.infer,
-            queue: VecDeque::new(),
-            in_flight: HashMap::default(),
-            appended: 0,
+            window: Window::new(open),
             total_outputs: 0,
             max_fanout: 1,
             closed: !open,
@@ -1052,8 +908,8 @@ impl Server {
         inner.work_cv.notify_all();
         Ok(QueryHandle {
             id,
-            rx: done_rx,
-            completions: completions_rx,
+            rx: Mutex::new(done_rx),
+            completions: completions_rx.map(Mutex::new),
             inner: Arc::downgrade(&self.inner),
         })
     }
@@ -1083,27 +939,7 @@ impl Server {
             stats.priority_flushes = sched.batcher.priority_flushes();
             stats
         };
-        let fleet = self.inner.fleet.lock();
-        stats.devices = fleet
-            .lanes
-            .iter()
-            .map(|lane| {
-                let device = lane.device.stats();
-                DeviceLaneStats {
-                    occupancy: device.compute_occupancy(lane.device.uptime_s()),
-                    device,
-                    queued_batches: lane.queue.len(),
-                    queued_items: lane.queued_items(),
-                    in_flight_batches: lane.in_flight,
-                    in_flight_items: lane.in_flight_items,
-                    batches: lane.batches,
-                    images: lane.images,
-                    stolen_batches: lane.stolen_batches,
-                    overlapped_batches: lane.overlapped_batches,
-                    retire_lag_s: lane.retire_lag_s,
-                }
-            })
-            .collect();
+        stats.devices = self.inner.lanes.stats();
         stats.steals = stats.devices.iter().map(|d| d.stolen_batches).sum();
         stats.tensor_cache = self.tensor_cache_stats();
         stats.staging = self.inner.staging.stats();
@@ -1218,20 +1054,20 @@ fn enqueue(
     rung: Option<usize>,
 ) -> usize {
     let q = sched.queries.get_mut(&qid).expect("caller checked");
-    let first = q.appended;
+    let first = q.window.end();
     let n = items.len();
-    q.appended += n;
     let dropped = rung.is_some_and(|r| r >= q.ladder.rungs.len());
     // A dropped item's loss is counted in the submitted plan's outputs.
     let mode = q.ladder.rungs[rung.filter(|_| !dropped).unwrap_or(0)]
         .ctx
         .decode;
     let mut outputs = 0;
-    for (idx, item) in (first..).zip(items) {
+    for item in items {
         let fanout = item.output_count(mode);
         outputs += fanout;
         if dropped {
             q.report.skipped += fanout;
+            q.window.push_dropped();
             continue;
         }
         if fanout > q.max_fanout {
@@ -1239,15 +1075,8 @@ fn enqueue(
             q.max_fanout = fanout;
             q.pools.iter_mut().for_each(|pool| *pool = None);
         }
-        let offset = q.total_outputs;
+        q.window.push(item, q.total_outputs, fanout, rung);
         q.total_outputs += fanout;
-        q.queue.push_back(Queued {
-            idx,
-            item,
-            offset,
-            fanout,
-            rung,
-        });
     }
     inner.agg.lock().images_in += outputs as u64;
     if dropped || n == 0 {
@@ -1274,21 +1103,19 @@ fn enqueue(
 /// every output failed.
 fn cancel_queued(sched: &mut Sched, qid: QueryId, emitted: &mut Vec<FormedBatch<BatchItem>>) {
     let q = sched.queries.get_mut(&qid).expect("caller checked");
-    for item in std::mem::take(&mut q.queue) {
+    q.window.cancel(|item| {
         q.report.skipped += item.fanout;
         for r in q.ladder.pick(item.rung).open(&q.ladder.rungs) {
             sched.batcher.settle(&r.sig, q.priority, 1, emitted);
         }
         if let Some(tx) = &q.completions {
-            let results = q.result_slots(item.fanout);
-            let failed = item.fanout;
             let _ = tx.send(Completion {
                 item: item.idx,
-                results,
-                failed,
+                results: (0..item.fanout).map(|_| None).collect(),
+                failed: item.fanout,
             });
         }
-    }
+    });
 }
 
 /// Degrades `q` one rung if warranted: the fleet is under pressure
@@ -1306,7 +1133,7 @@ fn maybe_degrade(
     let q = sched.queries.get_mut(&qid).expect("caller checked");
     let at = q.ladder.at;
     // Only a degrading query has a current rung to step down from.
-    let Some(next_item) = q.queue.front().map(|item| item.idx) else {
+    let Some(next_item) = q.window.next_unclaimed() else {
         return;
     };
     if !matches!(q.ladder.policy, Policy::Degrade)
@@ -1318,7 +1145,7 @@ fn maybe_degrade(
     if !pressure && !q.projected_late(Instant::now()) {
         return;
     }
-    let (prio, remaining) = (q.priority, q.queue.len());
+    let (prio, remaining) = (q.priority, q.window.unclaimed());
     q.ladder.at += 1;
     let (old, new) = (&q.ladder.rungs[at], &q.ladder.rungs[at + 1]);
     // One full batch of the new plan between steps: degrade is a ratchet,
@@ -1348,7 +1175,7 @@ fn claim_next(
             }
             maybe_degrade(inner, sched, qid, emitted);
             let q = sched.queries.get_mut(&qid).expect("checked above");
-            let Some(next) = q.queue.pop_front() else {
+            let Some(next) = q.window.claim() else {
                 continue; // exhausted (kept out of the ring from here on)
             };
             let pick = q.ladder.pick(next.rung);
@@ -1360,13 +1187,6 @@ fn claim_next(
                 Pick::Rung(rung) => q.pool(inner, rung),
                 Pick::Route(_) => q.pool(inner, 0),
             };
-            let item = InFlight {
-                offset: next.offset,
-                left: next.fanout,
-                failed: 0,
-                results: q.result_slots(next.fanout),
-            };
-            q.in_flight.insert(next.idx, item);
             let claim = Claim {
                 query: qid,
                 prio: q.priority,
@@ -1380,7 +1200,7 @@ fn claim_next(
                 infer: q.infer.clone(),
                 claimed_at: Instant::now(),
             };
-            if !q.queue.is_empty() {
+            if q.window.unclaimed() > 0 {
                 sched.rr[prio].push_back(qid);
             }
             return Some(claim);
@@ -1392,7 +1212,7 @@ fn claim_next(
 /// Finalizes `qid` once it is closed and every item has resolved: builds
 /// the report, resolves the handle, and frees the admission slot.
 fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
-    let done = |q: &QueryState| q.closed && q.unresolved() == 0;
+    let done = |q: &QueryState| q.closed && q.window.unresolved() == 0;
     if !sched.queries.get(&qid).is_some_and(done) {
         return;
     }
@@ -1445,29 +1265,6 @@ fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
     inner.admit_cv.notify_all();
 }
 
-/// Hands a formed batch to the lane with queue space that is expected to
-/// finish it first ([`pick_lane`]), blocking while every lane queue is full
-/// (consumers drain them; they outlive every producer, so this always makes
-/// progress).
-fn dispatch(inner: &Inner, batch: FormedBatch<BatchItem>) {
-    let cap = inner.cfg.batch_queue.max(1);
-    let mut fleet = inner.fleet.lock();
-    loop {
-        let loads = fleet.lanes.iter().map(|lane| LaneLoad {
-            items: lane.queued_items() + lane.in_flight_items,
-            rate: lane.device.model_throughput(batch.sig.dnn, batch.sig.batch)
-                / lane.device.time_scale(),
-            has_space: lane.queue.len() < cap,
-        });
-        if let Some(i) = pick_lane(loads, batch.items.len()) {
-            fleet.lanes[i].queue.push_back(batch);
-            inner.batch_cv.notify_all();
-            return;
-        }
-        inner.space_cv.wait(&mut fleet);
-    }
-}
-
 /// Counts its producer thread out of `producers_live` however the thread
 /// ends — a panic included — and wakes the consumers, which exit (and let
 /// `shutdown` return) only once every producer is gone.
@@ -1475,8 +1272,7 @@ struct ProducerLive<'a>(&'a Inner);
 
 impl Drop for ProducerLive<'_> {
     fn drop(&mut self) {
-        self.0.fleet.lock().producers_live -= 1;
-        self.0.batch_cv.notify_all();
+        self.0.lanes.producer_exited();
     }
 }
 
@@ -1505,7 +1301,7 @@ fn producer_loop(inner: &Inner) {
         // Dispatch outside the lock: a full lane queue must not stall
         // other producers' claims, only this thread.
         for batch in emitted {
-            dispatch(inner, batch);
+            inner.lanes.dispatch(batch);
         }
         let Some(claim) = claim else {
             if had_flushes {
@@ -1535,7 +1331,7 @@ fn producer_loop(inner: &Inner) {
             &mut emitted,
         );
         for batch in emitted {
-            dispatch(inner, batch);
+            inner.lanes.dispatch(batch);
         }
     }
 }
@@ -1578,20 +1374,15 @@ fn integrate(
         .queries
         .get_mut(&claim.query)
         .expect("query lives until finalize");
-    let item = q
-        .in_flight
-        .get_mut(&claim.idx)
-        .expect("claimed, unresolved");
     // An item can legally stage zero outputs (an empty GOP): it, and the
     // query, may then be resolved already.
     let resolved = match produced {
         Ok((rung, staged)) => {
-            item.left = staged.len();
+            let resolved = q.window.staged(claim.idx, Some(staged.len()));
             q.produced += staged.len();
             q.rung_outputs[rung] += staged.len();
             let escalated = matches!(claim.pick, Pick::Route(_)) && rung == 0;
             q.report.escalated_items += usize::from(escalated);
-            let resolved = staged.is_empty();
             // Routing is resolved: all outputs of one claim batch under
             // exactly one signature.
             let sig = &claim.rungs[rung].sig;
@@ -1618,7 +1409,7 @@ fn integrate(
             // in its own completion. Failed/skipped are counted in
             // *outputs*, matching `images` (for stills both degenerate to
             // item counts).
-            (item.left, item.failed) = (0, claim.fanout);
+            q.window.staged(claim.idx, None);
             q.report.failed += claim.fanout;
             q.report.error.get_or_insert(e);
             if q.completions.is_none() {
@@ -1637,136 +1428,21 @@ fn integrate(
     }
 }
 
-/// Batches a consumer may have launched and not yet retired: the one the
-/// device is executing and one enqueued behind it, so the device starts
-/// the second the instant the first ends rather than after this thread has
-/// woken up, retired the first and come back round. A third would buy
-/// nothing — the device is already never idle between two — and cost
-/// another batch of staging memory; the staging entitlement
-/// ([`Inner::staging_pool`]) grants each consumer two.
-const LAUNCH_WINDOW: usize = 2;
-
-/// A batch enqueued on the device, and when the device will be done with it.
-struct Launched {
-    batch: FormedBatch<BatchItem>,
-    done: Instant,
-}
-
-fn consumer_loop(inner: &Inner, lane_idx: usize) {
-    let device = inner.fleet.lock().lanes[lane_idx].device.clone();
-    // Launch order; both device engines are FIFO, so completion order too.
-    let mut window: VecDeque<Launched> = VecDeque::with_capacity(LAUNCH_WINDOW);
-    loop {
-        // Launch before waiting: a queued batch goes onto the device while
-        // the window has room, and the wait for the oldest completion is
-        // cut short when one arrives.
-        let next = {
-            let mut fleet = inner.fleet.lock();
-            loop {
-                if window.len() < LAUNCH_WINDOW {
-                    if let Some(batch) = fleet.take_batch(lane_idx, window.is_empty()) {
-                        inner.space_cv.notify_all();
-                        break Some(batch);
-                    }
-                }
-                let Some(oldest) = window.front() else {
-                    if fleet.producers_live == 0 {
-                        return;
-                    }
-                    inner.batch_cv.wait(&mut fleet);
-                    continue;
-                };
-                if window.len() == LAUNCH_WINDOW || Instant::now() >= oldest.done {
-                    break None;
-                }
-                inner.batch_cv.wait_until(&mut fleet, oldest.done);
-            }
-        };
-        match next {
-            Some(batch) => window.push_back(launch(inner, &device, batch)),
-            None => {
-                let oldest = window.pop_front().expect("nothing to launch: waiting");
-                VirtualDevice::wait_until(oldest.done);
-                retire(inner, lane_idx, oldest);
-            }
-        }
-    }
-}
-
-/// Enqueues `batch` on the device; returns without waiting for it.
-fn launch(inner: &Inner, device: &VirtualDevice, batch: FormedBatch<BatchItem>) -> Launched {
-    let spec = DeviceBatchSpec {
-        dnn: batch.sig.dnn,
-        pinned: inner.cfg.runtime.pinned,
-        extra_copy_per_batch: inner.cfg.runtime.extra_copy_per_batch,
-    };
-    let bytes: usize = batch.items.iter().map(|b| b.item.transfer_bytes).sum();
-    let accel_ops: f64 = batch.items.iter().map(|b| b.item.accel_ops).sum();
-    let done = launch_device_batch(device, &spec, batch.items.len(), bytes, accel_ops);
-    Launched { batch, done }
-}
-
 /// One executed output on its way back to its query.
-struct Retired {
-    query: QueryId,
+pub(crate) struct Retired {
+    pub query: QueryId,
     /// The output's item, and the output's own index.
-    item_idx: usize,
-    idx: usize,
-    claimed_at: Instant,
+    pub item_idx: usize,
+    pub idx: usize,
+    pub claimed_at: Instant,
     /// The inference callback's prediction (`None` without a callback), or
     /// the message of its panic.
-    outcome: Result<Option<BoxedPrediction>, String>,
+    pub outcome: Result<Option<BoxedPrediction>, String>,
 }
 
-/// Hands a completed batch's outputs back to their queries: lane counters,
-/// inference callbacks, then one pass under the scheduler lock.
-fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
-    let Launched { batch, done } = launched;
-    let full = batch.is_full();
-    let first = batch.items.first().map(|b| b.query);
-    let cross_query = batch.items.iter().any(|b| Some(b.query) != first);
-    {
-        let mut fleet = inner.fleet.lock();
-        let lane = &mut fleet.lanes[lane_idx];
-        lane.in_flight -= 1;
-        lane.in_flight_items -= batch.items.len();
-        lane.batches += 1;
-        lane.images += batch.items.len() as u64;
-        lane.retire_lag_s += done.elapsed().as_secs_f64();
-    }
-
-    // Inference callbacks are user code and run on this thread, outside
-    // every lock. One that panics fails its own output; the lane's consumer
-    // and the batches launched behind this one live on. The device is done
-    // with the tensors: each item's staging buffer goes back to the arena
-    // here, before any handle resolves, so a query submitted on the
-    // strength of a report finds them idle.
-    let mut retired: Vec<Retired> = batch
-        .items
-        .into_iter()
-        .map(|b| Retired {
-            query: b.query,
-            item_idx: b.item_idx,
-            idx: b.item.idx,
-            claimed_at: b.claimed_at,
-            outcome: match (&b.infer, &b.item.image) {
-                (Some(infer), Some(img)) => {
-                    catch_unwind(AssertUnwindSafe(|| infer(b.item.idx, img)))
-                        .map(Some)
-                        .map_err(|payload| panic_message("inference callback", payload.as_ref()))
-                }
-                _ => Ok(None),
-            },
-        })
-        .collect();
-
-    {
-        let mut agg = inner.agg.lock();
-        agg.batches += 1;
-        agg.full_batches += u64::from(full);
-        agg.cross_query_batches += u64::from(cross_query);
-    }
-
+/// Books a retired batch's outputs into their queries, in one pass under
+/// the scheduler lock.
+pub(crate) fn retire_outputs(inner: &Inner, mut retired: Vec<Retired>) {
     // Stable, so each query's outputs stay in batch order; then every
     // distinct query of the batch is looked up once.
     retired.sort_by_key(|r| r.query);
@@ -1778,16 +1454,11 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
             continue;
         };
         for out in outputs {
-            let item = q
-                .in_flight
-                .get_mut(&out.item_idx)
-                .expect("staged, unresolved");
-            item.left -= 1;
-            match std::mem::replace(&mut out.outcome, Ok(None)) {
+            let outcome = match std::mem::replace(&mut out.outcome, Ok(None)) {
                 // An open query's results travel with its item's completion.
                 Ok(pred) if q.completions.is_some() => {
                     q.report.images += 1;
-                    item.results[out.idx - item.offset] = pred;
+                    Ok(pred)
                 }
                 Ok(pred) => {
                     q.report.images += 1;
@@ -1796,14 +1467,15 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
                     if pred.is_some() {
                         q.report.results[out.idx] = pred;
                     }
+                    Ok(None)
                 }
                 Err(msg) => {
-                    item.failed += 1;
                     q.report.failed += 1;
                     q.report.error.get_or_insert(msg);
+                    Err(())
                 }
-            }
-            if item.left == 0 {
+            };
+            if q.window.retired(out.item_idx, out.idx, outcome) {
                 q.resolve(inner, out.item_idx);
             }
         }
@@ -1811,7 +1483,7 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
     }
 }
 
-fn panic_message(who: &str, payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(who: &str, payload: &(dyn Any + Send)) -> String {
     let msg = payload
         .downcast_ref::<&str>()
         .copied()
@@ -1863,9 +1535,9 @@ mod tests {
         let state = || {
             let sched = server.inner.sched.lock();
             let q = &sched.queries[&handle.id()];
-            let capacity = q.queue.capacity() + q.in_flight.capacity();
+            let capacity = q.window.capacity();
             (
-                q.unresolved(),
+                q.window.unresolved(),
                 capacity,
                 q.report.results.len() + q.latencies.len(),
             )

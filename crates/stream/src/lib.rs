@@ -33,7 +33,6 @@
 //! [`ServerStats::downgraded_frames`](smol_serve::ServerStats::downgraded_frames))
 //! when the stream ends.
 
-use crossbeam::channel;
 use smol_analytics::WindowRollup;
 use smol_core::{DecodeMode, FrameSelection};
 // The policy types live in `smol_core` (pure, unit-testable); re-export
@@ -49,6 +48,7 @@ use smol_serve::{
 use smol_video::EncodedGop;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -212,7 +212,8 @@ pub struct StreamStats {
 /// switch, and final stats. Dropping the handle stops the stream and
 /// joins the driver.
 pub struct StreamHandle {
-    rx: channel::Receiver<WindowResult>,
+    /// Behind a lock so the handle is `Sync`.
+    rx: Mutex<Receiver<WindowResult>>,
     join: Option<std::thread::JoinHandle<StreamStats>>,
     stop: Arc<AtomicBool>,
     /// The stream's server query, shared with the driver: cancelling it
@@ -224,19 +225,23 @@ impl StreamHandle {
     /// Blocks for the next closed window; `None` once the stream ended
     /// and every window has been taken.
     pub fn next_window(&self) -> Option<WindowResult> {
-        self.rx.recv().ok()
+        self.rx().recv().ok()
     }
 
     /// Bounded wait for the next window: `None` at the timeout — the
     /// stream may well still be running (an unbounded source never
     /// "completes"; this is the poll loop's building block).
     pub fn next_window_deadline(&self, timeout: Duration) -> Option<WindowResult> {
-        self.rx.recv_timeout(timeout).ok()
+        self.rx().recv_timeout(timeout).ok()
     }
 
     /// Non-blocking: the next window if one has already closed.
     pub fn try_next(&self) -> Option<WindowResult> {
-        self.rx.try_recv().ok()
+        self.rx().try_recv().ok()
+    }
+
+    fn rx(&self) -> MutexGuard<'_, Receiver<WindowResult>> {
+        self.rx.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stops the stream: no further GOP is appended, and every appended
@@ -310,9 +315,10 @@ where
         .open();
     let open = Arc::new(session.server().submit(request)?);
     let stop = Arc::new(AtomicBool::new(false));
-    // Effectively unbounded for any realistic run: one slot per window,
-    // and the driver stops producing once asked to stop.
-    let (tx, rx) = channel::bounded(1 << 16);
+    // Unbounded: one message per window, and the driver stops producing
+    // once asked to stop. (A `sync_channel` would allocate its whole
+    // capacity up front.)
+    let (tx, rx) = mpsc::channel();
     let fps = source.fps().max(1e-6);
     let fpw = ((cfg.window_s * fps).round() as usize).max(1);
     let driver = Driver {
@@ -347,7 +353,7 @@ where
         })
         .expect("spawn stream driver");
     Ok(StreamHandle {
-        rx,
+        rx: Mutex::new(rx),
         join: Some(join),
         stop,
         query: open,
@@ -420,7 +426,7 @@ struct Driver {
     /// The output index the next appended GOP's first frame takes.
     next_output: usize,
     cfg: StreamConfig,
-    tx: channel::Sender<WindowResult>,
+    tx: mpsc::Sender<WindowResult>,
     stop: Arc<AtomicBool>,
     start: Instant,
     fps: f64,

@@ -89,3 +89,14 @@ fn facade_modules_alias_member_crates() {
     let img = smol::imgproc::ImageU8::zeros(2, 2, 1);
     assert_eq!(takes_member_crate_type(img).channels(), 1);
 }
+
+/// The public serving handles cross threads and are shared between them (a
+/// stream shares its query handle with its driver): a channel or field
+/// that drops `Sync` from one of them fails this file at compile time.
+#[test]
+fn public_handles_are_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<smol::serve::Server>();
+    assert_send_sync::<smol::serve::QueryHandle>();
+    assert_send_sync::<smol::stream::StreamHandle>();
+}
