@@ -3,13 +3,13 @@
 //! thumbnail decoder against its reference walk and across window widths),
 //! preprocessing operators (fused vs unfused, the compiled CPU prefix vs the
 //! reference interpreter, the producer stage's per-item content key and
-//! cascade signal scan, launching vs executing a device batch), the video
+//! cascade difficulty signal, launching vs executing a device batch), the video
 //! decoder stage by stage (fast path vs the seed chain, and the keyframe
 //! pair-LUT window sweep), the DAG optimizer, and Huffman coding.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol_codec::signal::sjpg_signal_opts;
+use smol_codec::signal::sjpg_signal;
 use smol_codec::{sjpg, spng, DecodeOptions, EncodedImage, Format, SjpgEncoder};
 use smol_data::{still_catalog, throughput_images};
 use smol_imgproc::dag::{execute_plan, DagOptimizer, PreprocPlan};
@@ -230,19 +230,8 @@ fn bench_preproc(c: &mut Criterion) {
     }
     let (_, scan) = &items[1];
     g.throughput(Throughput::Bytes(scan.size_bytes() as u64));
-    g.bench_function("signal_reference/70k", |b| {
-        b.iter(|| {
-            sjpg_signal_opts(
-                std::hint::black_box(&scan.bytes),
-                DecodeOptions::scalar_reference(),
-            )
-            .unwrap()
-        })
-    });
-    g.bench_function("signal_fast/70k", |b| {
-        b.iter(|| {
-            sjpg_signal_opts(std::hint::black_box(&scan.bytes), DecodeOptions::default()).unwrap()
-        })
+    g.bench_function("signal/70k", |b| {
+        b.iter(|| sjpg_signal(std::hint::black_box(&scan.bytes)).unwrap())
     });
     g.finish();
 

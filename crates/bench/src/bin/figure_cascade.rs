@@ -1,11 +1,11 @@
 //! figure_cascade: input-adaptive cascades end to end — per-item plan
-//! routing from bitstream-derived difficulty signals vs the best uniform
+//! routing from header-derived difficulty signals vs the best uniform
 //! plan on a mixed-difficulty corpus.
 //!
-//! The cascade's claim is input adaptivity: easy items (few coded
-//! coefficients, low AC energy) take an aggressive rung (reduced decode +
-//! small DNN) while hard items escalate to the full plan, with the route
-//! decided *before* any decode from the entropy-scan signal. This binary
+//! The cascade's claim is input adaptivity: easy items (few coded bits
+//! per block) take an aggressive rung (reduced decode + small DNN) while
+//! hard items escalate to the full plan, with the route decided *before*
+//! any decode from the sjpg row index's segment lengths. This binary
 //! is the CI gate for that claim; it exits non-zero unless:
 //!
 //! 1. the cascade beats the best zero-loss uniform plan end to end by

@@ -88,14 +88,7 @@ impl HuffmanTable {
                 count_per_len[l as usize] += 1;
             }
         }
-        // Kraft inequality check: sum 2^-l must be ≤ 1.
-        let mut kraft: u64 = 0;
-        for (l, &count) in count_per_len.iter().enumerate().skip(1) {
-            kraft += (count as u64) << (MAX_CODE_LEN as usize - l);
-        }
-        if kraft > 1u64 << MAX_CODE_LEN {
-            return Err(Error::BadTable("code lengths violate Kraft".into()));
-        }
+        check_kraft(&count_per_len)?;
 
         let mut canon_symbols: Vec<u16> = (0..lengths.len() as u16)
             .filter(|&s| lengths[s as usize] > 0)
@@ -263,6 +256,14 @@ impl HuffmanTable {
 
     /// Deserializes a table spec written by [`Self::write_spec`].
     pub fn read_spec(r: &mut BitReader<'_>, alphabet_size: usize) -> Result<Self> {
+        Self::from_lengths(Self::read_lengths(r, alphabet_size)?)
+    }
+
+    /// Reads a table spec and checks it — symbol count, symbol range and
+    /// repeats, the Kraft inequality on the counts — without building the
+    /// table: the per-symbol code lengths [`Self::from_lengths`] takes. A
+    /// spec this accepts always builds.
+    pub(crate) fn read_lengths(r: &mut BitReader<'_>, alphabet_size: usize) -> Result<Vec<u8>> {
         let mut count_per_len = [0u16; MAX_CODE_LEN as usize + 1];
         let mut total: usize = 0;
         for slot in count_per_len.iter_mut().skip(1) {
@@ -274,6 +275,7 @@ impl HuffmanTable {
                 "table spec has {total} symbols for alphabet {alphabet_size}"
             )));
         }
+        check_kraft(&count_per_len)?;
         let mut lengths = vec![0u8; alphabet_size];
         let mut read_so_far = 0usize;
         for (l, &count) in count_per_len.iter().enumerate().skip(1) {
@@ -290,8 +292,21 @@ impl HuffmanTable {
             }
         }
         debug_assert_eq!(read_so_far, total);
-        Self::from_lengths(lengths)
+        Ok(lengths)
     }
+}
+
+/// Kraft inequality on codes-per-length: `Σ count_l · 2^-l ≤ 1`, or no
+/// prefix code has those lengths.
+fn check_kraft(count_per_len: &[u16; MAX_CODE_LEN as usize + 1]) -> Result<()> {
+    let mut kraft: u64 = 0;
+    for (l, &count) in count_per_len.iter().enumerate().skip(1) {
+        kraft += (count as u64) << (MAX_CODE_LEN as usize - l);
+    }
+    if kraft > 1u64 << MAX_CODE_LEN {
+        return Err(Error::BadTable("code lengths violate Kraft".into()));
+    }
+    Ok(())
 }
 
 /// Computes unlimited Huffman code lengths into `lengths`.

@@ -245,8 +245,8 @@ impl<'t> RunTable<'t> {
     ///
     /// Always inlined: with two call sites per sjpg block (one per band)
     /// the compiler otherwise keeps it out of line, a call per band with
-    /// the cursor passed through memory — the difficulty scan measured
-    /// ≈ 10 % slower that way.
+    /// the cursor passed through memory — an entropy-only walk of sjpg rows
+    /// measured ≈ 10 % slower that way.
     #[inline(always)]
     pub fn decode_run(
         &self,

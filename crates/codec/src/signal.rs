@@ -1,104 +1,65 @@
-//! Per-item difficulty signals computed from the *encoded* bitstream —
-//! no dequantization, no IDCT, no pixels (ROADMAP item 3; Tahoma-style
-//! cascades routed by input complexity, arXiv:2512.20839).
+//! Per-item difficulty signals computed from the *encoded* stream's header
+//! alone — no body byte read, no entropy symbol decoded, no Huffman table
+//! built, no pixel written (Tahoma-style cascades routed by input
+//! complexity, arXiv:2512.20839).
 //!
-//! The sjpg entropy stream already is a complexity measure: busy,
-//! textured content codes long AC runs with large amplitudes, while
-//! smooth content collapses to near-empty blocks. A sampled entropy-only
-//! scan of a few MCU rows (the row index makes seeking free, and DC
-//! prediction resets per row) therefore yields three correlated
-//! difficulty signals at a small fraction of even a factor-8 reduced
-//! decode's cost:
+//! An entropy coder already measures complexity: busy, textured content
+//! codes long AC runs with large amplitudes, while smooth content collapses
+//! to near-empty blocks. And sjpg's row index already records what every
+//! row's two segments cost in bytes, so the coded bits per block are known
+//! once the header is read ([`crate::sjpg::SjpgFrame::parse`], the same
+//! checks a decoder's header parse runs, minus building the tables). v2
+//! streams index one segment per row and sum the same way.
 //!
-//! * **entropy symbol count** — coded symbols per luma block;
-//! * **DC-coefficient variance** — large-scale luminance structure;
-//! * **AC energy** — high-frequency texture mass.
-//!
-//! [`DifficultySignal::score`] folds them into one scalar used by the
-//! cascade router (`smol_runtime::route_stage`): items scoring above a
-//! calibrated threshold escalate to the full rung.
+//! [`DifficultySignal::score`] is that one scalar, used by the cascade
+//! router (`smol_runtime::route_stage`): items scoring above a calibrated
+//! threshold escalate to the full rung.
 
-use crate::sjpg::{self, DecodeOptions, DecodeStats};
+use crate::sjpg::SjpgFrame;
 use crate::{EncodedImage, Format, Result};
 
-/// How many MCU rows the sampled scan entropy-decodes. Enough rows to
-/// see both the top and bottom of typical content, cheap enough that
-/// the signal stays far below the cost of any decode rung.
-pub const SIGNAL_SAMPLE_ROWS: usize = 4;
-
-/// Bitstream-derived difficulty signals of one encoded item. A pure
-/// function of the encoded bytes: the table-driven and the reference
-/// entropy walk ([`sjpg_signal_opts`]) read the same symbols, so the
-/// signal is independent of [`DecodeOptions`] (pinned by the workspace
-/// proptests), and deterministic across repeated scans.
+/// Difficulty signal of one encoded item: the body bytes its row index
+/// lays out and the blocks they code. A pure function of the header's
+/// bytes — it reads none of the body, so overwriting any body byte leaves
+/// it unchanged (pinned by the workspace proptests).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DifficultySignal {
-    /// Entropy symbols decoded across the sampled rows.
-    pub symbols: u64,
-    /// Luma blocks sampled (normalizer for the per-block signals).
+    /// Body bytes of every row's segments, summed over all rows.
+    pub coded_bytes: u64,
+    /// Blocks the stream codes, luma and chroma.
     pub blocks: u64,
-    /// Variance of the sampled luma DC coefficients (quantized units²).
-    pub dc_variance: f64,
-    /// Mean per-luma-block AC energy (quantized units²).
-    pub ac_energy: f64,
 }
 
 impl DifficultySignal {
-    /// Coded entropy symbols per luma block — the scale-free version of
-    /// the symbol count (invariant to how many rows were sampled).
-    pub fn symbols_per_block(&self) -> f64 {
+    /// Scalar difficulty: coded bits per block. Routing thresholds are
+    /// calibrated on this score's empirical quantiles, so only its order
+    /// across items matters, not its units.
+    pub fn score(&self) -> f64 {
         if self.blocks == 0 {
             return 0.0;
         }
-        self.symbols as f64 / self.blocks as f64
-    }
-
-    /// Scalar difficulty: symbols per block plus log-compressed AC
-    /// energy and DC variance. Log compression keeps one signal from
-    /// drowning the others (energies span orders of magnitude while
-    /// symbol counts stay in the tens); the exact weighting matters
-    /// little because routing thresholds are calibrated on *this*
-    /// score's empirical quantiles, not on absolute units.
-    pub fn score(&self) -> f64 {
-        self.symbols_per_block() + (1.0 + self.ac_energy).ln() + 0.5 * (1.0 + self.dc_variance).ln()
+        8.0 * self.coded_bytes as f64 / self.blocks as f64
     }
 }
 
-/// Scans an encoded sjpg buffer for its difficulty signal. Returns the
-/// signal together with the scan's [`DecodeStats`]: only
-/// `symbols_decoded` and `rows_skipped` move — `blocks_idct`,
-/// `pixels_written`, and `idct_macs` stay zero, which is the "no decode
-/// happened" proof the workspace proptests pin.
-pub fn sjpg_signal(data: &[u8]) -> Result<(DifficultySignal, DecodeStats)> {
-    sjpg_signal_opts(data, DecodeOptions::default())
-}
-
-/// [`sjpg_signal`] with the entropy path chosen by `opts.scalar_kernels`:
-/// the table-driven walk the decoder's fast path uses (the default), or
-/// the bit-by-bit reference it is checked against.
-pub fn sjpg_signal_opts(
-    data: &[u8],
-    opts: DecodeOptions,
-) -> Result<(DifficultySignal, DecodeStats)> {
-    let (scan, stats) = sjpg::scan_signal(data, SIGNAL_SAMPLE_ROWS, opts)?;
-    Ok((
-        DifficultySignal {
-            symbols: scan.symbols,
-            blocks: scan.luma_blocks,
-            dc_variance: scan.dc_variance,
-            ac_energy: scan.ac_energy,
-        },
-        stats,
-    ))
+/// The difficulty signal of an encoded sjpg buffer, read from its header
+/// and row index. Fails exactly when the decoders' header parse
+/// ([`crate::sjpg::SjpgHeader::parse`]) fails.
+pub fn sjpg_signal(data: &[u8]) -> Result<DifficultySignal> {
+    let frame = SjpgFrame::parse(data)?;
+    Ok(DifficultySignal {
+        coded_bytes: frame.coded_bytes(true) as u64,
+        blocks: frame.blocks() as u64,
+    })
 }
 
 /// The difficulty signal of an [`EncodedImage`], when its format carries
 /// one. `None` for formats without a block-transform entropy stream to
-/// read (spng, video containers) or when the buffer fails to parse —
+/// read (spng, video containers) or when the header fails to parse —
 /// cascade routers treat both as "no signal: escalate".
 pub fn image_signal(img: &EncodedImage) -> Option<DifficultySignal> {
     match img.format {
-        Format::Sjpg { .. } => sjpg_signal(&img.bytes).ok().map(|(sig, _)| sig),
+        Format::Sjpg { .. } => sjpg_signal(&img.bytes).ok(),
         Format::Spng | Format::Svid { .. } => None,
     }
 }
@@ -130,17 +91,18 @@ mod tests {
     fn signal_orders_flat_below_noise_and_touches_no_pixels() {
         let hard = EncodedImage::encode(&noisy(64, 64), Format::sjpg(90)).unwrap();
         let easy = EncodedImage::encode(&flat(64, 64), Format::sjpg(90)).unwrap();
-        let (hs, hstats) = sjpg_signal(&hard.bytes).unwrap();
-        let (es, estats) = sjpg_signal(&easy.bytes).unwrap();
+        let hs = sjpg_signal(&hard.bytes).unwrap();
+        let es = sjpg_signal(&easy.bytes).unwrap();
         assert!(hs.score() > es.score(), "hard {hs:?} vs easy {es:?}");
-        assert!(hs.symbols_per_block() > es.symbols_per_block());
-        assert!(hs.ac_energy > es.ac_energy);
-        for stats in [hstats, estats] {
-            assert!(stats.symbols_decoded > 0);
-            assert_eq!(stats.blocks_idct, 0);
-            assert_eq!(stats.pixels_written, 0);
-            assert_eq!(stats.idct_macs, 0);
-        }
+        // Same geometry, so the same blocks; the noise codes more bytes.
+        assert_eq!(hs.blocks, es.blocks);
+        assert_eq!(hs.blocks, 8 * 8 * 3);
+        assert!(hs.coded_bytes > es.coded_bytes);
+        // The whole body, and nothing but the body.
+        let body_start = hard.bytes.len() - hs.coded_bytes as usize;
+        let mut zeroed = hard.bytes.to_vec();
+        zeroed[body_start..].fill(0);
+        assert_eq!(sjpg_signal(&zeroed).unwrap(), hs);
     }
 
     #[test]
@@ -152,15 +114,5 @@ mod tests {
         assert_eq!(a, b);
         let png = EncodedImage::encode(&img, Format::Spng).unwrap();
         assert_eq!(image_signal(&png), None);
-    }
-
-    #[test]
-    fn tiny_images_sample_every_row() {
-        // 16 px tall 4:4:4 ⇒ 2 MCU rows, fewer than the sample budget:
-        // the scan degenerates to a full entropy pass without panicking.
-        let enc = EncodedImage::encode(&noisy(24, 16), Format::sjpg(85)).unwrap();
-        let (sig, stats) = sjpg_signal(&enc.bytes).unwrap();
-        assert!(sig.blocks > 0);
-        assert_eq!(stats.rows_skipped, 0);
     }
 }

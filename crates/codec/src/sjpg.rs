@@ -36,11 +36,13 @@
 //! 4:2:0 chroma (which reconstructs at `min(8, 16/4)` points). One AC table
 //! codes both bands. A factor-4 or factor-8 decode reads segment 1 only —
 //! about a sixth of the entropy symbols of a coefficient-dense still —
-//! while full, ROI, early-stop and factor-2 decodes and the difficulty scan
-//! read both, block by block, and reconstruct exactly the coefficients a
-//! one-segment stream holds: a full decode is pixel-identical to the v2
-//! stream of the same image. Each segment is read through its own bounded
-//! reader, so an overrun into the next segment is `Truncated`.
+//! while full, ROI, early-stop and factor-2 decodes read both, block by
+//! block, and reconstruct exactly the coefficients a one-segment stream
+//! holds: a full decode is pixel-identical to the v2 stream of the same
+//! image. Each segment is read through its own bounded reader, so an
+//! overrun into the next segment is `Truncated`. The index's segment
+//! lengths are themselves the cascade router's difficulty signal
+//! (`crate::signal`), read without opening the body.
 //!
 //! Version 2 streams (one segment per row) still decode, through the same
 //! row loop: a v2 row is read as a v3 row whose split is 64 and whose
@@ -433,15 +435,21 @@ fn mcu_schedule(chroma: Chroma, bx: usize, by: usize) -> ([(usize, usize, usize)
     }
 }
 
-/// Parsed header with entropy tables and the MCU-row index.
+/// The frame and MCU-row index of an sjpg stream: the whole header with
+/// its two table specs read and checked, but not built. Everything a
+/// stream's geometry and coded byte layout say is here, and reading it
+/// costs no Huffman lookup table — the cascade router's difficulty signal
+/// (`crate::signal`) reads this alone. Decoders read an [`SjpgHeader`].
 #[derive(Debug, Clone)]
-pub struct SjpgHeader {
+pub struct SjpgFrame {
     pub width: usize,
     pub height: usize,
     pub quality: u8,
     pub chroma: Chroma,
-    dc_table: HuffmanTable,
-    ac_table: HuffmanTable,
+    /// Per-symbol code lengths of the DC and the AC table, as their specs
+    /// list them; [`HuffmanTable::read_lengths`] has checked that both
+    /// build.
+    lengths: [Vec<u8>; 2],
     /// The row index as `2 · rows + 1` non-decreasing body offsets: row
     /// `by`'s segments are `index[2by]..index[2by + 1]` and
     /// `index[2by + 1]..index[2by + 2]`, and the last entry is the body's
@@ -454,8 +462,10 @@ pub struct SjpgHeader {
     body_start: usize,
 }
 
-impl SjpgHeader {
-    /// Parses the header (tables + index) without touching the body.
+impl SjpgFrame {
+    /// Reads and checks the header (frame, table specs, row index) without
+    /// touching the body or building a table. Everything [`SjpgHeader::parse`]
+    /// rejects, this rejects: the table build after it cannot fail.
     pub fn parse(data: &[u8]) -> Result<Self> {
         let mut r = BitReader::new(data);
         if r.bits(32)? != MAGIC {
@@ -482,8 +492,10 @@ impl SjpgHeader {
         if width == 0 || height == 0 {
             return Err(Error::BadHeader("zero-sized image".into()));
         }
-        let dc_table = HuffmanTable::read_spec(&mut r, DC_ALPHABET)?;
-        let ac_table = HuffmanTable::read_spec(&mut r, AC_ALPHABET)?;
+        let lengths = [
+            HuffmanTable::read_lengths(&mut r, DC_ALPHABET)?,
+            HuffmanTable::read_lengths(&mut r, AC_ALPHABET)?,
+        ];
         let n_rows = r.bits(16)? as usize;
         if n_rows != height.div_ceil(chroma.mcu()) {
             return Err(Error::BadHeader(format!(
@@ -501,7 +513,7 @@ impl SjpgHeader {
         let body_len = data.len().checked_sub(body_start).ok_or(Error::Truncated {
             context: "sjpg row index",
         })?;
-        let blocks = width.div_ceil(chroma.mcu()) * n_rows * chroma.blocks_per_mcu();
+        let blocks = coded_blocks(width, n_rows, chroma);
         if body_len * 8 < 2 * blocks {
             return Err(Error::BadHeader(format!(
                 "{width}x{height} needs {blocks} coded blocks; a {body_len}-byte body cannot hold them"
@@ -538,13 +550,12 @@ impl SjpgHeader {
         debug_assert_eq!(index.len(), 2 * n_rows + 1);
         r.align_byte();
         debug_assert_eq!(body_start, (r.bit_pos() / 8) as usize);
-        Ok(SjpgHeader {
+        Ok(SjpgFrame {
             width,
             height,
             quality,
             chroma,
-            dc_table,
-            ac_table,
+            lengths,
             index,
             split: if version == VERSION {
                 band_split(chroma)
@@ -565,6 +576,11 @@ impl SjpgHeader {
         self.index.len() / 2
     }
 
+    /// Blocks the stream codes, luma and chroma.
+    pub(crate) fn blocks(&self) -> usize {
+        coded_blocks(self.width, self.rows(), self.chroma)
+    }
+
     /// Body byte ranges of MCU row `by`'s two segments.
     fn segments(&self, by: usize) -> [Range<usize>; 2] {
         let at = |i: usize| self.index[i] as usize;
@@ -573,13 +589,50 @@ impl SjpgHeader {
 
     /// Body bytes a decode reads: every segment of every row, or only each
     /// row's segment 1 when it stops at the split.
-    fn coded_bytes(&self, high: bool) -> usize {
+    pub(crate) fn coded_bytes(&self, high: bool) -> usize {
         (0..self.rows())
             .map(|by| {
                 let [low, rest] = self.segments(by);
                 low.len() + if high { rest.len() } else { 0 }
             })
             .sum()
+    }
+}
+
+/// Blocks coded by `n_rows` MCU rows of a `width`-pixel-wide image.
+fn coded_blocks(width: usize, n_rows: usize, chroma: Chroma) -> usize {
+    width.div_ceil(chroma.mcu()) * n_rows * chroma.blocks_per_mcu()
+}
+
+/// Parsed header: the [`SjpgFrame`] with its entropy tables built — what a
+/// decoder reads. Derefs to the frame.
+#[derive(Debug, Clone)]
+pub struct SjpgHeader {
+    frame: SjpgFrame,
+    dc_table: HuffmanTable,
+    ac_table: HuffmanTable,
+}
+
+impl SjpgHeader {
+    /// Parses the header (tables + index) without touching the body: the
+    /// frame ([`SjpgFrame::parse`]), then the two tables built from its
+    /// checked specs.
+    pub fn parse(data: &[u8]) -> Result<Self> {
+        let mut frame = SjpgFrame::parse(data)?;
+        let [dc, ac] = std::mem::take(&mut frame.lengths);
+        Ok(SjpgHeader {
+            dc_table: HuffmanTable::from_lengths(dc)?,
+            ac_table: HuffmanTable::from_lengths(ac)?,
+            frame,
+        })
+    }
+}
+
+impl std::ops::Deref for SjpgHeader {
+    type Target = SjpgFrame;
+
+    fn deref(&self) -> &SjpgFrame {
+        &self.frame
     }
 }
 
@@ -729,94 +782,6 @@ pub fn decode_scaled_opts(
         opts,
         None,
     )
-}
-
-/// Raw accumulators of a sampled entropy-only difficulty scan (the
-/// bitstream side of `smol_codec::signal`). Everything is in quantized
-/// coefficient units: the scan never dequantizes, never transforms, and
-/// never writes a pixel.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct SignalScan {
-    /// Entropy symbols decoded across the sampled rows.
-    pub symbols: u64,
-    /// Luma blocks the scan visited.
-    pub luma_blocks: u64,
-    /// Variance of the sampled luma DC coefficients (quantized units²).
-    pub dc_variance: f64,
-    /// Mean per-luma-block AC energy `Σ c_k²` over the coded prefix
-    /// (quantized units²).
-    pub ac_energy: f64,
-}
-
-/// Entropy-decodes a small, evenly-spread sample of MCU rows (at most
-/// `max_rows`) straight off the encoded bitstream, accumulating the
-/// difficulty accumulators without any dequantization, IDCT, or pixel
-/// writes. The row index makes the seek free; DC prediction resets per
-/// row, so each sampled row is self-contained. The scan reads both of a
-/// row's segments: its symbol count and AC energy cover every coefficient.
-///
-/// Cascade routing runs this on every item before any decode, so it takes
-/// the same table-driven entropy path as [`decode_rows_into`] (a
-/// [`RowDecoder`]). `opts.scalar_kernels` selects the bit-by-bit reference
-/// walk instead; both read the same symbols and return the same scan.
-///
-/// The returned [`DecodeStats`] is the proof of cheapness: only
-/// `symbols_decoded` and `rows_skipped` may move — `blocks_idct`,
-/// `pixels_written`, and `idct_macs` stay zero by construction (pinned
-/// by the workspace proptests).
-pub(crate) fn scan_signal(
-    data: &[u8],
-    max_rows: usize,
-    opts: DecodeOptions,
-) -> Result<(SignalScan, DecodeStats)> {
-    let header = SjpgHeader::parse(data)?;
-    let n_rows = header.rows();
-    let sample = max_rows.clamp(1, n_rows);
-    let mcols = header.width.div_ceil(header.mcu());
-    let body = &data[header.body_start..];
-
-    let mut stats = DecodeStats::default();
-    let mut scan = SignalScan::default();
-    let mut dc_sum = 0.0f64;
-    let mut dc_sumsq = 0.0f64;
-    let mut ac_total = 0.0f64;
-    let mut coefs = [0i16; 64];
-
-    let window = SCAN_PAIR_BITS.min(pair_window_bits(body.len()));
-    let dec = RowDecoder::new(&header, opts, true, window);
-    for i in 0..sample {
-        // Evenly spread, first row always included; `sample == n_rows`
-        // degenerates to every row.
-        let by = i * n_rows / sample;
-        let mut row = dec.open(body, by);
-        let mut dc_pred = [0i16; 3];
-        for bx in 0..mcols {
-            let (sched, n) = mcu_schedule(header.chroma, bx, by);
-            for &(comp, _, _) in &sched[..n] {
-                let k = dec.block(&mut row, comp, dc_pred[comp], &mut coefs, &mut stats)?;
-                dc_pred[comp] = coefs[0];
-                if comp == 0 {
-                    scan.luma_blocks += 1;
-                    let dc = coefs[0] as f64;
-                    dc_sum += dc;
-                    dc_sumsq += dc * dc;
-                    for &c in &coefs[1..k] {
-                        ac_total += (c as f64) * (c as f64);
-                    }
-                }
-            }
-        }
-        row.finish()?;
-    }
-    stats.rows_skipped += (n_rows - sample) as u64;
-    scan.symbols = stats.symbols_decoded;
-    if scan.luma_blocks > 0 {
-        let n = scan.luma_blocks as f64;
-        let mean = dc_sum / n;
-        scan.dc_variance = (dc_sumsq / n - mean * mean).max(0.0);
-        scan.ac_energy = ac_total / n;
-    }
-    Ok((scan, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -1450,12 +1415,6 @@ fn decode_band(
     }
     Ok(k)
 }
-
-/// Window width for [`scan_signal`]: it reads a few MCU rows, not an image,
-/// so a quarter-size LUT (built in ~10 µs instead of ~40) wins on anything
-/// but the largest payloads — 94 vs 120 µs on a 70 KB item, 42 vs 66 µs on
-/// a 24 KB one, 331 vs 293 µs on a 280 KB one.
-const SCAN_PAIR_BITS: u32 = 10;
 
 /// Fully-decoded entropy tables for the fast path: the DC pair LUT and the
 /// AC [`RunTable`] (see [`crate::runlength`] for the entry layout). Grain-

@@ -285,10 +285,10 @@ pub struct CascadePlan {
     /// The aggressive rung (reduced decode + small DNN). Must share the
     /// carrying plan's input variant and output geometry.
     pub stage1: QueryPlan,
-    /// Difficulty-score threshold (in `smol_codec::DifficultySignal::score`
-    /// units, calibrated on the score's empirical quantiles): items
-    /// scoring strictly above it escalate to the full rung, as do items
-    /// whose bitstream yields no signal at all.
+    /// Difficulty-score threshold in coded bits per block (the units of
+    /// `smol_codec::DifficultySignal::score`), calibrated on the score's
+    /// empirical quantiles: items scoring strictly above it escalate to
+    /// the full rung, as do items whose bitstream yields no signal at all.
     pub threshold: f64,
     /// Calibrated fraction of items expected to escalate (drives the
     /// `stage1 + rate × stage2` cost estimate and accuracy accounting).

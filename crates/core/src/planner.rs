@@ -78,7 +78,7 @@ pub struct RoutingSpec {
     /// Measured end-to-end accuracy of the routed pipeline (stage-1
     /// answers below the threshold, full-rung answers above it).
     pub accuracy: f64,
-    /// Measured throughput of the difficulty-signal scan itself, items/s
+    /// Measured throughput of the difficulty signal itself, items/s
     /// (every item pays it, easy or hard). Non-finite or non-positive
     /// means "free".
     pub signal_throughput: f64,
@@ -482,7 +482,7 @@ impl Planner {
     /// preprocessing. Costing follows the issue's contract,
     /// `stage1_cost + escalation_rate × stage2_cost`, on both axes:
     ///
-    /// * **CPU**: every item pays the signal scan, every item pays its
+    /// * **CPU**: every item pays the signal, every item pays its
     ///   routed decode — `1/pc = 1/signal + (1−r)/p1 + r/p2` (the
     ///   routing happens *before* any decode, so the two rungs'
     ///   preprocessing costs blend exactly, not additively);

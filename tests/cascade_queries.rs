@@ -396,8 +396,8 @@ fn a_failure_on_either_rung_of_a_cascade_resolves_and_leaks_nothing() {
     for (bad, stage) in [(5, 1), (6, 0)] {
         assert_eq!(labels[bad], stage, "corpus layout");
         let mut items = items.clone();
-        // One byte short: the sampled signal scan still reads its rows, so
-        // the item routes as it would intact; every decode then fails.
+        // One byte short: the header and row index still parse, so the
+        // item routes as it would intact; every decode then fails.
         items[bad].bytes = items[bad].bytes.slice(..items[bad].bytes.len() - 1);
         assert_eq!(
             route_stage(&MediaItem::Image(items[bad].clone()), threshold),

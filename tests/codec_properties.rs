@@ -2,6 +2,7 @@
 //! decode consistency, and bounded loss, over randomized images.
 
 use proptest::prelude::*;
+use smol::codec::signal::sjpg_signal;
 use smol::codec::{sjpg, spng, Chroma, DecodeOptions, EncodedImage, Format, SjpgEncoder};
 use smol::imgproc::{psnr, ImageU8, Rect};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -297,32 +298,29 @@ fn is_bad_header<T>(result: &smol::codec::Result<T>) -> bool {
     matches!(result, Err(smol::codec::Error::BadHeader(_)))
 }
 
-/// Every sjpg entry point on `data` under both option sets, with the
-/// largest single allocation each made on the way.
+/// Every sjpg entry point on `data` — each decode under both option sets,
+/// and the difficulty signal — with the largest single allocation each
+/// made on the way.
 fn sjpg_entry_points(data: &[u8]) -> Vec<(smol::codec::Result<()>, usize)> {
     let mut verdicts = Vec::new();
     for opts in [DecodeOptions::default(), DecodeOptions::scalar_reference()] {
-        let runs: [&dyn Fn() -> smol::codec::Result<()>; 5] = [
+        let runs: [&dyn Fn() -> smol::codec::Result<()>; 4] = [
             &|| sjpg::decode_with_opts(data, opts).map(|_| ()),
             &|| sjpg::decode_scaled_opts(data, 8, opts).map(|_| ()),
             &|| sjpg::decode_scaled_opts(data, 4, opts).map(|_| ()),
             &|| sjpg::decode_roi_opts(data, Rect::new(0, 0, 16, 16), opts).map(|_| ()),
-            &|| smol::codec::signal::sjpg_signal_opts(data, opts).map(|_| ()),
         ];
         verdicts.extend(runs.iter().map(largest_allocation));
     }
+    verdicts.push(largest_allocation(|| sjpg_signal(data).map(|_| ())));
     verdicts
 }
 
-/// A ~33 KB file whose header claims 65 535 × 65 535 pixels (12 GB decoded)
-/// with a self-consistent 4 096-row index is a typed `BadHeader` on every
-/// entry point, fast and scalar, before anything is sized from it; so is a
-/// v3 index that points past the body, puts a segment 2 before its segment
-/// 1, or a row before its predecessor.
-#[test]
-fn sjpg_header_its_body_cannot_back_is_rejected_before_allocating() {
+/// The hostile headers of the battery below: a 65 535 × 65 535 claim its
+/// body cannot back, each inconsistency of a v3 row index, and a last row
+/// that starts exactly at the body's end — each with what it is.
+fn sjpg_hostile_headers() -> Vec<(&'static str, Vec<u8>)> {
     let (clean, index_at) = small_sjpg_stream();
-    assert!(sjpg_paths_agree(&clean).is_some());
     let header_len = index_at + 2 + 16;
 
     let mut hostile = clean[..index_at].to_vec();
@@ -331,19 +329,10 @@ fn sjpg_header_its_body_cannot_back_is_rejected_before_allocating() {
     hostile.extend(4096u16.to_be_bytes());
     hostile.extend((0..2 * 4096u32).flat_map(|i| (i / 32).to_be_bytes()));
     hostile.extend_from_slice(&clean[header_len..]);
-    assert!(hostile.len() < 34 << 10, "{} bytes", hostile.len());
-    assert_eq!(sjpg::peek_dims(&hostile).unwrap(), (65_535, 65_535));
-    for (verdict, peak) in sjpg_entry_points(&hostile) {
-        assert!(is_bad_header(&verdict), "{verdict:?}");
-        assert!(
-            peak < 64 << 10,
-            "allocated {peak} bytes on the way to the error"
-        );
-    }
+    let mut headers = vec![("a 65 535 × 65 535 claim", hostile)];
 
-    // Each of the index's own inconsistencies, on every entry point. The
-    // index is [row 0 segment 1, row 0 segment 2, row 1 segment 1, row 1
-    // segment 2] as body offsets.
+    // The index is [row 0 segment 1, row 0 segment 2, row 1 segment 1,
+    // row 1 segment 2] as body offsets.
     let body_len = (clean.len() - header_len) as u32;
     let entry = |i| index_entry(&clean, index_at, i);
     let broken: [(&str, usize, u32); 5] = [
@@ -356,20 +345,82 @@ fn sjpg_header_its_body_cannot_back_is_rejected_before_allocating() {
     for (what, i, offset) in broken {
         let mut data = clean.clone();
         set_index_entry(&mut data, index_at, i, offset);
-        for (verdict, peak) in sjpg_entry_points(&data) {
+        headers.push((what, data));
+    }
+
+    let mut past = clean.clone();
+    set_index_entry(&mut past, index_at, 2, body_len);
+    set_index_entry(&mut past, index_at, 3, body_len);
+    headers.push(("a last row at the body's end", past));
+    headers
+}
+
+/// A ~33 KB file whose header claims 65 535 × 65 535 pixels (12 GB decoded)
+/// with a self-consistent 4 096-row index is a typed `BadHeader` on every
+/// entry point, fast and scalar, before anything is sized from it; so is a
+/// v3 index that points past the body, puts a segment 2 before its segment
+/// 1, or a row before its predecessor.
+#[test]
+fn sjpg_header_its_body_cannot_back_is_rejected_before_allocating() {
+    let (clean, _) = small_sjpg_stream();
+    assert!(sjpg_paths_agree(&clean).is_some());
+    let mut headers = sjpg_hostile_headers();
+    let (what, past) = headers.pop().expect("the last-row case");
+    let (_, hostile) = &headers[0];
+    assert!(hostile.len() < 34 << 10, "{} bytes", hostile.len());
+    assert_eq!(sjpg::peek_dims(hostile).unwrap(), (65_535, 65_535));
+    // The claim and each of the index's own inconsistencies, on every
+    // entry point.
+    for (what, data) in &headers {
+        for (verdict, peak) in sjpg_entry_points(data) {
             assert!(is_bad_header(&verdict), "{what}: {verdict:?}");
-            assert!(peak < 64 << 10, "{what}: allocated {peak} bytes");
+            assert!(
+                peak < 64 << 10,
+                "{what}: allocated {peak} bytes on the way to the error"
+            );
         }
-        assert!(sjpg_paths_agree(&data).is_none(), "{what}");
+        assert!(sjpg_paths_agree(data).is_none(), "{what}");
     }
 
     // A last row whose segments both start exactly at the body's end is
     // merely truncated.
-    let mut past = clean.clone();
-    set_index_entry(&mut past, index_at, 2, body_len);
-    set_index_entry(&mut past, index_at, 3, body_len);
-    assert!(!is_bad_header(&sjpg::decode(&past)));
-    assert!(sjpg_paths_agree(&past).is_none());
+    assert!(!is_bad_header(&sjpg::decode(&past)), "{what}");
+    assert!(sjpg_paths_agree(&past).is_none(), "{what}");
+}
+
+/// Routing and decoding agree on what a valid stream is: the difficulty
+/// signal reads a header exactly when the decoders' header parse does, on
+/// every hostile header above, every seeded header bit flip and every
+/// truncation into the header.
+#[test]
+fn sjpg_signal_accepts_exactly_the_headers_decoders_accept() {
+    let (clean, index_at) = small_sjpg_stream();
+    let header_len = index_at + 2 + 16;
+    let agree = |what: &str, data: &[u8]| {
+        assert_eq!(
+            sjpg_signal(data).is_ok(),
+            sjpg::SjpgHeader::parse(data).is_ok(),
+            "{what}"
+        );
+    };
+    for (what, data) in sjpg_hostile_headers() {
+        agree(what, &data);
+    }
+    let mut state = 0x5EED_51B6_0BADu64;
+    let mut next = |n: usize| (lcg(&mut state) >> 33) as usize % n;
+    let mut parsed = 0;
+    for case in 0..2400 {
+        let mut data = clean.clone();
+        for _ in 0..1 + case % 3 {
+            data[next(header_len)] ^= 1 << next(8);
+        }
+        agree(&format!("flip case {case}"), &data);
+        parsed += sjpg_signal(&data).is_ok() as usize;
+    }
+    assert!(parsed > 20, "only {parsed} mutated headers parsed");
+    for cut in 0..header_len + 4 {
+        agree(&format!("prefix {cut}"), &clean[..cut]);
+    }
 }
 
 /// Each segment is read through its own bounded reader: a segment 1 cut
@@ -611,12 +662,18 @@ fn v2_fixture(name: &str) -> Vec<u8> {
 }
 
 /// Every v2 fixture still decodes to its digest, on the fast path and the
-/// scalar oracle alike (and under the hostile-input allocation cap).
+/// scalar oracle alike (and under the hostile-input allocation cap), and
+/// its one-segment row index yields a finite difficulty score.
 #[test]
 fn sjpg_v2_fixtures_still_decode_to_their_digests() {
     for f in &V2_FIXTURES {
-        let decoded = sjpg_paths_agree(&v2_fixture(f.name)).expect("a v2 fixture decodes");
+        let data = v2_fixture(f.name);
+        let decoded = sjpg_paths_agree(&data).expect("a v2 fixture decodes");
         assert_eq!(pixel_digest(&decoded), f.digest, "{}", f.name);
+        let score = sjpg_signal(&data)
+            .expect("a v2 fixture has a signal")
+            .score();
+        assert!(score.is_finite() && score > 0.0, "{}: {score}", f.name);
     }
 }
 
