@@ -15,6 +15,7 @@
 //!   later), so pipelining and contention are *measured*, not asserted;
 //! * [`economics`] — §7 price/power arithmetic (core-price fit, cost
 //!   breakdowns, ¢ per million images).
+#![deny(unsafe_code)]
 
 pub mod device;
 pub mod economics;

@@ -15,6 +15,7 @@
 //!
 //! Both use *real* trained `smol-nn` models for accuracy/selectivity and
 //! the virtual accelerator + runtime pipeline for time.
+#![deny(unsafe_code)]
 
 pub mod aggregation;
 pub mod cascade;

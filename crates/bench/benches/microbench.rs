@@ -1,11 +1,14 @@
 //! Criterion microbenches for the performance-critical kernels: codec
 //! decode paths (full / ROI / early-stop / reduced-resolution sjpg, the spng
-//! thumbnail decoder against its reference walk and across window widths),
+//! thumbnail decoder against its reference walk and across window widths,
+//! block reconstruction — dequantization + IDCT — under each instruction
+//! tier the host has),
 //! preprocessing operators (fused vs unfused, the compiled CPU prefix vs the
 //! reference interpreter, the producer stage's per-item content key and
 //! cascade difficulty signal, launching vs executing a device batch), the video
 //! decoder stage by stage (fast path vs the seed chain, and the keyframe
 //! pair-LUT window sweep), the DAG optimizer, and Huffman coding.
+#![deny(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
@@ -18,6 +21,7 @@ use smol_imgproc::ops::layout::{hwc_to_chw, to_f32};
 use smol_imgproc::ops::normalize::{normalize_chw, Normalization};
 use smol_imgproc::ops::prefix::CompiledPrefix;
 use smol_imgproc::ops::{center_crop_u8, resize_short_edge_u8};
+use smol_imgproc::tier::{Kernel, Tier};
 use smol_imgproc::Rect;
 use smol_runtime::{execute_device_batch, launch_device_batch, DeviceBatchSpec};
 
@@ -73,6 +77,40 @@ fn bench_codecs(c: &mut Criterion) {
             });
         }
     }
+    // Block reconstruction alone, per tier: real luma blocks of the
+    // fullres_cold corpus at q95 (nearly all 64 coded) and of a video
+    // keyframe at q80 (short coded prefixes), reconstructed at 8 points, and
+    // the q95 blocks at 4 points (a factor-2 decode's corner).
+    let dense = luma_blocks(&img, 95);
+    let keyframe = {
+        use smol_core::FrameSelection;
+        let corpus = smol_data::gops::gop_corpus(&smol_data::catalog::video_catalog()[1], 42, 1, 6);
+        let gop = &corpus.gops[0];
+        let opts = smol_video::DecodeOptions { deblock: true };
+        let (frames, _) = gop
+            .decode_selected(FrameSelection::Keyframes, opts)
+            .unwrap();
+        luma_blocks(&frames[0].image, gop.quality)
+    };
+    let tiers = [Some(Tier::BASELINE), Tier::avx2()];
+    for (name, (blocks, steps), n) in [
+        ("q95_dense", &dense, 8),
+        ("q80_keyframe", &keyframe, 8),
+        ("n4", &dense, 4),
+    ] {
+        g.throughput(Throughput::Elements(blocks.len() as u64));
+        for tier in tiers.into_iter().flatten() {
+            g.bench_function(&format!("block_reconstruct/{name}/{}", tier.name()), |b| {
+                b.iter(|| {
+                    tier.run(Reconstruct {
+                        blocks: std::hint::black_box(blocks),
+                        steps,
+                        n,
+                    })
+                })
+            });
+        }
+    }
     g.finish();
 
     let mut g = c.benchmark_group("codec_encode");
@@ -88,6 +126,63 @@ fn bench_codecs(c: &mut Criterion) {
         b.iter(|| spng::encode(std::hint::black_box(&img)).unwrap())
     });
     g.finish();
+}
+
+/// The luma blocks of `img` as sjpg codes them at `quality` — level shift,
+/// forward DCT, quantization — in the natural order the fast decoders
+/// reconstruct from, each with its coded prefix length, plus the table's
+/// dequantization steps.
+fn luma_blocks(img: &smol_imgproc::ImageU8, quality: u8) -> (Vec<([i16; 64], usize)>, [f32; 64]) {
+    use smol_codec::dct::forward_dct;
+    use smol_codec::quant::{dequant_steps, quantize_zigzag, scale_table, BASE_LUMA, ZIGZAG};
+    use smol_imgproc::ops::colorspace::rgb_pixel_to_ycbcr;
+    let table = scale_table(&BASE_LUMA, quality).unwrap();
+    let mut blocks = Vec::new();
+    for by in 0..img.height() / 8 {
+        for bx in 0..img.width() / 8 {
+            let mut spatial = [0.0f32; 64];
+            for (i, v) in spatial.iter_mut().enumerate() {
+                let (x, y) = (bx * 8 + i % 8, by * 8 + i / 8);
+                let (r, g, b) = (img.at(x, y, 0), img.at(x, y, 1), img.at(x, y, 2));
+                *v = rgb_pixel_to_ycbcr(r, g, b).0 as f32 - 128.0;
+            }
+            let (mut freq, mut zz) = ([0.0f32; 64], [0i16; 64]);
+            forward_dct(&spatial, &mut freq);
+            quantize_zigzag(&freq, &table, &mut zz);
+            let coded = zz.iter().rposition(|&c| c != 0).map_or(1, |k| k + 1);
+            let mut natural = [0i16; 64];
+            for (k, &c) in zz.iter().enumerate() {
+                natural[ZIGZAG[k]] = c;
+            }
+            blocks.push((natural, coded));
+        }
+    }
+    (blocks, dequant_steps(&table))
+}
+
+/// Dequantization + `n`-point IDCT of every block, as the sjpg block loop
+/// runs them, as one tier kernel.
+struct Reconstruct<'a> {
+    blocks: &'a [([i16; 64], usize)],
+    steps: &'a [f32; 64],
+    n: usize,
+}
+
+impl Kernel for Reconstruct<'_> {
+    type Output = f32;
+
+    #[inline(always)]
+    fn run(self) -> f32 {
+        use smol_codec::dct::inverse_dct_scaled_vec_masked;
+        use smol_codec::quant::dequantize_corner;
+        let (mut freq, mut out, mut sum) = ([0.0f32; 64], [0.0f32; 64], 0.0);
+        for (coefs, coded) in self.blocks {
+            let mask = dequantize_corner(coefs, *coded, self.steps, self.n, &mut freq);
+            inverse_dct_scaled_vec_masked(&freq, self.n, mask, &mut out);
+            sum += out[0];
+        }
+        sum
+    }
 }
 
 fn bench_preproc(c: &mut Criterion) {

@@ -25,6 +25,7 @@
 //!    a loss-tolerant constraint must choose the subsampled variant.
 //!
 //! Exits non-zero when any gate fails (CI wires this into bench-smoke).
+#![deny(unsafe_code)]
 
 use smol_accel::ModelKind;
 use smol_bench::{measure, scaled, timed, Gate, Paired, Table};

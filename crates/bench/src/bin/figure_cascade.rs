@@ -17,6 +17,7 @@
 //!    same accuracy (no cascade candidates survive the toggle), and
 //! 4. escalated items are bit-identical to a pure full-plan run — zero
 //!    result diffs.
+#![deny(unsafe_code)]
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{fmt_ratio, fmt_tput, measure, scaled, timed, Gate, Table};

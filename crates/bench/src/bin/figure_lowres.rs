@@ -8,6 +8,7 @@
 //! of the reference path (full decode + downsample to the same geometry)
 //! and (b) beats full-decode+resize end-to-end throughput by ≥ 1.3×, as
 //! the median of paired runs (`smol_bench::measure`).
+#![deny(unsafe_code)]
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{decode_label, measure, run_once, scaled, Gate, Table, VCPUS};

@@ -12,6 +12,7 @@
 //! the full-decode plan by ≥ 2× in end-to-end wall time over the same
 //! corpus (the median of paired runs, `smol_bench::measure`), and (c)
 //! demonstrably performed zero motion compensation.
+#![deny(unsafe_code)]
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{decode_label, measure, run_once, scaled, Gate, Table, VCPUS};

@@ -19,6 +19,7 @@
 //! * **lesion** — pacing disabled: every frame executes at full
 //!   fidelity. Gate: staleness grows monotonically across windows (the
 //!   unbounded-queueing failure mode the scheduler exists to prevent).
+#![deny(unsafe_code)]
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{quick_mode, timed, Gate, Table};

@@ -15,6 +15,7 @@
 //! ```sh
 //! SMOL_QUICK=1 cargo run --release -p smol_bench --bin paper_shapes
 //! ```
+#![deny(unsafe_code)]
 
 mod decode;
 mod pipeline;

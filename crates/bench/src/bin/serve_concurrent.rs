@@ -17,6 +17,7 @@
 //! The device is calibrated from a *measured* preprocessing rate: we
 //! profile the plan's CPU side, then pick a virtual-device spec whose
 //! execution rate at the plan's batch size matches it.
+#![deny(unsafe_code)]
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{fmt_ratio, fmt_tput, measure, run_once, simple_plan, timed, Gate, Table, REPS};

@@ -33,6 +33,7 @@
 //! Calibration mirrors `serve_concurrent`: the plan's CPU side is
 //! profiled on this machine, then the virtual-device spec is scaled so
 //! its ResNet-50 rate at the serving batch is a fixed fraction of it.
+#![deny(unsafe_code)]
 
 use smol_accel::{DeviceSpec, ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{fmt_ratio, fmt_tput, measure, quick_mode, simple_plan, timed, Gate, Table};

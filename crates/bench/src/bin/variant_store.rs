@@ -28,6 +28,7 @@
 //! derived from joint and decode-only measurements, and the live cache
 //! hit rate — the planner must pick the materialized variant, and the
 //! `-Storage` lesion must price the difference away.
+#![deny(unsafe_code)]
 
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{fmt_ratio, fmt_tput, measure, quick_mode, timed, Gate, Table};

@@ -16,6 +16,7 @@
 //!
 //! Quick mode (`SMOL_QUICK=1`) shrinks sample counts for CI; full runs
 //! reproduce the shapes with more statistical weight.
+#![deny(unsafe_code)]
 
 pub mod context;
 pub mod gate;

@@ -8,6 +8,16 @@
 //! `n × n` spatial patch directly — the multi-resolution decoding feature
 //! of Table 4, which fuses a `1/f` downsample into the transform itself
 //! (`2n³` multiply-adds instead of the full transform's `2·8³`).
+//!
+//! The vectorized transforms ([`inverse_dct_vec_masked`],
+//! [`inverse_dct_scaled_vec_masked`]) accumulate one 8-lane row of `f32` at a
+//! time. On the build's baseline x86-64 target (SSE2) that row is two 4-lane
+//! registers; compiled into a `smol_imgproc::tier` AVX2 kernel it is one
+//! 8-lane register. They are `#[inline(always)]`, so they compile for the
+//! tier of whatever kernel inlines them: the sjpg block loop and P-frame
+//! reconstruction run them under the widest tier the CPU has, and a direct
+//! call from ordinary code (a bench timing the transform alone) runs the
+//! baseline tier. No tier enables FMA, so every tier computes the same bits.
 
 /// Block edge length used throughout the codec.
 pub const BLOCK: usize = 8;
@@ -141,9 +151,11 @@ fn scaled_basis(n: usize) -> &'static [[f32; BLOCK]; BLOCK] {
 
 /// Vectorized inverse 8×8 DCT: the same transform as [`inverse_dct`], with
 /// the loops restructured into array-of-lanes form so the inner dimension is
-/// a contiguous 8-wide accumulator the autovectorizer lifts to SIMD, and
-/// all-zero terms skipped (quantization zeroes most high frequencies, so
-/// typical blocks touch only a few rows of the spectrum).
+/// a contiguous 8-wide accumulator the autovectorizer lifts to SIMD (two
+/// 4-lane SSE2 registers on the baseline target, one AVX2 register inside
+/// an AVX2-tier kernel; see the module docs), and all-zero terms skipped
+/// (quantization zeroes most high frequencies, so typical blocks touch only
+/// a few rows of the spectrum).
 ///
 /// Equal to [`inverse_dct`] at the pixel boundary: each output lane
 /// accumulates the same f32 terms in the same order as the scalar kernel
@@ -168,7 +180,8 @@ pub fn inverse_dct_vec(input: &[f32; BLOCK * BLOCK], output: &mut [f32; BLOCK * 
 /// (the block decoder gets it for free out of dequantization). The mask
 /// may over-approximate — including an all-zero row only adds `±0.0`
 /// terms, which the u8 conversion erases — but must cover every row with
-/// a nonzero coefficient.
+/// a nonzero coefficient. Only row 0 and the flagged rows are read.
+#[inline(always)]
 pub fn inverse_dct_vec_masked(
     input: &[f32; BLOCK * BLOCK],
     row_mask: u32,
@@ -274,58 +287,77 @@ pub fn inverse_dct_scaled_vec(input: &[f32; BLOCK * BLOCK], n: usize, output: &m
 /// [`inverse_dct_scaled_vec`] with a caller-supplied nonzero-row mask, as
 /// in [`inverse_dct_vec_masked`]. A mask over the *full* 8-wide rows is a
 /// valid over-approximation here: a flagged row whose leading `n` columns
-/// are all zero contributes only `±0.0` terms.
+/// are all zero contributes only `±0.0` terms. Only the leading `n` entries
+/// of row 0 and of the flagged rows are read.
+#[inline(always)]
 pub fn inverse_dct_scaled_vec_masked(
     input: &[f32; BLOCK * BLOCK],
     n: usize,
     row_mask: u32,
     output: &mut [f32],
 ) {
-    if n == BLOCK {
-        let mut full = [0.0f32; BLOCK * BLOCK];
-        inverse_dct_vec_masked(input, row_mask, &mut full);
-        output[..BLOCK * BLOCK].copy_from_slice(&full);
-        return;
+    // One copy per size, so every loop bound and slice length is a
+    // constant: a runtime-`n` row store compiles to a `memcpy` call.
+    match n {
+        1 => scaled_idct_n::<1>(input, row_mask, output),
+        2 => scaled_idct_n::<2>(input, row_mask, output),
+        4 => scaled_idct_n::<4>(input, row_mask, output),
+        BLOCK => {
+            let full: &mut [f32; BLOCK * BLOCK] = (&mut output[..BLOCK * BLOCK])
+                .try_into()
+                .expect("a 64-sample slice is an 8×8 block");
+            inverse_dct_vec_masked(input, row_mask, full);
+        }
+        _ => panic!("scaled IDCT only defined for n in {{1, 2, 4, 8}}, got {n}"),
     }
+}
+
+/// [`inverse_dct_scaled_vec_masked`] at `N < 8` points.
+#[inline(always)]
+fn scaled_idct_n<const N: usize>(input: &[f32; BLOCK * BLOCK], row_mask: u32, output: &mut [f32]) {
+    let n = N;
+    let output = &mut output[..N * N];
     // Rows ≥ n are never read by an n-point reconstruction — drop their
     // bits so a busy high-frequency half can't defeat the DC shortcut.
     let row_mask = row_mask & ((1 << n) - 1);
     let b = scaled_basis(n);
-    debug_assert!(output.len() >= n * n);
     // DC-only shortcut, as in [`inverse_dct_vec`] (`scaled_basis` row 0 is
     // flat too: `cos((2x+1)·0·π/2n)` is 1 for every `x`).
     if row_mask <= 1 && input[1..n.max(1)].iter().all(|&c| c == 0.0) {
         let o = (input[0] * b[0][0]) * b[0][0];
-        output[..n * n].fill(o);
+        output.fill(o);
         return;
     }
+    // Both passes run full 8-lane rows, as in [`inverse_dct_vec_masked`].
+    // Lanes past `n` compute values nobody reads: the row pass takes only
+    // the first `n` lanes of `tmp`, and its own lanes past `n` multiply the
+    // basis's zero padding. Each lane below `n` accumulates exactly the
+    // terms of an n-wide loop, in the same order.
     // Columns first: tmp[y][u] = sum_{v<n} input[v][u] * basis[v][y]
-    let mut tmp = [0.0f32; BLOCK * BLOCK];
-    for y in 0..n {
+    let mut tmp = [[0.0f32; BLOCK]; N];
+    for (y, trow) in tmp.iter_mut().enumerate() {
         let mut acc = [0.0f32; BLOCK];
         for (v, bv) in b.iter().enumerate().take(n) {
             if row_mask & (1 << v) == 0 {
                 continue;
             }
             let bvy = bv[y];
-            let row = &input[v * BLOCK..v * BLOCK + n];
-            for (u, &r) in row.iter().enumerate() {
-                acc[u] += r * bvy;
+            let row = &input[v * BLOCK..(v + 1) * BLOCK];
+            for u in 0..BLOCK {
+                acc[u] += row[u] * bvy;
             }
         }
-        tmp[y * n..y * n + n].copy_from_slice(&acc[..n]);
+        *trow = acc;
     }
     // Rows: out[y][x] = sum_{u<n} tmp[y][u] * basis[u][x]
-    for y in 0..n {
+    for (y, trow) in tmp.iter().enumerate() {
         let mut acc = [0.0f32; BLOCK];
-        let trow = &tmp[y * n..y * n + n];
-        for (u, bu) in b.iter().enumerate().take(n) {
-            let t = trow[u];
+        for (&t, bu) in trow.iter().zip(b).take(n) {
             if t == 0.0 {
                 continue;
             }
-            for (x, &bux) in bu[..n].iter().enumerate() {
-                acc[x] += t * bux;
+            for x in 0..BLOCK {
+                acc[x] += t * bu[x];
             }
         }
         output[y * n..y * n + n].copy_from_slice(&acc[..n]);

@@ -38,6 +38,7 @@
 //!
 //! [`EncodedImage`] is the uniform container the rest of the system passes
 //! around: cheaply cloneable bytes (`bytes::Bytes`) tagged with their format.
+#![deny(unsafe_code)]
 
 pub mod bitio;
 pub mod dct;

@@ -3,6 +3,17 @@
 //! The base tables are the ITU-T T.81 (JPEG) Annex K luminance/chrominance
 //! tables; quality scaling follows the libjpeg convention so that sjpg's
 //! `q=75` / `q=95` settings degrade fidelity comparably to JPEG's.
+//!
+//! Two dequantizers. [`dequantize_zigzag`] is the seed's: a dense scatter of
+//! all 64 zig-zag coefficients into raster order, two int→float conversions
+//! each; the scalar reference decoders keep it as the oracle. The fast
+//! decoders' entropy loop writes natural (raster) order instead, so
+//! [`dequantize_corner`] is arithmetic that vectorizes: one multiply by the
+//! per-decode `f32` steps ([`dequant_steps`]) per lane, eight lanes per
+//! block row, over only the rows of the `n × n` corner an `n`-point
+//! reconstruction reads that the block's coded prefix reaches
+//! ([`prefix_rows`]). Both produce the same value at every position the
+//! transforms read.
 
 use crate::dct::BLOCK;
 use crate::error::{Error, Result};
@@ -95,32 +106,89 @@ pub fn dequantize_zigzag(coefs: &[i16; 64], table: &[u16; 64], out: &mut [f32; B
     }
 }
 
-/// [`dequantize_zigzag`] over only the first `n` zig-zag coefficients,
-/// with the rest of the block zero-filled. Bit-identical to the dense
-/// version when `coefs[n..]` are all zero (a zero coefficient dequantizes
-/// to exactly `+0.0` — `0.0 × q` with `q ≥ 1` — which is what the fill
-/// writes), but skips the multiplies past the block's last coded
-/// coefficient, which quantization makes the vast majority.
+/// Rows of a block the first `k` zig-zag coefficients reach: one past the
+/// largest raster row among `ZIGZAG[..k]` (0 for `k == 0`). A block whose
+/// coded prefix is `k` is zero in every row from here on.
+#[inline(always)]
+pub const fn prefix_rows(k: usize) -> usize {
+    PREFIX_ROWS[if k < 64 { k } else { 64 }] as usize
+}
+
+const PREFIX_ROWS: [u8; 65] = {
+    let mut t = [0u8; 65];
+    let mut k = 0;
+    while k < 64 {
+        let row = (ZIGZAG[k] / 8 + 1) as u8;
+        t[k + 1] = if row > t[k] { row } else { t[k] };
+        k += 1;
+    }
+    t
+};
+
+/// `COLUMN_MASKS[n]`: all ones in the first `n` lanes of a block row, the
+/// columns an `n`-point reconstruction reads.
+const COLUMN_MASKS: [[i16; BLOCK]; BLOCK + 1] = {
+    let mut t = [[0i16; BLOCK]; BLOCK + 1];
+    let mut n = 0;
+    while n <= BLOCK {
+        let mut u = 0;
+        while u < n {
+            t[n][u] = -1;
+            u += 1;
+        }
+        n += 1;
+    }
+    t
+};
+
+/// A quantization table as the fast decoders multiply by it: `f32` steps in
+/// raster order, built once per decode. Zeroed entries are clamped to 1, as
+/// in [`dequantize_zigzag`].
+pub fn dequant_steps(table: &[u16; 64]) -> [f32; BLOCK * BLOCK] {
+    table.map(|q| q.max(1) as f32)
+}
+
+/// The fast decoders' dequantizer: multiplies the rows of a *natural-order*
+/// block that an `n`-point reconstruction can read by their
+/// [`dequant_steps`], eight lanes per row, and returns the mask of rows
+/// whose `n × n` corner holds a nonzero coefficient (bit `v` for row `v`).
 ///
-/// Returns a bitmask of spectrum rows (bit `v` for raster row `v`) that
-/// received a nonzero coefficient — exact, since `coef ≠ 0` and `q ≥ 1`
-/// imply a nonzero product. The vectorized IDCT uses it to skip all-zero
-/// rows without rescanning the block.
-pub fn dequantize_zigzag_prefix(
+/// `coefs` is in raster order — the entropy decoders write each coefficient
+/// at `ZIGZAG[k]` into a zeroed block — and `coded` is its coded zig-zag
+/// prefix, so every row from [`prefix_rows`]`(coded)` on is zero. The work is
+/// chosen from those two inputs: rows `0..min(n, prefix_rows(coded))` are
+/// written (row 0 always), which is one 8-lane multiply for a DC-only block
+/// and eight for a dense one. Rows past that are left as they were; the
+/// returned mask never flags them, and the vectorized transforms read only
+/// flagged rows and row 0.
+///
+/// Each product is exact (an 11-bit coefficient times an 8-bit step fits the
+/// `f32` mantissa), so it equals [`dequantize_zigzag`]'s value at the same
+/// position. The mask covers the corner only: a row whose nonzero entries all
+/// lie right of column `n` contributes only `±0.0` terms to the corner's
+/// reconstruction, which the `u8` conversion erases.
+#[inline(always)]
+pub fn dequantize_corner(
     coefs: &[i16; 64],
+    coded: usize,
+    steps: &[f32; BLOCK * BLOCK],
     n: usize,
-    table: &[u16; 64],
     out: &mut [f32; BLOCK * BLOCK],
 ) -> u32 {
-    out.fill(0.0);
+    let n = n.min(BLOCK);
+    let rows = prefix_rows(coded).min(n).max(1);
+    let cols = &COLUMN_MASKS[n];
     let mut row_mask = 0u32;
-    for (k, &raster) in ZIGZAG.iter().enumerate().take(n) {
-        let c = coefs[k];
-        // Unconditional store (a zero coefficient rewrites the fill's
-        // `+0.0` with `0.0 × q == +0.0`) and branchless mask update: zero
-        // runs inside the prefix are common enough to mispredict.
-        out[raster] = c as f32 * table[raster].max(1) as f32;
-        row_mask |= ((c != 0) as u32) << (raster >> 3);
+    for v in 0..rows {
+        let c = &coefs[v * BLOCK..(v + 1) * BLOCK];
+        let s = &steps[v * BLOCK..(v + 1) * BLOCK];
+        let o = &mut out[v * BLOCK..(v + 1) * BLOCK];
+        let mut any = 0i16;
+        for u in 0..BLOCK {
+            o[u] = c[u] as f32 * s[u];
+            any |= c[u] & cols[u];
+        }
+        row_mask |= ((any != 0) as u32) << v;
     }
     row_mask
 }
@@ -202,24 +270,52 @@ mod tests {
     }
 
     #[test]
-    fn prefix_dequantize_matches_dense_to_the_bit() {
+    fn prefix_rows_bound_every_coded_prefix() {
+        for k in 0..=64 {
+            let rows = ZIGZAG[..k].iter().map(|&r| r / 8 + 1).max().unwrap_or(0);
+            assert_eq!(prefix_rows(k), rows, "k={k}");
+        }
+        assert_eq!([0, 1, 2, 3, 25, 64].map(prefix_rows), [0, 1, 1, 2, 7, 8]);
+    }
+
+    /// [`dequantize_corner`] on a natural-order block equals the dense
+    /// zig-zag dequantizer at every position of every row it flags or
+    /// writes, and flags exactly the rows whose `n × n` corner is nonzero —
+    /// from a DC-only block to one with all 64 coded.
+    #[test]
+    fn corner_dequantize_matches_dense_to_the_bit() {
         let table = scale_table(&BASE_LUMA, 80).unwrap();
-        for n in [0usize, 1, 7, 23, 64] {
-            let mut coefs = [0i16; 64];
-            for (k, c) in coefs.iter_mut().enumerate().take(n) {
+        let steps = dequant_steps(&table);
+        for coded in [0usize, 1, 2, 7, 23, 40, 64] {
+            let mut zz = [0i16; 64];
+            for (k, c) in zz.iter_mut().enumerate().take(coded) {
                 *c = (k as i16 * 13 % 37) - 18;
             }
-            let mut dense = [0.0f32; 64];
-            let mut prefix = [0.0f32; 64];
-            dequantize_zigzag(&coefs, &table, &mut dense);
-            let mask = dequantize_zigzag_prefix(&coefs, n, &table, &mut prefix);
-            for i in 0..64 {
-                assert_eq!(dense[i].to_bits(), prefix[i].to_bits(), "n={n} i={i}");
+            let mut natural = [0i16; 64];
+            for (k, &c) in zz.iter().enumerate() {
+                natural[ZIGZAG[k]] = c;
             }
-            // The returned mask flags exactly the rows holding a nonzero.
-            for v in 0..8 {
-                let has = prefix[v * 8..(v + 1) * 8].iter().any(|&x| x != 0.0);
-                assert_eq!(mask & (1 << v) != 0, has, "n={n} row={v}");
+            let mut dense = [0.0f32; 64];
+            dequantize_zigzag(&zz, &table, &mut dense);
+            for n in [1usize, 2, 4, 8] {
+                let mut out = [f32::NAN; 64];
+                let mask = dequantize_corner(&natural, coded, &steps, n, &mut out);
+                for v in 0..n {
+                    let corner = &natural[v * 8..v * 8 + n];
+                    let flagged = mask & (1 << v) != 0;
+                    assert_eq!(
+                        flagged,
+                        corner.iter().any(|&c| c != 0),
+                        "{coded} n={n} v={v}"
+                    );
+                    if flagged || v == 0 {
+                        for u in 0..8 {
+                            let i = v * 8 + u;
+                            assert_eq!(out[i].to_bits(), dense[i].to_bits(), "{coded} n={n} {i}");
+                        }
+                    }
+                }
+                assert_eq!(mask >> n, 0, "{coded} n={n}: only corner rows are flagged");
             }
         }
     }

@@ -6,13 +6,16 @@
 //! a block early and [`ZRL`] standing for sixteen zeros. The encoders and
 //! the table-driven decoder live here once: sjpg codes `coefs[1..]` behind
 //! its DC difference as two bands (`1..split`, `split..64`, one per stream
-//! segment), a P-frame residual block codes all of `coefs[0..]`.
+//! segment), a P-frame residual block codes all of `coefs[0..]`. The
+//! decoder writes what it reads into natural (raster) order, as libjpeg's
+//! does, so dequantization needs no scatter.
 //! Each codec keeps its own bit-by-bit reference walk as the oracle the
 //! fast loop is pinned to.
 
 use crate::bitio::{BitWriter, FastCursor};
 use crate::error::{Error, Result};
 use crate::huffman::HuffmanTable;
+use crate::quant::ZIGZAG;
 
 /// End of block: every remaining coefficient is zero.
 pub const EOB: u16 = 0x00;
@@ -238,10 +241,13 @@ impl<'t> RunTable<'t> {
     /// JPEG's spectral selection): 64 for a whole block — P-frame residuals
     /// and v2 sjpg — or an sjpg v3 stream's split between its two segments.
     ///
-    /// Returns `(k, symbols)`: `coefs[k0..k]` are valid (zero runs
-    /// included), `coefs[k..]` are untouched and implicitly zero — callers
-    /// dequantize with [`crate::quant::dequantize_zigzag_prefix`] instead
-    /// of pre-zeroing all 64 entries per block.
+    /// Coefficients land in *natural* (raster) order, as libjpeg writes
+    /// them: the one at zig-zag index `k` goes to `coefs[ZIGZAG[k]]`, into a
+    /// block the caller zeroed, so a zero run is a skip and not a fill.
+    /// Returns `(k, symbols)`: the band's coefficients are those at zig-zag
+    /// indices `k0..k`, and nothing at or past `k` was written — callers
+    /// dequantize with [`crate::quant::dequantize_corner`], which reads `k`
+    /// as the coded prefix.
     ///
     /// Always inlined: with two call sites per sjpg block (one per band)
     /// the compiler otherwise keeps it out of line, a call per band with
@@ -275,9 +281,7 @@ impl<'t> RunTable<'t> {
                     if kind == PAIR_EOB {
                         break;
                     }
-                    let k1 = (k + 16).min(end);
-                    coefs[k..k1].fill(0);
-                    k = k1;
+                    k = (k + 16).min(end);
                     continue;
                 }
                 (((e >> 5) & 15) as usize, (e >> 16) as u16 as i16)
@@ -287,9 +291,7 @@ impl<'t> RunTable<'t> {
                     break;
                 }
                 if sym == ZRL {
-                    let k1 = (k + 16).min(end);
-                    coefs[k..k1].fill(0);
-                    k = k1;
+                    k = (k + 16).min(end);
                     continue;
                 }
                 if size == 0 {
@@ -300,9 +302,9 @@ impl<'t> RunTable<'t> {
             if k + run >= end {
                 return Err(overrun());
             }
-            coefs[k..k + run].fill(0);
             k += run;
-            coefs[k] = val;
+            // `k < end <= 64`, and the mask keeps the store check-free.
+            coefs[ZIGZAG[k] & 63] = val;
             k += 1;
         }
         Ok((k, symbols))
@@ -372,10 +374,15 @@ mod tests {
                 let mut r = BitReader::new(&bytes);
                 let mut c = FastCursor::from_reader(&r);
                 for b in &blocks {
-                    let mut coefs = [7i16; 64];
+                    let mut coefs = [0i16; 64];
                     let (k, symbols) = run.decode_run(&mut c, &mut coefs, k0, end).unwrap();
                     assert!(symbols >= 1 && k <= end);
-                    assert_eq!(&coefs[k0..k], &b[k0..k], "bits={bits}");
+                    // Natural order: the band lands at its raster positions
+                    // and nothing else is written.
+                    for (i, &zz) in ZIGZAG.iter().enumerate() {
+                        let want = if (k0..k).contains(&i) { b[i] } else { 0 };
+                        assert_eq!(coefs[zz], want, "bits={bits} k={i}");
+                    }
                     assert!(b[k..end].iter().all(|&v| v == 0), "bits={bits}");
                 }
                 c.sync(&mut r).unwrap();

@@ -57,7 +57,12 @@
 //! [`smol_imgproc::ops::colorspace::ycbcr_row_to_rgb`]) that are
 //! **bit-identical** to the scalar reference (set
 //! [`DecodeOptions::scalar_kernels`] to decode through the scalar oracle
-//! instead — benches and proptests compare the two).
+//! instead — benches and proptests compare the two). The entropy decoder
+//! writes each block in natural order, so dequantization is one 8-lane
+//! multiply per block row ([`dequantize_corner`]). The whole block loop is
+//! one [`smol_imgproc::tier`] kernel, compiled for the baseline target and
+//! for AVX2 and chosen per decode from CPUID; both tiers compute the same
+//! bits.
 
 use crate::bitio::{BitReader, BitWriter, FastCursor};
 use crate::dct::{
@@ -67,8 +72,8 @@ use crate::dct::{
 use crate::error::{Error, Result};
 use crate::huffman::HuffmanTable;
 use crate::quant::{
-    dequantize_zigzag, dequantize_zigzag_prefix, quantize_zigzag, scale_table, zigzag_prefix_for,
-    BASE_CHROMA, BASE_LUMA,
+    dequant_steps, dequantize_corner, dequantize_zigzag, quantize_zigzag, scale_table,
+    zigzag_prefix_for, BASE_CHROMA, BASE_LUMA,
 };
 use crate::runlength::{
     amplitude_bits, build_pair_lut, decode_amplitude, encode_run, magnitude_category,
@@ -77,6 +82,7 @@ use crate::runlength::{
 use crate::Chroma;
 use bytes::Bytes;
 use smol_imgproc::ops::colorspace::{rgb_pixel_to_ycbcr, ycbcr_pixel_to_rgb, ycbcr_row_to_rgb};
+use smol_imgproc::tier::{Kernel, Tier};
 use smol_imgproc::{ImageU8, Rect};
 use std::ops::Range;
 
@@ -137,11 +143,13 @@ pub struct DecodeStats {
     /// Exact multiply-accumulate count spent in inverse transforms; the
     /// raw quantity behind `blocks_idct`.
     pub idct_macs: u64,
-    /// Coefficients multiplied by their quantizer step. The fast path
-    /// dequantizes `min(coded prefix, zig-zag prefix its n-point
-    /// reconstruction reads)` per in-region block, so a reduced-resolution
-    /// decode shows ≤ 5 per block at factor 4 and 1 at factor 8; the scalar
-    /// reference dequantizes all 64 of every block it transforms.
+    /// Coded coefficients dequantized for reconstruction. The fast path
+    /// counts `min(coded prefix, zig-zag prefix its n-point reconstruction
+    /// reads)` per in-region block, so a reduced-resolution decode shows
+    /// ≤ 5 per block at factor 4 and 1 at factor 8; the scalar reference
+    /// dequantizes all 64 of every block it transforms. (The fast path's
+    /// multiplies run eight lanes per block row, over the rows of the
+    /// `n × n` corner the coded prefix reaches.)
     pub coefs_dequantized: u64,
 }
 
@@ -869,19 +877,81 @@ fn decode_mcu_rows(
     window: Option<u32>,
 ) -> Result<(ImageU8, DecodeStats)> {
     let mut out = ImageU8::zeros(geom.oregion.w, geom.oregion.h, 3);
-    let pixels = out.data_mut();
-    let mut stats = decode_rows_into(body, header, geom, rows, cols, pixels, opts, window)?;
+    // The scalar oracle stays on the build's own target.
+    let tier = if opts.scalar_kernels {
+        Tier::BASELINE
+    } else {
+        decode_tier()
+    };
+    let mut stats = tier.run(DecodeRows {
+        body,
+        header,
+        geom,
+        rows,
+        cols,
+        pixels: out.data_mut(),
+        opts,
+        window,
+    })?;
     stats.rows_skipped = (header.rows() - (rows.1 - rows.0)) as u64;
     stats.blocks_idct = stats.idct_macs / FULL_IDCT_MACS;
     Ok((out, stats))
 }
 
+/// The tier a fast-path decode runs under: the widest the CPU supports.
+/// This crate's tests pin it per thread to compare the tiers.
+#[inline]
+fn decode_tier() -> Tier {
+    #[cfg(test)]
+    if let Some(tier) = tests::FORCED_TIER.get() {
+        return tier;
+    }
+    Tier::detect()
+}
+
+/// [`decode_rows_into`] as a [`Kernel`], so [`decode_mcu_rows`] can run the
+/// whole block loop — entropy decode aside, dequantization, the IDCT, u8
+/// conversion and colour conversion — under one [`Tier`]. Each tier's entry
+/// is its own function, so the output arrives as a `&mut [u8]` parameter:
+/// with the loop inlined behind the allocation, `fullres_cold` measured 12 %
+/// more CPU per item.
+struct DecodeRows<'a> {
+    body: &'a [u8],
+    header: &'a SjpgHeader,
+    geom: Geometry,
+    rows: (usize, usize),
+    cols: (usize, usize),
+    pixels: &'a mut [u8],
+    opts: DecodeOptions,
+    window: Option<u32>,
+}
+
+impl Kernel for DecodeRows<'_> {
+    type Output = Result<DecodeStats>;
+
+    #[inline(always)]
+    fn run(self) -> Result<DecodeStats> {
+        decode_rows_into(
+            self.body,
+            self.header,
+            self.geom,
+            self.rows,
+            self.cols,
+            self.pixels,
+            self.opts,
+            self.window,
+        )
+    }
+}
+
 /// The decode loop of [`decode_mcu_rows`], opening each row through the
 /// index (DC predictors reset at every row start, so rows share no decode
-/// state). Its own function so the output arrives as a `&mut [u8]`
-/// parameter: with the loop inlined behind the allocation, `fullres_cold`
-/// measured 12 % more CPU per item.
+/// state). Everything it calls per block or per row is inlined into it, so
+/// each [`Tier`]'s copy of [`DecodeRows`] compiles all of it for that tier;
+/// only the entropy decoder ([`decode_block_fast`]) stays one shared
+/// out-of-line function.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn decode_rows_into(
     body: &[u8],
     header: &SjpgHeader,
@@ -895,6 +965,8 @@ fn decode_rows_into(
     let mut stats = DecodeStats::default();
     let luma_q = scale_table(&BASE_LUMA, header.quality)?;
     let chroma_q = scale_table(&BASE_CHROMA, header.quality)?;
+    // The fast path's f32 steps, converted once per decode.
+    let (luma_s, chroma_s) = (dequant_steps(&luma_q), dequant_steps(&chroma_q));
     let (bx0, bx1) = cols;
     let n_luma = match geom.chroma {
         Chroma::C444 => 1,
@@ -938,8 +1010,9 @@ fn decode_rows_into(
                 let coded = dec.block(&mut row, 0, dc_pred[0], &mut coefs, &mut stats)?;
                 dc_pred[0] = coefs[0];
                 if in_roi {
-                    stats.coefs_dequantized +=
-                        dequant_idct(&coefs, coded, &luma_q, &mut freq, geom.ny, ybuf, opts);
+                    stats.coefs_dequantized += dequant_idct(
+                        &coefs, coded, &luma_q, &luma_s, &mut freq, geom.ny, ybuf, opts,
+                    );
                     stats.idct_macs += scaled_idct_macs(geom.ny);
                 }
             }
@@ -947,8 +1020,9 @@ fn decode_rows_into(
                 let coded = dec.block(&mut row, comp, dc_pred[comp], &mut coefs, &mut stats)?;
                 dc_pred[comp] = coefs[0];
                 if in_roi {
-                    stats.coefs_dequantized +=
-                        dequant_idct(&coefs, coded, &chroma_q, &mut freq, geom.nc, buf, opts);
+                    stats.coefs_dequantized += dequant_idct(
+                        &coefs, coded, &chroma_q, &chroma_s, &mut freq, geom.nc, buf, opts,
+                    );
                     stats.idct_macs += scaled_idct_macs(geom.nc);
                 }
             }
@@ -996,22 +1070,23 @@ fn decode_rows_into(
     Ok(stats)
 }
 
-/// Dequantize-then-IDCT for one block; returns how many coefficients it
-/// dequantized. The reference path reproduces the seed implementation
-/// exactly — dense dequantization over a pre-zeroed block, scalar
-/// transform — and serves as the baseline oracle. The fast path fuses:
-/// prefix dequantization over only the coded coefficients an `n`-point
-/// reconstruction reads ([`zigzag_prefix_for`]), whose free byproduct (the
-/// nonzero-row mask) drives zero-row skipping in the vectorized transform.
-/// Coefficients past that prefix lie outside the `n × n` corner; leaving
-/// them zero can only clear mask bits of rows whose corner is all zero,
-/// i.e. drop `±0.0` terms the `u8` conversion erases.
-#[inline]
+/// Dequantize-then-IDCT for one block; returns how many coded
+/// coefficients the reconstruction reads. The reference path reproduces the
+/// seed implementation exactly — dense dequantization of the zig-zag block
+/// over a pre-zeroed one, scalar transform — and serves as the baseline
+/// oracle. The fast path gets a natural-order block from the entropy decoder
+/// and fuses: [`dequantize_corner`] multiplies, eight lanes per row, only the
+/// rows of the `n × n` corner its coded prefix reaches, and its row mask
+/// drives zero-row skipping in the vectorized transform. Its count is the
+/// coded prefix capped at the zig-zag prefix an `n`-point reconstruction
+/// reads ([`zigzag_prefix_for`]).
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn dequant_idct(
     coefs: &[i16; 64],
     coded: usize,
     table: &[u16; 64],
+    steps: &[f32; 64],
     freq: &mut [f32; 64],
     n: usize,
     out: &mut [f32; 64],
@@ -1022,10 +1097,9 @@ fn dequant_idct(
         inverse_dct_scaled(freq, n, out);
         64
     } else {
-        let used = coded.min(zigzag_prefix_for(n));
-        let row_mask = dequantize_zigzag_prefix(coefs, used, table, freq);
+        let row_mask = dequantize_corner(coefs, coded, steps, n, freq);
         inverse_dct_scaled_vec_masked(freq, n, row_mask, out);
-        used as u64
+        coded.min(zigzag_prefix_for(n)) as u64
     }
 }
 
@@ -1037,18 +1111,25 @@ fn to_u8(v: f32) -> u8 {
     (v + 128.0).round().clamp(0.0, 255.0) as u8
 }
 
-/// Identical to [`to_u8`] for every input, compiled down to a single
-/// saturating convert instead of a libm-style round: `as u8` clamps to
-/// `0..=255` and maps NaN to 0, and round-half-up (`+0.5` then truncate)
-/// only differs from round-half-away-from-zero below zero, where both
-/// saturate to 0. Used on the fast decode path; the reference path keeps
-/// the spelled-out rounding as the oracle.
-#[inline]
+/// Identical to [`to_u8`] for every input, without a libm-style round:
+/// it is `(v + 128.5) as u8`, and round-half-up (`+0.5` then truncate) only
+/// differs from round-half-away-from-zero below zero, where both saturate
+/// to 0. The saturating `as u8` itself does not vectorize (one scalar
+/// convert per sample), so it is spelled out in arithmetic that does: clamp
+/// to `0..=255`, then truncate the way `smol_imgproc`'s compiled prefix
+/// does — `s + 2²³` holds `s` rounded to the nearest integer in its low
+/// mantissa bits, one above the truncation exactly when the rounding went
+/// up. NaN maps to 0, as under the cast. Used on the fast decode path; the
+/// reference path keeps the spelled-out rounding as the oracle.
+#[inline(always)]
 fn to_u8_fast(v: f32) -> u8 {
-    (v + 128.5) as u8
+    const TWO_POW_23: f32 = 8_388_608.0;
+    let s = (v + 128.5).clamp(0.0, 255.0);
+    let r = s + TWO_POW_23;
+    (r.to_bits() as u8).wrapping_sub((r - TWO_POW_23 > s) as u8)
 }
 
-#[inline]
+#[inline(always)]
 fn luma_sample(geom: &Geometry, ybufs: &[[f32; 64]; 4], dy: usize, dx: usize) -> f32 {
     match geom.chroma {
         Chroma::C444 => ybufs[0][dy * geom.ny + dx],
@@ -1059,7 +1140,7 @@ fn luma_sample(geom: &Geometry, ybufs: &[[f32; 64]; 4], dy: usize, dx: usize) ->
     }
 }
 
-#[inline]
+#[inline(always)]
 fn chroma_sample(geom: &Geometry, buf: &[f32; 64], dy: usize, dx: usize) -> f32 {
     match geom.chroma {
         Chroma::C444 => buf[dy * geom.nc + dx],
@@ -1131,6 +1212,7 @@ fn write_mcu(
 /// lanes vectorize. Same per-sample conversion, same per-pixel color
 /// math, so output is bit-identical to converting MCU-by-MCU.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn write_mcu_strip(
     geom: &Geometry,
     ybufs: &[[f32; 64]; 4],
@@ -1277,10 +1359,11 @@ impl<'t> RowDecoder<'t> {
     }
 
     /// Entropy-decodes the next block of component `comp` from `row` into
-    /// `coefs` (zig-zag order) and returns its coded prefix length `n`:
-    /// `coefs[..n]` are valid (zero runs included), `coefs[n..]` are
-    /// implicitly zero — callers dequantize with
-    /// [`dequantize_zigzag_prefix`] instead of zeroing all 64 per block.
+    /// `coefs` and returns its coded prefix length `n`: every coefficient at
+    /// zig-zag index `n` or later is zero. The reference walk writes zig-zag
+    /// order (the seed layout its dense dequantizer reads); the fast path
+    /// writes natural order into a block it zeroes first, which is what
+    /// [`dequantize_corner`] reads. `coefs[0]` is the DC either way.
     #[inline(always)]
     fn block(
         &self,
@@ -1293,6 +1376,7 @@ impl<'t> RowDecoder<'t> {
         match (&self.fast, &mut row.cursors) {
             (Some(tables), Some(cursors)) => {
                 let split = self.header.split[class(comp)];
+                *coefs = [0; 64];
                 decode_block_fast(cursors, tables, split, self.high, dc_pred, coefs, stats)
                     .map_err(|e| self.reference_error(row.readers.clone(), e))
             }
@@ -1448,10 +1532,11 @@ impl<'t> FastTables<'t> {
 /// Table-driven twin of [`decode_block`], run through one [`FastCursor`]
 /// per segment: one pair-LUT read resolves the DC difference, then
 /// [`RunTable::decode_run`] — the loop P-frame residuals share — reads the
-/// low band and, when `high`, the high band. Reads exactly the same bits
-/// from exactly the same positions as the reference. The caller owns the
-/// cursors for a whole MCU row and checks them at row end ([`Row::finish`]),
-/// which is where truncated input surfaces as an error.
+/// low band and, when `high`, the high band, into the zeroed natural-order
+/// `coefs`. Reads exactly the same bits from exactly the same positions as
+/// the reference, and the same coefficients at their raster positions. The
+/// caller owns the cursors for a whole MCU row and checks them at row end
+/// ([`Row::finish`]), which is where truncated input surfaces as an error.
 ///
 /// Out of line: one copy of the two band loops serves every call site.
 /// Inlined into each (two in the row loop), a v3 full decode of the
@@ -1486,8 +1571,6 @@ fn decode_block_fast(
         let (k_high, more) = tables.ac.decode_run(rest, coefs, split, 64)?;
         symbols += more;
         if k_high > split {
-            // A low band that ended early left `coefs[k..split]` stale.
-            coefs[k..split].fill(0);
             k = k_high;
         }
     }
@@ -1499,6 +1582,29 @@ fn decode_block_fast(
 mod tests {
     use super::*;
     use smol_imgproc::psnr;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The tier [`decode_tier`] returns on this thread, when set.
+        pub(super) static FORCED_TIER: Cell<Option<Tier>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with this thread's fast-path decodes pinned to `tier`.
+    fn under<T>(tier: Tier, f: impl FnOnce() -> T) -> T {
+        FORCED_TIER.set(Some(tier));
+        let out = f();
+        FORCED_TIER.set(None);
+        out
+    }
+
+    /// Every tier this host can run: the baseline, and AVX2 where the CPU
+    /// has it (on other hosts that arm is skipped, not failed).
+    fn tiers() -> Vec<Tier> {
+        [Some(Tier::BASELINE), Tier::avx2()]
+            .into_iter()
+            .flatten()
+            .collect()
+    }
 
     fn textured(w: usize, h: usize, seed: u8) -> ImageU8 {
         let mut img = ImageU8::zeros(w, h, 3);
@@ -1511,6 +1617,34 @@ mod tests {
             }
         }
         img
+    }
+
+    /// The vectorizable conversion is the saturating cast and the
+    /// reference rounding on every sample the transforms can produce, the
+    /// saturated ranges, both rounding ties and the non-finite values.
+    #[test]
+    fn fast_u8_conversion_is_the_saturating_cast() {
+        let mut samples: Vec<f32> = (-600_000..600_000).map(|i| i as f32 / 1024.0).collect();
+        samples.extend([
+            -128.5,
+            -128.500_01,
+            126.5,
+            127.0,
+            127.499_99,
+            127.5,
+            1e9,
+            -1e9,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -0.0,
+        ]);
+        for v in samples {
+            assert_eq!(to_u8_fast(v), (v + 128.5) as u8, "{v}");
+            assert_eq!(to_u8_fast(v), to_u8(v), "{v}");
+        }
     }
 
     #[test]
@@ -1872,31 +2006,8 @@ mod tests {
             let enc = SjpgEncoder::with_chroma(95, chroma)
                 .encode(&textured(104, 72, 13))
                 .unwrap();
-            // Every block's component and coded prefix length, from the
-            // reference entropy walk, reading both segments or segment 1.
             let header = SjpgHeader::parse(&enc).unwrap();
-            let body = &enc[header.body_start..];
-            let coded = |high: bool| {
-                let dec = RowDecoder::new(&header, DecodeOptions::scalar_reference(), high, 0);
-                let mut coded = Vec::new();
-                let (mut coefs, mut stats) = ([0i16; 64], DecodeStats::default());
-                for by in 0..header.rows() {
-                    let mut row = dec.open(body, by);
-                    let mut dc_pred = [0i16; 3];
-                    for bx in 0..header.width.div_ceil(header.mcu()) {
-                        let (sched, n) = mcu_schedule(chroma, bx, by);
-                        for &(comp, _, _) in &sched[..n] {
-                            let k = dec
-                                .block(&mut row, comp, dc_pred[comp], &mut coefs, &mut stats)
-                                .unwrap();
-                            dc_pred[comp] = coefs[0];
-                            coded.push((bx, by, comp, k));
-                        }
-                    }
-                    row.finish().unwrap();
-                }
-                coded
-            };
+            let coded = |high: bool| coded_prefixes(&enc, high);
             for factor in [1usize, 2, 4, 8] {
                 let geom = Geometry::new(&header, factor, Rect::new(0, 0, 1, 1));
                 let expect: usize = coded(geom.reads_high_band(&header))
@@ -1947,6 +2058,151 @@ mod tests {
                 };
                 assert_eq!(rest(vs), rest(rs));
             }
+        }
+    }
+
+    /// Every block's MCU position, component and coded prefix length, from
+    /// the reference entropy walk, reading both segments (`high`) or
+    /// segment 1 alone.
+    fn coded_prefixes(enc: &[u8], high: bool) -> Vec<(usize, usize, usize, usize)> {
+        let header = SjpgHeader::parse(enc).unwrap();
+        let body = &enc[header.body_start..];
+        let dec = RowDecoder::new(&header, DecodeOptions::scalar_reference(), high, 0);
+        let (mut coefs, mut stats) = ([0i16; 64], DecodeStats::default());
+        let mut coded = Vec::new();
+        for by in 0..header.rows() {
+            let mut row = dec.open(body, by);
+            let mut dc_pred = [0i16; 3];
+            for bx in 0..header.width.div_ceil(header.mcu()) {
+                let (sched, n) = mcu_schedule(header.chroma, bx, by);
+                for &(comp, _, _) in &sched[..n] {
+                    let k = dec
+                        .block(&mut row, comp, dc_pred[comp], &mut coefs, &mut stats)
+                        .unwrap();
+                    dc_pred[comp] = coefs[0];
+                    coded.push((bx, by, comp, k));
+                }
+            }
+            row.finish().unwrap();
+        }
+        coded
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Mode {
+        Full,
+        Roi(Rect),
+        Rows(usize),
+        Factor(usize),
+    }
+
+    fn decode_mode(data: &[u8], mode: Mode, opts: DecodeOptions) -> (ImageU8, DecodeStats) {
+        match mode {
+            Mode::Full => decode_with_opts(data, opts),
+            Mode::Roi(roi) => decode_roi_opts(data, roi, opts).map(|(img, _, s)| (img, s)),
+            // Early stop is an ROI of the top rows (`decode_rows` takes no
+            // options).
+            Mode::Rows(n) => {
+                let w = peek_dims(data).unwrap().0;
+                decode_roi_opts(data, Rect::new(0, 0, w, n), opts).map(|(img, _, s)| (img, s))
+            }
+            Mode::Factor(f) => decode_scaled_opts(data, f, opts),
+        }
+        .unwrap()
+    }
+
+    /// `data` decodes to the same pixels under every tier and the scalar
+    /// oracle in every decode mode, with identical [`DecodeStats`] across
+    /// the tiers, and identical to the oracle's but for `coefs_dequantized`
+    /// (the oracle dequantizes all 64 of every block).
+    fn tiers_agree_with_the_oracle(data: &[u8], name: &str) {
+        let (w, h) = peek_dims(data).unwrap();
+        let roi = Rect::new(w / 4, h / 5, (w / 2).max(1), (h / 2).max(1));
+        let modes = [
+            Mode::Full,
+            Mode::Roi(roi),
+            Mode::Rows(h.div_ceil(3)),
+            Mode::Factor(2),
+            Mode::Factor(4),
+            Mode::Factor(8),
+        ];
+        let but_dequant = |s: DecodeStats| DecodeStats {
+            coefs_dequantized: 0,
+            ..s
+        };
+        for mode in modes {
+            let (want, oracle) = decode_mode(data, mode, DecodeOptions::scalar_reference());
+            let mut first: Option<DecodeStats> = None;
+            for tier in tiers() {
+                let (got, stats) =
+                    under(tier, || decode_mode(data, mode, DecodeOptions::default()));
+                let what = format!("{name} {mode:?} {}", tier.name());
+                assert_eq!(got, want, "{what}: pixels");
+                assert_eq!(but_dequant(stats), but_dequant(oracle), "{what}: stats");
+                assert_eq!(*first.get_or_insert(stats), stats, "{what}: tier stats");
+            }
+        }
+    }
+
+    fn v2_fixtures() -> Vec<(String, Vec<u8>)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/sjpg_v2");
+        let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The baseline and AVX2 tiers and the scalar oracle agree on every
+    /// committed fixture (v2), on its v3 re-encode, and on 4:4:4 / 4:2:0
+    /// streams that hold both a block coded as its DC alone and a block with
+    /// all 64 coefficients coded — full, ROI, early-stop and factor 2/4/8.
+    #[test]
+    fn tiers_decode_every_fixture_and_mode_bit_identically() {
+        let fixtures = v2_fixtures();
+        assert_eq!(fixtures.len(), 6, "every committed v2 fixture");
+        for (name, v2) in &fixtures {
+            assert_eq!(v2[4], 2, "{name} is a v2 stream");
+            tiers_agree_with_the_oracle(v2, name);
+            let header = SjpgHeader::parse(v2).unwrap();
+            let v3 = SjpgEncoder::with_chroma(header.quality, header.chroma)
+                .encode(&decode(v2).unwrap())
+                .unwrap();
+            assert_eq!(v3[4], 3);
+            tiers_agree_with_the_oracle(&v3, &format!("{name} v3"));
+        }
+        // Left half flat (every block DC-only), right half full-range noise
+        // at q100 (unit steps: all 64 coded).
+        let mut img = ImageU8::zeros(72, 40, 3);
+        let mut state = 17u32;
+        for y in 0..40 {
+            for x in 0..72 {
+                for c in 0..3 {
+                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                    let v = if x < 32 {
+                        90 + 40 * c as u8
+                    } else {
+                        (state >> 24) as u8
+                    };
+                    img.set(x, y, c, v);
+                }
+            }
+        }
+        for chroma in [Chroma::C444, Chroma::C420] {
+            let enc = SjpgEncoder::with_chroma(100, chroma).encode(&img).unwrap();
+            let coded: Vec<usize> = coded_prefixes(&enc, true).iter().map(|b| b.3).collect();
+            assert!(coded.contains(&1), "{chroma:?}: a DC-only block");
+            assert!(coded.contains(&64), "{chroma:?}: an all-64 block");
+            tiers_agree_with_the_oracle(&enc, &format!("flat+noise {chroma:?}"));
+            let dense = SjpgEncoder::with_chroma(95, chroma)
+                .encode(&textured(104, 72, 13))
+                .unwrap();
+            tiers_agree_with_the_oracle(&dense, &format!("textured q95 {chroma:?}"));
         }
     }
 }

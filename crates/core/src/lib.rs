@@ -32,6 +32,7 @@
 //!   (execution); plus the weighted-op decode cost models for both the
 //!   image modes ([`rewrite::decode_cost_for_mode`]) and video GOPs
 //!   ([`rewrite::video_gop_decode_cost`]).
+#![deny(unsafe_code)]
 
 pub mod constraints;
 pub mod costmodel;

@@ -25,6 +25,7 @@
 //!   queries (`Dataset::stream`);
 //! * [`fixtures`] — the textured images and pixel fingerprint the serving
 //!   gates and integration tests share.
+#![deny(unsafe_code)]
 
 pub mod catalog;
 pub mod fixtures;

@@ -16,11 +16,18 @@
 //! All operators exist both as standalone kernels and as a fused tail kernel
 //! (`ops::fused`) that performs convert+normalize+split in one memory pass,
 //! which the DAG optimizer selects when profitable.
+//!
+//! [`tier`] compiles the lane-batched kernels (the compiled prefix here, the
+//! decoders' block reconstruction in `smol-codec` / `smol-video`) a second
+//! time for AVX2 and picks the copy at runtime; it is the one module of the
+//! workspace where the `unsafe_code` lint is allowed.
+#![deny(unsafe_code)]
 
 pub mod dag;
 pub mod error;
 pub mod image;
 pub mod ops;
+pub mod tier;
 
 pub use dag::{DagOptimizer, OpCost, OpSpec, PlacedOp, Placement, PreprocPlan};
 pub use error::{Error, Result};

@@ -27,7 +27,7 @@ const G_CB: i32 = -22554; // -0.344136
 const G_CR: i32 = -46802; // -0.714136
 const B_CB: i32 = 116130; // 1.772
 
-#[inline]
+#[inline(always)]
 fn clamp_u8(v: i32) -> u8 {
     v.clamp(0, 255) as u8
 }
@@ -59,12 +59,14 @@ pub fn ycbcr_pixel_to_rgb(y: u8, cb: u8, cr: u8) -> (u8, u8, u8) {
 /// This is the batched form of [`ycbcr_pixel_to_rgb`] used by the decode hot
 /// path: the three input planes are contiguous, the per-pixel body is
 /// branch-free integer fixed-point, and the loop carries no cross-pixel
-/// state, so the autovectorizer lifts it to SIMD. Bit-identical to calling
-/// the pixel kernel per sample (same arithmetic, same rounding).
+/// state, so the autovectorizer lifts it to SIMD — 4 `i32` lanes on the
+/// baseline target, 8 inside a [`crate::tier`] AVX2 kernel (always inlined,
+/// so it compiles for the tier of the kernel that calls it). Bit-identical
+/// to calling the pixel kernel per sample (same arithmetic, same rounding).
 ///
 /// `rgb` must hold exactly `3 * y.len()` bytes; `cb`/`cr` must match `y` in
 /// length.
-#[inline]
+#[inline(always)]
 pub fn ycbcr_row_to_rgb(y: &[u8], cb: &[u8], cr: &[u8], rgb: &mut [u8]) {
     debug_assert_eq!(y.len(), cb.len());
     debug_assert_eq!(y.len(), cr.len());

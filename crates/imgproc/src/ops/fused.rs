@@ -21,7 +21,10 @@ pub fn fused_convert_normalize_split(img: &ImageU8, n: &Normalization) -> Result
 /// Fused kernel writing into `dst`, which must hold `w*h*c` floats.
 ///
 /// `dst` is interpreted as CHW. This is the entry point used by the runtime
-/// engine: `dst` typically aliases a reused (pinned) staging buffer.
+/// engine: `dst` typically aliases a reused (pinned) staging buffer. Always
+/// inlined, so inside a [`crate::tier`] kernel (the compiled prefix's
+/// identity path) it compiles for that kernel's tier.
+#[inline(always)]
 pub fn fused_convert_normalize_split_into(
     img: &ImageU8,
     n: &Normalization,

@@ -31,6 +31,12 @@
 //! cached rows interleaved, so the vertical blend of an output row is one
 //! contiguous pass straight into the slot.
 //!
+//! Both entry points run their pixel loops as [`crate::tier`] kernels, so
+//! on a host with AVX2 the blend, normalization and u8 truncation run 8
+//! lanes wide. Every loop of a kernel body is a method or function marked
+//! `#[inline(always)]` — no closure, since a closure does not inherit its
+//! caller's target features unless it happens to be inlined.
+//!
 //! [`resize_bilinear_u8`]: crate::ops::resize::resize_bilinear_u8
 
 use crate::dag::{plan_op_costs, OpSpec, Placement, PreprocPlan};
@@ -39,6 +45,7 @@ use crate::image::{ImageU8, Rect};
 use crate::ops::fused::fused_convert_normalize_split_into;
 use crate::ops::normalize::Normalization;
 use crate::ops::resize::{axis_map, scaled_dims, AxisMap};
+use crate::tier::{Kernel, Tier};
 use std::cell::RefCell;
 
 thread_local! {
@@ -142,6 +149,7 @@ fn unit_map(start: usize, len: usize) -> AxisMap {
 
 /// Horizontally interpolates one interleaved RGB source row into planar
 /// `dst` (`3 × out_w`), in `resize_bilinear_u8`'s operation order.
+#[inline(always)]
 fn hlerp_row(x: &AxisMap, srow: &[u8], dst: &mut [f32]) {
     let ow = x.lo.len();
     let (h0, rest) = dst.split_at_mut(ow);
@@ -159,6 +167,7 @@ fn hlerp_row(x: &AxisMap, srow: &[u8], dst: &mut [f32]) {
 /// Horizontally interpolates one interleaved RGB source row into
 /// *interleaved* `dst` (`3 × out_w`): the byte-staging twin of [`hlerp_row`],
 /// same arithmetic per element.
+#[inline(always)]
 fn hlerp_row_interleaved(x: &AxisMap, srow: &[u8], dst: &mut [f32]) {
     let taps = x.lo.iter().zip(&x.hi).zip(&x.frac);
     for (o, ((&x0, &x1), &fx)) in dst.chunks_exact_mut(3).zip(taps) {
@@ -344,23 +353,29 @@ impl CompiledPrefix {
     /// write.
     pub fn run_into(&self, img: &ImageU8, out: &mut [f32]) -> Result<()> {
         self.check(img, out.len(), Staging::Tensor)?;
+        let tier = Tier::detect();
         let Some((x, y)) = &self.maps else {
-            return fused_convert_normalize_split_into(img, &self.norm, out);
+            return tier.run(FusedTail {
+                img,
+                norm: &self.norm,
+                out,
+            });
         };
         let (scale, bias) = self.norm.affine();
         let (ow, plane) = (self.out_w, self.out_w * self.out_h);
-        self.resample(x, y, img, hlerp_row, |dy, fy, top, bot| {
-            for c in 0..3 {
-                let dst = &mut out[c * plane + dy * ow..c * plane + (dy + 1) * ow];
-                let rows = top[c * ow..(c + 1) * ow]
-                    .iter()
-                    .zip(&bot[c * ow..(c + 1) * ow]);
-                // The multiply-add is the fused kernel's.
-                let (s, k) = (scale[c], bias[c]);
-                for (o, (&t, &b)) in dst.iter_mut().zip(rows) {
-                    *o = trunc_u8_range(t + (b - t) * fy + 0.5) * s + k;
-                }
-            }
+        let rows = TensorRows {
+            out,
+            ow,
+            plane,
+            scale,
+            bias,
+        };
+        tier.run(Resample {
+            prefix: self,
+            x,
+            y,
+            img,
+            rows,
         });
         Ok(())
     }
@@ -373,12 +388,16 @@ impl CompiledPrefix {
             out.copy_from_slice(img.data());
             return Ok(());
         };
-        let row_len = 3 * self.out_w;
-        self.resample(x, y, img, hlerp_row_interleaved, |dy, fy, top, bot| {
-            let dst = &mut out[dy * row_len..(dy + 1) * row_len];
-            for ((o, &t), &b) in dst.iter_mut().zip(top).zip(bot) {
-                *o = to_u8_range(t + (b - t) * fy + 0.5);
-            }
+        let rows = ByteRows {
+            out,
+            row_len: 3 * self.out_w,
+        };
+        Tier::detect().run(Resample {
+            prefix: self,
+            x,
+            y,
+            img,
+            rows,
         });
         Ok(())
     }
@@ -416,50 +435,141 @@ impl CompiledPrefix {
     }
 
     /// The resample path. Output row `dy` blends the horizontally
-    /// interpolated (`hlerp`) source rows `y.lo[dy]` and `y.hi[dy]`;
-    /// consecutive output rows mostly share them, so the two most recent are
-    /// kept. `write_row(dy, fy, top, bot)` does the blend: the truncation of
+    /// interpolated source rows `y.lo[dy]` and `y.hi[dy]`; consecutive output
+    /// rows mostly share them, so the two most recent are kept.
+    /// `rows.write_row(dy, fy, top, bot)` does the blend: the truncation of
     /// `t + (b − t)·fy + 0.5` is the u8 image the reference resize
     /// materializes (blends of u8 values stay in 0..=255).
-    fn resample(
-        &self,
-        x: &AxisMap,
-        y: &AxisMap,
-        img: &ImageU8,
-        hlerp: impl Fn(&AxisMap, &[u8], &mut [f32]),
-        mut write_row: impl FnMut(usize, f32, &[f32], &[f32]),
-    ) {
+    #[inline(always)]
+    fn resample<R: RowWriter>(&self, x: &AxisMap, y: &AxisMap, img: &ImageU8, rows: &mut R) {
         let row_len = 3 * self.out_w;
         let src = img.data();
         let stride = self.src_w * 3;
-        ROW_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            if scratch.len() < 2 * row_len {
-                scratch.resize(2 * row_len, 0.0);
+        let mut scratch = ROW_SCRATCH.take();
+        if scratch.len() < 2 * row_len {
+            scratch.resize(2 * row_len, 0.0);
+        }
+        // Source row held by each scratch slot.
+        let mut held = [usize::MAX; 2];
+        for dy in 0..self.out_h {
+            let (y0, y1, fy) = (y.lo[dy] as usize, y.hi[dy] as usize, y.frac[dy]);
+            // The slot holding each interpolated row, filling the slot that
+            // does not hold the other one when it is not cached.
+            let mut slots = [0usize; 2];
+            for (slot, (row, keep)) in slots.iter_mut().zip([(y0, y1), (y1, y0)]) {
+                *slot = match held.iter().position(|&r| r == row) {
+                    Some(s) => s,
+                    None => {
+                        let s = usize::from(held[0] == keep);
+                        let srow = &src[row * stride..(row + 1) * stride];
+                        let dst = &mut scratch[s * row_len..(s + 1) * row_len];
+                        if R::INTERLEAVED {
+                            hlerp_row_interleaved(x, srow, dst);
+                        } else {
+                            hlerp_row(x, srow, dst);
+                        }
+                        held[s] = row;
+                        s
+                    }
+                };
             }
-            // Source row held by each scratch slot.
-            let mut held = [usize::MAX; 2];
-            // Returns the slot holding the interpolated `row`, filling the
-            // slot that does not hold `keep` when it is not cached.
-            let mut hold = |row: usize, keep: usize, scratch: &mut [f32]| {
-                if let Some(slot) = held.iter().position(|&r| r == row) {
-                    return slot;
-                }
-                let slot = usize::from(held[0] == keep);
-                let srow = &src[row * stride..(row + 1) * stride];
-                hlerp(x, srow, &mut scratch[slot * row_len..(slot + 1) * row_len]);
-                held[slot] = row;
-                slot
-            };
-            for dy in 0..self.out_h {
-                let (y0, y1, fy) = (y.lo[dy] as usize, y.hi[dy] as usize, y.frac[dy]);
-                let s0 = hold(y0, y1, scratch);
-                let s1 = hold(y1, y0, scratch);
-                let top = &scratch[s0 * row_len..(s0 + 1) * row_len];
-                let bot = &scratch[s1 * row_len..(s1 + 1) * row_len];
-                write_row(dy, fy, top, bot);
+            let top = &scratch[slots[0] * row_len..(slots[0] + 1) * row_len];
+            let bot = &scratch[slots[1] * row_len..(slots[1] + 1) * row_len];
+            rows.write_row(dy, fy, top, bot);
+        }
+        ROW_SCRATCH.set(scratch);
+    }
+}
+
+/// The vertical blend of the resample path, per staging kind.
+trait RowWriter {
+    /// Whether the cached source rows are interleaved (else planar).
+    const INTERLEAVED: bool;
+    /// Blends `top` and `bot` at `fy` into output row `dy`. Implementations
+    /// are `#[inline(always)]`, so the blend compiles for the kernel's tier.
+    fn write_row(&mut self, dy: usize, fy: f32, top: &[f32], bot: &[f32]);
+}
+
+/// Tensor staging: normalized planar f32.
+struct TensorRows<'a> {
+    out: &'a mut [f32],
+    ow: usize,
+    plane: usize,
+    scale: [f32; 3],
+    bias: [f32; 3],
+}
+
+impl RowWriter for TensorRows<'_> {
+    const INTERLEAVED: bool = false;
+
+    #[inline(always)]
+    fn write_row(&mut self, dy: usize, fy: f32, top: &[f32], bot: &[f32]) {
+        let (ow, plane) = (self.ow, self.plane);
+        for c in 0..3 {
+            let dst = &mut self.out[c * plane + dy * ow..c * plane + (dy + 1) * ow];
+            let rows = top[c * ow..(c + 1) * ow]
+                .iter()
+                .zip(&bot[c * ow..(c + 1) * ow]);
+            // The multiply-add is the fused kernel's.
+            let (s, k) = (self.scale[c], self.bias[c]);
+            for (o, (&t, &b)) in dst.iter_mut().zip(rows) {
+                *o = trunc_u8_range(t + (b - t) * fy + 0.5) * s + k;
             }
-        });
+        }
+    }
+}
+
+/// Byte staging: the interleaved u8 intermediate.
+struct ByteRows<'a> {
+    out: &'a mut [u8],
+    row_len: usize,
+}
+
+impl RowWriter for ByteRows<'_> {
+    const INTERLEAVED: bool = true;
+
+    #[inline(always)]
+    fn write_row(&mut self, dy: usize, fy: f32, top: &[f32], bot: &[f32]) {
+        let dst = &mut self.out[dy * self.row_len..(dy + 1) * self.row_len];
+        for ((o, &t), &b) in dst.iter_mut().zip(top).zip(bot) {
+            *o = to_u8_range(t + (b - t) * fy + 0.5);
+        }
+    }
+}
+
+/// The resample path as a [`Kernel`].
+struct Resample<'a, R> {
+    prefix: &'a CompiledPrefix,
+    x: &'a AxisMap,
+    y: &'a AxisMap,
+    img: &'a ImageU8,
+    rows: R,
+}
+
+impl<R: RowWriter> Kernel for Resample<'_, R> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(mut self) {
+        self.prefix
+            .resample(self.x, self.y, self.img, &mut self.rows);
+    }
+}
+
+/// The identity path of a tensor-staging prefix as a [`Kernel`]: the fused
+/// convert/normalize/split pass alone.
+struct FusedTail<'a> {
+    img: &'a ImageU8,
+    norm: &'a Normalization,
+    out: &'a mut [f32],
+}
+
+impl Kernel for FusedTail<'_> {
+    type Output = Result<()>;
+
+    #[inline(always)]
+    fn run(self) -> Result<()> {
+        fused_convert_normalize_split_into(self.img, self.norm, self.out)
     }
 }
 

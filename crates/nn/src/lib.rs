@@ -15,6 +15,7 @@
 //!   thumbnails) with *real* codec artifacts, used for evaluation and for
 //!   the paper's low-resolution-aware training (§5.3);
 //! * [`classifier`] — the end-to-end trainable classifier.
+#![deny(unsafe_code)]
 
 pub mod augment;
 pub mod backbone;

@@ -29,6 +29,7 @@
 //!   the producer stage run on its own, against the same pool type;
 //! * [`personalities`] — DALI-like and PyTorch-like configurations
 //!   (Figure 10).
+#![deny(unsafe_code)]
 
 pub mod bufferpool;
 pub mod media;

@@ -54,6 +54,7 @@
 //! which is also what the profiler runs on its own, so a plan is profiled
 //! on the stage code that serves it. `tests/serve_concurrency.rs` pins a
 //! served query's results bit for bit to the scalar reference decoder.
+#![deny(unsafe_code)]
 
 pub mod calibration;
 pub mod dataset;

@@ -32,6 +32,7 @@
 //! ([`smol_serve::ServerStats::dropped_frames`] /
 //! [`ServerStats::downgraded_frames`](smol_serve::ServerStats::downgraded_frames))
 //! when the stream ends.
+#![deny(unsafe_code)]
 
 use smol_analytics::WindowRollup;
 use smol_core::{DecodeMode, FrameSelection};

@@ -43,6 +43,7 @@
 //!   [`pframe::decode_pframe_reference`], [`deblock::deblock_reference`] and
 //!   sjpg's scalar reference — is the oracle. Nothing selects it at run
 //!   time: it is called from tests and benches only.
+#![deny(unsafe_code)]
 
 pub mod deblock;
 pub mod gop;

@@ -13,10 +13,13 @@
 //!   header and the residual symbols come off one
 //!   [`FastCursor`] (truncation surfaces at
 //!   the frame-end sync, as it does per MCU row in sjpg), residual symbols
-//!   through the shared [`RunTable`] behind a pair LUT sized to the payload;
-//!   residual blocks dequantize over their coded prefix into the vectorized
+//!   through the shared [`RunTable`] behind a pair LUT sized to the payload,
+//!   which writes natural-order blocks; residual blocks dequantize the rows
+//!   their coded prefix reaches ([`dequantize_corner`]) into the vectorized
 //!   masked IDCT; motion compensation copies rows straight into the output
-//!   frame ([`compensate_into`]). No allocation per macroblock.
+//!   frame ([`compensate_into`]). No allocation per macroblock. The whole
+//!   loop is one `smol_imgproc::tier` kernel, so dequantization and the
+//!   IDCT run 8 lanes wide on a host with AVX2.
 //! * [`decode_pframe_reference`] — the seed decoder: bit-by-bit canonical
 //!   Huffman walk, dense dequantization, scalar IDCT, per-pixel clamped
 //!   compensation into a prediction buffer. The oracle; tests and benches
@@ -32,11 +35,12 @@ use smol_codec::dct::{forward_dct, inverse_dct, inverse_dct_vec_masked, BLOCK};
 use smol_codec::error::{Error, Result};
 use smol_codec::huffman::HuffmanTable;
 use smol_codec::quant::{
-    dequantize_zigzag, dequantize_zigzag_prefix, quantize_zigzag, scale_table, BASE_LUMA,
+    dequant_steps, dequantize_corner, dequantize_zigzag, quantize_zigzag, scale_table, BASE_LUMA,
 };
 use smol_codec::runlength::{
     decode_amplitude, encode_run, pair_window_bits, tally_run, RunTable, EOB, ZRL,
 };
+use smol_imgproc::tier::{Kernel, Tier};
 use smol_imgproc::ImageU8;
 
 const COEF_ALPHABET: usize = 256;
@@ -263,8 +267,58 @@ fn take(c: &mut FastCursor<'_>, n: u32) -> u32 {
 }
 
 /// Decodes a P-frame payload against `reference` (bit-identical to
-/// [`decode_pframe_reference`], in pixels and in stats).
+/// [`decode_pframe_reference`], in pixels and in stats), under the widest
+/// [`Tier`] the CPU supports.
 pub fn decode_pframe(
+    payload: &[u8],
+    reference: &ImageU8,
+    quality: u8,
+    search_range: i16,
+) -> Result<(ImageU8, PFrameStats)> {
+    pframe_tier().run(DecodePFrame {
+        payload,
+        reference,
+        quality,
+        search_range,
+    })
+}
+
+/// The tier [`decode_pframe`] runs under: the widest the CPU supports.
+/// This crate's tests pin it per thread to compare the tiers.
+#[inline]
+fn pframe_tier() -> Tier {
+    #[cfg(test)]
+    if let Some(tier) = tests::FORCED_TIER.get() {
+        return tier;
+    }
+    Tier::detect()
+}
+
+/// [`decode_pframe`]'s inputs, as the [`Kernel`] each tier compiles.
+struct DecodePFrame<'a> {
+    payload: &'a [u8],
+    reference: &'a ImageU8,
+    quality: u8,
+    search_range: i16,
+}
+
+impl Kernel for DecodePFrame<'_> {
+    type Output = Result<(ImageU8, PFrameStats)>;
+
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        decode_pframe_body(
+            self.payload,
+            self.reference,
+            self.quality,
+            self.search_range,
+        )
+    }
+}
+
+/// The body of [`decode_pframe`], compiled once per [`Tier`].
+#[inline(always)]
+fn decode_pframe_body(
     payload: &[u8],
     reference: &ImageU8,
     quality: u8,
@@ -272,6 +326,7 @@ pub fn decode_pframe(
 ) -> Result<(ImageU8, PFrameStats)> {
     let (w, h, c) = (reference.width(), reference.height(), reference.channels());
     let qtable = scale_table(&BASE_LUMA, quality)?;
+    let steps = dequant_steps(&qtable);
     let mbw = w.div_ceil(MB);
     let mbh = h.div_ceil(MB);
     let sub = MB / BLOCK;
@@ -285,7 +340,6 @@ pub fn decode_pframe(
     // materializes all of them, coded ones are overwritten below.
     let mut out = reference.clone();
     let mut stats = PFrameStats::default();
-    let mut coefs = [0i16; 64];
     let mut freq = [0.0f32; 64];
     let mut pix = [0.0f32; 64];
     let stride = w * c;
@@ -317,6 +371,8 @@ pub fn decode_pframe(
                 }
                 let ch = bit / (sub * sub);
                 let sb = bit % (sub * sub);
+                // A natural-order block: zeroed, then written where coded.
+                let mut coefs = [0i16; 64];
                 let (k, symbols) = run.decode_run(&mut cur, &mut coefs, 0, 64)?;
                 stats.symbols_decoded += symbols;
                 stats.coded_subblocks += 1;
@@ -330,7 +386,7 @@ pub fn decode_pframe(
                 if bw == 0 || bh == 0 {
                     continue;
                 }
-                let row_mask = dequantize_zigzag_prefix(&coefs, k, &qtable, &mut freq);
+                let row_mask = dequantize_corner(&coefs, k, &steps, BLOCK, &mut freq);
                 inverse_dct_vec_masked(&freq, row_mask, &mut pix);
                 let data = out.data_mut();
                 for dy in 0..bh {
@@ -405,6 +461,12 @@ pub fn decode_pframe_reference(
 mod tests {
     use super::*;
     use smol_imgproc::psnr;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The tier [`pframe_tier`] returns on this thread, when set.
+        pub(super) static FORCED_TIER: Cell<Option<Tier>> = const { Cell::new(None) };
+    }
 
     fn moving_scene(t: usize) -> ImageU8 {
         let mut img = ImageU8::zeros(64, 48, 3);
@@ -503,5 +565,58 @@ mod tests {
         let (payload, _) = encode_pframe(&cur, &reference, 80, 7).unwrap();
         assert!(decode_pframe(&payload[..payload.len() / 2], &reference, 80, 7).is_err());
         assert!(decode_pframe_reference(&payload[..payload.len() / 2], &reference, 80, 7).is_err());
+    }
+
+    /// P-frame residual reconstruction under the baseline and AVX2 tiers
+    /// (the AVX2 arm skipped on a host without it) equals the seed decoder
+    /// in pixels and stats: textured motion at several qualities, a flat
+    /// brightness step (residual blocks coded as their DC alone) and q100
+    /// noise (residual blocks with all 64 coded).
+    #[test]
+    fn tiers_reconstruct_residuals_bit_identically() {
+        let (w, h) = (48, 40);
+        let textured = |t: usize| {
+            let mut img = ImageU8::zeros(w, h, 3);
+            for (i, v) in img.data_mut().iter_mut().enumerate() {
+                *v = ((i / 3 + t * 5) * 11 % 89 + (i % 3) * 50) as u8;
+            }
+            img
+        };
+        let flat = |level: u8| {
+            let mut img = ImageU8::zeros(w, h, 3);
+            img.data_mut().fill(level);
+            img
+        };
+        let noise = |seed: u32| {
+            let mut img = ImageU8::zeros(w, h, 3);
+            let mut state = seed;
+            for v in img.data_mut() {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                *v = (state >> 24) as u8;
+            }
+            img
+        };
+        let pairs = [
+            (textured(0), textured(1), 80),
+            (textured(2), textured(3), 40),
+            (flat(100), flat(130), 50),
+            (noise(1), noise(2), 100),
+        ];
+        let tiers: Vec<Tier> = [Some(Tier::BASELINE), Tier::avx2()]
+            .into_iter()
+            .flatten()
+            .collect();
+        for (i, (reference, cur, quality)) in pairs.iter().enumerate() {
+            let (payload, recon) = encode_pframe(cur, reference, *quality, 7).unwrap();
+            let want = decode_pframe_reference(&payload, reference, *quality, 7).unwrap();
+            assert_eq!(want.0, recon, "pair {i}");
+            assert!(want.1.coded_subblocks > 0, "pair {i} codes residuals");
+            for &tier in &tiers {
+                FORCED_TIER.set(Some(tier));
+                let got = decode_pframe(&payload, reference, *quality, 7);
+                FORCED_TIER.set(None);
+                assert_eq!(got.unwrap(), want, "pair {i} {}", tier.name());
+            }
+        }
     }
 }

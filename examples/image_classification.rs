@@ -6,6 +6,7 @@
 //! ```sh
 //! cargo run --release --example image_classification
 //! ```
+#![deny(unsafe_code)]
 
 use smol::analytics::{tahoma_variants, Cascade};
 use smol::data::{generate_stills, still_catalog};

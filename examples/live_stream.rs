@@ -22,6 +22,7 @@
 //! Results surface as tumbling stream-time windows of the per-frame
 //! object count, each carrying its own drop/downgrade/staleness
 //! accounting.
+#![deny(unsafe_code)]
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::data::{timed_stream, video_catalog};

@@ -20,6 +20,7 @@
 //! ```sh
 //! cargo run --release --example multi_tenant
 //! ```
+#![deny(unsafe_code)]
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::codec::{EncodedImage, Format};

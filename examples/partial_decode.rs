@@ -3,6 +3,7 @@
 //! ```sh
 //! cargo run --release --example partial_decode
 //! ```
+#![deny(unsafe_code)]
 
 use smol::codec::{sjpg, EncodedImage, Format};
 use smol::data::{still_catalog, throughput_images};

@@ -11,6 +11,7 @@
 //! accuracy (forcing the naive full-resolution plan). No `CandidateSpec`s,
 //! no hand-assembled `QueryPlan`s — profiling, calibration lookup, plan
 //! selection, and caching all happen inside the session.
+#![deny(unsafe_code)]
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::data::{serving_variants, still_catalog};

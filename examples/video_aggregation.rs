@@ -4,6 +4,7 @@
 //! ```sh
 //! cargo run --release --example video_aggregation
 //! ```
+#![deny(unsafe_code)]
 
 use smol::analytics::{control_variate_mean, naive_mean, AggregationConfig, SpecializedCounter};
 use smol::data::{generate_video, video_catalog};

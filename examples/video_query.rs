@@ -13,6 +13,7 @@
 //! zero-loss one forces the full-GOP, full-fidelity plan. No
 //! hand-assembled `QueryPlan`s anywhere: frame selection is the planner's
 //! call, driven by the constraint and the calibration table.
+#![deny(unsafe_code)]
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::data::{gop_corpus, video_catalog};

@@ -81,6 +81,7 @@
 //! let optimized = DagOptimizer::default().optimize(&plan, 640, 480);
 //! assert!(optimized.ops.len() <= plan.ops.len());
 //! ```
+#![deny(unsafe_code)]
 
 // The declarative top of the stack, at the crate root.
 pub use smol_core::{Constraint, FrameSelection, PlanError};
