@@ -21,15 +21,11 @@
 //!   the most accurate plan (fastest among accuracy ties).
 //! * [`Constraint::MinThroughput`] — feasible plans have
 //!   `est_throughput >= floor`; among them the **most accurate** wins.
-//! * [`Constraint::MaxCost`] — a cost ceiling in ¢ per million images at a
-//!   given instance price (§7's accounting, `smol_accel::economics`). Cost
-//!   is inversely proportional to throughput, so this is the throughput
-//!   floor `price_per_hour × 100 × 1e6 / (3600 × cents)` in disguise.
 //!
 //! **Tie-breaking on the frontier:** when two feasible plans tie on the
 //! optimized axis, the one better on the *constrained* axis wins (for
 //! accuracy floors: the more accurate of two equally fast plans; for
-//! throughput/cost floors: the faster of two equally accurate plans). This
+//! throughput floors: the faster of two equally accurate plans). This
 //! keeps selection deterministic and means a selected plan is always
 //! Pareto-optimal within the feasible set.
 //!
@@ -45,17 +41,13 @@ use std::cmp::Ordering;
 /// surface these instead of panicking or returning empty collections.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// No candidate plans exist: the spec list was empty, every spec was
-    /// filtered out by a lesion toggle, or no (DNN, variant) pair had
-    /// calibration data.
+    /// No candidate plans exist: the spec list was empty, or no
+    /// (DNN, variant) pair had calibration data.
     NoCandidates,
     /// Candidates exist but none satisfies the constraint.
     /// `best_accuracy` is the highest accuracy any candidate achieves, so
     /// callers can relax toward something attainable.
     Infeasible { best_accuracy: f64 },
-    /// `select_for_format` was asked about an input-variant name absent
-    /// from the candidate set.
-    UnknownFormat { format: String },
     /// Reduced-resolution decoding exists only for factors 2, 4, and 8
     /// (the scaled-IDCT bases; §6.4).
     InvalidDecodeFactor { factor: u8 },
@@ -70,9 +62,6 @@ impl std::fmt::Display for PlanError {
                 "no plan satisfies the constraint (best achievable accuracy: {:.4})",
                 best_accuracy
             ),
-            PlanError::UnknownFormat { format } => {
-                write!(f, "no candidate uses input variant {format:?}")
-            }
             PlanError::InvalidDecodeFactor { factor } => {
                 write!(
                     f,
@@ -145,29 +134,9 @@ pub enum Constraint {
     MinAccuracy(f64),
     /// Estimated-throughput floor (im/s); most accurate plan at or above.
     MinThroughput(f64),
-    /// Serving-cost ceiling in ¢ per million images at `price_per_hour`
-    /// dollars (§7); most accurate plan at or below the ceiling.
-    MaxCost {
-        cents_per_million: f64,
-        price_per_hour: f64,
-    },
 }
 
 impl Constraint {
-    /// On-demand g4dn.xlarge price at publication time (us-east-1), the
-    /// default instance for [`Constraint::MaxCost`].
-    pub const DEFAULT_PRICE_PER_HOUR: f64 = 0.526;
-
-    /// The throughput floor a cost ceiling implies: serving one million
-    /// images takes `1e6 / throughput / 3600` hours, so
-    /// `cents = price × 100 × 1e6 / (3600 × throughput)`.
-    fn throughput_floor(cents_per_million: f64, price_per_hour: f64) -> f64 {
-        if cents_per_million <= 0.0 {
-            return f64::INFINITY;
-        }
-        price_per_hour * 100.0 * 1e6 / (3600.0 * cents_per_million)
-    }
-
     /// Resolves the constraint over a candidate set. Errors with
     /// [`PlanError::NoCandidates`] on an empty set and
     /// [`PlanError::Infeasible`] when no candidate qualifies.
@@ -196,13 +165,6 @@ impl Constraint {
             Constraint::MinThroughput(floor) => {
                 Self::most_accurate_above(candidates, floor).ok_or(infeasible)
             }
-            Constraint::MaxCost {
-                cents_per_million,
-                price_per_hour,
-            } => {
-                let floor = Self::throughput_floor(cents_per_million, price_per_hour);
-                Self::most_accurate_above(candidates, floor).ok_or(infeasible)
-            }
         }
     }
 
@@ -227,9 +189,9 @@ impl Constraint {
     /// The accuracy floor this constraint implies over `candidates` — the
     /// hard lower bound any plan serving the query must respect, even
     /// under load-adaptive degradation. Accuracy constraints return their
-    /// (absolute or best-relative) floor; throughput and cost constraints
-    /// impose none (`f64::NEG_INFINITY` — any calibrated plan qualifies,
-    /// degradation can only help those constraints).
+    /// (absolute or best-relative) floor; a throughput constraint imposes
+    /// none (`f64::NEG_INFINITY` — any calibrated plan qualifies,
+    /// degradation can only help it).
     pub fn accuracy_floor(&self, candidates: &[PlanCandidate]) -> f64 {
         match *self {
             Constraint::MaxAccuracyLoss(loss) => {
@@ -240,7 +202,7 @@ impl Constraint {
                 best - loss
             }
             Constraint::MinAccuracy(floor) => floor,
-            Constraint::MinThroughput(_) | Constraint::MaxCost { .. } => f64::NEG_INFINITY,
+            Constraint::MinThroughput(_) => f64::NEG_INFINITY,
         }
     }
 
@@ -292,25 +254,14 @@ impl Constraint {
             Constraint::MaxAccuracyLoss(x) => ConstraintKey {
                 tag: 0,
                 a: x.to_bits(),
-                b: 0,
             },
             Constraint::MinAccuracy(x) => ConstraintKey {
                 tag: 1,
                 a: x.to_bits(),
-                b: 0,
             },
             Constraint::MinThroughput(x) => ConstraintKey {
                 tag: 2,
                 a: x.to_bits(),
-                b: 0,
-            },
-            Constraint::MaxCost {
-                cents_per_million,
-                price_per_hour,
-            } => ConstraintKey {
-                tag: 3,
-                a: cents_per_million.to_bits(),
-                b: price_per_hour.to_bits(),
             },
         }
     }
@@ -321,7 +272,6 @@ impl Constraint {
 pub struct ConstraintKey {
     tag: u8,
     a: u64,
-    b: u64,
 }
 
 #[cfg(test)]
@@ -418,28 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_ceiling_maps_to_throughput_floor() {
-        // 500 im/s at $0.526/h ⇒ 1e6/500/3600 h × 52.6 ¢/h ≈ 29.2 ¢/M.
-        let c = ladder();
-        let sel = Constraint::MaxCost {
-            cents_per_million: 30.0,
-            price_per_hour: Constraint::DEFAULT_PRICE_PER_HOUR,
-        }
-        .select(&c)
-        .unwrap();
-        assert_eq!(sel.est_throughput, 500.0);
-        assert_eq!(sel.accuracy, 0.80);
-        // 5 ¢/M needs ~2922 im/s: infeasible here.
-        let err = Constraint::MaxCost {
-            cents_per_million: 5.0,
-            price_per_hour: Constraint::DEFAULT_PRICE_PER_HOUR,
-        }
-        .select(&c)
-        .unwrap_err();
-        assert!(matches!(err, PlanError::Infeasible { .. }));
-    }
-
-    #[test]
     fn accuracy_floor_matches_select_feasibility() {
         let c = ladder();
         // MinAccuracy: the floor is the literal bound.
@@ -447,7 +375,7 @@ mod tests {
         // MaxAccuracyLoss: relative to the best candidate (0.90).
         let floor = Constraint::MaxAccuracyLoss(0.12).accuracy_floor(&c);
         assert!((floor - 0.78).abs() < 1e-12);
-        // Throughput/cost constraints impose no accuracy floor.
+        // A throughput constraint imposes no accuracy floor.
         assert_eq!(
             Constraint::MinThroughput(400.0).accuracy_floor(&c),
             f64::NEG_INFINITY

@@ -16,11 +16,11 @@
 //! * [`placement`] — CPU/accelerator operator placement (§6.3): the split
 //!   search the planner runs on every candidate ([`Planner::place`]), both
 //!   sides on one clock;
-//! * [`planner`] — D × F enumeration with lesion toggles (low-res,
-//!   DAG optimization, multi-resolution decoding, reduced-fidelity
-//!   video, placement) used by the Figure 4–8 experiments. GOP-structured video
+//! * [`planner`] — D × F enumeration with lesion toggles (DAG
+//!   optimization, storage-aware costing, cascades, placement) used by the
+//!   Figure 7–8 experiments and the gates. GOP-structured video
 //!   inputs get their own decode ladder — [`plan::FrameSelection`]
-//!   (all / keyframe-only / strided) × an in-loop-deblock knob — costed
+//!   (all / keyframe-only) × an in-loop-deblock knob — costed
 //!   per *source* frame with the I-frame amortized over the GOP and
 //!   accuracies discounted through [`planner::VideoFidelity`];
 //! * [`stream`] — live-stream pacing vocabulary: [`stream::PacingPolicy`]

@@ -122,27 +122,16 @@ impl VideoFidelity {
 }
 
 /// Planner configuration; the toggles drive the lesion/factor studies
-/// (Figures 5–6). Two equal configs enumerate and cost candidates
-/// identically, so the config is its own plan-cache key.
+/// (Figures 7–8's DAG and placement steps, the "-Storage" and "-Cascade"
+/// gates). Two equal configs enumerate and cost candidates identically,
+/// so the config is its own plan-cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlannerConfig {
-    pub cost_model: CostModelKind,
     pub device: GpuModel,
     pub env: ExecutionEnv,
     pub batch: usize,
-    /// Consider natively-present low-resolution variants (§5.2). Off in
-    /// the "-Low res" lesion.
-    pub enable_low_res: bool,
     /// Run the preprocessing-DAG optimizer (§6.2). Off in "-Preproc opt".
     pub enable_dag_opt: bool,
-    /// Enumerate reduced-resolution (scaled-IDCT) decode plans for formats
-    /// with multi-resolution decoding (§6.4, Table 4). Off in the
-    /// "-Multi-res" lesion.
-    pub enable_multires: bool,
-    /// Enumerate reduced-fidelity video decode plans (keyframe-only
-    /// selection, deblock skipping) for GOP-structured inputs. Off in the
-    /// "-Video" lesion, which leaves only the full-GOP full-fidelity plan.
-    pub enable_video: bool,
     /// Fold [`CandidateSpec::storage`] profiles into the preprocessing
     /// estimate (storage reads, transcode amortization, tensor-cache hit
     /// rate). Off in the "-Storage" lesion, which prices every candidate
@@ -157,12 +146,6 @@ pub struct PlannerConfig {
     /// preprocessing plan ([`Planner::place`]). Off in the "-Placement"
     /// lesion, which leaves every operator on the CPU.
     pub enable_placement: bool,
-    /// Also enumerate `FrameSelection::Stride(video_stride)` video decode
-    /// plans — a middle rung between full-GOP and keyframe-only, so
-    /// degradation ladders (and live-stream pacing) can shed fidelity in
-    /// smaller steps. `0` (the default) and `1` disable it: batch corpora
-    /// rarely want the extra candidates, and stride-1 is just `All`.
-    pub video_stride: u8,
     /// DNN input edge (224 in the paper's pipelines).
     pub dnn_input: u32,
 }
@@ -170,18 +153,13 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            cost_model: CostModelKind::Smol,
             device: GpuModel::T4,
             env: ExecutionEnv::TensorRt,
             batch: 64,
-            enable_low_res: true,
             enable_dag_opt: true,
-            enable_multires: true,
-            enable_video: true,
             enable_storage_aware: true,
             enable_cascades: true,
             enable_placement: true,
-            video_stride: 0,
             dnn_input: 224,
         }
     }
@@ -281,8 +259,7 @@ impl Planner {
     /// multi-resolution decoding, the variant is already small, or no
     /// factor keeps the DNN input covered.
     pub fn reduced_decode_mode(&self, input: &InputVariant) -> Option<DecodeMode> {
-        if !self.config.enable_multires
-            || input.is_thumbnail
+        if input.is_thumbnail
             || input.is_video()
             || !matches!(input.format, smol_codec::Format::Sjpg { .. })
         {
@@ -443,7 +420,7 @@ impl Planner {
             }
         }
         let exec = crate::costmodel::cascade_exec_throughput(&exec_stages);
-        let est = estimate_throughput(self.config.cost_model, preproc_throughput, &exec_stages);
+        let est = estimate_throughput(CostModelKind::Smol, preproc_throughput, &exec_stages);
         // Placement is per output (one inference); the candidate's rates
         // are per source frame, `exec_scale` outputs apart.
         let (preproc, placement) = self.place(
@@ -570,7 +547,7 @@ impl Planner {
             plan: full,
             preproc_throughput: pc,
             exec_throughput: crate::costmodel::cascade_exec_throughput(&stages),
-            est_throughput: estimate_throughput(self.config.cost_model, pc, &stages),
+            est_throughput: estimate_throughput(CostModelKind::Smol, pc, &stages),
             accuracy: r.accuracy,
             cascade: Some(CascadePlan {
                 stage1,
@@ -583,12 +560,11 @@ impl Planner {
 
     /// The reduced-fidelity video decode modes enumerated next to a
     /// GOP-structured input's base (full-GOP, in-loop-filtered) plan:
-    /// deblock skipping, keyframe-only selection, their combination, and
-    /// (when [`PlannerConfig::video_stride`] ≥ 2) an intermediate strided
-    /// selection — the video analogues of the §6.4 partial-decode ladder.
-    /// Empty for still inputs and under the "-Video" lesion.
+    /// deblock skipping, then (for GOPs longer than one frame)
+    /// keyframe-only selection with and without it — the video analogues
+    /// of the §6.4 partial-decode ladder. Empty for still inputs.
     pub fn video_decode_modes(&self, input: &InputVariant) -> Vec<DecodeMode> {
-        if !input.is_video() || !self.config.enable_video {
+        if !input.is_video() {
             return Vec::new();
         }
         let mut modes = vec![DecodeMode::Video {
@@ -596,17 +572,6 @@ impl Planner {
             deblock: false,
         }];
         if input.gop_len > 1 {
-            let stride = self.config.video_stride as usize;
-            if stride > 1 && input.gop_len > stride {
-                modes.push(DecodeMode::Video {
-                    selection: FrameSelection::Stride(stride),
-                    deblock: true,
-                });
-                modes.push(DecodeMode::Video {
-                    selection: FrameSelection::Stride(stride),
-                    deblock: false,
-                });
-            }
             modes.push(DecodeMode::Video {
                 selection: FrameSelection::Keyframes,
                 deblock: true,
@@ -663,10 +628,7 @@ impl Planner {
     /// calibration and throughput in source frames per second.
     pub fn enumerate(&self, specs: &[CandidateSpec]) -> Vec<PlanCandidate> {
         let mut out = Vec::with_capacity(specs.len());
-        for s in specs
-            .iter()
-            .filter(|s| self.config.enable_low_res || !s.input.is_thumbnail)
-        {
+        for s in specs {
             let base = self.decode_mode(&s.input);
             if s.input.is_video() {
                 let g = s.input.gop_len.max(1);
@@ -716,9 +678,8 @@ impl Planner {
 
     /// The Pareto-optimal set over the enumerated candidates (§3.1).
     /// Errors with [`PlanError::NoCandidates`] when enumeration produces
-    /// nothing (empty specs, or every spec filtered by a lesion toggle)
-    /// instead of handing back an empty frontier the caller must remember
-    /// to check.
+    /// nothing (empty specs) instead of handing back an empty frontier the
+    /// caller must remember to check.
     pub fn frontier(&self, specs: &[CandidateSpec]) -> Result<Vec<PlanCandidate>, PlanError> {
         let candidates = self.enumerate(specs);
         if candidates.is_empty() {
@@ -738,36 +699,6 @@ impl Planner {
         constraint: &Constraint,
     ) -> Result<PlanCandidate, PlanError> {
         constraint.select(&self.enumerate(specs)).cloned()
-    }
-
-    /// §5.2's selection rule for a fixed input format: among DNNs whose
-    /// execution throughput meets or exceeds the preprocessing throughput,
-    /// pick the most accurate; if no DNN keeps up with preprocessing, fall
-    /// back to the fastest DNN for the format. Errors with
-    /// [`PlanError::UnknownFormat`] when no candidate uses `input_name`.
-    pub fn select_for_format<'a>(
-        &self,
-        candidates: &'a [PlanCandidate],
-        input_name: &str,
-    ) -> Result<&'a PlanCandidate, PlanError> {
-        candidates
-            .iter()
-            .filter(|c| c.plan.input.name == input_name)
-            .filter(|c| c.exec_throughput >= c.preproc_throughput)
-            .max_by(|a, b| a.accuracy.partial_cmp(&b.accuracy).expect("finite"))
-            .or_else(|| {
-                candidates
-                    .iter()
-                    .filter(|c| c.plan.input.name == input_name)
-                    .max_by(|a, b| {
-                        a.exec_throughput
-                            .partial_cmp(&b.exec_throughput)
-                            .expect("finite")
-                    })
-            })
-            .ok_or_else(|| PlanError::UnknownFormat {
-                format: input_name.to_string(),
-            })
     }
 }
 
@@ -865,30 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn lesion_disables_low_res() {
-        let planner = Planner::new(PlannerConfig {
-            enable_low_res: false,
-            ..Default::default()
-        });
-        let cands = planner.enumerate(&specs());
-        assert!(cands.iter().all(|c| !c.plan.input.is_thumbnail));
-    }
-
-    #[test]
-    fn cost_models_disagree_when_preprocessing_bound() {
-        let smol = Planner::default().enumerate(&specs());
-        let blazeit = Planner::new(PlannerConfig {
-            cost_model: CostModelKind::ExecOnly,
-            ..Default::default()
-        })
-        .enumerate(&specs());
-        let s = &smol[0]; // RN-50 full-res: preproc-bound at 527 im/s
-        let b = &blazeit[0];
-        assert!(s.est_throughput <= 527.0 + 1e-9);
-        assert!(b.est_throughput > 4000.0, "exec-only ignores preprocessing");
-    }
-
-    #[test]
     fn preproc_plan_respects_dag_toggle() {
         let on = Planner::default();
         let off = Planner::new(PlannerConfig {
@@ -944,11 +851,6 @@ mod tests {
         assert_eq!(planner.reduced_decode_mode(&full_res(527.0)), None);
         // Thumbnails and non-sjpg formats are never reduced.
         assert_eq!(planner.reduced_decode_mode(&thumb()), None);
-        let planner = Planner::new(PlannerConfig {
-            enable_multires: false,
-            ..Default::default()
-        });
-        assert_eq!(planner.reduced_decode_mode(&big_full_res()), None);
     }
 
     #[test]
@@ -993,20 +895,6 @@ mod tests {
         // full one more accurate.
         let frontier = planner.frontier(&[big_spec(0.75, Some(0.71))]).unwrap();
         assert_eq!(frontier.len(), 2);
-    }
-
-    #[test]
-    fn multires_lesion_removes_reduced_candidates() {
-        let planner = Planner::new(PlannerConfig {
-            enable_multires: false,
-            ..Default::default()
-        });
-        let cands = planner.enumerate(&[big_spec(0.75, None)]);
-        assert_eq!(cands.len(), 1);
-        assert!(!matches!(
-            cands[0].plan.decode,
-            DecodeMode::ReducedResolution { .. }
-        ));
     }
 
     fn video_input() -> InputVariant {
@@ -1114,23 +1002,6 @@ mod tests {
         assert_eq!(
             fast.plan.decode.frame_selection(),
             Some(FrameSelection::Keyframes)
-        );
-    }
-
-    #[test]
-    fn video_lesion_removes_reduced_fidelity_plans() {
-        let planner = Planner::new(PlannerConfig {
-            enable_video: false,
-            ..Default::default()
-        });
-        let cands = planner.enumerate(&[video_spec(None)]);
-        assert_eq!(cands.len(), 1);
-        assert_eq!(
-            cands[0].plan.decode,
-            DecodeMode::Video {
-                selection: FrameSelection::All,
-                deblock: true
-            }
         );
     }
 
@@ -1378,47 +1249,10 @@ mod tests {
     }
 
     #[test]
-    fn select_for_format_prefers_accuracy_under_headroom() {
-        let planner = Planner::default();
-        let cands = planner.enumerate(&specs());
-        let chosen = planner.select_for_format(&cands, "161 spng").unwrap();
-        // Both RN-34 and RN-50 exceed 1995 im/s on the T4; RN-50 is more
-        // accurate and should win.
-        assert_eq!(chosen.plan.dnn, ModelKind::ResNet50);
-    }
-
-    #[test]
-    fn select_for_format_rejects_unknown_names() {
-        let planner = Planner::default();
-        let cands = planner.enumerate(&specs());
-        assert_eq!(
-            planner
-                .select_for_format(&cands, "no such variant")
-                .unwrap_err(),
-            crate::constraints::PlanError::UnknownFormat {
-                format: "no such variant".to_string()
-            }
-        );
-    }
-
-    #[test]
     fn empty_specs_are_a_typed_error_not_an_empty_frontier() {
         let planner = Planner::default();
         assert_eq!(
             planner.frontier(&[]).unwrap_err(),
-            crate::constraints::PlanError::NoCandidates
-        );
-        // The low-res lesion filtering *every* spec is the same condition.
-        let planner = Planner::new(PlannerConfig {
-            enable_low_res: false,
-            ..Default::default()
-        });
-        let thumbs_only: Vec<CandidateSpec> = specs()
-            .into_iter()
-            .filter(|s| s.input.is_thumbnail)
-            .collect();
-        assert_eq!(
-            planner.frontier(&thumbs_only).unwrap_err(),
             crate::constraints::PlanError::NoCandidates
         );
     }

@@ -25,8 +25,8 @@ pub enum PaceDecision {
 /// Deadline-driven pacing: lag below `target_lag_s` runs the chosen
 /// plan, lag at or above `drop_lag_s` drops GOPs, and lag in between
 /// walks the degradation ladder proportionally (deblock-skip and
-/// strided/keyframe selections first — whatever the calibrated ladder
-/// orders next). With `enabled: false` (the lesion) every GOP runs the
+/// keyframe selections first — whatever the calibrated ladder orders
+/// next). With `enabled: false` (the lesion) every GOP runs the
 /// full plan and nothing is ever dropped, so an overloaded stream's lag
 /// grows without bound — exactly the failure mode pacing exists to
 /// prevent.

@@ -35,7 +35,7 @@
 //!   choice;
 //! * [`QueryHandle`]/[`QueryReport`] — per-query resolution, blocking
 //!   ([`QueryHandle::wait`]) or non-blocking ([`QueryHandle::poll`],
-//!   [`QueryHandle::try_wait`], [`QueryHandle::wait_deadline`]), with
+//!   [`QueryHandle::wait_deadline`]), with
 //!   p50/p95 item latency; an open query's handle also takes items
 //!   ([`QueryHandle::append`]) and delivers per-item [`Completion`]s; plus
 //!   fleet-wide [`ServerStats`] (aggregate

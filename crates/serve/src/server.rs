@@ -548,9 +548,9 @@ impl Inner {
 /// delivers per-item [`Completion`]s.
 ///
 /// The handle is fully non-blocking-capable: [`QueryHandle::poll`] reports
-/// progress without consuming the report, [`QueryHandle::try_wait`] and
-/// [`QueryHandle::wait_deadline`] take it with zero or bounded blocking,
-/// and [`QueryHandle::wait`] blocks to resolution. No caller — including
+/// progress without consuming the report, [`QueryHandle::wait_deadline`]
+/// takes it with bounded blocking (`Duration::ZERO`: none at all), and
+/// [`QueryHandle::wait`] blocks to resolution. No caller — including
 /// the fleet scheduler itself — ever has to park a thread per query.
 pub struct QueryHandle {
     id: QueryId,
@@ -572,7 +572,7 @@ pub enum QueryPoll {
         completed: usize,
         total: usize,
     },
-    /// The report is ready: `try_wait` will return it without blocking.
+    /// The report is ready: `wait_deadline(Duration::ZERO)` will return it.
     Ready,
 }
 
@@ -584,11 +584,6 @@ impl QueryHandle {
     /// Blocks until the query resolves.
     pub fn wait(self) -> ServeResult<QueryReport> {
         self.rx.into_inner().recv().map_err(|_| ServeError::Aborted)
-    }
-
-    /// Non-blocking poll; `None` while the query is still in flight.
-    pub fn try_wait(&self) -> Option<QueryReport> {
-        self.rx.lock().try_recv().ok()
     }
 
     /// Blocks for at most `timeout`; `Ok(None)` when the query is still
@@ -603,7 +598,7 @@ impl QueryHandle {
     }
 
     /// Non-blocking progress probe — never consumes the report (pair with
-    /// [`QueryHandle::try_wait`] / [`QueryHandle::wait`] to take it).
+    /// [`QueryHandle::wait_deadline`] / [`QueryHandle::wait`] to take it).
     /// A gone server reports `Ready` so pollers always reach a terminal
     /// state (the take will then surface [`ServeError::Aborted`]).
     pub fn poll(&self) -> QueryPoll {

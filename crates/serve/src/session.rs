@@ -143,7 +143,8 @@ impl From<ServeError> for SessionError {
 /// // Floors on the other axes; see `smol_core::constraints` for exact
 /// // semantics (these select the most accurate feasible plan).
 /// let _ = Query::new("photos").min_throughput(2000.0);
-/// let _ = Query::new("photos").max_cost(30.0); // ¢ per million images
+/// // A cost ceiling is a throughput floor: 30 ¢ per million images at $0.526/h.
+/// let _ = Query::new("photos").min_throughput(0.526 * 1e8 / (3600.0 * 30.0));
 /// ```
 /// SLO vocabulary rides on the same builder: `.deadline(..)` bounds
 /// wall-clock completion (infeasible deadlines are rejected with
@@ -189,21 +190,6 @@ impl Query {
     /// Estimated-throughput floor in im/s; most accurate plan above it.
     pub fn min_throughput(mut self, floor: f64) -> Self {
         self.constraint = Constraint::MinThroughput(floor);
-        self
-    }
-
-    /// Cost ceiling in ¢ per million images at the default g4dn.xlarge
-    /// price (§7); most accurate plan under the ceiling.
-    pub fn max_cost(self, cents_per_million: f64) -> Self {
-        self.max_cost_at(cents_per_million, Constraint::DEFAULT_PRICE_PER_HOUR)
-    }
-
-    /// Cost ceiling at an explicit instance price in $/hour.
-    pub fn max_cost_at(mut self, cents_per_million: f64, price_per_hour: f64) -> Self {
-        self.constraint = Constraint::MaxCost {
-            cents_per_million,
-            price_per_hour,
-        };
         self
     }
 

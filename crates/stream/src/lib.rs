@@ -13,8 +13,8 @@
 //!   adapts a [`smol_data::StreamFeed`]);
 //! * [`run_stream`] — the pacing scheduler: a stream is **one open server
 //!   query** on the rungs of the query's calibrated [`StreamLadder`]
-//!   (deblock-skip, strided and keyframe-only selections — whatever the
-//!   planner's frontier orders next). A driver thread appends GOPs at their
+//!   (deblock-skip and keyframe-only selections — whatever the planner's
+//!   frontier orders next). A driver thread appends GOPs at their
 //!   arrival times, measures how far behind arrival the oldest in-flight
 //!   GOP is, and maps that lag through a [`smol_core::PacingPolicy`] onto
 //!   the rung each GOP is appended on — the rung past the end drops it.
@@ -232,13 +232,9 @@ impl StreamHandle {
     /// Bounded wait for the next window: `None` at the timeout — the
     /// stream may well still be running (an unbounded source never
     /// "completes"; this is the poll loop's building block).
+    /// `Duration::ZERO` takes a window only if one has already closed.
     pub fn next_window_deadline(&self, timeout: Duration) -> Option<WindowResult> {
         self.rx().recv_timeout(timeout).ok()
-    }
-
-    /// Non-blocking: the next window if one has already closed.
-    pub fn try_next(&self) -> Option<WindowResult> {
-        self.rx().try_recv().ok()
     }
 
     fn rx(&self) -> MutexGuard<'_, Receiver<WindowResult>> {

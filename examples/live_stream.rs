@@ -56,15 +56,18 @@ fn session() -> Arc<Session> {
 }
 
 fn run(policy: PacingPolicy) -> Result<StreamStats, smol::Error> {
-    // 1. The live feed: 24 GOPs x 6 frames of the taipei scene arriving
-    //    at 200x real time — the whole 4.8s clip lands in ~25ms of wall
+    // 1. The live feed: 72 GOPs x 6 frames of the taipei scene arriving
+    //    at 200x real time — the whole 14.4s clip lands in ~72ms of wall
     //    clock, far faster than 3ms/frame can execute: a sustained
-    //    overload.
+    //    overload. At full fidelity the backlog grows to ~0.3s, long
+    //    enough for the lag to walk past the first rung (deblock-skip,
+    //    which saves none of the per-frame cost) to keyframes-only, which
+    //    runs one frame in six.
     let spec = video_catalog()
         .into_iter()
         .find(|s| s.name == "taipei")
         .expect("taipei scene");
-    let feed = timed_stream(&spec, 13, 24, 6, 200.0);
+    let feed = timed_stream(&spec, 13, 72, 6, 200.0);
     let variant = feed.corpus.name.clone();
     let counts = feed.corpus.counts.clone();
 
@@ -86,7 +89,7 @@ fn run(policy: PacingPolicy) -> Result<StreamStats, smol::Error> {
     //    accuracy loss — that tolerance *is* the pacer's headroom.
     let query = Query::new("camera").max_accuracy_loss(0.03);
     let cfg = StreamConfig {
-        window_s: 0.2,
+        window_s: 0.6,
         policy,
         priority: Priority::High,
     };

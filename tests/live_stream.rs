@@ -318,7 +318,7 @@ fn endless_stream_waits_are_bounded_and_stop_is_prompt() {
         t0.elapsed() < Duration::from_secs(3),
         "next_window_deadline must not hang on an endless stream"
     );
-    let _ = handle.try_next(); // non-blocking by definition
+    let _ = handle.next_window_deadline(Duration::ZERO); // non-blocking by definition
 
     handle.stop();
     let t1 = Instant::now();

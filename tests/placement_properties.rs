@@ -128,16 +128,12 @@ fn check_candidate(c: &PlanCandidate, clock: f64) {
 
 fn arb_case() -> impl Strategy<Value = (PlannerConfig, f64, [usize; 4], ModelKind, f64, bool)> {
     (
-        (0usize..3, 0usize..4, 0usize..3, 0usize..8, 0usize..3),
+        (0usize..3, 0usize..4, 0usize..3, any::<bool>()),
         (64usize..=640, 64usize..=640, 16usize..=200, 2usize..=12),
         (0usize..4, 0usize..5, 0usize..5, any::<bool>()),
     )
         .prop_map(
-            |(
-                (input, dev, batch, lesions, stride),
-                (w, h, short, gop),
-                (dnn, profile, clock, routed),
-            )| {
+            |((input, dev, batch, dag_opt), (w, h, short, gop), (dnn, profile, clock, routed))| {
                 let config = PlannerConfig {
                     dnn_input: [32, 64, 224][input],
                     device: [
@@ -147,10 +143,7 @@ fn arb_case() -> impl Strategy<Value = (PlannerConfig, f64, [usize; 4], ModelKin
                         GpuModel::CpuOnly,
                     ][dev],
                     batch: [1, 16, 64][batch],
-                    enable_dag_opt: lesions & 1 == 0,
-                    enable_multires: lesions & 2 == 0,
-                    enable_video: lesions & 4 == 0,
-                    video_stride: [0, 2, 3][stride],
+                    enable_dag_opt: dag_opt,
                     ..PlannerConfig::default()
                 };
                 let dnn = [

@@ -1002,7 +1002,7 @@ fn the_launch_window_is_two_deep_per_consumer() {
         let report = loop {
             let lane = &server.stats().devices[0];
             assert!(lane.in_flight_batches <= 2 * consumers, "{lane:?}");
-            if let Some(report) = handle.try_wait() {
+            if let Some(report) = handle.wait_deadline(Duration::ZERO).unwrap() {
                 break report;
             }
             std::thread::sleep(Duration::from_millis(1));

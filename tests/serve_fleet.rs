@@ -4,7 +4,7 @@
 //! admission is priority-aware, a partial batch never waits for work of
 //! lower priority than what it holds (and equal priorities still fill each
 //! other's batches), and the non-blocking handle surface (`poll` /
-//! `try_wait` / `wait_deadline`) behaves.
+//! `wait_deadline`) behaves.
 
 use proptest::prelude::*;
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
@@ -17,8 +17,8 @@ use smol::data::{fingerprint, textured};
 use smol::imgproc::ImageU8;
 use smol::runtime::RuntimeOptions;
 use smol::serve::{
-    DegradeStep, Priority, QueryHandle, QueryPoll, QueryReport, Server, ServerConfig, ServerStats,
-    SubmitOptions, SubmitRequest,
+    DegradeStep, Priority, QueryHandle, QueryPoll, QueryReport, ServeError, Server, ServerConfig,
+    ServerStats, SubmitOptions, SubmitRequest,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -405,9 +405,9 @@ fn high_priority_waiter_admitted_first() {
 
 /// The non-blocking handle surface: `poll` reports progress without
 /// consuming the report, `wait_deadline` times out cleanly and then
-/// delivers, and `try_wait` turns `Some` exactly once.
+/// delivers, and at `Duration::ZERO` turns `Some` exactly once.
 #[test]
-fn poll_try_wait_and_wait_deadline() {
+fn poll_and_wait_deadline() {
     let server = Server::with_devices(
         vec![fast_device(GpuModel::T4)],
         ServerConfig {
@@ -455,16 +455,22 @@ fn poll_try_wait_and_wait_deadline() {
     };
     assert_eq!(report.images, n);
     assert!(matches!(handle.poll(), QueryPoll::Ready));
-    assert!(handle.try_wait().is_none(), "the report was already taken");
+    assert!(
+        matches!(
+            handle.wait_deadline(Duration::ZERO),
+            Err(ServeError::Aborted)
+        ),
+        "the report was already taken"
+    );
 
-    // An empty query resolves immediately; try_wait picks it up without
-    // blocking.
+    // An empty query resolves immediately; a zero-deadline wait picks it
+    // up without blocking.
     let h = server
         .submit(SubmitRequest::stills(plan, &Vec::new()))
         .expect("admitted");
     let mut got = None;
     for _ in 0..500 {
-        if let Some(r) = h.try_wait() {
+        if let Some(r) = h.wait_deadline(Duration::ZERO).expect("server alive") {
             got = Some(r);
             break;
         }
