@@ -30,9 +30,8 @@
 use smol_accel::ModelKind;
 use smol_bench::{measure, scaled, timed, Gate, Paired, Table};
 use smol_codec::{sjpg, spng, Chroma, DecodeOptions, DecodeStats, EncodedImage, Format};
-use smol_core::{CandidateSpec, Constraint, InputVariant, Planner};
+use smol_core::{decode_cost, CandidateSpec, Constraint, DecodeMode, InputVariant, Planner};
 use smol_data::{serving_variants, still_catalog, throughput_images, StillSpec};
-use smol_imgproc::dag::decode_cost_subsampled;
 use smol_imgproc::ops::resize::resize_bilinear_u8;
 use smol_imgproc::ImageU8;
 use std::process::ExitCode;
@@ -235,8 +234,13 @@ fn main() -> ExitCode {
         ],
     );
     let blocks = (w.div_ceil(8) * h.div_ceil(8) * 3 * stills.len()) as f64;
+    let input = InputVariant::new("q95", Format::sjpg(95), w, h);
     let predicted = |factor: usize| {
-        decode_cost_subsampled(w, h, 8 / factor, false) / decode_cost_subsampled(w, h, 8, false)
+        let mode = match factor {
+            1 => DecodeMode::Full,
+            f => DecodeMode::reduced(f as u8).expect("factors 2/4/8"),
+        };
+        decode_cost(&input, mode).ops / decode_cost(&input, DecodeMode::Full).ops
     };
     // Each reduced rung paired against a full decode of the same stills.
     let pass = |factor: usize| {

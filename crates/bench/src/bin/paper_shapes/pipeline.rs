@@ -410,8 +410,8 @@ pub fn figures7_and_8(gate: &mut Gate) {
         // Wall seconds of one run under a configuration.
         let wall = |cfg: Config| {
             let runtime = RuntimeOptions {
-                producers: VCPUS,
-                threading: cfg[0],
+                // "-threading" is one producer.
+                producers: if cfg[0] { VCPUS } else { 1 },
                 memory_reuse: cfg[1],
                 pinned: cfg[2],
                 ..Default::default()

@@ -271,16 +271,16 @@ fn main() -> ExitCode {
 
     // ---- Planner flip with measured storage rates. ----
     // On-the-fly: decode+preproc at the measured joint rate, plus the
-    // measured per-image transcode cost every query re-pays. Store: the
-    // verified-load read rate, transcode already paid, and the cached
-    // rate the warm pass actually achieves.
+    // measured per-image transcode every query re-pays, priced as the
+    // variant's read rate. Store: the verified-load read rate, transcode
+    // already paid, and the cached rate the warm pass actually achieves.
     let joint_tput = measure_preproc_throughput(&encoded, &plan, &opts);
     let transcode = || {
         for img in &images {
             EncodedImage::encode(img, Format::sjpg(95)).expect("encode");
         }
     };
-    let transcode_amortized_s = timed(transcode).0 / n as f64;
+    let transcode_s = timed(transcode).0 / n as f64;
     let cached_tput = n as f64 / warm_wall;
     let hit_rate = cache.hit_rate();
     let accuracy = 0.80;
@@ -294,8 +294,7 @@ fn main() -> ExitCode {
         routing: Vec::new(),
         video: None,
         storage: Some(StorageProfile {
-            read_throughput: f64::INFINITY,
-            transcode_amortized_s,
+            read_throughput: 1.0 / transcode_s,
             cached_throughput: 0.0,
             cache_hit_rate: 0.0,
         }),
@@ -304,7 +303,6 @@ fn main() -> ExitCode {
         input: InputVariant::new("store sjpg(q=95)", Format::sjpg(95), w, h),
         storage: Some(StorageProfile {
             read_throughput: read_tput,
-            transcode_amortized_s: 0.0,
             cached_throughput: cached_tput,
             cache_hit_rate: hit_rate,
         }),
@@ -322,7 +320,7 @@ fn main() -> ExitCode {
         "\nplanner: joint {} im/s, transcode {:.2}ms/im, read {} im/s, cached {} im/s \
          (hit rate {:.0}%) → chose \"{}\" at {} im/s",
         fmt_tput(joint_tput),
-        transcode_amortized_s * 1e3,
+        transcode_s * 1e3,
         fmt_tput(read_tput),
         fmt_tput(cached_tput),
         hit_rate * 100.0,

@@ -324,7 +324,6 @@ pub fn decode_label(mode: &DecodeMode) -> String {
     match mode {
         DecodeMode::Full => "full".to_string(),
         DecodeMode::CentralRoi { crop_w, crop_h } => format!("roi {crop_w}x{crop_h}"),
-        DecodeMode::EarlyStopRows { rows } => format!("rows {rows}"),
         DecodeMode::ReducedResolution { factor } => format!("1/{factor} scaled-idct"),
         DecodeMode::Video { selection, deblock } => {
             let sel = match selection {

@@ -18,13 +18,13 @@
 //!
 //! ## Partial-decoding features and the plans that exercise them
 //!
-//! The three low-fidelity decode features (§6.4, Table 4) map one-to-one
-//! onto `smol_core::DecodeMode` variants chosen by the planner:
+//! The low-fidelity decode features (§6.4, Table 4) and the
+//! `smol_core::DecodeMode` variants the planner chooses for them:
 //!
 //! | feature (Table 4)          | entry point            | `DecodeMode`                   |
 //! |----------------------------|------------------------|--------------------------------|
 //! | ROI / partial decoding     | [`sjpg::decode_roi`]   | `CentralRoi { crop_w, crop_h }`|
-//! | early stopping             | [`sjpg::decode_rows`], `spng::decode_rows` | `EarlyStopRows { rows }` |
+//! | early stopping             | [`sjpg::decode_rows`], `spng::decode_rows` | — (not planned; Figure 3 and `examples/partial_decode.rs`) |
 //! | multi-resolution decoding  | [`sjpg::decode_scaled`]| `ReducedResolution { factor }` |
 //! | reduced fidelity + frame selection (video) | `smol_video::gop::decode_selected` | `Video { selection, deblock }` |
 //!

@@ -1255,13 +1255,54 @@ fn write_mcu_strip(
                 crrow[i] = to_u8_fast(crr[i]);
             }
         } else {
-            for (i, dx) in (dx0..dx1).enumerate() {
-                yrow[i] = to_u8_fast(luma_sample(geom, ybufs, dy, dx));
-                cbrow[i] = to_u8_fast(chroma_sample(geom, cbuf, dy, dx));
-                crrow[i] = to_u8_fast(chroma_sample(geom, crbuf, dy, dx));
+            // 4:2:0: the row crosses the two luma blocks of one block row,
+            // each a contiguous slice; the block and in-block row are fixed
+            // for the whole row.
+            let n = geom.ny;
+            let (blk, r) = ((dy / n) * 2, (dy % n) * n);
+            let mid = n.clamp(dx0, dx1);
+            let (left, right) = yrow.split_at_mut(mid - dx0);
+            if dx0 < n {
+                convert_row(left, &ybufs[blk][r + dx0..r + mid]);
+            }
+            if dx1 > n {
+                convert_row(right, &ybufs[blk + 1][r + mid - n..r + dx1 - n]);
+            }
+            if geom.factor == 1 {
+                // Full decode: each half-resolution chroma sample is
+                // converted once and replicated over its two columns.
+                let c = (dy / 2) * BLOCK;
+                replicate_row(cbrow, &cbuf[c..c + BLOCK], dx0);
+                replicate_row(crrow, &crbuf[c..c + BLOCK], dx0);
+            } else {
+                // factor ≥ 2: nc == patch, the chroma patch tiles exactly.
+                let c = dy * geom.nc;
+                convert_row(cbrow, &cbuf[c + dx0..c + dx1]);
+                convert_row(crrow, &crbuf[c + dx0..c + dx1]);
             }
         }
         stats.pixels_written += cw as u64;
+    }
+}
+
+/// `dst[i] = to_u8_fast(src[i])`.
+#[inline(always)]
+fn convert_row(dst: &mut [u8], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = to_u8_fast(s);
+    }
+}
+
+/// `dst[i] = to_u8_fast(src[(dx0 + i) / 2])`, converting each source sample
+/// once: the 2× horizontal replication of a 4:2:0 chroma row.
+#[inline(always)]
+fn replicate_row(dst: &mut [u8], src: &[f32], dx0: usize) {
+    let odd = dx0 % 2;
+    if odd == 1 {
+        dst[0] = to_u8_fast(src[dx0 / 2]);
+    }
+    for (pair, &s) in dst[odd..].chunks_mut(2).zip(&src[dx0.div_ceil(2)..]) {
+        pair.fill(to_u8_fast(s));
     }
 }
 

@@ -75,14 +75,11 @@ pub fn cascade_exec_throughput(stages: &[CascadeStage]) -> f64 {
 /// `min(preproc, exec)` estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageProfile {
-    /// Items/s at which the materialized variant's encoded bytes read
-    /// back from the store (manifest + object reads). Non-positive or
+    /// Items/s at which the variant's encoded bytes reach the decoder:
+    /// read back from the store (manifest + object reads), or, for a
+    /// variant produced on the fly, transcoded per item. Non-positive or
     /// non-finite means "free" (already resident in memory).
     pub read_throughput: f64,
-    /// Amortized per-item transcode cost in seconds: the one-time
-    /// encode-and-persist bill divided by the items served since. Zero
-    /// for a corpus materialized in an earlier session.
-    pub transcode_amortized_s: f64,
     /// Items/s of the cached-tensor path: decode skipped, only the CPU
     /// preprocessing prefix runs. Profiled under the candidate's base
     /// decode mode.
@@ -92,30 +89,16 @@ pub struct StorageProfile {
     pub cache_hit_rate: f64,
 }
 
-impl StorageProfile {
-    /// A profile for a corpus materialized in a previous session and not
-    /// yet hot in the tensor cache: reads are paid, transcode is sunk,
-    /// nothing hits.
-    pub fn cold(read_throughput: f64) -> Self {
-        StorageProfile {
-            read_throughput,
-            transcode_amortized_s: 0.0,
-            cached_throughput: 0.0,
-            cache_hit_rate: 0.0,
-        }
-    }
-}
-
 /// Effective preprocessing throughput of a candidate backed by the
 /// physical-representation store. Per-item time decomposes as
 ///
 /// ```text
-/// t = hit/cached + (1 − hit)/preproc + 1/read + transcode_amortized
+/// t = hit/cached + (1 − hit)/preproc + 1/read
 /// ```
 ///
 /// — the cache serves `hit` of the stream at the decode-free rate, the
 /// rest pays the full decode+preprocess path, and every item pays the
-/// storage read plus its share of the transcode bill. Degenerate inputs
+/// storage read (or its on-the-fly transcode). Degenerate inputs
 /// (zero/non-finite rates) drop their term rather than poisoning the
 /// estimate.
 pub fn storage_adjusted_preproc(preproc_throughput: f64, storage: &StorageProfile) -> f64 {
@@ -136,8 +119,7 @@ pub fn storage_adjusted_preproc(preproc_throughput: f64, storage: &StorageProfil
     };
     let t = hit * per_item(cached)
         + (1.0 - hit) * per_item(preproc_throughput)
-        + per_item(storage.read_throughput)
-        + storage.transcode_amortized_s.max(0.0);
+        + per_item(storage.read_throughput);
     if t <= 0.0 {
         preproc_throughput
     } else {
@@ -283,7 +265,6 @@ mod tests {
         // combination of the cached rate and the storage read.
         let hot = StorageProfile {
             read_throughput: 50_000.0,
-            transcode_amortized_s: 0.0,
             cached_throughput: 5_000.0,
             cache_hit_rate: 1.0,
         };
@@ -294,17 +275,16 @@ mod tests {
     }
 
     #[test]
-    fn cold_storage_charges_read_and_transcode() {
-        // Nothing hits and the corpus still owes its transcode bill: the
-        // effective rate drops below the plain decode path.
+    fn cold_storage_charges_the_read() {
+        // Nothing hits and every item pays its read: the effective rate
+        // drops below the plain decode path.
         let cold = StorageProfile {
             read_throughput: 2_000.0,
-            transcode_amortized_s: 1.0 / 1_000.0,
             cached_throughput: 0.0,
             cache_hit_rate: 0.0,
         };
         let eff = storage_adjusted_preproc(500.0, &cold);
-        let expect = 1.0 / (1.0 / 500.0 + 1.0 / 2_000.0 + 1.0 / 1_000.0);
+        let expect = 1.0 / (1.0 / 500.0 + 1.0 / 2_000.0);
         assert!((eff - expect).abs() < 1e-6, "eff={eff}");
         assert!(eff < 500.0);
     }
@@ -312,9 +292,9 @@ mod tests {
     #[test]
     fn partial_hit_rate_interpolates_between_paths() {
         let sp = StorageProfile {
+            read_throughput: f64::INFINITY,
             cached_throughput: 4_000.0,
             cache_hit_rate: 0.5,
-            ..StorageProfile::cold(f64::INFINITY)
         };
         let eff = storage_adjusted_preproc(500.0, &sp);
         let expect = 1.0 / (0.5 / 4_000.0 + 0.5 / 500.0);
@@ -325,12 +305,15 @@ mod tests {
     #[test]
     fn degenerate_storage_terms_do_not_poison_the_estimate() {
         // Free reads, no cache data: the profile is a no-op.
-        let noop = StorageProfile::cold(f64::INFINITY);
+        let noop = StorageProfile {
+            read_throughput: f64::INFINITY,
+            cached_throughput: 0.0,
+            cache_hit_rate: 0.0,
+        };
         assert_eq!(storage_adjusted_preproc(500.0, &noop), 500.0);
         // Hit fraction with no cached-rate measurement: no credit.
         let unmeasured = StorageProfile {
             read_throughput: f64::INFINITY,
-            transcode_amortized_s: 0.0,
             cached_throughput: 0.0,
             cache_hit_rate: 0.9,
         };
@@ -338,9 +321,9 @@ mod tests {
         // Out-of-range hit rates clamp instead of extrapolating: a hit
         // rate of 3 prices exactly as a hit rate of 1.
         let hit = |cache_hit_rate| StorageProfile {
+            read_throughput: f64::INFINITY,
             cached_throughput: 4_000.0,
             cache_hit_rate,
-            ..StorageProfile::cold(f64::INFINITY)
         };
         assert_eq!(
             storage_adjusted_preproc(500.0, &hit(3.0)),

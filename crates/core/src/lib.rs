@@ -12,7 +12,7 @@
 //!   plus cascade throughput (Eq. 2);
 //! * [`plan`] — plan representation (DNN, input variant, preprocessing
 //!   pipeline, decode mode);
-//! * [`pareto`] — Pareto-frontier and constrained selection (§3.1, Eq. 1);
+//! * [`pareto`] — the Pareto frontier (§3.1);
 //! * [`placement`] — CPU/accelerator operator placement (§6.3): the split
 //!   search the planner runs on every candidate ([`Planner::place`]), both
 //!   sides on one clock;
@@ -29,9 +29,8 @@
 //! * [`rewrite`] — decode-aware plan rewriting: elides or shrinks the
 //!   resize when a partial/reduced decode already produced the needed
 //!   geometry (§6.4), shared by the planner (costing) and runtime
-//!   (execution); plus the weighted-op decode cost models for both the
-//!   image modes ([`rewrite::decode_cost_for_mode`]) and video GOPs
-//!   ([`rewrite::video_gop_decode_cost`]).
+//!   (execution); plus [`rewrite::decode_cost`], the one weighted-op price
+//!   of every decode mode, stills and video GOPs alike.
 #![deny(unsafe_code)]
 
 pub mod constraints;
@@ -48,15 +47,12 @@ pub use costmodel::{
     cascade_exec_throughput, estimate_throughput, percent_error, storage_adjusted_preproc,
     CascadeStage, CostModelKind, StorageProfile,
 };
-pub use pareto::{max_accuracy_with_throughput, max_throughput_with_accuracy, pareto_frontier};
+pub use pareto::pareto_frontier;
 pub use placement::{choose_placement, PlacementDecision, PlacementEstimate, PlacementRates};
 pub use plan::{
     CascadePlan, DecodeMode, FrameSelection, InputVariant, PlacementSignature, PlanCandidate,
     QueryPlan,
 };
 pub use planner::{CandidateSpec, Planner, PlannerConfig, RoutingSpec, VideoFidelity};
-pub use rewrite::{
-    costed_preproc_for_decode, decode_cost_for_mode, idct_edge, rewrite_preproc_for_decode,
-    video_gop_decode_cost,
-};
+pub use rewrite::{costed_preproc_for_decode, decode_cost, rewrite_preproc_for_decode, DecodeCost};
 pub use stream::{PaceDecision, PacingPolicy};

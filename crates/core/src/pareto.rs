@@ -1,6 +1,7 @@
 //! Pareto-frontier selection over (accuracy, throughput) (§3.1: "Smol will
 //! generate plans, estimate the resources for each plan, and select the
-//! Pareto optimal set of plans").
+//! Pareto optimal set of plans"). Picking one plan under a constraint is
+//! [`Constraint::select`](crate::Constraint::select).
 
 use crate::plan::PlanCandidate;
 
@@ -27,34 +28,6 @@ pub fn pareto_frontier(mut candidates: Vec<PlanCandidate>) -> Vec<PlanCandidate>
         }
     }
     frontier
-}
-
-/// Highest-accuracy plan meeting a throughput constraint
-/// (throughput-constrained accuracy, §4 Eq. 1).
-pub fn max_accuracy_with_throughput(
-    candidates: &[PlanCandidate],
-    min_throughput: f64,
-) -> Option<&PlanCandidate> {
-    candidates
-        .iter()
-        .filter(|c| c.est_throughput >= min_throughput)
-        .max_by(|a, b| a.accuracy.partial_cmp(&b.accuracy).expect("finite"))
-}
-
-/// Highest-throughput plan meeting an accuracy constraint
-/// (accuracy-constrained throughput).
-pub fn max_throughput_with_accuracy(
-    candidates: &[PlanCandidate],
-    min_accuracy: f64,
-) -> Option<&PlanCandidate> {
-    candidates
-        .iter()
-        .filter(|c| c.accuracy >= min_accuracy)
-        .max_by(|a, b| {
-            a.est_throughput
-                .partial_cmp(&b.est_throughput)
-                .expect("finite")
-        })
 }
 
 #[cfg(test)]
@@ -113,16 +86,5 @@ mod tests {
         let frontier = pareto_frontier(vec![cand(0.6, 1000.0), cand(0.8, 1000.0)]);
         assert_eq!(frontier.len(), 1);
         assert_eq!(frontier[0].accuracy, 0.8);
-    }
-
-    #[test]
-    fn constrained_selection() {
-        let cands = vec![cand(0.70, 1000.0), cand(0.80, 500.0), cand(0.90, 100.0)];
-        let a = max_accuracy_with_throughput(&cands, 400.0).unwrap();
-        assert_eq!(a.accuracy, 0.80);
-        let t = max_throughput_with_accuracy(&cands, 0.75).unwrap();
-        assert_eq!(t.est_throughput, 500.0);
-        assert!(max_accuracy_with_throughput(&cands, 2000.0).is_none());
-        assert!(max_throughput_with_accuracy(&cands, 0.95).is_none());
     }
 }

@@ -79,8 +79,6 @@ pub enum DecodeMode {
     /// Decode only the macroblock-aligned central crop the DNN consumes
     /// (ROI decoding; Algorithm 1).
     CentralRoi { crop_w: usize, crop_h: usize },
-    /// Stop after the rows needed (raster-order early stopping).
-    EarlyStopRows { rows: usize },
     /// Decode directly to `1/factor` resolution via a scaled IDCT
     /// (multi-resolution decoding, Table 4): the downsample is fused into
     /// the decoder, so the plan's resize can shrink or disappear entirely
@@ -122,7 +120,6 @@ impl DecodeMode {
                 // region is at least the crop and at most the image.
                 (crop_w.clamp(1, w), crop_h.clamp(1, h))
             }
-            DecodeMode::EarlyStopRows { rows } => (w, rows.clamp(1, h)),
             DecodeMode::ReducedResolution { factor } => {
                 let f = (factor as usize).max(1);
                 (w.div_ceil(f), h.div_ceil(f))
@@ -382,7 +379,7 @@ mod tests {
             preproc: PreprocPlan::thumbnail(224, 224),
             ..a.clone()
         };
-        b.decode = DecodeMode::EarlyStopRows { rows: 280 };
+        b.decode = DecodeMode::ReducedResolution { factor: 2 };
         assert_eq!(a.placement_signature(), b.placement_signature());
     }
 

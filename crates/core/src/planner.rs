@@ -11,9 +11,7 @@ use crate::placement::{choose_placement, PlacementEstimate, PlacementRates};
 use crate::plan::{
     CascadePlan, DecodeMode, FrameSelection, InputVariant, PlanCandidate, QueryPlan,
 };
-use crate::rewrite::{
-    costed_preproc_for_decode, decode_cost_for_mode_subsampled, video_gop_decode_cost,
-};
+use crate::rewrite::{costed_preproc_for_decode, decode_cost, DecodeCost};
 use smol_accel::{throughput, ExecutionEnv, GpuModel, ModelKind};
 use smol_imgproc::dag::plan_cost;
 use smol_imgproc::{DagOptimizer, PreprocPlan};
@@ -275,43 +273,35 @@ impl Planner {
             })
     }
 
-    /// The CPU's weighted-op bill for one *output* of `input` decoded under
-    /// `mode`: the decode's ops, plus the preprocessing plan to cost for the
-    /// rest and the geometry it runs on ([`costed_preproc_for_decode`] for
-    /// stills). A GOP's decode amortizes over the frames its selection
-    /// outputs.
+    /// The CPU's weighted-op bill for `input` decoded under `mode`: the
+    /// item's [`decode_cost`], plus the preprocessing plan to cost for each
+    /// of its outputs ([`costed_preproc_for_decode`]) and the geometry that
+    /// plan runs on.
     fn cpu_work(
         &self,
         input: &InputVariant,
         preproc: &PreprocPlan,
         mode: DecodeMode,
-    ) -> (f64, PreprocPlan, (usize, usize)) {
+    ) -> (DecodeCost, PreprocPlan, (usize, usize)) {
         let (w, h) = (input.width, input.height);
-        if let (DecodeMode::Video { selection, deblock }, true) = (mode, input.is_video()) {
-            let g = input.gop_len.max(1);
-            let outputs = selection.count(g).max(1) as f64;
-            let decode = video_gop_decode_cost(selection, deblock, g, w, h) / outputs;
-            return (decode, preproc.clone(), (w, h));
-        }
-        let subsampled = input.format.is_chroma_subsampled();
         (
-            decode_cost_for_mode_subsampled(mode, w, h, subsampled),
+            decode_cost(input, mode),
             costed_preproc_for_decode(preproc, mode, w, h),
             mode.decoded_dims(w, h),
         )
     }
 
     /// Estimated preprocessing throughput of the same input decoded under
-    /// `mode`, scaled from the measured full-decode throughput by the
-    /// joint decode+preprocess weighted-op ratio ([`decode_cost_for_mode`]
-    /// plus [`plan_cost`]): the Pareto frontier compares decode and
-    /// preprocessing as one quantity, not preprocessing alone. The base
-    /// mode's cost honors the work its decode already skips (ROI rows,
-    /// early-stopped rows), so a reduced-resolution candidate is never
-    /// credited against an inflated full-frame baseline. Both sides of the
-    /// ratio carry the variant's chroma storage (4:2:0 halves the entropy
-    /// work every mode must pay), so cross-mode credit stays honest for
-    /// subsampled inputs.
+    /// `mode`, scaled from the measured throughput under `base` by the
+    /// ratio of their joint decode+preprocess weighted-op costs per source
+    /// frame ([`decode_cost`] plus [`plan_cost`] per output): the Pareto
+    /// frontier compares decode and preprocessing as one quantity, not
+    /// preprocessing alone. For a still that is `decode + preprocess`; a
+    /// GOP's decode amortizes over its frames, and preprocessing runs only
+    /// on the frames its selection outputs. The base mode's cost honors the
+    /// work its decode already skips (ROI rows, P-frames past the last
+    /// selected frame), so a reduced candidate is never credited against
+    /// an inflated full-frame baseline.
     fn scaled_preproc_throughput(
         &self,
         measured: f64,
@@ -322,7 +312,7 @@ impl Planner {
     ) -> f64 {
         let joint = |m: DecodeMode| {
             let (decode, costed, (dw, dh)) = self.cpu_work(input, preproc, m);
-            decode + plan_cost(&costed, dw, dh)
+            (decode.ops + decode.outputs as f64 * plan_cost(&costed, dw, dh)) / decode.frames as f64
         };
         let base_cost = joint(base);
         let mode_cost = joint(mode);
@@ -364,10 +354,10 @@ impl Planner {
         if !self.config.enable_placement || !usable(cpu_throughput) || !usable(exec_throughput) {
             return (preproc, None);
         }
-        let (decode_ops, costed, (dw, dh)) = self.cpu_work(input, &preproc, mode);
+        let (decode, costed, (dw, dh)) = self.cpu_work(input, &preproc, mode);
         let rates = PlacementRates::from_profile(
             cpu_throughput,
-            decode_ops,
+            decode.ops / decode.outputs as f64,
             plan_cost(&costed, dw, dh),
             self.config.device.spec().elementwise_ops_per_s * self.device_clock,
             exec_throughput * self.device_clock,
@@ -584,88 +574,44 @@ impl Planner {
         modes
     }
 
-    /// Estimated preprocessing throughput (source frames/s) of a video
-    /// input decoded under `mode`, scaled from the measured full-GOP
-    /// throughput by the joint per-source-frame decode+preprocess cost
-    /// ratio. Decode cost amortizes over the whole GOP
-    /// ([`video_gop_decode_cost`]); CPU preprocessing runs only on the
-    /// frames the selection materializes for the device.
-    fn scaled_video_throughput(
-        &self,
-        measured: f64,
-        preproc: &PreprocPlan,
-        base: DecodeMode,
-        mode: DecodeMode,
-        input: &InputVariant,
-    ) -> f64 {
-        let g = input.gop_len.max(1);
-        let per_frame = plan_cost(preproc, input.width, input.height);
-        let joint = |m: DecodeMode| -> f64 {
-            let DecodeMode::Video { selection, deblock } = m else {
-                return 0.0;
-            };
-            let outputs = selection.count(g) as f64;
-            (video_gop_decode_cost(selection, deblock, g, input.width, input.height)
-                + outputs * per_frame)
-                / g as f64
-        };
-        let base_cost = joint(base);
-        let mode_cost = joint(mode);
-        if base_cost <= 0.0 || mode_cost <= 0.0 {
-            return measured;
-        }
-        measured * base_cost / mode_cost
-    }
-
-    /// Turns candidate specs into estimated plan candidates. Each still
-    /// spec yields its base plan (full or ROI decode, per
-    /// [`Self::decode_mode`]) plus, for formats with multi-resolution
-    /// decoding, a reduced-resolution plan whose decode fuses the
-    /// downsample (§6.4) and whose joint decode+preprocess cost drives its
-    /// estimate. Each video spec yields its full-GOP base plan plus the
-    /// reduced-fidelity ladder of [`Self::video_decode_modes`], with
+    /// Turns candidate specs into estimated plan candidates. Each spec
+    /// yields its base plan (per [`Self::decode_mode`]) plus its
+    /// reduced-fidelity ladder, each rung priced from the measured base
+    /// rate by [`decode_cost`]: for a still, a reduced-resolution plan
+    /// whose decode fuses the downsample (§6.4) when the format has
+    /// multi-resolution decoding, with accuracy from `reduced_accuracy`;
+    /// for a video spec, the ladder of [`Self::video_decode_modes`], with
     /// accuracies discounted through the spec's [`VideoFidelity`]
-    /// calibration and throughput in source frames per second.
+    /// calibration and throughput in source frames per second. Still specs
+    /// then add their calibrated cascades.
     pub fn enumerate(&self, specs: &[CandidateSpec]) -> Vec<PlanCandidate> {
         let mut out = Vec::with_capacity(specs.len());
         for s in specs {
             let base = self.decode_mode(&s.input);
-            if s.input.is_video() {
-                let g = s.input.gop_len.max(1);
-                let preproc = self.build_preproc(&s.input);
-                let fidelity = s.video.unwrap_or_default();
-                out.push(self.candidate(s, base, s.preproc_throughput, s.accuracy, 1.0));
-                for mode in self.video_decode_modes(&s.input) {
-                    let DecodeMode::Video { selection, deblock } = mode else {
-                        continue;
-                    };
-                    let tput = self.scaled_video_throughput(
-                        s.preproc_throughput,
-                        &preproc,
-                        base,
-                        mode,
-                        &s.input,
-                    );
-                    let acc = fidelity.accuracy_for(s.accuracy, selection, deblock);
-                    let sampling = g as f64 / selection.count(g).max(1) as f64;
-                    out.push(self.candidate(s, mode, tput, acc, sampling));
-                }
-                continue;
-            }
-            out.push(self.candidate(s, base, s.preproc_throughput, s.accuracy, 1.0));
             let preproc = self.build_preproc(&s.input);
-            if let Some(reduced) = self.reduced_decode_mode(&s.input) {
+            out.push(self.candidate(s, base, s.preproc_throughput, s.accuracy, 1.0));
+            let ladder = self.reduced_decode_mode(&s.input).into_iter();
+            for mode in ladder.chain(self.video_decode_modes(&s.input)) {
                 let tput = self.scaled_preproc_throughput(
                     s.preproc_throughput,
                     &preproc,
                     base,
-                    reduced,
+                    mode,
                     &s.input,
                 );
-                let acc = s.reduced_accuracy.unwrap_or(s.accuracy);
-                out.push(self.candidate(s, reduced, tput, acc, 1.0));
+                let acc = match mode {
+                    DecodeMode::Video { selection, deblock } => s
+                        .video
+                        .unwrap_or_default()
+                        .accuracy_for(s.accuracy, selection, deblock),
+                    _ => s.reduced_accuracy.unwrap_or(s.accuracy),
+                };
+                // Device work per source frame: one inference per output.
+                let price = decode_cost(&s.input, mode);
+                let sampling = price.frames as f64 / price.outputs as f64;
+                out.push(self.candidate(s, mode, tput, acc, sampling));
             }
-            if self.config.enable_cascades {
+            if self.config.enable_cascades && !s.input.is_video() {
                 out.extend(
                     s.routing
                         .iter()
@@ -1086,10 +1032,10 @@ mod tests {
             cascade: None,
             video: None,
             routing: Vec::new(),
-            // On-the-fly transcode: every query pays the encode again.
+            // On-the-fly transcode: every query pays the encode again, at
+            // 250 items/s.
             storage: Some(StorageProfile {
-                read_throughput: f64::INFINITY,
-                transcode_amortized_s: 1.0 / 250.0,
+                read_throughput: 250.0,
                 cached_throughput: 0.0,
                 cache_hit_rate: 0.0,
             }),
@@ -1098,7 +1044,6 @@ mod tests {
             input: InputVariant::new("store sjpg(q=95)", Format::sjpg(95), 480, 360),
             storage: Some(StorageProfile {
                 read_throughput: 20_000.0,
-                transcode_amortized_s: 0.0,
                 cached_throughput: 5_000.0,
                 cache_hit_rate: 0.95,
             }),
@@ -1113,13 +1058,12 @@ mod tests {
             chosen.plan.input.name, "store sjpg(q=95)",
             "hot storage must beat re-transcoding"
         );
-        // A cold store (no hits, reads still paid, transcode still owed)
-        // loses to the plain decode path.
+        // A cold store (no hits, reads still paid) loses to the plain
+        // decode path.
         let cold = CandidateSpec {
             input: InputVariant::new("cold sjpg(q=95)", Format::sjpg(95), 480, 360),
             storage: Some(StorageProfile {
                 read_throughput: 1_000.0,
-                transcode_amortized_s: 1.0 / 200.0,
                 cached_throughput: 0.0,
                 cache_hit_rate: 0.0,
             }),

@@ -13,7 +13,7 @@
 //!   the full frame).
 //!
 //! Outside reduced-resolution decoding, plan-time geometry is nominal: ROI
-//! and early-stop decodes emit block-aligned regions, and the items of a
+//! decodes emit block-aligned regions, and the items of a
 //! `Full` / `Video` plan need not all have the variant's declared size. The
 //! executed plan therefore always keeps the resize of those modes. When an
 //! item actually decodes to the output geometry, the runtime's compiled
@@ -27,74 +27,22 @@
 //! and the planner, which costs [`costed_preproc_for_decode`] — the
 //! executed plan minus a resize that is a no-op at the declared geometry
 //! (§5.2; Tahoma assumes a representation stored at the DNN input size
-//! costs nothing to feed) — jointly with [`smol_imgproc::dag::decode_cost`],
-//! so the Pareto frontier compares decode+preprocess totals, not
-//! preprocessing in isolation.
+//! costs nothing to feed) — jointly with [`decode_cost`], the one price of
+//! a decode mode, so the Pareto frontier compares decode+preprocess
+//! totals, not preprocessing in isolation.
 
-use crate::plan::DecodeMode;
-use smol_imgproc::dag::{OpSpec, PlacedOp, PreprocPlan};
+use crate::plan::{DecodeMode, InputVariant};
+use smol_imgproc::dag::{self, OpSpec, PlacedOp, PreprocPlan};
 
 /// IDCT edge (points per axis per 8×8 block) a decode mode implies; the
 /// `idct_edge` argument of [`smol_imgproc::dag::decode_cost`].
-pub fn idct_edge(mode: DecodeMode) -> usize {
+fn idct_edge(mode: DecodeMode) -> usize {
     match mode {
         DecodeMode::Full
         | DecodeMode::CentralRoi { .. }
-        | DecodeMode::EarlyStopRows { .. }
         // Video I-frames and residuals run the full 8-point transform.
         | DecodeMode::Video { .. } => 8,
         DecodeMode::ReducedResolution { factor } => 8 / (factor as usize).clamp(1, 8),
-    }
-}
-
-/// Weighted-op decode cost of a `w × h` source under `mode`, charging only
-/// the region the decoder actually touches:
-///
-/// * `Full` / `ReducedResolution` read the whole frame (the latter at a
-///   reduced IDCT edge);
-/// * `EarlyStopRows` pays nothing past the last needed MCU row;
-/// * `CentralRoi` skips rows outside the crop via the MCU-row index and
-///   stops each row after the crop's last column — blocks left of the
-///   crop are entropy-decoded but skip the IDCT, approximated here by
-///   charging half the left margin at full block cost.
-pub fn decode_cost_for_mode(mode: DecodeMode, w: usize, h: usize) -> f64 {
-    decode_cost_for_mode_subsampled(mode, w, h, false)
-}
-
-/// [`decode_cost_for_mode`] extended with the chroma-storage axis: when
-/// `chroma_subsampled` is true the source stores 4:2:0 chroma, so every
-/// arm charges one chroma block per four luma blocks (see
-/// [`smol_imgproc::dag::decode_cost_subsampled`]). The planner passes
-/// [`smol_codec::Format::is_chroma_subsampled`] here so 4:2:0 variants
-/// are costed on equal footing with the rest of the decode-mode axis.
-pub fn decode_cost_for_mode_subsampled(
-    mode: DecodeMode,
-    w: usize,
-    h: usize,
-    chroma_subsampled: bool,
-) -> f64 {
-    use smol_imgproc::dag::decode_cost_subsampled;
-    let (dec_w, dec_h) = mode.decoded_dims(w, h);
-    match mode {
-        DecodeMode::Full | DecodeMode::ReducedResolution { .. } => {
-            decode_cost_subsampled(w, h, idct_edge(mode), chroma_subsampled)
-        }
-        DecodeMode::EarlyStopRows { .. } => decode_cost_subsampled(w, dec_h, 8, chroma_subsampled),
-        DecodeMode::CentralRoi { .. } => {
-            let cols = (dec_w + (w - dec_w) / 2).min(w);
-            decode_cost_subsampled(cols, dec_h, 8, chroma_subsampled)
-        }
-        // GOP-unaware upper bound: one intra frame plus its filter. Video
-        // plans are costed with [`video_gop_decode_cost`], which amortizes
-        // the I-frame over the whole GOP.
-        DecodeMode::Video { deblock, .. } => {
-            let base = decode_cost_subsampled(w, h, 8, chroma_subsampled);
-            if deblock {
-                base * (1.0 + DEBLOCK_COST_RATIO)
-            } else {
-                base
-            }
-        }
     }
 }
 
@@ -117,31 +65,70 @@ pub const P_FRAME_COST_RATIO: f64 = 0.17;
 /// per frame, 0.089–0.091 of a keyframe (the seed filter read 0.20–0.27).
 pub const DEBLOCK_COST_RATIO: f64 = 0.09;
 
-/// Weighted-op decode cost of **one GOP** of `gop_len` frames at `w × h`
-/// under a video decode plan (§6.4 extended to GOP-structured inputs):
+/// What decoding one item costs the CPU under a decode mode
+/// ([`decode_cost`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecodeCost {
+    /// Weighted ops to decode one item: a still, or a whole GOP.
+    pub ops: f64,
+    /// Source frames the item covers: 1 for a still, the GOP length for
+    /// video.
+    pub frames: usize,
+    /// Frames the item hands to preprocessing and the DNN: 1 for a still,
+    /// the frames a video mode's selection outputs.
+    pub outputs: usize,
+}
+
+/// The planner's one decode price (§6.4): the weighted-op cost of decoding
+/// one item of `input` under `mode`, charging only the work the decoder
+/// actually does, on [`smol_imgproc::dag::decode_cost`]'s scale with the
+/// variant's chroma storage (4:2:0 halves the entropy work every mode
+/// pays):
 ///
-/// * the I-frame always pays a full intra decode;
-/// * P-frames up to the last *selected* frame pay
+/// * `Full` / `ReducedResolution` read the whole frame (the latter at a
+///   reduced IDCT edge);
+/// * `CentralRoi` skips rows outside the crop via the MCU-row index and
+///   stops each row after the crop's last column — blocks left of the
+///   crop are entropy-decoded but skip the IDCT, approximated here by
+///   charging half the left margin at full block cost;
+/// * `Video` prices one GOP of `input.gop_len` frames: the I-frame pays a
+///   full intra decode, P-frames up to the last *selected* frame pay
 ///   [`P_FRAME_COST_RATIO`] each — frames past it are never touched
-///   (keyframe-only decode therefore skips motion compensation entirely);
-/// * the in-loop filter, when enabled, runs on every decoded frame
+///   (keyframe-only decode therefore skips motion compensation entirely)
+///   — and the in-loop filter, when enabled, runs on every decoded frame
 ///   (it feeds the reference chain, so it cannot be skipped selectively).
-pub fn video_gop_decode_cost(
-    selection: crate::plan::FrameSelection,
-    deblock: bool,
-    gop_len: usize,
-    w: usize,
-    h: usize,
-) -> f64 {
-    use smol_imgproc::dag::decode_cost;
-    let g = gop_len.max(1);
-    let intra = decode_cost(w, h, 8);
-    let decoded = (selection.last_decoded(g) + 1).min(g) as f64;
-    let mut cost = intra + (decoded - 1.0) * intra * P_FRAME_COST_RATIO;
-    if deblock {
-        cost += decoded * intra * DEBLOCK_COST_RATIO;
+pub fn decode_cost(input: &InputVariant, mode: DecodeMode) -> DecodeCost {
+    let (w, h) = (input.width, input.height);
+    let subsampled = input.format.is_chroma_subsampled();
+    let still = |ops| DecodeCost {
+        ops,
+        frames: 1,
+        outputs: 1,
+    };
+    match mode {
+        DecodeMode::Full | DecodeMode::ReducedResolution { .. } => {
+            still(dag::decode_cost(w, h, idct_edge(mode), subsampled))
+        }
+        DecodeMode::CentralRoi { .. } => {
+            let (dec_w, dec_h) = mode.decoded_dims(w, h);
+            let cols = (dec_w + (w - dec_w) / 2).min(w);
+            still(dag::decode_cost(cols, dec_h, 8, subsampled))
+        }
+        DecodeMode::Video { selection, deblock } => {
+            let g = input.gop_len.max(1);
+            let intra = dag::decode_cost(w, h, 8, subsampled);
+            let decoded = (selection.last_decoded(g) + 1).min(g) as f64;
+            let mut ops = intra + (decoded - 1.0) * intra * P_FRAME_COST_RATIO;
+            if deblock {
+                ops += decoded * intra * DEBLOCK_COST_RATIO;
+            }
+            DecodeCost {
+                ops,
+                frames: g,
+                outputs: selection.count(g).max(1),
+            }
+        }
     }
-    cost
 }
 
 /// Rewrites a declarative preprocessing pipeline (authored against the
@@ -169,7 +156,7 @@ pub fn rewrite_preproc_for_decode(
         .cloned()
         .collect();
     // The elide applies only to reduced-resolution decoding: its geometry
-    // is exact, whereas ROI/early-stop decodes emit block-aligned regions
+    // is exact, whereas ROI decodes emit block-aligned regions
     // whose dims are only nominal here (see the module docs).
     if matches!(mode, DecodeMode::ReducedResolution { .. }) && (dec_w, dec_h) == (out_w, out_h) {
         // Decode geometry already meets the DNN input: the resize is
@@ -190,8 +177,8 @@ pub fn rewrite_preproc_for_decode(
 /// [`rewrite_preproc_for_decode`] minus a leading `ResizeExact` to the dims a
 /// `Full` / `Video` decode of the declared geometry emits. The runtime's
 /// compiled prefix runs no geometric work for such an item, so the estimate
-/// must not charge for any. ROI and early-stop plans keep theirs: the
-/// block-aligned region is known only on the decoded image.
+/// must not charge for any. ROI plans keep theirs: the block-aligned
+/// region is known only on the decoded image.
 pub fn costed_preproc_for_decode(
     preproc: &PreprocPlan,
     mode: DecodeMode,
@@ -214,6 +201,7 @@ pub fn costed_preproc_for_decode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smol_codec::Format;
     use smol_imgproc::dag::plan_cost;
 
     #[test]
@@ -302,21 +290,17 @@ mod tests {
     }
 
     #[test]
-    fn roi_and_early_stop_get_direct_resize() {
+    fn roi_gets_direct_resize() {
         let plan = PreprocPlan::standard(256, 224, 224);
-        for mode in [
-            DecodeMode::CentralRoi {
-                crop_w: 300,
-                crop_h: 300,
-            },
-            DecodeMode::EarlyStopRows { rows: 280 },
-        ] {
-            let rewritten = rewrite_preproc_for_decode(&plan, mode, 640, 480);
-            assert!(matches!(
-                rewritten.ops[0].spec,
-                OpSpec::ResizeExact { w: 224, h: 224 }
-            ));
-        }
+        let mode = DecodeMode::CentralRoi {
+            crop_w: 300,
+            crop_h: 300,
+        };
+        let rewritten = rewrite_preproc_for_decode(&plan, mode, 640, 480);
+        assert!(matches!(
+            rewritten.ops[0].spec,
+            OpSpec::ResizeExact { w: 224, h: 224 }
+        ));
     }
 
     #[test]
@@ -332,48 +316,47 @@ mod tests {
             .any(|o| matches!(o.spec, OpSpec::Fused(_))));
     }
 
-    #[test]
-    fn decode_cost_honors_skipped_work_per_mode() {
-        let full = decode_cost_for_mode(DecodeMode::Full, 896, 896);
-        let roi = decode_cost_for_mode(
-            DecodeMode::CentralRoi {
-                crop_w: 784,
-                crop_h: 784,
-            },
-            896,
-            896,
-        );
-        let early = decode_cost_for_mode(DecodeMode::EarlyStopRows { rows: 448 }, 896, 896);
-        let reduced = decode_cost_for_mode(DecodeMode::ReducedResolution { factor: 4 }, 896, 896);
-        // ROI and early-stop decodes really skip rows/columns: their cost
-        // must sit strictly below the full-frame decode.
-        assert!(roi < full, "roi {roi} vs full {full}");
-        assert!(early < full / 1.8, "early {early} vs full {full}");
-        // Reduced resolution reads every block (entropy floor) but skips
-        // almost all transform work.
-        assert!(reduced < full / 2.0, "reduced {reduced} vs full {full}");
+    fn still(format: Format) -> InputVariant {
+        InputVariant::new("still", format, 896, 896)
     }
 
     #[test]
-    fn subsampled_flag_cuts_cost_in_every_mode() {
-        let modes = [
-            DecodeMode::Full,
-            DecodeMode::EarlyStopRows { rows: 448 },
+    fn decode_cost_honors_skipped_work_per_mode() {
+        let input = still(Format::sjpg(95));
+        let full = decode_cost(&input, DecodeMode::Full).ops;
+        let roi = decode_cost(
+            &input,
             DecodeMode::CentralRoi {
                 crop_w: 784,
                 crop_h: 784,
             },
-            DecodeMode::Video {
-                selection: crate::plan::FrameSelection::All,
-                deblock: true,
+        )
+        .ops;
+        let reduced = decode_cost(&input, DecodeMode::ReducedResolution { factor: 4 }).ops;
+        // ROI decodes really skip rows/columns: their cost must sit
+        // strictly below the full-frame decode.
+        assert!(roi < full, "roi {roi} vs full {full}");
+        // Reduced resolution reads every block (entropy floor) but skips
+        // almost all transform work.
+        assert!(reduced < full / 2.0, "reduced {reduced} vs full {full}");
+        // A still is one frame and one output in every still mode.
+        let price = decode_cost(&input, DecodeMode::Full);
+        assert_eq!((price.frames, price.outputs), (1, 1));
+    }
+
+    #[test]
+    fn subsampled_storage_cuts_full_and_roi_decode_cost() {
+        let modes = [
+            DecodeMode::Full,
+            DecodeMode::CentralRoi {
+                crop_w: 784,
+                crop_h: 784,
             },
         ];
         for mode in modes {
-            let full = decode_cost_for_mode_subsampled(mode, 896, 896, false);
-            let sub = decode_cost_for_mode_subsampled(mode, 896, 896, true);
+            let full = decode_cost(&still(Format::sjpg(95)), mode).ops;
+            let sub = decode_cost(&still(Format::sjpg420(95)), mode).ops;
             assert!(sub < full, "{mode:?}: sub {sub} vs full {full}");
-            // The legacy entry point is exactly the flag-off variant.
-            assert_eq!(full, decode_cost_for_mode(mode, 896, 896));
         }
     }
 
@@ -391,12 +374,14 @@ mod tests {
     #[test]
     fn gop_cost_orders_the_video_decode_plans() {
         use crate::plan::FrameSelection;
-        let (g, w, h) = (12, 320, 240);
-        let full = video_gop_decode_cost(FrameSelection::All, true, g, w, h);
-        let full_no_filter = video_gop_decode_cost(FrameSelection::All, false, g, w, h);
-        let keys = video_gop_decode_cost(FrameSelection::Keyframes, true, g, w, h);
-        let keys_fast = video_gop_decode_cost(FrameSelection::Keyframes, false, g, w, h);
-        let stride = video_gop_decode_cost(FrameSelection::Stride(4), true, g, w, h);
+        let input = InputVariant::new("v", Format::Svid { quality: 80 }, 320, 240).video(12);
+        let gop =
+            |selection, deblock| decode_cost(&input, DecodeMode::Video { selection, deblock });
+        let full = gop(FrameSelection::All, true).ops;
+        let full_no_filter = gop(FrameSelection::All, false).ops;
+        let keys = gop(FrameSelection::Keyframes, true).ops;
+        let keys_fast = gop(FrameSelection::Keyframes, false).ops;
+        let stride = gop(FrameSelection::Stride(4), true).ops;
         // Skipping the filter is cheaper; skipping P-frames much cheaper.
         assert!(full_no_filter < full);
         assert!(keys < full_no_filter);
@@ -410,12 +395,17 @@ mod tests {
         // Striding still decodes the reference chain up to the last
         // selected frame, so it sits between keyframes-only and full.
         assert!(keys < stride && stride < full);
+        // A GOP covers its twelve frames and outputs what its selection
+        // keeps.
+        let counts = |c: DecodeCost| (c.frames, c.outputs);
+        assert_eq!(counts(gop(FrameSelection::All, true)), (12, 12));
+        assert_eq!(counts(gop(FrameSelection::Keyframes, false)), (12, 1));
+        assert_eq!(counts(gop(FrameSelection::Stride(4), true)), (12, 3));
     }
 
     #[test]
     fn idct_edge_per_mode() {
         assert_eq!(idct_edge(DecodeMode::Full), 8);
-        assert_eq!(idct_edge(DecodeMode::EarlyStopRows { rows: 10 }), 8);
         assert_eq!(idct_edge(DecodeMode::ReducedResolution { factor: 2 }), 4);
         assert_eq!(idct_edge(DecodeMode::ReducedResolution { factor: 8 }), 1);
     }
@@ -428,8 +418,12 @@ mod tests {
             (161, 120)
         );
         assert_eq!(
-            DecodeMode::EarlyStopRows { rows: 100 }.decoded_dims(640, 480),
-            (640, 100)
+            DecodeMode::CentralRoi {
+                crop_w: 300,
+                crop_h: 700
+            }
+            .decoded_dims(640, 480),
+            (300, 480)
         );
     }
 }

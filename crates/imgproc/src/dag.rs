@@ -313,22 +313,17 @@ const COLOR_CONVERT: f64 = 5.0;
 /// pixel writes shrink quadratically — so the planner's Pareto frontier
 /// sees the true joint decode+preprocess cost of a reduced-resolution plan
 /// instead of assuming every candidate pays a full decode.
-pub fn decode_cost(w: usize, h: usize, idct_edge: usize) -> f64 {
-    decode_cost_subsampled(w, h, idct_edge, false)
-}
-
-/// [`decode_cost`] extended with the chroma-storage axis: when
-/// `chroma_subsampled` is true the image stores chroma at half resolution
-/// per axis (4:2:0), so the two chroma components carry one block per
-/// *four* luma blocks — half the total entropy symbols and transform MACs
-/// of 4:4:4 at equal geometry. Pixel writes are unchanged (the output is
-/// still `w × h × 3` RGB at the decoded scale).
-pub fn decode_cost_subsampled(
-    w: usize,
-    h: usize,
-    idct_edge: usize,
-    chroma_subsampled: bool,
-) -> f64 {
+///
+/// When `chroma_subsampled` is true the image stores chroma at half
+/// resolution per axis (4:2:0), so the two chroma components carry one
+/// block per *four* luma blocks — half the total entropy symbols and
+/// transform MACs of 4:4:4 at equal geometry. Pixel writes are unchanged
+/// (the output is still `w × h × 3` RGB at the decoded scale).
+///
+/// This is the still-image formula only; the planner prices a decode
+/// *mode* (ROI, reduced resolution, GOPs) through
+/// `smol_core::rewrite::decode_cost`, which calls it.
+pub fn decode_cost(w: usize, h: usize, idct_edge: usize, chroma_subsampled: bool) -> f64 {
     let n = idct_edge.clamp(1, DCT_BLOCK) as f64;
     let luma_blocks = (w.div_ceil(DCT_BLOCK) * h.div_ceil(DCT_BLOCK)) as f64;
     let chroma_blocks = if chroma_subsampled {
@@ -757,9 +752,9 @@ mod tests {
 
     #[test]
     fn decode_cost_drops_with_idct_edge_but_keeps_entropy_floor() {
-        let full = decode_cost(640, 480, 8);
-        let half = decode_cost(640, 480, 4);
-        let eighth = decode_cost(640, 480, 1);
+        let full = decode_cost(640, 480, 8, false);
+        let half = decode_cost(640, 480, 4, false);
+        let eighth = decode_cost(640, 480, 1, false);
         assert!(half < full / 2.0, "half {half} vs full {full}");
         assert!(eighth < half);
         // The model charges the whole entropy stream at every edge: the
@@ -775,8 +770,8 @@ mod tests {
         // reductions are strictly cheaper — but never below half of 4:4:4
         // (entropy is halved exactly; luma and pixel writes are unchanged).
         for edge in [8usize, 2, 1] {
-            let full = decode_cost_subsampled(640, 480, edge, false);
-            let sub = decode_cost_subsampled(640, 480, edge, true);
+            let full = decode_cost(640, 480, edge, false);
+            let sub = decode_cost(640, 480, edge, true);
             assert!(sub < full, "edge {edge}: sub {sub} vs full {full}");
             assert!(sub > full * 0.5, "edge {edge}: sub {sub} vs full {full}");
         }
@@ -784,20 +779,11 @@ mod tests {
         // their IDCT at the full 8-point edge to land on the 8x8 patch, so
         // the transform surcharge roughly cancels the entropy savings: the
         // model pins near-parity there rather than a win.
-        let full4 = decode_cost_subsampled(640, 480, 4, false);
-        let sub4 = decode_cost_subsampled(640, 480, 4, true);
+        let full4 = decode_cost(640, 480, 4, false);
+        let sub4 = decode_cost(640, 480, 4, true);
         assert!(
             (sub4 - full4).abs() < full4 * 0.05,
             "sub {sub4} vs full {full4}"
-        );
-        // The flag-off variant is exactly the legacy cost.
-        assert_eq!(
-            decode_cost_subsampled(640, 480, 8, false),
-            decode_cost(640, 480, 8)
-        );
-        assert_eq!(
-            decode_cost_subsampled(897, 481, 2, false),
-            decode_cost(897, 481, 2)
         );
     }
 
@@ -812,8 +798,8 @@ mod tests {
             PlacedOp::cpu(OpSpec::Normalize),
             PlacedOp::cpu(OpSpec::ChannelSplit),
         ]);
-        let joint_full = decode_cost(896, 896, 8) + plan_cost(&standard, 896, 896);
-        let joint_reduced = decode_cost(896, 896, 2) + plan_cost(&tail, 224, 224);
+        let joint_full = decode_cost(896, 896, 8, false) + plan_cost(&standard, 896, 896);
+        let joint_reduced = decode_cost(896, 896, 2, false) + plan_cost(&tail, 224, 224);
         assert!(
             joint_reduced < joint_full / 2.0,
             "reduced {joint_reduced} vs full {joint_full}"

@@ -9,8 +9,8 @@
 //!   producer stage decodes and preprocesses on the CPU, the consumer
 //!   stage drives the virtual accelerator (transfer → accelerator-side
 //!   preprocessing kernels → DNN batches). All §6.1 optimizations
-//!   (threading, buffer reuse, pinned staging) are runtime toggles for the
-//!   Figure 7/8 lesion studies.
+//!   (producer count, buffer reuse, pinned staging) are runtime options
+//!   for the Figure 7/8 lesion studies.
 //! * [`media`] — the unit of decode work: a [`MediaItem`] is a still
 //!   image or a video GOP; GOP items fan out into one staged tensor per
 //!   frame the plan's frame selection materializes

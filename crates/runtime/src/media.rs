@@ -105,7 +105,7 @@ impl OutputLayout {
 
 /// The selective-decode parameters a plan's decode mode implies for a GOP
 /// item. Image decode modes on a GOP degrade gracefully to a full-GOP,
-/// full-fidelity decode (the partial *image* decodes — ROI, early-stop,
+/// full-fidelity decode (the partial *image* decodes — ROI and the
 /// scaled IDCT — have no GOP analogue; the video ladder is
 /// [`FrameSelection`] + deblock skipping).
 pub fn video_decode_params(mode: DecodeMode) -> (FrameSelection, DecodeOptions) {

@@ -80,7 +80,8 @@ mod tests {
     #[test]
     fn smol_has_all_optimizations() {
         let o = Personality::Smol.options(4);
-        assert!(o.memory_reuse && o.pinned && o.threading);
+        assert!(o.memory_reuse && o.pinned);
+        assert_eq!(o.effective_producers(), 4);
         assert_eq!(o.extra_cpu_s_per_image, 0.0);
         assert!(!o.extra_copy_per_batch);
     }

@@ -17,8 +17,8 @@
 //!
 //! Every §6.1 optimization is a [`RuntimeOptions`] toggle so the Figure 7/8
 //! lesion and factor studies sweep them in-process:
-//! `threading` (multi-producer), `memory_reuse` (buffer pool),
-//! `pinned` (DMA-fast transfers).
+//! `producers` (1 = the "-threading" lesion), `memory_reuse` (buffer
+//! pool), `pinned` (DMA-fast transfers).
 
 use crate::bufferpool::{BufferPool, PooledBuffer};
 use crate::media::{video_decode_params, MediaItem};
@@ -39,14 +39,12 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeOptions {
     /// Producer (decode/preprocess) threads; "number of producers equal to
-    /// the number of vCPU cores" (§6.1).
+    /// the number of vCPU cores" (§6.1). 1 is the "-threading" lesion.
     pub producers: usize,
     /// Consumer threads per device lane, each a CUDA stream: it enqueues a
     /// batch's copy and kernels in order ([`launch_device_batch`]) and keeps
     /// a second batch enqueued behind the one executing.
     pub consumers: usize,
-    /// Multithreaded producers (lesion: off = 1 producer).
-    pub threading: bool,
     /// Recycle staging buffers (lesion: off = allocate per image).
     pub memory_reuse: bool,
     /// Pinned staging memory for transfers (lesion: off = pageable).
@@ -64,7 +62,6 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             producers: 4,
             consumers: 3,
-            threading: true,
             memory_reuse: true,
             pinned: true,
             extra_cpu_s_per_image: 0.0,
@@ -74,12 +71,9 @@ impl Default for RuntimeOptions {
 }
 
 impl RuntimeOptions {
+    /// Producer threads actually started: `producers`, at least one.
     pub fn effective_producers(&self) -> usize {
-        if self.threading {
-            self.producers.max(1)
-        } else {
-            1
-        }
+        self.producers.max(1)
     }
 }
 
@@ -548,11 +542,6 @@ pub fn decode_item_opts(
             let (img, _) = enc.decode_roi_opts(roi, opts)?;
             Ok(img)
         }
-        DecodeMode::EarlyStopRows { rows } => {
-            let roi = Rect::new(0, 0, enc.width, rows.clamp(1, enc.height));
-            let (img, _) = enc.decode_roi_opts(roi, opts)?;
-            Ok(img)
-        }
         DecodeMode::ReducedResolution { factor } => {
             let (img, _) = enc.decode_scaled_opts(factor as usize, opts)?;
             Ok(img)
@@ -688,7 +677,6 @@ mod tests {
                 crop_w: 96,
                 crop_h: 64,
             },
-            DecodeMode::EarlyStopRows { rows: 40 },
         ];
         for format in [Format::sjpg(85), Format::sjpg420(85), Format::Spng] {
             let enc = EncodedImage::encode(&img, format).unwrap();

@@ -299,7 +299,7 @@ mod tests {
         for opts in [
             all_on,
             RuntimeOptions {
-                threading: false,
+                producers: 1,
                 ..all_on
             },
             RuntimeOptions {

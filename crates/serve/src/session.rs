@@ -253,15 +253,22 @@ pub struct StreamLadder {
     pub variant: String,
 }
 
-/// The serving steps among `rungs` that read the chosen plan's variant. A
-/// query's items are drawn from that variant at submission (and a stream's
-/// runner appends the same variant's GOPs), so a rung reading a *different*
-/// variant would decode the wrong corpus: only same-variant rungs (cheaper
-/// DNN, cheaper decode) are eligible.
-fn same_variant_steps(chosen: &ChosenPlan, rungs: Vec<PlanCandidate>) -> Vec<DegradeStep> {
+/// The rungs that read the chosen plan's variant. A query's items are
+/// drawn from that variant at submission (and a stream's runner appends the
+/// same variant's GOPs), so a rung reading a *different* variant would
+/// decode the wrong corpus: only same-variant rungs (cheaper DNN, cheaper
+/// decode) are eligible.
+fn same_variant(chosen: &ChosenPlan, rungs: Vec<PlanCandidate>) -> Vec<PlanCandidate> {
     rungs
         .into_iter()
         .filter(|c| c.plan.input.name == chosen.candidate.plan.input.name)
+        .collect()
+}
+
+/// The serving steps of `rungs`.
+fn degrade_steps(rungs: Vec<PlanCandidate>) -> Vec<DegradeStep> {
+    rungs
+        .into_iter()
         .map(|c| DegradeStep {
             plan: c.plan,
             accuracy: c.accuracy,
@@ -496,6 +503,22 @@ impl Session {
         self.sim_to_wall
     }
 
+    /// A candidate's estimated throughput on the wall clock. Its
+    /// preprocessing rate was profiled there already; only the device side
+    /// is simulated, so only it is converted ([`Session::sim_to_wall`]).
+    /// A uniform plan's placement estimate has both sides on the wall
+    /// clock (the planner holds the same factor) and describes the split
+    /// plan that actually runs; a cascade's placement describes its full
+    /// rung alone, so a cascade keeps the blended rates.
+    fn wall_throughput(&self, c: &PlanCandidate) -> f64 {
+        match (&c.placement, &c.cascade) {
+            (Some(placement), None) => placement.throughput(),
+            _ => c
+                .preproc_throughput
+                .min(c.exec_throughput * self.sim_to_wall),
+        }
+    }
+
     /// Registers a dataset. Names are unique per session.
     pub fn register(&self, dataset: Dataset) -> Result<(), SessionError> {
         let mut datasets = self.datasets.lock();
@@ -587,7 +610,6 @@ impl Session {
                     };
                     Some(StorageProfile {
                         read_throughput,
-                        transcode_amortized_s: 0.0,
                         cached_throughput,
                         cache_hit_rate: self.server.tensor_cache_stats().hit_rate(),
                     })
@@ -694,7 +716,7 @@ impl Session {
             let faster = query
                 .constraint
                 .degradation_ladder(&chosen.frontier, &chosen.candidate);
-            same_variant_steps(&chosen, faster)
+            same_variant(&chosen, faster)
         } else {
             Vec::new()
         };
@@ -705,11 +727,10 @@ impl Session {
             // outputs (GOPs fan out), keeping the estimate optimistic; a
             // deadline that fails *this* test cannot be met, degraded or
             // not.
-            let best_sim_tput = ladder
+            let wall_rate = ladder
                 .iter()
-                .map(|s| s.est_throughput)
-                .fold(chosen.candidate.est_throughput, f64::max);
-            let wall_rate = best_sim_tput * self.sim_to_wall();
+                .map(|c| self.wall_throughput(c))
+                .fold(self.wall_throughput(&chosen.candidate), f64::max);
             if wall_rate > 0.0 {
                 let estimated_s = items.len() as f64 / wall_rate;
                 if estimated_s > deadline.as_secs_f64() {
@@ -727,7 +748,7 @@ impl Session {
         let opts = SubmitOptions {
             deadline: query.deadline,
             priority: query.priority,
-            ladder,
+            ladder: degrade_steps(ladder),
             accuracy: Some(chosen.candidate.accuracy),
             accuracy_floor: floor.is_finite().then_some(floor),
             // A chosen cascade candidate carries its routing plan into
@@ -756,14 +777,14 @@ impl Session {
         let (chosen, _) = self.resolve(query)?;
         let floor = query.constraint.accuracy_floor(&chosen.frontier);
         let feasible = query.constraint.feasible_rungs(&chosen.frontier);
-        let mut rungs = same_variant_steps(&chosen, feasible);
+        let mut rungs = same_variant(&chosen, feasible);
         if rungs.is_empty() {
             // The chosen plan is always feasible; fall back to it as the
             // only rung (submit-or-drop pacing).
-            rungs = same_variant_steps(&chosen, vec![chosen.candidate.clone()]);
+            rungs = vec![chosen.candidate.clone()];
         }
         Ok(StreamLadder {
-            rungs,
+            rungs: degrade_steps(rungs),
             accuracy_floor: floor.is_finite().then_some(floor),
             variant: chosen.variant.clone(),
         })

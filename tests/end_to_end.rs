@@ -66,7 +66,7 @@ fn run_once_conserves_stills_under_every_lesion_and_personality() {
     let lesions = [
         RuntimeOptions::default(),
         RuntimeOptions {
-            threading: false,
+            producers: 1,
             ..Default::default()
         },
         RuntimeOptions {

@@ -426,6 +426,60 @@ fn deadline_slos_are_checked_and_reported() {
     session.shutdown();
 }
 
+/// The deadline pre-check converts only the device side to the wall clock:
+/// the preprocessing rate was profiled there. On a session whose device
+/// runs 20x faster in wall time than simulated, a preprocessing-bound
+/// query's deadline between `items / (20 · preproc)` and `items / preproc`
+/// cannot be met, and is rejected before admission.
+#[test]
+fn deadline_precheck_keeps_preprocessing_on_the_wall_clock() {
+    use std::time::Duration;
+    let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.05);
+    let session = Session::new(device, SessionConfig::default());
+    assert_eq!(session.sim_to_wall(), 20.0);
+    // Coefficient-dense 384² stills: decode dominates, the DNN is cheap.
+    let images: Vec<ImageU8> = (0..12)
+        .map(|i| {
+            let mut img = ImageU8::zeros(384, 384, 3);
+            for (j, v) in img.data_mut().iter_mut().enumerate() {
+                *v = ((i * 31 + j * 7 + (j * j) % 97) % 256) as u8;
+            }
+            img
+        })
+        .collect();
+    session
+        .register(
+            Dataset::new("dense")
+                .with_model(ModelKind::ResNet18)
+                .with_variant(
+                    InputVariant::new("full", Format::sjpg(95), 384, 384),
+                    encode_all(&images, Format::sjpg(95)),
+                )
+                .with_calibration(Calibration::Table(AccuracyTable::new().with(
+                    ModelKind::ResNet18,
+                    "full",
+                    0.7,
+                ))),
+        )
+        .unwrap();
+    let query = || Query::new("dense").max_accuracy_loss(0.0);
+    let chosen = session.explain(&query()).unwrap().chosen;
+    let preproc = chosen.preproc_throughput;
+    assert!(
+        preproc < chosen.exec_throughput,
+        "preprocessing-bound even in simulated time: {chosen:?}"
+    );
+    let deadline_s = images.len() as f64 / (4.0 * preproc);
+    match session.submit(&query().deadline(Duration::from_secs_f64(deadline_s))) {
+        Err(SessionError::DeadlineInfeasible { estimated_s, .. }) => {
+            assert!(estimated_s > deadline_s, "{estimated_s} vs {deadline_s}");
+        }
+        Err(other) => panic!("expected DeadlineInfeasible, got {other:?}"),
+        Ok(_) => panic!("a {deadline_s:.4} s deadline at {preproc:.0} items/s was admitted"),
+    }
+    session.shutdown();
+}
+
 /// A fleet keys plans distinctly from a single device with the same
 /// primary: the cached plan of one must not be reused for the other
 /// (fleet composition changes the serving capacity the plan feeds).
