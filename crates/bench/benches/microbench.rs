@@ -215,8 +215,9 @@ fn bench_preproc(c: &mut Criterion) {
 
     // The producer stage's CPU prefix: the reference interpreter (one kernel
     // and one intermediate per op) against the compiled single pass, on the
-    // four geometries the serving benchmark exercises. `prefix_recompiled`
-    // compiles per item: what a plan pays when every item's decoded geometry
+    // five geometries the serving benchmark exercises (`80x60_to_224` is the
+    // cascade's stage-1 upscale, whose x map has no run to read as a slice).
+    // `prefix_recompiled` compiles per item: what a plan pays when every item's decoded geometry
     // differs from the last one's (mixed-size sources). `prefix_bytes` is
     // the same plan with its elementwise tail accelerator-placed (§6.3): the
     // CPU stops at the u8 intermediate and stages that.
@@ -228,6 +229,7 @@ fn bench_preproc(c: &mut Criterion) {
         ("224x224_identity", &thumb, 224, 224),
         ("215x161_to_224", &thumb, 215, 161),
         ("128x72_crop_resize_64", &crop_resize, 128, 72),
+        ("80x60_to_224", &thumb, 80, 60),
     ];
     let mut g = c.benchmark_group("preproc_prefix");
     for (name, plan, w, h) in cases {

@@ -170,10 +170,14 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Register-resident bit cursor for the fast entropy path: upcoming
-/// stream bits live left-aligned in a u64 accumulator, so peeking and
-/// consuming are plain shifts with no per-symbol memory access or bounds
-/// check — one 8-byte load refills the accumulator every ~4 symbols.
+/// Bit cursor for the fast entropy path: upcoming stream bits live
+/// left-aligned in a u64 accumulator, so peeking and consuming are plain
+/// shifts with no bounds check, and one 8-byte load refills the
+/// accumulator every ~4 symbols. The cursor is not held in registers
+/// across a block: `sjpg::decode_block_fast` takes its cursors by `&mut`
+/// and lends them to the out-of-line `runlength::read_pair` fallback, so
+/// there a cursor lives in memory, and each symbol loads `avail` and
+/// stores `acc`, `avail` and `pos` back.
 ///
 /// Reads past the end of the stream return zero bits (the accumulator is
 /// zero-padded); `pos` keeps advancing, so the overrun is detected when

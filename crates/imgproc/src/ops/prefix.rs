@@ -15,7 +15,13 @@
 //!   only the fused convert/normalize/split pass runs;
 //! * **resample** — horizontally interpolated source rows are cached and
 //!   reused across output rows; the vertical blend, u8 rounding,
-//!   normalization, and planar write happen in the same loop.
+//!   normalization, and planar write happen in the same loop. The
+//!   horizontal pass walks the x map as segments cut at compile time
+//!   (`SegmentedMap`): a *run*, where both taps advance one source pixel
+//!   per output pixel, reads two contiguous slices of the source row; the
+//!   other pixels (an upscale's repeated taps, clamped edge columns) gather
+//!   their taps one by one. Near-unity resizes (215×161 → 224², the 63-px
+//!   window of 128×72 → 64²) are nearly all runs.
 //!
 //! Both use the f32 operation order of [`resize_bilinear_u8`] followed by
 //! [`fused_convert_normalize_split_into`], so the staged tensor is
@@ -27,9 +33,11 @@
 //! ([`CompiledPrefix::run_into`]). With the tail on the accelerator the CPU
 //! stops at the u8 intermediate and stages *that* — interleaved bytes, a
 //! quarter of the tensor ([`CompiledPrefix::run_into_bytes`]): the identity
-//! path is one `copy_from_slice`, and the resample path interpolates its
-//! cached rows interleaved, so the vertical blend of an output row is one
-//! contiguous pass straight into the slot.
+//! path is one `copy_from_slice`, and the resample path caches its rows
+//! interleaved, so the vertical blend of an output row is one contiguous
+//! pass straight into the slot. The tensor path interpolates into the same
+//! layout and splits each cached row into planes once, so its blend reads
+//! and writes contiguous planes too.
 //!
 //! Both entry points run their pixel loops as [`crate::tier`] kernels, so
 //! on a host with AVX2 the blend, normalization and u8 truncation run 8
@@ -50,7 +58,8 @@ use std::cell::RefCell;
 
 thread_local! {
     /// Two horizontally interpolated source rows (`3 × out_w` each; planar
-    /// when staging tensors, interleaved when staging bytes).
+    /// when staging tensors, interleaved when staging bytes), then one spare
+    /// row the tensor path interpolates into before splitting it into planes.
     /// Grows to the widest output a thread has produced and is then reused,
     /// so steady-state execution allocates nothing.
     static ROW_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -147,29 +156,108 @@ fn unit_map(start: usize, len: usize) -> AxisMap {
     }
 }
 
-/// Horizontally interpolates one interleaved RGB source row into planar
-/// `dst` (`3 × out_w`), in `resize_bilinear_u8`'s operation order.
-#[inline(always)]
-fn hlerp_row(x: &AxisMap, srow: &[u8], dst: &mut [f32]) {
-    let ow = x.lo.len();
-    let (h0, rest) = dst.split_at_mut(ow);
-    let (h1, h2) = rest.split_at_mut(ow);
-    let taps = x.lo.iter().zip(&x.hi).zip(&x.frac);
-    let planes = h0.iter_mut().zip(h1).zip(h2);
-    for (((o0, o1), o2), ((&x0, &x1), &fx)) in planes.zip(taps) {
-        let (p0, p1) = (&srow[x0 as usize * 3..][..3], &srow[x1 as usize * 3..][..3]);
-        *o0 = p0[0] as f32 + (p1[0] as f32 - p0[0] as f32) * fx;
-        *o1 = p0[1] as f32 + (p1[1] as f32 - p0[1] as f32) * fx;
-        *o2 = p0[2] as f32 + (p1[2] as f32 - p0[2] as f32) * fx;
+/// Shortest stretch of output pixels the segment builder makes a
+/// [`Segment::Run`]. An upscale's x map advances both taps by one only where
+/// `lo` steps to the next source pixel, in stretches of one or two pixels,
+/// and walking those as runs costs more than it saves: at 2 the 80 → 224
+/// prefix ran 1.26–1.37× slower than the per-pixel walk; at 8, 180 → 224
+/// (stretches of four or five) lost most of its gain.
+const MIN_RUN: usize = 4;
+
+/// One stretch of a [`SegmentedMap`], in output order.
+#[derive(Debug, Clone, Copy)]
+enum Segment {
+    /// `len` output pixels whose taps both advance one source pixel per
+    /// output pixel: they blend source pixels `lo..lo + len` with
+    /// `hi..hi + len`, two contiguous slices of the source row.
+    Run { lo: usize, hi: usize, len: usize },
+    /// `len` output pixels interpolated one by one from the map's taps.
+    Taps { len: usize },
+}
+
+impl Segment {
+    fn len(self) -> usize {
+        match self {
+            Segment::Run { len, .. } | Segment::Taps { len } => len,
+        }
     }
 }
 
-/// Horizontally interpolates one interleaved RGB source row into
-/// *interleaved* `dst` (`3 × out_w`): the byte-staging twin of [`hlerp_row`],
-/// same arithmetic per element.
+/// The x sample map cut into [`Segment`]s, so the horizontal pass reads
+/// runs as slices and gathers pixel by pixel only where the taps repeat or
+/// jump (upscales, downscales and clamped edge columns).
+#[derive(Debug)]
+struct SegmentedMap {
+    map: AxisMap,
+    segments: Vec<Segment>,
+    /// `map.frac[d]` at every element `3d + c` of an interleaved row: a
+    /// run's fractions are one contiguous slice, like its pixels.
+    fx: Vec<f32>,
+}
+
+impl SegmentedMap {
+    fn new(map: AxisMap) -> Self {
+        let n = map.lo.len();
+        let advances = |d: usize| map.lo[d] == map.lo[d - 1] + 1 && map.hi[d] == map.hi[d - 1] + 1;
+        let mut segments = Vec::new();
+        let (mut d, mut taps) = (0, 0);
+        while d < n {
+            let len = 1 + (d + 1..n).take_while(|&e| advances(e)).count();
+            if len >= MIN_RUN {
+                if taps > 0 {
+                    segments.push(Segment::Taps { len: taps });
+                    taps = 0;
+                }
+                let (lo, hi) = (map.lo[d] as usize, map.hi[d] as usize);
+                segments.push(Segment::Run { lo, hi, len });
+            } else {
+                taps += len;
+            }
+            d += len;
+        }
+        if taps > 0 {
+            segments.push(Segment::Taps { len: taps });
+        }
+        let fx = map.frac.iter().flat_map(|&f| [f; 3]).collect();
+        SegmentedMap { map, segments, fx }
+    }
+
+    /// Horizontally interpolates one interleaved RGB source row into
+    /// interleaved `dst` (`3 × out_w`), in `resize_bilinear_u8`'s operation
+    /// order: every element is `p0 + (p1 − p0)·fx`, whichever segment it is
+    /// in.
+    #[inline(always)]
+    fn hlerp_row(&self, srow: &[u8], dst: &mut [f32]) {
+        let mut d = 0;
+        for &seg in &self.segments {
+            let len = seg.len();
+            let out = &mut dst[3 * d..3 * (d + len)];
+            match seg {
+                Segment::Run { lo, hi, .. } => {
+                    let (p0, p1) = (&srow[3 * lo..][..3 * len], &srow[3 * hi..][..3 * len]);
+                    let fx = &self.fx[3 * d..3 * (d + len)];
+                    for (((o, &a), &b), &f) in out.iter_mut().zip(p0).zip(p1).zip(fx) {
+                        *o = a as f32 + (b as f32 - a as f32) * f;
+                    }
+                }
+                Segment::Taps { .. } => {
+                    let m = &self.map;
+                    let taps = (&m.lo[d..d + len], &m.hi[d..d + len], &m.frac[d..d + len]);
+                    lerp_taps(taps, srow, out);
+                }
+            }
+            d += len;
+        }
+    }
+}
+
+/// The per-pixel arm of [`SegmentedMap::hlerp_row`]: each output pixel
+/// gathers its two taps. A function of its own: written inline in the
+/// walker's `match`, the loop compiled to code that ran the all-taps
+/// 80 → 224 byte-staging prefix ≈ 9 % slower.
 #[inline(always)]
-fn hlerp_row_interleaved(x: &AxisMap, srow: &[u8], dst: &mut [f32]) {
-    let taps = x.lo.iter().zip(&x.hi).zip(&x.frac);
+fn lerp_taps((lo, hi, frac): (&[u32], &[u32], &[f32]), srow: &[u8], dst: &mut [f32]) {
+    let taps = lo.iter().zip(hi).zip(frac);
     for (o, ((&x0, &x1), &fx)) in dst.chunks_exact_mut(3).zip(taps) {
         let (p0, p1) = (&srow[x0 as usize * 3..][..3], &srow[x1 as usize * 3..][..3]);
         o[0] = p0[0] as f32 + (p1[0] as f32 - p0[0] as f32) * fx;
@@ -205,16 +293,18 @@ fn to_u8_range(x: f32) -> u8 {
 }
 
 /// The CPU-placed prefix of a [`PreprocPlan`], compiled for one source
-/// geometry. Immutable after [`CompiledPrefix::compile`], so one instance
-/// is shared by every producer thread of a plan.
+/// geometry: a source window and its sample maps, the x map already cut
+/// into runs and taps. Immutable after [`CompiledPrefix::compile`], so one
+/// instance is shared by every producer thread of a plan.
 #[derive(Debug)]
 pub struct CompiledPrefix {
     src_w: usize,
     src_h: usize,
     out_w: usize,
     out_h: usize,
-    /// The x and y sample maps, in source pixels; `None` on the identity path.
-    maps: Option<(AxisMap, AxisMap)>,
+    /// The x map cut into segments and the y sample map, in source pixels;
+    /// `None` on the identity path.
+    maps: Option<(SegmentedMap, AxisMap)>,
     staging: Staging,
     norm: Normalization,
     accel_ops: f64,
@@ -287,7 +377,8 @@ impl CompiledPrefix {
             Geom::Window(r) if (r.w, r.h) == (src_w, src_h) => None,
             Geom::Window(r) => Some((unit_map(r.x, r.w), unit_map(r.y, r.h))),
             Geom::Sampled { x, y } => Some((x, y)),
-        };
+        }
+        .map(|(x, y)| (SegmentedMap::new(x), y));
         Ok(CompiledPrefix {
             src_w,
             src_h,
@@ -441,14 +532,16 @@ impl CompiledPrefix {
     /// `t + (b − t)·fy + 0.5` is the u8 image the reference resize
     /// materializes (blends of u8 values stay in 0..=255).
     #[inline(always)]
-    fn resample<R: RowWriter>(&self, x: &AxisMap, y: &AxisMap, img: &ImageU8, rows: &mut R) {
+    fn resample<R: RowWriter>(&self, x: &SegmentedMap, y: &AxisMap, img: &ImageU8, rows: &mut R) {
         let row_len = 3 * self.out_w;
         let src = img.data();
         let stride = self.src_w * 3;
         let mut scratch = ROW_SCRATCH.take();
-        if scratch.len() < 2 * row_len {
-            scratch.resize(2 * row_len, 0.0);
+        if scratch.len() < 3 * row_len {
+            scratch.resize(3 * row_len, 0.0);
         }
+        let (cache, spare) = scratch.split_at_mut(2 * row_len);
+        let spare = &mut spare[..row_len];
         // Source row held by each scratch slot.
         let mut held = [usize::MAX; 2];
         for dy in 0..self.out_h {
@@ -462,29 +555,27 @@ impl CompiledPrefix {
                     None => {
                         let s = usize::from(held[0] == keep);
                         let srow = &src[row * stride..(row + 1) * stride];
-                        let dst = &mut scratch[s * row_len..(s + 1) * row_len];
-                        if R::INTERLEAVED {
-                            hlerp_row_interleaved(x, srow, dst);
-                        } else {
-                            hlerp_row(x, srow, dst);
-                        }
+                        let dst = &mut cache[s * row_len..(s + 1) * row_len];
+                        R::cache_row(x, srow, dst, spare);
                         held[s] = row;
                         s
                     }
                 };
             }
-            let top = &scratch[slots[0] * row_len..(slots[0] + 1) * row_len];
-            let bot = &scratch[slots[1] * row_len..(slots[1] + 1) * row_len];
+            let top = &cache[slots[0] * row_len..(slots[0] + 1) * row_len];
+            let bot = &cache[slots[1] * row_len..(slots[1] + 1) * row_len];
             rows.write_row(dy, fy, top, bot);
         }
         ROW_SCRATCH.set(scratch);
     }
 }
 
-/// The vertical blend of the resample path, per staging kind.
+/// The two passes of the resample path, per staging kind.
 trait RowWriter {
-    /// Whether the cached source rows are interleaved (else planar).
-    const INTERLEAVED: bool;
+    /// Horizontally interpolates source row `srow` into the cache slot
+    /// `dst`, in the layout [`RowWriter::write_row`] reads; `spare` is one
+    /// more row of scratch.
+    fn cache_row(x: &SegmentedMap, srow: &[u8], dst: &mut [f32], spare: &mut [f32]);
     /// Blends `top` and `bot` at `fy` into output row `dy`. Implementations
     /// are `#[inline(always)]`, so the blend compiles for the kernel's tier.
     fn write_row(&mut self, dy: usize, fy: f32, top: &[f32], bot: &[f32]);
@@ -500,7 +591,20 @@ struct TensorRows<'a> {
 }
 
 impl RowWriter for TensorRows<'_> {
-    const INTERLEAVED: bool = false;
+    /// Interpolates interleaved into `spare`, then splits that into the
+    /// planar slot: once per source row, so the blend of every output row
+    /// reads and writes each plane contiguously.
+    #[inline(always)]
+    fn cache_row(x: &SegmentedMap, srow: &[u8], dst: &mut [f32], spare: &mut [f32]) {
+        x.hlerp_row(srow, spare);
+        let ow = dst.len() / 3;
+        let (h0, rest) = dst.split_at_mut(ow);
+        let (h1, h2) = rest.split_at_mut(ow);
+        let planes = h0.iter_mut().zip(h1).zip(h2);
+        for (((o0, o1), o2), p) in planes.zip(spare.chunks_exact(3)) {
+            (*o0, *o1, *o2) = (p[0], p[1], p[2]);
+        }
+    }
 
     #[inline(always)]
     fn write_row(&mut self, dy: usize, fy: f32, top: &[f32], bot: &[f32]) {
@@ -526,7 +630,10 @@ struct ByteRows<'a> {
 }
 
 impl RowWriter for ByteRows<'_> {
-    const INTERLEAVED: bool = true;
+    #[inline(always)]
+    fn cache_row(x: &SegmentedMap, srow: &[u8], dst: &mut [f32], _spare: &mut [f32]) {
+        x.hlerp_row(srow, dst);
+    }
 
     #[inline(always)]
     fn write_row(&mut self, dy: usize, fy: f32, top: &[f32], bot: &[f32]) {
@@ -540,7 +647,7 @@ impl RowWriter for ByteRows<'_> {
 /// The resample path as a [`Kernel`].
 struct Resample<'a, R> {
     prefix: &'a CompiledPrefix,
-    x: &'a AxisMap,
+    x: &'a SegmentedMap,
     y: &'a AxisMap,
     img: &'a ImageU8,
     rows: R,
@@ -587,6 +694,72 @@ mod tests {
 
     // Bit identity with the reference interpreter over shapes, placements
     // and geometries is the workspace's `tests/prefix_properties.rs`.
+
+    /// Every output pixel is in exactly one segment, in order; a run holds
+    /// only pixels whose taps both advance by one, and is never shorter than
+    /// [`MIN_RUN`]; a taps segment holds no such stretch of that length.
+    #[test]
+    fn segments_cover_the_map_once_in_order_and_runs_only_advance() {
+        let maps = [
+            ("215->224", axis_map(215, 224), 0.9),
+            ("63->64", axis_map(63, 64), 0.9),
+            ("80->224", axis_map(80, 224), 0.0),
+            ("1->224", axis_map(1, 224), 0.0),
+            ("224->7", axis_map(224, 7), 0.0),
+            ("crop", unit_map(5, 64), 1.0),
+            (
+                "cropped resize",
+                sliced(&shifted(axis_map(100, 90), 3), 10, 70),
+                0.9,
+            ),
+        ];
+        for (name, map, min_run_share) in maps {
+            let (lo, hi) = (map.lo.clone(), map.hi.clone());
+            let advances = |d: usize| lo[d] == lo[d - 1] + 1 && hi[d] == hi[d - 1] + 1;
+            let segmented = SegmentedMap::new(map);
+            let (mut d, mut in_runs) = (0, 0);
+            for &seg in &segmented.segments {
+                let len = seg.len();
+                assert!(len > 0, "{name}: empty segment");
+                match seg {
+                    Segment::Run { lo: l, hi: h, len } => {
+                        assert!(len >= MIN_RUN, "{name}: run of {len} at {d}");
+                        for i in 0..len {
+                            assert_eq!(
+                                (lo[d + i], hi[d + i]),
+                                ((l + i) as u32, (h + i) as u32),
+                                "{name}: pixel {} is not on the run at {d}",
+                                d + i
+                            );
+                        }
+                        in_runs += len;
+                    }
+                    Segment::Taps { len } => {
+                        let mut stretch = 1;
+                        for e in d + 1..d + len {
+                            stretch = if advances(e) { stretch + 1 } else { 1 };
+                            assert!(stretch < MIN_RUN, "{name}: taps at {d} hide a run");
+                        }
+                    }
+                }
+                d += len;
+            }
+            assert_eq!(d, lo.len(), "{name}: segments cover {d} pixels");
+            assert!(
+                !segmented
+                    .segments
+                    .windows(2)
+                    .any(|w| matches!(w, [Segment::Taps { .. }, Segment::Taps { .. }])),
+                "{name}: adjacent taps segments are one segment"
+            );
+            let share = in_runs as f64 / lo.len() as f64;
+            assert!(
+                share >= min_run_share && (min_run_share > 0.0 || share == 0.0),
+                "{name}: {share:.2} of the row in runs"
+            );
+            assert_eq!(segmented.fx.len(), 3 * lo.len());
+        }
+    }
 
     #[test]
     fn wrong_source_or_buffer_geometry_is_a_shape_mismatch() {

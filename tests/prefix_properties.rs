@@ -247,6 +247,39 @@ proptest! {
     }
 }
 
+/// The geometries the serving benchmark and the cascade resample at, which
+/// the drawn cases above (sources ≤ 96 px, targets ≤ 80 px) never build: a
+/// 224-wide x map of long runs with repeated and clamped columns (215 → 224),
+/// a near-unity crop-resize (the 63-px window of 128×72 → 64), the stage-1
+/// upscale whose taps never run (80×60 → 224), a bare crop (one run per
+/// row) and a 1-px-wide source (every column clamped). Each is staged
+/// through the producer under tensor and byte staging.
+#[test]
+fn benchmark_geometries_are_bit_identical_under_both_stagings() {
+    let cases = [
+        (215, 161, Shape::ResizeExact, [224, 224, 224]),
+        (128, 72, Shape::FusedCropResize, [64, 64, 73]),
+        (80, 60, Shape::ResizeExact, [224, 224, 224]),
+        (215, 161, Shape::BareCrop, [128, 96, 0]),
+        (1, 37, Shape::ResizeExact, [224, 224, 224]),
+    ];
+    for (i, (w, h, shape, [tw, th, short])) in cases.into_iter().enumerate() {
+        let img = noise(w, h, 4242 + i as u64);
+        for tail in [Tail::CpuUnfused, Tail::CpuFused, Tail::Accel] {
+            let preproc = with_tail(geometric(shape, tw, th, short), tail);
+            let ctx = PlanContext::new(&plan_over(preproc, w, h));
+            let pool = BufferPool::new(1, ctx.buf_len, true, false);
+            let staged = stage(&ctx, &pool, tail, &img).unwrap();
+            assert_eq!(
+                bits(&staged),
+                bits(&reference(&ctx.preproc, tail, &img)),
+                "{w}x{h} {shape:?} {tw}x{th} under {tail:?}"
+            );
+            assert!(!ctx.compiled_prefix().unwrap().is_identity());
+        }
+    }
+}
+
 /// Two resamples round to u8 twice and cannot collapse into one pass: the
 /// compiler says so instead of approximating.
 #[test]
