@@ -53,9 +53,9 @@ pub fn g4dn_family() -> Vec<InstanceType> {
 }
 
 /// CPU power per vCPU core (§7: 210 W Xeon 8259CL / 48 vCPUs ≈ 4.375 W).
-pub const WATTS_PER_VCPU: f64 = 4.375;
+const WATTS_PER_VCPU: f64 = 4.375;
 /// T4 board power (§7).
-pub const T4_WATTS: f64 = 70.0;
+const T4_WATTS: f64 = 70.0;
 
 /// Result of the linear price fit `price = gpu_price + vcpus · core_price`.
 #[derive(Debug, Clone, Copy, PartialEq)]

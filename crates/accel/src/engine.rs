@@ -22,8 +22,8 @@
 use crate::device::{DeviceSpec, GpuModel};
 use crate::envs::ExecutionEnv;
 use crate::models::{throughput_scaled, ModelKind};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use crate::sync::lock;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which engine a reservation occupies.
@@ -151,7 +151,7 @@ impl VirtualDevice {
     /// stream). Returns when the slot ends.
     fn reserve(&self, engine: Engine, dur_s: f64, after: Instant) -> Instant {
         let scaled_s = dur_s * self.time_scale;
-        let mut tl = self.state.lock();
+        let mut tl = lock(&self.state);
         let line = match engine {
             Engine::Compute => &mut tl.compute,
             Engine::Copy => &mut tl.copy,
@@ -234,12 +234,12 @@ impl VirtualDevice {
     /// for occupancy reporting; simulated and real time agree when
     /// `time_scale == 1`).
     pub fn uptime_s(&self) -> f64 {
-        self.state.lock().origin.elapsed().as_secs_f64()
+        lock(&self.state).origin.elapsed().as_secs_f64()
     }
 
     /// Utilization snapshot (simulated seconds).
     pub fn stats(&self) -> DeviceStats {
-        let tl = self.state.lock();
+        let tl = lock(&self.state);
         DeviceStats {
             compute_busy_s: tl.compute.busy_s,
             copy_busy_s: tl.copy.busy_s,

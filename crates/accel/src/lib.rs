@@ -14,7 +14,9 @@
 //!   engines with stream-ordered reservation timelines (launch now, wait
 //!   later), so pipelining and contention are *measured*, not asserted;
 //! * [`economics`] — §7 price/power arithmetic (core-price fit, cost
-//!   breakdowns, ¢ per million images).
+//!   breakdowns, ¢ per million images);
+//! * [`sync`] — poison-ignoring `std::sync` locking for every crate that
+//!   locks.
 #![deny(unsafe_code)]
 
 pub mod device;
@@ -22,6 +24,7 @@ pub mod economics;
 pub mod engine;
 pub mod envs;
 pub mod models;
+pub mod sync;
 
 pub use device::{DeviceSpec, GpuModel};
 pub use engine::{DeviceStats, VirtualDevice};

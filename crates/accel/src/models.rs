@@ -119,24 +119,6 @@ impl ModelKind {
             },
         }
     }
-
-    /// Input tensor size in bytes (f32 CHW at the model's input size).
-    pub fn input_bytes(&self) -> usize {
-        let s = self.spec().input_size;
-        s * s * 3 * std::mem::size_of::<f32>()
-    }
-
-    /// Standard ResNet ladder considered by Smol's expanded search space
-    /// (§5.1: "ResNet configurations (18 to 152)").
-    pub fn resnet_ladder() -> [ModelKind; 5] {
-        [
-            ModelKind::ResNet18,
-            ModelKind::ResNet34,
-            ModelKind::ResNet50,
-            ModelKind::ResNet101,
-            ModelKind::ResNet152,
-        ]
-    }
 }
 
 /// Batch-efficiency curve: small batches under-utilize the device. The
@@ -170,6 +152,16 @@ pub fn throughput(model: ModelKind, device: GpuModel, env: ExecutionEnv, batch: 
 mod tests {
     use super::*;
 
+    /// The ResNet ladder of Smol's expanded search space (§5.1: "ResNet
+    /// configurations (18 to 152)").
+    const RESNET_LADDER: [ModelKind; 5] = [
+        ModelKind::ResNet18,
+        ModelKind::ResNet34,
+        ModelKind::ResNet50,
+        ModelKind::ResNet101,
+        ModelKind::ResNet152,
+    ];
+
     #[test]
     fn t4_tensorrt_anchors_match_tables() {
         // Table 2 values at the measured batch size.
@@ -188,9 +180,8 @@ mod tests {
 
     #[test]
     fn accuracy_ladder_monotone() {
-        let ladder = ModelKind::resnet_ladder();
         let mut prev = 0.0;
-        for kind in ladder {
+        for kind in RESNET_LADDER {
             let acc = kind.spec().paper_top1_accuracy.unwrap();
             assert!(acc > prev);
             prev = acc;
@@ -199,9 +190,8 @@ mod tests {
 
     #[test]
     fn deeper_models_slower() {
-        let ladder = ModelKind::resnet_ladder();
         let mut prev = f64::INFINITY;
-        for kind in ladder {
+        for kind in RESNET_LADDER {
             let t = kind.spec().t4_tensorrt_throughput;
             assert!(t < prev);
             prev = t;
@@ -236,10 +226,5 @@ mod tests {
     fn mask_rcnn_is_fps_scale() {
         let t = throughput(ModelKind::MaskRcnn, GpuModel::T4, ExecutionEnv::TensorRt, 1);
         assert!(t > 0.5 && t < 6.0, "t={t}");
-    }
-
-    #[test]
-    fn input_bytes_for_resnet() {
-        assert_eq!(ModelKind::ResNet50.input_bytes(), 224 * 224 * 3 * 4);
     }
 }

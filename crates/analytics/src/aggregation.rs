@@ -194,7 +194,6 @@ pub fn naive_mean(truth: &[u32], cfg: &AggregationConfig) -> AggregationOutcome 
 /// (BlazeIt trains its "tiny ResNet" the same way).
 pub struct SpecializedCounter {
     clf: SmolClassifier,
-    max_count: usize,
 }
 
 impl SpecializedCounter {
@@ -222,7 +221,7 @@ impl SpecializedCounter {
         };
         cfg.backbone_seed = seed ^ 0xC0DE;
         let clf = SmolClassifier::train(&cfg, frames, &labels, max_count + 2);
-        SpecializedCounter { clf, max_count }
+        SpecializedCounter { clf }
     }
 
     /// Predicted count for a frame: the expected value under the class
@@ -236,29 +235,6 @@ impl SpecializedCounter {
             .enumerate()
             .map(|(k, &p)| k as f64 * p as f64)
             .sum()
-    }
-
-    pub fn max_count(&self) -> usize {
-        self.max_count
-    }
-}
-
-/// Wall-clock cost composition of an aggregation query (Figure 9's y-axis):
-/// one specialized scan over the whole video plus target-model invocations
-/// on the sampled frames.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryCost {
-    /// Seconds for the pipelined specialized pass over all frames.
-    pub spec_pass_s: f64,
-    /// Target invocations (from the sampling outcome).
-    pub target_invocations: usize,
-    /// Target model throughput (Mask R-CNN ≈ 4 fps).
-    pub target_throughput: f64,
-}
-
-impl QueryCost {
-    pub fn total_s(&self) -> f64 {
-        self.spec_pass_s + self.target_invocations as f64 / self.target_throughput
     }
 }
 
@@ -368,16 +344,6 @@ mod tests {
             },
         );
         assert!(tight.samples > loose.samples * 2);
-    }
-
-    #[test]
-    fn query_cost_composition() {
-        let cost = QueryCost {
-            spec_pass_s: 100.0,
-            target_invocations: 400,
-            target_throughput: 4.0,
-        };
-        assert!((cost.total_s() - 200.0).abs() < 1e-9);
     }
 
     #[test]

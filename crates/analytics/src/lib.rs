@@ -23,7 +23,7 @@ pub mod windows;
 
 pub use aggregation::{
     control_variate_mean, correlation, naive_mean, AggregationConfig, AggregationOutcome,
-    QueryCost, SpecializedCounter,
+    SpecializedCounter,
 };
 pub use cascade::{tahoma_variants, Cascade, CascadeEval, CascadeVariant};
 pub use windows::{WindowAggregate, WindowRollup};

@@ -60,13 +60,8 @@ impl WindowRollup {
         }
     }
 
-    /// Frames per window.
-    pub fn window_len(&self) -> usize {
-        self.frames_per_window
-    }
-
     /// The window index a frame position falls into.
-    pub fn window_of(&self, frame_pos: usize) -> usize {
+    fn window_of(&self, frame_pos: usize) -> usize {
         frame_pos / self.frames_per_window
     }
 
@@ -213,7 +208,6 @@ mod tests {
         // A zero-fps stream config would otherwise divide by zero in
         // `window_of`; the constructor clamps to one-frame windows.
         let mut r = WindowRollup::new(0);
-        assert_eq!(r.window_len(), 1);
         assert_eq!(r.window_of(7), 7);
         r.push(0, 3.0);
         r.push(1, 5.0);

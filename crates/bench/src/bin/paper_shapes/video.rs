@@ -16,7 +16,7 @@
 //! invocations use the required-sample formula with variances measured on
 //! the clip (`docs/PAPER_SHAPES.md`).
 
-use parking_lot::Mutex;
+use smol_accel::sync::lock;
 use smol_accel::{throughput as accel_throughput, ExecutionEnv, GpuModel, ModelKind};
 use smol_analytics::{correlation, SpecializedCounter};
 use smol_bench::{measure, quick_mode, timed, Gate, Table, VCPUS};
@@ -24,6 +24,7 @@ use smol_data::{generate_video, video_catalog};
 use smol_imgproc::ImageU8;
 use smol_nn::Tier;
 use smol_video::{DecodeOptions, EncodedVideo, VideoEncoder};
+use std::sync::{Mutex, PoisonError};
 
 const NOMINAL_FRAMES: f64 = 54_000.0; // 30 min at 30 fps
 const TARGET_FPS: f64 = 4.0; // Mask R-CNN (§1: 3–5 fps)
@@ -51,10 +52,10 @@ fn predictions(video: &EncodedVideo, counter: &SpecializedCounter) -> Vec<f64> {
     video
         .decode_parallel(VCPUS, DecodeOptions::default(), |idx, frame| {
             let p = counter.predict(frame);
-            preds.lock()[idx] = p;
+            lock(&preds)[idx] = p;
         })
         .expect("decode");
-    preds.into_inner()
+    preds.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Control-variate adjusted standard deviation σ_y · sqrt(1 − ρ²), and ρ.

@@ -67,7 +67,7 @@ impl VariantKind {
     }
 
     /// The accuracy-track input format this throughput variant maps to.
-    pub fn accuracy_format(&self, thumb_short: usize) -> InputFormat {
+    fn accuracy_format(&self, thumb_short: usize) -> InputFormat {
         match self {
             VariantKind::FullRes => InputFormat::FullRes,
             VariantKind::ThumbPng => InputFormat::Thumbnail {

@@ -30,4 +30,4 @@ pub use context::{
 };
 pub use gate::Gate;
 pub use measure::{measure, timed, Paired, REPS};
-pub use report::{fmt_pct, fmt_ratio, fmt_tput, results_dir, Table};
+pub use report::{fmt_pct, fmt_ratio, fmt_tput, Table};

@@ -83,7 +83,7 @@ impl Table {
 }
 
 /// Results directory (workspace `results/`, overridable via SMOL_RESULTS).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     std::env::var_os("SMOL_RESULTS")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))

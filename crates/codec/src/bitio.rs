@@ -81,7 +81,7 @@ impl<'a> BitReader<'a> {
 
     /// Moves the cursor to an absolute bit position (used to seek to MCU-row
     /// restart points for partial decoding).
-    pub fn seek_bits(&mut self, pos: u64) -> Result<()> {
+    fn seek_bits(&mut self, pos: u64) -> Result<()> {
         if pos > self.len_bits() {
             return Err(Error::Truncated {
                 context: "BitReader::seek_bits",
@@ -181,7 +181,7 @@ impl<'a> BitReader<'a> {
 ///
 /// Reads past the end of the stream return zero bits (the accumulator is
 /// zero-padded); `pos` keeps advancing, so the overrun is detected when
-/// the caller syncs back with [`BitReader::seek_bits`], which errors on
+/// the caller syncs back with `BitReader::seek_bits`, which errors on
 /// an out-of-range position. Callers therefore get the same `Err` on
 /// truncated input as the checked reader, at block rather than symbol
 /// granularity.

@@ -11,7 +11,7 @@ use crate::bitio::{BitReader, BitWriter};
 use crate::error::{Error, Result};
 
 /// Maximum code length supported by the (de)serializer.
-pub const MAX_CODE_LEN: u8 = 16;
+const MAX_CODE_LEN: u8 = 16;
 
 /// Window width of the fast decoder's prefix lookup table: one peek of
 /// this many bits resolves any code of length ≤ `LUT_BITS` in a single
@@ -140,15 +140,6 @@ impl HuffmanTable {
             first_index,
             lut,
         })
-    }
-
-    pub fn alphabet_size(&self) -> usize {
-        self.lengths.len()
-    }
-
-    /// Code length for a symbol (0 if the symbol has no code).
-    pub fn length_of(&self, sym: u16) -> u8 {
-        self.lengths[sym as usize]
     }
 
     /// Encodes one symbol.
@@ -449,7 +440,7 @@ mod tests {
     fn single_symbol_gets_one_bit_code() {
         let freqs = [0u64, 42, 0];
         let table = HuffmanTable::from_frequencies(&freqs, 16).unwrap();
-        assert_eq!(table.length_of(1), 1);
+        assert_eq!(table.lengths[1], 1);
         let mut w = BitWriter::new();
         table.encode(&mut w, 1).unwrap();
         let bytes = w.finish();
@@ -462,7 +453,7 @@ mod tests {
         let freqs = [1_000_000u64, 1, 1, 1, 1, 1, 1, 1];
         let table = HuffmanTable::from_frequencies(&freqs, 16).unwrap();
         for s in 1..8u16 {
-            assert!(table.length_of(0) <= table.length_of(s));
+            assert!(table.lengths[0] <= table.lengths[s as usize]);
         }
     }
 
@@ -479,7 +470,7 @@ mod tests {
         }
         let table = HuffmanTable::from_frequencies(&freqs, 11).unwrap();
         for s in 0..40u16 {
-            assert!(table.length_of(s) <= 11, "symbol {s} too long");
+            assert!(table.lengths[s as usize] <= 11, "symbol {s} too long");
         }
         // Must still round-trip.
         let stream: Vec<u16> = (0..40u16).chain((0..40u16).rev()).collect();
@@ -532,7 +523,7 @@ mod tests {
         }
         let table = HuffmanTable::from_frequencies(&freqs, MAX_CODE_LEN).unwrap();
         assert!(
-            (0..40u16).any(|s| table.length_of(s) as u32 > super::LUT_BITS),
+            (0..40u16).any(|s| table.lengths[s as usize] as u32 > super::LUT_BITS),
             "test needs codes longer than the LUT window"
         );
         let stream: Vec<u16> = (0..40u16).chain((0..40u16).rev()).collect();

@@ -12,7 +12,7 @@
 //! per-decode `f32` steps ([`dequant_steps`]) per lane, eight lanes per
 //! block row, over only the rows of the `n × n` corner an `n`-point
 //! reconstruction reads that the block's coded prefix reaches
-//! ([`prefix_rows`]). Both produce the same value at every position the
+//! (`prefix_rows`). Both produce the same value at every position the
 //! transforms read.
 
 use crate::dct::BLOCK;
@@ -110,7 +110,7 @@ pub fn dequantize_zigzag(coefs: &[i16; 64], table: &[u16; 64], out: &mut [f32; B
 /// largest raster row among `ZIGZAG[..k]` (0 for `k == 0`). A block whose
 /// coded prefix is `k` is zero in every row from here on.
 #[inline(always)]
-pub const fn prefix_rows(k: usize) -> usize {
+const fn prefix_rows(k: usize) -> usize {
     PREFIX_ROWS[if k < 64 { k } else { 64 }] as usize
 }
 
@@ -155,7 +155,7 @@ pub fn dequant_steps(table: &[u16; 64]) -> [f32; BLOCK * BLOCK] {
 ///
 /// `coefs` is in raster order — the entropy decoders write each coefficient
 /// at `ZIGZAG[k]` into a zeroed block — and `coded` is its coded zig-zag
-/// prefix, so every row from [`prefix_rows`]`(coded)` on is zero. The work is
+/// prefix, so every row from `prefix_rows(coded)` on is zero. The work is
 /// chosen from those two inputs: rows `0..min(n, prefix_rows(coded))` are
 /// written (row 0 always), which is one 8-lane multiply for a DC-only block
 /// and eight for a dense one. Rows past that are left as they were; the

@@ -79,8 +79,8 @@ use crate::runlength::{
     amplitude_bits, build_pair_lut, decode_amplitude, encode_run, magnitude_category,
     pair_window_bits, read_pair, tally_run, Alphabet, RunTable, EOB, PAIR_BITS, ZRL,
 };
+use crate::Bytes;
 use crate::Chroma;
-use bytes::Bytes;
 use smol_imgproc::ops::colorspace::{rgb_pixel_to_ycbcr, ycbcr_pixel_to_rgb, ycbcr_row_to_rgb};
 use smol_imgproc::tier::{Kernel, Tier};
 use smol_imgproc::{ImageU8, Rect};
@@ -739,7 +739,7 @@ pub fn decode_rows(data: &[u8], n_rows: usize) -> Result<(ImageU8, DecodeStats)>
 /// Output dimensions of a reduced-resolution decode of a `w × h` image at
 /// `factor` (each 8×8 block reconstructs to an `8/factor`-edge patch; edge
 /// blocks are clipped to the scaled image bounds).
-pub fn reduced_dims(w: usize, h: usize, factor: usize) -> (usize, usize) {
+fn reduced_dims(w: usize, h: usize, factor: usize) -> (usize, usize) {
     (w.div_ceil(factor), h.div_ceil(factor))
 }
 

@@ -69,8 +69,8 @@
 use crate::bitio::{BitReader, BitWriter, FastCursor};
 use crate::error::{Error, Result};
 use crate::huffman::HuffmanTable;
+use crate::Bytes;
 use crate::DecodeOptions;
-use bytes::Bytes;
 use smol_imgproc::ImageU8;
 
 const MAGIC: u32 = 0x5350_4E47; // "SPNG"

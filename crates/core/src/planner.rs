@@ -104,7 +104,7 @@ impl VideoFidelity {
     /// Resolves the accuracy of a video candidate decoded under
     /// `selection` / `deblock`, starting from the full-fidelity
     /// `accuracy`.
-    pub fn accuracy_for(&self, accuracy: f64, selection: FrameSelection, deblock: bool) -> f64 {
+    fn accuracy_for(&self, accuracy: f64, selection: FrameSelection, deblock: bool) -> f64 {
         let mut acc = accuracy;
         if !matches!(selection, FrameSelection::All) {
             // Stride sampling is bounded by the keyframe calibration: it

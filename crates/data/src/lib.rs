@@ -42,7 +42,7 @@ pub use catalog::{
 pub use fixtures::{fingerprint, textured};
 pub use gops::{gop_corpus, GopCorpus};
 pub use registry::{encode_variant, serving_variants, EncodedVariant};
-pub use stills::{generate_stills, render_instance, throughput_images, StillDataset};
+pub use stills::{generate_stills, throughput_images, StillDataset};
 pub use store::{MaterializeReport, VariantStore};
 pub use stream::{timed_stream, StreamFeed};
-pub use video::{count_autocorrelation, generate_video, SyntheticVideo};
+pub use video::{generate_video, SyntheticVideo};

@@ -88,7 +88,7 @@ fn class_params(spec: &StillSpec, class: usize) -> ClassParams {
 /// Renders one instance of `class` at `w × h`. `scale` stretches pattern
 /// periods (1.0 for accuracy-track 48-px images; larger for
 /// throughput-track images so they remain visually plausible).
-pub fn render_instance(
+fn render_instance(
     spec: &StillSpec,
     class: usize,
     w: usize,

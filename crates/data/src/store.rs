@@ -71,7 +71,7 @@ impl VariantStore {
     }
 
     /// Path of the content-addressed object for `fingerprint`.
-    pub fn object_path(&self, fingerprint: u64) -> PathBuf {
+    fn object_path(&self, fingerprint: u64) -> PathBuf {
         self.root
             .join("objects")
             .join(format!("{fingerprint:016x}.bin"))

@@ -58,21 +58,6 @@ impl StreamFeed {
     pub fn is_empty(&self) -> bool {
         self.corpus.gops.is_empty()
     }
-
-    /// Stream-time seconds one GOP spans (`gop_len / fps`).
-    pub fn gop_duration_s(&self) -> f64 {
-        let fps = if self.corpus.fps > 0.0 {
-            self.corpus.fps
-        } else {
-            30.0
-        };
-        self.corpus.gop_len.max(1) as f64 / fps
-    }
-
-    /// Wall-clock duration of the whole feed (last arrival).
-    pub fn wall_duration(&self) -> Duration {
-        self.arrivals.last().copied().unwrap_or(Duration::ZERO)
-    }
 }
 
 /// Generates a timed stream for a catalog scene: a [`gop_corpus`] of
@@ -107,8 +92,6 @@ mod tests {
                 "GOP {i} must arrive once its last frame is captured"
             );
         }
-        assert!((feed.gop_duration_s() - per_gop).abs() < 1e-12);
-        assert_eq!(feed.wall_duration(), *feed.arrivals.last().unwrap());
     }
 
     #[test]

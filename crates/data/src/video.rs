@@ -177,34 +177,34 @@ pub fn generate_video(spec: &VideoSpec, seed: u64, n_frames: usize) -> Synthetic
     }
 }
 
-/// Lag-1 autocorrelation of the count series (sanity metric: must be high
-/// for control variates to help).
-pub fn count_autocorrelation(counts: &[u32]) -> f64 {
-    if counts.len() < 3 {
-        return 0.0;
-    }
-    let n = counts.len();
-    let mean = counts.iter().map(|&c| c as f64).sum::<f64>() / n as f64;
-    let var: f64 = counts
-        .iter()
-        .map(|&c| (c as f64 - mean).powi(2))
-        .sum::<f64>()
-        / n as f64;
-    if var < 1e-12 {
-        return 0.0;
-    }
-    let cov: f64 = counts
-        .windows(2)
-        .map(|w| (w[0] as f64 - mean) * (w[1] as f64 - mean))
-        .sum::<f64>()
-        / (n - 1) as f64;
-    cov / var
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::video_catalog;
+
+    /// Lag-1 autocorrelation of the count series (sanity metric: must be high
+    /// for control variates to help).
+    fn count_autocorrelation(counts: &[u32]) -> f64 {
+        if counts.len() < 3 {
+            return 0.0;
+        }
+        let n = counts.len();
+        let mean = counts.iter().map(|&c| c as f64).sum::<f64>() / n as f64;
+        let var: f64 = counts
+            .iter()
+            .map(|&c| (c as f64 - mean).powi(2))
+            .sum::<f64>()
+            / n as f64;
+        if var < 1e-12 {
+            return 0.0;
+        }
+        let cov: f64 = counts
+            .windows(2)
+            .map(|w| (w[0] as f64 - mean) * (w[1] as f64 - mean))
+            .sum::<f64>()
+            / (n - 1) as f64;
+        cov / var
+    }
 
     #[test]
     fn counts_track_rendered_objects() {

@@ -47,11 +47,6 @@ impl Rect {
         }
     }
 
-    /// Number of pixels covered by the region.
-    pub const fn area(&self) -> usize {
-        self.w * self.h
-    }
-
     /// Right edge (exclusive).
     pub const fn x_end(&self) -> usize {
         self.x + self.w

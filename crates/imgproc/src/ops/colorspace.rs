@@ -4,9 +4,6 @@
 //! scalar path: coefficients are scaled by 2^16 and rounded, which keeps the
 //! conversion exactly reversible to within ±1 code value.
 
-use crate::error::{Error, Result};
-use crate::image::ImageU8;
-
 const FIX: i32 = 16;
 const HALF: i32 = 1 << (FIX - 1);
 
@@ -107,46 +104,6 @@ pub fn ycbcr_row_to_rgb(y: &[u8], cb: &[u8], cr: &[u8], rgb: &mut [u8]) {
     }
 }
 
-/// Converts a 3-channel RGB image to YCbCr in place-shape (new image).
-pub fn rgb_to_ycbcr(img: &ImageU8) -> Result<ImageU8> {
-    if img.channels() != 3 {
-        return Err(Error::UnsupportedChannels {
-            channels: img.channels(),
-            op: "rgb_to_ycbcr",
-        });
-    }
-    let mut out = ImageU8::zeros(img.width(), img.height(), 3);
-    let src = img.data();
-    let dst = out.data_mut();
-    for (s, d) in src.chunks_exact(3).zip(dst.chunks_exact_mut(3)) {
-        let (y, cb, cr) = rgb_pixel_to_ycbcr(s[0], s[1], s[2]);
-        d[0] = y;
-        d[1] = cb;
-        d[2] = cr;
-    }
-    Ok(out)
-}
-
-/// Converts a 3-channel YCbCr image to RGB.
-pub fn ycbcr_to_rgb(img: &ImageU8) -> Result<ImageU8> {
-    if img.channels() != 3 {
-        return Err(Error::UnsupportedChannels {
-            channels: img.channels(),
-            op: "ycbcr_to_rgb",
-        });
-    }
-    let mut out = ImageU8::zeros(img.width(), img.height(), 3);
-    let src = img.data();
-    let dst = out.data_mut();
-    for (s, d) in src.chunks_exact(3).zip(dst.chunks_exact_mut(3)) {
-        let (r, g, b) = ycbcr_pixel_to_rgb(s[0], s[1], s[2]);
-        d[0] = r;
-        d[1] = g;
-        d[2] = b;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,19 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn image_conversion_matches_pixel_kernel() {
-        let mut img = ImageU8::zeros(4, 2, 3);
-        for (i, v) in img.data_mut().iter_mut().enumerate() {
-            *v = (i * 37 % 256) as u8;
-        }
-        let ycc = rgb_to_ycbcr(&img).unwrap();
-        let (ey, ecb, ecr) = rgb_pixel_to_ycbcr(img.at(1, 1, 0), img.at(1, 1, 1), img.at(1, 1, 2));
-        assert_eq!(ycc.at(1, 1, 0), ey);
-        assert_eq!(ycc.at(1, 1, 1), ecb);
-        assert_eq!(ycc.at(1, 1, 2), ecr);
-    }
-
-    #[test]
     fn row_kernel_is_bit_identical_to_pixel_kernel() {
         let n = 67; // deliberately not a multiple of any SIMD width
         let mut y = vec![0u8; n];
@@ -209,12 +153,5 @@ mod tests {
             let (r, g, b) = ycbcr_pixel_to_rgb(y[i], cb[i], cr[i]);
             assert_eq!(&rgb[3 * i..3 * i + 3], &[r, g, b], "i={i}");
         }
-    }
-
-    #[test]
-    fn rejects_non_rgb() {
-        let img = ImageU8::zeros(4, 4, 1);
-        assert!(rgb_to_ycbcr(&img).is_err());
-        assert!(ycbcr_to_rgb(&img).is_err());
     }
 }

@@ -13,7 +13,6 @@ pub mod normalize;
 pub mod prefix;
 pub mod resize;
 
-pub use colorspace::{rgb_to_ycbcr, ycbcr_to_rgb};
 pub use crop::{center_crop_u8, crop_u8};
 pub use fused::fused_convert_normalize_split;
 pub use layout::{hwc_to_chw, to_f32};

@@ -31,7 +31,7 @@ impl Tier {
     }
 
     /// Number of random-conv filters in the backbone.
-    pub fn backbone_filters(&self) -> usize {
+    fn backbone_filters(&self) -> usize {
         match self {
             Tier::T18 => 24,
             Tier::T34 => 48,
@@ -40,7 +40,7 @@ impl Tier {
     }
 
     /// Hidden-layer width (0 = linear head).
-    pub fn hidden_width(&self) -> usize {
+    fn hidden_width(&self) -> usize {
         match self {
             Tier::T18 => 0,
             Tier::T34 => 64,

@@ -36,10 +36,10 @@
 //! A recycled slot keeps its previous contents; every producer overwrites
 //! exactly the elements the consumer reads.
 
-use parking_lot::{Condvar, Mutex};
+use smol_accel::sync::{lock, wait};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Checkout counters: of one pool ([`BufferPool::stats`]) or summed over an
 /// arena ([`StagingStats`]).
@@ -217,7 +217,7 @@ impl StagingArena {
     /// `reuse` off every acquire allocates and drops are discarded (the
     /// "- mem reuse" lesion of Figure 7); only the counters are shared.
     pub fn pool(&self, capacity: usize, buf_len: usize, reuse: bool, pinned: bool) -> BufferPool {
-        let shelf = Arc::clone(self.shelves.lock().entry(buf_len).or_default());
+        let shelf = Arc::clone(lock(&self.shelves).entry(buf_len).or_default());
         BufferPool {
             inner: Arc::new(PoolInner {
                 shelf,
@@ -235,7 +235,7 @@ impl StagingArena {
 
     pub fn stats(&self) -> StagingStats {
         let mut stats = StagingStats::default();
-        for (&buf_len, shelf) in self.shelves.lock().iter() {
+        for (&buf_len, shelf) in lock(&self.shelves).iter() {
             let PoolStats {
                 reused,
                 allocated,
@@ -244,7 +244,7 @@ impl StagingArena {
             stats.totals.reused += reused;
             stats.totals.allocated += allocated;
             stats.totals.waits += waits;
-            let state = shelf.state.lock();
+            let state = lock(&shelf.state);
             let sides = [
                 state.tensors.stats(SlotKind::Tensor, buf_len),
                 state.bytes.stats(SlotKind::Bytes, buf_len),
@@ -326,11 +326,11 @@ impl BufferPool {
                 data: Some(fresh()),
             };
         }
-        let mut shelf = inner.shelf.state.lock();
+        let mut shelf = lock(&inner.shelf.state);
         while inner.checked_out.load(Relaxed) >= inner.capacity {
             inner.count(|c| &c.waits);
             inner.waiting.fetch_add(1, Relaxed);
-            inner.available.wait(&mut shelf);
+            shelf = wait(&inner.available, shelf);
             inner.waiting.fetch_sub(1, Relaxed);
         }
         inner.checked_out.fetch_add(1, Relaxed);
@@ -354,7 +354,7 @@ impl BufferPool {
 
     fn release(&self, slot: Slot) {
         let inner = &*self.inner;
-        let mut shelf = inner.shelf.state.lock();
+        let mut shelf = lock(&inner.shelf.state);
         match slot {
             Slot::Tensor(buf) => shelf.tensors.put_back(buf),
             Slot::Bytes(buf) => shelf.bytes.put_back(buf),

@@ -47,8 +47,5 @@ pub use pipeline::{
     decode_item, execute_device_batch, launch_device_batch, produce_item, produce_media_item,
     route_stage, DeviceBatchSpec, PlanContext, ProducedItem, Result, RuntimeError, RuntimeOptions,
 };
-pub use profiler::{
-    measure_decode_throughput, measure_exec_throughput, measure_media_preproc_throughput,
-    measure_preproc_throughput, Profiler,
-};
+pub use profiler::{measure_exec_throughput, measure_preproc_throughput, Profiler};
 pub use tensorcache::{TensorCache, TensorCacheStats};

@@ -23,7 +23,7 @@
 use crate::bufferpool::{BufferPool, PooledBuffer};
 use crate::media::{video_decode_params, MediaItem};
 use crate::tensorcache::TensorCache;
-use parking_lot::Mutex;
+use smol_accel::sync::lock;
 use smol_accel::{ModelKind, VirtualDevice};
 use smol_codec::{DecodeOptions, EncodedImage};
 use smol_core::{DecodeMode, FrameSelection, QueryPlan};
@@ -31,7 +31,7 @@ use smol_imgproc::dag::PreprocPlan;
 use smol_imgproc::ops::normalize::Normalization;
 use smol_imgproc::ops::prefix::CompiledPrefix;
 use smol_imgproc::{ImageU8, Rect};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Engine configuration; defaults mirror the paper's g4dn.xlarge setup
@@ -181,7 +181,7 @@ impl PlanContext {
     /// otherwise. The compile runs outside the lock, so the producers of a
     /// mixed-geometry plan compile concurrently instead of queuing on it.
     fn prefix_for(&self, dims: (usize, usize)) -> Result<Arc<CompiledPrefix>> {
-        let cached = self.prefix.lock().clone();
+        let cached = lock(&self.prefix).clone();
         if let Some(prefix) = cached.filter(|p| p.src_dims() == dims) {
             return Ok(prefix);
         }
@@ -191,7 +191,7 @@ impl PlanContext {
             dims.1,
             &self.norm,
         )?);
-        *self.prefix.lock() = Some(Arc::clone(&prefix));
+        *lock(&self.prefix) = Some(Arc::clone(&prefix));
         Ok(prefix)
     }
 
@@ -209,7 +209,7 @@ impl PlanContext {
 
     /// The prefix compiled for the most recent item, if any has run.
     pub fn compiled_prefix(&self) -> Option<Arc<CompiledPrefix>> {
-        self.prefix.lock().clone()
+        lock(&self.prefix).clone()
     }
 
     /// Executes the CPU-placed prefix of the plan on a decoded image into a

@@ -74,7 +74,7 @@ impl Profiler {
         measure_media_preproc_throughput(take, plan, &self.opts)
     }
 
-    /// Decode-only throughput under `mode` — [`measure_decode_throughput`]
+    /// Decode-only throughput under `mode` — `measure_decode_throughput`
     /// with counting, using the profiler's producer count.
     pub fn decode_throughput(&self, items: &[EncodedImage], mode: DecodeMode) -> f64 {
         self.calls.fetch_add(1, Ordering::AcqRel);
@@ -139,7 +139,7 @@ fn rate((outputs, wall_s): (usize, f64)) -> f64 {
 /// given decode mode — a plan with reduced-resolution or ROI decoding is
 /// profiled at the decode work it actually performs, not at a full decode.
 /// 0.0 when an item fails to decode.
-pub fn measure_decode_throughput(items: &[EncodedImage], mode: DecodeMode, threads: usize) -> f64 {
+fn measure_decode_throughput(items: &[EncodedImage], mode: DecodeMode, threads: usize) -> f64 {
     rate(sweep(
         items.len(),
         threads,
@@ -165,7 +165,7 @@ pub fn measure_preproc_throughput(
 /// [`measure_preproc_throughput`] over mixed media items; the rate is in
 /// device-side outputs per second (frames, for GOP items). 0.0 when the
 /// plan cannot be executed ([`PlanContext::validate`]) or an item fails.
-pub fn measure_media_preproc_throughput(
+fn measure_media_preproc_throughput(
     items: &[MediaItem],
     plan: &QueryPlan,
     opts: &RuntimeOptions,
@@ -252,7 +252,7 @@ pub fn measure_exec_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smol_codec::Format;
+    use smol_codec::{Bytes, Format};
     use smol_core::{InputVariant, Planner};
     use smol_imgproc::ImageU8;
 
@@ -287,7 +287,7 @@ mod tests {
         for b in bytes.iter_mut().skip(8) {
             *b = 0xFF;
         }
-        item.bytes = bytes::Bytes::from(bytes);
+        item.bytes = Bytes::from(bytes);
         item
     }
 

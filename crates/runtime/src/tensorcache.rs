@@ -67,11 +67,11 @@
 //! each other's pixels. One cache is therefore one trust domain: share it
 //! only between tenants that may see each other's decoded content.
 
-use parking_lot::{Condvar, Mutex};
+use smol_accel::sync::{lock, wait};
 use smol_core::DecodeMode;
 use smol_imgproc::ImageU8;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Cache key: content key of the encoded item + the decode mode the plan
@@ -202,10 +202,6 @@ impl TensorCache {
         }
     }
 
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
-    }
-
     /// Returns the decoded image for `(content_key, mode)`, decoding via
     /// `decode` on a miss; the decode's wall time is the entry's cost. The
     /// boolean is true for a hit — a resident tensor or another thread's
@@ -240,7 +236,7 @@ impl TensorCache {
         // under a zero budget, which keeps no frequencies.
         let mut prior = None;
         let flight = {
-            let mut locked = self.inner.lock();
+            let mut locked = lock(&self.inner);
             loop {
                 let inner = &mut *locked;
                 match inner.slots.get_mut(&key) {
@@ -259,7 +255,7 @@ impl TensorCache {
                             prior = Some(inner.count_absent(key));
                         }
                         while flight.get().is_none() {
-                            self.ready_cv.wait(&mut locked);
+                            locked = wait(&self.ready_cv, locked);
                         }
                         if let Some(Some(image)) = flight.get() {
                             locked.hits += 1;
@@ -290,7 +286,7 @@ impl TensorCache {
         let (image, cost) = fill()?;
         let image = Arc::new(image);
         let bytes = image.data().len() as u64;
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.misses += 1;
         inner.decodes += 1;
         let cost_s = inner
@@ -326,7 +322,7 @@ impl TensorCache {
     }
 
     pub fn stats(&self) -> TensorCacheStats {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         TensorCacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -350,7 +346,7 @@ impl TensorCache {
     /// The fill cost, in seconds, of every resident entry.
     #[cfg(test)]
     pub(crate) fn resident_costs(&self) -> Vec<f64> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner
             .slots
             .values()
@@ -460,7 +456,7 @@ struct RetractPending<'a> {
 impl Drop for RetractPending<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut inner = self.cache.inner.lock();
+            let mut inner = lock(&self.cache.inner);
             if matches!(inner.slots.get(&self.key), Some(Slot::Pending(_))) {
                 inner.slots.remove(&self.key);
             }
@@ -504,7 +500,7 @@ mod tests {
     }
 
     fn history_len(cache: &TensorCache) -> usize {
-        cache.inner.lock().history.len()
+        lock(&cache.inner).history.len()
     }
 
     #[test]
@@ -742,7 +738,7 @@ mod tests {
             lookup(&cache, key % 7, 1);
         }
         assert_eq!(history_len(&cache), 0);
-        assert_eq!(cache.inner.lock().lookups, 0);
+        assert_eq!(lock(&cache.inner).lookups, 0);
     }
 
     #[test]
@@ -803,7 +799,7 @@ mod tests {
                             .get_or_decode(key, DecodeMode::Full, || -> Result<ImageU8, ()> {
                                 fills.fetch_add(1, Ordering::SeqCst);
                                 let deadline = Instant::now() + Duration::from_secs(10);
-                                while cache.inner.lock().history[&(key, DecodeMode::Full)].freq < 8
+                                while lock(&cache.inner).history[&(key, DecodeMode::Full)].freq < 8
                                     && Instant::now() < deadline
                                 {
                                     std::thread::sleep(Duration::from_millis(1));

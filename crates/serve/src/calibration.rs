@@ -3,7 +3,7 @@
 //! labeled registration images (which also calibrates cascade operating
 //! points).
 
-use parking_lot::Mutex;
+use smol_accel::sync::lock;
 use smol_accel::ModelKind;
 use smol_codec::EncodedImage;
 use smol_core::{DecodeMode, InputVariant, RoutingSpec, VideoFidelity};
@@ -11,11 +11,11 @@ use smol_imgproc::{ops::resize_short_edge_u8, ImageU8};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Per-image prediction function standing in for a DNN's classification
 /// head during calibration.
-pub type PredictFn = Arc<dyn Fn(&ImageU8) -> usize + Send + Sync>;
+type PredictFn = Arc<dyn Fn(&ImageU8) -> usize + Send + Sync>;
 
 /// Where a dataset's per-(DNN, variant) accuracies come from.
 pub enum Calibration {
@@ -254,7 +254,7 @@ impl MeasuredCalibration {
             return None;
         }
         let key = (model, input.name.clone(), factor);
-        if let Some(&acc) = self.memo.lock().get(&key) {
+        if let Some(&acc) = lock(&self.memo).get(&key) {
             return Some(acc);
         }
         let mut correct = 0usize;
@@ -269,7 +269,7 @@ impl MeasuredCalibration {
             }
         }
         let acc = correct as f64 / self.images.len() as f64;
-        self.memo.lock().insert(key, acc);
+        lock(&self.memo).insert(key, acc);
         Some(acc)
     }
 
@@ -294,7 +294,7 @@ impl MeasuredCalibration {
             return None;
         }
         let key = (small, big, input.name.clone(), factor);
-        if let Some(points) = self.cascade_memo.lock().get(&key) {
+        if let Some(points) = lock(&self.cascade_memo).get(&key) {
             return Some(points.clone());
         }
         let n = self.images.len();
@@ -350,7 +350,7 @@ impl MeasuredCalibration {
                 signal_throughput,
             });
         }
-        self.cascade_memo.lock().insert(key, points.clone());
+        lock(&self.cascade_memo).insert(key, points.clone());
         Some(points)
     }
 }

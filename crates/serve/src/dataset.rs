@@ -17,7 +17,7 @@ use {crate::Session, smol_core::StorageProfile};
 
 /// One registered input variant: the planner-facing descriptor plus the
 /// encoded serving corpus (still images or video GOPs).
-pub struct DatasetVariant {
+pub(crate) struct DatasetVariant {
     pub input: InputVariant,
     pub items: Arc<Vec<MediaItem>>,
 }
@@ -141,7 +141,7 @@ impl Dataset {
     /// Registers one GOP-structured video variant. The `input` must carry
     /// its GOP length ([`InputVariant::video`]); GOPs are items, so
     /// `Query::take(n)` limits GOPs, and reports count frames.
-    pub fn with_gop_variant(mut self, input: InputVariant, gops: Vec<EncodedGop>) -> Self {
+    fn with_gop_variant(mut self, input: InputVariant, gops: Vec<EncodedGop>) -> Self {
         debug_assert!(input.is_video(), "tag the variant with InputVariant::video");
         self.variants.push(DatasetVariant {
             input,

@@ -10,11 +10,12 @@
 use crate::scheduler::{pick_lane, FormedBatch, LaneLoad};
 use crate::server::{panic_message, retire_outputs, BatchItem, Inner, Retired};
 use crate::stats::DeviceLaneStats;
-use parking_lot::{Condvar, Mutex};
+use smol_accel::sync::{lock, wait, wait_until};
 use smol_accel::VirtualDevice;
 use smol_runtime::{launch_device_batch, DeviceBatchSpec};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Batches a consumer may have launched and not yet retired: the one the
@@ -132,7 +133,7 @@ impl Lanes {
     /// is full (consumers drain them; they outlive every producer, so this
     /// always makes progress).
     pub fn dispatch(&self, batch: FormedBatch<BatchItem>) {
-        let mut fleet = self.fleet.lock();
+        let mut fleet = lock(&self.fleet);
         loop {
             let loads = fleet.lanes.iter().map(|lane| LaneLoad {
                 items: lane.queued_items() + lane.in_flight_items,
@@ -145,20 +146,20 @@ impl Lanes {
                 self.batch_cv.notify_all();
                 return;
             }
-            self.space_cv.wait(&mut fleet);
+            fleet = wait(&self.space_cv, fleet);
         }
     }
 
     /// Counts a producer thread out; consumers exit once every producer
     /// has and the lane queues are drained.
     pub fn producer_exited(&self) {
-        self.fleet.lock().producers_live -= 1;
+        lock(&self.fleet).producers_live -= 1;
         self.batch_cv.notify_all();
     }
 
     /// Per-lane counters, with each device's own.
     pub fn stats(&self) -> Vec<DeviceLaneStats> {
-        let fleet = self.fleet.lock();
+        let fleet = lock(&self.fleet);
         let lane_stats = |lane: &Lane| {
             let device = lane.device.stats();
             DeviceLaneStats {
@@ -189,7 +190,7 @@ struct Launched {
 /// launch window has room and retires them in launch order.
 pub(crate) fn consumer_loop(inner: &Inner, lane_idx: usize) {
     let lanes = &inner.lanes;
-    let device = lanes.fleet.lock().lanes[lane_idx].device.clone();
+    let device = lock(&lanes.fleet).lanes[lane_idx].device.clone();
     // Launch order; both device engines are FIFO, so completion order too.
     let mut window: VecDeque<Launched> = VecDeque::with_capacity(LAUNCH_WINDOW);
     loop {
@@ -197,7 +198,7 @@ pub(crate) fn consumer_loop(inner: &Inner, lane_idx: usize) {
         // the window has room, and the wait for the oldest completion is
         // cut short when one arrives.
         let next = {
-            let mut fleet = lanes.fleet.lock();
+            let mut fleet = lock(&lanes.fleet);
             loop {
                 if window.len() < LAUNCH_WINDOW {
                     if let Some(batch) = fleet.take_batch(lane_idx, window.is_empty()) {
@@ -209,13 +210,13 @@ pub(crate) fn consumer_loop(inner: &Inner, lane_idx: usize) {
                     if fleet.producers_live == 0 {
                         return;
                     }
-                    lanes.batch_cv.wait(&mut fleet);
+                    fleet = wait(&lanes.batch_cv, fleet);
                     continue;
                 };
                 if window.len() == LAUNCH_WINDOW || Instant::now() >= oldest.done {
                     break None;
                 }
-                lanes.batch_cv.wait_until(&mut fleet, oldest.done);
+                (fleet, _) = wait_until(&lanes.batch_cv, fleet, oldest.done);
             }
         };
         match next {
@@ -250,7 +251,7 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
     let first = batch.items.first().map(|b| b.query);
     let cross_query = batch.items.iter().any(|b| Some(b.query) != first);
     {
-        let mut fleet = inner.lanes.fleet.lock();
+        let mut fleet = lock(&inner.lanes.fleet);
         let lane = &mut fleet.lanes[lane_idx];
         lane.in_flight -= 1;
         lane.in_flight_items -= batch.items.len();
@@ -285,7 +286,7 @@ fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
         .collect();
 
     {
-        let mut agg = inner.agg.lock();
+        let mut agg = lock(&inner.agg);
         agg.batches += 1;
         agg.full_batches += u64::from(full);
         agg.cross_query_batches += u64::from(cross_query);

@@ -66,8 +66,8 @@ pub mod session;
 pub mod stats;
 mod window;
 
-pub use calibration::{AccuracyTable, Calibration, MeasuredCalibration, PredictFn};
-pub use dataset::{Dataset, DatasetVariant};
+pub use calibration::{AccuracyTable, Calibration, MeasuredCalibration};
+pub use dataset::Dataset;
 pub use plancache::{CacheStats, ChosenPlan, DeviceKey, PlanCache, PlanKey};
 pub use scheduler::{BatchFormer, FormedBatch, Priority};
 pub use server::{

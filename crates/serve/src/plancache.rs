@@ -1,13 +1,13 @@
 //! Plan-cache keys and the shared, single-flight plan + profile cache.
 
-use parking_lot::{Condvar, Mutex};
+use smol_accel::sync::{lock, wait};
 use smol_accel::{ExecutionEnv, GpuModel, VirtualDevice};
 use smol_core::{ConstraintKey, PlanCandidate, PlannerConfig};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Identity of the device pool a session executes on, for plan-cache
 /// keys: the primary device's model + environment + calibrated anchor and
@@ -113,11 +113,11 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
     /// wake and try for themselves.
     fn get_or<E>(&self, key: &K, compute: impl FnOnce() -> Result<V, E>) -> Result<(V, bool), E> {
         {
-            let mut slots = self.slots.lock();
+            let mut slots = lock(&self.slots);
             loop {
                 match slots.get(key) {
                     Some(Some(value)) => return Ok((value.clone(), true)),
-                    Some(None) => self.settled.wait(&mut slots),
+                    Some(None) => slots = wait(&self.settled, slots),
                     None => break,
                 }
             }
@@ -128,13 +128,13 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
         // failed computation can never wedge concurrent callers of the key.
         let _settle = Settle { flight: self, key };
         let value = compute()?;
-        self.slots.lock().insert(key.clone(), Some(value.clone()));
+        lock(&self.slots).insert(key.clone(), Some(value.clone()));
         Ok((value, false))
     }
 
     /// Keys holding a ready value.
     fn ready(&self) -> usize {
-        self.slots.lock().values().flatten().count()
+        lock(&self.slots).values().flatten().count()
     }
 }
 
@@ -147,7 +147,7 @@ struct Settle<'a, K: Eq + Hash, V> {
 
 impl<K: Eq + Hash, V> Drop for Settle<'_, K, V> {
     fn drop(&mut self) {
-        let mut slots = self.flight.slots.lock();
+        let mut slots = lock(&self.flight.slots);
         if let Some(None) = slots.get(self.key) {
             slots.remove(self.key);
         }

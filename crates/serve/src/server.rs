@@ -55,7 +55,7 @@ use crate::lanes::{consumer_loop, Lanes};
 use crate::scheduler::{Batcher, FormedBatch, Priority};
 use crate::stats::{percentile, BoxedPrediction, QueryReport, ServerStats};
 use crate::window::Window;
-use parking_lot::{Condvar, Mutex};
+use smol_accel::sync::{lock, wait};
 use smol_accel::VirtualDevice;
 use smol_codec::EncodedImage;
 use smol_core::{CascadePlan, PlacementSignature, QueryPlan};
@@ -68,7 +68,7 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Server-assigned query identifier (monotonic).
@@ -583,14 +583,18 @@ impl QueryHandle {
 
     /// Blocks until the query resolves.
     pub fn wait(self) -> ServeResult<QueryReport> {
-        self.rx.into_inner().recv().map_err(|_| ServeError::Aborted)
+        self.rx
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv()
+            .map_err(|_| ServeError::Aborted)
     }
 
     /// Blocks for at most `timeout`; `Ok(None)` when the query is still
     /// in flight at the deadline, `Err(Aborted)` when the server went
     /// away first.
     pub fn wait_deadline(&self, timeout: Duration) -> ServeResult<Option<QueryReport>> {
-        match self.rx.lock().recv_timeout(timeout) {
+        match lock(&self.rx).recv_timeout(timeout) {
             Ok(report) => Ok(Some(report)),
             Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServeError::Aborted),
@@ -605,7 +609,7 @@ impl QueryHandle {
         let Some(inner) = self.inner.upgrade() else {
             return QueryPoll::Ready;
         };
-        let sched = inner.sched.lock();
+        let sched = lock(&inner.sched);
         match sched.queries.get(&self.id) {
             Some(q) => QueryPoll::Pending {
                 produced: q.produced,
@@ -631,7 +635,7 @@ impl QueryHandle {
     pub fn append(&self, item: MediaItem, rung: usize) -> ServeResult<usize> {
         let inner = self.inner.upgrade().ok_or(ServeError::Aborted)?;
         let capacity = inner.cfg.max_active_queries.max(1);
-        let mut sched = inner.sched.lock();
+        let mut sched = lock(&inner.sched);
         loop {
             if inner.shutdown.load(Ordering::Acquire) {
                 return Err(ServeError::ShuttingDown);
@@ -643,7 +647,7 @@ impl QueryHandle {
             if rung >= q.ladder.rungs.len() || !q.window.full(capacity) {
                 break;
             }
-            inner.admit_cv.wait(&mut sched);
+            sched = wait(&inner.admit_cv, sched);
         }
         let idx = enqueue(&inner, &mut sched, self.id, vec![item], Some(rung));
         drop(sched);
@@ -670,7 +674,7 @@ impl QueryHandle {
         };
         let mut emitted = Vec::new();
         {
-            let mut sched = inner.sched.lock();
+            let mut sched = lock(&inner.sched);
             let Some(q) = sched.queries.get_mut(&self.id) else {
                 return;
             };
@@ -692,7 +696,7 @@ impl QueryHandle {
     /// query has resolved and every completion has been taken.
     pub fn next_completion(&self, deadline: Instant) -> Option<Completion> {
         let timeout = deadline.saturating_duration_since(Instant::now());
-        let completions = self.completions.as_ref()?.lock();
+        let completions = lock(self.completions.as_ref()?);
         completions.recv_timeout(timeout).ok()
     }
 }
@@ -839,7 +843,7 @@ impl Server {
         let (rungs, policy) = compile_ladder(&request.plan, &request.items, opts, open)?;
         let (done_tx, done_rx) = mpsc::sync_channel::<QueryReport>(1);
         let (completions, completions_rx) = open.then(mpsc::channel).unzip();
-        let mut sched = inner.sched.lock();
+        let mut sched = lock(&inner.sched);
         let capacity = inner.cfg.max_active_queries.max(1);
         if !request.wait {
             if sched.active >= capacity || sched.waiting_above(opts.priority) > 0 {
@@ -857,7 +861,7 @@ impl Server {
                     sched.waiting[opts.priority.index()] -= 1;
                     return Err(ServeError::ShuttingDown);
                 }
-                inner.admit_cv.wait(&mut sched);
+                sched = wait(&inner.admit_cv, sched);
             }
             sched.waiting[opts.priority.index()] -= 1;
             // Others may now be admissible too (e.g. equal priority with
@@ -866,7 +870,7 @@ impl Server {
         }
         let id = sched.next_id;
         sched.next_id += 1;
-        inner.agg.lock().submitted_queries += 1;
+        lock(&inner.agg).submitted_queries += 1;
         let state = QueryState {
             priority: opts.priority,
             rung_outputs: vec![0; rungs.len()],
@@ -926,8 +930,8 @@ impl Server {
         // query into the aggregate: a query whose last completion has been
         // delivered is counted.
         let mut stats = {
-            let sched = self.inner.sched.lock();
-            let mut stats = self.inner.agg.lock().clone();
+            let sched = lock(&self.inner.sched);
+            let mut stats = lock(&self.inner.agg).clone();
             stats.queue_depth = sched.active;
             stats.pending_batch_items = sched.batcher.pending_total();
             stats.waiting_admission = sched.waiting_total();
@@ -955,7 +959,7 @@ impl Server {
         self.inner.shutdown.store(true, Ordering::Release);
         {
             // Open queries take no more items: they drain and resolve too.
-            let mut sched = self.inner.sched.lock();
+            let mut sched = lock(&self.inner.sched);
             let open: Vec<QueryId> = sched.queries.keys().copied().collect();
             for id in open {
                 sched.queries.get_mut(&id).expect("listed").closed = true;
@@ -1073,7 +1077,7 @@ fn enqueue(
         q.window.push(item, q.total_outputs, fanout, rung);
         q.total_outputs += fanout;
     }
-    inner.agg.lock().images_in += outputs as u64;
+    lock(&inner.agg).images_in += outputs as u64;
     if dropped || n == 0 {
         return first;
     }
@@ -1151,7 +1155,7 @@ fn maybe_degrade(
     // were taken on, their buffers in the old entitlement.
     sched.batcher.register(&new.sig, prio, remaining);
     sched.batcher.settle(&old.sig, prio, remaining, emitted);
-    inner.agg.lock().degradations += 1;
+    lock(&inner.agg).degradations += 1;
 }
 
 /// Takes the next fair-share claim (highest-priority ring first), or
@@ -1245,7 +1249,7 @@ fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
     }
     report.deadline_missed = deadline_missed;
     {
-        let mut agg = inner.agg.lock();
+        let mut agg = lock(&inner.agg);
         agg.completed_queries += 1;
         agg.images_done += report.images as u64;
         agg.dropped_frames += report.dropped_frames as u64;
@@ -1276,7 +1280,7 @@ fn producer_loop(inner: &Inner) {
     loop {
         let mut emitted: Vec<FormedBatch<BatchItem>> = Vec::new();
         let claim = {
-            let mut sched = inner.sched.lock();
+            let mut sched = lock(&inner.sched);
             loop {
                 if let Some(c) = claim_next(inner, &mut sched, &mut emitted) {
                     break Some(c);
@@ -1289,7 +1293,7 @@ fn producer_loop(inner: &Inner) {
                 if inner.shutdown.load(Ordering::Acquire) {
                     break None;
                 }
-                inner.work_cv.wait(&mut sched);
+                sched = wait(&inner.work_cv, sched);
             }
         };
         let had_flushes = !emitted.is_empty();
@@ -1320,7 +1324,7 @@ fn producer_loop(inner: &Inner) {
         let mut emitted: Vec<FormedBatch<BatchItem>> = Vec::new();
         integrate(
             inner,
-            &mut inner.sched.lock(),
+            &mut lock(&inner.sched),
             &claim,
             produced,
             &mut emitted,
@@ -1441,7 +1445,7 @@ pub(crate) fn retire_outputs(inner: &Inner, mut retired: Vec<Retired>) {
     // Stable, so each query's outputs stay in batch order; then every
     // distinct query of the batch is looked up once.
     retired.sort_by_key(|r| r.query);
-    let mut sched = inner.sched.lock();
+    let mut sched = lock(&inner.sched);
     let now = Instant::now();
     for outputs in retired.chunk_by_mut(|a, b| a.query == b.query) {
         let qid = outputs[0].query;
@@ -1528,7 +1532,7 @@ mod tests {
         // Per-item state (unresolved items, and the capacity kept for
         // them) and per-output state of the query.
         let state = || {
-            let sched = server.inner.sched.lock();
+            let sched = lock(&server.inner.sched);
             let q = &sched.queries[&handle.id()];
             let capacity = q.window.capacity();
             (

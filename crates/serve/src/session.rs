@@ -49,7 +49,7 @@ use crate::plancache::{CacheStats, ChosenPlan, DeviceKey, PlanCache, PlanKey, Pr
 use crate::scheduler::Priority;
 use crate::server::{DegradeStep, QueryHandle, ServeError, Server, ServerConfig, SubmitOptions};
 use crate::stats::QueryReport;
-use parking_lot::Mutex;
+use smol_accel::sync::lock;
 use smol_accel::{ExecutionEnv, GpuModel, VirtualDevice};
 use smol_codec::Format;
 use smol_core::{
@@ -58,7 +58,7 @@ use smol_core::{
 };
 use smol_runtime::{MediaItem, Profiler};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Session-layer errors: the workspace-level failure hierarchy
@@ -521,7 +521,7 @@ impl Session {
 
     /// Registers a dataset. Names are unique per session.
     pub fn register(&self, dataset: Dataset) -> Result<(), SessionError> {
-        let mut datasets = self.datasets.lock();
+        let mut datasets = lock(&self.datasets);
         let name = dataset.name.clone();
         if datasets.contains_key(&name) {
             return Err(SessionError::DuplicateDataset { name });
@@ -538,8 +538,7 @@ impl Session {
     }
 
     fn dataset(&self, name: &str) -> Result<Arc<Registered>, SessionError> {
-        self.datasets
-            .lock()
+        lock(&self.datasets)
             .get(name)
             .cloned()
             .ok_or_else(|| SessionError::UnknownDataset {

@@ -208,7 +208,7 @@ impl ServerStats {
     }
 
     /// Mean completion → retire delay of an executed batch, in seconds.
-    pub fn mean_retire_lag_s(&self) -> f64 {
+    fn mean_retire_lag_s(&self) -> f64 {
         let lag: f64 = self.devices.iter().map(|l| l.retire_lag_s).sum();
         let batches: u64 = self.devices.iter().map(|l| l.batches).sum();
         if batches == 0 {

@@ -34,6 +34,7 @@
 //! when the stream ends.
 #![deny(unsafe_code)]
 
+use smol_accel::sync::lock;
 use smol_analytics::WindowRollup;
 use smol_core::{DecodeMode, FrameSelection};
 // The policy types live in `smol_core` (pure, unit-testable); re-export
@@ -50,7 +51,7 @@ use smol_video::EncodedGop;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One GOP released by a [`StreamSource`]: the encoded item, its frame
@@ -226,7 +227,7 @@ impl StreamHandle {
     /// Blocks for the next closed window; `None` once the stream ended
     /// and every window has been taken.
     pub fn next_window(&self) -> Option<WindowResult> {
-        self.rx().recv().ok()
+        lock(&self.rx).recv().ok()
     }
 
     /// Bounded wait for the next window: `None` at the timeout — the
@@ -234,11 +235,7 @@ impl StreamHandle {
     /// "completes"; this is the poll loop's building block).
     /// `Duration::ZERO` takes a window only if one has already closed.
     pub fn next_window_deadline(&self, timeout: Duration) -> Option<WindowResult> {
-        self.rx().recv_timeout(timeout).ok()
-    }
-
-    fn rx(&self) -> MutexGuard<'_, Receiver<WindowResult>> {
-        self.rx.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.rx).recv_timeout(timeout).ok()
     }
 
     /// Stops the stream: no further GOP is appended, and every appended
@@ -368,12 +365,8 @@ where
 struct Positions(Mutex<BTreeMap<usize, Vec<usize>>>);
 
 impl Positions {
-    fn map(&self) -> MutexGuard<'_, BTreeMap<usize, Vec<usize>>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn of(&self, output: usize) -> usize {
-        let map = self.map();
+        let map = lock(&self.0);
         let (first, frames) = map.range(..=output).next_back().expect("registered");
         frames[output - first]
     }
@@ -532,7 +525,7 @@ impl Driver {
         let first_output = (!frames.is_empty()).then_some(self.next_output);
         if let Some(first) = first_output {
             self.next_output += frames.len();
-            self.positions.map().insert(first, frames);
+            lock(&self.positions.0).insert(first, frames);
         }
         match self.query.append(MediaItem::Gop(sg.gop), rung) {
             Ok(item) if rung < rungs => {
@@ -555,7 +548,7 @@ impl Driver {
             // Dropped by the pacer, or refused: the stream was stopped.
             _ => {
                 if let Some(first) = first_output {
-                    self.positions.map().remove(&first);
+                    lock(&self.positions.0).remove(&first);
                     self.next_output = first;
                 }
                 self.stats.gops_dropped += 1;
@@ -578,7 +571,7 @@ impl Driver {
             return;
         };
         if let Some(first) = gop.first_output {
-            self.positions.map().remove(&first);
+            lock(&self.positions.0).remove(&first);
         }
         let now_s = self.start.elapsed().as_secs_f64();
         self.lags.push((now_s - gop.arrival.as_secs_f64()).max(0.0));

@@ -49,9 +49,9 @@
 //! ```
 
 use crate::{deblock, pframe, DecodeOptions, FrameKind};
-use bytes::Bytes;
 use smol_codec::error::{Error, Result};
 use smol_codec::sjpg;
+use smol_codec::Bytes;
 use smol_core::FrameSelection;
 use smol_imgproc::ImageU8;
 

@@ -54,9 +54,9 @@ pub use gop::{DecodedFrame, EncodedGop, FrameStats, VideoDecodeStats};
 pub use pframe::PFrameStats;
 pub use smol_core::FrameSelection;
 
-use bytes::Bytes;
 use smol_codec::bitio::{BitReader, BitWriter};
 use smol_codec::error::{Error, Result};
+use smol_codec::Bytes;
 use smol_codec::SjpgEncoder;
 use smol_imgproc::ImageU8;
 
@@ -297,7 +297,7 @@ impl EncodedVideo {
             return Err(Error::BadHeader("stream has no I-frames".into()));
         }
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let error: std::sync::Mutex<Option<Error>> = std::sync::Mutex::new(None);
+        let error = std::sync::OnceLock::new();
         std::thread::scope(|scope| {
             for _ in 0..threads.max(1) {
                 let next = &next;
@@ -323,7 +323,7 @@ impl EncodedVideo {
                         match iter.decode_next() {
                             Ok(frame) => visit(idx, frame),
                             Err(e) => {
-                                *error.lock().expect("no poison") = Some(e);
+                                let _ = error.set(e);
                                 return;
                             }
                         }
@@ -331,7 +331,7 @@ impl EncodedVideo {
                 });
             }
         });
-        match error.into_inner().expect("no poison") {
+        match error.into_inner() {
             Some(e) => Err(e),
             None => Ok(()),
         }

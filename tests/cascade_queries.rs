@@ -398,7 +398,7 @@ fn a_failure_on_either_rung_of_a_cascade_resolves_and_leaks_nothing() {
         let mut items = items.clone();
         // One byte short: the header and row index still parse, so the
         // item routes as it would intact; every decode then fails.
-        items[bad].bytes = items[bad].bytes.slice(..items[bad].bytes.len() - 1);
+        items[bad].bytes = items[bad].bytes.slice(0..items[bad].bytes.len() - 1);
         assert_eq!(
             route_stage(&MediaItem::Image(items[bad].clone()), threshold),
             stage

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use smol::codec::signal::sjpg_signal;
-use smol::codec::{sjpg, spng, Chroma, DecodeOptions, EncodedImage, Format, SjpgEncoder};
+use smol::codec::{sjpg, spng, Bytes, Chroma, DecodeOptions, EncodedImage, Format, SjpgEncoder};
 use smol::imgproc::{psnr, ImageU8, Rect};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -821,7 +821,7 @@ proptest! {
         let rw = ((w as f64 * fw) as usize).clamp(1, w - x);
         let rh = ((h as f64 * fh) as usize).clamp(1, h - y);
         let roi = Rect::new(x, y, rw, rh);
-        let (part, aligned, _) = sjpg::decode_roi(enc.bytes(), roi).unwrap();
+        let (part, aligned, _) = sjpg::decode_roi(&enc, roi).unwrap();
         for dy in 0..aligned.h {
             for dx in 0..aligned.w {
                 for c in 0..3 {
@@ -967,7 +967,7 @@ proptest! {
             format,
             width,
             height,
-            bytes: bytes::Bytes::from(bytes.to_vec()),
+            bytes: Bytes::from(bytes.to_vec()),
         };
         let clean = item(Format::sjpg(q), w, h, &payload);
         prop_assert_eq!(clean.cache_key(), item(Format::sjpg(q), w, h, &payload).cache_key());
@@ -990,15 +990,5 @@ proptest! {
         ] {
             prop_assert_ne!(clean.cache_key(), other.cache_key(), "{:?}", other);
         }
-    }
-}
-
-trait BytesExt {
-    fn bytes(&self) -> &[u8];
-}
-
-impl BytesExt for bytes::Bytes {
-    fn bytes(&self) -> &[u8] {
-        self
     }
 }

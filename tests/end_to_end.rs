@@ -3,9 +3,10 @@
 //! The min() law and the cost models' ranking are rate claims; they are
 //! asserted by `paper_shapes` (Table 3, §8.2), not here.
 
+use smol::accel::sync::lock;
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::analytics::{control_variate_mean, naive_mean, AggregationConfig, SpecializedCounter};
-use smol::codec::{EncodedImage, Format};
+use smol::codec::{Bytes, EncodedImage, Format};
 use smol::core::{DecodeMode, FrameSelection, InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol::data::{generate_video, gop_corpus, still_catalog, throughput_images, video_catalog};
 use smol::imgproc::ops::resize::resize_short_edge_u8;
@@ -13,6 +14,7 @@ use smol::nn::Tier;
 use smol::runtime::{wrap_gops, wrap_images, MediaItem, OutputLayout, Personality, RuntimeOptions};
 use smol::serve::{QueryReport, Server};
 use smol::video::{DecodeOptions, EncodedVideo, VideoEncoder};
+use std::sync::Mutex;
 
 fn encode_batch(n: usize, fmt: Format) -> Vec<EncodedImage> {
     let spec = &still_catalog()[3];
@@ -151,7 +153,7 @@ fn run_once_reports_a_corrupt_item_and_returns_with_its_threads_joined() {
     for b in bytes.iter_mut().skip(8) {
         *b = 0xFF;
     }
-    items[5].bytes = bytes::Bytes::from(bytes);
+    items[5].bytes = Bytes::from(bytes);
     let report = Server::run_once(&device, opts, &plan, wrap_images(&items)).unwrap();
     assert!(report.error.is_some());
     assert!(report.failed > 0);
@@ -211,13 +213,13 @@ fn parallel_video_decode_matches_sequential() {
     .unwrap();
     let video = EncodedVideo::parse(encoded).unwrap();
     let sequential = video.decode_all(DecodeOptions::default()).unwrap();
-    let parallel = parking_lot::Mutex::new(vec![None; 60]);
+    let parallel = Mutex::new(vec![None; 60]);
     video
         .decode_parallel(4, DecodeOptions::default(), |idx, frame| {
-            parallel.lock()[idx] = Some(frame.clone());
+            lock(&parallel)[idx] = Some(frame.clone());
         })
         .unwrap();
-    let parallel = parallel.into_inner();
+    let parallel = parallel.into_inner().unwrap();
     for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
         assert_eq!(s, p.as_ref().expect("decoded"), "frame {i}");
     }

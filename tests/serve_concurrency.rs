@@ -10,7 +10,7 @@
 //! fails one output).
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
-use smol::codec::{DecodeOptions, EncodedImage, Format};
+use smol::codec::{Bytes, DecodeOptions, EncodedImage, Format};
 use smol::core::{InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol::data::{fingerprint, textured};
 use smol::runtime::pipeline::decode_item_opts;
@@ -336,7 +336,7 @@ fn production_error_is_isolated_per_query() {
     for b in corrupted.iter_mut().skip(8) {
         *b = 0xFF;
     }
-    bad_items[2].bytes = bytes::Bytes::from(corrupted);
+    bad_items[2].bytes = Bytes::from(corrupted);
 
     let bad = server
         .submit(SubmitRequest::stills(plan.clone(), &bad_items))
@@ -374,7 +374,7 @@ fn an_open_querys_failing_item_fails_alone() {
     let mut items = encoded_batch(12, 64, 64, 40);
     let mut corrupted = items[3].bytes.to_vec();
     corrupted.iter_mut().skip(8).for_each(|b| *b = 0xFF);
-    items[3].bytes = bytes::Bytes::from(corrupted);
+    items[3].bytes = Bytes::from(corrupted);
 
     let open = SubmitRequest::new(plan, Vec::new()).open();
     let open = server.submit(open).unwrap();

@@ -7,6 +7,7 @@
 //! `wait_deadline`) behaves.
 
 use proptest::prelude::*;
+use smol::accel::sync::lock;
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::codec::{signal::image_signal, EncodedImage, Format};
 use smol::core::{
@@ -360,7 +361,7 @@ fn high_priority_waiter_admitted_first() {
                         ),
                     )
                     .expect("admitted");
-                order.lock().unwrap().push("low");
+                lock(&order).push("low");
                 h.wait().expect("resolves")
             })
         };
@@ -381,7 +382,7 @@ fn high_priority_waiter_admitted_first() {
                         ),
                     )
                     .expect("admitted");
-                order.lock().unwrap().push("high");
+                lock(&order).push("high");
                 h.wait().expect("resolves")
             })
         };
@@ -396,7 +397,7 @@ fn high_priority_waiter_admitted_first() {
         assert_eq!(high.join().expect("high resolves").images, 2);
     });
     assert_eq!(
-        *order.lock().unwrap(),
+        *lock(&order),
         vec!["high", "low"],
         "the later high-priority arrival must be admitted first"
     );

@@ -375,7 +375,7 @@ proptest! {
         let corrupt = corrupt_at < n; // else: a healthy query
         if corrupt {
             let bytes = &items[corrupt_at].bytes;
-            items[corrupt_at].bytes = bytes.slice(..bytes.len() - 1);
+            items[corrupt_at].bytes = bytes.slice(0..bytes.len() - 1);
         }
         let full = served_plan(ModelKind::ResNet50, DecodeMode::Full);
         let steps = [

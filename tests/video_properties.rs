@@ -12,9 +12,9 @@
 //! bytes it wrote before the fast path existed. None of it asserts a
 //! duration.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use smol::codec::bitio::BitWriter;
+use smol::codec::Bytes;
 use smol::core::FrameSelection;
 use smol::imgproc::{psnr, ImageU8};
 use smol::video::{
