@@ -5,10 +5,12 @@
 //!
 //! A lane sees formed batches and their produced items, never a query's
 //! per-item state: a retired batch's outputs go back through
-//! [`retire_outputs`], the query side's one pass under the scheduler lock.
+//! `Core::retire`, the query side's one pass under the scheduler lock.
+//! The lane state ([`Fleet`]) has a lock of its own.
 
+use crate::core::{BatchItem, Effects, Retired};
 use crate::scheduler::{pick_lane, FormedBatch, LaneLoad};
-use crate::server::{panic_message, retire_outputs, BatchItem, Inner, Retired};
+use crate::server::{panic_message, Inner};
 use crate::stats::DeviceLaneStats;
 use smol_accel::sync::{lock, wait, wait_until};
 use smol_accel::VirtualDevice;
@@ -24,7 +26,7 @@ use std::time::Instant;
 /// woken up, retired the first and come back round. A third would buy
 /// nothing — the device is already never idle between two — and cost
 /// another batch of staging memory; the staging entitlement
-/// (`Inner::staging_pool`) grants each consumer two.
+/// (`core::Staging::pool`) grants each consumer two.
 const LAUNCH_WINDOW: usize = 2;
 
 /// One device lane: the device, its bounded batch queue, and counters.
@@ -52,7 +54,7 @@ impl Lane {
     }
 }
 
-struct Fleet {
+pub(crate) struct Fleet {
     lanes: Vec<Lane>,
     /// Live producer threads; consumers drain and exit once this hits 0
     /// with every lane queue empty.
@@ -60,6 +62,47 @@ struct Fleet {
 }
 
 impl Fleet {
+    /// One lane per device; consumers run until `producers` producer
+    /// threads have exited.
+    pub fn new(devices: Vec<VirtualDevice>, producers: usize) -> Fleet {
+        let lane = |device| Lane {
+            device,
+            queue: VecDeque::new(),
+            in_flight: 0,
+            in_flight_items: 0,
+            batches: 0,
+            images: 0,
+            stolen_batches: 0,
+            overlapped_batches: 0,
+            retire_lag_s: 0.0,
+        };
+        Fleet {
+            lanes: devices.into_iter().map(lane).collect(),
+            producers_live: producers,
+        }
+    }
+
+    /// Queues `batch` on the lane with queue space that is expected to
+    /// finish it first ([`pick_lane`]); hands it back when every queue
+    /// holds `queue_cap` batches.
+    pub fn place(
+        &mut self,
+        batch: FormedBatch<BatchItem>,
+        queue_cap: usize,
+    ) -> Result<(), FormedBatch<BatchItem>> {
+        let loads = self.lanes.iter().map(|lane| LaneLoad {
+            items: lane.queued_items() + lane.in_flight_items,
+            rate: lane.device.model_throughput(batch.sig.dnn, batch.sig.batch)
+                / lane.device.time_scale(),
+            has_space: lane.queue.len() < queue_cap,
+        });
+        let Some(i) = pick_lane(loads, batch.items.len()) else {
+            return Err(batch);
+        };
+        self.lanes[i].queue.push_back(batch);
+        Ok(())
+    }
+
     /// Takes the next batch for a consumer of lane `lane_idx`: the front of
     /// its own queue, else — only with nothing in its launch window
     /// (`window_empty`) — the front of the other queue holding most items
@@ -68,7 +111,7 @@ impl Fleet {
     /// wait behind that one while the victim lane might have run it sooner.
     /// Batches are self-contained, so executing one on a different device
     /// changes timing only, never results.
-    fn take_batch(
+    pub fn take_batch(
         &mut self,
         lane_idx: usize,
         window_empty: bool,
@@ -89,6 +132,37 @@ impl Fleet {
         lane.overlapped_batches += u64::from(!window_empty);
         Some(batch)
     }
+
+    /// Books a retired batch of `items` items on lane `lane_idx`, `lag_s`
+    /// after the device completed it.
+    pub fn retired(&mut self, lane_idx: usize, items: usize, lag_s: f64) {
+        let lane = &mut self.lanes[lane_idx];
+        lane.in_flight -= 1;
+        lane.in_flight_items -= items;
+        lane.batches += 1;
+        lane.images += items as u64;
+        lane.retire_lag_s += lag_s;
+    }
+}
+
+#[cfg(test)]
+impl Fleet {
+    /// Whether [`Fleet::take_batch`] would hand lane `lane_idx` a batch.
+    pub fn takeable(&self, lane_idx: usize, window_empty: bool) -> bool {
+        let queued = |lane: &Lane| !lane.queue.is_empty();
+        queued(&self.lanes[lane_idx]) || (window_empty && self.lanes.iter().any(queued))
+    }
+
+    /// Whether some lane queue has space for another batch.
+    pub fn has_space(&self, queue_cap: usize) -> bool {
+        self.lanes.iter().any(|lane| lane.queue.len() < queue_cap)
+    }
+
+    /// Items queued or in flight across the fleet.
+    pub fn items(&self) -> usize {
+        let held = |lane: &Lane| lane.queued_items() + lane.in_flight_items;
+        self.lanes.iter().map(held).sum()
+    }
 }
 
 /// The fleet's lanes and the two waits around their queues.
@@ -106,22 +180,8 @@ impl Lanes {
     /// One lane per device, each queue holding up to `queue_cap` batches;
     /// consumers run until `producers` producer threads have exited.
     pub fn new(devices: Vec<VirtualDevice>, queue_cap: usize, producers: usize) -> Lanes {
-        let lane = |device| Lane {
-            device,
-            queue: VecDeque::new(),
-            in_flight: 0,
-            in_flight_items: 0,
-            batches: 0,
-            images: 0,
-            stolen_batches: 0,
-            overlapped_batches: 0,
-            retire_lag_s: 0.0,
-        };
         Lanes {
-            fleet: Mutex::new(Fleet {
-                lanes: devices.into_iter().map(lane).collect(),
-                producers_live: producers,
-            }),
+            fleet: Mutex::new(Fleet::new(devices, producers)),
             queue_cap: queue_cap.max(1),
             batch_cv: Condvar::new(),
             space_cv: Condvar::new(),
@@ -132,22 +192,12 @@ impl Lanes {
     /// to finish it first ([`pick_lane`]), blocking while every lane queue
     /// is full (consumers drain them; they outlive every producer, so this
     /// always makes progress).
-    pub fn dispatch(&self, batch: FormedBatch<BatchItem>) {
+    pub fn dispatch(&self, mut batch: FormedBatch<BatchItem>) {
         let mut fleet = lock(&self.fleet);
-        loop {
-            let loads = fleet.lanes.iter().map(|lane| LaneLoad {
-                items: lane.queued_items() + lane.in_flight_items,
-                rate: lane.device.model_throughput(batch.sig.dnn, batch.sig.batch)
-                    / lane.device.time_scale(),
-                has_space: lane.queue.len() < self.queue_cap,
-            });
-            if let Some(i) = pick_lane(loads, batch.items.len()) {
-                fleet.lanes[i].queue.push_back(batch);
-                self.batch_cv.notify_all();
-                return;
-            }
-            fleet = wait(&self.space_cv, fleet);
+        while let Err(back) = fleet.place(batch, self.queue_cap) {
+            (batch, fleet) = (back, wait(&self.space_cv, fleet));
         }
+        self.batch_cv.notify_all();
     }
 
     /// Counts a producer thread out; consumers exit once every producer
@@ -193,6 +243,7 @@ pub(crate) fn consumer_loop(inner: &Inner, lane_idx: usize) {
     let device = lock(&lanes.fleet).lanes[lane_idx].device.clone();
     // Launch order; both device engines are FIFO, so completion order too.
     let mut window: VecDeque<Launched> = VecDeque::with_capacity(LAUNCH_WINDOW);
+    let mut fx = Effects::default();
     loop {
         // Launch before waiting: a queued batch goes onto the device while
         // the window has room, and the wait for the oldest completion is
@@ -224,7 +275,7 @@ pub(crate) fn consumer_loop(inner: &Inner, lane_idx: usize) {
             None => {
                 let oldest = window.pop_front().expect("nothing to launch: waiting");
                 VirtualDevice::wait_until(oldest.done);
-                retire(inner, lane_idx, oldest);
+                retire(inner, lane_idx, oldest, &mut fx);
             }
         }
     }
@@ -245,51 +296,37 @@ fn launch(inner: &Inner, device: &VirtualDevice, batch: FormedBatch<BatchItem>) 
 
 /// Retires a completed batch: lane counters, inference callbacks, then its
 /// outputs go back to their queries.
-fn retire(inner: &Inner, lane_idx: usize, launched: Launched) {
+fn retire(inner: &Inner, lane_idx: usize, launched: Launched, fx: &mut Effects) {
     let Launched { batch, done } = launched;
+    let lag_s = done.elapsed().as_secs_f64();
+    lock(&inner.lanes.fleet).retired(lane_idx, batch.items.len(), lag_s);
+    let (mut retired, full) = run_callbacks(batch);
+    inner.run(fx, |core, now, fx| core.retire(&mut retired, full, now, fx));
+}
+
+/// Runs an executed batch's inference callbacks. They are user code and run
+/// on the calling thread, outside every lock; one that panics fails its own
+/// output, and the lane's consumer and the batches launched behind this one
+/// live on. The device is done with the tensors: each item's staging buffer
+/// goes back to the arena here, before any handle resolves, so a query
+/// submitted on the strength of a report finds them idle. Returns the
+/// outputs sorted by query (stably: each query's stay in batch order) and
+/// whether the batch was full.
+pub(crate) fn run_callbacks(batch: FormedBatch<BatchItem>) -> (Vec<Retired>, bool) {
     let full = batch.is_full();
-    let first = batch.items.first().map(|b| b.query);
-    let cross_query = batch.items.iter().any(|b| Some(b.query) != first);
-    {
-        let mut fleet = lock(&inner.lanes.fleet);
-        let lane = &mut fleet.lanes[lane_idx];
-        lane.in_flight -= 1;
-        lane.in_flight_items -= batch.items.len();
-        lane.batches += 1;
-        lane.images += batch.items.len() as u64;
-        lane.retire_lag_s += done.elapsed().as_secs_f64();
-    }
-
-    // Inference callbacks are user code and run on this thread, outside
-    // every lock. One that panics fails its own output; the lane's consumer
-    // and the batches launched behind this one live on. The device is done
-    // with the tensors: each item's staging buffer goes back to the arena
-    // here, before any handle resolves, so a query submitted on the
-    // strength of a report finds them idle.
-    let retired: Vec<Retired> = batch
-        .items
-        .into_iter()
-        .map(|b| Retired {
-            query: b.query,
-            item_idx: b.item_idx,
-            idx: b.item.idx,
-            claimed_at: b.claimed_at,
-            outcome: match (&b.infer, &b.item.image) {
-                (Some(infer), Some(img)) => {
-                    catch_unwind(AssertUnwindSafe(|| infer(b.item.idx, img)))
-                        .map(Some)
-                        .map_err(|payload| panic_message("inference callback", payload.as_ref()))
-                }
-                _ => Ok(None),
-            },
-        })
-        .collect();
-
-    {
-        let mut agg = lock(&inner.agg);
-        agg.batches += 1;
-        agg.full_batches += u64::from(full);
-        agg.cross_query_batches += u64::from(cross_query);
-    }
-    retire_outputs(inner, retired);
+    let run = |b: BatchItem| Retired {
+        query: b.query,
+        item_idx: b.item_idx,
+        idx: b.item.idx,
+        claimed_at: b.claimed_at,
+        outcome: match (&b.infer, &b.item.image) {
+            (Some(infer), Some(img)) => catch_unwind(AssertUnwindSafe(|| infer(b.item.idx, img)))
+                .map(Some)
+                .map_err(|payload| panic_message("inference callback", payload.as_ref())),
+            _ => Ok(None),
+        },
+    };
+    let mut retired: Vec<Retired> = batch.items.into_iter().map(run).collect();
+    retired.sort_by_key(|r| r.query);
+    (retired, full)
 }

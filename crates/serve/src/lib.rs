@@ -41,13 +41,16 @@
 //!   fleet-wide [`ServerStats`] (aggregate
 //!   counters + per-device [`DeviceLaneStats`]).
 //!
-//! Inside, [`server`] holds admission, each query's state and the producer
-//! loop; a private `window` module holds a query's per-item state (a slot
-//! per item from its oldest unresolved one to its newest), and a private
-//! `lanes` module the device half — lane queues, dispatch, consumer
-//! threads and stealing — which sees formed batches, never a query's
-//! items. Reports and completions travel over `std::sync::mpsc` channels;
-//! [`Server`] and [`QueryHandle`] are `Send + Sync`.
+//! Inside, a private `core` module is the scheduler as one thread-free
+//! state machine — admission, each query's state, claims, batching,
+//! retirement — and [`server`] holds the public types and the threads
+//! that drive it (lock, call, act); a private `window` module holds a
+//! query's per-item state (a slot per item from its oldest unresolved one
+//! to its newest), and a private `lanes` module the device half — lane
+//! queues, dispatch, consumer threads and stealing — which sees formed
+//! batches, never a query's items. Reports and completions travel over
+//! `std::sync::mpsc` channels; [`Server`] and [`QueryHandle`] are
+//! `Send + Sync`.
 //!
 //! The per-image and per-batch stage code is `smol_runtime`'s
 //! ([`smol_runtime::produce_item`] / [`smol_runtime::launch_device_batch`]),
@@ -57,7 +60,10 @@
 #![deny(unsafe_code)]
 
 pub mod calibration;
+mod core;
 pub mod dataset;
+#[cfg(test)]
+mod explore;
 mod lanes;
 pub mod plancache;
 pub mod scheduler;

@@ -1,5 +1,9 @@
 //! Scheduling policy of the serving runtime: fair share, signature
-//! batching with priority-aware release, and lane choice.
+//! batching with priority-aware release, and lane choice. The state they
+//! act on — the round-robin rings and the [`Batcher`] — is held by the
+//! server's thread-free scheduler core (the private `core` module), which
+//! a test-only explorer drives over seeded event orders; the lanes call
+//! [`pick_lane`].
 //!
 //! # Fair share
 //!
@@ -307,6 +311,29 @@ impl<T> Batcher<T> {
     /// accounting must return to.
     pub fn is_idle(&self) -> bool {
         self.counts.is_empty() && self.former.pending_total() == 0
+    }
+}
+
+#[cfg(test)]
+impl<T> Batcher<T> {
+    /// The release rules hold between calls: no group is full, and a
+    /// partial group waits only while work at least as urgent as its most
+    /// urgent item is outstanding under its signature.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        for (sig, group) in self.former.groups.iter().filter(|(_, g)| !g.is_empty()) {
+            if group.len() >= sig.batch.max(1) {
+                return Err(format!("a full group of {} was not released", group.len()));
+            }
+            let urgent = group.iter().map(self.priority_of).max();
+            let top = self.counts.get(sig).and_then(SigCount::top);
+            if top < urgent {
+                return Err(format!(
+                    "a partial batch of {} (most urgent {urgent:?}) waits on {top:?} work",
+                    group.len()
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

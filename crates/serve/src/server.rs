@@ -11,17 +11,19 @@
 //! live stream is one open query. Scheduling policy (fair share + signature
 //! batching) is documented in [`crate::scheduler`].
 //!
-//! Dataflow per query:
+//! Dataflow per query — each `Core::` step is a call on the thread-free
+//! scheduler state (the `core` module) under the one scheduler lock; the
+//! threads only lock, call, and act on the effects it returns:
 //!
 //! ```text
-//! submit() ──► admission (bounded, priority-aware; blocks or errors when full)
-//!   append: each item's fan-out and batcher counts settle (append() for more)
-//!   producers: round-robin claim one item ─► decode + CPU preproc
-//!   batch former: group by PlacementSignature ─► device batches
+//! submit() ──► Core::admit (bounded, priority-aware; waits or errors when full)
+//!   Core::append: each item's fan-out and batcher counts settle (append() for more)
+//!   producers: Core::claim one item, round-robin ─► decode + CPU preproc
+//!     ─► Core::integrate: group by PlacementSignature ─► device batches
 //!   dispatch: shard each batch to the lane expected to finish it first
 //!   lane consumers: launch copy + kernels + DNN batch as one stream,
 //!     keep one more batch enqueued behind it, retire in launch order
-//!     ─► per-item results (an open query's completions)
+//!     ─► Core::retire: per-item results (an open query's completions)
 //!     (an idle lane steals queued batches from the lane with most items queued)
 //!   closed, last item resolved ─► QueryReport through the handle
 //! ```
@@ -40,34 +42,29 @@
 //! names each item's rung; the rung past the end drops the item (skipped,
 //! never produced). All three keep the batcher's per-signature counters by
 //! one rule — an item counts, at its query's priority, under every rung
-//! still open to it (`Pick::open`) — and [`crate::scheduler`] states the
+//! still open to it (`Policy::open`) — and [`crate::scheduler`] states the
 //! three rules that release a batch over those counters.
 //!
 //! Producers and consumers are long-lived: they are spawned once in
 //! [`Server::with_devices`] and reused by every query until shutdown. The
-//! device half (lanes, dispatch, consumers) is the `lanes` module; a
-//! query's per-item state is its `window`.
+//! device half (lanes, dispatch, consumers) is the `lanes` module, under a
+//! lock of its own; a query's per-item state is its `window`.
 //! Work stealing moves *formed batches* between lanes, never items within
 //! a batch, so per-query result ordering and output bytes are identical
 //! whatever lane executes a batch — the device only models time.
 
+use crate::core::{Core, Effects, Gate, NewQuery, NoClaim, Policy, Rung, Wake};
 use crate::lanes::{consumer_loop, Lanes};
-use crate::scheduler::{Batcher, FormedBatch, Priority};
-use crate::stats::{percentile, BoxedPrediction, QueryReport, ServerStats};
-use crate::window::Window;
+use crate::scheduler::Priority;
+use crate::stats::{BoxedPrediction, QueryReport, ServerStats};
 use smol_accel::sync::{lock, wait};
 use smol_accel::VirtualDevice;
 use smol_codec::EncodedImage;
-use smol_core::{CascadePlan, PlacementSignature, QueryPlan};
+use smol_core::{CascadePlan, QueryPlan};
 use smol_imgproc::ImageU8;
-use smol_runtime::{
-    produce_media_item, route_stage, wrap_images, BufferPool, MediaItem, PlanContext, ProducedItem,
-    RuntimeOptions, StagingArena, TensorCache, TensorCacheStats,
-};
+use smol_runtime::{wrap_images, MediaItem, RuntimeOptions, TensorCache, TensorCacheStats};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
@@ -86,7 +83,7 @@ pub enum ServeError {
     /// The server went away before the query resolved.
     Aborted,
     /// The plan cannot be executed on any item (see
-    /// [`PlanContext::validate`]); rejected before admission.
+    /// [`smol_runtime::PlanContext::validate`]); rejected before admission.
     InvalidPlan(String),
     /// The query is closed (or was never open): it takes no more items.
     Closed,
@@ -164,11 +161,11 @@ pub struct SubmitOptions {
 /// admission.
 pub struct SubmitRequest {
     plan: QueryPlan,
-    items: Vec<MediaItem>,
-    opts: SubmitOptions,
-    infer: Option<InferFn>,
-    wait: bool,
-    open: bool,
+    pub(crate) items: Vec<MediaItem>,
+    pub(crate) opts: SubmitOptions,
+    pub(crate) infer: Option<InferFn>,
+    pub(crate) wait: bool,
+    pub(crate) open: bool,
 }
 
 impl SubmitRequest {
@@ -272,274 +269,64 @@ impl Default for ServerConfig {
     }
 }
 
-/// A produced item tagged with its owning query and item.
-pub(crate) struct BatchItem {
-    pub query: QueryId,
-    /// Index of the item (not the output) within its query.
-    pub item_idx: usize,
-    /// The owning query's priority: a partial batch holding this item does
-    /// not wait for lesser work.
-    prio: Priority,
-    pub item: ProducedItem,
-    pub claimed_at: Instant,
-    /// The owning query's inference callback, run when the batch retires.
-    pub infer: Option<InferFn>,
-}
-
-/// One unit of producer work: item `idx` of query `query`.
-struct Claim {
-    query: QueryId,
-    prio: Priority,
-    idx: usize,
-    item: MediaItem,
-    /// The item's outputs are `offset..offset + fanout`.
-    offset: usize,
-    fanout: usize,
-    rungs: Arc<[Rung]>,
-    /// How the item picks its rung, fixed at claim time: it stays counted
-    /// under every rung open *here*, whatever the query degrades to while
-    /// the claim is out.
-    pick: Pick,
-    pool: BufferPool,
-    /// The query's inference callback; producers keep the decoded image
-    /// only when there is one.
-    infer: Option<InferFn>,
-    claimed_at: Instant,
-}
-
-/// One rung of a query's ladder: a plan compiled to runtime form (context
-/// + placement signature), ready to produce items under.
-struct Rung {
-    label: String,
-    sig: Arc<PlacementSignature>,
-    ctx: Arc<PlanContext>,
-    /// Calibrated accuracy of the plan (reported per query).
-    accuracy: Option<f64>,
-}
-
-impl Rung {
-    /// Compiles `plan`, or says why no item could be executed under it
-    /// (see [`PlanContext::validate`]).
-    fn compile(plan: &QueryPlan, accuracy: Option<f64>) -> Result<Rung, String> {
-        let ctx = PlanContext::new(plan);
-        ctx.validate().map_err(|e| e.to_string())?;
-        Ok(Rung {
-            label: plan.label(),
-            sig: Arc::new(plan.placement_signature()),
-            ctx: Arc::new(ctx),
-            accuracy,
-        })
-    }
-}
-
-/// Who picks an item's rung (see the module docs).
-#[derive(Clone, Copy)]
-enum Policy {
-    /// The scheduler: every item takes rung `Ladder::at`, which
-    /// [`maybe_degrade`] advances.
-    Degrade,
-    /// The producer, per item after claiming it, by its bitstream signal
-    /// against this threshold.
-    Route(f64),
-    /// The appender, per item at append; the rung past the end drops it.
-    Pace,
-}
-
-/// An unproduced item's rung: settled, or still open to routing.
-#[derive(Clone, Copy)]
-enum Pick {
-    Rung(usize),
-    Route(f64),
-}
-
-impl Pick {
-    /// The rungs an item not yet produced may still land in — the ones it
-    /// is counted under in the batcher, at its query's priority. Until a
-    /// routed item is produced that is *every* rung: an unrouted item could
-    /// still join either signature's group; routing resolves it to exactly
-    /// one. What those counts hold a partial batch back for, and what they
-    /// do not, is [`crate::scheduler`]'s three release rules.
-    fn open(self, rungs: &[Rung]) -> &[Rung] {
-        match self {
-            Pick::Rung(r) => &rungs[r..=r],
-            Pick::Route(_) => rungs,
-        }
-    }
-}
-
-/// A query's compiled rungs plus the policy that picks one per item. Rung
-/// 0 is the submitted plan; deeper rungs are the usable degradation steps,
-/// most accurate first, a cascade's stage-1 plan, or an open query's
-/// pacing rungs.
-struct Ladder {
-    rungs: Arc<[Rung]>,
-    /// The current rung of a degrading query (0 under the other policies);
-    /// also the number of degradation steps taken.
-    at: usize,
-    policy: Policy,
-}
-
-impl Ladder {
-    /// How an unclaimed item picks its rung; `pinned` is the rung its
-    /// appender chose (paced queries only).
-    fn pick(&self, pinned: Option<usize>) -> Pick {
-        match self.policy {
-            Policy::Degrade => Pick::Rung(self.at),
-            Policy::Route(threshold) => Pick::Route(threshold),
-            Policy::Pace => Pick::Rung(pinned.expect("a paced item carries its rung")),
-        }
-    }
-}
-
-struct QueryState {
-    priority: Priority,
-    ladder: Ladder,
-    /// Outputs staged under each rung.
-    rung_outputs: Vec<usize>,
-    /// This query's entitlement over the server's staging arena, per rung;
-    /// a rung's entitlement is created when the rung is first claimed on
-    /// (and again after an append raised `max_fanout`).
-    pools: Vec<Option<BufferPool>>,
-    infer: Option<InferFn>,
-    /// Per-item state, from the oldest unresolved item to the newest.
-    window: Window,
-    /// Outputs the items occupy, and the largest single-item fan-out
-    /// (pool sizing).
-    total_outputs: usize,
-    max_fanout: usize,
-    /// Takes no more items: resolves once the last item has.
-    closed: bool,
-    /// An open query's completions, per item as it resolves; `None` for a
-    /// closed request, whose results and latencies go into the report.
-    completions: Option<mpsc::Sender<Completion>>,
-    /// The query's report, its counters kept as items resolve (the rest is
-    /// filled in at finalize).
-    report: QueryReport,
-    /// Outputs staged so far (≥ items produced for video queries).
-    produced: usize,
-    latencies: Vec<f64>,
-    submitted_at: Instant,
-    done_tx: mpsc::SyncSender<QueryReport>,
-    deadline: Option<Duration>,
-    /// Hysteresis: no further degradation before this item index.
-    next_degrade_at: usize,
-}
-
-impl QueryState {
-    /// True when the query is projected to miss its deadline at the
-    /// observed completion rate (needs at least one completed output).
-    fn projected_late(&self, now: Instant) -> bool {
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        let completed = self.report.images;
-        if completed == 0 {
-            return false;
-        }
-        let elapsed = now.duration_since(self.submitted_at).as_secs_f64();
-        if elapsed <= 0.0 {
-            return false;
-        }
-        let rate = completed as f64 / elapsed;
-        let remaining = (self.total_outputs - completed) as f64;
-        elapsed + remaining / rate > deadline.as_secs_f64()
-    }
-
-    /// Rung `rung`'s staging entitlement, created at its first use.
-    fn pool(&mut self, inner: &Inner, rung: usize) -> BufferPool {
-        let (ctx, fanout) = (&self.ladder.rungs[rung].ctx, self.max_fanout);
-        self.pools[rung]
-            .get_or_insert_with(|| inner.staging_pool(ctx, fanout))
-            .clone()
-    }
-
-    /// Claimed item `idx` has resolved: its state goes, and an open
-    /// query's appender gets its completion.
-    fn resolve(&mut self, inner: &Inner, idx: usize) {
-        let at_bound = self.window.full(inner.cfg.max_active_queries.max(1));
-        let (results, failed) = self.window.resolve(idx);
-        if let Some(tx) = &self.completions {
-            let _ = tx.send(Completion {
-                item: idx,
-                results,
-                failed,
-            });
-            // An appender may be blocked on the bound this item frees.
-            if at_bound {
-                inner.admit_cv.notify_all();
-            }
-        }
-    }
-}
-
-struct Sched {
-    queries: HashMap<QueryId, QueryState>,
-    /// Round-robin rings of queries with unclaimed items, one per
-    /// priority; producers drain higher-priority rings first and
-    /// round-robin within a ring (fair share among equals).
-    rr: [VecDeque<QueryId>; Priority::COUNT],
-    /// Produced items grouped by signature, and the counts of items still
-    /// to come that decide when a partial group is released.
-    batcher: Batcher<BatchItem>,
-    next_id: QueryId,
-    /// Queries admitted and not yet finalized.
-    active: usize,
-    /// Submitters blocked at admission, per priority (pressure signal for
-    /// degradation, and the priority-aware admission order).
-    waiting: [usize; Priority::COUNT],
-}
-
-impl Sched {
-    fn waiting_total(&self) -> usize {
-        self.waiting.iter().sum()
-    }
-
-    fn waiting_above(&self, prio: Priority) -> usize {
-        self.waiting[prio.index() + 1..].iter().sum()
-    }
-}
-
 pub(crate) struct Inner {
     pub cfg: ServerConfig,
     /// Shared decoded-tensor cache; `None` when `cfg.tensor_cache_bytes`
     /// is 0 (producers then decode every claim).
     tensor_cache: Option<Arc<TensorCache>>,
-    /// Idle staging buffers of every query this server has run, shelved by
-    /// tensor geometry. Queries hold entitlements over it ([`BufferPool`]),
-    /// never buffers of their own, so a one-batch query reuses what the
-    /// last one returned.
-    staging: StagingArena,
-    /// Device lanes (fixed at construction; sizes staging entitlements).
-    n_lanes: usize,
-    sched: Mutex<Sched>,
+    /// The scheduler state, behind the one scheduler lock.
+    core: Mutex<Core>,
     /// Producers wait here for claimable work.
     work_cv: Condvar,
     /// Submitters wait here for admission capacity, and an open query's
     /// appender for one of its items to resolve.
     admit_cv: Condvar,
-    shutdown: AtomicBool,
-    /// The aggregate counters of [`Server::stats`] (its live fields are
-    /// filled in when sampled).
-    pub agg: Mutex<ServerStats>,
     pub lanes: Lanes,
 }
 
 impl Inner {
-    /// A query's staging entitlement for plan `ctx`: enough buffers that
-    /// producers never wait on consumers — every consumer thread across
-    /// the fleet may hold its launch window of two batches (the `2 ·` of
-    /// `pool_capacity_fanout`), every lane queue `batch_queue` more, and the
-    /// batch former up to `batch − 1` items — drawn from the server's
-    /// arena (or freshly allocated per acquire when `memory_reuse` is off).
-    fn staging_pool(&self, ctx: &PlanContext, max_fanout: usize) -> BufferPool {
-        let rt = &self.cfg.runtime;
-        let consumers = self.n_lanes * (rt.consumers.max(1) + self.cfg.batch_queue.max(1));
-        self.staging.pool(
-            ctx.pool_capacity_fanout(rt.effective_producers(), consumers, max_fanout),
-            ctx.buf_len,
-            rt.memory_reuse,
-            rt.pinned,
-        )
+    /// Locks the scheduler, calls `f` on it at the current time, and acts
+    /// on the effects once the lock is released.
+    pub fn run(&self, fx: &mut Effects, f: impl FnOnce(&mut Core, Instant, &mut Effects)) {
+        f(&mut lock(&self.core), Instant::now(), fx);
+        self.act(fx);
+    }
+
+    /// Calls `f` under the scheduler lock until it passes — between tries
+    /// the caller waits to be woken ([`Effects::wake_admission`]) — then
+    /// acts on the effects.
+    fn gate<T, B>(
+        &self,
+        mut input: B,
+        mut f: impl FnMut(&mut Core, B, Instant, &mut Effects) -> ServeResult<Gate<T, B>>,
+    ) -> ServeResult<T> {
+        let (mut core, mut fx) = (lock(&self.core), Effects::default());
+        let out = loop {
+            match f(&mut core, input, Instant::now(), &mut fx)? {
+                Gate::Pass(out) => break out,
+                Gate::Wait(back) => (input, core) = (back, wait(&self.admit_cv, core)),
+            }
+        };
+        drop(core);
+        self.act(&mut fx);
+        Ok(out)
+    }
+
+    /// Acts on what a core call left in `fx`, outside the scheduler lock:
+    /// dispatches formed batches (a full lane queue stalls only this
+    /// thread, never other producers' claims) and wakes who it names.
+    pub fn act(&self, fx: &mut Effects) {
+        for batch in fx.batches.drain(..) {
+            self.lanes.dispatch(batch);
+        }
+        match std::mem::take(&mut fx.wake_producers) {
+            Wake::None => {}
+            Wake::One => self.work_cv.notify_one(),
+            Wake::All => self.work_cv.notify_all(),
+        }
+        if std::mem::take(&mut fx.wake_admission) {
+            self.admit_cv.notify_all();
+        }
     }
 }
 
@@ -606,16 +393,8 @@ impl QueryHandle {
     /// A gone server reports `Ready` so pollers always reach a terminal
     /// state (the take will then surface [`ServeError::Aborted`]).
     pub fn poll(&self) -> QueryPoll {
-        let Some(inner) = self.inner.upgrade() else {
-            return QueryPoll::Ready;
-        };
-        let sched = lock(&inner.sched);
-        match sched.queries.get(&self.id) {
-            Some(q) => QueryPoll::Pending {
-                produced: q.produced,
-                completed: q.report.images,
-                total: q.total_outputs,
-            },
+        match self.inner.upgrade() {
+            Some(inner) => lock(&inner.core).poll(self.id),
             None => QueryPoll::Ready,
         }
     }
@@ -634,25 +413,9 @@ impl QueryHandle {
     /// the query is closed or cancelled, or if it was not submitted open.
     pub fn append(&self, item: MediaItem, rung: usize) -> ServeResult<usize> {
         let inner = self.inner.upgrade().ok_or(ServeError::Aborted)?;
-        let capacity = inner.cfg.max_active_queries.max(1);
-        let mut sched = lock(&inner.sched);
-        loop {
-            if inner.shutdown.load(Ordering::Acquire) {
-                return Err(ServeError::ShuttingDown);
-            }
-            let q = sched.queries.get(&self.id).ok_or(ServeError::Closed)?;
-            if q.closed {
-                return Err(ServeError::Closed);
-            }
-            if rung >= q.ladder.rungs.len() || !q.window.full(capacity) {
-                break;
-            }
-            sched = wait(&inner.admit_cv, sched);
-        }
-        let idx = enqueue(&inner, &mut sched, self.id, vec![item], Some(rung));
-        drop(sched);
-        inner.work_cv.notify_one();
-        Ok(idx)
+        inner.gate(item, |core, item, _, fx| {
+            core.append(self.id, item, rung, fx)
+        })
     }
 
     /// Closes the query: it takes no more items, and resolves once every
@@ -669,25 +432,9 @@ impl QueryHandle {
     }
 
     fn finish(&self, cancel: bool) {
-        let Some(inner) = self.inner.upgrade() else {
-            return;
-        };
-        let mut emitted = Vec::new();
-        {
-            let mut sched = lock(&inner.sched);
-            let Some(q) = sched.queries.get_mut(&self.id) else {
-                return;
-            };
-            q.closed = true;
-            if cancel {
-                cancel_queued(&mut sched, self.id, &mut emitted);
-            }
-            try_finalize(&inner, &mut sched, self.id);
-        }
-        // Wake an appender blocked on this query: it is closed now.
-        inner.admit_cv.notify_all();
-        for batch in emitted {
-            inner.lanes.dispatch(batch);
+        if let Some(inner) = self.inner.upgrade() {
+            let finish = |core: &mut Core, now, fx: &mut _| core.finish(self.id, cancel, now, fx);
+            inner.run(&mut Effects::default(), finish);
         }
     }
 
@@ -735,20 +482,9 @@ impl Server {
             cfg,
             tensor_cache: (cfg.tensor_cache_bytes > 0)
                 .then(|| Arc::new(TensorCache::new(cfg.tensor_cache_bytes))),
-            staging: StagingArena::new(),
-            n_lanes,
-            sched: Mutex::new(Sched {
-                queries: HashMap::new(),
-                rr: Default::default(),
-                batcher: Batcher::new(|item: &BatchItem| item.prio),
-                next_id: 1,
-                active: 0,
-                waiting: [0; Priority::COUNT],
-            }),
+            core: Mutex::new(Core::new(&cfg, n_lanes)),
             work_cv: Condvar::new(),
             admit_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            agg: Mutex::default(),
             lanes: Lanes::new(devices, cfg.batch_queue, producers),
         });
         let producer_handles = (0..producers)
@@ -836,77 +572,19 @@ impl Server {
     /// with [`ServeError::Backpressure`], [`SubmitRequest::no_wait`]),
     /// appends its items and — unless the request is open — closes it.
     pub fn submit(&self, request: SubmitRequest) -> ServeResult<QueryHandle> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let (inner, opts, open) = (&self.inner, &request.opts, request.open);
-        let (rungs, policy) = compile_ladder(&request.plan, &request.items, opts, open)?;
+        let (rungs, policy) = compile_ladder(&request)?;
         let (done_tx, done_rx) = mpsc::sync_channel::<QueryReport>(1);
-        let (completions, completions_rx) = open.then(mpsc::channel).unzip();
-        let mut sched = lock(&inner.sched);
-        let capacity = inner.cfg.max_active_queries.max(1);
-        if !request.wait {
-            if sched.active >= capacity || sched.waiting_above(opts.priority) > 0 {
-                return Err(ServeError::Backpressure {
-                    active: sched.active,
-                    capacity,
-                });
-            }
-        } else {
-            // Register as a waiter up front so lower-priority submitters
-            // arriving later defer to us even before we first block.
-            sched.waiting[opts.priority.index()] += 1;
-            while sched.active >= capacity || sched.waiting_above(opts.priority) > 0 {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    sched.waiting[opts.priority.index()] -= 1;
-                    return Err(ServeError::ShuttingDown);
-                }
-                sched = wait(&inner.admit_cv, sched);
-            }
-            sched.waiting[opts.priority.index()] -= 1;
-            // Others may now be admissible too (e.g. equal priority with
-            // capacity left).
-            inner.admit_cv.notify_all();
-        }
-        let id = sched.next_id;
-        sched.next_id += 1;
-        lock(&inner.agg).submitted_queries += 1;
-        let state = QueryState {
-            priority: opts.priority,
-            rung_outputs: vec![0; rungs.len()],
-            pools: (0..rungs.len()).map(|_| None).collect(),
-            ladder: Ladder {
-                rungs,
-                at: 0,
-                policy,
-            },
-            infer: request.infer,
-            window: Window::new(open),
-            total_outputs: 0,
-            max_fanout: 1,
-            closed: !open,
-            completions,
-            report: QueryReport {
-                id,
-                accuracy_floor: opts.accuracy_floor,
-                ..QueryReport::default()
-            },
-            produced: 0,
-            latencies: Vec::new(),
-            submitted_at: Instant::now(),
+        let (completions, completions_rx) = request.open.then(mpsc::channel).unzip();
+        let query = NewQuery {
+            request,
+            rungs,
+            policy,
             done_tx,
-            deadline: opts.deadline,
-            next_degrade_at: 0,
+            completions,
+            queued: false,
         };
-        sched.queries.insert(id, state);
-        sched.active += 1;
-        enqueue(inner, &mut sched, id, request.items, open.then_some(0));
-        // A closed query with no items has nothing to wait for.
-        try_finalize(inner, &mut sched, id);
-        drop(sched);
-        inner.work_cv.notify_all();
         Ok(QueryHandle {
-            id,
+            id: self.inner.gate(query, Core::admit)?,
             rx: Mutex::new(done_rx),
             completions: completions_rx.map(Mutex::new),
             inner: Arc::downgrade(&self.inner),
@@ -929,19 +607,11 @@ impl Server {
         // Under the scheduler lock, which finalize holds while it folds a
         // query into the aggregate: a query whose last completion has been
         // delivered is counted.
-        let mut stats = {
-            let sched = lock(&self.inner.sched);
-            let mut stats = lock(&self.inner.agg).clone();
-            stats.queue_depth = sched.active;
-            stats.pending_batch_items = sched.batcher.pending_total();
-            stats.waiting_admission = sched.waiting_total();
-            stats.priority_flushes = sched.batcher.priority_flushes();
-            stats
-        };
+        let mut stats = lock(&self.inner.core).stats();
         stats.devices = self.inner.lanes.stats();
+        stats.batches = stats.devices.iter().map(|d| d.batches).sum();
         stats.steals = stats.devices.iter().map(|d| d.stolen_batches).sum();
         stats.tensor_cache = self.tensor_cache_stats();
-        stats.staging = self.inner.staging.stats();
         stats
     }
 
@@ -956,18 +626,8 @@ impl Server {
             return;
         }
         self.down = true;
-        self.inner.shutdown.store(true, Ordering::Release);
-        {
-            // Open queries take no more items: they drain and resolve too.
-            let mut sched = lock(&self.inner.sched);
-            let open: Vec<QueryId> = sched.queries.keys().copied().collect();
-            for id in open {
-                sched.queries.get_mut(&id).expect("listed").closed = true;
-                try_finalize(&self.inner, &mut sched, id);
-            }
-        }
-        self.inner.work_cv.notify_all();
-        self.inner.admit_cv.notify_all();
+        // Open queries take no more items: they drain and resolve too.
+        self.inner.run(&mut Effects::default(), Core::shutdown);
         for h in self.producer_handles.drain(..) {
             let _ = h.join();
         }
@@ -986,12 +646,8 @@ impl Drop for Server {
 }
 
 /// Compiles a request's rung table and the policy that picks among it.
-fn compile_ladder(
-    plan: &QueryPlan,
-    items: &[MediaItem],
-    opts: &SubmitOptions,
-    open: bool,
-) -> ServeResult<(Arc<[Rung]>, Policy)> {
+pub(crate) fn compile_ladder(request: &SubmitRequest) -> ServeResult<(Arc<[Rung]>, Policy)> {
+    let (plan, items, opts) = (&request.plan, &request.items, &request.opts);
     let full = Rung::compile(plan, opts.accuracy).map_err(ServeError::InvalidPlan)?;
     // The cascade's aggressive rung. Dropped when it collapses onto the
     // full rung (identical signature — the planner guards this too, but
@@ -1003,7 +659,7 @@ fn compile_ladder(
         (*rung.sig != *full.sig && rung.ctx.buf_len == full.ctx.buf_len)
             .then_some((rung, cascade.threshold))
     };
-    let (deeper, policy) = if open {
+    let (deeper, policy) = if request.open {
         // The appender names rungs by index: every step is kept, and one
         // that cannot be executed fails the request.
         let steps = opts.ladder.iter();
@@ -1041,229 +697,6 @@ fn compile_ladder(
 // Stage threads
 // ---------------------------------------------------------------------------
 
-/// Appends `items` to query `qid`, all on `rung` (a paced query's choice;
-/// `None` lets the ladder pick), and returns the first one's index. Each
-/// item's fan-out and batcher counts settle here. A rung past the last
-/// drops the items: counted as skipped, never produced.
-fn enqueue(
-    inner: &Inner,
-    sched: &mut Sched,
-    qid: QueryId,
-    items: Vec<MediaItem>,
-    rung: Option<usize>,
-) -> usize {
-    let q = sched.queries.get_mut(&qid).expect("caller checked");
-    let first = q.window.end();
-    let n = items.len();
-    let dropped = rung.is_some_and(|r| r >= q.ladder.rungs.len());
-    // A dropped item's loss is counted in the submitted plan's outputs.
-    let mode = q.ladder.rungs[rung.filter(|_| !dropped).unwrap_or(0)]
-        .ctx
-        .decode;
-    let mut outputs = 0;
-    for item in items {
-        let fanout = item.output_count(mode);
-        outputs += fanout;
-        if dropped {
-            q.report.skipped += fanout;
-            q.window.push_dropped();
-            continue;
-        }
-        if fanout > q.max_fanout {
-            // Entitlements were sized for smaller items: re-create them.
-            q.max_fanout = fanout;
-            q.pools.iter_mut().for_each(|pool| *pool = None);
-        }
-        q.window.push(item, q.total_outputs, fanout, rung);
-        q.total_outputs += fanout;
-    }
-    lock(&inner.agg).images_in += outputs as u64;
-    if dropped || n == 0 {
-        return first;
-    }
-    if q.completions.is_none() {
-        q.report.results.resize_with(q.total_outputs, || None);
-        q.latencies.reserve(outputs);
-    }
-    let prio = q.priority;
-    for r in q.ladder.pick(rung).open(&q.ladder.rungs) {
-        sched.batcher.register(&r.sig, prio, n);
-    }
-    let ring = &mut sched.rr[prio.index()];
-    if !ring.contains(&qid) {
-        ring.push_back(qid);
-    }
-    first
-}
-
-/// Cancels every item of `qid` no producer has claimed: each counts as
-/// skipped and releases its batcher counts (partial batches that were
-/// waiting on them land in `emitted`); an open query completes it with
-/// every output failed.
-fn cancel_queued(sched: &mut Sched, qid: QueryId, emitted: &mut Vec<FormedBatch<BatchItem>>) {
-    let q = sched.queries.get_mut(&qid).expect("caller checked");
-    q.window.cancel(|item| {
-        q.report.skipped += item.fanout;
-        for r in q.ladder.pick(item.rung).open(&q.ladder.rungs) {
-            sched.batcher.settle(&r.sig, q.priority, 1, emitted);
-        }
-        if let Some(tx) = &q.completions {
-            let _ = tx.send(Completion {
-                item: item.idx,
-                results: (0..item.fanout).map(|_| None).collect(),
-                failed: item.fanout,
-            });
-        }
-    });
-}
-
-/// Degrades `q` one rung if warranted: the fleet is under pressure
-/// (submitters blocked at admission) or the query is projected to miss
-/// its deadline, a rung remains, hysteresis has elapsed, and unclaimed
-/// items exist to re-plan. Partial batches of the abandoned signature may
-/// flush into `emitted`.
-fn maybe_degrade(
-    inner: &Inner,
-    sched: &mut Sched,
-    qid: QueryId,
-    emitted: &mut Vec<FormedBatch<BatchItem>>,
-) {
-    let pressure = sched.waiting_total() > 0;
-    let q = sched.queries.get_mut(&qid).expect("caller checked");
-    let at = q.ladder.at;
-    // Only a degrading query has a current rung to step down from.
-    let Some(next_item) = q.window.next_unclaimed() else {
-        return;
-    };
-    if !matches!(q.ladder.policy, Policy::Degrade)
-        || at + 1 >= q.ladder.rungs.len()
-        || next_item < q.next_degrade_at
-    {
-        return;
-    }
-    if !pressure && !q.projected_late(Instant::now()) {
-        return;
-    }
-    let (prio, remaining) = (q.priority, q.window.unclaimed());
-    q.ladder.at += 1;
-    let (old, new) = (&q.ladder.rungs[at], &q.ladder.rungs[at + 1]);
-    // One full batch of the new plan between steps: degrade is a ratchet,
-    // not a thrash.
-    q.next_degrade_at = next_item + new.sig.batch.max(2);
-    // The unclaimed items change rungs (and draw on the new rung's staging
-    // entitlement); claims already out stay counted under the rung they
-    // were taken on, their buffers in the old entitlement.
-    sched.batcher.register(&new.sig, prio, remaining);
-    sched.batcher.settle(&old.sig, prio, remaining, emitted);
-    lock(&inner.agg).degradations += 1;
-}
-
-/// Takes the next fair-share claim (highest-priority ring first), or
-/// `None` when no query has unclaimed items. Degradation is applied at
-/// claim time — flushed partial batches of abandoned signatures land in
-/// `emitted` and must be dispatched by the caller outside the lock.
-fn claim_next(
-    inner: &Inner,
-    sched: &mut Sched,
-    emitted: &mut Vec<FormedBatch<BatchItem>>,
-) -> Option<Claim> {
-    for prio in (0..Priority::COUNT).rev() {
-        while let Some(qid) = sched.rr[prio].pop_front() {
-            if !sched.queries.contains_key(&qid) {
-                continue; // finalized early (error path)
-            }
-            maybe_degrade(inner, sched, qid, emitted);
-            let q = sched.queries.get_mut(&qid).expect("checked above");
-            let Some(next) = q.window.claim() else {
-                continue; // exhausted (kept out of the ring from here on)
-            };
-            let pick = q.ladder.pick(next.rung);
-            if matches!(pick, Pick::Rung(rung) if rung > 0) {
-                q.report.downgraded_frames += next.fanout;
-            }
-            // One entitlement serves both rungs of a cascade.
-            let pool = match pick {
-                Pick::Rung(rung) => q.pool(inner, rung),
-                Pick::Route(_) => q.pool(inner, 0),
-            };
-            let claim = Claim {
-                query: qid,
-                prio: q.priority,
-                idx: next.idx,
-                item: next.item,
-                offset: next.offset,
-                fanout: next.fanout,
-                rungs: Arc::clone(&q.ladder.rungs),
-                pick,
-                pool,
-                infer: q.infer.clone(),
-                claimed_at: Instant::now(),
-            };
-            if q.window.unclaimed() > 0 {
-                sched.rr[prio].push_back(qid);
-            }
-            return Some(claim);
-        }
-    }
-    None
-}
-
-/// Finalizes `qid` once it is closed and every item has resolved: builds
-/// the report, resolves the handle, and frees the admission slot.
-fn try_finalize(inner: &Inner, sched: &mut Sched, qid: QueryId) {
-    let done = |q: &QueryState| q.closed && q.window.unresolved() == 0;
-    if !sched.queries.get(&qid).is_some_and(done) {
-        return;
-    }
-    let q = sched.queries.remove(&qid).expect("checked above");
-    sched.active -= 1;
-    // Conservation of the signature counters: with no query left, every
-    // item ever registered has been claimed, produced (or dropped) and
-    // batched.
-    debug_assert!(
-        sched.active > 0 || sched.batcher.is_idle(),
-        "signature counters leaked past the last query"
-    );
-    let rung = &q.ladder.rungs[q.ladder.at];
-    let wall = q.submitted_at.elapsed().as_secs_f64();
-    let deadline_missed = q.deadline.map(|d| wall > d.as_secs_f64());
-    let mut report = q.report;
-    for pool in q.pools.iter().flatten().map(BufferPool::stats) {
-        report.pool.reused += pool.reused;
-        report.pool.allocated += pool.allocated;
-        report.pool.waits += pool.waits;
-    }
-    report.label = rung.label.clone();
-    report.accuracy = rung.accuracy;
-    report.wall_s = wall;
-    if wall > 0.0 {
-        report.throughput = report.images as f64 / wall;
-    }
-    report.latency_p50_s = percentile(&q.latencies, 0.5);
-    report.latency_p95_s = percentile(&q.latencies, 0.95);
-    report.degraded_steps = q.ladder.at;
-    report.dropped_frames = report.failed + report.skipped;
-    // `[stage 1, full]`: a routed query's rungs, aggressive first.
-    if let Policy::Route(_) = q.ladder.policy {
-        report.stage_histogram = q.rung_outputs.iter().rev().copied().collect();
-    }
-    report.deadline_missed = deadline_missed;
-    {
-        let mut agg = lock(&inner.agg);
-        agg.completed_queries += 1;
-        agg.images_done += report.images as u64;
-        agg.dropped_frames += report.dropped_frames as u64;
-        agg.downgraded_frames += report.downgraded_frames as u64;
-        match deadline_missed {
-            Some(true) => agg.deadline_misses += 1,
-            Some(false) => agg.deadline_met += 1,
-            None => {}
-        }
-    }
-    let _ = q.done_tx.send(report);
-    inner.admit_cv.notify_all();
-}
-
 /// Counts its producer thread out of `producers_live` however the thread
 /// ends — a panic included — and wakes the consumers, which exit (and let
 /// `shutdown` return) only once every producer is gone.
@@ -1277,40 +710,21 @@ impl Drop for ProducerLive<'_> {
 
 fn producer_loop(inner: &Inner) {
     let _live = ProducerLive(inner);
+    let rt = &inner.cfg.runtime;
+    let mut fx = Effects::default();
     loop {
-        let mut emitted: Vec<FormedBatch<BatchItem>> = Vec::new();
         let claim = {
-            let mut sched = lock(&inner.sched);
+            let mut core = lock(&inner.core);
             loop {
-                if let Some(c) = claim_next(inner, &mut sched, &mut emitted) {
-                    break Some(c);
+                match core.claim(Instant::now(), &mut fx) {
+                    Ok(claim) => break claim,
+                    Err(NoClaim::Idle) => core = wait(&inner.work_cv, core),
+                    // Shut down with nothing claimable: admitted work is drained.
+                    Err(NoClaim::Stop) => return,
                 }
-                if !emitted.is_empty() {
-                    // A degradation flushed a partial batch but left
-                    // nothing claimable; dispatch it before sleeping.
-                    break None;
-                }
-                if inner.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                sched = wait(&inner.work_cv, sched);
             }
         };
-        let had_flushes = !emitted.is_empty();
-        // Dispatch outside the lock: a full lane queue must not stall
-        // other producers' claims, only this thread.
-        for batch in emitted {
-            inner.lanes.dispatch(batch);
-        }
-        let Some(claim) = claim else {
-            if had_flushes {
-                continue; // there may be claimable work again
-            }
-            // Shutdown with nothing claimable: admitted work is drained
-            // (claim_next exhausts every query before returning None).
-            return;
-        };
-
+        inner.act(&mut fx);
         // The slow part runs without the scheduler lock. A panic in it
         // (user bytes through decoders and kernels) fails this item like
         // any other production error, and the thread lives on. Unwinding
@@ -1318,167 +732,13 @@ fn producer_loop(inner: &Inner) {
         // shared state touched — staging pool and tensor cache — restores
         // itself on drop (a pooled buffer returns to its shelf, the cache
         // retracts its pending slot and wakes the waiters).
-        let produced = catch_unwind(AssertUnwindSafe(|| produce(inner, &claim)))
+        let cache = inner.tensor_cache.as_deref();
+        let produce = || claim.produce(rt.extra_cpu_s_per_image, cache);
+        let produced = catch_unwind(AssertUnwindSafe(produce))
             .unwrap_or_else(|payload| Err(panic_message("producer", payload.as_ref())));
-
-        let mut emitted: Vec<FormedBatch<BatchItem>> = Vec::new();
-        integrate(
-            inner,
-            &mut lock(&inner.sched),
-            &claim,
-            produced,
-            &mut emitted,
-        );
-        for batch in emitted {
-            inner.lanes.dispatch(batch);
-        }
-    }
-}
-
-/// Produces a claimed item: the rung it was produced under and its staged
-/// outputs (a GOP item fans out into one per selected frame). A routed
-/// claim routes first, before any decode work, so an escalated item runs
-/// the full plan's pipeline exactly as a uniform query would; `route_stage`
-/// says 1 for "escalate" — rung 0, the submitted plan — and 0 for the
-/// aggressive rung compiled behind it.
-fn produce(inner: &Inner, claim: &Claim) -> Result<(usize, Vec<ProducedItem>), String> {
-    let rung = match claim.pick {
-        Pick::Rung(rung) => rung,
-        Pick::Route(threshold) => 1 - route_stage(&claim.item, threshold),
-    };
-    produce_media_item(
-        &claim.rungs[rung].ctx,
-        claim.offset,
-        &claim.item,
-        &claim.pool,
-        claim.infer.is_some(),
-        inner.cfg.runtime.extra_cpu_s_per_image,
-        inner.tensor_cache.as_deref(),
-    )
-    .map(|staged| (rung, staged))
-    .map_err(|e| e.to_string())
-}
-
-/// Books a claim's outcome — the rung it was produced under and the outputs
-/// staged, or why production failed — into its query and the signature
-/// counters. Batches this completes or drains land in `emitted`.
-fn integrate(
-    inner: &Inner,
-    sched: &mut Sched,
-    claim: &Claim,
-    produced: Result<(usize, Vec<ProducedItem>), String>,
-    emitted: &mut Vec<FormedBatch<BatchItem>>,
-) {
-    let q = sched
-        .queries
-        .get_mut(&claim.query)
-        .expect("query lives until finalize");
-    // An item can legally stage zero outputs (an empty GOP): it, and the
-    // query, may then be resolved already.
-    let resolved = match produced {
-        Ok((rung, staged)) => {
-            let resolved = q.window.staged(claim.idx, Some(staged.len()));
-            q.produced += staged.len();
-            q.rung_outputs[rung] += staged.len();
-            let escalated = matches!(claim.pick, Pick::Route(_)) && rung == 0;
-            q.report.escalated_items += usize::from(escalated);
-            // Routing is resolved: all outputs of one claim batch under
-            // exactly one signature.
-            let sig = &claim.rungs[rung].sig;
-            for staged in staged {
-                q.report.cache_hits += staged.cache_hit as usize;
-                q.report.decode_cpu_s += staged.decode_s;
-                q.report.preproc_cpu_s += staged.preproc_s;
-                let staged = BatchItem {
-                    query: claim.query,
-                    item_idx: claim.idx,
-                    prio: claim.prio,
-                    item: staged,
-                    claimed_at: claim.claimed_at,
-                    infer: claim.infer.clone(),
-                };
-                emitted.extend(sched.batcher.push(sig, staged));
-            }
-            resolved
-        }
-        Err(e) => {
-            // A closed query stops claiming its other items; items already
-            // produced still execute and the handle still resolves (with
-            // the error recorded). An open query's items fail alone, each
-            // in its own completion. Failed/skipped are counted in
-            // *outputs*, matching `images` (for stills both degenerate to
-            // item counts).
-            q.window.staged(claim.idx, None);
-            q.report.failed += claim.fanout;
-            q.report.error.get_or_insert(e);
-            if q.completions.is_none() {
-                cancel_queued(sched, claim.query, emitted);
-            }
-            true
-        }
-    };
-    for rung in claim.pick.open(&claim.rungs) {
-        sched.batcher.settle(&rung.sig, claim.prio, 1, emitted);
-    }
-    if resolved {
-        let q = sched.queries.get_mut(&claim.query).expect("not finalized");
-        q.resolve(inner, claim.idx);
-        try_finalize(inner, sched, claim.query);
-    }
-}
-
-/// One executed output on its way back to its query.
-pub(crate) struct Retired {
-    pub query: QueryId,
-    /// The output's item, and the output's own index.
-    pub item_idx: usize,
-    pub idx: usize,
-    pub claimed_at: Instant,
-    /// The inference callback's prediction (`None` without a callback), or
-    /// the message of its panic.
-    pub outcome: Result<Option<BoxedPrediction>, String>,
-}
-
-/// Books a retired batch's outputs into their queries, in one pass under
-/// the scheduler lock.
-pub(crate) fn retire_outputs(inner: &Inner, mut retired: Vec<Retired>) {
-    // Stable, so each query's outputs stay in batch order; then every
-    // distinct query of the batch is looked up once.
-    retired.sort_by_key(|r| r.query);
-    let mut sched = lock(&inner.sched);
-    let now = Instant::now();
-    for outputs in retired.chunk_by_mut(|a, b| a.query == b.query) {
-        let qid = outputs[0].query;
-        let Some(q) = sched.queries.get_mut(&qid) else {
-            continue;
-        };
-        for out in outputs {
-            let outcome = match std::mem::replace(&mut out.outcome, Ok(None)) {
-                // An open query's results travel with its item's completion.
-                Ok(pred) if q.completions.is_some() => {
-                    q.report.images += 1;
-                    Ok(pred)
-                }
-                Ok(pred) => {
-                    q.report.images += 1;
-                    q.latencies
-                        .push(now.duration_since(out.claimed_at).as_secs_f64());
-                    if pred.is_some() {
-                        q.report.results[out.idx] = pred;
-                    }
-                    Ok(None)
-                }
-                Err(msg) => {
-                    q.report.failed += 1;
-                    q.report.error.get_or_insert(msg);
-                    Err(())
-                }
-            };
-            if q.window.retired(out.item_idx, out.idx, outcome) {
-                q.resolve(inner, out.item_idx);
-            }
-        }
-        try_finalize(inner, &mut sched, qid);
+        inner.run(&mut fx, |core, now, fx| {
+            core.integrate(&claim, produced, now, fx)
+        });
     }
 }
 
@@ -1531,16 +791,7 @@ mod tests {
         let handle = server.submit(request.open()).expect("admitted");
         // Per-item state (unresolved items, and the capacity kept for
         // them) and per-output state of the query.
-        let state = || {
-            let sched = lock(&server.inner.sched);
-            let q = &sched.queries[&handle.id()];
-            let capacity = q.window.capacity();
-            (
-                q.window.unresolved(),
-                capacity,
-                q.report.results.len() + q.latencies.len(),
-            )
-        };
+        let state = || lock(&server.inner.core).footprint(handle.id());
         let deadline = Instant::now() + Duration::from_secs(120);
         let output_of = |completion: Completion| {
             assert_eq!(completion.failed, 0);
