@@ -240,14 +240,15 @@ impl PlanContext {
     /// Buffer-pool capacity that guarantees producers never starve on
     /// consumers (§6.1 over-allocation) *and* that a batch former holding
     /// up to `batch − 1` pending items can never exhaust the pool, for
-    /// items that fan out into up to `fanout` staged tensors each (video
-    /// GOPs; 1 for stills): every producer may hold a whole item's frames
-    /// before any of them reach the batch former.
+    /// producers that each hold up to `held` staged tensors before any of
+    /// them reach the batch former: an item's fan-out (a GOP's frames; 1
+    /// for a still), times the items of a run where a producer stages
+    /// several items before handing them on.
     /// The `2 · consumers · batch` term is §6.1's over-allocation: each
     /// consumer may hold the batch the device is executing *and* the one
     /// launched behind it (the two-deep launch window).
-    pub fn pool_capacity_fanout(&self, producers: usize, consumers: usize, fanout: usize) -> usize {
-        producers * fanout.max(1) + self.batch + 2 * consumers * self.batch
+    pub fn pool_capacity_fanout(&self, producers: usize, consumers: usize, held: usize) -> usize {
+        producers * held.max(1) + self.batch + 2 * consumers * self.batch
     }
 
     /// The device-side batch parameters derived from this plan + options.

@@ -5,7 +5,9 @@
 
 use crate::bufferpool::BufferPool;
 use crate::media::{wrap_images, MediaItem, OutputLayout};
-use crate::pipeline::{decode_item, produce_media_item, PlanContext, Result, RuntimeOptions};
+use crate::pipeline::{
+    decode_item, produce_item, produce_media_item, PlanContext, Result, RuntimeOptions,
+};
 use smol_accel::{ModelKind, VirtualDevice};
 use smol_codec::EncodedImage;
 use smol_core::{DecodeMode, QueryPlan};
@@ -175,9 +177,11 @@ fn measure_media_preproc_throughput(
 
 /// Runs the serving engine's producer stage on its own — the §4 profile of
 /// `T_preproc`: `effective_producers()` threads over one cursor, each
-/// calling [`produce_media_item`] against the pool type, sizing and
-/// `memory_reuse` / `pinned` / `extra_cpu_s_per_image` knobs a server's
-/// producers run under, with no cache, no batch former and no device.
+/// staging a still with [`produce_item`] and a GOP with
+/// [`produce_media_item`] into a buffer of its own, against the pool type,
+/// sizing and `memory_reuse` / `pinned` / `extra_cpu_s_per_image` knobs a
+/// server's producers run under, with no cache, no batch former and no
+/// device.
 /// Returns `(outputs, wall_s)`.
 ///
 /// The paper's footnote 1 notes its preprocessing measurements come from
@@ -212,18 +216,20 @@ fn profile_producer_stage(
         .batch
         .div_ceil(producers)
         .min(items.len().div_ceil(producers) / 4);
+    let extra = opts.extra_cpu_s_per_image;
     sweep(items.len(), producers, VecDeque::new, |held, idx| {
-        let staged = produce_media_item(
-            &ctx,
-            layout.offsets[idx],
-            &items[idx],
-            &pool,
-            false,
-            opts.extra_cpu_s_per_image,
-            None,
-        )?;
-        let outputs = staged.len();
-        held.extend(staged);
+        let (before, offset) = (held.len(), layout.offsets[idx]);
+        match &items[idx] {
+            MediaItem::Image(enc) => {
+                let output = produce_item(&ctx, offset, enc, &pool, false, extra, None)?;
+                held.push_back(output);
+            }
+            gop => {
+                let frames = produce_media_item(&ctx, offset, gop, &pool, false, extra, None)?;
+                held.extend(frames);
+            }
+        }
+        let outputs = held.len() - before;
         while held.len() > resident {
             held.pop_front();
         }

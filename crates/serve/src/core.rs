@@ -17,11 +17,11 @@ use crate::server::{
     Completion, InferFn, QueryId, QueryPoll, ServeError, ServerConfig, SubmitRequest,
 };
 use crate::stats::{percentile, BoxedPrediction, QueryReport, ServerStats};
-use crate::window::Window;
+use crate::window::{NextItem, Window};
 use smol_core::{PlacementSignature, QueryPlan};
 use smol_runtime::{
-    produce_media_item, route_stage, BufferPool, MediaItem, PlanContext, ProducedItem,
-    StagingArena, TensorCache,
+    produce_item, produce_media_item, route_stage, BufferPool, MediaItem, PlanContext,
+    ProducedItem, StagingArena, TensorCache,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc};
@@ -132,23 +132,53 @@ impl Ladder {
     }
 }
 
-/// What producing a claim came to: the rung it was produced under and its
-/// staged outputs, or why production failed.
-pub(crate) type Produced = Result<(usize, Vec<ProducedItem>), String>;
+/// The longest run a producer claims. The staging entitlement reserves a
+/// whole run's slots for every producer ([`Staging::capacity`]), so this
+/// bounds it. At thumbnail cost — a few µs an item, where [`RUN_BUDGET`]
+/// ends most runs near a dozen items anyway — a run this long already
+/// brings the two scheduler round trips (about 2 µs) to about 0.15 µs an
+/// item.
+const MAX_RUN: usize = 16;
 
-/// One unit of producer work: item `idx` of query `query`.
+/// The producer time a run is sized to fill. Large enough that a
+/// cache-hit item of a few µs shares the two scheduler round trips (about
+/// 2 µs between them under contention) with a dozen others; small enough
+/// that a query arriving while every producer is mid-run — a High-priority
+/// one included — waits at most this long for a claim, a fiftieth of the
+/// lowest query latency the benchmark serves (about 2.7 ms for 512
+/// thumbnails), and that every item dearer than this — a full-resolution
+/// decode, a GOP, a scan's 0.2–1 ms item — still runs alone, as before
+/// runs.
+const RUN_BUDGET: Duration = Duration::from_micros(50);
+
+/// How many consecutive items a producer claims at once: as many as fit
+/// in [`RUN_BUDGET`] at the query's last measured per-item cost, but no
+/// more than [`MAX_RUN`] and no more than an even share of the unclaimed
+/// items across the producers; one while no cost is known yet.
+fn run_len(item_cost: Option<Duration>, unclaimed: usize, producers: usize) -> usize {
+    let Some(cost) = item_cost else {
+        return 1;
+    };
+    let fits = RUN_BUDGET.as_nanos() / cost.as_nanos().max(1);
+    let fits = fits.min(MAX_RUN as u128) as usize;
+    fits.min(unclaimed.div_ceil(producers.max(1))).max(1)
+}
+
+/// One unit of producer work: a *run* of consecutive items of one query,
+/// claimed under one lock at one clock read ([`Core::claim`]) and booked
+/// under one lock ([`Core::integrate`]). The header — rung table, rung,
+/// policy, staging entitlement, callback, claim time — is the run's, shared
+/// by every item in it.
 pub(crate) struct Claim {
     query: QueryId,
     prio: Priority,
-    idx: usize,
-    item: MediaItem,
-    /// The item's outputs are `offset..offset + fanout`.
-    offset: usize,
-    fanout: usize,
+    /// The run, in index order.
+    items: Vec<NextItem>,
     rungs: Arc<[Rung]>,
-    /// The rung the item was picked on, fixed at claim time, and the
-    /// policy that picked it: the item stays counted under every rung open
-    /// *here*, whatever the query degrades to while the claim is out.
+    /// The rung every item of the run was picked on, fixed at claim time,
+    /// and the policy that picked it: each item stays counted under every
+    /// rung open *here*, whatever the query degrades to while the run is
+    /// out.
     rung: usize,
     policy: Policy,
     pool: BufferPool,
@@ -163,22 +193,63 @@ impl Claim {
         self.policy.open(self.rung, &self.rungs)
     }
 
-    /// Produces the item (the slow part, run without the scheduler lock):
-    /// a GOP fans out into one output per selected frame. A routed claim
-    /// routes first, before any decode work, so an escalated item runs the
-    /// full plan's pipeline exactly as a uniform query would; `route_stage`
-    /// says 1 for "escalate" — rung 0, the submitted plan — and 0 for the
-    /// aggressive rung compiled behind it.
-    pub fn produce(&self, extra_cpu_s: f64, cache: Option<&TensorCache>) -> Produced {
+    /// Items in the run.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Produces item `i` of the run into `staged` (the slow part, run
+    /// without the scheduler lock) and returns the rung it was produced
+    /// under: a still stages one output, a GOP one per selected frame. A
+    /// routed item routes first, before any decode work, so an escalated
+    /// item runs the full plan's pipeline exactly as a uniform query would;
+    /// `route_stage` says 1 for "escalate" — rung 0, the submitted plan —
+    /// and 0 for the aggressive rung compiled behind it.
+    pub fn produce(
+        &self,
+        i: usize,
+        extra_cpu_s: f64,
+        cache: Option<&TensorCache>,
+        staged: &mut Vec<ProducedItem>,
+    ) -> Result<usize, String> {
+        let next = &self.items[i];
         let rung = match self.policy {
-            Policy::Route(threshold) => 1 - route_stage(&self.item, threshold),
+            Policy::Route(threshold) => 1 - route_stage(&next.item, threshold),
             Policy::Degrade | Policy::Pace => self.rung,
         };
-        let (ctx, keep_image) = (&self.rungs[rung].ctx, self.infer.is_some());
-        let (item, pool) = (&self.item, &self.pool);
-        produce_media_item(ctx, self.offset, item, pool, keep_image, extra_cpu_s, cache)
-            .map(|staged| (rung, staged))
-            .map_err(|e| e.to_string())
+        let (ctx, pool, keep) = (&self.rungs[rung].ctx, &self.pool, self.infer.is_some());
+        let offset = next.offset;
+        match &next.item {
+            MediaItem::Image(enc) => produce_item(ctx, offset, enc, pool, keep, extra_cpu_s, cache)
+                .map(|output| staged.push(output)),
+            gop => produce_media_item(ctx, offset, gop, pool, keep, extra_cpu_s, cache)
+                .map(|frames| staged.extend(frames)),
+        }
+        .map(|()| rung)
+        .map_err(|e| e.to_string())
+    }
+}
+
+/// What a producer's runs came to, in a buffer it keeps from run to run:
+/// every staged output in item order, and per item the rung it was
+/// produced under and its output count, or why production failed.
+#[derive(Default)]
+pub(crate) struct Produced {
+    staged: Vec<ProducedItem>,
+    outcomes: Vec<Result<(usize, usize), String>>,
+}
+
+impl Produced {
+    /// Books the run's next item: `produce` stages its outputs into the
+    /// buffer and returns its rung. A failed item's partial outputs are
+    /// dropped, their slots back in the pool.
+    pub fn item(&mut self, produce: impl FnOnce(&mut Vec<ProducedItem>) -> Result<usize, String>) {
+        let start = self.staged.len();
+        let outcome = produce(&mut self.staged).map(|rung| (rung, self.staged.len() - start));
+        if outcome.is_err() {
+            self.staged.truncate(start);
+        }
+        self.outcomes.push(outcome);
     }
 }
 
@@ -239,18 +310,32 @@ struct Staging {
 }
 
 impl Staging {
-    /// A query's entitlement for plan `ctx`: enough buffers that producers
-    /// never wait on consumers — every consumer thread across the fleet may
-    /// hold its launch window of two batches (the `2 ·` of
-    /// `pool_capacity_fanout`), every lane queue `batch_queue` more, and
-    /// the batch former up to `batch − 1` items — drawn from the arena (or
+    /// A query's entitlement for plan `ctx`, drawn from the arena (or
     /// freshly allocated per acquire when `memory_reuse` is off).
     fn pool(&self, ctx: &PlanContext, max_fanout: usize) -> BufferPool {
         let rt = &self.cfg.runtime;
-        let consumers = self.n_lanes * (rt.consumers.max(1) + self.cfg.batch_queue.max(1));
-        let capacity = ctx.pool_capacity_fanout(rt.effective_producers(), consumers, max_fanout);
-        let (reuse, pinned) = (rt.memory_reuse, rt.pinned);
-        self.arena.pool(capacity, ctx.buf_len, reuse, pinned)
+        let capacity = self.capacity(ctx, max_fanout);
+        self.arena
+            .pool(capacity, ctx.buf_len, rt.memory_reuse, rt.pinned)
+    }
+
+    /// Enough buffers that producers never wait on consumers: every
+    /// producer may hold a whole run — up to [`MAX_RUN`] items of up to
+    /// `max_fanout` outputs — before any of it reaches the batch former,
+    /// every consumer thread across the fleet its launch window of two
+    /// batches (the `2 ·` of `pool_capacity_fanout`), every lane queue
+    /// `batch_queue` more, and the batch former up to `batch − 1` items.
+    /// The arena allocates on demand, so slots no run uses cost nothing.
+    fn capacity(&self, ctx: &PlanContext, max_fanout: usize) -> usize {
+        let rt = &self.cfg.runtime;
+        let run = MAX_RUN * max_fanout;
+        ctx.pool_capacity_fanout(rt.effective_producers(), self.consumers(), run)
+    }
+
+    /// Batches' worth of slots the fleet's consumers and lane queues hold.
+    fn consumers(&self) -> usize {
+        let rt = &self.cfg.runtime;
+        self.n_lanes * (rt.consumers.max(1) + self.cfg.batch_queue.max(1))
     }
 }
 
@@ -284,6 +369,10 @@ struct QueryState {
     deadline: Option<Duration>,
     /// Hysteresis: no further degradation before this item index.
     next_degrade_at: usize,
+    /// The last run's producer time per item — claim to integrate on the
+    /// core's clock, over the run's length — which sizes the next run;
+    /// `None` until the first run is integrated.
+    item_cost: Option<Duration>,
 }
 
 impl QueryState {
@@ -444,6 +533,7 @@ impl Core {
             done_tx: query.done_tx,
             deadline: opts.deadline,
             next_degrade_at: 0,
+            item_cost: None,
         };
         self.queries.insert(id, state);
         self.active += 1;
@@ -531,11 +621,14 @@ impl Core {
         first
     }
 
-    /// Takes the next fair-share claim (highest-priority ring first).
-    /// Degradation is applied at claim time: partial batches of an
-    /// abandoned signature land in `fx`, always beside a claim (a query
-    /// degrades only with an item left to claim).
+    /// Takes the next fair-share claim (highest-priority ring first): a
+    /// run of the query's next items, as long as [`run_len`] allows and
+    /// they share one rung. Degradation is applied per item at claim time
+    /// (a step ends the run): partial batches of an abandoned signature
+    /// land in `fx`, always beside a claim (a query degrades only with an
+    /// item left to claim).
     pub fn claim(&mut self, now: Instant, fx: &mut Effects) -> Result<Claim, NoClaim> {
+        let producers = self.staging.cfg.runtime.effective_producers();
         for prio in (0..Priority::COUNT).rev() {
             while let Some(qid) = self.rr[prio].pop_front() {
                 if !self.queries.contains_key(&qid) {
@@ -543,20 +636,30 @@ impl Core {
                 }
                 self.maybe_degrade(qid, now, fx);
                 let q = self.queries.get_mut(&qid).expect("checked above");
-                let Some(next) = q.window.claim() else {
+                let len = run_len(q.item_cost, q.window.unclaimed(), producers);
+                let Some(first) = q.window.claim() else {
                     continue; // exhausted (kept out of the ring from here on)
                 };
-                let (rung, policy) = (q.ladder.pick(next.rung), q.ladder.policy);
+                let (rung, policy) = (q.ladder.pick(first.rung), q.ladder.policy);
+                let mut items = Vec::with_capacity(len);
+                items.push(first);
+                while items.len() < len {
+                    self.maybe_degrade(qid, now, fx);
+                    let q = self.queries.get_mut(&qid).expect("checked above");
+                    let ladder = &q.ladder;
+                    match q.window.claim_if(|pinned| ladder.pick(pinned) == rung) {
+                        Some(next) => items.push(next),
+                        None => break,
+                    }
+                }
+                let q = self.queries.get_mut(&qid).expect("checked above");
                 if rung > 0 {
-                    q.report.downgraded_frames += next.fanout;
+                    q.report.downgraded_frames += items.iter().map(|n| n.fanout).sum::<usize>();
                 }
                 let claim = Claim {
                     query: qid,
                     prio: q.priority,
-                    idx: next.idx,
-                    item: next.item,
-                    offset: next.offset,
-                    fanout: next.fanout,
+                    items,
                     rungs: Arc::clone(&q.ladder.rungs),
                     rung,
                     policy,
@@ -611,64 +714,82 @@ impl Core {
         self.stats.degradations += 1;
     }
 
-    /// Books a claim's outcome into its query and the signature counters.
-    pub fn integrate(&mut self, claim: &Claim, produced: Produced, now: Instant, fx: &mut Effects) {
-        let q = self
-            .queries
-            .get_mut(&claim.query)
-            .expect("query lives until finalize");
-        // An item can legally stage zero outputs (an empty GOP): it, and the
-        // query, may then be resolved already.
-        let resolved = match produced {
-            Ok((rung, staged)) => {
-                let resolved = q.window.staged(claim.idx, Some(staged.len()));
-                q.rung_outputs[rung] += staged.len();
-                let escalated = matches!(claim.policy, Policy::Route(_)) && rung == 0;
-                q.report.escalated_items += usize::from(escalated);
-                // Routing is resolved: all outputs of one claim batch under
-                // exactly one signature.
-                let sig = &claim.rungs[rung].sig;
-                for staged in staged {
-                    q.report.cache_hits += staged.cache_hit as usize;
-                    q.report.decode_cpu_s += staged.decode_s;
-                    q.report.preproc_cpu_s += staged.preproc_s;
-                    let staged = BatchItem {
-                        query: claim.query,
-                        item_idx: claim.idx,
-                        prio: claim.prio,
-                        item: staged,
-                        claimed_at: claim.claimed_at,
-                        infer: claim.infer.clone(),
-                    };
-                    fx.batches.extend(self.batcher.push(sig, staged));
+    /// Books a run's outcome, item by item, into its query and the
+    /// signature counters, and drains `produced` for the producer's next
+    /// run. The run's length over its time since the claim is the query's
+    /// item cost from here on.
+    pub fn integrate(
+        &mut self,
+        claim: &Claim,
+        produced: &mut Produced,
+        now: Instant,
+        fx: &mut Effects,
+    ) {
+        debug_assert_eq!(produced.outcomes.len(), claim.items.len());
+        let qid = claim.query;
+        let mut staged = produced.staged.drain(..);
+        for (next, outcome) in claim.items.iter().zip(produced.outcomes.drain(..)) {
+            let q = self
+                .queries
+                .get_mut(&qid)
+                .expect("query lives until finalize");
+            // An item can legally stage zero outputs (an empty GOP): it may
+            // then be resolved already.
+            let resolved = match outcome {
+                Ok((rung, n)) => {
+                    let resolved = q.window.staged(next.idx, Some(n));
+                    q.rung_outputs[rung] += n;
+                    let escalated = matches!(claim.policy, Policy::Route(_)) && rung == 0;
+                    q.report.escalated_items += usize::from(escalated);
+                    // Routing is resolved: all outputs of one item batch
+                    // under exactly one signature.
+                    let sig = &claim.rungs[rung].sig;
+                    for staged in staged.by_ref().take(n) {
+                        q.report.cache_hits += staged.cache_hit as usize;
+                        q.report.decode_cpu_s += staged.decode_s;
+                        q.report.preproc_cpu_s += staged.preproc_s;
+                        let staged = BatchItem {
+                            query: qid,
+                            item_idx: next.idx,
+                            prio: claim.prio,
+                            item: staged,
+                            claimed_at: claim.claimed_at,
+                            infer: claim.infer.clone(),
+                        };
+                        fx.batches.extend(self.batcher.push(sig, staged));
+                    }
+                    resolved
                 }
-                resolved
-            }
-            Err(e) => {
-                // A closed query stops claiming its other items; items already
-                // produced still execute and the handle still resolves (with
-                // the error recorded). An open query's items fail alone, each
-                // in its own completion. Failed/skipped are counted in
-                // *outputs*, matching `images` (for stills both degenerate to
-                // item counts).
-                q.window.staged(claim.idx, None);
-                q.report.failed += claim.fanout;
-                q.report.error.get_or_insert(e);
-                if q.completions.is_none() {
-                    self.cancel_queued(claim.query, fx);
+                Err(e) => {
+                    // A closed query stops claiming its other items; items
+                    // already claimed or produced still execute and the
+                    // handle still resolves (with the error recorded). An
+                    // open query's items fail alone, each in its own
+                    // completion. Failed/skipped are counted in *outputs*,
+                    // matching `images` (for stills both degenerate to item
+                    // counts).
+                    q.window.staged(next.idx, None);
+                    q.report.failed += next.fanout;
+                    q.report.error.get_or_insert(e);
+                    if q.completions.is_none() {
+                        self.cancel_queued(qid, fx);
+                    }
+                    true
                 }
-                true
+            };
+            for rung in claim.open() {
+                self.batcher
+                    .settle(&rung.sig, claim.prio, 1, &mut fx.batches);
             }
-        };
-        for rung in claim.open() {
-            self.batcher
-                .settle(&rung.sig, claim.prio, 1, &mut fx.batches);
+            if resolved {
+                let q = self.queries.get_mut(&qid).expect("not finalized");
+                q.resolve(next.idx, self.capacity, fx);
+            }
         }
-        if resolved {
-            let q = self.queries.get_mut(&claim.query).expect("not finalized");
-            q.resolve(claim.idx, self.capacity, fx);
-            self.try_finalize(claim.query, now, fx);
-        }
+        let q = self.queries.get_mut(&qid).expect("not finalized");
+        let spent = now.saturating_duration_since(claim.claimed_at);
+        q.item_cost = Some(spent / claim.items.len() as u32);
+        self.try_finalize(qid, now, fx);
     }
 
     /// Books an executed batch's outputs, sorted by query, into their
@@ -842,6 +963,19 @@ impl Core {
 }
 
 #[cfg(test)]
+impl Claim {
+    /// The query and index of each item in the run.
+    pub fn ids(&self) -> impl Iterator<Item = (QueryId, usize)> + '_ {
+        self.items.iter().map(|next| (self.query, next.idx))
+    }
+
+    /// The most outputs the run stages.
+    pub fn fanout(&self) -> usize {
+        self.items.iter().map(|next| next.fanout).sum()
+    }
+}
+
+#[cfg(test)]
 impl Core {
     /// The invariants that hold between any two calls, given the outputs
     /// `appended` to each query so far: no query has settled more outputs
@@ -891,11 +1025,42 @@ impl Core {
         Ok(())
     }
 
+    /// The staging slots `claim`'s entitlement sets aside for each
+    /// producer: the most a run may hold before it is integrated.
+    pub fn run_slots(&self, claim: &Claim) -> usize {
+        let (q, staging) = (&self.queries[&claim.query], &self.staging);
+        let ctx = &claim.rungs[claim.rung].ctx;
+        let capacity = staging.capacity(ctx, q.max_fanout);
+        let rest = ctx.pool_capacity_fanout(0, staging.consumers(), 0);
+        (capacity - rest) / staging.cfg.runtime.effective_producers()
+    }
+
     /// Query `id`'s per-item state — its unresolved items and the window
     /// capacity kept for them — and its per-output state.
     pub fn footprint(&self, id: QueryId) -> (usize, usize, usize) {
         let q = &self.queries[&id];
         let per_output = q.report.results.len() + q.latencies.len();
         (q.window.unresolved(), q.window.capacity(), per_output)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_run_fills_the_budget_within_its_share_of_the_unclaimed_items() {
+        let us = Duration::from_micros;
+        // No cost known yet: one item, whatever is waiting.
+        assert_eq!(run_len(None, 100, 1), 1);
+        // Cheap items fill the budget, up to the longest run...
+        assert_eq!(run_len(Some(us(10)), 100, 1), 5);
+        assert_eq!(run_len(Some(Duration::ZERO), 100, 1), MAX_RUN);
+        // ...and an even share of the unclaimed items across producers.
+        assert_eq!(run_len(Some(us(1)), 10, 4), 3);
+        assert_eq!(run_len(Some(us(1)), 1, 4), 1);
+        // An item over the budget runs alone.
+        assert_eq!(run_len(Some(us(60)), 100, 1), 1);
+        assert_eq!(run_len(Some(RUN_BUDGET), 100, 1), 1);
     }
 }

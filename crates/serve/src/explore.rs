@@ -10,10 +10,14 @@
 //! call's effects wake it, so a lost wake-up is a hang the explorer sees.
 //!
 //! Items are real 8×8 sjpg stills, produced through the real staging pools.
-//! Faults are ordinary events: a producer or lane stall (the actor sits out
-//! a stretch of steps), a production error, a caught producer panic (after
-//! staging, so the buffers unwind back to the arena), and an inference
-//! callback that panics.
+//! A producer claims runs, sized by the core from the item cost it measures
+//! on the explorer's clock: producing a run advances that clock by the
+//! scenario's injected cost per item, and in some scenarios the clock
+//! otherwise barely moves, so cheap items run several at a time. Faults
+//! are ordinary events: a producer or lane stall (the actor sits out a
+//! stretch of steps), a production error, a caught producer panic (after
+//! staging, so the buffers unwind back to the arena), each per item of a
+//! run, and an inference callback that panics.
 //!
 //! After every step the explorer checks:
 //! - `images + failed + skipped ≤ appended` per query, with equality in
@@ -24,11 +28,15 @@
 //!   left full);
 //! - every staging buffer checked out is held by an output that is staged
 //!   and not yet retired;
+//! - a run never holds more staging slots than its query's entitlement
+//!   sets aside per producer, and every item of a run is claimed once and
+//!   integrated once;
 //! - an open query completes each item it did not drop exactly once, and a
 //!   closed query's output `k` holds output `k`'s result.
 //!
 //! Once no actor can move it checks that every handle resolved, no actor is
-//! left blocked, the core is at rest and every staging buffer is back.
+//! left blocked, every claimed item was integrated, the core is at rest and
+//! every staging buffer is back.
 //!
 //! Not covered: device timing (a launched batch completes whenever its
 //! lane's retire event is picked; no batch is launched on a
@@ -36,7 +44,7 @@
 //! wall clock and pacer, the lanes' own condvars, and dispatch's blocking
 //! wait (modelled as the actor sitting until a lane queue has space).
 
-use crate::core::{BatchItem, Claim, Core, Effects, Gate, NewQuery, NoClaim, Wake};
+use crate::core::{BatchItem, Claim, Core, Effects, Gate, NewQuery, NoClaim, Produced, Wake};
 use crate::lanes::{run_callbacks, Fleet};
 use crate::scheduler::{FormedBatch, Priority};
 use crate::server::{
@@ -48,7 +56,7 @@ use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_codec::{EncodedImage, Format};
 use smol_core::{CascadePlan, DecodeMode, InputVariant, Planner, PlannerConfig, QueryPlan};
 use smol_runtime::{MediaItem, RuntimeOptions};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, OnceLock};
 use std::time::{Duration, Instant};
@@ -157,6 +165,10 @@ struct Scenario {
     shutdown: bool,
     /// Stalls, production errors and panics, callback panics.
     faults: bool,
+    /// The most the clock advances between two events.
+    clock: Duration,
+    /// What producing one item advances the clock by.
+    item_cost: Duration,
 }
 
 impl Scenario {
@@ -177,14 +189,20 @@ impl Scenario {
             },
             items: 1 + rng.below(4),
         };
+        let us = Duration::from_micros;
         Scenario {
             queries: vec![query(rng), query(rng)],
-            producers: 2,
+            producers: 1 + rng.below(2),
             lanes: 2,
             capacity: 1 + rng.below(2),
             queue_cap: 1,
             shutdown: rng.chance(30),
             faults: rng.chance(50),
+            // Most runs on a coarse clock, on which every item is dear and
+            // runs alone; the rest on a fine one, under an item cost below,
+            // near or above the run budget.
+            clock: if rng.chance(60) { us(2_000) } else { us(4) },
+            item_cost: us([0, 5, 20, 80][rng.below(4)]),
         }
     }
 }
@@ -193,8 +211,8 @@ impl Scenario {
 /// the exhaustive search advances run by run.
 trait Chooser {
     fn pick(&mut self, n: usize) -> usize;
-    /// The clock's advance this step.
-    fn tick(&mut self) -> Duration;
+    /// The clock's advance this step, at most `max`.
+    fn tick(&mut self, max: Duration) -> Duration;
 }
 
 impl Chooser for Rng {
@@ -202,8 +220,8 @@ impl Chooser for Rng {
         self.below(n)
     }
 
-    fn tick(&mut self) -> Duration {
-        Duration::from_micros(self.below(2_000) as u64)
+    fn tick(&mut self, max: Duration) -> Duration {
+        Duration::from_micros(self.below(max.as_micros() as usize) as u64)
     }
 }
 
@@ -223,8 +241,8 @@ impl Chooser for Script {
         choice
     }
 
-    fn tick(&mut self) -> Duration {
-        Duration::from_millis(1)
+    fn tick(&mut self, max: Duration) -> Duration {
+        max
     }
 }
 
@@ -295,6 +313,10 @@ struct World<'a> {
     shut_down: bool,
     /// Step until which a stalled producer or lane sits out.
     stalled: Vec<(Actor, usize)>,
+    /// Items claimed, and those integrated, by (query, index).
+    claimed: HashSet<(QueryId, usize)>,
+    integrated: HashSet<(QueryId, usize)>,
+    longest_run: usize,
     step: usize,
     now: Instant,
     trace: Vec<Event>,
@@ -416,6 +438,9 @@ impl<'a> World<'a> {
             main_fx: Effects::default(),
             shut_down: false,
             stalled: Vec::new(),
+            claimed: HashSet::new(),
+            integrated: HashSet::new(),
+            longest_run: 0,
             step: 0,
             now: Instant::now(),
             trace: Vec::new(),
@@ -606,7 +631,13 @@ impl<'a> World<'a> {
             Event::Claim(p) => {
                 let (state, fx) = &mut self.producers[p];
                 *state = match self.core.claim(now, fx) {
-                    Ok(claim) => Producer::Holding(Box::new(claim)),
+                    Ok(claim) => {
+                        for id in claim.ids() {
+                            assert!(self.claimed.insert(id), "item {id:?} claimed twice");
+                        }
+                        self.longest_run = self.longest_run.max(claim.len());
+                        Producer::Holding(Box::new(claim))
+                    }
                     Err(NoClaim::Idle) => Producer::Blocked,
                     Err(NoClaim::Stop) => Producer::Exited,
                 };
@@ -617,17 +648,31 @@ impl<'a> World<'a> {
                 let Producer::Holding(claim) = std::mem::replace(state, Producer::Ready) else {
                     unreachable!("enabled only while holding a claim");
                 };
-                let fault = if self.sc.faults { rng.below(10) } else { 9 };
-                let produced = match fault {
-                    0 => Err("injected production error".to_string()),
-                    1 => catch_unwind(AssertUnwindSafe(|| {
-                        let staged = claim.produce(0.0, None);
-                        resume_unwind(Box::new(format!("after staging {}", staged.is_ok())))
-                    }))
-                    .unwrap_or_else(|payload| Err(panic_message("producer", payload.as_ref()))),
-                    _ => claim.produce(0.0, None),
-                };
-                self.core.integrate(&claim, produced, now, fx);
+                let slots = self.core.run_slots(&claim);
+                assert!(
+                    claim.fanout() <= slots,
+                    "a run of {} outputs, {slots} staging slots set aside per producer",
+                    claim.fanout()
+                );
+                let mut produced = Produced::default();
+                for i in 0..claim.len() {
+                    let fault = if self.sc.faults { rng.below(10) } else { 9 };
+                    produced.item(|staged| match fault {
+                        0 => Err("injected production error".to_string()),
+                        1 => catch_unwind(AssertUnwindSafe(|| {
+                            let rung = claim.produce(i, 0.0, None, staged);
+                            resume_unwind(Box::new(format!("after staging {}", rung.is_ok())))
+                        }))
+                        .unwrap_or_else(|payload| Err(panic_message("producer", payload.as_ref()))),
+                        _ => claim.produce(i, 0.0, None, staged),
+                    });
+                }
+                let now = now + self.sc.item_cost * claim.len() as u32;
+                self.now = now;
+                self.core.integrate(&claim, &mut produced, now, fx);
+                for id in claim.ids() {
+                    assert!(self.integrated.insert(id), "item {id:?} integrated twice");
+                }
                 self.act(Actor::Producer(p));
             }
             Event::Dispatch(actor) => self.act(actor),
@@ -733,6 +778,13 @@ impl<'a> World<'a> {
         {
             return Err("a producer holds a claim, or outlives shutdown".into());
         }
+        if self.claimed != self.integrated {
+            return Err(format!(
+                "{} items claimed, {} integrated",
+                self.claimed.len(),
+                self.integrated.len()
+            ));
+        }
         self.core.at_rest()?;
         let staging = self.core.stats().staging;
         if staging.shelves.iter().any(|s| s.checked_out > 0) {
@@ -743,14 +795,14 @@ impl<'a> World<'a> {
 }
 
 /// Runs one order of `sc`'s events to rest and returns the core's
-/// counters; `Err` names the broken invariant and the events that led
-/// there.
+/// counters and the longest run claimed; `Err` names the broken invariant
+/// and the events that led there.
 fn run(
     sc: &Scenario,
     chooser: &mut dyn Chooser,
     rng: &mut Rng,
     exhaustive: bool,
-) -> Result<ServerStats, String> {
+) -> Result<(ServerStats, usize), String> {
     let mut world = World::new(sc);
     loop {
         if world.step >= MAX_STEPS {
@@ -772,7 +824,7 @@ fn run(
         world.trace.push(event);
         world.apply(event, rng);
         world.step += 1;
-        world.now += chooser.tick();
+        world.now += chooser.tick(sc.clock);
         world
             .check()
             .map_err(|e| format!("{e}\n  after {:?}", world.trace))?;
@@ -780,7 +832,7 @@ fn run(
     world
         .at_rest()
         .map_err(|e| format!("{e}\n  after {:?}", world.trace))?;
-    Ok(world.core.stats())
+    Ok((world.core.stats(), world.longest_run))
 }
 
 /// Runs `run` with any panic it hits turned into a failure.
@@ -789,7 +841,7 @@ fn run_caught(
     chooser: &mut dyn Chooser,
     rng: &mut Rng,
     exhaustive: bool,
-) -> Result<ServerStats, String> {
+) -> Result<(ServerStats, usize), String> {
     catch_unwind(AssertUnwindSafe(|| run(sc, chooser, rng, exhaustive)))
         .unwrap_or_else(|payload| Err(panic_message("the core", payload.as_ref())))
 }
@@ -799,12 +851,13 @@ const SEEDS: u64 = 20_000;
 
 #[test]
 fn seeded_event_orders_keep_every_invariant() {
-    let mut seen = ServerStats::default();
+    let (mut seen, mut longest_run) = (ServerStats::default(), 0);
     for seed in 0..SEEDS {
         let mut rng = Rng(seed);
         let sc = Scenario::random(&mut rng);
         match run_caught(&sc, &mut Rng(seed ^ 0x5eed), &mut rng, false) {
-            Ok(stats) => {
+            Ok((stats, run)) => {
+                longest_run = longest_run.max(run);
                 seen.degradations += stats.degradations;
                 seen.priority_flushes += stats.priority_flushes;
                 seen.cross_query_batches += stats.cross_query_batches;
@@ -822,6 +875,7 @@ fn seeded_event_orders_keep_every_invariant() {
         seen.cross_query_batches > 0 && seen.dropped_frames > 0,
         "{seen:?}"
     );
+    assert!(longest_run > 2, "runs of at most {longest_run} items");
 }
 
 /// Every order of the smallest configuration that still has two queries of
@@ -848,6 +902,8 @@ fn every_order_of_the_smallest_configuration_keeps_every_invariant() {
         queue_cap: 1,
         shutdown: false,
         faults: false,
+        clock: Duration::from_millis(1),
+        item_cost: Duration::ZERO,
     };
     let mut prefix = Vec::new();
     let mut orders = 0;

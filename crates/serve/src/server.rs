@@ -18,8 +18,10 @@
 //! ```text
 //! submit() ──► Core::admit (bounded, priority-aware; waits or errors when full)
 //!   Core::append: each item's fan-out and batcher counts settle (append() for more)
-//!   producers: Core::claim one item, round-robin ─► decode + CPU preproc
-//!     ─► Core::integrate: group by PlacementSignature ─► device batches
+//!   producers: Core::claim a run of the next items, round-robin (as many
+//!     as fit in ~50 µs at the query's measured item cost; one for costly
+//!     items) ─► decode + CPU preproc, item after item, unlocked
+//!     ─► Core::integrate the run: group by PlacementSignature ─► device batches
 //!   dispatch: shard each batch to the lane expected to finish it first
 //!   lane consumers: launch copy + kernels + DNN batch as one stream,
 //!     keep one more batch enqueued behind it, retire in launch order
@@ -53,7 +55,7 @@
 //! a batch, so per-query result ordering and output bytes are identical
 //! whatever lane executes a batch — the device only models time.
 
-use crate::core::{Core, Effects, Gate, NewQuery, NoClaim, Policy, Rung, Wake};
+use crate::core::{Core, Effects, Gate, NewQuery, NoClaim, Policy, Produced, Rung, Wake};
 use crate::lanes::{consumer_loop, Lanes};
 use crate::scheduler::Priority;
 use crate::stats::{BoxedPrediction, QueryReport, ServerStats};
@@ -710,14 +712,15 @@ impl Drop for ProducerLive<'_> {
 
 fn producer_loop(inner: &Inner) {
     let _live = ProducerLive(inner);
-    let rt = &inner.cfg.runtime;
-    let mut fx = Effects::default();
+    let extra_cpu_s = inner.cfg.runtime.extra_cpu_s_per_image;
+    let cache = inner.tensor_cache.as_deref();
+    let (mut fx, mut produced) = (Effects::default(), Produced::default());
     loop {
-        let claim = {
+        let run = {
             let mut core = lock(&inner.core);
             loop {
                 match core.claim(Instant::now(), &mut fx) {
-                    Ok(claim) => break claim,
+                    Ok(run) => break run,
                     Err(NoClaim::Idle) => core = wait(&inner.work_cv, core),
                     // Shut down with nothing claimable: admitted work is drained.
                     Err(NoClaim::Stop) => return,
@@ -725,19 +728,22 @@ fn producer_loop(inner: &Inner) {
             }
         };
         inner.act(&mut fx);
-        // The slow part runs without the scheduler lock. A panic in it
-        // (user bytes through decoders and kernels) fails this item like
-        // any other production error, and the thread lives on. Unwinding
-        // here is sound: nothing runs under the scheduler lock, and the
-        // shared state touched — staging pool and tensor cache — restores
-        // itself on drop (a pooled buffer returns to its shelf, the cache
-        // retracts its pending slot and wakes the waiters).
-        let cache = inner.tensor_cache.as_deref();
-        let produce = || claim.produce(rt.extra_cpu_s_per_image, cache);
-        let produced = catch_unwind(AssertUnwindSafe(produce))
-            .unwrap_or_else(|payload| Err(panic_message("producer", payload.as_ref())));
+        // The slow part runs without the scheduler lock, item after item.
+        // A panic in it (user bytes through decoders and kernels) fails
+        // that item like any other production error, and the thread lives
+        // on. Unwinding here is sound: nothing runs under the scheduler
+        // lock, and the shared state touched — staging pool and tensor
+        // cache — restores itself on drop (a pooled buffer returns to its
+        // shelf, the cache retracts its pending slot and wakes the waiters).
+        for i in 0..run.len() {
+            produced.item(|staged| {
+                let produce = || run.produce(i, extra_cpu_s, cache, staged);
+                catch_unwind(AssertUnwindSafe(produce))
+                    .unwrap_or_else(|payload| Err(panic_message("producer", payload.as_ref())))
+            });
+        }
         inner.run(&mut fx, |core, now, fx| {
-            core.integrate(&claim, produced, now, fx)
+            core.integrate(&run, &mut produced, now, fx)
         });
     }
 }

@@ -134,7 +134,17 @@ impl Window {
 
     /// Claims the next unclaimed item, in index order.
     pub fn claim(&mut self) -> Option<NextItem> {
+        self.claim_if(|_| true)
+    }
+
+    /// Claims the next unclaimed item if `take` accepts the rung its
+    /// appender pinned it to (`None`: the ladder picks).
+    pub fn claim_if(&mut self, take: impl FnOnce(Option<usize>) -> bool) -> Option<NextItem> {
         let at = self.next_unclaimed()? - self.base;
+        match &self.slots[at] {
+            Slot::Unclaimed(next) if !take(next.rung) => return None,
+            _ => {}
+        }
         let Slot::Unclaimed(next) = std::mem::replace(&mut self.slots[at], Slot::Resolved) else {
             unreachable!("the cursor rests on an unclaimed item");
         };

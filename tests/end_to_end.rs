@@ -314,8 +314,8 @@ fn session_matches_manual_plan_selection() {
     )
     .thumbnail();
 
-    // --- the old manual path: profile, hand-build specs, take the
-    // fastest frontier plan (what `examples/quickstart.rs` used to do).
+    // Thumbnails preprocess decisively faster, on this test's own
+    // measurement: the two plans are far apart on the frontier.
     let planner = Planner::default();
     let measure = |items: &[EncodedImage], input: &InputVariant| {
         let plan = QueryPlan {
@@ -333,6 +333,39 @@ fn session_matches_manual_plan_selection() {
         thumb_rate > full_rate * 1.2,
         "thumbnails must preprocess decisively faster ({thumb_rate} vs {full_rate})"
     );
+
+    // --- the declarative path over the same corpus and calibration.
+    let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0);
+    let session = Session::new(device, SessionConfig::default());
+    session
+        .register(
+            Dataset::new("photos")
+                .with_model(ModelKind::ResNet50)
+                .with_model(ModelKind::ResNet34)
+                .with_variant(full_input.clone(), full_items)
+                .with_variant(thumb_input.clone(), thumb_items)
+                .with_calibration(Calibration::Table(
+                    AccuracyTable::new()
+                        .with(ModelKind::ResNet50, "full", 0.7516)
+                        .with(ModelKind::ResNet50, "thumb", 0.7500)
+                        .with(ModelKind::ResNet34, "full", 0.7272),
+                )),
+        )
+        .unwrap();
+    let query = Query::new("photos").max_accuracy_loss(0.005);
+    let explanation = session.explain(&query).unwrap();
+
+    // --- the old manual path: hand-build specs at the session's profiled
+    // rates, take the fastest frontier plan (what `examples/quickstart.rs`
+    // used to do).
+    let profiled = |input: &InputVariant| {
+        let on_input = |c: &&smol::core::PlanCandidate| c.plan.input.name == input.name;
+        let candidate = explanation.frontier.iter().find(on_input);
+        candidate
+            .expect("both variants are on the frontier")
+            .preproc_throughput
+    };
+    let (full_rate, thumb_rate) = (profiled(&full_input), profiled(&thumb_input));
     let specs = vec![
         smol::core::CandidateSpec {
             dnn: ModelKind::ResNet50,
@@ -370,27 +403,6 @@ fn session_matches_manual_plan_selection() {
     ];
     let frontier = planner.frontier(&specs).unwrap();
     let manual = &frontier[0]; // sorted by descending throughput
-
-    // --- the declarative path over the same corpus and calibration.
-    let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 1.0);
-    let session = Session::new(device, SessionConfig::default());
-    session
-        .register(
-            Dataset::new("photos")
-                .with_model(ModelKind::ResNet50)
-                .with_model(ModelKind::ResNet34)
-                .with_variant(full_input.clone(), full_items)
-                .with_variant(thumb_input.clone(), thumb_items)
-                .with_calibration(Calibration::Table(
-                    AccuracyTable::new()
-                        .with(ModelKind::ResNet50, "full", 0.7516)
-                        .with(ModelKind::ResNet50, "thumb", 0.7500)
-                        .with(ModelKind::ResNet34, "full", 0.7272),
-                )),
-        )
-        .unwrap();
-    let query = Query::new("photos").max_accuracy_loss(0.005);
-    let explanation = session.explain(&query).unwrap();
     assert_eq!(
         explanation.chosen.plan.label(),
         manual.plan.label(),

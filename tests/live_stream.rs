@@ -6,8 +6,8 @@
 
 use smol::accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol::data::{timed_stream, video_catalog, StreamFeed};
-use smol::runtime::RuntimeOptions;
-use smol::serve::{QueryPoll, ServerConfig};
+use smol::runtime::{MediaItem, RuntimeOptions};
+use smol::serve::{QueryPoll, ServerConfig, SubmitOptions, SubmitRequest};
 use smol::stream::{PacingPolicy, StreamGop, StreamSource};
 use smol::video::EncodedGop;
 use smol::{
@@ -426,6 +426,7 @@ fn stopping_a_stream_counts_every_appended_frame_once() {
     // the source is far from its end, and the stream's query at its append
     // bound, when the stream is stopped.
     let f = feed(400, 200.0, 31);
+    let clip: Vec<MediaItem> = f.corpus.gops.iter().cloned().map(MediaItem::Gop).collect();
     let session = Arc::new(session_with(0.004));
     register_stream(&session, "cam", &f);
     let before = session.server().stats();
@@ -436,7 +437,45 @@ fn stopping_a_stream_counts_every_appended_frame_once() {
     };
     let handle = run_stream(&session, &query, FeedSource::new(f), cfg, |_, _| 0.0).unwrap();
     let _ = handle.next_window_deadline(Duration::from_millis(300));
+    // The premise: a GOP is queued, unclaimed, when the stream stops.
+    // Producers claim from the highest priority down, so once a
+    // High-priority query over the same clip is admitted, a GOP the stream
+    // appends stays unclaimed for as long as that query has items left to
+    // claim. It runs the stream's base plan, so its frames fill the batches
+    // the stream's last produced GOPs wait in, and those resolve to make
+    // room for the appends.
+    let base = session.stream_ladder(&query).unwrap().rungs[0].plan.clone();
+    let high = SubmitOptions {
+        priority: Priority::High,
+        ..Default::default()
+    };
+    let blocker = SubmitRequest::new(base, clip).options(high);
+    let blocker = session.server().submit(blocker).unwrap();
+    let admitted = session.server().stats().images_in;
+    let t0 = Instant::now();
+    while session.server().stats().images_in == admitted && t0.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        session.server().stats().images_in > admitted,
+        "the stream appended a GOP behind the High-priority query"
+    );
     handle.stop();
+    // ...and it still has: more of its outputs unstaged than the producers
+    // can hold between them, so no producer took a stream GOP since it was
+    // admitted.
+    let producers = RuntimeOptions::default().producers;
+    match blocker.poll() {
+        QueryPoll::Pending {
+            produced, total, ..
+        } => assert!(
+            total - produced > producers * GOP_LEN,
+            "the High-priority query kept every producer ({produced}/{total} produced)"
+        ),
+        QueryPoll::Ready => panic!("the High-priority query ended before the stop"),
+    }
+    blocker.cancel();
+    let blocked = blocker.wait().unwrap();
     let stats = handle.finish();
     // Whatever the stream left in flight has finished before the count.
     let t0 = Instant::now();
@@ -445,9 +484,11 @@ fn stopping_a_stream_counts_every_appended_frame_once() {
     }
     let after = session.server().stats();
 
-    let appended = after.images_in - before.images_in;
-    let done = after.images_done - before.images_done;
-    let dropped = after.dropped_frames - before.dropped_frames;
+    // The High-priority query's outputs are not the stream's.
+    let blocked_in = (blocked.images + blocked.failed + blocked.skipped) as u64;
+    let appended = after.images_in - before.images_in - blocked_in;
+    let done = after.images_done - before.images_done - blocked.images as u64;
+    let dropped = after.dropped_frames - before.dropped_frames - blocked.dropped_frames as u64;
     assert!(
         appended > 0 && dropped > 0,
         "the stop cancelled queued GOPs"
