@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_codec::signal::sjpg_signal;
-use smol_codec::{sjpg, spng, DecodeOptions, EncodedImage, Format, SjpgEncoder};
+use smol_codec::{hash, sjpg, spng, DecodeOptions, EncodedImage, Format, SjpgEncoder};
 use smol_data::{still_catalog, throughput_images};
 use smol_imgproc::dag::{execute_plan, DagOptimizer, PreprocPlan};
 use smol_imgproc::ops::fused::fused_convert_normalize_split;
@@ -306,10 +306,13 @@ fn bench_preproc(c: &mut Criterion) {
 
     // What the producer stage computes from an item's encoded bytes before
     // (or instead of) decoding it: the tensor-cache key on every lookup —
-    // the word-wide `cache_key` against the byte-serial on-disk
-    // `fingerprint` it replaced there — and the cascade's difficulty signal,
-    // table-driven against the bit-by-bit reference walk. Two payload sizes:
-    // a 64-px lossless thumbnail (~9 KB) and a full-resolution sjpg (~70 KB).
+    // `cache_key`, after the first call a read of the payload hash memoised
+    // on the item's `Bytes` plus the header words; `payload_key_cold`, the
+    // same key from scratch (what the first lookup of a buffer pays); and
+    // the byte-serial on-disk `fingerprint` the word-wide hash replaced —
+    // and the cascade's difficulty signal, table-driven against the
+    // bit-by-bit reference walk. Two payload sizes: a 64-px lossless
+    // thumbnail (~9 KB) and a full-resolution sjpg (~70 KB).
     let thumb = smol_imgproc::ops::resize_bilinear_u8(&img, 64, 64).unwrap();
     let items = [
         ("9k", EncodedImage::encode(&thumb, Format::Spng).unwrap()),
@@ -321,6 +324,12 @@ fn bench_preproc(c: &mut Criterion) {
         g.bench_function(&format!("fingerprint/{name}"), |b| {
             b.iter(|| std::hint::black_box(item).fingerprint())
         });
+        let header = [0, item.width as u64, item.height as u64];
+        g.bench_function(&format!("payload_key_cold/{name}"), |b| {
+            b.iter(|| hash::content_key(&header, std::hint::black_box(&item.bytes)))
+        });
+        // A memo read touches no payload byte: count lookups, not bytes.
+        g.throughput(Throughput::Elements(1));
         g.bench_function(&format!("cache_key/{name}"), |b| {
             b.iter(|| std::hint::black_box(item).cache_key())
         });

@@ -9,8 +9,9 @@
 //! through the shared paired estimator (`smol_bench::measure`).
 //! `docs/PAPER_SHAPES.md` lists every shape with its reading.
 //!
-//! Exits non-zero when an asserted shape fails. `SMOL_QUICK=1` shrinks
-//! sample counts (CI); a reproduction run leaves it unset:
+//! Each section's wall time is printed as it finishes, and the total at
+//! the end. Exits non-zero when an asserted shape fails. `SMOL_QUICK=1`
+//! shrinks sample counts (CI); a reproduction run leaves it unset:
 //!
 //! ```sh
 //! SMOL_QUICK=1 cargo run --release -p smol_bench --bin paper_shapes
@@ -25,21 +26,43 @@ mod video;
 
 use smol_bench::Gate;
 use std::process::ExitCode;
+use std::time::Instant;
+
+/// A section's name and the function that runs it.
+type Section = (&'static str, fn(&mut Gate));
+
+/// Every section in paper order.
+const SECTIONS: [Section; 13] = [
+    ("Table 1", tables::table1),
+    ("Table 4", |_| tables::table4()),
+    ("Table 5", tables::table5),
+    ("Table 6", |_| tables::table6()),
+    ("Section 7", tables::section7),
+    ("Figure 1", decode::figure1),
+    ("Figure 3", decode::figure3),
+    ("Table 3 and Section 8.2", pipeline::table3_and_section82),
+    ("Table 8", pipeline::table8),
+    ("Figures 7 and 8", pipeline::figures7_and_8),
+    ("Figure 10", pipeline::figure10),
+    ("Figures 4 to 6", stills::figures4_to_6),
+    ("Figure 9", video::figure9),
+];
 
 fn main() -> ExitCode {
     let mut gate = Gate::new("paper_shapes");
-    tables::table1(&mut gate);
-    tables::table4();
-    tables::table5(&mut gate);
-    tables::table6();
-    tables::section7(&mut gate);
-    decode::figure1(&mut gate);
-    decode::figure3(&mut gate);
-    pipeline::table3_and_section82(&mut gate);
-    pipeline::table8(&mut gate);
-    pipeline::figures7_and_8(&mut gate);
-    pipeline::figure10(&mut gate);
-    stills::figures4_to_6(&mut gate);
-    video::figure9(&mut gate);
+    let start = Instant::now();
+    for (name, run) in SECTIONS {
+        let t = Instant::now();
+        run(&mut gate);
+        println!(
+            "paper_shapes: {name} took {:.1} s",
+            t.elapsed().as_secs_f64()
+        );
+    }
+    println!(
+        "paper_shapes: {} sections took {:.1} s",
+        SECTIONS.len(),
+        start.elapsed().as_secs_f64()
+    );
     gate.finish()
 }

@@ -20,6 +20,18 @@
 //! multiplies overlap, so a step retires in about the latency of one. The
 //! heavier `round` (a second multiply on the input word) only folds the
 //! lanes, the header and the tail, a fixed dozen words per key.
+//!
+//! The key is computed in two halves: the payload (length and every
+//! byte), then the header words and the final avalanche. The payload half
+//! is the only part whose cost grows with the item, and
+//! [`Bytes`](crate::Bytes) memoises it: a view's bytes can never change,
+//! every clone of a view shares its memo, and a slice starts its own. The
+//! header half runs on every lookup, so a change of format, width or
+//! height — public fields of an item, often set by struct update beside a
+//! cloned buffer — changes the key even though the buffer's memo rides
+//! along. The whole key stays a pure function of (header, payload bytes):
+//! [`content_key`] computes it from scratch and is the oracle for the
+//! memoised [`Bytes::cache_key`](crate::Bytes::cache_key).
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
 const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -47,8 +59,17 @@ fn word(bytes: &[u8]) -> u64 {
 
 /// Hashes `header` (format tag, dimensions, codec parameters — whatever
 /// besides the bytes decides the decoded pixels) and every byte of
-/// `payload` into one 64-bit key.
+/// `payload` into one 64-bit key. The oracle for
+/// [`Bytes::cache_key`](crate::Bytes::cache_key), which computes the same
+/// key but reads the payload once per buffer: a per-lookup caller keys
+/// through that, never through this.
 pub fn content_key(header: &[u64], payload: &[u8]) -> u64 {
+    with_header(payload_key(payload), header)
+}
+
+/// The payload half of [`content_key`]: the length and every byte, folded
+/// but not finalised. Reads the whole payload.
+pub(crate) fn payload_key(payload: &[u8]) -> u64 {
     let (mut l0, mut l1, mut l2, mut l3) = (P1, P2, P3, P1 ^ P3);
     let mut steps = payload.chunks_exact(STEP);
     for s in &mut steps {
@@ -58,8 +79,8 @@ pub fn content_key(header: &[u64], payload: &[u8]) -> u64 {
         l3 = lane_step(l3, word(&s[24..32]));
     }
     let mut h = round(P3, payload.len() as u64);
-    for w in [l0, l1, l2, l3].iter().chain(header) {
-        h = round(h, *w);
+    for w in [l0, l1, l2, l3] {
+        h = round(h, w);
     }
     let mut words = steps.remainder().chunks_exact(8);
     for w in &mut words {
@@ -70,6 +91,16 @@ pub fn content_key(header: &[u64], payload: &[u8]) -> u64 {
         let mut last = [0u8; 8];
         last[..rest.len()].copy_from_slice(rest);
         h = round(h, u64::from_le_bytes(last));
+    }
+    h
+}
+
+/// Folds `header` into a [`payload_key`] and finalises: a fixed few
+/// multiplies per header word, whatever the payload's size.
+pub(crate) fn with_header(payload_key: u64, header: &[u64]) -> u64 {
+    let mut h = payload_key;
+    for w in header {
+        h = round(h, *w);
     }
     // Final avalanche (bijective): the low bits of the last words reach
     // the whole key, which a `HashMap` then folds again.

@@ -334,20 +334,23 @@ impl EncodedImage {
     /// In-memory content key: the same fields as [`fingerprint`] (format,
     /// dimensions, every payload byte, length) through the word-wide
     /// [`hash::content_key`]. This is what decoded-tensor caches key on —
-    /// it is computed on every lookup, so it must cost far less than the
+    /// it is asked for on every lookup, so it must cost far less than the
     /// decode a hit saves. Only equal within one process and release; it
     /// names nothing on disk (that is [`fingerprint`]'s job).
     ///
-    /// Recomputed from the bytes on every call, never stored: the fields
-    /// are public, so a stored key could outlive a change to `bytes` and
-    /// hand a cache the wrong tensor.
+    /// The payload half is memoised on [`Bytes`] ([`Bytes::cache_key`]):
+    /// read once per buffer and shared by its clones, which is sound
+    /// because a buffer's bytes never change and replacing `bytes`
+    /// replaces the memo with it. The format tag and dimensions are mixed
+    /// in on every call, so changing them changes the key even when the
+    /// buffer is shared. Nothing is stored on `EncodedImage` itself: its
+    /// fields are public, so a key there could outlive a change to `bytes`
+    /// and hand a cache the wrong tensor.
     ///
     /// [`fingerprint`]: EncodedImage::fingerprint
     pub fn cache_key(&self) -> u64 {
-        hash::content_key(
-            &[self.format.tag(), self.width as u64, self.height as u64],
-            &self.bytes,
-        )
+        self.bytes
+            .cache_key(&[self.format.tag(), self.width as u64, self.height as u64])
     }
 }
 

@@ -293,9 +293,11 @@ pub struct ProducedItem {
 /// decoded-tensor cache keyed on ([`EncodedImage::cache_key`], decode
 /// mode): a hit skips decoding entirely (bit-identical pixels,
 /// `decode_s = 0`), and concurrent misses on the same key single-flight
-/// into one decode. The key is hashed from the item's bytes on every call
-/// — hit or miss — which is why it is the word-wide key and not the
-/// byte-serial on-disk fingerprint.
+/// into one decode. The key is asked for on every call, hit or miss: its
+/// payload half is read from the item's bytes once per buffer and
+/// memoised on the `Bytes` that every clone of the item shares, and the
+/// format and dimensions are mixed in per call — so a hit costs the same
+/// whatever the item's encoded size.
 pub fn produce_item(
     ctx: &PlanContext,
     idx: usize,

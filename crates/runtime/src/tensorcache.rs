@@ -11,11 +11,14 @@
 //! dataset without coordination.
 //!
 //! The content key is deliberately **not** the fingerprint that names the
-//! same item in the on-disk variant store. Producers hash an item's bytes
-//! on every lookup, hit or miss, so the key must cost far less than the
-//! decode a hit saves: `cache_key` reads 32 bytes per step, the
+//! same item in the on-disk variant store. Producers ask for the key on
+//! every lookup, hit or miss, so it must cost far less than the decode a
+//! hit saves: `cache_key` reads an item's bytes 32 per step, the
 //! fingerprint one (and is pinned byte for byte by the store's layout, so
-//! it cannot get faster). The cache itself only ever sees the `u64`.
+//! it cannot get faster), and only once per buffer — the payload half is
+//! memoised on the immutable `smol_codec::Bytes` and shared by its
+//! clones, while the format and dimensions are mixed in per lookup. The
+//! cache itself only ever sees the `u64`.
 //!
 //! # Policy
 //!

@@ -269,19 +269,17 @@ impl EncodedGop {
     /// In-memory content key: the same fields as [`EncodedGop::fingerprint`]
     /// through the word-wide [`smol_codec::hash::content_key`] — what
     /// decoded-tensor caches key a GOP's frames on (see
-    /// `smol_codec::EncodedImage::cache_key` for why the two are distinct
-    /// and why the key is never stored).
+    /// `smol_codec::EncodedImage::cache_key` for why the two are distinct).
+    /// The body's half is memoised on its [`Bytes`] and shared by clones of
+    /// this GOP; the codec parameters are mixed in on every call.
     pub fn cache_key(&self) -> u64 {
-        smol_codec::hash::content_key(
-            &[
-                u64::from_le_bytes(*b"svid-gop"),
-                self.width as u64,
-                self.height as u64,
-                self.quality as u64,
-                self.search_range as u64,
-            ],
-            &self.body,
-        )
+        self.body.cache_key(&[
+            u64::from_le_bytes(*b"svid-gop"),
+            self.width as u64,
+            self.height as u64,
+            self.quality as u64,
+            self.search_range as u64,
+        ])
     }
 
     /// Kind and encoded payload of frame `idx` (`idx < n_frames()`).

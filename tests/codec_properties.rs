@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use smol::codec::signal::sjpg_signal;
-use smol::codec::{sjpg, spng, Bytes, Chroma, DecodeOptions, EncodedImage, Format, SjpgEncoder};
+use smol::codec::{
+    hash, sjpg, spng, Bytes, Chroma, DecodeOptions, EncodedImage, Format, SjpgEncoder,
+};
 use smol::imgproc::{psnr, ImageU8, Rect};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -990,5 +992,107 @@ proptest! {
         ] {
             prop_assert_ne!(clean.cache_key(), other.cache_key(), "{:?}", other);
         }
+    }
+
+    /// The payload half of the key is memoised on the item's `Bytes` and
+    /// shared with its clones (that it is then read only once is
+    /// `smol_codec`'s `clones_share_one_payload_hash`), yet the memo never
+    /// stands in for content: a clone keys as the original, and an item
+    /// built by struct update from an already-keyed one, with other bytes
+    /// of the same length or another format, width or height, keys
+    /// differently.
+    #[test]
+    fn the_memoised_key_follows_content(
+        payload in prop::collection::vec(any::<u8>(), 1usize..200),
+        pos in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+        (w, h) in (1usize..4096, 1usize..4096),
+        q in 1u8..99,
+    ) {
+        let clean = EncodedImage {
+            format: Format::sjpg(q),
+            width: w,
+            height: h,
+            bytes: Bytes::from(payload.clone()),
+        };
+        let key = clean.cache_key();
+        let clone = clean.clone();
+        prop_assert_eq!(clone.cache_key(), key);
+        prop_assert_eq!(clean.cache_key(), key, "a second lookup reads the memo");
+
+        let mut swapped = payload.clone();
+        swapped[pos.index(payload.len())] ^= 1 << bit;
+        for other in [
+            EncodedImage { bytes: Bytes::from(swapped), ..clean.clone() },
+            EncodedImage { format: Format::sjpg(q + 1), ..clean.clone() },
+            EncodedImage { format: Format::Spng, ..clean.clone() },
+            EncodedImage { width: w + 1, ..clean.clone() },
+            EncodedImage { height: h + 1, ..clean.clone() },
+        ] {
+            prop_assert_ne!(other.cache_key(), key, "{:?}", other);
+        }
+    }
+
+    /// A slice keys its own range: its key is that of a fresh buffer
+    /// holding the same bytes, whether or not its parent was keyed first,
+    /// and equals the from-scratch `hash::content_key` of that range.
+    #[test]
+    fn a_slice_keys_its_own_range(
+        payload in prop::collection::vec(any::<u8>(), 0usize..300),
+        a in any::<prop::sample::Index>(),
+        b in any::<prop::sample::Index>(),
+        parent_first in any::<bool>(),
+        header in prop::collection::vec(any::<u64>(), 0usize..6),
+    ) {
+        let whole = Bytes::from(payload.clone());
+        let (x, y) = (a.index(payload.len() + 1), b.index(payload.len() + 1));
+        let range = x.min(y)..x.max(y);
+        if parent_first {
+            prop_assert_eq!(whole.cache_key(&header), hash::content_key(&header, &payload));
+        }
+        let slice = whole.slice(range.clone());
+        let fresh = Bytes::from(payload[range.clone()].to_vec());
+        prop_assert_eq!(slice.cache_key(&header), fresh.cache_key(&header));
+        prop_assert_eq!(slice.cache_key(&header), hash::content_key(&header, &payload[range]));
+    }
+}
+
+/// Eight threads that race on an item's first key request all get the
+/// same key, and it is the key of the same content in another buffer.
+#[test]
+fn racing_first_key_requests_agree() {
+    let mut state = 40;
+    for round in 0..20 {
+        let payload: Vec<u8> = (0..9_000).map(|_| (lcg(&mut state) >> 56) as u8).collect();
+        let item = EncodedImage {
+            format: Format::Spng,
+            width: 64,
+            height: 64,
+            bytes: Bytes::from(payload.clone()),
+        };
+        // Keyed from a second allocation, so `item`'s memo stays empty.
+        let expected = EncodedImage {
+            bytes: Bytes::from(payload),
+            ..item.clone()
+        }
+        .cache_key();
+        let start = std::sync::Barrier::new(8);
+        let keys: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    let item = item.clone();
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        item.cache_key()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(
+            keys.iter().all(|&k| k == expected),
+            "round {round}: {keys:x?}"
+        );
     }
 }

@@ -170,12 +170,12 @@ fn pixel_digest(img: &ImageU8) -> u64 {
     })
 }
 
-/// The serving path hashes an item's bytes on every lookup and stores the
-/// key nowhere: an item that takes a resident item's format, dimensions and
+/// The serving path memoises an item's payload hash on its `Bytes`, never
+/// on the item: an item that takes a resident item's format, dimensions and
 /// everything else by struct update, but carries other bytes, must miss and
 /// be decoded from its own bytes. (A key memoised in a field of
 /// `EncodedImage` would ride along in `..clean.clone()` and serve `clean`'s
-/// tensor here.)
+/// tensor here; the memo rides with the bytes, so it is replaced with them.)
 #[test]
 fn an_item_with_swapped_bytes_never_hits_the_original_s_tensor() {
     let clean = EncodedImage::encode(&textured(64, 64, 1), Format::Spng).unwrap();
