@@ -10,9 +10,7 @@
 //! accurate specialized NN (higher ρ) and cheaper preprocessing
 //! (low-resolution video) are exactly Smol's two levers in Figure 9.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use smol_imgproc::rng::Rng;
 use smol_imgproc::ImageU8;
 use smol_nn::{ClassifierConfig, InputFormat, SmolClassifier, Tier, TrainParams};
 
@@ -114,7 +112,7 @@ pub fn control_variate_mean(
     let spec_mean_all = mean(spec_preds);
     let z = z_value(cfg.confidence);
     let mut order: Vec<usize> = (0..n_total).collect();
-    order.shuffle(&mut StdRng::seed_from_u64(cfg.seed));
+    Rng::seed_from_u64(cfg.seed).shuffle(&mut order);
 
     let mut ys: Vec<f64> = Vec::new();
     let mut ss: Vec<f64> = Vec::new();
@@ -163,7 +161,7 @@ pub fn naive_mean(truth: &[u32], cfg: &AggregationConfig) -> AggregationOutcome 
     assert!(!truth.is_empty());
     let z = z_value(cfg.confidence);
     let mut order: Vec<usize> = (0..truth.len()).collect();
-    order.shuffle(&mut StdRng::seed_from_u64(cfg.seed));
+    Rng::seed_from_u64(cfg.seed).shuffle(&mut order);
     let mut ys: Vec<f64> = Vec::new();
     let mut estimate = 0.0;
     let mut half = f64::INFINITY;
@@ -241,20 +239,19 @@ impl SpecializedCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     /// Synthetic autocorrelated counts plus a noisy "specialized" proxy.
     fn series(n: usize, noise: f64, seed: u64) -> (Vec<u32>, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut level: f64 = 2.0;
         let mut truth = Vec::with_capacity(n);
         let mut spec = Vec::with_capacity(n);
         for _ in 0..n {
-            level += rng.gen::<f64>() - 0.5;
+            level += rng.f64() - 0.5;
             level = level.clamp(0.0, 8.0);
             let t = level.round().max(0.0) as u32;
             truth.push(t);
-            spec.push(t as f64 + (rng.gen::<f64>() - 0.5) * noise);
+            spec.push(t as f64 + (rng.f64() - 0.5) * noise);
         }
         (truth, spec)
     }

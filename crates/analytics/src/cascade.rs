@@ -150,17 +150,16 @@ impl Cascade {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use smol_imgproc::rng::Rng;
 
     fn striped_dataset(n_per_class: usize, seed: u64) -> (Vec<ImageU8>, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut imgs = Vec::new();
         let mut labels = Vec::new();
         for class in 0..2usize {
             for _ in 0..n_per_class {
                 let mut img = ImageU8::zeros(48, 48, 3);
-                let phase: f64 = rng.gen::<f64>() * 6.0;
+                let phase: f64 = rng.f64() * 6.0;
                 for y in 0..48 {
                     for x in 0..48 {
                         let t = if class == 0 {
@@ -169,7 +168,7 @@ mod tests {
                             (y as f64 / 4.0 + phase).sin()
                         };
                         let v = ((t * 0.5 + 0.5) * 200.0 + 25.0) as u8;
-                        let n = (rng.gen::<f64>() * 25.0) as u8;
+                        let n = (rng.f64() * 25.0) as u8;
                         img.set(x, y, 0, v.saturating_add(n));
                         img.set(x, y, 1, v);
                         img.set(x, y, 2, v / 2);

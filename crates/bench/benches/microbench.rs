@@ -1,4 +1,4 @@
-//! Criterion microbenches for the performance-critical kernels: codec
+//! Microbenches for the performance-critical kernels: codec
 //! decode paths (full / ROI / early-stop / reduced-resolution sjpg, the spng
 //! thumbnail decoder against its reference walk and across window widths,
 //! block reconstruction — dequantization + IDCT — under each instruction
@@ -7,11 +7,20 @@
 //! reference interpreter, the producer stage's per-item content key and
 //! cascade difficulty signal, launching vs executing a device batch), the video
 //! decoder stage by stage (fast path vs the seed chain, and the keyframe
-//! pair-LUT window sweep), the DAG optimizer, and Huffman coding.
+//! pair-LUT window sweep), and the DAG optimizer.
+//!
+//! Each row is timed per call by `smol_bench::per_iter` (batches of calls
+//! sized to take at least 1 ms, one clock pair per batch) and printed as
+//! `group/name: N ns/iter`, the median of its batches, with their
+//! interquartile range over that median. `timer/empty` times an empty
+//! routine: the timer's own floor. `-- --test` runs each routine once
+//! instead (the CI smoke); a positional argument runs only the rows whose
+//! `group/name` contains it (set-up code outside the routines and the
+//! byte-staging gate still run).
 #![deny(unsafe_code)]
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
+use smol_bench::{per_iter, PerIter};
 use smol_codec::signal::sjpg_signal;
 use smol_codec::{hash, sjpg, spng, DecodeOptions, EncodedImage, Format, SjpgEncoder};
 use smol_data::{still_catalog, throughput_images};
@@ -30,9 +39,8 @@ fn test_image() -> smol_imgproc::ImageU8 {
     throughput_images(spec, 1, 1).pop().expect("one image")
 }
 
-fn bench_codecs(c: &mut Criterion) {
+fn bench_codecs(rows: &Rows) {
     let img = test_image();
-    let pixels = (img.width() * img.height()) as u64;
     let jpg = SjpgEncoder::new(85).encode(&img).unwrap();
     // The natively present thumbnails of the serving layout (§5.2): the
     // paper's 161-px short edge (a 75 KB body) and a 64-px one (9 KB).
@@ -41,39 +49,34 @@ fn bench_codecs(c: &mut Criterion) {
         spng::encode(&smol_imgproc::ops::resize_bilinear_u8(&img, 64, 64).unwrap()).unwrap();
     let roi = Rect::centered(img.width(), img.height(), 224, 224);
 
-    let mut g = c.benchmark_group("codec_decode");
-    g.throughput(Throughput::Elements(pixels));
-    g.bench_function("sjpg_full", |b| {
-        b.iter(|| sjpg::decode(std::hint::black_box(&jpg)).unwrap())
+    rows.iter("codec_decode/sjpg_full", || {
+        sjpg::decode(std::hint::black_box(&jpg)).unwrap()
     });
-    g.bench_function("sjpg_roi_224", |b| {
-        b.iter(|| sjpg::decode_roi(std::hint::black_box(&jpg), roi).unwrap())
+    rows.iter("codec_decode/sjpg_roi_224", || {
+        sjpg::decode_roi(std::hint::black_box(&jpg), roi).unwrap()
     });
-    g.bench_function("sjpg_early_stop_64_rows", |b| {
-        b.iter(|| sjpg::decode_rows(std::hint::black_box(&jpg), 64).unwrap())
+    rows.iter("codec_decode/sjpg_early_stop_64_rows", || {
+        sjpg::decode_rows(std::hint::black_box(&jpg), 64).unwrap()
     });
-    g.bench_function("sjpg_scaled_4", |b| {
-        b.iter(|| sjpg::decode_scaled(std::hint::black_box(&jpg), 4).unwrap())
+    rows.iter("codec_decode/sjpg_scaled_4", || {
+        sjpg::decode_scaled(std::hint::black_box(&jpg), 4).unwrap()
     });
-    g.bench_function("spng_reference", |b| {
-        b.iter(|| {
-            spng::decode_with_opts(
-                std::hint::black_box(&png),
-                DecodeOptions::scalar_reference(),
-            )
-            .unwrap()
-        })
+    rows.iter("codec_decode/spng_reference", || {
+        spng::decode_with_opts(
+            std::hint::black_box(&png),
+            DecodeOptions::scalar_reference(),
+        )
+        .unwrap()
     });
-    g.bench_function("spng_full", |b| {
-        b.iter(|| spng::decode(std::hint::black_box(&png)).unwrap())
+    rows.iter("codec_decode/spng_full", || {
+        spng::decode(std::hint::black_box(&png)).unwrap()
     });
     // Literal/length window on the two thumbnail sizes served: 12 bits
     // wins on both, which is why `spng`'s window is a constant.
     for (name, body) in [("9k", &png_small), ("75k", &png)] {
-        g.throughput(Throughput::Bytes(body.len() as u64));
         for bits in [8u32, 10, 12] {
-            g.bench_function(&format!("spng_window/{bits}/{name}"), |b| {
-                b.iter(|| spng::decode_with_window(std::hint::black_box(body), bits).unwrap())
+            rows.iter(&format!("codec_decode/spng_window/{bits}/{name}"), || {
+                spng::decode_with_window(std::hint::black_box(body), bits).unwrap()
             });
         }
     }
@@ -98,34 +101,28 @@ fn bench_codecs(c: &mut Criterion) {
         ("q80_keyframe", &keyframe, 8),
         ("n4", &dense, 4),
     ] {
-        g.throughput(Throughput::Elements(blocks.len() as u64));
         for tier in tiers.into_iter().flatten() {
-            g.bench_function(&format!("block_reconstruct/{name}/{}", tier.name()), |b| {
-                b.iter(|| {
+            rows.iter(
+                &format!("codec_decode/block_reconstruct/{name}/{}", tier.name()),
+                || {
                     tier.run(Reconstruct {
                         blocks: std::hint::black_box(blocks),
                         steps,
                         n,
                     })
-                })
-            });
+                },
+            );
         }
     }
-    g.finish();
 
-    let mut g = c.benchmark_group("codec_encode");
-    g.throughput(Throughput::Elements(pixels));
-    g.bench_function("sjpg_q85", |b| {
-        b.iter(|| {
-            SjpgEncoder::new(85)
-                .encode(std::hint::black_box(&img))
-                .unwrap()
-        })
+    rows.iter("codec_encode/sjpg_q85", || {
+        SjpgEncoder::new(85)
+            .encode(std::hint::black_box(&img))
+            .unwrap()
     });
-    g.bench_function("spng", |b| {
-        b.iter(|| spng::encode(std::hint::black_box(&img)).unwrap())
+    rows.iter("codec_encode/spng", || {
+        spng::encode(std::hint::black_box(&img)).unwrap()
     });
-    g.finish();
 }
 
 /// The luma blocks of `img` as sjpg codes them at `quality` — level shift,
@@ -185,33 +182,28 @@ impl Kernel for Reconstruct<'_> {
     }
 }
 
-fn bench_preproc(c: &mut Criterion) {
+fn bench_preproc(rows: &Rows) {
     let img = test_image();
     let resized = resize_short_edge_u8(&img, 256).unwrap();
     let cropped = center_crop_u8(&resized, 224, 224).unwrap();
     let norm = Normalization::IMAGENET;
 
-    let mut g = c.benchmark_group("preproc_ops");
-    g.throughput(Throughput::Elements((224 * 224 * 3) as u64));
-    g.bench_function("resize_short_edge_256", |b| {
-        b.iter(|| resize_short_edge_u8(std::hint::black_box(&img), 256).unwrap())
+    rows.iter("preproc_ops/resize_short_edge_256", || {
+        resize_short_edge_u8(std::hint::black_box(&img), 256).unwrap()
     });
-    g.bench_function("unfused_convert_normalize_split", |b| {
-        b.iter_batched(
-            || cropped.clone(),
-            |img| {
-                let t = to_f32(&img);
-                let mut chw = hwc_to_chw(&t);
-                normalize_chw(&mut chw, &norm).unwrap();
-                chw
-            },
-            BatchSize::SmallInput,
-        )
+    rows.batched(
+        "preproc_ops/unfused_convert_normalize_split",
+        || cropped.clone(),
+        |img| {
+            let t = to_f32(&img);
+            let mut chw = hwc_to_chw(&t);
+            normalize_chw(&mut chw, &norm).unwrap();
+            chw
+        },
+    );
+    rows.iter("preproc_ops/fused_convert_normalize_split", || {
+        fused_convert_normalize_split(std::hint::black_box(&cropped), &norm).unwrap()
     });
-    g.bench_function("fused_convert_normalize_split", |b| {
-        b.iter(|| fused_convert_normalize_split(std::hint::black_box(&cropped), &norm).unwrap())
-    });
-    g.finish();
 
     // The producer stage's CPU prefix: the reference interpreter (one kernel
     // and one intermediate per op) against the compiled single pass, on the
@@ -231,7 +223,7 @@ fn bench_preproc(c: &mut Criterion) {
         ("128x72_crop_resize_64", &crop_resize, 128, 72),
         ("80x60_to_224", &thumb, 80, 60),
     ];
-    let mut g = c.benchmark_group("preproc_prefix");
+
     for (name, plan, w, h) in cases {
         let src = smol_imgproc::ops::resize_bilinear_u8(&img, w, h).unwrap();
         let prefix = CompiledPrefix::compile(plan, w, h, &norm).unwrap();
@@ -239,31 +231,24 @@ fn bench_preproc(c: &mut Criterion) {
         let offloaded = plan.clone().split_at(plan.tail_start());
         let byte_prefix = CompiledPrefix::compile(&offloaded, w, h, &norm).unwrap();
         let mut byte_staging = vec![0u8; byte_prefix.out_elems()];
-        g.throughput(Throughput::Elements(prefix.out_elems() as u64));
-        g.bench_function(&format!("prefix_reference/{name}"), |b| {
-            b.iter(|| execute_plan(plan, std::hint::black_box(&src), &norm).unwrap())
+        rows.iter(&format!("preproc_prefix/prefix_reference/{name}"), || {
+            execute_plan(plan, std::hint::black_box(&src), &norm).unwrap()
         });
-        g.bench_function(&format!("prefix_compiled/{name}"), |b| {
-            b.iter(|| {
-                prefix
-                    .run_into(std::hint::black_box(&src), &mut staging)
-                    .unwrap()
-            })
+        rows.iter(&format!("preproc_prefix/prefix_compiled/{name}"), || {
+            prefix
+                .run_into(std::hint::black_box(&src), &mut staging)
+                .unwrap()
         });
-        g.bench_function(&format!("prefix_bytes/{name}"), |b| {
-            b.iter(|| {
-                byte_prefix
-                    .run_into_bytes(std::hint::black_box(&src), &mut byte_staging)
-                    .unwrap()
-            })
+        rows.iter(&format!("preproc_prefix/prefix_bytes/{name}"), || {
+            byte_prefix
+                .run_into_bytes(std::hint::black_box(&src), &mut byte_staging)
+                .unwrap()
         });
-        g.bench_function(&format!("prefix_recompiled/{name}"), |b| {
-            b.iter(|| {
-                CompiledPrefix::compile(plan, w, h, &norm)
-                    .unwrap()
-                    .run_into(std::hint::black_box(&src), &mut staging)
-                    .unwrap()
-            })
+        rows.iter(&format!("preproc_prefix/prefix_recompiled/{name}"), || {
+            CompiledPrefix::compile(plan, w, h, &norm)
+                .unwrap()
+                .run_into(std::hint::black_box(&src), &mut staging)
+                .unwrap()
         });
         // Gate (runs under `--test` too): staging bytes is never slower than
         // staging the tensor at the same geometry — a plan the planner moves
@@ -302,7 +287,6 @@ fn bench_preproc(c: &mut Criterion) {
             "byte staging is slower than tensor staging on {name}"
         );
     }
-    g.finish();
 
     // What the producer stage computes from an item's encoded bytes before
     // (or instead of) decoding it: the tensor-cache key on every lookup —
@@ -318,28 +302,24 @@ fn bench_preproc(c: &mut Criterion) {
         ("9k", EncodedImage::encode(&thumb, Format::Spng).unwrap()),
         ("70k", EncodedImage::encode(&img, Format::sjpg(95)).unwrap()),
     ];
-    let mut g = c.benchmark_group("producer_keys");
+
     for (name, item) in &items {
-        g.throughput(Throughput::Bytes(item.size_bytes() as u64));
-        g.bench_function(&format!("fingerprint/{name}"), |b| {
-            b.iter(|| std::hint::black_box(item).fingerprint())
+        rows.iter(&format!("producer_keys/fingerprint/{name}"), || {
+            std::hint::black_box(item).fingerprint()
         });
         let header = [0, item.width as u64, item.height as u64];
-        g.bench_function(&format!("payload_key_cold/{name}"), |b| {
-            b.iter(|| hash::content_key(&header, std::hint::black_box(&item.bytes)))
+        rows.iter(&format!("producer_keys/payload_key_cold/{name}"), || {
+            hash::content_key(&header, std::hint::black_box(&item.bytes))
         });
         // A memo read touches no payload byte: count lookups, not bytes.
-        g.throughput(Throughput::Elements(1));
-        g.bench_function(&format!("cache_key/{name}"), |b| {
-            b.iter(|| std::hint::black_box(item).cache_key())
+        rows.iter(&format!("producer_keys/cache_key/{name}"), || {
+            std::hint::black_box(item).cache_key()
         });
     }
     let (_, scan) = &items[1];
-    g.throughput(Throughput::Bytes(scan.size_bytes() as u64));
-    g.bench_function("signal/70k", |b| {
-        b.iter(|| sjpg_signal(std::hint::black_box(&scan.bytes)).unwrap())
+    rows.iter("producer_keys/signal/70k", || {
+        sjpg_signal(std::hint::black_box(&scan.bytes)).unwrap()
     });
-    g.finish();
 
     // What a consumer thread spends per device batch before it can turn to
     // the next one: enqueueing the stream, or enqueueing it and sleeping it
@@ -351,16 +331,13 @@ fn bench_preproc(c: &mut Criterion) {
         extra_copy_per_batch: false,
     };
     let (images, bytes) = (64, 64 * 64 * 64 * 3 * 4);
-    let mut g = c.benchmark_group("device_batch");
-    g.bench_function("launch", |b| {
-        let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.05);
-        b.iter(|| launch_device_batch(&device, &spec, images, bytes, 0.0))
+    let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.05);
+    rows.iter("device_batch/launch", || {
+        launch_device_batch(&device, &spec, images, bytes, 0.0)
     });
-    g.bench_function("execute", |b| {
-        let device = VirtualDevice::new(GpuModel::T4, ExecutionEnv::TensorRt, 0.05);
-        b.iter(|| execute_device_batch(&device, &spec, images, bytes, 0.0))
+    rows.iter("device_batch/execute", || {
+        execute_device_batch(&device, &spec, images, bytes, 0.0)
     });
-    g.finish();
 }
 
 /// `smol_video` stage by stage on the taipei serving corpus (128×72, six
@@ -370,7 +347,7 @@ fn bench_preproc(c: &mut Criterion) {
 /// bytes (`tests/video_properties.rs`); each iteration covers all `GOPS`
 /// GOPs (or all their P-frames / frames), so divide by that for per-item
 /// time.
-fn bench_video(c: &mut Criterion) {
+fn bench_video(rows: &Rows) {
     use smol_core::FrameSelection;
     use smol_video::{deblock, pframe, DecodeOptions as VideoOptions, FrameKind};
     const GOPS: usize = 16;
@@ -394,65 +371,49 @@ fn bench_video(c: &mut Criterion) {
     }
     let (quality, range) = (corpus.gops[0].quality, corpus.gops[0].search_range);
 
-    let mut g = c.benchmark_group("video_decode");
-    g.bench_function("gop_reference", |b| {
-        b.iter(|| {
-            for gop in &corpus.gops {
-                std::hint::black_box(gop.decode_selected_reference(FrameSelection::All, all))
-                    .unwrap();
-            }
-        })
+    rows.iter("video_decode/gop_reference", || {
+        for gop in &corpus.gops {
+            std::hint::black_box(gop.decode_selected_reference(FrameSelection::All, all)).unwrap();
+        }
     });
-    g.bench_function("gop_fast", |b| {
-        b.iter(|| {
-            for gop in &corpus.gops {
-                std::hint::black_box(gop.decode_selected(FrameSelection::All, all)).unwrap();
-            }
-        })
+    rows.iter("video_decode/gop_fast", || {
+        for gop in &corpus.gops {
+            std::hint::black_box(gop.decode_selected(FrameSelection::All, all)).unwrap();
+        }
     });
-    g.bench_function("keyframe", |b| {
-        b.iter(|| {
-            for gop in &corpus.gops {
-                std::hint::black_box(sjpg::decode(gop.frame_payload(0).1)).unwrap();
-            }
-        })
+    rows.iter("video_decode/keyframe", || {
+        for gop in &corpus.gops {
+            std::hint::black_box(sjpg::decode(gop.frame_payload(0).1)).unwrap();
+        }
     });
-    g.bench_function("pframe_reference", |b| {
-        b.iter(|| {
-            for (payload, reference) in &pframes {
-                pframe::decode_pframe_reference(payload, reference, quality, range).unwrap();
-            }
-        })
+    rows.iter("video_decode/pframe_reference", || {
+        for (payload, reference) in &pframes {
+            pframe::decode_pframe_reference(payload, reference, quality, range).unwrap();
+        }
     });
-    g.bench_function("pframe_fast", |b| {
-        b.iter(|| {
-            for (payload, reference) in &pframes {
-                pframe::decode_pframe(payload, reference, quality, range).unwrap();
-            }
-        })
+    rows.iter("video_decode/pframe_fast", || {
+        for (payload, reference) in &pframes {
+            pframe::decode_pframe(payload, reference, quality, range).unwrap();
+        }
     });
-    g.bench_function("deblock_reference", |b| {
-        b.iter_batched(
-            || unfiltered.clone(),
-            |mut frames| {
-                frames
-                    .iter_mut()
-                    .for_each(|f| deblock::deblock_reference(f, 8));
-                frames
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("deblock_fast", |b| {
-        b.iter_batched(
-            || unfiltered.clone(),
-            |mut frames| {
-                frames.iter_mut().for_each(|f| deblock::deblock(f, 8));
-                frames
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    rows.batched(
+        "video_decode/deblock_reference",
+        || unfiltered.clone(),
+        |mut frames| {
+            frames
+                .iter_mut()
+                .for_each(|f| deblock::deblock_reference(f, 8));
+            frames
+        },
+    );
+    rows.batched(
+        "video_decode/deblock_fast",
+        || unfiltered.clone(),
+        |mut frames| {
+            frames.iter_mut().for_each(|f| deblock::deblock(f, 8));
+            frames
+        },
+    );
     // Pair-LUT window against body size: a GOP keyframe (1.3 KB), a
     // half-size still (8 KB) and a full-resolution one (73 KB).
     let still = test_image();
@@ -464,28 +425,73 @@ fn bench_video(c: &mut Criterion) {
         ("70k", SjpgEncoder::new(95).encode(&still).unwrap().to_vec()),
     ];
     for (name, body) in &bodies {
-        g.throughput(Throughput::Bytes(body.len() as u64));
         for bits in [8u32, 10, 12] {
-            g.bench_function(&format!("keyframe_window/{bits}/{name}"), |b| {
-                b.iter(|| sjpg::decode_with_window(std::hint::black_box(body), bits).unwrap())
-            });
+            rows.iter(
+                &format!("video_decode/keyframe_window/{bits}/{name}"),
+                || sjpg::decode_with_window(std::hint::black_box(body), bits).unwrap(),
+            );
         }
     }
-    g.finish();
 }
 
-fn bench_planner(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dag_optimizer");
+fn bench_planner(rows: &Rows) {
     let plan = PreprocPlan::standard(256, 224, 224);
-    g.bench_function("optimize_standard_plan", |b| {
-        b.iter(|| DagOptimizer::default().optimize(std::hint::black_box(&plan), 640, 480))
+    rows.iter("dag_optimizer/optimize_standard_plan", || {
+        DagOptimizer::default().optimize(std::hint::black_box(&plan), 640, 480)
     });
-    g.finish();
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench_codecs, bench_preproc, bench_video, bench_planner
+/// The command line: `--test` runs each routine once, untimed; a
+/// positional argument keeps only the rows whose `group/name` contains it.
+struct Rows {
+    smoke: bool,
+    filter: Option<String>,
 }
-criterion_main!(benches);
+
+impl Rows {
+    /// Times `routine` per call (see the module docs).
+    fn iter<O>(&self, id: &str, mut routine: impl FnMut() -> O) {
+        self.batched(id, || (), |()| routine());
+    }
+
+    /// Times `routine` per call on a fresh input from `setup`, which is
+    /// built before the clock starts.
+    fn batched<I, O>(
+        &self,
+        id: &str,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|f| !id.contains(f.as_str()))
+        {
+            return;
+        }
+        if self.smoke {
+            std::hint::black_box(routine(setup()));
+            println!("  {id}: ok (smoke)");
+        } else {
+            let PerIter { ns, spread, batch } = per_iter(setup, routine);
+            println!(
+                "  {id}: {ns:.1} ns/iter (IQR {:.1}% of the median, batches of {batch})",
+                spread * 100.0
+            );
+        }
+    }
+}
+
+fn main() {
+    // Cargo passes `--bench` (and `--test` under `cargo bench -- --test`).
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let rows = Rows {
+        smoke: args.iter().any(|a| a == "--test"),
+        filter: args.into_iter().find(|a| !a.starts_with('-')),
+    };
+    rows.iter("timer/empty", || ());
+    bench_codecs(&rows);
+    bench_preproc(&rows);
+    bench_video(&rows);
+    bench_planner(&rows);
+}

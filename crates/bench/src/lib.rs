@@ -1,8 +1,9 @@
 //! # smol-bench
 //!
 //! The experiment harness: shared plumbing ([`context`], [`report`]), one
-//! timing estimator ([`measure()`]), one pass/fail path ([`Gate`]), and the
-//! binaries built on them (see `src/bin/`):
+//! timing estimator ([`measure()`], with [`per_iter`] its per-call timer for
+//! the microbench), one pass/fail path ([`Gate`]), and the binaries built on
+//! them (see `src/bin/`):
 //!
 //! * `paper_shapes` — every table and figure of the paper's §7–§8 and
 //!   Appendix A. Each section prints a paper-vs-measured table, writes a
@@ -29,5 +30,5 @@ pub use context::{
     t4_device, tier_model, ModelZoo, VariantKind, VariantSet, VCPUS,
 };
 pub use gate::Gate;
-pub use measure::{measure, timed, Paired, REPS};
+pub use measure::{measure, per_iter, timed, Paired, PerIter, REPS};
 pub use report::{fmt_pct, fmt_ratio, fmt_tput, Table};

@@ -13,8 +13,12 @@
 //! A side is any closure returning a cost — usually seconds from
 //! [`timed`], but a latency percentile or seconds per item works the same
 //! way.
+//!
+//! [`per_iter`] is the microbench's per-call timer: one routine, no
+//! comparison. It times batches of calls, one clock pair per batch, so a
+//! routine far shorter than a clock read still gets its own cost.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Repetitions per paired measurement. Odd, so the median is one rep; at
 /// seven, the quartiles are the second and sixth ranked reps — the old
@@ -51,13 +55,52 @@ pub fn measure(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> Paired
         costs_b.push(cb);
     }
     let mut ratios: Vec<f64> = costs_a.iter().zip(&costs_b).map(|(a, b)| a / b).collect();
-    let ratio = median(&mut ratios);
+    let (ratio, spread) = median_and_spread(&mut ratios);
     Paired {
         ratio,
-        spread: (ratios[REPS * 3 / 4] - ratios[REPS / 4]) / ratio,
+        spread,
         a: median(&mut costs_a),
         b: median(&mut costs_b),
     }
+}
+
+/// The result of [`per_iter`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerIter {
+    /// Median nanoseconds per call over the [`REPS`] timed batches.
+    pub ns: f64,
+    /// Interquartile range of the per-batch readings over their median.
+    pub spread: f64,
+    /// Calls per timed batch.
+    pub batch: usize,
+}
+
+/// How long one timed batch must at least take: long enough that the
+/// clock pair around it is noise.
+const MIN_BATCH: Duration = Duration::from_millis(1);
+
+/// Times `routine` per call on inputs from `setup`. The batch size doubles
+/// from 1 until one batch takes at least `MIN_BATCH` (1 ms); then [`REPS`]
+/// batches of that size are timed, one clock pair each. A batch's inputs
+/// are all built before its clock starts, so `setup` is never timed.
+pub fn per_iter<I, O>(mut setup: impl FnMut() -> I, mut routine: impl FnMut(I) -> O) -> PerIter {
+    let mut time_batch = |batch: usize| {
+        let inputs: Vec<I> = (0..batch).map(|_| setup()).collect();
+        let start = Instant::now();
+        for input in inputs {
+            std::hint::black_box(routine(input));
+        }
+        start.elapsed()
+    };
+    let mut batch = 1;
+    while time_batch(batch) < MIN_BATCH {
+        batch *= 2;
+    }
+    let mut ns: Vec<f64> = (0..REPS)
+        .map(|_| time_batch(batch).as_nanos() as f64 / batch as f64)
+        .collect();
+    let (ns, spread) = median_and_spread(&mut ns);
+    PerIter { ns, spread, batch }
 }
 
 /// Seconds `f` took, with what it returned.
@@ -71,6 +114,12 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
 fn median(values: &mut [f64]) -> f64 {
     values.sort_by(|x, y| x.partial_cmp(y).expect("finite costs"));
     values[values.len() / 2]
+}
+
+/// The median of [`REPS`] readings and their interquartile range over it.
+fn median_and_spread(values: &mut [f64]) -> (f64, f64) {
+    let mid = median(values);
+    (mid, (values[REPS * 3 / 4] - values[REPS / 4]) / mid)
 }
 
 #[cfg(test)]
@@ -126,6 +175,24 @@ mod tests {
             || 2.0,
         );
         assert_eq!((p.ratio, p.spread), (1.5, 0.0));
+    }
+
+    #[test]
+    fn per_iter_doubles_the_batch_then_times_reps_batches_of_fresh_inputs() {
+        let (mut built, mut ran) = (0, 0);
+        let p = per_iter(
+            || built += 1,
+            |()| {
+                ran += 1;
+                std::thread::sleep(Duration::from_micros(300));
+            },
+        );
+        // Batches of 1, 2, ..., `batch` to calibrate, then REPS of `batch`,
+        // each call on its own input.
+        assert!(p.batch.is_power_of_two() && p.batch <= 4, "{p:?}");
+        assert_eq!(ran, 2 * p.batch - 1 + REPS * p.batch);
+        assert_eq!(built, ran);
+        assert!(p.ns >= 300e3, "a sleep never undershoots: {p:?}");
     }
 
     #[test]

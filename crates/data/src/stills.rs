@@ -17,8 +17,7 @@
 //!   (Table 6's difficulty ordering).
 
 use crate::catalog::StillSpec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use smol_imgproc::rng::Rng;
 use smol_imgproc::ImageU8;
 
 /// A generated dataset split into train and test.
@@ -50,16 +49,16 @@ fn class_params(spec: &StillSpec, class: usize) -> ClassParams {
     let family = class / 2;
     let variant = class % 2;
     let seed = (spec.id as u64) << 32 | family as u64;
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // Harder datasets draw palettes from a narrower range, so families are
     // globally color-similar and fine texture carries the evidence.
     let span = (1.0 - spec.confusability as f32).clamp(0.08, 1.0);
     let lo = 0.5 - span / 2.0;
-    let mut color = || lo + rng.gen::<f32>() * span;
+    let mut color = || lo + rng.f32() * span;
     let color_a = [color(), color(), color()];
     let color_b = [color(), color(), color()];
-    let low_theta = rng.gen::<f32>() * std::f32::consts::PI;
-    let low_period = 9.0 + rng.gen::<f32>() * 7.0;
+    let low_theta = rng.f32() * std::f32::consts::PI;
+    let low_period = 9.0 + rng.f32() * 7.0;
     // Variant-level mid/high-frequency parameters always differ.
     let mid_theta = low_theta
         + if variant == 0 {
@@ -94,26 +93,26 @@ fn render_instance(
     w: usize,
     h: usize,
     scale: f32,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> ImageU8 {
     let p = class_params(spec, class);
-    let phase_low: f32 = rng.gen::<f32>() * 20.0;
-    let phase_mid: f32 = rng.gen::<f32>() * 20.0;
-    let jitter: f32 = (rng.gen::<f32>() - 0.5) * 0.15;
+    let phase_low: f32 = rng.f32() * 20.0;
+    let phase_mid: f32 = rng.f32() * 20.0;
+    let jitter: f32 = (rng.f32() - 0.5) * 0.15;
     let noise_amp = spec.noise as f32;
     // Instance-level distortion of the low-frequency structure, scaled by
     // dataset confusability: hard datasets cannot be solved from coarse
     // structure alone, which forces texture evidence to matter.
     let conf = spec.confusability as f32;
-    let low_theta = p.low_theta + (rng.gen::<f32>() - 0.5) * conf * 1.2;
-    let low_period = p.low_period * (1.0 + (rng.gen::<f32>() - 0.5) * conf * 0.6);
+    let low_theta = p.low_theta + (rng.f32() - 0.5) * conf * 1.2;
+    let low_period = p.low_period * (1.0 + (rng.f32() - 0.5) * conf * 0.6);
     // Per-instance global color cast and weakened texture amplitude make
     // color statistics unreliable and shrink the texture margin on hard
     // datasets.
     let color_shift: [f32; 3] = [
-        (rng.gen::<f32>() - 0.5) * conf * 0.22,
-        (rng.gen::<f32>() - 0.5) * conf * 0.22,
-        (rng.gen::<f32>() - 0.5) * conf * 0.22,
+        (rng.f32() - 0.5) * conf * 0.22,
+        (rng.f32() - 0.5) * conf * 0.22,
+        (rng.f32() - 0.5) * conf * 0.22,
     ];
     let mid_amp = p.mid_amp * (1.0 - conf * 0.25);
     let (sin_l, cos_l) = low_theta.sin_cos();
@@ -147,7 +146,7 @@ fn render_instance(
             for (c, &shift) in color_shift.iter().enumerate() {
                 let base = p.color_a[c] + (p.color_b[c] - p.color_a[c]) * t + shift;
                 let v = (base + mid_amp * mid * 0.5 + p.hf_amp * hf * 0.5) * 255.0;
-                let n = (rng.gen::<f32>() - 0.5) * noise_amp;
+                let n = (rng.f32() - 0.5) * noise_amp;
                 img.set(x, y, c, (v + n).clamp(0.0, 255.0) as u8);
             }
         }
@@ -158,7 +157,7 @@ fn render_instance(
 /// Generates the accuracy-track dataset (small native images) for a spec.
 pub fn generate_stills(spec: &StillSpec, seed: u64) -> StillDataset {
     let s = spec.acc_native;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0DA7_A5E7);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x0DA7_A5E7);
     let mut train = Vec::with_capacity(spec.n_classes * spec.train_per_class);
     let mut train_labels = Vec::with_capacity(train.capacity());
     let mut test = Vec::with_capacity(spec.n_classes * spec.test_per_class);
@@ -187,7 +186,7 @@ pub fn generate_stills(spec: &StillSpec, seed: u64) -> StillDataset {
 pub fn throughput_images(spec: &StillSpec, seed: u64, n: usize) -> Vec<ImageU8> {
     let (w, h) = spec.tput_native;
     let scale = w as f32 / spec.acc_native as f32;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7407);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x7407);
     (0..n)
         .map(|i| render_instance(spec, i % spec.n_classes, w, h, scale, &mut rng))
         .collect()
@@ -228,7 +227,7 @@ mod tests {
     #[test]
     fn classes_are_visually_distinct() {
         let spec = &still_catalog()[1]; // animals-10
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         let a = render_instance(spec, 0, 48, 48, 1.0, &mut rng);
         let b = render_instance(spec, 2, 48, 48, 1.0, &mut rng);
         // Different families: mean color should differ noticeably.

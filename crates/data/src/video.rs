@@ -8,9 +8,8 @@
 //! makes specialized-NN control variates effective (§3.2, Figure 9).
 
 use crate::catalog::VideoSpec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use smol_imgproc::ops::resize::resize_bilinear_u8;
+use smol_imgproc::rng::Rng;
 use smol_imgproc::ImageU8;
 
 /// A generated clip: frames plus the ground-truth object count per frame.
@@ -56,16 +55,16 @@ struct Car {
 /// Renders the static background for a spec (deterministic).
 fn background(spec: &VideoSpec, seed: u64) -> ImageU8 {
     let (w, h) = spec.full_res;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBACD);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xBACD);
     let mut img = ImageU8::zeros(w, h, 3);
     let base = spec.brightness as f32;
     // Smooth low-frequency texture from a few random sinusoids.
     let waves: Vec<(f32, f32, f32)> = (0..4)
         .map(|_| {
             (
-                rng.gen::<f32>() * 0.2 + 0.02,
-                rng.gen::<f32>() * 0.2 + 0.02,
-                rng.gen::<f32>() * 6.0,
+                rng.f32() * 0.2 + 0.02,
+                rng.f32() * 0.2 + 0.02,
+                rng.f32() * 6.0,
             )
         })
         .collect();
@@ -103,7 +102,7 @@ fn lane_y(spec: &VideoSpec, lane: usize) -> usize {
 pub fn generate_video(spec: &VideoSpec, seed: u64, n_frames: usize) -> SyntheticVideo {
     let (w, h) = spec.full_res;
     let bg = background(spec, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xCAB5);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xCAB5);
     let (ow, oh) = spec.object_size;
     let mut cars: Vec<Car> = Vec::new();
     let mut frames = Vec::with_capacity(n_frames);
@@ -112,13 +111,13 @@ pub fn generate_video(spec: &VideoSpec, seed: u64, n_frames: usize) -> Synthetic
         // Arrivals: one potential new car per lane per frame, only when the
         // lane entrance is clear (prevents overlap pileups).
         for lane in 0..spec.lanes {
-            if rng.gen::<f64>() < spec.arrival_p {
+            if rng.f64() < spec.arrival_p {
                 let entrance_clear = cars
                     .iter()
                     .filter(|c| c.lane == lane)
                     .all(|c| c.x > (ow as f64) * 1.5);
                 if entrance_clear {
-                    let shade = rng.gen_range(0u8..=2);
+                    let shade = rng.u8_in(0..=2);
                     let color = match shade {
                         0 => [220, 60, 50],
                         1 => [60, 90, 220],

@@ -21,12 +21,17 @@
 //! decoders' block reconstruction in `smol-codec` / `smol-video`) a second
 //! time for AVX2 and picks the copy at runtime; it is the one module of the
 //! workspace where the `unsafe_code` lint is allowed.
+//!
+//! [`rng`] is the workspace's one seeded generator (synthetic corpora,
+//! weight initialisation, sample orders); it lives here because every crate
+//! that draws from it already depends on this one.
 #![deny(unsafe_code)]
 
 pub mod dag;
 pub mod error;
 pub mod image;
 pub mod ops;
+pub mod rng;
 pub mod tier;
 
 pub use dag::{DagOptimizer, OpCost, OpSpec, PlacedOp, Placement, PreprocPlan};

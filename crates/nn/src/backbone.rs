@@ -11,8 +11,7 @@
 //! so downsampling an input genuinely destroys feature information, and
 //! training the head on low-resolution-augmented inputs genuinely adapts it.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use smol_imgproc::rng::Rng;
 use smol_imgproc::ImageU8;
 
 /// A bank of `n_filters` random `k×k×3` filters applied at `stride`,
@@ -29,10 +28,10 @@ pub struct RandomConvBackbone {
 
 impl RandomConvBackbone {
     pub fn new(seed: u64, n_filters: usize, k: usize, stride: usize, pool_grid: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let len = n_filters * k * k * 3;
         // Zero-mean filters so responses measure structure, not brightness.
-        let mut filters: Vec<f32> = (0..len).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+        let mut filters: Vec<f32> = (0..len).map(|_| rng.f32() * 2.0 - 1.0).collect();
         let per_filter = k * k * 3;
         for f in 0..n_filters {
             let chunk = &mut filters[f * per_filter..(f + 1) * per_filter];
@@ -199,8 +198,8 @@ mod tests {
         for (seed, n_filters, k, stride, pool_grid) in shapes {
             let b = RandomConvBackbone::new(seed, n_filters, k, stride, pool_grid);
             for (w, h) in [(k, k), (16, 16), (33, 20), (64, 48)] {
-                let mut rng = StdRng::seed_from_u64(seed + (w * h) as u64);
-                let pixels = (0..w * h * 3).map(|_| rng.gen::<u8>()).collect();
+                let mut rng = Rng::seed_from_u64(seed + (w * h) as u64);
+                let pixels = (0..w * h * 3).map(|_| rng.u8()).collect();
                 let img = ImageU8::from_vec(w, h, 3, pixels).unwrap();
                 let (fast, oracle) = (b.extract(&img), extract_reference(&b, &img));
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

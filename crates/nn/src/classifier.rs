@@ -182,19 +182,18 @@ impl SmolClassifier {
 mod tests {
     use super::*;
     use crate::augment::ThumbCodec;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use smol_imgproc::rng::Rng;
 
     /// Tiny 3-class texture dataset: classes differ in stripe orientation
     /// and stripe frequency (high-frequency content matters).
     fn texture_dataset(n_per_class: usize, seed: u64) -> (Vec<ImageU8>, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut imgs = Vec::new();
         let mut labels = Vec::new();
         for class in 0..3usize {
             for _ in 0..n_per_class {
                 let mut img = ImageU8::zeros(48, 48, 3);
-                let phase: f64 = rng.gen::<f64>() * 10.0;
+                let phase: f64 = rng.f64() * 10.0;
                 for y in 0..48 {
                     for x in 0..48 {
                         let t = match class {
@@ -203,7 +202,7 @@ mod tests {
                             _ => ((x + y) as f64 / 1.5 + phase).sin(),
                         };
                         let v = ((t * 0.5 + 0.5) * 200.0 + 20.0) as u8;
-                        let noise = (rng.gen::<f64>() * 20.0) as u8;
+                        let noise = (rng.f64() * 20.0) as u8;
                         img.set(x, y, 0, v.saturating_add(noise));
                         img.set(x, y, 1, v);
                         img.set(x, y, 2, 255 - v);

@@ -1,7 +1,6 @@
 //! Fully-connected layer with SGD+momentum training.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use smol_imgproc::rng::Rng;
 
 /// A dense (fully-connected) layer `out = W·x + b`.
 ///
@@ -24,10 +23,10 @@ impl Dense {
     /// `b = sqrt(6 / fan_in)`, whose variance matches He-normal's
     /// `2 / fan_in` (a uniform bound of `sqrt(2 / fan_in)` yields only a
     /// third of that variance and starves deep heads of gradient signal).
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
+    pub fn new(in_dim: usize, out_dim: usize, rng: &mut Rng) -> Self {
         let scale = (6.0 / in_dim as f32).sqrt();
         let w = (0..in_dim * out_dim)
-            .map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
+            .map(|_| (rng.f32() * 2.0 - 1.0) * scale)
             .collect();
         Dense {
             in_dim,
@@ -141,11 +140,10 @@ pub fn softmax_xent(logits: &[f32], label: usize, probs: &mut [f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn forward_computes_affine() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let mut d = Dense::new(2, 2, &mut rng);
         d.w.copy_from_slice(&[1.0, 2.0, -1.0, 0.5]);
         d.b.copy_from_slice(&[0.1, -0.1]);
@@ -157,7 +155,7 @@ mod tests {
 
     #[test]
     fn gradient_check_numerical() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let mut d = Dense::new(3, 2, &mut rng);
         let x = [0.5f32, -0.3, 0.8];
         let label = 1usize;
@@ -191,7 +189,7 @@ mod tests {
 
     #[test]
     fn sgd_reduces_loss_on_toy_problem() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         let mut d = Dense::new(2, 2, &mut rng);
         // Linearly separable: class = x0 > x1.
         let data: Vec<([f32; 2], usize)> = vec![

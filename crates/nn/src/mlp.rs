@@ -1,9 +1,7 @@
 //! Multi-layer perceptron head trained with mini-batch SGD.
 
 use crate::dense::{relu_backward, relu_forward, softmax_xent, Dense};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use smol_imgproc::rng::Rng;
 
 /// An MLP classifier head: `input → [hidden ReLU]* → logits`.
 #[derive(Debug, Clone)]
@@ -43,7 +41,7 @@ impl Mlp {
     /// or `[in, classes]` for a linear model.
     pub fn new(sizes: &[usize], seed: u64) -> Self {
         assert!(sizes.len() >= 2, "need at least input and output dims");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let layers = sizes
             .windows(2)
             .map(|w| Dense::new(w[0], w[1], &mut rng))
@@ -94,13 +92,13 @@ impl Mlp {
         assert!(!features.is_empty(), "empty training set");
         let n = features.len();
         let mut order: Vec<usize> = (0..n).collect();
-        let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(0x5EED));
+        let mut rng = Rng::seed_from_u64(params.seed.wrapping_add(0x5EED));
         let mut lr = params.lr;
         let mut final_loss = f32::INFINITY;
         // Per-layer activation and gradient scratch.
         let depth = self.layers.len();
         for _epoch in 0..params.epochs {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             let mut total_loss = 0.0f32;
             for chunk in order.chunks(params.batch) {
                 for &idx in chunk {
@@ -174,19 +172,16 @@ pub fn argmax(v: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     /// Two Gaussian blobs in 8-D.
     fn blobs(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for i in 0..n {
             let class = i % 2;
             let center = if class == 0 { 0.5 } else { -0.5 };
-            let x: Vec<f32> = (0..8)
-                .map(|_| center + (rng.gen::<f32>() - 0.5) * 0.8)
-                .collect();
+            let x: Vec<f32> = (0..8).map(|_| center + (rng.f32() - 0.5) * 0.8).collect();
             xs.push(x);
             ys.push(class);
         }
@@ -207,13 +202,13 @@ mod tests {
         // Quadrants are cycled deterministically so the classes are
         // exactly balanced — the 0.75 linear ceiling below only holds for
         // balanced XOR (with imbalance, the best line can exceed it).
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for i in 0..400 {
             let a: f32 = if i % 2 == 0 { 1.0 } else { -1.0 };
             let b: f32 = if (i / 2) % 2 == 0 { 1.0 } else { -1.0 };
-            let mut noise = || (rng.gen::<f32>() - 0.5) * 0.2;
+            let mut noise = || (rng.f32() - 0.5) * 0.2;
             xs.push(vec![a + noise(), b + noise()]);
             ys.push(((a > 0.0) ^ (b > 0.0)) as usize);
         }
