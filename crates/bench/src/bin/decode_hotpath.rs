@@ -7,10 +7,12 @@
 //! the spng thumbnail decoder on the serving layout's thumbnails (`161
 //! spng`, `64 spng`: fast ≡ seed walk in pixels and in `decode_rows`'
 //! `consumed`, and ≥ 2× by the same estimator), plus a table of what each
-//! low-resolution rung costs beside a full decode — the §5.2 premise as
-//! numbers: measured and planner-predicted time ratios (printed), and the
-//! exact entropy symbols each reads (gated: a factor-4/8 decode reads at
-//! most a third of a full decode's):
+//! low-resolution rung and the central-ROI decode cost beside a full decode
+//! — the §5.2 premise as numbers: measured and planner-predicted time ratios
+//! (printed), and the exact entropy symbols each reads (gated: a factor-4/8
+//! decode reads at most a third of a full decode's, and the central ROI
+//! skips at least half the symbols of the blocks left of the crop — their
+//! high band, past the seek table):
 //!
 //! 1. **Bit identity** — the fast path must reproduce the reference
 //!    decode exactly, at factor 1 and at every scaled-decode
@@ -33,7 +35,7 @@ use smol_codec::{sjpg, spng, Chroma, DecodeOptions, DecodeStats, EncodedImage, F
 use smol_core::{decode_cost, CandidateSpec, Constraint, DecodeMode, InputVariant, Planner};
 use smol_data::{serving_variants, still_catalog, throughput_images, StillSpec};
 use smol_imgproc::ops::resize::resize_bilinear_u8;
-use smol_imgproc::ImageU8;
+use smol_imgproc::{ImageU8, Rect};
 use std::process::ExitCode;
 
 /// Wall-clock gate: fast path vs scalar sequential reference.
@@ -41,8 +43,12 @@ const MIN_SPEEDUP: f64 = 2.0;
 
 /// Exact-count gate, as a fraction (numerator, denominator): a factor-4 or
 /// factor-8 decode of the q95 stills reads at most a third of the entropy
-/// symbols a full decode reads (v3 streams: segment 1 only; ≈ 0.16×).
+/// symbols a full decode reads (two-segment streams: segment 1 only; ≈ 0.16×).
 const MAX_REDUCED_SYMBOLS: (u64, u64) = (1, 3);
+
+/// The central crop of the ROI rung: the DNN input edge the planner's
+/// `CentralRoi` plans decode for.
+const ROI_EDGE: usize = 224;
 
 /// Source edge: large enough that per-decode timing dominates overhead.
 const SRC_EDGE: usize = 768;
@@ -213,7 +219,7 @@ fn main() -> ExitCode {
     // weighted-op model predicts for it (ROADMAP item 4b; printed, not
     // gated), and the exact work per block: entropy symbols read and
     // coefficients dequantized. The symbol counts are gated: a factor-4/8
-    // decode reads segment 1 of each v3 row only.
+    // decode reads segment 1 of each row only.
     let stills: Vec<EncodedImage> = throughput_images(&hard, 11, n)
         .iter()
         .map(|img| EncodedImage::encode(img, Format::sjpg(95)).expect("encode"))
@@ -287,6 +293,49 @@ fn main() -> ExitCode {
             format!("{:.1}", work.coefs_dequantized as f64 / blocks),
         ]);
     }
+    // The planner's central crop of the DNN input edge: µs and exact
+    // symbols beside the full decode, and the walk the crop would take
+    // without the seek table — from MCU column 0 — and what the blocks left
+    // of the crop cost on it, for the gate below.
+    let roi = Rect::centered(w, h, ROI_EDGE, ROI_EDGE);
+    let aligned = roi.align_to_blocks(8, w, h);
+    let roi_symbols = |rect: Rect| -> u64 {
+        stills
+            .iter()
+            .map(|enc| {
+                let (_, at, stats) = sjpg::decode_roi(&enc.bytes, rect).expect("decode");
+                assert_eq!(at.x, rect.x, "the gate's regions are MCU-aligned");
+                stats.symbols_decoded
+            })
+            .sum()
+    };
+    let central = roi_symbols(aligned);
+    let from_col_0 = roi_symbols(Rect::new(0, aligned.y, aligned.x_end(), aligned.h));
+    let margin = roi_symbols(Rect::new(0, aligned.y, aligned.x, aligned.h));
+    let roi_pass = || {
+        timed(|| {
+            for enc in &stills {
+                std::hint::black_box(sjpg::decode_roi(&enc.bytes, roi).expect("decode"));
+            }
+        })
+        .0
+    };
+    let roi_ab = measure(|| pass(1), roi_pass);
+    let roi_mode = DecodeMode::CentralRoi {
+        crop_w: ROI_EDGE,
+        crop_h: ROI_EDGE,
+    };
+    rungs.row(&[
+        format!("sjpg central ROI {ROI_EDGE}"),
+        format!("{:.0}", roi_ab.b * 1e6 / stills.len() as f64),
+        format!("{:.2}x", 1.0 / roi_ab.ratio),
+        format!(
+            "{:.2}x",
+            decode_cost(&input, roi_mode).ops / decode_cost(&input, DecodeMode::Full).ops
+        ),
+        format!("{:.2}", central as f64 / blocks),
+        "-".to_string(),
+    ]);
     let (thumb, _, thumb_us) = &spng_rows[0];
     rungs.row(&[
         format!("{thumb} thumbnail"),
@@ -368,6 +417,14 @@ fn main() -> ExitCode {
             ),
         );
     }
+    gate.check(
+        2 * from_col_0.saturating_sub(central) >= margin,
+        format!(
+            "the central ROI decode reads {central} entropy symbols, {} fewer than its rows read \
+             from column 0: at least half the {margin} of the blocks left of the crop",
+            from_col_0.saturating_sub(central)
+        ),
+    );
     gate.check(
         chosen.plan.input.format.is_chroma_subsampled(),
         "the planner chooses the 4:2:0 variant under a loss-tolerant constraint",

@@ -79,9 +79,10 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
-    /// Moves the cursor to an absolute bit position (used to seek to MCU-row
-    /// restart points for partial decoding).
-    fn seek_bits(&mut self, pos: u64) -> Result<()> {
+    /// Moves the cursor to an absolute bit position: how a fast cursor syncs
+    /// back, and how an sjpg ROI decode opens a row's segment 2 at a seek
+    /// point and reads its seek table.
+    pub(crate) fn seek_bits(&mut self, pos: u64) -> Result<()> {
         if pos > self.len_bits() {
             return Err(Error::Truncated {
                 context: "BitReader::seek_bits",

@@ -5,7 +5,8 @@
 //!
 //! * [`sjpg`] — a DCT block codec (JPEG anatomy): branchy sequential Huffman
 //!   entropy decoding + vectorizable IDCT, with **ROI/partial decoding** via
-//!   an MCU-row index, **early stopping**, and **multi-resolution decoding**
+//!   an MCU-row index and a seek table into each row's high-frequency
+//!   segment, **early stopping**, and **multi-resolution decoding**
 //!   via a scaled IDCT;
 //! * [`spng`] — a lossless codec (PNG anatomy): predictive scanline filters +
 //!   LZ77/Huffman, raster order only, with **early stopping** as its one
@@ -29,7 +30,8 @@
 //! | reduced fidelity + frame selection (video) | `smol_video::gop::decode_selected` | `Video { selection, deblock }` |
 //!
 //! ROI decoding skips the IDCT for blocks outside a rectangle (rows skipped
-//! wholesale through the MCU-row index); early stopping truncates the
+//! wholesale through the MCU-row index, and the high band of the blocks
+//! left of it through the seek table); early stopping truncates the
 //! sequential stream after the last needed row; multi-resolution decoding
 //! reconstructs every block at `8/factor` points per axis from the top-left
 //! coefficients of its spectrum (a scaled IDCT), fusing the downsample into

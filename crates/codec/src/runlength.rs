@@ -239,7 +239,8 @@ impl<'t> RunTable<'t> {
     ///
     /// `end` is where the band's run stops without an [`EOB`] (progressive
     /// JPEG's spectral selection): 64 for a whole block — P-frame residuals
-    /// and v2 sjpg — or an sjpg v3 stream's split between its two segments.
+    /// and v2 sjpg — or the split between an sjpg stream's two segments (v3
+    /// and later).
     ///
     /// Coefficients land in *natural* (raster) order, as libjpeg writes
     /// them: the one at zig-zag index `k` goes to `coefs[ZIGZAG[k]]`, into a

@@ -7,23 +7,26 @@
 //! (4:4:4, 8×8 MCUs of three blocks) or subsampled 2× per axis
 //! (4:2:0, 16×16 MCUs of four luma blocks + Cb + Cr) — see [`Chroma`].
 //!
-//! Three features exist specifically for the paper's partial-decoding
+//! Four features exist specifically for the paper's partial-decoding
 //! optimizations (§6.4, Figure 3, Algorithm 1):
 //!
 //! * every MCU row is byte-aligned and indexed in the header (the moral
 //!   equivalent of JPEG restart markers + a tile index), so a decoder can
 //!   **seek past rows** outside a region of interest;
-//! * within a row, blocks left of the ROI are entropy-decoded (the stream is
-//!   sequential) but skip dequantize+IDCT+color conversion, and decoding
-//!   **stops early** after the last ROI column / row; and
 //! * every row is stored as **two segments** split by frequency, so a
-//!   reduced-resolution decode never parses the coefficients it discards.
+//!   reduced-resolution decode never parses the coefficients it discards;
+//! * a **seek table** into each row's high-band segment lets an ROI decode
+//!   open that segment at an MCU column left of or at the ROI: blocks left
+//!   of it read their DC and low band only (DC prediction needs those) and
+//!   skip dequantize+IDCT+color conversion; and
+//! * decoding **stops early** after the last ROI column / row.
 //!
-//! ## Stream layout (version 3)
+//! ## Stream layout (version 4)
 //!
 //! Header (magic, version, dimensions, quality, chroma mode, the DC and AC
-//! Huffman tables), then the row index, then the body. Each MCU row is two
-//! byte-aligned segments and the index holds both offsets per row:
+//! Huffman tables), then the row index, then the seek table, then the body.
+//! Each MCU row is two byte-aligned segments and the index holds both
+//! offsets per row:
 //!
 //! * **segment 1** — every block's DC difference and the low band of its AC
 //!   run: zig-zag indices below the split, coded as a run that ends at the
@@ -44,9 +47,27 @@
 //! lengths are themselves the cascade router's difficulty signal
 //! (`crate::signal`), read without opening the body.
 //!
-//! Version 2 streams (one segment per row) still decode, through the same
-//! row loop: a v2 row is read as a v3 row whose split is 64 and whose
-//! segment 2 is empty. The encoder writes only v3.
+//! Segment 2 carries AC coefficients only, no DC predictor, so a decoder
+//! can start it at any block boundary it knows the bit offset of. The seek
+//! table holds those offsets: every `K` MCU columns (columns `K`, `2K`, …
+//! below the row's MCU count) one fixed-width entry, the bit offset in the
+//! row's segment 2 where that column's first block begins. The header says
+//! `K` and the entry width in bits beside the row count (`K = 0`: no
+//! table). The encoder picks the smallest `K` whose table fits in
+//! 1/50 of the body and writes none when that leaves fewer
+//! than two points per row — the 320×240 q95 stills get `K = 2` with 14-bit
+//! entries (≈ 1.4 % of the body), their 4:2:0 copies `K = 1`, and the
+//! 128×72 video keyframes none. Nothing but an ROI decode
+//! that starts at or past column `K` reads the table, and it reads only the
+//! entries of the rows it decodes, checking them as the row index is
+//! checked: entries that decrease or point past their segment are a typed
+//! `BadHeader`. The scalar reference seeks exactly as the fast path does.
+//!
+//! Version 2 streams (one segment per row) and version 3 streams (two
+//! segments, no seek table) still decode, through the same row loop: a v2
+//! row is read as a v3 row whose split is 64 and whose segment 2 is empty,
+//! and a v3 stream as a v4 stream without a table. The encoder writes only
+//! v4.
 //!
 //! ## Decode hot path
 //!
@@ -87,12 +108,16 @@ use smol_imgproc::{ImageU8, Rect};
 use std::ops::Range;
 
 const MAGIC: u32 = 0x534A_5047; // "SJPG"
-/// Bitstream version the encoder writes: v3 stores every MCU row as two
-/// segments (see the module docs).
-const VERSION: u32 = 3;
-/// The earlier version still decoded: the chroma-mode byte, one segment
+/// Bitstream version the encoder writes: v4 stores every MCU row as two
+/// segments and indexes segment 2 for seeking (see the module docs).
+const VERSION: u32 = 4;
+/// Two segments per row, no seek table: still decoded.
+const VERSION_3: u32 = 3;
+/// The earliest version still decoded: the chroma-mode byte, one segment
 /// per row.
 const VERSION_2: u32 = 2;
+/// The encoder keeps the seek table within `1 / SEEK_BUDGET` of the body.
+const SEEK_BUDGET: usize = 50;
 const DC_ALPHABET: usize = 16;
 const AC_ALPHABET: usize = 256;
 /// The decode scale segment 1 carries in full: the split sits at the
@@ -204,6 +229,13 @@ impl SjpgEncoder {
 
     /// Encodes an RGB image.
     pub fn encode(&self, img: &ImageU8) -> Result<Bytes> {
+        self.encode_spaced(img, None)
+    }
+
+    /// [`Self::encode`] with the seek table's spacing `K` forced (`Some(0)`:
+    /// no table) instead of picked from the body length, so tests can cover
+    /// every spacing.
+    fn encode_spaced(&self, img: &ImageU8, spacing: Option<usize>) -> Result<Bytes> {
         if img.channels() != 3 {
             return Err(Error::Image(smol_imgproc::Error::UnsupportedChannels {
                 channels: img.channels(),
@@ -253,13 +285,17 @@ impl SjpgEncoder {
         // Pass 2: entropy-encode the body. Each MCU row is two byte-aligned
         // segments — every block's DC difference and low band, then every
         // block's high band — and the index records where each starts.
+        // `marks` records where each MCU column starts in its row's segment
+        // 2, in bits: the seek table's candidate entries.
         let mut body: Vec<u8> = Vec::with_capacity(img.pixel_count());
         let mut index: Vec<u32> = Vec::with_capacity(2 * mrows);
+        let mut marks: Vec<u32> = Vec::with_capacity(mrows * mcols);
         let mut bi = 0usize;
         for by in 0..mrows {
             let (mut low, mut high) = (BitWriter::new(), BitWriter::new());
             let mut dc_pred = [0i16; 3];
             for bx in 0..mcols {
+                marks.push(high.bit_pos() as u32);
                 let (sched, n) = mcu_schedule(self.chroma, bx, by);
                 for &(comp, _, _) in &sched[..n] {
                     let coefs = &blocks[bi];
@@ -278,6 +314,11 @@ impl SjpgEncoder {
         }
 
         // Header.
+        let (spacing, width) = match spacing {
+            Some(k) if (1..mcols).contains(&k) => (k, seek_width(&marks)),
+            Some(_) => (0, 0),
+            None => seek_spacing(&marks, mrows, mcols, body.len()),
+        };
         let mut head = BitWriter::new();
         head.put(MAGIC, 32);
         head.put(VERSION, 8);
@@ -288,13 +329,40 @@ impl SjpgEncoder {
         dc_table.write_spec(&mut head);
         ac_table.write_spec(&mut head);
         head.put(mrows as u32, 16);
+        head.put(spacing as u32, 8);
+        head.put(width, 8);
         for &off in &index {
             head.put(off, 32);
+        }
+        if spacing > 0 {
+            for row in marks.chunks(mcols) {
+                for &mark in row.iter().step_by(spacing).skip(1) {
+                    head.put(mark, width);
+                }
+            }
         }
         let mut out = head.finish();
         out.extend_from_slice(&body);
         Ok(Bytes::from(out))
     }
+}
+
+/// Bits a seek-table entry needs to hold every offset in `marks`.
+fn seek_width(marks: &[u32]) -> u32 {
+    (32 - marks.iter().max().map_or(0, |m| m.leading_zeros())).max(1)
+}
+
+/// The seek table the encoder writes for a body of `body_len` bytes whose
+/// MCU columns start at `marks` (row-major, `mcols` per row) in their
+/// segment 2: the smallest spacing `K` whose table fits in
+/// 1/[`SEEK_BUDGET`] of the body, with the entry width — `(0, 0)` when that
+/// leaves fewer than two seek points per row. (With one, the point lies
+/// right of the row's middle, where no central crop starts.)
+fn seek_spacing(marks: &[u32], mrows: usize, mcols: usize, body_len: usize) -> (usize, u32) {
+    let width = seek_width(marks);
+    (1..=(mcols - 1) / 2)
+        .find(|&k| SEEK_BUDGET * mrows * ((mcols - 1) / k) * width as usize <= 8 * body_len)
+        .map_or((0, 0), |k| (k, width))
 }
 
 fn chroma_tag(chroma: Chroma) -> u32 {
@@ -466,8 +534,26 @@ pub struct SjpgFrame {
     /// Zig-zag index where a block's AC run moves to segment 2, per
     /// component class ([`band_split`]; 64 for a v2 stream).
     split: [usize; 2],
+    /// Where the seek table lies; parsed, never read here.
+    seek: SeekTable,
     /// Byte offset where the body begins.
     body_start: usize,
+}
+
+/// The layout of a v4 stream's seek table (see the module docs). Parsing
+/// a frame checks that the table fits before the body; its entries are
+/// read and checked only by a decode that seeks ([`SjpgFrame::seek_offset`]).
+#[derive(Debug, Clone, Copy)]
+struct SeekTable {
+    /// MCU columns between seek points; 0 when the stream has no table.
+    spacing: usize,
+    /// Seek points per row: columns `spacing`, `2 · spacing`, … below the
+    /// row's MCU count.
+    points: usize,
+    /// Bits per entry, 1 to 32 when there is a table.
+    width: u32,
+    /// Bit position of the first entry in the stream.
+    at: u64,
 }
 
 impl SjpgFrame {
@@ -480,7 +566,7 @@ impl SjpgFrame {
             return Err(Error::BadMagic { expected: "SJPG" });
         }
         let version = r.bits(8)?;
-        if version != VERSION && version != VERSION_2 {
+        if !(VERSION_2..=VERSION).contains(&version) {
             return Err(Error::BadHeader("unsupported version".into()));
         }
         let width = r.bits(16)? as usize;
@@ -510,16 +596,36 @@ impl SjpgFrame {
                 "row index has {n_rows} entries for height {height}"
             )));
         }
-        // v3 indexes both segments of every row, v2 one offset per row.
-        let per_row = if version == VERSION { 2 } else { 1 };
+        // v4: the seek table's spacing and entry width.
+        let (spacing, bits) = if version == VERSION {
+            (r.bits(8)? as usize, r.bits(8)?)
+        } else {
+            (0, 0)
+        };
+        let mcols = width.div_ceil(chroma.mcu());
+        let points = (mcols - 1).checked_div(spacing).unwrap_or(0);
+        if spacing > 0 && (points == 0 || !(1..=32).contains(&bits)) {
+            return Err(Error::BadHeader(format!(
+                "seek table of {bits}-bit entries every {spacing} of {mcols} MCU columns"
+            )));
+        }
+        // v3 and v4 index both segments of every row, v2 one offset per row.
+        let per_row = if version >= VERSION_3 { 2 } else { 1 };
+        let seek = SeekTable {
+            spacing,
+            points,
+            width: bits,
+            at: r.bit_pos() + 32 * (per_row * n_rows) as u64,
+        };
+        let seek_bits = (n_rows * seek.points) as u64 * seek.width as u64;
         // A header is worth only what its body can back. Every coded block
         // costs at least two bits (a DC code, then an AC or end-of-block
         // code), so a body too short for the claimed geometry at that rate —
         // 33 KB of file claiming 65 535 × 65 535 pixels, 12 GB decoded — is
         // rejected here, before anything is sized from the dimensions.
-        let body_start = (r.bit_pos() + 32 * (per_row * n_rows) as u64).div_ceil(8) as usize;
+        let body_start = (seek.at + seek_bits).div_ceil(8) as usize;
         let body_len = data.len().checked_sub(body_start).ok_or(Error::Truncated {
-            context: "sjpg row index",
+            context: "sjpg row index and seek table",
         })?;
         let blocks = coded_blocks(width, n_rows, chroma);
         if body_len * 8 < 2 * blocks {
@@ -556,8 +662,7 @@ impl SjpgFrame {
         }
         index.push(body_len as u32);
         debug_assert_eq!(index.len(), 2 * n_rows + 1);
-        r.align_byte();
-        debug_assert_eq!(body_start, (r.bit_pos() / 8) as usize);
+        debug_assert_eq!(r.bit_pos(), seek.at);
         Ok(SjpgFrame {
             width,
             height,
@@ -565,13 +670,47 @@ impl SjpgFrame {
             chroma,
             lengths,
             index,
-            split: if version == VERSION {
+            split: if version >= VERSION_3 {
                 band_split(chroma)
             } else {
                 [64; 2]
             },
+            seek,
             body_start,
         })
+    }
+
+    /// The last seek point at or left of MCU column `bx0`, as its index `j`
+    /// along the row (0: the start of segment 2; point `j` sits at column
+    /// `j · K`).
+    fn seek_point(&self, bx0: usize) -> usize {
+        (bx0 / self.seek.spacing.max(1)).min(self.seek.points)
+    }
+
+    /// Bit offset in row `by`'s segment 2 of seek point `j`, read from the
+    /// seek table of `data` (the whole stream) and checked as the row index
+    /// is: the row's entries up to `j` may not decrease, nor point past the
+    /// end of the segment.
+    fn seek_offset(&self, data: &[u8], by: usize, j: usize) -> Result<u64> {
+        if j == 0 {
+            return Ok(0);
+        }
+        let table = &self.seek;
+        let mut r = BitReader::new(data);
+        r.seek_bits(table.at + (by * table.points) as u64 * table.width as u64)?;
+        let len = 8 * self.segments(by)[1].len() as u64;
+        let mut offset = 0;
+        for point in 1..=j {
+            let next = r.bits(table.width)? as u64;
+            if next < offset || next > len {
+                return Err(Error::BadHeader(format!(
+                    "row {by} seek point {point} at bit {next}: segment 2 holds {len} bits and \
+                     the point before starts at bit {offset}"
+                )));
+            }
+            offset = next;
+        }
+        Ok(offset)
     }
 
     /// MCU edge in pixels (8 for 4:4:4, 16 for 4:2:0).
@@ -684,7 +823,7 @@ pub fn decode_with_window(data: &[u8], bits: u32) -> Result<(ImageU8, DecodeStat
     let full = Rect::new(0, 0, header.width, header.height);
     let geom = Geometry::new(&header, 1, full);
     decode_mcu_rows(
-        &data[header.body_start..],
+        data,
         &header,
         geom,
         (0, header.rows()),
@@ -782,7 +921,7 @@ pub fn decode_scaled_opts(
     let (out_w, out_h) = reduced_dims(header.width, header.height, factor);
     let geom = Geometry::new(&header, factor, Rect::new(0, 0, out_w, out_h));
     decode_mcu_rows(
-        &data[header.body_start..],
+        data,
         &header,
         geom,
         (0, header.rows()),
@@ -853,22 +992,15 @@ fn decode_region(
     let by1 = region.y_end().div_ceil(mcu).min(header.rows());
     let bx0 = region.x / mcu;
     let bx1 = region.x_end().div_ceil(mcu).min(geom.mcols);
-    decode_mcu_rows(
-        &data[header.body_start..],
-        header,
-        geom,
-        (by0, by1),
-        (bx0, bx1),
-        opts,
-        None,
-    )
+    decode_mcu_rows(data, header, geom, (by0, by1), (bx0, bx1), opts, None)
 }
 
-/// Decodes MCU rows `[rows.0, rows.1)` up to MCU column `cols.1` into a
-/// fresh `geom.oregion`-sized image, behind a `window`-bit pair LUT (`None`:
-/// the one [`pair_window_bits`] picks for the bytes the decode reads).
+/// Decodes MCU rows `[rows.0, rows.1)` of the stream `data` up to MCU
+/// column `cols.1` into a fresh `geom.oregion`-sized image, behind a
+/// `window`-bit pair LUT (`None`: the one [`pair_window_bits`] picks for the
+/// bytes the decode reads).
 fn decode_mcu_rows(
-    body: &[u8],
+    data: &[u8],
     header: &SjpgHeader,
     geom: Geometry,
     rows: (usize, usize),
@@ -884,7 +1016,7 @@ fn decode_mcu_rows(
         decode_tier()
     };
     let mut stats = tier.run(DecodeRows {
-        body,
+        data,
         header,
         geom,
         rows,
@@ -916,7 +1048,7 @@ fn decode_tier() -> Tier {
 /// with the loop inlined behind the allocation, `fullres_cold` measured 12 %
 /// more CPU per item.
 struct DecodeRows<'a> {
-    body: &'a [u8],
+    data: &'a [u8],
     header: &'a SjpgHeader,
     geom: Geometry,
     rows: (usize, usize),
@@ -932,7 +1064,7 @@ impl Kernel for DecodeRows<'_> {
     #[inline(always)]
     fn run(self) -> Result<DecodeStats> {
         decode_rows_into(
-            self.body,
+            self.data,
             self.header,
             self.geom,
             self.rows,
@@ -946,14 +1078,15 @@ impl Kernel for DecodeRows<'_> {
 
 /// The decode loop of [`decode_mcu_rows`], opening each row through the
 /// index (DC predictors reset at every row start, so rows share no decode
-/// state). Everything it calls per block or per row is inlined into it, so
-/// each [`Tier`]'s copy of [`DecodeRows`] compiles all of it for that tier;
-/// only the entropy decoder ([`decode_block_fast`]) stays one shared
-/// out-of-line function.
+/// state) and, when the decode starts right of the row's first seek point,
+/// its segment 2 through the seek table. Everything it calls per block or
+/// per row is inlined into it, so each [`Tier`]'s copy of [`DecodeRows`]
+/// compiles all of it for that tier; only the entropy decoder
+/// ([`decode_block_fast`]) stays one shared out-of-line function.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn decode_rows_into(
-    body: &[u8],
+    data: &[u8],
     header: &SjpgHeader,
     geom: Geometry,
     rows: (usize, usize),
@@ -983,7 +1116,7 @@ fn decode_rows_into(
     // most of the decode of a 1 KB keyframe.
     let high = geom.reads_high_band(header);
     let window = window.unwrap_or_else(|| pair_window_bits(header.coded_bytes(high)));
-    let dec = RowDecoder::new(header, opts, high, window);
+    let dec = RowDecoder::new(header, data, opts, high, window, bx0);
     // Fast path: MCUs land in planar u8 row strips spanning the full
     // output width; color conversion runs once per completed image row so
     // [`ycbcr_row_to_rgb`] sees long contiguous rows instead of patch-wide
@@ -1002,12 +1135,13 @@ fn decode_rows_into(
         // Open the row's segments straight through the index — rows are
         // independent (DC predictors reset per row, like JPEG restart
         // intervals).
-        let mut row = dec.open(body, by);
+        let mut row = dec.open(by)?;
         let mut dc_pred = [0i16; 3];
         for bx in 0..bx1 {
             let in_roi = bx >= bx0;
+            let high = dec.reads_high_band(bx);
             for ybuf in ybufs.iter_mut().take(n_luma) {
-                let coded = dec.block(&mut row, 0, dc_pred[0], &mut coefs, &mut stats)?;
+                let coded = dec.block(&mut row, 0, high, dc_pred[0], &mut coefs, &mut stats)?;
                 dc_pred[0] = coefs[0];
                 if in_roi {
                     stats.coefs_dequantized += dequant_idct(
@@ -1017,7 +1151,8 @@ fn decode_rows_into(
                 }
             }
             for (comp, buf) in [(1usize, &mut cbuf), (2, &mut crbuf)] {
-                let coded = dec.block(&mut row, comp, dc_pred[comp], &mut coefs, &mut stats)?;
+                let coded =
+                    dec.block(&mut row, comp, high, dc_pred[comp], &mut coefs, &mut stats)?;
                 dc_pred[comp] = coefs[0];
                 if in_roi {
                     stats.coefs_dequantized += dequant_idct(
@@ -1336,14 +1471,20 @@ fn encode_dc(w: &mut BitWriter, diff: i16, dc_table: &HuffmanTable) -> Result<()
 }
 
 /// How one decode reads its MCU rows: through the reference walk or the
-/// table-driven fast path, and with or without each row's segment 2.
+/// table-driven fast path, and with or without each row's segment 2 — from
+/// its start, or from a seek point.
 struct RowDecoder<'t> {
     header: &'t SjpgHeader,
+    /// The whole stream: the body, and the seek table in the header.
+    data: &'t [u8],
     /// The fast path's tables; `None` selects the bit-by-bit reference.
     fast: Option<FastTables<'t>>,
     /// Whether blocks read their high band from segment 2 (see
     /// [`Geometry::reads_high_band`]).
     high: bool,
+    /// The seek point segment 2 opens at ([`SjpgFrame::seek_point`]): blocks
+    /// of the MCU columns left of it read segment 1 only.
+    seek: usize,
 }
 
 /// One MCU row's entropy readers, one per segment, each bounded to its own
@@ -1370,46 +1511,70 @@ impl Row<'_> {
 
 impl<'t> RowDecoder<'t> {
     /// Fast-path tables are built once per decode, behind a `window`-bit
-    /// pair LUT; the reference walk ignores `window`.
-    fn new(header: &'t SjpgHeader, opts: DecodeOptions, high: bool, window: u32) -> Self {
+    /// pair LUT; the reference walk ignores `window`. A decode whose first
+    /// MCU column is `bx0` opens segment 2 at the last seek point at or left
+    /// of it.
+    fn new(
+        header: &'t SjpgHeader,
+        data: &'t [u8],
+        opts: DecodeOptions,
+        high: bool,
+        window: u32,
+        bx0: usize,
+    ) -> Self {
         RowDecoder {
             header,
+            data,
             fast: (!opts.scalar_kernels)
                 .then(|| FastTables::with_window(&header.dc_table, &header.ac_table, window)),
             high,
+            seek: if high { header.seek_point(bx0) } else { 0 },
         }
     }
 
-    /// Opens MCU row `by` of `body`. A decode that stops at the split gets
-    /// an empty segment 2, so it touches none of that segment's bytes.
-    fn open<'a>(&self, body: &'a [u8], by: usize) -> Row<'a> {
+    /// Whether the blocks of MCU column `bx` read their high band.
+    #[inline(always)]
+    fn reads_high_band(&self, bx: usize) -> bool {
+        self.high && bx >= self.seek * self.header.seek.spacing
+    }
+
+    /// Opens MCU row `by`. A decode that stops at the split gets an empty
+    /// segment 2, so it touches none of that segment's bytes; one that
+    /// seeks starts segment 2 at its seek point's offset, checked first.
+    fn open(&self, by: usize) -> Result<Row<'t>> {
+        let body = &self.data[self.header.body_start..];
         let [low, rest] = self.header.segments(by);
         let rest = if self.high {
             rest
         } else {
             rest.start..rest.start
         };
-        let readers = [BitReader::new(&body[low]), BitReader::new(&body[rest])];
-        Row {
+        let mut readers = [BitReader::new(&body[low]), BitReader::new(&body[rest])];
+        if self.seek > 0 {
+            readers[1].seek_bits(self.header.seek_offset(self.data, by, self.seek)?)?;
+        }
+        Ok(Row {
             cursors: self
                 .fast
                 .is_some()
                 .then(|| readers.each_ref().map(FastCursor::from_reader)),
             readers,
-        }
+        })
     }
 
     /// Entropy-decodes the next block of component `comp` from `row` into
-    /// `coefs` and returns its coded prefix length `n`: every coefficient at
-    /// zig-zag index `n` or later is zero. The reference walk writes zig-zag
-    /// order (the seed layout its dense dequantizer reads); the fast path
-    /// writes natural order into a block it zeroes first, which is what
-    /// [`dequantize_corner`] reads. `coefs[0]` is the DC either way.
+    /// `coefs` — its high band too when `high` — and returns its coded
+    /// prefix length `n`: every coefficient at zig-zag index `n` or later is
+    /// zero. The reference walk writes zig-zag order (the seed layout its
+    /// dense dequantizer reads); the fast path writes natural order into a
+    /// block it zeroes first, which is what [`dequantize_corner`] reads.
+    /// `coefs[0]` is the DC either way.
     #[inline(always)]
     fn block(
         &self,
         row: &mut Row<'_>,
         comp: usize,
+        high: bool,
         dc_pred: i16,
         coefs: &mut [i16; 64],
         stats: &mut DecodeStats,
@@ -1418,10 +1583,10 @@ impl<'t> RowDecoder<'t> {
             (Some(tables), Some(cursors)) => {
                 let split = self.header.split[class(comp)];
                 *coefs = [0; 64];
-                decode_block_fast(cursors, tables, split, self.high, dc_pred, coefs, stats)
+                decode_block_fast(cursors, tables, split, high, dc_pred, coefs, stats)
                     .map_err(|e| self.reference_error(row.readers.clone(), e))
             }
-            _ => self.reference_block(&mut row.readers, comp, dc_pred, coefs, stats),
+            _ => self.reference_block(&mut row.readers, comp, high, dc_pred, coefs, stats),
         }
     }
 
@@ -1431,6 +1596,7 @@ impl<'t> RowDecoder<'t> {
         &self,
         readers: &mut [BitReader<'_>; 2],
         comp: usize,
+        high: bool,
         dc_pred: i16,
         coefs: &mut [i16; 64],
         stats: &mut DecodeStats,
@@ -1438,24 +1604,26 @@ impl<'t> RowDecoder<'t> {
         let (dc, ac) = (&self.header.dc_table, &self.header.ac_table);
         let split = self.header.split[class(comp)];
         coefs.fill(0);
-        decode_block(readers, dc, ac, split, self.high, dc_pred, coefs, stats)
+        decode_block(readers, dc, ac, split, high, dc_pred, coefs, stats)
     }
 
     /// The reference walk's verdict on a row the fast path failed. Past a
     /// segment's end a cursor reads zero padding where the reference stops
-    /// with `Truncated`, so the row is re-walked from its start (`readers`
-    /// are still there on the fast path) and the reference's first error is
-    /// reported: both paths fail alike. The reference fails at or before
-    /// the block the fast path failed on, so `fast` is only a fallback.
+    /// with `Truncated`, so the row is re-walked from where it was opened
+    /// (`readers` are still there on the fast path) and the reference's
+    /// first error is reported: both paths fail alike. The reference fails
+    /// at or before the block the fast path failed on, so `fast` is only a
+    /// fallback.
     #[cold]
     fn reference_error(&self, mut readers: [BitReader<'_>; 2], fast: Error) -> Error {
         let (mut coefs, mut stats, mut dc_pred) = ([0i16; 64], DecodeStats::default(), [0i16; 3]);
         for bx in 0..self.header.width.div_ceil(self.header.mcu()) {
             let (sched, n) = mcu_schedule(self.header.chroma, bx, 0);
+            let high = self.reads_high_band(bx);
             for &(comp, _, _) in &sched[..n] {
                 let pred = dc_pred[comp];
                 if let Err(e) =
-                    self.reference_block(&mut readers, comp, pred, &mut coefs, &mut stats)
+                    self.reference_block(&mut readers, comp, high, pred, &mut coefs, &mut stats)
                 {
                     return e;
                 }
@@ -1622,6 +1790,7 @@ fn decode_block_fast(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smol_imgproc::ops::crop::crop_u8;
     use smol_imgproc::psnr;
     use std::cell::Cell;
 
@@ -2107,18 +2276,17 @@ mod tests {
     /// segment 1 alone.
     fn coded_prefixes(enc: &[u8], high: bool) -> Vec<(usize, usize, usize, usize)> {
         let header = SjpgHeader::parse(enc).unwrap();
-        let body = &enc[header.body_start..];
-        let dec = RowDecoder::new(&header, DecodeOptions::scalar_reference(), high, 0);
+        let dec = RowDecoder::new(&header, enc, DecodeOptions::scalar_reference(), high, 0, 0);
         let (mut coefs, mut stats) = ([0i16; 64], DecodeStats::default());
         let mut coded = Vec::new();
         for by in 0..header.rows() {
-            let mut row = dec.open(body, by);
+            let mut row = dec.open(by).unwrap();
             let mut dc_pred = [0i16; 3];
             for bx in 0..header.width.div_ceil(header.mcu()) {
                 let (sched, n) = mcu_schedule(header.chroma, bx, by);
                 for &(comp, _, _) in &sched[..n] {
                     let k = dec
-                        .block(&mut row, comp, dc_pred[comp], &mut coefs, &mut stats)
+                        .block(&mut row, comp, high, dc_pred[comp], &mut coefs, &mut stats)
                         .unwrap();
                     dc_pred[comp] = coefs[0];
                     coded.push((bx, by, comp, k));
@@ -2185,8 +2353,12 @@ mod tests {
         }
     }
 
-    fn v2_fixtures() -> Vec<(String, Vec<u8>)> {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/sjpg_v2");
+    /// The committed sjpg `version` fixtures, by name.
+    fn fixtures(version: u8) -> Vec<(String, Vec<u8>)> {
+        let dir = format!(
+            "{}/../../tests/fixtures/sjpg_v{version}",
+            env!("CARGO_MANIFEST_DIR")
+        );
         let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
             .unwrap()
             .map(|e| {
@@ -2200,22 +2372,25 @@ mod tests {
     }
 
     /// The baseline and AVX2 tiers and the scalar oracle agree on every
-    /// committed fixture (v2), on its v3 re-encode, and on 4:4:4 / 4:2:0
-    /// streams that hold both a block coded as its DC alone and a block with
-    /// all 64 coefficients coded — full, ROI, early-stop and factor 2/4/8.
+    /// committed fixture (v2 and v3), on its v4 re-encode, and on 4:4:4 /
+    /// 4:2:0 streams that hold both a block coded as its DC alone and a
+    /// block with all 64 coefficients coded — full, ROI, early-stop and
+    /// factor 2/4/8.
     #[test]
     fn tiers_decode_every_fixture_and_mode_bit_identically() {
-        let fixtures = v2_fixtures();
-        assert_eq!(fixtures.len(), 6, "every committed v2 fixture");
-        for (name, v2) in &fixtures {
-            assert_eq!(v2[4], 2, "{name} is a v2 stream");
-            tiers_agree_with_the_oracle(v2, name);
-            let header = SjpgHeader::parse(v2).unwrap();
-            let v3 = SjpgEncoder::with_chroma(header.quality, header.chroma)
-                .encode(&decode(v2).unwrap())
-                .unwrap();
-            assert_eq!(v3[4], 3);
-            tiers_agree_with_the_oracle(&v3, &format!("{name} v3"));
+        for version in [2, 3] {
+            let fixtures = fixtures(version);
+            assert_eq!(fixtures.len(), 6, "every committed v{version} fixture");
+            for (name, data) in &fixtures {
+                assert_eq!(data[4], version, "{name} is a v{version} stream");
+                tiers_agree_with_the_oracle(data, &format!("{name} v{version}"));
+                let header = SjpgHeader::parse(data).unwrap();
+                let v4 = SjpgEncoder::with_chroma(header.quality, header.chroma)
+                    .encode(&decode(data).unwrap())
+                    .unwrap();
+                assert_eq!(v4[4], 4);
+                tiers_agree_with_the_oracle(&v4, &format!("{name} v{version} re-encoded"));
+            }
         }
         // Left half flat (every block DC-only), right half full-range noise
         // at q100 (unit steps: all 64 coded).
@@ -2244,6 +2419,89 @@ mod tests {
                 .encode(&textured(104, 72, 13))
                 .unwrap();
             tiers_agree_with_the_oracle(&dense, &format!("textured q95 {chroma:?}"));
+        }
+    }
+
+    /// An ROI decode equals the aligned crop of the full decode, on both
+    /// paths, for seeded ROIs at every seek spacing a 4:4:4 and a 4:2:0
+    /// stream can take (`K = 0`: no table), and the encoder's own pick
+    /// writes a table that fits its budget.
+    #[test]
+    fn roi_decodes_match_the_full_decode_at_every_seek_spacing() {
+        let img = textured(104, 72, 13);
+        let mut state = 0x5EED_5EE4_u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        for chroma in [Chroma::C444, Chroma::C420] {
+            let encoder = SjpgEncoder::with_chroma(95, chroma);
+            let picked = encoder.encode(&img).unwrap();
+            let header = SjpgHeader::parse(&picked).unwrap();
+            let table = header.rows() * header.seek.points * header.seek.width as usize;
+            assert!(header.seek.points >= 2, "{chroma:?}: {:?}", header.seek);
+            assert!(SEEK_BUDGET * table <= 8 * (picked.len() - header.body_start));
+            let full = decode(&picked).unwrap();
+            let mcols = 104usize.div_ceil(chroma.mcu());
+            for spacing in 0..mcols {
+                let enc = encoder.encode_spaced(&img, Some(spacing)).unwrap();
+                let header = SjpgHeader::parse(&enc).unwrap();
+                assert_eq!(header.seek.spacing, spacing);
+                assert_eq!(decode(&enc).unwrap(), full, "{chroma:?} K = {spacing}");
+                for _ in 0..12 {
+                    let (x, y) = (next(104), next(72));
+                    let roi = Rect::new(x, y, 1 + next(104 - x), 1 + next(72 - y));
+                    let what = format!("{chroma:?} K = {spacing} {roi:?}");
+                    let (fast, at, stats) = decode_roi(&enc, roi).unwrap();
+                    let reference = decode_roi_opts(&enc, roi, DecodeOptions::scalar_reference());
+                    let (reference, _, ref_stats) = reference.unwrap();
+                    assert_eq!(fast, reference, "{what}");
+                    assert_eq!(stats.symbols_decoded, ref_stats.symbols_decoded, "{what}");
+                    assert_eq!(fast, crop_u8(&full, at).unwrap(), "{what}");
+                }
+            }
+        }
+    }
+
+    /// An ROI decode that seeks reads no segment-2 bit left of its seek
+    /// point: with every segment-2 byte before it flipped, it decodes the
+    /// same pixels with the same work counters on both paths — while those
+    /// bytes do matter to a full decode — and reads fewer symbols than the
+    /// same rows decoded from column 0.
+    #[test]
+    fn roi_decode_reads_no_segment_2_symbol_left_of_its_seek_point() {
+        for chroma in [Chroma::C444, Chroma::C420] {
+            let enc = SjpgEncoder::with_chroma(95, chroma)
+                .encode_spaced(&textured(160, 72, 13), Some(2))
+                .unwrap();
+            let header = SjpgHeader::parse(&enc).unwrap();
+            let mcu = header.mcu();
+            // MCU column 5: seek point 2, at column 4.
+            let roi = Rect::new(5 * mcu, mcu, 4 * mcu, 2 * mcu);
+            assert_eq!(header.seek_point(5), 2);
+            let mut flipped = enc.to_vec();
+            for by in 1..3 {
+                let offset = header.seek_offset(&enc, by, 2).unwrap() as usize;
+                assert!(offset >= 8, "{chroma:?} row {by}");
+                let start = header.body_start + header.segments(by)[1].start;
+                for b in &mut flipped[start..start + offset / 8] {
+                    *b ^= 0xA5;
+                }
+            }
+            assert_ne!(
+                decode(&flipped).ok(),
+                decode(&enc).ok(),
+                "{chroma:?}: the flipped bytes are read by a full decode"
+            );
+            for opts in [DecodeOptions::default(), DecodeOptions::scalar_reference()] {
+                let clean = decode_roi_opts(&enc, roi, opts).unwrap();
+                assert_eq!(decode_roi_opts(&flipped, roi, opts).unwrap(), clean);
+                let anchored = Rect::new(0, roi.y, roi.x_end(), roi.h);
+                let (_, _, from_start) = decode_roi_opts(&enc, anchored, opts).unwrap();
+                assert!(clean.2.symbols_decoded < from_start.symbols_decoded);
+            }
         }
     }
 }

@@ -88,9 +88,12 @@ pub struct DecodeCost {
 /// * `Full` / `ReducedResolution` read the whole frame (the latter at a
 ///   reduced IDCT edge);
 /// * `CentralRoi` skips rows outside the crop via the MCU-row index and
-///   stops each row after the crop's last column — blocks left of the
-///   crop are entropy-decoded but skip the IDCT, approximated here by
-///   charging half the left margin at full block cost;
+///   stops each row after the crop's last column; blocks left of the crop
+///   skip the IDCT and, on a stream with a seek table (sjpg v4), read
+///   only their DC and low band (≈ ⅙ of a q95 block's symbols). The charge
+///   is still half the left margin at full block cost, so it now
+///   overcharges the margin: what it costs the decoder is that low-band
+///   entropy alone (ROADMAP item 2 prices it from the decoder's counters);
 /// * `Video` prices one GOP of `input.gop_len` frames: the I-frame pays a
 ///   full intra decode, P-frames up to the last *selected* frame pay
 ///   [`P_FRAME_COST_RATIO`] each — frames past it are never touched

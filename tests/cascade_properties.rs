@@ -55,17 +55,22 @@ fn arb_encoded() -> impl Strategy<Value = EncodedImage> {
         })
 }
 
-/// Where an sjpg v3 stream's body starts, read from the header layout: 11
+/// Where an sjpg v4 stream's body starts, read from the header layout: 11
 /// fixed bytes, two table specs (sixteen 16-bit counts, then one 16-bit
-/// symbol per code), a 16-bit row count and two 32-bit offsets per row.
+/// symbol per code), a 16-bit row count, the seek spacing `K` and entry
+/// width (a byte each), two 32-bit offsets per row, then the seek table:
+/// one entry per `K` MCU columns past the first, per row, padded to a byte.
 fn body_start(data: &[u8]) -> usize {
-    assert_eq!(data[4], 3, "a v3 stream");
+    assert_eq!(data[4], 4, "a v4 stream");
     let be16 = |at: usize| u16::from_be_bytes([data[at], data[at + 1]]) as usize;
     let mut at = 11;
     for _table in 0..2 {
         at += 2 * (16 + (0..16).map(|l| be16(at + 2 * l)).sum::<usize>());
     }
-    at + 2 + 8 * be16(at)
+    let (rows, spacing, width) = (be16(at), data[at + 2] as usize, data[at + 3] as usize);
+    let mcols = be16(5).div_ceil(if data[10] == 1 { 16 } else { 8 });
+    let points = (mcols - 1).checked_div(spacing).unwrap_or(0);
+    at + 4 + 8 * rows + (rows * points * width).div_ceil(8)
 }
 
 proptest! {

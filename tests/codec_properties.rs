@@ -233,10 +233,29 @@ fn sjpg_paths_agree(data: &[u8]) -> Option<ImageU8> {
     }
 }
 
-/// Where an sjpg stream's row index starts (every header field is a whole
+/// Where the parts of an sjpg header lie. Every header field is a whole
 /// number of bytes: 11 fixed, then per table sixteen 16-bit counts and one
-/// 16-bit symbol per code) and how many MCU rows it indexes.
-fn sjpg_index_at(data: &[u8]) -> (usize, usize) {
+/// 16-bit symbol per code, then the row count; a v4 stream follows it with
+/// the seek spacing and entry width (one byte each) before the row index,
+/// and the seek table (entries of `width` bits, padded to a byte) after it.
+struct SjpgLayout {
+    /// Byte position of the row index's first entry.
+    index_at: usize,
+    /// MCU rows the index covers.
+    rows: usize,
+    /// MCU columns between seek points (0: no seek table).
+    spacing: usize,
+    /// Bits per seek-table entry.
+    width: usize,
+    /// Seek points per row.
+    points: usize,
+    /// Byte position of the seek table.
+    table_at: usize,
+    /// Byte position of the body.
+    body_at: usize,
+}
+
+fn sjpg_layout(data: &[u8]) -> SjpgLayout {
     let mut at = 11;
     for _table in 0..2 {
         let codes: usize = (0..16)
@@ -244,34 +263,79 @@ fn sjpg_index_at(data: &[u8]) -> (usize, usize) {
             .sum();
         at += 2 * (16 + codes);
     }
-    (at, u16::from_be_bytes([data[at], data[at + 1]]) as usize)
+    let rows = u16::from_be_bytes([data[at], data[at + 1]]) as usize;
+    let v4 = data[4] == 4;
+    let (spacing, width) = if v4 {
+        (data[at + 2] as usize, data[at + 3] as usize)
+    } else {
+        (0, 0)
+    };
+    let index_at = at + 2 + 2 * v4 as usize;
+    let table_at = index_at + if data[4] >= 3 { 8 } else { 4 } * rows;
+    let mcu = if data[10] == 1 { 16 } else { 8 };
+    let mcols = (u16::from_be_bytes([data[5], data[6]]) as usize).div_ceil(mcu);
+    let points = (mcols - 1).checked_div(spacing).unwrap_or(0);
+    SjpgLayout {
+        index_at,
+        rows,
+        spacing,
+        width,
+        points,
+        table_at,
+        body_at: table_at + (rows * points * width).div_ceil(8),
+    }
 }
 
-/// Entry `i` of a v3 row index that starts at `index_at` — row `i / 2`,
-/// segment `i % 2 + 1` — as a body offset.
+/// Entry `i` of a v3/v4 row index whose entries start at `index_at` — row
+/// `i / 2`, segment `i % 2 + 1` — as a body offset.
 fn index_entry(data: &[u8], index_at: usize, i: usize) -> u32 {
-    let at = index_at + 2 + 4 * i;
+    let at = index_at + 4 * i;
     u32::from_be_bytes(data[at..at + 4].try_into().unwrap())
 }
 
 fn set_index_entry(data: &mut [u8], index_at: usize, i: usize, offset: u32) {
-    let at = index_at + 2 + 4 * i;
+    let at = index_at + 4 * i;
     data[at..at + 4].copy_from_slice(&offset.to_be_bytes());
 }
 
-/// The file byte ranges of each row's two segments in a v3 stream.
-fn sjpg_v3_segments(data: &[u8]) -> Vec<[std::ops::Range<usize>; 2]> {
-    assert_eq!(data[4], 3, "a v3 stream");
-    let (at, rows) = sjpg_index_at(data);
-    let body = at + 2 + 8 * rows;
+/// Bit position in the stream of seek point `j` (from 1) of row `row`.
+fn seek_entry_bit(layout: &SjpgLayout, row: usize, j: usize) -> usize {
+    8 * layout.table_at + (row * layout.points + j - 1) * layout.width
+}
+
+/// Seek point `j` (from 1) of row `row`: a bit offset into its segment 2.
+fn seek_entry(data: &[u8], layout: &SjpgLayout, row: usize, j: usize) -> u64 {
+    let at = seek_entry_bit(layout, row, j);
+    (at..at + layout.width).fold(0, |v, bit| {
+        v << 1 | (data[bit / 8] >> (7 - bit % 8) & 1) as u64
+    })
+}
+
+fn set_seek_entry(data: &mut [u8], layout: &SjpgLayout, row: usize, j: usize, value: u64) {
+    let at = seek_entry_bit(layout, row, j);
+    for (i, bit) in (at..at + layout.width).enumerate() {
+        let one = value >> (layout.width - 1 - i) & 1 == 1;
+        let mask = 1 << (7 - bit % 8);
+        data[bit / 8] = if one {
+            data[bit / 8] | mask
+        } else {
+            data[bit / 8] & !mask
+        };
+    }
+}
+
+/// The file byte ranges of each row's two segments in a v3 or v4 stream.
+fn sjpg_segments(data: &[u8]) -> Vec<[std::ops::Range<usize>; 2]> {
+    assert!(data[4] >= 3, "a two-segment stream");
+    let layout = sjpg_layout(data);
     let offset = |i| {
-        if i < 2 * rows {
-            body + index_entry(data, at, i) as usize
+        if i < 2 * layout.rows {
+            layout.body_at + index_entry(data, layout.index_at, i) as usize
         } else {
             data.len()
         }
     };
-    (0..rows)
+    (0..layout.rows)
         .map(|r| {
             [
                 offset(2 * r)..offset(2 * r + 1),
@@ -281,7 +345,7 @@ fn sjpg_v3_segments(data: &[u8]) -> Vec<[std::ops::Range<usize>; 2]> {
         .collect()
 }
 
-/// A small 4:2:0 v3 stream and where its two-row index starts.
+/// A small 4:2:0 v4 stream and where its two-row index's entries start.
 fn small_sjpg_stream() -> (Vec<u8>, usize) {
     let mut img = ImageU8::zeros(40, 24, 3);
     for (i, v) in img.data_mut().iter_mut().enumerate() {
@@ -291,9 +355,13 @@ fn small_sjpg_stream() -> (Vec<u8>, usize) {
         .encode(&img)
         .unwrap()
         .to_vec();
-    let (at, rows) = sjpg_index_at(&data);
-    assert_eq!((data[4], rows), (3, 2), "a v3 stream of two MCU rows");
-    (data, at)
+    let layout = sjpg_layout(&data);
+    assert_eq!(
+        (data[4], layout.rows),
+        (4, 2),
+        "a v4 stream of two MCU rows"
+    );
+    (data, layout.index_at)
 }
 
 fn is_bad_header<T>(result: &smol::codec::Result<T>) -> bool {
@@ -323,12 +391,15 @@ fn sjpg_entry_points(data: &[u8]) -> Vec<(smol::codec::Result<()>, usize)> {
 /// that starts exactly at the body's end — each with what it is.
 fn sjpg_hostile_headers() -> Vec<(&'static str, Vec<u8>)> {
     let (clean, index_at) = small_sjpg_stream();
-    let header_len = index_at + 2 + 16;
+    let header_len = sjpg_layout(&clean).body_at;
 
-    let mut hostile = clean[..index_at].to_vec();
+    // Up to the row count, which the spacing and width bytes follow.
+    let mut hostile = clean[..index_at - 4].to_vec();
     hostile[5..9].copy_from_slice(&[0xFF; 4]);
-    // 4:2:0: 16-px MCU rows, each indexed by two non-decreasing offsets.
+    // 4:2:0: 16-px MCU rows, each indexed by two non-decreasing offsets,
+    // and no seek table.
     hostile.extend(4096u16.to_be_bytes());
+    hostile.extend([0, 0]);
     hostile.extend((0..2 * 4096u32).flat_map(|i| (i / 32).to_be_bytes()));
     hostile.extend_from_slice(&clean[header_len..]);
     let mut headers = vec![("a 65 535 × 65 535 claim", hostile)];
@@ -396,8 +467,8 @@ fn sjpg_header_its_body_cannot_back_is_rejected_before_allocating() {
 /// truncation into the header.
 #[test]
 fn sjpg_signal_accepts_exactly_the_headers_decoders_accept() {
-    let (clean, index_at) = small_sjpg_stream();
-    let header_len = index_at + 2 + 16;
+    let (clean, _) = small_sjpg_stream();
+    let header_len = sjpg_layout(&clean).body_at;
     let agree = |what: &str, data: &[u8]| {
         assert_eq!(
             sjpg_signal(data).is_ok(),
@@ -452,14 +523,119 @@ fn sjpg_overrun_into_the_next_segment_is_truncated_on_both_paths() {
     }
 }
 
+/// Both sjpg decoders on `roi` of `data`: the same `Ok`/`Err` (the same
+/// kind of error), and when `Ok` the same pixels, region and entropy
+/// symbols. Returns the agreed image.
+fn sjpg_roi_paths_agree(data: &[u8], roi: Rect) -> Option<ImageU8> {
+    let decode = |opts| sjpg::decode_roi_opts(data, roi, opts);
+    match (
+        decode(DecodeOptions::default()),
+        decode(DecodeOptions::scalar_reference()),
+    ) {
+        (Ok((fast, at, stats)), Ok((reference, ref_at, ref_stats))) => {
+            assert_eq!(fast, reference, "{roi:?}: pixels");
+            assert_eq!(at, ref_at);
+            assert_eq!(stats.symbols_decoded, ref_stats.symbols_decoded);
+            Some(fast)
+        }
+        (Err(fast), Err(reference)) => {
+            assert_eq!(
+                std::mem::discriminant(&fast),
+                std::mem::discriminant(&reference),
+                "{roi:?}: fast path {fast:?}, reference {reference:?}"
+            );
+            None
+        }
+        (fast, reference) => panic!(
+            "{roi:?}: fast path {:?}, reference {:?}",
+            fast.map(|_| ()),
+            reference.map(|_| ())
+        ),
+    }
+}
+
+/// A hostile seek table — an entry past its segment's end, entries that
+/// decrease, an entry that lands mid-symbol, seeded bit flips anywhere in
+/// the table — ends an ROI decode that seeks in a typed error or in the
+/// same output on both paths, never in a panic; decodes that do not seek
+/// never read the table.
+#[test]
+fn sjpg_hostile_seek_tables_fail_typed_or_decode_alike_on_both_paths() {
+    // Flat rows above noisy ones: the noisy rows set the entry width, so
+    // the flat rows' short segments 2 leave room for entries past them.
+    let mut img = ImageU8::zeros(96, 64, 3);
+    let mut state = 0x5EED_5EE4u64;
+    for (i, v) in img.data_mut().iter_mut().enumerate() {
+        *v = if i < 96 * 32 * 3 {
+            100
+        } else {
+            (lcg(&mut state) >> 56) as u8
+        };
+    }
+    let clean = SjpgEncoder::new(90).encode(&img).unwrap().to_vec();
+    let layout = sjpg_layout(&clean);
+    assert!(layout.points >= 3, "{} seek points per row", layout.points);
+    // The ROI starts at seek point 3.
+    let j = 3;
+    let roi = Rect::new(8 * j * layout.spacing + 3, 10, 30, 30);
+    let full = sjpg::decode(&clean).unwrap();
+    assert!(sjpg_roi_paths_agree(&clean, roi).is_some());
+    let segments = sjpg_segments(&clean);
+    let max = (1u64 << layout.width) - 1;
+    let mut past_end = 0;
+    let rows = roi.y / 8..roi.y_end().div_ceil(8);
+    for (row, [_, rest]) in segments.iter().enumerate().take(rows.end).skip(rows.start) {
+        let len = 8 * rest.len() as u64;
+        let entry = seek_entry(&clean, &layout, row, j);
+        let mut typed = vec![("decreasing", j - 1, entry + 1)];
+        if len < max {
+            typed.extend([("past the end", j, len + 1), ("far past the end", j, max)]);
+            past_end += 1;
+        }
+        for (what, point, value) in typed {
+            let mut data = clean.clone();
+            set_seek_entry(&mut data, &layout, row, point, value);
+            for opts in [DecodeOptions::default(), DecodeOptions::scalar_reference()] {
+                let result = sjpg::decode_roi_opts(&data, roi, opts);
+                assert!(is_bad_header(&result), "row {row} {what} {opts:?}");
+            }
+            assert_eq!(sjpg::decode(&data).unwrap(), full, "row {row} {what}");
+        }
+        for d in (1..24).filter(|d| entry + d <= max) {
+            let mut data = clean.clone();
+            set_seek_entry(&mut data, &layout, row, j, entry + d);
+            sjpg_roi_paths_agree(&data, roi);
+        }
+    }
+    assert!(
+        past_end > 0,
+        "no row's segment 2 is shorter than the widest entry"
+    );
+
+    let mut next = |n: usize| (lcg(&mut state) >> 33) as usize % n;
+    let table = layout.table_at..layout.body_at;
+    let mut decoded = 0;
+    for case in 0..600 {
+        let mut data = clean.clone();
+        for _ in 0..1 + case % 3 {
+            data[table.start + next(table.len())] ^= 1 << next(8);
+        }
+        let (x, y) = (next(96), next(64));
+        let roi = Rect::new(x, y, 1 + next(96 - x), 1 + next(64 - y));
+        decoded += sjpg_roi_paths_agree(&data, roi).is_some() as usize;
+        assert_eq!(sjpg::decode(&data).unwrap(), full, "flip case {case}");
+    }
+    assert!(decoded > 100, "only {decoded} mutated tables decoded");
+}
+
 /// Seeded bit flips over the sjpg header — geometry, quality, chroma tag,
 /// both table specs, the row index — and every truncation of it: both paths
 /// fail, or both return the same image, and neither sizes an allocation the
 /// body cannot back.
 #[test]
 fn sjpg_header_flips_decode_or_fail_the_same_way_on_both_paths() {
-    let (clean, index_at) = small_sjpg_stream();
-    let header_len = index_at + 2 + 16;
+    let (clean, _) = small_sjpg_stream();
+    let header_len = sjpg_layout(&clean).body_at;
     let mut state = 0x5EED_51B6_0BADu64;
     let mut next = |n: usize| (lcg(&mut state) >> 33) as usize % n;
     let mut survived = 0;
@@ -545,10 +721,12 @@ fn sjpg_reduced_decodes_dequantize_only_what_they_read() {
     assert_eq!(stats.coefs_dequantized, mcus * (4 + 2 * 5));
 }
 
-/// One sjpg v2 stream under `tests/fixtures/sjpg_v2/`, written by the last
-/// v2 encoder (the commit before v3): the parameters that regenerate its
-/// source ([`fixture_source`]) and the digest of its decoded pixels
-/// ([`pixel_digest`]).
+/// One image stored twice: as an sjpg v2 stream under
+/// `tests/fixtures/sjpg_v2/`, written by the last v2 encoder (the commit
+/// before v3), and as a v3 stream under `tests/fixtures/sjpg_v3/`, written
+/// by the last v3 encoder (the commit before v4) from the same source. The
+/// parameters regenerate that source ([`fixture_source`]); both streams
+/// decode to the same pixels, whose digest ([`pixel_digest`]) is here.
 struct V2Fixture {
     name: &'static str,
     w: usize,
@@ -653,35 +831,49 @@ fn pixel_digest(img: &ImageU8) -> u64 {
         })
 }
 
-fn v2_fixture(name: &str) -> Vec<u8> {
+/// The committed sjpg `version` stream (2 or 3) of fixture `name`.
+fn fixture_stream(version: u8, name: &str) -> Vec<u8> {
     let path = format!(
-        "{}/tests/fixtures/sjpg_v2/{name}.sjpg",
+        "{}/tests/fixtures/sjpg_v{version}/{name}.sjpg",
         env!("CARGO_MANIFEST_DIR")
     );
     let data = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    assert_eq!(data[4], 2, "{name} is a v2 stream");
+    assert_eq!(data[4], version, "{name} is a v{version} stream");
     data
 }
 
-/// Every v2 fixture still decodes to its digest, on the fast path and the
-/// scalar oracle alike (and under the hostile-input allocation cap), and
-/// its one-segment row index yields a finite difficulty score.
-#[test]
-fn sjpg_v2_fixtures_still_decode_to_their_digests() {
+/// Every committed `version` fixture decodes to its digest, on the fast
+/// path and the scalar oracle alike (and under the hostile-input allocation
+/// cap), and its row index yields a finite difficulty score.
+fn fixtures_decode_to_their_digests(version: u8) {
     for f in &V2_FIXTURES {
-        let data = v2_fixture(f.name);
-        let decoded = sjpg_paths_agree(&data).expect("a v2 fixture decodes");
-        assert_eq!(pixel_digest(&decoded), f.digest, "{}", f.name);
-        let score = sjpg_signal(&data)
-            .expect("a v2 fixture has a signal")
-            .score();
+        let data = fixture_stream(version, f.name);
+        let decoded = sjpg_paths_agree(&data).expect("a fixture decodes");
+        assert_eq!(pixel_digest(&decoded), f.digest, "v{version} {}", f.name);
+        let score = sjpg_signal(&data).expect("a fixture has a signal").score();
         assert!(score.is_finite() && score > 0.0, "{}: {score}", f.name);
     }
 }
 
-/// The v3 encode of each fixture's source decodes pixel-identically to the
-/// v2 stream of the same image — full, ROI, early stop and every factor,
-/// fast ≡ scalar — while its factor-4/8 decodes read fewer symbols.
+/// Every v2 fixture still decodes to its digest (one segment per row).
+#[test]
+fn sjpg_v2_fixtures_still_decode_to_their_digests() {
+    fixtures_decode_to_their_digests(2);
+}
+
+/// Every v3 fixture still decodes to its digest (two segments per row, no
+/// seek table).
+#[test]
+fn sjpg_v3_fixtures_still_decode_to_their_digests() {
+    fixtures_decode_to_their_digests(3);
+}
+
+/// The committed v3 stream of each fixture and the v4 encode of its source
+/// decode pixel-identically to the v2 stream of the same image — full, ROI,
+/// early stop and every factor, fast ≡ scalar — while their factor-4/8
+/// decodes read fewer symbols, and the v4 ROI decode, which opens each
+/// row's segment 2 at a seek point when its stream has a seek table, reads
+/// no more than the v3 one.
 #[test]
 fn sjpg_v3_decodes_pixel_identically_to_the_v2_stream() {
     let paths = [DecodeOptions::default(), DecodeOptions::scalar_reference()];
@@ -696,23 +888,29 @@ fn sjpg_v3_decodes_pixel_identically_to_the_v2_stream() {
         ..
     } in &V2_FIXTURES
     {
-        let v2 = v2_fixture(name);
-        let v3 = SjpgEncoder::with_chroma(quality, chroma)
+        let v2 = fixture_stream(2, name);
+        let v3 = fixture_stream(3, name);
+        let v4 = SjpgEncoder::with_chroma(quality, chroma)
             .encode(&fixture_source(w, h, seed, noise))
             .unwrap();
-        assert_eq!(v3[4], 3, "{name}: the encoder writes v3");
+        assert_eq!(v4[4], 4, "{name}: the encoder writes v4");
+        let streams = [(2, &v2[..]), (3, &v3[..]), (4, &v4[..])];
         for factor in [1usize, 2, 4, 8] {
             let decode = |data: &[u8], opts| sjpg::decode_scaled_opts(data, factor, opts).unwrap();
             let (want, v2_stats) = decode(&v2, paths[0]);
             for opts in paths {
-                for (version, data) in [(2, &v2[..]), (3, &v3[..])] {
+                for (version, data) in streams {
                     let (got, stats) = decode(data, opts);
                     assert_eq!(got, want, "{name} v{version} factor {factor} {opts:?}");
                     assert_eq!(stats.idct_macs, v2_stats.idct_macs);
                     assert_eq!(stats.pixels_written, v2_stats.pixels_written);
                 }
             }
-            let v3_symbols = decode(&v3, paths[0]).1.symbols_decoded;
+            let (v3_symbols, v4_symbols) = (
+                decode(&v3, paths[0]).1.symbols_decoded,
+                decode(&v4, paths[0]).1.symbols_decoded,
+            );
+            assert_eq!(v3_symbols, v4_symbols, "{name} /{factor}");
             if factor >= 4 {
                 assert!(v3_symbols < v2_stats.symbols_decoded, "{name} /{factor}");
             }
@@ -720,7 +918,7 @@ fn sjpg_v3_decodes_pixel_identically_to_the_v2_stream() {
         let roi = Rect::new(w / 4, h / 5, w / 2, h / 2);
         let want = sjpg::decode_roi(&v2, roi).unwrap();
         for opts in paths {
-            for data in [&v2[..], &v3[..]] {
+            for (_, data) in streams {
                 let got = sjpg::decode_roi_opts(data, roi, opts).unwrap();
                 assert_eq!(
                     (got.0, got.1),
@@ -729,12 +927,15 @@ fn sjpg_v3_decodes_pixel_identically_to_the_v2_stream() {
                 );
             }
         }
-        let rows = sjpg::decode_rows(&v3, h / 2).unwrap().0;
-        assert_eq!(
-            rows,
-            sjpg::decode_rows(&v2, h / 2).unwrap().0,
-            "{name} rows"
-        );
+        let roi_symbols = |data| sjpg::decode_roi(data, roi).unwrap().2.symbols_decoded;
+        assert!(roi_symbols(&v4) <= roi_symbols(&v3), "{name} roi symbols");
+        for (version, data) in streams {
+            assert_eq!(
+                sjpg::decode_rows(data, h / 2).unwrap().0,
+                sjpg::decode_rows(&v2, h / 2).unwrap().0,
+                "{name} v{version} rows"
+            );
+        }
     }
 }
 
@@ -753,7 +954,7 @@ proptest! {
         let chroma = if subsampled { Chroma::C420 } else { Chroma::C444 };
         let enc = SjpgEncoder::with_chroma(90, chroma).encode(&img).unwrap();
         let mut flipped = enc.to_vec();
-        for [_, rest] in sjpg_v3_segments(&enc) {
+        for [_, rest] in sjpg_segments(&enc) {
             prop_assert!(!rest.is_empty());
             for b in &mut flipped[rest] {
                 *b ^= mask;
@@ -806,16 +1007,20 @@ proptest! {
     }
 
     /// ROI decode agrees exactly with the corresponding region of a full
-    /// decode, for arbitrary in-bounds ROIs.
+    /// decode, for arbitrary in-bounds ROIs, 4:4:4 and 4:2:0 — an ROI that
+    /// starts right of a seek point opens each row's segment 2 there — and
+    /// the scalar reference seeks alike.
     #[test]
     fn sjpg_roi_matches_full(
         img in arb_image(96),
+        subsampled in any::<bool>(),
         fx in 0.0f64..0.8,
         fy in 0.0f64..0.8,
         fw in 0.1f64..0.9,
         fh in 0.1f64..0.9,
     ) {
-        let enc = SjpgEncoder::new(85).encode(&img).unwrap();
+        let chroma = if subsampled { Chroma::C420 } else { Chroma::C444 };
+        let enc = SjpgEncoder::with_chroma(85, chroma).encode(&img).unwrap();
         let full = sjpg::decode(&enc).unwrap();
         let (w, h) = (img.width(), img.height());
         let x = ((w as f64 * fx) as usize).min(w - 1);
@@ -823,7 +1028,11 @@ proptest! {
         let rw = ((w as f64 * fw) as usize).clamp(1, w - x);
         let rh = ((h as f64 * fh) as usize).clamp(1, h - y);
         let roi = Rect::new(x, y, rw, rh);
-        let (part, aligned, _) = sjpg::decode_roi(&enc, roi).unwrap();
+        let (part, aligned, stats) = sjpg::decode_roi(&enc, roi).unwrap();
+        let (reference, _, reference_stats) =
+            sjpg::decode_roi_opts(&enc, roi, DecodeOptions::scalar_reference()).unwrap();
+        prop_assert_eq!(&part, &reference);
+        prop_assert_eq!(stats.symbols_decoded, reference_stats.symbols_decoded);
         for dy in 0..aligned.h {
             for dx in 0..aligned.w {
                 for c in 0..3 {
