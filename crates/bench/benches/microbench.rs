@@ -7,7 +7,8 @@
 //! reference interpreter, the producer stage's per-item content key and
 //! cascade difficulty signal, launching vs executing a device batch), the video
 //! decoder stage by stage (fast path vs the seed chain, and the keyframe
-//! pair-LUT window sweep), and the DAG optimizer.
+//! pair-LUT window sweep), the DAG optimizer, and the shared state a
+//! producer run touches (its tensor-cache hits, its batching).
 //!
 //! Each row is timed per call by `smol_bench::per_iter` (batches of calls
 //! sized to take at least 1 ms, one clock pair per batch) and printed as
@@ -23,6 +24,7 @@ use smol_accel::{ExecutionEnv, GpuModel, ModelKind, VirtualDevice};
 use smol_bench::{per_iter, PerIter};
 use smol_codec::signal::sjpg_signal;
 use smol_codec::{hash, sjpg, spng, DecodeOptions, EncodedImage, Format, SjpgEncoder};
+use smol_core::{DecodeMode, PlacementSignature};
 use smol_data::{still_catalog, throughput_images};
 use smol_imgproc::dag::{execute_plan, DagOptimizer, PreprocPlan};
 use smol_imgproc::ops::fused::fused_convert_normalize_split;
@@ -32,7 +34,10 @@ use smol_imgproc::ops::prefix::CompiledPrefix;
 use smol_imgproc::ops::{center_crop_u8, resize_short_edge_u8};
 use smol_imgproc::tier::{Kernel, Tier};
 use smol_imgproc::Rect;
-use smol_runtime::{execute_device_batch, launch_device_batch, DeviceBatchSpec};
+use smol_runtime::{execute_device_batch, launch_device_batch, DeviceBatchSpec, TensorCache};
+use smol_serve::scheduler::Batcher;
+use smol_serve::Priority;
+use std::sync::Arc;
 
 fn test_image() -> smol_imgproc::ImageU8 {
     let spec = &still_catalog()[3];
@@ -441,6 +446,48 @@ fn bench_planner(rows: &Rows) {
     });
 }
 
+/// What a producer run of 16 cache-hit thumbnails costs in shared state,
+/// single-threaded (so without the contention the run saves in a server):
+/// its tensor-cache hits as one run lookup vs 16 single lookups, and its
+/// batching — 16 items registered, pushed into a batch of 16 and settled
+/// once — through the scheduler's `Batcher`.
+fn bench_serving(rows: &Rows) {
+    let cache = TensorCache::new(1 << 20);
+    let keys: Vec<(u64, DecodeMode)> = (0..16).map(|k| (k, DecodeMode::Full)).collect();
+    for &(key, mode) in &keys {
+        let tiny = || Ok::<_, ()>(smol_imgproc::ImageU8::zeros(8, 8, 3));
+        cache.get_or_decode(key, mode, tiny).unwrap();
+    }
+    rows.iter("tensor_cache/hits_run16", || {
+        cache.get_resident_run(std::hint::black_box(&keys))
+    });
+    rows.iter("tensor_cache/hits_single16", || {
+        for &(key, mode) in std::hint::black_box(&keys) {
+            let miss = || -> Result<_, ()> { unreachable!("every key is resident") };
+            std::hint::black_box(cache.get_or_decode(key, mode, miss).unwrap());
+        }
+    });
+
+    let sig = Arc::new(PlacementSignature {
+        dnn: ModelKind::ResNet18,
+        batch: 16,
+        out_w: 64,
+        out_h: 64,
+        frame_selection: None,
+        accel_ops: Vec::new(),
+    });
+    let mut batcher: Batcher<u32> = Batcher::new(|_| Priority::Normal);
+    let mut out = Vec::with_capacity(1);
+    rows.iter("batcher/push_settle_16", || {
+        batcher.register(&sig, Priority::Normal, 16);
+        for token in 0..16 {
+            out.extend(batcher.push(&sig, std::hint::black_box(token)));
+        }
+        batcher.settle(&sig, Priority::Normal, 16, &mut out);
+        assert!(out.pop().is_some_and(|batch| batch.is_full()) && batcher.is_idle());
+    });
+}
+
 /// The command line: `--test` runs each routine once, untimed; a
 /// positional argument keeps only the rows whose `group/name` contains it.
 struct Rows {
@@ -494,4 +541,5 @@ fn main() {
     bench_preproc(&rows);
     bench_video(&rows);
     bench_planner(&rows);
+    bench_serving(&rows);
 }

@@ -44,8 +44,9 @@ pub use bufferpool::{
 pub use media::{video_decode_params, wrap_gops, wrap_images, MediaItem, OutputLayout};
 pub use personalities::Personality;
 pub use pipeline::{
-    decode_item, execute_device_batch, launch_device_batch, produce_item, produce_media_item,
-    route_stage, DeviceBatchSpec, PlanContext, ProducedItem, Result, RuntimeError, RuntimeOptions,
+    decode_item, execute_device_batch, launch_device_batch, produce_decoded, produce_item,
+    produce_media_item, route_stage, DeviceBatchSpec, PlanContext, ProducedItem, Result,
+    RuntimeError, RuntimeOptions,
 };
 pub use profiler::{measure_exec_throughput, measure_preproc_throughput, Profiler};
 pub use tensorcache::{TensorCache, TensorCacheStats};

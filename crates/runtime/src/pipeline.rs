@@ -31,7 +31,7 @@ use smol_imgproc::dag::PreprocPlan;
 use smol_imgproc::ops::normalize::Normalization;
 use smol_imgproc::ops::prefix::CompiledPrefix;
 use smol_imgproc::{ImageU8, Rect};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Engine configuration; defaults mirror the paper's g4dn.xlarge setup
@@ -136,10 +136,15 @@ pub struct PlanContext {
     /// Geometry a decode of the variant's declared size emits (nominal:
     /// items may differ, and ROI decodes block-align).
     nominal_src: (usize, usize),
-    /// The CPU prefix of `preproc`, compiled for the last decoded geometry
-    /// seen and shared by every producer thread of the plan. On a repeated
-    /// geometry a lookup is a lock, a dimension compare, and an `Arc` clone;
-    /// on a new one the compile runs outside the lock.
+    /// The CPU prefix of `preproc` for `nominal_src`, compiled once by
+    /// [`Self::validate`]. An item of that geometry reads it by reference:
+    /// one atomic load and a dimension compare, no lock.
+    nominal: OnceLock<Arc<CompiledPrefix>>,
+    /// The CPU prefix for the last other decoded geometry seen, shared by
+    /// every producer thread of the plan (and for the nominal one too when
+    /// the context was never validated). On a repeated geometry a lookup
+    /// is a lock, a dimension compare, and an `Arc` clone; on a new one the
+    /// compile runs outside the lock.
     prefix: Mutex<Option<Arc<CompiledPrefix>>>,
 }
 
@@ -160,6 +165,7 @@ impl PlanContext {
             nominal_src: plan
                 .decode
                 .decoded_dims(plan.input.width, plan.input.height),
+            nominal: OnceLock::new(),
             prefix: Mutex::new(None),
         }
     }
@@ -170,10 +176,15 @@ impl PlanContext {
     /// runtime executes geometric operators on the CPU only (a resize or
     /// crop placed on the accelerator leaves the staging buffer mis-sized),
     /// and one CPU prefix may resample at most once. The server calls this
-    /// at submission, the profiler before it times anything.
+    /// at submission, the profiler before it times anything; from then on
+    /// items of the declared geometry stage through the prefix compiled
+    /// here without taking a lock.
     pub fn validate(&self) -> Result<()> {
-        let prefix = self.prefix_for(self.nominal_src)?;
-        self.check_out_dims(&prefix)
+        let (w, h) = self.nominal_src;
+        let prefix = CompiledPrefix::compile(&self.preproc, w, h, &self.norm)?;
+        self.check_out_dims(&prefix)?;
+        let _ = self.nominal.set(Arc::new(prefix));
+        Ok(())
     }
 
     /// The compiled CPU prefix for a `dims` source: the cached one when the
@@ -207,9 +218,14 @@ impl PlanContext {
         .into())
     }
 
-    /// The prefix compiled for the most recent item, if any has run.
+    /// The prefix compiled for the most recent item staged off the
+    /// validated nominal geometry, or else the nominal one; `None` before
+    /// anything compiled. An item of the nominal geometry reads the prefix
+    /// [`Self::validate`] compiled and leaves this slot alone, so after an
+    /// off-size item this stays that item's prefix.
     pub fn compiled_prefix(&self) -> Option<Arc<CompiledPrefix>> {
-        lock(&self.prefix).clone()
+        let slot = lock(&self.prefix).clone();
+        slot.or_else(|| self.nominal.get().cloned())
     }
 
     /// Executes the CPU-placed prefix of the plan on a decoded image into a
@@ -223,8 +239,17 @@ impl PlanContext {
     /// elided resize, say) is a typed `ShapeMismatch` before any slot is
     /// drawn, never a partial or out-of-bounds write.
     fn stage(&self, img: &ImageU8, pool: &BufferPool) -> Result<(PooledBuffer, usize, f64)> {
-        let prefix = self.prefix_for((img.width(), img.height()))?;
-        self.check_out_dims(&prefix)?;
+        let dims = (img.width(), img.height());
+        let other;
+        let prefix = match self.nominal.get() {
+            // Its output geometry was checked by `validate`.
+            Some(nominal) if nominal.src_dims() == dims => nominal,
+            _ => {
+                other = self.prefix_for(dims)?;
+                self.check_out_dims(&other)?;
+                &other
+            }
+        };
         let buffer = if prefix.stages_bytes() {
             let mut buffer = pool.acquire_bytes();
             prefix.run_into_bytes(img, buffer.as_bytes_mut())?;
@@ -313,12 +338,26 @@ pub fn produce_item(
         Some(cache) => cache.get_or_decode(enc.cache_key(), ctx.decode, decode)?,
         None => (Arc::new(decode()?), false),
     };
+    let decode_s = (!cache_hit).then(|| t0.elapsed().as_secs_f64());
+    produce_decoded(ctx, idx, decoded, decode_s, pool, keep_image, extra_cpu_s)
+}
+
+/// The producer stage from a decoded image on: stages `decoded` (output
+/// `idx`) through the plan's CPU prefix into a slot drawn from `pool`.
+/// `decode_s` is the CPU time its decode took, `None` when the tensor
+/// cache served it (the item then counts as a hit). [`produce_item`] and
+/// [`produce_media_item`] end here, and so does an item whose tensor a
+/// run lookup ([`TensorCache::get_resident_run`]) resolved.
+pub fn produce_decoded(
+    ctx: &PlanContext,
+    idx: usize,
+    decoded: Arc<ImageU8>,
+    decode_s: Option<f64>,
+    pool: &BufferPool,
+    keep_image: bool,
+    extra_cpu_s: f64,
+) -> Result<ProducedItem> {
     let t1 = Instant::now();
-    let decode_s = if cache_hit {
-        0.0
-    } else {
-        (t1 - t0).as_secs_f64()
-    };
     let (buffer, transfer_bytes, accel_ops) = ctx.stage(&decoded, pool)?;
     if extra_cpu_s > 0.0 {
         std::thread::sleep(Duration::from_secs_f64(extra_cpu_s));
@@ -329,9 +368,9 @@ pub fn produce_item(
         transfer_bytes,
         accel_ops,
         image: keep_image.then_some(decoded),
-        decode_s,
+        decode_s: decode_s.unwrap_or(0.0),
         preproc_s: t1.elapsed().as_secs_f64(),
-        cache_hit,
+        cache_hit: decode_s.is_none(),
     })
 }
 
@@ -465,26 +504,17 @@ pub fn produce_media_item(
             Some(cache) => cache.get_or_fill(frame_key(gop_key, pos), canon_mode, decode_frame)?,
             None => (Arc::new(decode_frame()?.0), false),
         };
-        let t1 = Instant::now();
-        let decode_s = if cache_hit {
-            0.0
-        } else {
-            (t1 - t0).as_secs_f64()
-        };
-        let (buffer, transfer_bytes, accel_ops) = ctx.stage(&decoded, pool)?;
-        if extra_cpu_s > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(extra_cpu_s));
-        }
-        out.push(ProducedItem {
-            idx: base_idx + i,
-            buffer,
-            transfer_bytes,
-            accel_ops,
-            image: keep_image.then_some(decoded),
+        let decode_s = (!cache_hit).then(|| t0.elapsed().as_secs_f64());
+        let idx = base_idx + i;
+        out.push(produce_decoded(
+            ctx,
+            idx,
+            decoded,
             decode_s,
-            preproc_s: t1.elapsed().as_secs_f64(),
-            cache_hit,
-        });
+            pool,
+            keep_image,
+            extra_cpu_s,
+        )?);
     }
     Ok(out)
 }

@@ -62,6 +62,10 @@
 //!   produce (property-tested in `tests/variant_store.rs`).
 //! * **Zero budget** — no residency and no frequency bookkeeping: every
 //!   lookup decodes, only the counters move.
+//! * **Run lookups** — a producer's run of items serves its resident keys
+//!   under one lock ([`TensorCache::get_resident_run`]), in order and up
+//!   to the first key that is not resident, so its counters, frequencies
+//!   and residency are exactly those of the same lookups one by one.
 //!
 //! **Trust boundary.** A hit is served on a match of the 64-bit
 //! `(content key, mode)` alone; the cache never compares the encoded bytes
@@ -241,40 +245,28 @@ impl TensorCache {
         let flight = {
             let mut locked = lock(&self.inner);
             loop {
-                let inner = &mut *locked;
-                match inner.slots.get_mut(&key) {
-                    Some(Slot::Ready(entry)) => {
-                        entry.seen.freq = entry.seen.freq.saturating_add(1);
-                        let image = Arc::clone(&entry.image);
-                        inner.hits += 1;
-                        if tracked {
-                            inner.tick();
-                        }
-                        return Ok((image, true));
-                    }
-                    Some(Slot::Pending(flight)) => {
-                        let flight = Arc::clone(flight);
-                        if tracked && prior.is_none() {
-                            prior = Some(inner.count_absent(key));
-                        }
-                        while flight.get().is_none() {
-                            locked = wait(&self.ready_cv, locked);
-                        }
-                        if let Some(Some(image)) = flight.get() {
-                            locked.hits += 1;
-                            return Ok((Arc::clone(image), true));
-                        }
-                        // The fill failed and was retracted: retry.
-                    }
-                    None => {
-                        if tracked && prior.is_none() {
-                            prior = Some(inner.count_absent(key));
-                        }
-                        let flight = Arc::new(Flight::new());
-                        inner.slots.insert(key, Slot::Pending(Arc::clone(&flight)));
-                        break flight;
-                    }
+                if let Some(image) = locked.hit(&key, tracked) {
+                    return Ok((image, true));
                 }
+                // Absent, or being filled by another thread.
+                let inner = &mut *locked;
+                if tracked && prior.is_none() {
+                    prior = Some(inner.count_absent(key));
+                }
+                let Some(Slot::Pending(flight)) = inner.slots.get(&key) else {
+                    let flight = Arc::new(Flight::new());
+                    inner.slots.insert(key, Slot::Pending(Arc::clone(&flight)));
+                    break flight;
+                };
+                let flight = Arc::clone(flight);
+                while flight.get().is_none() {
+                    locked = wait(&self.ready_cv, locked);
+                }
+                if let Some(Some(image)) = flight.get() {
+                    locked.hits += 1;
+                    return Ok((Arc::clone(image), true));
+                }
+                // The fill failed and was retracted: retry.
             }
         };
         // We own the pending slot; fill outside the lock. The guard
@@ -324,6 +316,24 @@ impl TensorCache {
         Ok((image, false))
     }
 
+    /// Looks up a run of keys under one lock, in order, as consecutive
+    /// [`Self::get_or_decode`] calls would while each key is resident:
+    /// every one counts a hit, raises its key's frequency and ticks the
+    /// aging clock. Stops at the first key that is not resident — absent,
+    /// or still being filled — and returns the tensors of the keys before
+    /// it; the caller looks that key up alone and the rest of the run
+    /// again. Resolving a key past an earlier miss would not be the same:
+    /// the miss's fill may evict it, and an aging pass may fall between
+    /// the two. Stopping keeps the counters and residency exactly those of
+    /// one-by-one lookups.
+    pub fn get_resident_run(&self, keys: &[(u64, DecodeMode)]) -> Vec<Arc<ImageU8>> {
+        let mut hits = Vec::with_capacity(keys.len());
+        let tracked = self.budget_bytes > 0;
+        let mut inner = lock(&self.inner);
+        hits.extend(keys.iter().map_while(|key| inner.hit(key, tracked)));
+        hits
+    }
+
     pub fn stats(&self) -> TensorCacheStats {
         let inner = lock(&self.inner);
         TensorCacheStats {
@@ -362,6 +372,22 @@ impl TensorCache {
 }
 
 impl CacheInner {
+    /// Serves a lookup of `key` if it is resident: counts the hit, raises
+    /// the key's frequency and, when frequencies are `tracked`, ticks the
+    /// aging clock.
+    fn hit(&mut self, key: &Key, tracked: bool) -> Option<Arc<ImageU8>> {
+        let Some(Slot::Ready(entry)) = self.slots.get_mut(key) else {
+            return None;
+        };
+        entry.seen.freq = entry.seen.freq.saturating_add(1);
+        let image = Arc::clone(&entry.image);
+        self.hits += 1;
+        if tracked {
+            self.tick();
+        }
+        Some(image)
+    }
+
     /// Counts a lookup of a key that is not resident and returns how many
     /// lookups of it the history held before this one.
     fn count_absent(&mut self, key: Key) -> u32 {
@@ -504,6 +530,154 @@ mod tests {
 
     fn history_len(cache: &TensorCache) -> usize {
         lock(&cache.inner).history.len()
+    }
+
+    fn resident_keys(cache: &TensorCache) -> std::collections::BTreeSet<u64> {
+        let inner = lock(&cache.inner);
+        let ready = inner
+            .slots
+            .iter()
+            .filter(|(_, s)| matches!(s, Slot::Ready(_)));
+        ready.map(|(key, _)| key.0).collect()
+    }
+
+    /// A fill of one or two budget units, reporting a fixed cost of its
+    /// own per key: what `get_or_decode` does, minus the timing.
+    fn fill_of(key: u64) -> impl FnOnce() -> Result<(ImageU8, Duration), ()> {
+        let units = 1 + usize::from(key.is_multiple_of(3));
+        let cost = Duration::from_micros(100 + 50 * (key % 7));
+        move || Ok((img(16, 16 * units, key as u8), cost))
+    }
+
+    fn look_up_alone(cache: &TensorCache, key: u64) -> Vec<u8> {
+        let (image, _) = cache
+            .get_or_fill(key, DecodeMode::Full, fill_of(key))
+            .unwrap();
+        image.data().to_vec()
+    }
+
+    /// Starts a fill of `key` on another thread and returns once it is
+    /// pending; the fill completes only once a second lookup of the key
+    /// waits on it.
+    fn fill_pending_on_another_thread<'s>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        cache: &'s TensorCache,
+        key: u64,
+    ) {
+        let flight = move || match lock(&cache.inner).slots.get(&(key, DecodeMode::Full)) {
+            Some(Slot::Pending(flight)) => Some(Arc::clone(flight)),
+            _ => None,
+        };
+        scope.spawn(move || {
+            cache
+                .get_or_fill(key, DecodeMode::Full, || {
+                    // Held by the slot, this thread, the clone read here
+                    // and, once one waits, the waiter.
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while flight().map_or(0, |f| Arc::strong_count(&f)) < 4
+                        && Instant::now() < deadline
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    fill_of(key)()
+                })
+                .unwrap();
+        });
+        while flight().is_none() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_run_lookup_equals_the_same_keys_looked_up_one_by_one() {
+        // 24 keys of one or two units (32 in all) through a budget of 16:
+        // hits, evictions and rejections all happen, and 6 000 lookups span
+        // an aging pass. Key 999 is being filled on another thread when its
+        // turn comes.
+        let pending = 999;
+        for seed in 0..8 {
+            let mut rng = smol_imgproc::rng::Rng::seed_from_u64(seed);
+            let keys: Vec<u64> = (0..6_000)
+                .map(|i| match (i, rng.f64()) {
+                    (3_000, _) => pending,
+                    (_, hot) if hot < 0.6 => u64::from(rng.u8_in(0..=5)),
+                    _ => u64::from(rng.u8_in(6..=23)),
+                })
+                .collect();
+            let runs: Vec<usize> = (0..keys.len()).map(|_| rng.u8_in(1..=16).into()).collect();
+            let (by_run, one_by_one) = (TensorCache::new(16 * UNIT), TensorCache::new(16 * UNIT));
+
+            let served_by_runs = std::thread::scope(|scope| {
+                fill_pending_on_another_thread(scope, &by_run, pending);
+                let mut served = Vec::new();
+                let (mut start, mut runs) = (0, runs.iter());
+                while start < keys.len() {
+                    // A producer's run: one lookup for its leading resident
+                    // keys, then each key it stops at alone and the rest
+                    // of the run together again.
+                    let end = keys.len().min(start + runs.next().unwrap());
+                    let run: Vec<Key> = keys[start..end]
+                        .iter()
+                        .map(|&k| (k, DecodeMode::Full))
+                        .collect();
+                    let mut i = 0;
+                    while i < run.len() {
+                        let hits = by_run.get_resident_run(&run[i..]);
+                        i += hits.len();
+                        served.extend(hits.iter().map(|image| image.data().to_vec()));
+                        if i < run.len() {
+                            served.push(look_up_alone(&by_run, run[i].0));
+                            i += 1;
+                        }
+                    }
+                    start = end;
+                }
+                served
+            });
+            let served_one_by_one = std::thread::scope(|scope| {
+                fill_pending_on_another_thread(scope, &one_by_one, pending);
+                let served: Vec<Vec<u8>> = keys
+                    .iter()
+                    .map(|&k| look_up_alone(&one_by_one, k))
+                    .collect();
+                served
+            });
+
+            assert!(
+                served_by_runs == served_one_by_one,
+                "seed {seed}: pixels differ"
+            );
+            let stats = by_run.stats();
+            assert_eq!(stats, one_by_one.stats(), "seed {seed}");
+            assert_eq!(
+                resident_keys(&by_run),
+                resident_keys(&one_by_one),
+                "seed {seed}"
+            );
+            assert!(
+                stats.hits > 1_000 && stats.evictions > 0 && stats.rejected > 0,
+                "{stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_lookup_stops_at_the_first_key_not_resident() {
+        let cache = TensorCache::new(1 << 20);
+        for key in [1, 2, 4] {
+            lookup(&cache, key, 1);
+        }
+        let run = [1, 2, 3, 4].map(|k| (k, DecodeMode::Full));
+        let hits = cache.get_resident_run(&run);
+        assert_eq!(hits.len(), 2, "key 3 is absent: key 4 waits behind it");
+        assert_eq!(hits[1].data(), img(16, 16, 2).data());
+        assert_eq!(cache.stats().hits, 2);
+        assert!(cache.get_resident_run(&run[2..]).is_empty());
+        // A zero budget keeps nothing resident: every run lookup is empty.
+        let off = TensorCache::new(0);
+        lookup(&off, 1, 1);
+        assert!(off.get_resident_run(&run).is_empty());
+        assert_eq!(off.stats().hits, 0);
     }
 
     #[test]

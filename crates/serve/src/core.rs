@@ -18,10 +18,11 @@ use crate::server::{
 };
 use crate::stats::{percentile, BoxedPrediction, QueryReport, ServerStats};
 use crate::window::{NextItem, Window};
-use smol_core::{PlacementSignature, QueryPlan};
+use smol_core::{DecodeMode, PlacementSignature, QueryPlan};
+use smol_imgproc::ImageU8;
 use smol_runtime::{
-    produce_item, produce_media_item, route_stage, BufferPool, MediaItem, PlanContext,
-    ProducedItem, StagingArena, TensorCache,
+    produce_decoded, produce_item, produce_media_item, route_stage, BufferPool, MediaItem,
+    PlanContext, ProducedItem, StagingArena, TensorCache,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc};
@@ -186,6 +187,13 @@ pub(crate) struct Claim {
     /// only when there is one.
     infer: Option<InferFn>,
     claimed_at: Instant,
+    /// What [`Claim::resolve`] decided ahead, in item order: each routed
+    /// item's rung; the tensor-cache keys of the run's leading stills under
+    /// their rungs; and, per key, the tensor a run lookup found resident.
+    /// An item past these routes and looks itself up as it is produced.
+    routed: Vec<usize>,
+    keys: Vec<(u64, DecodeMode)>,
+    hits: Vec<Option<Arc<ImageU8>>>,
 }
 
 impl Claim {
@@ -198,35 +206,92 @@ impl Claim {
         self.items.len()
     }
 
+    /// The rung item `i` is produced under: the run's, or for a routed
+    /// item the one its bitstream signal picks. `route_stage` says 1 for
+    /// "escalate" — rung 0, the submitted plan — and 0 for the aggressive
+    /// rung compiled behind it.
+    fn rung_of(&self, i: usize) -> usize {
+        match self.policy {
+            Policy::Route(threshold) => match self.routed.get(i) {
+                Some(&rung) => rung,
+                None => 1 - route_stage(&self.items[i].item, threshold),
+            },
+            Policy::Degrade | Policy::Pace => self.rung,
+        }
+    }
+
+    /// Before any item of a run of several under a tensor cache is
+    /// produced: routes every item, then serves the run's resident keys
+    /// under one cache lock ([`TensorCache::get_resident_run`]), so the
+    /// run's hits share one lock instead of taking it each. A run of one
+    /// item, or without a cache, leaves its items to route and look
+    /// themselves up as they are produced.
+    pub fn resolve(&mut self, cache: Option<&TensorCache>) {
+        let Some(cache) = cache.filter(|_| self.items.len() > 1) else {
+            return;
+        };
+        if let Policy::Route(_) = self.policy {
+            for i in 0..self.items.len() {
+                let rung = self.rung_of(i);
+                self.routed.push(rung);
+            }
+        }
+        let keys = (0..self.items.len()).map_while(|i| match &self.items[i].item {
+            MediaItem::Image(enc) => {
+                Some((enc.cache_key(), self.rungs[self.rung_of(i)].ctx.decode))
+            }
+            MediaItem::Gop(_) => None,
+        });
+        self.keys = keys.collect();
+        if !self.keys.is_empty() {
+            self.hits = vec![None; self.keys.len()];
+            self.look_up(0, cache);
+        }
+    }
+
+    /// Serves the resident keys of the run from item `from` on, up to the
+    /// first that is not resident.
+    fn look_up(&mut self, from: usize, cache: &TensorCache) {
+        let hits = cache.get_resident_run(&self.keys[from..]);
+        for (slot, hit) in self.hits[from..].iter_mut().zip(hits) {
+            *slot = Some(hit);
+        }
+    }
+
     /// Produces item `i` of the run into `staged` (the slow part, run
     /// without the scheduler lock) and returns the rung it was produced
     /// under: a still stages one output, a GOP one per selected frame. A
-    /// routed item routes first, before any decode work, so an escalated
-    /// item runs the full plan's pipeline exactly as a uniform query would;
-    /// `route_stage` says 1 for "escalate" — rung 0, the submitted plan —
-    /// and 0 for the aggressive rung compiled behind it.
+    /// routed item routes before any decode work, so an escalated item
+    /// runs the full plan's pipeline exactly as a uniform query would. An
+    /// item the run lookup served stages its tensor; one it stopped at is
+    /// looked up alone, and the rest of the run together again.
     pub fn produce(
-        &self,
+        &mut self,
         i: usize,
         extra_cpu_s: f64,
         cache: Option<&TensorCache>,
         staged: &mut Vec<ProducedItem>,
     ) -> Result<usize, String> {
-        let next = &self.items[i];
-        let rung = match self.policy {
-            Policy::Route(threshold) => 1 - route_stage(&next.item, threshold),
-            Policy::Degrade | Policy::Pace => self.rung,
-        };
+        let rung = self.rung_of(i);
+        let hit = self.hits.get_mut(i).and_then(Option::take);
+        let alone = hit.is_none() && i < self.keys.len();
         let (ctx, pool, keep) = (&self.rungs[rung].ctx, &self.pool, self.infer.is_some());
+        let next = &self.items[i];
         let offset = next.offset;
-        match &next.item {
-            MediaItem::Image(enc) => produce_item(ctx, offset, enc, pool, keep, extra_cpu_s, cache)
+        let produced = match (&next.item, hit) {
+            (_, Some(image)) => produce_decoded(ctx, offset, image, None, pool, keep, extra_cpu_s)
                 .map(|output| staged.push(output)),
-            gop => produce_media_item(ctx, offset, gop, pool, keep, extra_cpu_s, cache)
+            (MediaItem::Image(enc), None) => {
+                produce_item(ctx, offset, enc, pool, keep, extra_cpu_s, cache)
+                    .map(|output| staged.push(output))
+            }
+            (gop, None) => produce_media_item(ctx, offset, gop, pool, keep, extra_cpu_s, cache)
                 .map(|frames| staged.extend(frames)),
+        };
+        if let Some(cache) = cache.filter(|_| alone && i + 1 < self.keys.len()) {
+            self.look_up(i + 1, cache);
         }
-        .map(|()| rung)
-        .map_err(|e| e.to_string())
+        produced.map(|()| rung).map_err(|e| e.to_string())
     }
 }
 
@@ -419,6 +484,27 @@ impl QueryState {
             // An appender may be blocked on the bound this item frees.
             fx.wake_admission |= at_bound;
         }
+    }
+
+    /// Cancels every item no producer has claimed: each counts as skipped
+    /// and releases its batcher counts (partial batches that were waiting
+    /// on them land in `fx`); an open query completes it with every output
+    /// failed.
+    fn cancel_queued(&mut self, batcher: &mut Batcher<BatchItem>, fx: &mut Effects) {
+        let ladder = &self.ladder;
+        self.window.cancel(|item| {
+            self.report.skipped += item.fanout;
+            for r in ladder.policy.open(ladder.pick(item.rung), &ladder.rungs) {
+                batcher.settle(&r.sig, self.priority, 1, &mut fx.batches);
+            }
+            if let Some(tx) = &self.completions {
+                let _ = tx.send(Completion {
+                    item: item.idx,
+                    results: (0..item.fanout).map(|_| None).collect(),
+                    failed: item.fanout,
+                });
+            }
+        });
     }
 }
 
@@ -666,6 +752,9 @@ impl Core {
                     pool: q.pool(&self.staging, rung),
                     infer: q.infer.clone(),
                     claimed_at: now,
+                    routed: Vec::new(),
+                    keys: Vec::new(),
+                    hits: Vec::new(),
                 };
                 if q.window.unclaimed() > 0 {
                     self.rr[prio].push_back(qid);
@@ -714,10 +803,14 @@ impl Core {
         self.stats.degradations += 1;
     }
 
-    /// Books a run's outcome, item by item, into its query and the
-    /// signature counters, and drains `produced` for the producer's next
-    /// run. The run's length over its time since the claim is the query's
-    /// item cost from here on.
+    /// Books a run's outcome, item by item, into its query and the batch
+    /// former, then settles the run in the signature counters, and drains
+    /// `produced` for the producer's next run. The query is looked up once
+    /// and each rung open to the run settles once, by the run's length:
+    /// the run's own items keep their priority class open until then, so
+    /// this releases what settling them one by one would (see
+    /// [`Batcher::settle`]). The run's length over its time since the claim
+    /// is the query's item cost from here on.
     pub fn integrate(
         &mut self,
         claim: &Claim,
@@ -727,12 +820,13 @@ impl Core {
     ) {
         debug_assert_eq!(produced.outcomes.len(), claim.items.len());
         let qid = claim.query;
+        let (batcher, capacity) = (&mut self.batcher, self.capacity);
+        let q = self
+            .queries
+            .get_mut(&qid)
+            .expect("query lives until finalize");
         let mut staged = produced.staged.drain(..);
         for (next, outcome) in claim.items.iter().zip(produced.outcomes.drain(..)) {
-            let q = self
-                .queries
-                .get_mut(&qid)
-                .expect("query lives until finalize");
             // An item can legally stage zero outputs (an empty GOP): it may
             // then be resolved already.
             let resolved = match outcome {
@@ -756,7 +850,7 @@ impl Core {
                             claimed_at: claim.claimed_at,
                             infer: claim.infer.clone(),
                         };
-                        fx.batches.extend(self.batcher.push(sig, staged));
+                        fx.batches.extend(batcher.push(sig, staged));
                     }
                     resolved
                 }
@@ -772,21 +866,18 @@ impl Core {
                     q.report.failed += next.fanout;
                     q.report.error.get_or_insert(e);
                     if q.completions.is_none() {
-                        self.cancel_queued(qid, fx);
+                        q.cancel_queued(batcher, fx);
                     }
                     true
                 }
             };
-            for rung in claim.open() {
-                self.batcher
-                    .settle(&rung.sig, claim.prio, 1, &mut fx.batches);
-            }
             if resolved {
-                let q = self.queries.get_mut(&qid).expect("not finalized");
-                q.resolve(next.idx, self.capacity, fx);
+                q.resolve(next.idx, capacity, fx);
             }
         }
-        let q = self.queries.get_mut(&qid).expect("not finalized");
+        for rung in claim.open() {
+            batcher.settle(&rung.sig, claim.prio, claim.items.len(), &mut fx.batches);
+        }
         let spent = now.saturating_duration_since(claim.claimed_at);
         q.item_cost = Some(spent / claim.items.len() as u32);
         self.try_finalize(qid, now, fx);
@@ -844,7 +935,7 @@ impl Core {
         };
         q.closed = true;
         if cancel {
-            self.cancel_queued(id, fx);
+            q.cancel_queued(&mut self.batcher, fx);
         }
         self.try_finalize(id, now, fx);
         // An appender blocked on this query: it is closed now.
@@ -859,28 +950,6 @@ impl Core {
         open.into_iter()
             .for_each(|id| self.finish(id, false, now, fx));
         fx.wake_producers = Wake::All;
-    }
-
-    /// Cancels every item of `qid` no producer has claimed: each counts as
-    /// skipped and releases its batcher counts (partial batches that were
-    /// waiting on them land in `fx`); an open query completes it with
-    /// every output failed.
-    fn cancel_queued(&mut self, qid: QueryId, fx: &mut Effects) {
-        let q = self.queries.get_mut(&qid).expect("caller checked");
-        let (ladder, batcher) = (&q.ladder, &mut self.batcher);
-        q.window.cancel(|item| {
-            q.report.skipped += item.fanout;
-            for r in ladder.policy.open(ladder.pick(item.rung), &ladder.rungs) {
-                batcher.settle(&r.sig, q.priority, 1, &mut fx.batches);
-            }
-            if let Some(tx) = &q.completions {
-                let _ = tx.send(Completion {
-                    item: item.idx,
-                    results: (0..item.fanout).map(|_| None).collect(),
-                    failed: item.fanout,
-                });
-            }
-        });
     }
 
     /// Finalizes `qid` once it is closed and every item has resolved: builds

@@ -642,7 +642,7 @@ impl<'a> World<'a> {
             }
             Event::Produce(p) => {
                 let (state, fx) = &mut self.producers[p];
-                let Producer::Holding(claim) = std::mem::replace(state, Producer::Ready) else {
+                let Producer::Holding(mut claim) = std::mem::replace(state, Producer::Ready) else {
                     unreachable!("enabled only while holding a claim");
                 };
                 let slots = self.core.run_slots(&claim);

@@ -75,7 +75,6 @@
 //! least-loaded choice with ties to the lowest index.
 
 use smol_core::PlacementSignature;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-tenant scheduling priority. Admission is priority-aware: a blocked
@@ -114,40 +113,77 @@ impl<T> FormedBatch<T> {
     }
 }
 
+/// A short list keyed by signature: the few signatures in flight at once
+/// are searched by pointer first — every item of a query carries its
+/// rung's one `Arc` — and then by value, so that equal signatures held in
+/// different `Arc`s (two queries that compiled the same plan) share an
+/// entry. Nothing is hashed.
+#[derive(Debug, Default)]
+struct SigList<V>(Vec<(Arc<PlacementSignature>, V)>);
+
+impl<V> SigList<V> {
+    fn position(&self, sig: &Arc<PlacementSignature>) -> Option<usize> {
+        let list = &self.0;
+        list.iter()
+            .position(|(s, _)| Arc::ptr_eq(s, sig))
+            .or_else(|| list.iter().position(|(s, _)| **s == **sig))
+    }
+
+    /// The position of `sig`'s entry, created by `new` (with the entry's
+    /// one `Arc` clone) if absent.
+    fn position_or_insert(
+        &mut self,
+        sig: &Arc<PlacementSignature>,
+        new: impl FnOnce() -> V,
+    ) -> usize {
+        self.position(sig).unwrap_or_else(|| {
+            self.0.push((Arc::clone(sig), new()));
+            self.0.len() - 1
+        })
+    }
+
+    fn get(&self, sig: &Arc<PlacementSignature>) -> Option<&V> {
+        self.position(sig).map(|i| &self.0[i].1)
+    }
+
+    fn remove_at(&mut self, i: usize) -> (Arc<PlacementSignature>, V) {
+        self.0.swap_remove(i)
+    }
+}
+
 /// Groups produced items by placement signature and emits device batches.
 ///
 /// Generic over the item payload so the policy can be property-tested with
 /// plain tokens while the server feeds it staged work items.
 #[derive(Debug, Default)]
 pub struct BatchFormer<T> {
-    groups: HashMap<Arc<PlacementSignature>, Vec<T>>,
+    groups: SigList<Vec<T>>,
 }
 
 impl<T> BatchFormer<T> {
     pub fn new() -> Self {
         BatchFormer {
-            groups: HashMap::new(),
+            groups: SigList(Vec::new()),
         }
     }
 
     /// Adds one produced item under its plan's signature; returns a full
-    /// batch when the signature's group reaches its batch size. The
-    /// signature is shared by `Arc`, so the per-item cost here is a
-    /// refcount bump, not a deep clone (this runs under the scheduler
-    /// lock).
+    /// batch when the signature's group reaches its batch size. This runs
+    /// under the scheduler lock, so it hashes nothing and clones no `Arc`:
+    /// a group is found by pointer (see `SigList`), allocated to the full
+    /// batch when it opens, and hands its own `Arc` to the batch it forms.
     pub fn push(&mut self, sig: &Arc<PlacementSignature>, item: T) -> Option<FormedBatch<T>> {
-        let group = self.groups.entry(Arc::clone(sig)).or_default();
+        let batch = sig.batch.max(1);
+        let i = self
+            .groups
+            .position_or_insert(sig, || Vec::with_capacity(batch));
+        let group = &mut self.groups.0[i].1;
         group.push(item);
-        if group.len() >= sig.batch.max(1) {
-            let items = std::mem::take(group);
-            self.groups.remove(sig);
-            Some(FormedBatch {
-                sig: Arc::clone(sig),
-                items,
-            })
-        } else {
-            None
+        if group.len() < batch {
+            return None;
         }
+        let (sig, items) = self.groups.remove_at(i);
+        Some(FormedBatch { sig, items })
     }
 
     /// The items pending (produced, not yet batched) for `sig`, in push
@@ -163,26 +199,26 @@ impl<T> BatchFormer<T> {
 
     /// Items currently pending across all signatures.
     pub fn pending_total(&self) -> usize {
-        self.groups.values().map(Vec::len).sum()
+        self.groups.0.iter().map(|(_, group)| group.len()).sum()
     }
 
     /// Emits the partial batch for `sig`, if any. When to is the
     /// [`Batcher`]'s decision.
     pub fn flush(&mut self, sig: &Arc<PlacementSignature>) -> Option<FormedBatch<T>> {
-        let items = self.groups.remove(sig)?;
-        if items.is_empty() {
-            return None;
-        }
-        Some(FormedBatch {
-            sig: Arc::clone(sig),
-            items,
-        })
+        // A group is opened by its first item and removed with its batch:
+        // it is never empty.
+        let i = self.groups.position(sig)?;
+        let (sig, items) = self.groups.remove_at(i);
+        Some(FormedBatch { sig, items })
     }
 
     /// Emits every pending partial batch (shutdown path).
     pub fn flush_all(&mut self) -> Vec<FormedBatch<T>> {
-        let sigs: Vec<Arc<PlacementSignature>> = self.groups.keys().cloned().collect();
-        sigs.into_iter().filter_map(|s| self.flush(&s)).collect()
+        let groups = std::mem::take(&mut self.groups.0);
+        groups
+            .into_iter()
+            .map(|(sig, items)| FormedBatch { sig, items })
+            .collect()
     }
 }
 
@@ -210,7 +246,7 @@ impl SigCount {
 #[derive(Debug)]
 pub struct Batcher<T> {
     former: BatchFormer<T>,
-    counts: HashMap<Arc<PlacementSignature>, SigCount>,
+    counts: SigList<SigCount>,
     priority_of: fn(&T) -> Priority,
     priority_flushes: u64,
 }
@@ -219,7 +255,7 @@ impl<T> Batcher<T> {
     pub fn new(priority_of: fn(&T) -> Priority) -> Self {
         Batcher {
             former: BatchFormer::new(),
-            counts: HashMap::new(),
+            counts: SigList::default(),
             priority_of,
             priority_flushes: 0,
         }
@@ -229,7 +265,8 @@ impl<T> Batcher<T> {
     /// group.
     pub fn register(&mut self, sig: &Arc<PlacementSignature>, prio: Priority, n: usize) {
         if n > 0 {
-            self.counts.entry(Arc::clone(sig)).or_default().open[prio.index()] += n;
+            let i = self.counts.position_or_insert(sig, SigCount::default);
+            self.counts.0[i].1.open[prio.index()] += n;
         }
     }
 
@@ -247,6 +284,11 @@ impl<T> Batcher<T> {
     /// is outstanding any more (which also retires the counters), or if
     /// what is outstanding ranks below the group's most urgent member.
     ///
+    /// Settling a run of `n` items at once, after all of them were pushed,
+    /// releases what settling them one by one would: the run's own items
+    /// keep their class open until the last of them settles, so only that
+    /// settle can release a group.
+    ///
     /// # Panics
     ///
     /// Panics when fewer than `n` such items are counted: an entry lives
@@ -259,10 +301,9 @@ impl<T> Batcher<T> {
         n: usize,
         out: &mut Vec<FormedBatch<T>>,
     ) {
-        let count = self
-            .counts
-            .get_mut(sig)
-            .expect("an item is still counted under this signature");
+        let i = self.counts.position(sig);
+        let i = i.expect("an item is still counted under this signature");
+        let count = &mut self.counts.0[i].1;
         let open = &mut count.open[prio.index()];
         *open = open
             .checked_sub(n)
@@ -273,7 +314,7 @@ impl<T> Batcher<T> {
         match count.top() {
             None => {
                 out.extend(self.former.flush(sig));
-                self.counts.remove(sig);
+                self.counts.remove_at(i);
             }
             Some(top) if top < prio => {
                 let priority_of = self.priority_of;
@@ -310,7 +351,7 @@ impl<T> Batcher<T> {
     /// Nothing counted and nothing pending: the state every item's
     /// accounting must return to.
     pub fn is_idle(&self) -> bool {
-        self.counts.is_empty() && self.former.pending_total() == 0
+        self.counts.0.is_empty() && self.former.groups.0.is_empty()
     }
 }
 
@@ -320,7 +361,7 @@ impl<T> Batcher<T> {
     /// partial group waits only while work at least as urgent as its most
     /// urgent item is outstanding under its signature.
     pub(crate) fn check(&self) -> Result<(), String> {
-        for (sig, group) in self.former.groups.iter().filter(|(_, g)| !g.is_empty()) {
+        for (sig, group) in &self.former.groups.0 {
             if group.len() >= sig.batch.max(1) {
                 return Err(format!("a full group of {} was not released", group.len()));
             }
@@ -368,6 +409,7 @@ pub fn pick_lane(loads: impl IntoIterator<Item = LaneLoad>, batch_items: usize) 
 mod tests {
     use super::*;
     use smol_accel::ModelKind;
+    use smol_imgproc::rng::splitmix64;
 
     fn sig(dnn: ModelKind, batch: usize) -> Arc<PlacementSignature> {
         Arc::new(PlacementSignature {
@@ -501,6 +543,150 @@ mod tests {
         b.settle(&s, Priority::High, 1, &mut out);
         assert!(out.is_empty());
         assert_eq!(b.priority_flushes(), 0);
+    }
+
+    #[test]
+    fn equal_signatures_in_distinct_arcs_share_a_group() {
+        let (a, a_copy) = (sig(ModelKind::ResNet50, 3), sig(ModelKind::ResNet50, 3));
+        let other = sig(ModelKind::ResNet18, 3);
+        assert!(!Arc::ptr_eq(&a, &a_copy));
+        let mut b = batcher();
+        let mut out = Vec::new();
+        b.register(&a, Priority::Normal, 2);
+        b.register(&a_copy, Priority::High, 1);
+        b.register(&other, Priority::Normal, 2);
+        assert_eq!(b.count(&a), b.count(&a_copy), "one entry counts both");
+        assert!(b.push(&a, (Priority::Normal, 0)).is_none());
+        assert!(b.push(&other, (Priority::Normal, 1)).is_none());
+        assert!(b.push(&a_copy, (Priority::High, 2)).is_none());
+        assert_eq!(b.group(&a), b.group(&a_copy));
+        assert_eq!(b.group(&other), [(Priority::Normal, 1)]);
+        let full = b
+            .push(&a_copy, (Priority::Normal, 3))
+            .expect("a full batch of both");
+        let tokens: Vec<u32> = full.items.iter().map(|t| t.1).collect();
+        assert_eq!((tokens, *full.sig == *a), (vec![0, 2, 3], true));
+        assert_eq!(
+            b.pending_total(),
+            1,
+            "the other signature's item waits apart"
+        );
+        b.settle(&a, Priority::Normal, 2, &mut out);
+        b.settle(&a_copy, Priority::High, 1, &mut out);
+        assert!(out.is_empty() && b.count(&a).is_none());
+        b.settle(&other, Priority::Normal, 2, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!((*out[0].sig == *other, out[0].items.len()), (true, 1));
+        assert!(b.is_idle());
+    }
+
+    /// Drives two batchers through the same seeded runs — items of one
+    /// query, each pushed into one of the signatures open to it, or failed
+    /// and pushed nowhere — settling one item by item and the other once
+    /// per run and open signature, and checks that both release the same
+    /// batches at the end of every run. Returns how many batches each rule
+    /// released: full, drained, priority-drained.
+    fn settle_per_run_against_per_item(seed: u64) -> [usize; 3] {
+        let mut state = seed;
+        let mut draw = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
+        // Two signatures, the second held in two distinct `Arc`s.
+        let sigs = [
+            sig(ModelKind::ResNet50, 2 + draw(4)),
+            sig(ModelKind::ResNet18, 2 + draw(4)),
+        ];
+        let copy = Arc::new((*sigs[1]).clone());
+        let arc = |si: usize, qi: usize| {
+            if si == 1 && qi % 2 == 1 {
+                &copy
+            } else {
+                &sigs[si]
+            }
+        };
+        let prios = [Priority::Low, Priority::Normal, Priority::High];
+        // Per query: priority, open signatures (both for a routed one),
+        // items left.
+        let mut queries: Vec<(Priority, Vec<usize>, usize)> = (0..1 + draw(4))
+            .map(|_| {
+                let open = match draw(3) {
+                    0 => vec![0, 1],
+                    s => vec![s - 1],
+                };
+                (prios[draw(3)], open, 1 + draw(20))
+            })
+            .collect();
+        let (mut per_item, mut per_run) = (batcher(), batcher());
+        for (qi, (prio, open, n)) in queries.iter().enumerate() {
+            for &si in open {
+                per_item.register(arc(si, qi), *prio, *n);
+                per_run.register(arc(si, qi), *prio, *n);
+            }
+        }
+        let mut released = [0; 3];
+        let mut token = 0;
+        while queries.iter().any(|q| q.2 > 0) {
+            let qi = draw(queries.len());
+            let (prio, open, left) = &mut queries[qi];
+            if *left == 0 {
+                continue;
+            }
+            let run = 1 + draw((*left).min(16));
+            *left -= run;
+            let (mut item_out, mut run_out) = (Vec::new(), Vec::new());
+            for _ in 0..run {
+                let target = (draw(8) > 0).then(|| open[draw(open.len())]);
+                if let Some(si) = target {
+                    token += 1;
+                    item_out.extend(per_item.push(arc(si, qi), (*prio, token)));
+                    run_out.extend(per_run.push(arc(si, qi), (*prio, token)));
+                }
+                for &si in open.iter() {
+                    per_item.settle(arc(si, qi), *prio, 1, &mut item_out);
+                }
+            }
+            let flushes = per_run.priority_flushes();
+            for &si in open.iter() {
+                per_run.settle(arc(si, qi), *prio, run, &mut run_out);
+            }
+            let batches =
+                |out: &[FormedBatch<(Priority, u32)>]| -> Vec<(bool, Vec<(Priority, u32)>)> {
+                    out.iter()
+                        .map(|b| (*b.sig == *sigs[0], b.items.clone()))
+                        .collect()
+                };
+            assert_eq!(batches(&item_out), batches(&run_out), "seed {seed}");
+            assert_eq!(
+                per_item.priority_flushes(),
+                per_run.priority_flushes(),
+                "seed {seed}"
+            );
+            for sig in &sigs {
+                assert_eq!(per_item.count(sig), per_run.count(sig), "seed {seed}");
+                assert_eq!(per_item.group(sig), per_run.group(sig), "seed {seed}");
+            }
+            per_run.check().unwrap();
+            let priority = (per_run.priority_flushes() - flushes) as usize;
+            let full = run_out.iter().filter(|b| b.is_full()).count();
+            released[0] += full;
+            released[1] += run_out.len() - full - priority;
+            released[2] += priority;
+        }
+        assert!(per_item.is_idle() && per_run.is_idle(), "seed {seed}");
+        released
+    }
+
+    #[test]
+    fn one_settle_per_run_releases_what_settling_item_by_item_does() {
+        let mut released = [0; 3];
+        for seed in 0..2_000 {
+            let by_rule = settle_per_run_against_per_item(seed);
+            for (total, n) in released.iter_mut().zip(by_rule) {
+                *total += n;
+            }
+        }
+        assert!(
+            released.iter().all(|&n| n > 100),
+            "every release rule fires: {released:?}"
+        );
     }
 
     fn lane(items: usize, rate: f64) -> LaneLoad {

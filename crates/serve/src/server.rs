@@ -716,7 +716,7 @@ fn producer_loop(inner: &Inner) {
     let cache = inner.tensor_cache.as_deref();
     let (mut fx, mut produced) = (Effects::default(), Produced::default());
     loop {
-        let run = {
+        let mut run = {
             let mut core = lock(&inner.core);
             loop {
                 match core.claim(Instant::now(), &mut fx) {
@@ -728,13 +728,17 @@ fn producer_loop(inner: &Inner) {
             }
         };
         inner.act(&mut fx);
-        // The slow part runs without the scheduler lock, item after item.
-        // A panic in it (user bytes through decoders and kernels) fails
-        // that item like any other production error, and the thread lives
-        // on. Unwinding here is sound: nothing runs under the scheduler
-        // lock, and the shared state touched — staging pool and tensor
-        // cache — restores itself on drop (a pooled buffer returns to its
-        // shelf, the cache retracts its pending slot and wakes the waiters).
+        // The slow part runs without the scheduler lock: the run's routing
+        // and cache hits together, then item after item. A panic in it
+        // (user bytes through the router, decoders and kernels) fails that
+        // item like any other production error — a panic while routing
+        // ahead leaves the items not yet routed to route themselves, and
+        // fail there — and the thread lives on. Unwinding here is sound:
+        // nothing runs under the scheduler lock, and the shared state
+        // touched — staging pool and tensor cache — restores itself on drop
+        // (a pooled buffer returns to its shelf, the cache retracts its
+        // pending slot and wakes the waiters).
+        let _ = catch_unwind(AssertUnwindSafe(|| run.resolve(cache)));
         for i in 0..run.len() {
             produced.item(|staged| {
                 let produce = || run.produce(i, extra_cpu_s, cache, staged);

@@ -280,6 +280,41 @@ fn benchmark_geometries_are_bit_identical_under_both_stagings() {
     }
 }
 
+/// A validated context stages items of its declared geometry through the
+/// prefix `validate` compiled, which they read without the context's lock,
+/// and every other geometry through the shared slot. A nominal item right
+/// after an off-size one is still exact, and `compiled_prefix()` names the
+/// off-size item's prefix until another off-size geometry replaces it:
+/// nominal items never go through the slot.
+#[test]
+fn a_nominal_item_after_an_off_size_one_stages_exactly() {
+    for tail in [Tail::CpuUnfused, Tail::CpuFused, Tail::Accel] {
+        let preproc = with_tail(geometric(Shape::ResizeExact, 32, 32, 32), tail);
+        let ctx = PlanContext::new(&plan_over(preproc, 48, 40));
+        assert!(ctx.compiled_prefix().is_none(), "nothing compiled yet");
+        ctx.validate().unwrap();
+        assert_eq!(ctx.compiled_prefix().unwrap().src_dims(), (48, 40));
+
+        let pool = BufferPool::new(2, ctx.buf_len, true, false);
+        let (nominal, off_size) = (noise(48, 40, 21), noise(70, 50, 22));
+        for (img, slot_dims) in [
+            (&nominal, (48, 40)),
+            (&off_size, (70, 50)),
+            (&nominal, (70, 50)),
+            (&nominal, (70, 50)),
+        ] {
+            assert_eq!(
+                bits(&stage(&ctx, &pool, tail, img).unwrap()),
+                bits(&reference(&ctx.preproc, tail, img)),
+                "{}x{} under {tail:?}",
+                img.width(),
+                img.height()
+            );
+            assert_eq!(ctx.compiled_prefix().unwrap().src_dims(), slot_dims);
+        }
+    }
+}
+
 /// Two resamples round to u8 twice and cannot collapse into one pass: the
 /// compiler says so instead of approximating.
 #[test]

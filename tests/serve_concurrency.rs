@@ -140,6 +140,68 @@ fn server_matches_scalar_reference_decode_bitwise() {
     }
 }
 
+/// Cheap cache-hit items are claimed in runs whose hits a producer serves
+/// under one cache lock; a run stops at its first key that is not
+/// resident and goes on after it. Served repeatedly through a cache that
+/// holds half the working set (hits, misses and evictions mixed within
+/// runs) and through one that holds all of it (whole runs of hits), every
+/// prediction is still that of a scalar-reference decode of its own item.
+#[test]
+fn cache_hit_runs_serve_each_item_its_own_pixels() {
+    let items = encoded_batch(96, 32, 32, 300);
+    let plan = plan_for(ModelKind::ResNet18, 32, 32, 32, 8);
+    let reference: Vec<Option<u64>> = items
+        .iter()
+        .enumerate()
+        .map(|(i, enc)| {
+            let opts = DecodeOptions::scalar_reference();
+            Some(fingerprint(
+                i,
+                &decode_item_opts(enc, plan.decode, opts).unwrap(),
+            ))
+        })
+        .collect();
+    let working_set = items.len() * 32 * 32 * 3;
+    for budget in [working_set / 2, working_set] {
+        let server = Server::new(
+            fast_device(),
+            ServerConfig {
+                runtime: RuntimeOptions {
+                    producers: 2,
+                    consumers: 1,
+                    ..Default::default()
+                },
+                tensor_cache_bytes: budget,
+                ..Default::default()
+            },
+        );
+        let mut hits = 0;
+        for _ in 0..4 {
+            let request = SubmitRequest::stills(plan.clone(), &items).infer(fingerprint);
+            let mut report = server.submit(request).unwrap().wait().unwrap();
+            assert_eq!((report.images, report.failed), (items.len(), 0));
+            assert_eq!(report.take_results::<u64>(), reference, "budget {budget}");
+            hits += report.cache_hits;
+        }
+        let cache = server.tensor_cache_stats();
+        server.shutdown();
+        assert_eq!(cache.hits as usize, hits);
+        assert_eq!(cache.hits + cache.misses, 4 * items.len() as u64);
+        if budget == working_set {
+            assert_eq!(
+                hits,
+                3 * items.len(),
+                "every repeat is served from the cache"
+            );
+        } else {
+            assert!(
+                hits > 0 && cache.evictions + cache.rejected > 0,
+                "{cache:?}"
+            );
+        }
+    }
+}
+
 /// Two homogeneous queries submitted together are merged into one full
 /// cross-query device batch.
 #[test]
