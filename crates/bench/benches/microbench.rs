@@ -1,8 +1,8 @@
 //! Microbenches for the performance-critical kernels: codec
 //! decode paths (full / ROI / early-stop / reduced-resolution sjpg, the spng
 //! thumbnail decoder against its reference walk and across window widths,
-//! block reconstruction — dequantization + IDCT — under each instruction
-//! tier the host has),
+//! block reconstruction — dequantization + IDCT — and the YCbCr→RGB row
+//! flush under each instruction tier the host has),
 //! preprocessing operators (fused vs unfused, the compiled CPU prefix vs the
 //! reference interpreter, the producer stage's per-item content key and
 //! cascade difficulty signal, launching vs executing a device batch), the video
@@ -120,6 +120,23 @@ fn bench_codecs(rows: &Rows) {
         }
     }
 
+    // The colour flush of one 224-px row of planar YCbCr (a ROI decode's
+    // width), per tier: what the sjpg block loop runs once per image row.
+    let planes: [Vec<u8>; 3] =
+        std::array::from_fn(|c| (0..224).map(|x| img.at(x, 17, c)).collect::<Vec<u8>>());
+    let mut rgb = vec![0u8; 3 * 224];
+    for tier in tiers.into_iter().flatten() {
+        rows.iter(
+            &format!("codec_decode/ycbcr_row_224/{}", tier.name()),
+            || {
+                tier.run(YcbcrRow {
+                    planes: std::hint::black_box(&planes),
+                    rgb: &mut rgb,
+                })
+            },
+        );
+    }
+
     rows.iter("codec_encode/sjpg_q85", || {
         SjpgEncoder::new(85)
             .encode(std::hint::black_box(&img))
@@ -184,6 +201,24 @@ impl Kernel for Reconstruct<'_> {
             sum += out[0];
         }
         sum
+    }
+}
+
+/// `ycbcr_row_to_rgb` over one row of planes as one tier kernel.
+struct YcbcrRow<'a> {
+    planes: &'a [Vec<u8>; 3],
+    rgb: &'a mut [u8],
+}
+
+impl Kernel for YcbcrRow<'_> {
+    type Output = u8;
+
+    #[inline(always)]
+    fn run(self) -> u8 {
+        use smol_imgproc::ops::colorspace::ycbcr_row_to_rgb;
+        let [y, cb, cr] = self.planes;
+        ycbcr_row_to_rgb(y, cb, cr, self.rgb);
+        self.rgb[0]
     }
 }
 

@@ -18,6 +18,18 @@
 //! reconstruction run them under the widest tier the CPU has, and a direct
 //! call from ordinary code (a bench timing the transform alone) runs the
 //! baseline tier. No tier enables FMA, so every tier computes the same bits.
+//!
+//! Where they skip work, they skip it per block, never per coefficient. The
+//! column pass skips the spectrum rows the dequantizer's row mask leaves
+//! out: one branch per row, taken the same way for all eight output rows of
+//! a block, so it predicts well, and it saves most of the pass on the short
+//! coded prefixes of low-quality blocks. The row pass is dense: at q95 a
+//! luma block dequantizes 61.7 of its 64 coefficients on average, so nearly
+//! every intermediate is nonzero and a per-term zero test is an
+//! unpredictable branch that skips almost nothing. Dropping a zero term can
+//! change only the sign of a zero partial sum, and the u8 conversion erases
+//! it; adding one does the same, so both passes stay equal to the scalar
+//! kernels at the pixel boundary.
 
 /// Block edge length used throughout the codec.
 pub const BLOCK: usize = 8;
@@ -153,9 +165,8 @@ fn scaled_basis(n: usize) -> &'static [[f32; BLOCK]; BLOCK] {
 /// the loops restructured into array-of-lanes form so the inner dimension is
 /// a contiguous 8-wide accumulator the autovectorizer lifts to SIMD (two
 /// 4-lane SSE2 registers on the baseline target, one AVX2 register inside
-/// an AVX2-tier kernel; see the module docs), and all-zero terms skipped
-/// (quantization zeroes most high frequencies, so typical blocks touch only
-/// a few rows of the spectrum).
+/// an AVX2-tier kernel; see the module docs), and the all-zero rows of the
+/// spectrum skipped in the column pass.
 ///
 /// Equal to [`inverse_dct`] at the pixel boundary: each output lane
 /// accumulates the same f32 terms in the same order as the scalar kernel
@@ -181,6 +192,11 @@ pub fn inverse_dct_vec(input: &[f32; BLOCK * BLOCK], output: &mut [f32; BLOCK * 
 /// may over-approximate — including an all-zero row only adds `±0.0`
 /// terms, which the u8 conversion erases — but must cover every row with
 /// a nonzero coefficient. Only row 0 and the flagged rows are read.
+///
+/// The mask is the only skip: the column pass runs the flagged rows, and
+/// the row pass accumulates all eight terms of every output row without
+/// testing any of them (see the module docs for why a per-coefficient test
+/// does not pay).
 #[inline(always)]
 pub fn inverse_dct_vec_masked(
     input: &[f32; BLOCK * BLOCK],
@@ -214,21 +230,16 @@ pub fn inverse_dct_vec_masked(
         }
         tmp[y * BLOCK..(y + 1) * BLOCK].copy_from_slice(&acc);
     }
-    // Rows: out[y][x] = sum_u tmp[y][u] * basis[u][x].
+    // Rows: out[y][x] = sum_u tmp[y][u] * basis[u][x], every term.
     // All 8 x-lanes of a given y accumulate in lockstep over u.
-    for y in 0..BLOCK {
+    for (trow, orow) in tmp.chunks_exact(BLOCK).zip(output.chunks_exact_mut(BLOCK)) {
         let mut acc = [0.0f32; BLOCK];
-        let trow = &tmp[y * BLOCK..(y + 1) * BLOCK];
-        for (u, bu) in b.iter().enumerate() {
-            let t = trow[u];
-            if t == 0.0 {
-                continue;
-            }
+        for (&t, bu) in trow.iter().zip(b) {
             for x in 0..BLOCK {
                 acc[x] += t * bu[x];
             }
         }
-        output[y * BLOCK..(y + 1) * BLOCK].copy_from_slice(&acc);
+        orow.copy_from_slice(&acc);
     }
 }
 
@@ -271,7 +282,7 @@ pub fn inverse_dct_scaled(input: &[f32; BLOCK * BLOCK], n: usize, output: &mut [
 
 /// Vectorized scaled inverse DCT: [`inverse_dct_scaled`] in array-of-lanes
 /// form (lane loop innermost, reduction order unchanged), with the same
-/// zero-term skipping as [`inverse_dct_vec`] — equal to the scalar kernel
+/// zero-row skipping as [`inverse_dct_vec`] — equal to the scalar kernel
 /// at the pixel boundary (±0.0 sign differences only). `n == 8` delegates
 /// to [`inverse_dct_vec`].
 pub fn inverse_dct_scaled_vec(input: &[f32; BLOCK * BLOCK], n: usize, output: &mut [f32]) {
@@ -349,13 +360,10 @@ fn scaled_idct_n<const N: usize>(input: &[f32; BLOCK * BLOCK], row_mask: u32, ou
         }
         *trow = acc;
     }
-    // Rows: out[y][x] = sum_{u<n} tmp[y][u] * basis[u][x]
+    // Rows: out[y][x] = sum_{u<n} tmp[y][u] * basis[u][x], every term.
     for (y, trow) in tmp.iter().enumerate() {
         let mut acc = [0.0f32; BLOCK];
         for (&t, bu) in trow.iter().zip(b).take(n) {
-            if t == 0.0 {
-                continue;
-            }
             for x in 0..BLOCK {
                 acc[x] += t * bu[x];
             }
@@ -497,6 +505,160 @@ mod tests {
             inverse_dct_scaled_vec(&freq, n, &mut vector);
             for i in 0..n * n {
                 assert_eq!(scalar[i].to_bits(), vector[i].to_bits(), "n={n} i={i}");
+            }
+        }
+    }
+
+    /// [`inverse_dct_vec_masked`] over a list of `(spectrum, row mask)`
+    /// blocks as one tier kernel, the way the block loops run it.
+    struct MaskedIdct<'a> {
+        blocks: &'a [([f32; 64], u32)],
+    }
+
+    impl smol_imgproc::tier::Kernel for MaskedIdct<'_> {
+        type Output = Vec<[f32; 64]>;
+
+        #[inline(always)]
+        fn run(self) -> Vec<[f32; 64]> {
+            let idct = |(freq, mask): &([f32; 64], u32)| {
+                let mut out = [0.0f32; 64];
+                inverse_dct_vec_masked(freq, *mask, &mut out);
+                out
+            };
+            self.blocks.iter().map(idct).collect()
+        }
+    }
+
+    /// Seeded natural-order spectra of each sparsity class the decoders
+    /// meet, dequantized as the fast path dequantizes them.
+    fn sparsity_classes() -> Vec<(&'static str, Vec<[f32; 64]>)> {
+        use crate::quant::{dequant_steps, scale_table, BASE_LUMA, ZIGZAG};
+        use smol_imgproc::rng::Rng;
+        let mut rng = Rng::seed_from_u64(0x1d_c7);
+        let steps = |q| dequant_steps(&scale_table(&BASE_LUMA, q).unwrap());
+        let (q80, q95) = (steps(80), steps(95));
+        // A nonzero quantized level in ±span.
+        let level = |rng: &mut Rng, span: i16| {
+            let v = (rng.u8() as i16 - 128) % (span + 1);
+            if v == 0 {
+                1.0
+            } else {
+                v as f32
+            }
+        };
+        let mut class = |make: &mut dyn FnMut(&mut Rng) -> [f32; 64]| -> Vec<[f32; 64]> {
+            (0..200).map(|_| make(&mut rng)).collect()
+        };
+        let dense = |rng: &mut Rng| -> [f32; 64] {
+            std::array::from_fn(|i| level(rng, 60) * q95[i] * (rng.u8() > 10) as u8 as f32)
+        };
+        vec![
+            (
+                "dc only",
+                class(&mut |rng| {
+                    let mut b = [0.0; 64];
+                    b[0] = level(rng, 127) * 8.0;
+                    b
+                }),
+            ),
+            (
+                "one ac term",
+                class(&mut |rng| {
+                    let mut b = [0.0; 64];
+                    b[0] = level(rng, 127) * 8.0;
+                    b[1 + rng.u8() as usize % 63] = level(rng, 40) * 4.0;
+                    b
+                }),
+            ),
+            (
+                "zero rows",
+                class(&mut |rng| {
+                    let mut b = dense(rng);
+                    for row in b.chunks_exact_mut(BLOCK) {
+                        if rng.u8() < 128 {
+                            row.fill(0.0);
+                        }
+                    }
+                    b
+                }),
+            ),
+            (
+                "zero columns",
+                class(&mut |rng| {
+                    let mut b = dense(rng);
+                    for u in 0..BLOCK {
+                        if rng.u8() < 128 {
+                            (0..BLOCK).for_each(|v| b[v * BLOCK + u] = 0.0);
+                        }
+                    }
+                    b
+                }),
+            ),
+            (
+                "q80 short prefix",
+                class(&mut |rng| {
+                    let mut b = [0.0; 64];
+                    for &i in &ZIGZAG[..1 + rng.u8() as usize % 15] {
+                        b[i] = level(rng, 12) * q80[i];
+                    }
+                    b
+                }),
+            ),
+            ("q95 dense", class(&mut |rng| dense(rng))),
+            (
+                // Row and column 4 cancel row and column 0 wherever the
+                // basis functions agree: exact-zero partial sums.
+                "cancelling",
+                class(&mut |rng| {
+                    let c = level(rng, 127) * 8.0;
+                    let s = if rng.u8() < 128 { 1.0 } else { -1.0 };
+                    let mut b = [0.0; 64];
+                    (b[0], b[4], b[32], b[36]) = (c, -s * c, -c, s * c);
+                    b
+                }),
+            ),
+        ]
+    }
+
+    #[test]
+    fn masked_idct_equals_the_scalar_idct_at_the_u8_boundary_under_every_tier() {
+        use smol_imgproc::rng::Rng;
+        use smol_imgproc::tier::Tier;
+        let to_u8 = |v: f32| (v + 128.0).round().clamp(0.0, 255.0) as u8;
+        let mut rng = Rng::seed_from_u64(0x3a5c);
+        for (name, spectra) in sparsity_classes() {
+            // Each block with its exact row mask and with an
+            // over-approximated one (extra rows, possibly all eight).
+            let mut blocks = Vec::new();
+            for freq in &spectra {
+                let exact = (0..BLOCK)
+                    .filter(|&v| freq[v * BLOCK..(v + 1) * BLOCK].iter().any(|&c| c != 0.0))
+                    .fold(0u32, |m, v| m | 1 << v);
+                blocks.push((*freq, exact));
+                blocks.push((*freq, exact | rng.u8() as u32));
+            }
+            let want: Vec<[f32; 64]> = blocks
+                .iter()
+                .map(|(freq, _)| {
+                    let mut out = [0.0f32; 64];
+                    inverse_dct(freq, &mut out);
+                    out
+                })
+                .collect();
+            if name == "cancelling" {
+                let zeros = want.iter().flatten().filter(|&&v| v == 0.0).count();
+                assert!(zeros > 0, "the cancelling class must reach exact zeros");
+            }
+            for tier in [Some(Tier::BASELINE), Tier::avx2()].into_iter().flatten() {
+                let got = tier.run(MaskedIdct { blocks: &blocks });
+                for (b, (g, w)) in got.iter().zip(&want).enumerate() {
+                    for i in 0..BLOCK * BLOCK {
+                        // `==`: equal up to the sign of a zero, so equal
+                        // after the u8 conversion.
+                        assert!(g[i] == w[i], "{name} block {b} i={i} {}", tier.name());
+                        assert_eq!(to_u8(g[i]), to_u8(w[i]));
+                    }
+                }
             }
         }
     }

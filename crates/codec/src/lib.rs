@@ -186,6 +186,19 @@ impl Format {
     }
 }
 
+/// The region of a `width × height` `format` source that a decode of `roi`
+/// returns ([`EncodedImage::decode_roi`]): for sjpg the MCU-aligned cover
+/// of `roi` clamped to the image, for spng every row down to the ROI's
+/// bottom edge. A caller that sizes anything by a ROI decode's output (the
+/// runtime's per-plan prefix, say) reads it here, where the decoders do.
+pub fn roi_region(format: Format, width: usize, height: usize, roi: Rect) -> Rect {
+    match format {
+        Format::Sjpg { chroma, .. } => roi.align_to_blocks(chroma.mcu(), width, height),
+        Format::Spng => Rect::new(0, 0, width, roi.y_end()),
+        Format::Svid { .. } => roi,
+    }
+}
+
 /// An encoded image: format tag + shared bytes + cached dimensions.
 #[derive(Debug, Clone)]
 pub struct EncodedImage {
@@ -259,9 +272,9 @@ impl EncodedImage {
                         self.width, self.height
                     )));
                 }
-                let rows = roi.y_end();
-                let (img, _) = spng::decode_rows_opts(&self.bytes, rows, opts)?;
-                Ok((img, Rect::new(0, 0, self.width, rows)))
+                let region = roi_region(self.format, self.width, self.height, roi);
+                let (img, _) = spng::decode_rows_opts(&self.bytes, region.h, opts)?;
+                Ok((img, region))
             }
             Format::Svid { .. } => Err(self.format.unsupported("ROI decode")),
         }

@@ -101,7 +101,7 @@ use crate::runlength::{
     pair_window_bits, read_pair, tally_run, Alphabet, RunTable, EOB, PAIR_BITS, ZRL,
 };
 use crate::Bytes;
-use crate::Chroma;
+use crate::{Chroma, Format};
 use smol_imgproc::ops::colorspace::{rgb_pixel_to_ycbcr, ycbcr_pixel_to_rgb, ycbcr_row_to_rgb};
 use smol_imgproc::tier::{Kernel, Tier};
 use smol_imgproc::{ImageU8, Rect};
@@ -856,7 +856,11 @@ pub fn decode_roi_opts(
             header.width, header.height
         )));
     }
-    let aligned = roi.align_to_blocks(header.mcu(), header.width, header.height);
+    let format = Format::Sjpg {
+        quality: header.quality,
+        chroma: header.chroma,
+    };
+    let aligned = crate::roi_region(format, header.width, header.height, roi);
     let (img, stats) = decode_region(data, &header, aligned, opts)?;
     Ok((img, aligned, stats))
 }
@@ -1164,6 +1168,14 @@ fn decode_rows_into(
             if in_roi {
                 if opts.scalar_kernels {
                     write_mcu(&geom, &ybufs, &cbuf, &crbuf, bx, by, pixels, &mut stats);
+                } else if let Some(x0) = whole_block_column(&geom, bx, by) {
+                    write_block_strip(
+                        [&ybufs[0], &cbuf, &crbuf],
+                        x0,
+                        reg.w,
+                        [&mut ystrip, &mut cbstrip, &mut crstrip],
+                    );
+                    stats.pixels_written += (BLOCK * BLOCK) as u64;
                 } else {
                     write_mcu_strip(
                         &geom,
@@ -1346,6 +1358,12 @@ fn write_mcu(
 /// ≤ 16-pixel segments, which is what lets [`ycbcr_row_to_rgb`]'s planar
 /// lanes vectorize. Same per-sample conversion, same per-pixel color
 /// math, so output is bit-identical to converting MCU-by-MCU.
+///
+/// This is the per-row path: it clips each patch row to the output region
+/// and converts it on its own. The fast path takes it for the MCUs a
+/// region edge cuts, for 4:2:0 (whose rows cross two luma blocks and
+/// replicate chroma) and for scaled patches; a whole 4:4:4 block inside the
+/// region goes through [`write_block_strip`] instead.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn write_mcu_strip(
@@ -1417,6 +1435,43 @@ fn write_mcu_strip(
             }
         }
         stats.pixels_written += cw as u64;
+    }
+}
+
+/// The strip column a full-resolution 4:4:4 MCU at `(bx, by)` lands at, if
+/// its whole 8×8 patch lies inside the output region; `None` for an MCU the
+/// region cuts, and for every MCU of a 4:2:0 or scaled decode.
+#[inline(always)]
+fn whole_block_column(geom: &Geometry, bx: usize, by: usize) -> Option<usize> {
+    let reg = geom.oregion;
+    let (ox, oy) = (bx * BLOCK, by * BLOCK);
+    let whole = geom.chroma == Chroma::C444
+        && geom.factor == 1
+        && ox >= reg.x
+        && ox + BLOCK <= reg.x_end()
+        && oy >= reg.y
+        && oy + BLOCK <= reg.y_end();
+    whole.then(|| ox - reg.x)
+}
+
+/// [`write_mcu_strip`] for a 4:4:4 MCU whose 8×8 patch lies wholly inside
+/// the output region (see [`whole_block_column`]): its three 64-sample
+/// blocks convert to u8 in one straight-line pass, then land in the
+/// `width`-wide strips as 8-byte rows at column `x0`. Same per-sample
+/// conversion as the per-row path, so the same bytes.
+#[inline(always)]
+fn write_block_strip(blocks: [&[f32; 64]; 3], x0: usize, width: usize, strips: [&mut [u8]; 3]) {
+    let mut px = [[0u8; 64]; 3];
+    for (p, block) in px.iter_mut().zip(blocks) {
+        for (d, &s) in p.iter_mut().zip(block) {
+            *d = to_u8_fast(s);
+        }
+    }
+    for (p, strip) in px.iter().zip(strips) {
+        for (dy, row) in p.chunks_exact(BLOCK).enumerate() {
+            let at = dy * width + x0;
+            strip[at..at + BLOCK].copy_from_slice(row);
+        }
     }
 }
 

@@ -111,15 +111,15 @@ impl DecodeMode {
         }
     }
 
-    /// Dimensions the decoder hands to preprocessing for a `w × h` source.
+    /// Dimensions the planner prices decoding and preprocessing at for a
+    /// `w × h` source. Every mode but `CentralRoi` decodes exactly this
+    /// geometry. A central-ROI decode returns the codec's region for the
+    /// crop (`smol_codec::roi_region`: for sjpg the crop's MCU-aligned
+    /// cover, up to one MCU larger per edge), while this is the crop itself.
     pub fn decoded_dims(&self, w: usize, h: usize) -> (usize, usize) {
         match *self {
             DecodeMode::Full => (w, h),
-            DecodeMode::CentralRoi { crop_w, crop_h } => {
-                // The runtime block-aligns the centered crop; the decoded
-                // region is at least the crop and at most the image.
-                (crop_w.clamp(1, w), crop_h.clamp(1, h))
-            }
+            DecodeMode::CentralRoi { crop_w, crop_h } => (crop_w.clamp(1, w), crop_h.clamp(1, h)),
             DecodeMode::ReducedResolution { factor } => {
                 let f = (factor as usize).max(1);
                 (w.div_ceil(f), h.div_ceil(f))

@@ -39,8 +39,9 @@ pub fn rgb_pixel_to_ycbcr(r: u8, g: u8, b: u8) -> (u8, u8, u8) {
     (clamp_u8(y), clamp_u8(cb), clamp_u8(cr))
 }
 
-/// Converts one YCbCr pixel to RGB.
-#[inline]
+/// Converts one YCbCr pixel to RGB. Always inlined: [`ycbcr_row_to_rgb`]'s
+/// loop body is this function.
+#[inline(always)]
 pub fn ycbcr_pixel_to_rgb(y: u8, cb: u8, cr: u8) -> (u8, u8, u8) {
     let y = y as i32;
     let cb = cb as i32 - 128;
@@ -58,8 +59,8 @@ pub fn ycbcr_pixel_to_rgb(y: u8, cb: u8, cr: u8) -> (u8, u8, u8) {
 /// branch-free integer fixed-point, and the loop carries no cross-pixel
 /// state, so the autovectorizer lifts it to SIMD — 4 `i32` lanes on the
 /// baseline target, 8 inside a [`crate::tier`] AVX2 kernel (always inlined,
-/// so it compiles for the tier of the kernel that calls it). Bit-identical
-/// to calling the pixel kernel per sample (same arithmetic, same rounding).
+/// so it compiles for the tier of the kernel that calls it). Its loop body
+/// *is* the pixel kernel, so it is bit-identical to calling that per sample.
 ///
 /// `rgb` must hold exactly `3 * y.len()` bytes; `cb`/`cr` must match `y` in
 /// length.
@@ -68,39 +69,28 @@ pub fn ycbcr_row_to_rgb(y: &[u8], cb: &[u8], cr: &[u8], rgb: &mut [u8]) {
     debug_assert_eq!(y.len(), cb.len());
     debug_assert_eq!(y.len(), cr.len());
     debug_assert_eq!(rgb.len(), 3 * y.len());
-    // Two passes per chunk: planar math first (contiguous u8 loads and
+    // Two passes per chunk: one planar pass loads and widens each of Y, Cb
+    // and Cr once and computes R, G and B together (contiguous u8 loads and
     // stores per channel, so the autovectorizer lifts the multiply/clamp
-    // lanes), then a cheap interleave. Interleaved 3-byte strides in a
-    // single loop defeat vectorization entirely.
+    // lanes), then a cheap interleave. Interleaved 3-byte strides in the
+    // math loop itself defeat vectorization entirely.
     const CHUNK: usize = 128;
     let mut rbuf = [0u8; CHUNK];
     let mut gbuf = [0u8; CHUNK];
     let mut bbuf = [0u8; CHUNK];
-    let mut x0 = 0usize;
-    while x0 < y.len() {
-        let n = (y.len() - x0).min(CHUNK);
+    let rows = y.chunks(CHUNK).zip(cb.chunks(CHUNK)).zip(cr.chunks(CHUNK));
+    for (((y, cb), cr), rgb) in rows.zip(rgb.chunks_mut(3 * CHUNK)) {
+        let n = y.len();
+        let (cb, cr) = (&cb[..n], &cr[..n]);
+        let (r, g, b) = (&mut rbuf[..n], &mut gbuf[..n], &mut bbuf[..n]);
         for i in 0..n {
-            let yi = y[x0 + i] as i32;
-            let cri = cr[x0 + i] as i32 - 128;
-            rbuf[i] = clamp_u8(yi + ((R_CR * cri + HALF) >> FIX));
+            (r[i], g[i], b[i]) = ycbcr_pixel_to_rgb(y[i], cb[i], cr[i]);
         }
-        for i in 0..n {
-            let yi = y[x0 + i] as i32;
-            let cbi = cb[x0 + i] as i32 - 128;
-            let cri = cr[x0 + i] as i32 - 128;
-            gbuf[i] = clamp_u8(yi + ((G_CB * cbi + G_CR * cri + HALF) >> FIX));
+        for (i, out) in rgb[..3 * n].chunks_exact_mut(3).enumerate() {
+            out[0] = r[i];
+            out[1] = g[i];
+            out[2] = b[i];
         }
-        for i in 0..n {
-            let yi = y[x0 + i] as i32;
-            let cbi = cb[x0 + i] as i32 - 128;
-            bbuf[i] = clamp_u8(yi + ((B_CB * cbi + HALF) >> FIX));
-        }
-        for (i, out) in rgb[3 * x0..3 * (x0 + n)].chunks_exact_mut(3).enumerate() {
-            out[0] = rbuf[i];
-            out[1] = gbuf[i];
-            out[2] = bbuf[i];
-        }
-        x0 += n;
     }
 }
 
@@ -136,22 +126,58 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_kernel_is_bit_identical_to_pixel_kernel() {
-        let n = 67; // deliberately not a multiple of any SIMD width
-        let mut y = vec![0u8; n];
-        let mut cb = vec![0u8; n];
-        let mut cr = vec![0u8; n];
-        for i in 0..n {
-            y[i] = (i * 53 % 256) as u8;
-            cb[i] = (i * 91 % 256) as u8;
-            cr[i] = (i * 137 % 256) as u8;
+    /// [`ycbcr_row_to_rgb`] over planes cut into rows of the given lengths
+    /// (cycled), as one tier kernel.
+    struct Rows<'a> {
+        planes: [&'a [u8]; 3],
+        rgb: &'a mut [u8],
+        lens: &'a [usize],
+    }
+
+    impl crate::tier::Kernel for Rows<'_> {
+        type Output = ();
+
+        #[inline(always)]
+        fn run(self) {
+            let [y, cb, cr] = self.planes;
+            let (mut x, mut lens) = (0, self.lens.iter().cycle());
+            while x < y.len() {
+                let n = (*lens.next().expect("cycled")).min(y.len() - x);
+                let rgb = &mut self.rgb[3 * x..3 * (x + n)];
+                ycbcr_row_to_rgb(&y[x..x + n], &cb[x..x + n], &cr[x..x + n], rgb);
+                x += n;
+            }
         }
-        let mut rgb = vec![0u8; 3 * n];
-        ycbcr_row_to_rgb(&y, &cb, &cr, &mut rgb);
-        for i in 0..n {
-            let (r, g, b) = ycbcr_pixel_to_rgb(y[i], cb[i], cr[i]);
-            assert_eq!(&rgb[3 * i..3 * i + 3], &[r, g, b], "i={i}");
+    }
+
+    #[test]
+    fn row_kernel_is_bit_identical_to_pixel_kernel_on_every_input() {
+        use crate::tier::Tier;
+        // All 2^24 (Y, Cb, Cr) triples, one Y value at a time, in rows
+        // whose lengths are multiples of neither a lane width nor CHUNK.
+        let lens = [67, 1, 131, 7, 300, 13, 255, 129];
+        let cb: Vec<u8> = (0..1usize << 16).map(|i| (i >> 8) as u8).collect();
+        let cr: Vec<u8> = (0..1usize << 16).map(|i| i as u8).collect();
+        let mut rgb = vec![0u8; 3 << 16];
+        for yv in 0..=255u8 {
+            let y = vec![yv; 1 << 16];
+            let want: Vec<u8> = cb
+                .iter()
+                .zip(&cr)
+                .flat_map(|(&b, &r)| {
+                    let (r, g, b) = ycbcr_pixel_to_rgb(yv, b, r);
+                    [r, g, b]
+                })
+                .collect();
+            for tier in [Some(Tier::BASELINE), Tier::avx2()].into_iter().flatten() {
+                rgb.fill(0);
+                tier.run(Rows {
+                    planes: [&y, &cb, &cr],
+                    rgb: &mut rgb,
+                    lens: &lens,
+                });
+                assert!(rgb == want, "y={yv} under {}", tier.name());
+            }
         }
     }
 }

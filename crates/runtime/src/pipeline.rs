@@ -162,9 +162,7 @@ impl PlanContext {
             norm: Normalization::IMAGENET,
             dnn: plan.dnn,
             batch: plan.batch.max(1),
-            nominal_src: plan
-                .decode
-                .decoded_dims(plan.input.width, plan.input.height),
+            nominal_src: nominal_src(plan),
             nominal: OnceLock::new(),
             prefix: Mutex::new(None),
         }
@@ -571,7 +569,7 @@ pub fn decode_item_opts(
     match mode {
         DecodeMode::Full => Ok(enc.decode_with_opts(opts)?),
         DecodeMode::CentralRoi { crop_w, crop_h } => {
-            let roi = Rect::centered(enc.width, enc.height, crop_w.max(1), crop_h.max(1));
+            let roi = central_roi(enc.width, enc.height, crop_w, crop_h);
             let (img, _) = enc.decode_roi_opts(roi, opts)?;
             Ok(img)
         }
@@ -582,6 +580,28 @@ pub fn decode_item_opts(
         // A still image under a video plan has no GOP structure to
         // select within: decode it fully.
         DecodeMode::Video { .. } => Ok(enc.decode_with_opts(opts)?),
+    }
+}
+
+/// The crop a `CentralRoi { crop_w, crop_h }` decode asks for from a
+/// `w × h` item.
+fn central_roi(w: usize, h: usize, crop_w: usize, crop_h: usize) -> Rect {
+    Rect::centered(w, h, crop_w.max(1), crop_h.max(1))
+}
+
+/// The geometry [`decode_item`] emits for an item of `plan`'s declared
+/// size. A central-ROI decode returns the region the codec decodes for the
+/// crop ([`smol_codec::roi_region`]: MCU-aligned for sjpg), not the crop
+/// `DecodeMode::decoded_dims` prices.
+fn nominal_src(plan: &QueryPlan) -> (usize, usize) {
+    let (w, h) = (plan.input.width, plan.input.height);
+    match plan.decode {
+        DecodeMode::CentralRoi { crop_w, crop_h } => {
+            let region =
+                smol_codec::roi_region(plan.input.format, w, h, central_roi(w, h, crop_w, crop_h));
+            (region.w, region.h)
+        }
+        mode => mode.decoded_dims(w, h),
     }
 }
 
@@ -748,6 +768,40 @@ mod tests {
         // The decoder emitted the block-aligned ROI, not the whole image.
         let kept = staged[0].image.as_ref().unwrap();
         assert!(kept.width() < 128 && kept.height() < 96, "{kept:?}");
+    }
+
+    #[test]
+    fn central_roi_items_stage_through_the_validated_prefix() {
+        // A ROI decode returns the crop's MCU-aligned cover, not the crop:
+        // items of the declared size must stage through the prefix
+        // `validate` compiled for that cover, leaving the shared slot empty,
+        // and stage what the reference interpreter computes.
+        for format in [Format::sjpg(85), Format::sjpg420(85)] {
+            for (crop_w, crop_h) in [(64, 48), (80, 32), (57, 43), (90, 70)] {
+                let input = InputVariant::new("test sjpg", format, 128, 96);
+                let plan = test_plan(input, 64, DecodeMode::CentralRoi { crop_w, crop_h });
+                let items: Vec<MediaItem> = (0..3)
+                    .map(|i| EncodedImage::encode(&textured(128, 96, i), format).unwrap())
+                    .map(MediaItem::Image)
+                    .collect();
+                let (ctx, staged) = produce_all(&plan, &items);
+                let case = format!("{format:?} crop {crop_w}x{crop_h}");
+                assert!(lock(&ctx.prefix).is_none(), "{case}: slot used");
+                for (item, got) in items.iter().zip(&staged) {
+                    let MediaItem::Image(enc) = item else {
+                        unreachable!("stills only")
+                    };
+                    let decoded = decode_item(enc, ctx.decode).unwrap();
+                    let dims = (decoded.width(), decoded.height());
+                    assert_eq!(dims, ctx.nominal_src, "{case}");
+                    let want = smol_imgproc::dag::execute_plan(&ctx.preproc, &decoded, &ctx.norm)
+                        .unwrap()
+                        .into_vec();
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got.buffer.as_slice()), bits(&want), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

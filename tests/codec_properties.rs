@@ -653,6 +653,60 @@ fn sjpg_header_flips_decode_or_fail_the_same_way_on_both_paths() {
     }
 }
 
+/// ROI decodes whose left and top edges sit at every offset within an MCU,
+/// of seeded sizes, some reaching an image edge that is not an MCU
+/// multiple: the fast path equals the scalar reference in 4:4:4 and 4:2:0.
+/// In 4:4:4 the fast path writes an MCU whose 8×8 patch lies inside the
+/// decoded region a whole block at a time, and one the image edge cuts row
+/// by row; both occur here.
+#[test]
+fn roi_decodes_at_every_offset_within_an_mcu_match_the_reference() {
+    let mut state = 0x5eed_0044u64;
+    for chroma in [Chroma::C444, Chroma::C420] {
+        let (w, h) = (77, 53);
+        let mut img = ImageU8::zeros(w, h, 3);
+        for (i, v) in img.data_mut().iter_mut().enumerate() {
+            *v = ((i % (3 * w)) as u8 / 3).wrapping_add((lcg(&mut state) >> 59) as u8);
+        }
+        let data = SjpgEncoder::with_chroma(92, chroma).encode(&img).unwrap();
+        let mcu = chroma.mcu();
+        let (mut whole, mut cut) = (0, 0);
+        for oy in 0..mcu {
+            for ox in 0..mcu {
+                let (x, y) = (mcu + ox, mcu / 2 + oy);
+                // Seeded extents, every fourth one to the image's edge.
+                let rw = 1 + (lcg(&mut state) >> 33) as usize % (w - x);
+                let rh = 1 + (lcg(&mut state) >> 33) as usize % (h - y);
+                let to_edge = (ox + oy) % 4 == 0;
+                let roi = if to_edge {
+                    Rect::new(x, y, w - x, h - y)
+                } else {
+                    Rect::new(x, y, rw, rh)
+                };
+                let img = sjpg_roi_paths_agree(&data, roi).expect("a valid ROI decodes");
+                let at = smol::codec::roi_region(
+                    Format::Sjpg {
+                        quality: 92,
+                        chroma,
+                    },
+                    w,
+                    h,
+                    roi,
+                );
+                assert_eq!((img.width(), img.height()), (at.w, at.h));
+                whole += (at.w >= 8 && at.h >= 8) as usize;
+                cut += (!at.x_end().is_multiple_of(8) || !at.y_end().is_multiple_of(8)) as usize;
+            }
+        }
+        if chroma == Chroma::C444 {
+            assert!(
+                whole > 0 && cut > 0,
+                "whole-block MCUs {whole}, cut MCUs {cut}"
+            );
+        }
+    }
+}
+
 /// The central-ROI and early-stop entry points under the scalar reference
 /// options — what a serving oracle compares its outputs with — agree with
 /// the default path for every still format.
